@@ -57,7 +57,11 @@ def orthogonalise(matrix: np.ndarray, eps: float = 1e-8) -> np.ndarray:
             column[:] = 0.0
             column[col % matrix.shape[0]] = 1.0
         else:
-            column /= norm
+            # A poisoned column (inf gradient, e.g. under fault injection) has an
+            # inf norm: inf / inf is NaN on purpose, so the poison keeps
+            # propagating to the guard that rolls the step back.
+            with np.errstate(invalid="ignore"):
+                column /= norm
         if col + 1 < num_cols:
             rest = matrix[:, col + 1 :]
             rest -= np.outer(column, column @ rest)

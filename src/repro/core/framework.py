@@ -23,6 +23,7 @@ from repro.core.config import EngineCompressionConfig, OptimusCCConfig
 from repro.core.fused_embedding import EmbeddingSynchronizer
 from repro.core.selective_stage import SelectiveStageCompression
 from repro.parallel.collectives import CommunicationLog
+from repro.plan import ParallelPlan
 from repro.simulator.breakdown import ExecutionBreakdown, compute_breakdown
 from repro.simulator.cost_model import TrainingJob
 from repro.simulator.executor import CompressionPlan, IterationTiming, PipelineTimingSimulator
@@ -99,8 +100,12 @@ class OptimusCC:
         seed: int = 0,
         collect_cb_diagnostics: bool = False,
         executor: str | None = None,
+        plan: ParallelPlan | None = None,
     ):
         """Construct a :class:`repro.parallel.engine.ThreeDParallelEngine`.
+
+        ``plan`` (a :class:`repro.plan.ParallelPlan`) carries what the explicit
+        arguments do not: the pipeline schedule kind and its memory cap.
 
         Imported lazily because the engine package itself reaches back into
         :mod:`repro.core` for the hook implementations.
@@ -117,6 +122,7 @@ class OptimusCC:
             seed=seed,
             collect_cb_diagnostics=collect_cb_diagnostics,
             executor=executor,
+            plan=plan,
         )
 
     def build_trainer(self, *args, **kwargs):

@@ -79,15 +79,17 @@ class MultiHeadSelfAttention(Module):
 
     # -- helpers -------------------------------------------------------------
 
-    def _split_heads(self, x: np.ndarray) -> np.ndarray:
-        """``(batch, seq, hidden) -> (batch, heads, seq, head_dim)``."""
-        batch, seq, _ = x.shape
-        return x.reshape(batch, seq, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
+    def _heads(self, merged: np.ndarray) -> np.ndarray:
+        """Head-major view ``(parts, batch, heads, seq, head_dim)`` of ``(batch, seq, parts * hidden)``.
 
-    def _merge_heads(self, x: np.ndarray) -> np.ndarray:
-        """``(batch, heads, seq, head_dim) -> (batch, seq, hidden)``."""
-        batch, _, seq, _ = x.shape
-        return x.transpose(0, 2, 1, 3).reshape(batch, seq, self.hidden_size)
+        A strided view, never a copy: BLAS reads and writes the heads where
+        they lie, so the fused QKV activation (and its gradient) is laid out
+        once, by the Linear that produces (consumes) it.
+        """
+        batch, seq, width = merged.shape
+        return merged.reshape(
+            batch, seq, width // self.hidden_size, self.num_heads, self.head_dim
+        ).transpose(2, 0, 3, 1, 4)
 
     # -- forward / backward --------------------------------------------------
 
@@ -100,17 +102,13 @@ class MultiHeadSelfAttention(Module):
         batch, seq, _ = x.shape
 
         qkv, cache.qkv_cache = self.qkv.forward(x)
-        queries, keys, values = np.split(qkv, 3, axis=-1)
-        queries = self._split_heads(queries)
-        keys = self._split_heads(keys)
-        values = self._split_heads(values)
+        queries, keys, values = self._heads(qkv)
         cache.queries, cache.keys, cache.values = queries, keys, values
 
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = np.einsum("bhqd,bhkd->bhqk", queries, keys) * scale
-        mask = F.causal_mask(seq)
-        scores = F.masked_fill(scores, mask)
-        probs = F.softmax(scores, axis=-1)
+        scores = np.matmul(queries, keys.swapaxes(-1, -2))
+        scores *= 1.0 / np.sqrt(self.head_dim)
+        F.masked_fill(scores, F.causal_mask(seq), out=scores)
+        probs = F.softmax(scores, axis=-1, out=scores)
 
         if self.training and self.attention_dropout > 0.0 and rng is not None:
             probs, cache.dropout_mask = F.dropout_forward(
@@ -118,8 +116,8 @@ class MultiHeadSelfAttention(Module):
             )
         cache.attention_probs = probs
 
-        context = np.einsum("bhqk,bhkd->bhqd", probs, values)
-        merged = self._merge_heads(context)
+        merged = np.empty((batch, seq, self.hidden_size))
+        np.matmul(probs, values, out=self._heads(merged)[0])
         cache.context = merged
         output, cache.proj_cache = self.proj.forward(merged)
         return output, cache
@@ -138,29 +136,23 @@ class MultiHeadSelfAttention(Module):
     def backward_input(self, grad_output: np.ndarray, cache: AttentionCache) -> np.ndarray:
         """B pass: input gradient only; the qkv/proj weight gradients are deferred."""
         grad_merged = self.proj.backward_input(grad_output, cache.proj_cache)
+        grad_context = self._heads(grad_merged)[0]
 
         batch, seq, _ = cache.input_shape
-        grad_context = grad_merged.reshape(batch, seq, self.num_heads, self.head_dim).transpose(
-            0, 2, 1, 3
-        )
+        grad_qkv = np.empty((batch, seq, 3 * self.hidden_size))
+        grad_queries, grad_keys, grad_values = self._heads(grad_qkv)
 
         probs = cache.attention_probs
-        grad_probs = np.einsum("bhqd,bhkd->bhqk", grad_context, cache.values)
-        grad_values = np.einsum("bhqk,bhqd->bhkd", probs, grad_context)
+        grad_probs = np.matmul(grad_context, cache.values.swapaxes(-1, -2))
+        np.matmul(probs.swapaxes(-1, -2), grad_context, out=grad_values)
 
         grad_probs = F.dropout_backward(grad_probs, cache.dropout_mask)
         grad_scores = F.softmax_backward(grad_probs, probs, axis=-1)
         # Masked positions have zero probability, so their score gradient is already zero.
+        grad_scores *= 1.0 / np.sqrt(self.head_dim)
+        np.matmul(grad_scores, cache.keys, out=grad_queries)
+        np.matmul(grad_scores.swapaxes(-1, -2), cache.queries, out=grad_keys)
 
-        scale = 1.0 / np.sqrt(self.head_dim)
-        grad_scores = grad_scores * scale
-        grad_queries = np.einsum("bhqk,bhkd->bhqd", grad_scores, cache.keys)
-        grad_keys = np.einsum("bhqk,bhqd->bhkd", grad_scores, cache.queries)
-
-        grad_qkv = np.concatenate(
-            [self._merge_heads(grad_queries), self._merge_heads(grad_keys), self._merge_heads(grad_values)],
-            axis=-1,
-        )
         grad_input = self.qkv.backward_input(grad_qkv, cache.qkv_cache)
         # Release everything the deferred W pass does not need (the zero-bubble
         # memory claim: after B, only the Linear W stashes stay alive).

@@ -66,11 +66,15 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, LinearCache]:
-        """Apply the affine map; returns output and cache."""
-        output = x @ self.weight.data
+        """Apply the affine map; returns output and cache.
+
+        Leading dimensions are flattened so the product is one 2-D GEMM
+        whatever the batch shape.
+        """
+        output = x.reshape(-1, self.in_features) @ self.weight.data
         if self.bias is not None:
-            output = output + self.bias.data
-        return output, LinearCache(x)
+            output += self.bias.data
+        return output.reshape(*x.shape[:-1], self.out_features), LinearCache(x)
 
     def backward(self, grad_output: np.ndarray, cache: LinearCache) -> np.ndarray:
         """Accumulate parameter gradients and return the input gradient.
@@ -86,7 +90,8 @@ class Linear(Module):
     def backward_input(self, grad_output: np.ndarray, cache: LinearCache) -> np.ndarray:
         """B pass: return the input gradient, stash ``grad_output`` for the W pass."""
         cache.grad_output = grad_output
-        return grad_output @ self.weight.data.T
+        grad_input = grad_output.reshape(-1, self.out_features) @ self.weight.data.T
+        return grad_input.reshape(cache.input.shape)
 
     def backward_weight(self, cache: LinearCache) -> None:
         """W pass: accumulate the weight/bias gradients stashed by the B pass."""

@@ -210,9 +210,7 @@ class PipelineParallelEngine:
         if self.schedule_kind in SPLIT_BACKWARD_KINDS:
             return self._run_iteration_split(micro_batches, self._build_split_schedule(num_micro_batches))
         loss_scale = 1.0 / num_micro_batches
-
-        forward_bytes_before = self.channel.log.total_wire_bytes("inter_stage_forward")
-        backward_bytes_before = self.channel.log.total_wire_bytes("inter_stage_backward")
+        record_mark = len(self.channel.log.records)
 
         # Per-stage, per-micro-batch caches; index [stage][micro_batch].
         caches: list[list[StageCache | None]] = [
@@ -250,16 +248,7 @@ class PipelineParallelEngine:
                         grad, stage_index - 1, micro_batch, num_micro_batches
                     )
 
-        forward_bytes = self.channel.log.total_wire_bytes("inter_stage_forward") - forward_bytes_before
-        backward_bytes = (
-            self.channel.log.total_wire_bytes("inter_stage_backward") - backward_bytes_before
-        )
-        return IterationResult(
-            mean_loss=float(np.mean(losses)),
-            num_micro_batches=num_micro_batches,
-            forward_bytes=int(forward_bytes),
-            backward_bytes=int(backward_bytes),
-        )
+        return self._iteration_result(losses, record_mark)
 
     def _build_split_schedule(self, num_micro_batches: int) -> list[list[PipelineOp]]:
         """Per-stage split-backward op lists for the engine's schedule kind.
@@ -301,9 +290,7 @@ class PipelineParallelEngine:
         num_micro_batches = len(micro_batches)
         num_stages = self.num_stages
         loss_scale = 1.0 / num_micro_batches
-
-        forward_bytes_before = self.channel.log.total_wire_bytes("inter_stage_forward")
-        backward_bytes_before = self.channel.log.total_wire_bytes("inter_stage_backward")
+        record_mark = len(self.channel.log.records)
 
         caches: list[list[StageCache | None]] = [
             [None] * num_micro_batches for _ in range(num_stages)
@@ -373,15 +360,20 @@ class PipelineParallelEngine:
                     f"{self.schedule_kind} schedule deadlocked (invalid dependency structure)"
                 )
 
-        forward_bytes = self.channel.log.total_wire_bytes("inter_stage_forward") - forward_bytes_before
-        backward_bytes = (
-            self.channel.log.total_wire_bytes("inter_stage_backward") - backward_bytes_before
-        )
+        return self._iteration_result(losses, record_mark)
+
+    def _iteration_result(self, losses: Sequence[float], record_mark: int) -> IterationResult:
+        """Mean loss plus the inter-stage bytes of the records logged since ``record_mark``.
+
+        Only this iteration's slice of the (run-long, possibly shared) log is
+        scanned, so the cost of an iteration does not grow with the run.
+        """
+        iteration_log = CommunicationLog(records=self.channel.log.records[record_mark:])
         return IterationResult(
-            mean_loss=float(np.mean([loss for loss in losses if loss is not None])),
-            num_micro_batches=num_micro_batches,
-            forward_bytes=int(forward_bytes),
-            backward_bytes=int(backward_bytes),
+            mean_loss=float(np.mean(losses)),
+            num_micro_batches=len(losses),
+            forward_bytes=int(iteration_log.total_wire_bytes("inter_stage_forward")),
+            backward_bytes=int(iteration_log.total_wire_bytes("inter_stage_backward")),
         )
 
     # -- inference ------------------------------------------------------------------

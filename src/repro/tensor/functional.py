@@ -10,6 +10,8 @@ between pipeline stages, so we need full control over them.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # ---------------------------------------------------------------------------
@@ -17,11 +19,18 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``."""
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+def softmax(logits: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable softmax along ``axis``.
+
+    One buffer carries the shift, the exponential and the normalisation;
+    ``out=logits`` makes the whole chain in place.
+    """
+    # Integer logits promote to float64; float logits keep their width.
+    dtype = np.result_type(logits, np.float16)
+    out = np.subtract(logits, np.max(logits, axis=axis, keepdims=True), out=out, dtype=dtype)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
+    return out
 
 
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -32,8 +41,11 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def softmax_backward(grad_output: np.ndarray, softmax_output: np.ndarray, axis: int = -1) -> np.ndarray:
     """Backward pass of softmax given upstream gradient and cached output."""
-    inner = np.sum(grad_output * softmax_output, axis=axis, keepdims=True)
-    return softmax_output * (grad_output - inner)
+    grad = grad_output * softmax_output
+    inner = np.sum(grad, axis=axis, keepdims=True)
+    np.subtract(grad_output, inner, out=grad)
+    grad *= softmax_output
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +107,17 @@ def layer_norm_forward(
 
     Returns the normalised output and a cache for the backward pass.
     """
-    mean = np.mean(x, axis=-1, keepdims=True)
-    var = np.var(x, axis=-1, keepdims=True)
+    # The variance is spelled out (sum of squared deviations over the count,
+    # exactly what ``np.var`` does) so that the mean is computed once and the
+    # squares land in the buffer that then becomes the output.
+    normalised = x - np.mean(x, axis=-1, keepdims=True)
+    output = np.square(normalised)
+    var = np.sum(output, axis=-1, keepdims=True)
+    var /= x.shape[-1]
     inv_std = 1.0 / np.sqrt(var + eps)
-    normalised = (x - mean) * inv_std
-    output = normalised * gamma + beta
+    normalised *= inv_std
+    np.multiply(normalised, gamma, out=output)
+    output += beta
     cache = {"normalised": normalised, "inv_std": inv_std, "gamma": gamma}
     return output, cache
 
@@ -113,13 +131,19 @@ def layer_norm_backward(grad_output: np.ndarray, cache: dict) -> tuple[np.ndarra
     inv_std = cache["inv_std"]
     gamma = cache["gamma"]
 
-    grad_gamma = np.sum(grad_output * normalised, axis=tuple(range(grad_output.ndim - 1)))
-    grad_beta = np.sum(grad_output, axis=tuple(range(grad_output.ndim - 1)))
+    leading_axes = tuple(range(grad_output.ndim - 1))
+    scratch = grad_output * normalised
+    grad_gamma = np.sum(scratch, axis=leading_axes)
+    grad_beta = np.sum(grad_output, axis=leading_axes)
 
-    grad_normalised = grad_output * gamma
-    mean_grad = np.mean(grad_normalised, axis=-1, keepdims=True)
-    mean_grad_times_norm = np.mean(grad_normalised * normalised, axis=-1, keepdims=True)
-    grad_input = inv_std * (grad_normalised - mean_grad - normalised * mean_grad_times_norm)
+    grad_input = grad_output * gamma
+    mean_grad = np.mean(grad_input, axis=-1, keepdims=True)
+    np.multiply(grad_input, normalised, out=scratch)
+    mean_grad_times_norm = np.mean(scratch, axis=-1, keepdims=True)
+    grad_input -= mean_grad
+    np.multiply(normalised, mean_grad_times_norm, out=scratch)
+    grad_input -= scratch
+    grad_input *= inv_std
     return grad_input, grad_gamma, grad_beta
 
 
@@ -198,11 +222,27 @@ def cross_entropy_backward(probabilities: np.ndarray, targets: np.ndarray) -> np
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
 def causal_mask(sequence_length: int) -> np.ndarray:
-    """Lower-triangular boolean mask of shape ``(seq, seq)`` (True = attend)."""
-    return np.tril(np.ones((sequence_length, sequence_length), dtype=bool))
+    """Lower-triangular boolean mask of shape ``(seq, seq)`` (True = attend).
+
+    Built once per sequence length and shared, hence read-only.
+    """
+    mask = np.tril(np.ones((sequence_length, sequence_length), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
-def masked_fill(scores: np.ndarray, mask: np.ndarray, value: float = -1e9) -> np.ndarray:
-    """Return ``scores`` with positions where ``mask`` is False replaced by ``value``."""
-    return np.where(mask, scores, value)
+def masked_fill(
+    scores: np.ndarray, mask: np.ndarray, value: float = -1e9, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``scores`` with positions where ``mask`` is False replaced by ``value``.
+
+    ``out=scores`` overwrites the disallowed positions in place.
+    """
+    if out is None:
+        out = np.empty_like(scores)
+    if out is not scores:
+        np.copyto(out, scores)
+    np.copyto(out, value, where=np.logical_not(mask))
+    return out

@@ -175,6 +175,7 @@ class Pretrainer:
             seed=self.seed,
             collect_cb_diagnostics=collect_cb_diagnostics,
             executor=executor,
+            plan=plan,
         )
         # Aliases kept for the pre-engine API (tests and experiments use these).
         self.log = self.engine.log
@@ -196,8 +197,8 @@ class Pretrainer:
         self.last_iteration_result: EngineIterationResult | None = None
         self._iteration = 0
 
-        # Resilience wiring: the factory-built engine has no plan, so the
-        # trainer arms the injector/guardrails on it post-construction.
+        # Resilience wiring: an explicit ``resilience=`` overrides the plan's
+        # section, so the trainer (re-)arms the engine post-construction.
         if resilience is None and plan is not None:
             resilience = plan.resilience
         self.resilience_spec = resilience

@@ -79,6 +79,39 @@ class TestTrafficAccounting:
         assert log.count() == 0
 
 
+    @pytest.mark.parametrize("schedule_kind", ["1f1b", "zb1"])
+    def test_iteration_bytes_scan_only_the_iterations_own_records(
+        self, tiny_config, rng, monkeypatch, schedule_kind
+    ):
+        """The log is run-long and shared; an iteration sums only what it added."""
+        scanned: list[int] = []
+        original = CommunicationLog.total_wire_bytes
+
+        def counting(log, category=None):
+            scanned.append(len(log.records))
+            return original(log, category)
+
+        monkeypatch.setattr(CommunicationLog, "total_wire_bytes", counting)
+        log = CommunicationLog()
+        engine = PipelineParallelEngine(
+            build_gpt_stages(tiny_config, 2, seed=0),
+            InterStageChannel(log=log),
+            schedule_kind=schedule_kind,
+        )
+        batches = [make_batch(tiny_config, rng, batch=2, seq=8) for _ in range(2)]
+        expected = 2 * 1 * 2 * 8 * tiny_config.hidden_size * 2
+        per_iteration = []
+        for _ in range(4):
+            before = len(scanned)
+            result = engine.run_iteration(batches)
+            assert result.forward_bytes == expected
+            assert result.backward_bytes == expected
+            per_iteration.append(scanned[before:])
+        assert len(log.records) == 4 * 4  # nothing is dropped from the run-long log
+        # Every sum looked at this iteration's 4 records, however long the run.
+        assert per_iteration == [[4, 4]] * 4
+
+
 class TestZeroBubbleReplay:
     """The zb1 replay path of the functional pipeline engine."""
 

@@ -312,6 +312,36 @@ class TestPlanHelpers:
         trainer = Pretrainer(small_config, loader, plan=matching)
         assert trainer.num_stages == 2
 
+    def test_pretrainer_runs_the_schedule_its_plan_names(self, small_config, loader):
+        """``repro train --schedule auto|zb1`` used to replay 1f1b silently."""
+        from repro.training.trainer import Pretrainer
+
+        def trainer_for(kind, cap=1.0):
+            plan = ParallelPlan(
+                schedule=Schedule(kind=kind, memory_cap_factor=cap)
+            ).with_topology(
+                pp=2, dp=loader.data_parallel_degree, micro_batches=loader.num_micro_batches
+            )
+            return Pretrainer(small_config, loader, plan=plan, seed=5)
+
+        auto = trainer_for("auto", cap=1.5)
+        engine = auto.engine
+        assert engine.schedule_kind == "auto"
+        assert engine.memory_cap_factor == 1.5
+        assert engine.plan.schedule.kind == "auto"
+        assert [p.schedule_kind for p in engine.pipeline_engines] == ["auto", "auto"]
+        assert [p.memory_cap_factor for p in engine.pipeline_engines] == [1.5, 1.5]
+        assert engine.bucketed_sync is not None
+        assert engine.bucketed_sync.schedule_kind == "auto"
+        assert trainer_for("zb1").engine.schedule_kind == "zb1"
+
+        reference = trainer_for("1f1b")
+        assert reference.engine.schedule_kind == "1f1b"
+        for _ in range(3):
+            assert auto.train_iteration() == reference.train_iteration()
+        for auto_arena, reference_arena in zip(auto.engine.arenas, reference.engine.arenas):
+            assert np.array_equal(auto_arena.data, reference_arena.data)
+
     def test_plans_are_hashable_value_objects(self):
         plans = {ParallelPlan.baseline(), ParallelPlan.preset("cb_fe_sc"), ParallelPlan.baseline()}
         assert len(plans) == 2
