@@ -1,11 +1,12 @@
 """Compare a fresh BENCH_core.json against the committed baseline.
 
-CI runs the benchmark harness (which overwrites ``benchmarks/results/BENCH_core.json``),
-then calls this script with the committed copy saved aside::
+CI runs the benchmark harness (which writes its fresh payload to the git-ignored
+``.bench_build/BENCH_core.json`` and never touches the committed baseline),
+then calls this script::
 
     python benchmarks/perf/check_regression.py \
-        --baseline /tmp/BENCH_core.baseline.json \
-        --fresh benchmarks/results/BENCH_core.json
+        --baseline benchmarks/results/BENCH_core.json \
+        --fresh .bench_build/BENCH_core.json
 
 Every tracked metric is a higher-is-better ratio (speedups and MB/s).  A metric
 that drops more than ``--tolerance`` (default 30 %) below the committed value
@@ -54,6 +55,11 @@ TRACKED_METRICS = [
     # Guarded-loop cost relative to the unguarded loop (higher is better: the
     # ratio sits just below 1.0 and drops if guarding gets more expensive).
     ("resilience_overhead", "unguarded_over_guarded"),
+    # Checkpoint format v3 write/read throughput: stored members streamed from
+    # the live buffers, weights and moments once per DP group.  Absolute MB/s
+    # (disk- and memory-bound), same-machine comparable like the codec numbers.
+    ("checkpoint_io", "save_mb_per_s"),
+    ("checkpoint_io", "load_mb_per_s"),
     # Serial replica loop vs the forked shared-memory executor.  The absolute
     # value is machine-dependent (>1x only with spare cores), but the fresh/
     # committed ratio compares same-machine runs like every other speedup here.

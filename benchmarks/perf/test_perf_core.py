@@ -2,19 +2,22 @@
 
 Lives in the ``benchmarks/`` tree so the shared conftest auto-marks it
 ``slow``/``benchmark`` and CI runs it in the non-blocking benchmark job, which
-uploads the emitted ``benchmarks/results/BENCH_core.json`` as an artifact and
-diffs it against the committed baseline (``check_regression.py``).
+uploads the emitted ``.bench_build/BENCH_core.json`` as an artifact and diffs it
+against the committed baseline ``benchmarks/results/BENCH_core.json``
+(``check_regression.py``).  The committed file is never written here — moving
+the baseline is ``bench_core.py --update-baseline``.
 """
 
 from __future__ import annotations
 
 import json
 
-from bench_core import RESULTS_PATH, run_all, write_results
+from bench_core import FRESH_PATH, RESULTS_PATH, run_all, write_results
 from check_regression import compare
 
 
 def test_bench_core_smoke():
+    baseline_before = RESULTS_PATH.read_bytes()
     results = run_all(optimizer_repeats=3, engine_repeats=3, codec_repeats=3)
     path = write_results(results)
 
@@ -79,6 +82,12 @@ def test_bench_core_smoke():
     assert resilience["guarded_over_unguarded"] <= 1.5, resilience
     assert resilience["snapshot_ms"] > 0.0, resilience
 
+    # Checkpoint v3 is a stored stream of the live buffers: even on a slow
+    # runner it stays far above the ~25 MB/s the deflating v2 writer managed.
+    checkpoint = results["checkpoint_io"]
+    assert checkpoint["save_mb_per_s"] >= 100.0, checkpoint
+    assert checkpoint["load_mb_per_s"] >= 100.0, checkpoint
+
     # The process executor: parity is the hard claim (asserted inside the
     # benchmark too); wall-clock speedup is machine-dependent — >1x needs spare
     # cores for the 4 workers, so the smoke only bounds the overhead, and the
@@ -111,10 +120,13 @@ def test_bench_core_smoke():
     assert search["warm_speedup"] >= 1.5, search
     assert search["frontier_size"] >= 1, search
 
-    # The artifact is valid JSON on disk where CI picks it up.
-    assert path == RESULTS_PATH
+    # The artifact is valid JSON on disk where CI picks it up — in scratch; the
+    # committed baseline is untouched (a baseline tier-1 overwrites absorbs
+    # regressions silently, ROADMAP item 1).
+    assert path == FRESH_PATH
     reloaded = json.loads(path.read_text(encoding="utf-8"))
     assert reloaded["benchmark"] == "BENCH_core"
+    assert RESULTS_PATH.read_bytes() == baseline_before
 
 
 def test_regression_checker_flags_real_drops():
@@ -135,6 +147,7 @@ def test_regression_checker_flags_real_drops():
         "schedule_iteration": {"sim_speedup": 1.13, "bubble_ratio": 1.5},
         "auto_schedule": {"sim_speedup_vs_zb1_cap2": 1.08, "bubble_ratio_cap1": 1.0},
         "resilience_overhead": {"unguarded_over_guarded": 0.97},
+        "checkpoint_io": {"save_mb_per_s": 400.0, "load_mb_per_s": 600.0},
         "process_executor": {"speedup": 1.0},
         "worker_recovery": {"unsupervised_over_supervised": 0.95, "respawns_per_s": 2.0},
         "plan_search": {"warm_speedup": 8.0},
@@ -178,6 +191,7 @@ def test_regression_checker_hard_fails_on_missing_fresh_metric():
         "schedule_iteration": {"sim_speedup": 1.13, "bubble_ratio": 1.5},
         "auto_schedule": {"sim_speedup_vs_zb1_cap2": 1.08, "bubble_ratio_cap1": 1.0},
         "resilience_overhead": {"unguarded_over_guarded": 0.97},
+        "checkpoint_io": {"save_mb_per_s": 400.0, "load_mb_per_s": 600.0},
         "process_executor": {"speedup": 1.0},
         "worker_recovery": {"unsupervised_over_supervised": 0.95, "respawns_per_s": 2.0},
         "plan_search": {"warm_speedup": 8.0},

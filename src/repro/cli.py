@@ -327,7 +327,7 @@ def _command_train_resilient(arguments: argparse.Namespace, plan: ParallelPlan) 
 
     Runs the same tiny functional probe as the traffic path (so both commands
     train the identical model), but through :class:`Pretrainer` so the fault
-    injector, guardrails, rollback, and checkpoint v2 machinery are live.
+    injector, guardrails, rollback, and checkpoint v3 machinery are live.
     """
     from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
     from repro.models.gpt_configs import functional_config
@@ -897,8 +897,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "survivors; 'checkpoint_abort' writes a final "
                             "checkpoint into --checkpoint-dir and aborts loudly")
     train.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
-                       help="write a rotating atomic checkpoint (format v2) into "
-                            "--checkpoint-dir after every N completed iterations")
+                       help="write a rotating atomic checkpoint (format v3: stored, "
+                            "weights and moments once per DP group) into "
+                            "--checkpoint-dir after every N completed iterations; "
+                            "the write is synchronous")
     train.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                        help="directory for rotating checkpoints and --resume latest")
     train.add_argument("--keep-last", type=int, default=3,

@@ -163,6 +163,8 @@ class Compressor:
     def state_dict(self) -> dict:
         """Cross-call mutable state for bit-exact checkpoint/rollback.
 
+        Array leaves are *live* references: the checkpoint writer streams them
+        out and the recovery point detaches them (``repro.utils.state``).
         Workspace scratch buffers are *not* state: they are fully overwritten
         on every call.  Stateless compressors return ``{}``; subclasses with
         warm starts or RNG call counts override both methods.

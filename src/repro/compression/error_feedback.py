@@ -84,10 +84,14 @@ class ErrorFeedback:
         self.compressor.reset()
 
     def state_dict(self) -> dict:
-        """Residual copies plus the wrapped compressor's state (one seam for
-        both checkpoint v2 and the guarded trainer's rollback snapshots)."""
+        """The live residuals plus the wrapped compressor's state.
+
+        References, not copies — one seam for the checkpoint writer (which
+        streams them to disk) and the recovery point (which detaches them
+        through ``capture_tree``).
+        """
         return {
-            "residuals": {key: value.copy() for key, value in self._residuals.items()},
+            "residuals": dict(self._residuals),
             "compressor": self.compressor.state_dict(),
         }
 

@@ -216,11 +216,11 @@ class PowerSGDCompressor(Compressor):
         self._workspace.clear()
 
     def state_dict(self) -> dict:
-        # The warm-started Q factors are views into the workspace; the copies
-        # taken here detach them.  Restoring plain copies is bit-safe: the next
-        # compress_into reads the stored query first, then rebinds the slot
-        # back into the workspace buffer.
-        return {"queries": {key: query.copy() for key, query in self._queries.items()}}
+        # The warm-started Q factors are live views into the workspace (the
+        # consumer writes or detaches them).  Restoring plain copies is
+        # bit-safe: the next compress_into reads the stored query first, then
+        # rebinds the slot back into the workspace buffer.
+        return {"queries": dict(self._queries)}
 
     def load_state_dict(self, state: dict) -> None:
         self._queries = {

@@ -230,7 +230,7 @@ class AdaCompCompressor(Compressor):
         self._residuals.clear()
 
     def state_dict(self) -> dict:
-        return {"residuals": {key: value.copy() for key, value in self._residuals.items()}}
+        return {"residuals": dict(self._residuals)}
 
     def load_state_dict(self, state: dict) -> None:
         self._residuals = {

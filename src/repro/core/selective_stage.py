@@ -93,8 +93,6 @@ class SelectiveStageCompression:
         self._states: dict[str, _TensorState] = {}
         #: Bucket-path error-feedback residuals (flat per-bucket slabs).
         self._bucket_residuals = BucketResidualStore()
-        #: Bucket-path corrected-gradient scratch, same slab layout.
-        self._bucket_scratch: dict[tuple[int, int], np.ndarray] = {}
         self.total_original_bytes = 0
         self.total_payload_bytes = 0
 
@@ -191,7 +189,10 @@ class SelectiveStageCompression:
         is granularity: one hook invocation and one P/Q traffic record pair per
         *bucket*, and the error-feedback residuals live in one flat
         ``(replicas, elements)`` slab per bucket instead of one dict entry per
-        parameter per replica.
+        parameter per replica.  The slab doubles as the workspace: the corrected
+        gradient is accumulated into it (``residual += gradient`` — addition
+        commutes bitwise), factorised there, and turned back into the new
+        residual by subtracting the approximation in place.
         """
         num_replicas = len(flat_gradients)
         if num_replicas != group.size:
@@ -203,11 +204,6 @@ class SelectiveStageCompression:
             if self.error_feedback
             else (None, False)
         )
-        slot = (bucket.stage_index, bucket.index)
-        scratch = self._bucket_scratch.get(slot)
-        if scratch is None or scratch.shape != (num_replicas, bucket.num_elements):
-            scratch = np.empty((num_replicas, bucket.num_elements))
-            self._bucket_scratch[slot] = scratch
 
         p_bytes_total = 0
         q_bytes_total = 0
@@ -222,11 +218,14 @@ class SelectiveStageCompression:
                     segment.shape
                 )
                 views.append(view)
-                shaped = matrix_view(view)
-                matrix = scratch[replica, span].reshape(shaped.shape)
-                matrix[...] = shaped
-                if self.error_feedback and residual_ready:
-                    matrix += residual_slab[replica, span].reshape(shaped.shape)
+                matrix = matrix_view(view)
+                if self.error_feedback:
+                    corrected = residual_slab[replica, span].reshape(matrix.shape)
+                    if residual_ready:
+                        corrected += matrix
+                    else:  # nothing stored yet: the first call adds no residual
+                        corrected[...] = matrix
+                    matrix = corrected
                 matrices.append(matrix)
 
             rows, cols = matrices[0].shape
@@ -243,12 +242,8 @@ class SelectiveStageCompression:
             approximation = p_factor @ q_factor.T
 
             if self.error_feedback:
-                for replica in range(num_replicas):
-                    np.subtract(
-                        matrices[replica],
-                        approximation,
-                        out=residual_slab[replica, span].reshape(rows, cols),
-                    )
+                for corrected in matrices:
+                    corrected -= approximation
 
             synced = approximation.reshape(segment.shape)
             for view in views:
@@ -290,7 +285,6 @@ class SelectiveStageCompression:
         """Drop residuals, warm-started factors, and counters."""
         self._states.clear()
         self._bucket_residuals.clear()
-        self._bucket_scratch.clear()
         self.total_original_bytes = 0
         self.total_payload_bytes = 0
 
@@ -305,11 +299,11 @@ class SelectiveStageCompression:
             if state.residuals:
                 state.residuals.clear()
         self._bucket_residuals.clear()
-        self._bucket_scratch.clear()
 
     def state_dict(self) -> dict:
         """All cross-iteration state: warm-started Q factors and EF residuals.
 
+        Array leaves are live references (see ``Compressor.state_dict``).
         The traffic counters (``total_original_bytes``/``total_payload_bytes``)
         are reporting-only and deliberately excluded — restoring them would
         make a resumed run double-count wire traffic it never sent.
@@ -317,9 +311,9 @@ class SelectiveStageCompression:
         states = {}
         for key, state in self._states.items():
             states[key] = {
-                "query": None if state.query is None else state.query.copy(),
+                "query": state.query,
                 "residuals": {
-                    str(replica): residual.copy()
+                    str(replica): residual
                     for replica, residual in (state.residuals or {}).items()
                 },
             }
@@ -337,4 +331,3 @@ class SelectiveStageCompression:
             for key, entry in payload["states"].items()
         }
         self._bucket_residuals.load_state_dict(payload["bucket_residuals"])
-        self._bucket_scratch.clear()

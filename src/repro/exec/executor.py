@@ -382,7 +382,7 @@ class ProcessExecutor:
 
         The compressed-backpropagation residuals and warm starts evolve inside
         the workers (the parent's hook copies are stale after the first process
-        iteration), so the engine's ``mutable_state()`` fetches them here.
+        iteration), so the engine's ``live_mutable_state()`` fetches them here.
         """
         return [self._request(index, ("cb_state",)) for index in range(len(self._processes))]
 

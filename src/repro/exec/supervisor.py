@@ -8,14 +8,16 @@ with the recovery loop that turns worker failure from fatal into routine:
    one as ``WorkerCrash``; ``run_collect`` drains every surviving worker
    first, so when the supervisor takes over nothing is still writing to the
    shared arenas.
-2. **Recovery** — the supervisor snapshots every arena and every worker's CB
-   hook state *before* each iteration.  On failure it kills the broken
-   worker, re-forks it over the same :class:`~repro.exec.shm.SharedArenaSegment`
-   (the parent's replica objects still alias the shared pages, so the fresh
-   fork inherits current weights for free), verifies the new worker with a
-   heartbeat ping, pushes the pre-iteration CB states back into *every*
-   worker, restores the arenas from the pre-step snapshots, and replays the
-   iteration.  Replica forward/backward is deterministic in (weights, CB
+2. **Recovery** — the engine captures every arena and every worker's CB hook
+   state into its :class:`~repro.resilience.RecoveryPoint` *before* each
+   iteration (the same single capture the guarded trainer rolls back to — the
+   supervisor takes none of its own).  On failure the supervisor kills the
+   broken worker, re-forks it over the same
+   :class:`~repro.exec.shm.SharedArenaSegment` (the parent's replica objects
+   still alias the shared pages, so the fresh fork inherits current weights
+   for free), verifies the new worker with a heartbeat ping, pushes the
+   captured CB states back into *every* worker, restores the arenas from the
+   recovery point, and replays the iteration.  Replica forward/backward is deterministic in (weights, CB
    state, batches), so the recovered run is bit-identical to an undisturbed
    one — the same invariant style the serial/process parity suite asserts.
 3. **Escalation** — respawns are budgeted by
@@ -44,7 +46,7 @@ from repro.resilience import (
 
 if TYPE_CHECKING:
     from repro.exec.executor import ProcessExecutor
-    from repro.resilience import ResilienceReport
+    from repro.resilience import RecoveryPoint, ResilienceReport
 
 
 class WorkerSupervisor:
@@ -68,7 +70,7 @@ class WorkerSupervisor:
         #: This cache is the recovery point for a worker that dies *between*
         #: iterations (its live state is gone with the process, but equals the
         #: post-step state fetched here), and it serves the engine's
-        #: ``mutable_state()`` without a pipe round-trip per snapshot.
+        #: ``live_mutable_state()`` without a pipe round-trip per capture.
         self._cb_states: list | None = None
 
     # -- the supervised iteration ------------------------------------------------------
@@ -76,15 +78,14 @@ class WorkerSupervisor:
     def run(self, per_replica_micro_batches: Sequence[Sequence], iteration: int) -> list[float]:
         """One supervised iteration: run, and on worker failure recover + replay.
 
-        The pre-step arena snapshots plus the cached post-previous-step CB
-        states are the recovery point: any number of crash/hang failures within
-        this iteration (or since the previous one ended) replays from them, so
-        the returned losses — and the gradients left in the shared arenas — are
-        bit-identical to an undisturbed run's.
+        The engine captured its recovery point (arenas plus the cached
+        post-previous-step CB states) just before calling this: any number of
+        crash/hang failures within this iteration (or since the previous one
+        ended) replays from it, so the returned losses — and the gradients left
+        in the shared arenas — are bit-identical to an undisturbed run's.
         """
         engine = self.executor.engine
-        snapshots = [arena.snapshot() for arena in engine.arenas]
-        cb_states = self.cb_states()
+        point = engine.recovery_point
         record_mark = len(engine.log.records)
         while True:
             losses, failures = self.executor.run_collect(per_replica_micro_batches, iteration)
@@ -99,7 +100,7 @@ class WorkerSupervisor:
                     self._cb_states = states
                     return losses
                 del engine.log.records[record_mark:]
-            self._recover(failures, iteration, snapshots, cb_states)
+            self._recover(failures, iteration, point)
 
     # -- worker CB-hook state ----------------------------------------------------------
 
@@ -139,14 +140,13 @@ class WorkerSupervisor:
         self,
         failures: dict[int, WorkerCrash],
         iteration: int,
-        snapshots: list[dict],
-        cb_states: list,
+        point: "RecoveryPoint",
     ) -> None:
-        """Respawn every recoverable failed worker and rewind to the pre-step state.
+        """Respawn every recoverable failed worker and rewind to the recovery point.
 
         Raises :class:`RespawnExhausted` (after the rewind) when any failure is
         permanent or over budget — the engine is left clean either way: arenas
-        bit-equal to the pre-iteration snapshot, surviving workers holding the
+        bit-equal to the pre-iteration capture, surviving workers holding the
         pre-iteration CB state, no worker mid-computation.
         """
         executor = self.executor
@@ -221,14 +221,13 @@ class WorkerSupervisor:
             # The final checkpoint must capture the *pre-iteration* state at
             # full DP, including the dead replica's CB hook.  Load the saved
             # states into the parent's hook copies and retire the executor —
-            # ``mutable_state()`` then reads the (now correct) parent copies
+            # ``live_mutable_state()`` then reads the (now correct) parent copies
             # instead of asking a dead worker.
             for replica_index in range(len(executor.worker_ids)):
                 if replica_index not in dead:
                     executor.kill_worker(replica_index)
-            for arena, snapshot in zip(engine.arenas, snapshots):
-                arena.restore(snapshot)
-            for hook, state in zip(engine.cb_hooks, cb_states):
+            point.restore_arenas()
+            for hook, state in zip(engine.cb_hooks, point.cb_states):
                 if hook is not None and state is not None:
                     hook.load_state_dict(state)
             executor.close()
@@ -236,9 +235,8 @@ class WorkerSupervisor:
         # Rewind: pre-step arenas back into shared memory, pre-iteration CB
         # state into every live worker — the replay starts from exactly the
         # state the failed attempt started from.
-        for arena, snapshot in zip(engine.arenas, snapshots):
-            arena.restore(snapshot)
-        for replica_index, state in enumerate(cb_states):
+        point.restore_arenas()
+        for replica_index, state in enumerate(point.cb_states):
             if replica_index not in dead:
                 executor.push_cb_state(replica_index, state)
         if escalation is not None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.parallel.arena import ParameterArena
+from repro.utils.state import capture_tree
 
 #: Elements per tile of :meth:`FusedAdam.step`.  Six float64 slices are live per
 #: tile (weights, gradient, two moments, two scratch): 768 KiB, well inside a
@@ -100,14 +101,22 @@ class FusedAdam:
 
     # -- checkpoint / rollback state --------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """All mutable optimiser state: moments, step count, current LR."""
+    def live_state(self) -> dict:
+        """All mutable optimiser state, moments as the *live* flat buffers.
+
+        The one inventory both consumers read: a checkpoint writes the moments
+        straight from these buffers, :meth:`state_dict` detaches them.
+        """
         return {
             "step_count": int(self._step_count),
             "lr": float(self.lr),
-            "exp_avg": self._exp_avg_flat.copy(),
-            "exp_avg_sq": self._exp_avg_sq_flat.copy(),
+            "exp_avg": self._exp_avg_flat,
+            "exp_avg_sq": self._exp_avg_sq_flat,
         }
+
+    def state_dict(self, out: dict | None = None) -> dict:
+        """A detached copy of :meth:`live_state`, refilling ``out``'s buffers in place."""
+        return capture_tree(self.live_state(), out)
 
     def load_state_dict(self, state: dict) -> None:
         exp_avg = np.asarray(state["exp_avg"])

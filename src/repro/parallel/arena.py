@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.parallel.collectives import WIRE_BYTES_PER_ELEMENT
 from repro.tensor.parameter import Parameter
+from repro.utils.state import capture_tree
 
 
 class ParameterArena:
@@ -93,15 +94,16 @@ class ParameterArena:
         """Zero every gradient in one buffer-wide write."""
         self.grad[...] = 0.0
 
-    def snapshot(self) -> dict[str, np.ndarray]:
+    def snapshot(self, out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
         """Copy the full weight/gradient state for a later :meth:`restore`.
 
-        Two contiguous buffer copies — the cheap rollback primitive the
-        guarded training loop (and, eventually, optimizer-in-the-bubble
-        post-validation) relies on.  The copies are independent of the live
-        buffers, so taking a snapshot never perturbs training.
+        Two contiguous buffer copies — the cheap rollback primitive of the
+        per-iteration recovery point.  ``out`` is a previous snapshot whose
+        buffers are refilled in place instead of being reallocated.  The copies
+        are independent of the live buffers, so taking a snapshot never
+        perturbs training.
         """
-        return {"data": self.data.copy(), "grad": self.grad.copy()}
+        return capture_tree({"data": self.data, "grad": self.grad}, out)
 
     def restore(self, snapshot: dict[str, np.ndarray]) -> None:
         """Write a :meth:`snapshot` back into the live buffers, bit-for-bit."""
@@ -255,10 +257,12 @@ class BucketResidualStore:
         self._slabs.clear()
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        """Slab copies keyed ``"stage:index"`` (string keys survive JSON headers)."""
-        return {
-            f"{stage}:{index}": slab.copy() for (stage, index), slab in self._slabs.items()
-        }
+        """The live slabs keyed ``"stage:index"`` (string keys survive JSON headers).
+
+        Views, not copies: a checkpoint writes them straight out, and the
+        recovery point detaches them through ``capture_tree``.
+        """
+        return {f"{stage}:{index}": slab for (stage, index), slab in self._slabs.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         slabs: dict[tuple[int, int], np.ndarray] = {}

@@ -77,11 +77,13 @@ from repro.plan import validate_executor_kind
 from repro.resilience import (
     FaultInjector,
     GuardrailPolicy,
+    RecoveryPoint,
     ResilienceExhausted,
     ResilienceReport,
     SupervisionPolicy,
 )
 from repro.tensor.parameter import Parameter
+from repro.utils.state import capture_tree
 
 if TYPE_CHECKING:  # imported lazily at runtime — repro.core reaches back into here
     from repro.core.config import EngineCompressionConfig, OptimusCCConfig
@@ -201,7 +203,7 @@ class CompressedGradientAllReduce:
         # slabs (one row per replica, segment layout = the bucket's) and the
         # approximation/corrected scratch the kernels decompress into.
         self._bucket_residuals = BucketResidualStore()
-        self._bucket_scratch: dict[tuple[int, int], dict[str, np.ndarray]] = {}
+        self._codec_workspace: dict[tuple[int, int], dict[str, np.ndarray]] = {}
 
     # -- DataParallelCompressionHook protocol --------------------------------------
 
@@ -339,14 +341,14 @@ class CompressedGradientAllReduce:
             else (None, False)
         )
         slot = (bucket.stage_index, bucket.index)
-        scratch = self._bucket_scratch.get(slot)
+        scratch = self._codec_workspace.get(slot)
         max_segment = max(segment.num_elements for segment in bucket.segments)
         if scratch is None or scratch["approximations"].shape[0] != num_replicas:
             scratch = {
                 "approximations": np.empty((num_replicas, max_segment)),
                 "corrected": np.empty(max_segment),
             }
-            self._bucket_scratch[slot] = scratch
+            self._codec_workspace[slot] = scratch
 
         payload_per_rank = 0
         payload_all_ranks = 0
@@ -425,13 +427,15 @@ class CompressedGradientAllReduce:
             self.feedback.reset()
         self.stage_traffic.clear()
         self._bucket_residuals.clear()
-        self._bucket_scratch.clear()
+        self._codec_workspace.clear()
 
     def state_dict(self) -> dict:
         """All cross-iteration DP-codec state (residuals, warm starts, RNG counters).
 
-        The per-stage traffic counters are reporting-only and excluded: a
-        resumed run should account only the traffic it actually sends.
+        Array leaves are the live buffers (the engine's ``mutable_state``
+        detaches them; a checkpoint writes them as they are).  The per-stage
+        traffic counters are reporting-only and excluded: a resumed run should
+        account only the traffic it actually sends.
         """
         return {
             "powersgd": self.powersgd.state_dict() if self.powersgd is not None else None,
@@ -449,7 +453,7 @@ class CompressedGradientAllReduce:
             if component is not None:
                 component.load_state_dict(stored)
         self._bucket_residuals.load_state_dict(state["bucket_residuals"])
-        self._bucket_scratch.clear()
+        self._codec_workspace.clear()
 
     def clear_replica_state(self) -> None:
         """Restart the per-replica error-feedback accumulation (degradation).
@@ -464,7 +468,7 @@ class CompressedGradientAllReduce:
         if self.feedback is not None:
             self.feedback.clear()
         self._bucket_residuals.clear()
-        self._bucket_scratch.clear()
+        self._codec_workspace.clear()
 
 
 #: Axis names of the per-iteration traffic report.
@@ -738,6 +742,12 @@ class ThreeDParallelEngine:
             self.guardrails = plan.resilience.policy()
             if executor == "process":
                 self.supervision = plan.resilience.supervision_policy()
+        #: The pre-iteration capture that the guard's rollback and the
+        #: supervisor's rewind restore from; ``run_iteration`` refreshes it
+        #: once per call.  Installed by the guarded trainer (with its
+        #: optimisers) or, for a supervised engine driven without one, by
+        #: ``_ensure_process_executor``; ``None`` means nothing is captured.
+        self.recovery_point: RecoveryPoint | None = None
         self._iteration_index = 0
         self._stage_spans_cache: list[list[list[tuple[int, int]]]] | None = None
 
@@ -845,14 +855,17 @@ class ThreeDParallelEngine:
             for replica_batches in normalised
             for tokens, _ in replica_batches
         ]
-        if self.executor_kind == "process":
+        executor = self._ensure_process_executor() if self.executor_kind == "process" else None
+        if self.recovery_point is not None:
+            self.recovery_point.capture()
+        if executor is not None:
             # Per-replica pipelines run concurrently in forked workers over
             # shared-memory arenas; everything order-sensitive below (fault
             # injection, DP sync, embedding sync) stays in this process, so the
             # result is bit-for-bit the serial loop's.  With supervision armed
             # the run is additionally self-healing: worker crashes and hangs
-            # are respawned and the iteration replayed bit-exactly.
-            executor = self._ensure_process_executor()
+            # are respawned and the iteration replayed bit-exactly from the
+            # recovery point captured above.
             if self._supervisor is not None:
                 losses = self._supervisor.run(normalised, self._iteration_index)
             else:
@@ -998,19 +1011,21 @@ class ThreeDParallelEngine:
         factory = OptimusCC(self.optimus_config)
         self.embedding_sync = factory.make_embedding_synchronizer(self.replicas, self.log)
 
-    def mutable_state(self) -> dict:
+    def live_mutable_state(self) -> dict:
         """Every cross-iteration mutable buffer outside the arenas/optimisers.
 
-        One inventory serves both the guarded trainer's rollback snapshots and
-        checkpoint format v2: DP-codec error-feedback residuals and warm starts
-        (``dp_reduce``) plus each replica's compressed-backpropagation
-        residual/warm-start state (``cb_hooks``).
+        The one inventory that the recovery point (through
+        :meth:`mutable_state`) and checkpoint format v3 both walk: DP-codec
+        error-feedback residuals and warm starts (``dp_reduce``) plus each
+        replica's compressed-backpropagation residual/warm-start state
+        (``cb_hooks``).  Array leaves are the *live* buffers — valid until the
+        next iteration mutates them, which is all a checkpoint write needs.
 
         Under the process executor the live CB hook copies are the *workers'*
         (forked state diverges from the parent's after the first iteration), so
         the per-replica states are fetched over the command pipes — or, under
         supervision, served from the supervisor's post-step cache, which both
-        skips the per-snapshot round-trip and stays readable when a worker has
+        skips the per-capture round-trip and stays readable when a worker has
         just died (the cache *is* the dead worker's last completed state).
         """
         if self._process_executor is not None and self._process_executor.started:
@@ -1023,6 +1038,15 @@ class ThreeDParallelEngine:
                 hook.state_dict() if hook is not None else None for hook in self.cb_hooks
             ]
         return {"dp_reduce": self.dp_reduce.state_dict(), "cb_hooks": cb_states}
+
+    def mutable_state(self, out: dict | None = None) -> dict:
+        """A detached copy of :meth:`live_mutable_state`.
+
+        ``out`` is a previous capture whose buffers are refilled in place
+        (``np.copyto``) wherever shapes still match — how the per-iteration
+        :class:`~repro.resilience.RecoveryPoint` avoids reallocating.
+        """
+        return capture_tree(self.live_mutable_state(), out)
 
     def load_mutable_state(self, state: dict) -> None:
         hooks_state = state["cb_hooks"]
@@ -1063,6 +1087,8 @@ class ThreeDParallelEngine:
                 self._supervisor = WorkerSupervisor(
                     self._process_executor, policy, self.resilience
                 )
+                if self.recovery_point is None:
+                    self.recovery_point = RecoveryPoint(self)
         if not self._process_executor.started:
             self._process_executor.start()
         return self._process_executor

@@ -3,9 +3,12 @@
 See ``faults`` for the fault model (including the worker-side crash/hang
 kinds the process executor routes into its forked workers) and ``guardrails``
 for the policy/report types — :class:`SupervisionPolicy` configures the
-worker-supervision mechanism in :mod:`repro.exec.supervisor`.  Checkpointing
-lives in :mod:`repro.training.checkpoint` (format v2 captures the full
-mutable-state inventory these guardrails roll back).
+worker-supervision mechanism in :mod:`repro.exec.supervisor`.  ``recovery``
+holds the :class:`RecoveryPoint` — the one preallocated pre-iteration capture
+that the guard's rollback and the supervisor's rewind both restore from — and
+the inventory of mutable training state.  Checkpointing lives in
+:mod:`repro.training.checkpoint` (format v3 writes that same inventory, read
+through its live buffers).
 """
 
 from repro.resilience.faults import (
@@ -27,6 +30,7 @@ from repro.resilience.guardrails import (
     ResilienceReport,
     SupervisionPolicy,
 )
+from repro.resilience.recovery import RecoveryPoint
 
 __all__ = [
     "DEFAULT_WORKER_TIMEOUT",
@@ -37,6 +41,7 @@ __all__ = [
     "FaultInjector",
     "FaultSpec",
     "GuardrailPolicy",
+    "RecoveryPoint",
     "ResilienceExhausted",
     "ResilienceReport",
     "RespawnExhausted",

@@ -1,0 +1,82 @@
+"""The per-iteration recovery point: one capture, two ways back.
+
+Everything a training iteration can mutate lives in exactly three places, and
+this is the one list of them:
+
+========================  ==========================================  =========================
+source                    what it holds                               detached by / restored by
+========================  ==========================================  =========================
+``engine.arenas[r]``      replica ``r``'s flat weights and gradients  ``snapshot`` / ``restore``
+``optimizers[r]``         Adam moments, step count, current LR        ``state_dict`` / ``load_state_dict``
+``engine`` (the rest)     DP error-feedback residuals and slabs,      ``mutable_state`` /
+                          PowerSGD warm starts, RNG call counts,      ``load_mutable_state``
+                          per-replica compressed-backprop state
+========================  ==========================================  =========================
+
+:class:`RecoveryPoint` copies all three into buffers it allocates on the first
+capture and refills (``np.copyto``) on every later one.  The engine captures
+once, at the top of ``run_iteration``; the guarded trainer's rollback
+(:meth:`RecoveryPoint.restore`) and the worker supervisor's rewind
+(:meth:`RecoveryPoint.restore_arenas` + :attr:`RecoveryPoint.cb_states`) both go
+back to that one capture.  Checkpoint format v3
+(:mod:`repro.training.checkpoint`) writes the same three sources, read through
+their live forms (``arena.data``, ``FusedAdam.live_state``,
+``engine.live_mutable_state``) — so rollback, rewind and checkpoint cannot
+drift apart.
+"""
+
+from __future__ import annotations
+
+from itertools import chain, repeat
+
+
+def _with_previous(live, previous):
+    """Pair each live object with the buffer set its last capture filled (or ``None``)."""
+    return zip(live, chain(previous, repeat(None)))
+
+
+class RecoveryPoint:
+    """Reusable capture of every mutable training buffer of one engine.
+
+    ``optimizers`` is the trainer's *live* list (graceful degradation deletes
+    entries from it in place); an engine driven without a trainer passes none
+    and gets the arena + engine-state capture its supervisor rewinds to.
+    Capturing only reads live state, which is what keeps fault-free guarded
+    runs bit-identical to unguarded ones.
+    """
+
+    def __init__(self, engine, optimizers=()) -> None:
+        self.engine = engine
+        self.optimizers = optimizers
+        self.arenas: list[dict] = []
+        self.optimizer_states: list[dict] = []
+        self.engine_state: dict | None = None
+
+    def capture(self) -> None:
+        """Copy the current state into the recovery buffers (allocated on first use)."""
+        self.arenas = [
+            arena.snapshot(out=previous)
+            for arena, previous in _with_previous(self.engine.arenas, self.arenas)
+        ]
+        self.optimizer_states = [
+            optimizer.state_dict(out=previous)
+            for optimizer, previous in _with_previous(self.optimizers, self.optimizer_states)
+        ]
+        self.engine_state = self.engine.mutable_state(out=self.engine_state)
+
+    @property
+    def cb_states(self) -> list:
+        """Each replica's captured compressed-backprop hook state."""
+        return self.engine_state["cb_hooks"]
+
+    def restore_arenas(self) -> None:
+        """Write the captured weights and gradients back, bit-for-bit."""
+        for arena, snapshot in zip(self.engine.arenas, self.arenas, strict=True):
+            arena.restore(snapshot)
+
+    def restore(self) -> None:
+        """Put every captured buffer back (the capture itself stays valid)."""
+        self.restore_arenas()
+        for optimizer, state in zip(self.optimizers, self.optimizer_states, strict=True):
+            optimizer.load_state_dict(state)
+        self.engine.load_mutable_state(self.engine_state)

@@ -1,27 +1,59 @@
-"""Bit-exact checkpointing for functional pretraining runs (format v2).
+"""Bit-exact checkpointing for functional pretraining runs (format v3).
 
 A checkpoint captures *every* mutable buffer a resumed run needs to continue
-bit-for-bit identically to the continuous run — the repo's core invariant:
+bit-for-bit identically to the continuous run — the repo's core invariant.
+It writes the inventory of :mod:`repro.resilience.recovery` (arenas,
+optimisers, ``engine.live_mutable_state()``) straight from the live buffers:
+nothing is copied first, and nothing is deflated (float64 training state is
+incompressible — zlib saved 8 % of a v2 file and took 97 % of the write).
 
-* every replica's stage weights (the flat arenas, stored per parameter);
-* the fused-Adam state per replica (moments, step count, current LR);
-* the engine's cross-iteration compression state
-  (:meth:`~repro.parallel.engine.ThreeDParallelEngine.mutable_state`):
-  DP error-feedback residuals (per-parameter dicts *and* the bucketed slabs),
-  PowerSGD Q warm starts, per-key RNG call counts, and each replica's
-  compressed-backpropagation boundary residuals;
-* the iteration counter, training history, and resilience ledger.
+Layout — one ``np.load``-able ``.npz`` whose members are all ``ZIP_STORED``:
 
-Format v1 stored only weights + moments, so a "successful" resume silently
-diverged whenever error feedback or stochastic codecs were active; v1 files
-are rejected loudly.  Everything lives in one compressed ``.npz``: named
-arrays for the weights, a JSON header for scalars, and the nested engine
-state serialised as a header "skeleton" whose array leaves are replaced by
-``{"__ndarray__": "state/<n>"}`` references into the archive.
+===================  =========================================================
+member               contents
+===================  =========================================================
+``__header__``       UTF-8 JSON (below) as a ``uint8`` array
+``weights``          the flat weight arena, **once per DP group**
+``exp_avg``          flat Adam first moment of the trainable prefix, once
+``exp_avg_sq``       flat Adam second moment, once
+``state/<n>``        array leaves of the engine state tree, **per replica**
+                     where the state is: DP error-feedback residual slabs are
+                     ``(replicas, elements)``, compressed-backprop hook state
+                     is one subtree per replica; PowerSGD warm starts and RNG
+                     call counts are group-wide
+===================  =========================================================
 
-Writes are atomic (tmp file + ``os.replace``), and
-:func:`save_rotating_checkpoint` / :func:`latest_checkpoint` implement the
-last-k retention scheme behind ``repro train --checkpoint-every/--resume``.
+===================  =========================================================
+header key           meaning
+===================  =========================================================
+``format_version``   ``3``; any other value is rejected loudly
+``iteration``        completed iterations
+``config``           the writer's configuration label (must match the reader)
+``topology``         ``num_stages`` / ``data_parallel_degree`` (must match)
+``layout``           ``parameters``: ``[name, arena offset, shape]`` per
+                     parameter in arena order, plus ``trainable_elements`` —
+                     the name → offset/shape table of ``weights`` and the
+                     moments (must match the reader's arena exactly)
+``optimizer``        ``step_count`` and ``lr`` shared by the group
+``state``            the engine state tree as a skeleton whose array leaves
+                     are ``{"__ndarray__": "state/<n>"}`` references
+``train_losses``,    training history and the resilience ledger
+``validation_points``,
+``resilience``
+===================  =========================================================
+
+Data-parallel replicas hold bit-identical weights and moments by construction,
+so they are stored once (Megatron's "DP rank 0 saves") — but only after every
+replica has been compared against replica 0; a diverged group refuses to save
+rather than have the difference papered over.  Formats v1 (no error-feedback /
+RNG state) and v2 (deflated, per-parameter, per-replica) are rejected loudly:
+there is one writer and one reader.
+
+Writes are atomic (temporary sibling + ``os.replace``) and synchronous — the
+arenas may be ``MAP_SHARED`` segments a forked writer would not snapshot, and
+a stored write is tens of milliseconds.  :func:`save_rotating_checkpoint` /
+:func:`latest_checkpoint` implement the last-k retention scheme behind
+``repro train --checkpoint-every/--resume``.
 """
 
 from __future__ import annotations
@@ -29,6 +61,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import re
 
 import numpy as np
 
@@ -37,9 +70,15 @@ from repro.training.metrics import TrainingHistory, ValidationPoint
 from repro.training.trainer import Pretrainer
 
 #: Format marker stored in every checkpoint so incompatible files fail loudly.
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 _ARRAY_REF = "__ndarray__"
+
+#: Why the formats this build no longer reads were retired.
+_RETIRED_FORMATS = {
+    1: "v1 checkpoints omit error-feedback and RNG state and cannot resume bit-exactly",
+    2: "v2 checkpoints are deflated per-parameter archives this build has no reader for",
+}
 
 
 def _pack_tree(tree, arrays: dict[str, np.ndarray]):
@@ -68,14 +107,31 @@ def _unpack_tree(skeleton, archive):
     return skeleton
 
 
-def _flatten_weights(trainer: Pretrainer) -> dict[str, np.ndarray]:
-    """Every stage parameter as a flat name → live-array mapping."""
-    arrays: dict[str, np.ndarray] = {}
-    for replica_index, engine in enumerate(trainer.engines):
-        for stage_index, stage in enumerate(engine.stages):
-            for name, parameter in stage.named_parameters():
-                arrays[f"replica{replica_index}/stage{stage_index}/param/{name}"] = parameter.data
-    return arrays
+def _parameter_layout(trainer: Pretrainer) -> dict:
+    """Name → arena offset/shape table of the flat ``weights`` member."""
+    arena = trainer.engine.arenas[0]
+    parameters = [
+        [f"stage{stage_index}/{name}", arena.span(parameter)[0], list(parameter.shape)]
+        for stage_index, stage in enumerate(trainer.engines[0].stages)
+        for name, parameter in stage.named_parameters()
+    ]
+    parameters.sort(key=lambda entry: entry[1])
+    return {"parameters": parameters, "trainable_elements": arena.num_trainable_elements}
+
+
+def _group_shared(label: str, per_replica: list[np.ndarray]) -> np.ndarray:
+    """Replica 0's buffer, after checking every replica holds it bit-for-bit."""
+    reference = per_replica[0]
+    bits = f"u{reference.itemsize}"
+    for replica, other in enumerate(per_replica[1:], start=1):
+        if other.shape != reference.shape or not np.array_equal(
+            reference.view(bits), other.view(bits)
+        ):
+            raise RuntimeError(
+                f"data-parallel replicas diverged: replica {replica}'s {label} differ from "
+                "replica 0's — refusing to write a checkpoint that stores them once"
+            )
+    return reference
 
 
 def _normalised_path(path: str | pathlib.Path) -> pathlib.Path:
@@ -90,28 +146,35 @@ def save_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> pathlib.Pa
 
     The archive is written to a sibling temporary file and moved into place
     with ``os.replace``, so a crash mid-write never leaves a truncated
-    checkpoint under the final name.
+    checkpoint under the final name (and the temporary name can never be
+    mistaken for a checkpoint: it does not end in ``.npz``).
     """
     path = _normalised_path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
 
-    state_arrays: dict[str, np.ndarray] = {}
-    state_skeleton = _pack_tree(
-        {
-            "engine": trainer.engine.mutable_state(),
-            "optimizers": [optimizer.state_dict() for optimizer in trainer.optimizers],
-        },
-        state_arrays,
+    optimizers = [optimizer.live_state() for optimizer in trainer.optimizers]
+    scalars = {(state["step_count"], state["lr"]) for state in optimizers}
+    if len(scalars) != 1:
+        raise RuntimeError(
+            f"data-parallel replicas diverged: optimiser (step, lr) pairs {sorted(scalars)}"
+        )
+    arrays: dict[str, np.ndarray] = {}
+    state_skeleton = _pack_tree(trainer.engine.live_mutable_state(), arrays)
+    arrays["weights"] = _group_shared("weights", [arena.data for arena in trainer.engine.arenas])
+    arrays["exp_avg"] = _group_shared("first moments", [state["exp_avg"] for state in optimizers])
+    arrays["exp_avg_sq"] = _group_shared(
+        "second moments", [state["exp_avg_sq"] for state in optimizers]
     )
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "iteration": trainer._iteration,
-        "optimizer_steps": [optimizer._step_count for optimizer in trainer.optimizers],
         "config": trainer.optimus_config.describe(),
         "topology": {
             "num_stages": trainer.num_stages,
             "data_parallel_degree": len(trainer.engine.arenas),
         },
+        "layout": _parameter_layout(trainer),
+        "optimizer": {"step_count": optimizers[0]["step_count"], "lr": optimizers[0]["lr"]},
         "train_losses": trainer.history.train_losses,
         "validation_points": [
             {"iteration": point.iteration, "loss": point.loss}
@@ -120,20 +183,16 @@ def save_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> pathlib.Pa
         "resilience": trainer.resilience_report.to_dict(),
         "state": state_skeleton,
     }
-    arrays = _flatten_weights(trainer)
-    overlap = set(arrays) & set(state_arrays)
-    if overlap:
-        raise RuntimeError(f"checkpoint key collision: {sorted(overlap)[:3]}")
-    arrays.update(state_arrays)
 
-    # The tmp name keeps the .npz suffix so numpy does not append another one.
-    tmp = path.with_name(f"{path.stem}.tmp-{os.getpid()}.npz")
+    tmp = _temporary_sibling(path)
     try:
-        np.savez_compressed(
-            tmp,
-            __header__=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
-            **arrays,
-        )
+        with open(tmp, "wb") as handle:
+            # np.savez stores (never deflates) and streams each live buffer.
+            np.savez(
+                handle,
+                __header__=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
+                **arrays,
+            )
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -144,23 +203,20 @@ def load_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> int:
     """Restore a trainer's state from ``path``; returns the restored iteration.
 
     The trainer must match the writer exactly — configuration label, pipeline
-    depth, DP degree, parameter names/shapes, optimizer count — any mismatch
-    raises instead of half-restoring.  After loading, continuing the run
-    reproduces the continuous run bit-for-bit.
+    depth, DP degree, parameter names/offsets/shapes — any mismatch raises
+    instead of half-restoring.  Every replica's arena and optimiser is filled
+    from the single stored copy.  After loading, continuing the run reproduces
+    the continuous run bit-for-bit.
     """
     path = pathlib.Path(path)
     with np.load(path, allow_pickle=False) as archive:
         header = json.loads(bytes(archive["__header__"].tobytes()).decode("utf-8"))
         version = header.get("format_version")
         if version != CHECKPOINT_FORMAT_VERSION:
-            detail = (
-                " (v1 checkpoints omit error-feedback and RNG state and cannot resume bit-exactly)"
-                if version == 1
-                else ""
-            )
+            detail = f" ({_RETIRED_FORMATS[version]})" if version in _RETIRED_FORMATS else ""
             raise ValueError(
-                f"unsupported checkpoint format {version!r} "
-                f"(expected {CHECKPOINT_FORMAT_VERSION}){detail}"
+                f"unsupported checkpoint format {version!r}: this build reads and writes "
+                f"format v{CHECKPOINT_FORMAT_VERSION} only{detail}"
             )
         live_config = trainer.optimus_config.describe()
         if header.get("config") != live_config:
@@ -177,35 +233,38 @@ def load_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> int:
             raise ValueError(
                 f"checkpoint topology {topology} does not match trainer {live_topology}"
             )
-
-        expected = _flatten_weights(trainer)
-        state_keys = {
-            key for key in archive.files if key.startswith("state/")
-        }
-        stored_keys = set(archive.files) - {"__header__"} - state_keys
-        if stored_keys != set(expected):
-            missing = sorted(set(expected) - stored_keys)[:3]
-            unexpected = sorted(stored_keys - set(expected))[:3]
-            raise KeyError(
-                f"checkpoint does not match the trainer (missing={missing}, unexpected={unexpected})"
+        live_layout = _parameter_layout(trainer)
+        if header.get("layout") != live_layout:
+            stored = header.get("layout", {}).get("parameters", [])
+            difference = next(
+                (
+                    pair
+                    for pair in zip(stored, live_layout["parameters"])
+                    if pair[0] != pair[1]
+                ),
+                (len(stored), len(live_layout["parameters"])),
             )
-        for key, target in expected.items():
-            stored = archive[key]
-            if stored.shape != target.shape:
-                raise ValueError(f"shape mismatch for {key}: {stored.shape} vs {target.shape}")
-            target[...] = stored
+            raise ValueError(
+                "checkpoint parameter layout does not match the trainer "
+                f"(first difference, stored vs live: {difference})"
+            )
 
-        state = _unpack_tree(header["state"], archive)
-        trainer.engine.load_mutable_state(state["engine"])
-        optimizer_states = state["optimizers"]
-        for optimizer, optimizer_state in zip(trainer.optimizers, optimizer_states, strict=True):
+        weights = archive["weights"]
+        if weights.shape != trainer.engine.arenas[0].data.shape:
+            raise ValueError(
+                f"shape mismatch for weights: {weights.shape} vs "
+                f"{trainer.engine.arenas[0].data.shape}"
+            )
+        for arena in trainer.engine.arenas:
+            arena.data[...] = weights
+        optimizer_state = {
+            **header["optimizer"],
+            "exp_avg": archive["exp_avg"],
+            "exp_avg_sq": archive["exp_avg_sq"],
+        }
+        for optimizer in trainer.optimizers:
             optimizer.load_state_dict(optimizer_state)
-        for optimizer, steps in zip(trainer.optimizers, header["optimizer_steps"], strict=True):
-            if optimizer._step_count != int(steps):
-                raise ValueError(
-                    f"inconsistent checkpoint: optimizer state says step {optimizer._step_count}, "
-                    f"header says {steps}"
-                )
+        trainer.engine.load_mutable_state(_unpack_tree(header["state"], archive))
 
     trainer._iteration = int(header["iteration"])
     trainer.engine._iteration_index = trainer._iteration
@@ -231,10 +290,50 @@ def load_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> int:
 
 # -- rotation -------------------------------------------------------------------------
 
+#: The only names rotation and ``--resume`` treat as checkpoints.
+_CHECKPOINT_NAME = re.compile(r"ckpt-\d{8}\.npz")
+#: A writer's temporary sibling of a rotating checkpoint (see ``_temporary_sibling``).
+_TEMPORARY_NAME = re.compile(r"ckpt-\d{8}\.npz\.tmp-(\d+)")
+
+
+def _temporary_sibling(path: pathlib.Path) -> pathlib.Path:
+    """Where this process writes ``path`` before moving it into place.
+
+    ``<name>.tmp-<pid>``: it does not end in ``.npz``, so no checkpoint glob
+    can match it, and the pid lets the next save tell a dead writer's orphan
+    from a live writer's file.
+    """
+    return path.with_name(f"{path.name}.tmp-{os.getpid()}")
+
 
 def checkpoint_name(iteration: int) -> str:
     """Canonical rotating-checkpoint file name for ``iteration``."""
     return f"ckpt-{iteration:08d}.npz"
+
+
+def _rotating_checkpoints(directory: pathlib.Path) -> list[pathlib.Path]:
+    """The directory's finished rotating checkpoints, oldest first."""
+    return sorted(
+        path for path in directory.glob("ckpt-*.npz") if _CHECKPOINT_NAME.fullmatch(path.name)
+    )
+
+
+def _process_is_gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:  # alive, just not ours to signal
+        pass
+    return False
+
+
+def _sweep_orphaned_temporaries(directory: pathlib.Path) -> None:
+    """Delete temporary files whose writer died mid-write (its ``finally`` never ran)."""
+    for path in directory.iterdir():
+        match = _TEMPORARY_NAME.fullmatch(path.name)
+        if match and _process_is_gone(int(match.group(1))):
+            path.unlink(missing_ok=True)
 
 
 def save_rotating_checkpoint(
@@ -245,13 +344,14 @@ def save_rotating_checkpoint(
         raise ValueError("keep_last must be positive")
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    _sweep_orphaned_temporaries(directory)
     path = save_checkpoint(trainer, directory / checkpoint_name(trainer._iteration))
-    for stale in sorted(directory.glob("ckpt-*.npz"))[:-keep_last]:
+    for stale in _rotating_checkpoints(directory)[:-keep_last]:
         stale.unlink()
     return path
 
 
 def latest_checkpoint(directory: str | pathlib.Path) -> pathlib.Path | None:
     """Newest rotating checkpoint in ``directory`` (``None`` when empty)."""
-    candidates = sorted(pathlib.Path(directory).glob("ckpt-*.npz"))
+    candidates = _rotating_checkpoints(pathlib.Path(directory))
     return candidates[-1] if candidates else None

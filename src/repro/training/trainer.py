@@ -18,11 +18,12 @@ The trainer adds what a training loop needs on top: one optimiser per replica
 learning-rate schedule, validation, and history recording.
 
 Resilience (PR 7): when a :class:`repro.plan.ResilienceSpec` is supplied (via
-the plan or the ``resilience`` argument) the loop becomes *guarded*.  Before
-each iteration it snapshots every mutable buffer (arenas, optimiser moments,
-error-feedback residuals/warm starts); after the iteration a whole-buffer
+the plan or the ``resilience`` argument) the loop becomes *guarded*.  At the
+top of each iteration the engine captures every mutable buffer (arenas,
+optimiser moments, error-feedback residuals/warm starts) into one preallocated
+:class:`repro.resilience.RecoveryPoint`; after the iteration a whole-buffer
 ``isfinite`` check over the flat gradient arenas (plus an optional global
-grad-norm cap) decides whether to apply the update or roll the snapshot back
+grad-norm cap) decides whether to apply the update or roll the capture back
 and skip the step.  Injected crashes surface as
 :class:`repro.resilience.WorkerCrash`; permanent replica losses shrink the DP
 group in place.  Fault-free guarded runs are bit-identical to unguarded runs —
@@ -59,6 +60,7 @@ from repro.parallel.engine import EngineIterationResult
 from repro.plan import ParallelPlan, ResilienceSpec
 from repro.resilience import (
     GuardrailPolicy,
+    RecoveryPoint,
     ResilienceExhausted,
     ResilienceReport,
     RespawnExhausted,
@@ -212,6 +214,9 @@ class Pretrainer:
             self.guardrails = resilience.policy()
             self.engine.fault_injector = resilience.injector()
             self.engine.guardrails = self.guardrails
+            # One capture per iteration (taken by the engine) serves both this
+            # loop's rollback and the worker supervisor's rewind.
+            self.engine.recovery_point = RecoveryPoint(self.engine, self.optimizers)
             if self.executor_kind == "process":
                 # Arm self-healing supervision before the lazy executor forks.
                 self.engine.supervision = resilience.supervision_policy()
@@ -232,7 +237,7 @@ class Pretrainer:
         Guarded mode (a resilience spec is armed) additionally: raises
         :class:`WorkerCrash` on a scheduled crash, degrades the DP group on a
         scheduled replica loss, and discards poisoned updates by rolling back
-        a pre-iteration snapshot (the skipped iteration still advances the
+        the pre-iteration recovery point (the skipped iteration still advances the
         counter, but records no training loss and applies no optimiser step).
         """
         iteration = self._iteration
@@ -258,7 +263,6 @@ class Pretrainer:
         while True:
             for optimizer in self.optimizers:
                 optimizer.zero_grad()
-            snapshot = self._rollback_snapshot() if policy is not None else None
             batches = self.loader.iteration_batches(iteration)
             if len(self._replica_ids) != self.loader.data_parallel_degree:
                 batches = [batches[index] for index in self._replica_ids]
@@ -272,7 +276,7 @@ class Pretrainer:
         self.last_iteration_result = result
 
         if policy is not None and not self._gradients_healthy(policy):
-            self._rollback(snapshot)
+            self.engine.recovery_point.restore()
             self.engine.zero_grad()
             self.resilience_report.skipped_steps += 1
             self.resilience_report.rollbacks += 1
@@ -304,9 +308,11 @@ class Pretrainer:
     ) -> PretrainingResult:
         """Run ``num_iterations`` iterations, validating every ``validation_interval``.
 
-        ``checkpoint_every`` writes a rotating atomic checkpoint (format v2,
-        last ``keep_last`` retained) into ``checkpoint_dir`` after every
-        ``checkpoint_every``-th completed iteration.
+        ``checkpoint_every`` writes a rotating atomic checkpoint (format v3:
+        stored members written straight from the live buffers, weights and
+        moments once per DP group; last ``keep_last`` retained) into
+        ``checkpoint_dir`` after every ``checkpoint_every``-th completed
+        iteration.  The write is synchronous.
         """
         if num_iterations <= 0:
             raise ValueError("num_iterations must be positive")
@@ -349,26 +355,6 @@ class Pretrainer:
         )
 
     # -------------------------------------------------------------------- guardrails --
-
-    def _rollback_snapshot(self) -> dict:
-        """Copy every mutable buffer an optimiser step (or poisoned sync) touches.
-
-        Pure reads — taking a snapshot never perturbs live state, which is what
-        keeps fault-free guarded runs bit-identical to unguarded ones.
-        """
-        return {
-            "arenas": [arena.snapshot() for arena in self.engine.arenas],
-            "optimizers": [optimizer.state_dict() for optimizer in self.optimizers],
-            "engine": self.engine.mutable_state(),
-        }
-
-    def _rollback(self, snapshot: dict) -> None:
-        """Restore a :meth:`_rollback_snapshot`, discarding the poisoned update."""
-        for arena, arena_snapshot in zip(self.engine.arenas, snapshot["arenas"]):
-            arena.restore(arena_snapshot)
-        for optimizer, optimizer_state in zip(self.optimizers, snapshot["optimizers"]):
-            optimizer.load_state_dict(optimizer_state)
-        self.engine.load_mutable_state(snapshot["engine"])
 
     def _gradients_healthy(self, policy: GuardrailPolicy) -> bool:
         """Whole-buffer validation of the post-sync gradients (reads only)."""

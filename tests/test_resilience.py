@@ -1,6 +1,6 @@
 """Tests for the resilience subsystem: deterministic fault injection, the
 guarded training loop (detect / rollback / skip / retry / degrade), bit-exact
-format-v2 checkpointing, and the plan/CLI/simulator seams they thread through.
+format-v3 checkpointing, and the plan/CLI/simulator seams they thread through.
 
 The load-bearing invariants:
 
@@ -17,6 +17,11 @@ The load-bearing invariants:
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -40,6 +45,7 @@ from repro.training.checkpoint import (
     latest_checkpoint,
     load_checkpoint,
     save_checkpoint,
+    save_rotating_checkpoint,
 )
 from repro.training.trainer import Pretrainer
 
@@ -286,7 +292,7 @@ class TestCrashAndDegrade:
 
 
 # ----------------------------------------------------------------------------------
-# Checkpoint v2: bit-exact round trips
+# Checkpoint v3: bit-exact round trips
 # ----------------------------------------------------------------------------------
 
 
@@ -385,26 +391,165 @@ class TestCheckpointValidation:
         with pytest.raises(ValueError, match="bit-exactly"):
             load_checkpoint(_trainer(_plan()), path)
 
-    def test_optimizer_steps_length_checked(self, tmp_path):
-        """The strict zip catches a header listing the wrong optimizer count."""
+    def test_v2_checkpoint_rejected_naming_v3(self, tmp_path):
+        """There is one reader: a v2 header fails loudly and says what is read."""
         trainer = _trainer(_plan())
         trainer.train_iteration()
         path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
-        self._tamper_header(
-            path, lambda h: h.update(optimizer_steps=h["optimizer_steps"][:-1])
-        )
-        with pytest.raises(ValueError):
+        self._tamper_header(path, lambda h: h.update(format_version=2))
+        with pytest.raises(ValueError, match="format v3 only"):
             load_checkpoint(_trainer(_plan()), path)
 
-    def test_optimizer_steps_value_checked(self, tmp_path):
+    def test_parameter_layout_mismatch_rejected(self, tmp_path):
+        """The name -> offset/shape table must match the reader's arena exactly."""
         trainer = _trainer(_plan())
         trainer.train_iteration()
         path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
-        self._tamper_header(
-            path, lambda h: h.update(optimizer_steps=[s + 1 for s in h["optimizer_steps"]])
+
+        def shift_first_offset(header):
+            header["layout"]["parameters"][0][1] += 1
+
+        self._tamper_header(path, shift_first_offset)
+        reader = _trainer(_plan())
+        before = _weights(reader)
+        with pytest.raises(ValueError, match="layout"):
+            load_checkpoint(reader, path)
+        _assert_same_weights(_weights(reader), before)  # nothing half-restored
+
+    def test_diverged_dp_group_refuses_to_save(self, tmp_path):
+        """Weights are stored once per DP group — only if the group agrees."""
+        trainer = _trainer(_plan(dp=2))
+        trainer.train(2)
+        trainer.engine.arenas[1].data[7] += 1e-12
+        with pytest.raises(RuntimeError, match="replica 1's weights"):
+            save_checkpoint(trainer, tmp_path / "ckpt.npz")
+        assert not list(tmp_path.iterdir())
+
+    def test_diverged_moments_refuse_to_save(self, tmp_path):
+        trainer = _trainer(_plan(dp=2))
+        trainer.train(2)
+        trainer.optimizers[1]._exp_avg_sq_flat[3] *= 2.0
+        with pytest.raises(RuntimeError, match="second moments"):
+            save_checkpoint(trainer, tmp_path / "ckpt.npz")
+
+
+class TestCheckpointLayout:
+    """Format v3: stored members, straight from the live buffers, once per DP group."""
+
+    @staticmethod
+    def _trained(codec="powersgd", dp=2):
+        trainer = _trainer(_plan(codec=codec, dp=dp))
+        trainer.train(3)
+        return trainer
+
+    def test_every_member_is_stored_and_the_file_is_its_payload(self, tmp_path):
+        path = save_checkpoint(self._trained(), tmp_path / "ckpt.npz")
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+        assert members and all(m.compress_type == zipfile.ZIP_STORED for m in members)
+        with np.load(path, allow_pickle=False) as archive:
+            payload = sum(archive[name].nbytes for name in archive.files)
+            names = set(archive.files)
+        assert path.stat().st_size <= 1.02 * payload
+        # Arena-granular: one flat array per buffer, not one member per parameter.
+        assert {"__header__", "weights", "exp_avg", "exp_avg_sq"} <= names
+        assert all(name.startswith("state/") for name in names - {
+            "__header__", "weights", "exp_avg", "exp_avg_sq"
+        })
+
+    def test_weights_and_moments_are_stored_once_per_dp_group(self, tmp_path):
+        trainer = self._trained(dp=2)
+        path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
+        arena = trainer.engine.arenas[0]
+        with np.load(path, allow_pickle=False) as archive:
+            assert archive["weights"].shape == arena.data.shape
+            assert archive["exp_avg"].shape == (arena.num_trainable_elements,)
+            header = json.loads(bytes(archive["__header__"].tobytes()).decode("utf-8"))
+        table = header["layout"]["parameters"]
+        assert [entry[1] for entry in table] == sorted(entry[1] for entry in table)
+        assert sum(int(np.prod(entry[2])) for entry in table) == arena.num_elements
+        assert header["layout"]["trainable_elements"] == arena.num_trainable_elements
+
+    @pytest.mark.parametrize("codec", ["powersgd", "qsgd"])
+    def test_dp2_checkpoint_restores_both_replicas(self, codec, tmp_path):
+        writer = self._trained(codec=codec, dp=2)
+        path = save_checkpoint(writer, tmp_path / "ckpt.npz")
+        reader = _trainer(_plan(codec=codec, dp=2))
+        load_checkpoint(reader, path)
+        assert len(reader.engine.arenas) == 2
+        for ours, theirs in zip(reader.engine.arenas, writer.engine.arenas):
+            assert np.array_equal(ours.data, theirs.data)
+        for ours, theirs in zip(reader.optimizers, writer.optimizers):
+            assert np.array_equal(ours._exp_avg_flat, theirs._exp_avg_flat)
+            assert np.array_equal(ours._exp_avg_sq_flat, theirs._exp_avg_sq_flat)
+            assert (ours._step_count, ours.lr) == (theirs._step_count, theirs.lr)
+        # The loaded replicas own their buffers: they do not alias one another.
+        assert not np.shares_memory(reader.engine.arenas[0].data, reader.engine.arenas[1].data)
+
+    def test_save_copies_no_whole_state(self, tmp_path):
+        """The writer streams the live buffers: its peak allocation stays below
+        half the bytes it writes (a `.copy()` of the moments or the residual
+        slabs alone would exceed that)."""
+        model = functional_config(
+            vocab_size=64, sequence_length=16, num_layers=2, hidden_size=64, num_heads=2
         )
-        with pytest.raises(ValueError, match="inconsistent"):
-            load_checkpoint(_trainer(_plan()), path)
+        trainer = Pretrainer(model, _loader(), plan=_plan(), seed=0)
+        trainer.train(2)
+        save_checkpoint(trainer, tmp_path / "warm.npz")  # import-time allocations
+        tracemalloc.start()
+        try:
+            path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * path.stat().st_size, (peak, path.stat().st_size)
+
+
+class TestRecoveryPoint:
+    def test_buffers_are_allocated_once_and_reused(self):
+        """Five guarded iterations refill the same capture buffers in place."""
+        trainer = _trainer(_plan().with_resilience(ResilienceSpec()))
+        trainer.train_iteration()
+        point = trainer.engine.recovery_point
+
+        def buffer_ids():
+            leaves = []
+
+            def walk(tree):
+                if isinstance(tree, np.ndarray):
+                    leaves.append(id(tree))
+                elif isinstance(tree, dict):
+                    for value in tree.values():
+                        walk(value)
+                elif isinstance(tree, list):
+                    for value in tree:
+                        walk(value)
+
+            walk([point.arenas, point.optimizer_states, point.engine_state])
+            return leaves
+
+        # Error-feedback residuals appear on the first reduction, so the
+        # inventory is complete from the second capture on.
+        trainer.train_iteration()
+        before = buffer_ids()
+        assert before
+        for _ in range(5):
+            trainer.train_iteration()
+        assert buffer_ids() == before
+
+    def test_capture_is_detached_from_live_state(self):
+        trainer = _trainer(_plan().with_resilience(ResilienceSpec()))
+        trainer.train(2)
+        point = trainer.engine.recovery_point
+        for arena, captured in zip(trainer.engine.arenas, point.arenas):
+            assert not np.shares_memory(arena.data, captured["data"])
+            # The capture is the *pre*-iteration state; the step moved on.
+            assert not np.array_equal(arena.data, captured["data"])
+
+    def test_unguarded_trainer_captures_nothing(self):
+        trainer = _trainer(_plan())
+        trainer.train(2)
+        assert trainer.engine.recovery_point is None
 
 
 class TestCheckpointFiles:
@@ -424,6 +569,35 @@ class TestCheckpointFiles:
 
     def test_latest_checkpoint_empty_directory(self, tmp_path):
         assert latest_checkpoint(tmp_path) is None
+
+    def test_orphan_tmp_never_wins_resume_or_rotation(self, tmp_path):
+        """A writer SIGKILLed mid-write leaves its temp file behind; whatever it
+        is called, it is neither the latest checkpoint nor counted by rotation."""
+        trainer = _trainer(_plan())
+        trainer.train_iteration()
+        good = save_rotating_checkpoint(trainer, tmp_path, keep_last=2)
+        # The pre-v3 writer's temp name matched the rotation glob and sorted last.
+        legacy = tmp_path / "ckpt-00000001.tmp-4242.npz"
+        legacy.write_bytes(b"truncated")
+        assert latest_checkpoint(tmp_path) == good
+        trainer.train_iteration()
+        newer = save_rotating_checkpoint(trainer, tmp_path, keep_last=2)
+        assert latest_checkpoint(tmp_path) == newer
+        assert good.exists()  # the orphan did not take a keep_last slot
+
+    def test_orphan_tmp_of_a_dead_writer_is_swept_on_the_next_save(self, tmp_path):
+        trainer = _trainer(_plan())
+        trainer.train_iteration()
+        finished = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                                  capture_output=True, text=True, check=True)
+        dead = tmp_path / f"ckpt-00000007.npz.tmp-{int(finished.stdout)}"
+        dead.write_bytes(b"truncated")
+        alive = tmp_path / f"ckpt-00000007.npz.tmp-{os.getppid()}"
+        alive.write_bytes(b"still being written")
+        save_rotating_checkpoint(trainer, tmp_path)
+        assert not dead.exists()
+        assert alive.exists()  # another live writer's file is not ours to delete
+        assert latest_checkpoint(tmp_path).name == checkpoint_name(1)
 
 
 # ----------------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from repro.models.gpt_configs import functional_config
 from repro.plan import PLAN_PRESETS, Boundary, ParallelPlan, ResilienceSpec
 from repro.resilience import (
     FaultInjector,
+    RecoveryPoint,
     ResilienceExhausted,
     ResilienceReport,
     SupervisionPolicy,
@@ -212,6 +213,81 @@ class TestRespawnRecovery:
         oracle = serial_oracle(3)
         assert losses == oracle[0]
         assert_same_weights(weights, oracle[1])
+
+
+# ----------------------------------------------------------------------------------
+# One recovery point: guard rollback and supervisor rewind share a single capture
+# ----------------------------------------------------------------------------------
+
+
+class TestOneRecoveryPoint:
+    def test_one_capture_per_guarded_supervised_iteration(self, monkeypatch):
+        """executor="process" + guard used to copy the state twice per iteration
+        (trainer snapshot, then supervisor snapshot) into fresh arrays; now the
+        engine captures once, into buffers whose identity never changes."""
+        captures = []
+        original = RecoveryPoint.capture
+
+        def counting(self):
+            captures.append(self)
+            return original(self)
+
+        monkeypatch.setattr(RecoveryPoint, "capture", counting)
+        trainer = probe_trainer(probe_plan().with_resilience(ResilienceSpec()))
+        with trainer:
+            trainer.train_iteration()
+            trainer.train_iteration()  # EF residuals exist from here on
+            point = trainer.engine.recovery_point
+            assert trainer.engine._supervisor is not None
+
+            def buffer_ids():
+                arenas = [id(s[name]) for s in point.arenas for name in ("data", "grad")]
+                moments = [id(s[name]) for s in point.optimizer_states
+                           for name in ("exp_avg", "exp_avg_sq")]
+                return arenas + moments
+
+            before = buffer_ids()
+            captures.clear()
+            for _ in range(5):
+                trainer.train_iteration()
+            after = buffer_ids()
+        assert captures == [point] * 5
+        assert after == before
+
+    def test_supervised_engine_without_a_trainer_captures_for_itself(self):
+        """No guarded trainer installed a recovery point: the engine makes the
+        arena + CB-state one its supervisor rewinds to, and a crash still heals."""
+        from repro.optim import FusedAdam
+        from repro.parallel.engine import ThreeDParallelEngine
+
+        spec = ResilienceSpec(faults=("crash@1:replica=0",))
+        model = functional_config(
+            vocab_size=64, sequence_length=16, num_layers=2, hidden_size=16, num_heads=2
+        )
+        rng = np.random.default_rng(3)
+        batches = [
+            [(rng.integers(0, 64, size=(2, 12)), rng.integers(0, 64, size=(2, 12)))
+             for _ in range(2)]
+            for _ in range(2)
+        ]
+
+        def run(plan):
+            engine = ThreeDParallelEngine(model, plan=plan, seed=0)
+            optimizers = [FusedAdam(arena, lr=1e-3) for arena in engine.arenas]
+            with engine:
+                for _ in range(3):
+                    for optimizer in optimizers:
+                        optimizer.zero_grad()
+                    engine.run_iteration(batches)
+                    for optimizer in optimizers:
+                        optimizer.step()
+                return engine, [arena.data.copy() for arena in engine.arenas]
+
+        healed, weights = run(probe_plan().with_resilience(spec))
+        assert healed.resilience.respawns == 1
+        assert healed.recovery_point is not None and not healed.recovery_point.optimizer_states
+        _, expected = run(probe_plan(executor="serial"))
+        assert_same_weights(weights, expected)
 
 
 # ----------------------------------------------------------------------------------
