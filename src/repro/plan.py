@@ -39,7 +39,7 @@ conversions into the engine/simulator config types import lazily, so
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -383,8 +383,8 @@ def _spec_from_dict(boundary: Boundary, payload: Mapping[str, Any]) -> Compressi
     """Build one boundary's spec from a (possibly partial) dict."""
     if not isinstance(payload, Mapping):
         raise ValueError(f"compression[{boundary.value!r}] must be a mapping, got {payload!r}")
-    known = {f.name for f in fields(CompressionSpec)}
-    unknown = set(payload) - known
+    known = _SECTION_FIELDS[CompressionSpec]
+    unknown = set(payload).difference(known)
     if unknown:
         raise ValueError(
             f"unknown CompressionSpec field(s) {sorted(unknown)} for boundary {boundary.value!r}; "
@@ -498,6 +498,28 @@ class ResilienceSpec:
             f"{base}; respawns<={self.max_respawns_per_worker}/worker,"
             f"<={self.max_total_respawns} total ({self.on_exhausted})"
         )
+
+
+#: Field names of the plan's flat sections, in declaration order — what
+#: :meth:`ParallelPlan.to_dict` and :meth:`ParallelPlan.from_dict` walk.
+_SECTION_FIELDS: dict[type, tuple[str, ...]] = {
+    section: tuple(spec_field.name for spec_field in fields(section))
+    for section in (Topology, Schedule, CompressionSpec, ResilienceSpec)
+}
+
+
+def _section_dict(section: Any) -> dict[str, Any]:
+    """``{field: value}`` of one flat frozen section, in declaration order.
+
+    The sections hold scalars only (``ResilienceSpec.faults``, a tuple of
+    strings, is the one exception and :meth:`ParallelPlan.to_dict` lists it),
+    so reading the fields gives exactly what ``dataclasses.asdict`` would
+    without its recursive deep copy — the plan search serialises thousands of
+    plans per query.  Values are handed out as stored, never through a memo
+    keyed by section *value*: ``Schedule(memory_cap_factor=1)`` and ``(…=1.0)``
+    are equal and hash equal but serialise to ``1`` and ``1.0``.
+    """
+    return {name: getattr(section, name) for name in _SECTION_FIELDS[type(section)]}
 
 
 @dataclass(frozen=True)
@@ -639,15 +661,16 @@ class ParallelPlan:
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form (JSON-safe; round-trips through :meth:`from_dict`)."""
         payload = {
-            "topology": asdict(self.topology),
-            "schedule": asdict(self.schedule),
+            "topology": _section_dict(self.topology),
+            "schedule": _section_dict(self.schedule),
             "compression": {
-                boundary.value: asdict(spec) for boundary, spec in self.compression.items()
+                boundary.value: _section_dict(spec)
+                for boundary, spec in self.compression.items()
             },
         }
         # Emitted only when armed, so pre-existing plan JSON stays byte-stable.
         if self.resilience is not None:
-            resilience = asdict(self.resilience)
+            resilience = _section_dict(self.resilience)
             resilience["faults"] = list(self.resilience.faults)
             payload["resilience"] = resilience
         # Same discipline for the executor: emitted only when non-default.
@@ -673,25 +696,23 @@ class ParallelPlan:
                 "expected topology / schedule / compression / resilience / executor"
             )
 
-        def build(section: str, target, known: set[str]):
+        def build(section: str, target, known: tuple[str, ...]):
             data = payload.get(section, {})
             if not isinstance(data, Mapping):
                 raise ValueError(f"{section} must be a mapping, got {data!r}")
-            bad = set(data) - known
+            bad = set(data).difference(known)
             if bad:
                 raise ValueError(f"unknown {section} field(s) {sorted(bad)}")
             return target(**data)
 
-        topology = build("topology", Topology, {f.name for f in fields(Topology)})
-        schedule = build("schedule", Schedule, {f.name for f in fields(Schedule)})
+        topology = build("topology", Topology, _SECTION_FIELDS[Topology])
+        schedule = build("schedule", Schedule, _SECTION_FIELDS[Schedule])
         compression = payload.get("compression", {})
         if not isinstance(compression, Mapping):
             raise ValueError(f"compression must be a mapping, got {compression!r}")
         resilience = None
         if payload.get("resilience") is not None:
-            resilience_data = build(
-                "resilience", dict, {f.name for f in fields(ResilienceSpec)}
-            )
+            resilience_data = build("resilience", dict, _SECTION_FIELDS[ResilienceSpec])
             resilience = ResilienceSpec(
                 **{
                     key: tuple(value) if key == "faults" else value

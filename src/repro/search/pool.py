@@ -10,13 +10,29 @@ Determinism does not depend on the pool: replies carry the candidate index
 they answer, the parent keys results by that index, and
 :func:`evaluate_task` itself is pure — so any completion order, any worker
 count (including ``workers=0``, which runs everything inline), and any
-mid-flight worker crash (survivors and the parent absorb the requeued tasks)
-produce the same result map.
+mid-flight worker crash or stall (survivors and the parent absorb the requeued
+tasks) produce the same result map.
+
+Liveness does not depend on the workers either.  Each worker has a progress
+deadline, :data:`WORKER_PROGRESS_DEADLINE_S`: one that owes replies and has
+delivered none for that long — stopped, stuck in uninterruptible I/O,
+livelocked; alive, so neither a broken pipe nor an EOF would ever report it —
+is killed and handled exactly like a crashed one, so :meth:`EvaluationPool.run`
+returns in bounded time.  Teardown escalates from the shutdown sentinel to
+``terminate()`` to ``kill()``: a stopped process acts on neither of the first
+two, and must not outlive the pool.
+
+What a worker computes once, not per task: the ``(tier, gpus)`` →
+:class:`~repro.simulator.hardware.ClusterSpec` resolution
+(:func:`~repro.search.query.resolve_cluster` keeps the spec per process) and
+the pipeline replay of every plan that shares one
+(:func:`repro.simulator.executor.replay_pipeline`).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import time
 import traceback
 import weakref
 from collections import deque
@@ -28,12 +44,18 @@ from repro.plan import ParallelPlan
 from repro.search.query import resolve_cluster
 from repro.simulator.evaluate import evaluate_plan
 
-__all__ = ["EvaluationPool", "TASK_WINDOW", "evaluate_task"]
+__all__ = ["EvaluationPool", "TASK_WINDOW", "WORKER_PROGRESS_DEADLINE_S", "evaluate_task"]
 
 #: Maximum tasks outstanding per worker.  Small enough that a window of task
 #: messages (~0.5 KiB each) never fills a pipe buffer, large enough that
 #: workers stay busy while the parent is busy elsewhere.
 TASK_WINDOW = 16
+
+#: Seconds a worker may owe replies without delivering one.  An evaluation
+#: takes milliseconds (a deep ``auto`` synthesis, tens), so a worker silent
+#: for this long is not slow but wedged — stopped, in uninterruptible I/O,
+#: livelocked — and is treated exactly like a crashed one.
+WORKER_PROGRESS_DEADLINE_S = 30.0
 
 
 def evaluate_task(task: Mapping[str, Any]) -> dict[str, float]:
@@ -84,9 +106,17 @@ class _Worker:
         child.close()
         #: Tasks sent but not yet answered, keyed by candidate index.
         self.outstanding: dict[int, Mapping[str, Any]] = {}
+        #: ``time.monotonic()`` of the last reply, or of the first task sent
+        #: to an idle worker — what the progress deadline is measured from.
+        self.heard_at = 0.0
+
+    def kill(self) -> None:
+        """SIGKILL the process and reap it (the one signal a stopped process obeys)."""
+        self.process.kill()
+        self.process.join(timeout=2.0)
 
     def close(self) -> None:
-        """Shut the worker down (sentinel, short join, terminate as last resort)."""
+        """Shut the worker down: sentinel, short join, then terminate, then kill."""
         try:
             self.connection.send(None)
         except (BrokenPipeError, OSError):
@@ -95,6 +125,8 @@ class _Worker:
         if self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout=2.0)
+        if self.process.is_alive():
+            self.kill()
         self.connection.close()
 
 
@@ -157,30 +189,48 @@ class EvaluationPool:
         """Evaluate every ``(index, task)`` pair; return ``{index: (kind, payload)}``.
 
         ``kind`` is ``"ok"`` (payload: metrics dict) or ``"error"`` (payload:
-        the worker's formatted traceback).  Tasks owed by a crashed worker are
-        requeued to the survivors; with no survivors the parent finishes
-        inline, so the call always returns a complete map.
+        the worker's formatted traceback).  A worker that crashed, or that has
+        owed replies for :data:`WORKER_PROGRESS_DEADLINE_S` without delivering
+        one, is killed and its tasks are requeued to the survivors; with no
+        survivors the parent finishes inline, so the call always returns a
+        complete map, and returns it in bounded time.
         """
         queue: deque[tuple[int, Mapping[str, Any]]] = deque(tasks)
         results: dict[int, tuple[str, Any]] = {}
         alive = list(self._workers)
+
+        def retire(worker: _Worker) -> None:
+            worker.kill()
+            alive.remove(worker)
+            queue.extend(worker.outstanding.items())
+            worker.outstanding.clear()
+
         while alive and (queue or any(worker.outstanding for worker in alive)):
+            now = time.monotonic()
             for worker in list(alive):
+                was_idle = not worker.outstanding
                 if not self._top_up(worker, queue):
-                    alive.remove(worker)
-                    queue.extend(worker.outstanding.items())
-                    worker.outstanding.clear()
+                    retire(worker)
+                elif was_idle:
+                    worker.heard_at = now
             busy = [worker for worker in alive if worker.outstanding]
             if not busy:
                 continue
-            ready = wait([worker.connection for worker in busy], timeout=5.0)
+            # Sleep until a reply arrives or the earliest deadline expires.
+            expires = min(worker.heard_at for worker in busy) + WORKER_PROGRESS_DEADLINE_S
+            ready = wait(
+                [worker.connection for worker in busy],
+                timeout=max(0.0, expires - time.monotonic()),
+            )
+            now = time.monotonic()
             for worker in busy:
-                if worker.connection not in ready:
-                    continue
-                if not self._drain(worker, results):
-                    alive.remove(worker)
-                    queue.extend(worker.outstanding.items())
-                    worker.outstanding.clear()
+                if worker.connection in ready:
+                    if self._drain(worker, results):
+                        worker.heard_at = now
+                    else:
+                        retire(worker)
+                elif now - worker.heard_at >= WORKER_PROGRESS_DEADLINE_S:
+                    retire(worker)
         # Inline fallback: workers==0, or every worker crashed mid-query.
         for index, task in queue:
             try:

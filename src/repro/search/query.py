@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property, lru_cache
 from typing import Any, Iterator, Mapping
 
 from repro.models.gpt_configs import (
@@ -27,7 +28,7 @@ from repro.models.gpt_configs import (
     PaperModelSpec,
 )
 from repro.parallel.topology import ClusterTopology, ethernet_cluster
-from repro.plan import Boundary, ParallelPlan, Schedule, Topology
+from repro.plan import Boundary, CompressionSpec, ParallelPlan, Schedule, Topology, default_spec
 from repro.simulator.hardware import ClusterSpec
 
 __all__ = ["Candidate", "HARDWARE_TIERS", "SEARCH_MODELS", "SearchQuery", "resolve_cluster"]
@@ -45,12 +46,18 @@ SEARCH_MODELS: dict[str, PaperModelSpec] = {
 HARDWARE_TIERS = ("infiniband", "ethernet")
 
 
+@lru_cache(maxsize=16, typed=True)
 def resolve_cluster(tier: str, gpus: int) -> ClusterSpec:
     """Build the :class:`~repro.simulator.hardware.ClusterSpec` of one tier.
 
     The node shape is fixed at 8 GPUs per node (the paper's testbed); the node
     count follows from ``gpus``.  GPU counts below one full node still get one
     node.  Unknown tiers raise ``ValueError`` with the vocabulary.
+
+    The (frozen) spec of a ``(tier, gpus)`` pair is built once per process and
+    handed out again: a pool worker resolves it once rather than once per task,
+    and the parent's per-tier key material (:mod:`repro.search.cache`) is
+    computed once per instance.
     """
     if tier not in HARDWARE_TIERS:
         raise ValueError(f"unknown hardware tier {tier!r}; expected one of {HARDWARE_TIERS}")
@@ -79,11 +86,12 @@ class Candidate:
         Carries everything :func:`repro.search.pool.evaluate_task` needs to
         rebuild the evaluation inputs in another process: the plan dict, the
         model spec dict, the tier name, and the query's GPU count and
-        micro-batch size.
+        micro-batch size.  The model dict is the query's one
+        :attr:`SearchQuery.model_document`, shared by all its tasks.
         """
         return {
             "plan": self.plan.to_dict(),
-            "model": asdict(query.model_spec()),
+            "model": query.model_document,
             "tier": self.tier,
             "gpus": query.gpus,
             "micro_batch_size": query.micro_batch_size,
@@ -208,6 +216,22 @@ class SearchQuery:
             return PaperModelSpec(**dict(self.custom_model))
         return SEARCH_MODELS[self.model]
 
+    @cached_property
+    def model_document(self) -> dict[str, Any]:
+        """The model spec as a plain dict, built once per query.
+
+        Every task of the query (:meth:`Candidate.task`) and every cache-key
+        document refers to this one object instead of a fresh
+        ``dataclasses.asdict`` copy per candidate.
+
+        Returns
+        -------
+        dict
+            ``dataclasses.asdict(self.model_spec())``.  Shared: treat it as
+            read-only.
+        """
+        return asdict(self.model_spec())
+
     # -- serialisation ----------------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
@@ -314,6 +338,13 @@ class SearchQuery:
                 schedules.append(Schedule(kind=kind))
         return schedules
 
+    @staticmethod
+    def _boundary_specs(
+        boundary: Boundary, options: list[dict[str, Any]]
+    ) -> list[CompressionSpec]:
+        """One validated spec per option: the boundary's default with the overrides."""
+        return [default_spec(boundary).with_(**option) for option in options]
+
     def candidates(self) -> Iterator[Candidate]:
         """Yield the expansion lazily, in the deterministic nested-loop order.
 
@@ -321,26 +352,35 @@ class SearchQuery:
         DP option, PP option, embedding mode.  The running position is each
         candidate's ``index``.
         """
+        topologies = self.topologies()
+        schedules = self._schedules()
+        # Every candidate is one validating ParallelPlan construction over
+        # sections built once per option and shared between the plans.
+        dp_specs = self._boundary_specs(Boundary.DP, self._dp_options())
+        pp_specs = self._boundary_specs(Boundary.PP, self._pp_options())
+        embedding_specs = self._boundary_specs(
+            Boundary.EMBEDDING, [{"codec": mode} for mode in self.embedding]
+        )
+        compressions = [
+            {Boundary.DP: dp_spec, Boundary.PP: pp_spec, Boundary.EMBEDDING: embedding_spec}
+            for dp_spec in dp_specs
+            for pp_spec in pp_specs
+            for embedding_spec in embedding_specs
+        ]
         index = 0
         for tier in self.hardware:
-            for topology in self.topologies():
-                for schedule in self._schedules():
-                    for dp_option in self._dp_options():
-                        for pp_option in self._pp_options():
-                            for embedding in self.embedding:
-                                if (
-                                    self.max_candidates is not None
-                                    and index >= self.max_candidates
-                                ):
-                                    return
-                                plan = ParallelPlan(topology=topology, schedule=schedule)
-                                plan = plan.with_boundary(Boundary.DP, **dp_option)
-                                plan = plan.with_boundary(Boundary.PP, **pp_option)
-                                plan = plan.with_boundary(Boundary.EMBEDDING, codec=embedding)
-                                if self.proxy_scale_max_rank is not None:
-                                    plan = plan.proxy_scaled(self.proxy_scale_max_rank)
-                                yield Candidate(index=index, plan=plan, tier=tier)
-                                index += 1
+            for topology in topologies:
+                for schedule in schedules:
+                    for compression in compressions:
+                        if self.max_candidates is not None and index >= self.max_candidates:
+                            return
+                        plan = ParallelPlan(
+                            topology=topology, schedule=schedule, compression=compression
+                        )
+                        if self.proxy_scale_max_rank is not None:
+                            plan = plan.proxy_scaled(self.proxy_scale_max_rank)
+                        yield Candidate(index=index, plan=plan, tier=tier)
+                        index += 1
 
     def expand(self) -> list[Candidate]:
         """The full candidate list (the materialised :meth:`candidates` order)."""

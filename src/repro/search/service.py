@@ -7,13 +7,35 @@ candidate once.  The outcome separates the *deterministic* answer — the ranked
 frontier, byte-identical across runs, pool sizes, and cold/warm caches
 (:meth:`SearchOutcome.to_json`) — from the *run-dependent* bookkeeping
 (elapsed time, cache hits, evaluation counts), which callers print separately.
+
+What a query pays for, and how often:
+
+* **per query** — the expansion's option lists (each DP / PP / embedding
+  :class:`~repro.plan.CompressionSpec` is built once per option) and the model
+  document (:attr:`~repro.search.query.SearchQuery.model_document`);
+* **per tier** — the resolved cluster, its hardware document and the canonical
+  JSON of the model and hardware sections of the key
+  (:mod:`repro.search.cache`);
+* **per replay class** — the simulator's pipeline replay, shared by every plan
+  with the same job and PP-boundary codec
+  (:func:`repro.simulator.executor.replay_pipeline`);
+* **per candidate** — one validating :class:`~repro.plan.ParallelPlan`
+  construction, its field-read ``to_dict``, the plan section of the key and
+  its SHA-256, one cache read or write, and the DP / embedding tail of the
+  simulation.
+
+A cache hit is taken on trust only as far as its shape: the cache directory is
+outside input, so a hit must be a mapping with exactly
+:class:`~repro.simulator.evaluate.PlanEvaluation`'s field names and finite
+numbers, or it is re-evaluated and overwritten like a miss.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Sequence
 
 from repro.search.cache import SearchCache, cache_key, task_key_material
@@ -26,9 +48,32 @@ from repro.search.frontier import (
 )
 from repro.search.pool import EvaluationPool
 from repro.search.query import Candidate, SearchQuery, resolve_cluster
+from repro.simulator.evaluate import PlanEvaluation
 from repro.utils.tables import Table, format_float
 
 __all__ = ["SearchOutcome", "run_queries", "run_search"]
+
+#: The field names a cached evaluation must carry — exactly these, no others.
+_METRIC_NAMES = frozenset(spec_field.name for spec_field in fields(PlanEvaluation))
+
+
+def _usable_entry(entry: Any) -> bool:
+    """Whether a cache hit is an evaluation this build can rank.
+
+    The cache directory is outside input: a file can parse as JSON and still
+    be ``[]``, ``0``, or the metrics of a build whose
+    :class:`~repro.simulator.evaluate.PlanEvaluation` had other fields.  Such
+    a hit would fail the whole query in the budget filter, so it is treated as
+    a miss instead: re-evaluated, and overwritten by the fresh result.
+    """
+    return (
+        isinstance(entry, dict)
+        and entry.keys() == _METRIC_NAMES
+        and all(
+            type(value) is float and math.isfinite(value) or type(value) is int
+            for value in entry.values()
+        )
+    )
 
 
 @dataclass
@@ -143,7 +188,7 @@ def _search_with(
             key = cache_key(task_key_material(task, clusters[candidate.tier]))
             keys[candidate.index] = key
             cached = cache.get(key)
-            if cached is not None:
+            if _usable_entry(cached):
                 metrics[candidate.index] = cached
                 cache_hits += 1
                 continue

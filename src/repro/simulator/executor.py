@@ -12,11 +12,27 @@ synchronisation is enabled).
 Compression changes two things: the bytes on the wire (smaller) and the kernel
 overhead (compress + decompress time added to the transfer latency), exactly the
 trade-off the paper's Fig. 13 (rank sweep) exposes.
+
+One iteration is simulated in two parts, split where the dependencies split.
+The **pipeline replay** (:func:`replay_pipeline`: op lists, epilogue sets, the
+event loop, bubble accounting) depends on the job, the component toggles and
+the PP-boundary codec only, and is memoised per process in one bounded table —
+a plan sweep holds far fewer distinct replays than plans.  The **tail**
+(:meth:`PipelineTimingSimulator.run`: DP all-reduce and its overlap window,
+embedding synchronisation, steady-state period) is where the DP codec, its
+knobs, the selected stage fraction and the embedding mode enter; it runs per
+plan, on a private copy of the replay's numbers.  The DP and embedding knobs
+are not in the replay's key because nothing in the pipeline phase reads them:
+the DP all-reduce starts *after* a stage's last backward op and the embedding
+synchronisation after that, so they move when an iteration ends, never when a
+pipeline op runs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from repro.parallel.pipeline_schedule import (
     BACKWARD_SEND_KINDS,
@@ -36,28 +52,32 @@ from repro.simulator.cost_model import CostModel, TrainingJob
 WORKER_RESPAWN_LATENCY_S = 2.0
 
 
-def build_job_schedule(job: TrainingJob, cost: CostModel | None = None) -> list[list[PipelineOp]]:
+@functools.lru_cache(maxsize=4)
+def build_job_schedule(job: TrainingJob) -> tuple[tuple[PipelineOp, ...], ...]:
     """Per-stage op lists for a training job's ``schedule_kind``.
 
     ``"auto"`` runs the synthesizer over the job's cost model (per-stage F/B/W
     times, transfer delay, activation/stash bytes, ``memory_cap_factor``) — the
     same op lists the timing replay and the memory model then consume, so the
     two layers can never disagree about what ``"auto"`` means for a given job.
+    The lists of the last few jobs are kept (immutable, so shareable): the
+    replay and the memory model of one plan, and of the plans that follow it on
+    the same job, read one build.  A few, not many — a deep pipeline's lists
+    run to thousands of ops.
     """
     num_stages = job.num_stages
     num_micro = job.num_micro_batches
     if job.schedule_kind == "auto":
         from repro.parallel.scheduler import synthesize_schedule
 
-        spec = (cost if cost is not None else CostModel(job)).auto_synthesis_spec()
-        return synthesize_schedule(spec).stage_ops()
-    if job.schedule_kind == "zb1":
-        return build_zb1_schedule(num_stages, num_micro)
-    if num_stages == 1:
-        return build_1f1b_schedule(1, num_micro)
-    if job.num_model_chunks > 1:
-        return build_interleaved_1f1b_schedule(num_stages, num_micro, job.num_model_chunks)
-    return build_1f1b_schedule(num_stages, num_micro)
+        schedule = synthesize_schedule(CostModel(job).auto_synthesis_spec()).ops
+    elif job.schedule_kind == "zb1":
+        schedule = build_zb1_schedule(num_stages, num_micro)
+    elif num_stages > 1 and job.num_model_chunks > 1:
+        schedule = build_interleaved_1f1b_schedule(num_stages, num_micro, job.num_model_chunks)
+    else:
+        schedule = build_1f1b_schedule(num_stages, num_micro)
+    return tuple(tuple(ops) for ops in schedule)
 
 
 @dataclass(frozen=True)
@@ -307,6 +327,248 @@ class IterationTiming:
         }
 
 
+#: Distinct pipeline replays one process remembers (:func:`replay_pipeline`).
+#: An entry is a job reference and ``num_stages + 4`` floats, so the bound is
+#: about memory hygiene in a long-lived service, not about megabytes; a plan
+#: search walks its candidates replay class by replay class, so even a much
+#: smaller table would hit.
+REPLAY_MEMO_SIZE = 256
+
+
+def _compute_times(
+    cost: CostModel, toggles: ComponentToggles, chunks: int
+) -> tuple[list[float], list[float], list[float]]:
+    """Per-stage, per-chunk ``(forward, backward, backward_weight)`` op times.
+
+    A stage's layers are split evenly across chunks.  Under a split schedule
+    B + W equals the fused backward exactly: the B time is the difference.
+    """
+    stages = range(cost.layout.pipeline_parallel)
+    forward = [cost.forward_time(s) * toggles.forward / chunks for s in stages]
+    backward = [cost.backward_time(s) * toggles.backward / chunks for s in stages]
+    backward_weight = [
+        cost.backward_weight_time(s) * toggles.backward / chunks for s in stages
+    ]
+    return forward, backward, backward_weight
+
+
+def _transfer(
+    cost: CostModel, toggles: ComponentToggles, compressed_rank: int | None
+) -> tuple[float, float, float]:
+    """``(delay_seconds, wire_bytes, compression_overhead)`` of one inter-stage transfer.
+
+    ``compressed_rank`` is the PowerSGD rank of a compressed transfer, ``None``
+    for a plain one.
+    """
+    overhead = 0.0
+    if compressed_rank is not None:
+        wire = cost.compressed_activation_bytes(compressed_rank)
+        overhead = cost.activation_compression_overhead(compressed_rank)
+    else:
+        wire = cost.interstage_message_bytes()
+    delay = cost.p2p_time(wire) * toggles.interstage + overhead
+    return delay, wire * toggles.interstage, overhead
+
+
+def _epilogue_sets(
+    schedule: tuple[tuple[PipelineOp, ...], ...]
+) -> list[set[tuple[int, int]]]:
+    """Per-stage set of (micro_batch, chunk) whose backward runs in the cool-down.
+
+    The cool-down of a stage is everything after its last forward op: there is no
+    forward computation left to hide the incoming activation-gradient transfer,
+    so those transfers sit on the critical path — the paper's epilogue
+    (Section 5.2, Fig. 6).  This definition applies uniformly to the plain and
+    interleaved schedules.
+    """
+    epilogue: list[set[tuple[int, int]]] = []
+    for ops in schedule:
+        last_forward = max(
+            (index for index, op in enumerate(ops) if op.kind == "forward"), default=-1
+        )
+        stage_set = {
+            (op.micro_batch, op.chunk)
+            for op in ops[last_forward + 1 :]
+            if op.kind in BACKWARD_SEND_KINDS
+        }
+        epilogue.append(stage_set)
+    return epilogue
+
+
+class PipelineReplay(NamedTuple):
+    """What the pipeline phase of one iteration produced (:func:`replay_pipeline`)."""
+
+    #: When each stage's last backward-side op drained.
+    stage_backward_finish: tuple[float, ...]
+    #: Compress + decompress kernel time summed over the inter-stage transfers,
+    #: in event order (the DP overheads are added on top, per plan).
+    transfer_overhead: float
+    #: Inter-stage wire bytes, both directions.
+    interstage_wire: float
+    #: t=0 until the last backward-side op drains anywhere.
+    makespan: float
+    #: Share of device-seconds idle inside the makespan.
+    bubble_fraction: float
+
+
+@functools.lru_cache(maxsize=REPLAY_MEMO_SIZE)
+def replay_pipeline(
+    job: TrainingJob,
+    toggles: ComponentToggles,
+    compress_backward: bool,
+    backward_rank: int,
+    backward_epilogue_only: bool,
+    compress_forward: bool,
+) -> PipelineReplay:
+    """Replay the pipeline phase of one iteration: schedule, event loop, bubble.
+
+    This is the part of :meth:`PipelineTimingSimulator.run` that depends only
+    on the job (model, layout, cluster, batch shape, schedule kind and cap),
+    the component toggles and the inter-stage (PP-boundary) codec — **not** on
+    the DP codec, its rank / bits / fraction, the selected stage fraction or
+    the embedding mode, which only enter the per-plan tail that follows.  A
+    plan sweep holds far fewer distinct replays than plans (200 of the
+    flagship query's 2,800), so results are memoised here, in the one bounded
+    table every caller of the simulator goes through: search workers, inline
+    evaluation, the figure drivers' toggle breakdowns.  The arguments are
+    frozen and hashable and the result is immutable, so a hit is
+    indistinguishable from a recomputation.
+    """
+    cost = CostModel(job)
+    num_stages = job.num_stages
+    num_micro = job.num_micro_batches
+    chunks = job.num_model_chunks if num_stages > 1 else 1
+    schedule = build_job_schedule(job)
+    epilogue_sets = _epilogue_sets(schedule)
+
+    forward_times, backward_times, backward_weight_times = _compute_times(cost, toggles, chunks)
+    backward_input_times = [
+        full - weight for full, weight in zip(backward_times, backward_weight_times)
+    ]
+    op_durations = {
+        "forward": forward_times,
+        "backward": backward_times,
+        "backward_input": backward_input_times,
+        "backward_weight": backward_weight_times,
+    }
+    # Every transfer of the replay is one of these two.
+    plain_transfer = _transfer(cost, toggles, None)
+    compressed_transfer = (
+        _transfer(cost, toggles, backward_rank)
+        if compress_backward or compress_forward
+        else plain_transfer
+    )
+    forward_transfer = compressed_transfer if compress_forward else plain_transfer
+
+    device_free = [0.0] * num_stages
+    pointers = [0] * num_stages
+    forward_arrival: dict[tuple[int, int, int], float] = {}
+    backward_arrival: dict[tuple[int, int, int], float] = {}
+    for micro in range(num_micro):
+        forward_arrival[(0, micro, 0)] = 0.0  # stage 0 reads input data locally
+        backward_arrival[(num_stages - 1, micro, chunks - 1)] = 0.0  # seeded by the loss
+
+    stage_backward_finish = [0.0] * num_stages
+    compression_overhead_total = 0.0
+    interstage_wire_total = 0.0
+
+    def forward_consumer(stage: int, micro: int, chunk: int) -> tuple[int, int, int] | None:
+        if stage < num_stages - 1:
+            return (stage + 1, micro, chunk)
+        if chunk < chunks - 1:
+            return (0, micro, chunk + 1)
+        return None
+
+    def backward_consumer(stage: int, micro: int, chunk: int) -> tuple[int, int, int] | None:
+        if stage > 0:
+            return (stage - 1, micro, chunk)
+        if chunk > 0:
+            return (num_stages - 1, micro, chunk - 1)
+        return None
+
+    remaining = sum(len(ops) for ops in schedule)
+    while remaining > 0:
+        progressed = False
+        for stage in range(num_stages):
+            while pointers[stage] < len(schedule[stage]):
+                op = schedule[stage][pointers[stage]]
+                key = (stage, op.micro_batch, op.chunk)
+                if op.kind == "forward":
+                    if key not in forward_arrival:
+                        break
+                    ready = forward_arrival[key]
+                elif op.kind == "backward_weight":
+                    # Purely local: depends only on the stage's own earlier
+                    # B pass, which op-list order already sequenced.
+                    ready = 0.0
+                else:
+                    if key not in backward_arrival:
+                        break
+                    ready = backward_arrival[key]
+                duration = op_durations[op.kind][stage]
+                start = max(device_free[stage], ready)
+                end = start + duration
+                device_free[stage] = end
+                pointers[stage] += 1
+                remaining -= 1
+                progressed = True
+
+                if op.kind == "forward":
+                    consumer = forward_consumer(stage, op.micro_batch, op.chunk)
+                    if consumer is not None:
+                        delay, wire, overhead = forward_transfer
+                        forward_arrival[consumer] = end + delay
+                        interstage_wire_total += wire
+                        compression_overhead_total += overhead
+                else:
+                    stage_backward_finish[stage] = end
+                    consumer = (
+                        backward_consumer(stage, op.micro_batch, op.chunk)
+                        if op.kind in BACKWARD_SEND_KINDS
+                        else None
+                    )
+                    if consumer is not None:
+                        receiving_stage = consumer[0]
+                        compressed = False
+                        if compress_backward:
+                            if backward_epilogue_only:
+                                compressed = (
+                                    (op.micro_batch, op.chunk) in epilogue_sets[receiving_stage]
+                                ) or ((consumer[1], consumer[2]) in epilogue_sets[receiving_stage])
+                            else:
+                                compressed = True
+                        delay, wire, overhead = (
+                            compressed_transfer if compressed else plain_transfer
+                        )
+                        backward_arrival[consumer] = end + delay
+                        interstage_wire_total += wire
+                        compression_overhead_total += overhead
+        if not progressed:
+            raise RuntimeError("pipeline schedule deadlocked (invalid dependency structure)")
+
+    # The pipeline makespan runs from t=0 (stage 0's first forward) to the
+    # last backward-side op draining anywhere; every second a device is not
+    # computing inside that span is bubble.  This is the quantity the
+    # zero-bubble schedule attacks: splitting the backward lets W passes
+    # fill the cool-down, so zb1's fraction is strictly below 1F1B's for
+    # pp >= 2 (asserted by the simulator tests).
+    pipeline_makespan = max(stage_backward_finish) if stage_backward_finish else 0.0
+    total_compute = sum(
+        op_durations[op.kind][stage] for stage, ops in enumerate(schedule) for op in ops
+    )
+    if pipeline_makespan > 0.0:
+        bubble_fraction = 1.0 - total_compute / (num_stages * pipeline_makespan)
+    else:
+        bubble_fraction = 0.0
+    return PipelineReplay(
+        stage_backward_finish=tuple(stage_backward_finish),
+        transfer_overhead=compression_overhead_total,
+        interstage_wire=interstage_wire_total,
+        makespan=pipeline_makespan,
+        bubble_fraction=bubble_fraction,
+    )
+
+
 class PipelineTimingSimulator:
     """Replays the pipeline schedule with communication and compression costs."""
 
@@ -326,46 +588,6 @@ class PipelineTimingSimulator:
     def with_toggles(self, **kwargs: float) -> "PipelineTimingSimulator":
         """Return a copy with some component toggles changed (for breakdowns)."""
         return PipelineTimingSimulator(self.job, self.plan, replace(self.toggles, **kwargs))
-
-    def _build_schedule(self) -> list[list[PipelineOp]]:
-        return build_job_schedule(self.job, self.cost)
-
-    @staticmethod
-    def _epilogue_sets(schedule: list[list[PipelineOp]]) -> list[set[tuple[int, int]]]:
-        """Per-stage set of (micro_batch, chunk) whose backward runs in the cool-down.
-
-        The cool-down of a stage is everything after its last forward op: there is no
-        forward computation left to hide the incoming activation-gradient transfer,
-        so those transfers sit on the critical path — the paper's epilogue
-        (Section 5.2, Fig. 6).  This definition applies uniformly to the plain and
-        interleaved schedules.
-        """
-        epilogue: list[set[tuple[int, int]]] = []
-        for ops in schedule:
-            last_forward = max(
-                (index for index, op in enumerate(ops) if op.kind == "forward"), default=-1
-            )
-            stage_set = {
-                (op.micro_batch, op.chunk)
-                for op in ops[last_forward + 1 :]
-                if op.kind in BACKWARD_SEND_KINDS
-            }
-            epilogue.append(stage_set)
-        return epilogue
-
-    def _transfer(
-        self, compressed: bool
-    ) -> tuple[float, float, float]:
-        """Return ``(delay_seconds, wire_bytes, compression_overhead)`` of a transfer."""
-        plan = self.plan
-        overhead = 0.0
-        if compressed:
-            wire = self.cost.compressed_activation_bytes(plan.backward_rank)
-            overhead = self.cost.activation_compression_overhead(plan.backward_rank)
-        else:
-            wire = self.cost.interstage_message_bytes()
-        delay = self.cost.p2p_time(wire) * self.toggles.interstage + overhead
-        return delay, wire * self.toggles.interstage, overhead
 
     # -- main simulation ---------------------------------------------------------------
 
@@ -390,137 +612,22 @@ class PipelineTimingSimulator:
         num_micro = self.job.num_micro_batches
         chunks = self.job.num_model_chunks if num_stages > 1 else 1
         plan = self.plan
-        schedule = self._build_schedule()
-        epilogue_sets = self._epilogue_sets(schedule)
-
-        # Per-chunk compute times: a stage's layers are split evenly across chunks.
-        forward_times = [
-            self.cost.forward_time(s) * self.toggles.forward / chunks for s in range(num_stages)
-        ]
-        backward_times = [
-            self.cost.backward_time(s) * self.toggles.backward / chunks for s in range(num_stages)
-        ]
-        # Split-backward (zb1) op times: B + W == the fused backward exactly.
-        backward_weight_times = [
-            self.cost.backward_weight_time(s) * self.toggles.backward / chunks
-            for s in range(num_stages)
-        ]
-        backward_input_times = [
-            full - weight for full, weight in zip(backward_times, backward_weight_times)
-        ]
-        op_durations = {
-            "forward": forward_times,
-            "backward": backward_times,
-            "backward_input": backward_input_times,
-            "backward_weight": backward_weight_times,
-        }
-
-        device_free = [0.0] * num_stages
-        pointers = [0] * num_stages
-        forward_arrival: dict[tuple[int, int, int], float] = {}
-        backward_arrival: dict[tuple[int, int, int], float] = {}
-        for micro in range(num_micro):
-            forward_arrival[(0, micro, 0)] = 0.0  # stage 0 reads input data locally
-            backward_arrival[(num_stages - 1, micro, chunks - 1)] = 0.0  # seeded by the loss
-
-        stage_backward_finish = [0.0] * num_stages
-        compression_overhead_total = 0.0
-        interstage_wire_total = 0.0
-
-        def forward_consumer(stage: int, micro: int, chunk: int) -> tuple[int, int, int] | None:
-            if stage < num_stages - 1:
-                return (stage + 1, micro, chunk)
-            if chunk < chunks - 1:
-                return (0, micro, chunk + 1)
-            return None
-
-        def backward_consumer(stage: int, micro: int, chunk: int) -> tuple[int, int, int] | None:
-            if stage > 0:
-                return (stage - 1, micro, chunk)
-            if chunk > 0:
-                return (num_stages - 1, micro, chunk - 1)
-            return None
-
-        remaining = sum(len(ops) for ops in schedule)
-        while remaining > 0:
-            progressed = False
-            for stage in range(num_stages):
-                while pointers[stage] < len(schedule[stage]):
-                    op = schedule[stage][pointers[stage]]
-                    key = (stage, op.micro_batch, op.chunk)
-                    if op.kind == "forward":
-                        if key not in forward_arrival:
-                            break
-                        ready = forward_arrival[key]
-                    elif op.kind == "backward_weight":
-                        # Purely local: depends only on the stage's own earlier
-                        # B pass, which op-list order already sequenced.
-                        ready = 0.0
-                    else:
-                        if key not in backward_arrival:
-                            break
-                        ready = backward_arrival[key]
-                    duration = op_durations[op.kind][stage]
-                    start = max(device_free[stage], ready)
-                    end = start + duration
-                    device_free[stage] = end
-                    pointers[stage] += 1
-                    remaining -= 1
-                    progressed = True
-
-                    if op.kind == "forward":
-                        consumer = forward_consumer(stage, op.micro_batch, op.chunk)
-                        if consumer is not None:
-                            compressed = plan.compress_forward
-                            delay, wire, overhead = self._transfer(compressed)
-                            forward_arrival[consumer] = end + delay
-                            interstage_wire_total += wire
-                            compression_overhead_total += overhead
-                    else:
-                        stage_backward_finish[stage] = end
-                        consumer = (
-                            backward_consumer(stage, op.micro_batch, op.chunk)
-                            if op.kind in BACKWARD_SEND_KINDS
-                            else None
-                        )
-                        if consumer is not None:
-                            receiving_stage = consumer[0]
-                            compressed = False
-                            if plan.compress_backward:
-                                if plan.backward_epilogue_only:
-                                    compressed = (
-                                        (op.micro_batch, op.chunk)
-                                        in epilogue_sets[receiving_stage]
-                                    ) or (
-                                        (consumer[1], consumer[2])
-                                        in epilogue_sets[receiving_stage]
-                                    )
-                                else:
-                                    compressed = True
-                            delay, wire, overhead = self._transfer(compressed)
-                            backward_arrival[consumer] = end + delay
-                            interstage_wire_total += wire
-                            compression_overhead_total += overhead
-            if not progressed:
-                raise RuntimeError("pipeline schedule deadlocked (invalid dependency structure)")
-
-        # ---------------- pipeline bubble accounting ------------------------------
-        # The pipeline makespan runs from t=0 (stage 0's first forward) to the
-        # last backward-side op draining anywhere; every second a device is not
-        # computing inside that span is bubble.  This is the quantity the
-        # zero-bubble schedule attacks: splitting the backward lets W passes
-        # fill the cool-down, so zb1's fraction is strictly below 1F1B's for
-        # pp >= 2 (asserted by the simulator tests).
-        pipeline_makespan = max(stage_backward_finish) if stage_backward_finish else 0.0
-        total_compute = sum(
-            op_durations[op.kind][stage]
-            for stage, ops in enumerate(schedule)
-            for op in ops
+        forward_times, backward_times, backward_weight_times = _compute_times(
+            self.cost, self.toggles, chunks
         )
-        if pipeline_makespan > 0.0:
-            bubble_fraction = 1.0 - total_compute / (num_stages * pipeline_makespan)
-        else:
-            bubble_fraction = 0.0
+        replay = replay_pipeline(
+            self.job,
+            self.toggles,
+            plan.compress_backward,
+            plan.backward_rank,
+            plan.backward_epilogue_only,
+            plan.compress_forward,
+        )
+        # The replay is shared between plans: take a private copy of its list
+        # and keep accumulating in the order the single-pass simulation did
+        # (transfer overheads first, then each stage's DP overhead).
+        stage_backward_finish = list(replay.stage_backward_finish)
+        compression_overhead_total = replay.transfer_overhead
 
         # ---------------- data-parallel gradient all-reduce -----------------------
         compressed_stages = plan.compressed_dp_stages(num_stages)
@@ -630,7 +737,9 @@ class PipelineTimingSimulator:
         # iteration period is therefore the largest finish time minus that slack —
         # this is why the data-parallel traffic of *later* stages can stay
         # uncompressed under selective stage compression (Section 7, Fig. 8).
-        forward_delay, _, _ = self._transfer(compressed=plan.compress_forward)
+        forward_delay, _, _ = _transfer(
+            self.cost, self.toggles, plan.backward_rank if plan.compress_forward else None
+        )
         warmup_offset = [0.0] * num_stages
         for stage in range(1, num_stages):
             warmup_offset[stage] = warmup_offset[stage - 1] + forward_times[stage - 1] + forward_delay
@@ -665,14 +774,14 @@ class PipelineTimingSimulator:
             compression_overhead=compression_overhead_total,
             forward_compute=forward_compute,
             backward_compute=backward_compute,
-            interstage_wire_bytes=interstage_wire_total,
+            interstage_wire_bytes=replay.interstage_wire,
             dp_wire_bytes=dp_wire_total,
             embedding_wire_bytes=embedding_wire,
             tp_wire_bytes=tp_wire_total,
             dp_exposed_wire_bytes=dp_exposed_wire,
             dp_overlapped_wire_bytes=dp_overlapped_wire,
-            bubble_fraction=bubble_fraction,
-            pipeline_time=pipeline_makespan,
+            bubble_fraction=replay.bubble_fraction,
+            pipeline_time=replay.makespan,
             schedule_kind=self.job.schedule_kind,
             recovery_overhead=recovery_overhead,
         )

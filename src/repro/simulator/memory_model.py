@@ -111,7 +111,7 @@ class MemoryModel:
             )
             return in_flight, 0
         if self._split_profiles is None:
-            schedule = build_job_schedule(self.job, self.cost)
+            schedule = build_job_schedule(self.job)
             self._split_profiles = [stage_memory_profile(ops) for ops in schedule]
         return self._split_profiles[stage]
 

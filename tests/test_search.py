@@ -9,7 +9,14 @@ GPT-8.3B >= 1000-candidate acceptance query.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
+import multiprocessing
+import os
+import pathlib
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +24,14 @@ from hypothesis import strategies as st
 
 from repro import cli
 from repro.models.gpt_configs import GPT_2_5B
-from repro.plan import Boundary, ParallelPlan, Topology
+from repro.plan import (
+    Boundary,
+    CompressionSpec,
+    ParallelPlan,
+    ResilienceSpec,
+    Schedule,
+    Topology,
+)
 from repro.search import (
     EvaluationPool,
     ObjectiveWeights,
@@ -29,10 +43,15 @@ from repro.search import (
     run_queries,
     run_search,
 )
+from repro.search import pool as pool_module
 from repro.search.cache import cache_key, task_key_material
 from repro.search.frontier import within_budget
 from repro.search.query import resolve_cluster
+from repro.simulator.cost_model import COST_MODEL_VERSION
 from repro.simulator.evaluate import PlanEvaluation, compression_loss, evaluate_plan
+from repro.simulator.hardware import ClusterSpec
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def tiny_query(**overrides) -> SearchQuery:
@@ -40,6 +59,47 @@ def tiny_query(**overrides) -> SearchQuery:
     defaults = dict(model="GPT-2.5B", gpus=8, max_candidates=24)
     defaults.update(overrides)
     return SearchQuery(**defaults)
+
+
+def reference_plan_dict(plan: ParallelPlan) -> dict:
+    """``ParallelPlan.to_dict`` as it was spelled through ``dataclasses.asdict``."""
+    payload = {
+        "topology": dataclasses.asdict(plan.topology),
+        "schedule": dataclasses.asdict(plan.schedule),
+        "compression": {
+            boundary.value: dataclasses.asdict(spec)
+            for boundary, spec in plan.compression.items()
+        },
+    }
+    if plan.resilience is not None:
+        resilience = dataclasses.asdict(plan.resilience)
+        resilience["faults"] = list(plan.resilience.faults)
+        payload["resilience"] = resilience
+    if plan.executor != "serial":
+        payload["executor"] = plan.executor
+    return payload
+
+
+def reference_key(query: SearchQuery, candidate, cluster: ClusterSpec) -> str:
+    """The cache key as one ``json.dumps`` of a document built from fresh copies."""
+    document = {
+        "plan": reference_plan_dict(candidate.plan),
+        "model": dataclasses.asdict(query.model_spec()),
+        "hardware": dataclasses.asdict(cluster),
+        "micro_batch_size": query.micro_batch_size,
+        "cost_model_version": COST_MODEL_VERSION,
+    }
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return hashlib.sha256(canonical.encode("ascii")).hexdigest()
+
+
+def query_keys(query: SearchQuery) -> list[str]:
+    """Every candidate's cache key, computed the way the service computes it."""
+    clusters = {tier: resolve_cluster(tier, query.gpus) for tier in query.hardware}
+    return [
+        cache_key(task_key_material(candidate.task(query), clusters[candidate.tier]))
+        for candidate in query.candidates()
+    ]
 
 
 class TestEvaluatePlan:
@@ -188,6 +248,121 @@ class TestCacheKeys:
         assert cache.get(key) is None
 
 
+#: A query spelled with ints where floats are usual: equal plans, different
+#: JSON (``1`` vs ``1.0``), therefore different keys than the float spelling.
+INT_SPELLED_QUERY = {
+    "model": "GPT-2.5B", "gpus": 16, "tp_degrees": [1, 2], "micro_batches": [8],
+    "schedules": ["1f1b", "zb1", "auto"], "memory_cap_factors": [1, 2],
+    "stage_fractions": [1], "dp_fractions": [1],
+}
+
+#: SHA-256 of the newline-joined candidate keys, recorded at the commit before
+#: key computation was restructured.  A silent key change cold-starts every
+#: user's cache; an intended one moves ``COST_MODEL_VERSION`` and these
+#: digests together.
+PINNED_KEY_DIGESTS = {
+    "flagship": (
+        (REPO_ROOT / "benchmarks/e2e/queries/flagship.json").read_text(encoding="utf-8"),
+        2800,
+        "10b4b090d3dce81ae46992e83de737cecb3c7204d2fc10df835f4085ca360d2e",
+    ),
+    "two_tier": (
+        (REPO_ROOT / "examples/queries/gpt_2_5b_two_tier.json").read_text(encoding="utf-8"),
+        432,
+        "822741f6afac9eaf91541716a689efdeb0de72f26827ff87d015a13b7fbb7440",
+    ),
+    "int_spelled": (
+        json.dumps(INT_SPELLED_QUERY),
+        576,
+        "9d6fee3454176d7bff58ec6b23cbeff58f7512f7e8f2b9e810e9f305deba6313",
+    ),
+    "proxy_scaled": (
+        json.dumps({"model": "GPT-2.5B", "gpus": 8, "proxy_scale_max_rank": 2}),
+        1120,
+        "e558597bc0b52f5a59ade24b719052194bb56af02e1ee3ea7002f0a09b6e0324",
+    ),
+}
+
+
+class TestPinnedKeys:
+    @pytest.mark.parametrize("name", sorted(PINNED_KEY_DIGESTS))
+    def test_pinned_key_digests(self, name):
+        text, count, digest = PINNED_KEY_DIGESTS[name]
+        keys = query_keys(SearchQuery.from_json(text))
+        assert len(keys) == count
+        assert hashlib.sha256("\n".join(keys).encode("ascii")).hexdigest() == digest
+
+    def test_pinned_keys_tell_int_from_float_spellings(self):
+        """Equal plans that serialise differently keep different keys, in either order."""
+        floats = dict(INT_SPELLED_QUERY, memory_cap_factors=[1.0, 2.0], stage_fractions=[1.0],
+                      dp_fractions=[1.0], max_candidates=120)
+        ints = dict(INT_SPELLED_QUERY, max_candidates=120)
+        for first, second in ((ints, floats), (floats, ints)):
+            queries = [SearchQuery.from_dict(first), SearchQuery.from_dict(second)]
+            assert queries[0].expand() == queries[1].expand()  # equal, hash-equal plans
+            keys = [query_keys(query) for query in queries]
+            assert keys[0] != keys[1]
+            for query, mine in zip(queries, keys):
+                cluster = resolve_cluster("infiniband", query.gpus)
+                assert mine == [reference_key(query, c, cluster) for c in query.candidates()]
+
+    def test_pinned_keys_tell_equal_custom_models_apart(self):
+        """``256`` and ``256.0`` are equal model specs with different key documents."""
+        spec = {"name": "tiny", "num_layers": 8, "hidden_size": 256, "num_heads": 4}
+        as_int = tiny_query(custom_model=spec)
+        as_float = tiny_query(custom_model=dict(spec, hidden_size=256.0))
+        assert as_int.model_spec() == as_float.model_spec()
+        cluster = resolve_cluster("infiniband", 8)
+        for query in (as_int, as_float, as_int):
+            assert query_keys(query) == [
+                reference_key(query, candidate, cluster) for candidate in query.candidates()
+            ]
+        assert query_keys(as_int) != query_keys(as_float)
+
+
+class TestCorruptEntries:
+    """The cache directory is outside input: a wrong entry is a miss, not a crash."""
+
+    def corruptions(self, good: dict) -> dict[str, bytes]:
+        renamed = dict(good)
+        renamed["tokens_per_s"] = renamed.pop("tokens_per_second")
+        entries = {
+            "other_field_set": renamed,
+            "extra_field": dict(good, stale_field=1.0),
+            "missing_field": {k: v for k, v in good.items() if k != "bubble_fraction"},
+            "non_finite": dict(good, peak_memory_gb=float("nan")),
+            "text_value": dict(good, peak_memory_gb="12.5"),
+            "boolean_value": dict(good, compression_loss=False),
+        }
+        return {
+            "list": b"[]",
+            "empty_mapping": b"{}",
+            "number": b"0",
+            "null": b"null",
+            "not_utf8": b'{"tokens_per_second": "\xff"}',
+            **{name: json.dumps(entry).encode("ascii") for name, entry in entries.items()},
+        }
+
+    def test_corrupt_entry_is_reevaluated_and_repaired(self, tmp_path):
+        query = tiny_query()
+        cache = SearchCache(tmp_path / "cache")
+        cold = run_search(query, workers=0, cache=cache)
+        # Corrupt the entry of the best-ranked candidate: a wrong value served
+        # from it would show in the frontier.
+        best = next(c for c in query.candidates() if c.index == cold.entries[0]["index"])
+        key = cache_key(task_key_material(best.task(query), resolve_cluster(best.tier, query.gpus)))
+        path = cache._path(key)
+        pristine = path.read_bytes()
+        for name, corrupt in self.corruptions(json.loads(pristine)).items():
+            path.write_bytes(corrupt)
+            warm = run_search(query, workers=0, cache=cache)
+            assert warm.to_json() == cold.to_json(), name
+            assert (warm.evaluated, warm.cache_hits) == (1, warm.candidates - 1), name
+            assert warm.errors == 0, name
+            assert path.read_bytes() == pristine, name
+        assert run_search(query, workers=0, cache=cache).evaluated == 0
+
+
 class TestWarmCache:
     def test_second_run_skips_all_evaluations(self, tmp_path):
         query = tiny_query()
@@ -232,6 +407,45 @@ class TestPoolAndDeterminism:
             results = pool.run(tasks)
         assert sorted(results) == [index for index, _ in tasks]
         assert all(kind == "ok" for kind, _ in results.values())
+
+    def test_stalled_worker_is_killed_and_its_tasks_requeued(self, monkeypatch):
+        """SIGSTOP one of two workers mid-query: same answer, bounded time, no orphan."""
+        monkeypatch.setattr(pool_module, "WORKER_PROGRESS_DEADLINE_S", 0.5)
+        query = tiny_query(max_candidates=120)
+        tasks = [(c.index, c.task(query)) for c in query.expand()]
+        with EvaluationPool(workers=0) as inline_pool:
+            inline = inline_pool.run(tasks)
+
+        drained = []
+        drain = EvaluationPool._drain
+
+        def stop_a_worker_after_a_few_replies(worker, results):
+            drained.append(worker)
+            if len(drained) == 5:
+                os.kill(pool._workers[0].process.pid, signal.SIGSTOP)
+            return drain(worker, results)
+
+        monkeypatch.setattr(
+            EvaluationPool, "_drain", staticmethod(stop_a_worker_after_a_few_replies)
+        )
+        with EvaluationPool(workers=2) as pool:
+            stalled = pool._workers[0].process
+            started = time.monotonic()
+            results = pool.run(tasks)
+            elapsed = time.monotonic() - started
+            assert not stalled.is_alive()  # killed by run(), not left for close()
+        assert results == inline
+        assert len(drained) > 5 and elapsed < 10.0
+        assert multiprocessing.active_children() == []
+
+    def test_stalled_idle_worker_does_not_survive_close(self):
+        """``terminate()`` never reaches a stopped process; ``close()`` must escalate."""
+        pool = EvaluationPool(workers=1)
+        process = pool._workers[0].process
+        os.kill(process.pid, signal.SIGSTOP)
+        pool.close()
+        assert not process.is_alive()
+        assert multiprocessing.active_children() == []
 
     def test_inline_matches_worker_evaluation(self):
         query = tiny_query(max_candidates=3)
@@ -338,6 +552,119 @@ class TestSearchProperties:
                     < mine["metrics"]["peak_memory_gb"]
                 )
                 assert not strictly_better_everywhere
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        gpus=st.sampled_from([8, 16, 64]),
+        hardware=st.sampled_from([("infiniband",), ("ethernet", "infiniband")]),
+        micro_batch_size=st.sampled_from([4, 8]),
+        schedules=st.sampled_from([("1f1b",), ("auto", "zb1"), ("serial", "auto")]),
+        memory_cap_factors=st.sampled_from([(1,), (1.0, 2), (1.5,)]),
+        stage_fractions=st.sampled_from([(1,), (0.75, 1.0)]),
+        dp_fractions=st.sampled_from([(1,), (0.01,)]),
+        pp_codecs=st.sampled_from([("none",), ("none", "powersgd", "topk")]),
+        proxy_scale_max_rank=st.sampled_from([None, 2]),
+        custom_hidden=st.sampled_from([None, 256, 256.0]),
+    )
+    def test_fuzzed_query_keys_match_the_reference_spelling(
+        self, gpus, hardware, micro_batch_size, schedules, memory_cap_factors, stage_fractions,
+        dp_fractions, pp_codecs, proxy_scale_max_rank, custom_hidden,
+    ):
+        """Shared documents and per-section serialisation never change a key."""
+        custom_model = None
+        if custom_hidden is not None:
+            custom_model = {
+                "name": "tiny", "num_layers": 8, "hidden_size": custom_hidden, "num_heads": 4,
+            }
+        query = SearchQuery(
+            model="GPT-2.5B", custom_model=custom_model, gpus=gpus, hardware=hardware,
+            micro_batch_size=micro_batch_size, schedules=schedules,
+            memory_cap_factors=memory_cap_factors, stage_fractions=stage_fractions,
+            dp_fractions=dp_fractions, pp_codecs=pp_codecs,
+            proxy_scale_max_rank=proxy_scale_max_rank, max_candidates=60,
+        )
+        fresh_clusters = {  # equal to the resolved ones, but never seen by any memo
+            tier: dataclasses.replace(resolve_cluster(tier, gpus)) for tier in hardware
+        }
+        candidates = query.expand()
+        assert query_keys(query) == [
+            reference_key(query, candidate, fresh_clusters[candidate.tier])
+            for candidate in candidates
+        ]
+        for candidate in candidates[::7]:
+            assert candidate.task(query)["plan"] == reference_plan_dict(candidate.plan)
+            assert cache_key(
+                task_key_material(candidate.task(query), fresh_clusters[candidate.tier])
+            ) == reference_key(query, candidate, fresh_clusters[candidate.tier])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        topology=st.builds(
+            Topology,
+            dp=st.integers(1, 8), pp=st.integers(1, 8), tp=st.sampled_from([1, 2]),
+            micro_batches=st.integers(1, 16),
+        ),
+        schedule=st.one_of(
+            st.builds(
+                Schedule,
+                kind=st.sampled_from(["1f1b", "serial"]),
+                num_model_chunks=st.integers(1, 3),
+                dp_fire=st.sampled_from(["stage", "micro_batch"]),
+            ),
+            st.builds(
+                Schedule,
+                kind=st.sampled_from(["zb1", "auto"]),
+                memory_cap_factor=st.sampled_from([1, 1.0, 2, 1.5]),
+            ),
+        ),
+        dp=st.builds(
+            CompressionSpec,
+            codec=st.sampled_from(["none", "powersgd", "qsgd", "topk"]),
+            rank=st.integers(1, 256), bits=st.integers(1, 8),
+            fraction=st.sampled_from([1, 1.0, 0.01]), stage_fraction=st.sampled_from([0, 1, 0.75]),
+            error_feedback=st.booleans(), min_elements=st.integers(0, 4096),
+        ),
+        pp=st.builds(
+            CompressionSpec,
+            codec=st.sampled_from(["none", "powersgd", "topk"]),
+            rank=st.integers(1, 64), epilogue_only=st.booleans(), compress_forward=st.booleans(),
+        ),
+        embedding=st.sampled_from(["none", "fused"]),
+        resilience=st.one_of(
+            st.none(),
+            st.builds(
+                ResilienceSpec,
+                faults=st.sampled_from([(), ("crash@5",), ("nan@3:replica=1,stage=0", "crash@5")]),
+                max_grad_norm=st.sampled_from([None, 1, 1.0]),
+                worker_timeout=st.sampled_from([None, 5, 2.5]),
+                seed=st.integers(0, 9),
+            ),
+        ),
+        executor=st.sampled_from(["serial", "process"]),
+    )
+    def test_fuzzed_plan_dicts_match_the_asdict_spelling(
+        self, topology, schedule, dp, pp, embedding, resilience, executor
+    ):
+        """Field-read serialisation is ``dataclasses.asdict`` without the deep copy."""
+        plan = ParallelPlan(
+            topology=topology,
+            schedule=schedule,
+            compression={
+                Boundary.DP: dp, Boundary.PP: pp,
+                Boundary.EMBEDDING: CompressionSpec(codec=embedding, rank=16),
+            },
+            resilience=resilience,
+            executor=executor,
+        )
+        mine, reference = plan.to_dict(), reference_plan_dict(plan)
+        assert mine == reference
+        # ``==`` cannot tell 1 from 1.0 or a reordered dict from the original; bytes can.
+        assert json.dumps(mine) == json.dumps(reference)
+        assert plan.canonical_json() == json.dumps(
+            reference, sort_keys=True, separators=(",", ":"), ensure_ascii=True
+        )
+        assert ParallelPlan.from_dict(mine) == plan
 
 
 class TestSearchCli:

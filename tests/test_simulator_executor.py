@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+import os
+import pathlib
+import random
+import subprocess
+import sys
+
 import pytest
 
 from repro.models import GPT_2_5B, GPT_8_3B, GPT_175B
@@ -15,7 +24,15 @@ from repro.simulator import (
     compute_breakdown,
     measured_numpy_throughput,
 )
-from repro.simulator.executor import ComponentToggles, simulate_plan
+from repro.simulator.executor import (
+    REPLAY_MEMO_SIZE,
+    ComponentToggles,
+    build_job_schedule,
+    replay_pipeline,
+    simulate_plan,
+)
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -407,3 +424,117 @@ class TestZeroBubbleTiming:
         ).run()
         assert compressed.iteration_time < base.iteration_time
         assert compressed.interstage_wire_bytes < base.interstage_wire_bytes
+
+
+class TestReplayMemo:
+    """The memoised pipeline replay is invisible: same bits hit or miss, any order."""
+
+    @pytest.fixture(scope="class")
+    def tasks(self):
+        from repro.search import SearchQuery
+
+        text = (REPO_ROOT / "examples/queries/gpt_2_5b_two_tier.json").read_text(encoding="utf-8")
+        query = SearchQuery.from_json(text)
+        return [candidate.task(query) for candidate in query.candidates()]
+
+    def test_results_do_not_depend_on_order_process_or_memo_state(self, tasks):
+        from repro.search import evaluate_task
+
+        replay_pipeline.cache_clear()
+        forward = [evaluate_task(task) for task in tasks]
+        assert replay_pipeline.cache_info().hits > replay_pipeline.cache_info().misses > 0
+
+        shuffled = list(range(len(tasks)))
+        random.Random(20261002).shuffle(shuffled)
+        for order in (range(len(tasks) - 1, -1, -1), shuffled):
+            results = {index: evaluate_task(tasks[index]) for index in order}
+            assert [results[index] for index in range(len(tasks))] == forward  # exact floats
+
+        every_call_a_miss = []
+        for task in tasks[::5]:
+            replay_pipeline.cache_clear()
+            build_job_schedule.cache_clear()
+            every_call_a_miss.append(evaluate_task(task))
+        assert every_call_a_miss == forward[::5]
+
+        script = (
+            "import json, sys; from repro.search import evaluate_task; "
+            "json.dump([evaluate_task(task) for task in json.load(sys.stdin)], sys.stdout)"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            input=json.dumps(tasks),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        )
+        assert json.loads(child.stdout) == forward  # repr round-trips floats exactly
+
+    def test_table_stays_within_its_bound_across_a_batch_of_models(self):
+        from repro.search import SearchQuery, run_queries
+
+        replay_pipeline.cache_clear()
+        queries = [
+            SearchQuery(
+                model=model, gpus=128, dp_codecs=("none",), embedding=("none",),
+                schedules=("1f1b", "zb1"),
+            )
+            for model in ("GPT-8.3B", "GPT-9.2B", "GPT-18B")
+        ]
+        outcomes = run_queries(queries, workers=0)
+        info = replay_pipeline.cache_info()
+        # One distinct replay per candidate here: the batch overflows the table.
+        assert info.misses == sum(outcome.candidates for outcome in outcomes) > REPLAY_MEMO_SIZE
+        assert info.currsize == info.maxsize == REPLAY_MEMO_SIZE
+        assert build_job_schedule.cache_info().currsize <= build_job_schedule.cache_info().maxsize
+
+    def test_mutating_a_returned_timing_does_not_reach_the_next_call(self, job):
+        simulator = PipelineTimingSimulator(job, CompressionPlan.cb_fe_sc())
+        first = simulator.run()
+        pristine = dataclasses.asdict(first)
+        first.stage_backward_finish[0] = -1.0
+        first.stage_finish.clear()
+        first.dp_times.append(99.0)
+        assert dataclasses.asdict(simulator.run()) == pristine
+        assert dataclasses.asdict(
+            PipelineTimingSimulator(job, CompressionPlan.cb_fe_sc()).run()
+        ) == pristine
+
+    def test_toggle_breakdowns_are_unchanged_to_the_bit(self):
+        """Digest recorded at the commit before the replay was split out and memoised."""
+        jobs = [
+            TrainingJob(model=GPT_2_5B),
+            TrainingJob(
+                model=GPT_8_3B, layout=ParallelLayout(8, 4, 4), num_model_chunks=1,
+                schedule_kind="zb1",
+            ),
+            TrainingJob(
+                model=GPT_2_5B, num_model_chunks=1, schedule_kind="auto",
+                memory_cap_factor=2.0, dp_fire="micro_batch",
+            ),
+        ]
+        plans = [
+            CompressionPlan.baseline(),
+            CompressionPlan.cb_fe_sc(),
+            CompressionPlan.naive_cb(),
+            CompressionPlan(compress_forward=True, compress_backward=True),
+        ]
+
+        def rows():
+            collected = []
+            for job in jobs:
+                for plan in plans:
+                    collected.append(dataclasses.asdict(compute_breakdown(job, plan)))
+                    timing = PipelineTimingSimulator(job, plan).run(
+                        resilience_overhead_s=0.01, respawns=0.001
+                    )
+                    collected.append(dataclasses.asdict(timing))
+            return collected
+
+        replay_pipeline.cache_clear()
+        cold = rows()
+        assert rows() == cold  # every replay now a hit
+        digest = hashlib.sha256(json.dumps(cold, sort_keys=True).encode("ascii")).hexdigest()
+        assert digest == "4c99bc4d7486ba37574a3f47310580722a30b4c1897e330412f0ced12ed4d4f8"
