@@ -64,12 +64,12 @@ import time
 import numpy as np
 
 from repro.compression import PowerSGDCompressor, QSGDCompressor, TopKCompressor
-from repro.core.config import EngineCompressionConfig
 from repro.models.gpt_configs import functional_config
 from repro.nn.gpt_stage import build_gpt_stages
 from repro.optim import Adam, FusedAdam
 from repro.parallel.arena import ParameterArena
 from repro.parallel.engine import ThreeDParallelEngine
+from repro.plan import Boundary, ParallelPlan, ResilienceSpec, Topology
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 #: The committed baseline; only ``--update-baseline`` writes it.
@@ -158,13 +158,8 @@ def bench_engine_iteration(repeats: int = 3, iterations_per_repeat: int = 2) -> 
     ]
 
     def build(overlap: bool) -> ThreeDParallelEngine:
-        return ThreeDParallelEngine(
-            config,
-            num_stages=2,
-            data_parallel_degree=2,
-            engine_config=EngineCompressionConfig.uncompressed().with_(dp_overlap=overlap),
-            seed=3,
-        )
+        plan = ParallelPlan.baseline(_PP2_DP2).with_schedule(kind="1f1b" if overlap else "serial")
+        return ThreeDParallelEngine(config, plan, seed=3)
 
     serial = build(overlap=False)
     overlapped = build(overlap=True)
@@ -234,10 +229,13 @@ def bench_codec_roundtrip(repeats: int = 5, rows: int = 256, cols: int = 512) ->
 #: Codec knobs for the compressed-DP iteration benchmark: aggressive enough that
 #: every transformer matrix of the probe model is codec-routed.
 _DP_CODEC_CONFIGS = {
-    "powersgd": dict(dp_codec="powersgd", dp_rank=2),
-    "qsgd": dict(dp_codec="qsgd", dp_qsgd_bits=4),
-    "topk": dict(dp_codec="topk", dp_topk_fraction=0.05),
+    "powersgd": dict(codec="powersgd", rank=2),
+    "qsgd": dict(codec="qsgd", bits=4),
+    "topk": dict(codec="topk", fraction=0.05),
 }
+
+#: The one-micro-batch PP2 x DP2 layout of the DP-path benchmarks.
+_PP2_DP2 = Topology(dp=2, pp=2, micro_batches=1)
 
 
 def bench_compressed_dp_iteration(repeats: int = 3, iterations_per_repeat: int = 2) -> dict:
@@ -258,18 +256,12 @@ def bench_compressed_dp_iteration(repeats: int = 3, iterations_per_repeat: int =
     results = {}
     for codec, knobs in _DP_CODEC_CONFIGS.items():
         def build(overlap: bool) -> ThreeDParallelEngine:
-            return ThreeDParallelEngine(
-                config,
-                num_stages=2,
-                data_parallel_degree=2,
-                engine_config=EngineCompressionConfig(
-                    dp_stage_fraction=1.0,
-                    min_compression_elements=64,
-                    dp_overlap=overlap,
-                    **knobs,
-                ),
-                seed=3,
+            plan = (
+                ParallelPlan.baseline(_PP2_DP2)
+                .with_schedule(kind="1f1b" if overlap else "serial")
+                .with_boundary(Boundary.DP, stage_fraction=1.0, min_elements=64, **knobs)
             )
+            return ThreeDParallelEngine(config, plan, seed=3)
 
         serial = build(overlap=False)
         bucketed = build(overlap=True)
@@ -312,7 +304,6 @@ def bench_schedule_iteration(repeats: int = 3, iterations_per_repeat: int = 2) -
     """
     from repro.models.gpt_configs import GPT_8_3B
     from repro.parallel.process_groups import ParallelLayout
-    from repro.plan import ParallelPlan, Topology
     from repro.simulator.cost_model import TrainingJob
     from repro.simulator.throughput import schedule_throughput
 
@@ -428,7 +419,6 @@ def bench_resilience_overhead(repeats: int = 3, iterations_per_repeat: int = 2) 
     ``snapshot_ms`` times that capture alone (buffers already allocated).
     """
     from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
-    from repro.plan import ParallelPlan, ResilienceSpec
     from repro.training.trainer import Pretrainer
 
     config = functional_config(
@@ -495,7 +485,6 @@ def bench_checkpoint_io(repeats: int = 3) -> dict:
     import tempfile
 
     from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
-    from repro.plan import ParallelPlan
     from repro.training.checkpoint import load_checkpoint, save_checkpoint
     from repro.training.trainer import Pretrainer
 
@@ -552,7 +541,6 @@ def bench_process_executor(repeats: int = 3, iterations_per_repeat: int = 2) -> 
     import os
 
     from repro.optim import FusedAdam as _FusedAdam
-    from repro.plan import ParallelPlan
 
     config = functional_config(
         vocab_size=64, sequence_length=16, num_layers=2, hidden_size=64, num_heads=4
@@ -645,7 +633,6 @@ def bench_worker_recovery(repeats: int = 3, iterations_per_repeat: int = 2) -> d
     import signal
 
     from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
-    from repro.plan import ParallelPlan, ResilienceSpec
     from repro.training.trainer import Pretrainer
 
     config = functional_config(

@@ -16,11 +16,11 @@ Run with:  python examples/cluster_performance_study.py
 
 from __future__ import annotations
 
-from repro import OptimusCC, OptimusCCConfig
+from repro import ParallelPlan
 from repro.models import GPT_2_5B, GPT_8_3B, GPT_39B, GPT_175B
 from repro.parallel.process_groups import ParallelLayout
 from repro.parallel.topology import ClusterTopology
-from repro.simulator import TrainingJob
+from repro.simulator import PipelineTimingSimulator, TrainingJob, compute_breakdown
 from repro.simulator.hardware import ClusterSpec
 from repro.utils.tables import Table, format_float
 
@@ -41,8 +41,8 @@ def interconnect_sensitivity() -> None:
         topology = ClusterTopology(inter_node_bandwidth_gbps=gbps)
         cluster = ClusterSpec(topology=topology)
         job = TrainingJob(model=GPT_8_3B, cluster=cluster)
-        baseline = OptimusCC(OptimusCCConfig.baseline()).simulate_iteration(job)
-        optimus = OptimusCC(OptimusCCConfig.cb_fe_sc()).simulate_iteration(job)
+        baseline = PipelineTimingSimulator(job).run()
+        optimus = PipelineTimingSimulator(job, ParallelPlan.preset("cb_fe_sc")).run()
         table.add_row(
             [
                 label,
@@ -66,8 +66,8 @@ def model_size_sensitivity() -> None:
         layout = ParallelLayout(tensor_parallel=8, pipeline_parallel=pipeline_depth, data_parallel=4)
         topology = ClusterTopology(num_nodes=layout.world_size // 8)
         job = TrainingJob(model=model, layout=layout, cluster=ClusterSpec(topology=topology))
-        baseline = OptimusCC(OptimusCCConfig.baseline()).simulate_iteration(job)
-        optimus = OptimusCC(OptimusCCConfig.cb_fe_sc()).simulate_iteration(job)
+        baseline = PipelineTimingSimulator(job).run()
+        optimus = PipelineTimingSimulator(job, ParallelPlan.preset("cb_fe_sc")).run()
         table.add_row(
             [
                 model.name,
@@ -84,20 +84,19 @@ def technique_attribution() -> None:
     """How much each technique contributes on the paper's GPT-2.5B configuration."""
     job = TrainingJob(model=GPT_2_5B)
     stacks = {
-        "Baseline": OptimusCCConfig.baseline(),
-        "+ compressed backpropagation": OptimusCCConfig.cb(),
-        "+ fused embedding sync": OptimusCCConfig.cb_fe(),
-        "+ selective stage compression": OptimusCCConfig.cb_fe_sc(),
+        "Baseline": ParallelPlan.preset("baseline"),
+        "+ compressed backpropagation": ParallelPlan.preset("cb"),
+        "+ fused embedding sync": ParallelPlan.preset("cb_fe"),
+        "+ selective stage compression": ParallelPlan.preset("cb_fe_sc"),
     }
     table = Table(
         title="GPT-2.5B: cumulative contribution of each technique",
         columns=["Stack", "Iteration (s)", "Cumulative speedup", "Exposed comm fraction"],
     )
     baseline = None
-    for label, config in stacks.items():
-        optimus = OptimusCC(config)
-        timing = optimus.simulate_iteration(job)
-        breakdown = optimus.breakdown(job)
+    for label, plan in stacks.items():
+        timing = PipelineTimingSimulator(job, plan).run()
+        breakdown = compute_breakdown(job, plan)
         if baseline is None:
             baseline = timing
         table.add_row(

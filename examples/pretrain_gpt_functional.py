@@ -20,15 +20,20 @@ from __future__ import annotations
 
 import argparse
 
-from repro import OptimusCC, OptimusCCConfig
+from repro import ParallelPlan, Topology
 from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
 from repro.data.tasks import build_zero_shot_suite
 from repro.models import functional_config
+from repro.training.trainer import Pretrainer
 from repro.utils.tables import Table, format_float
 
 
-def build_trainer(config: OptimusCCConfig, corpus: SyntheticCorpus, seed: int):
-    """Construct a 4-stage x 2-replica trainer for the given configuration."""
+#: 4 pipeline stages x 2 data-parallel replicas, 8 micro-batches per replica.
+TOPOLOGY = Topology(dp=2, pp=4, micro_batches=8)
+
+
+def build_trainer(plan: ParallelPlan, corpus: SyntheticCorpus, seed: int):
+    """Construct a 4-stage x 2-replica trainer for the given plan."""
     model_config = functional_config(
         vocab_size=96, sequence_length=24, num_layers=4, hidden_size=24, num_heads=4
     )
@@ -36,12 +41,10 @@ def build_trainer(config: OptimusCCConfig, corpus: SyntheticCorpus, seed: int):
         corpus,
         sequence_length=24,
         micro_batch_size=4,
-        num_micro_batches=8,
-        data_parallel_degree=2,
+        num_micro_batches=plan.topology.micro_batches,
+        data_parallel_degree=plan.topology.dp,
     )
-    return OptimusCC(config).build_trainer(
-        model_config, loader, num_stages=4, learning_rate=2e-3, seed=seed
-    )
+    return Pretrainer(model_config, loader, plan, learning_rate=2e-3, seed=seed)
 
 
 def traffic_summary(trainer) -> dict[str, float]:
@@ -58,9 +61,9 @@ def main() -> None:
     corpus = SyntheticCorpus(SyntheticCorpusConfig(vocab_size=96, seed=1234))
     tasks = build_zero_shot_suite(corpus, examples_per_task=24)
 
-    configurations = {
-        "Baseline": OptimusCCConfig.baseline(),
-        "Optimus-CC (CB+FE+SC)": OptimusCCConfig.cb_fe_sc(cb_rank=4, dp_rank=3),
+    plans = {
+        "Baseline": ParallelPlan.baseline(TOPOLOGY),
+        "Optimus-CC (CB+FE+SC)": ParallelPlan.cb_fe_sc(TOPOLOGY, cb_rank=4, dp_rank=3),
     }
 
     quality_table = Table(
@@ -72,8 +75,8 @@ def main() -> None:
         columns=["Configuration", "Inter-stage bwd", "Data-parallel", "Embedding"],
     )
 
-    for label, config in configurations.items():
-        trainer = build_trainer(config, corpus, arguments.seed)
+    for label, plan in plans.items():
+        trainer = build_trainer(plan, corpus, arguments.seed)
         print(f"[{label}] training for {arguments.iterations} iterations ...")
         trainer.train(num_iterations=arguments.iterations, validation_interval=max(1, arguments.iterations // 4))
 

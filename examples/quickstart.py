@@ -15,21 +15,22 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import OptimusCC, OptimusCCConfig
+from repro import ParallelPlan, Topology
 from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
 from repro.models import GPT_8_3B, functional_config
-from repro.simulator import TrainingJob
+from repro.simulator import PipelineTimingSimulator, TrainingJob
+from repro.training.trainer import Pretrainer
 from repro.utils.tables import Table, format_float
 
 
 def simulate_paper_configuration() -> None:
     """Part 1: performance projection for GPT-8.3B on the paper's cluster."""
     job = TrainingJob(model=GPT_8_3B)
-    configurations = {
-        "Baseline": OptimusCCConfig.baseline(),
-        "CB": OptimusCCConfig.cb(),
-        "CB+FE": OptimusCCConfig.cb_fe(),
-        "CB+FE+SC": OptimusCCConfig.cb_fe_sc(),
+    plans = {
+        "Baseline": ParallelPlan.preset("baseline"),
+        "CB": ParallelPlan.preset("cb"),
+        "CB+FE": ParallelPlan.preset("cb_fe"),
+        "CB+FE+SC": ParallelPlan.preset("cb_fe_sc"),
     }
 
     table = Table(
@@ -37,9 +38,8 @@ def simulate_paper_configuration() -> None:
         columns=["Configuration", "Iteration (s)", "Days", "Speedup"],
     )
     baseline_timing = None
-    for label, config in configurations.items():
-        optimus = OptimusCC(config)
-        timing = optimus.simulate_iteration(job)
+    for label, plan in plans.items():
+        timing = PipelineTimingSimulator(job, plan).run()
         if baseline_timing is None:
             baseline_timing = timing
         table.add_row(
@@ -65,20 +65,19 @@ def train_tiny_model() -> None:
         title="Tiny GPT, 2 pipeline stages x 2 data-parallel replicas (functional layer)",
         columns=["Configuration", "Final val. PPL", "Backward bytes saved"],
     )
-    for label, config in (
-        ("Baseline", OptimusCCConfig.baseline()),
-        ("Compressed backpropagation", OptimusCCConfig.cb(rank=4)),
+    topology = Topology(dp=2, pp=2, micro_batches=4)
+    for label, plan in (
+        ("Baseline", ParallelPlan.baseline(topology)),
+        ("Compressed backpropagation", ParallelPlan.cb(topology, rank=4)),
     ):
         loader = LanguageModelingDataLoader(
             corpus,
             sequence_length=16,
             micro_batch_size=4,
-            num_micro_batches=4,
-            data_parallel_degree=2,
+            num_micro_batches=topology.micro_batches,
+            data_parallel_degree=topology.dp,
         )
-        trainer = OptimusCC(config).build_trainer(
-            model_config, loader, num_stages=2, learning_rate=3e-3, seed=11
-        )
+        trainer = Pretrainer(model_config, loader, plan, learning_rate=3e-3, seed=11)
         trainer.train(num_iterations=30, validation_interval=10)
         saved = trainer.compression_summary.get("bytes_saved_fraction", 0.0)
         table.add_row(

@@ -11,26 +11,22 @@ embedding synchronisation, and selective stage compression.
 
 Quick start
 -----------
->>> from repro import OptimusCC, OptimusCCConfig
+>>> from repro import ParallelPlan
 >>> from repro.models import GPT_8_3B
->>> from repro.simulator import TrainingJob
+>>> from repro.simulator import PipelineTimingSimulator, TrainingJob
 >>> job = TrainingJob(model=GPT_8_3B)
->>> optimus = OptimusCC(OptimusCCConfig.cb_fe_sc())
->>> timing = optimus.simulate_iteration(job)
->>> speedup = optimus.speedup_over_baseline(job)
+>>> timing = PipelineTimingSimulator(job, ParallelPlan.preset("cb_fe_sc")).run()
+>>> speedup = timing.speedup_over(PipelineTimingSimulator(job).run())
 
 See ``examples/`` for functional-training quick starts and the ``benchmarks/``
 directory for the scripts that regenerate every table and figure of the paper.
 """
 
-from repro.core import OptimusCC, OptimusCCConfig
 from repro.plan import Boundary, CompressionSpec, ParallelPlan, Schedule, Topology
 
 __version__ = "1.1.0"
 
 __all__ = [
-    "OptimusCC",
-    "OptimusCCConfig",
     "ParallelPlan",
     "Boundary",
     "CompressionSpec",

@@ -4,18 +4,18 @@ Subcommands
 -----------
 ``simulate``
     Simulate one training iteration of a paper-scale model under a named
-    Optimus-CC configuration and print iteration time, projected days, and speedup.
+    plan preset and print iteration time, projected days, and speedup.
 ``train``
     Run a short functional training probe through the unified 3D-parallel engine
     (pipeline x data x tensor) and print the loss plus measured per-axis traffic.
     The probe is configured by a declarative :class:`repro.plan.ParallelPlan` —
-    from ``--plan file.json``, ``--preset name``, or (legacy) ``--config name`` —
-    with the ``--dp-*`` flags layered on top as overrides.
+    from ``--plan file.json`` or ``--preset name`` — with the ``--dp-*`` flags
+    layered on top as overrides.
 ``plan``
     Inspect declarative parallel plans: ``show`` a preset or file, ``validate``
     plan files, ``diff`` two plans knob by knob.
 ``breakdown``
-    Print the CPI-stack execution-time breakdown for a model/configuration pair.
+    Print the CPI-stack execution-time breakdown for a model/preset pair.
 ``autotune``
     Search the selective-stage-compression operating point for a model within an
     aggressiveness budget (Section 9.4's future-work knob).
@@ -29,7 +29,7 @@ Subcommands
     Documentation helpers: ``docs cli`` renders the generated CLI reference
     (``docs/CLI.md``) from the live argparse tree.
 ``list``
-    List the available models, configurations, plan presets, and artefacts.
+    List the available models, plan presets, and artefacts.
 
 Example
 -------
@@ -49,14 +49,14 @@ import sys
 from typing import Callable, Sequence
 
 from repro.core.autotune import SelectiveCompressionAutoTuner
-from repro.core.config import EngineCompressionConfig, OptimusCCConfig
-from repro.core.framework import OptimusCC
 from repro.plan import (
+    DP_CODECS,
     DP_FIRE_KINDS,
     EXECUTOR_KINDS,
     PLAN_PRESETS,
     SCHEDULE_KINDS,
     Boundary,
+    CompressionSpec,
     ParallelPlan,
     ResilienceSpec,
 )
@@ -70,7 +70,9 @@ from repro.models.gpt_configs import (
     GPT_175B,
     PaperModelSpec,
 )
+from repro.simulator.breakdown import compute_breakdown
 from repro.simulator.cost_model import TrainingJob
+from repro.simulator.executor import PipelineTimingSimulator
 from repro.utils.tables import Table, format_float
 
 #: Models addressable from the command line.
@@ -79,16 +81,17 @@ MODEL_CATALOGUE: dict[str, PaperModelSpec] = {
     for spec in (GPT_2_5B, GPT_8_3B, GPT_9_2B, GPT_18B, GPT_39B, GPT_76B, GPT_175B)
 }
 
-#: Named configurations addressable from the command line.
-CONFIG_CATALOGUE: dict[str, Callable[[], OptimusCCConfig]] = {
-    "baseline": OptimusCCConfig.baseline,
-    "cb": OptimusCCConfig.cb,
-    "cb_fe": OptimusCCConfig.cb_fe,
-    "cb_fe_sc": OptimusCCConfig.cb_fe_sc,
-    "naive_dp": OptimusCCConfig.naive_dp,
-    "naive_cb": OptimusCCConfig.naive_cb,
-    "optimus_topk": OptimusCCConfig.optimus_topk,
-}
+#: The compression stacks ``simulate`` / ``breakdown`` tabulate, in the paper's
+#: order: names into :data:`repro.plan.PLAN_PRESETS`.
+CONFIG_CATALOGUE: tuple[str, ...] = (
+    "baseline",
+    "cb",
+    "cb_fe",
+    "cb_fe_sc",
+    "naive_dp",
+    "naive_cb",
+    "optimus_topk",
+)
 
 
 def _resolve_model(name: str) -> PaperModelSpec:
@@ -99,12 +102,12 @@ def _resolve_model(name: str) -> PaperModelSpec:
     return MODEL_CATALOGUE[name]
 
 
-def _resolve_config(name: str) -> OptimusCCConfig:
+def _resolve_config(name: str) -> ParallelPlan:
     if name not in CONFIG_CATALOGUE:
         raise SystemExit(
             f"unknown configuration {name!r}; available: {', '.join(sorted(CONFIG_CATALOGUE))}"
         )
-    return CONFIG_CATALOGUE[name]()
+    return ParallelPlan.preset(name)
 
 
 def _load_plan_file(path: str) -> ParallelPlan:
@@ -176,10 +179,10 @@ def command_simulate(arguments: argparse.Namespace) -> int:
         title=f"{model.name}: simulated training on the paper's 128-GPU cluster",
         columns=["Configuration", "Iteration (s)", f"Days/{arguments.iterations // 1000}K", "Speedup"],
     )
-    baseline = OptimusCC(OptimusCCConfig.baseline()).simulate_iteration(job)
+    baseline = PipelineTimingSimulator(job).run()
     names = [arguments.config] if arguments.config != "all" else list(CONFIG_CATALOGUE)
     for name in names:
-        timing = OptimusCC(_resolve_config(name)).simulate_iteration(job)
+        timing = PipelineTimingSimulator(job, _resolve_config(name)).run()
         table.add_row(
             [
                 name,
@@ -196,28 +199,23 @@ def build_train_plan(arguments: argparse.Namespace) -> ParallelPlan:
     """Resolve the ``train`` arguments into one declarative plan.
 
     Resolution order: ``--plan file.json`` (taken verbatim) or ``--preset name``
-    / legacy ``--config name`` (proxy-scaled: the paper ranks are lossless on
-    the tiny probe, so they are capped at 2).  Topology flags and the ``--dp-*``
+    (default ``cb_fe_sc``; proxy-scaled: the paper ranks are lossless on the
+    tiny probe, so they are capped at 2).  Topology flags and the ``--dp-*``
     flags are then layered onto the plan as overrides, so every flag works with
     any base plan.
     """
     if arguments.plan is not None and arguments.preset is not None:
         raise SystemExit("--plan and --preset are mutually exclusive")
-    if arguments.config is not None and (
-        arguments.plan is not None or arguments.preset is not None
-    ):
-        raise SystemExit("--config cannot be combined with --plan/--preset")
     if arguments.plan is not None:
         plan = _load_plan_file(arguments.plan)
-    elif arguments.preset is not None:
-        if arguments.preset not in PLAN_PRESETS:
+    else:
+        preset = arguments.preset or "cb_fe_sc"
+        if preset not in PLAN_PRESETS:
             raise SystemExit(
-                f"unknown plan preset {arguments.preset!r}; "
+                f"unknown plan preset {preset!r}; "
                 f"available: {', '.join(sorted(PLAN_PRESETS))}"
             )
-        plan = ParallelPlan.preset(arguments.preset).proxy_scaled()
-    else:
-        plan = _resolve_config(arguments.config or "cb_fe_sc").as_plan().proxy_scaled()
+        plan = ParallelPlan.preset(preset).proxy_scaled()
 
     topology_overrides = {
         key: value
@@ -327,7 +325,7 @@ def _command_train_resilient(arguments: argparse.Namespace, plan: ParallelPlan) 
 
     Runs the same tiny functional probe as the traffic path (so both commands
     train the identical model), but through :class:`Pretrainer` so the fault
-    injector, guardrails, rollback, and checkpoint v3 machinery are live.
+    injector, guardrails, rollback, and checkpoint v4 machinery are live.
     """
     from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
     from repro.models.gpt_configs import functional_config
@@ -525,10 +523,10 @@ def command_plan_diff(arguments: argparse.Namespace) -> int:
 
 def command_breakdown(arguments: argparse.Namespace) -> int:
     model = _resolve_model(arguments.model)
-    config = _resolve_config(arguments.config)
-    breakdown = OptimusCC(config).breakdown(TrainingJob(model=model))
+    plan = _resolve_config(arguments.config)
+    breakdown = compute_breakdown(TrainingJob(model=model), plan)
     table = Table(
-        title=f"{model.name} / {config.describe()}: execution-time breakdown",
+        title=f"{model.name} / {plan.stack_label()}: execution-time breakdown",
         columns=["Component", "Seconds", "Share"],
     )
     for component, seconds in breakdown.as_dict().items():
@@ -569,9 +567,6 @@ def command_list(arguments: argparse.Namespace) -> int:
     for name, spec in MODEL_CATALOGUE.items():
         print(f"  {name:<10s} {spec.num_layers} layers, hidden {spec.hidden_size}, "
               f"{spec.parameters_billion():.1f}B parameters")
-    print("Configurations:")
-    for name in CONFIG_CATALOGUE:
-        print(f"  {name}")
     print("Plan presets (train --preset / plan show):")
     for name in sorted(PLAN_PRESETS):
         print(f"  {name:<12s} {ParallelPlan.preset(name).describe()}")
@@ -789,22 +784,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = subparsers.add_parser("simulate", help="simulate iteration time and speedup")
     simulate.add_argument("--model", default="GPT-8.3B")
-    simulate.add_argument("--config", default="all", help="configuration name or 'all'")
+    simulate.add_argument("--config", default="all", help="plan preset name or 'all'")
     simulate.add_argument("--iterations", type=int, default=230_000)
     simulate.set_defaults(handler=command_simulate)
 
     train = subparsers.add_parser(
         "train", help="run a functional training probe through the unified 3D engine"
     )
-    train.add_argument("--config", default=None,
-                       help="legacy configuration name (default: cb_fe_sc; "
-                            "cannot be combined with --plan/--preset)")
     train.add_argument("--plan", default=None, metavar="FILE",
                        help="declarative ParallelPlan JSON file (taken verbatim; "
                             "--dp-* flags still override)")
     train.add_argument("--preset", default=None,
-                       help=f"named plan preset ({', '.join(sorted(PLAN_PRESETS))}); "
-                            "PowerSGD ranks are proxy-scaled for the tiny probe model")
+                       help=f"named plan preset ({', '.join(sorted(PLAN_PRESETS))}; "
+                            "default: cb_fe_sc); PowerSGD ranks are proxy-scaled for "
+                            "the tiny probe model")
     train.add_argument("--stages", type=int, default=None,
                        help="pipeline depth (default: the plan's topology.pp)")
     train.add_argument("--data-parallel", type=int, default=None,
@@ -812,11 +805,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--tensor-parallel", type=int, default=None,
                        help="TP shards (default: the plan's topology.tp)")
     train.add_argument("--iterations", type=int, default=4)
-    from repro.core.config import ENGINE_DP_CODECS
-
     train.add_argument(
         "--dp-codec",
-        choices=ENGINE_DP_CODECS,
+        choices=DP_CODECS,
         default=None,
         help="override the DP all-reduce codec (default: the plan's)",
     )
@@ -832,10 +823,10 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--dp-min-elements", type=int, default=None,
                        help="parameters smaller than this stay uncompressed (default: 1024)")
     # The default is the dataclass's, by construction: an omitted flag keeps the
-    # plan's bucket_bytes, which EngineCompressionConfig/CompressionSpec seed.
+    # plan's bucket_bytes, which CompressionSpec seeds.
     train.add_argument("--dp-bucket-kb", type=int, default=None,
                        help="target gradient-bucket size (KiB of wire payload; "
-                            f"default: {EngineCompressionConfig.dp_bucket_bytes // 1024} "
+                            f"default: {CompressionSpec.bucket_bytes // 1024} "
                             "via the plan's DP boundary spec)")
     train.add_argument("--dp-fire", choices=DP_FIRE_KINDS, default=None,
                        help="bucket firing granularity on the overlapped DP path: "
@@ -897,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "survivors; 'checkpoint_abort' writes a final "
                             "checkpoint into --checkpoint-dir and aborts loudly")
     train.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
-                       help="write a rotating atomic checkpoint (format v3: stored, "
+                       help="write a rotating atomic checkpoint (format v4: stored, "
                             "weights and moments once per DP group) into "
                             "--checkpoint-dir after every N completed iterations; "
                             "the write is synchronous")
@@ -1012,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "differs from the rendered reference")
     docs_cli.set_defaults(handler=command_docs_cli)
 
-    lister = subparsers.add_parser("list", help="list models, configurations, artefacts")
+    lister = subparsers.add_parser("list", help="list models, plan presets, artefacts")
     lister.set_defaults(handler=command_list)
     return parser
 

@@ -1,4 +1,4 @@
-"""Optimus-CC core: the paper's three techniques plus the orchestration facade.
+"""Optimus-CC core: the paper's three techniques.
 
 * :mod:`repro.core.compressed_backprop` — compressed backpropagation (CB) with lazy
   error propagation (LEP) and epilogue-only compression (Section 5).
@@ -6,12 +6,12 @@
   analytic cost model (Section 6).
 * :mod:`repro.core.selective_stage` — selective stage compression (SC) of the
   data-parallel traffic (Section 7).
-* :mod:`repro.core.config` / :mod:`repro.core.framework` — a single configuration
-  object and the :class:`~repro.core.framework.OptimusCC` facade that wires the
-  techniques into both the functional training engine and the performance simulator.
+
+Which technique runs on which boundary is declared by a
+:class:`repro.plan.ParallelPlan`; :class:`repro.parallel.engine.ThreeDParallelEngine`
+builds these hooks from the plan's boundary specs.
 """
 
-from repro.core.config import OptimusCCConfig
 from repro.core.compressed_backprop import CompressedBackpropagation, ErrorIndependenceRecord
 from repro.core.fused_embedding import (
     EmbeddingSynchronizer,
@@ -20,11 +20,8 @@ from repro.core.fused_embedding import (
     fused_embedding_cost,
 )
 from repro.core.selective_stage import SelectiveStageCompression
-from repro.core.framework import OptimusCC
 
 __all__ = [
-    "OptimusCCConfig",
-    "OptimusCC",
     "CompressedBackpropagation",
     "ErrorIndependenceRecord",
     "EmbeddingSynchronizer",

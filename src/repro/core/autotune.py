@@ -21,12 +21,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.plan import Boundary, ParallelPlan, select_compressed_stages
 from repro.simulator.cost_model import CostModel, TrainingJob
-from repro.simulator.executor import CompressionPlan, PipelineTimingSimulator
+from repro.simulator.executor import PipelineTimingSimulator
 from repro.utils.tables import Table, format_float
 
 #: Signature of the optional quality evaluator: plan -> quality score (lower = better).
-QualityEvaluator = Callable[[CompressionPlan], float]
+QualityEvaluator = Callable[[ParallelPlan], float]
+
+
+def _with_selective_dp(base: ParallelPlan, stage_fraction: float, dp_rank: int) -> ParallelPlan:
+    """``base`` with PowerSGD at ``dp_rank`` on the earliest ``stage_fraction`` of stages."""
+    return base.with_boundary(
+        Boundary.DP, codec="powersgd", rank=dp_rank, stage_fraction=stage_fraction
+    )
 
 
 @dataclass(frozen=True)
@@ -52,18 +60,10 @@ class AutoTuneResult:
     candidates: list[AutoTuneCandidate] = field(default_factory=list)
     budget: float = 1.0
 
-    def best_plan(self, base_plan: CompressionPlan | None = None) -> CompressionPlan:
-        """The compression plan corresponding to the best candidate."""
-        base = base_plan if base_plan is not None else CompressionPlan.cb_fe()
-        return CompressionPlan(
-            compress_backward=base.compress_backward,
-            backward_rank=base.backward_rank,
-            backward_epilogue_only=base.backward_epilogue_only,
-            compress_forward=base.compress_forward,
-            dp_compressed_stage_fraction=self.best.stage_fraction,
-            dp_rank=self.best.dp_rank,
-            fuse_embedding=base.fuse_embedding,
-        )
+    def best_plan(self, base_plan: ParallelPlan | None = None) -> ParallelPlan:
+        """``base_plan`` (default CB+FE) with the best candidate's DP compression."""
+        base = base_plan if base_plan is not None else ParallelPlan.cb_fe()
+        return _with_selective_dp(base, self.best.stage_fraction, self.best.dp_rank)
 
     def render(self) -> str:
         table = Table(
@@ -94,25 +94,23 @@ class SelectiveCompressionAutoTuner:
     def __init__(
         self,
         job: TrainingJob,
-        base_plan: CompressionPlan | None = None,
+        base_plan: ParallelPlan | None = None,
         stage_fractions: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
         dp_ranks: Sequence[int] = (32, 64, 128, 256),
     ) -> None:
         self.job = job
-        self.base_plan = base_plan if base_plan is not None else CompressionPlan.cb_fe()
+        self.base_plan = base_plan if base_plan is not None else ParallelPlan.cb_fe()
         self.stage_fractions = tuple(stage_fractions)
         self.dp_ranks = tuple(int(rank) for rank in dp_ranks)
         self.cost = CostModel(job)
-        self._baseline_timing = PipelineTimingSimulator(job, CompressionPlan.baseline()).run()
+        self._baseline_timing = PipelineTimingSimulator(job).run()
 
     # -- proxies -----------------------------------------------------------------
 
     def dp_bytes_removed_fraction(self, stage_fraction: float, dp_rank: int) -> float:
         """Fraction of total DP gradient bytes removed from the wire by a candidate."""
         num_stages = self.job.num_stages
-        compressed_stages = CompressionPlan(
-            dp_compressed_stage_fraction=stage_fraction, dp_rank=dp_rank
-        ).compressed_dp_stages(num_stages)
+        compressed_stages = select_compressed_stages(num_stages, stage_fraction)
         total = 0.0
         removed = 0.0
         for stage in range(num_stages):
@@ -124,16 +122,8 @@ class SelectiveCompressionAutoTuner:
             return 0.0
         return removed / total
 
-    def _plan_for(self, stage_fraction: float, dp_rank: int) -> CompressionPlan:
-        return CompressionPlan(
-            compress_backward=self.base_plan.compress_backward,
-            backward_rank=self.base_plan.backward_rank,
-            backward_epilogue_only=self.base_plan.backward_epilogue_only,
-            compress_forward=self.base_plan.compress_forward,
-            dp_compressed_stage_fraction=stage_fraction,
-            dp_rank=dp_rank,
-            fuse_embedding=self.base_plan.fuse_embedding,
-        )
+    def _plan_for(self, stage_fraction: float, dp_rank: int) -> ParallelPlan:
+        return _with_selective_dp(self.base_plan, stage_fraction, dp_rank)
 
     # -- search --------------------------------------------------------------------
 

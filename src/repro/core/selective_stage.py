@@ -25,23 +25,9 @@ import numpy as np
 from repro.compression.powersgd import matrix_view, orthogonalise, stable_key_hash
 from repro.parallel.arena import BucketResidualStore, CodecBucket
 from repro.parallel.collectives import SimulatedProcessGroup
+from repro.plan import select_compressed_stages
 from repro.tensor.parameter import Parameter
 from repro.utils.random import seeded_rng
-
-
-def select_compressed_stages(num_stages: int, fraction: float) -> set[int]:
-    """Stages whose DP traffic is compressed: the earliest ``fraction`` of stages.
-
-    ``fraction=0.75`` with 4 stages compresses stages {0, 1, 2}, matching the
-    paper's default (Fig. 8 walks through 25 % → 100 % one stage at a time,
-    starting from stage 1, i.e. the earliest stage).
-    """
-    if num_stages <= 0:
-        raise ValueError("num_stages must be positive")
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
-    count = int(round(fraction * num_stages))
-    return set(range(min(count, num_stages)))
 
 
 @dataclass

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import OptimusCCConfig
 from repro.models.gpt_configs import GPT_8_3B, PaperModelSpec
 from repro.parallel.process_groups import ParallelLayout
 from repro.parallel.topology import ClusterTopology
+from repro.plan import ParallelPlan
 from repro.simulator.cost_model import TrainingJob
 from repro.simulator.executor import PipelineTimingSimulator
 from repro.simulator.hardware import ClusterSpec, GPUSpec
@@ -159,8 +159,8 @@ def run_accelerator_comparison(
     result = AcceleratorComparisonResult()
     for platform in platforms:
         job = _job_for(platform, model)
-        baseline = PipelineTimingSimulator(job, OptimusCCConfig.baseline().to_compression_plan()).run()
-        optimus = PipelineTimingSimulator(job, OptimusCCConfig.cb_fe_sc().to_compression_plan()).run()
+        baseline = PipelineTimingSimulator(job).run()
+        optimus = PipelineTimingSimulator(job, ParallelPlan.cb_fe_sc()).run()
         tuner = SelectiveCompressionAutoTuner(
             job, stage_fractions=(0.5, 0.75, 1.0), dp_ranks=(64, 128)
         )

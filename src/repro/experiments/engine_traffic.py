@@ -3,7 +3,7 @@
 Several figures need the *measured* (not modelled) communication volume of a
 training iteration split by parallelism axis — pipeline forward/backward,
 data-parallel all-reduce, embedding synchronisation, tensor parallel — under a
-given Optimus-CC configuration.  This module runs a short functional training probe
+given :class:`~repro.plan.ParallelPlan`.  This module runs a short functional training probe
 through :class:`repro.parallel.engine.ThreeDParallelEngine` and reports exactly
 what the engine's :class:`~repro.parallel.collectives.CommunicationLog` recorded.
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import EngineCompressionConfig, OptimusCCConfig
 from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
 from repro.models.gpt_configs import functional_config
 from repro.optim import FusedAdam
@@ -73,75 +72,27 @@ class EngineTrafficSample:
 
 
 def measure_engine_traffic(
-    label: str,
-    config: OptimusCCConfig | None = None,
-    engine_config: EngineCompressionConfig | None = None,
-    num_stages: int | None = None,
-    data_parallel_degree: int | None = None,
-    tensor_parallel_degree: int | None = None,
-    iterations: int = 2,
-    num_micro_batches: int | None = None,
-    seed: int = 0,
-    plan: ParallelPlan | None = None,
+    label: str, plan: ParallelPlan, iterations: int = 2, seed: int = 0
 ) -> EngineTrafficSample:
     """Train a tiny proxy through the unified engine and report its traffic.
 
-    The probe is configured either by a declarative
-    :class:`~repro.plan.ParallelPlan` (``plan=...`` — the topology, schedule,
-    and every boundary's compression come from the plan) or by the legacy
-    ``config``/``engine_config`` pair.  As with the engine itself, explicit
-    topology arguments override what the plan implies; omitted ones default to
-    the plan's topology (or PP4 x DP2 x TP1 with 4 micro-batches without one).
+    The topology, schedule, executor and every boundary's compression come
+    from ``plan`` (``plan.with_topology(...)`` for another shape); the probe
+    model has one transformer layer per pipeline stage.
     """
-    if plan is None and config is None:
-        raise ValueError("pass either plan= or a config")
-    if plan is not None:
-        # Fold explicit topology arguments back into the plan so everything the
-        # engine derives from it (incl. the TP degree in its engine config)
-        # sees the overridden topology.
-        overrides = {
-            key: value
-            for key, value in (
-                ("pp", num_stages),
-                ("dp", data_parallel_degree),
-                ("tp", tensor_parallel_degree),
-                ("micro_batches", num_micro_batches),
-            )
-            if value is not None
-        }
-        if overrides:
-            plan = plan.with_topology(**overrides)
-        num_stages = plan.topology.pp
-        data_parallel_degree = plan.topology.dp
-        tensor_parallel_degree = plan.topology.tp
-        num_micro_batches = plan.topology.micro_batches
-    else:
-        num_stages = 4 if num_stages is None else num_stages
-        data_parallel_degree = 2 if data_parallel_degree is None else data_parallel_degree
-        tensor_parallel_degree = 1 if tensor_parallel_degree is None else tensor_parallel_degree
-        num_micro_batches = 4 if num_micro_batches is None else num_micro_batches
+    topology = plan.topology
     model = functional_config(
-        vocab_size=64, sequence_length=16, num_layers=num_stages, hidden_size=16, num_heads=2
+        vocab_size=64, sequence_length=16, num_layers=topology.pp, hidden_size=16, num_heads=2
     )
     corpus = SyntheticCorpus(SyntheticCorpusConfig(vocab_size=64, seed=321))
     loader = LanguageModelingDataLoader(
         corpus,
         sequence_length=12,
         micro_batch_size=2,
-        num_micro_batches=num_micro_batches,
-        data_parallel_degree=data_parallel_degree,
+        num_micro_batches=topology.micro_batches,
+        data_parallel_degree=topology.dp,
     )
-    if plan is None and engine_config is None:
-        engine_config = config.engine_config(tensor_parallel_degree)
-    engine = ThreeDParallelEngine(
-        model,
-        num_stages=num_stages,
-        data_parallel_degree=data_parallel_degree,
-        optimus_config=config,
-        engine_config=engine_config,
-        seed=seed,
-        plan=plan,
-    )
+    engine = ThreeDParallelEngine(model, plan, seed=seed)
     optimizers = [FusedAdam(arena, lr=1e-3) for arena in engine.arenas]
 
     axis_totals: dict[str, float] = {}
@@ -172,9 +123,9 @@ def measure_engine_traffic(
 
     return EngineTrafficSample(
         label=label,
-        num_stages=num_stages,
-        data_parallel_degree=data_parallel_degree,
-        tensor_parallel_degree=tensor_parallel_degree,
+        num_stages=topology.pp,
+        data_parallel_degree=topology.dp,
+        tensor_parallel_degree=topology.tp,
         iterations=iterations,
         axis_wire_bytes=axis_totals,
         axis_compressed_fraction=compressed,

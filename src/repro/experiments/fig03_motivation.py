@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import OptimusCCConfig
 from repro.experiments.quality import run_quality_suite
 from repro.experiments.settings import (
     MOTIVATION_ITERATIONS,
@@ -27,6 +26,7 @@ from repro.experiments.settings import (
     paper_job,
 )
 from repro.models.gpt_configs import GPT_2_5B
+from repro.plan import ParallelPlan
 from repro.simulator.breakdown import compute_breakdown
 from repro.simulator.cost_model import TrainingJob
 from repro.simulator.executor import PipelineTimingSimulator
@@ -87,12 +87,12 @@ class MotivationResult:
 
 
 #: The Fig. 3 configurations, in the paper's order.
-MOTIVATION_CONFIGURATIONS: dict[str, OptimusCCConfig] = {
-    "Baseline": OptimusCCConfig.baseline(),
-    "naive DP": OptimusCCConfig.naive_dp(),
-    "naive CB": OptimusCCConfig.naive_cb(),
-    "Opt-CC": OptimusCCConfig.cb_fe_sc(),
-    "Opt-CC (TopK)": OptimusCCConfig.optimus_topk(),
+MOTIVATION_CONFIGURATIONS: dict[str, ParallelPlan] = {
+    "Baseline": ParallelPlan.baseline(),
+    "naive DP": ParallelPlan.naive_dp(),
+    "naive CB": ParallelPlan.naive_cb(),
+    "Opt-CC": ParallelPlan.cb_fe_sc(),
+    "Opt-CC (TopK)": ParallelPlan.optimus_topk(),
 }
 
 
@@ -106,14 +106,14 @@ def run_fig03(
     job = job if job is not None else paper_job(GPT_2_5B)
 
     breakdown = compute_breakdown(job)
-    baseline_timing = PipelineTimingSimulator(job, OptimusCCConfig.baseline().to_compression_plan()).run()
+    baseline_timing = PipelineTimingSimulator(job).run()
 
     quality = run_quality_suite(MOTIVATION_CONFIGURATIONS, settings)
     baseline_quality = quality["Baseline"]
 
     rows = []
-    for label, config in MOTIVATION_CONFIGURATIONS.items():
-        timing = PipelineTimingSimulator(job, config.to_compression_plan()).run()
+    for label, plan in MOTIVATION_CONFIGURATIONS.items():
+        timing = PipelineTimingSimulator(job, plan).run()
         rows.append(
             MotivationRow(
                 label=label,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import OptimusCCConfig
 from repro.experiments.engine_traffic import (
     EngineTrafficSample,
     measure_engine_traffic,
@@ -150,11 +149,6 @@ ABLATION_PLANS: dict[str, ParallelPlan] = {
     "CB+FE+SC": ParallelPlan.cb_fe_sc(),
 }
 
-#: Backwards-compatible view of the ablation as OptimusCCConfig objects.
-ABLATION_CONFIGURATIONS: dict[str, OptimusCCConfig] = {
-    label: plan.optimus_config() for label, plan in ABLATION_PLANS.items()
-}
-
 
 def run_fig10(
     models: list[PaperModelSpec] | None = None, include_engine_traffic: bool = True
@@ -171,7 +165,7 @@ def run_fig10(
                 BreakdownRow(
                     model=model.name,
                     label=label,
-                    breakdown=compute_breakdown(job, plan.compression_plan()),
+                    breakdown=compute_breakdown(job, plan),
                 )
             )
     if include_engine_traffic:

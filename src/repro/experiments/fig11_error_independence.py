@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import OptimusCCConfig
 from repro.experiments.quality import run_quality_experiment
 from repro.experiments.settings import FunctionalSettings, fast_functional_settings
+from repro.plan import ParallelPlan
 from repro.utils.tables import Table, format_float
 
 
@@ -52,7 +52,7 @@ def run_fig11(settings: FunctionalSettings | None = None) -> Fig11Result:
     settings = settings if settings is not None else fast_functional_settings()
     result = run_quality_experiment(
         "CB",
-        OptimusCCConfig.cb(),
+        ParallelPlan.cb(),
         settings,
         evaluate_zero_shot=False,
         collect_diagnostics=True,

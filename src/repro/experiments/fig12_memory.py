@@ -107,10 +107,8 @@ def run_fig12(
         ]
     for model in models:
         job = paper_job(model)
-        baseline_report = MemoryModel(
-            job, ParallelPlan.baseline().compression_plan()
-        ).peak_report()
-        cb_model = MemoryModel(job, ParallelPlan.cb().compression_plan())
+        baseline_report = MemoryModel(job).peak_report()
+        cb_model = MemoryModel(job, ParallelPlan.cb())
         variants = [
             ("Baseline", baseline_report),
             ("CB (Non-LEP)", cb_model.peak_report(lazy_error_propagation=False)),

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import OptimusCCConfig
 from repro.experiments.quality import run_quality_experiment
 from repro.experiments.settings import FunctionalSettings, fast_functional_settings, paper_job
 from repro.models.gpt_configs import GPT_2_5B
+from repro.plan import ParallelPlan
 from repro.simulator.cost_model import TrainingJob
-from repro.simulator.executor import CompressionPlan, PipelineTimingSimulator
+from repro.simulator.executor import PipelineTimingSimulator
 from repro.utils.tables import Table, format_float
 
 
@@ -128,21 +128,20 @@ def run_fig13(
     settings = settings if settings is not None else fast_functional_settings()
     job = job if job is not None else paper_job(GPT_2_5B)
 
-    baseline_timing = PipelineTimingSimulator(job, CompressionPlan.baseline()).run()
+    baseline_timing = PipelineTimingSimulator(job).run()
     result = Fig13Result()
 
     # Left plot: stage-fraction sweep at the paper's default DP rank.
     for fraction in stage_fractions:
-        plan = CompressionPlan(
-            compress_backward=True,
-            fuse_embedding=True,
-            dp_compressed_stage_fraction=fraction,
-            dp_rank=128,
+        # 0 % is the CB+FE point itself (and shares its trained model with Table 2).
+        plan = (
+            ParallelPlan.cb_fe_sc(stage_fraction=fraction)
+            if fraction > 0.0
+            else ParallelPlan.cb_fe()
         )
         timing = PipelineTimingSimulator(job, plan).run()
-        config = OptimusCCConfig.cb_fe().with_(dp_stage_fraction=fraction)
         quality = run_quality_experiment(
-            f"SC {fraction:.0%}", config, settings, evaluate_zero_shot=False
+            f"SC {fraction:.0%}", plan, settings, evaluate_zero_shot=False
         )
         result.stage_fraction_points.append(
             TradeoffPoint(
@@ -155,17 +154,11 @@ def run_fig13(
 
     # Middle plot: rank sweep with every stage compressed.
     for paper_rank, functional_rank in zip(paper_ranks, functional_ranks):
-        plan = CompressionPlan(
-            compress_backward=True,
-            fuse_embedding=True,
-            dp_compressed_stage_fraction=1.0,
-            dp_rank=paper_rank,
-        )
+        plan = ParallelPlan.cb_fe_sc(dp_rank=paper_rank, stage_fraction=1.0)
         timing = PipelineTimingSimulator(job, plan).run()
-        config = OptimusCCConfig.cb_fe().with_(dp_stage_fraction=1.0)
         quality = run_quality_experiment(
             f"rank {paper_rank}",
-            config,
+            plan,
             settings.with_(dp_rank=functional_rank),
             evaluate_zero_shot=False,
         )

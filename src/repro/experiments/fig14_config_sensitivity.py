@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import OptimusCCConfig
 from repro.experiments.settings import PAPER_TOTAL_ITERATIONS, paper_job
 from repro.models.gpt_configs import GPT_9_2B, PaperModelSpec
 from repro.parallel.process_groups import ParallelLayout
+from repro.plan import ParallelPlan
 from repro.simulator.executor import PipelineTimingSimulator
 from repro.utils.tables import Table, format_float
 
@@ -86,11 +86,11 @@ FIG14_LAYOUTS = (
     ParallelLayout(tensor_parallel=2, pipeline_parallel=16, data_parallel=4),
 )
 
-FIG14_CONFIGURATIONS: dict[str, OptimusCCConfig] = {
-    "Baseline": OptimusCCConfig.baseline(),
-    "CB": OptimusCCConfig.cb(),
-    "CB+FE": OptimusCCConfig.cb_fe(),
-    "CB+FE+SC": OptimusCCConfig.cb_fe_sc(),
+FIG14_CONFIGURATIONS: dict[str, ParallelPlan] = {
+    "Baseline": ParallelPlan.baseline(),
+    "CB": ParallelPlan.cb(),
+    "CB+FE": ParallelPlan.cb_fe(),
+    "CB+FE+SC": ParallelPlan.cb_fe_sc(),
 }
 
 
@@ -102,8 +102,8 @@ def run_fig14(
     for layout in layouts:
         job = paper_job(model, layout=layout)
         baseline = None
-        for label, config in FIG14_CONFIGURATIONS.items():
-            timing = PipelineTimingSimulator(job, config.to_compression_plan()).run()
+        for label, plan in FIG14_CONFIGURATIONS.items():
+            timing = PipelineTimingSimulator(job, plan).run()
             if label == "Baseline":
                 baseline = timing
             result.rows.append(

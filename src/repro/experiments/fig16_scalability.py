@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import OptimusCCConfig
 from repro.experiments.engine_traffic import (
     EngineTrafficSample,
     measure_engine_traffic,
@@ -105,11 +104,6 @@ FIG16_PLANS: dict[str, ParallelPlan] = {
     "CB+FE+SC": ParallelPlan.cb_fe_sc(),
 }
 
-#: Backwards-compatible view of the stacks as OptimusCCConfig objects.
-FIG16_CONFIGURATIONS: dict[str, OptimusCCConfig] = {
-    label: plan.optimus_config() for label, plan in FIG16_PLANS.items()
-}
-
 
 #: Pipeline depths of the functional engine-traffic probe (proxy for the sweep's
 #: growing PP dimension; DP and TP stay at the probe defaults).
@@ -155,7 +149,7 @@ def run_fig16(
         # The timing simulator takes its topology from ``job`` (built from
         # ``sweep_topology`` above); the plan contributes the compression specs.
         for label, plan in FIG16_PLANS.items():
-            timing = PipelineTimingSimulator(job, plan.compression_plan()).run()
+            timing = PipelineTimingSimulator(job, plan).run()
             point.speedups[label] = timing.speedup_over(baseline)
         result.points.append(point)
     return result

@@ -1,11 +1,11 @@
-"""Functional quality experiments: train small GPTs under an Optimus-CC configuration.
+"""Functional quality experiments: train small GPTs under a :class:`~repro.plan.ParallelPlan`.
 
 Every quality-side experiment (Fig. 3 perplexity bars, Table 2 perplexities, Fig. 9
 curves, Tables 3/4 zero-shot accuracies, Fig. 11 diagnostics) boils down to "train
-the same model on the same data under configuration X and measure quality", so the
+the same model on the same data under plan X and measure quality", so the
 driver lives here once and the per-figure modules assemble results from it.
 
-Trained models are cached in-process by ``(configuration, settings)`` — and *only*
+Trained models are cached in-process by ``(plan, settings)`` — and *only*
 by those, never by which measurements a caller asked for — so Table 2, Table 3,
 Fig. 9, and Fig. 11 all share the same trained models instead of re-training them.
 Zero-shot evaluation is computed lazily from the cached trainer on first request
@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.compressed_backprop import ErrorIndependenceRecord
-from repro.core.config import OptimusCCConfig
 from repro.data.tasks import build_zero_shot_suite
 from repro.experiments.settings import FunctionalSettings
+from repro.plan import Boundary, ParallelPlan
 from repro.training.metrics import TrainingHistory
 from repro.training.trainer import Pretrainer
 from repro.utils.logging import get_logger
@@ -49,7 +49,7 @@ class _CachedRun:
         return dict(self.zero_shot)
 
 
-#: In-process cache of trained models, keyed by (config, settings) only.
+#: In-process cache of trained models, keyed by (plan, settings) only.
 _QUALITY_CACHE: dict[tuple, _CachedRun] = {}
 
 
@@ -58,7 +58,7 @@ class QualityResult:
     """Outcome of one functional pretraining run."""
 
     label: str
-    config: OptimusCCConfig
+    plan: ParallelPlan
     final_validation_perplexity: float
     history: TrainingHistory
     zero_shot_accuracy: dict[str, float] = field(default_factory=dict)
@@ -77,18 +77,22 @@ class QualityResult:
 
 
 def _configure_for_functional_scale(
-    config: OptimusCCConfig, settings: FunctionalSettings
-) -> OptimusCCConfig:
-    """Scale the compression ranks down to the functional model size.
+    plan: ParallelPlan, settings: FunctionalSettings
+) -> ParallelPlan:
+    """Put ``plan`` on the settings' topology and scale its ranks to the model size.
 
     The paper's ranks (16 for CB, 128 for DP) would be lossless on the tiny
     functional models, so each run uses the ranks from the settings, which keep a
     comparable ~10x compression ratio.
     """
-    return config.with_(
-        cb_rank=settings.cb_rank,
-        dp_rank=settings.dp_rank,
-        topk_fraction=settings.topk_fraction,
+    return (
+        plan.with_topology(
+            pp=settings.num_stages,
+            dp=settings.data_parallel_degree,
+            micro_batches=settings.num_micro_batches,
+        )
+        .with_boundary(Boundary.PP, rank=settings.cb_rank, fraction=settings.topk_fraction)
+        .with_boundary(Boundary.DP, rank=settings.dp_rank)
     )
 
 
@@ -99,23 +103,24 @@ def clear_quality_cache() -> None:
 
 def run_quality_experiment(
     label: str,
-    config: OptimusCCConfig,
+    plan: ParallelPlan,
     settings: FunctionalSettings,
     evaluate_zero_shot: bool = True,
     collect_diagnostics: bool = False,
     use_cache: bool = True,
 ) -> QualityResult:
-    """Train one model under ``config`` and measure its quality.
+    """Train one model under ``plan`` and measure its quality.
 
     Parameters
     ----------
     label:
         Human-readable name used in reports (e.g. ``"CB+FE"``).
-    config:
-        The Optimus-CC configuration; its ranks are rescaled to the functional
-        model size (see :func:`_configure_for_functional_scale`).
+    plan:
+        What to compress on which boundary; the topology comes from ``settings``
+        and the ranks are rescaled to the functional model size (see
+        :func:`_configure_for_functional_scale`).
     settings:
-        Model / data / optimisation settings shared by every configuration of one
+        Model / data / optimisation settings shared by every plan of one
         experiment so that comparisons are paired.
     evaluate_zero_shot:
         Also run the five-task synthetic zero-shot suite on the final model.
@@ -124,8 +129,8 @@ def run_quality_experiment(
     use_cache:
         Reuse a previous identical run if available (results are deterministic).
     """
-    scaled_config = _configure_for_functional_scale(config, settings)
-    key = (scaled_config, settings.cache_key())
+    scaled_plan = _configure_for_functional_scale(plan, settings)
+    key = (scaled_plan, settings.cache_key())
     cached = _QUALITY_CACHE.get(key) if use_cache else None
 
     if cached is None:
@@ -134,17 +139,16 @@ def run_quality_experiment(
         trainer = Pretrainer(
             settings.model,
             loader,
-            num_stages=settings.num_stages,
-            optimus_config=scaled_config,
+            scaled_plan,
             learning_rate=settings.learning_rate,
             seed=settings.seed,
             # Diagnostics are only recorded for compressed transfers and cost a
             # cosine similarity over tiny tensors; always collecting them keeps
             # the cache key independent of what a caller measures.
-            collect_cb_diagnostics=scaled_config.compress_backward,
+            collect_cb_diagnostics=True,
         )
         _logger.info(
-            "training %s (%s) for %d iterations", label, scaled_config.describe(), settings.num_iterations
+            "training %s (%s) for %d iterations", label, scaled_plan.stack_label(), settings.num_iterations
         )
         outcome = trainer.train(
             num_iterations=settings.num_iterations,
@@ -172,7 +176,7 @@ def run_quality_experiment(
 
     return QualityResult(
         label=label,
-        config=scaled_config,
+        plan=scaled_plan,
         final_validation_perplexity=cached.final_validation_perplexity,
         history=cached.history,
         zero_shot_accuracy=zero_shot,
@@ -183,29 +187,29 @@ def run_quality_experiment(
 
 
 def run_quality_suite(
-    configurations: dict[str, OptimusCCConfig],
+    plans: dict[str, ParallelPlan],
     settings: FunctionalSettings,
     evaluate_zero_shot: bool = True,
     collect_diagnostics: bool = False,
 ) -> dict[str, QualityResult]:
-    """Run several configurations on identical data; returns label -> result."""
+    """Run several plans on identical data; returns label -> result."""
     return {
         label: run_quality_experiment(
             label,
-            config,
+            plan,
             settings,
             evaluate_zero_shot=evaluate_zero_shot,
             collect_diagnostics=collect_diagnostics,
         )
-        for label, config in configurations.items()
+        for label, plan in plans.items()
     }
 
 
-def paper_variant_configurations() -> dict[str, OptimusCCConfig]:
+def paper_variant_configurations() -> dict[str, ParallelPlan]:
     """The four main configurations of Table 2 / Table 3 / Fig. 9."""
     return {
-        "Baseline": OptimusCCConfig.baseline(),
-        "CB": OptimusCCConfig.cb(),
-        "CB+FE": OptimusCCConfig.cb_fe(),
-        "CB+FE+SC": OptimusCCConfig.cb_fe_sc(),
+        "Baseline": ParallelPlan.baseline(),
+        "CB": ParallelPlan.cb(),
+        "CB+FE": ParallelPlan.cb_fe(),
+        "CB+FE+SC": ParallelPlan.cb_fe_sc(),
     }

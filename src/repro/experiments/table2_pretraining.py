@@ -109,8 +109,8 @@ def run_table2(
     for model in models:
         job = paper_job(model)
         baseline_timing = None
-        for label, config in paper_variant_configurations().items():
-            timing = PipelineTimingSimulator(job, config.to_compression_plan()).run()
+        for label, plan in paper_variant_configurations().items():
+            timing = PipelineTimingSimulator(job, plan).run()
             if label == "Baseline":
                 baseline_timing = timing
             result.cells.append(

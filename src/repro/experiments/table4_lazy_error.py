@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import OptimusCCConfig
 from repro.experiments.quality import run_quality_suite
 from repro.experiments.settings import FunctionalSettings, fast_functional_settings
+from repro.plan import Boundary, ParallelPlan
 from repro.utils.tables import Table, format_float
 
 
@@ -45,7 +45,7 @@ class Table4Result:
         return table.render()
 
 
-def table4_configurations() -> dict[str, OptimusCCConfig]:
+def table4_configurations() -> dict[str, ParallelPlan]:
     """Baseline, CB without LEP, CB with LEP.
 
     The paper applies epilogue-only compression in this ablation.  At functional
@@ -56,9 +56,9 @@ def table4_configurations() -> dict[str, OptimusCCConfig]:
     more transfers so its effect is measurable.
     """
     return {
-        "Baseline": OptimusCCConfig.baseline(),
-        "CB (Non-LEP)": OptimusCCConfig.naive_cb().with_(lazy_error_propagation=False),
-        "CB (LEP)": OptimusCCConfig.naive_cb(),
+        "Baseline": ParallelPlan.baseline(),
+        "CB (Non-LEP)": ParallelPlan.naive_cb().with_boundary(Boundary.PP, error_feedback=False),
+        "CB (LEP)": ParallelPlan.naive_cb(),
     }
 
 

@@ -8,6 +8,12 @@ The package provides two kinds of building blocks:
 * *hook points* — the engines accept compression hooks so that the paper's
   techniques (in :mod:`repro.core`) can plug in without the engines knowing about
   any specific compressor.
+
+The unified :class:`repro.parallel.engine.ThreeDParallelEngine` composes these
+building blocks *with* the :mod:`repro.core` techniques, which are themselves
+built on the primitives here — so it is imported from its own module, not
+re-exported from this package: ``repro.parallel`` stays below ``repro.core``
+in the import graph and ``repro.parallel.engine`` above it.
 """
 
 from repro.parallel.topology import ClusterTopology, DeviceId
@@ -25,11 +31,6 @@ from repro.parallel.pipeline_schedule import (
 from repro.parallel.pipeline_engine import InterStageChannel, PipelineParallelEngine
 from repro.parallel.data_parallel import DataParallelGradientSync
 from repro.parallel.tensor_parallel import ColumnParallelLinear, RowParallelLinear
-from repro.parallel.engine import (
-    CompressedGradientAllReduce,
-    EngineIterationResult,
-    ThreeDParallelEngine,
-)
 
 __all__ = [
     "ClusterTopology",
@@ -51,7 +52,4 @@ __all__ = [
     "DataParallelGradientSync",
     "ColumnParallelLinear",
     "RowParallelLinear",
-    "ThreeDParallelEngine",
-    "CompressedGradientAllReduce",
-    "EngineIterationResult",
 ]

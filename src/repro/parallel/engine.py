@@ -29,10 +29,10 @@ with per-bucket overlapped/exposed accounting.  Codec-selected parameters ride t
 same bucketed path (PR 4): :class:`~repro.parallel.arena.CodecBucket` groups are
 compressed in one codec invocation per bucket on the flat arena views, with
 error-feedback residuals in per-bucket slabs, bit-identical to the per-parameter
-codec protocol.  ``dp_overlap=False`` selects the serial per-parameter epilogue,
-which is bit-for-bit weight-parity with the overlapped path; ``dp_fire`` picks the
-firing granularity of the overlapped buckets (stage drain vs. inside the final
-micro-batch's backward).
+codec protocol.  ``Schedule(kind="serial")`` selects the serial per-parameter
+epilogue, which is bit-for-bit weight-parity with the overlapped path;
+``Schedule.dp_fire`` picks the firing granularity of the overlapped buckets (stage
+drain vs. inside the final micro-batch's backward).
 
 Everything is routed through one :class:`~repro.parallel.collectives.CommunicationLog`
 so per-axis and per-boundary traffic can be reported exactly — the numbers behind
@@ -45,11 +45,14 @@ single-device reference model's gradients bit-for-bit (``tests/test_parallel_eng
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.compression import ErrorFeedback, QSGDCompressor, TopKCompressor
+from repro.core.compressed_backprop import CompressedBackpropagation
+from repro.core.fused_embedding import EmbeddingSynchronizer
+from repro.core.selective_stage import SelectiveStageCompression
 from repro.nn.gpt_stage import build_gpt_stages
 from repro.nn.transformer import GPTModelConfig
 from repro.parallel.arena import (
@@ -73,7 +76,7 @@ from repro.parallel.pipeline_engine import (
     PipelineParallelEngine,
 )
 from repro.parallel.tensor_parallel import ColumnParallelLinear, RowParallelLinear
-from repro.plan import validate_executor_kind
+from repro.plan import Boundary, CompressionSpec, ParallelPlan
 from repro.resilience import (
     FaultInjector,
     GuardrailPolicy,
@@ -85,11 +88,14 @@ from repro.resilience import (
 from repro.tensor.parameter import Parameter
 from repro.utils.state import capture_tree
 
-if TYPE_CHECKING:  # imported lazily at runtime — repro.core reaches back into here
-    from repro.core.config import EngineCompressionConfig, OptimusCCConfig
-    from repro.core.fused_embedding import EmbeddingSynchronizer
-    from repro.core.selective_stage import SelectiveStageCompression
-    from repro.plan import ParallelPlan
+#: Seed of the codecs' random initial factors on the backward inter-stage channel
+#: and the DP all-reduce — a constant, independent of the weight-initialisation
+#: seed, so two runs that differ only in ``seed=`` compress with the same codec
+#: streams.
+CODEC_SEED = 0
+
+#: Seed of the (comparison-only) forward-activation compression hook.
+FORWARD_CODEC_SEED = CODEC_SEED + 1
 
 #: Megatron transformer layer: two all-reduces per layer per direction (attention
 #: output projection and MLP down-projection are row-parallel).
@@ -159,44 +165,32 @@ class CompressedGradientAllReduce:
         identical results on every replica, classic per-replica error feedback.
     """
 
-    def __init__(
-        self, config: EngineCompressionConfig, num_stages: int, seed: int = 0
-    ) -> None:
-        from repro.core.selective_stage import (  # lazy: repro.core reaches back into here
-            SelectiveStageCompression,
-            select_compressed_stages,
-        )
-
-        self.config = config
+    def __init__(self, spec: CompressionSpec, num_stages: int, seed: int = 0) -> None:
+        #: The plan's DP-boundary spec: codec, its knob, error feedback, the
+        #: selected stage fraction and the per-parameter size floor.
+        self.spec = spec
         self.num_stages = int(num_stages)
-        self.compressed_stages: set[int] = (
-            select_compressed_stages(num_stages, config.dp_stage_fraction)
-            if config.compresses_dp
-            else set()
-        )
+        self.compressed_stages: set[int] = spec.compressed_stages(num_stages)
         self.powersgd: SelectiveStageCompression | None = None
         self.feedback: ErrorFeedback | None = None
-        if config.dp_codec == "powersgd":
+        if spec.codec == "powersgd":
             self.powersgd = SelectiveStageCompression(
                 num_stages=num_stages,
-                stage_fraction=config.dp_stage_fraction,
-                rank=config.dp_rank,
-                error_feedback=config.dp_error_feedback,
-                min_compression_elements=config.min_compression_elements,
+                stage_fraction=spec.stage_fraction,
+                rank=spec.rank,
+                error_feedback=spec.error_feedback,
+                min_compression_elements=spec.min_elements,
                 seed=seed,
             )
-        elif config.dp_codec == "qsgd":
+        elif spec.codec == "qsgd":
             self.feedback = ErrorFeedback(
-                QSGDCompressor(bits=config.dp_qsgd_bits, seed=seed),
-                enabled=config.dp_error_feedback,
+                QSGDCompressor(bits=spec.bits, seed=seed),
+                enabled=spec.error_feedback,
             )
-        elif config.dp_codec == "topk":
+        elif spec.codec == "topk":
             self.feedback = ErrorFeedback(
-                TopKCompressor(
-                    fraction=config.dp_topk_fraction,
-                    min_elements=config.min_compression_elements,
-                ),
-                enabled=config.dp_error_feedback,
+                TopKCompressor(fraction=spec.fraction, min_elements=spec.min_elements),
+                enabled=spec.error_feedback,
             )
         self.stage_traffic: dict[int, StageTraffic] = {}
         # Bucket-path state for the qsgd/topk codecs: per-bucket flat residual
@@ -224,10 +218,7 @@ class CompressedGradientAllReduce:
             return False
         if gradient.ndim < 2:
             return False
-        return gradient.size >= self.config.min_compression_elements
-
-    # Backwards-compatible internal alias.
-    _codec_applies = codec_applies
+        return gradient.size >= self.spec.min_elements
 
     def reduce(
         self,
@@ -549,114 +540,54 @@ def _axis_report(records) -> tuple[dict[str, float], dict[str, float], dict[int,
 class ThreeDParallelEngine:
     """One training iteration across pipeline × data × tensor parallelism.
 
-    The canonical way to configure the engine is a declarative
-    :class:`repro.plan.ParallelPlan`::
+    The engine is configured by a declarative :class:`repro.plan.ParallelPlan`
+    and nothing else::
 
-        engine = ThreeDParallelEngine(model_config, plan=ParallelPlan.preset("cb_fe_sc"))
+        engine = ThreeDParallelEngine(model_config, ParallelPlan.preset("cb_fe_sc"))
 
     The plan supplies the topology (pipeline depth, DP replicas, TP degree),
-    the schedule (overlapped vs. serial DP all-reduce), and every boundary's
-    compression spec.  The legacy ``num_stages``/``data_parallel_degree``/
-    ``optimus_config``/``engine_config`` spelling is kept and produces an
-    identical engine (each explicit argument overrides what the plan implies).
+    the schedule (kind, DP firing granularity, memory cap), every boundary's
+    compression spec, the execution substrate and the optional resilience
+    section; ``plan.with_topology(...)`` / ``with_boundary(...)`` /
+    ``with_executor(...)`` / ``with_resilience(...)`` derive variants.
 
     Parameters
     ----------
     model_config:
         Architecture of the GPT model (replicated on every DP replica, split into
-        ``num_stages`` pipeline stages).
-    num_stages:
-        Pipeline depth (defaults to ``plan.topology.pp`` when a plan is given).
-    data_parallel_degree:
-        Number of pipeline replicas (defaults to ``plan.topology.dp``).
-    optimus_config:
-        Which Optimus-CC techniques are active on the pipeline/embedding
-        boundaries (compressed backpropagation, fused embedding sync); defaults
-        to ``plan.optimus_config()`` when a plan is given.
-    engine_config:
-        The DP-boundary compression block; defaults to ``plan.engine_config()``
-        when a plan is given, else ``optimus_config.engine_config()`` (the
-        paper's selective PowerSGD when SC is on, the exact all-reduce
-        otherwise).
+        ``plan.topology.pp`` pipeline stages).
+    plan:
+        The run description, stored as ``self.plan``.
     log:
         Shared communication log; one is created when omitted.
     seed:
-        Weight-initialisation seed (shared by all replicas, as in real DDP).
+        Weight-initialisation seed (shared by all replicas, as in real DDP).  The
+        codecs' random factors are seeded by :data:`CODEC_SEED`, not by this.
     collect_cb_diagnostics:
         Record the Fig. 11 error-independence statistics on replica 0.
-    plan:
-        The declarative run description everything above is derived from.
     """
 
     def __init__(
         self,
         model_config: GPTModelConfig,
-        num_stages: int | None = None,
-        data_parallel_degree: int | None = None,
-        optimus_config: OptimusCCConfig | None = None,
-        engine_config: EngineCompressionConfig | None = None,
+        plan: ParallelPlan,
+        *,
         log: CommunicationLog | None = None,
         seed: int = 0,
         collect_cb_diagnostics: bool = False,
-        plan: "ParallelPlan | None" = None,
-        executor: str | None = None,
     ) -> None:
-        # Lazy: repro.core reaches back into this module for the hook wiring.
-        from repro.core.config import OptimusCCConfig
-        from repro.core.framework import OptimusCC
-
-        if executor is None:
-            executor = plan.executor if plan is not None else "serial"
-        validate_executor_kind(executor, context="ThreeDParallelEngine.executor")
-        if plan is not None and plan.executor != executor:
-            # Keep the stored plan describing the run that actually executes.
-            plan = plan.with_executor(executor)
-
-        if plan is not None:
-            num_stages = plan.topology.pp if num_stages is None else num_stages
-            if data_parallel_degree is None:
-                data_parallel_degree = plan.topology.dp
-            if optimus_config is None:
-                optimus_config = plan.optimus_config()
-            if engine_config is None:
-                engine_config = plan.engine_config()
-            # Fold explicit overrides back into the stored plan so that
-            # ``self.plan`` always describes the run that actually executes.
-            folded = {
-                "pp": num_stages,
-                "dp": data_parallel_degree,
-                "tp": engine_config.tensor_parallel_degree,
-            }
-            if any(getattr(plan.topology, key) != value for key, value in folded.items()):
-                plan = plan.with_topology(**folded)
-        if num_stages is None or data_parallel_degree is None:
-            raise ValueError(
-                "pass either plan= or explicit num_stages/data_parallel_degree"
-            )
-        if num_stages <= 0:
-            raise ValueError("num_stages must be positive")
-        if data_parallel_degree <= 0:
-            raise ValueError("data_parallel_degree must be positive")
         self.plan = plan
         self.model_config = model_config
-        self.num_stages = int(num_stages)
-        self.data_parallel_degree = int(data_parallel_degree)
+        self.num_stages = plan.topology.pp
+        self.data_parallel_degree = plan.topology.dp
         # The pipeline execution schedule: the split-backward kinds ("zb1",
         # "auto") replay their op lists inside every replica's pipeline engine
         # (bit-for-bit identical weights); everything else runs the
         # phase-ordered loop.  "auto" additionally carries the plan's
         # activation-memory cap into the synthesizer.
-        self.schedule_kind = plan.schedule.kind if plan is not None else "1f1b"
-        self.memory_cap_factor = plan.schedule.memory_cap_factor if plan is not None else 1.0
-        self.optimus_config = (
-            optimus_config if optimus_config is not None else OptimusCCConfig.baseline()
-        )
-        self.engine_config = (
-            engine_config
-            if engine_config is not None
-            else self.optimus_config.engine_config()
-        )
-        self.tensor_parallel_degree = self.engine_config.tensor_parallel_degree
+        self.schedule_kind = plan.schedule.kind
+        self.memory_cap_factor = plan.schedule.memory_cap_factor
+        self.tensor_parallel_degree = plan.topology.tp
         if model_config.hidden_size % self.tensor_parallel_degree != 0:
             raise ValueError(
                 f"hidden size {model_config.hidden_size} not divisible by tensor-parallel "
@@ -665,17 +596,36 @@ class ThreeDParallelEngine:
         self.log = log if log is not None else CommunicationLog()
         self.seed = int(seed)
 
-        factory = OptimusCC(self.optimus_config)
+        pp = plan.spec(Boundary.PP)
         self.replicas: list[list] = []
         self.pipeline_engines: list[PipelineParallelEngine] = []
-        self.cb_hooks = []
+        self.cb_hooks: list[CompressedBackpropagation | None] = []
         for replica_index in range(self.data_parallel_degree):
             stages = build_gpt_stages(model_config, self.num_stages, seed=self.seed)
-            cb_hook = factory.make_backward_hook(
-                self.num_stages,
-                collect_diagnostics=collect_cb_diagnostics and replica_index == 0,
-            )
-            forward_hook = factory.make_forward_hook(self.num_stages)
+            cb_hook = forward_hook = None
+            if pp.compresses:
+                cb_hook = CompressedBackpropagation(
+                    num_stages=self.num_stages,
+                    rank=pp.rank,
+                    lazy_error_propagation=pp.error_feedback,
+                    epilogue_only=pp.epilogue_only,
+                    compressor=pp.codec,
+                    topk_fraction=pp.fraction,
+                    collect_diagnostics=collect_cb_diagnostics and replica_index == 0,
+                    seed=CODEC_SEED,
+                )
+            if pp.compress_forward:
+                # Diverges (the paper's motivational comparison only): every
+                # forward transfer, no epilogue-only restriction.
+                forward_hook = CompressedBackpropagation(
+                    num_stages=self.num_stages,
+                    rank=pp.rank,
+                    lazy_error_propagation=pp.error_feedback,
+                    epilogue_only=False,
+                    compressor=pp.codec if pp.compresses else "powersgd",
+                    topk_fraction=pp.fraction,
+                    seed=FORWARD_CODEC_SEED,
+                )
             channel = InterStageChannel(
                 log=self.log, backward_hook=cb_hook, forward_hook=forward_hook
             )
@@ -697,11 +647,8 @@ class ThreeDParallelEngine:
             ParameterArena(engine.parameters()) for engine in self.pipeline_engines
         ]
 
-        # The codec's random factors are seeded by the *config* seed (the knob
-        # OptimusCCConfig documents), independent of the weight-init seed —
-        # matching the CB hook, which the factory seeds the same way.
         self.dp_reduce = CompressedGradientAllReduce(
-            self.engine_config, self.num_stages, seed=self.optimus_config.seed
+            plan.spec(Boundary.DP), self.num_stages, seed=CODEC_SEED
         )
         self.dp_sync = DataParallelGradientSync(
             self.replicas,
@@ -709,38 +656,26 @@ class ThreeDParallelEngine:
             compression_hook=self.dp_reduce,
             exclude_embedding=True,
         )
-        self.bucketed_sync: BucketedDataParallelSync | None = None
-        if self.engine_config.dp_overlap and self.data_parallel_degree > 1:
-            self.bucketed_sync = BucketedDataParallelSync(
-                self.replicas,
-                self.arenas,
-                hook=self.dp_reduce,
-                log=self.log,
-                bucket_bytes=self.engine_config.dp_bucket_bytes,
-                exclude_embedding=True,
-                dp_fire=self.engine_config.dp_fire,
-                schedule_kind=self.schedule_kind,
-            )
-        self.embedding_sync: EmbeddingSynchronizer = factory.make_embedding_synchronizer(
-            self.replicas, self.log
+        self.bucketed_sync: BucketedDataParallelSync | None = (
+            self._build_bucketed_sync() if plan.schedule.dp_overlap else None
         )
+        self.embedding_sync = self._build_embedding_sync()
 
-        # Resilience seams: a plan's ``resilience`` section (or the trainer,
-        # post-construction) wires a fault injector and guardrail budgets;
-        # without them the engine runs exactly as before — the report stays
-        # empty and no extra work happens on the iteration path.
+        # Resilience seams: the plan's ``resilience`` section wires a fault
+        # injector and guardrail budgets; without one the report stays empty
+        # and no extra work happens on the iteration path.
         self.resilience = ResilienceReport()
         self.fault_injector: FaultInjector | None = None
         self.guardrails = GuardrailPolicy()
         #: Worker supervision (hang watchdog + respawn + escalation): armed
-        #: when a resilience section rides a process-executor plan, or by the
-        #: trainer post-construction.  ``None`` means the raw executor runs —
-        #: its receive deadline still bounds hangs, but failures are fatal.
+        #: when a resilience section rides a process-executor plan.  ``None``
+        #: means the raw executor runs — its receive deadline still bounds
+        #: hangs, but failures are fatal.
         self.supervision: SupervisionPolicy | None = None
-        if plan is not None and plan.resilience is not None:
+        if plan.resilience is not None:
             self.fault_injector = plan.resilience.injector()
             self.guardrails = plan.resilience.policy()
-            if executor == "process":
+            if plan.executor == "process":
                 self.supervision = plan.resilience.supervision_policy()
         #: The pre-iteration capture that the guard's rollback and the
         #: supervisor's rewind restore from; ``run_iteration`` refreshes it
@@ -754,12 +689,35 @@ class ThreeDParallelEngine:
         # Process-parallel execution (repro.exec): started lazily on the first
         # run_iteration so that engines which are built but never stepped (plan
         # validation, traffic prediction) never fork.
-        self.executor_kind = executor
+        self.executor_kind = plan.executor
         self._process_executor = None
         self._supervisor = None
 
         if self.tensor_parallel_degree > 1:
             self.verify_tensor_parallel()
+
+    def _build_bucketed_sync(self) -> BucketedDataParallelSync | None:
+        """The overlapped DP sync over the current replicas (``None`` at DP1)."""
+        if self.data_parallel_degree <= 1:
+            return None
+        return BucketedDataParallelSync(
+            self.replicas,
+            self.arenas,
+            hook=self.dp_reduce,
+            log=self.log,
+            bucket_bytes=self.plan.spec(Boundary.DP).bucket_bytes,
+            exclude_embedding=True,
+            dp_fire=self.plan.schedule.dp_fire,
+            schedule_kind=self.schedule_kind,
+        )
+
+    def _build_embedding_sync(self) -> EmbeddingSynchronizer:
+        """The embedding synchroniser over the current replicas (fused under FE)."""
+        return EmbeddingSynchronizer(
+            self.replicas,
+            log=self.log,
+            fused=self.plan.spec(Boundary.EMBEDDING).codec == "fused",
+        )
 
     # -- parameters -------------------------------------------------------------------
 
@@ -964,8 +922,6 @@ class ThreeDParallelEngine:
         restart (their replica indexing is stale); PowerSGD warm starts and RNG
         call counts survive.
         """
-        from repro.core.framework import OptimusCC
-
         if self.data_parallel_degree <= 1:
             raise ResilienceExhausted(
                 "lost the last data-parallel replica — nothing left to train on"
@@ -994,28 +950,14 @@ class ThreeDParallelEngine:
             exclude_embedding=True,
         )
         if self.bucketed_sync is not None:
-            self.bucketed_sync = (
-                BucketedDataParallelSync(
-                    self.replicas,
-                    self.arenas,
-                    hook=self.dp_reduce,
-                    log=self.log,
-                    bucket_bytes=self.engine_config.dp_bucket_bytes,
-                    exclude_embedding=True,
-                    dp_fire=self.engine_config.dp_fire,
-                    schedule_kind=self.schedule_kind,
-                )
-                if self.data_parallel_degree > 1
-                else None
-            )
-        factory = OptimusCC(self.optimus_config)
-        self.embedding_sync = factory.make_embedding_synchronizer(self.replicas, self.log)
+            self.bucketed_sync = self._build_bucketed_sync()
+        self.embedding_sync = self._build_embedding_sync()
 
     def live_mutable_state(self) -> dict:
         """Every cross-iteration mutable buffer outside the arenas/optimisers.
 
         The one inventory that the recovery point (through
-        :meth:`mutable_state`) and checkpoint format v3 both walk: DP-codec
+        :meth:`mutable_state`) and the checkpoint writer both walk: DP-codec
         error-feedback residuals and warm starts (``dp_reduce``) plus each
         replica's compressed-backpropagation residual/warm-start state
         (``cb_hooks``).  Array leaves are the *live* buffers — valid until the

@@ -3,15 +3,9 @@
 The paper's central idea is *3D-parallelism-aware* communication compression:
 each communication boundary — the data-parallel gradient all-reduce, the
 pipeline-parallel inter-stage backward channel, and the embedding
-synchronisation — gets its own codec and policy.  Before this module existed,
-that policy was smeared across four uncoordinated surfaces
-(:class:`repro.core.config.OptimusCCConfig` for the PP/embedding knobs,
-:class:`repro.core.config.EngineCompressionConfig` for the DP knobs, the
-simulator's :class:`repro.simulator.executor.CompressionPlan`, and a pile of
-hand-wired CLI flags), with every experiment driver doing its own translation.
-
-A :class:`ParallelPlan` is the single, frozen, validated object all of those
-are now derived *from*:
+synchronisation — gets its own codec and policy.  A :class:`ParallelPlan` is
+the single, frozen, validated object that says so, and the only configuration
+type any layer accepts or stores:
 
 * ``Topology(dp, pp, tp, micro_batches)`` — what runs where;
 * ``Schedule(kind, num_model_chunks)`` — how the pipeline iterates and whether
@@ -26,13 +20,14 @@ Plans round-trip through dicts/JSON (:meth:`ParallelPlan.to_dict` /
 presets mirroring the paper's nomenclature (:meth:`ParallelPlan.preset`), and
 print one canonical label everywhere a report names a configuration
 (:meth:`ParallelPlan.describe`).  The consumers —
-:class:`~repro.parallel.engine.ThreeDParallelEngine`, the timing simulator, the
-CLI, and the experiment drivers — each expose a ``from_plan``/``plan=`` entry
-point so engine-measured and simulated traffic are provably derived from the
-same object.
+:class:`~repro.parallel.engine.ThreeDParallelEngine`, the trainer, the timing
+simulator, the CLI, and the experiment drivers — take the plan itself and read
+``plan.spec(Boundary.*)`` / ``plan.topology`` / ``plan.schedule`` where they
+use the value, so engine-measured and simulated traffic describe the same
+object by construction.
 
-This module is deliberately import-light (stdlib only at module level); the
-conversions into the engine/simulator config types import lazily, so
+This module is deliberately import-light (stdlib only at module level; the
+simulator job, the parallel layout and the resilience types import lazily), so
 ``repro.plan`` sits below every consumer in the import graph.
 """
 
@@ -43,10 +38,8 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-if TYPE_CHECKING:  # conversions only — the runtime imports are lazy
-    from repro.core.config import EngineCompressionConfig, OptimusCCConfig
+if TYPE_CHECKING:  # the runtime import is lazy
     from repro.parallel.process_groups import ParallelLayout
-    from repro.simulator.executor import CompressionPlan
 
 
 class Boundary(str, Enum):
@@ -146,6 +139,25 @@ def validate_executor_kind(kind: str, *, context: str = "executor") -> str:
 DP_FIRE_KINDS = ("stage", "micro_batch")
 
 
+def select_compressed_stages(num_stages: int, fraction: float) -> set[int]:
+    """Stages whose DP traffic is compressed: the earliest ``fraction`` of stages.
+
+    The one statement of the selective-stage-compression rule — the engine's
+    DP reduce, the PowerSGD hook, the timing simulator and the memory model all
+    select through here.  ``fraction=0.75`` with 4 stages compresses stages
+    {0, 1, 2}, matching the paper's default (Fig. 8 walks through 25 % → 100 %
+    one stage at a time, starting from stage 1, i.e. the earliest stage);
+    ``fraction=0`` selects nothing.  The count is ``round(fraction *
+    num_stages)``, half to even: 0.5 of 3 stages is 2, 0.5 of 5 is 2.
+    """
+    if num_stages <= 0:
+        raise ValueError("num_stages must be positive")
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("fraction must be in [0, 1]")
+    count = int(round(fraction * num_stages))
+    return set(range(min(count, num_stages)))
+
+
 @dataclass(frozen=True)
 class CompressionSpec:
     """Codec and policy of one communication boundary.
@@ -221,6 +233,17 @@ class CompressionSpec:
     def compresses(self) -> bool:
         """Whether this boundary's traffic is touched at all (``"fused"`` counts)."""
         return self.codec != "none"
+
+    def compressed_stages(self, num_stages: int) -> set[int]:
+        """DP: the pipeline stages (of ``num_stages``) this spec's codec touches.
+
+        Empty when the codec is ``"none"`` — ``stage_fraction`` and the other
+        codec knobs are dormant then — and when ``stage_fraction`` rounds to no
+        stage at all; otherwise :func:`select_compressed_stages`.
+        """
+        if not self.compresses:
+            return set()
+        return select_compressed_stages(num_stages, self.stage_fraction)
 
     def with_(self, **kwargs: Any) -> "CompressionSpec":
         """Return a modified copy (convenience for sweeps)."""
@@ -313,8 +336,8 @@ class Schedule:
     num_model_chunks:
         Megatron interleaved-1F1B model chunks per stage for the timing
         simulator; 1 selects the plain schedule.  Delivered through
-        :meth:`ParallelPlan.training_job` — :class:`CompressionPlan` carries
-        only codec policy, and the job owns the schedule shape.  (The
+        :meth:`ParallelPlan.training_job` — the simulator reads only codec
+        policy off the plan, and the job owns the schedule shape.  (The
         functional engine always computes the plain schedule — chunking
         changes timing, not numerics.)
     dp_fire:
@@ -932,38 +955,7 @@ class ParallelPlan:
             )
         return PLAN_PRESETS[name](topology)
 
-    # -- conversions into the consumer layers ------------------------------------------
-
-    def engine_config(self) -> "EngineCompressionConfig":
-        """The unified engine's DP-boundary compression block, derived from this plan."""
-        from repro.core.config import EngineCompressionConfig
-
-        dp = self.spec(Boundary.DP)
-        return EngineCompressionConfig(
-            dp_codec=dp.codec,
-            dp_rank=dp.rank,
-            dp_qsgd_bits=dp.bits,
-            dp_topk_fraction=dp.fraction,
-            dp_error_feedback=dp.error_feedback,
-            dp_stage_fraction=dp.stage_fraction,
-            min_compression_elements=dp.min_elements,
-            tensor_parallel_degree=self.topology.tp,
-            dp_overlap=self.schedule.dp_overlap,
-            dp_bucket_bytes=dp.bucket_bytes,
-            dp_fire=self.schedule.dp_fire,
-        )
-
-    def optimus_config(self, seed: int = 0) -> "OptimusCCConfig":
-        """The PP/embedding/DP technique flags, derived from this plan."""
-        from repro.core.config import OptimusCCConfig
-
-        return OptimusCCConfig.from_plan(self, seed=seed)
-
-    def compression_plan(self) -> "CompressionPlan":
-        """The timing simulator's view of this plan."""
-        from repro.simulator.executor import CompressionPlan
-
-        return CompressionPlan.from_plan(self)
+    # -- the simulator's job for this plan ---------------------------------------------
 
     def layout(self) -> "ParallelLayout":
         """The simulator-side parallel layout of this plan's topology."""

@@ -7,7 +7,7 @@ worker-supervision mechanism in :mod:`repro.exec.supervisor`.  ``recovery``
 holds the :class:`RecoveryPoint` — the one preallocated pre-iteration capture
 that the guard's rollback and the supervisor's rewind both restore from — and
 the inventory of mutable training state.  Checkpointing lives in
-:mod:`repro.training.checkpoint` (format v3 writes that same inventory, read
+:mod:`repro.training.checkpoint` (the writer walks that same inventory, read
 through its live buffers).
 """
 

@@ -18,7 +18,7 @@ capture and refills (``np.copyto``) on every later one.  The engine captures
 once, at the top of ``run_iteration``; the guarded trainer's rollback
 (:meth:`RecoveryPoint.restore`) and the worker supervisor's rewind
 (:meth:`RecoveryPoint.restore_arenas` + :attr:`RecoveryPoint.cb_states`) both go
-back to that one capture.  Checkpoint format v3
+back to that one capture.  The checkpoint writer
 (:mod:`repro.training.checkpoint`) writes the same three sources, read through
 their live forms (``arena.data``, ``FusedAdam.live_state``,
 ``engine.live_mutable_state``) — so rollback, rewind and checkpoint cannot

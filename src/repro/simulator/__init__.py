@@ -18,11 +18,7 @@ from repro.simulator.hardware import (
     SimulationConstants,
 )
 from repro.simulator.cost_model import COST_MODEL_VERSION, CostModel, TrainingJob
-from repro.simulator.executor import (
-    CompressionPlan,
-    IterationTiming,
-    PipelineTimingSimulator,
-)
+from repro.simulator.executor import IterationTiming, PipelineTimingSimulator
 from repro.simulator.breakdown import ExecutionBreakdown, compute_breakdown
 from repro.simulator.evaluate import PlanEvaluation, evaluate_plan
 from repro.simulator.memory_model import MemoryModel, MemoryReport
@@ -42,7 +38,6 @@ __all__ = [
     "TrainingJob",
     "PlanEvaluation",
     "evaluate_plan",
-    "CompressionPlan",
     "IterationTiming",
     "PipelineTimingSimulator",
     "ExecutionBreakdown",

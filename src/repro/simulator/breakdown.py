@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.plan import ParallelPlan
 from repro.simulator.cost_model import TrainingJob
-from repro.simulator.executor import CompressionPlan, PipelineTimingSimulator
+from repro.simulator.executor import PipelineTimingSimulator
 
 
 @dataclass
@@ -52,9 +53,8 @@ class ExecutionBreakdown:
         return (self.interstage_comm + self.data_parallel_comm + self.embedding_comm) / self.total
 
 
-def compute_breakdown(job: TrainingJob, plan: CompressionPlan | None = None) -> ExecutionBreakdown:
+def compute_breakdown(job: TrainingJob, plan: ParallelPlan | None = None) -> ExecutionBreakdown:
     """Decompose the iteration time of ``job`` under ``plan`` into components."""
-    plan = plan if plan is not None else CompressionPlan.baseline()
     simulator = PipelineTimingSimulator(job, plan)
     full = simulator.run()
 

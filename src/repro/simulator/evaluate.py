@@ -4,8 +4,7 @@ The capacity-planning service (:mod:`repro.search`) needs to score thousands of
 candidate :class:`~repro.plan.ParallelPlan`s per query, each in milliseconds,
 each producing exactly the same numbers no matter which worker process computed
 it or in which order.  :func:`evaluate_plan` is that seam: it derives the
-simulator's job and compression views from the plan (the same single-source
-``from_plan`` paths every other consumer uses), replays one iteration through
+simulator's job from the plan, replays one iteration through
 :class:`~repro.simulator.executor.PipelineTimingSimulator`, reads the peak
 memory off :class:`~repro.simulator.memory_model.MemoryModel`, and folds the
 result into one flat, JSON-safe :class:`PlanEvaluation`.
@@ -130,9 +129,10 @@ def evaluate_plan(
     Parameters
     ----------
     plan:
-        The candidate :class:`~repro.plan.ParallelPlan`; the simulator job and
-        compression view both derive from it, so the evaluation describes the
-        same configuration every other layer would run.
+        The candidate :class:`~repro.plan.ParallelPlan`; the simulator job
+        derives from it and the simulator reads its compression specs directly,
+        so the evaluation describes the same configuration every other layer
+        would run.
     model:
         A :class:`~repro.models.gpt_configs.PaperModelSpec`.
     cluster:
@@ -144,9 +144,8 @@ def evaluate_plan(
     job: TrainingJob = (
         plan.training_job(model, cluster=cluster, micro_batch_size=micro_batch_size)
     )
-    compression = plan.compression_plan()
-    timing = PipelineTimingSimulator(job, compression).run()
-    memory = MemoryModel(job, compression).peak_report()
+    timing = PipelineTimingSimulator(job, plan).run()
+    memory = MemoryModel(job, plan).peak_report()
     tokens = job.global_batch_size * job.seq_length
     wire = timing.wire_bytes_by_axis()
     return PlanEvaluation(

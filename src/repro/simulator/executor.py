@@ -41,8 +41,7 @@ from repro.parallel.pipeline_schedule import (
     build_interleaved_1f1b_schedule,
     build_zb1_schedule,
 )
-from repro.plan import Boundary, ParallelPlan, SPLIT_BACKWARD_KINDS
-from repro.plan import DP_CODECS as DP_CODECS  # single shared codec vocabulary
+from repro.plan import SPLIT_BACKWARD_KINDS, Boundary, ParallelPlan
 from repro.simulator.cost_model import CostModel, TrainingJob
 
 #: Modelled latency of respawning one worker after a crash or hang: fork the
@@ -89,176 +88,6 @@ class ComponentToggles:
     interstage: float = 1.0
     data_parallel: float = 1.0
     embedding: float = 1.0
-
-
-@dataclass(frozen=True)
-class CompressionPlan:
-    """Which Optimus-CC techniques are active for a simulated run.
-
-    Attributes
-    ----------
-    compress_backward:
-        Enable compressed backpropagation (CB) on inter-stage backward traffic.
-    backward_rank:
-        PowerSGD rank used for CB (paper default: 16).
-    backward_epilogue_only:
-        Compress only the epilogue (critical-path) transfers; ``False`` means naive
-        CB on every backward transfer.
-    compress_forward:
-        Compress forward activations too (the paper shows this breaks convergence;
-        kept for the motivational comparison only).
-    dp_compressed_stage_fraction:
-        Fraction of pipeline stages whose data-parallel traffic is compressed
-        (selective stage compression; earliest stages first).  1.0 compresses every
-        stage ("naive DP").
-    dp_rank:
-        PowerSGD rank for data-parallel gradient compression (paper default: 128).
-    dp_codec:
-        Codec applied to the selected stages' DP gradients — same vocabulary as the
-        engine (:data:`DP_CODECS`): ``"powersgd"`` (paper default), ``"qsgd"``,
-        ``"topk"``, or ``"none"`` (exact all-reduce even on selected stages).
-    dp_qsgd_bits:
-        Quantisation bits when ``dp_codec == "qsgd"``.
-    dp_topk_fraction:
-        Kept fraction when ``dp_codec == "topk"``.
-    fuse_embedding:
-        Enable fused embedding synchronisation (FE).
-    """
-
-    compress_backward: bool = False
-    backward_rank: int = 16
-    backward_epilogue_only: bool = True
-    compress_forward: bool = False
-    dp_compressed_stage_fraction: float = 0.0
-    dp_rank: int = 128
-    dp_codec: str = "powersgd"
-    dp_qsgd_bits: int = 4
-    dp_topk_fraction: float = 0.01
-    fuse_embedding: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.dp_compressed_stage_fraction <= 1.0:
-            raise ValueError("dp_compressed_stage_fraction must be in [0, 1]")
-        if self.backward_rank <= 0 or self.dp_rank <= 0:
-            raise ValueError("compression ranks must be positive")
-        if self.dp_codec not in DP_CODECS:
-            raise ValueError(f"dp_codec must be one of {DP_CODECS}, got {self.dp_codec!r}")
-        if not 1 <= self.dp_qsgd_bits <= 8:
-            raise ValueError("dp_qsgd_bits must be in [1, 8]")
-        if not 0.0 < self.dp_topk_fraction <= 1.0:
-            raise ValueError("dp_topk_fraction must be in (0, 1]")
-
-    # -- named configurations used across the benchmarks -------------------------
-
-    @classmethod
-    def baseline(cls) -> "CompressionPlan":
-        """No compression (Megatron-LM baseline)."""
-        return cls()
-
-    @classmethod
-    def cb(cls, rank: int = 16) -> "CompressionPlan":
-        """Compressed backpropagation only (epilogue-only, with LEP implied)."""
-        return cls(compress_backward=True, backward_rank=rank)
-
-    @classmethod
-    def cb_fe(cls, rank: int = 16) -> "CompressionPlan":
-        """CB + fused embedding synchronisation."""
-        return cls(compress_backward=True, backward_rank=rank, fuse_embedding=True)
-
-    @classmethod
-    def cb_fe_sc(
-        cls, cb_rank: int = 16, dp_rank: int = 128, stage_fraction: float = 0.75
-    ) -> "CompressionPlan":
-        """Full Optimus-CC: CB + FE + selective stage compression (paper default 75 %)."""
-        return cls(
-            compress_backward=True,
-            backward_rank=cb_rank,
-            fuse_embedding=True,
-            dp_compressed_stage_fraction=stage_fraction,
-            dp_rank=dp_rank,
-        )
-
-    @classmethod
-    def naive_dp(cls, dp_rank: int = 128) -> "CompressionPlan":
-        """Naive data-parallel compression of every stage (motivational 'naive DP')."""
-        return cls(dp_compressed_stage_fraction=1.0, dp_rank=dp_rank)
-
-    @classmethod
-    def naive_cb(cls, rank: int = 16) -> "CompressionPlan":
-        """Naive compressed backpropagation on every transfer (no epilogue-only)."""
-        return cls(compress_backward=True, backward_rank=rank, backward_epilogue_only=False)
-
-    @classmethod
-    def from_engine_config(cls, engine_config, **overrides) -> "CompressionPlan":
-        """Translate an engine DP-compression block into a simulator plan.
-
-        Maps the DP-boundary fields of
-        :class:`repro.core.config.EngineCompressionConfig` (codec, rank, bits,
-        kept fraction, selected stage fraction) onto the plan so a simulated run
-        describes its DP traffic with the same vocabulary the engine measures it
-        in.  Pipeline-boundary fields (CB, FE) default to off and can be supplied
-        through ``overrides``.
-        """
-        return cls(
-            dp_compressed_stage_fraction=(
-                engine_config.dp_stage_fraction if engine_config.dp_codec != "none" else 0.0
-            ),
-            dp_rank=engine_config.dp_rank,
-            dp_codec=engine_config.dp_codec,
-            dp_qsgd_bits=engine_config.dp_qsgd_bits,
-            dp_topk_fraction=engine_config.dp_topk_fraction,
-            **overrides,
-        )
-
-    @classmethod
-    def from_plan(cls, plan: ParallelPlan) -> "CompressionPlan":
-        """Derive the simulator's view from a declarative :class:`~repro.plan.ParallelPlan`.
-
-        This is the simulator half of the single-source-of-truth contract: the
-        unified engine derives its DP block from the same plan
-        (:meth:`repro.plan.ParallelPlan.engine_config`), so engine-measured and
-        simulated traffic provably describe the same codec, rank, bits, and
-        kept/stage fractions per boundary (asserted by the cross-layer parity
-        test in ``tests/test_plan.py``).
-        """
-        pp = plan.spec(Boundary.PP)
-        dp = plan.spec(Boundary.DP)
-        embedding = plan.spec(Boundary.EMBEDDING)
-        return cls(
-            compress_backward=pp.compresses,
-            backward_rank=pp.rank,
-            backward_epilogue_only=pp.epilogue_only,
-            compress_forward=pp.compress_forward,
-            dp_compressed_stage_fraction=dp.stage_fraction if dp.compresses else 0.0,
-            dp_rank=dp.rank,
-            dp_codec=dp.codec if dp.compresses else "powersgd",
-            dp_qsgd_bits=dp.bits,
-            dp_topk_fraction=dp.fraction,
-            fuse_embedding=embedding.codec == "fused",
-        )
-
-    def compressed_dp_stages(self, num_stages: int) -> set[int]:
-        """Stages whose DP traffic is compressed (earliest first, per Fig. 8)."""
-        if self.dp_codec == "none":
-            return set()
-        count = int(round(self.dp_compressed_stage_fraction * num_stages))
-        count = min(count, num_stages)
-        return set(range(count))
-
-    def describe(self) -> str:
-        """Short label such as ``"CB+FE+SC"`` for reports."""
-        parts = []
-        if self.compress_backward:
-            parts.append("CB" if self.backward_epilogue_only else "CB(naive)")
-        if self.fuse_embedding:
-            parts.append("FE")
-        if self.dp_compressed_stage_fraction > 0 and self.dp_codec != "none":
-            codec = "" if self.dp_codec == "powersgd" else f"[{self.dp_codec}]"
-            if self.dp_compressed_stage_fraction >= 1.0:
-                parts.append(f"DP(all){codec}")
-            else:
-                parts.append(f"SC({self.dp_compressed_stage_fraction:.0%}){codec}")
-        return "+".join(parts) if parts else "Baseline"
 
 
 @dataclass
@@ -570,17 +399,21 @@ def replay_pipeline(
 
 
 class PipelineTimingSimulator:
-    """Replays the pipeline schedule with communication and compression costs."""
+    """Replays the pipeline schedule with communication and compression costs.
+
+    ``job`` owns the layout and the schedule shape; of ``plan`` only the three
+    boundaries' compression specs are read (default: no compression).
+    """
 
     def __init__(
         self,
         job: TrainingJob,
-        plan: CompressionPlan | None = None,
+        plan: ParallelPlan | None = None,
         toggles: ComponentToggles | None = None,
     ) -> None:
         self.job = job
         self.cost = CostModel(job)
-        self.plan = plan if plan is not None else CompressionPlan.baseline()
+        self.plan = plan if plan is not None else ParallelPlan.baseline()
         self.toggles = toggles if toggles is not None else ComponentToggles()
 
     # -- helpers --------------------------------------------------------------------
@@ -611,17 +444,18 @@ class PipelineTimingSimulator:
         num_stages = self.job.num_stages
         num_micro = self.job.num_micro_batches
         chunks = self.job.num_model_chunks if num_stages > 1 else 1
-        plan = self.plan
+        pp = self.plan.spec(Boundary.PP)
+        dp = self.plan.spec(Boundary.DP)
         forward_times, backward_times, backward_weight_times = _compute_times(
             self.cost, self.toggles, chunks
         )
         replay = replay_pipeline(
             self.job,
             self.toggles,
-            plan.compress_backward,
-            plan.backward_rank,
-            plan.backward_epilogue_only,
-            plan.compress_forward,
+            pp.compresses,
+            pp.rank,
+            pp.epilogue_only,
+            pp.compress_forward,
         )
         # The replay is shared between plans: take a private copy of its list
         # and keep accumulating in the order the single-pass simulation did
@@ -630,7 +464,7 @@ class PipelineTimingSimulator:
         compression_overhead_total = replay.transfer_overhead
 
         # ---------------- data-parallel gradient all-reduce -----------------------
-        compressed_stages = plan.compressed_dp_stages(num_stages)
+        compressed_stages = dp.compressed_stages(num_stages)
         dp_times = []
         dp_wires = []
         dp_wire_total = 0.0
@@ -639,14 +473,14 @@ class PipelineTimingSimulator:
             if stage in compressed_stages and self.job.layout.data_parallel > 1:
                 dp_wire = self.cost.dp_compressed_gradient_bytes(
                     stage,
-                    plan.dp_rank,
-                    codec=plan.dp_codec,
-                    qsgd_bits=plan.dp_qsgd_bits,
-                    topk_fraction=plan.dp_topk_fraction,
+                    dp.rank,
+                    codec=dp.codec,
+                    qsgd_bits=dp.bits,
+                    topk_fraction=dp.fraction,
                 )
                 dp_time = self.cost.collective_time(dp_wire)
                 dp_overhead = self.cost.dp_compression_overhead(
-                    stage, plan.dp_rank, codec=plan.dp_codec
+                    stage, dp.rank, codec=dp.codec
                 )
             else:
                 dp_time = self.cost.dp_time(stage)
@@ -707,7 +541,7 @@ class PipelineTimingSimulator:
                 stage_finish[0] += extra
                 embedding_time = extra
                 embedding_wire = self.cost.embedding_gradient_bytes() * self.toggles.embedding
-        elif plan.fuse_embedding:
+        elif self.plan.spec(Boundary.EMBEDDING).codec == "fused":
             # The fused all-reduce is issued as soon as both embedding gradients are
             # ready.  The last stage (whose backward drains early) runs its bulk DP
             # all-reduce inside that waiting window; the first stage performs the
@@ -738,7 +572,7 @@ class PipelineTimingSimulator:
         # this is why the data-parallel traffic of *later* stages can stay
         # uncompressed under selective stage compression (Section 7, Fig. 8).
         forward_delay, _, _ = _transfer(
-            self.cost, self.toggles, plan.backward_rank if plan.compress_forward else None
+            self.cost, self.toggles, pp.rank if pp.compress_forward else None
         )
         warmup_offset = [0.0] * num_stages
         for stage in range(1, num_stages):
@@ -789,7 +623,7 @@ class PipelineTimingSimulator:
 
 def simulate_plan(
     job: TrainingJob,
-    plan: CompressionPlan,
+    plan: ParallelPlan,
     resilience_overhead_s: float = 0.0,
     respawns: float = 0.0,
 ) -> IterationTiming:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.parallel.pipeline_schedule import count_in_flight_micro_batches
 from repro.parallel.scheduler import stage_memory_profile
-from repro.plan import SPLIT_BACKWARD_KINDS
+from repro.plan import SPLIT_BACKWARD_KINDS, Boundary, ParallelPlan
 from repro.simulator.cost_model import (
     ACTIVATION_BYTES_PER_TOKEN_HIDDEN,
     BYTES_PER_PARAMETER_WITH_OPTIMIZER,
@@ -32,7 +32,7 @@ from repro.simulator.cost_model import (
     CostModel,
     TrainingJob,
 )
-from repro.simulator.executor import CompressionPlan, build_job_schedule
+from repro.simulator.executor import build_job_schedule
 
 __all__ = [
     "ACTIVATION_BYTES_PER_TOKEN_HIDDEN",
@@ -78,11 +78,11 @@ class MemoryReport:
 
 
 class MemoryModel:
-    """Estimates the peak memory of each pipeline stage under a compression plan."""
+    """Estimates the peak memory of each pipeline stage under a plan's compression."""
 
-    def __init__(self, job: TrainingJob, plan: CompressionPlan | None = None) -> None:
+    def __init__(self, job: TrainingJob, plan: ParallelPlan | None = None) -> None:
         self.job = job
-        self.plan = plan if plan is not None else CompressionPlan.baseline()
+        self.plan = plan if plan is not None else ParallelPlan.baseline()
         self.cost = CostModel(job)
         #: Per-stage ``(peak in-flight activations, peak pending W stashes)``
         #: of the split-backward op lists; ``None`` until first needed (and
@@ -125,24 +125,29 @@ class MemoryModel:
         that accounts for its 5-10 % overhead (Fig. 12).  Selective stage compression
         adds per-weight-matrix ``P``/``Q`` factors on the compressed stages.
         """
-        plan = self.plan
+        pp = self.plan.spec(Boundary.PP)
+        dp = self.plan.spec(Boundary.DP)
         total = 0.0
-        if plan.compress_backward and self.job.num_stages > 1:
+        if pp.compresses and self.job.num_stages > 1:
             rows = self.job.micro_batch_size * self.job.seq_length
             cols = self.job.model.hidden_size
-            rank = max(1, min(plan.backward_rank, rows, cols))
+            rank = max(1, min(pp.rank, rows, cols))
             in_flight, _ = self._stage_memory_profile(stage)
             total += in_flight * rows * cols * 4  # fp32 staging buffers
             total += rank * (rows + cols) * 4 * 2  # P and Q, previous Q kept for reuse
-        if stage in plan.compressed_dp_stages(self.job.num_stages):
+        if stage in dp.compressed_stages(self.job.num_stages):
             for rows, cols in self.cost.stage_weight_matrices(stage):
-                rank = max(1, min(plan.dp_rank, rows, cols))
+                rank = max(1, min(dp.rank, rows, cols))
                 total += rank * (rows + cols) * 4 * 2 / self.job.layout.tensor_parallel
         return total
 
     def _lazy_error_bytes(self, stage: int, lazy_error: bool) -> float:
         """Residual storage added by lazy error propagation (one buffer per boundary)."""
-        if not lazy_error or not self.plan.compress_backward or self.job.num_stages <= 1:
+        if (
+            not lazy_error
+            or not self.plan.spec(Boundary.PP).compresses
+            or self.job.num_stages <= 1
+        ):
             return 0.0
         elements = self.job.micro_batch_size * self.job.seq_length * self.job.model.hidden_size
         return elements * 4.0  # fp32 residual of the previous micro-batch

@@ -103,8 +103,9 @@ def schedule_throughput(
 ) -> list[SchedulePoint]:
     """Simulate ``job`` under each pipeline schedule kind and report throughput.
 
-    ``plan`` is an optional simulator :class:`~repro.simulator.executor.CompressionPlan`
-    (compression is orthogonal to the schedule sweep).  The job's own
+    ``plan`` is an optional :class:`~repro.plan.ParallelPlan` whose compression
+    specs apply to every point (compression is orthogonal to the schedule
+    sweep; the plan's own schedule is not read).  The job's own
     ``schedule_kind`` is overridden per point.  ``job`` must be plain
     (``num_model_chunks == 1``): the split-backward schedule cannot interleave,
     and silently un-interleaving the 1f1b baseline would overstate zb1's win.

@@ -1,4 +1,4 @@
-"""Bit-exact checkpointing for functional pretraining runs (format v3).
+"""Bit-exact checkpointing for functional pretraining runs (format v4).
 
 A checkpoint captures *every* mutable buffer a resumed run needs to continue
 bit-for-bit identically to the continuous run — the repo's core invariant.
@@ -26,9 +26,20 @@ member               contents
 ===================  =========================================================
 header key           meaning
 ===================  =========================================================
-``format_version``   ``3``; any other value is rejected loudly
+``format_version``   ``4``; any other value is rejected loudly
 ``iteration``        completed iterations
-``config``           the writer's configuration label (must match the reader)
+``compression``      the ``compression`` section of the writer's plan
+                     (``plan.to_dict()["compression"]``: every knob of the DP,
+                     PP and embedding boundaries); must equal the reader's —
+                     codec state is shaped by these knobs.  The schedule
+                     kind, ``executor`` and ``resilience`` are deliberately
+                     *not* recorded: resuming under another of those is
+                     bit-exact
+``dp_overlap``       whether the writer ran the bucketed (overlapped) DP
+                     all-reduce or the serial per-parameter epilogue — the one
+                     schedule property that shapes state: error-feedback
+                     residuals live in per-bucket slabs under the former and
+                     per parameter under the latter (must match)
 ``topology``         ``num_stages`` / ``data_parallel_degree`` (must match)
 ``layout``           ``parameters``: ``[name, arena offset, shape]`` per
                      parameter in arena order, plus ``trainable_elements`` —
@@ -46,8 +57,9 @@ Data-parallel replicas hold bit-identical weights and moments by construction,
 so they are stored once (Megatron's "DP rank 0 saves") — but only after every
 replica has been compared against replica 0; a diverged group refuses to save
 rather than have the difference papered over.  Formats v1 (no error-feedback /
-RNG state) and v2 (deflated, per-parameter, per-replica) are rejected loudly:
-there is one writer and one reader.
+RNG state), v2 (deflated, per-parameter, per-replica) and v3 (a configuration
+label that could not tell PowerSGD rank 2 from rank 4, or QSGD from top-k) are
+rejected loudly: there is one writer and one reader.
 
 Writes are atomic (temporary sibling + ``os.replace``) and synchronous — the
 arenas may be ``MAP_SHARED`` segments a forked writer would not snapshot, and
@@ -65,12 +77,13 @@ import re
 
 import numpy as np
 
+from repro.plan import ParallelPlan
 from repro.resilience import ResilienceReport
 from repro.training.metrics import TrainingHistory, ValidationPoint
 from repro.training.trainer import Pretrainer
 
 #: Format marker stored in every checkpoint so incompatible files fail loudly.
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 _ARRAY_REF = "__ndarray__"
 
@@ -78,6 +91,10 @@ _ARRAY_REF = "__ndarray__"
 _RETIRED_FORMATS = {
     1: "v1 checkpoints omit error-feedback and RNG state and cannot resume bit-exactly",
     2: "v2 checkpoints are deflated per-parameter archives this build has no reader for",
+    3: (
+        "v3 checkpoints record a configuration label that cannot see codec kinds, "
+        "ranks or bits, so their codec state cannot be matched to this trainer's plan"
+    ),
 }
 
 
@@ -168,7 +185,8 @@ def save_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> pathlib.Pa
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "iteration": trainer._iteration,
-        "config": trainer.optimus_config.describe(),
+        "compression": trainer.plan.to_dict()["compression"],
+        "dp_overlap": trainer.plan.schedule.dp_overlap,
         "topology": {
             "num_stages": trainer.num_stages,
             "data_parallel_degree": len(trainer.engine.arenas),
@@ -202,9 +220,10 @@ def save_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> pathlib.Pa
 def load_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> int:
     """Restore a trainer's state from ``path``; returns the restored iteration.
 
-    The trainer must match the writer exactly — configuration label, pipeline
-    depth, DP degree, parameter names/offsets/shapes — any mismatch raises
-    instead of half-restoring.  Every replica's arena and optimiser is filled
+    The trainer must match the writer exactly — every compression knob of its
+    plan, pipeline depth, DP degree, parameter names/offsets/shapes — and all
+    of that is compared before any state is touched: a mismatch raises instead
+    of half-restoring.  Every replica's arena and optimiser is filled
     from the single stored copy.  After loading, continuing the run reproduces
     the continuous run bit-for-bit.
     """
@@ -218,11 +237,20 @@ def load_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> int:
                 f"unsupported checkpoint format {version!r}: this build reads and writes "
                 f"format v{CHECKPOINT_FORMAT_VERSION} only{detail}"
             )
-        live_config = trainer.optimus_config.describe()
-        if header.get("config") != live_config:
+        writer = ParallelPlan.from_dict({"compression": header.get("compression", {})})
+        for knob, (stored, live) in writer.diff(trainer.plan).items():
+            if knob.startswith("compression."):
+                raise ValueError(
+                    "checkpoint was written under a different compression configuration: "
+                    f"{knob.removeprefix('compression.')} is {stored!r} in the checkpoint, "
+                    f"{live!r} in this trainer's plan"
+                )
+        if header.get("dp_overlap") != trainer.plan.schedule.dp_overlap:
             raise ValueError(
-                f"checkpoint was written by configuration {header.get('config')!r}, "
-                f"but this trainer runs {live_config!r}"
+                f"checkpoint has dp_overlap={header.get('dp_overlap')!r}, this trainer's "
+                f"schedule has dp_overlap={trainer.plan.schedule.dp_overlap!r}: the bucketed "
+                "and the serial per-parameter DP all-reduce lay their error-feedback "
+                "residuals out differently"
             )
         topology = header.get("topology", {})
         live_topology = {

@@ -17,8 +17,8 @@ The trainer adds what a training loop needs on top: one optimiser per replica
 (states stay identical because the synchronised gradients are identical), the
 learning-rate schedule, validation, and history recording.
 
-Resilience (PR 7): when a :class:`repro.plan.ResilienceSpec` is supplied (via
-the plan or the ``resilience`` argument) the loop becomes *guarded*.  At the
+Resilience (PR 7): when the plan carries a :class:`repro.plan.ResilienceSpec`
+(``plan.with_resilience(...)``) the loop becomes *guarded*.  At the
 top of each iteration the engine captures every mutable buffer (arenas,
 optimiser moments, error-feedback residuals/warm starts) into one preallocated
 :class:`repro.resilience.RecoveryPoint`; after the iteration a whole-buffer
@@ -48,16 +48,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import EngineCompressionConfig, OptimusCCConfig
-from repro.core.framework import OptimusCC
 from repro.data.dataloader import LanguageModelingDataLoader
 from repro.data.tasks import ZeroShotTask
 from repro.nn.loss import perplexity_from_loss
 from repro.nn.transformer import GPTModelConfig
 from repro.optim import FusedAdam, LRSchedule
 from repro.parallel.collectives import CommunicationLog
-from repro.parallel.engine import EngineIterationResult
-from repro.plan import ParallelPlan, ResilienceSpec
+from repro.parallel.engine import EngineIterationResult, ThreeDParallelEngine
+from repro.plan import ParallelPlan
 from repro.resilience import (
     GuardrailPolicy,
     RecoveryPoint,
@@ -90,15 +88,12 @@ class Pretrainer:
     model_config:
         Architecture of the (small) GPT model to train.
     loader:
-        The micro-batch loader; its ``data_parallel_degree`` determines the number
-        of replicas.
-    num_stages:
-        Pipeline depth.
-    optimus_config:
-        Which Optimus-CC techniques to enable.
-    engine_config:
-        Optional explicit DP-boundary compression block (codec/rank/error
-        feedback/TP degree); defaults to the one implied by ``optimus_config``.
+        The micro-batch loader; its ``data_parallel_degree`` and
+        ``num_micro_batches`` must match the plan's topology.
+    plan:
+        The declarative :class:`repro.plan.ParallelPlan`: pipeline depth, every
+        boundary's compression, schedule, executor, and — when it carries a
+        ``resilience`` section — the guarded loop and fault injector.
     learning_rate, weight_decay:
         Adam hyper-parameters.
     lr_schedule:
@@ -107,77 +102,44 @@ class Pretrainer:
         Weight-initialisation seed (shared by all replicas, as in real DDP).
     collect_cb_diagnostics:
         Record the Fig. 11 error-independence statistics.
-    plan:
-        Declarative :class:`repro.plan.ParallelPlan`; when given it supplies the
-        pipeline depth and both configuration blocks (explicit arguments still
-        override).  The loader's ``data_parallel_degree`` and
-        ``num_micro_batches`` must match the plan's topology.
-    resilience:
-        Optional :class:`repro.plan.ResilienceSpec` arming the guarded loop and
-        fault injector; defaults to ``plan.resilience`` when a plan carries one.
     """
 
     def __init__(
         self,
         model_config: GPTModelConfig,
         loader: LanguageModelingDataLoader,
-        num_stages: int | None = None,
-        optimus_config: OptimusCCConfig | None = None,
-        engine_config: EngineCompressionConfig | None = None,
+        plan: ParallelPlan,
+        *,
         learning_rate: float = 1e-3,
         weight_decay: float = 0.0,
         lr_schedule: LRSchedule | None = None,
         seed: int = 0,
         collect_cb_diagnostics: bool = False,
-        plan: ParallelPlan | None = None,
-        resilience: ResilienceSpec | None = None,
-        executor: str | None = None,
     ) -> None:
-        if plan is not None:
-            num_stages = plan.topology.pp if num_stages is None else num_stages
-            if num_stages != plan.topology.pp:
-                # Keep the stored plan describing the run that actually executes.
-                plan = plan.with_topology(pp=num_stages)
-            if loader.data_parallel_degree != plan.topology.dp:
-                raise ValueError(
-                    f"loader data_parallel_degree {loader.data_parallel_degree} does not "
-                    f"match plan topology dp={plan.topology.dp}"
-                )
-            if loader.num_micro_batches != plan.topology.micro_batches:
-                raise ValueError(
-                    f"loader num_micro_batches {loader.num_micro_batches} does not "
-                    f"match plan topology micro_batches={plan.topology.micro_batches}"
-                )
-            if optimus_config is None:
-                optimus_config = plan.optimus_config()
-            if engine_config is None:
-                engine_config = plan.engine_config()
-        if num_stages is None:
-            num_stages = 2
-        if num_stages <= 0:
-            raise ValueError("num_stages must be positive")
+        if loader.data_parallel_degree != plan.topology.dp:
+            raise ValueError(
+                f"loader data_parallel_degree {loader.data_parallel_degree} does not "
+                f"match plan topology dp={plan.topology.dp}"
+            )
+        if loader.num_micro_batches != plan.topology.micro_batches:
+            raise ValueError(
+                f"loader num_micro_batches {loader.num_micro_batches} does not "
+                f"match plan topology micro_batches={plan.topology.micro_batches}"
+            )
         self.plan = plan
         self.model_config = model_config
         self.loader = loader
-        self.num_stages = int(num_stages)
-        self.optimus_config = optimus_config if optimus_config is not None else OptimusCCConfig.baseline()
-        self.factory = OptimusCC(self.optimus_config)
+        self.num_stages = plan.topology.pp
         self.lr_schedule = lr_schedule
         self.seed = int(seed)
         self.data_parallel_degree = loader.data_parallel_degree
-        if executor is None:
-            executor = plan.executor if plan is not None else "serial"
-        self.executor_kind = executor
+        self.executor_kind = plan.executor
 
-        self.engine = self.factory.build_engine(
+        self.engine = ThreeDParallelEngine(
             model_config,
-            num_stages=self.num_stages,
-            data_parallel_degree=self.data_parallel_degree,
-            engine_config=engine_config,
+            plan,
             seed=self.seed,
             collect_cb_diagnostics=collect_cb_diagnostics,
-            executor=executor,
-            plan=plan,
         )
         # Aliases kept for the pre-engine API (tests and experiments use these).
         self.log = self.engine.log
@@ -199,27 +161,15 @@ class Pretrainer:
         self.last_iteration_result: EngineIterationResult | None = None
         self._iteration = 0
 
-        # Resilience wiring: an explicit ``resilience=`` overrides the plan's
-        # section, so the trainer (re-)arms the engine post-construction.
-        if resilience is None and plan is not None:
-            resilience = plan.resilience
-        self.resilience_spec = resilience
+        # Resilience wiring: the engine armed the fault injector, guardrail
+        # budgets and worker supervision from the plan's section; the guarded
+        # loop adds the recovery point that covers the optimisers too.
         self.guardrails: GuardrailPolicy | None = None
-        if resilience is not None:
-            if resilience.requires_process_executor() and self.executor_kind != "process":
-                raise ValueError(
-                    "hang faults wedge a forked worker and need the hang watchdog; "
-                    'they require executor="process"'
-                )
-            self.guardrails = resilience.policy()
-            self.engine.fault_injector = resilience.injector()
-            self.engine.guardrails = self.guardrails
+        if plan.resilience is not None:
+            self.guardrails = self.engine.guardrails
             # One capture per iteration (taken by the engine) serves both this
             # loop's rollback and the worker supervisor's rewind.
             self.engine.recovery_point = RecoveryPoint(self.engine, self.optimizers)
-            if self.executor_kind == "process":
-                # Arm self-healing supervision before the lazy executor forks.
-                self.engine.supervision = resilience.supervision_policy()
         self.resilience_report = self.engine.resilience
         self._consecutive_skips = 0
         #: Checkpoint-abort escalation target; :meth:`train` keeps it current.
@@ -308,7 +258,7 @@ class Pretrainer:
     ) -> PretrainingResult:
         """Run ``num_iterations`` iterations, validating every ``validation_interval``.
 
-        ``checkpoint_every`` writes a rotating atomic checkpoint (format v3:
+        ``checkpoint_every`` writes a rotating atomic checkpoint (format v4:
         stored members written straight from the live buffers, weights and
         moments once per DP group; last ``keep_last`` retained) into
         ``checkpoint_dir`` after every ``checkpoint_every``-th completed

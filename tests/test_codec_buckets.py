@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import EngineCompressionConfig
 from repro.parallel.arena import (
     CodecBucket,
     ParameterArena,
@@ -24,6 +23,7 @@ from repro.parallel.arena import (
 )
 from repro.parallel.collectives import CommunicationLog, SimulatedProcessGroup
 from repro.parallel.engine import CompressedGradientAllReduce
+from repro.plan import CompressionSpec
 from repro.tensor.parameter import Parameter
 
 
@@ -46,15 +46,15 @@ def make_stage_parameters(rng, num_stages, matrices_per_stage, rows, cols):
     return stage_parameters
 
 
-def engine_config(codec, error_feedback, min_elements):
-    return EngineCompressionConfig(
-        dp_codec=codec,
-        dp_rank=2,
-        dp_qsgd_bits=4,
-        dp_topk_fraction=0.25,
-        dp_error_feedback=error_feedback,
-        dp_stage_fraction=1.0,
-        min_compression_elements=min_elements,
+def dp_spec(codec, error_feedback, min_elements):
+    return CompressionSpec(
+        codec=codec,
+        rank=2,
+        bits=4,
+        fraction=0.25,
+        error_feedback=error_feedback,
+        stage_fraction=1.0,
+        min_elements=min_elements,
     )
 
 
@@ -77,7 +77,7 @@ def run_path(codec, error_feedback, layout, bucket_bytes, iterations, bucketed):
         replica_params.append(stage_parameters)
 
     reducer = CompressedGradientAllReduce(
-        engine_config(codec, error_feedback, min_elements), num_stages, seed=3
+        dp_spec(codec, error_feedback, min_elements), num_stages, seed=3
     )
     log = CommunicationLog()
     group = SimulatedProcessGroup(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import OptimusCCConfig
 from repro.data import SyntheticCorpusConfig
 from repro.experiments.fig10_breakdown import run_fig10
 from repro.experiments.fig11_error_independence import run_fig11
@@ -31,6 +30,7 @@ from repro.experiments.settings import (
 )
 from repro.models import GPT_2_5B, GPT_8_3B
 from repro.models.gpt_configs import functional_config
+from repro.plan import ParallelPlan
 
 
 @pytest.fixture(scope="module")
@@ -87,11 +87,11 @@ class TestSettings:
 class TestQualityDriver:
     def test_run_and_cache(self, mini_settings):
         clear_quality_cache()
-        first = run_quality_experiment("Baseline", OptimusCCConfig.baseline(), mini_settings)
+        first = run_quality_experiment("Baseline", ParallelPlan.baseline(), mini_settings)
         assert first.final_validation_perplexity > 1.0
         assert len(first.zero_shot_accuracy) == 5
         # Cached second call returns identical numbers (and is fast).
-        second = run_quality_experiment("Baseline-again", OptimusCCConfig.baseline(), mini_settings)
+        second = run_quality_experiment("Baseline-again", ParallelPlan.baseline(), mini_settings)
         assert second.final_validation_perplexity == first.final_validation_perplexity
         assert second.label == "Baseline-again"
 

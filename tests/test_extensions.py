@@ -8,11 +8,10 @@ import pytest
 
 from repro.compression import AdaCompCompressor, QSGDCompressor, relative_error
 from repro.core.autotune import SelectiveCompressionAutoTuner
-from repro.core.config import OptimusCCConfig
 from repro.experiments.discussion_accelerators import run_accelerator_comparison
 from repro.models import GPT_2_5B, GPT_8_3B
+from repro.plan import Boundary, ParallelPlan, Topology
 from repro.simulator import TrainingJob
-from repro.simulator.executor import CompressionPlan
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
 from repro.training.trainer import Pretrainer
 from repro import cli
@@ -81,10 +80,13 @@ class TestAdaComp:
             AdaCompCompressor(sensitivity=0.0)
 
 
+#: The shared ``loader`` fixture's shape at pipeline depth 2.
+PP2 = ParallelPlan.baseline(Topology(dp=2, pp=2, micro_batches=2))
+
+
 class TestCheckpointing:
     def test_save_and_resume_reproduces_training(self, small_config, loader, tmp_path):
-        trainer = Pretrainer(small_config, loader, num_stages=2,
-                             optimus_config=OptimusCCConfig.baseline(), learning_rate=2e-3, seed=3)
+        trainer = Pretrainer(small_config, loader, PP2, learning_rate=2e-3, seed=3)
         trainer.train_iteration()
         trainer.train_iteration()
         path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
@@ -93,29 +95,30 @@ class TestCheckpointing:
         reference_loss = trainer.train_iteration()
 
         # Restore into a freshly constructed trainer and continue from the checkpoint.
-        resumed = Pretrainer(small_config, loader, num_stages=2,
-                             optimus_config=OptimusCCConfig.baseline(), learning_rate=2e-3, seed=99)
+        resumed = Pretrainer(small_config, loader, PP2, learning_rate=2e-3, seed=99)
         iteration = load_checkpoint(resumed, path)
         assert iteration == 2
         resumed_loss = resumed.train_iteration()
         assert resumed_loss == pytest.approx(reference_loss, rel=1e-9)
 
     def test_history_restored(self, small_config, loader, tmp_path):
-        trainer = Pretrainer(small_config, loader, num_stages=2, learning_rate=2e-3, seed=3)
+        trainer = Pretrainer(small_config, loader, PP2, learning_rate=2e-3, seed=3)
         trainer.train(num_iterations=2, validation_interval=1)
         path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
-        other = Pretrainer(small_config, loader, num_stages=2, learning_rate=2e-3, seed=4)
+        other = Pretrainer(small_config, loader, PP2, learning_rate=2e-3, seed=4)
         load_checkpoint(other, path)
         assert other.history.train_losses == trainer.history.train_losses
         assert len(other.history.validation_points) == len(trainer.history.validation_points)
 
     def test_mismatched_trainer_rejected(self, small_config, loader, tmp_path):
-        trainer = Pretrainer(small_config, loader, num_stages=2, learning_rate=2e-3, seed=3)
+        trainer = Pretrainer(small_config, loader, PP2, learning_rate=2e-3, seed=3)
         trainer.train_iteration()
         path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
-        mismatched = Pretrainer(small_config, loader, num_stages=1, learning_rate=2e-3, seed=3)
-        # Format v2 validates the pipeline/DP topology before touching any
-        # weights, so the mismatch fails loudly up front.
+        mismatched = Pretrainer(
+            small_config, loader, PP2.with_topology(pp=1), learning_rate=2e-3, seed=3
+        )
+        # The pipeline/DP topology is validated before any weight is touched,
+        # so the mismatch fails loudly up front.
         with pytest.raises(ValueError, match="topology"):
             load_checkpoint(mismatched, path)
 
@@ -143,14 +146,20 @@ class TestAutoTuner:
     def test_best_plan_reflects_choice(self, tuner):
         result = tuner.tune(budget=1.0)
         plan = result.best_plan()
-        assert plan.dp_compressed_stage_fraction == result.best.stage_fraction
-        assert plan.dp_rank == result.best.dp_rank
+        dp = plan.spec(Boundary.DP)
+        assert (dp.codec, dp.stage_fraction, dp.rank) == (
+            "powersgd",
+            result.best.stage_fraction,
+            result.best.dp_rank,
+        )
+        # The rest of the stack is the tuner's CB+FE base.
+        assert plan.with_boundary(Boundary.DP, codec="none").stack_label() == "CB+FE"
         assert "auto-tuning" in result.render().lower()
 
     def test_quality_evaluator_breaks_ties(self, tuner):
         # A quality evaluator that prefers the least aggressive plan.
-        def evaluator(plan: CompressionPlan) -> float:
-            return plan.dp_compressed_stage_fraction
+        def evaluator(plan: ParallelPlan) -> float:
+            return plan.spec(Boundary.DP).stage_fraction
 
         result = tuner.tune(budget=1.0, quality_evaluator=evaluator, shortlist_size=3)
         shortlist_fractions = [c.stage_fraction for c in result.candidates if c.quality_score is not None]

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import OptimusCC, OptimusCCConfig
 from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
 from repro.models import GPT_2_5B, GPT_8_3B, functional_config
 from repro.parallel.process_groups import ParallelLayout
-from repro.simulator import CompressionPlan, PipelineTimingSimulator, TrainingJob
+from repro.plan import Boundary, CompressionSpec, ParallelPlan
+from repro.simulator import PipelineTimingSimulator, TrainingJob
 from repro.simulator.cost_model import CostModel
 from repro.training.trainer import Pretrainer
 
@@ -27,7 +27,7 @@ from repro.training.trainer import Pretrainer
 # ----------------------------------------------------------------------------------
 
 
-def build_trainer(config: OptimusCCConfig, seed: int = 0, num_stages: int = 4) -> Pretrainer:
+def build_trainer(plan: ParallelPlan, seed: int = 0) -> Pretrainer:
     corpus = SyntheticCorpus(SyntheticCorpusConfig(vocab_size=64, seed=21))
     loader = LanguageModelingDataLoader(
         corpus, sequence_length=12, micro_batch_size=2, num_micro_batches=4, data_parallel_degree=2
@@ -35,35 +35,35 @@ def build_trainer(config: OptimusCCConfig, seed: int = 0, num_stages: int = 4) -
     model = functional_config(
         vocab_size=64, sequence_length=16, num_layers=4, hidden_size=16, num_heads=2
     )
-    return Pretrainer(model, loader, num_stages=num_stages, optimus_config=config,
-                      learning_rate=2e-3, seed=seed)
+    plan = plan.with_topology(pp=4, dp=2, micro_batches=4)
+    return Pretrainer(model, loader, plan, learning_rate=2e-3, seed=seed)
 
 
 class TestFullStackIntegration:
     @pytest.mark.parametrize(
-        "config",
+        "plan",
         [
-            OptimusCCConfig.baseline(),
-            OptimusCCConfig.cb(rank=2),
-            OptimusCCConfig.cb_fe(rank=2),
-            OptimusCCConfig.cb_fe_sc(cb_rank=2, dp_rank=2),
-            OptimusCCConfig.naive_dp(dp_rank=2),
-            OptimusCCConfig.optimus_topk(fraction=0.05),
+            ParallelPlan.baseline(),
+            ParallelPlan.cb(rank=2),
+            ParallelPlan.cb_fe(rank=2),
+            ParallelPlan.cb_fe_sc(cb_rank=2, dp_rank=2),
+            ParallelPlan.naive_dp(dp_rank=2),
+            ParallelPlan.optimus_topk(fraction=0.05),
         ],
-        ids=lambda config: config.describe(),
+        ids=lambda plan: plan.stack_label(),
     )
-    def test_every_configuration_trains_and_stays_consistent(self, config):
+    def test_every_configuration_trains_and_stays_consistent(self, plan):
         """All technique combinations train, keep replicas identical, and keep the
         tied embedding copies identical after every iteration."""
-        trainer = build_trainer(config)
+        trainer = build_trainer(plan)
         for _ in range(3):
             loss = trainer.train_iteration()
             assert np.isfinite(loss)
             assert trainer.weights_in_sync()
 
     def test_compression_reduces_logged_backward_traffic(self):
-        baseline = build_trainer(OptimusCCConfig.baseline())
-        compressed = build_trainer(OptimusCCConfig.cb(rank=1))
+        baseline = build_trainer(ParallelPlan.baseline())
+        compressed = build_trainer(ParallelPlan.cb(rank=1))
         baseline.train_iteration()
         compressed.train_iteration()
         assert (
@@ -76,8 +76,10 @@ class TestFullStackIntegration:
         )
 
     def test_fused_embedding_reduces_embedding_traffic_without_changing_weights(self):
-        plain = build_trainer(OptimusCCConfig.baseline(), seed=5)
-        fused = build_trainer(OptimusCCConfig.baseline().with_(fuse_embedding=True), seed=5)
+        plain = build_trainer(ParallelPlan.baseline(), seed=5)
+        fused = build_trainer(
+            ParallelPlan.baseline().with_boundary(Boundary.EMBEDDING, codec="fused"), seed=5
+        )
         plain.train_iteration()
         fused.train_iteration()
         plain_embedding_bytes = plain.log.total_wire_bytes("embedding_dp") + plain.log.total_wire_bytes(
@@ -90,7 +92,7 @@ class TestFullStackIntegration:
             assert np.allclose(plain_param.data, fused_param.data, atol=1e-9)
 
     def test_selective_compression_only_touches_selected_stages(self):
-        trainer = build_trainer(OptimusCCConfig.cb_fe_sc(cb_rank=2, dp_rank=2, stage_fraction=0.5))
+        trainer = build_trainer(ParallelPlan.cb_fe_sc(cb_rank=2, dp_rank=2, stage_fraction=0.5))
         trainer.train_iteration()
         assert trainer.dp_hook is not None
         assert trainer.dp_hook.compressed_stages == {0, 1}
@@ -117,10 +119,14 @@ class TestSimulatorProperties:
         """No configuration can finish faster than one stage's serial compute."""
         layout = ParallelLayout(tensor_parallel=8, pipeline_parallel=pipeline, data_parallel=4)
         job = TrainingJob(model=GPT_2_5B, layout=layout, num_model_chunks=chunks)
-        plan = CompressionPlan(
-            compress_backward=compress_backward,
-            dp_compressed_stage_fraction=stage_fraction,
-            fuse_embedding=fuse,
+        plan = ParallelPlan(
+            compression={
+                Boundary.PP: CompressionSpec(
+                    codec="powersgd" if compress_backward else "none", rank=16
+                ),
+                Boundary.DP: CompressionSpec(codec="powersgd", stage_fraction=stage_fraction),
+                Boundary.EMBEDDING: CompressionSpec(codec="fused" if fuse else "none"),
+            }
         )
         timing = PipelineTimingSimulator(job, plan).run()
         cost = CostModel(job)
@@ -132,9 +138,9 @@ class TestSimulatorProperties:
     @given(rank=st.sampled_from([4, 16, 64, 128]))
     def test_compression_never_increases_wire_bytes(self, rank):
         job = TrainingJob(model=GPT_8_3B)
-        baseline = PipelineTimingSimulator(job, CompressionPlan.baseline()).run()
+        baseline = PipelineTimingSimulator(job).run()
         compressed = PipelineTimingSimulator(
-            job, CompressionPlan.cb_fe_sc(cb_rank=rank, dp_rank=rank)
+            job, ParallelPlan.cb_fe_sc(cb_rank=rank, dp_rank=rank)
         ).run()
         assert compressed.interstage_wire_bytes <= baseline.interstage_wire_bytes
         assert compressed.dp_wire_bytes <= baseline.dp_wire_bytes
@@ -146,20 +152,14 @@ class TestSimulatorProperties:
         """At a fixed rank, compressing more stages never increases iteration time."""
         lower, higher = fraction_pair
         job = TrainingJob(model=GPT_2_5B)
-        time_lower = PipelineTimingSimulator(
-            job, CompressionPlan(dp_compressed_stage_fraction=lower, fuse_embedding=True)
-        ).run().iteration_time
-        time_higher = PipelineTimingSimulator(
-            job, CompressionPlan(dp_compressed_stage_fraction=higher, fuse_embedding=True)
-        ).run().iteration_time
-        assert time_higher <= time_lower + 1e-9
+        def iteration_time(stage_fraction):
+            plan = ParallelPlan.naive_dp().with_boundary(
+                Boundary.DP, stage_fraction=stage_fraction
+            ).with_boundary(Boundary.EMBEDDING, codec="fused")
+            return PipelineTimingSimulator(job, plan).run().iteration_time
 
-    def test_facade_and_raw_simulator_agree(self):
-        job = TrainingJob(model=GPT_2_5B)
-        config = OptimusCCConfig.cb_fe_sc()
-        via_facade = OptimusCC(config).simulate_iteration(job).iteration_time
-        via_simulator = PipelineTimingSimulator(job, config.to_compression_plan()).run().iteration_time
-        assert via_facade == pytest.approx(via_simulator)
+        time_lower, time_higher = iteration_time(lower), iteration_time(higher)
+        assert time_higher <= time_lower + 1e-9
 
     def test_faster_interconnect_faster_iteration(self):
         from repro.parallel.topology import ClusterTopology

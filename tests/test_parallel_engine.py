@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import EngineCompressionConfig, OptimusCCConfig
 from repro.nn.transformer import GPTModelConfig
 from repro.plan import Boundary, CompressionSpec, ParallelPlan, Schedule, Topology
 from repro.nn import CrossEntropyLoss, GPTModel
@@ -32,16 +31,24 @@ from repro.parallel.engine import (
 from repro.parallel.pipeline_engine import WIRE_BYTES_PER_ELEMENT
 
 
-def make_engine(config, optimus=None, engine_config=None, num_stages=2, dp=2, seed=0, **kwargs):
+UNCOMPRESSED = ParallelPlan.baseline()
+
+
+def make_engine(config, plan=UNCOMPRESSED, num_stages=2, dp=2, tp=1, seed=0):
+    """An engine running ``plan``'s schedule and compression on PP x DP x TP."""
     return ThreeDParallelEngine(
-        config,
-        num_stages=num_stages,
-        data_parallel_degree=dp,
-        optimus_config=optimus if optimus is not None else OptimusCCConfig.baseline(),
-        engine_config=engine_config,
-        seed=seed,
-        **kwargs,
+        config, plan.with_topology(pp=num_stages, dp=dp, tp=tp), seed=seed
     )
+
+
+def dp_codec_plan(**knobs) -> ParallelPlan:
+    """The uncompressed plan with the given DP-boundary knobs."""
+    return UNCOMPRESSED.with_boundary(Boundary.DP, **knobs)
+
+
+def serial(plan: ParallelPlan) -> ParallelPlan:
+    """``plan`` with the serial per-parameter DP epilogue instead of the overlap."""
+    return plan.with_schedule(kind="serial")
 
 
 def make_batches(config, rng, replicas=2, micro_batches=2, batch=2, seq=8):
@@ -123,26 +130,14 @@ class TestGradientParity:
 
     def test_parity_holds_for_every_uncompressed_codec_path(self, tiny_config, rng):
         """The 'none' codec routes through the same all-reduce as the raw sync."""
-        engine = make_engine(
-            tiny_config,
-            engine_config=EngineCompressionConfig.uncompressed(),
-            num_stages=2,
-            dp=2,
-            seed=9,
-        )
+        engine = make_engine(tiny_config, dp_codec_plan(codec="none"), num_stages=2, dp=2, seed=9)
         batches = make_batches(tiny_config, rng)
         engine.run_iteration(batches)
         model, _ = reference_gradients(tiny_config, [mb for r in batches for mb in r], seed=9)
         assert_matches_reference(engine, model, atol=1e-13)
 
     def test_tensor_parallel_split_is_verified_and_logged(self, tiny_config, rng):
-        engine = make_engine(
-            tiny_config,
-            engine_config=EngineCompressionConfig.uncompressed(tensor_parallel_degree=2),
-            num_stages=2,
-            dp=1,
-            seed=2,
-        )
+        engine = make_engine(tiny_config, num_stages=2, dp=1, tp=2, seed=2)
         batches = make_batches(tiny_config, rng, replicas=1, micro_batches=2)
         result = engine.run_iteration(batches)
         # TP traffic is accounted but never alters the numerics.
@@ -152,10 +147,7 @@ class TestGradientParity:
 
     def test_indivisible_tensor_parallel_degree_rejected(self, tiny_config):
         with pytest.raises(ValueError):
-            make_engine(
-                tiny_config,
-                engine_config=EngineCompressionConfig.uncompressed(tensor_parallel_degree=3),
-            )
+            make_engine(tiny_config, tp=3)
 
 
 class TestErrorFeedbackConvergence:
@@ -163,14 +155,10 @@ class TestErrorFeedbackConvergence:
     def test_accumulated_delivery_tracks_accumulated_gradient(self, codec, rng):
         """Classic EF guarantee: sum(delivered) = sum(sent) - final residual, so
         the delivery error never accumulates beyond one step's residual."""
-        config = EngineCompressionConfig(
-            dp_codec=codec,
-            dp_rank=2,
-            dp_topk_fraction=0.1,
-            dp_stage_fraction=1.0,
-            min_compression_elements=16,
+        spec = CompressionSpec(
+            codec=codec, rank=2, fraction=0.1, stage_fraction=1.0, min_elements=16
         )
-        reducer = CompressedGradientAllReduce(config, num_stages=1, seed=0)
+        reducer = CompressedGradientAllReduce(spec, num_stages=1, seed=0)
         log = CommunicationLog()
         from repro.parallel.collectives import SimulatedProcessGroup
 
@@ -204,35 +192,20 @@ class TestErrorFeedbackConvergence:
         """QSGD/top-k DP compression trains end-to-end with replicas in lockstep."""
         from repro.training.trainer import Pretrainer
 
-        engine_config = EngineCompressionConfig(
-            dp_codec=codec,
-            dp_qsgd_bits=6,
-            dp_topk_fraction=0.2,
-            dp_stage_fraction=1.0,
-            min_compression_elements=64,
-        )
-        trainer = Pretrainer(
-            small_config,
-            loader,
-            num_stages=2,
-            engine_config=engine_config,
-            learning_rate=2e-3,
-            seed=1,
-        )
+        plan = dp_codec_plan(
+            codec=codec, bits=6, fraction=0.2, stage_fraction=1.0, min_elements=64
+        ).with_topology(pp=2, dp=2, micro_batches=2)
+        trainer = Pretrainer(small_config, loader, plan, learning_rate=2e-3, seed=1)
         losses = [trainer.train_iteration() for _ in range(6)]
         assert trainer.weights_in_sync()
         assert min(losses) < losses[0]
         assert trainer.engine.dp_reduce.bytes_saved_fraction() > 0.2
 
     def test_disabling_error_feedback_drops_residual_state(self, rng):
-        config = EngineCompressionConfig(
-            dp_codec="topk",
-            dp_topk_fraction=0.1,
-            dp_error_feedback=False,
-            dp_stage_fraction=1.0,
-            min_compression_elements=16,
+        spec = CompressionSpec(
+            codec="topk", fraction=0.1, error_feedback=False, stage_fraction=1.0, min_elements=16
         )
-        reducer = CompressedGradientAllReduce(config, num_stages=1, seed=0)
+        reducer = CompressedGradientAllReduce(spec, num_stages=1, seed=0)
         log = CommunicationLog()
         from repro.parallel.collectives import SimulatedProcessGroup
 
@@ -255,7 +228,7 @@ class TestTrafficAccounting:
     def test_compressed_backprop_shrinks_only_epilogue_boundaries(self, small_config, rng):
         baseline = make_engine(small_config, num_stages=2, dp=1, seed=0)
         compressed = make_engine(
-            small_config, optimus=OptimusCCConfig.cb(rank=2), num_stages=2, dp=1, seed=0
+            small_config, ParallelPlan.cb(rank=2), num_stages=2, dp=1, seed=0
         )
         batches = make_batches(small_config, rng, replicas=1, micro_batches=4)
         base = baseline.run_iteration(batches)
@@ -275,7 +248,7 @@ class TestTrafficAccounting:
     ):
         engine = make_engine(
             small_config,
-            optimus=OptimusCCConfig.cb_fe_sc(cb_rank=2, dp_rank=2, stage_fraction=0.5),
+            ParallelPlan.cb_fe_sc(cb_rank=2, dp_rank=2, stage_fraction=0.5),
             num_stages=2,
             dp=2,
             seed=0,
@@ -309,13 +282,7 @@ class TestTrafficAccounting:
 
     def test_tensor_parallel_traffic_matches_analytic_volume(self, tiny_config, rng):
         tp = 2
-        engine = make_engine(
-            tiny_config,
-            engine_config=EngineCompressionConfig.uncompressed(tensor_parallel_degree=tp),
-            num_stages=2,
-            dp=2,
-            seed=0,
-        )
+        engine = make_engine(tiny_config, num_stages=2, dp=2, tp=tp, seed=0)
         micro_batches, batch, seq = 2, 2, 8
         batches = make_batches(
             tiny_config, rng, replicas=2, micro_batches=micro_batches, batch=batch, seq=seq
@@ -334,8 +301,8 @@ class TestTrafficAccounting:
 
     def test_fused_embedding_moves_fewer_bytes_than_baseline(self, small_config, rng):
         batches = make_batches(small_config, rng)
-        plain = make_engine(small_config, optimus=OptimusCCConfig.baseline(), seed=0)
-        fused = make_engine(small_config, optimus=OptimusCCConfig.cb_fe(rank=2), seed=0)
+        plain = make_engine(small_config, ParallelPlan.baseline(), seed=0)
+        fused = make_engine(small_config, ParallelPlan.cb_fe(rank=2), seed=0)
         plain_result = plain.run_iteration(batches)
         fused_result = fused.run_iteration(batches)
         assert (
@@ -383,21 +350,11 @@ class TestOverlappedDataParallel:
         """Compression off: the bucketed overlapped path and the serial
         per-parameter epilogue produce bit-for-bit identical weights."""
         batches = make_batches(small_config, rng)
-        overlapped = make_engine(
-            small_config,
-            engine_config=EngineCompressionConfig.uncompressed().with_(
-                dp_overlap=True, dp_bucket_bytes=2048
-            ),
-            seed=5,
-        )
-        serial = make_engine(
-            small_config,
-            engine_config=EngineCompressionConfig.uncompressed().with_(dp_overlap=False),
-            seed=5,
-        )
+        overlapped = make_engine(small_config, dp_codec_plan(bucket_bytes=2048), seed=5)
+        epilogue = make_engine(small_config, serial(UNCOMPRESSED), seed=5)
         self._train(overlapped, batches)
-        self._train(serial, batches)
-        for over_param, serial_param in zip(overlapped.parameters(), serial.parameters()):
+        self._train(epilogue, batches)
+        for over_param, serial_param in zip(overlapped.parameters(), epilogue.parameters()):
             assert np.array_equal(over_param.data, serial_param.data), over_param.name
             assert np.array_equal(over_param.grad, serial_param.grad), over_param.name
 
@@ -411,47 +368,34 @@ class TestOverlappedDataParallel:
         same per-tensor keys, RNG streams, and error-feedback math, so three
         iterations of training end bit-for-bit identical."""
         batches = make_batches(small_config, rng)
-        engine_config = EngineCompressionConfig(
-            dp_codec=codec,
-            dp_rank=2,
-            dp_qsgd_bits=4,
-            dp_topk_fraction=0.2,
-            dp_stage_fraction=1.0,
-            dp_error_feedback=error_feedback,
-            min_compression_elements=64,
+        plan = dp_codec_plan(
+            codec=codec,
+            rank=2,
+            bits=4,
+            fraction=0.2,
+            stage_fraction=1.0,
+            error_feedback=error_feedback,
+            min_elements=64,
         )
         overlapped = make_engine(
-            small_config,
-            engine_config=engine_config.with_(dp_overlap=True, dp_bucket_bytes=2048),
-            seed=4,
+            small_config, plan.with_boundary(Boundary.DP, bucket_bytes=2048), seed=4
         )
-        serial = make_engine(
-            small_config, engine_config=engine_config.with_(dp_overlap=False), seed=4
-        )
+        epilogue = make_engine(small_config, serial(plan), seed=4)
         self._train(overlapped, batches)
-        self._train(serial, batches)
-        for over_param, serial_param in zip(overlapped.parameters(), serial.parameters()):
+        self._train(epilogue, batches)
+        for over_param, serial_param in zip(overlapped.parameters(), epilogue.parameters()):
             assert np.array_equal(over_param.data, serial_param.data), over_param.name
             assert np.array_equal(over_param.grad, serial_param.grad), over_param.name
 
     def test_selective_stage_fraction_respected_on_bucketed_path(self, small_config, rng):
         """stage_fraction=0.5 on PP2: stage 0 compressed per bucket, stage 1 exact."""
         batches = make_batches(small_config, rng)
-        engine_config = EngineCompressionConfig(
-            dp_codec="powersgd",
-            dp_rank=2,
-            dp_stage_fraction=0.5,
-            min_compression_elements=64,
-        )
-        overlapped = make_engine(
-            small_config, engine_config=engine_config.with_(dp_overlap=True), seed=4
-        )
-        serial = make_engine(
-            small_config, engine_config=engine_config.with_(dp_overlap=False), seed=4
-        )
+        plan = dp_codec_plan(codec="powersgd", rank=2, stage_fraction=0.5, min_elements=64)
+        overlapped = make_engine(small_config, plan, seed=4)
+        epilogue = make_engine(small_config, serial(plan), seed=4)
         over_result = self._train(overlapped, batches)[-1]
-        self._train(serial, batches)
-        for over_param, serial_param in zip(overlapped.parameters(), serial.parameters()):
+        self._train(epilogue, batches)
+        for over_param, serial_param in zip(overlapped.parameters(), epilogue.parameters()):
             assert np.array_equal(over_param.data, serial_param.data)
         assert over_result.dp_stage_traffic[0].compressed_all_reduces > 0
         assert over_result.dp_stage_traffic[1].compressed_all_reduces == 0
@@ -463,20 +407,18 @@ class TestOverlappedDataParallel:
         """dp_fire='micro_batch' must leave weights bit-identical to the stage
         granularity (and to serial); only the overlapped fraction may move."""
         batches = make_batches(small_config, rng)
-        engine_config = EngineCompressionConfig(
-            dp_codec=codec,
-            dp_rank=2,
-            dp_qsgd_bits=4,
-            dp_topk_fraction=0.2,
-            dp_stage_fraction=1.0,
-            min_compression_elements=64,
-            dp_bucket_bytes=2048,
+        plan = dp_codec_plan(
+            codec=codec,
+            rank=2,
+            bits=4,
+            fraction=0.2,
+            stage_fraction=1.0,
+            min_elements=64,
+            bucket_bytes=2048,
         )
-        stage_fire = make_engine(
-            small_config, engine_config=engine_config.with_(dp_fire="stage"), seed=6
-        )
+        stage_fire = make_engine(small_config, plan.with_schedule(dp_fire="stage"), seed=6)
         micro_fire = make_engine(
-            small_config, engine_config=engine_config.with_(dp_fire="micro_batch"), seed=6
+            small_config, plan.with_schedule(dp_fire="micro_batch"), seed=6
         )
         stage_results = self._train(stage_fire, batches)
         micro_results = self._train(micro_fire, batches)
@@ -500,9 +442,7 @@ class TestOverlappedDataParallel:
         batches = make_batches(small_config, rng)
         engine = make_engine(
             small_config,
-            engine_config=EngineCompressionConfig.uncompressed().with_(
-                dp_fire="micro_batch", dp_bucket_bytes=1024
-            ),
+            dp_codec_plan(bucket_bytes=1024).with_schedule(dp_fire="micro_batch"),
             seed=0,
         )
         engine.run_iteration(batches)
@@ -515,20 +455,10 @@ class TestOverlappedDataParallel:
         """Accounting property: per-stage bucketed payload/original bytes equal the
         serial path's per-parameter accounting exactly."""
         batches = make_batches(small_config, rng)
-        overlapped = make_engine(
-            small_config,
-            engine_config=EngineCompressionConfig.uncompressed().with_(
-                dp_overlap=True, dp_bucket_bytes=1024
-            ),
-            seed=0,
-        )
-        serial = make_engine(
-            small_config,
-            engine_config=EngineCompressionConfig.uncompressed().with_(dp_overlap=False),
-            seed=0,
-        )
+        overlapped = make_engine(small_config, dp_codec_plan(bucket_bytes=1024), seed=0)
+        epilogue = make_engine(small_config, serial(UNCOMPRESSED), seed=0)
         over_result = overlapped.run_iteration(batches)
-        serial_result = serial.run_iteration(batches)
+        serial_result = epilogue.run_iteration(batches)
         assert set(over_result.dp_stage_traffic) == set(serial_result.dp_stage_traffic)
         for stage in over_result.dp_stage_traffic:
             over_traffic = over_result.dp_stage_traffic[stage]
@@ -548,12 +478,7 @@ class TestOverlappedDataParallel:
         """Late stages' buckets are issued inside the cool-down (overlapped);
         stage 0 drains last, so its traffic is exposed."""
         batches = make_batches(small_config, rng)
-        engine = make_engine(
-            small_config,
-            engine_config=EngineCompressionConfig.uncompressed(),
-            num_stages=2,
-            seed=0,
-        )
+        engine = make_engine(small_config, num_stages=2, seed=0)
         result = engine.run_iteration(batches)
         dp_records = [r for r in engine.log.records if r.category == "data_parallel"]
         assert dp_records
@@ -569,11 +494,7 @@ class TestOverlappedDataParallel:
 
     def test_serial_epilogue_reports_everything_exposed(self, small_config, rng):
         batches = make_batches(small_config, rng)
-        engine = make_engine(
-            small_config,
-            engine_config=EngineCompressionConfig.uncompressed().with_(dp_overlap=False),
-            seed=0,
-        )
+        engine = make_engine(small_config, serial(UNCOMPRESSED), seed=0)
         result = engine.run_iteration(batches)
         assert result.dp_overlapped_wire_bytes == 0.0
         assert result.dp_exposed_wire_bytes == pytest.approx(
@@ -586,11 +507,7 @@ class TestOverlappedDataParallel:
 
         def dp_message_count(bucket_bytes):
             engine = make_engine(
-                small_config,
-                engine_config=EngineCompressionConfig.uncompressed().with_(
-                    dp_bucket_bytes=bucket_bytes
-                ),
-                seed=0,
+                small_config, dp_codec_plan(bucket_bytes=bucket_bytes), seed=0
             )
             result = engine.run_iteration(batches)
             messages = sum(t.all_reduces for t in result.dp_stage_traffic.values())

@@ -1,15 +1,12 @@
 """Tests for the declarative ParallelPlan API and its consumer wiring.
 
-Covers the four contracts the plan redesign introduces:
+Covers the three contracts of the one configuration vocabulary:
 
 * **round-trip** — ``from_dict(to_dict(p)) == p`` (hypothesis property) and
   invalid boundary/codec/knob combinations raise at construction;
-* **shim equivalence** — every legacy ``EngineCompressionConfig`` spelling and
-  its plan-path equivalent produce bit-identical weights and an identical
-  communication-log stream through the engine;
-* **cross-layer parity** — ``CompressionPlan.from_plan`` (simulator) and
-  ``plan.engine_config()`` (engine) agree on codec/rank/bits/fraction and the
-  selected stage set per boundary, and the PowerSGD byte models agree exactly;
+* **cross-layer parity** — the engine and the simulator, both handed the same
+  plan, compress the same set of pipeline stages at the DP boundary, and the
+  PowerSGD byte models agree exactly;
 * **CLI** — ``repro train --preset``, ``--plan file.json``, and the ``repro
   plan show/validate/diff`` subcommands.
 """
@@ -25,11 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import cli
-from repro.compression import PowerSGDCompressor
+from repro.compression import PowerSGDCompressor, TopKCompressor
 from repro.compression.base import UNCOMPRESSED_BYTES_PER_ELEMENT
-from repro.core.config import EngineCompressionConfig, OptimusCCConfig
-from repro.core.selective_stage import select_compressed_stages
-from repro.models.gpt_configs import functional_config
+from repro.models.gpt_configs import GPT_2_5B, functional_config
 from repro.parallel.engine import ThreeDParallelEngine
 from repro.plan import (
     BOUNDARY_CODECS,
@@ -41,7 +36,7 @@ from repro.plan import (
     Topology,
 )
 from repro.simulator.cost_model import CostModel, TrainingJob
-from repro.simulator.executor import CompressionPlan
+from repro.simulator.executor import PipelineTimingSimulator
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples" / "plans"
 
@@ -218,17 +213,28 @@ class TestPlanHelpers:
             "zb1",
             "auto",
         }
+        paper_labels = {
+            "baseline": "Baseline",
+            "cb": "CB",
+            "cb_non_lep": "CB(Non-LEP)",
+            "naive_cb": "CB(naive)",
+            "cb_fe": "CB+FE",
+            "cb_fe_sc": "CB+FE+SC",
+            "naive_dp": "DP(all)",
+            "optimus_topk": "CB(TopK)+FE+SC",
+        }
         for name in PLAN_PRESETS:
             plan = ParallelPlan.preset(name)
             if name in ("zb1", "auto"):
-                # Schedule presets, not compression stacks: the technique
-                # flags are the baseline's.
+                # Schedule presets, not compression stacks: every boundary
+                # is the baseline's.
                 assert plan.schedule.kind == name
-                assert plan.optimus_config() == OptimusCCConfig.baseline()
+                assert plan.compression == ParallelPlan.baseline().compression
                 if name == "auto":
                     assert plan.schedule.memory_cap_factor == 1.5
                 continue
-            assert plan.optimus_config() == getattr(OptimusCCConfig, name)()
+            assert plan.schedule == Schedule()
+            assert plan.stack_label() == paper_labels[name]
 
     def test_unknown_preset_raises(self):
         with pytest.raises(ValueError, match="unknown plan preset"):
@@ -256,7 +262,7 @@ class TestPlanHelpers:
         serial = overlapped.with_schedule(kind="serial")
         rebucketed = overlapped.with_boundary(Boundary.DP, bucket_bytes=128 * 1024)
         labels = {overlapped.describe(), serial.describe(), rebucketed.describe()}
-        assert len(labels) == 3  # the old EngineCompressionConfig label collapsed these
+        assert len(labels) == 3
         assert "overlap/64KiB" in overlapped.describe()
         assert "serial-dp" in serial.describe()
         assert "overlap/128KiB" in rebucketed.describe()
@@ -272,8 +278,6 @@ class TestPlanHelpers:
         assert a.diff(a) == {}
 
     def test_training_job_delivers_schedule_and_topology(self):
-        from repro.models.gpt_configs import GPT_2_5B
-
         plan = ParallelPlan.baseline().with_topology(
             dp=4, pp=4, tp=8, micro_batches=16
         ).with_schedule(num_model_chunks=2)
@@ -284,21 +288,27 @@ class TestPlanHelpers:
         assert job.num_micro_batches == 16
         assert job.num_model_chunks == 2
         # Chunk count changes the simulated schedule, proving delivery.
-        from repro.simulator.executor import PipelineTimingSimulator
-
-        chunked = PipelineTimingSimulator(job, plan.compression_plan()).run()
+        chunked = PipelineTimingSimulator(job, plan).run()
         plain_job = plan.with_schedule(num_model_chunks=1).training_job(GPT_2_5B)
-        plain = PipelineTimingSimulator(plain_job, plan.compression_plan()).run()
+        plain = PipelineTimingSimulator(plain_job, plan).run()
         assert chunked.iteration_time != plain.iteration_time
 
-    def test_non_powersgd_dp_codec_is_not_misrepresented(self):
-        plan = ParallelPlan.baseline().with_boundary(
+    def test_non_powersgd_dp_codec_reaches_both_layers(self):
+        plan = ParallelPlan.baseline(Topology(dp=2, pp=2)).with_boundary(
             Boundary.DP, codec="topk", fraction=0.05, stage_fraction=1.0
         )
-        optimus = plan.optimus_config()
-        assert optimus.dp_stage_fraction == 0.0  # no false PowerSGD-SC claim
-        assert plan.engine_config().dp_codec == "topk"  # the codec still runs
-        assert CompressionPlan.from_plan(plan).dp_codec == "topk"
+        assert "topk(k=0.05)" in plan.describe()
+        model = functional_config(
+            vocab_size=32, sequence_length=8, num_layers=2, hidden_size=8, num_heads=2
+        )
+        reduce = ThreeDParallelEngine(model, plan).dp_reduce
+        assert reduce.powersgd is None  # no false PowerSGD-SC claim
+        assert isinstance(reduce.feedback.compressor, TopKCompressor)
+        job = plan.training_job(GPT_2_5B)
+        assert (
+            PipelineTimingSimulator(job, plan).run().dp_wire_bytes
+            < PipelineTimingSimulator(job).run().dp_wire_bytes
+        )
 
     def test_pretrainer_validates_plan_against_loader(self, small_config, loader):
         from repro.training.trainer import Pretrainer
@@ -347,13 +357,12 @@ class TestPlanHelpers:
         assert len(plans) == 2
         assert hash(ParallelPlan.preset("cb")) == hash(ParallelPlan.cb())
 
-    def test_explicit_topology_args_override_the_plan_in_measure(self):
+    def test_measure_takes_its_topology_from_the_plan(self):
         from repro.experiments.engine_traffic import measure_engine_traffic
 
-        sample = measure_engine_traffic(
-            "override", plan=ParallelPlan.baseline(), num_stages=2, num_micro_batches=2
-        )
-        assert sample.num_stages == 2
+        plan = ParallelPlan.baseline().with_topology(pp=2, micro_batches=2)
+        sample = measure_engine_traffic("probe", plan)
+        assert (sample.num_stages, sample.data_parallel_degree) == (2, 2)
 
     def test_example_plan_files_are_valid(self):
         files = sorted(EXAMPLES_DIR.glob("*.json"))
@@ -364,7 +373,7 @@ class TestPlanHelpers:
 
 
 # ---------------------------------------------------------------------------------
-# Shim equivalence: legacy EngineCompressionConfig vs the plan path
+# Engine probes
 # ---------------------------------------------------------------------------------
 
 
@@ -395,26 +404,12 @@ def _run_probe(engine, iterations=2, seed=7):
     return records, weights
 
 
-ENGINE_SPELLINGS = [
-    EngineCompressionConfig.uncompressed(),
-    EngineCompressionConfig.uncompressed().with_(dp_overlap=False),
-    EngineCompressionConfig(dp_codec="powersgd", dp_rank=2, dp_stage_fraction=0.5),
-    EngineCompressionConfig(dp_codec="qsgd", dp_qsgd_bits=3, min_compression_elements=64),
-    EngineCompressionConfig(
-        dp_codec="topk", dp_topk_fraction=0.25, dp_overlap=False, dp_error_feedback=False
-    ),
-    EngineCompressionConfig(dp_codec="powersgd", dp_rank=2, dp_bucket_bytes=1 << 12),
-]
-
-
 class TestDpFireKnob:
     """The micro-batch-granular bucket-firing schedule knob."""
 
     def test_invalid_value_rejected(self):
         with pytest.raises(ValueError):
             Schedule(dp_fire="per_layer")
-        with pytest.raises(ValueError):
-            EngineCompressionConfig(dp_fire="per_layer")
 
     def test_round_trips_and_diffs(self):
         plan = ParallelPlan(schedule=Schedule(dp_fire="micro_batch"))
@@ -431,18 +426,7 @@ class TestDpFireKnob:
         serial = micro.with_schedule(kind="serial")
         assert "mb-fire" not in serial.describe()
 
-    def test_engine_config_carries_dp_fire_both_ways(self):
-        plan = ParallelPlan(schedule=Schedule(dp_fire="micro_batch"))
-        config = plan.engine_config()
-        assert config.dp_fire == "micro_batch"
-        assert "mb-fire" in config.describe()
-        lifted = config.as_plan()
-        assert lifted.schedule.dp_fire == "micro_batch"
-        assert EngineCompressionConfig.from_plan(lifted) == config
-
     def test_training_job_gets_dp_fire(self):
-        from repro.models.gpt_configs import GPT_2_5B
-
         micro = ParallelPlan(schedule=Schedule(dp_fire="micro_batch"))
         assert micro.training_job(GPT_2_5B).dp_fire == "micro_batch"
         # A serial schedule has no overlapped buckets — the simulator keeps the
@@ -488,8 +472,6 @@ class TestZb1Schedule:
             Schedule(kind="zb1", num_model_chunks=2)
 
     def test_training_job_gets_the_schedule_kind(self):
-        from repro.models.gpt_configs import GPT_2_5B
-
         job = ParallelPlan.zb1().training_job(GPT_2_5B)
         assert job.schedule_kind == "zb1"
         assert job.num_model_chunks == 1
@@ -513,63 +495,27 @@ class TestZb1Schedule:
         assert engine.bucketed_sync is not None
         assert engine.bucketed_sync.schedule_kind == "zb1"
 
-    def test_zb1_dp_overlap_derives_overlapped_engine_config(self):
-        config = ParallelPlan.zb1().engine_config()
-        assert config.dp_overlap
 
-
-class TestShimEquivalence:
-    @pytest.mark.parametrize(
-        "engine_config", ENGINE_SPELLINGS, ids=lambda cfg: cfg.describe()
-    )
-    def test_every_legacy_spelling_matches_its_plan(self, engine_config):
-        """The shim contract: cfg and cfg.as_plan() drive identical engines."""
-        model = functional_config(
-            vocab_size=48, sequence_length=12, num_layers=2, hidden_size=16, num_heads=2
-        )
-        plan = engine_config.as_plan(num_stages=2, data_parallel_degree=2)
-        assert EngineCompressionConfig.from_plan(plan) == engine_config
-
-        legacy = ThreeDParallelEngine(
-            model, num_stages=2, data_parallel_degree=2, engine_config=engine_config
-        )
-        via_plan = ThreeDParallelEngine(model, plan=plan)
-        legacy_records, legacy_weights = _run_probe(legacy)
-        plan_records, plan_weights = _run_probe(via_plan)
-
-        assert legacy_records == plan_records  # identical traffic log, record by record
-        for mine, theirs in zip(legacy_weights, plan_weights):
-            assert np.array_equal(mine, theirs)  # bit-identical weights
-
-    def test_preset_cli_and_shim_spellings_are_bit_identical(self):
-        """The acceptance triangle: --preset path == plan path == legacy shim."""
+class TestCliPlanEquivalence:
+    def test_preset_cli_and_plan_spellings_are_bit_identical(self):
+        """``--preset`` resolves to the proxy-scaled preset, engine for engine."""
         arguments = cli.build_parser().parse_args(["train", "--preset", "cb_fe_sc"])
         cli_plan = cli.build_train_plan(arguments)
         plan = ParallelPlan.preset("cb_fe_sc").proxy_scaled()
         assert cli_plan == plan
+        # The default (no --preset) is the same plan.
+        assert cli.build_train_plan(cli.build_parser().parse_args(["train"])) == plan
 
         model = functional_config(
             vocab_size=48, sequence_length=12, num_layers=4, hidden_size=16, num_heads=2
         )
-        engines = [
-            ThreeDParallelEngine(model, plan=plan),
-            ThreeDParallelEngine(model, plan=cli_plan),
-            ThreeDParallelEngine(
-                model,
-                num_stages=4,
-                data_parallel_degree=2,
-                optimus_config=plan.optimus_config(),
-                engine_config=plan.engine_config(),  # the legacy shim spelling
-            ),
-        ]
-        results = [_run_probe(engine) for engine in engines]
-        reference_records, reference_weights = results[0]
+        reference_records, reference_weights = _run_probe(ThreeDParallelEngine(model, plan))
         dp_records = [r for r in reference_records if r[0] == "data_parallel"]
         assert dp_records and any(r[3] for r in dp_records)  # DP compression exercised
-        for records, weights in results[1:]:
-            assert records == reference_records
-            for mine, theirs in zip(reference_weights, weights):
-                assert np.array_equal(mine, theirs)
+        records, weights = _run_probe(ThreeDParallelEngine(model, plan=cli_plan))
+        assert records == reference_records
+        for mine, theirs in zip(reference_weights, weights):
+            assert np.array_equal(mine, theirs)
 
 
 # ---------------------------------------------------------------------------------
@@ -578,41 +524,51 @@ class TestShimEquivalence:
 
 
 class TestCrossLayerParity:
+    #: Depths covering the half-to-even cases of ``round(fraction * pp)``:
+    #: 0.5 of 1 -> 0, 0.5 of 3 -> 2, 0.5 of 5 -> 2.
+    DEPTHS = (1, 2, 3, 4, 5, 8)
+
+    @staticmethod
+    def _engine_stages(plan: ParallelPlan) -> set[int]:
+        """Stages whose DP gradients the engine's reduce routes through the codec."""
+        model = functional_config(
+            vocab_size=16,
+            sequence_length=4,
+            num_layers=plan.topology.pp,
+            hidden_size=8,
+            num_heads=2,
+        )
+        return ThreeDParallelEngine(model, plan).dp_reduce.compressed_stages
+
+    @staticmethod
+    def _simulator_stages(plan: ParallelPlan) -> set[int]:
+        """Stages the simulator charges a compressed DP all-reduce for."""
+        job = plan.training_job(GPT_2_5B)
+        charged = PipelineTimingSimulator(job, plan).run().dp_times
+        exact = PipelineTimingSimulator(job).run().dp_times
+        return {stage for stage in range(job.num_stages) if charged[stage] != exact[stage]}
+
+    @pytest.mark.parametrize("pp", DEPTHS)
     @pytest.mark.parametrize("name", sorted(PLAN_PRESETS))
-    def test_simulator_and_engine_agree_on_every_boundary(self, name):
-        plan = ParallelPlan.preset(name)
-        sim = CompressionPlan.from_plan(plan)
-        eng = plan.engine_config()
-        optimus = plan.optimus_config()
+    def test_presets_compress_the_same_stages_in_both_layers(self, name, pp):
+        plan = ParallelPlan.preset(name, Topology(dp=2, pp=pp, micro_batches=2))
+        stages = self._engine_stages(plan)
+        assert stages == self._simulator_stages(plan)
+        assert bool(stages) == plan.spec(Boundary.DP).compresses
 
-        # DP boundary: codec, rank, bits, kept fraction, and the stage set.
-        if plan.spec(Boundary.DP).compresses:
-            assert sim.dp_codec == eng.dp_codec
-            assert sim.dp_rank == eng.dp_rank
-            assert sim.dp_qsgd_bits == eng.dp_qsgd_bits
-            assert sim.dp_topk_fraction == eng.dp_topk_fraction
-            assert sim.dp_compressed_stage_fraction == eng.dp_stage_fraction
-        for num_stages in (2, 4, 8):
-            engine_stages = (
-                select_compressed_stages(num_stages, eng.dp_stage_fraction)
-                if eng.compresses_dp
-                else set()
-            )
-            assert sim.compressed_dp_stages(num_stages) == engine_stages
-
-        # PP boundary: CB flag, rank, epilogue restriction, LEP.
-        assert sim.compress_backward == plan.spec(Boundary.PP).compresses
-        assert sim.backward_rank == optimus.cb_rank
-        assert sim.backward_epilogue_only == optimus.epilogue_only
-
-        # Embedding boundary.
-        assert sim.fuse_embedding == (plan.spec(Boundary.EMBEDDING).codec == "fused")
+    @pytest.mark.parametrize("pp", DEPTHS)
+    @pytest.mark.parametrize("stage_fraction", [0.0, 0.25, 0.5, 0.75, 1.0])
+    def test_stage_fraction_selects_the_same_stages_in_both_layers(self, stage_fraction, pp):
+        plan = ParallelPlan.naive_dp(Topology(dp=2, pp=pp, micro_batches=2)).with_boundary(
+            Boundary.DP, stage_fraction=stage_fraction
+        )
+        stages = self._engine_stages(plan)
+        assert stages == self._simulator_stages(plan)
+        assert stages == set(range(int(round(stage_fraction * pp))))
 
     @pytest.mark.parametrize("rank", [2, 4, 64])
     def test_powersgd_byte_models_agree(self, rank):
         """Engine codec payloads and the cost model count the same elements."""
-        from repro.models.gpt_configs import GPT_2_5B
-
         job = TrainingJob(model=GPT_2_5B)
         cost = CostModel(job)
         compressor = PowerSGDCompressor(rank=rank, min_compression_elements=0)
@@ -630,11 +586,10 @@ class TestCrossLayerParity:
         from repro.experiments.engine_traffic import measure_engine_traffic
 
         plan = ParallelPlan.preset("cb_fe_sc").proxy_scaled()
-        sample = measure_engine_traffic("parity", plan=plan)
+        sample = measure_engine_traffic("parity", plan)
         assert sample.dp_bytes_saved_fraction > 0.0
-        sim = CompressionPlan.from_plan(plan)
         # 75% of 4 stages -> stages {0, 1, 2} on both layers.
-        assert sim.compressed_dp_stages(plan.topology.pp) == {0, 1, 2}
+        assert plan.spec(Boundary.DP).compressed_stages(plan.topology.pp) == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------------
@@ -720,8 +675,11 @@ class TestPlanCli:
         ParallelPlan.baseline().save(path)
         with pytest.raises(SystemExit, match="mutually exclusive"):
             cli.main(["train", "--plan", str(path), "--preset", "baseline"])
-        with pytest.raises(SystemExit, match="--config cannot be combined"):
-            cli.main(["train", "--preset", "baseline", "--config", "cb"])
+
+    def test_train_config_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["train", "--config", "cb"])
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
     def test_train_rejects_bad_topology_cleanly(self):
         with pytest.raises(SystemExit, match="pp must be positive"):
@@ -739,16 +697,6 @@ class TestPlanCli:
             ["train", "--preset", "naive_dp", "--dp-codec", "powersgd"]
         )
         assert cli.build_train_plan(preset_args).spec(Boundary.DP).rank == 2
-
-    def test_engine_folds_overrides_into_its_stored_plan(self):
-        model = functional_config(
-            vocab_size=48, sequence_length=12, num_layers=2, hidden_size=16, num_heads=2
-        )
-        engine = ThreeDParallelEngine(
-            model, num_stages=2, plan=ParallelPlan.baseline().with_topology(pp=4)
-        )
-        assert engine.num_stages == 2
-        assert engine.plan.topology.pp == 2  # self.plan describes the actual run
 
     def test_overlap_dp_flag_flips_a_serial_plan_back(self, tmp_path):
         path = tmp_path / "serial.json"
@@ -788,10 +736,7 @@ class TestPlanCli:
         """--dp-bucket-kb omitted -> the plan keeps the dataclass default."""
         arguments = cli.build_parser().parse_args(["train", "--preset", "baseline"])
         plan = cli.build_train_plan(arguments)
-        assert (
-            plan.engine_config().dp_bucket_bytes
-            == EngineCompressionConfig.dp_bucket_bytes
-        )
+        assert plan.spec(Boundary.DP).bucket_bytes == CompressionSpec.bucket_bytes
 
 
 class TestExecutorKnob:

@@ -1,6 +1,6 @@
 """Tests for the resilience subsystem: deterministic fault injection, the
 guarded training loop (detect / rollback / skip / retry / degrade), bit-exact
-format-v3 checkpointing, and the plan/CLI/simulator seams they thread through.
+format-v4 checkpointing, and the plan/CLI/simulator seams they thread through.
 
 The load-bearing invariants:
 
@@ -8,7 +8,10 @@ The load-bearing invariants:
 * a poisoned iteration is skipped with post-rollback weights bit-identical to
   the previous iteration's;
 * crash + ``--resume`` reproduces the continuous run's final weights
-  bit-for-bit for every DP codec, with and without error feedback;
+  bit-for-bit for every DP codec, with and without error feedback — and under
+  another executor or schedule than the one that wrote the checkpoint;
+* a checkpoint loads only into a trainer whose plan compresses exactly as the
+  writer's did; any other reader is refused before a byte of it changes;
 * under *any* fault schedule the guarded loop either finishes with finite
   weights or raises loudly (``ResilienceExhausted`` / ``WorkerCrash``) — it
   never silently corrupts the model (hypothesis-fuzzed).
@@ -16,6 +19,7 @@ The load-bearing invariants:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -292,7 +296,7 @@ class TestCrashAndDegrade:
 
 
 # ----------------------------------------------------------------------------------
-# Checkpoint v3: bit-exact round trips
+# Checkpoint v4: bit-exact round trips
 # ----------------------------------------------------------------------------------
 
 
@@ -355,15 +359,118 @@ class TestCheckpointRoundTrip:
         assert _equal(ours, theirs)
 
 
-class TestCheckpointValidation:
-    def test_config_mismatch_rejected(self, tmp_path):
-        writer = _trainer(_plan(codec="powersgd"))
-        writer.train_iteration()
-        path = save_checkpoint(writer, tmp_path / "ckpt.npz")
-        reader = _trainer(_plan(codec="qsgd"))
-        with pytest.raises(ValueError, match="configuration"):
-            load_checkpoint(reader, path)
+    @pytest.mark.parametrize(
+        "writer_change, reader_change",
+        [
+            ({"executor": "process"}, {"executor": "serial"}),
+            ({"executor": "serial"}, {"executor": "process"}),
+            ({"schedule": "1f1b"}, {"schedule": "zb1"}),
+            ({"schedule": "zb1"}, {"schedule": "1f1b"}),
+            ({"schedule": "zb1"}, {"schedule": "auto"}),
+            ({"guarded": True}, {"guarded": False}),
+        ],
+        ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()),
+    )
+    def test_resume_under_another_executor_or_schedule_is_bit_exact(
+        self, writer_change, reader_change, tmp_path
+    ):
+        """The header compares compression only: executor, schedule and
+        resilience change how an iteration runs, never what it computes."""
 
+        def variant(change):
+            plan = _plan(codec="powersgd")
+            if "executor" in change:
+                plan = plan.with_executor(change["executor"])
+            if "schedule" in change:
+                plan = plan.with_schedule(kind=change["schedule"])
+            if change.get("guarded"):
+                plan = plan.with_resilience(ResilienceSpec())
+            return plan
+
+        with _trainer(variant(reader_change)) as continuous:
+            continuous.train(4)
+            expected = _weights(continuous)
+        with _trainer(variant(writer_change)) as writer:
+            writer.train(2)
+            path = save_checkpoint(writer, tmp_path / "ckpt.npz")
+        with _trainer(variant(reader_change)) as resumed:
+            assert load_checkpoint(resumed, path) == 2
+            resumed.train(2)
+            _assert_same_weights(_weights(resumed), expected)
+
+
+def _arena_sha(trainer: Pretrainer) -> str:
+    digest = hashlib.sha256()
+    for arena in trainer.engine.arenas:
+        digest.update(arena.data.tobytes())
+    return digest.hexdigest()
+
+
+class TestCheckpointCompressionMatrix:
+    """A checkpoint loads only into a trainer that compresses as its writer did.
+
+    Format v3 compared a technique-stack label that could not see the DP codec
+    kind, any rank, or the quantisation bits: a PowerSGD rank-2 checkpoint
+    loaded into a rank-4 trainer (fresh ``(m, 4)`` Q factors beside restored
+    residuals) and trained on to weights matching neither continuous run.
+    """
+
+    BASE = _plan(codec="none")  # CB rank 2 + fused embedding, exact DP all-reduce
+    PLANS = {
+        "dp-none/cb-r2/fused": BASE,
+        "powersgd-r2": _plan(codec="powersgd"),
+        "powersgd-r4": _plan(codec="powersgd").with_boundary(Boundary.DP, rank=4),
+        "qsgd-b4": _plan(codec="qsgd"),
+        "qsgd-b3": _plan(codec="qsgd").with_boundary(Boundary.DP, bits=3),
+        "topk": _plan(codec="topk"),
+        "cb-r4": BASE.with_boundary(Boundary.PP, rank=4),
+        "cb-off": BASE.with_boundary(Boundary.PP, codec="none"),
+        "unfused": BASE.with_boundary(Boundary.EMBEDDING, codec="none"),
+    }
+
+    @pytest.fixture(scope="class")
+    def checkpoints(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("compression-matrix")
+        paths = {}
+        for name, plan in self.PLANS.items():
+            writer = _trainer(plan)
+            writer.train(2)
+            paths[name] = save_checkpoint(writer, directory / name.replace("/", "_"))
+        return paths
+
+    @pytest.mark.parametrize("reader_name", PLANS)
+    @pytest.mark.parametrize("writer_name", PLANS)
+    def test_only_the_writers_compression_loads(self, checkpoints, writer_name, reader_name):
+        reader = _trainer(self.PLANS[reader_name])
+        before = _arena_sha(reader)
+        if writer_name == reader_name:
+            assert load_checkpoint(reader, checkpoints[writer_name]) == 2
+            assert _arena_sha(reader) != before
+            return
+        with pytest.raises(ValueError, match=r"compression configuration: (dp|pp|embedding)\.\w+ is"):
+            load_checkpoint(reader, checkpoints[writer_name])
+        assert _arena_sha(reader) == before  # refused before a single byte changed
+        assert reader._iteration == 0 and reader.history.train_losses == []
+
+    @pytest.mark.parametrize(
+        "writer_name, reader_name, message",
+        [
+            ("powersgd-r2", "powersgd-r4", "dp.rank is 2 in the checkpoint, 4 in this trainer"),
+            ("qsgd-b4", "topk", "dp.codec is 'qsgd' in the checkpoint, 'topk' in this trainer"),
+            ("qsgd-b4", "qsgd-b3", "dp.bits is 4 in the checkpoint, 3 in this trainer"),
+            ("dp-none/cb-r2/fused", "cb-r4", "pp.rank is 2 in the checkpoint, 4 in this trainer"),
+            ("dp-none/cb-r2/fused", "unfused", "embedding.codec is 'fused' in the checkpoint"),
+        ],
+    )
+    def test_the_error_names_the_differing_knob(
+        self, checkpoints, writer_name, reader_name, message
+    ):
+        with pytest.raises(ValueError) as raised:
+            load_checkpoint(_trainer(self.PLANS[reader_name]), checkpoints[writer_name])
+        assert message in str(raised.value)
+
+
+class TestCheckpointValidation:
     def test_topology_mismatch_rejected(self, tmp_path):
         writer = _trainer(_plan(dp=2))
         writer.train_iteration()
@@ -391,14 +498,44 @@ class TestCheckpointValidation:
         with pytest.raises(ValueError, match="bit-exactly"):
             load_checkpoint(_trainer(_plan()), path)
 
-    def test_v2_checkpoint_rejected_naming_v3(self, tmp_path):
-        """There is one reader: a v2 header fails loudly and says what is read."""
+    @pytest.mark.parametrize(
+        "version, reason",
+        [(2, "deflated per-parameter archives"), (3, "cannot see codec kinds, ranks or bits")],
+    )
+    def test_retired_checkpoint_rejected_naming_v4(self, tmp_path, version, reason):
+        """There is one reader: a v2 / v3 header fails loudly and says what is read."""
         trainer = _trainer(_plan())
         trainer.train_iteration()
         path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
-        self._tamper_header(path, lambda h: h.update(format_version=2))
-        with pytest.raises(ValueError, match="format v3 only"):
+        self._tamper_header(path, lambda h: h.update(format_version=version))
+        with pytest.raises(ValueError, match="format v4 only") as raised:
             load_checkpoint(_trainer(_plan()), path)
+        assert reason in str(raised.value)
+
+    @pytest.mark.parametrize("writer_kind, reader_kind", [("serial", "1f1b"), ("zb1", "serial")])
+    def test_serial_and_bucketed_dp_state_do_not_mix(self, tmp_path, writer_kind, reader_kind):
+        """Seed bug: a serial-epilogue checkpoint resumed under 1f1b dropped the
+        per-parameter residuals and silently diverged from both continuous runs."""
+        writer = _trainer(_plan().with_schedule(kind=writer_kind))
+        writer.train(2)
+        path = save_checkpoint(writer, tmp_path / "ckpt.npz")
+        reader = _trainer(_plan().with_schedule(kind=reader_kind))
+        before = _weights(reader)
+        with pytest.raises(ValueError, match="residuals out differently"):
+            load_checkpoint(reader, path)
+        _assert_same_weights(_weights(reader), before)
+
+    def test_header_records_the_compression_section_and_nothing_about_how_it_ran(self, tmp_path):
+        plan = _plan(codec="qsgd").with_schedule(kind="zb1")
+        trainer = _trainer(plan)
+        trainer.train_iteration()
+        path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
+        with np.load(path, allow_pickle=False) as archive:
+            header = json.loads(bytes(archive["__header__"].tobytes()).decode("utf-8"))
+        assert header["format_version"] == 4
+        assert header["compression"] == plan.to_dict()["compression"]
+        assert header["dp_overlap"] is True
+        assert not {"config", "schedule", "executor"} & set(header)
 
     def test_parameter_layout_mismatch_rejected(self, tmp_path):
         """The name -> offset/shape table must match the reader's arena exactly."""
@@ -434,7 +571,7 @@ class TestCheckpointValidation:
 
 
 class TestCheckpointLayout:
-    """Format v3: stored members, straight from the live buffers, once per DP group."""
+    """Format v4: stored members, straight from the live buffers, once per DP group."""
 
     @staticmethod
     def _trained(codec="powersgd", dp=2):
@@ -663,11 +800,11 @@ class TestSimulatorRecoveryOverhead:
     def test_recovery_overhead_adds_to_iteration_time(self):
         from repro.models import GPT_2_5B
         from repro.simulator import TrainingJob
-        from repro.simulator.executor import CompressionPlan, simulate_plan
+        from repro.simulator.executor import simulate_plan
 
         job = TrainingJob(model=GPT_2_5B)
-        base = simulate_plan(job, CompressionPlan.cb_fe_sc())
-        padded = simulate_plan(job, CompressionPlan.cb_fe_sc(), resilience_overhead_s=0.5)
+        base = simulate_plan(job, ParallelPlan.cb_fe_sc())
+        padded = simulate_plan(job, ParallelPlan.cb_fe_sc(), resilience_overhead_s=0.5)
         assert base.recovery_overhead == 0.0
         assert padded.recovery_overhead == 0.5
         assert padded.iteration_time == pytest.approx(base.iteration_time + 0.5)
@@ -675,11 +812,11 @@ class TestSimulatorRecoveryOverhead:
     def test_negative_overhead_rejected(self):
         from repro.models import GPT_2_5B
         from repro.simulator import TrainingJob
-        from repro.simulator.executor import CompressionPlan, simulate_plan
+        from repro.simulator.executor import simulate_plan
 
         with pytest.raises(ValueError):
             simulate_plan(
-                TrainingJob(model=GPT_2_5B), CompressionPlan.cb_fe_sc(),
+                TrainingJob(model=GPT_2_5B), ParallelPlan.cb_fe_sc(),
                 resilience_overhead_s=-0.1,
             )
 

@@ -15,8 +15,8 @@ import pytest
 
 from repro.models import GPT_2_5B, GPT_8_3B, GPT_175B
 from repro.parallel.process_groups import ParallelLayout
+from repro.plan import Boundary, ParallelPlan
 from repro.simulator import (
-    CompressionPlan,
     CompressionThroughputModel,
     MemoryModel,
     PipelineTimingSimulator,
@@ -42,79 +42,35 @@ def job() -> TrainingJob:
 
 @pytest.fixture(scope="module")
 def baseline(job):
-    return PipelineTimingSimulator(job, CompressionPlan.baseline()).run()
-
-
-class TestCompressionPlan:
-    def test_named_constructors(self):
-        assert CompressionPlan.baseline().describe() == "Baseline"
-        assert CompressionPlan.cb().describe() == "CB"
-        assert CompressionPlan.cb_fe().describe() == "CB+FE"
-        assert "SC" in CompressionPlan.cb_fe_sc().describe()
-        assert "DP(all)" in CompressionPlan.naive_dp().describe()
-        assert "naive" in CompressionPlan.naive_cb().describe()
-
-    def test_compressed_stage_selection(self):
-        assert CompressionPlan.cb_fe_sc(stage_fraction=0.75).compressed_dp_stages(4) == {0, 1, 2}
-        assert CompressionPlan.naive_dp().compressed_dp_stages(4) == {0, 1, 2, 3}
-        assert CompressionPlan.baseline().compressed_dp_stages(4) == set()
-
-    def test_invalid_plan_raises(self):
-        with pytest.raises(ValueError):
-            CompressionPlan(dp_compressed_stage_fraction=1.5)
-        with pytest.raises(ValueError):
-            CompressionPlan(backward_rank=0)
+    return PipelineTimingSimulator(job, ParallelPlan.baseline()).run()
 
 
 class TestPlanCodecs:
-    """The plan carries a DP codec with the engine's vocabulary."""
+    """Of a plan the simulator reads the three boundaries' compression specs."""
 
-    def test_codec_vocabulary_is_shared_with_the_engine(self):
-        from repro.core.config import ENGINE_DP_CODECS
-        from repro.simulator.executor import DP_CODECS
+    def test_compressed_stage_selection(self):
+        def stages(plan):
+            return plan.spec(Boundary.DP).compressed_stages(4)
 
-        assert DP_CODECS == ENGINE_DP_CODECS
-
-    def test_from_engine_config_round_trips_the_dp_block(self):
-        from repro.core.config import EngineCompressionConfig
-
-        engine_config = EngineCompressionConfig(
-            dp_codec="qsgd", dp_qsgd_bits=6, dp_stage_fraction=0.5
-        )
-        plan = CompressionPlan.from_engine_config(engine_config, fuse_embedding=True)
-        assert plan.dp_codec == "qsgd"
-        assert plan.dp_qsgd_bits == 6
-        assert plan.dp_compressed_stage_fraction == 0.5
-        assert plan.fuse_embedding
-        # A "none" codec maps to no compressed stages at all.
-        none_plan = CompressionPlan.from_engine_config(
-            EngineCompressionConfig.uncompressed()
-        )
-        assert none_plan.compressed_dp_stages(4) == set()
-
-    def test_invalid_codec_fields_raise(self):
-        with pytest.raises(ValueError):
-            CompressionPlan(dp_codec="zip")
-        with pytest.raises(ValueError):
-            CompressionPlan(dp_qsgd_bits=0)
-        with pytest.raises(ValueError):
-            CompressionPlan(dp_topk_fraction=0.0)
+        assert stages(ParallelPlan.cb_fe_sc(stage_fraction=0.75)) == {0, 1, 2}
+        assert stages(ParallelPlan.naive_dp()) == {0, 1, 2, 3}
+        assert stages(ParallelPlan.baseline()) == set()
+        # Dormant knobs of an uncompressed boundary select nothing ...
+        assert stages(ParallelPlan.baseline().with_boundary(Boundary.DP, stage_fraction=0.5)) == set()
+        # ... and neither does a codec over a zero stage fraction.
+        assert stages(ParallelPlan.naive_dp().with_boundary(Boundary.DP, stage_fraction=0.0)) == set()
 
     @pytest.mark.parametrize("codec", ["powersgd", "qsgd", "topk"])
     def test_every_codec_reduces_dp_wire_bytes(self, job, baseline, codec):
-        plan = CompressionPlan(
-            dp_compressed_stage_fraction=1.0,
-            dp_codec=codec,
-            dp_rank=4,
-            dp_qsgd_bits=4,
-            dp_topk_fraction=0.01,
+        plan = ParallelPlan.baseline().with_boundary(
+            Boundary.DP, codec=codec, stage_fraction=1.0, rank=4, bits=4, fraction=0.01
         )
         timing = PipelineTimingSimulator(job, plan).run()
         assert timing.dp_wire_bytes < baseline.dp_wire_bytes
 
-    def test_codec_shows_in_description(self):
-        plan = CompressionPlan(dp_compressed_stage_fraction=1.0, dp_codec="topk")
-        assert "topk" in plan.describe()
+    def test_zero_stage_fraction_charges_nothing(self, job, baseline):
+        plan = ParallelPlan.naive_dp().with_boundary(Boundary.DP, stage_fraction=0.0)
+        assert PipelineTimingSimulator(job, plan).run() == baseline
 
 
 class TestDpOverlapAccounting:
@@ -172,38 +128,38 @@ class TestTimingSimulator:
         assert len(baseline.stage_finish) == job.num_stages
 
     def test_deterministic(self, job, baseline):
-        again = PipelineTimingSimulator(job, CompressionPlan.baseline()).run()
+        again = PipelineTimingSimulator(job, ParallelPlan.baseline()).run()
         assert again.iteration_time == pytest.approx(baseline.iteration_time)
 
     def test_every_technique_speeds_up_the_baseline(self, job, baseline):
         for plan in (
-            CompressionPlan.cb(),
-            CompressionPlan.cb_fe(),
-            CompressionPlan.cb_fe_sc(),
+            ParallelPlan.cb(),
+            ParallelPlan.cb_fe(),
+            ParallelPlan.cb_fe_sc(),
         ):
             timing = PipelineTimingSimulator(job, plan).run()
             assert timing.iteration_time < baseline.iteration_time
 
     def test_paper_ordering_cb_lt_cbfe_lt_cbfesc(self, job, baseline):
         """Table 2 ordering: each added technique increases the speedup."""
-        cb = simulate_plan(job, CompressionPlan.cb()).speedup_over(baseline)
-        cb_fe = simulate_plan(job, CompressionPlan.cb_fe()).speedup_over(baseline)
-        full = simulate_plan(job, CompressionPlan.cb_fe_sc()).speedup_over(baseline)
+        cb = simulate_plan(job, ParallelPlan.cb()).speedup_over(baseline)
+        cb_fe = simulate_plan(job, ParallelPlan.cb_fe()).speedup_over(baseline)
+        full = simulate_plan(job, ParallelPlan.cb_fe_sc()).speedup_over(baseline)
         assert 0 < cb < cb_fe < full
 
     def test_compression_reduces_wire_bytes(self, job, baseline):
-        compressed = simulate_plan(job, CompressionPlan.cb_fe_sc())
+        compressed = simulate_plan(job, ParallelPlan.cb_fe_sc())
         assert compressed.interstage_wire_bytes < baseline.interstage_wire_bytes
         assert compressed.dp_wire_bytes < baseline.dp_wire_bytes
         assert compressed.embedding_wire_bytes < baseline.embedding_wire_bytes
 
     def test_compression_overhead_reported(self, job):
-        assert simulate_plan(job, CompressionPlan.cb_fe_sc()).compression_overhead > 0
-        assert simulate_plan(job, CompressionPlan.baseline()).compression_overhead == 0
+        assert simulate_plan(job, ParallelPlan.cb_fe_sc()).compression_overhead > 0
+        assert simulate_plan(job, ParallelPlan.baseline()).compression_overhead == 0
 
     def test_naive_cb_compresses_more_transfers_than_epilogue_only(self, job):
-        naive = simulate_plan(job, CompressionPlan.naive_cb())
-        epilogue = simulate_plan(job, CompressionPlan.cb())
+        naive = simulate_plan(job, ParallelPlan.naive_cb())
+        epilogue = simulate_plan(job, ParallelPlan.cb())
         assert naive.interstage_wire_bytes < epilogue.interstage_wire_bytes
 
     def test_plain_1f1b_schedule_supported(self):
@@ -240,7 +196,7 @@ class TestConfigurationSensitivity:
     """Fig. 14 trends: CB gains grow with pipeline depth, SC gains shrink."""
 
     @staticmethod
-    def _speedup(layout, plan, reference_plan=CompressionPlan.baseline()):
+    def _speedup(layout, plan, reference_plan=ParallelPlan.baseline()):
         from repro.models import GPT_9_2B
 
         job = TrainingJob(model=GPT_9_2B, layout=layout)
@@ -251,12 +207,12 @@ class TestConfigurationSensitivity:
     def test_cb_benefit_grows_with_pipeline_depth(self):
         shallow = ParallelLayout(tensor_parallel=8, pipeline_parallel=4, data_parallel=4)
         deep = ParallelLayout(tensor_parallel=2, pipeline_parallel=16, data_parallel=4)
-        assert self._speedup(deep, CompressionPlan.cb()) > self._speedup(shallow, CompressionPlan.cb())
+        assert self._speedup(deep, ParallelPlan.cb()) > self._speedup(shallow, ParallelPlan.cb())
 
     def test_all_configurations_see_speedup(self):
         for tp, pp in ((8, 4), (4, 8), (2, 16)):
             layout = ParallelLayout(tensor_parallel=tp, pipeline_parallel=pp, data_parallel=4)
-            assert self._speedup(layout, CompressionPlan.cb_fe_sc()) > 0
+            assert self._speedup(layout, ParallelPlan.cb_fe_sc()) > 0
 
 
 class TestBreakdown:
@@ -268,8 +224,8 @@ class TestBreakdown:
         assert 0 < breakdown.communication_fraction() < 1
 
     def test_optimus_reduces_communication_components(self, job):
-        base = compute_breakdown(job, CompressionPlan.baseline())
-        optimus = compute_breakdown(job, CompressionPlan.cb_fe_sc())
+        base = compute_breakdown(job, ParallelPlan.baseline())
+        optimus = compute_breakdown(job, ParallelPlan.cb_fe_sc())
         base_comm = base.interstage_comm + base.data_parallel_comm + base.embedding_comm
         optimus_comm = (
             optimus.interstage_comm + optimus.data_parallel_comm + optimus.embedding_comm
@@ -278,14 +234,14 @@ class TestBreakdown:
         assert optimus.total < base.total
 
     def test_fe_reduces_embedding_component(self, job):
-        base = compute_breakdown(job, CompressionPlan.baseline())
-        fe = compute_breakdown(job, CompressionPlan.cb_fe())
+        base = compute_breakdown(job, ParallelPlan.baseline())
+        fe = compute_breakdown(job, ParallelPlan.cb_fe())
         assert fe.embedding_comm < base.embedding_comm
 
 
 class TestMemoryModel:
     def test_baseline_report_components(self, job):
-        report = MemoryModel(job, CompressionPlan.baseline()).peak_report()
+        report = MemoryModel(job, ParallelPlan.baseline()).peak_report()
         assert report.parameters_and_optimizer > 0
         assert report.activations > 0
         assert report.compression_buffers == 0
@@ -293,14 +249,14 @@ class TestMemoryModel:
         assert report.total_gb > 1
 
     def test_compression_adds_buffers(self, job):
-        baseline = MemoryModel(job, CompressionPlan.baseline()).peak_report()
-        compressed = MemoryModel(job, CompressionPlan.cb_fe_sc()).peak_report()
+        baseline = MemoryModel(job, ParallelPlan.baseline()).peak_report()
+        compressed = MemoryModel(job, ParallelPlan.cb_fe_sc()).peak_report()
         assert compressed.total > baseline.total
         overhead = compressed.overhead_over(baseline)
         assert 0 < overhead < 0.25  # paper Fig. 12: ~5-10 % for the low-rank buffers
 
     def test_lazy_error_adds_small_overhead(self, job):
-        model = MemoryModel(job, CompressionPlan.cb())
+        model = MemoryModel(job, ParallelPlan.cb())
         with_lep = model.peak_report(lazy_error_propagation=True)
         without_lep = model.peak_report(lazy_error_propagation=False)
         extra = with_lep.overhead_over(without_lep)
@@ -356,10 +312,10 @@ class TestZeroBubbleTiming:
     def test_zb1_bubble_strictly_below_1f1b(self, pp, dp, global_batch):
         """The acceptance claim: pp >= 2, micro_batches >= pp."""
         base = PipelineTimingSimulator(
-            self._job(pp, dp, global_batch), CompressionPlan.baseline()
+            self._job(pp, dp, global_batch), ParallelPlan.baseline()
         ).run()
         zb1 = PipelineTimingSimulator(
-            self._job(pp, dp, global_batch, schedule_kind="zb1"), CompressionPlan.baseline()
+            self._job(pp, dp, global_batch, schedule_kind="zb1"), ParallelPlan.baseline()
         ).run()
         assert zb1.schedule_kind == "zb1" and base.schedule_kind == "1f1b"
         assert zb1.bubble_fraction < base.bubble_fraction
@@ -367,9 +323,9 @@ class TestZeroBubbleTiming:
         assert zb1.pipeline_time < base.pipeline_time
 
     def test_zb1_helps_even_when_micro_batches_below_pp(self):
-        base = PipelineTimingSimulator(self._job(8, 4, 64), CompressionPlan.baseline()).run()
+        base = PipelineTimingSimulator(self._job(8, 4, 64), ParallelPlan.baseline()).run()
         zb1 = PipelineTimingSimulator(
-            self._job(8, 4, 64, schedule_kind="zb1"), CompressionPlan.baseline()
+            self._job(8, 4, 64, schedule_kind="zb1"), ParallelPlan.baseline()
         ).run()
         assert zb1.bubble_fraction < base.bubble_fraction
 
@@ -381,7 +337,7 @@ class TestZeroBubbleTiming:
                 num_model_chunks=1,
                 schedule_kind=kind,
             )
-            timing = PipelineTimingSimulator(job, CompressionPlan.baseline()).run()
+            timing = PipelineTimingSimulator(job, ParallelPlan.baseline()).run()
             assert timing.bubble_fraction == pytest.approx(0.0, abs=1e-12)
 
     def test_split_backward_times_sum_to_the_fused_backward(self):
@@ -417,10 +373,10 @@ class TestZeroBubbleTiming:
     def test_zb1_compression_still_simulated(self):
         """CB/FE/SC compose with the zb1 schedule (epilogue sets from B ops)."""
         base = PipelineTimingSimulator(
-            self._job(schedule_kind="zb1"), CompressionPlan.baseline()
+            self._job(schedule_kind="zb1"), ParallelPlan.baseline()
         ).run()
         compressed = PipelineTimingSimulator(
-            self._job(schedule_kind="zb1"), CompressionPlan.cb_fe_sc()
+            self._job(schedule_kind="zb1"), ParallelPlan.cb_fe_sc()
         ).run()
         assert compressed.iteration_time < base.iteration_time
         assert compressed.interstage_wire_bytes < base.interstage_wire_bytes
@@ -491,7 +447,7 @@ class TestReplayMemo:
         assert build_job_schedule.cache_info().currsize <= build_job_schedule.cache_info().maxsize
 
     def test_mutating_a_returned_timing_does_not_reach_the_next_call(self, job):
-        simulator = PipelineTimingSimulator(job, CompressionPlan.cb_fe_sc())
+        simulator = PipelineTimingSimulator(job, ParallelPlan.cb_fe_sc())
         first = simulator.run()
         pristine = dataclasses.asdict(first)
         first.stage_backward_finish[0] = -1.0
@@ -499,7 +455,7 @@ class TestReplayMemo:
         first.dp_times.append(99.0)
         assert dataclasses.asdict(simulator.run()) == pristine
         assert dataclasses.asdict(
-            PipelineTimingSimulator(job, CompressionPlan.cb_fe_sc()).run()
+            PipelineTimingSimulator(job, ParallelPlan.cb_fe_sc()).run()
         ) == pristine
 
     def test_toggle_breakdowns_are_unchanged_to_the_bit(self):
@@ -516,10 +472,10 @@ class TestReplayMemo:
             ),
         ]
         plans = [
-            CompressionPlan.baseline(),
-            CompressionPlan.cb_fe_sc(),
-            CompressionPlan.naive_cb(),
-            CompressionPlan(compress_forward=True, compress_backward=True),
+            ParallelPlan.baseline(),
+            ParallelPlan.cb_fe_sc(),
+            ParallelPlan.naive_cb(),
+            ParallelPlan.cb().with_boundary(Boundary.PP, compress_forward=True),
         ]
 
         def rows():

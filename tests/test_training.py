@@ -5,17 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import OptimusCCConfig
 from repro.data import LanguageModelingDataLoader, build_zero_shot_suite
 from repro.nn.loss import perplexity_from_loss
+from repro.plan import ParallelPlan
 from repro.training import Pretrainer, TrainingHistory, ZeroShotEvaluator
 from repro.training.metrics import ValidationPoint
 
 
-def make_trainer(config, loader, small_config, **kwargs):
-    defaults = dict(num_stages=2, learning_rate=2e-3, seed=3)
+def make_trainer(plan, loader, small_config, **kwargs):
+    """A PP2 trainer running ``plan``'s compression on the loader's DP shape."""
+    plan = plan.with_topology(
+        pp=2, dp=loader.data_parallel_degree, micro_batches=loader.num_micro_batches
+    )
+    defaults = dict(learning_rate=2e-3, seed=3)
     defaults.update(kwargs)
-    return Pretrainer(small_config, loader, optimus_config=config, **defaults)
+    return Pretrainer(small_config, loader, plan, **defaults)
 
 
 class TestTrainingHistory:
@@ -52,14 +56,14 @@ class TestTrainingHistory:
 
 class TestPretrainer:
     def test_training_reduces_validation_loss(self, small_config, loader):
-        trainer = make_trainer(OptimusCCConfig.baseline(), loader, small_config)
+        trainer = make_trainer(ParallelPlan.baseline(), loader, small_config)
         before = trainer.validation_loss()
         result = trainer.train(num_iterations=12, validation_interval=6)
         assert result.history.num_iterations == 12
         assert result.final_validation_perplexity < perplexity_from_loss(before)
 
     def test_replicas_stay_in_sync(self, small_config, loader):
-        trainer = make_trainer(OptimusCCConfig.baseline(), loader, small_config)
+        trainer = make_trainer(ParallelPlan.baseline(), loader, small_config)
         trainer.train(num_iterations=3, validation_interval=3)
         assert trainer.weights_in_sync()
 
@@ -70,7 +74,7 @@ class TestPretrainer:
         dp_loader = LanguageModelingDataLoader(
             corpus, sequence_length=12, micro_batch_size=2, num_micro_batches=1, data_parallel_degree=2
         )
-        dp_trainer = make_trainer(OptimusCCConfig.baseline(), dp_loader, small_config)
+        dp_trainer = make_trainer(ParallelPlan.baseline(), dp_loader, small_config)
         dp_trainer.train_iteration()
 
         class MergedLoader(LanguageModelingDataLoader):
@@ -83,7 +87,7 @@ class TestPretrainer:
         merged = MergedLoader(
             corpus, sequence_length=12, micro_batch_size=2, num_micro_batches=2, data_parallel_degree=1
         )
-        single_trainer = make_trainer(OptimusCCConfig.baseline(), merged, small_config)
+        single_trainer = make_trainer(ParallelPlan.baseline(), merged, small_config)
         single_trainer.train_iteration()
 
         dp_params = dp_trainer.engines[0].parameters()
@@ -92,14 +96,14 @@ class TestPretrainer:
             assert np.allclose(dp_param.data, single_param.data, atol=1e-8)
 
     def test_cb_hooks_created_per_replica(self, small_config, loader):
-        trainer = make_trainer(OptimusCCConfig.cb(rank=2), loader, small_config)
+        trainer = make_trainer(ParallelPlan.cb(rank=2), loader, small_config)
         assert all(hook is not None for hook in trainer.cb_hooks)
         trainer.train(num_iterations=2, validation_interval=2)
         assert trainer.compression_summary["transfers"] > 0
 
     def test_sc_hook_shared(self, small_config, loader):
         trainer = make_trainer(
-            OptimusCCConfig.cb_fe_sc(cb_rank=2, dp_rank=2, stage_fraction=0.5), loader, small_config
+            ParallelPlan.cb_fe_sc(cb_rank=2, dp_rank=2, stage_fraction=0.5), loader, small_config
         )
         trainer.train(num_iterations=2, validation_interval=2)
         assert trainer.dp_hook is not None
@@ -111,13 +115,13 @@ class TestPretrainer:
 
         schedule = CosineWithWarmup(max_lr=1e-2, warmup_iterations=2, total_iterations=10)
         trainer = make_trainer(
-            OptimusCCConfig.baseline(), loader, small_config, lr_schedule=schedule
+            ParallelPlan.baseline(), loader, small_config, lr_schedule=schedule
         )
         trainer.train_iteration()
         assert trainer.optimizers[0].lr == pytest.approx(schedule.lr_at(0))
 
     def test_communication_log_categories(self, small_config, loader):
-        trainer = make_trainer(OptimusCCConfig.baseline(), loader, small_config)
+        trainer = make_trainer(ParallelPlan.baseline(), loader, small_config)
         trainer.train_iteration()
         categories = trainer.log.by_category()
         assert "inter_stage_forward" in categories
@@ -127,21 +131,21 @@ class TestPretrainer:
         assert "embedding_sync" in categories
 
     def test_fused_embedding_removes_embedding_dp_traffic(self, small_config, loader):
-        trainer = make_trainer(OptimusCCConfig.cb_fe(rank=2), loader, small_config)
+        trainer = make_trainer(ParallelPlan.cb_fe(rank=2), loader, small_config)
         trainer.train_iteration()
         categories = trainer.log.by_category()
         assert "embedding_dp" not in categories
         assert "embedding_sync" in categories
 
     def test_invalid_arguments_raise(self, small_config, loader):
-        with pytest.raises(ValueError):
-            Pretrainer(small_config, loader, num_stages=0)
-        trainer = make_trainer(OptimusCCConfig.baseline(), loader, small_config)
+        with pytest.raises(ValueError, match="data_parallel_degree"):
+            Pretrainer(small_config, loader, ParallelPlan.baseline().with_topology(dp=3))
+        trainer = make_trainer(ParallelPlan.baseline(), loader, small_config)
         with pytest.raises(ValueError):
             trainer.train(num_iterations=0)
 
     def test_zero_shot_evaluation_runs(self, small_config, loader, corpus):
-        trainer = make_trainer(OptimusCCConfig.baseline(), loader, small_config)
+        trainer = make_trainer(ParallelPlan.baseline(), loader, small_config)
         trainer.train(num_iterations=2, validation_interval=2)
         tasks = build_zero_shot_suite(corpus, examples_per_task=4)
         accuracies = trainer.evaluate_zero_shot(tasks)
