@@ -69,10 +69,10 @@ TRACKED_METRICS = [
     # replay healing rate (machine-dependent, same-machine comparable).
     ("worker_recovery", "unsupervised_over_supervised"),
     ("worker_recovery", "respawns_per_s"),
-    # Plan-search result cache: cold/warm wall-time ratio of the same capacity
-    # query (the warm run answers entirely from the content-keyed cache — zero
-    # simulator evaluations, asserted inside the benchmark).
-    ("plan_search", "warm_speedup"),
+    # ``plan_search.warm_speedup`` is not tracked: it is cold / warm, so a
+    # faster cold pass reads as a regression.  BENCH_e2e's ``search_cold`` and
+    # ``search_warm`` gate both latencies; ``bench_plan_search`` still asserts
+    # zero warm evaluations and a byte-equal frontier.
 ]
 
 

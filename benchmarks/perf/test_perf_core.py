@@ -150,7 +150,6 @@ def test_regression_checker_flags_real_drops():
         "checkpoint_io": {"save_mb_per_s": 400.0, "load_mb_per_s": 600.0},
         "process_executor": {"speedup": 1.0},
         "worker_recovery": {"unsupervised_over_supervised": 0.95, "respawns_per_s": 2.0},
-        "plan_search": {"warm_speedup": 8.0},
     }
     same, _ = compare(baseline, baseline, tolerance=0.30)
     assert same == []
@@ -194,7 +193,6 @@ def test_regression_checker_hard_fails_on_missing_fresh_metric():
         "checkpoint_io": {"save_mb_per_s": 400.0, "load_mb_per_s": 600.0},
         "process_executor": {"speedup": 1.0},
         "worker_recovery": {"unsupervised_over_supervised": 0.95, "respawns_per_s": 2.0},
-        "plan_search": {"warm_speedup": 8.0},
     }
 
     # Whole tracked section gone from the fresh run: one hard failure per

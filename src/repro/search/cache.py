@@ -10,21 +10,26 @@ those inputs, a hit is always safe to serve — and flipping any single field
 (a codec knob, a cap factor, a hardware tier, the cost-model version) changes
 the key, so stale numbers can never leak across configurations.
 
-Entries are one small JSON file each, sharded by the first two key hex digits
-to keep directories shallow, written atomically (temp file + ``os.replace``)
-so a crashed or concurrent writer can never leave a torn entry.  The cache
-keeps hit/miss/store counters so callers (and the warm-cache tests) can
-assert exactly how many evaluations were skipped.
+Entries live in append-only *segments*, not one file each: every
+:class:`SearchCache` object that stores anything owns one file
+``root/<pid>-<token>.seg`` whose first line is the JSON array of field names
+its entries share and whose every other line is ``<key> <JSON array of
+values>``, so a cold pass of thousands of candidates creates one file with one
+``write`` (:meth:`SearchCache.flush`) and a warm pass reads one.  Two writers
+never share a file; a reader keeps an offset per segment and reads only what
+was appended since.  The directory is outside input: a line without its
+newline, a line that does not parse, an array of another length than its
+header, a segment without a header and every file that is not ``*.seg`` are
+misses, never errors.  The first load is linear in the directory's bytes and
+nothing is ever evicted.  The cache keeps hit/miss/store counters so callers
+(and the warm-cache tests) can assert exactly how many evaluations were
+skipped.
 
-A query computes thousands of keys and touches thousands of entries, so what
-its candidates share is done once: of the key document only the ``plan``
-section (and two scalars) differs between the candidates of a tier — the
-``model`` and ``hardware`` sections are the same two objects in every document
-and are serialised once per object, not once per candidate; entry paths are
-plain strings under one precomputed root; a shard directory is created when a
-write first finds it missing, not probed for on every write; an entry is one
-``write`` of one ``json.dumps``.  None of this changes a byte of any key,
-entry or path.
+A query computes thousands of keys, so what its candidates share is done
+once: of the key document only the ``plan`` section (and two scalars) differs
+between the candidates of a tier — the ``model`` and ``hardware`` sections are
+the same two objects in every document and are serialised once per object,
+not once per candidate.  None of this changes a byte of any key.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import hashlib
 import json
 import os
 import pathlib
+import warnings
 from dataclasses import asdict
 from typing import Any, Mapping
 
@@ -124,67 +130,173 @@ def cache_key(material: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
 
+def _field_names(line: bytes) -> tuple[str, ...] | None:
+    """The header of a segment, or ``None`` if ``line`` is not one.
+
+    A header is a JSON array of distinct strings; the entries below it are
+    arrays of that length.
+    """
+    try:
+        names = json.loads(line)
+    except ValueError:  # malformed JSON or not UTF-8
+        return None
+    if (
+        type(names) is list
+        and all(type(name) is str for name in names)
+        and len(set(names)) == len(names)
+    ):
+        return tuple(names)
+    return None
+
+
 class SearchCache:
     """One directory of memoised plan evaluations, keyed by content hash.
 
     Parameters
     ----------
     root:
-        Cache directory (created on first store).  Entries live at
-        ``root/<key[:2]>/<key>.json``.
+        Cache directory (created by the first :meth:`flush` that has something
+        to write).  It holds append-only segments ``<pid>-<token>.seg``; every
+        other file in it is ignored.
     """
 
     def __init__(self, root: str | os.PathLike[str]) -> None:
         self.root = pathlib.Path(root)
-        # The entry paths of one query are thousands of joins under one root:
-        # spell them as strings once, not through pathlib per entry.
-        self._prefix = os.path.join(os.fspath(self.root), "")
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        # key -> (field names, values) of every whole entry line read so far.
+        self._table: dict[str, tuple[tuple[str, ...], list[Any]]] = {}
+        # Segment path -> (its header, bytes consumed); ``None`` for a file
+        # whose first line is not a header, which is never read again.
+        self._consumed: dict[str, tuple[tuple[str, ...], int] | None] = {}
+        # Field names -> entry lines put since the last flush, and the segment
+        # this object appends such lines to (none until it has flushed some).
+        self._buffer: dict[tuple[str, ...], list[str]] = {}
+        self._segments: dict[tuple[str, ...], str] = {}
+        self._stale = True
 
-    def _path(self, key: str) -> pathlib.Path:
-        """Entry path of ``key`` (two-hex-digit shard directories)."""
-        return pathlib.Path(self._entry(key))
+    def refresh(self) -> None:
+        """Read what has been appended under :attr:`root` since the last call.
 
-    def _entry(self, key: str) -> str:
-        """:meth:`_path` as a string."""
-        return f"{self._prefix}{key[:2]}{os.sep}{key}.json"
+        :meth:`get` does this by itself before its first answer and after this
+        object's own :meth:`flush`; call it at the start of a query so a
+        long-lived cache also serves what other writers flushed meanwhile.
+        Segments are read least recently modified first, so where two hold the
+        same key the later-written entry is the one served.
+        """
+        self._stale = False
+        segments = []
+        try:
+            with os.scandir(self.root) as listing:
+                for entry in listing:
+                    if entry.name.endswith(".seg") and entry.is_file():
+                        status = entry.stat()
+                        segments.append((status.st_mtime_ns, entry.path, status.st_size))
+        except OSError:  # no directory yet, or not a directory: an empty cache
+            return
+        for _, path, size in sorted(segments):
+            self._read_segment(path, size)
+
+    def _read_segment(self, path: str, size: int) -> None:
+        """Enter the whole lines of ``path`` beyond what was consumed before."""
+        consumed = self._consumed.get(path, ((), 0))
+        if consumed is None or size <= consumed[1]:
+            return
+        header, offset = consumed
+        try:
+            with open(path, "rb") as handle:
+                handle.seek(offset)
+                data = handle.read()
+        except OSError:
+            return
+        # A tail without its newline is not an entry (yet, if its writer lives).
+        end = data.rfind(b"\n")
+        if end < 0:
+            return
+        lines = data[:end].split(b"\n")
+        if offset == 0:
+            header = _field_names(lines.pop(0))
+            if header is None:
+                self._consumed[path] = None
+                return
+        for line in lines:
+            key, _, text = line.partition(b" ")
+            try:
+                values = json.loads(text)
+                name = key.decode("ascii")
+            except ValueError:  # malformed JSON, or bytes that are not text
+                continue
+            if type(values) is list and len(values) == len(header):
+                self._table[name] = (header, values)
+        self._consumed[path] = (header, offset + end + 1)
 
     def get(self, key: str) -> Any:
         """The cached payload of ``key``, or ``None`` on a miss.
 
-        Unreadable or torn entries (which atomic writes should preclude, but
-        a hostile filesystem can still produce) count as misses and are left
-        for the next :meth:`put` to overwrite.  A hit is whatever JSON value
-        the file holds: the cache is a byte store, and judging whether the
-        value is a usable evaluation is the caller's job
-        (:mod:`repro.search.service`).
+        A hit is ``dict(zip(header, values))`` of the last whole line read for
+        ``key``.  A line that does not parse, lacks its newline, or carries
+        another number of values than its segment's header names is a miss,
+        as is everything in a segment without a header.  The cache is a byte
+        store: judging whether the mapping is a usable evaluation is the
+        caller's job (:mod:`repro.search.service`).
         """
-        try:
-            with open(self._entry(key), "rb") as handle:
-                payload = json.loads(handle.read())
-        except (OSError, ValueError):  # ValueError: malformed JSON or not UTF-8
+        if self._stale:
+            self.refresh()
+        entry = self._table.get(key)
+        if entry is None:
             self.misses += 1
             return None
         self.hits += 1
-        return payload
+        return dict(zip(*entry))
 
     def put(self, key: str, payload: Mapping[str, Any]) -> None:
-        """Store ``payload`` under ``key`` atomically (last writer wins)."""
-        path = self._entry(key)
-        directory, name = os.path.split(path)
-        tmp = f"{directory}{os.sep}.{name}.{os.getpid()}.tmp"
-        data = json.dumps(dict(payload), sort_keys=True).encode("ascii")
+        """Buffer ``payload`` under ``key``; :meth:`flush` makes it durable."""
+        names = tuple(sorted(payload))
+        values = _canonical([payload[name] for name in names])
+        self._buffer.setdefault(names, []).append(f"{key} {values}\n")
+
+    def flush(self) -> None:
+        """Append everything :meth:`put` buffered, one ``write`` per segment.
+
+        A cache that cannot be written must not cost the answer the entries
+        were computed for: on ``OSError`` the buffer is dropped, ``stores``
+        does not count it, and one :class:`RuntimeWarning` names the directory.
+        """
+        if not self._buffer:
+            return
+        buffered, self._buffer = self._buffer, {}
         try:
-            handle = open(tmp, "wb")
-        except FileNotFoundError:  # first entry of this shard: make it, once
-            os.makedirs(directory, exist_ok=True)
-            handle = open(tmp, "wb")
-        with handle:
-            handle.write(data)
-        os.replace(tmp, path)
-        self.stores += 1
+            for names, lines in buffered.items():
+                self._append(names, lines)
+                self.stores += len(lines)
+        except OSError as error:
+            # A failed write may have left a torn tail: append to none of them.
+            self._segments.clear()
+            warnings.warn(
+                f"search cache directory {self.root} cannot be written ({error}); "
+                "the evaluations of this pass are not cached",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        self._stale = True
+
+    def _append(self, names: tuple[str, ...], lines: list[str]) -> None:
+        """Write ``lines`` to this object's segment for ``names``, creating it."""
+        path = self._segments.get(names)
+        if path is None:
+            os.makedirs(self.root, exist_ok=True)
+            # The pid tells processes apart, the token objects of one process;
+            # ``x`` refuses the file if both should ever coincide.
+            path = os.path.join(self.root, f"{os.getpid()}-{os.urandom(4).hex()}.seg")
+            data = "".join([_canonical(list(names)), "\n", *lines])
+            mode = "xb"
+        else:
+            data = "".join(lines)
+            mode = "ab"
+        with open(path, mode) as handle:
+            handle.write(data.encode("ascii"))
+        self._segments[names] = path
 
     def stats(self) -> dict[str, int]:
         """Counters snapshot: ``{"hits": ..., "misses": ..., "stores": ...}``."""

@@ -21,13 +21,16 @@ What a query pays for, and how often:
   (:func:`repro.simulator.executor.replay_pipeline`);
 * **per candidate** — one validating :class:`~repro.plan.ParallelPlan`
   construction, its field-read ``to_dict``, the plan section of the key and
-  its SHA-256, one cache read or write, and the DP / embedding tail of the
-  simulation.
+  its SHA-256, one cache table lookup or one buffered entry line, and the
+  DP / embedding tail of the simulation;
+* **per pass** — one read of what was appended to the cache directory since
+  the last query and, if anything was evaluated, one append to this cache
+  object's segment (:meth:`~repro.search.cache.SearchCache.flush`).
 
 A cache hit is taken on trust only as far as its shape: the cache directory is
 outside input, so a hit must be a mapping with exactly
 :class:`~repro.simulator.evaluate.PlanEvaluation`'s field names and finite
-numbers, or it is re-evaluated and overwritten like a miss.
+numbers, or it is re-evaluated and stored again like a miss.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ def _usable_entry(entry: Any) -> bool:
     be ``[]``, ``0``, or the metrics of a build whose
     :class:`~repro.simulator.evaluate.PlanEvaluation` had other fields.  Such
     a hit would fail the whole query in the budget filter, so it is treated as
-    a miss instead: re-evaluated, and overwritten by the fresh result.
+    a miss instead: re-evaluated, and superseded by the fresh result.
     """
     return (
         isinstance(entry, dict)
@@ -182,6 +185,8 @@ def _search_with(
     pending: list[tuple[int, dict[str, Any]]] = []
     keys: dict[int, str] = {}
     cache_hits = 0
+    if cache is not None:
+        cache.refresh()
     for candidate in candidates:
         task = candidate.task(query)
         if cache is not None:
@@ -205,6 +210,8 @@ def _search_with(
             metrics[index] = payload
             if cache is not None:
                 cache.put(keys[index], payload)
+        if cache is not None:
+            cache.flush()
 
     in_budget = [
         (index, candidate_metrics)

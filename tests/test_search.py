@@ -15,6 +15,8 @@ import json
 import multiprocessing
 import os
 import pathlib
+import re
+import shutil
 import signal
 import time
 
@@ -100,6 +102,19 @@ def query_keys(query: SearchQuery) -> list[str]:
         cache_key(task_key_material(candidate.task(query), clusters[candidate.tier]))
         for candidate in query.candidates()
     ]
+
+
+def segments(root) -> list[pathlib.Path]:
+    """The segment files of one cache directory."""
+    return sorted(pathlib.Path(root).glob("*.seg"))
+
+
+def replace_entry(segment: pathlib.Path, key: str, values: bytes) -> None:
+    """Overwrite the values of ``key``'s line in ``segment``."""
+    lines = segment.read_bytes().splitlines(keepends=True)
+    (index,) = [i for i, line in enumerate(lines) if line.startswith(key.encode("ascii"))]
+    lines[index] = key.encode("ascii") + b" " + values + b"\n"
+    segment.write_bytes(b"".join(lines))
 
 
 class TestEvaluatePlan:
@@ -236,16 +251,20 @@ class TestCacheKeys:
         cache = SearchCache(tmp_path / "cache")
         assert cache.get("ab" * 32) is None
         cache.put("ab" * 32, {"x": 1.0})
+        cache.flush()
         assert cache.get("ab" * 32) == {"x": 1.0}
         assert cache.stats() == {"hits": 1, "misses": 1, "stores": 1}
+        assert SearchCache(tmp_path / "cache").get("ab" * 32) == {"x": 1.0}
 
     def test_torn_entry_counts_as_miss(self, tmp_path):
         cache = SearchCache(tmp_path / "cache")
         key = "cd" * 32
         cache.put(key, {"x": 1.0})
-        path = cache._path(key)
-        path.write_text("{not json", encoding="utf-8")
-        assert cache.get(key) is None
+        cache.flush()
+        (segment,) = segments(cache.root)
+        header = segment.read_bytes().splitlines(keepends=True)[0]
+        segment.write_bytes(header + key.encode("ascii") + b" {not json\n")
+        assert SearchCache(cache.root).get(key) is None
 
 
 #: A query spelled with ints where floats are usual: equal plans, different
@@ -324,43 +343,205 @@ class TestCorruptEntries:
     """The cache directory is outside input: a wrong entry is a miss, not a crash."""
 
     def corruptions(self, good: dict) -> dict[str, bytes]:
+        """Byte strings to write where an entry's array of values was."""
         renamed = dict(good)
         renamed["tokens_per_s"] = renamed.pop("tokens_per_second")
         entries = {
-            "other_field_set": renamed,
             "extra_field": dict(good, stale_field=1.0),
             "missing_field": {k: v for k, v in good.items() if k != "bubble_fraction"},
             "non_finite": dict(good, peak_memory_gb=float("nan")),
             "text_value": dict(good, peak_memory_gb="12.5"),
             "boolean_value": dict(good, compression_loss=False),
         }
+        mappings = dict(entries, other_field_set=renamed)
         return {
             "list": b"[]",
             "empty_mapping": b"{}",
             "number": b"0",
             "null": b"null",
             "not_utf8": b'{"tokens_per_second": "\xff"}',
-            **{name: json.dumps(entry).encode("ascii") for name, entry in entries.items()},
+            "not_utf8_value": b'["\xff"]',
+            # The file-per-entry layout's spelling of an entry: a mapping.
+            **{name: json.dumps(entry).encode("ascii") for name, entry in mappings.items()},
+            # This layout's spelling: the values alone, in field-name order —
+            # too many, too few, or as many as the header names but not numbers.
+            **{
+                f"{name}_values": json.dumps([entry[k] for k in sorted(entry)]).encode("ascii")
+                for name, entry in entries.items()
+            },
         }
 
     def test_corrupt_entry_is_reevaluated_and_repaired(self, tmp_path):
         query = tiny_query()
-        cache = SearchCache(tmp_path / "cache")
-        cold = run_search(query, workers=0, cache=cache)
+        pristine = tmp_path / "pristine"
+        cold = run_search(query, workers=0, cache=SearchCache(pristine))
         # Corrupt the entry of the best-ranked candidate: a wrong value served
         # from it would show in the frontier.
         best = next(c for c in query.candidates() if c.index == cold.entries[0]["index"])
         key = cache_key(task_key_material(best.task(query), resolve_cluster(best.tier, query.gpus)))
-        path = cache._path(key)
-        pristine = path.read_bytes()
-        for name, corrupt in self.corruptions(json.loads(pristine)).items():
-            path.write_bytes(corrupt)
-            warm = run_search(query, workers=0, cache=cache)
+        good = SearchCache(pristine).get(key)
+        for name, corrupt in self.corruptions(good).items():
+            root = tmp_path / name
+            shutil.copytree(pristine, root)
+            (segment,) = segments(root)
+            replace_entry(segment, key, corrupt)
+            # Each run is its own cache object, as each CLI invocation is; the
+            # repair lands in a second segment, written after the corrupt one.
+            os.utime(segment, ns=(0, 0))
+            warm = run_search(query, workers=0, cache=SearchCache(root))
             assert warm.to_json() == cold.to_json(), name
             assert (warm.evaluated, warm.cache_hits) == (1, warm.candidates - 1), name
             assert warm.errors == 0, name
-            assert path.read_bytes() == pristine, name
+            assert len(segments(root)) == 2, name
+            assert SearchCache(root).get(key) == good, name
+            assert run_search(query, workers=0, cache=SearchCache(root)).evaluated == 0, name
+
+    def test_corrupt_entry_is_repaired_in_a_long_lived_cache(self, tmp_path):
+        """One object across the runs: the repair is appended to its own segment."""
+        query = tiny_query()
+        cache = SearchCache(tmp_path / "cache")
+        cold = run_search(query, workers=0, cache=cache)
+        (key,) = query_keys(tiny_query(max_candidates=1))
+        (segment,) = segments(cache.root)
+        fields = json.loads(segment.read_bytes().splitlines()[0])
+        with segment.open("ab") as handle:  # append-only: a later line supersedes
+            handle.write(f"{key} {json.dumps(['text'] * len(fields))}\n".encode("ascii"))
+        warm = run_search(query, workers=0, cache=cache)
+        assert warm.to_json() == cold.to_json()
+        assert (warm.evaluated, warm.cache_hits) == (1, warm.candidates - 1)
+        assert segments(cache.root) == [segment]
         assert run_search(query, workers=0, cache=cache).evaluated == 0
+
+
+class TestCacheSegments:
+    """What the append-only segment layout adds to the cache's contract."""
+
+    def cold(self, root, **overrides):
+        query = tiny_query(**overrides)
+        return query, run_search(query, workers=0, cache=SearchCache(root))
+
+    def test_segment_truncated_mid_line_loses_only_its_last_entry(self, tmp_path):
+        query, cold = self.cold(tmp_path)
+        (segment,) = segments(tmp_path)
+        segment.write_bytes(segment.read_bytes()[:-10])
+        warm = run_search(query, workers=0, cache=SearchCache(tmp_path))
+        assert (warm.evaluated, warm.cache_hits) == (1, warm.candidates - 1)
+        assert warm.to_json() == cold.to_json()
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"garbage", b"{}", b"[1, 2]", b'"tokens_per_second"', b"\xff\xfe", b"", None, "duplicated"],
+    )
+    def test_segment_with_unusable_header_is_ignored_whole(self, tmp_path, header):
+        query, cold = self.cold(tmp_path)
+        (segment,) = segments(tmp_path)
+        fields, _, entries = segment.read_bytes().partition(b"\n")
+        if header is None:  # a well-formed header that names other fields
+            header = fields.replace(b"tokens_per_second", b"tokens_per_s")
+        elif header == "duplicated":  # as many names as values, one of them twice
+            names = json.loads(fields)
+            header = json.dumps(names[:-1] + names[:1]).encode("ascii")
+        segment.write_bytes(header + b"\n" + entries)
+        os.utime(segment, ns=(0, 0))  # older than the segment the next run writes
+        again = run_search(query, workers=0, cache=SearchCache(tmp_path))
+        assert (again.evaluated, again.errors) == (again.candidates, 0)
+        assert again.to_json() == cold.to_json()
+        assert run_search(query, workers=0, cache=SearchCache(tmp_path)).evaluated == 0
+
+    def test_segment_entries_must_match_their_own_header(self, tmp_path):
+        cache = SearchCache(tmp_path)
+        cache.put("aa" * 32, {"x": 1.0, "y": 2})
+        cache.put("bb" * 32, {"x": 3.0})  # other field names: a segment of its own
+        cache.flush()
+        assert len(segments(tmp_path)) == 2
+        reader = SearchCache(tmp_path)
+        assert reader.get("aa" * 32) == {"x": 1.0, "y": 2}
+        assert reader.get("bb" * 32) == {"x": 3.0}
+        assert type(reader.get("aa" * 32)["y"]) is int
+        cache.put("cc" * 32, {"y": 5, "x": 4.0})  # same names: same segment
+        cache.flush()
+        assert len(segments(tmp_path)) == 2
+        assert cache.stats()["stores"] == 3
+
+    def test_two_segment_writers_are_both_served_to_a_third_reader(self, tmp_path):
+        first, second = SearchCache(tmp_path), SearchCache(tmp_path)
+        first.put("aa" * 32, {"x": 1.0})
+        second.put("bb" * 32, {"x": 2.0})
+        first.flush()
+        second.flush()
+        assert len(segments(tmp_path)) == 2
+        reader = SearchCache(tmp_path)
+        assert (reader.get("aa" * 32), reader.get("bb" * 32)) == ({"x": 1.0}, {"x": 2.0})
+
+    def test_later_written_segment_supersedes_an_earlier_one(self, tmp_path):
+        for stamp, value in ((2_000_000_000, 2.0), (1_000_000_000, 1.0), (3_000_000_000, 3.0)):
+            before = segments(tmp_path)
+            writer = SearchCache(tmp_path)
+            writer.put("aa" * 32, {"x": value})
+            writer.flush()
+            (written,) = set(segments(tmp_path)) - set(before)
+            os.utime(written, ns=(stamp, stamp))
+        assert SearchCache(tmp_path).get("aa" * 32) == {"x": 3.0}
+
+    def test_old_layout_tree_is_not_a_segment_and_reads_as_empty(self, tmp_path):
+        query = tiny_query()
+        (key, *_) = query_keys(query)
+        shard = tmp_path / key[:2]
+        shard.mkdir()
+        (shard / f"{key}.json").write_text('{"tokens_per_second": 1.0}', encoding="ascii")
+        (tmp_path / "notes.txt").write_text(f"{key} [1.0]\n", encoding="ascii")
+        (tmp_path / "directory.seg").mkdir()
+        reader = SearchCache(tmp_path)
+        assert reader.get(key) is None
+        outcome = run_search(query, workers=0, cache=reader)
+        assert (outcome.evaluated, outcome.errors) == (outcome.candidates, 0)
+        assert (shard / f"{key}.json").exists()  # ignored, not cleaned up
+
+    def test_segment_is_written_by_flush_not_by_put(self, tmp_path):
+        root = tmp_path / "cache"
+        cache = SearchCache(root)
+        cache.put("aa" * 32, {"x": 1.0})
+        assert not root.exists() and cache.stats()["stores"] == 0
+        assert SearchCache(root).get("aa" * 32) is None
+        query, _ = self.cold(root)
+        assert len(segments(root)) == 1  # run_search flushed its own cache, once
+        assert all(SearchCache(root).get(key) is not None for key in query_keys(query))
+        assert SearchCache(root).get("aa" * 32) is None
+
+    def test_long_lived_reader_sees_a_segment_flushed_after_its_first_load(self, tmp_path):
+        reader = SearchCache(tmp_path)
+        query, _ = self.cold(tmp_path)
+        assert run_search(query, workers=0, cache=reader).evaluated == 0
+        other, _ = self.cold(tmp_path, micro_batch_size=4)
+        (key, *_) = query_keys(other)
+        assert reader.get(key) is None  # answered from the table, not the disk
+        warm = run_search(other, workers=0, cache=reader)
+        assert (warm.evaluated, warm.cache_hits) == (0, warm.candidates)
+        assert reader.stats()["stores"] == 0
+
+    def test_segment_is_smaller_than_one_file_per_entry_was(self, tmp_path):
+        """The benchmark's ``traffic_mb_per_op`` is this directory's size."""
+        query, _ = self.cold(tmp_path)
+        reader = SearchCache(tmp_path)
+        file_per_entry = sum(
+            len(json.dumps(reader.get(key), sort_keys=True)) for key in query_keys(query)
+        )
+        on_disk = sum(path.stat().st_size for path in tmp_path.rglob("*") if path.is_file())
+        assert 0 < on_disk < file_per_entry
+
+    @pytest.mark.parametrize("blocked", ["root_is_a_file", "parent_is_a_file"])
+    def test_unwritable_cache_costs_a_warning_not_the_answer(self, tmp_path, blocked):
+        (tmp_path / "file").write_text("in the way", encoding="ascii")
+        root = tmp_path / "file" if blocked == "root_is_a_file" else tmp_path / "file" / "cache"
+        query = tiny_query()
+        cache = SearchCache(root)
+        with pytest.warns(RuntimeWarning, match=re.escape(str(root))) as caught:
+            outcome = run_search(query, workers=0, cache=cache)
+        assert len(caught) == 1
+        assert outcome.to_json() == run_search(query, workers=0).to_json()
+        assert (outcome.evaluated, outcome.errors) == (outcome.candidates, 0)
+        assert cache.stats()["stores"] == 0
+        assert (tmp_path / "file").read_text(encoding="ascii") == "in the way"
 
 
 class TestWarmCache:
