@@ -659,7 +659,8 @@ def command_search(arguments: argparse.Namespace) -> int:
                 print()
             print(outcome.render_table(top=arguments.top))
         print(
-            f"[search] {outcome.candidates} candidates: {outcome.evaluated} evaluated, "
+            f"[search] {outcome.candidates} candidates "
+            f"({outcome.over_budget} over budget): {outcome.evaluated} evaluated, "
             f"{outcome.cache_hits} cached, {outcome.errors} errors in "
             f"{outcome.elapsed_s:.2f}s "
             f"(workers={workers}, cache={'off' if cache is None else 'on'})",

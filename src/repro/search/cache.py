@@ -25,6 +25,19 @@ nothing is ever evicted.  The cache keeps hit/miss/store counters so callers
 (and the warm-cache tests) can assert exactly how many evaluations were
 skipped.
 
+The search stores entries of two shapes under one key space — a full
+evaluation, and the two budget metrics of a candidate a budget rejected before
+its timing was simulated (:mod:`repro.search.service`) — and a segment holds
+one shape, so a pass that wrote both leaves two segments.  The cache still
+knows neither shape, only this precedence between lines of one key: the line
+read later wins, **except** that a line whose field names are a strict subset
+of the stored entry's never replaces it.  A narrower entry says nothing the
+wider one does not, so whichever order two writers flushed in — a tight-budget
+process its budget-only line, a loose-budget one the full line — every reader
+ends up with the full entry.  The price: a wider entry its reader rejects
+(a ``NaN`` in it, say) is repaired only by a pass that writes a wider one;
+until then passes that write the narrower shape re-evaluate that key.
+
 A query computes thousands of keys, so what its candidates share is done
 once: of the key document only the ``plan`` section (and two scalars) differs
 between the candidates of a tier — the ``model`` and ``hardware`` sections are
@@ -183,7 +196,8 @@ class SearchCache:
         object's own :meth:`flush`; call it at the start of a query so a
         long-lived cache also serves what other writers flushed meanwhile.
         Segments are read least recently modified first, so where two hold the
-        same key the later-written entry is the one served.
+        same key the later-written entry is the one served — unless its field
+        names are a strict subset of the earlier one's, which then stays.
         """
         self._stale = False
         segments = []
@@ -220,6 +234,7 @@ class SearchCache:
             if header is None:
                 self._consumed[path] = None
                 return
+        names = frozenset(header)
         for line in lines:
             key, _, text = line.partition(b" ")
             try:
@@ -227,15 +242,20 @@ class SearchCache:
                 name = key.decode("ascii")
             except ValueError:  # malformed JSON, or bytes that are not text
                 continue
-            if type(values) is list and len(values) == len(header):
-                self._table[name] = (header, values)
+            if type(values) is not list or len(values) != len(header):
+                continue
+            stored = self._table.get(name)
+            if stored is not None and names < frozenset(stored[0]):
+                continue  # a narrower line never replaces a wider entry
+            self._table[name] = (header, values)
         self._consumed[path] = (header, offset + end + 1)
 
     def get(self, key: str) -> Any:
         """The cached payload of ``key``, or ``None`` on a miss.
 
         A hit is ``dict(zip(header, values))`` of the last whole line read for
-        ``key``.  A line that does not parse, lacks its newline, or carries
+        ``key`` (a line with fewer of the same field names never supersedes
+        one with more).  A line that does not parse, lacks its newline, or carries
         another number of values than its segment's header names is a miss,
         as is everything in a segment without a header.  The cache is a byte
         store: judging whether the mapping is a usable evaluation is the

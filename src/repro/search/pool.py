@@ -6,6 +6,14 @@ each, tiny picklable messages.  The parent dispatches *windowed* — at most
 so a query of thousands of candidates can never wedge both ends of a pipe's
 ~64 KiB kernel buffer with a bulk send.
 
+Each worker is topped up from its own *contiguous share* of the task list, not
+from one common queue.  A query expands class-major (all plans of one job, then
+of the next), and what the plans of a class share is memoised per process, so
+a class dealt round-robin is computed in every worker and a class inside one
+share in one.  Load is balanced by stealing: a worker with nothing left to
+send takes the back half of the longest remaining share, and the tasks of a
+retired worker — sent and unsent — go to whoever runs dry next.
+
 Determinism does not depend on the pool: replies carry the candidate index
 they answer, the parent keys results by that index, and
 :func:`evaluate_task` itself is pure — so any completion order, any worker
@@ -24,9 +32,10 @@ two, and must not outlive the pool.
 
 What a worker computes once, not per task: the ``(tier, gpus)`` →
 :class:`~repro.simulator.hardware.ClusterSpec` resolution
-(:func:`~repro.search.query.resolve_cluster` keeps the spec per process) and
-the pipeline replay of every plan that shares one
-(:func:`repro.simulator.executor.replay_pipeline`).
+(:func:`~repro.search.query.resolve_cluster` keeps the spec per process), the
+pipeline replay of every plan that shares one
+(:func:`repro.simulator.executor.replay_pipeline`), and the per-job, per-spec
+cost terms and memory peaks listed in :mod:`repro.search.service`.
 """
 
 from __future__ import annotations
@@ -41,8 +50,9 @@ from typing import Any, Iterable, Mapping
 
 from repro.models.gpt_configs import PaperModelSpec
 from repro.plan import ParallelPlan
+from repro.search.frontier import within_budget
 from repro.search.query import resolve_cluster
-from repro.simulator.evaluate import evaluate_plan
+from repro.simulator.evaluate import budget_metrics, evaluate_job
 
 __all__ = ["EvaluationPool", "TASK_WINDOW", "WORKER_PROGRESS_DEADLINE_S", "evaluate_task"]
 
@@ -63,15 +73,20 @@ def evaluate_task(task: Mapping[str, Any]) -> dict[str, float]:
 
     Rebuilds the plan, model, and cluster from the JSON-safe ``task`` dict
     (:meth:`repro.search.query.Candidate.task`) and returns
-    :meth:`~repro.simulator.evaluate.PlanEvaluation.to_dict` output.
+    :meth:`~repro.simulator.evaluate.PlanEvaluation.to_dict` output — or, budget
+    first, only the two :data:`~repro.simulator.evaluate.BUDGET_METRICS` when
+    the task names a budget (``max_memory_gb`` / ``max_compression_loss``;
+    absent means none) that one of them exceeds: nothing of such a candidate's
+    timing can reach the answer, so it is not simulated.
     """
     plan = ParallelPlan.from_dict(task["plan"])
     model = PaperModelSpec(**task["model"])
     cluster = resolve_cluster(task["tier"], task["gpus"])
-    evaluation = evaluate_plan(
-        plan, model, cluster=cluster, micro_batch_size=task["micro_batch_size"]
-    )
-    return evaluation.to_dict()
+    job = plan.training_job(model, cluster=cluster, micro_batch_size=task["micro_batch_size"])
+    budget = budget_metrics(job, plan)
+    if not within_budget(budget, task.get("max_memory_gb"), task.get("max_compression_loss")):
+        return budget
+    return evaluate_job(job, plan, budget).to_dict()
 
 
 def _worker_main(connection: Connection) -> None:
@@ -106,6 +121,9 @@ class _Worker:
         child.close()
         #: Tasks sent but not yet answered, keyed by candidate index.
         self.outstanding: dict[int, Mapping[str, Any]] = {}
+        #: Tasks of the current :meth:`EvaluationPool.run` this worker is to
+        #: be sent next: a contiguous run of the task list.
+        self.share: deque[tuple[int, Mapping[str, Any]]] = deque()
         #: ``time.monotonic()`` of the last reply, or of the first task sent
         #: to an idle worker — what the progress deadline is measured from.
         self.heard_at = 0.0
@@ -189,27 +207,56 @@ class EvaluationPool:
         """Evaluate every ``(index, task)`` pair; return ``{index: (kind, payload)}``.
 
         ``kind`` is ``"ok"`` (payload: metrics dict) or ``"error"`` (payload:
-        the worker's formatted traceback).  A worker that crashed, or that has
+        the worker's formatted traceback).  Each worker starts on a
+        contiguous share of the tasks and, once it has sent all of it, takes
+        half of the longest share left.  A worker that crashed, or that has
         owed replies for :data:`WORKER_PROGRESS_DEADLINE_S` without delivering
-        one, is killed and its tasks are requeued to the survivors; with no
-        survivors the parent finishes inline, so the call always returns a
-        complete map, and returns it in bounded time.
+        one, is killed and its tasks — those it owes and those it was never
+        sent — are requeued to the survivors; with no survivors the parent
+        finishes inline, so the call always returns a complete map, and
+        returns it in bounded time.
         """
-        queue: deque[tuple[int, Mapping[str, Any]]] = deque(tasks)
         results: dict[int, tuple[str, Any]] = {}
         alive = list(self._workers)
+        pending = list(tasks)
+        # Tasks no live worker owns: all of them without workers, later those
+        # of retired workers; what is left once the last worker is gone runs
+        # inline.
+        orphaned: deque[tuple[int, Mapping[str, Any]]] = deque()
+        if alive:
+            size = -(-len(pending) // len(alive))
+            for position, worker in enumerate(alive):
+                worker.share = deque(pending[position * size : (position + 1) * size])
+        else:
+            orphaned.extend(pending)
 
         def retire(worker: _Worker) -> None:
             worker.kill()
             alive.remove(worker)
-            queue.extend(worker.outstanding.items())
+            orphaned.extend(worker.outstanding.items())
+            orphaned.extend(worker.share)
             worker.outstanding.clear()
+            worker.share.clear()
 
-        while alive and (queue or any(worker.outstanding for worker in alive)):
+        def refill(worker: _Worker) -> None:
+            """Give a worker with nothing left to send the orphans, or half a share."""
+            if orphaned:
+                worker.share.extend(orphaned)
+                orphaned.clear()
+                return
+            victim = max(alive, key=lambda other: len(other.share)).share
+            stolen = [victim.pop() for _ in range((len(victim) + 1) // 2)]
+            worker.share.extend(reversed(stolen))
+
+        while alive and (
+            orphaned or any(worker.share or worker.outstanding for worker in alive)
+        ):
             now = time.monotonic()
             for worker in list(alive):
                 was_idle = not worker.outstanding
-                if not self._top_up(worker, queue):
+                if not worker.share and len(worker.outstanding) < TASK_WINDOW:
+                    refill(worker)
+                if not self._top_up(worker, worker.share):
                     retire(worker)
                 elif was_idle:
                     worker.heard_at = now
@@ -232,7 +279,7 @@ class EvaluationPool:
                 elif now - worker.heard_at >= WORKER_PROGRESS_DEADLINE_S:
                     retire(worker)
         # Inline fallback: workers==0, or every worker crashed mid-query.
-        for index, task in queue:
+        for index, task in orphaned:
             try:
                 results[index] = ("ok", evaluate_task(task))
             except Exception:  # noqa: BLE001 - mirrored worker-side contract

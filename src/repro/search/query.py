@@ -87,7 +87,11 @@ class Candidate:
         rebuild the evaluation inputs in another process: the plan dict, the
         model spec dict, the tier name, and the query's GPU count and
         micro-batch size.  The model dict is the query's one
-        :attr:`SearchQuery.model_document`, shared by all its tasks.
+        :attr:`SearchQuery.model_document`, shared by all its tasks.  The
+        query's two budgets ride along so the worker can stop at a candidate
+        they reject; they select how much is evaluated, never what a number
+        is, and are no part of the cache key
+        (:func:`repro.search.cache.task_key_material`).
         """
         return {
             "plan": self.plan.to_dict(),
@@ -95,6 +99,8 @@ class Candidate:
             "tier": self.tier,
             "gpus": query.gpus,
             "micro_batch_size": query.micro_batch_size,
+            "max_memory_gb": query.max_memory_gb,
+            "max_compression_loss": query.max_compression_loss,
         }
 
 

@@ -16,21 +16,44 @@ What a query pays for, and how often:
 * **per tier** — the resolved cluster, its hardware document and the canonical
   JSON of the model and hardware sections of the key
   (:mod:`repro.search.cache`);
+* **per job** (topology × schedule; 100 in the flagship query's 2,800
+  candidates) — the cost model, the per-stage F/B/W times, compute totals and
+  TP wire, and the schedule's per-stage memory profile;
+* **per (job, DP spec)** — the per-stage time, kernel overhead and wire bytes
+  of the DP all-reduce;
+* **per (job, PP rank, DP rank, compressed-stage set)** — the memory peak;
 * **per replay class** — the simulator's pipeline replay, shared by every plan
   with the same job and PP-boundary codec
-  (:func:`repro.simulator.executor.replay_pipeline`);
+  (:func:`repro.simulator.executor.replay_pipeline`), and the inter-stage
+  transfer of each rank;
 * **per candidate** — one validating :class:`~repro.plan.ParallelPlan`
   construction, its field-read ``to_dict``, the plan section of the key and
-  its SHA-256, one cache table lookup or one buffered entry line, and the
-  DP / embedding tail of the simulation;
+  its SHA-256, one cache table lookup or one buffered entry line, and — only
+  for a candidate the budgets admit — the arithmetic of the DP / embedding
+  tail over the shared terms;
 * **per pass** — one read of what was appended to the cache directory since
   the last query and, if anything was evaluated, one append to this cache
   object's segment (:meth:`~repro.search.cache.SearchCache.flush`).
 
+The per-class terms are memoised per process (:mod:`repro.simulator.executor`,
+:mod:`repro.simulator.memory_model`), and the pool hands each worker a
+contiguous run of the class-major expansion, so a class is computed in one
+worker rather than in all of them.
+
+**Budget first.**  A query's budgets read two metrics, peak memory and the
+compression-loss score, and neither needs the timing half of the simulation.
+Each task carries the budgets; the evaluation computes those two metrics
+first and returns only them for a candidate a budget rejects (1,336 of the
+flagship query's 2,800).  Such a reply counts as evaluated, is excluded by the
+budget filter like any over-budget candidate, and is cached as a narrower
+entry — served as a hit only to a query whose budgets still reject it, and
+completed by the first query that admits the candidate.
+
 A cache hit is taken on trust only as far as its shape: the cache directory is
-outside input, so a hit must be a mapping with exactly
-:class:`~repro.simulator.evaluate.PlanEvaluation`'s field names and finite
-numbers, or it is re-evaluated and stored again like a miss.
+outside input, so a hit must be a mapping of finite numbers under exactly
+:class:`~repro.simulator.evaluate.PlanEvaluation`'s field names — or, for a
+candidate this query's budgets reject, exactly the two budget metrics — or it
+is re-evaluated and stored again like a miss.
 """
 
 from __future__ import annotations
@@ -51,31 +74,40 @@ from repro.search.frontier import (
 )
 from repro.search.pool import EvaluationPool
 from repro.search.query import Candidate, SearchQuery, resolve_cluster
-from repro.simulator.evaluate import PlanEvaluation
+from repro.simulator.evaluate import BUDGET_METRICS, PlanEvaluation
 from repro.utils.tables import Table, format_float
 
 __all__ = ["SearchOutcome", "run_queries", "run_search"]
 
-#: The field names a cached evaluation must carry — exactly these, no others.
+#: The field names a cached evaluation must carry — exactly these, no others —
+#: and those of a budget-only one.
 _METRIC_NAMES = frozenset(spec_field.name for spec_field in fields(PlanEvaluation))
+_BUDGET_NAMES = frozenset(BUDGET_METRICS)
 
 
-def _usable_entry(entry: Any) -> bool:
-    """Whether a cache hit is an evaluation this build can rank.
+def _usable_entry(entry: Any, query: SearchQuery) -> bool:
+    """Whether a cache hit is an evaluation this build can rank for ``query``.
 
     The cache directory is outside input: a file can parse as JSON and still
     be ``[]``, ``0``, or the metrics of a build whose
     :class:`~repro.simulator.evaluate.PlanEvaluation` had other fields.  Such
     a hit would fail the whole query in the budget filter, so it is treated as
-    a miss instead: re-evaluated, and superseded by the fresh result.
+    a miss instead: re-evaluated, and superseded by the fresh result.  A
+    budget-only entry answers a query whose budgets reject it, and is a miss
+    for every other.
     """
-    return (
-        isinstance(entry, dict)
-        and entry.keys() == _METRIC_NAMES
-        and all(
-            type(value) is float and math.isfinite(value) or type(value) is int
-            for value in entry.values()
-        )
+    if not isinstance(entry, dict):
+        return False
+    names = entry.keys()
+    if names != _METRIC_NAMES and names != _BUDGET_NAMES:
+        return False
+    if not all(
+        type(value) is float and math.isfinite(value) or type(value) is int
+        for value in entry.values()
+    ):
+        return False
+    return names == _METRIC_NAMES or not within_budget(
+        entry, query.max_memory_gb, query.max_compression_loss
     )
 
 
@@ -99,12 +131,18 @@ class SearchOutcome:
     within_budget: int = 0
     #: Candidates that failed to evaluate (deterministically excluded).
     errors: int = 0
-    #: Simulator evaluations actually performed by this run.
+    #: Simulator evaluations actually performed by this run (one that stopped
+    #: at the budget metrics counts).
     evaluated: int = 0
     #: Evaluations served from the on-disk cache by this run.
     cache_hits: int = 0
     #: Wall-clock seconds this run took (not part of the deterministic output).
     elapsed_s: float = 0.0
+
+    @property
+    def over_budget(self) -> int:
+        """Candidates that evaluated and exceeded one of the query's budgets."""
+        return self.candidates - self.within_budget - self.errors
 
     def to_dict(self, top: int | None = None) -> dict[str, Any]:
         """The deterministic result document (frontier capped at ``top``)."""
@@ -129,7 +167,8 @@ class SearchOutcome:
             title=(
                 f"{model.name} on {self.query.gpus} GPUs: "
                 f"{len(self.entries)} Pareto-optimal of {self.within_budget} "
-                f"in-budget candidates ({self.candidates} evaluated)"
+                f"in-budget candidates ({self.candidates} candidates, "
+                f"{self.over_budget} over budget)"
             ),
             columns=["#", "Plan", "Tier", "Tokens/s", "Wire GB", "Peak GB", "Loss", "Score"],
         )
@@ -193,7 +232,7 @@ def _search_with(
             key = cache_key(task_key_material(task, clusters[candidate.tier]))
             keys[candidate.index] = key
             cached = cache.get(key)
-            if _usable_entry(cached):
+            if _usable_entry(cached, query):
                 metrics[candidate.index] = cached
                 cache_hits += 1
                 continue

@@ -15,6 +15,7 @@ All times are seconds, all volumes bytes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.models.gpt_configs import PaperModelSpec
@@ -33,6 +34,15 @@ SIM_SCHEDULE_KINDS = ("1f1b", "zb1", "auto")
 #: for an unchanged plan — cached evaluations from the older model then miss
 #: instead of serving stale numbers.
 COST_MODEL_VERSION = "2026.08-1"
+
+#: Entries each of the simulator's per-class memos keeps (:func:`job_cost_model`,
+#: the per-job / per-spec timing terms in :mod:`repro.simulator.executor`, the
+#: memory peaks in :mod:`repro.simulator.memory_model`).  Like
+#: :data:`repro.simulator.executor.REPLAY_MEMO_SIZE` the bound is memory
+#: hygiene for a long-lived process, not a tuning knob: an entry is a job
+#: reference and at most a few floats per stage, and a plan sweep visits its
+#: candidates class by class, so a far smaller table would hit as often.
+CLASS_MEMO_SIZE = 256
 
 #: fp16 weight + fp16 gradient + fp32 master weight + fp32 Adam m + fp32 Adam v.
 BYTES_PER_PARAMETER_WITH_OPTIMIZER = 2 + 2 + 4 + 4 + 4
@@ -542,3 +552,14 @@ class CostModel:
                 total += 2.0 * self.constants.kernel_fixed_overhead_s
                 total += passes * rows * cols / gemm_rate
         return total / self.layout.tensor_parallel
+
+
+@functools.lru_cache(maxsize=CLASS_MEMO_SIZE)
+def job_cost_model(job: TrainingJob) -> CostModel:
+    """The one :class:`CostModel` of ``job`` this process shares.
+
+    A cost model holds nothing but what its (frozen) job says, so the timing
+    simulator, the memory model and every memoised term below them read the
+    same instance instead of building one each, per plan.
+    """
+    return CostModel(job)

@@ -4,23 +4,35 @@ The capacity-planning service (:mod:`repro.search`) needs to score thousands of
 candidate :class:`~repro.plan.ParallelPlan`s per query, each in milliseconds,
 each producing exactly the same numbers no matter which worker process computed
 it or in which order.  :func:`evaluate_plan` is that seam: it derives the
-simulator's job from the plan, replays one iteration through
-:class:`~repro.simulator.executor.PipelineTimingSimulator`, reads the peak
-memory off :class:`~repro.simulator.memory_model.MemoryModel`, and folds the
-result into one flat, JSON-safe :class:`PlanEvaluation`.
+simulator's job from the plan, reads the peak memory off
+:class:`~repro.simulator.memory_model.MemoryModel`, replays one iteration
+through :class:`~repro.simulator.executor.PipelineTimingSimulator`, and folds
+the result into one flat, JSON-safe :class:`PlanEvaluation`.
+
+The evaluation comes in two steps because a search's budgets read two of its
+numbers only: :func:`budget_metrics` (peak memory and the compression-loss
+score — no timing) and :func:`evaluate_job`, which adds the timing half.  The
+search evaluates the first, and the second only for a candidate its budgets
+admit (:func:`repro.search.pool.evaluate_task`); :func:`evaluate_plan` is the
+two in a row.
 
 Determinism contract: the evaluation is a pure function of
 ``(plan, model, cluster, micro_batch_size)`` — no wall clock, no RNG, no
 global state — so identical inputs produce bit-identical outputs across
-processes and runs.  That property is what makes the search's content-keyed
-result cache (:mod:`repro.search.cache`) sound, and
+processes and runs.  The simulator does keep per-process memos (the cost model
+of a job, its per-stage compute and DP terms, transfers, pipeline replays,
+memory peaks), but each memoised term is a pure function of its key, the key
+names every input the term reads, and the values are immutable — a hit is
+indistinguishable from a recomputation, whatever the order the memos were
+filled in.  That property is what makes the search's content-keyed result
+cache (:mod:`repro.search.cache`) sound, and
 :data:`~repro.simulator.cost_model.COST_MODEL_VERSION` is the escape hatch for
 the one thing the inputs cannot capture: changes to this model's own code.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 from repro.plan import Boundary, ParallelPlan
@@ -29,7 +41,19 @@ from repro.simulator.executor import PipelineTimingSimulator
 from repro.simulator.hardware import ClusterSpec
 from repro.simulator.memory_model import MemoryModel
 
-__all__ = ["PlanEvaluation", "compression_loss", "evaluate_plan"]
+__all__ = [
+    "BUDGET_METRICS",
+    "PlanEvaluation",
+    "budget_metrics",
+    "compression_loss",
+    "evaluate_job",
+    "evaluate_plan",
+]
+
+#: The two :class:`PlanEvaluation` fields a search budget reads
+#: (:func:`repro.search.frontier.within_budget`) — what :func:`budget_metrics`
+#: returns, and the field names of a budget-only cache entry.
+BUDGET_METRICS = ("peak_memory_gb", "compression_loss")
 
 
 def _codec_aggressiveness(codec: str, rank: int, bits: int, fraction: float) -> float:
@@ -110,12 +134,50 @@ class PlanEvaluation:
 
     def to_dict(self) -> dict[str, float]:
         """Plain-dict form (JSON-safe; round-trips through :meth:`from_dict`)."""
-        return asdict(self)
+        return {spec_field.name: getattr(self, spec_field.name) for spec_field in fields(self)}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "PlanEvaluation":
         """Rebuild an evaluation from :meth:`to_dict` output (extra keys raise)."""
         return cls(**{key: float(value) for key, value in payload.items()})
+
+
+def budget_metrics(job: TrainingJob, plan: ParallelPlan) -> dict[str, float]:
+    """The :data:`BUDGET_METRICS` of ``plan`` on ``job``: memory peak and loss score.
+
+    Neither needs the timing replay, so a search can reject a candidate on
+    these before paying for :func:`evaluate_job`.
+    """
+    return {
+        "peak_memory_gb": MemoryModel(job, plan).peak_report().total_gb,
+        "compression_loss": compression_loss(plan),
+    }
+
+
+def evaluate_job(
+    job: TrainingJob, plan: ParallelPlan, budget: Mapping[str, float] | None = None
+) -> PlanEvaluation:
+    """Simulate one iteration of ``plan`` on ``job`` and return its metrics.
+
+    ``budget`` is :func:`budget_metrics` of the same pair where the caller has
+    already computed it (computed here otherwise).
+    """
+    if budget is None:
+        budget = budget_metrics(job, plan)
+    timing = PipelineTimingSimulator(job, plan).run()
+    tokens = job.global_batch_size * job.seq_length
+    wire = timing.wire_bytes_by_axis()
+    return PlanEvaluation(
+        iteration_time_s=timing.iteration_time,
+        tokens_per_second=tokens / timing.iteration_time,
+        bubble_fraction=timing.bubble_fraction,
+        wire_bytes_total=sum(wire.values()),
+        dp_wire_bytes=wire["data_parallel"],
+        pp_wire_bytes=wire["pipeline"],
+        embedding_wire_bytes=wire["embedding"],
+        tp_wire_bytes=wire["tensor_parallel"],
+        **budget,
+    )
 
 
 def evaluate_plan(
@@ -144,19 +206,4 @@ def evaluate_plan(
     job: TrainingJob = (
         plan.training_job(model, cluster=cluster, micro_batch_size=micro_batch_size)
     )
-    timing = PipelineTimingSimulator(job, plan).run()
-    memory = MemoryModel(job, plan).peak_report()
-    tokens = job.global_batch_size * job.seq_length
-    wire = timing.wire_bytes_by_axis()
-    return PlanEvaluation(
-        iteration_time_s=timing.iteration_time,
-        tokens_per_second=tokens / timing.iteration_time,
-        bubble_fraction=timing.bubble_fraction,
-        wire_bytes_total=sum(wire.values()),
-        dp_wire_bytes=wire["data_parallel"],
-        pp_wire_bytes=wire["pipeline"],
-        embedding_wire_bytes=wire["embedding"],
-        tp_wire_bytes=wire["tensor_parallel"],
-        peak_memory_gb=memory.total_gb,
-        compression_loss=compression_loss(plan),
-    )
+    return evaluate_job(job, plan)

@@ -26,6 +26,14 @@ are not in the replay's key because nothing in the pipeline phase reads them:
 the DP all-reduce starts *after* a stage's last backward op and the embedding
 synchronisation after that, so they move when an iteration ends, never when a
 pipeline op runs.
+
+What the tail reads per stage is itself shared between plans and computed once
+per class, each behind one bounded table: per (job, toggles) the F/B/W op
+times, compute totals and TP wire (:func:`_stage_compute`), per (job, DP spec)
+the per-stage ``(time, overhead, wire)`` of the DP all-reduce
+(:func:`_dp_terms`), per (job, toggles, rank) one inter-stage transfer
+(:func:`_transfer`).  Every one is a pure function of its key, and the tail
+adds the terms up in the order the unshared code did, so no number moves.
 """
 
 from __future__ import annotations
@@ -41,8 +49,8 @@ from repro.parallel.pipeline_schedule import (
     build_interleaved_1f1b_schedule,
     build_zb1_schedule,
 )
-from repro.plan import SPLIT_BACKWARD_KINDS, Boundary, ParallelPlan
-from repro.simulator.cost_model import CostModel, TrainingJob
+from repro.plan import SPLIT_BACKWARD_KINDS, Boundary, CompressionSpec, ParallelPlan
+from repro.simulator.cost_model import CLASS_MEMO_SIZE, TrainingJob, job_cost_model
 
 #: Modelled latency of respawning one worker after a crash or hang: fork the
 #: replacement over the existing shared segment, verify it with a heartbeat,
@@ -69,7 +77,7 @@ def build_job_schedule(job: TrainingJob) -> tuple[tuple[PipelineOp, ...], ...]:
     if job.schedule_kind == "auto":
         from repro.parallel.scheduler import synthesize_schedule
 
-        schedule = synthesize_schedule(CostModel(job).auto_synthesis_spec()).ops
+        schedule = synthesize_schedule(job_cost_model(job).auto_synthesis_spec()).ops
     elif job.schedule_kind == "zb1":
         schedule = build_zb1_schedule(num_stages, num_micro)
     elif num_stages > 1 and job.num_model_chunks > 1:
@@ -164,31 +172,89 @@ class IterationTiming:
 REPLAY_MEMO_SIZE = 256
 
 
-def _compute_times(
-    cost: CostModel, toggles: ComponentToggles, chunks: int
-) -> tuple[list[float], list[float], list[float]]:
-    """Per-stage, per-chunk ``(forward, backward, backward_weight)`` op times.
+class StageCompute(NamedTuple):
+    """Compute-side terms of one job under one set of toggles (:func:`_stage_compute`)."""
+
+    #: Per-stage, per-chunk forward op time.
+    forward: tuple[float, ...]
+    #: Per-stage, per-chunk fused backward op time.
+    backward: tuple[float, ...]
+    #: Per-stage, per-chunk weight-gradient (W) op time.
+    backward_weight: tuple[float, ...]
+    #: Forward compute of one iteration, averaged over the stages.
+    forward_total: float
+    #: Backward compute of one iteration, averaged over the stages.
+    backward_total: float
+    #: Intra-node tensor-parallel wire bytes of one iteration, all stages.
+    tp_wire: float
+
+
+@functools.lru_cache(maxsize=CLASS_MEMO_SIZE)
+def _stage_compute(job: TrainingJob, toggles: ComponentToggles) -> StageCompute:
+    """Per-stage ``(forward, backward, backward_weight)`` op times and their totals.
 
     A stage's layers are split evenly across chunks.  Under a split schedule
     B + W equals the fused backward exactly: the B time is the difference.
     """
-    stages = range(cost.layout.pipeline_parallel)
-    forward = [cost.forward_time(s) * toggles.forward / chunks for s in stages]
-    backward = [cost.backward_time(s) * toggles.backward / chunks for s in stages]
-    backward_weight = [
+    cost = job_cost_model(job)
+    num_stages = job.num_stages
+    num_micro = job.num_micro_batches
+    chunks = job.num_model_chunks if num_stages > 1 else 1
+    stages = range(num_stages)
+    forward = tuple(cost.forward_time(s) * toggles.forward / chunks for s in stages)
+    backward = tuple(cost.backward_time(s) * toggles.backward / chunks for s in stages)
+    backward_weight = tuple(
         cost.backward_weight_time(s) * toggles.backward / chunks for s in stages
-    ]
-    return forward, backward, backward_weight
+    )
+    return StageCompute(
+        forward=forward,
+        backward=backward,
+        backward_weight=backward_weight,
+        forward_total=sum(forward[s] * chunks * num_micro for s in stages) / num_stages,
+        backward_total=sum(backward[s] * chunks * num_micro for s in stages) / num_stages,
+        tp_wire=sum(cost.tensor_parallel_wire_bytes(s) for s in stages),
+    )
 
 
+@functools.lru_cache(maxsize=CLASS_MEMO_SIZE)
+def _dp_terms(job: TrainingJob, dp: CompressionSpec) -> tuple[tuple[float, float, float], ...]:
+    """Per-stage ``(time, overhead, wire)`` of the DP all-reduce under the spec ``dp``.
+
+    Before the ``data_parallel`` toggle, which the tail applies: the stages the
+    spec selects pay the codec's wire bytes and kernel overhead, the others the
+    exact volume.
+    """
+    cost = job_cost_model(job)
+    replicated = job.layout.data_parallel > 1
+    compressed_stages = dp.compressed_stages(job.num_stages)
+    terms = []
+    for stage in range(job.num_stages):
+        if stage in compressed_stages and replicated:
+            wire = cost.dp_compressed_gradient_bytes(
+                stage,
+                dp.rank,
+                codec=dp.codec,
+                qsgd_bits=dp.bits,
+                topk_fraction=dp.fraction,
+            )
+            overhead = cost.dp_compression_overhead(stage, dp.rank, codec=dp.codec)
+            terms.append((cost.collective_time(wire), overhead, wire))
+        else:
+            wire = cost.dp_gradient_bytes(stage) if replicated else 0.0
+            terms.append((cost.dp_time(stage), 0.0, wire))
+    return tuple(terms)
+
+
+@functools.lru_cache(maxsize=CLASS_MEMO_SIZE)
 def _transfer(
-    cost: CostModel, toggles: ComponentToggles, compressed_rank: int | None
+    job: TrainingJob, toggles: ComponentToggles, compressed_rank: int | None
 ) -> tuple[float, float, float]:
     """``(delay_seconds, wire_bytes, compression_overhead)`` of one inter-stage transfer.
 
     ``compressed_rank`` is the PowerSGD rank of a compressed transfer, ``None``
     for a plain one.
     """
+    cost = job_cost_model(job)
     overhead = 0.0
     if compressed_rank is not None:
         wire = cost.compressed_activation_bytes(compressed_rank)
@@ -263,27 +329,25 @@ def replay_pipeline(
     frozen and hashable and the result is immutable, so a hit is
     indistinguishable from a recomputation.
     """
-    cost = CostModel(job)
     num_stages = job.num_stages
     num_micro = job.num_micro_batches
     chunks = job.num_model_chunks if num_stages > 1 else 1
     schedule = build_job_schedule(job)
     epilogue_sets = _epilogue_sets(schedule)
 
-    forward_times, backward_times, backward_weight_times = _compute_times(cost, toggles, chunks)
-    backward_input_times = [
-        full - weight for full, weight in zip(backward_times, backward_weight_times)
-    ]
+    compute = _stage_compute(job, toggles)
     op_durations = {
-        "forward": forward_times,
-        "backward": backward_times,
-        "backward_input": backward_input_times,
-        "backward_weight": backward_weight_times,
+        "forward": compute.forward,
+        "backward": compute.backward,
+        "backward_input": [
+            full - weight for full, weight in zip(compute.backward, compute.backward_weight)
+        ],
+        "backward_weight": compute.backward_weight,
     }
     # Every transfer of the replay is one of these two.
-    plain_transfer = _transfer(cost, toggles, None)
+    plain_transfer = _transfer(job, toggles, None)
     compressed_transfer = (
-        _transfer(cost, toggles, backward_rank)
+        _transfer(job, toggles, backward_rank)
         if compress_backward or compress_forward
         else plain_transfer
     )
@@ -412,7 +476,7 @@ class PipelineTimingSimulator:
         toggles: ComponentToggles | None = None,
     ) -> None:
         self.job = job
-        self.cost = CostModel(job)
+        self.cost = job_cost_model(job)
         self.plan = plan if plan is not None else ParallelPlan.baseline()
         self.toggles = toggles if toggles is not None else ComponentToggles()
 
@@ -442,13 +506,9 @@ class PipelineTimingSimulator:
         if respawns < 0:
             raise ValueError("respawns must be non-negative")
         num_stages = self.job.num_stages
-        num_micro = self.job.num_micro_batches
-        chunks = self.job.num_model_chunks if num_stages > 1 else 1
         pp = self.plan.spec(Boundary.PP)
         dp = self.plan.spec(Boundary.DP)
-        forward_times, backward_times, backward_weight_times = _compute_times(
-            self.cost, self.toggles, chunks
-        )
+        compute = _stage_compute(self.job, self.toggles)
         replay = replay_pipeline(
             self.job,
             self.toggles,
@@ -464,32 +524,11 @@ class PipelineTimingSimulator:
         compression_overhead_total = replay.transfer_overhead
 
         # ---------------- data-parallel gradient all-reduce -----------------------
-        compressed_stages = dp.compressed_stages(num_stages)
         dp_times = []
         dp_wires = []
         dp_wire_total = 0.0
         stage_finish = []
-        for stage in range(num_stages):
-            if stage in compressed_stages and self.job.layout.data_parallel > 1:
-                dp_wire = self.cost.dp_compressed_gradient_bytes(
-                    stage,
-                    dp.rank,
-                    codec=dp.codec,
-                    qsgd_bits=dp.bits,
-                    topk_fraction=dp.fraction,
-                )
-                dp_time = self.cost.collective_time(dp_wire)
-                dp_overhead = self.cost.dp_compression_overhead(
-                    stage, dp.rank, codec=dp.codec
-                )
-            else:
-                dp_time = self.cost.dp_time(stage)
-                dp_overhead = 0.0
-                dp_wire = (
-                    self.cost.dp_gradient_bytes(stage)
-                    if self.job.layout.data_parallel > 1
-                    else 0.0
-                )
+        for stage, (dp_time, dp_overhead, dp_wire) in enumerate(_dp_terms(self.job, dp)):
             dp_time = dp_time * self.toggles.data_parallel
             dp_wire = dp_wire * self.toggles.data_parallel
             compression_overhead_total += dp_overhead
@@ -514,9 +553,9 @@ class PipelineTimingSimulator:
             window = max(0.0, backward_end - stage_backward_finish[stage])
             if self.job.dp_fire == "micro_batch":
                 window += (
-                    backward_weight_times[stage]
+                    compute.backward_weight[stage]
                     if self.job.schedule_kind in SPLIT_BACKWARD_KINDS
-                    else backward_times[stage]
+                    else compute.backward[stage]
                 )
             if dp_times[stage] > 0.0:
                 hidden_fraction = min(1.0, window / dp_times[stage])
@@ -572,26 +611,18 @@ class PipelineTimingSimulator:
         # this is why the data-parallel traffic of *later* stages can stay
         # uncompressed under selective stage compression (Section 7, Fig. 8).
         forward_delay, _, _ = _transfer(
-            self.cost, self.toggles, pp.rank if pp.compress_forward else None
+            self.job, self.toggles, pp.rank if pp.compress_forward else None
         )
         warmup_offset = [0.0] * num_stages
         for stage in range(1, num_stages):
-            warmup_offset[stage] = warmup_offset[stage - 1] + forward_times[stage - 1] + forward_delay
+            warmup_offset[stage] = (
+                warmup_offset[stage - 1] + compute.forward[stage - 1] + forward_delay
+            )
 
         iteration_time = max(
             stage_finish[stage] - warmup_offset[stage] for stage in range(num_stages)
         )
         iteration_time = max(iteration_time, max(stage_backward_finish))
-        forward_compute = sum(
-            forward_times[s] * chunks * num_micro for s in range(num_stages)
-        ) / num_stages
-        backward_compute = sum(
-            backward_times[s] * chunks * num_micro for s in range(num_stages)
-        ) / num_stages
-
-        tp_wire_total = sum(
-            self.cost.tensor_parallel_wire_bytes(stage) for stage in range(num_stages)
-        )
 
         # A respawn re-forks the worker and replays the interrupted iteration
         # from the pre-step snapshot, so each one costs the fork latency plus
@@ -606,12 +637,12 @@ class PipelineTimingSimulator:
             dp_times=dp_times,
             embedding_time=embedding_time,
             compression_overhead=compression_overhead_total,
-            forward_compute=forward_compute,
-            backward_compute=backward_compute,
+            forward_compute=compute.forward_total,
+            backward_compute=compute.backward_total,
             interstage_wire_bytes=replay.interstage_wire,
             dp_wire_bytes=dp_wire_total,
             embedding_wire_bytes=embedding_wire,
-            tp_wire_bytes=tp_wire_total,
+            tp_wire_bytes=compute.tp_wire,
             dp_exposed_wire_bytes=dp_exposed_wire,
             dp_overlapped_wire_bytes=dp_overlapped_wire,
             bubble_fraction=replay.bubble_fraction,

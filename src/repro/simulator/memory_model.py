@@ -16,10 +16,18 @@ same components:
 * PowerSGD ``P``/``Q`` work buffers when compression is enabled;
 * one activation-gradient-sized residual per outgoing boundary when lazy error
   propagation is enabled.
+
+Of a plan the report reads four things only — whether the PP boundary
+compresses and at which rank, the DP rank, and which stages the DP codec
+touches — so the peak is memoised per ``(job, those four, lazy error)`` class
+in one bounded table (:func:`_peak_report`): a plan sweep holds far fewer
+classes than plans (600 of the flagship query's 2,800).  The per-stage
+schedule profile is memoised per job (:func:`_stage_memory_profiles`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.parallel.pipeline_schedule import count_in_flight_micro_batches
@@ -28,9 +36,10 @@ from repro.plan import SPLIT_BACKWARD_KINDS, Boundary, ParallelPlan
 from repro.simulator.cost_model import (
     ACTIVATION_BYTES_PER_TOKEN_HIDDEN,
     BYTES_PER_PARAMETER_WITH_OPTIMIZER,
+    CLASS_MEMO_SIZE,
     WEIGHT_STASH_BYTES_PER_TOKEN_HIDDEN,
-    CostModel,
     TrainingJob,
+    job_cost_model,
 )
 from repro.simulator.executor import build_job_schedule
 
@@ -43,7 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryReport:
     """Peak-memory estimate of one pipeline stage (bytes)."""
 
@@ -77,98 +86,117 @@ class MemoryReport:
         return self.total / baseline.total - 1.0
 
 
+@functools.lru_cache(maxsize=CLASS_MEMO_SIZE)
+def _stage_memory_profiles(job: TrainingJob) -> tuple[tuple[int, int], ...]:
+    """Per-stage ``(peak in-flight activations, peak pending W stashes)`` of ``job``.
+
+    For the split-backward kinds both counts are read off the actual op lists
+    (for ``"auto"`` that means synthesizing the schedule the simulator would
+    replay, so the report and the replay agree); for the fused-backward
+    schedules the in-flight peak is the analytic 1F1B count and the stash is
+    zero.
+    """
+    if job.schedule_kind in SPLIT_BACKWARD_KINDS:
+        return tuple(stage_memory_profile(ops) for ops in build_job_schedule(job))
+    return tuple(
+        (count_in_flight_micro_batches(stage, job.num_stages, job.num_micro_batches), 0)
+        for stage in range(job.num_stages)
+    )
+
+
+def _compression_buffer_bytes(
+    job: TrainingJob, stage: int, pp_rank: int | None, dp_rank: int | None
+) -> float:
+    """Work buffers (fp32) of the compression paths active on this stage.
+
+    ``pp_rank`` is the PP boundary's rank where it compresses (``None`` where
+    it does not), ``dp_rank`` the DP boundary's where its codec touches this
+    stage.  Compressed backpropagation keeps, per in-flight micro-batch, a
+    full-size fp32 staging buffer for the activation gradient being compressed
+    (the PowerSGD implementation's send/workspace buffer) plus the low-rank
+    ``P``/``Q`` factors — the paper's "separate memory region ... for low-rank
+    matrices" that accounts for its 5-10 % overhead (Fig. 12).  Selective stage
+    compression adds per-weight-matrix ``P``/``Q`` factors on the compressed
+    stages.
+    """
+    total = 0.0
+    if pp_rank is not None:
+        rows = job.micro_batch_size * job.seq_length
+        cols = job.model.hidden_size
+        rank = max(1, min(pp_rank, rows, cols))
+        in_flight, _ = _stage_memory_profiles(job)[stage]
+        total += in_flight * rows * cols * 4  # fp32 staging buffers
+        total += rank * (rows + cols) * 4 * 2  # P and Q, previous Q kept for reuse
+    if dp_rank is not None:
+        for rows, cols in job_cost_model(job).stage_weight_matrices(stage):
+            rank = max(1, min(dp_rank, rows, cols))
+            total += rank * (rows + cols) * 4 * 2 / job.layout.tensor_parallel
+    return total
+
+
+def _stage_report(
+    job: TrainingJob, stage: int, pp_rank: int | None, dp_rank: int | None, lazy_error: bool
+) -> MemoryReport:
+    """Peak-memory report of one stage (arguments as :func:`_compression_buffer_bytes`)."""
+    cost = job_cost_model(job)
+    in_flight, pending_w = _stage_memory_profiles(job)[stage]
+    parameters = job.model.parameters_per_stage(job.num_stages, stage) / job.layout.tensor_parallel
+    lazy_error_bytes = 0.0
+    if lazy_error and pp_rank is not None:
+        # One fp32 residual of the previous micro-batch per outgoing boundary.
+        lazy_error_bytes = job.micro_batch_size * job.seq_length * job.model.hidden_size * 4.0
+    return MemoryReport(
+        stage=stage,
+        parameters_and_optimizer=parameters * BYTES_PER_PARAMETER_WITH_OPTIMIZER,
+        activations=cost.activation_bytes_per_microbatch(stage) * in_flight,
+        weight_stash=cost.weight_stash_bytes_per_microbatch(stage) * pending_w,
+        compression_buffers=_compression_buffer_bytes(job, stage, pp_rank, dp_rank),
+        lazy_error_buffers=lazy_error_bytes,
+    )
+
+
+@functools.lru_cache(maxsize=CLASS_MEMO_SIZE)
+def _peak_report(
+    job: TrainingJob,
+    pp_rank: int | None,
+    dp_rank: int,
+    dp_stages: frozenset[int],
+    lazy_error: bool,
+) -> MemoryReport:
+    """Report of the stage with the largest peak memory, once per class.
+
+    The key is everything the stage reports read: the job, the PP rank where
+    the PP boundary compresses, the DP rank and the stages the DP codec
+    touches, and the lazy-error switch.
+    """
+    reports = [
+        _stage_report(job, stage, pp_rank, dp_rank if stage in dp_stages else None, lazy_error)
+        for stage in range(job.num_stages)
+    ]
+    return max(reports, key=lambda report: report.total)
+
+
 class MemoryModel:
     """Estimates the peak memory of each pipeline stage under a plan's compression."""
 
     def __init__(self, job: TrainingJob, plan: ParallelPlan | None = None) -> None:
         self.job = job
         self.plan = plan if plan is not None else ParallelPlan.baseline()
-        self.cost = CostModel(job)
-        #: Per-stage ``(peak in-flight activations, peak pending W stashes)``
-        #: of the split-backward op lists; ``None`` until first needed (and
-        #: never built for fused-backward schedules).
-        self._split_profiles: list[tuple[int, int]] | None = None
-
-    def _parameters_per_gpu(self, stage: int) -> float:
-        total = self.job.model.parameters_per_stage(self.job.num_stages, stage)
-        return total / self.job.layout.tensor_parallel
-
-    def _activation_bytes_per_microbatch(self, stage: int) -> float:
-        return self.cost.activation_bytes_per_microbatch(stage)
-
-    def _stage_memory_profile(self, stage: int) -> tuple[int, int]:
-        """``(peak in-flight activations, peak pending W stashes)`` of ``stage``.
-
-        For the split-backward kinds both counts are read off the actual op
-        lists (for ``"auto"`` that means synthesizing the schedule the
-        simulator would replay, so the report and the replay agree); for the
-        fused-backward schedules the in-flight peak is the analytic 1F1B count
-        and the stash is zero.
-        """
-        if self.job.schedule_kind not in SPLIT_BACKWARD_KINDS:
-            in_flight = count_in_flight_micro_batches(
-                stage, self.job.num_stages, self.job.num_micro_batches
-            )
-            return in_flight, 0
-        if self._split_profiles is None:
-            schedule = build_job_schedule(self.job)
-            self._split_profiles = [stage_memory_profile(ops) for ops in schedule]
-        return self._split_profiles[stage]
-
-    def _compression_buffer_bytes(self, stage: int) -> float:
-        """Work buffers (fp32) of the compression paths active on this stage.
-
-        Compressed backpropagation keeps, per in-flight micro-batch, a full-size
-        fp32 staging buffer for the activation gradient being compressed (the
-        PowerSGD implementation's send/workspace buffer) plus the low-rank ``P``/``Q``
-        factors — the paper's "separate memory region ... for low-rank matrices"
-        that accounts for its 5-10 % overhead (Fig. 12).  Selective stage compression
-        adds per-weight-matrix ``P``/``Q`` factors on the compressed stages.
-        """
+        self.cost = job_cost_model(job)
         pp = self.plan.spec(Boundary.PP)
         dp = self.plan.spec(Boundary.DP)
-        total = 0.0
-        if pp.compresses and self.job.num_stages > 1:
-            rows = self.job.micro_batch_size * self.job.seq_length
-            cols = self.job.model.hidden_size
-            rank = max(1, min(pp.rank, rows, cols))
-            in_flight, _ = self._stage_memory_profile(stage)
-            total += in_flight * rows * cols * 4  # fp32 staging buffers
-            total += rank * (rows + cols) * 4 * 2  # P and Q, previous Q kept for reuse
-        if stage in dp.compressed_stages(self.job.num_stages):
-            for rows, cols in self.cost.stage_weight_matrices(stage):
-                rank = max(1, min(dp.rank, rows, cols))
-                total += rank * (rows + cols) * 4 * 2 / self.job.layout.tensor_parallel
-        return total
-
-    def _lazy_error_bytes(self, stage: int, lazy_error: bool) -> float:
-        """Residual storage added by lazy error propagation (one buffer per boundary)."""
-        if (
-            not lazy_error
-            or not self.plan.spec(Boundary.PP).compresses
-            or self.job.num_stages <= 1
-        ):
-            return 0.0
-        elements = self.job.micro_batch_size * self.job.seq_length * self.job.model.hidden_size
-        return elements * 4.0  # fp32 residual of the previous micro-batch
+        #: What the reports read of the plan (the memo class of :func:`_peak_report`).
+        self._pp_rank = pp.rank if pp.compresses and job.num_stages > 1 else None
+        self._dp_rank = dp.rank
+        self._dp_stages = frozenset(dp.compressed_stages(job.num_stages))
 
     def stage_report(self, stage: int, lazy_error_propagation: bool = True) -> MemoryReport:
         """Peak-memory report of one stage."""
-        in_flight, pending_w = self._stage_memory_profile(stage)
-        return MemoryReport(
-            stage=stage,
-            parameters_and_optimizer=self._parameters_per_gpu(stage)
-            * BYTES_PER_PARAMETER_WITH_OPTIMIZER,
-            activations=self._activation_bytes_per_microbatch(stage) * in_flight,
-            weight_stash=self.cost.weight_stash_bytes_per_microbatch(stage) * pending_w,
-            compression_buffers=self._compression_buffer_bytes(stage),
-            lazy_error_buffers=self._lazy_error_bytes(stage, lazy_error_propagation),
-        )
+        dp_rank = self._dp_rank if stage in self._dp_stages else None
+        return _stage_report(self.job, stage, self._pp_rank, dp_rank, lazy_error_propagation)
 
     def peak_report(self, lazy_error_propagation: bool = True) -> MemoryReport:
         """Report of the stage with the largest peak memory."""
-        reports = [
-            self.stage_report(stage, lazy_error_propagation)
-            for stage in range(self.job.num_stages)
-        ]
-        return max(reports, key=lambda report: report.total)
+        return _peak_report(
+            self.job, self._pp_rank, self._dp_rank, self._dp_stages, lazy_error_propagation
+        )

@@ -483,6 +483,33 @@ class TestCacheSegments:
             os.utime(written, ns=(stamp, stamp))
         assert SearchCache(tmp_path).get("aa" * 32) == {"x": 3.0}
 
+    @pytest.mark.parametrize("full_first", [True, False])
+    def test_narrower_entry_never_replaces_a_wider_one(self, tmp_path, full_first):
+        """Two writers, either flush order: every reader ends up with the full entry."""
+        full, narrow = {"x": 1.0, "y": 2.0, "z": 3.0}, {"x": 1.0, "z": 3.0}
+        writers = [SearchCache(tmp_path), SearchCache(tmp_path)]
+        for stamp, writer, payload in zip(
+            (1_000_000_000, 2_000_000_000),
+            writers,
+            (full, narrow) if full_first else (narrow, full),
+        ):
+            before = segments(tmp_path)
+            writer.put("aa" * 32, payload)
+            writer.flush()
+            (written,) = set(segments(tmp_path)) - set(before)
+            os.utime(written, ns=(stamp, stamp))
+        for reader in (*writers, SearchCache(tmp_path)):
+            assert reader.get("aa" * 32) == full
+        # Other names (not a subset) and the same names still supersede.
+        for stamp, payload in ((3_000_000_000, {"x": 9.0, "w": 0.0}), (4_000_000_000, narrow)):
+            before = segments(tmp_path)
+            writer = SearchCache(tmp_path)
+            writer.put("aa" * 32, payload)
+            writer.flush()
+            (written,) = set(segments(tmp_path)) - set(before)
+            os.utime(written, ns=(stamp, stamp))
+            assert SearchCache(tmp_path).get("aa" * 32) == payload
+
     def test_old_layout_tree_is_not_a_segment_and_reads_as_empty(self, tmp_path):
         query = tiny_query()
         (key, *_) = query_keys(query)
@@ -643,6 +670,245 @@ class TestPoolAndDeterminism:
         assert first.evaluated == first.candidates
         assert second.evaluated == 0 and second.cache_hits == second.candidates
         assert first.to_json() == second.to_json()
+
+
+def budget_free(task: dict) -> dict:
+    """``task`` without the query's budgets: always a full evaluation."""
+    return {k: v for k, v in task.items() if k not in ("max_memory_gb", "max_compression_loss")}
+
+
+def ladder_query(**overrides) -> SearchQuery:
+    """168 candidates whose peaks straddle 40 and 80 GB and whose losses straddle 0.03 / 0.05."""
+    defaults = dict(
+        model="GPT-2.5B", gpus=16, micro_batches=(8,), dp_codecs=("none", "powersgd"),
+        embedding=("none",),
+    )
+    defaults.update(overrides)
+    return SearchQuery(**defaults)
+
+
+class TestBudgetFirst:
+    """A candidate a budget rejects is evaluated as far as the budget reads, and cached so."""
+
+    def test_task_budgets_select_the_shape_not_the_numbers(self):
+        query = ladder_query(max_memory_gb=40.0, max_compression_loss=0.03)
+        shapes = set()
+        for candidate in query.candidates():
+            task = candidate.task(query)
+            full = evaluate_task(budget_free(task))
+            assert full.keys() == PlanEvaluation.from_dict(full).to_dict().keys()
+            mine = evaluate_task(task)
+            rejected = not within_budget(full, 40.0, 0.03)
+            assert mine == (
+                {k: full[k] for k in ("peak_memory_gb", "compression_loss")} if rejected else full
+            )
+            shapes.add(len(mine))
+            plan = ParallelPlan.from_dict(task["plan"])
+            cluster = resolve_cluster(candidate.tier, query.gpus)
+            assert evaluate_plan(plan, query.model_spec(), cluster=cluster).to_dict() == full
+        assert shapes == {2, len(full)}
+
+    @pytest.mark.parametrize(
+        "budget, tight, loose, metric",
+        [
+            ("max_memory_gb", 40.0, 80.0, "peak_memory_gb"),
+            ("max_compression_loss", 0.03, 0.05, "compression_loss"),
+        ],
+    )
+    def test_budget_ladder_on_one_cache_directory(self, tmp_path, budget, tight, loose, metric):
+        values = [
+            evaluate_task(budget_free(c.task(ladder_query())))[metric]
+            for c in ladder_query().candidates()
+        ]
+        between = sum(tight < value <= loose for value in values)
+        above = sum(value > loose for value in values)
+        assert between > 0 and above > 0 and between + above < len(values)
+
+        def run(bound, root=tmp_path / "cache"):
+            return run_search(ladder_query(**{budget: bound}), workers=0, cache=SearchCache(root))
+
+        cold = run(tight)
+        assert (cold.evaluated, cold.cache_hits) == (cold.candidates, 0)
+        assert cold.over_budget == between + above
+        assert len(segments(tmp_path / "cache")) == 2  # full entries, budget-only entries
+        warm = run(tight)
+        assert (warm.evaluated, warm.cache_hits) == (0, warm.candidates)
+        assert warm.to_json() == cold.to_json()
+        looser = run(loose)
+        assert (looser.evaluated, looser.over_budget) == (between, above)
+        assert looser.to_json() == run(loose, tmp_path / "fresh").to_json()
+        assert len(segments(tmp_path / "cache")) == 3  # the completed entries: full again
+        again = run(tight)
+        assert again.evaluated == 0 and again.to_json() == cold.to_json()
+        unbounded = run(None)
+        assert (unbounded.evaluated, unbounded.over_budget) == (above, 0)
+        assert unbounded.to_json() == run_search(ladder_query(), workers=0).to_json()
+        assert run(None).evaluated == run(loose).evaluated == run(tight).evaluated == 0
+
+    def test_budget_ladder_in_one_batch(self, tmp_path):
+        peaks = [
+            evaluate_task(budget_free(c.task(ladder_query())))["peak_memory_gb"]
+            for c in ladder_query().candidates()
+        ]
+        queries = [ladder_query(max_memory_gb=bound) for bound in (40.0, 80.0, 40.0)]
+        cache = SearchCache(tmp_path / "cache")
+        tight, loose, again = run_queries(queries, workers=2, cache=cache)
+        assert tight.evaluated == tight.candidates
+        assert loose.evaluated == sum(40.0 < peak <= 80.0 for peak in peaks)
+        assert again.evaluated == 0 and again.to_json() == tight.to_json()
+        alone = [run_search(query, workers=0) for query in queries[:2]]
+        assert [tight.to_json(), loose.to_json()] == [outcome.to_json() for outcome in alone]
+
+    def test_budget_only_entry_of_another_shape_is_a_miss(self, tmp_path):
+        """Budget-only entries are outside input too: wrong names or values re-evaluate."""
+        query = ladder_query(max_memory_gb=40.0)
+        pristine = tmp_path / "pristine"
+        cold = run_search(query, workers=0, cache=SearchCache(pristine))
+
+        def narrow_segment(root):
+            (narrow,) = [
+                path for path in segments(root)
+                if len(json.loads(path.read_bytes().splitlines()[0])) == 2
+            ]
+            return narrow
+
+        header, *lines = narrow_segment(pristine).read_bytes().splitlines(keepends=True)
+        assert json.loads(header) == ["compression_loss", "peak_memory_gb"]
+        key = lines[0].split(b" ")[0].decode("ascii")
+        corruptions = {
+            "text": b'[0.5, "99"]', "non_finite": b"[0.5, NaN]", "too_few": b"[0.5]",
+            # 12 GB is inside the budget: the entry cannot say what the timing was.
+            "inside_the_budget": b"[0.5, 12.0]",
+        }
+        for name, corrupt in corruptions.items():
+            root = tmp_path / name
+            shutil.copytree(pristine, root)
+            replace_entry(narrow_segment(root), key, corrupt)
+            warm = run_search(query, workers=0, cache=SearchCache(root))
+            assert (warm.evaluated, warm.to_json()) == (1, cold.to_json()), name
+            assert run_search(query, workers=0, cache=SearchCache(root)).evaluated == 0, name
+        root = tmp_path / "renamed"
+        shutil.copytree(pristine, root)
+        narrow_segment(root).write_bytes(
+            header.replace(b"peak_memory_gb", b"peak_gb") + b"".join(lines)
+        )
+        assert run_search(query, workers=0, cache=SearchCache(root)).evaluated == len(lines)
+
+
+FLAGSHIP_QUERY = (REPO_ROOT / "benchmarks/e2e/queries/flagship.json").read_text(encoding="utf-8")
+
+
+class TestBitIdentityOracles:
+    """Digests recorded at the commit before the per-class memos and budget-first landed."""
+
+    def test_every_flagship_evaluation_is_unchanged_in_either_memo_fill_order(self):
+        query = SearchQuery.from_json(FLAGSHIP_QUERY)
+        tasks = [budget_free(candidate.task(query)) for candidate in query.candidates()]
+        assert len(tasks) == 2800
+        forward = [evaluate_task(task) for task in tasks]
+        backward = [evaluate_task(task) for task in reversed(tasks)][::-1]
+        for results in (forward, backward):
+            text = "".join(json.dumps(result, sort_keys=True) for result in results)
+            assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+                "122ca6c769e0379138dd0eb2da47aaa681a45026a6740c09ebbf041c00857100"
+            )
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_flagship_frontier_is_unchanged_cold_and_warm(self, tmp_path, workers):
+        query = SearchQuery.from_json(FLAGSHIP_QUERY)
+        cache = SearchCache(tmp_path / "cache")
+        cold = run_search(query, workers=workers, cache=cache)
+        warm = run_search(query, workers=workers, cache=SearchCache(cache.root))
+        assert (cold.evaluated, warm.evaluated, warm.cache_hits) == (2800, 0, 2800)
+        for outcome in (cold, warm):
+            assert hashlib.sha256(outcome.to_json().encode("utf-8")).hexdigest() == (
+                "699c38ee2db23915c95448b5ce0144e3efdab2e45fafcece8fa92bc506020e1c"
+            )
+
+
+class TestPoolShares:
+    """Contiguous shares, stealing and requeueing never change the result map."""
+
+    @pytest.fixture(scope="class")
+    def tasks(self):
+        query = ladder_query(max_memory_gb=40.0)
+        return [(c.index, c.task(query)) for c in query.expand()]
+
+    @pytest.fixture(scope="class")
+    def inline(self, tasks):
+        with EvaluationPool(workers=0) as pool:
+            return pool.run(tasks)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("count", [None, 2, 0])
+    def test_same_result_map_for_any_worker_count(self, tasks, inline, workers, count):
+        chosen = tasks[:count]  # the whole list, fewer tasks than workers, none
+        with EvaluationPool(workers=workers) as pool:
+            assert pool.run(chosen) == {index: inline[index] for index, _ in chosen}
+            assert pool.run(chosen[::-1]) == {index: inline[index] for index, _ in chosen}
+            assert all(not w.share and not w.outstanding for w in pool._workers)
+
+    def test_shares_are_contiguous_and_stealing_takes_the_back_half(self, tasks, monkeypatch):
+        sent: dict[int, list[int]] = {}
+        top_up = EvaluationPool._top_up
+
+        def record(worker, queue):
+            before = set(worker.outstanding)
+            alive = top_up(worker, queue)
+            sent.setdefault(id(worker), []).extend(sorted(set(worker.outstanding) - before))
+            return alive
+
+        monkeypatch.setattr(EvaluationPool, "_top_up", staticmethod(record))
+        with EvaluationPool(workers=2) as pool:
+            results = pool.run(tasks)
+            first, second = (sent[id(worker)] for worker in pool._workers)
+        assert sorted(results) == sorted(first + second) == list(range(len(tasks)))
+        half = len(tasks) // 2
+        assert first[:pool_module.TASK_WINDOW] == list(range(pool_module.TASK_WINDOW))
+        assert second[:pool_module.TASK_WINDOW] == list(range(half, half + pool_module.TASK_WINDOW))
+        for order in (first, second):  # runs of consecutive indices, a new run per steal
+            runs = 1 + sum(b != a + 1 for a, b in zip(order, order[1:]))
+            assert runs <= 1 + len(tasks).bit_length()
+
+    def test_worker_killed_before_it_is_sent_anything_leaves_no_task_unanswered(
+        self, tasks, inline
+    ):
+        with EvaluationPool(workers=3) as pool:
+            for worker in pool._workers[:2]:
+                worker.process.kill()
+                worker.process.join()
+            assert pool.run(tasks) == inline
+            assert pool.run(tasks[:1]) == {tasks[0][0]: inline[tasks[0][0]]}
+        assert multiprocessing.active_children() == []
+
+    def test_worker_killed_mid_share_has_its_unsent_share_requeued(
+        self, tasks, inline, monkeypatch
+    ):
+        drained = []
+        drain = EvaluationPool._drain
+
+        def kill_the_first_worker_after_a_few_replies(worker, results):
+            drained.append(worker)
+            if len(drained) == 5:
+                victim = pool._workers[0]
+                assert victim.share and victim.outstanding  # mid-share: both get requeued
+                os.kill(victim.process.pid, signal.SIGKILL)
+            return drain(worker, results)
+
+        monkeypatch.setattr(
+            EvaluationPool, "_drain", staticmethod(kill_the_first_worker_after_a_few_replies)
+        )
+        with EvaluationPool(workers=2) as pool:
+            assert pool.run(tasks) == inline
+            assert not pool._workers[0].process.is_alive()
+        assert multiprocessing.active_children() == []
+
+    def test_every_worker_dead_finishes_inline(self, tasks, inline):
+        with EvaluationPool(workers=2) as pool:
+            for worker in pool._workers:
+                worker.process.kill()
+                worker.process.join()
+            assert pool.run(tasks) == inline
 
 
 class TestFrontier:
@@ -861,7 +1127,7 @@ class TestSearchCli:
         ]
         code, cold_out, cold_err = self.run_cli(capsys, *argv)
         assert code == 0
-        assert "20 evaluated, 0 cached" in cold_err
+        assert "20 candidates (0 over budget): 20 evaluated, 0 cached" in cold_err
         code, warm_out, warm_err = self.run_cli(capsys, *argv)
         assert code == 0
         assert "0 evaluated, 20 cached" in warm_err
@@ -878,6 +1144,7 @@ class TestSearchCli:
         )
         assert code == 0
         assert "Pareto-optimal" in out and "Tokens/s" in out
+        assert "(12 candidates, 0 over budget)" in out and "evaluated)" not in out
 
     def test_search_query_file_and_budget(self, capsys, tmp_path):
         query_file = tmp_path / "q.json"

@@ -15,7 +15,8 @@ import pytest
 
 from repro.models import GPT_2_5B, GPT_8_3B, GPT_175B
 from repro.parallel.process_groups import ParallelLayout
-from repro.plan import Boundary, ParallelPlan
+from repro.parallel.topology import ethernet_cluster
+from repro.plan import Boundary, CompressionSpec, ParallelPlan
 from repro.simulator import (
     CompressionThroughputModel,
     MemoryModel,
@@ -24,6 +25,11 @@ from repro.simulator import (
     compute_breakdown,
     measured_numpy_throughput,
 )
+from repro.simulator import executor as executor_module
+from repro.simulator import memory_model as memory_module
+from repro.simulator.cost_model import CLASS_MEMO_SIZE, job_cost_model
+from repro.simulator.evaluate import evaluate_job
+from repro.simulator.hardware import ClusterSpec, SimulationConstants
 from repro.simulator.executor import (
     REPLAY_MEMO_SIZE,
     ComponentToggles,
@@ -380,6 +386,167 @@ class TestZeroBubbleTiming:
         ).run()
         assert compressed.iteration_time < base.iteration_time
         assert compressed.interstage_wire_bytes < base.interstage_wire_bytes
+
+
+#: Every per-process memo under :func:`repro.simulator.evaluate.evaluate_job`.
+CLASS_MEMOS = (
+    job_cost_model,
+    executor_module._stage_compute,
+    executor_module._dp_terms,
+    executor_module._transfer,
+    replay_pipeline,
+    build_job_schedule,
+    memory_module._stage_memory_profiles,
+    memory_module._peak_report,
+)
+
+MEMO_BASE_JOB = TrainingJob(
+    model=GPT_2_5B,
+    layout=ParallelLayout(tensor_parallel=2, pipeline_parallel=4, data_parallel=4),
+    micro_batch_size=4,
+    global_batch_size=128,
+)
+MEMO_PLAIN_JOB = dataclasses.replace(MEMO_BASE_JOB, num_model_chunks=1)
+MEMO_AUTO_JOB = dataclasses.replace(MEMO_PLAIN_JOB, schedule_kind="auto", memory_cap_factor=1.0)
+
+#: ``(field, job to start from, the field's other value)`` — one row per
+#: :class:`TrainingJob` field, nested cluster parts included.
+JOB_PERTURBATIONS = [
+    ("model", MEMO_BASE_JOB, GPT_8_3B),
+    ("layout", MEMO_BASE_JOB, ParallelLayout(tensor_parallel=4, pipeline_parallel=4, data_parallel=4)),
+    ("cluster", MEMO_BASE_JOB, ClusterSpec(topology=ethernet_cluster())),
+    ("cluster", MEMO_BASE_JOB, ClusterSpec(constants=SimulationConstants(compute_efficiency=0.3))),
+    ("micro_batch_size", MEMO_BASE_JOB, 8),
+    ("global_batch_size", MEMO_BASE_JOB, 256),
+    ("sequence_length", MEMO_BASE_JOB, 512),
+    ("num_model_chunks", MEMO_BASE_JOB, 1),
+    ("dp_fire", MEMO_BASE_JOB, "micro_batch"),
+    ("schedule_kind", MEMO_PLAIN_JOB, "zb1"),
+    ("memory_cap_factor", MEMO_AUTO_JOB, 2.0),
+]
+
+MEMO_DP_SPEC = CompressionSpec(codec="powersgd", rank=8, stage_fraction=0.5)
+MEMO_PP_SPEC = CompressionSpec(codec="powersgd", rank=16)
+
+#: ``(boundary, field, spec to start from, other value, whether a number must move)``.
+SPEC_PERTURBATIONS = [
+    (Boundary.DP, "codec", MEMO_DP_SPEC, "qsgd", True),
+    (Boundary.DP, "rank", MEMO_DP_SPEC, 16, True),
+    (Boundary.DP, "bits", MEMO_DP_SPEC.with_(codec="qsgd"), 2, True),
+    (Boundary.DP, "fraction", MEMO_DP_SPEC.with_(codec="topk"), 0.1, True),
+    (Boundary.DP, "error_feedback", MEMO_DP_SPEC, False, False),
+    (Boundary.DP, "stage_fraction", MEMO_DP_SPEC, 1.0, True),
+    (Boundary.DP, "min_elements", MEMO_DP_SPEC, 1, False),
+    (Boundary.DP, "bucket_bytes", MEMO_DP_SPEC, 1 << 20, False),
+    (Boundary.DP, "epilogue_only", MEMO_DP_SPEC, False, False),
+    (Boundary.DP, "compress_forward", MEMO_DP_SPEC, True, False),
+    (Boundary.PP, "codec", MEMO_PP_SPEC, "none", True),
+    (Boundary.PP, "rank", MEMO_PP_SPEC, 4, True),
+    (Boundary.PP, "bits", MEMO_PP_SPEC, 2, False),
+    (Boundary.PP, "fraction", MEMO_PP_SPEC, 0.1, False),
+    (Boundary.PP, "error_feedback", MEMO_PP_SPEC, False, True),
+    (Boundary.PP, "stage_fraction", MEMO_PP_SPEC, 0.5, False),
+    (Boundary.PP, "min_elements", MEMO_PP_SPEC, 1, False),
+    (Boundary.PP, "bucket_bytes", MEMO_PP_SPEC, 1 << 20, False),
+    (Boundary.PP, "epilogue_only", MEMO_PP_SPEC, False, True),
+    (Boundary.PP, "compress_forward", MEMO_PP_SPEC, True, True),
+]
+
+
+class TestClassMemos:
+    """Every memoised term is a pure function of its key: no field a term reads is left out."""
+
+    @staticmethod
+    def clear():
+        for memo in CLASS_MEMOS:
+            memo.cache_clear()
+
+    @staticmethod
+    def observe(job, plan, toggles=None):
+        """Every number the simulator reports for one (job, plan, toggles)."""
+        memory = MemoryModel(job, plan)
+        return {
+            "timing": dataclasses.asdict(PipelineTimingSimulator(job, plan, toggles).run()),
+            "evaluation": evaluate_job(job, plan).to_dict(),
+            "peak": dataclasses.asdict(memory.peak_report()),
+            "peak_non_lep": dataclasses.asdict(memory.peak_report(lazy_error_propagation=False)),
+            "stages": [
+                dataclasses.asdict(memory.stage_report(stage)) for stage in range(job.num_stages)
+            ],
+        }
+
+    def memoised_and_fresh(self, base, perturbed):
+        """Observe ``perturbed`` over memos warmed on ``base``, then over empty ones."""
+        self.clear()
+        before = self.observe(*base)
+        memoised = self.observe(*perturbed)
+        assert self.observe(*base) == before  # and the base is still served its own
+        self.clear()
+        fresh = self.observe(*perturbed)
+        assert memoised == fresh
+        return before, fresh
+
+    @staticmethod
+    def plan(dp=MEMO_DP_SPEC, pp=MEMO_PP_SPEC):
+        return ParallelPlan(compression={Boundary.DP: dp, Boundary.PP: pp})
+
+    def test_tables_name_every_field(self):
+        assert {name for name, _, _ in JOB_PERTURBATIONS} == {
+            spec_field.name for spec_field in dataclasses.fields(TrainingJob)
+        }
+        spec_fields = {spec_field.name for spec_field in dataclasses.fields(CompressionSpec)}
+        for boundary in (Boundary.DP, Boundary.PP):
+            assert {row[1] for row in SPEC_PERTURBATIONS if row[0] is boundary} == spec_fields
+
+    @pytest.mark.parametrize(
+        "name, base, value", JOB_PERTURBATIONS, ids=[row[0] for row in JOB_PERTURBATIONS]
+    )
+    def test_job_fields(self, name, base, value):
+        assert getattr(base, name) != value
+        plan = self.plan()
+        before, fresh = self.memoised_and_fresh(
+            (base, plan), (dataclasses.replace(base, **{name: value}), plan)
+        )
+        assert fresh != before
+
+    @pytest.mark.parametrize(
+        "boundary, name, base, value, moves",
+        SPEC_PERTURBATIONS,
+        ids=[f"{row[0].value}.{row[1]}" for row in SPEC_PERTURBATIONS],
+    )
+    @pytest.mark.parametrize("job", [MEMO_BASE_JOB, MEMO_AUTO_JOB], ids=["1f1b", "auto"])
+    def test_spec_fields(self, job, boundary, name, base, value, moves):
+        assert getattr(base, name) != value
+        key = "dp" if boundary is Boundary.DP else "pp"
+        before, fresh = self.memoised_and_fresh(
+            (job, self.plan(**{key: base})), (job, self.plan(**{key: base.with_(**{name: value})}))
+        )
+        assert (fresh != before) == moves
+
+    @pytest.mark.parametrize(
+        "name", [spec_field.name for spec_field in dataclasses.fields(ComponentToggles)]
+    )
+    def test_toggle_fields(self, name):
+        plan = self.plan().with_boundary(Boundary.PP, compress_forward=True)
+        before, fresh = self.memoised_and_fresh(
+            (MEMO_BASE_JOB, plan, ComponentToggles()),
+            (MEMO_BASE_JOB, plan, ComponentToggles(**{name: 0.5})),
+        )
+        assert fresh["timing"] != before["timing"]
+
+    def test_every_table_is_bounded(self):
+        from repro.search import SearchQuery, run_search
+
+        self.clear()
+        outcome = run_search(
+            SearchQuery(model="GPT-9.2B", gpus=128, dp_ranks=(32, 64, 128), embedding=("none",)),
+            workers=0,
+        )
+        assert outcome.evaluated == outcome.candidates > 4 * CLASS_MEMO_SIZE
+        for memo in CLASS_MEMOS:
+            info = memo.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize <= CLASS_MEMO_SIZE
+        assert executor_module._dp_terms.cache_info().currsize == CLASS_MEMO_SIZE  # it overflowed
 
 
 class TestReplayMemo:
