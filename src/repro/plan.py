@@ -33,6 +33,7 @@ simulator job, the parallel layout and the resilience types import lazily), so
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -545,6 +546,48 @@ def _section_dict(section: Any) -> dict[str, Any]:
     return {name: getattr(section, name) for name in _SECTION_FIELDS[type(section)]}
 
 
+#: The boundaries in the order sorted-keys JSON spells a compression map.
+_BOUNDARIES_BY_VALUE = tuple(sorted(Boundary, key=lambda boundary: boundary.value))
+
+
+class SharedObject:
+    """Memo key of a shared read-only object: equal only to itself, kept alive.
+
+    A memo keyed by *value* would be wrong for anything serialised — ``16`` and
+    ``16.0`` are equal and hash equal but serialise differently — and holding
+    the object keeps its ``id`` from being reused while the entry lives.
+    """
+
+    __slots__ = ("target",)
+
+    def __init__(self, target: Any) -> None:
+        self.target = target
+
+    def __hash__(self) -> int:
+        return id(self.target)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SharedObject) and self.target is other.target
+
+
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"), ensure_ascii=True)``
+#: without building an encoder per call.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode
+
+
+@functools.lru_cache(maxsize=256)
+def _section_json(section: SharedObject) -> str:
+    """Canonical JSON of one flat section, serialised once per section *object*.
+
+    A plan sweep builds each topology, schedule and codec spec once and shares
+    the objects between thousands of plans; a plan whose sections are its own
+    (``proxy_scaled``, ``with_boundary``) pays one serialisation per section,
+    as it always did.  ``ResilienceSpec.faults`` is a tuple of strings, which
+    JSON spells exactly like the list :meth:`ParallelPlan.to_dict` emits.
+    """
+    return _canonical(_section_dict(section.target))
+
+
 @dataclass(frozen=True)
 class ParallelPlan:
     """Topology × schedule × boundary-keyed compression: one run, declared once.
@@ -762,13 +805,30 @@ class ParallelPlan:
 
         Two plans produce the same canonical string iff :meth:`to_dict` agrees,
         so this is the string the plan-search result cache hashes
-        (:mod:`repro.search.cache`).  Unlike :meth:`to_json` it never changes
-        with pretty-printing defaults, and sorted keys make it independent of
-        dict insertion order.
+        (:func:`repro.search.cache.cache_key`).  Unlike :meth:`to_json` it never
+        changes with pretty-printing defaults, and sorted keys make it
+        independent of dict insertion order.
+
+        The bytes are those of ``json.dumps(self.to_dict(), sort_keys=True,
+        separators=(",", ":"), ensure_ascii=True)``, assembled from the
+        canonical JSON of the sections, each serialised once per section
+        object (:func:`_section_json`) — for a plan that shares its sections
+        with the other plans of a sweep this is a join of five strings, not a
+        walk over forty fields.  Like :meth:`to_dict` it emits ``resilience``
+        and ``executor`` only when they are not the default.
         """
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":"), ensure_ascii=True
+        compression = ",".join(
+            f'"{boundary.value}":{_section_json(SharedObject(self.compression[boundary]))}'
+            for boundary in _BOUNDARIES_BY_VALUE
         )
+        sections = [f'"compression":{{{compression}}}']
+        if self.executor != "serial":
+            sections.append(f'"executor":{_canonical(self.executor)}')
+        if self.resilience is not None:
+            sections.append(f'"resilience":{_section_json(SharedObject(self.resilience))}')
+        sections.append(f'"schedule":{_section_json(SharedObject(self.schedule))}')
+        sections.append(f'"topology":{_section_json(SharedObject(self.topology))}')
+        return "{" + ",".join(sections) + "}"
 
     @classmethod
     def from_json(cls, text: str) -> "ParallelPlan":

@@ -2,8 +2,8 @@
 
 The cache key of one evaluation is the SHA-256 of a canonical-JSON document
 spelling out *everything* that can change the simulator's answer: the plan
-(via :meth:`~repro.plan.ParallelPlan.canonical_json` semantics), the model
-spec, the resolved hardware description, the micro-batch size, and
+(its :meth:`~repro.plan.ParallelPlan.canonical_json`), the model spec, the
+resolved hardware description, the micro-batch size, and
 :data:`~repro.simulator.cost_model.COST_MODEL_VERSION`.  Because
 :func:`~repro.simulator.evaluate.evaluate_plan` is a pure function of exactly
 those inputs, a hit is always safe to serve — and flipping any single field
@@ -39,10 +39,13 @@ ends up with the full entry.  The price: a wider entry its reader rejects
 until then passes that write the narrower shape re-evaluate that key.
 
 A query computes thousands of keys, so what its candidates share is done
-once: of the key document only the ``plan`` section (and two scalars) differs
-between the candidates of a tier — the ``model`` and ``hardware`` sections are
-the same two objects in every document and are serialised once per object,
-not once per candidate.  None of this changes a byte of any key.
+once: the ``model`` and ``hardware`` sections are the same two objects in every
+document of a tier, and a candidate's ``plan`` section is
+:meth:`~repro.plan.ParallelPlan.canonical_json`, itself a join of the JSON of
+the topology, schedule and codec-spec objects the expansion shares between its
+plans.  Each of those is serialised once per *object* (never per value: ``1``
+and ``1.0`` are equal and serialise differently), so a candidate's key costs a
+few joins and one SHA-256 over the same bytes as ever.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ import warnings
 from dataclasses import asdict
 from typing import Any, Mapping
 
+from repro.plan import ParallelPlan, SharedObject
 from repro.simulator.cost_model import COST_MODEL_VERSION
 from repro.simulator.hardware import ClusterSpec
 
@@ -72,34 +76,14 @@ _SHARED_SECTIONS = frozenset({"hardware", "model"})
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode
 
 
-class _Shared:
-    """Memo key of a shared read-only object: equal only to itself, kept alive.
-
-    A memo keyed by *value* would be wrong here — ``16`` and ``16.0`` are equal
-    and hash equal but serialise differently — and holding the object keeps
-    its ``id`` from being reused while the entry lives.
-    """
-
-    __slots__ = ("target",)
-
-    def __init__(self, target: Any) -> None:
-        self.target = target
-
-    def __hash__(self) -> int:
-        return id(self.target)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Shared) and self.target is other.target
-
-
 @functools.lru_cache(maxsize=8)
-def _hardware_document(cluster: _Shared) -> dict[str, Any]:
+def _hardware_document(cluster: SharedObject) -> dict[str, Any]:
     """``asdict`` of one resolved (frozen) cluster, built once per instance."""
     return asdict(cluster.target)
 
 
 @functools.lru_cache(maxsize=16)
-def _shared_json(document: _Shared) -> str:
+def _shared_json(document: SharedObject) -> str:
     """Canonical JSON of one shared section, serialised once per object."""
     return _canonical(document.target)
 
@@ -107,18 +91,21 @@ def _shared_json(document: _Shared) -> str:
 def task_key_material(task: Mapping[str, Any], cluster: ClusterSpec) -> dict[str, Any]:
     """The full key document of one evaluation task.
 
-    ``task`` is the pool work unit (:meth:`repro.search.query.Candidate.task`);
-    ``cluster`` is the tier resolved to concrete hardware numbers, folded in
-    as a nested dict so a change to the tier's bandwidths or calibration
-    constants — not just its name — misses the cache.  The ``model`` and
-    ``hardware`` sections are shared between the documents of one tier (the
-    task's own model dict, one hardware dict per ``cluster`` instance): read
-    them, never write them.
+    ``task`` names the ``plan``, the ``model`` document and the
+    ``micro_batch_size`` — :meth:`repro.search.query.Candidate.task`, or the
+    same with the :class:`~repro.plan.ParallelPlan` itself where its dict
+    would be (what the service passes: :func:`cache_key` hashes the same bytes
+    for either).  ``cluster`` is the tier resolved to concrete hardware
+    numbers, folded in as a nested dict so a change to the tier's bandwidths
+    or calibration constants — not just its name — misses the cache.  The
+    ``model`` and ``hardware`` sections are shared between the documents of
+    one tier (the task's own model dict, one hardware dict per ``cluster``
+    instance): read them, never write them.
     """
     return {
         "plan": task["plan"],
         "model": task["model"],
-        "hardware": _hardware_document(_Shared(cluster)),
+        "hardware": _hardware_document(SharedObject(cluster)),
         "micro_batch_size": task["micro_batch_size"],
         "cost_model_version": COST_MODEL_VERSION,
     }
@@ -128,16 +115,24 @@ def cache_key(material: Mapping[str, Any]) -> str:
     """SHA-256 hex digest of the canonical JSON of ``material``.
 
     The bytes hashed are those of ``json.dumps(material, sort_keys=True,
-    separators=(",", ":"), ensure_ascii=True)``, assembled section by section
-    so the shared ``model`` / ``hardware`` sections are serialised once per
-    object rather than once per candidate (section names must be strings).
+    separators=(",", ":"), ensure_ascii=True)`` with a
+    :class:`~repro.plan.ParallelPlan` standing for its ``to_dict()``,
+    assembled section by section so the shared ``model`` / ``hardware``
+    sections are serialised once per object rather than once per candidate and
+    a plan contributes its :meth:`~repro.plan.ParallelPlan.canonical_json`
+    (section names must be strings).
     """
     sections = []
     for name in sorted(material):
         if not isinstance(name, str):
             raise TypeError(f"key document sections must be named by strings, got {name!r}")
         value = material[name]
-        text = _shared_json(_Shared(value)) if name in _SHARED_SECTIONS else _canonical(value)
+        if name in _SHARED_SECTIONS:
+            text = _shared_json(SharedObject(value))
+        elif isinstance(value, ParallelPlan):
+            text = value.canonical_json()
+        else:
+            text = _canonical(value)
         sections.append(f"{_canonical(name)}:{text}")
     canonical = "{" + ",".join(sections) + "}"
     return hashlib.sha256(canonical.encode("ascii")).hexdigest()

@@ -55,9 +55,9 @@ def resolve_cluster(tier: str, gpus: int) -> ClusterSpec:
     node.  Unknown tiers raise ``ValueError`` with the vocabulary.
 
     The (frozen) spec of a ``(tier, gpus)`` pair is built once per process and
-    handed out again: a pool worker resolves it once rather than once per task,
-    and the parent's per-tier key material (:mod:`repro.search.cache`) is
-    computed once per instance.
+    handed out again: every candidate of a tier is evaluated on the same
+    object, and the parent's per-tier key material (:mod:`repro.search.cache`)
+    is computed once per instance.
     """
     if tier not in HARDWARE_TIERS:
         raise ValueError(f"unknown hardware tier {tier!r}; expected one of {HARDWARE_TIERS}")
@@ -81,16 +81,19 @@ class Candidate:
     tier: str
 
     def task(self, query: "SearchQuery") -> dict[str, Any]:
-        """The JSON-safe work unit shipped to a pool worker.
+        """The JSON-safe form of this candidate's pool work unit.
 
         Carries everything :func:`repro.search.pool.evaluate_task` needs to
-        rebuild the evaluation inputs in another process: the plan dict, the
-        model spec dict, the tier name, and the query's GPU count and
-        micro-batch size.  The model dict is the query's one
+        rebuild — and re-validate — the evaluation inputs anywhere: the plan
+        dict, the model spec dict, the tier name, and the query's GPU count
+        and micro-batch size.  The service itself hands the pool the
+        validated objects (its forked workers inherit them); this form is
+        what can be written down, sent to another program, or compared
+        against.  The model dict is the query's one
         :attr:`SearchQuery.model_document`, shared by all its tasks.  The
-        query's two budgets ride along so the worker can stop at a candidate
-        they reject; they select how much is evaluated, never what a number
-        is, and are no part of the cache key
+        query's two budgets ride along so the evaluation can stop at a
+        candidate they reject; they select how much is evaluated, never what
+        a number is, and are no part of the cache key
         (:func:`repro.search.cache.task_key_material`).
         """
         return {

@@ -17,8 +17,10 @@ What a query pays for, and how often:
   JSON of the model and hardware sections of the key
   (:mod:`repro.search.cache`);
 * **per job** (topology × schedule; 100 in the flagship query's 2,800
-  candidates) — the cost model, the per-stage F/B/W times, compute totals and
-  TP wire, and the schedule's per-stage memory profile;
+  candidates) — one validated :class:`~repro.simulator.cost_model.TrainingJob`
+  object (:func:`~repro.simulator.evaluate.plan_job`), the cost model, the
+  per-stage F/B/W times, compute totals and TP wire, and the schedule's
+  per-stage memory profile;
 * **per (job, DP spec)** — the per-stage time, kernel overhead and wire bytes
   of the DP all-reduce;
 * **per (job, PP rank, DP rank, compressed-stage set)** — the memory peak;
@@ -26,11 +28,21 @@ What a query pays for, and how often:
   with the same job and PP-boundary codec
   (:func:`repro.simulator.executor.replay_pipeline`), and the inter-stage
   transfer of each rank;
-* **per candidate** — one validating :class:`~repro.plan.ParallelPlan`
-  construction, its field-read ``to_dict``, the plan section of the key and
-  its SHA-256, one cache table lookup or one buffered entry line, and — only
-  for a candidate the budgets admit — the arithmetic of the DP / embedding
-  tail over the shared terms;
+* **per section object** (each topology, schedule and codec spec of the
+  expansion; under a hundred) — its canonical JSON, the fragment every key
+  that names it is joined from
+  (:meth:`~repro.plan.ParallelPlan.canonical_json`);
+* **per candidate** — in the parent: one validating
+  :class:`~repro.plan.ParallelPlan` construction, the join of its key
+  document from those fragments and its SHA-256, one cache table lookup or
+  one buffered entry line, and its share of a block message (an integer out,
+  a metrics dict back).  In the worker — which evaluates the parent's own
+  plan object, inherited at the fork, not a rebuilt copy — the loss score
+  and, only for a candidate the budgets admit, the arithmetic of the DP /
+  embedding tail over the shared terms;
+* **per evaluating pass** — one fork of the pool's workers, after expansion
+  and keying, and their teardown (:meth:`~repro.search.pool.EvaluationPool.run`;
+  a pass served from the cache forks nothing);
 * **per pass** — one read of what was appended to the cache directory since
   the last query and, if anything was evaluated, one append to this cache
   object's segment (:meth:`~repro.search.cache.SearchCache.flush`).
@@ -42,7 +54,7 @@ worker rather than in all of them.
 
 **Budget first.**  A query's budgets read two metrics, peak memory and the
 compression-loss score, and neither needs the timing half of the simulation.
-Each task carries the budgets; the evaluation computes those two metrics
+Each work unit carries the budgets; the evaluation computes those two metrics
 first and returns only them for a candidate a budget rejects (1,336 of the
 flagship query's 2,800).  Such a reply counts as evaluated, is excluded by the
 budget filter like any over-budget candidate, and is cached as a narrower
@@ -220,23 +232,43 @@ def _search_with(
     by_index = {candidate.index: candidate for candidate in candidates}
     clusters = {tier: resolve_cluster(tier, query.gpus) for tier in query.hardware}
 
+    model = query.model_spec()
     metrics: dict[int, Mapping[str, float]] = {}
-    pending: list[tuple[int, dict[str, Any]]] = []
+    pending: list[tuple[int, tuple[Any, ...]]] = []
     keys: dict[int, str] = {}
     cache_hits = 0
     if cache is not None:
         cache.refresh()
     for candidate in candidates:
-        task = candidate.task(query)
+        cluster = clusters[candidate.tier]
         if cache is not None:
-            key = cache_key(task_key_material(task, clusters[candidate.tier]))
+            task = {
+                "plan": candidate.plan,
+                "model": query.model_document,
+                "micro_batch_size": query.micro_batch_size,
+            }
+            key = cache_key(task_key_material(task, cluster))
             keys[candidate.index] = key
             cached = cache.get(key)
             if _usable_entry(cached, query):
                 metrics[candidate.index] = cached
                 cache_hits += 1
                 continue
-        pending.append((candidate.index, task))
+        # The arguments of ``evaluate_candidate``: this process's validated
+        # objects, which the pool's workers inherit by fork.
+        pending.append(
+            (
+                candidate.index,
+                (
+                    candidate.plan,
+                    model,
+                    cluster,
+                    query.micro_batch_size,
+                    query.max_memory_gb,
+                    query.max_compression_loss,
+                ),
+            )
+        )
 
     errors = 0
     evaluated = 0

@@ -37,12 +37,17 @@ COST_MODEL_VERSION = "2026.08-1"
 
 #: Entries each of the simulator's per-class memos keeps (:func:`job_cost_model`,
 #: the per-job / per-spec timing terms in :mod:`repro.simulator.executor`, the
-#: memory peaks in :mod:`repro.simulator.memory_model`).  Like
+#: memory peaks in :mod:`repro.simulator.memory_model`, the shared jobs of
+#: :func:`repro.simulator.evaluate.plan_job`).  Like
 #: :data:`repro.simulator.executor.REPLAY_MEMO_SIZE` the bound is memory
-#: hygiene for a long-lived process, not a tuning knob: an entry is a job
-#: reference and at most a few floats per stage, and a plan sweep visits its
-#: candidates class by class, so a far smaller table would hit as often.
-CLASS_MEMO_SIZE = 256
+#: hygiene for a long-lived process, not a tuning knob — an entry is a job
+#: reference and at most a few floats per stage — but it must hold one whole
+#: query: a process that answers the same sweep twice (a batch, a budget
+#: ladder) walks the classes in the same order, so a table one entry too small
+#: evicts cyclically and recomputes every class on every pass.  Sized at twice
+#: the largest table the flagship query (``benchmarks/e2e/queries/flagship.json``)
+#: fills: 504 memory-peak classes, 366 DP-term classes, 100 jobs.
+CLASS_MEMO_SIZE = 1024
 
 #: fp16 weight + fp16 gradient + fp32 master weight + fp32 Adam m + fp32 Adam v.
 BYTES_PER_PARAMETER_WITH_OPTIMIZER = 2 + 2 + 4 + 4 + 4

@@ -13,8 +13,10 @@ The evaluation comes in two steps because a search's budgets read two of its
 numbers only: :func:`budget_metrics` (peak memory and the compression-loss
 score — no timing) and :func:`evaluate_job`, which adds the timing half.  The
 search evaluates the first, and the second only for a candidate its budgets
-admit (:func:`repro.search.pool.evaluate_task`); :func:`evaluate_plan` is the
-two in a row.
+admit (:func:`repro.search.pool.evaluate_candidate`); :func:`evaluate_plan` is
+the two in a row.  Both run on :func:`plan_job`, the one
+:class:`~repro.simulator.cost_model.TrainingJob` object every plan of a
+(topology, schedule) class shares.
 
 Determinism contract: the evaluation is a pure function of
 ``(plan, model, cluster, micro_batch_size)`` — no wall clock, no RNG, no
@@ -32,11 +34,13 @@ the one thing the inputs cannot capture: changes to this model's own code.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
-from repro.plan import Boundary, ParallelPlan
-from repro.simulator.cost_model import TrainingJob
+from repro.models.gpt_configs import PaperModelSpec
+from repro.plan import Boundary, ParallelPlan, Schedule, Topology
+from repro.simulator.cost_model import CLASS_MEMO_SIZE, TrainingJob
 from repro.simulator.executor import PipelineTimingSimulator
 from repro.simulator.hardware import ClusterSpec
 from repro.simulator.memory_model import MemoryModel
@@ -48,6 +52,7 @@ __all__ = [
     "compression_loss",
     "evaluate_job",
     "evaluate_plan",
+    "plan_job",
 ]
 
 #: The two :class:`PlanEvaluation` fields a search budget reads
@@ -142,6 +147,39 @@ class PlanEvaluation:
         return cls(**{key: float(value) for key, value in payload.items()})
 
 
+@functools.lru_cache(maxsize=CLASS_MEMO_SIZE)
+def _class_job(
+    topology: Topology,
+    schedule: Schedule,
+    model: PaperModelSpec,
+    cluster: ClusterSpec | None,
+    micro_batch_size: int,
+) -> TrainingJob:
+    """The job of every plan with this topology and schedule, built (and validated) once."""
+    return ParallelPlan(topology=topology, schedule=schedule).training_job(
+        model, cluster=cluster, micro_batch_size=micro_batch_size
+    )
+
+
+def plan_job(
+    plan: ParallelPlan,
+    model: PaperModelSpec,
+    cluster: ClusterSpec | None = None,
+    micro_batch_size: int = 8,
+) -> TrainingJob:
+    """:meth:`~repro.plan.ParallelPlan.training_job` of ``plan``, one object per class.
+
+    A job reads the plan's topology and schedule and nothing of its
+    compression, so the plans of a sweep that differ in codecs only (28 per
+    job in the flagship query) get the *same* :class:`TrainingJob`: it is
+    constructed and validated once, and the per-class memos keyed on it
+    (:mod:`repro.simulator.executor`, :mod:`repro.simulator.memory_model`)
+    find an identical key instead of comparing two equal dataclass trees field
+    by field.
+    """
+    return _class_job(plan.topology, plan.schedule, model, cluster, micro_batch_size)
+
+
 def budget_metrics(job: TrainingJob, plan: ParallelPlan) -> dict[str, float]:
     """The :data:`BUDGET_METRICS` of ``plan`` on ``job``: memory peak and loss score.
 
@@ -203,7 +241,4 @@ def evaluate_plan(
         Sequences per micro-batch; the global batch follows from the plan's
         topology (``micro_batch_size x micro_batches x dp``).
     """
-    job: TrainingJob = (
-        plan.training_job(model, cluster=cluster, micro_batch_size=micro_batch_size)
-    )
-    return evaluate_job(job, plan)
+    return evaluate_job(plan_job(plan, model, cluster, micro_batch_size), plan)

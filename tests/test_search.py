@@ -104,6 +104,57 @@ def query_keys(query: SearchQuery) -> list[str]:
     ]
 
 
+def composed_keys(query: SearchQuery) -> list[str]:
+    """Every candidate's cache key from the plan objects, as the service asks for it."""
+    clusters = {tier: resolve_cluster(tier, query.gpus) for tier in query.hardware}
+    return [
+        cache_key(
+            task_key_material(
+                {
+                    "plan": candidate.plan,
+                    "model": query.model_document,
+                    "micro_batch_size": query.micro_batch_size,
+                },
+                clusters[candidate.tier],
+            )
+        )
+        for candidate in query.candidates()
+    ]
+
+
+def inherited_tasks(query: SearchQuery) -> list[tuple[int, tuple]]:
+    """The pool work units the service builds: ``evaluate_candidate``'s arguments."""
+    model = query.model_spec()
+    return [
+        (
+            c.index,
+            (
+                c.plan, model, resolve_cluster(c.tier, query.gpus), query.micro_batch_size,
+                query.max_memory_gb, query.max_compression_loss,
+            ),
+        )
+        for c in query.expand()
+    ]
+
+
+def after_fork(monkeypatch, action) -> None:
+    """Run ``action(workers)`` on every pool's workers right after ``run()`` forked them."""
+    fork = EvaluationPool._fork
+
+    def fork_then_act(pool, pending):
+        fork(pool, pending)
+        action(pool._workers)
+
+    monkeypatch.setattr(EvaluationPool, "_fork", fork_then_act)
+
+
+def kill_workers(workers) -> None:
+    for worker in workers:
+        worker.process.kill()
+        worker.process.join(timeout=10.0)
+        assert not worker.process.is_alive()
+
+
 def segments(root) -> list[pathlib.Path]:
     """The segment files of one cache directory."""
     return sorted(pathlib.Path(root).glob("*.seg"))
@@ -337,6 +388,75 @@ class TestPinnedKeys:
                 reference_key(query, candidate, cluster) for candidate in query.candidates()
             ]
         assert query_keys(as_int) != query_keys(as_float)
+
+
+class TestComposedKeys:
+    """A key assembled from per-section JSON is the key one ``json.dumps`` gives."""
+
+    FLOAT_SPELLED_QUERY = dict(
+        INT_SPELLED_QUERY, memory_cap_factors=[1.0, 2.0], stage_fractions=[1.0], dp_fractions=[1.0]
+    )
+
+    @staticmethod
+    def assert_composed_keys_match_the_reference(query):
+        clusters = {tier: resolve_cluster(tier, query.gpus) for tier in query.hardware}
+        candidates = query.expand()
+        assert composed_keys(query) == [
+            reference_key(query, candidate, clusters[candidate.tier]) for candidate in candidates
+        ]
+        for candidate in candidates:
+            assert candidate.plan.canonical_json() == json.dumps(
+                candidate.plan.to_dict(), sort_keys=True, separators=(",", ":")
+            )
+        return candidates
+
+    @pytest.mark.parametrize("name", sorted(PINNED_KEY_DIGESTS))
+    def test_composed_keys_of_the_pinned_queries(self, name):
+        """Incl. ``proxy_scaled``: sections rebuilt per plan, so none is shared by identity."""
+        text, count, digest = PINNED_KEY_DIGESTS[name]
+        query = SearchQuery.from_json(text)
+        assert len(self.assert_composed_keys_match_the_reference(query)) == count
+        keys = composed_keys(query)
+        assert hashlib.sha256("\n".join(keys).encode("ascii")).hexdigest() == digest
+
+    def test_composed_keys_tell_int_from_float_spellings(self):
+        """Equal sections met in either order in one process keep their own spelling."""
+        ints = SearchQuery.from_dict(INT_SPELLED_QUERY)
+        floats = SearchQuery.from_dict(self.FLOAT_SPELLED_QUERY)
+        assert ints.expand() == floats.expand()
+        for order in ((ints, floats), (floats, ints), (ints, floats)):
+            for query in order:
+                self.assert_composed_keys_match_the_reference(query)
+        assert composed_keys(ints) != composed_keys(floats)
+
+    def test_composed_key_emits_resilience_and_executor_only_when_set(self):
+        query = tiny_query(max_candidates=1)
+        (candidate,) = query.expand()
+        cluster = resolve_cluster(candidate.tier, query.gpus)
+        resilience = ResilienceSpec(
+            faults=("nan@3:replica=1,stage=0", "hang@5"), max_grad_norm=1, worker_timeout=2.5
+        )
+        plans = [
+            candidate.plan,
+            candidate.plan.with_executor("process"),
+            candidate.plan.with_resilience(ResilienceSpec(max_grad_norm=1.0)),
+            dataclasses.replace(candidate.plan, resilience=resilience, executor="process"),
+        ]
+        keys = []
+        for plan in plans:
+            armed = dataclasses.replace(candidate, plan=plan)
+            assert plan.canonical_json() == json.dumps(
+                reference_plan_dict(plan), sort_keys=True, separators=(",", ":")
+            )
+            material = task_key_material(
+                {"plan": plan, "model": query.model_document, "micro_batch_size": 8}, cluster
+            )
+            keys.append(cache_key(material))
+            assert keys[-1] == reference_key(query, armed, cluster)
+            assert keys[-1] == cache_key(task_key_material(armed.task(query), cluster))
+        assert len(set(keys)) == len(plans)
+        bare = plans[0].canonical_json()
+        assert "resilience" not in bare and "executor" not in bare
 
 
 class TestCorruptEntries:
@@ -606,15 +726,16 @@ class TestPoolAndDeterminism:
         assert results[0][0] == "ok"
         assert results[1][0] == "error" and "must be positive" in results[1][1]
 
-    def test_pool_survives_worker_crash(self):
+    def test_pool_survives_worker_crash(self, monkeypatch):
+        """A worker dead before its first block: its share goes to the survivor."""
         query = tiny_query(max_candidates=12)
         tasks = [(c.index, c.task(query)) for c in query.expand()]
+        after_fork(monkeypatch, lambda workers: kill_workers(workers[:1]))
         with EvaluationPool(workers=2) as pool:
-            pool._workers[0].process.terminate()
-            pool._workers[0].process.join()
             results = pool.run(tasks)
         assert sorted(results) == [index for index, _ in tasks]
         assert all(kind == "ok" for kind, _ in results.values())
+        assert multiprocessing.active_children() == []
 
     def test_stalled_worker_is_killed_and_its_tasks_requeued(self, monkeypatch):
         """SIGSTOP one of two workers mid-query: same answer, bounded time, no orphan."""
@@ -625,34 +746,121 @@ class TestPoolAndDeterminism:
             inline = inline_pool.run(tasks)
 
         drained = []
+        stalled = []
         drain = EvaluationPool._drain
 
         def stop_a_worker_after_a_few_replies(worker, results):
             drained.append(worker)
             if len(drained) == 5:
-                os.kill(pool._workers[0].process.pid, signal.SIGSTOP)
+                victim = pool._workers[0]
+                assert victim.share and victim.outstanding  # mid-share
+                stalled.append(victim.process)
+                os.kill(victim.process.pid, signal.SIGSTOP)
             return drain(worker, results)
 
         monkeypatch.setattr(
             EvaluationPool, "_drain", staticmethod(stop_a_worker_after_a_few_replies)
         )
         with EvaluationPool(workers=2) as pool:
-            stalled = pool._workers[0].process
             started = time.monotonic()
             results = pool.run(tasks)
             elapsed = time.monotonic() - started
-            assert not stalled.is_alive()  # killed by run(), not left for close()
+            assert stalled and not stalled[0].is_alive()  # killed by run() itself
         assert results == inline
         assert len(drained) > 5 and elapsed < 10.0
         assert multiprocessing.active_children() == []
 
-    def test_stalled_idle_worker_does_not_survive_close(self):
-        """``terminate()`` never reaches a stopped process; ``close()`` must escalate."""
-        pool = EvaluationPool(workers=1)
-        process = pool._workers[0].process
-        os.kill(process.pid, signal.SIGSTOP)
+    def test_stalled_idle_worker_does_not_survive_run(self, monkeypatch):
+        """``terminate()`` never reaches a stopped process; teardown must escalate."""
+        query = tiny_query(max_candidates=4)
+        tasks = [(c.index, c.task(query)) for c in query.expand()]
+        stopped = []
+        drain = EvaluationPool._drain
+
+        def stop_the_worker_once_it_owes_nothing(worker, results):
+            alive = drain(worker, results)
+            if len(results) == len(tasks):
+                stopped.append(worker.process)
+                os.kill(worker.process.pid, signal.SIGSTOP)
+            return alive
+
+        monkeypatch.setattr(
+            EvaluationPool, "_drain", staticmethod(stop_the_worker_once_it_owes_nothing)
+        )
+        results = EvaluationPool(workers=1).run(tasks)
+        assert all(kind == "ok" for kind, _ in results.values()) and len(results) == 4
+        assert stopped and not stopped[0].is_alive()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
+    def test_no_worker_outlives_a_run_that_raised(self, monkeypatch, failure):
+        """Workers are reaped in ``run()``'s ``finally``, whatever ended the dispatch loop."""
+        query = tiny_query(max_candidates=40)
+        forked = []
+        after_fork(monkeypatch, lambda workers: forked.extend(w.process for w in workers))
+
+        def fail(worker, results):
+            raise failure("dispatch loop interrupted")
+
+        monkeypatch.setattr(EvaluationPool, "_drain", staticmethod(fail))
+        pool = EvaluationPool(workers=2)
+        with pytest.raises(failure, match="dispatch loop interrupted"):
+            pool.run(inherited_tasks(query))
+        assert len(forked) == 2 and not any(process.is_alive() for process in forked)
+        assert pool._workers == [] and multiprocessing.active_children() == []
         pool.close()
-        assert not process.is_alive()
+        pool.close()
+
+    def test_pool_forks_inside_run_and_only_for_work(self, monkeypatch):
+        forked = []
+        after_fork(monkeypatch, lambda workers: forked.append(len(workers)))
+        pool = EvaluationPool(workers=2)
+        pool.close()  # safe on a pool that never forked
+        assert multiprocessing.active_children() == [] and forked == []
+        assert pool.run([]) == {}
+        assert forked == [0]  # a pass that evaluates nothing forks nothing
+        query = tiny_query(max_candidates=6)
+        assert len(pool.run(inherited_tasks(query))) == 6
+        assert pool.run(inherited_tasks(query)[:1]).keys() == {0}
+        assert forked == [0, 2, 1]  # never more workers than tasks
+        assert multiprocessing.active_children() == []
+        pool.close()
+
+    def test_inherited_candidates_are_never_rebuilt(self, monkeypatch):
+        """A worker evaluates the parent's validated objects; only a dict task is re-validated."""
+        query = tiny_query(max_candidates=6, max_memory_gb=40.0)
+        inherited = inherited_tasks(query)
+        as_dicts = [(c.index, c.task(query)) for c in query.expand()]
+        with EvaluationPool(workers=2) as pool:
+            expected = pool.run(as_dicts)
+            assert pool.run(inherited) == expected
+        assert all(kind == "ok" for kind, _ in expected.values())
+
+        def refuse(payload):
+            raise AssertionError("a plan was rebuilt from a dict")
+
+        monkeypatch.setattr(ParallelPlan, "from_dict", staticmethod(refuse))
+        for workers in (0, 2):  # forked after the patch: the workers inherit it
+            with EvaluationPool(workers=workers) as pool:
+                assert pool.run(inherited) == expected
+                rebuilt = pool.run(as_dicts[:2])
+            assert all(
+                kind == "error" and "a plan was rebuilt" in text for kind, text in rebuilt.values()
+            )
+
+    @pytest.mark.parametrize("workers", [0, 1, 2, 3])
+    def test_inherited_candidates_give_one_answer_for_any_worker_count(self, tmp_path, workers):
+        text = (REPO_ROOT / "examples/queries/gpt_2_5b_two_tier.json").read_text(encoding="utf-8")
+        queries = [SearchQuery.from_json(text), tiny_query(max_memory_gb=40.0)]
+        reference = [run_search(query, workers=0).to_json() for query in queries]
+        cache = SearchCache(tmp_path / "cache")
+        cold = run_queries(queries, workers=workers, cache=cache)
+        assert multiprocessing.active_children() == []
+        warm = [run_search(query, workers=workers, cache=cache) for query in queries]
+        assert [outcome.to_json() for outcome in cold] == reference
+        assert [outcome.to_json() for outcome in warm] == reference
+        assert [outcome.evaluated for outcome in cold] == [o.candidates for o in cold]
+        assert [outcome.evaluated for outcome in warm] == [0, 0]
         assert multiprocessing.active_children() == []
 
     def test_inline_matches_worker_evaluation(self):
@@ -843,25 +1051,30 @@ class TestPoolShares:
     @pytest.mark.parametrize("count", [None, 2, 0])
     def test_same_result_map_for_any_worker_count(self, tasks, inline, workers, count):
         chosen = tasks[:count]  # the whole list, fewer tasks than workers, none
+        inherited = inherited_tasks(ladder_query(max_memory_gb=40.0))[:count]
         with EvaluationPool(workers=workers) as pool:
             assert pool.run(chosen) == {index: inline[index] for index, _ in chosen}
             assert pool.run(chosen[::-1]) == {index: inline[index] for index, _ in chosen}
-            assert all(not w.share and not w.outstanding for w in pool._workers)
+            assert pool.run(inherited) == {index: inline[index] for index, _ in chosen}
+            assert pool._workers == [] and multiprocessing.active_children() == []
 
     def test_shares_are_contiguous_and_stealing_takes_the_back_half(self, tasks, monkeypatch):
-        sent: dict[int, list[int]] = {}
+        sent: dict[str, list[int]] = {}
         top_up = EvaluationPool._top_up
 
-        def record(worker, queue):
-            before = set(worker.outstanding)
-            alive = top_up(worker, queue)
-            sent.setdefault(id(worker), []).extend(sorted(set(worker.outstanding) - before))
+        def record(worker):
+            before = {id(block) for block in worker.outstanding}
+            alive = top_up(worker)
+            assert sum(len(block) for block in worker.outstanding) <= pool_module.TASK_WINDOW
+            for block in worker.outstanding:
+                if id(block) not in before:
+                    sent.setdefault(worker.process.name, []).extend(block)
             return alive
 
         monkeypatch.setattr(EvaluationPool, "_top_up", staticmethod(record))
         with EvaluationPool(workers=2) as pool:
             results = pool.run(tasks)
-            first, second = (sent[id(worker)] for worker in pool._workers)
+        first, second = sent["repro-search-0"], sent["repro-search-1"]
         assert sorted(results) == sorted(first + second) == list(range(len(tasks)))
         half = len(tasks) // 2
         assert first[:pool_module.TASK_WINDOW] == list(range(pool_module.TASK_WINDOW))
@@ -871,12 +1084,10 @@ class TestPoolShares:
             assert runs <= 1 + len(tasks).bit_length()
 
     def test_worker_killed_before_it_is_sent_anything_leaves_no_task_unanswered(
-        self, tasks, inline
+        self, tasks, inline, monkeypatch
     ):
+        after_fork(monkeypatch, lambda workers: kill_workers(workers[:2]))
         with EvaluationPool(workers=3) as pool:
-            for worker in pool._workers[:2]:
-                worker.process.kill()
-                worker.process.join()
             assert pool.run(tasks) == inline
             assert pool.run(tasks[:1]) == {tasks[0][0]: inline[tasks[0][0]]}
         assert multiprocessing.active_children() == []
@@ -885,6 +1096,7 @@ class TestPoolShares:
         self, tasks, inline, monkeypatch
     ):
         drained = []
+        killed = []
         drain = EvaluationPool._drain
 
         def kill_the_first_worker_after_a_few_replies(worker, results):
@@ -892,6 +1104,7 @@ class TestPoolShares:
             if len(drained) == 5:
                 victim = pool._workers[0]
                 assert victim.share and victim.outstanding  # mid-share: both get requeued
+                killed.append(victim.process)
                 os.kill(victim.process.pid, signal.SIGKILL)
             return drain(worker, results)
 
@@ -900,15 +1113,14 @@ class TestPoolShares:
         )
         with EvaluationPool(workers=2) as pool:
             assert pool.run(tasks) == inline
-            assert not pool._workers[0].process.is_alive()
+        assert killed and not killed[0].is_alive()
         assert multiprocessing.active_children() == []
 
-    def test_every_worker_dead_finishes_inline(self, tasks, inline):
+    def test_every_worker_dead_finishes_inline(self, tasks, inline, monkeypatch):
+        after_fork(monkeypatch, kill_workers)
         with EvaluationPool(workers=2) as pool:
-            for worker in pool._workers:
-                worker.process.kill()
-                worker.process.join()
             assert pool.run(tasks) == inline
+        assert multiprocessing.active_children() == []
 
 
 class TestFrontier:

@@ -28,6 +28,7 @@ from repro.simulator import (
 from repro.simulator import executor as executor_module
 from repro.simulator import memory_model as memory_module
 from repro.simulator.cost_model import CLASS_MEMO_SIZE, job_cost_model
+from repro.simulator import evaluate as evaluate_module
 from repro.simulator.evaluate import evaluate_job
 from repro.simulator.hardware import ClusterSpec, SimulationConstants
 from repro.simulator.executor import (
@@ -388,8 +389,9 @@ class TestZeroBubbleTiming:
         assert compressed.interstage_wire_bytes < base.interstage_wire_bytes
 
 
-#: Every per-process memo under :func:`repro.simulator.evaluate.evaluate_job`.
+#: Every per-process memo under :func:`repro.simulator.evaluate.evaluate_plan`.
 CLASS_MEMOS = (
+    evaluate_module._class_job,
     job_cost_model,
     executor_module._stage_compute,
     executor_module._dp_terms,
@@ -539,14 +541,30 @@ class TestClassMemos:
 
         self.clear()
         outcome = run_search(
-            SearchQuery(model="GPT-9.2B", gpus=128, dp_ranks=(32, 64, 128), embedding=("none",)),
+            SearchQuery(
+                model="GPT-9.2B", gpus=128, dp_ranks=(8, 16, 32, 64, 128), embedding=("none",)
+            ),
             workers=0,
         )
-        assert outcome.evaluated == outcome.candidates > 4 * CLASS_MEMO_SIZE
+        assert outcome.evaluated == outcome.candidates > 2 * CLASS_MEMO_SIZE
         for memo in CLASS_MEMOS:
             info = memo.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize <= CLASS_MEMO_SIZE
         assert executor_module._dp_terms.cache_info().currsize == CLASS_MEMO_SIZE  # it overflowed
+
+    def test_second_pass_of_the_flagship_query_adds_no_misses(self):
+        """The tables hold one whole query: answering it again recomputes no class."""
+        from repro.search import SearchQuery, run_search
+
+        text = (REPO_ROOT / "benchmarks/e2e/queries/flagship.json").read_text(encoding="utf-8")
+        query = SearchQuery.from_json(text)
+        self.clear()
+        first = run_search(query, workers=0)
+        misses = [memo.cache_info().misses for memo in CLASS_MEMOS]
+        assert all(misses) and max(misses) <= CLASS_MEMO_SIZE
+        second = run_search(query, workers=0)
+        assert [memo.cache_info().misses for memo in CLASS_MEMOS] == misses
+        assert second.to_json() == first.to_json()
 
 
 class TestReplayMemo:
