@@ -540,8 +540,6 @@ def bench_process_executor(repeats: int = 3, iterations_per_repeat: int = 2) -> 
     """
     import os
 
-    from repro.optim import FusedAdam as _FusedAdam
-
     config = functional_config(
         vocab_size=64, sequence_length=16, num_layers=2, hidden_size=64, num_heads=4
     )
@@ -564,7 +562,7 @@ def bench_process_executor(repeats: int = 3, iterations_per_repeat: int = 2) -> 
 
     def build(executor: str):
         engine = ThreeDParallelEngine(config, plan=plan.with_executor(executor), seed=3)
-        optimizers = [_FusedAdam(arena, lr=1e-3) for arena in engine.arenas]
+        optimizers = [engine.build_optimizer(lr=1e-3)]
         return engine, optimizers
 
     def step(engine, optimizers):

@@ -2,12 +2,13 @@
 
 The sequential engine is the bit-for-bit oracle; this package makes the
 data-parallel axis physically concurrent.  :class:`ProcessExecutor` forks one
-worker per DP replica over :class:`SharedArenaSegment`-backed parameter arenas;
+worker per DP replica over :class:`SharedArenaSegment`-backed parameter arenas
+(one segment with the group's shared weights, one per replica's gradients);
 the engine's ``executor`` knob (``ParallelPlan.executor`` / ``repro train
 --executor {serial,process}``) selects it.  See :mod:`repro.exec.executor` for
 the parity argument and lifecycle guarantees, and :mod:`repro.exec.supervisor`
 for the self-healing layer (hang watchdog, automatic respawn over the same
-shared segment, policy-driven degrade/checkpoint-abort escalation).
+shared segments, policy-driven degrade/checkpoint-abort escalation).
 """
 
 from repro.exec.executor import ProcessExecutor

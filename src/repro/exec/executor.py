@@ -7,9 +7,10 @@ one forked worker process per DP replica owns that replica's
 :class:`~repro.parallel.pipeline_engine.PipelineParallelEngine` — and with it
 the dependency-ordered per-stage op lists the schedule layer emits
 (``1f1b``/``zb1``/``auto``), which become the worker's instruction stream —
-while the replica's flat :class:`~repro.parallel.arena.ParameterArena` lives in
-a :class:`~repro.exec.shm.SharedArenaSegment` mapped by parent and worker
-alike.
+while the flat :class:`~repro.parallel.arena.ParameterArena` buffers live in
+:class:`~repro.exec.shm.SharedArenaSegment` objects mapped by parent and
+workers alike: one segment with the weights the whole DP group shares, one
+gradient segment per replica.
 
 Bit-for-bit parity with the serial oracle is by construction, not tolerance:
 
@@ -26,7 +27,7 @@ Bit-for-bit parity with the serial oracle is by construction, not tolerance:
 
 The parent↔worker protocol is a pair of pipes per worker carrying tiny
 messages (micro-batch arrays down, loss + traffic records up); the gradients
-and weights themselves never travel — they are the shared segment.  Worker
+and weights themselves never travel — they are the shared segments.  Worker
 death or an exception inside a worker surfaces as
 :class:`repro.resilience.WorkerCrash`; shutdown is context-managed with a join
 timeout, terminate/kill escalation, and a ``weakref`` finalizer so neither
@@ -75,7 +76,7 @@ def _replica_worker_main(
     """Command loop of one replica worker (runs in the forked child).
 
     The worker inherited the replica's pipeline engine, stages, CB hook, and
-    channel by fork; its arena views alias the parent's shared segment.  Every
+    channel by fork; its arena views alias the parent's shared segments.  Every
     ``run`` replays the schedule's op stream for one iteration, leaves the
     gradients in shared memory, and ships back only the mean loss and the
     traffic records the channel logged (the parent merges them into the global
@@ -177,6 +178,9 @@ class ProcessExecutor:
         )
         if self.worker_timeout <= 0:
             raise ValueError("worker_timeout must be positive")
+        #: The DP group's one weights segment, and each replica's gradient
+        #: segment (``drop_worker`` pops entries of the latter only).
+        self.weights_segment: SharedArenaSegment | None = None
         self.segments: list[SharedArenaSegment] = []
         self._processes: list[multiprocessing.Process] = []
         self._connections: list = []
@@ -196,20 +200,21 @@ class ProcessExecutor:
         return len(self._processes)
 
     def start(self) -> None:
-        """Migrate every replica arena into shared memory and fork the workers.
+        """Migrate the arenas into shared memory and fork the workers.
 
         Must run before any parent-side state diverges from what the workers
         need (the engine starts it ahead of its first process iteration).  The
         ``fork`` start method is required — workers inherit the constructed
-        engine objects; the arenas are adopted *before* forking so parent and
-        children alias the same pages.
+        engine objects; the buffers are adopted *before* forking so parent and
+        children alias the same pages: the group's weights once, every
+        replica's gradients into a segment of its own.
         """
         if self._started:
             return
         context = multiprocessing.get_context("fork")
-        self.segments = [
-            SharedArenaSegment.adopt(arena) for arena in self.engine.arenas
-        ]
+        arenas = self.engine.arenas
+        self.weights_segment = SharedArenaSegment.adopt(arenas[0], "data")
+        self.segments = [SharedArenaSegment.adopt(arena, "grad") for arena in arenas]
         # Worker-side fault routing: crash/hang/replica_loss specs are handed
         # to the forked worker so injection exercises the real SIGKILL/wedge
         # paths (the parent only *detects* the death, as with a real failure).
@@ -234,17 +239,7 @@ class ProcessExecutor:
             self.worker_ids.append(replica_index)
             self._worker_faults.append(faults)
         self._started = True
-        # Safety net for abandoned executors: kills workers and unlinks the
-        # shared segments even if close() is never called.  Holds no reference
-        # to self (or the engine), so it cannot keep the executor alive.
-        self._finalizer = weakref.finalize(
-            self,
-            _cleanup,
-            list(self._processes),
-            list(self._connections),
-            list(self.segments),
-            self.join_timeout,
-        )
+        self._refresh_finalizer()
 
     # -- the per-iteration hot path ---------------------------------------------------
 
@@ -418,7 +413,7 @@ class ProcessExecutor:
     def kill_worker(self, index: int) -> None:
         """SIGKILL one worker and reap it (keeps its slot; used before respawn).
 
-        Safe on an already-dead worker.  The shared segment and the parent's
+        Safe on an already-dead worker.  The shared segments and the parent's
         replica objects are untouched — :meth:`respawn_worker` re-forks over
         them, or :meth:`drop_worker` retires them.
         """
@@ -432,13 +427,14 @@ class ProcessExecutor:
             pass
 
     def respawn_worker(self, index: int, iteration: int) -> None:
-        """Re-fork a dead or hung worker over the *same* shared arena segment.
+        """Re-fork a dead or hung worker over the *same* shared segments.
 
         The parent's pipeline engine and CB hook for this replica still alias
-        the shared segment's pages, so the fresh fork inherits the replica's
-        current weights with zero copies; only the CB hook state it inherits
-        is stale (the parent's copy), which the supervisor fixes by pushing
-        the pre-iteration state through ``load_cb_state`` before replay.
+        the shared pages — the group's weights segment belongs to no worker,
+        so this holds for replica 0 like any other — and the fresh fork
+        inherits the current weights with zero copies; only the CB hook state
+        it inherits is stale (the parent's copy), which the supervisor fixes by
+        pushing the pre-iteration state through ``load_cb_state`` before replay.
         Faults at or before ``iteration`` are filtered from the new worker's
         schedule so a replayed iteration cannot re-fire the fault that killed
         its predecessor.
@@ -472,11 +468,13 @@ class ProcessExecutor:
         self._refresh_finalizer()
 
     def drop_worker(self, index: int) -> None:
-        """Shut down one replica's worker and destroy its segment (degradation).
+        """Shut down one replica's worker and destroy its gradient segment (degradation).
 
         Called by :meth:`ThreeDParallelEngine.drop_replica` *before* the engine
-        deletes the replica; the arena is migrated back to private memory so
-        any surviving alias stays valid.
+        deletes the replica; its gradients are migrated back to private memory
+        (the engine then takes the arena out of the group, off the weights
+        segment) so any surviving alias stays valid.  The weights segment is
+        the group's and stays mapped whichever replica goes.
         """
         self._shutdown_one(index)
         process = self._processes.pop(index)
@@ -552,8 +550,16 @@ class ProcessExecutor:
         for segment, arena in zip(self.segments, self.engine.arenas):
             segment.release(arena)
         self.segments = []
+        self.weights_segment.release(self.engine.arenas[0])
+        self.weights_segment = None
 
     def _refresh_finalizer(self) -> None:
+        """(Re-)arm the safety net for abandoned executors.
+
+        Kills the current workers and unlinks every shared segment even if
+        close() is never called.  Holds no reference to self (or the engine),
+        so it cannot keep the executor alive.
+        """
         if self._finalizer is not None:
             self._finalizer.detach()
         self._finalizer = weakref.finalize(
@@ -561,7 +567,7 @@ class ProcessExecutor:
             _cleanup,
             list(self._processes),
             list(self._connections),
-            list(self.segments),
+            [self.weights_segment, *self.segments],
             self.join_timeout,
         )
 

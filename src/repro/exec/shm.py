@@ -1,21 +1,26 @@
 """Shared-memory storage segments for the process-parallel executor.
 
-One :class:`SharedArenaSegment` holds a replica's entire
-:class:`~repro.parallel.arena.ParameterArena` — the flat weight buffer followed
-by the flat gradient buffer — in a single POSIX shared-memory object.  The flat
-arenas are exactly the layout ``multiprocessing.shared_memory`` wants: adopting
-an arena is two whole-buffer copies plus a view rebind, and because the parent
-creates the segment *before* forking, parent and workers alias the same
+One :class:`SharedArenaSegment` holds one flat :class:`~repro.parallel.arena.ParameterArena`
+buffer in a POSIX shared-memory object.  A running executor owns **1 + DP** of
+them, mirroring how the arenas store a DP group: *one* ``data`` segment with
+the weights every replica shares, and one ``grad`` segment per replica.  The
+flat buffers are exactly the layout ``multiprocessing.shared_memory`` wants:
+adopting one is a whole-buffer copy plus a view rebind, and because the parent
+creates the segments *before* forking, parent and workers alias the same
 physical pages — a worker's backward pass writes gradients the parent's DP
-sync reads with zero copies, and the parent's optimiser step writes weights the
-worker's next forward pass reads.
+sync reads with zero copies, and the parent's one optimiser step writes
+weights every worker's next forward pass reads.  No worker owns the weights
+segment, so dropping or respawning any of them — replica 0 included — never
+unmaps it.
 
-Lifecycle discipline (asserted in ``tests/test_process_executor.py``): every
-segment is created by the parent, adopted exactly once, and destroyed by the
-parent after the workers exit — :meth:`release` first migrates the arena back
-onto private memory (so no live NumPy view pins the mapping), then closes and
-unlinks the OS object.  A :func:`weakref.finalize` in the executor guarantees
-unlink even on abandoned executors, so no run leaks ``/dev/shm`` entries.
+Lifecycle discipline (asserted in ``tests/test_process_executor.py`` and
+``tests/test_replicated_state.py``): every segment is created by the parent,
+adopts its buffer exactly once (the weights once for the whole group, not once
+per replica), and is destroyed by the parent after the workers exit —
+:meth:`release` first migrates the buffer back onto private memory (so no live
+NumPy view pins the mapping), then closes and unlinks the OS object.  A
+:func:`weakref.finalize` in the executor guarantees unlink even on abandoned
+executors, so no run leaks ``/dev/shm`` entries.
 """
 
 from __future__ import annotations
@@ -28,19 +33,18 @@ from repro.parallel.arena import ParameterArena
 
 
 class SharedArenaSegment:
-    """One replica arena's weight+grad storage in a shared-memory object."""
+    """One flat arena buffer — ``"data"`` or ``"grad"`` — in a shared-memory object."""
 
-    def __init__(self, num_elements: int, dtype=np.float64) -> None:
+    def __init__(self, num_elements: int, buffer: str, dtype=np.float64) -> None:
+        if buffer not in ("data", "grad"):
+            raise ValueError(f"an arena has a 'data' and a 'grad' buffer, got {buffer!r}")
         self.num_elements = int(num_elements)
+        self.buffer = buffer
         self.dtype = np.dtype(dtype)
-        nbytes = self.num_elements * self.dtype.itemsize
         self.shm: shared_memory.SharedMemory | None = shared_memory.SharedMemory(
-            create=True, size=max(2 * nbytes, 1)
+            create=True, size=max(self.num_elements * self.dtype.itemsize, 1)
         )
-        self.data = np.ndarray(self.num_elements, dtype=self.dtype, buffer=self.shm.buf)
-        self.grad = np.ndarray(
-            self.num_elements, dtype=self.dtype, buffer=self.shm.buf, offset=nbytes
-        )
+        self.array = np.ndarray(self.num_elements, dtype=self.dtype, buffer=self.shm.buf)
 
     @property
     def name(self) -> str:
@@ -50,30 +54,29 @@ class SharedArenaSegment:
         return self.shm.name
 
     @classmethod
-    def adopt(cls, arena: ParameterArena) -> "SharedArenaSegment":
-        """Create a segment matching ``arena`` and migrate its storage into it.
+    def adopt(cls, arena: ParameterArena, buffer: str) -> "SharedArenaSegment":
+        """Create a segment for ``arena``'s ``buffer`` and migrate that storage into it.
 
         Values are preserved bit-for-bit and every parameter view is rebound
         (:meth:`ParameterArena.rebind_storage`), so from this call on all
-        reads/writes through the arena touch shared memory.
+        reads/writes through the arena touch shared memory.  Adopting
+        ``"data"`` moves the arena's whole weight-sharing group: call it once
+        per group.
         """
-        segment = cls(arena.num_elements, dtype=arena.data.dtype)
-        arena.rebind_storage(segment.data, segment.grad)
+        segment = cls(arena.num_elements, buffer, dtype=arena.data.dtype)
+        arena.rebind_storage(**{buffer: segment.array})
         return segment
 
-    def release(self, arena: ParameterArena | None = None) -> None:
-        """Migrate ``arena`` back onto private memory and destroy the segment.
+    def release(self, arena: ParameterArena) -> None:
+        """Migrate ``arena``'s buffer back onto private memory and destroy the segment.
 
         After release the arena keeps working exactly as before adoption (same
         values, private buffers) — the serial oracle path needs nothing more
-        than this to resume.  Pass ``arena=None`` when the arena is being
-        discarded anyway (replica drop): the segment is destroyed without a
-        copy-out.
+        than this to resume.
         """
-        if arena is not None and self.shm is not None:
+        if self.shm is not None:
             arena.rebind_storage(
-                np.empty(self.num_elements, dtype=self.dtype),
-                np.empty(self.num_elements, dtype=self.dtype),
+                **{self.buffer: np.empty(self.num_elements, dtype=self.dtype)}
             )
         self.destroy()
 
@@ -89,8 +92,7 @@ class SharedArenaSegment:
         if shm is None:
             return
         self.shm = None
-        self.data = None  # type: ignore[assignment]
-        self.grad = None  # type: ignore[assignment]
+        self.array = None  # type: ignore[assignment]
         try:
             shm.close()
         except BufferError:  # a live view still pins the mapping — unlink anyway

@@ -8,17 +8,19 @@ with the recovery loop that turns worker failure from fatal into routine:
    one as ``WorkerCrash``; ``run_collect`` drains every surviving worker
    first, so when the supervisor takes over nothing is still writing to the
    shared arenas.
-2. **Recovery** — the engine captures every arena and every worker's CB hook
-   state into its :class:`~repro.resilience.RecoveryPoint` *before* each
+2. **Recovery** — the engine captures the arenas (shared weights once,
+   gradients per replica) and every worker's CB hook state into its
+   :class:`~repro.resilience.RecoveryPoint` *before* each
    iteration (the same single capture the guarded trainer rolls back to — the
    supervisor takes none of its own).  On failure the supervisor kills the
    broken worker, re-forks it over the same
-   :class:`~repro.exec.shm.SharedArenaSegment` (the parent's replica objects
-   still alias the shared pages, so the fresh fork inherits current weights
-   for free), verifies the new worker with a heartbeat ping, pushes the
-   captured CB states back into *every* worker, restores the arenas from the
-   recovery point, and replays the iteration.  Replica forward/backward is deterministic in (weights, CB
-   state, batches), so the recovered run is bit-identical to an undisturbed
+   :class:`~repro.exec.shm.SharedArenaSegment` objects (the parent's replica
+   objects still alias the shared pages — the group's one weights segment and
+   the replica's gradient segment — so the fresh fork inherits current
+   weights for free, whichever worker died), verifies the new worker with a
+   heartbeat ping, pushes the captured CB states back into *every* worker,
+   restores the arenas from the recovery point, and replays the iteration.
+   Replica forward/backward is deterministic in (weights, CB state, batches), so the recovered run is bit-identical to an undisturbed
    one — the same invariant style the serial/process parity suite asserts.
 3. **Escalation** — respawns are budgeted by
    :class:`~repro.resilience.SupervisionPolicy`.  A spent budget (or an

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
 from repro.models.gpt_configs import functional_config
-from repro.optim import FusedAdam
 from repro.parallel.engine import ThreeDParallelEngine
 from repro.plan import ParallelPlan
 from repro.utils.tables import Table, format_float
@@ -93,7 +92,7 @@ def measure_engine_traffic(
         data_parallel_degree=topology.dp,
     )
     engine = ThreeDParallelEngine(model, plan, seed=seed)
-    optimizers = [FusedAdam(arena, lr=1e-3) for arena in engine.arenas]
+    optimizer = engine.build_optimizer(lr=1e-3)
 
     axis_totals: dict[str, float] = {}
     compressed: dict[str, float] = {}
@@ -103,11 +102,9 @@ def measure_engine_traffic(
     last_loss = 0.0
     try:
         for iteration in range(iterations):
-            for optimizer in optimizers:
-                optimizer.zero_grad()
+            optimizer.zero_grad()
             result = engine.run_iteration(loader.iteration_batches(iteration))
-            for optimizer in optimizers:
-                optimizer.step()
+            optimizer.step()
             last_loss = result.mean_loss
             for axis, value in result.axis_wire_bytes.items():
                 axis_totals[axis] = axis_totals.get(axis, 0.0) + value

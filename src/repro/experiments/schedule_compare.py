@@ -112,7 +112,6 @@ def functional_schedule_parity(
     schedules (zb1 and the synthesized auto, here run at ``memory_cap_factor``)
     only reorder when each weight gradient is accumulated, never what it is.
     """
-    from repro.optim import FusedAdam
 
     config = functional_config(
         vocab_size=64, sequence_length=16, num_layers=4, hidden_size=16, num_heads=2
@@ -137,12 +136,11 @@ def functional_schedule_parity(
             changes["memory_cap_factor"] = memory_cap_factor
         plan = ParallelPlan(topology=topology).with_schedule(**changes)
         engine = ThreeDParallelEngine(config, plan=plan, seed=seed)
-        optimizers = [FusedAdam(arena, lr=2e-3) for arena in engine.arenas]
+        optimizer = engine.build_optimizer(lr=2e-3)
         for _ in range(iterations):
-            engine.zero_grad()
+            optimizer.zero_grad()
             engine.run_iteration(batches)
-            for optimizer in optimizers:
-                optimizer.step()
+            optimizer.step()
         engines[kind] = engine
     reference = kinds[0]
     for kind in kinds[1:]:

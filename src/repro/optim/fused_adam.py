@@ -14,9 +14,20 @@ cache-sized slice of weights, gradient and moments before the next slice is
 touched, so each of them streams from memory once per step instead of once per
 ufunc.  Elementwise ops do not care where the slices are cut, so any tile size
 gives the same bits.
+
+Data-parallel replicas share one weight buffer (a
+:meth:`~repro.parallel.arena.ParameterArena.replicated` group), so a group gets
+**one** optimiser and one pair of moments: :meth:`FusedAdam.step` updates the
+shared weights from the first replica's synchronised gradient (every replica
+holds the same one after the DP sync) and :meth:`FusedAdam.zero_grad` clears
+every replica's gradient buffer.  An optimiser over part of a group would either
+apply the update once per member or leave the other members' gradients
+accumulating across iterations, so the constructor refuses it.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -35,8 +46,12 @@ class FusedAdam:
 
     Parameters
     ----------
-    arena:
-        The parameter arena to optimise (its trainable prefix is updated).
+    arenas:
+        The parameter arena to optimise (its trainable prefix is updated), or
+        the whole weight-sharing group of a data-parallel engine — which
+        :meth:`repro.parallel.engine.ThreeDParallelEngine.build_optimizer`
+        passes.  The group list is held live: a replica that leaves it stops
+        being zeroed, and the step reads whichever replica is first *now*.
     lr, betas, eps, weight_decay:
         Standard Adam hyper-parameters.  ``weight_decay`` is L2 regularisation
         added to the gradient (matching :class:`repro.optim.Adam`) unless
@@ -48,7 +63,7 @@ class FusedAdam:
 
     def __init__(
         self,
-        arena: ParameterArena,
+        arenas: ParameterArena | Sequence[ParameterArena],
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
@@ -60,7 +75,17 @@ class FusedAdam:
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError(f"betas must be in [0, 1), got {betas}")
-        self.arena = arena
+        given = [arenas] if isinstance(arenas, ParameterArena) else list(arenas)
+        group = given[0].group
+        if len(given) != len(group) or any(a is not b for a, b in zip(given, group)):
+            raise ValueError(
+                f"FusedAdam was given {len(given)} of the {len(group)} arenas that share one "
+                "weight buffer: stepping it would update the shared weights once per such "
+                "optimiser and zero only its own arenas' gradients — build the group's one "
+                "optimiser with ThreeDParallelEngine.build_optimizer(**adam_kwargs)"
+            )
+        self.arenas = group
+        arena = group[0]
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
@@ -74,6 +99,11 @@ class FusedAdam:
         tile = max(1, min(size, _TILE_ELEMENTS))
         self._scratch = np.empty(tile, dtype=arena.data.dtype)
         self._scratch2 = np.empty(tile, dtype=arena.data.dtype)
+
+    @property
+    def arena(self) -> ParameterArena:
+        """The group's first live arena: the shared weights and the gradient stepped from."""
+        return self.arenas[0]
 
     # -- per-parameter compatibility views ------------------------------------------
 
@@ -135,8 +165,9 @@ class FusedAdam:
     # -- optimisation ----------------------------------------------------------------
 
     def zero_grad(self) -> None:
-        """Zero every gradient with one buffer-wide write."""
-        self.arena.zero_grad()
+        """Zero every replica's gradients, one buffer-wide write each."""
+        for arena in self.arenas:
+            arena.zero_grad()
 
     def step(self) -> None:
         """Apply one Adam update to the whole trainable prefix in-place, tile by tile."""

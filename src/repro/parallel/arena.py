@@ -10,6 +10,14 @@ to *views* into those buffers.  Every existing in-place access keeps working, wh
 whole-model operations become a handful of vectorised ops over one flat array
 (:class:`repro.optim.FusedAdam` builds its Adam moments the same way).
 
+Data-parallel replicas hold the same weights, so they hold them *once*:
+:meth:`ParameterArena.replicated` builds one arena per replica over a single
+weight buffer (each replica's same-seed values are checked against it
+bit-for-bit) with a gradient buffer per replica.  One optimiser steps the
+group, the process executor maps one weights segment, a recovery point and a
+checkpoint copy the weights once — DP× less memory and DP× fewer Adam updates
+than replicas that merely stay equal.
+
 On top of the arena, :func:`build_gradient_buckets` splits the data-parallel
 boundary into size-targeted buckets of *arena-contiguous* parameters, the unit at
 which the engine issues its (optionally overlapped) DP all-reduces — the same
@@ -39,9 +47,20 @@ class ParameterArena:
     Adoption preserves current values bit-for-bit and rebinds ``parameter.data`` and
     ``parameter.grad`` to views into the arena; all in-place accesses (``grad[...] =``,
     ``data -= ...``) therefore read and write arena memory from then on.
+
+    Data-parallel replicas hold the same weights by construction, so their arenas
+    form a **group** over *one* weight buffer (:meth:`replicated`): every member's
+    ``data`` is the same array, its ``grad`` is its own.  ``group`` is the live
+    list of the arenas bound to ``data`` — ``[self]`` for a standalone arena.
     """
 
-    def __init__(self, parameters: Iterable[Parameter], dtype=np.float64) -> None:
+    def __init__(
+        self,
+        parameters: Iterable[Parameter],
+        dtype=np.float64,
+        *,
+        weights_of: "ParameterArena | None" = None,
+    ) -> None:
         given = list(parameters)
         if len({id(parameter) for parameter in given}) != len(given):
             raise ValueError("cannot place the same parameter in an arena twice")
@@ -51,20 +70,60 @@ class ParameterArena:
         self.parameters: list[Parameter] = ordered
         self.num_trainable_elements = sum(p.size for p in ordered if p.requires_grad)
         total = sum(p.size for p in ordered)
-        self.data = np.empty(total, dtype=dtype)
-        self.grad = np.zeros(total, dtype=dtype)
+        self.data = np.empty(total, dtype=dtype) if weights_of is None else weights_of.data
+        self.grad = np.zeros(total, dtype=self.data.dtype)
         self._spans: dict[int, tuple[int, int]] = {}
         offset = 0
         for parameter in ordered:
             stop = offset + parameter.size
-            data_view = self.data[offset:stop].reshape(parameter.shape)
-            data_view[...] = parameter.data
-            parameter.data = data_view
-            grad_view = self.grad[offset:stop].reshape(parameter.shape)
-            grad_view[...] = parameter.grad
-            parameter.grad = grad_view
             self._spans[id(parameter)] = (offset, stop)
+            if weights_of is None:
+                self.data[offset:stop] = np.ravel(parameter.data)
+            self.grad[offset:stop] = np.ravel(parameter.grad)
             offset = stop
+        if weights_of is None:
+            self.group: list[ParameterArena] = [self]
+        else:
+            # A further replica of ``weights_of``: same layout, same values, so
+            # its parameters become views of the weights already stored there.
+            self._check_replica_of(weights_of)
+            self.group = weights_of.group
+            self.group.append(self)
+        self._bind("data", self.data)
+        self._bind("grad", self.grad)
+
+    def _check_replica_of(self, other: "ParameterArena") -> None:
+        """Raise unless this arena's parameters equal ``other``'s stored weights bit-for-bit."""
+        layout = [(p.shape, p.requires_grad) for p in self.parameters]
+        if layout != [(p.shape, p.requires_grad) for p in other.parameters]:
+            raise ValueError("replicas of one weight buffer need identical parameter layouts")
+        for parameter in self.parameters:
+            start, stop = self._spans[id(parameter)]
+            stored = other.data[start:stop].reshape(parameter.shape)
+            if not bitwise_equal(stored, np.asarray(parameter.data, dtype=stored.dtype)):
+                raise ValueError(
+                    f"parameter {parameter.name!r} differs from the group's weights: replicas "
+                    "sharing one weight buffer must start from bit-identical values"
+                )
+
+    @classmethod
+    def replicated(
+        cls, replica_parameters: Iterable[Iterable[Parameter]], dtype=np.float64
+    ) -> "list[ParameterArena]":
+        """One arena per replica over **one** weight buffer; returns the group list.
+
+        Replica 0's weights become the buffer; each further replica is checked
+        against it bit-for-bit and bound onto it, keeping only a gradient
+        buffer of its own.  The returned list *is* every member's ``group``:
+        removing a replica from it (:meth:`leave_group`) is what shrinks the
+        group, and whichever arena is first in it is the one an optimiser
+        reads the synchronised gradient from.
+        """
+        first, *rest = replica_parameters
+        arena = cls(first, dtype)
+        for parameters in rest:
+            cls(parameters, dtype, weights_of=arena)
+        return arena.group
 
     @property
     def num_elements(self) -> int:
@@ -95,58 +154,88 @@ class ParameterArena:
         self.grad[...] = 0.0
 
     def snapshot(self, out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-        """Copy the full weight/gradient state for a later :meth:`restore`.
+        """Copy this arena's share of the weight/gradient state for a later :meth:`restore`.
 
-        Two contiguous buffer copies — the cheap rollback primitive of the
-        per-iteration recovery point.  ``out`` is a previous snapshot whose
-        buffers are refilled in place instead of being reallocated.  The copies
-        are independent of the live buffers, so taking a snapshot never
-        perturbs training.
+        Contiguous buffer copies — the cheap rollback primitive of the
+        per-iteration recovery point.  The gradients are always this arena's
+        own; the group's one weight buffer is captured by its first member only
+        (a standalone arena is its group's first member), so snapshotting every
+        arena of a group copies the weights once.  ``out`` is a previous
+        snapshot whose buffers are refilled in place instead of being
+        reallocated.  The copies are independent of the live buffers, so taking
+        a snapshot never perturbs training.
         """
-        return capture_tree({"data": self.data, "grad": self.grad}, out)
+        live = {"grad": self.grad}
+        if self.group[0] is self:
+            live["data"] = self.data
+        return capture_tree(live, out)
 
     def restore(self, snapshot: dict[str, np.ndarray]) -> None:
         """Write a :meth:`snapshot` back into the live buffers, bit-for-bit."""
-        data = snapshot["data"]
-        grad = snapshot["grad"]
-        if data.shape != self.data.shape or grad.shape != self.grad.shape:
-            raise ValueError(
-                "snapshot does not match this arena: "
-                f"data {data.shape} vs {self.data.shape}, grad {grad.shape} vs {self.grad.shape}"
-            )
-        self.data[...] = data
-        self.grad[...] = grad
+        for name, saved in snapshot.items():
+            live = getattr(self, name)
+            if saved.shape != live.shape:
+                raise ValueError(
+                    f"snapshot does not match this arena: {name} {saved.shape} vs {live.shape}"
+                )
+        for name, saved in snapshot.items():
+            getattr(self, name)[...] = saved
 
-    def rebind_storage(self, data: np.ndarray, grad: np.ndarray) -> None:
-        """Migrate the arena onto caller-provided flat buffers, bit-for-bit.
+    def rebind_storage(
+        self, data: np.ndarray | None = None, grad: np.ndarray | None = None
+    ) -> None:
+        """Migrate storage onto caller-provided flat buffers, bit-for-bit.
 
-        The process-parallel executor (:mod:`repro.exec`) uses this to move a
-        replica's storage into (and back out of) a ``SharedMemory``-backed
-        buffer before forking workers: current contents are copied into the new
-        buffers, then ``self.data``/``self.grad`` and every parameter's
-        ``data``/``grad`` view are rebound, so all existing in-place accesses —
-        the stages' backward accumulation, the fused optimiser, the DP sync's
-        flat bucket views — transparently read and write the new memory.
-        Spans are layout identities and do not change.
+        The process-parallel executor (:mod:`repro.exec`) uses this to move
+        storage into (and back out of) ``SharedMemory``-backed buffers before
+        forking workers: current contents are copied into the new buffer, then
+        the arena's array and every parameter's view are rebound, so all
+        existing in-place accesses — the stages' backward accumulation, the
+        fused optimiser, the DP sync's flat bucket views — transparently read
+        and write the new memory.  ``grad`` replaces this arena's own gradient
+        buffer; ``data`` replaces the weight buffer of the **whole group** (one
+        copy, every member rebound) — weights are one buffer per group, never
+        one per arena.  Spans are layout identities and do not change.
         """
-        if data.shape != self.data.shape or data.dtype != self.data.dtype:
-            raise ValueError(
-                f"data buffer mismatch: got {data.shape}/{data.dtype}, "
-                f"expected {self.data.shape}/{self.data.dtype}"
-            )
-        if grad.shape != self.grad.shape or grad.dtype != self.grad.dtype:
-            raise ValueError(
-                f"grad buffer mismatch: got {grad.shape}/{grad.dtype}, "
-                f"expected {self.grad.shape}/{self.grad.dtype}"
-            )
-        data[...] = self.data
-        grad[...] = self.grad
-        self.data = data
-        self.grad = grad
+        for name, buffer in (("data", data), ("grad", grad)):
+            live = getattr(self, name)
+            if buffer is not None and (buffer.shape != live.shape or buffer.dtype != live.dtype):
+                raise ValueError(
+                    f"{name} buffer mismatch: got {buffer.shape}/{buffer.dtype}, "
+                    f"expected {live.shape}/{live.dtype}"
+                )
+        if data is not None:
+            data[...] = self.data
+            for arena in self.group:
+                arena._bind("data", data)
+        if grad is not None:
+            grad[...] = self.grad
+            self._bind("grad", grad)
+
+    def _bind(self, name: str, buffer: np.ndarray) -> None:
+        setattr(self, name, buffer)
         for parameter in self.parameters:
             start, stop = self._spans[id(parameter)]
-            parameter.data = data[start:stop].reshape(parameter.shape)
-            parameter.grad = grad[start:stop].reshape(parameter.shape)
+            setattr(parameter, name, buffer[start:stop].reshape(parameter.shape))
+
+    def leave_group(self) -> None:
+        """Drop out of the weight-sharing group onto a private copy of the weights.
+
+        How a data-parallel group shrinks: the group list (the engine's
+        ``arenas``) loses this arena, the survivors keep the one buffer, and
+        nothing this arena still references is memory the group may unmap.
+        """
+        self.group.remove(self)
+        self.group = [self]
+        self.rebind_storage(data=np.empty_like(self.data))
+
+
+def bitwise_equal(left: np.ndarray, right: np.ndarray) -> bool:
+    """Bit-for-bit equality of two same-dtype arrays (``-0.0 != 0.0``, a NaN equals itself)."""
+    bits = f"u{left.itemsize}"
+    return left.shape == right.shape and np.array_equal(
+        np.ascontiguousarray(left).view(bits), np.ascontiguousarray(right).view(bits)
+    )
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,13 @@ exercised in isolation into **one** training iteration:
   :mod:`repro.parallel.tensor_parallel`), while the intra-node all-reduce traffic is
   accounted through :mod:`repro.parallel.collectives`.
 
-Execution core (PR 2): every replica's parameters and gradients live in one flat
-:class:`~repro.parallel.arena.ParameterArena` (contiguous buffers with per-parameter
-views), so ``zero_grad`` is a single write and :class:`repro.optim.FusedAdam` updates
-the whole replica in a handful of vectorised ops.  By default the DP boundary is
+Execution core (PR 2): parameters and gradients live in flat
+:class:`~repro.parallel.arena.ParameterArena` buffers with per-parameter views.
+"Replicated" is a storage fact: the DP replicas' arenas share **one** weight buffer
+(same-seed initial values are checked bit-for-bit when a replica binds onto it) and
+each keeps only its own gradient buffer, so the group has one
+:class:`repro.optim.FusedAdam` (:meth:`ThreeDParallelEngine.build_optimizer`) that
+updates the weights once, in a handful of vectorised ops.  By default the DP boundary is
 synchronised by a :class:`~repro.parallel.data_parallel.BucketedDataParallelSync`:
 size-targeted flat gradient buckets fired in backward-completion order (last stage
 first), modelling the paper's overlap of DP traffic with the pipeline cool-down —
@@ -55,6 +58,7 @@ from repro.core.fused_embedding import EmbeddingSynchronizer
 from repro.core.selective_stage import SelectiveStageCompression
 from repro.nn.gpt_stage import build_gpt_stages
 from repro.nn.transformer import GPTModelConfig
+from repro.optim.fused_adam import FusedAdam
 from repro.parallel.arena import (
     BucketResidualStore,
     CodecBucket,
@@ -640,12 +644,14 @@ class ThreeDParallelEngine:
             )
             self.cb_hooks.append(cb_hook)
 
-        # Flat-arena storage: every replica's weights and gradients live in two
-        # contiguous buffers (per-parameter views), so zero_grad and the fused
-        # optimiser are whole-buffer ops and DP buckets are zero-copy flat spans.
-        self.arenas: list[ParameterArena] = [
-            ParameterArena(engine.parameters()) for engine in self.pipeline_engines
-        ]
+        # Flat-arena storage: one weight buffer for the whole DP group (replicas
+        # hold the same weights by construction — now by storage), one gradient
+        # buffer per replica, all with per-parameter views, so zero_grad and the
+        # fused optimiser are whole-buffer ops and DP buckets are zero-copy flat
+        # spans.  The list is the arenas' live group: ``drop_replica`` shrinks it.
+        self.arenas: list[ParameterArena] = ParameterArena.replicated(
+            engine.parameters() for engine in self.pipeline_engines
+        )
 
         self.dp_reduce = CompressedGradientAllReduce(
             plan.spec(Boundary.DP), self.num_stages, seed=CODEC_SEED
@@ -729,6 +735,16 @@ class ThreeDParallelEngine:
         """Zero gradients on every replica (one flat write per arena)."""
         for arena in self.arenas:
             arena.zero_grad()
+
+    def build_optimizer(self, **adam_kwargs) -> FusedAdam:
+        """The DP group's one optimiser: one pair of moments over the shared weights.
+
+        The only way to build one for an engine (``FusedAdam`` refuses anything
+        but the whole group): it steps the shared weights from the first live
+        replica's synchronised gradient and its ``zero_grad`` clears every live
+        replica's gradients, before and after :meth:`drop_replica`.
+        """
+        return FusedAdam(self.arenas, **adam_kwargs)
 
     # -- tensor parallelism -----------------------------------------------------------
 
@@ -931,14 +947,14 @@ class ThreeDParallelEngine:
                 f"replica index {index} out of range for dp={self.data_parallel_degree}"
             )
         if self._process_executor is not None:
-            # Retire the worker (and its shared-memory segment) before the
-            # replica objects disappear under it.
+            # Retire the worker (and its gradient segment) before the replica
+            # objects disappear under it; the weights segment is the group's.
             self._process_executor.drop_worker(index)
             if self._supervisor is not None:
                 self._supervisor.drop_cb_state(index)
         del self.replicas[index]
         del self.pipeline_engines[index]
-        del self.arenas[index]
+        self.arenas[index].leave_group()  # shrinks self.arenas; the weights stay put
         del self.cb_hooks[index]
         self.data_parallel_degree -= 1
         self._stage_spans_cache = None
@@ -1038,7 +1054,7 @@ class ThreeDParallelEngine:
     def close(self) -> None:
         """Shut down the process executor, if one was started (idempotent).
 
-        Workers are joined/terminated and their shared-memory segments
+        Workers are joined/terminated and the shared-memory segments
         unlinked; the arenas return to private memory and the engine keeps
         working on the serial path with the same state.  A no-op for serial
         engines, so callers may close unconditionally.
@@ -1067,10 +1083,18 @@ class ThreeDParallelEngine:
     # -- diagnostics -------------------------------------------------------------------
 
     def weights_in_sync(self, tolerance: float = 1e-9) -> bool:
-        """Whether all replicas (and the tied embedding copies) hold identical weights."""
+        """Whether all replicas (and the tied embedding copies) hold identical weights.
+
+        Across replicas that is normally a storage fact — parameters that are
+        views of the group's one weight buffer cannot differ, and only ones
+        found bound elsewhere are compared by value; the tied embedding copies
+        *within* a replica are separate parameters and always are.
+        """
         reference = self.pipeline_engines[0].parameters()
         for engine in self.pipeline_engines[1:]:
             for ref_param, other_param in zip(reference, engine.parameters()):
+                if np.may_share_memory(ref_param.data, other_param.data):
+                    continue
                 if not np.allclose(ref_param.data, other_param.data, atol=tolerance):
                     return False
         for replica in self.replicas:

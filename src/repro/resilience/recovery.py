@@ -6,8 +6,11 @@ this is the one list of them:
 ========================  ==========================================  =========================
 source                    what it holds                               detached by / restored by
 ========================  ==========================================  =========================
-``engine.arenas[r]``      replica ``r``'s flat weights and gradients  ``snapshot`` / ``restore``
-``optimizers[r]``         Adam moments, step count, current LR        ``state_dict`` / ``load_state_dict``
+``engine.arenas``         the DP group's one flat weight buffer       ``snapshot`` / ``restore``
+                          (captured by the first arena only) and      of every arena
+                          each replica ``r``'s own flat gradients
+``optimizers`` (one)      Adam moments, step count, current LR —      ``state_dict`` / ``load_state_dict``
+                          one pair per DP group
 ``engine`` (the rest)     DP error-feedback residuals and slabs,      ``mutable_state`` /
                           PowerSGD warm starts, RNG call counts,      ``load_mutable_state``
                           per-replica compressed-backprop state
@@ -20,7 +23,7 @@ once, at the top of ``run_iteration``; the guarded trainer's rollback
 (:meth:`RecoveryPoint.restore_arenas` + :attr:`RecoveryPoint.cb_states`) both go
 back to that one capture.  The checkpoint writer
 (:mod:`repro.training.checkpoint`) writes the same three sources, read through
-their live forms (``arena.data``, ``FusedAdam.live_state``,
+their live forms (``arenas[0].data``, ``FusedAdam.live_state``,
 ``engine.live_mutable_state``) — so rollback, rewind and checkpoint cannot
 drift apart.
 """
@@ -38,9 +41,10 @@ def _with_previous(live, previous):
 class RecoveryPoint:
     """Reusable capture of every mutable training buffer of one engine.
 
-    ``optimizers`` is the trainer's *live* list (graceful degradation deletes
-    entries from it in place); an engine driven without a trainer passes none
-    and gets the arena + engine-state capture its supervisor rewinds to.
+    ``optimizers`` is the trainer's list (of the group's one optimiser); an
+    engine driven without a trainer passes none and gets the arena +
+    engine-state capture its supervisor rewinds to.  Weights and moments are
+    copied once per capture, gradients once per replica.
     Capturing only reads live state, which is what keeps fault-free guarded
     runs bit-identical to unguarded ones.
     """

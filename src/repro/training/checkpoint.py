@@ -13,7 +13,7 @@ Layout — one ``np.load``-able ``.npz`` whose members are all ``ZIP_STORED``:
 member               contents
 ===================  =========================================================
 ``__header__``       UTF-8 JSON (below) as a ``uint8`` array
-``weights``          the flat weight arena, **once per DP group**
+``weights``          the flat weight arena, **once per DP group** (as in memory)
 ``exp_avg``          flat Adam first moment of the trainable prefix, once
 ``exp_avg_sq``       flat Adam second moment, once
 ``state/<n>``        array leaves of the engine state tree, **per replica**
@@ -53,10 +53,14 @@ header key           meaning
 ``resilience``
 ===================  =========================================================
 
-Data-parallel replicas hold bit-identical weights and moments by construction,
-so they are stored once (Megatron's "DP rank 0 saves") — but only after every
-replica has been compared against replica 0; a diverged group refuses to save
-rather than have the difference papered over.  Formats v1 (no error-feedback /
+Data-parallel replicas share one weight buffer and one optimiser, so weights
+and moments exist once in memory and are stored once (Megatron's "DP rank 0
+saves").  What each replica still owns is its gradient arena, which the DP sync
+leaves bit-identical on every replica — the one thing that can still diverge,
+and the premise of stepping the shared weights from a single replica's
+gradient.  So a save first compares every replica's synchronised gradients
+against the first's; a diverged group refuses to save rather than have the
+difference papered over.  Formats v1 (no error-feedback /
 RNG state), v2 (deflated, per-parameter, per-replica) and v3 (a configuration
 label that could not tell PowerSGD rank 2 from rank 4, or QSGD from top-k) are
 rejected loudly: there is one writer and one reader.
@@ -77,6 +81,7 @@ import re
 
 import numpy as np
 
+from repro.parallel.arena import bitwise_equal
 from repro.plan import ParallelPlan
 from repro.resilience import ResilienceReport
 from repro.training.metrics import TrainingHistory, ValidationPoint
@@ -136,19 +141,15 @@ def _parameter_layout(trainer: Pretrainer) -> dict:
     return {"parameters": parameters, "trainable_elements": arena.num_trainable_elements}
 
 
-def _group_shared(label: str, per_replica: list[np.ndarray]) -> np.ndarray:
-    """Replica 0's buffer, after checking every replica holds it bit-for-bit."""
-    reference = per_replica[0]
-    bits = f"u{reference.itemsize}"
+def _group_shared(label: str, per_replica: list[np.ndarray]) -> None:
+    """Raise unless every replica holds replica 0's buffer bit-for-bit."""
     for replica, other in enumerate(per_replica[1:], start=1):
-        if other.shape != reference.shape or not np.array_equal(
-            reference.view(bits), other.view(bits)
-        ):
+        if not bitwise_equal(per_replica[0], other):
             raise RuntimeError(
                 f"data-parallel replicas diverged: replica {replica}'s {label} differ from "
-                "replica 0's — refusing to write a checkpoint that stores them once"
+                "replica 0's — refusing to write a checkpoint of weights that were stepped "
+                "from one replica's gradient on behalf of all"
             )
-    return reference
 
 
 def _normalised_path(path: str | pathlib.Path) -> pathlib.Path:
@@ -175,13 +176,14 @@ def save_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> pathlib.Pa
         raise RuntimeError(
             f"data-parallel replicas diverged: optimiser (step, lr) pairs {sorted(scalars)}"
         )
+    # Before anything is packed: the group is only as replicated as its
+    # gradients (weights and moments cannot differ — there is one of each).
+    _group_shared("synchronised gradients", [arena.grad for arena in trainer.engine.arenas])
     arrays: dict[str, np.ndarray] = {}
     state_skeleton = _pack_tree(trainer.engine.live_mutable_state(), arrays)
-    arrays["weights"] = _group_shared("weights", [arena.data for arena in trainer.engine.arenas])
-    arrays["exp_avg"] = _group_shared("first moments", [state["exp_avg"] for state in optimizers])
-    arrays["exp_avg_sq"] = _group_shared(
-        "second moments", [state["exp_avg_sq"] for state in optimizers]
-    )
+    arrays["weights"] = trainer.engine.arenas[0].data
+    arrays["exp_avg"] = optimizers[0]["exp_avg"]
+    arrays["exp_avg_sq"] = optimizers[0]["exp_avg_sq"]
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "iteration": trainer._iteration,
@@ -223,9 +225,9 @@ def load_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> int:
     The trainer must match the writer exactly — every compression knob of its
     plan, pipeline depth, DP degree, parameter names/offsets/shapes — and all
     of that is compared before any state is touched: a mismatch raises instead
-    of half-restoring.  Every replica's arena and optimiser is filled
-    from the single stored copy.  After loading, continuing the run reproduces
-    the continuous run bit-for-bit.
+    of half-restoring.  The stored copy is written once, into the weight buffer
+    and the optimiser every replica shares.  After loading, continuing the run
+    reproduces the continuous run bit-for-bit.
     """
     path = pathlib.Path(path)
     with np.load(path, allow_pickle=False) as archive:
@@ -283,8 +285,7 @@ def load_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> int:
                 f"shape mismatch for weights: {weights.shape} vs "
                 f"{trainer.engine.arenas[0].data.shape}"
             )
-        for arena in trainer.engine.arenas:
-            arena.data[...] = weights
+        trainer.engine.arenas[0].data[...] = weights
         optimizer_state = {
             **header["optimizer"],
             "exp_avg": archive["exp_avg"],

@@ -13,14 +13,16 @@ structure:
   when selective stage compression is on);
 * an :class:`repro.core.fused_embedding.EmbeddingSynchronizer` (fused or baseline).
 
-The trainer adds what a training loop needs on top: one optimiser per replica
-(states stay identical because the synchronised gradients are identical), the
-learning-rate schedule, validation, and history recording.
+The trainer adds what a training loop needs on top: the DP group's **one**
+optimiser (the replicas share one weight buffer, so one pair of Adam moments
+steps it once per iteration from the synchronised gradient), the learning-rate
+schedule, validation, and history recording.
 
 Resilience (PR 7): when the plan carries a :class:`repro.plan.ResilienceSpec`
 (``plan.with_resilience(...)``) the loop becomes *guarded*.  At the
-top of each iteration the engine captures every mutable buffer (arenas,
-optimiser moments, error-feedback residuals/warm starts) into one preallocated
+top of each iteration the engine captures every mutable buffer (the shared
+weights and the optimiser moments once, each replica's gradients,
+error-feedback residuals/warm starts) into one preallocated
 :class:`repro.resilience.RecoveryPoint`; after the iteration a whole-buffer
 ``isfinite`` check over the flat gradient arenas (plus an optional global
 grad-norm cap) decides whether to apply the update or roll the capture back
@@ -52,7 +54,7 @@ from repro.data.dataloader import LanguageModelingDataLoader
 from repro.data.tasks import ZeroShotTask
 from repro.nn.loss import perplexity_from_loss
 from repro.nn.transformer import GPTModelConfig
-from repro.optim import FusedAdam, LRSchedule
+from repro.optim import LRSchedule
 from repro.parallel.collectives import CommunicationLog
 from repro.parallel.engine import EngineIterationResult, ThreeDParallelEngine
 from repro.plan import ParallelPlan
@@ -150,12 +152,11 @@ class Pretrainer:
         self.dp_hook = self.engine.dp_reduce.powersgd
         self.embedding_sync = self.engine.embedding_sync
 
-        # One fused optimiser per replica over its flat parameter arena: the Adam
-        # update is a handful of whole-buffer ops instead of per-parameter loops,
-        # bit-for-bit identical to the per-parameter Adam it replaces.
+        # One fused optimiser for the whole DP group (a list of one): the Adam
+        # update is a handful of whole-buffer ops over the replicas' shared
+        # weights, bit-for-bit the per-parameter Adam every replica used to run.
         self.optimizers = [
-            FusedAdam(arena, lr=learning_rate, weight_decay=weight_decay)
-            for arena in self.engine.arenas
+            self.engine.build_optimizer(lr=learning_rate, weight_decay=weight_decay)
         ]
         self.history = TrainingHistory()
         self.last_iteration_result: EngineIterationResult | None = None
@@ -313,8 +314,8 @@ class Pretrainer:
                 if not np.isfinite(arena.grad).all():
                     return False
         if policy.max_grad_norm is not None:
-            # Replicas hold identical synchronised gradients; replica 0 stands
-            # in for the global gradient.
+            # Replicas hold identical synchronised gradients; the first one
+            # stands in for the global gradient.
             norm = float(np.linalg.norm(self.engine.arenas[0].trainable_grad))
             if not np.isfinite(norm) or norm > policy.max_grad_norm:
                 return False
@@ -352,7 +353,6 @@ class Pretrainer:
             replica_index = len(self._replica_ids) - 1
         original = self._replica_ids[replica_index]
         self.engine.drop_replica(replica_index)
-        del self.optimizers[replica_index]
         del self._replica_ids[replica_index]
         self.data_parallel_degree = self.engine.data_parallel_degree
         self.dp_sync = self.engine.dp_sync

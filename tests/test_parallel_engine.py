@@ -334,9 +334,7 @@ class TestOverlappedDataParallel:
 
     @staticmethod
     def _train(engine, batches, iterations=3):
-        from repro.optim import FusedAdam
-
-        optimizers = [FusedAdam(arena, lr=2e-3) for arena in engine.arenas]
+        optimizers = [engine.build_optimizer(lr=2e-3)]
         results = []
         for _ in range(iterations):
             for optimizer in optimizers:
@@ -550,9 +548,7 @@ class TestZeroBubbleEngine:
 
     @classmethod
     def _train(cls, engine, batches, iterations=2):
-        from repro.optim import FusedAdam
-
-        optimizers = [FusedAdam(arena, lr=2e-3) for arena in engine.arenas]
+        optimizers = [engine.build_optimizer(lr=2e-3)]
         for _ in range(iterations):
             for optimizer in optimizers:
                 optimizer.zero_grad()

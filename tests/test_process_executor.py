@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
 from repro.exec import ProcessExecutor, SharedArenaSegment
 from repro.models.gpt_configs import functional_config
-from repro.optim import FusedAdam
 from repro.parallel.arena import ParameterArena
 from repro.parallel.engine import ThreeDParallelEngine
 from repro.plan import PLAN_PRESETS, Boundary, ParallelPlan
@@ -68,7 +67,7 @@ def train_probe(plan, iterations: int = 2, seed: int = 0):
     """Train the tiny probe under ``plan``; returns (losses, weights, records)."""
     engine = probe_engine(plan, seed=seed)
     loader = probe_loader(plan)
-    optimizers = [FusedAdam(arena, lr=1e-3) for arena in engine.arenas]
+    optimizers = [engine.build_optimizer(lr=1e-3)]
     losses = []
     with engine:
         for iteration in range(iterations):
@@ -137,7 +136,7 @@ class TestSerialProcessParity:
         plan = probe_plan("cb_fe_sc", executor="process")
         engine = probe_engine(plan)
         loader = probe_loader(plan)
-        optimizers = [FusedAdam(arena, lr=1e-3) for arena in engine.arenas]
+        optimizers = [engine.build_optimizer(lr=1e-3)]
 
         def step(iteration):
             for optimizer in optimizers:
@@ -197,7 +196,7 @@ class TestLifecycle:
         plan = probe_plan("cb_fe_sc", executor="process")
         engine = probe_engine(plan)
         loader = probe_loader(plan)
-        optimizers = [FusedAdam(arena, lr=1e-3) for arena in engine.arenas]
+        optimizers = [engine.build_optimizer(lr=1e-3)]
 
         def step(iteration):
             for optimizer in optimizers:
@@ -271,23 +270,28 @@ class TestSharedArenaSegment:
         before_data = arena.data.copy()
         arena.grad[...] = rng.standard_normal(arena.num_elements)
         before_grad = arena.grad.copy()
-        segment = SharedArenaSegment.adopt(arena)
+        segment = SharedArenaSegment.adopt(arena, "data")
+        grad_segment = SharedArenaSegment.adopt(arena, "grad")
         try:
             assert np.array_equal(arena.data, before_data)
             assert np.array_equal(arena.grad, before_grad)
             assert arena.data.base is not None  # views into the shared buffer
             # Writes through a parameter view land in the shared segment.
             parameters[0].data[0, 0] = 123.0
-            assert segment.data[arena.span(parameters[0])[0]] == 123.0
+            assert segment.array[arena.span(parameters[0])[0]] == 123.0
+            parameters[1].grad[2] = 321.0
+            assert grad_segment.array[arena.span(parameters[1])[0] + 2] == 321.0
         finally:
             segment.release(arena)
+            grad_segment.release(arena)
         assert arena.data[arena.span(parameters[0])[0]] == 123.0
+        assert arena.grad[arena.span(parameters[1])[0] + 2] == 321.0
 
     def test_release_unlinks_and_restores_private_storage(self, rng):
         from repro.tensor.parameter import Parameter
 
         arena = ParameterArena([Parameter(rng.standard_normal(7))])
-        segment = SharedArenaSegment.adopt(arena)
+        segment = SharedArenaSegment.adopt(arena, "data")
         name = segment.name
         expected = arena.data.copy()
         segment.release(arena)

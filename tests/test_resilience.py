@@ -553,21 +553,34 @@ class TestCheckpointValidation:
             load_checkpoint(reader, path)
         _assert_same_weights(_weights(reader), before)  # nothing half-restored
 
-    def test_diverged_dp_group_refuses_to_save(self, tmp_path):
-        """Weights are stored once per DP group — only if the group agrees."""
+    @pytest.mark.parametrize("dp", [2, 3])
+    def test_weights_and_moments_cannot_diverge(self, dp):
+        """Replaces ``test_diverged_dp_group_refuses_to_save``'s premise: the DP
+        group's weights and moments exist once, so there is nothing to compare."""
+        trainer = _trainer(_plan(dp=dp))
+        trainer.train(2)
+        arenas = trainer.engine.arenas
+        assert len(arenas) == dp
+        assert all(arena.data is arenas[0].data for arena in arenas)
+        for replica in trainer.replicas:
+            for stage in replica:
+                for parameter in stage.parameters():
+                    assert np.shares_memory(parameter.data, arenas[0].data)
+        assert len({id(arena.grad) for arena in arenas}) == dp
+        assert len(trainer.optimizers) == 1
+        assert trainer.optimizers[0].arenas is arenas
+
+    def test_diverged_gradients_refuse_to_save(self, tmp_path):
+        """Replaces ``test_diverged_moments_refuse_to_save``: what replicas can
+        still disagree on is the synchronised gradient the one step reads."""
         trainer = _trainer(_plan(dp=2))
         trainer.train(2)
-        trainer.engine.arenas[1].data[7] += 1e-12
-        with pytest.raises(RuntimeError, match="replica 1's weights"):
+        save_checkpoint(trainer, tmp_path / "agreeing.npz").unlink()
+        grad = trainer.engine.arenas[1].grad
+        grad[7] = np.nextafter(grad[7], np.inf)  # one ulp
+        with pytest.raises(RuntimeError, match="replica 1's synchronised gradients"):
             save_checkpoint(trainer, tmp_path / "ckpt.npz")
         assert not list(tmp_path.iterdir())
-
-    def test_diverged_moments_refuse_to_save(self, tmp_path):
-        trainer = _trainer(_plan(dp=2))
-        trainer.train(2)
-        trainer.optimizers[1]._exp_avg_sq_flat[3] *= 2.0
-        with pytest.raises(RuntimeError, match="second moments"):
-            save_checkpoint(trainer, tmp_path / "ckpt.npz")
 
 
 class TestCheckpointLayout:
@@ -620,8 +633,8 @@ class TestCheckpointLayout:
             assert np.array_equal(ours._exp_avg_flat, theirs._exp_avg_flat)
             assert np.array_equal(ours._exp_avg_sq_flat, theirs._exp_avg_sq_flat)
             assert (ours._step_count, ours.lr) == (theirs._step_count, theirs.lr)
-        # The loaded replicas own their buffers: they do not alias one another.
-        assert not np.shares_memory(reader.engine.arenas[0].data, reader.engine.arenas[1].data)
+        # The loaded replicas still are one weight buffer, written once.
+        assert reader.engine.arenas[0].data is reader.engine.arenas[1].data
 
     def test_save_copies_no_whole_state(self, tmp_path):
         """The writer streams the live buffers: its peak allocation stays below
@@ -678,10 +691,15 @@ class TestRecoveryPoint:
         trainer = _trainer(_plan().with_resilience(ResilienceSpec()))
         trainer.train(2)
         point = trainer.engine.recovery_point
-        for arena, captured in zip(trainer.engine.arenas, point.arenas):
-            assert not np.shares_memory(arena.data, captured["data"])
-            # The capture is the *pre*-iteration state; the step moved on.
-            assert not np.array_equal(arena.data, captured["data"])
+        arenas = trainer.engine.arenas
+        # One copy of the one weight buffer (the first arena's), every replica's gradients.
+        assert [sorted(captured) for captured in point.arenas] == [["data", "grad"], ["grad"]]
+        captured = point.arenas[0]["data"]
+        assert not np.shares_memory(arenas[0].data, captured)
+        # The capture is the *pre*-iteration state; the step moved on.
+        assert not np.array_equal(arenas[0].data, captured)
+        for arena, snapshot in zip(arenas, point.arenas):
+            assert not np.shares_memory(arena.grad, snapshot["grad"])
 
     def test_unguarded_trainer_captures_nothing(self):
         trainer = _trainer(_plan())

@@ -241,7 +241,7 @@ class TestOneRecoveryPoint:
             assert trainer.engine._supervisor is not None
 
             def buffer_ids():
-                arenas = [id(s[name]) for s in point.arenas for name in ("data", "grad")]
+                arenas = [id(buffer) for s in point.arenas for buffer in s.values()]
                 moments = [id(s[name]) for s in point.optimizer_states
                            for name in ("exp_avg", "exp_avg_sq")]
                 return arenas + moments
@@ -257,7 +257,6 @@ class TestOneRecoveryPoint:
     def test_supervised_engine_without_a_trainer_captures_for_itself(self):
         """No guarded trainer installed a recovery point: the engine makes the
         arena + CB-state one its supervisor rewinds to, and a crash still heals."""
-        from repro.optim import FusedAdam
         from repro.parallel.engine import ThreeDParallelEngine
 
         spec = ResilienceSpec(faults=("crash@1:replica=0",))
@@ -273,7 +272,7 @@ class TestOneRecoveryPoint:
 
         def run(plan):
             engine = ThreeDParallelEngine(model, plan=plan, seed=0)
-            optimizers = [FusedAdam(arena, lr=1e-3) for arena in engine.arenas]
+            optimizers = [engine.build_optimizer(lr=1e-3)]
             with engine:
                 for _ in range(3):
                     for optimizer in optimizers:
