@@ -676,7 +676,7 @@ def bench_worker_recovery(repeats: int = 3, iterations_per_repeat: int = 2) -> d
 
         def kill_and_recover():
             executor = supervised.engine._process_executor
-            os.kill(executor._processes[0].pid, signal.SIGKILL)
+            os.kill(executor.workers[0].process.pid, signal.SIGKILL)
             supervised.train_iteration()
 
         recovered_s = _time_calls(kill_and_recover, repeats)

@@ -6,9 +6,11 @@ worker per DP replica over :class:`SharedArenaSegment`-backed parameter arenas
 (one segment with the group's shared weights, one per replica's gradients);
 the engine's ``executor`` knob (``ParallelPlan.executor`` / ``repro train
 --executor {serial,process}``) selects it.  See :mod:`repro.exec.executor` for
-the parity argument and lifecycle guarantees, and :mod:`repro.exec.supervisor`
-for the self-healing layer (hang watchdog, automatic respawn over the same
-shared segments, policy-driven degrade/checkpoint-abort escalation).
+the parity argument, :mod:`repro.exec.workers` for the one worker substrate
+it and the search pool (:mod:`repro.search.pool`) fork, wait and reap
+through, and :mod:`repro.exec.supervisor` for the self-healing layer (hang
+watchdog, automatic respawn over the same shared segments, policy-driven
+degrade/checkpoint-abort escalation).
 """
 
 from repro.exec.executor import ProcessExecutor

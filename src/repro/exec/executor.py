@@ -25,35 +25,34 @@ Bit-for-bit parity with the serial oracle is by construction, not tolerance:
   gradient buffers the workers just filled, exactly where the serial engine
   runs it.
 
-The parent↔worker protocol is a pair of pipes per worker carrying tiny
-messages (micro-batch arrays down, loss + traffic records up); the gradients
-and weights themselves never travel — they are the shared segments.  Worker
-death or an exception inside a worker surfaces as
-:class:`repro.resilience.WorkerCrash`; shutdown is context-managed with a join
-timeout, terminate/kill escalation, and a ``weakref`` finalizer so neither
-processes nor ``/dev/shm`` segments outlive the executor (asserted in
-``tests/test_process_executor.py``).
+The executor is a policy on :mod:`repro.exec.workers`, which forks, talks to
+and reaps every worker: one duplex pipe per worker carries tiny messages
+(micro-batch arrays down, loss + traffic records up); the gradients and
+weights themselves never travel — they are the shared segments.  A dead
+worker surfaces as :class:`repro.resilience.WorkerCrash`, a live one silent
+past ``worker_timeout`` as :class:`repro.resilience.WorkerTimeout`, both with
+the replica attributed.  Every teardown — :meth:`ProcessExecutor.close`,
+:meth:`~ProcessExecutor.drop_worker`, :meth:`~ProcessExecutor.kill_worker`
+and the ``weakref`` finalizer of an abandoned executor — is the substrate's
+one bounded ladder, so neither processes nor ``/dev/shm`` segments outlive
+the executor (asserted in ``tests/test_process_executor.py``).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import time
-import traceback
 import weakref
 from typing import TYPE_CHECKING, Sequence
 
 from repro.exec.shm import SharedArenaSegment
+from repro.exec.workers import Worker, close_workers, serve
 from repro.resilience import DEFAULT_WORKER_TIMEOUT, WorkerCrash, WorkerTimeout
 from repro.utils.logging import set_worker_tag
 
 if TYPE_CHECKING:  # the engine imports this module lazily, not vice versa
     from repro.parallel.engine import ThreeDParallelEngine
-
-#: How often the parent re-checks worker liveness while waiting on a reply.
-_POLL_INTERVAL_SECONDS = 0.05
 
 
 def _fire_worker_fault(spec) -> None:
@@ -70,10 +69,8 @@ def _fire_worker_fault(spec) -> None:
     os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover - dies instantly
 
 
-def _replica_worker_main(
-    replica_index, pipeline_engine, cb_hook, connection, worker_faults=()
-) -> None:
-    """Command loop of one replica worker (runs in the forked child).
+def _serve_replica(connection, worker_id, pipeline_engine, cb_hook, worker_faults) -> None:
+    """One replica worker's child side: tag its log lines, then serve its commands.
 
     The worker inherited the replica's pipeline engine, stages, CB hook, and
     channel by fork; its arena views alias the parent's shared segments.  Every
@@ -87,68 +84,35 @@ def _replica_worker_main(
     before any computation, at the start of the iteration — matching the
     serial executor's crash semantics.
     """
-    set_worker_tag(f"dp{replica_index}")
+    set_worker_tag(f"dp{worker_id}")
     channel_log = pipeline_engine.channel.log
-    try:
-        while True:
-            try:
-                message = connection.recv()
-            except (EOFError, OSError, KeyboardInterrupt):
-                break
-            kind = message[0]
-            try:
-                if kind == "run":
-                    iteration = message[2]
-                    for spec in worker_faults:
-                        if spec.iteration == iteration:
-                            _fire_worker_fault(spec)
-                    mark = len(channel_log.records)
-                    result = pipeline_engine.run_iteration(message[1])
-                    records = list(channel_log.records[mark:])
-                    # Bound worker-side memory: records were shipped, drop them.
-                    del channel_log.records[:]
-                    connection.send(("ok", result.mean_loss, records))
-                elif kind == "ping":
-                    # Heartbeat: proves the command loop is live (used by the
-                    # supervisor to verify a freshly respawned worker).
-                    connection.send(("ok", "pong"))
-                elif kind == "cb_state":
-                    state = cb_hook.state_dict() if cb_hook is not None else None
-                    connection.send(("ok", state))
-                elif kind == "load_cb_state":
-                    if cb_hook is not None:
-                        cb_hook.load_state_dict(message[1])
-                    connection.send(("ok", None))
-                elif kind == "shutdown":
-                    connection.send(("ok", None))
-                    break
-                else:  # protocol bug — fail loudly rather than hang the parent
-                    connection.send(("error", f"unknown command {kind!r}"))
-            except KeyboardInterrupt:
-                break
-            except BaseException:
-                connection.send(("error", traceback.format_exc()))
-    finally:
-        connection.close()
 
+    def handle(message):
+        kind = message[0]
+        if kind == "run":
+            iteration = message[2]
+            for spec in worker_faults:
+                if spec.iteration == iteration:
+                    _fire_worker_fault(spec)
+            mark = len(channel_log.records)
+            result = pipeline_engine.run_iteration(message[1])
+            records = list(channel_log.records[mark:])
+            # Bound worker-side memory: records were shipped, drop them.
+            del channel_log.records[:]
+            return "ok", result.mean_loss, records
+        if kind == "ping":
+            # Heartbeat: proves the command loop is live (used by the
+            # supervisor to verify a freshly respawned worker).
+            return "ok", "pong"
+        if kind == "cb_state":
+            return "ok", cb_hook.state_dict() if cb_hook is not None else None
+        if kind == "load_cb_state":
+            if cb_hook is not None:
+                cb_hook.load_state_dict(message[1])
+            return "ok", None
+        raise ValueError(f"unknown command {kind!r}")  # a protocol bug fails loudly
 
-def _cleanup(processes, connections, segments, join_timeout: float) -> None:
-    """Terminate workers and destroy segments (finalizer-safe, never raises)."""
-    for connection in connections:
-        try:
-            connection.close()
-        except OSError:
-            pass
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-    for process in processes:
-        process.join(timeout=join_timeout)
-        if process.is_alive():
-            process.kill()
-            process.join(timeout=join_timeout)
-    for segment in segments:
-        segment.destroy()
+    serve(connection, handle)
 
 
 class ProcessExecutor:
@@ -164,11 +128,9 @@ class ProcessExecutor:
     def __init__(
         self,
         engine: "ThreeDParallelEngine",
-        join_timeout: float = 5.0,
         worker_timeout: float | None = None,
     ) -> None:
         self.engine = engine
-        self.join_timeout = float(join_timeout)
         #: Hang-watchdog deadline: the longest the parent waits for one reply
         #: from a *live* worker before raising ``WorkerTimeout``.  Always
         #: finite — a wedged worker must never block the parent forever, with
@@ -182,14 +144,14 @@ class ProcessExecutor:
         #: segment (``drop_worker`` pops entries of the latter only).
         self.weights_segment: SharedArenaSegment | None = None
         self.segments: list[SharedArenaSegment] = []
-        self._processes: list[multiprocessing.Process] = []
-        self._connections: list = []
+        #: One worker per current replica, in replica order.  Mutated in place
+        #: only: the finalizer reaps whatever this list holds.
+        self.workers: list[Worker] = []
         #: Original DP shard id of each current worker (``drop_worker`` pops
         #: entries, so index ``i`` always attributes to the right shard).
         self.worker_ids: list[int] = []
-        self._worker_faults: list[tuple] = []
         self._started = False
-        self._finalizer: weakref.finalize | None = None
+        weakref.finalize(self, close_workers, self.workers)
 
     @property
     def started(self) -> bool:
@@ -197,7 +159,7 @@ class ProcessExecutor:
 
     @property
     def num_workers(self) -> int:
-        return len(self._processes)
+        return len(self.workers)
 
     def start(self) -> None:
         """Migrate the arenas into shared memory and fork the workers.
@@ -211,35 +173,44 @@ class ProcessExecutor:
         """
         if self._started:
             return
-        context = multiprocessing.get_context("fork")
         arenas = self.engine.arenas
         self.weights_segment = SharedArenaSegment.adopt(arenas[0], "data")
         self.segments = [SharedArenaSegment.adopt(arena, "grad") for arena in arenas]
-        # Worker-side fault routing: crash/hang/replica_loss specs are handed
-        # to the forked worker so injection exercises the real SIGKILL/wedge
-        # paths (the parent only *detects* the death, as with a real failure).
-        injector = self.engine.fault_injector
-        for replica_index, (pipeline_engine, cb_hook) in enumerate(
-            zip(self.engine.pipeline_engines, self.engine.cb_hooks)
-        ):
-            faults = (
-                injector.worker_faults(replica_index) if injector is not None else ()
-            )
-            parent_end, child_end = context.Pipe()
-            process = context.Process(
-                target=_replica_worker_main,
-                args=(replica_index, pipeline_engine, cb_hook, child_end, faults),
-                name=f"repro-exec-dp{replica_index}",
-                daemon=True,
-            )
-            process.start()
-            child_end.close()
-            self._processes.append(process)
-            self._connections.append(parent_end)
+        for segment in (self.weights_segment, *self.segments):
+            # Unlinked even if close() never runs (destroy is idempotent).
+            weakref.finalize(self, segment.destroy)
+        for replica_index in range(len(arenas)):
             self.worker_ids.append(replica_index)
-            self._worker_faults.append(faults)
+            self.workers.append(self._fork(replica_index))
         self._started = True
-        self._refresh_finalizer()
+
+    def _fork(self, index: int, after_iteration: int | None = None) -> Worker:
+        """Fork replica ``index``'s worker with its injected fault schedule.
+
+        Worker-side fault routing: crash/hang/replica_loss specs are handed to
+        the forked worker so injection exercises the real SIGKILL/wedge paths
+        (the parent only *detects* the death, as with a real failure).  A
+        respawn passes ``after_iteration`` so a replayed iteration cannot
+        re-fire the fault that killed its predecessor.
+        """
+        worker_id = self.worker_ids[index]
+        injector = self.engine.fault_injector
+        faults = (
+            injector.worker_faults(worker_id, after_iteration=after_iteration)
+            if injector is not None
+            else ()
+        )
+        name = f"repro-exec-dp{worker_id}"
+        if after_iteration is not None:
+            name += f"-r{after_iteration}"
+        return Worker(
+            name,
+            _serve_replica,
+            worker_id,
+            self.engine.pipeline_engines[index],
+            self.engine.cb_hooks[index],
+            faults,
+        )
 
     # -- the per-iteration hot path ---------------------------------------------------
 
@@ -274,10 +245,10 @@ class ProcessExecutor:
         """
         if not self._started:
             raise RuntimeError("executor not started")
-        if len(per_replica_micro_batches) != len(self._processes):
+        if len(per_replica_micro_batches) != len(self.workers):
             raise ValueError(
                 f"got micro-batches for {len(per_replica_micro_batches)} replicas, "
-                f"executor has {len(self._processes)} workers"
+                f"executor has {len(self.workers)} workers"
             )
         failures: dict[int, WorkerCrash] = {}
         for replica_index, batches in enumerate(per_replica_micro_batches):
@@ -286,7 +257,7 @@ class ProcessExecutor:
             except WorkerCrash as crash:
                 failures[replica_index] = crash
         replies: dict[int, tuple] = {}
-        for replica_index in range(len(self._processes)):
+        for replica_index in range(len(self.workers)):
             if replica_index in failures:
                 continue
             try:
@@ -296,79 +267,50 @@ class ProcessExecutor:
         if failures:
             return [], failures
         losses: list[float] = []
-        for replica_index in range(len(self._processes)):
+        for replica_index in range(len(self.workers)):
             loss, records = replies[replica_index]
             losses.append(loss)
             self.engine.log.records.extend(records)
         return losses, failures
 
     def _send(self, replica_index: int, message, iteration: int) -> None:
-        """Send one command, surfacing a dead worker's broken pipe as a crash."""
-        try:
-            self._connections[replica_index].send(message)
-        except (BrokenPipeError, OSError) as error:
-            process = self._processes[replica_index]
-            raise WorkerCrash(
-                iteration,
-                message=(
-                    f"replica worker dp{replica_index} (pid {process.pid}) is gone "
-                    f"(exit code {process.exitcode}) at iteration {iteration}: {error}"
-                ),
-                replica=replica_index,
-            ) from error
+        """Send one command; a dead worker's broken pipe is a :class:`WorkerCrash`."""
+        if not self.workers[replica_index].send(message):
+            raise self._failure(WorkerCrash, replica_index, iteration, "its pipe is broken")
 
     def _receive(self, replica_index: int, iteration: int):
-        """Wait for one worker's reply, surfacing death as :class:`WorkerCrash`.
+        """Wait for one worker's reply within ``worker_timeout``.
 
-        The wait honors an overall deadline (``worker_timeout``) even when no
-        supervisor wraps this executor: a live-but-hung worker used to block
-        the parent forever in this poll loop; now it surfaces as
-        :class:`WorkerTimeout` once the deadline passes.
+        A dead worker is a :class:`WorkerCrash` the moment it dies; a live one
+        that stays silent past the deadline is a :class:`WorkerTimeout` — the
+        hang watchdog, with or without a supervisor on top.
         """
-        connection = self._connections[replica_index]
-        process = self._processes[replica_index]
-        deadline = time.monotonic() + self.worker_timeout
-        while not connection.poll(_POLL_INTERVAL_SECONDS):
-            if not process.is_alive():
-                raise WorkerCrash(
-                    iteration,
-                    message=(
-                        f"replica worker dp{replica_index} (pid {process.pid}) died "
-                        f"with exit code {process.exitcode} at iteration {iteration}"
-                    ),
-                    replica=replica_index,
-                )
-            if time.monotonic() >= deadline:
-                raise WorkerTimeout(
-                    iteration,
-                    message=(
-                        f"replica worker dp{replica_index} (pid {process.pid}) is "
-                        f"alive but sent no reply within {self.worker_timeout:.1f}s "
-                        f"at iteration {iteration} — treating it as hung"
-                    ),
-                    replica=replica_index,
-                )
         try:
-            reply = connection.recv()
-        except (EOFError, OSError) as error:
-            raise WorkerCrash(
+            reply = self.workers[replica_index].receive(self.worker_timeout)
+        except EOFError:
+            raise self._failure(WorkerCrash, replica_index, iteration, "died") from None
+        except TimeoutError:
+            raise self._failure(
+                WorkerTimeout,
+                replica_index,
                 iteration,
-                message=(
-                    f"replica worker dp{replica_index} closed its pipe mid-reply "
-                    f"at iteration {iteration}: {error}"
-                ),
-                replica=replica_index,
-            ) from error
+                f"alive but sent no reply within {self.worker_timeout:.1f}s "
+                "— treating it as hung",
+            ) from None
         if reply[0] == "error":
-            raise WorkerCrash(
-                iteration,
-                message=(
-                    f"replica worker dp{replica_index} failed at iteration "
-                    f"{iteration}:\n{reply[1]}"
-                ),
-                replica=replica_index,
-            )
+            raise self._failure(WorkerCrash, replica_index, iteration, f"failed:\n{reply[1]}")
         return reply[1:]
+
+    def _failure(self, error: type[WorkerCrash], replica_index: int, iteration: int, what: str):
+        process = self.workers[replica_index].process
+        return error(
+            iteration,
+            message=(
+                f"replica worker dp{replica_index} (pid {process.pid}, exit code "
+                f"{process.exitcode}) at iteration {iteration}: {what}"
+            ),
+            replica=replica_index,
+        )
 
     # -- worker-held mutable state ----------------------------------------------------
 
@@ -379,13 +321,13 @@ class ProcessExecutor:
         the workers (the parent's hook copies are stale after the first process
         iteration), so the engine's ``live_mutable_state()`` fetches them here.
         """
-        return [self._request(index, ("cb_state",)) for index in range(len(self._processes))]
+        return [self._request(index, ("cb_state",)) for index in range(len(self.workers))]
 
     def push_cb_states(self, states: Sequence) -> None:
         """Load CB-hook state into every worker (checkpoint resume / rollback)."""
-        if len(states) != len(self._processes):
+        if len(states) != len(self.workers):
             raise ValueError(
-                f"got {len(states)} CB states for {len(self._processes)} workers"
+                f"got {len(states)} CB states for {len(self.workers)} workers"
             )
         for index, state in enumerate(states):
             self._request(index, ("load_cb_state", state))
@@ -417,14 +359,9 @@ class ProcessExecutor:
         replica objects are untouched — :meth:`respawn_worker` re-forks over
         them, or :meth:`drop_worker` retires them.
         """
-        process = self._processes[index]
-        if process.is_alive():
-            process.kill()
-        process.join(timeout=self.join_timeout)
-        try:
-            self._connections[index].close()
-        except OSError:
-            pass
+        worker = self.workers[index]
+        worker.kill()  # a hung worker would never read the sentinel
+        worker.close()
 
     def respawn_worker(self, index: int, iteration: int) -> None:
         """Re-fork a dead or hung worker over the *same* shared segments.
@@ -440,32 +377,7 @@ class ProcessExecutor:
         its predecessor.
         """
         self.kill_worker(index)
-        injector = self.engine.fault_injector
-        faults = (
-            injector.worker_faults(self.worker_ids[index], after_iteration=iteration)
-            if injector is not None
-            else ()
-        )
-        context = multiprocessing.get_context("fork")
-        parent_end, child_end = context.Pipe()
-        process = context.Process(
-            target=_replica_worker_main,
-            args=(
-                index,
-                self.engine.pipeline_engines[index],
-                self.engine.cb_hooks[index],
-                child_end,
-                faults,
-            ),
-            name=f"repro-exec-dp{self.worker_ids[index]}-r{iteration}",
-            daemon=True,
-        )
-        process.start()
-        child_end.close()
-        self._processes[index] = process
-        self._connections[index] = parent_end
-        self._worker_faults[index] = faults
-        self._refresh_finalizer()
+        self.workers[index] = self._fork(index, after_iteration=iteration)
 
     def drop_worker(self, index: int) -> None:
         """Shut down one replica's worker and destroy its gradient segment (degradation).
@@ -476,100 +388,42 @@ class ProcessExecutor:
         segment) so any surviving alias stays valid.  The weights segment is
         the group's and stays mapped whichever replica goes.
         """
-        self._shutdown_one(index)
-        process = self._processes.pop(index)
-        self._connections.pop(index)
-        self.worker_ids.pop(index)
-        self._worker_faults.pop(index)
-        process.join(timeout=self.join_timeout)
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=self.join_timeout)
-        segment = self.segments.pop(index)
-        segment.release(self.engine.arenas[index])
-        self._refresh_finalizer()
-
-    def _shutdown_one(self, index: int) -> None:
-        connection = self._connections[index]
-        try:
-            connection.send(("shutdown",))
-            if connection.poll(self.join_timeout):
-                connection.recv()
-        except (BrokenPipeError, EOFError, OSError):
-            pass  # already dead — the join/terminate path below handles it
-        finally:
-            try:
-                connection.close()
-            except OSError:
-                pass
+        self.workers[index].close()
+        del self.workers[index]
+        del self.worker_ids[index]
+        self.segments.pop(index).release(self.engine.arenas[index])
 
     # -- shutdown ----------------------------------------------------------------------
 
     def close(self) -> None:
         """Stop every worker and return the arenas to private memory (idempotent).
 
-        Polite shutdown first (sentinel + join with timeout), then terminate,
-        then kill — no orphaned processes; segments are closed and unlinked —
-        no leaked shared memory.  The engine remains usable on the serial path
+        Every worker goes down the substrate's bounded ladder (sentinel, join,
+        kill) — no orphaned processes; segments are closed and unlinked — no
+        leaked shared memory.  The engine remains usable on the serial path
         afterwards with bit-identical state.
         """
         if not self._started:
             return
         self._started = False
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
         # Pull the workers' live CB-hook state back into the parent's copies so
         # a serial continuation after close() is bit-identical, not merely
         # weight-identical.  Best-effort: skipped if the workers already died.
         try:
-            states = [
-                self._request(index, ("cb_state",))
-                for index in range(len(self._connections))
-            ]
-        except (WorkerCrash, BrokenPipeError, EOFError, OSError):
+            states = self.fetch_cb_states()
+        except WorkerCrash:
             states = None
         if states is not None:
             for hook, state in zip(self.engine.cb_hooks, states):
                 if hook is not None and state is not None:
                     hook.load_state_dict(state)
-        for index in range(len(self._connections)):
-            self._shutdown_one(index)
-        for process in self._processes:
-            process.join(timeout=self.join_timeout)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=self.join_timeout)
-            if process.is_alive():  # pragma: no cover - terminate should suffice
-                process.kill()
-                process.join(timeout=self.join_timeout)
-        self._processes = []
-        self._connections = []
-        self.worker_ids = []
-        self._worker_faults = []
+        close_workers(self.workers)
+        self.worker_ids.clear()
         for segment, arena in zip(self.segments, self.engine.arenas):
             segment.release(arena)
         self.segments = []
         self.weights_segment.release(self.engine.arenas[0])
         self.weights_segment = None
-
-    def _refresh_finalizer(self) -> None:
-        """(Re-)arm the safety net for abandoned executors.
-
-        Kills the current workers and unlinks every shared segment even if
-        close() is never called.  Holds no reference to self (or the engine),
-        so it cannot keep the executor alive.
-        """
-        if self._finalizer is not None:
-            self._finalizer.detach()
-        self._finalizer = weakref.finalize(
-            self,
-            _cleanup,
-            list(self._processes),
-            list(self._connections),
-            [self.weights_segment, *self.segments],
-            self.join_timeout,
-        )
 
     def __enter__(self) -> "ProcessExecutor":
         self.start()

@@ -1,7 +1,9 @@
 """Forked worker pool that fans plan evaluations across CPU cores.
 
-Same substrate as :mod:`repro.exec`: ``fork``-context workers, one duplex pipe
-each, tiny picklable messages.  The workers of a pass are forked inside
+Same substrate as :mod:`repro.exec`: every worker is a
+:class:`repro.exec.workers.Worker` — forked, one duplex pipe, tiny picklable
+messages, a child running :func:`~repro.exec.workers.serve` — and this module
+is only the dispatch policy on top.  The workers of a pass are forked inside
 :meth:`EvaluationPool.run`, *after* the caller has built its task list, so a
 worker is born holding the list — the parent's own validated plans, never a
 copy rebuilt from a message — and a task crosses the process boundary as its
@@ -33,9 +35,9 @@ deadline, :data:`WORKER_PROGRESS_DEADLINE_S`: one that owes replies and has
 delivered none for that long — stopped, stuck in uninterruptible I/O,
 livelocked; alive, so neither a broken pipe nor an EOF would ever report it —
 is killed and handled exactly like a crashed one, so :meth:`EvaluationPool.run`
-returns in bounded time.  Teardown escalates from the shutdown sentinel to
-``terminate()`` to ``kill()``: a stopped process acts on neither of the first
-two, and must not outlive the ``run()`` that forked it.
+returns in bounded time.  Teardown is the substrate's one ladder
+(:meth:`repro.exec.workers.Worker.close`: sentinel, bounded join, SIGKILL), so
+a stopped process does not outlive the ``run()`` that forked it either.
 
 What a worker computes once, not per task: the
 :class:`~repro.simulator.cost_model.TrainingJob` of every plan with one
@@ -47,14 +49,14 @@ cost terms and memory peaks listed in :mod:`repro.search.service`.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import traceback
 import weakref
 from collections import deque
-from multiprocessing.connection import Connection, wait
+from multiprocessing.connection import wait
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro.exec.workers import CAN_FORK, Worker, close_workers, serve
 from repro.models.gpt_configs import PaperModelSpec
 from repro.plan import ParallelPlan
 from repro.search.frontier import within_budget
@@ -137,31 +139,15 @@ def _evaluate(task: Any) -> tuple[str, Any]:
         return "error", traceback.format_exc()
 
 
-def _worker_main(connection: Connection, tasks: Sequence[tuple[int, Any]]) -> None:
-    """Worker loop: answer each block of positions into ``tasks`` until shutdown."""
-    while True:
-        try:
-            block = connection.recv()
-        except (EOFError, OSError):
-            return
-        if block is None:
-            return
-        try:
-            connection.send([_evaluate(tasks[position][1]) for position in block])
-        except (BrokenPipeError, OSError):
-            return
+class _Worker(Worker):
+    """One forked search worker plus the parent's dispatch state for it."""
 
-
-class _Worker:
-    """Parent-side record of one forked worker: process, pipe, in-flight blocks."""
-
-    def __init__(self, context, index: int, tasks: Sequence[tuple[int, Any]]) -> None:
-        self.connection, child = context.Pipe(duplex=True)
-        self.process = context.Process(
-            target=_worker_main, args=(child, tasks), name=f"repro-search-{index}", daemon=True
+    def __init__(self, index: int, tasks: Sequence[tuple[int, Any]]) -> None:
+        super().__init__(
+            f"repro-search-{index}",
+            serve,
+            lambda block: [_evaluate(tasks[position][1]) for position in block],
         )
-        self.process.start()
-        child.close()
         #: Blocks of positions sent but not yet answered, oldest first.
         self.outstanding: deque[list[int]] = deque()
         #: Positions this worker is to be sent next: a contiguous run of the
@@ -170,35 +156,6 @@ class _Worker:
         #: ``time.monotonic()`` of the last reply, or of the first block sent
         #: to an idle worker — what the progress deadline is measured from.
         self.heard_at = 0.0
-
-    def kill(self) -> None:
-        """SIGKILL the process and reap it (the one signal a stopped process obeys)."""
-        self.process.kill()
-        self.process.join(timeout=2.0)
-
-    def close(self) -> None:
-        """Shut the worker down: sentinel, short join, then terminate, then kill."""
-        try:
-            self.connection.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout=2.0)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=2.0)
-        if self.process.is_alive():
-            self.kill()
-        self.connection.close()
-
-
-def _close_workers(workers: list[_Worker]) -> None:
-    """Finalizer target: close every worker (idempotent, exception-safe)."""
-    for worker in workers:
-        try:
-            worker.close()
-        except Exception:  # noqa: BLE001 - best-effort teardown
-            pass
-    workers.clear()
 
 
 class EvaluationPool:
@@ -219,16 +176,10 @@ class EvaluationPool:
     """
 
     def __init__(self, workers: int = 0) -> None:
-        self._context = None
-        if workers > 0:
-            try:
-                self._context = multiprocessing.get_context("fork")
-            except ValueError:
-                pass
-        self._worker_count = workers if self._context is not None else 0
+        self._worker_count = workers if CAN_FORK and workers > 0 else 0
         #: The workers of the :meth:`run` in progress (empty between runs).
         self._workers: list[_Worker] = []
-        self._finalizer = weakref.finalize(self, _close_workers, self._workers)
+        weakref.finalize(self, close_workers, self._workers)
 
     @property
     def worker_count(self) -> int:
@@ -243,7 +194,7 @@ class EvaluationPool:
 
     def close(self) -> None:
         """Shut down any live worker (idempotent; a no-op on a pool that never forked)."""
-        _close_workers(self._workers)
+        close_workers(self._workers)
 
     # -- dispatch ---------------------------------------------------------------------
 
@@ -279,7 +230,7 @@ class EvaluationPool:
     def _fork(self, pending: Sequence[tuple[int, Any]]) -> None:
         """Fork this run's workers, each holding ``pending``: at most one per task."""
         for index in range(min(self._worker_count, len(pending))):
-            self._workers.append(_Worker(self._context, index, pending))
+            self._workers.append(_Worker(index, pending))
 
     def _dispatch(self, count: int, results: dict[int, tuple[str, Any]]) -> deque[int]:
         """Drive the live workers over positions ``0..count``; return those left to none."""
@@ -352,9 +303,7 @@ class EvaluationPool:
         while worker.share and len(worker.outstanding) < _BLOCKS_IN_FLIGHT:
             size = min(TASK_WINDOW // _BLOCKS_IN_FLIGHT, len(worker.share))
             block = [worker.share.popleft() for _ in range(size)]
-            try:
-                worker.connection.send(block)
-            except (BrokenPipeError, OSError):
+            if not worker.send(block):
                 worker.share.extendleft(reversed(block))
                 return False
             worker.outstanding.append(block)
@@ -364,7 +313,7 @@ class EvaluationPool:
     def _drain(worker: _Worker, results: dict[int, tuple[str, Any]]) -> bool:
         """Receive one ready reply — the oldest owed block's results; ``False`` if it died."""
         try:
-            reply = worker.connection.recv()
+            reply = worker.connection.recv()  # ready: the dispatch loop's wait() returned it
         except (EOFError, OSError):
             return False
         results.update(zip(worker.outstanding.popleft(), reply))

@@ -14,9 +14,12 @@ The contract under test is the one the executor is built on:
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
 import multiprocessing.shared_memory as shared_memory
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
 from repro.exec import ProcessExecutor, SharedArenaSegment
+from repro.exec.workers import JOIN_TIMEOUT_S
 from repro.models.gpt_configs import functional_config
 from repro.parallel.arena import ParameterArena
 from repro.parallel.engine import ThreeDParallelEngine
@@ -177,7 +181,7 @@ class TestLifecycle:
         loader = probe_loader(plan)
         engine.run_iteration(loader.iteration_batches(0))
         executor = engine._process_executor
-        processes = list(executor._processes)
+        processes = [worker.process for worker in executor.workers]
         names = [segment.name for segment in executor.segments]
         assert executor.num_workers == plan.topology.dp
         engine.close()
@@ -222,7 +226,7 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="boom"):
             with engine:
                 engine.run_iteration(loader.iteration_batches(0))
-                processes = list(engine._process_executor._processes)
+                processes = [worker.process for worker in engine._process_executor.workers]
                 names = [segment.name for segment in engine._process_executor.segments]
                 raise RuntimeError("boom")
         assert all(not process.is_alive() for process in processes)
@@ -237,7 +241,7 @@ class TestLifecycle:
         with engine:
             engine.run_iteration(loader.iteration_batches(0))
             executor = engine._process_executor
-            dropped_process = executor._processes[1]
+            dropped_process = executor.workers[1].process
             dropped_name = executor.segments[1].name
             engine.drop_replica(1)
             assert executor.num_workers == 2
@@ -248,13 +252,42 @@ class TestLifecycle:
             result = engine.run_iteration([batches[0], batches[2]])
             assert np.isfinite(result.mean_loss)
 
+    def test_dropping_a_stopped_worker_is_bounded_and_leaves_no_process(self):
+        """A SIGSTOPped worker reads no sentinel and acts on no SIGTERM: dropping
+        its replica must still reap it within the teardown ladder's bound (two
+        bounded joins), and close() must leave no child behind."""
+        gc.collect()  # reap workers of earlier tests' abandoned engines
+        assert multiprocessing.active_children() == []
+        plan = probe_plan(dp=3, executor="process")
+        engine = probe_engine(plan)
+        loader = probe_loader(plan)
+        engine.run_iteration(loader.iteration_batches(0))
+        (victim,) = [
+            process
+            for process in multiprocessing.active_children()
+            if process.name == "repro-exec-dp1"
+        ]
+        os.kill(victim.pid, signal.SIGSTOP)
+        started = time.monotonic()
+        engine.drop_replica(1)
+        elapsed = time.monotonic() - started
+        victim_survived = victim.is_alive()
+        engine.close()
+        leaked = multiprocessing.active_children()
+        for process in leaked:  # a failing run must not leave a stopped process behind
+            process.kill()
+            process.join()
+        assert elapsed < 2 * JOIN_TIMEOUT_S
+        assert not victim_survived
+        assert leaked == []
+
     def test_worker_death_raises_worker_crash(self):
         plan = probe_plan(executor="process")
         engine = probe_engine(plan)
         loader = probe_loader(plan)
         with engine:
             engine.run_iteration(loader.iteration_batches(0))
-            os.kill(engine._process_executor._processes[1].pid, signal.SIGKILL)
+            os.kill(engine._process_executor.workers[1].process.pid, signal.SIGKILL)
             with pytest.raises(WorkerCrash) as exc_info:
                 engine.run_iteration(loader.iteration_batches(1))
             assert exc_info.value.replica == 1

@@ -365,7 +365,7 @@ class TestOneCopyPerGroup:
         trainer = probe_trainer(probe_plan("baseline", 2, "process"))
         trainer.train_iteration()
         executor = trainer.engine._process_executor
-        processes = list(executor._processes)
+        processes = [worker.process for worker in executor.workers]
         assert len(shm_entries() - before) == 3
         del trainer, executor
         gc.collect()

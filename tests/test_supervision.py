@@ -184,7 +184,7 @@ class TestRespawnRecovery:
         with trainer:
             losses = [trainer.train_iteration()]
             executor = trainer.engine._process_executor
-            os.kill(executor._processes[0].pid, signal.SIGKILL)
+            os.kill(executor.workers[0].process.pid, signal.SIGKILL)
             losses.append(trainer.train_iteration())
             losses.append(trainer.train_iteration())
             weights = [arena.data.copy() for arena in trainer.engine.arenas]
@@ -203,7 +203,7 @@ class TestRespawnRecovery:
         with trainer:
             losses = [trainer.train_iteration()]
             executor = trainer.engine._process_executor
-            os.kill(executor._processes[1].pid, signal.SIGSTOP)
+            os.kill(executor.workers[1].process.pid, signal.SIGSTOP)
             losses.append(trainer.train_iteration())
             losses.append(trainer.train_iteration())
             weights = [arena.data.copy() for arena in trainer.engine.arenas]
@@ -303,7 +303,7 @@ class TestHangWatchdog:
             trainer.train_iteration()
             executor = trainer.engine._process_executor
             executor.worker_timeout = 0.5
-            victim = executor._processes[1]
+            victim = executor.workers[1].process
             os.kill(victim.pid, signal.SIGSTOP)
             with pytest.raises(WorkerTimeout) as exc_info:
                 trainer.train_iteration()
@@ -600,7 +600,7 @@ class TestChaos:
         with trainer:
             losses = [trainer.train_iteration() for _ in range(4)]
             executor = trainer.engine._process_executor
-            processes = list(executor._processes)
+            processes = [worker.process for worker in executor.workers]
             segment_names = [segment.name for segment in executor.segments]
             weights = [arena.data.copy() for arena in trainer.engine.arenas]
         report = trainer.resilience_report
@@ -618,10 +618,10 @@ class TestChaos:
         with trainer:
             losses = [trainer.train_iteration()]
             executor = trainer.engine._process_executor
-            original = list(executor._processes)
+            original = [worker.process for worker in executor.workers]
             os.kill(original[1].pid, signal.SIGKILL)
             losses.append(trainer.train_iteration())
-            processes = original + list(executor._processes)
+            processes = original + [worker.process for worker in executor.workers]
             segment_names = [segment.name for segment in executor.segments]
             weights = [arena.data.copy() for arena in trainer.engine.arenas]
         assert trainer.resilience_report.respawns == 1
