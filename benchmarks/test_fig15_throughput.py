@@ -27,8 +27,16 @@ def test_fig15_throughput(benchmark, record):
         assert large.compress_gbps > small.compress_gbps
 
     # The measured NumPy kernel point exists and is positive (CPU-scale numbers).
-    assert result.measured_cpu_point is not None
-    assert result.measured_cpu_point.compress_gbps > 0
+    # It is printed, not recorded: the committed results file must not change
+    # with the machine that ran the tier.
+    measured = result.measured_cpu_point
+    assert measured is not None
+    print(
+        "Measured on this machine's CPU (NumPy kernels, small tensor): "
+        f"compress {measured.compress_gbps:.2f} Gb/s, "
+        f"decompress {measured.decompress_gbps:.2f} Gb/s at rank {measured.rank}."
+    )
+    assert measured.compress_gbps > 0
 
     # Per-axis traffic measured through the unified 3D engine: the full stack
     # compresses both the pipeline (PP) and data-parallel (DP) boundaries.

@@ -417,6 +417,7 @@ def _run_train_resilient(arguments, plan: ParallelPlan, trainer) -> int:
     )
     report = trainer.resilience_report
     print(f"Resilience: {report.describe()}")
+    _print_memory_policy()
     if survivors != topology.dp:
         print(
             f"Degraded topology: {survivors} of {topology.dp} DP replicas "
@@ -468,7 +469,15 @@ def command_train(arguments: argparse.Namespace) -> int:
             f"pipeline cool-down (exposed: {sample.dp_exposed_wire_bytes / 1024:.1f} KB)"
         )
     print(f"Error-feedback residual memory: {sample.residual_memory_bytes} bytes")
+    _print_memory_policy()
     return 0
+
+
+def _print_memory_policy() -> None:
+    """The allocator policy the engine pinned when it was built (a cached read)."""
+    from repro.parallel.arena import pin_allocator_policy
+
+    print(f"Memory: {pin_allocator_policy()}")
 
 
 def command_plan_show(arguments: argparse.Namespace) -> int:

@@ -52,6 +52,7 @@ class Fig15Result:
         raise KeyError(f"no engine traffic sample labelled {label!r}")
 
     def render(self) -> str:
+        """Modelled sweeps and engine traffic; ``measured_cpu_point`` varies run to run, so not it."""
         table = Table(
             title="Fig. 15: PowerSGD compression/decompression throughput (Gbit/s)",
             columns=["Model", "Rank", "Compress", "Decompress", "Interconnect"],
@@ -68,13 +69,6 @@ class Fig15Result:
                     ]
                 )
         lines = [table.render()]
-        if self.measured_cpu_point is not None:
-            lines.append(
-                "Measured on this machine's CPU (NumPy kernels, small tensor): "
-                f"compress {self.measured_cpu_point.compress_gbps:.2f} Gb/s, "
-                f"decompress {self.measured_cpu_point.decompress_gbps:.2f} Gb/s "
-                f"at rank {self.measured_cpu_point.rank}."
-            )
         if self.engine_samples:
             lines.append(
                 render_traffic_samples(

@@ -24,10 +24,16 @@ which the engine issues its (optionally overlapped) DP all-reduces — the same
 flat-bucket strategy PyTorch DDP and PowerSGD-style bucketed error-feedback
 all-reduce use, applied here to model the paper's overlap of DP traffic with the
 pipeline cool-down.
+
+The process that holds the arenas also owns its allocator policy:
+:func:`pin_allocator_policy` fixes glibc's mmap and trim thresholds once, before
+the engine allocates, so per-op temporaries are served from a heap that is
+neither trimmed nor faulted back in every iteration.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -36,6 +42,44 @@ import numpy as np
 from repro.parallel.collectives import WIRE_BYTES_PER_ELEMENT
 from repro.tensor.parameter import Parameter
 from repro.utils.state import capture_tree
+
+#: glibc ``mallopt`` parameter numbers (``<malloc.h>``).
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+#: The ceiling glibc's dynamic mmap threshold stops at, and the 2x trim
+#: threshold that rule pairs with it.  A higher trim threshold leaves forked
+#: workers an untrimmed copy of the parent's heap.
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 64 << 20
+
+_allocator_policy: str | None = None
+
+
+def pin_allocator_policy() -> str:
+    """Fix glibc's mmap/trim thresholds for this process once; describe the policy in force.
+
+    glibc's *dynamic* mmap threshold starts at 128 KiB and rises to the largest
+    mmapped chunk freed so far, the trim threshold following at 2x — inside the
+    engine's per-op temporaries, so the heap top is trimmed and page-faulted
+    back in every iteration, and whether a run pays depends on which chunk it
+    freed first.  Pinning both disables that rule.  Idempotent; forked workers
+    inherit the setting; a no-op where ``mallopt`` cannot be resolved.
+    """
+    global _allocator_policy
+    if _allocator_policy is None:
+        try:
+            mallopt = ctypes.CDLL(None).mallopt
+            pinned = mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) and mallopt(
+                M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES
+            )
+        except (AttributeError, OSError, TypeError):  # no C library, or not glibc's
+            pinned = False
+        _allocator_policy = (
+            f"glibc mallopt: mmap_threshold={MMAP_THRESHOLD_BYTES >> 20} MiB "
+            f"trim_threshold={TRIM_THRESHOLD_BYTES >> 20} MiB"
+            if pinned
+            else "allocator defaults (no glibc mallopt)"
+        )
+    return _allocator_policy
 
 
 class ParameterArena:

@@ -64,6 +64,7 @@ from repro.parallel.arena import (
     CodecBucket,
     GradientBucket,
     ParameterArena,
+    pin_allocator_policy,
 )
 from repro.parallel.collectives import (
     CommunicationLog,
@@ -580,6 +581,8 @@ class ThreeDParallelEngine:
         seed: int = 0,
         collect_cb_diagnostics: bool = False,
     ) -> None:
+        # Before the stages and arenas allocate anything; forked workers inherit it.
+        pin_allocator_policy()
         self.plan = plan
         self.model_config = model_config
         self.num_stages = plan.topology.pp
@@ -1054,10 +1057,11 @@ class ThreeDParallelEngine:
     def close(self) -> None:
         """Shut down the process executor, if one was started (idempotent).
 
-        Workers are joined/terminated and the shared-memory segments
-        unlinked; the arenas return to private memory and the engine keeps
-        working on the serial path with the same state.  A no-op for serial
-        engines, so callers may close unconditionally.
+        Each worker is reaped through :mod:`repro.exec.workers`' one ladder
+        (shutdown sentinel, bounded join, then kill) and the shared-memory
+        segments are unlinked; the arenas return to private memory and the
+        engine keeps working on the serial path with the same state.  A no-op
+        for serial engines, so callers may close unconditionally.
         """
         if self._process_executor is not None:
             self._process_executor.close()
