@@ -21,7 +21,6 @@ from repro.parallel.process_groups import ParallelLayout, ProcessGrid
 from repro.parallel.collectives import CommunicationLog, SimulatedProcessGroup, TrafficRecord
 from repro.parallel.pipeline_schedule import (
     PipelineOp,
-    ScheduleKind,
     build_1f1b_schedule,
     build_gpipe_schedule,
     build_interleaved_1f1b_schedule,
@@ -41,7 +40,6 @@ __all__ = [
     "SimulatedProcessGroup",
     "TrafficRecord",
     "PipelineOp",
-    "ScheduleKind",
     "build_gpipe_schedule",
     "build_1f1b_schedule",
     "build_interleaved_1f1b_schedule",

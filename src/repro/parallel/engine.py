@@ -591,7 +591,16 @@ class ThreeDParallelEngine:
         # "auto") replay their op lists inside every replica's pipeline engine
         # (bit-for-bit identical weights); everything else runs the
         # phase-ordered loop.  "auto" additionally carries the plan's
-        # activation-memory cap into the synthesizer.
+        # activation-memory cap into the synthesizer.  Model chunks are
+        # simulated, not executed: refuse them rather than run plain 1F1B
+        # under an interleaved label (at pp == 1 they change nothing, as in
+        # the simulator).
+        if self.num_stages > 1 and plan.schedule.num_model_chunks > 1:
+            raise ValueError(
+                f"num_model_chunks={plan.schedule.num_model_chunks} at pp={self.num_stages}: "
+                "the functional engine does not execute the interleaved schedule; "
+                "use num_model_chunks=1 (the simulator accepts it)"
+            )
         self.schedule_kind = plan.schedule.kind
         self.memory_cap_factor = plan.schedule.memory_cap_factor
         self.tensor_parallel_degree = plan.topology.tp

@@ -21,13 +21,20 @@ The split-backward schedules (``schedule_kind="zb1"`` and the synthesized
 an activation-gradient pass
 (:meth:`~repro.nn.gpt_stage.GPTStage.backward_input`) and a deferred
 weight-gradient pass (:meth:`~repro.nn.gpt_stage.GPTStage.backward_weight`) —
-so the engine replays the actual per-stage op lists (the handcrafted ZB-H1
-order for ``"zb1"``, the synthesizer's output for ``"auto"``) in dependency
-order.  Because every valid op list still presents each boundary's backward
-transfers in ascending micro-batch order and runs each stage's W passes in
-ascending micro-batch order, the weights remain bit-for-bit identical to the
-1F1B loop regardless of which valid schedule is replayed (asserted by the
-parity tests).
+so the engine executes the actual per-stage op lists (the handcrafted ZB-H1
+order for ``"zb1"``, the synthesizer's output for ``"auto"``) in the order
+:func:`~repro.parallel.pipeline_schedule.replay_ops` visits them.  That walk is
+the one the synthesizer's evaluator and the timing simulator fold over, and
+its order depends only on which producers have run, never on op times, so
+the order the engine executes is the order they time.  Because every valid op
+list still presents each boundary's backward transfers in ascending
+micro-batch order and runs each stage's W passes in ascending micro-batch
+order, the weights remain bit-for-bit identical to the 1F1B loop regardless of
+which valid schedule is replayed (asserted by the parity tests).
+
+Interleaved lists (``num_model_chunks > 1``) are not executed here:
+:class:`~repro.parallel.engine.ThreeDParallelEngine` refuses them at
+``pp > 1``.
 """
 
 from __future__ import annotations
@@ -43,7 +50,12 @@ from repro.parallel.collectives import (
     CommunicationLog,
     TrafficRecord,
 )
-from repro.parallel.pipeline_schedule import PipelineOp, build_zb1_schedule
+from repro.parallel.pipeline_schedule import (
+    OP_KINDS,
+    PipelineOp,
+    build_zb1_schedule,
+    replay_ops,
+)
 from repro.plan import SPLIT_BACKWARD_KINDS, validate_schedule_kind
 
 #: Schedule kinds the functional engine can execute.  ``"1f1b"`` and
@@ -276,16 +288,14 @@ class PipelineParallelEngine:
         micro_batches: Sequence[tuple[np.ndarray, np.ndarray]],
         schedule: list[list[PipelineOp]],
     ) -> IterationResult:
-        """Replay split-backward (B/W) op lists in dependency order.
+        """Execute split-backward (B/W) op lists in the order the one walk visits them.
 
-        Each stage executes its op list in order; an op runs as soon as its
-        input has arrived (forward activation from upstream, activation
-        gradient from downstream, or — for a W pass — the stage's own earlier
-        B pass).  Every valid op list presents forward and backward transfers
-        in ascending micro-batch order at every boundary and accumulates
-        weight gradients in ascending micro-batch order on every stage, so the
-        result is bit-for-bit the phase-ordered loop's whichever schedule
-        (zb1 or synthesized) is replayed.
+        :func:`~repro.parallel.pipeline_schedule.replay_ops` — the walk the
+        synthesizer's evaluator and the timing simulator fold over — yields
+        each op once its input has been produced; the engine runs the ops in
+        that order and ignores the times.  Any valid list (zb1 or
+        synthesized) leaves the weights bit-for-bit the phase-ordered loop's
+        (see the module docstring).
         """
         num_micro_batches = len(micro_batches)
         num_stages = self.num_stages
@@ -303,62 +313,36 @@ class PipelineParallelEngine:
         gradients: dict[tuple[int, int], np.ndarray | None] = {
             (num_stages - 1, mb): None for mb in range(num_micro_batches)
         }
-        backward_done: set[tuple[int, int]] = set()
 
-        pointers = [0] * num_stages
-        remaining = sum(len(ops) for ops in schedule)
-        while remaining > 0:
-            progressed = False
-            for stage_index in range(num_stages):
-                stage = self.stages[stage_index]
-                while pointers[stage_index] < len(schedule[stage_index]):
-                    op = schedule[stage_index][pointers[stage_index]]
-                    key = (stage_index, op.micro_batch)
-                    if op.kind == "forward":
-                        if key not in activations:
-                            break
-                        activation = activations.pop(key)
-                        if stage.is_last:
-                            loss, cache = stage.forward(
-                                activation, targets=micro_batches[op.micro_batch][1]
-                            )
-                            losses[op.micro_batch] = float(loss)
-                        else:
-                            activation, cache = stage.forward(activation)
-                            activations[(stage_index + 1, op.micro_batch)] = (
-                                self.channel.send_forward(
-                                    activation, stage_index, op.micro_batch, num_micro_batches
-                                )
-                            )
-                        caches[stage_index][op.micro_batch] = cache
-                    elif op.kind == "backward_input":
-                        if key not in gradients:
-                            break
-                        grad = gradients.pop(key)
-                        cache = caches[stage_index][op.micro_batch]
-                        if stage.is_last:
-                            grad = stage.backward_input(None, cache, loss_scale=loss_scale)
-                        else:
-                            grad = stage.backward_input(grad, cache)
-                        backward_done.add(key)
-                        if stage_index > 0 and grad is not None:
-                            gradients[(stage_index - 1, op.micro_batch)] = (
-                                self.channel.send_backward(
-                                    grad, stage_index - 1, op.micro_batch, num_micro_batches
-                                )
-                            )
-                    else:  # backward_weight — always ready (op order puts B first)
-                        if key not in backward_done:
-                            break
-                        stage.backward_weight(caches[stage_index][op.micro_batch])
-                        caches[stage_index][op.micro_batch] = None  # release activations
-                    pointers[stage_index] += 1
-                    remaining -= 1
-                    progressed = True
-            if not progressed:  # pragma: no cover - the builders are validated
-                raise RuntimeError(
-                    f"{self.schedule_kind} schedule deadlocked (invalid dependency structure)"
-                )
+        untimed = dict.fromkeys(OP_KINDS, (0.0,) * num_stages)
+        for stage_index, op, _, _ in replay_ops(schedule, untimed, lambda op, consumer: 0.0):
+            stage = self.stages[stage_index]
+            micro_batch = op.micro_batch
+            if op.kind == "forward":
+                activation = activations.pop((stage_index, micro_batch))
+                if stage.is_last:
+                    loss, cache = stage.forward(activation, targets=micro_batches[micro_batch][1])
+                    losses[micro_batch] = float(loss)
+                else:
+                    activation, cache = stage.forward(activation)
+                    activations[(stage_index + 1, micro_batch)] = self.channel.send_forward(
+                        activation, stage_index, micro_batch, num_micro_batches
+                    )
+                caches[stage_index][micro_batch] = cache
+            elif op.kind == "backward_input":
+                grad = gradients.pop((stage_index, micro_batch))
+                cache = caches[stage_index][micro_batch]
+                if stage.is_last:
+                    grad = stage.backward_input(None, cache, loss_scale=loss_scale)
+                else:
+                    grad = stage.backward_input(grad, cache)
+                if stage_index > 0 and grad is not None:
+                    gradients[(stage_index - 1, micro_batch)] = self.channel.send_backward(
+                        grad, stage_index - 1, micro_batch, num_micro_batches
+                    )
+            else:  # backward_weight
+                stage.backward_weight(caches[stage_index][micro_batch])
+                caches[stage_index][micro_batch] = None  # release activations
 
         return self._iteration_result(losses, record_mark)
 

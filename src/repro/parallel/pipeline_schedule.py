@@ -1,10 +1,12 @@
 """Pipeline-parallel schedules: GPipe, 1F1B, interleaved 1F1B, and ZB-H1.
 
 A schedule is, per pipeline stage, an ordered list of :class:`PipelineOp` values.
-Two consumers use them:
+Two kinds of consumer use them:
 
-* the event-driven performance simulator replays the ops with compute and
-  communication costs attached to compute iteration time;
+* :func:`replay_ops` walks finished lists in dependency order — the one
+  pipeline replay under the synthesizer's evaluator, the timing simulator
+  (compute and communication costs attached) and the functional engine's
+  split-backward executor (times ignored);
 * the epilogue analysis (:func:`epilogue_micro_batches`) derives *which* backward
   communications sit on the critical path — the set the paper's epilogue-only
   compression targets (Section 5.2).
@@ -27,18 +29,8 @@ to ``(p-1)(T_F + T_B - T_W)`` at the same peak in-flight activation count as
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-
-class ScheduleKind(str, enum.Enum):
-    """Supported pipeline schedules."""
-
-    GPIPE = "gpipe"
-    ONE_F_ONE_B = "1f1b"
-    INTERLEAVED_1F1B = "interleaved"
-    ZERO_BUBBLE_H1 = "zb1"
-
+from typing import Callable, Iterator, Mapping, Sequence
 
 #: Op kinds a schedule may emit.  ``"backward"`` is the fused full backward
 #: (input + weight gradients in one op); the zero-bubble schedules split it into
@@ -74,6 +66,105 @@ class PipelineOp:
             raise ValueError(f"op kind must be one of {OP_KINDS}, got {self.kind!r}")
         if self.micro_batch < 0:
             raise ValueError(f"micro_batch must be non-negative, got {self.micro_batch}")
+
+
+def replay_ops(
+    schedule: Sequence[Sequence[PipelineOp]],
+    durations: Mapping[str, Sequence[float]],
+    handoff: Callable[[PipelineOp, tuple[int, int, int]], float],
+) -> Iterator[tuple[int, PipelineOp, float, float]]:
+    """Walk finished per-stage op lists in dependency order; yield ``(stage, op, start, end)``.
+
+    Each stage runs its list in order.  An op starts when its device is free
+    *and* its input has arrived: a forward activation from upstream, an
+    activation gradient from downstream, or — for a W pass — nothing beyond
+    list order.  Stage 0's first-chunk forwards read their input locally and
+    the last stage's last-chunk backwards are seeded by the loss, both at t=0.
+    Arrivals are keyed ``(stage, micro_batch, chunk)``: under an interleaved
+    list a forward leaving the last stage feeds stage 0's next chunk and a
+    backward leaving stage 0 feeds the last stage's previous chunk.  The chunk
+    count is read off the lists.
+
+    ``durations[kind][stage]`` is an op's compute time.  ``handoff(op,
+    consumer)`` is the delay of the transfer ``op`` sends to the arrival key
+    ``consumer``; it is called once per transfer, in event order.
+
+    The stages are swept in order, each running every op that is ready, so the
+    visit order depends only on which producers have run, never on the times.
+    Raises ``RuntimeError`` when a sweep makes no progress (a cyclic
+    cross-stage dependency).
+    """
+    last_stage = len(schedule) - 1
+    last_chunk = max((op.chunk for ops in schedule for op in ops), default=0)
+    device_free = [0.0] * len(schedule)
+    pointers = [0] * len(schedule)
+    forward_arrival: dict[tuple[int, int, int], float] = {}
+    backward_arrival: dict[tuple[int, int, int], float] = {}
+    remaining = sum(len(ops) for ops in schedule)
+    while remaining > 0:
+        progressed = False
+        for stage, ops in enumerate(schedule):
+            while pointers[stage] < len(ops):
+                op = ops[pointers[stage]]
+                kind, micro, chunk = op.kind, op.micro_batch, op.chunk
+                if kind == "backward_weight":
+                    ready = 0.0  # purely local: list order already put its B pass first
+                elif kind == "forward":
+                    if stage == 0 and chunk == 0:
+                        ready = 0.0
+                    else:
+                        ready = forward_arrival.get((stage, micro, chunk))
+                elif stage == last_stage and chunk == last_chunk:
+                    ready = 0.0
+                else:
+                    ready = backward_arrival.get((stage, micro, chunk))
+                if ready is None:
+                    break
+                start = max(device_free[stage], ready)
+                end = start + durations[kind][stage]
+                device_free[stage] = end
+                pointers[stage] += 1
+                remaining -= 1
+                progressed = True
+                if kind == "forward":
+                    if stage < last_stage:
+                        consumer = (stage + 1, micro, chunk)
+                    elif chunk < last_chunk:
+                        consumer = (0, micro, chunk + 1)
+                    else:
+                        consumer = None
+                    if consumer is not None:
+                        forward_arrival[consumer] = end + handoff(op, consumer)
+                elif kind in BACKWARD_SEND_KINDS:
+                    if stage > 0:
+                        consumer = (stage - 1, micro, chunk)
+                    elif chunk > 0:
+                        consumer = (last_stage, micro, chunk - 1)
+                    else:
+                        consumer = None
+                    if consumer is not None:
+                        backward_arrival[consumer] = end + handoff(op, consumer)
+                yield stage, op, start, end
+        if not progressed:
+            raise RuntimeError("pipeline schedule deadlocked (cyclic cross-stage dependency)")
+
+
+def bubble_fraction(
+    schedule: Sequence[Sequence[PipelineOp]],
+    durations: Mapping[str, Sequence[float]],
+    makespan: float,
+) -> float:
+    """Share of device-seconds idle inside ``makespan`` (t=0 to the last backward-side op).
+
+    The compute is summed in stage-major list order, not event order: the
+    order fixes the last bit of the result.
+    """
+    if makespan <= 0.0:
+        return 0.0
+    total_compute = sum(
+        durations[op.kind][stage] for stage, ops in enumerate(schedule) for op in ops
+    )
+    return 1.0 - total_compute / (len(schedule) * makespan)
 
 
 def _validate(num_stages: int, num_micro_batches: int) -> None:
@@ -241,21 +332,6 @@ def build_interleaved_1f1b_schedule(
             backward_unit += 1
         schedule.append(ops)
     return schedule
-
-
-def build_schedule(
-    kind: ScheduleKind, num_stages: int, num_micro_batches: int, num_chunks: int = 2
-) -> list[list[PipelineOp]]:
-    """Dispatch to the requested schedule builder."""
-    if kind == ScheduleKind.GPIPE:
-        return build_gpipe_schedule(num_stages, num_micro_batches)
-    if kind == ScheduleKind.ONE_F_ONE_B:
-        return build_1f1b_schedule(num_stages, num_micro_batches)
-    if kind == ScheduleKind.INTERLEAVED_1F1B:
-        return build_interleaved_1f1b_schedule(num_stages, num_micro_batches, num_chunks)
-    if kind == ScheduleKind.ZERO_BUBBLE_H1:
-        return build_zb1_schedule(num_stages, num_micro_batches)
-    raise ValueError(f"unknown schedule kind {kind!r}")
 
 
 def warmup_micro_batches(stage: int, num_stages: int, num_micro_batches: int) -> int:

@@ -47,9 +47,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.parallel.pipeline_schedule import (
+    OP_KINDS,
     PipelineOp,
+    bubble_fraction,
     build_zb1_schedule,
     count_in_flight_micro_batches,
+    replay_ops,
     zb1_deferred_weight_passes,
 )
 
@@ -222,49 +225,53 @@ def validate_schedule_ops(
     num_stages: int,
     num_micro_batches: int,
 ) -> None:
-    """Raise ``ValueError`` unless ``schedule`` is a valid split-backward schedule.
+    """Raise unless ``schedule`` is a valid op list for ``num_stages`` x ``num_micro_batches``.
 
-    Checks, per stage: exactly one F, one B (``"backward_input"``), and one W
-    per micro-batch; each kind in ascending micro-batch order (the weight-parity
-    requirement); F before B before W for every micro-batch.  Then proves
-    deadlock-freedom by replaying the lists (:func:`evaluate_schedule` raises on
-    a cyclic cross-stage dependency, which the per-stage checks cannot see).
+    The backward is either fused (``"backward"``) or split into B
+    (``"backward_input"``) and W (``"backward_weight"``), one style for the
+    whole schedule; chunks run ``0..C-1`` on every stage.  Per (stage, chunk),
+    each kind covers every micro-batch exactly once in ascending order (the
+    weight-parity requirement) and F precedes B precedes W for every
+    micro-batch (``ValueError`` otherwise).  Then the lists go through
+    :func:`~repro.parallel.pipeline_schedule.replay_ops`, which raises
+    ``RuntimeError`` on a cyclic cross-stage dependency the per-stage checks
+    cannot see.
     """
     if len(schedule) != num_stages:
         raise ValueError(f"schedule must have {num_stages} stage lists, got {len(schedule)}")
+    num_chunks = 1 + max((op.chunk for ops in schedule for op in ops), default=0)
+    if any(op.kind == "backward_input" for ops in schedule for op in ops):
+        style, kinds = "split-backward", ("forward", "backward_input", "backward_weight")
+    else:
+        style, kinds = "fused-backward", ("forward", "backward")
+    expected = list(range(num_micro_batches))
     for stage, ops in enumerate(schedule):
-        seen: dict[str, list[int]] = {"forward": [], "backward_input": [], "backward_weight": []}
-        position: dict[tuple[str, int], int] = {}
+        seen: dict[tuple[str, int], list[int]] = {
+            (kind, chunk): [] for kind in kinds for chunk in range(num_chunks)
+        }
+        position: dict[tuple[str, int, int], int] = {}
         for index, op in enumerate(ops):
-            if op.kind not in seen:
-                raise ValueError(
-                    f"stage {stage}: op kind {op.kind!r} is not part of a split-backward schedule"
-                )
-            if op.chunk != 0:
-                raise ValueError(f"stage {stage}: split-backward schedules are non-interleaved")
-            seen[op.kind].append(op.micro_batch)
-            position[(op.kind, op.micro_batch)] = index
-        expected = list(range(num_micro_batches))
-        for kind, micro_batches in seen.items():
+            if (op.kind, op.chunk) not in seen:
+                raise ValueError(f"stage {stage}: {op} is not part of a {style} schedule")
+            seen[(op.kind, op.chunk)].append(op.micro_batch)
+            position[(op.kind, op.micro_batch, op.chunk)] = index
+        for (kind, chunk), micro_batches in seen.items():
             if micro_batches != expected:
                 raise ValueError(
-                    f"stage {stage}: {kind} ops must cover every micro-batch exactly once "
-                    f"in ascending order, got {micro_batches}"
+                    f"stage {stage}, chunk {chunk}: {kind} ops must cover every micro-batch "
+                    f"exactly once in ascending order, got {micro_batches}"
                 )
-        for mb in range(num_micro_batches):
-            f = position[("forward", mb)]
-            b = position[("backward_input", mb)]
-            w = position[("backward_weight", mb)]
-            if not f < b < w:
-                raise ValueError(
-                    f"stage {stage}, micro-batch {mb}: ops must run F -> B -> W "
-                    f"(positions F={f}, B={b}, W={w})"
-                )
-    # Cross-stage deadlock check: the replay raises if the lists cannot make progress.
-    costs = tuple(StageCosts(1.0, 1.0, 1.0) for _ in range(num_stages))
-    evaluate_schedule(
-        schedule, SynthesisSpec(num_stages, num_micro_batches, costs)
-    )
+        for chunk in range(num_chunks):
+            for mb in expected:
+                order = [position[(kind, mb, chunk)] for kind in kinds]
+                if order != sorted(order):
+                    raise ValueError(
+                        f"stage {stage}, chunk {chunk}, micro-batch {mb}: ops must run "
+                        f"{' -> '.join(kinds)} (positions {order})"
+                    )
+    untimed = dict.fromkeys(OP_KINDS, (0.0,) * num_stages)
+    for _ in replay_ops(schedule, untimed, lambda op, consumer: 0.0):
+        pass
 
 
 def evaluate_schedule(
@@ -273,66 +280,25 @@ def evaluate_schedule(
 ) -> tuple[float, float]:
     """Replay ``schedule`` under ``spec``'s costs; return ``(makespan, bubble)``.
 
-    The replay semantics match the timing simulator exactly: each stage runs
-    its list in order, an op starts when the device is free *and* its input has
-    arrived (forward activation from upstream, activation gradient from
-    downstream — the last stage's is seeded by the loss — or, for a W pass,
-    nothing beyond the list order), and every hand-off costs
-    ``spec.transfer_delay``.  Raises ``RuntimeError`` on deadlock.
+    A fold over :func:`~repro.parallel.pipeline_schedule.replay_ops`, the one
+    walk the timing simulator and the functional engine also go through: op
+    times come from ``spec.costs`` (a fused ``"backward"`` costs B + W), every
+    hand-off costs ``spec.transfer_delay``, and the makespan runs from t=0 to
+    the last backward-side op.  Raises ``RuntimeError`` on deadlock.
     """
-    p, m = spec.num_stages, spec.num_micro_batches
-    delay = spec.transfer_delay
     durations = {
-        "forward": [spec.costs[s].forward for s in range(p)],
-        "backward": [
-            spec.costs[s].backward_input + spec.costs[s].backward_weight for s in range(p)
-        ],
-        "backward_input": [spec.costs[s].backward_input for s in range(p)],
-        "backward_weight": [spec.costs[s].backward_weight for s in range(p)],
+        "forward": [cost.forward for cost in spec.costs],
+        "backward": [cost.backward_input + cost.backward_weight for cost in spec.costs],
+        "backward_input": [cost.backward_input for cost in spec.costs],
+        "backward_weight": [cost.backward_weight for cost in spec.costs],
     }
-    device_free = [0.0] * p
-    pointers = [0] * p
-    forward_arrival = {(0, mb): 0.0 for mb in range(m)}
-    backward_arrival = {(p - 1, mb): 0.0 for mb in range(m)}
-    backward_finish = [0.0] * p
-    remaining = sum(len(ops) for ops in schedule)
-    while remaining > 0:
-        progressed = False
-        for stage in range(p):
-            ops = schedule[stage]
-            while pointers[stage] < len(ops):
-                op = ops[pointers[stage]]
-                key = (stage, op.micro_batch)
-                if op.kind == "forward":
-                    if key not in forward_arrival:
-                        break
-                    ready = forward_arrival[key]
-                elif op.kind == "backward_weight":
-                    ready = 0.0
-                else:
-                    if key not in backward_arrival:
-                        break
-                    ready = backward_arrival[key]
-                end = max(device_free[stage], ready) + durations[op.kind][stage]
-                device_free[stage] = end
-                pointers[stage] += 1
-                remaining -= 1
-                progressed = True
-                if op.kind == "forward":
-                    if stage < p - 1:
-                        forward_arrival[(stage + 1, op.micro_batch)] = end + delay
-                else:
-                    backward_finish[stage] = end
-                    if op.kind != "backward_weight" and stage > 0:
-                        backward_arrival[(stage - 1, op.micro_batch)] = end + delay
-        if not progressed:
-            raise RuntimeError("schedule deadlocked (cyclic cross-stage dependency)")
+    delay = spec.transfer_delay
+    backward_finish = [0.0] * spec.num_stages
+    for stage, op, _, end in replay_ops(schedule, durations, lambda op, consumer: delay):
+        if op.kind != "forward":
+            backward_finish[stage] = end
     makespan = max(backward_finish)
-    total_compute = sum(
-        durations[op.kind][stage] for stage, ops in enumerate(schedule) for op in ops
-    )
-    bubble = 1.0 - total_compute / (p * makespan) if makespan > 0 else 0.0
-    return makespan, bubble
+    return makespan, bubble_fraction(schedule, durations, makespan)
 
 
 def _greedy(spec: SynthesisSpec, budgets: list[float]) -> list[list[PipelineOp]]:

@@ -339,8 +339,8 @@ class Schedule:
         simulator; 1 selects the plain schedule.  Delivered through
         :meth:`ParallelPlan.training_job` — the simulator reads only codec
         policy off the plan, and the job owns the schedule shape.  (The
-        functional engine always computes the plain schedule — chunking
-        changes timing, not numerics.)
+        functional engine refuses ``num_model_chunks > 1`` at ``pp > 1``
+        with a ``ValueError``; at ``pp == 1`` chunks change nothing.)
     dp_fire:
         Firing granularity of the overlapped DP buckets: ``"stage"`` issues a
         stage's buckets when its whole backward pass has drained (the cool-down

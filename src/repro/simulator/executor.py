@@ -15,9 +15,9 @@ trade-off the paper's Fig. 13 (rank sweep) exposes.
 
 One iteration is simulated in two parts, split where the dependencies split.
 The **pipeline replay** (:func:`replay_pipeline`: op lists, epilogue sets, the
-event loop, bubble accounting) depends on the job, the component toggles and
-the PP-boundary codec only, and is memoised per process in one bounded table —
-a plan sweep holds far fewer distinct replays than plans.  The **tail**
+dependency-ordered walk, bubble accounting) depends on the job, the component
+toggles and the PP-boundary codec only, and is memoised per process in one
+bounded table — a plan sweep holds far fewer distinct replays than plans.  The **tail**
 (:meth:`PipelineTimingSimulator.run`: DP all-reduce and its overlap window,
 embedding synchronisation, steady-state period) is where the DP codec, its
 knobs, the selected stage fraction and the embedding mode enter; it runs per
@@ -45,9 +45,11 @@ from typing import NamedTuple
 from repro.parallel.pipeline_schedule import (
     BACKWARD_SEND_KINDS,
     PipelineOp,
+    bubble_fraction,
     build_1f1b_schedule,
     build_interleaved_1f1b_schedule,
     build_zb1_schedule,
+    replay_ops,
 )
 from repro.plan import SPLIT_BACKWARD_KINDS, Boundary, CompressionSpec, ParallelPlan
 from repro.simulator.cost_model import CLASS_MEMO_SIZE, TrainingJob, job_cost_model
@@ -315,7 +317,13 @@ def replay_pipeline(
     backward_epilogue_only: bool,
     compress_forward: bool,
 ) -> PipelineReplay:
-    """Replay the pipeline phase of one iteration: schedule, event loop, bubble.
+    """Replay the pipeline phase of one iteration: schedule, walk, bubble.
+
+    The op lists go through :func:`~repro.parallel.pipeline_schedule.replay_ops`,
+    the one walk the synthesizer's evaluator and the functional engine share;
+    the PP-boundary codec enters only as its hand-off, which picks each
+    transfer's plain, compressed or epilogue-only cost and tallies its wire
+    bytes and kernel overhead in event order.
 
     This is the part of :meth:`PipelineTimingSimulator.run` that depends only
     on the job (model, layout, cluster, batch shape, schedule kind and cap),
@@ -329,9 +337,6 @@ def replay_pipeline(
     frozen and hashable and the result is immutable, so a hit is
     indistinguishable from a recomputation.
     """
-    num_stages = job.num_stages
-    num_micro = job.num_micro_batches
-    chunks = job.num_model_chunks if num_stages > 1 else 1
     schedule = build_job_schedule(job)
     epilogue_sets = _epilogue_sets(schedule)
 
@@ -352,92 +357,31 @@ def replay_pipeline(
         else plain_transfer
     )
     forward_transfer = compressed_transfer if compress_forward else plain_transfer
-
-    device_free = [0.0] * num_stages
-    pointers = [0] * num_stages
-    forward_arrival: dict[tuple[int, int, int], float] = {}
-    backward_arrival: dict[tuple[int, int, int], float] = {}
-    for micro in range(num_micro):
-        forward_arrival[(0, micro, 0)] = 0.0  # stage 0 reads input data locally
-        backward_arrival[(num_stages - 1, micro, chunks - 1)] = 0.0  # seeded by the loss
-
-    stage_backward_finish = [0.0] * num_stages
     compression_overhead_total = 0.0
     interstage_wire_total = 0.0
 
-    def forward_consumer(stage: int, micro: int, chunk: int) -> tuple[int, int, int] | None:
-        if stage < num_stages - 1:
-            return (stage + 1, micro, chunk)
-        if chunk < chunks - 1:
-            return (0, micro, chunk + 1)
-        return None
+    def handoff(op: PipelineOp, consumer: tuple[int, int, int]) -> float:
+        """Pick the transfer ``op`` sends to ``consumer`` and tally what it carries."""
+        nonlocal compression_overhead_total, interstage_wire_total
+        if op.kind == "forward":
+            transfer = forward_transfer
+        elif compress_backward and (
+            not backward_epilogue_only
+            or (op.micro_batch, op.chunk) in epilogue_sets[consumer[0]]
+            or consumer[1:] in epilogue_sets[consumer[0]]
+        ):
+            transfer = compressed_transfer
+        else:
+            transfer = plain_transfer
+        delay, wire, overhead = transfer
+        interstage_wire_total += wire
+        compression_overhead_total += overhead
+        return delay
 
-    def backward_consumer(stage: int, micro: int, chunk: int) -> tuple[int, int, int] | None:
-        if stage > 0:
-            return (stage - 1, micro, chunk)
-        if chunk > 0:
-            return (num_stages - 1, micro, chunk - 1)
-        return None
-
-    remaining = sum(len(ops) for ops in schedule)
-    while remaining > 0:
-        progressed = False
-        for stage in range(num_stages):
-            while pointers[stage] < len(schedule[stage]):
-                op = schedule[stage][pointers[stage]]
-                key = (stage, op.micro_batch, op.chunk)
-                if op.kind == "forward":
-                    if key not in forward_arrival:
-                        break
-                    ready = forward_arrival[key]
-                elif op.kind == "backward_weight":
-                    # Purely local: depends only on the stage's own earlier
-                    # B pass, which op-list order already sequenced.
-                    ready = 0.0
-                else:
-                    if key not in backward_arrival:
-                        break
-                    ready = backward_arrival[key]
-                duration = op_durations[op.kind][stage]
-                start = max(device_free[stage], ready)
-                end = start + duration
-                device_free[stage] = end
-                pointers[stage] += 1
-                remaining -= 1
-                progressed = True
-
-                if op.kind == "forward":
-                    consumer = forward_consumer(stage, op.micro_batch, op.chunk)
-                    if consumer is not None:
-                        delay, wire, overhead = forward_transfer
-                        forward_arrival[consumer] = end + delay
-                        interstage_wire_total += wire
-                        compression_overhead_total += overhead
-                else:
-                    stage_backward_finish[stage] = end
-                    consumer = (
-                        backward_consumer(stage, op.micro_batch, op.chunk)
-                        if op.kind in BACKWARD_SEND_KINDS
-                        else None
-                    )
-                    if consumer is not None:
-                        receiving_stage = consumer[0]
-                        compressed = False
-                        if compress_backward:
-                            if backward_epilogue_only:
-                                compressed = (
-                                    (op.micro_batch, op.chunk) in epilogue_sets[receiving_stage]
-                                ) or ((consumer[1], consumer[2]) in epilogue_sets[receiving_stage])
-                            else:
-                                compressed = True
-                        delay, wire, overhead = (
-                            compressed_transfer if compressed else plain_transfer
-                        )
-                        backward_arrival[consumer] = end + delay
-                        interstage_wire_total += wire
-                        compression_overhead_total += overhead
-        if not progressed:
-            raise RuntimeError("pipeline schedule deadlocked (invalid dependency structure)")
+    stage_backward_finish = [0.0] * job.num_stages
+    for stage, op, _, end in replay_ops(schedule, op_durations, handoff):
+        if op.kind != "forward":
+            stage_backward_finish[stage] = end
 
     # The pipeline makespan runs from t=0 (stage 0's first forward) to the
     # last backward-side op draining anywhere; every second a device is not
@@ -445,20 +389,13 @@ def replay_pipeline(
     # zero-bubble schedule attacks: splitting the backward lets W passes
     # fill the cool-down, so zb1's fraction is strictly below 1F1B's for
     # pp >= 2 (asserted by the simulator tests).
-    pipeline_makespan = max(stage_backward_finish) if stage_backward_finish else 0.0
-    total_compute = sum(
-        op_durations[op.kind][stage] for stage, ops in enumerate(schedule) for op in ops
-    )
-    if pipeline_makespan > 0.0:
-        bubble_fraction = 1.0 - total_compute / (num_stages * pipeline_makespan)
-    else:
-        bubble_fraction = 0.0
+    makespan = max(stage_backward_finish)
     return PipelineReplay(
         stage_backward_finish=tuple(stage_backward_finish),
         transfer_overhead=compression_overhead_total,
         interstage_wire=interstage_wire_total,
-        makespan=pipeline_makespan,
-        bubble_fraction=bubble_fraction,
+        makespan=makespan,
+        bubble_fraction=bubble_fraction(schedule, op_durations, makespan),
     )
 
 

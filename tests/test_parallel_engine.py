@@ -651,3 +651,31 @@ class TestZeroBubbleEngine:
             if record.category == "data_parallel" and not record.overlapped
         ]
         assert len(exposed) > 1  # every stage-0 bucket is exposed under stage fire
+
+
+class TestModelChunks:
+    """``num_model_chunks`` is simulated, not executed: refused at pp > 1, inert at pp == 1."""
+
+    CONFIG = TestZeroBubbleEngine.CONFIG
+
+    def test_interleaved_plan_is_refused_at_pp_above_one(self):
+        plan = (
+            ParallelPlan.baseline()
+            .with_topology(dp=1, pp=2, micro_batches=4)
+            .with_schedule(kind="1f1b", num_model_chunks=2)
+        )
+        assert plan.schedule.describe() == "1f1bx2"
+        with pytest.raises(ValueError, match="num_model_chunks=2 at pp=2"):
+            ThreeDParallelEngine(self.CONFIG, plan)
+
+    def test_chunks_at_pp_one_change_nothing(self, rng):
+        batches = make_batches(self.CONFIG, rng, replicas=1, micro_batches=2)
+        plain = ParallelPlan.baseline().with_topology(dp=1, pp=1, micro_batches=2)
+        engines = [
+            ThreeDParallelEngine(self.CONFIG, plan, seed=4)
+            for plan in (plain, plain.with_schedule(num_model_chunks=2))
+        ]
+        for engine in engines:
+            engine.run_iteration(batches)
+        for plain_param, chunked_param in zip(engines[0].parameters(), engines[1].parameters()):
+            assert np.array_equal(plain_param.grad, chunked_param.grad), plain_param.name

@@ -8,16 +8,21 @@ from hypothesis import strategies as st
 
 from repro.parallel.pipeline_schedule import (
     PipelineOp,
-    ScheduleKind,
     build_1f1b_schedule,
     build_gpipe_schedule,
     build_interleaved_1f1b_schedule,
-    build_schedule,
     build_zb1_schedule,
     count_in_flight_micro_batches,
     epilogue_micro_batches,
+    replay_ops,
     warmup_micro_batches,
     zb1_deferred_weight_passes,
+)
+from repro.parallel.scheduler import (
+    StageCosts,
+    SynthesisSpec,
+    evaluate_schedule,
+    synthesize_schedule,
 )
 
 
@@ -224,14 +229,6 @@ class TestZB1:
             build_zb1_schedule(2, 0)
 
 
-class TestDispatch:
-    def test_build_schedule_dispatch(self):
-        assert build_schedule(ScheduleKind.GPIPE, 2, 4) == build_gpipe_schedule(2, 4)
-        assert build_schedule(ScheduleKind.ONE_F_ONE_B, 2, 4) == build_1f1b_schedule(2, 4)
-        assert build_schedule(ScheduleKind.INTERLEAVED_1F1B, 2, 4, 2) == build_interleaved_1f1b_schedule(2, 4, 2)
-        assert build_schedule(ScheduleKind.ZERO_BUBBLE_H1, 2, 4) == build_zb1_schedule(2, 4)
-
-
 class TestEpilogue:
     def test_paper_example(self):
         """p=4, m=8: the first stage's epilogue is the last 3 micro-batches (Fig. 6)."""
@@ -299,3 +296,111 @@ class TestScheduleProperties:
         num_micro = num_stages * groups
         schedule = build_interleaved_1f1b_schedule(num_stages, num_micro, chunks)
         assert all(len(ops) == 2 * num_micro * chunks for ops in schedule)
+
+
+# ---------------------------------------------------------------------------
+# The one dependency-ordered walk (replay_ops)
+# ---------------------------------------------------------------------------
+
+WALKED_KINDS = ("1f1b", "zb1", "interleaved x2", "interleaved x4", "auto")
+
+
+def _walked_schedule(kind, costs, num_micro):
+    """Per-stage op lists of ``kind`` over ``len(costs)`` stages."""
+    num_stages = len(costs)
+    if kind == "1f1b":
+        return build_1f1b_schedule(num_stages, num_micro)
+    if kind == "zb1":
+        return build_zb1_schedule(num_stages, num_micro)
+    if kind == "auto":
+        spec = SynthesisSpec(num_stages, num_micro, costs, memory_cap_factor=2.0)
+        return synthesize_schedule(spec).stage_ops()
+    return build_interleaved_1f1b_schedule(num_stages, num_micro, int(kind[-1]))
+
+
+def _producer(stage, op, num_stages, num_chunks):
+    """The ``(stage, op)`` whose output ``op`` waits for; ``None`` for a seeded op.
+
+    Spelled out apart from the walk: activations flow down the stages and
+    wrap from the last stage to stage 0's next chunk, gradients flow up and
+    wrap from stage 0 to the last stage's previous chunk, and a W pass waits
+    for its own stage's B pass.
+    """
+    micro, chunk = op.micro_batch, op.chunk
+    if op.kind == "forward":
+        if stage > 0:
+            return stage - 1, op
+        return (num_stages - 1, PipelineOp(op.kind, micro, chunk - 1)) if chunk > 0 else None
+    if op.kind == "backward_weight":
+        return stage, PipelineOp("backward_input", micro, chunk)
+    if stage < num_stages - 1:
+        return stage + 1, op
+    return (0, PipelineOp(op.kind, micro, chunk + 1)) if chunk < num_chunks - 1 else None
+
+
+class TestReplayOps:
+    """The walk the synthesizer's evaluator, the simulator and the engine all go through."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(WALKED_KINDS),
+        num_stages=st.integers(min_value=1, max_value=5),
+        num_micro=st.integers(min_value=1, max_value=8),
+        data=st.data(),
+    )
+    def test_walk_respects_lists_devices_and_hand_offs(self, kind, num_stages, num_micro, data):
+        if kind.startswith("interleaved"):
+            num_micro = num_stages * -(-num_micro // num_stages)  # whole groups only
+        time = st.floats(min_value=0.0, max_value=3.0)
+        costs = tuple(
+            StageCosts(*data.draw(st.tuples(time, time, time))) for _ in range(num_stages)
+        )
+        durations = {
+            "forward": [cost.forward for cost in costs],
+            "backward": [cost.backward_input + cost.backward_weight for cost in costs],
+            "backward_input": [cost.backward_input for cost in costs],
+            "backward_weight": [cost.backward_weight for cost in costs],
+        }
+        per_stage = st.lists(time, min_size=num_stages, max_size=num_stages)
+        delays = {direction: data.draw(per_stage) for direction in ("forward", "backward")}
+        schedule = _walked_schedule(kind, costs, num_micro)
+        num_chunks = 1 + max(op.chunk for ops in schedule for op in ops)
+
+        hand_offs = []
+
+        def handoff(op, consumer):
+            direction = "forward" if op.kind == "forward" else "backward"
+            hand_offs.append((direction, consumer))
+            return delays[direction][consumer[0]]
+
+        events = list(replay_ops(schedule, durations, handoff))
+        ended: dict = {}
+        device_free = [0.0] * num_stages
+        expected_hand_offs = []
+        for stage, op, start, end in events:
+            # Never overlapping on a device, and exactly one op's duration long.
+            assert start >= device_free[stage]
+            assert end == start + durations[op.kind][stage]
+            device_free[stage] = end
+            producer = _producer(stage, op, num_stages, num_chunks)
+            if producer is not None:
+                assert producer in ended  # dependency order
+                if op.kind == "backward_weight":
+                    assert start >= ended[producer]
+                else:
+                    direction = "forward" if op.kind == "forward" else "backward"
+                    assert start >= ended[producer] + delays[direction][stage]
+                    expected_hand_offs.append((direction, (stage, op.micro_batch, op.chunk)))
+            ended[(stage, op)] = end
+        for stage, ops in enumerate(schedule):
+            assert [op for s, op, _, _ in events if s == stage] == list(ops)
+        # One hand-off per cross-stage dependency, none for a seeded op.
+        assert sorted(hand_offs) == sorted(expected_hand_offs)
+
+        # evaluate_schedule folds the same walk: its makespan is the last
+        # backward-side end, and the visit order does not depend on the times.
+        spec = SynthesisSpec(num_stages, num_micro, costs, transfer_delay=delays["forward"][0])
+        uniform = list(replay_ops(schedule, durations, lambda op, consumer: spec.transfer_delay))
+        makespan, _ = evaluate_schedule(schedule, spec)
+        assert makespan == max(end for _, op, _, end in uniform if op.kind != "forward")
+        assert [event[:2] for event in uniform] == [event[:2] for event in events]

@@ -26,7 +26,13 @@ from hypothesis import strategies as st
 from repro.models.gpt_configs import GPT_8_3B, functional_config
 from repro.nn.gpt_stage import build_gpt_stages
 from repro.parallel.pipeline_engine import PipelineParallelEngine
-from repro.parallel.pipeline_schedule import build_zb1_schedule
+from repro.parallel.pipeline_schedule import (
+    PipelineOp,
+    build_1f1b_schedule,
+    build_gpipe_schedule,
+    build_interleaved_1f1b_schedule,
+    build_zb1_schedule,
+)
 from repro.parallel.process_groups import ParallelLayout
 from repro.parallel.scheduler import (
     CAP_LADDER,
@@ -142,8 +148,6 @@ class TestSynthesizer:
 
     def test_validate_catches_cross_stage_deadlock(self):
         """Per-stage ascending order alone does not imply deadlock-freedom."""
-        from repro.parallel.pipeline_schedule import PipelineOp
-
         F, B, W = "forward", "backward_input", "backward_weight"
         # Stage 0 insists on B0 before F1; stage 1 runs F0,F1 before B0 — but
         # stage 0's B0 needs stage 1's B0, which needs stage 1's F1, which
@@ -154,6 +158,47 @@ class TestSynthesizer:
         ]
         with pytest.raises(RuntimeError, match="deadlock"):
             validate_schedule_ops(deadlocked, 2, 2)
+
+    @pytest.mark.parametrize(
+        "schedule, pp, mb",
+        [
+            (build_interleaved_1f1b_schedule(4, 8, 2), 4, 8),
+            (build_interleaved_1f1b_schedule(2, 4, 4), 2, 4),
+            (build_1f1b_schedule(4, 8), 4, 8),
+            (build_1f1b_schedule(1, 3), 1, 3),
+            (build_gpipe_schedule(3, 5), 3, 5),
+        ],
+        ids=["interleaved-4x8x2", "interleaved-2x4x4", "1f1b-4x8", "1f1b-1x3", "gpipe-3x5"],
+    )
+    def test_validate_accepts_interleaved_and_fused_lists(self, schedule, pp, mb):
+        validate_schedule_ops(schedule, pp, mb)
+
+    def test_validate_rejects_broken_interleaved_and_mixed_lists(self):
+        interleaved = build_interleaved_1f1b_schedule(2, 4, 2)
+        # Drop chunk 1's backward of micro-batch 3 on stage 0.
+        dropped = [list(ops) for ops in interleaved]
+        dropped[0].remove(PipelineOp("backward", 3, 1))
+        with pytest.raises(ValueError, match="chunk 1: backward ops must cover"):
+            validate_schedule_ops(dropped, 2, 4)
+        # One fused backward in a split-backward list.
+        mixed = build_zb1_schedule(2, 2)
+        mixed[1][-1] = PipelineOp("backward", 1)
+        with pytest.raises(ValueError, match="not part of a split-backward schedule"):
+            validate_schedule_ops(mixed, 2, 2)
+
+    def test_validate_catches_cyclic_interleaved_list(self):
+        """Stage 1 runs chunk 1's first forward before chunk 0's — but chunk
+        1's input wraps around from stage 1's own chunk 0 through stage 0."""
+        F, B = "forward", "backward"
+        backwards = [PipelineOp(B, 0, 1), PipelineOp(B, 1, 1), PipelineOp(B, 0, 0), PipelineOp(B, 1, 0)]
+        cyclic = [
+            [PipelineOp(F, 0, 0), PipelineOp(F, 1, 0), PipelineOp(F, 0, 1), PipelineOp(F, 1, 1)]
+            + backwards,
+            [PipelineOp(F, 0, 1), PipelineOp(F, 0, 0), PipelineOp(F, 1, 0), PipelineOp(F, 1, 1)]
+            + backwards,
+        ]
+        with pytest.raises(RuntimeError, match="deadlock"):
+            validate_schedule_ops(cyclic, 2, 2)
 
     def test_stage_memory_profile_matches_peak(self):
         ops = synthesize_schedule(_spec(4, 8, cap=2.0)).stage_ops()

@@ -679,3 +679,43 @@ class TestReplayMemo:
         assert rows() == cold  # every replay now a hit
         digest = hashlib.sha256(json.dumps(cold, sort_keys=True).encode("ascii")).hexdigest()
         assert digest == "4c99bc4d7486ba37574a3f47310580722a30b4c1897e330412f0ced12ed4d4f8"
+
+    def test_evaluate_schedule_is_unchanged_to_the_bit(self):
+        """The synthesizer's evaluator, pinned like the simulator's replay above.
+
+        Digest recorded at the commit before the evaluator's own event loop
+        became a fold over ``replay_ops``: makespan, bubble and (for ``auto``)
+        the synthesized op lists over pp x mb x {1f1b, zb1, auto@1x, auto@2x}
+        x two hand-off delays.
+        """
+        from repro.parallel.pipeline_schedule import build_1f1b_schedule, build_zb1_schedule
+        from repro.parallel.scheduler import (
+            StageCosts,
+            SynthesisSpec,
+            evaluate_schedule,
+            synthesize_schedule,
+        )
+
+        rows = []
+        for pp in (1, 2, 4, 8):
+            for mb in (1, 4, 8, 16):
+                costs = tuple(
+                    StageCosts(1.0 + 0.125 * s, 2.0 - 0.0625 * s, 0.75 + 0.03125 * s)
+                    for s in range(pp)
+                )
+                for delay in (0.0, 0.3):
+                    for kind, cap in (("1f1b", 1.0), ("zb1", 1.0), ("auto", 1.0), ("auto", 2.0)):
+                        spec = SynthesisSpec(
+                            pp, mb, costs, transfer_delay=delay, memory_cap_factor=cap
+                        )
+                        if kind == "1f1b":
+                            ops = build_1f1b_schedule(pp, mb)
+                        elif kind == "zb1":
+                            ops = build_zb1_schedule(pp, mb)
+                        else:
+                            ops = synthesize_schedule(spec).ops
+                        makespan, bubble = evaluate_schedule(ops, spec)
+                        listing = [[[op.kind, op.micro_batch] for op in stage] for stage in ops]
+                        rows.append([pp, mb, delay, kind, cap, makespan, bubble, listing])
+        digest = hashlib.sha256(json.dumps(rows).encode("ascii")).hexdigest()
+        assert digest == "7fa2398fb5a4ae6d1674807c0cbc4ec5a32a766bddfa186802f31d03ffd3f1e4"
