@@ -15,13 +15,19 @@ surveys in Section 2.3:
 Both follow the :class:`repro.compression.base.Compressor` interface so they can be
 dropped into compressed backpropagation or the data-parallel path for comparisons.
 
-The QSGD hot path is a zero-allocation kernel: one packed signed integer code per
-element (two's-complement level, int8 up to 7 bits), a per-key preallocated
-workspace, an in-place ufunc pipeline (the stochastic rounding is the single fused
-``floor(x * L/scale + u)`` pass), and a cached counter-based Philox generator
-(:class:`repro.utils.random.CounterRNG`) whose stream is keyed by the tensor key —
-so the draw is independent of the order in which tensors are compressed, which is
-what makes the bucketed and per-parameter DP paths bit-identical.
+The QSGD hot path is a zero-allocation kernel that works in a fixed, cache-sized
+working set.  Each key owns only its packed codes (one two's-complement level per
+element, int8 up to 7 bits), which the payload aliases.  After one full-tensor
+pass for the scale, the tensor is quantised in tiles of :data:`QUANTISE_TILE`
+elements through one float64 ``scaled`` and one float32 ``uniform`` tile that
+every key shares; the stochastic rounding is the single fused
+``floor(x * L/scale + u)`` pass per tile.  The uniforms come from a cached
+counter-based Philox generator (:class:`repro.utils.random.CounterRNG`) whose
+stream is keyed by the tensor key — so the draw is independent of the order in
+which tensors are compressed, which is what makes the bucketed and per-parameter
+DP paths bit-identical — and drawing that stream tile by tile continues it
+exactly, so the codes equal a one-shot draw's.  Decoding is one ufunc straight
+from the codes (``codes / L``) and one in-place ``*= scale``.
 """
 
 from __future__ import annotations
@@ -41,6 +47,10 @@ from repro.compression.topk import INDEX_BYTES
 from repro.utils.random import CounterRNG
 
 from repro.compression.powersgd import stable_key_hash
+
+#: Elements quantised per pass: the float64 ``scaled`` and float32 ``uniform``
+#: tiles (12 B per element, 192 KiB together) stay in cache between passes.
+QUANTISE_TILE = 1 << 14
 
 
 class QSGDCompressor(Compressor):
@@ -78,7 +88,7 @@ class QSGDCompressor(Compressor):
         return max(int(math.ceil(size * (self.bits + 1) / 8)) + 4, 1)
 
     def _quantise_into(self, flat: np.ndarray, key: str, codes: np.ndarray) -> float:
-        """The kernel: write packed signed levels of ``flat`` into ``codes``."""
+        """The kernel: write packed signed levels of ``flat`` into ``codes``, tile by tile."""
         size = flat.size
         if size == 0:
             return 0.0
@@ -86,22 +96,33 @@ class QSGDCompressor(Compressor):
         if scale == 0.0:
             codes[...] = 0
             return 0.0
-        levels = self.num_levels
-        scaled = self._workspace.flat(key, "scaled", size)
-        np.multiply(flat, levels / scale, out=scaled)
-        if self.deterministic:
-            np.rint(scaled, out=scaled)
-        else:
+        ratio = self.num_levels / scale
+        rng = None
+        if not self.deterministic:
             count = self._call_counts.get(key, 0)
             self._call_counts[key] = count + 1
             rng = self._rng.at(stable_key_hash(key), count)
-            uniform = self._workspace.flat(key, "uniform", size, dtype=np.float32)
-            rng.random(out=uniform, dtype=np.float32)
-            # floor(x + u) rounds x up with probability frac(x): the whole
-            # stochastic-rounding branch is one add + one floor, no temporaries.
-            scaled += uniform
-            np.floor(scaled, out=scaled)
-        np.copyto(codes, scaled, casting="unsafe")
+        # Every key shares one tile of scratch: its slot names are not
+        # "codes", so no tensor key can alias it.
+        tile = min(size, QUANTISE_TILE)
+        scaled_tile = self._workspace.flat("*", "scaled", tile)
+        uniform_tile = self._workspace.flat("*", "uniform", tile, dtype=np.float32)
+        for start in range(0, size, tile):
+            stop = min(start + tile, size)
+            scaled = scaled_tile[: stop - start]
+            np.multiply(flat[start:stop], ratio, out=scaled)
+            if rng is None:
+                np.rint(scaled, out=scaled)
+            else:
+                uniform = uniform_tile[: stop - start]
+                # The generator carries its position across calls, so tile
+                # after tile continues the key's stream exactly.
+                rng.random(out=uniform, dtype=np.float32)
+                # floor(x + u) rounds x up with probability frac(x): the whole
+                # stochastic-rounding branch is one add + one floor, no temporaries.
+                scaled += uniform
+                np.floor(scaled, out=scaled)
+            np.copyto(codes[start:stop], scaled, casting="unsafe")
         return scale
 
     def compress_into(self, tensor: np.ndarray, key: str | None = None) -> CompressedPayload:
@@ -127,8 +148,7 @@ class QSGDCompressor(Compressor):
         if payload.kind != self.name:
             raise ValueError(f"cannot decompress payload of kind {payload.kind!r}")
         flat = writable_flat_view(out)
-        np.copyto(flat, payload.data["codes"], casting="unsafe")
-        flat /= self.num_levels
+        np.divide(payload.data["codes"], self.num_levels, out=flat)
         flat *= payload.data["scale"]
         return out
 
@@ -152,7 +172,7 @@ class QSGDCompressor(Compressor):
         }
 
     def workspace_bytes(self) -> int:
-        """Memory held by the per-key kernel workspaces (diagnostics)."""
+        """Memory held by the per-key codes and the shared tile (diagnostics)."""
         return self._workspace.nbytes()
 
 

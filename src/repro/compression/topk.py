@@ -52,6 +52,12 @@ def stable_topk_indices(magnitudes: np.ndarray, kept: int) -> np.ndarray:
     need = kept - above.size
     if need > 0:
         ties = np.nonzero(magnitudes == threshold)[0]
+        if ties.size < need:
+            # Only NaN does this: it compares false with everything.  Rank it
+            # as the largest magnitude (where ``partition`` put it), so a
+            # poisoned tensor still yields ``kept`` indices and the poison
+            # travels on to the guard instead of crashing the kernel.
+            return stable_topk_indices(np.where(np.isnan(magnitudes), np.inf, magnitudes), kept)
         above = np.concatenate([above, ties[:need]])
         above.sort()
     return above.astype(np.int64, copy=False)

@@ -106,6 +106,11 @@ FORWARD_CODEC_SEED = CODEC_SEED + 1
 #: output projection and MLP down-projection are row-parallel).
 TP_ALL_REDUCES_PER_LAYER_PER_DIRECTION = 2
 
+#: The DP hook's reductions run under this: a poisoned gradient (inf/NaN under
+#: fault injection) must reach the guard that rolls the step back, not raise
+#: inside a codec kernel (inf - inf is NaN on purpose, as in ``orthogonalise``).
+_POISON_PASSES = np.errstate(invalid="ignore")
+
 
 @dataclass
 class StageTraffic:
@@ -199,10 +204,11 @@ class CompressedGradientAllReduce:
             )
         self.stage_traffic: dict[int, StageTraffic] = {}
         # Bucket-path state for the qsgd/topk codecs: per-bucket flat residual
-        # slabs (one row per replica, segment layout = the bucket's) and the
-        # approximation/corrected scratch the kernels decompress into.
+        # slabs (one row per replica, segment layout = the bucket's) and one
+        # scratch for every bucket — a row per replica the kernels decompress
+        # into, plus the row their mean goes to — grown to the widest segment.
         self._bucket_residuals = BucketResidualStore()
-        self._codec_workspace: dict[tuple[int, int], dict[str, np.ndarray]] = {}
+        self._codec_scratch: np.ndarray | None = None
 
     # -- DataParallelCompressionHook protocol --------------------------------------
 
@@ -225,6 +231,7 @@ class CompressedGradientAllReduce:
             return False
         return gradient.size >= self.spec.min_elements
 
+    @_POISON_PASSES
     def reduce(
         self,
         key: str,
@@ -298,6 +305,7 @@ class CompressedGradientAllReduce:
             ),
         )
 
+    @_POISON_PASSES
     def reduce_codec_bucket(
         self,
         bucket: CodecBucket,
@@ -311,8 +319,15 @@ class CompressedGradientAllReduce:
         factors, and error-feedback state match the per-parameter path
         bit-for-bit), while message granularity, Python dispatch, and residual
         storage are per *bucket* — residuals live in one flat
-        ``(replicas, elements)`` slab and the kernels run on preallocated
-        workspaces via ``compress_into``/``decompress_into``.
+        ``(replicas, elements)`` slab and the kernels run via
+        ``compress_into``/``decompress_into``.  The slab doubles as the
+        workspace: the corrected gradient is accumulated into it
+        (``residual += gradient`` — addition commutes bitwise), compressed
+        there, and turned back into the new residual by subtracting the
+        approximation in place.  The approximations and their mean go to one
+        scratch the hook shares across every bucket, ``(replicas + 1,
+        largest segment)``, so the working set does not grow with the bucket
+        count.
         """
         num_replicas = len(flat_gradients)
         original_bytes = int(bucket.num_elements * WIRE_BYTES_PER_ELEMENT)
@@ -330,58 +345,46 @@ class CompressedGradientAllReduce:
 
         assert self.feedback is not None  # codec is qsgd or topk
         compressor = self.feedback.compressor
-        feedback_on = self.feedback.enabled
         residual_slab, residual_ready = (
             self._bucket_residuals.slab(bucket, num_replicas)
-            if feedback_on
+            if self.feedback.enabled
             else (None, False)
         )
-        slot = (bucket.stage_index, bucket.index)
-        scratch = self._codec_workspace.get(slot)
-        max_segment = max(segment.num_elements for segment in bucket.segments)
-        if scratch is None or scratch["approximations"].shape[0] != num_replicas:
-            scratch = {
-                "approximations": np.empty((num_replicas, max_segment)),
-                "corrected": np.empty(max_segment),
-            }
-            self._codec_workspace[slot] = scratch
+        largest = max(segment.num_elements for segment in bucket.segments)
+        scratch = self._codec_scratch
+        if scratch is None or scratch.shape[0] != num_replicas + 1 or scratch.shape[1] < largest:
+            width = largest if scratch is None else max(largest, scratch.shape[1])
+            scratch = self._codec_scratch = np.empty((num_replicas + 1, width))
 
         payload_per_rank = 0
         payload_all_ranks = 0
         for segment in bucket.segments:
             size = segment.num_elements
             span = slice(segment.offset, segment.offset + size)
-            approximations = scratch["approximations"][:, :size]
-            views = []
+            approximations = scratch[:num_replicas, :size]
             segment_payload = 0
             for replica in range(num_replicas):
-                view = flat_gradients[replica][segment.start : segment.stop].reshape(
-                    segment.shape
-                )
-                views.append(view)
-                key = f"{segment.name}:replica{replica}"
-                if feedback_on and residual_ready:
-                    corrected = scratch["corrected"][:size].reshape(segment.shape)
-                    np.add(
-                        view,
-                        residual_slab[replica, span].reshape(segment.shape),
-                        out=corrected,
-                    )
-                else:
+                view = flat_gradients[replica][segment.start : segment.stop]
+                if residual_slab is None:
                     corrected = view
-                payload = compressor.compress_into(corrected, key)
-                approximation = approximations[replica].reshape(segment.shape)
-                compressor.decompress_into(payload, approximation)
-                if feedback_on:
-                    np.subtract(
-                        corrected,
-                        approximation,
-                        out=residual_slab[replica, span].reshape(segment.shape),
-                    )
+                else:
+                    corrected = residual_slab[replica, span]
+                    if residual_ready:
+                        corrected += view
+                    else:  # nothing stored yet: the first call adds no residual
+                        corrected[...] = view
+                payload = compressor.compress_into(
+                    corrected.reshape(segment.shape), f"{segment.name}:replica{replica}"
+                )
+                compressor.decompress_into(
+                    payload, approximations[replica].reshape(segment.shape)
+                )
+                if residual_slab is not None:
+                    corrected -= approximations[replica]
                 segment_payload += payload.payload_bytes
-            synced = np.mean(approximations, axis=0)
-            for view in views:
-                view[...] = synced.reshape(segment.shape)
+            synced = np.mean(approximations, axis=0, out=scratch[num_replicas, :size])
+            for replica in range(num_replicas):
+                flat_gradients[replica][segment.start : segment.stop] = synced
             payload_per_rank += segment_payload // num_replicas
             payload_all_ranks += segment_payload
 
@@ -423,7 +426,7 @@ class CompressedGradientAllReduce:
             self.feedback.reset()
         self.stage_traffic.clear()
         self._bucket_residuals.clear()
-        self._codec_workspace.clear()
+        self._codec_scratch = None
 
     def state_dict(self) -> dict:
         """All cross-iteration DP-codec state (residuals, warm starts, RNG counters).
@@ -449,7 +452,6 @@ class CompressedGradientAllReduce:
             if component is not None:
                 component.load_state_dict(stored)
         self._bucket_residuals.load_state_dict(state["bucket_residuals"])
-        self._codec_workspace.clear()
 
     def clear_replica_state(self) -> None:
         """Restart the per-replica error-feedback accumulation (degradation).
@@ -464,7 +466,6 @@ class CompressedGradientAllReduce:
         if self.feedback is not None:
             self.feedback.clear()
         self._bucket_residuals.clear()
-        self._codec_workspace.clear()
 
 
 #: Axis names of the per-iteration traffic report.

@@ -527,6 +527,16 @@ class TestTopKTieBreaking:
         payload = TopKCompressor(fraction=0.3, min_elements=0).compress(tensor, key="t")
         assert list(payload.data["indices"]) == [0, 1, 2]
 
+    @pytest.mark.parametrize("poisoned", [1, 3, 8])
+    def test_nan_ranks_as_the_largest_magnitude(self, poisoned):
+        """A poisoned tensor still yields ``kept`` indices, the NaNs among them."""
+        tensor = np.linspace(-1.0, 1.0, 20)
+        tensor[[2, 11, 17, 5, 8, 13, 0, 19][:poisoned]] = np.nan
+        payload = TopKCompressor(fraction=0.25, min_elements=0).compress(tensor, key="t")
+        indices = payload.data["indices"]
+        assert indices.size == 5
+        assert np.isnan(tensor[indices]).sum() == min(poisoned, 5)
+
     def test_indices_are_sorted_ascending(self, rng):
         tensor = rng.normal(size=256)
         payload = TopKCompressor(fraction=0.1, min_elements=0).compress(tensor, key="t")

@@ -29,7 +29,7 @@ import zipfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
@@ -200,9 +200,11 @@ class TestGuardedParity:
         assert unguarded_result.resilience is None
 
     @pytest.mark.parametrize("kind", ["nan", "inf"])
-    def test_poisoned_step_rolls_back_to_previous_weights(self, kind):
+    @pytest.mark.parametrize("codec", DP_CODECS)
+    def test_poisoned_step_rolls_back_to_previous_weights(self, codec, kind):
+        """The poison reaches the guard through every DP codec instead of raising in it."""
         spec = ResilienceSpec(faults=(f"{kind}@2:replica=1,stage=0",))
-        trainer = _trainer(_plan().with_resilience(spec))
+        trainer = _trainer(_plan(codec=codec).with_resilience(spec))
         trainer.train_iteration()
         trainer.train_iteration()
         before_fault = _weights(trainer)
@@ -883,6 +885,12 @@ def fault_schedules(draw):
 class TestFuzzedFaultSchedules:
     @given(faults=fault_schedules(), seed=st.integers(0, 3))
     @settings(max_examples=12, deadline=None)
+    # Two inf elements of opposite sign in one row make PowerSGD's P = G·Q
+    # inf - inf: the NaN must reach the guard, not raise in the matmul.
+    @example(
+        faults=("inf@2:replica=1,stage=1,elements=3", "inf@2:replica=1,stage=1,elements=2"),
+        seed=0,
+    )
     def test_guarded_loop_never_silently_corrupts(self, faults, seed):
         """Under any schedule: finish with finite weights, or raise loudly."""
         spec = ResilienceSpec(faults=faults, seed=seed)
