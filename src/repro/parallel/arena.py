@@ -360,27 +360,39 @@ class CodecBucket:
 class BucketResidualStore:
     """Error-feedback residual slabs for the bucket codec kernels.
 
-    One flat ``(replicas, elements)`` array per codec bucket, allocated lazily on
-    the bucket's first reduction.  The first-call distinction matters for bit
-    parity with the per-parameter path: that path *adds no residual* on a key's
-    first compression (there is nothing stored yet), so the slab is handed back
-    with ``ready=False`` on the allocating call and the kernel must skip the add.
-    Shared by the qsgd/topk hook and the distributed-PowerSGD hook so the
-    lifecycle (keying, lazy allocation, memory accounting, reset) lives once.
+    One flat ``(rows, elements)`` array per codec bucket, allocated lazily on
+    the bucket's first reduction: a row per replica for the qsgd/topk hook,
+    whose codecs are not linear, and one row for the distributed-PowerSGD hook,
+    which keeps one residual for the whole group.  The first-call distinction
+    matters for bit parity with the per-parameter path: that path *adds no
+    residual* on a key's first compression (there is nothing stored yet), so
+    the slab is handed back with ``ready=False`` on the allocating call and the
+    kernel must skip the add.  Shared by both hooks so the lifecycle (keying,
+    lazy allocation, memory accounting, reset) lives once.
     """
 
     def __init__(self) -> None:
         self._slabs: dict[tuple[int, int], np.ndarray] = {}
 
-    def slab(self, bucket: "CodecBucket", num_replicas: int) -> tuple[np.ndarray, bool]:
-        """``(slab, ready)`` for ``bucket`` — ``ready`` is False on first use."""
+    def slab(self, bucket: "CodecBucket", rows: int) -> tuple[np.ndarray, bool]:
+        """``(slab, ready)`` for ``bucket`` — ``ready`` is False on first use.
+
+        A stored slab of another shape (a foreign state dict, or a replica
+        count changed without :meth:`clear`) raises instead of silently
+        restarting error feedback.
+        """
         slot = (bucket.stage_index, bucket.index)
+        shape = (rows, bucket.num_elements)
         existing = self._slabs.get(slot)
-        if existing is not None and existing.shape == (num_replicas, bucket.num_elements):
-            return existing, True
-        slab = np.empty((num_replicas, bucket.num_elements))
-        self._slabs[slot] = slab
-        return slab, False
+        if existing is None:
+            slab = self._slabs[slot] = np.empty(shape)
+            return slab, False
+        if existing.shape != shape:
+            raise ValueError(
+                f"error-feedback residual slab of stage {bucket.stage_index} codec bucket "
+                f"{bucket.index} is {existing.shape}, this reduction needs {shape}"
+            )
+        return existing, True
 
     def memory_bytes(self) -> int:
         """Residual footprint under the library's fp32 accounting convention."""

@@ -456,13 +456,14 @@ class CompressedGradientAllReduce:
     def clear_replica_state(self) -> None:
         """Restart the per-replica error-feedback accumulation (degradation).
 
-        After a replica loss the per-replica residual indexing is stale, so
-        residual slabs and per-replica residual dicts are dropped; the
+        After a replica loss the per-replica residual indexing is stale (and
+        PowerSGD's one residual is the mean over a group that no longer
+        exists), so residual slabs and residual dicts are dropped; the
         replica-agnostic warm starts (PowerSGD Q factors) and RNG call counts
         survive.
         """
         if self.powersgd is not None:
-            self.powersgd.clear_replica_residuals()
+            self.powersgd.clear_residuals()
         if self.feedback is not None:
             self.feedback.clear()
         self._bucket_residuals.clear()

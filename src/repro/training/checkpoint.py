@@ -1,4 +1,4 @@
-"""Bit-exact checkpointing for functional pretraining runs (format v4).
+"""Bit-exact checkpointing for functional pretraining runs (format v5).
 
 A checkpoint captures *every* mutable buffer a resumed run needs to continue
 bit-for-bit identically to the continuous run — the repo's core invariant.
@@ -17,16 +17,18 @@ member               contents
 ``exp_avg``          flat Adam first moment of the trainable prefix, once
 ``exp_avg_sq``       flat Adam second moment, once
 ``state/<n>``        array leaves of the engine state tree, **per replica**
-                     where the state is: DP error-feedback residual slabs are
-                     ``(replicas, elements)``, compressed-backprop hook state
-                     is one subtree per replica; PowerSGD warm starts and RNG
-                     call counts are group-wide
+                     where the state is: QSGD/top-k error-feedback residual
+                     slabs are ``(replicas, elements)``, compressed-backprop
+                     hook state is one subtree per replica; PowerSGD's DP
+                     residuals (one ``residual`` per parameter, ``(1,
+                     elements)`` slabs), its warm starts and RNG call counts
+                     are group-wide
 ===================  =========================================================
 
 ===================  =========================================================
 header key           meaning
 ===================  =========================================================
-``format_version``   ``4``; any other value is rejected loudly
+``format_version``   ``5``; any other value is rejected loudly
 ``iteration``        completed iterations
 ``compression``      the ``compression`` section of the writer's plan
                      (``plan.to_dict()["compression"]``: every knob of the DP,
@@ -61,9 +63,10 @@ and the premise of stepping the shared weights from a single replica's
 gradient.  So a save first compares every replica's synchronised gradients
 against the first's; a diverged group refuses to save rather than have the
 difference papered over.  Formats v1 (no error-feedback /
-RNG state), v2 (deflated, per-parameter, per-replica) and v3 (a configuration
-label that could not tell PowerSGD rank 2 from rank 4, or QSGD from top-k) are
-rejected loudly: there is one writer and one reader.
+RNG state), v2 (deflated, per-parameter, per-replica), v3 (a configuration
+label that could not tell PowerSGD rank 2 from rank 4, or QSGD from top-k) and
+v4 (a PowerSGD DP residual per replica) are rejected loudly: there is one
+writer and one reader.
 
 Writes are atomic (temporary sibling + ``os.replace``) and synchronous — the
 arenas may be ``MAP_SHARED`` segments a forked writer would not snapshot, and
@@ -88,7 +91,7 @@ from repro.training.metrics import TrainingHistory, ValidationPoint
 from repro.training.trainer import Pretrainer
 
 #: Format marker stored in every checkpoint so incompatible files fail loudly.
-CHECKPOINT_FORMAT_VERSION = 4
+CHECKPOINT_FORMAT_VERSION = 5
 
 _ARRAY_REF = "__ndarray__"
 
@@ -99,6 +102,10 @@ _RETIRED_FORMATS = {
     3: (
         "v3 checkpoints record a configuration label that cannot see codec kinds, "
         "ranks or bits, so their codec state cannot be matched to this trainer's plan"
+    ),
+    4: (
+        "v4 checkpoints hold per-replica PowerSGD DP residuals; this build keeps one "
+        "residual for the whole data-parallel group"
     ),
 }
 

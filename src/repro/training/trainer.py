@@ -259,7 +259,7 @@ class Pretrainer:
     ) -> PretrainingResult:
         """Run ``num_iterations`` iterations, validating every ``validation_interval``.
 
-        ``checkpoint_every`` writes a rotating atomic checkpoint (format v4:
+        ``checkpoint_every`` writes a rotating atomic checkpoint (format v5:
         stored members written straight from the live buffers, weights and
         moments once per DP group; last ``keep_last`` retained) into
         ``checkpoint_dir`` after every ``checkpoint_every``-th completed

@@ -1,12 +1,14 @@
 """Tests for the flat-arena execution core.
 
-Three layers are covered:
+Four layers are covered:
 
 * **arena adoption** — parameters keep their values bit-for-bit, every in-place
   access aliases the flat buffers, and ``zero_grad`` is one buffer-wide write;
 * **bucket planning** — size-targeted buckets exactly tile the DP-synchronised
   parameters (a Hypothesis property: the sum of bucket elements equals the sum of
   parameter sizes, spans are disjoint and arena-contiguous);
+* **residual slabs** — a codec bucket's error-feedback slab is allocated once and
+  a stored slab of another shape raises instead of being silently replaced;
 * **fused optimiser** — :class:`repro.optim.FusedAdam` matches the per-parameter
   :class:`repro.optim.Adam`/:class:`repro.optim.AdamW` bit-for-bit across steps,
   weight-decay modes, and checkpoint moment views.
@@ -19,12 +21,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.selective_stage import SelectiveStageCompression
 from repro.optim import Adam, AdamW, FusedAdam
 from repro.parallel.arena import (
     WIRE_BYTES_PER_ELEMENT,
+    BucketResidualStore,
+    CodecBucket,
     ParameterArena,
+    build_codec_buckets,
     build_gradient_buckets,
 )
+from repro.parallel.collectives import CommunicationLog, SimulatedProcessGroup
 from repro.tensor.parameter import Parameter
 
 
@@ -157,6 +164,44 @@ class TestGradientBuckets:
         arena = ParameterArena(parameters)
         with pytest.raises(ValueError):
             build_gradient_buckets(arena, [parameters], bucket_bytes=0)
+
+
+class TestBucketResidualStore:
+    @staticmethod
+    def bucket(rng) -> CodecBucket:
+        parameters = make_parameters([(4, 3), (2, 3)], rng)
+        arena = ParameterArena(parameters)
+        (bucket,) = build_codec_buckets(arena, [parameters], 1 << 20, lambda stage, p: True)
+        return bucket
+
+    def test_a_slab_is_ready_from_its_second_use(self, rng):
+        store, bucket = BucketResidualStore(), self.bucket(rng)
+        slab, ready = store.slab(bucket, 2)
+        assert slab.shape == (2, 18) and not ready
+        again, ready = store.slab(bucket, 2)
+        assert again is slab and ready
+        assert store.memory_bytes() == 2 * 18 * 4
+
+    def test_a_stored_slab_of_another_shape_raises_naming_the_bucket(self, rng):
+        """Seed bug: a mismatched slab was silently reallocated, restarting error
+        feedback with no trace (reachable from a foreign state dict)."""
+        store, bucket = BucketResidualStore(), self.bucket(rng)
+        store.load_state_dict({"0:0": np.ones((2, 18))})
+        with pytest.raises(ValueError, match=r"stage 0 codec bucket 0 is \(2, 18\)"):
+            store.slab(bucket, 1)
+        assert np.array_equal(store.state_dict()["0:0"], np.ones((2, 18)))  # untouched
+        store.clear()  # what a real replica-count change does first
+        slab, ready = store.slab(bucket, 1)
+        assert slab.shape == (1, 18) and not ready
+
+    def test_powersgd_refuses_a_per_replica_slab(self, rng):
+        bucket = self.bucket(rng)
+        hook = SelectiveStageCompression(num_stages=1, stage_fraction=1.0, rank=2)
+        hook.load_state_dict({"states": {}, "bucket_residuals": {"0:0": np.zeros((2, 18))}})
+        group = SimulatedProcessGroup([0, 1], CommunicationLog(), category="data_parallel")
+        gradients = [rng.standard_normal(18), rng.standard_normal(18)]
+        with pytest.raises(ValueError, match="stage 0 codec bucket 0"):
+            hook.reduce_bucket(bucket, gradients, group)
 
 
 class TestFusedAdam:

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.compression.powersgd import matrix_view, orthogonalise, stable_key_hash
 from repro.core.selective_stage import SelectiveStageCompression, select_compressed_stages
 from repro.nn.gpt_stage import build_gpt_stages
+from repro.parallel.arena import ParameterArena, build_codec_buckets
 from repro.parallel.collectives import CommunicationLog, SimulatedProcessGroup
 from repro.parallel.data_parallel import DataParallelGradientSync
 from repro.parallel.pipeline_engine import PipelineParallelEngine
 from repro.tensor.parameter import Parameter
+from repro.utils.random import seeded_rng
 
 
 class TestStageSelection:
@@ -90,11 +95,9 @@ class TestReduce:
             true_sum += np.mean(gradients, axis=0)
             results, _ = self._reduce_once(hook, gradients)
             delivered_sum += results[0]
-        # The residuals of the replicas absorb exactly what was not delivered.
-        residual_mean = np.mean(
-            [hook._states["w"].residuals[replica] for replica in range(2)], axis=0
-        )
-        assert np.allclose(delivered_sum + residual_mean, true_sum, atol=1e-7)
+        # The group's one residual absorbs exactly what was not delivered.
+        residual = hook._states["w"].residual
+        assert np.allclose(delivered_sum + residual, true_sum, atol=1e-7)
 
     def test_traffic_is_logged_as_compressed_factors(self, rng):
         hook = SelectiveStageCompression(num_stages=4, rank=2)
@@ -113,6 +116,14 @@ class TestReduce:
         assert 0.5 < hook.bytes_saved_fraction() < 1.0
         hook.reset()
         assert hook.bytes_saved_fraction() == 0.0
+
+    def test_a_stored_residual_of_another_shape_raises(self, rng):
+        hook = SelectiveStageCompression(num_stages=4, rank=2)
+        hook.load_state_dict(
+            {"states": {"w": {"query": None, "residual": np.zeros((8, 4))}}, "bucket_residuals": {}}
+        )
+        with pytest.raises(ValueError, match="residual of 'w' is \\(8, 4\\)"):
+            self._reduce_once(hook, [rng.normal(size=(8, 8))] * 2)
 
     def test_group_size_mismatch_raises(self, rng):
         hook = SelectiveStageCompression(num_stages=4, rank=2)
@@ -149,3 +160,221 @@ class TestIntegrationWithDPSync:
         EmbeddingSynchronizer(replicas, fused=True).synchronize()
         sync = DataParallelGradientSync(replicas, exclude_embedding=True)
         assert sync.max_gradient_divergence() < 1e-9
+
+
+# ----------------------------------------------------------------------------------
+# The one-residual kernel against the per-replica protocol it replaced
+# ----------------------------------------------------------------------------------
+
+
+class FrozenPerReplicaPowerSGD:
+    """The per-replica distributed PowerSGD hook, frozen as the oracle.
+
+    A verbatim copy of the arithmetic ``SelectiveStageCompression.reduce`` and
+    ``reduce_bucket`` ran before the hook kept one residual per DP group: every
+    replica adds its own residual, each replica's P and Q are computed and then
+    averaged, and every replica keeps ``corrected - approximation``.  The kernel
+    under test factorises the replica-mean corrected gradient once, which is the
+    same protocol in exact arithmetic and another summation order in floats.
+    """
+
+    def __init__(self, rank: int, error_feedback: bool, seed: int = 0) -> None:
+        self.rank = rank
+        self.error_feedback = error_feedback
+        self.seed = seed
+        self.queries: dict[str, np.ndarray] = {}
+        self.residuals: dict[str, dict[int, np.ndarray]] = {}
+        self.slabs: dict[tuple[int, int], np.ndarray] = {}
+        self.total_payload_bytes = 0
+
+    def _query(self, key: str, cols: int, rank: int) -> np.ndarray:
+        query = self.queries.get(key)
+        if query is None or query.shape != (cols, rank):
+            query = seeded_rng(self.seed + stable_key_hash(key)).standard_normal((cols, rank))
+        return query
+
+    def reduce(self, key, stage_index, gradients, group):
+        del stage_index
+        num_replicas = len(gradients)
+        residuals = self.residuals.setdefault(key, {})
+        matrices = []
+        for replica, gradient in enumerate(gradients):
+            matrix = matrix_view(np.asarray(gradient, dtype=np.float64)).copy()
+            if self.error_feedback and replica in residuals:
+                matrix += residuals[replica]
+            matrices.append(matrix)
+        rows, cols = matrices[0].shape
+        rank = max(1, min(self.rank, rows, cols))
+        query = self._query(key, cols, rank)
+        local_p = [matrix @ query for matrix in matrices]
+        p_bytes = int(local_p[0].size * 2)
+        reduced_p = group.all_reduce(
+            local_p, op="mean", payload_bytes=p_bytes, compressed=True, description=f"{key}:P"
+        )
+        p_factor = orthogonalise(reduced_p[0])
+        local_q = [matrix.T @ p_factor for matrix in matrices]
+        q_bytes = int(local_q[0].size * 2)
+        reduced_q = group.all_reduce(
+            local_q, op="mean", payload_bytes=q_bytes, compressed=True, description=f"{key}:Q"
+        )
+        self.queries[key] = reduced_q[0].copy()
+        approximation = p_factor @ reduced_q[0].T
+        if self.error_feedback:
+            for replica, matrix in enumerate(matrices):
+                residuals[replica] = matrix - approximation
+        self.total_payload_bytes += (p_bytes + q_bytes) * num_replicas
+        result = approximation.reshape(np.asarray(gradients[0]).shape)
+        return [result.copy() for _ in range(num_replicas)]
+
+    def reduce_bucket(self, bucket, flat_gradients, group):
+        num_replicas = len(flat_gradients)
+        slot = (bucket.stage_index, bucket.index)
+        residual_ready = slot in self.slabs
+        if self.error_feedback and not residual_ready:
+            self.slabs[slot] = np.empty((num_replicas, bucket.num_elements))
+        p_bytes_total = q_bytes_total = 0
+        for segment in bucket.segments:
+            span = slice(segment.offset, segment.offset + segment.num_elements)
+            views, matrices = [], []
+            for replica in range(num_replicas):
+                view = flat_gradients[replica][segment.start : segment.stop].reshape(
+                    segment.shape
+                )
+                views.append(view)
+                matrix = matrix_view(view)
+                if self.error_feedback:
+                    corrected = self.slabs[slot][replica, span].reshape(matrix.shape)
+                    if residual_ready:
+                        corrected += matrix
+                    else:
+                        corrected[...] = matrix
+                    matrix = corrected
+                matrices.append(matrix)
+            rows, cols = matrices[0].shape
+            rank = max(1, min(self.rank, rows, cols))
+            query = self._query(segment.name, cols, rank)
+            local_p = [matrix @ query for matrix in matrices]
+            p_factor = orthogonalise(np.mean(np.stack(local_p), axis=0))
+            local_q = [matrix.T @ p_factor for matrix in matrices]
+            q_factor = np.mean(np.stack(local_q), axis=0)
+            self.queries[segment.name] = q_factor.copy()
+            approximation = p_factor @ q_factor.T
+            if self.error_feedback:
+                for corrected in matrices:
+                    corrected -= approximation
+            for view in views:
+                view[...] = approximation.reshape(segment.shape)
+            p_bytes, q_bytes = int(local_p[0].size * 2), int(local_q[0].size * 2)
+            p_bytes_total += p_bytes
+            q_bytes_total += q_bytes
+            self.total_payload_bytes += (p_bytes + q_bytes) * num_replicas
+        label = f"stage{bucket.stage_index} codec-bucket{bucket.index}"
+        group.record_collective("all_reduce", p_bytes_total, compressed=True, description=f"{label}:P")
+        group.record_collective("all_reduce", q_bytes_total, compressed=True, description=f"{label}:Q")
+
+    def mean_residual(self, key: str, bucket=None, segment=None) -> np.ndarray | None:
+        """The replicas' mean residual of one parameter (``None`` before any)."""
+        if bucket is None:
+            residuals = self.residuals.get(key)
+            return np.mean(list(residuals.values()), axis=0).reshape(-1) if residuals else None
+        slab = self.slabs[(bucket.stage_index, bucket.index)]
+        return slab[:, segment.offset : segment.offset + segment.num_elements].mean(axis=0)
+
+
+#: The comm-shape matrices train_optimus compresses, and one all-zero segment
+#: (a degenerate P: Gram-Schmidt's unit-vector fallback on every column).
+ORACLE_SHAPES = ((16, 256), (256, 1024), (1024, 256), (16, 256))
+ORACLE_ZERO_SEGMENT = 3
+ORACLE_CALLS = 3
+
+
+def oracle_run(hook, dp: int, bucketed: bool):
+    """``ORACLE_CALLS`` reductions of ``ORACLE_SHAPES`` by ``hook`` on ``dp`` replicas.
+
+    Returns each call's synced gradients (replica-major, flat), the traffic log
+    and the bucket (``None`` per parameter).
+    """
+    arenas = []
+    replicas = []
+    for _ in range(dp):
+        parameters = [
+            Parameter(np.zeros(shape), name=f"weight{index}")
+            for index, shape in enumerate(ORACLE_SHAPES)
+        ]
+        arenas.append(ParameterArena(parameters))
+        replicas.append(parameters)
+    (bucket,) = build_codec_buckets(arenas[0], [replicas[0]], 1 << 30, lambda stage, p: True)
+    log = CommunicationLog()
+    group = SimulatedProcessGroup(list(range(dp)), log, category="data_parallel")
+    synced = []
+    for call in range(ORACLE_CALLS):
+        rng = np.random.default_rng(100 * dp + call)
+        for parameters in replicas:
+            for index, parameter in enumerate(parameters):
+                magnitude = 0.0 if index == ORACLE_ZERO_SEGMENT else 10.0 ** rng.integers(-3, 2)
+                parameter.grad[...] = rng.standard_normal(parameter.shape) * magnitude
+        if bucketed:
+            hook.reduce_bucket(bucket, [arena.grad for arena in arenas], group)
+        else:
+            for parameter_index, reference in enumerate(replicas[0]):
+                gradients = [parameters[parameter_index].grad for parameters in replicas]
+                results = hook.reduce(reference.name, 0, gradients, group)
+                for parameters, result in zip(replicas, results):
+                    parameters[parameter_index].grad[...] = result
+        synced.append([arena.grad.copy() for arena in arenas])
+    return synced, log, (bucket if bucketed else None)
+
+
+def assert_close(actual: np.ndarray, expected: np.ndarray) -> None:
+    """``rtol=1e-12`` against the oracle, entries near zero judged on the array's scale."""
+    scale = float(np.abs(expected).max())
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestOneResidualAgainstThePerReplicaOracle:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        dp=st.sampled_from([2, 3, 4]),
+        rank=st.sampled_from([1, 2, 4, 8]),
+        error_feedback=st.booleans(),
+    )
+    def test_synced_gradients_residual_and_traffic(self, dp, rank, error_feedback):
+        runs = {}
+        for bucketed in (True, False):
+            hook = SelectiveStageCompression(
+                num_stages=1, stage_fraction=1.0, rank=rank, error_feedback=error_feedback
+            )
+            oracle = FrozenPerReplicaPowerSGD(rank, error_feedback)
+            synced, log, bucket = oracle_run(hook, dp, bucketed)
+            expected, oracle_log, _ = oracle_run(oracle, dp, bucketed)
+            for call_synced, call_expected in zip(synced, expected):
+                for actual, want in zip(call_synced, call_expected):
+                    assert_close(actual, want)
+                for other in call_synced[1:]:
+                    assert np.array_equal(other, call_synced[0])
+            assert log.records == oracle_log.records
+            assert hook.total_payload_bytes == oracle.total_payload_bytes
+            if error_feedback and bucket is not None:
+                (slab,) = hook._bucket_residuals.state_dict().values()
+                assert slab.shape == (1, bucket.num_elements)
+                for segment in bucket.segments:
+                    span = slice(segment.offset, segment.offset + segment.num_elements)
+                    expected_residual = oracle.mean_residual(segment.name, bucket, segment)
+                    assert_close(slab[0, span], expected_residual)
+            elif error_feedback:
+                for name, state in hook._states.items():
+                    assert_close(state.residual.reshape(-1), oracle.mean_residual(name))
+            runs[bucketed] = synced
+        # Both paths run the one kernel on the same operands: bit-for-bit equal.
+        for bucketed_call, per_parameter_call in zip(runs[True], runs[False]):
+            for got, want in zip(bucketed_call, per_parameter_call):
+                assert np.array_equal(got, want)
+
+    def test_the_group_holds_one_residual_whatever_the_replica_count(self):
+        sizes = {}
+        for dp in (2, 4):
+            hook = SelectiveStageCompression(num_stages=1, stage_fraction=1.0, rank=2)
+            oracle_run(hook, dp, bucketed=True)
+            sizes[dp] = hook.residual_memory_bytes()
+        elements = sum(rows * cols for rows, cols in ORACLE_SHAPES)
+        assert sizes == {2: elements * 4, 4: elements * 4}

@@ -1,6 +1,6 @@
 """Tests for the resilience subsystem: deterministic fault injection, the
 guarded training loop (detect / rollback / skip / retry / degrade), bit-exact
-format-v4 checkpointing, and the plan/CLI/simulator seams they thread through.
+format-v5 checkpointing, and the plan/CLI/simulator seams they thread through.
 
 The load-bearing invariants:
 
@@ -298,7 +298,7 @@ class TestCrashAndDegrade:
 
 
 # ----------------------------------------------------------------------------------
-# Checkpoint v4: bit-exact round trips
+# Checkpoint v5: bit-exact round trips
 # ----------------------------------------------------------------------------------
 
 
@@ -502,15 +502,19 @@ class TestCheckpointValidation:
 
     @pytest.mark.parametrize(
         "version, reason",
-        [(2, "deflated per-parameter archives"), (3, "cannot see codec kinds, ranks or bits")],
+        [
+            (2, "deflated per-parameter archives"),
+            (3, "cannot see codec kinds, ranks or bits"),
+            (4, "per-replica PowerSGD DP residuals"),
+        ],
     )
-    def test_retired_checkpoint_rejected_naming_v4(self, tmp_path, version, reason):
-        """There is one reader: a v2 / v3 header fails loudly and says what is read."""
+    def test_retired_checkpoint_rejected_naming_the_read_format(self, tmp_path, version, reason):
+        """There is one reader: a v2 / v3 / v4 header fails loudly and says what is read."""
         trainer = _trainer(_plan())
         trainer.train_iteration()
         path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
         self._tamper_header(path, lambda h: h.update(format_version=version))
-        with pytest.raises(ValueError, match="format v4 only") as raised:
+        with pytest.raises(ValueError, match="format v5 only") as raised:
             load_checkpoint(_trainer(_plan()), path)
         assert reason in str(raised.value)
 
@@ -534,7 +538,7 @@ class TestCheckpointValidation:
         path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
         with np.load(path, allow_pickle=False) as archive:
             header = json.loads(bytes(archive["__header__"].tobytes()).decode("utf-8"))
-        assert header["format_version"] == 4
+        assert header["format_version"] == 5
         assert header["compression"] == plan.to_dict()["compression"]
         assert header["dp_overlap"] is True
         assert not {"config", "schedule", "executor"} & set(header)
@@ -586,7 +590,7 @@ class TestCheckpointValidation:
 
 
 class TestCheckpointLayout:
-    """Format v4: stored members, straight from the live buffers, once per DP group."""
+    """Format v5: stored members, straight from the live buffers, once per DP group."""
 
     @staticmethod
     def _trained(codec="powersgd", dp=2):
