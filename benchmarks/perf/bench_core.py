@@ -7,14 +7,15 @@ Four hot paths are measured, each against the implementation it replaced:
   :class:`repro.optim.Adam` loop (same update, bit-for-bit — asserted here);
 * **engine iteration** — one :class:`~repro.parallel.engine.ThreeDParallelEngine`
   iteration with the bucketed, cool-down-overlapped DP all-reduce versus the
-  serial per-parameter epilogue (identical weights — asserted here);
+  per-parameter walk it replaced, frozen in ``tests/per_parameter_oracle.py``
+  (identical weights — asserted here);
 * **codec round-trip** — compress + decompress throughput of the PowerSGD /
   packed-QSGD / top-k gradient codecs on a stage-sized matrix, for both the safe
   API and the zero-allocation workspace kernels
   (``compress_into``/``decompress_into``);
 * **compressed-DP iteration** — a full engine iteration with every stage's DP
   gradients codec-compressed: the bucketed path (one codec invocation per
-  bucket on flat arena views) versus the serial per-parameter epilogue
+  bucket on flat arena views) versus the frozen per-parameter walk
   (identical gradients — asserted here);
 * **schedule iteration** — the zero-bubble ``zb1`` schedule versus ``1f1b``:
   functional engine wall time (identical gradients — asserted here) plus the
@@ -59,6 +60,7 @@ import argparse
 import json
 import pathlib
 import platform
+import sys
 import time
 
 import numpy as np
@@ -72,6 +74,10 @@ from repro.parallel.engine import ThreeDParallelEngine
 from repro.plan import Boundary, ParallelPlan, ResilienceSpec, Topology
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+# The per-parameter DP walk the bucketed sync replaced lives on as a test oracle.
+sys.path.insert(0, str(_REPO_ROOT / "tests"))
+from per_parameter_oracle import run_per_parameter  # noqa: E402
+
 #: The committed baseline; only ``--update-baseline`` writes it.
 RESULTS_PATH = _REPO_ROOT / "benchmarks" / "results" / "BENCH_core.json"
 #: Where every fresh run lands (git-ignored scratch).
@@ -142,7 +148,10 @@ def bench_optimizer_step(repeats: int = 5, steps_per_repeat: int = 10) -> dict:
 
 
 def bench_engine_iteration(repeats: int = 3, iterations_per_repeat: int = 2) -> dict:
-    """Bucketed + overlapped DP all-reduce vs. the serial per-parameter epilogue."""
+    """Bucketed + overlapped DP all-reduce vs. the frozen per-parameter walk.
+
+    The per-parameter side keeps the ``serial_ms`` key of the committed baseline.
+    """
     config = functional_config(
         vocab_size=64, sequence_length=16, num_layers=8, hidden_size=16, num_heads=2
     )
@@ -158,8 +167,10 @@ def bench_engine_iteration(repeats: int = 3, iterations_per_repeat: int = 2) -> 
     ]
 
     def build(overlap: bool) -> ThreeDParallelEngine:
-        plan = ParallelPlan.baseline(_PP2_DP2).with_schedule(kind="1f1b" if overlap else "serial")
-        return ThreeDParallelEngine(config, plan, seed=3)
+        engine = ThreeDParallelEngine(config, ParallelPlan.baseline(_PP2_DP2), seed=3)
+        if not overlap:
+            run_per_parameter(engine)
+        return engine
 
     serial = build(overlap=False)
     overlapped = build(overlap=True)
@@ -239,7 +250,7 @@ _PP2_DP2 = Topology(dp=2, pp=2, micro_batches=1)
 
 
 def bench_compressed_dp_iteration(repeats: int = 3, iterations_per_repeat: int = 2) -> dict:
-    """Bucketed per-bucket codec path vs. the serial per-parameter codec path."""
+    """Bucketed per-bucket codec path vs. the frozen per-parameter codec walk."""
     config = functional_config(
         vocab_size=64, sequence_length=16, num_layers=8, hidden_size=16, num_heads=2
     )
@@ -256,12 +267,13 @@ def bench_compressed_dp_iteration(repeats: int = 3, iterations_per_repeat: int =
     results = {}
     for codec, knobs in _DP_CODEC_CONFIGS.items():
         def build(overlap: bool) -> ThreeDParallelEngine:
-            plan = (
-                ParallelPlan.baseline(_PP2_DP2)
-                .with_schedule(kind="1f1b" if overlap else "serial")
-                .with_boundary(Boundary.DP, stage_fraction=1.0, min_elements=64, **knobs)
+            plan = ParallelPlan.baseline(_PP2_DP2).with_boundary(
+                Boundary.DP, stage_fraction=1.0, min_elements=64, **knobs
             )
-            return ThreeDParallelEngine(config, plan, seed=3)
+            engine = ThreeDParallelEngine(config, plan, seed=3)
+            if not overlap:
+                run_per_parameter(engine)
+            return engine
 
         serial = build(overlap=False)
         bucketed = build(overlap=True)

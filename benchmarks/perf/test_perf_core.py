@@ -25,8 +25,8 @@ def test_bench_core_smoke():
     # 2x the per-parameter loop (measured ~4-5x on CI-class CPUs).
     assert results["optimizer_step"]["speedup"] >= 2.0, results["optimizer_step"]
 
-    # The bucketed, overlap-ordered DP path must never cost more than the serial
-    # epilogue (measured ~1.2-1.4x faster; the bound is loose for CI noise).
+    # The bucketed, overlap-ordered DP path must never cost more than the frozen
+    # per-parameter walk (measured ~1.2-1.4x faster; the bound is loose for CI noise).
     assert results["engine_iteration"]["speedup"] >= 0.9, results["engine_iteration"]
 
     # Codec round-trips complete and report sane throughput; the packed-QSGD
@@ -45,7 +45,7 @@ def test_bench_core_smoke():
     )
 
     # The per-bucket codec path (one invocation per bucket, workspace kernels)
-    # must never lose to the per-parameter epilogue; parity of the gradients is
+    # must never lose to the per-parameter walk; parity of the gradients is
     # asserted inside the benchmark itself.  (Bound loose for CI-runner noise:
     # measured 1.0-1.2x on the probe models.)
     for codec in ("powersgd", "qsgd", "topk"):

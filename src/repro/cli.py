@@ -325,7 +325,7 @@ def _command_train_resilient(arguments: argparse.Namespace, plan: ParallelPlan) 
 
     Runs the same tiny functional probe as the traffic path (so both commands
     train the identical model), but through :class:`Pretrainer` so the fault
-    injector, guardrails, rollback, and checkpoint v5 machinery are live.
+    injector, guardrails, rollback, and checkpoint v6 machinery are live.
     """
     from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
     from repro.models.gpt_configs import functional_config
@@ -461,7 +461,7 @@ def command_train(arguments: argparse.Namespace) -> int:
         mode = (
             "bucketed, cool-down overlapped"
             if plan.schedule.dp_overlap
-            else "serial epilogue"
+            else "after the pipeline drains"
         )
         print(
             f"DP all-reduce ({mode}): {sample.dp_overlapped_fraction:.0%} of "
@@ -845,8 +845,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "backward; only the last bucket stays exposed)")
     train.add_argument("--schedule", choices=SCHEDULE_KINDS, default=None,
                        help="override the plan's pipeline schedule: '1f1b' "
-                            "(overlapped DP), 'serial' (per-parameter DP "
-                            "epilogue), 'zb1' (zero-bubble split-backward; "
+                            "(overlapped DP), 'serial' (DP all-reduce after the "
+                            "pipeline drains, nothing overlapped), 'zb1' "
+                            "(zero-bubble split-backward; "
                             "bit-identical weights to 1f1b), or 'auto' "
                             "(synthesized split-backward under --memory-cap)")
     train.add_argument("--memory-cap", type=float, default=None, metavar="FACTOR",
@@ -859,8 +860,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "per DP replica over shared-memory arenas; "
                             "bit-identical weights, real multi-core concurrency)")
     train.add_argument("--serial-dp", action="store_true",
-                       help="serial per-parameter DP epilogue instead of the "
-                            "bucketed all-reduce overlapped with the cool-down")
+                       help="DP all-reduce after the pipeline drains, nothing "
+                            "overlapped (instead of hiding it in the cool-down)")
     train.add_argument("--overlap-dp", action="store_true",
                        help="force the overlapped (1f1b) DP schedule, e.g. over a "
                             "plan file whose schedule is serial")
@@ -898,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "survivors; 'checkpoint_abort' writes a final "
                             "checkpoint into --checkpoint-dir and aborts loudly")
     train.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
-                       help="write a rotating atomic checkpoint (format v5: stored, "
+                       help="write a rotating atomic checkpoint (format v6: stored, "
                             "weights and moments once per DP group) into "
                             "--checkpoint-dir after every N completed iterations; "
                             "the write is synchronous")

@@ -28,7 +28,6 @@ from repro.parallel.pipeline_schedule import (
     epilogue_micro_batches,
 )
 from repro.parallel.pipeline_engine import InterStageChannel, PipelineParallelEngine
-from repro.parallel.data_parallel import DataParallelGradientSync
 from repro.parallel.tensor_parallel import ColumnParallelLinear, RowParallelLinear
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "epilogue_micro_batches",
     "PipelineParallelEngine",
     "InterStageChannel",
-    "DataParallelGradientSync",
     "ColumnParallelLinear",
     "RowParallelLinear",
 ]

@@ -330,7 +330,7 @@ class CodecBucket:
     Unlike :class:`GradientBucket`, a codec bucket does not require its segments
     to be arena-contiguous: the codec operates per segment anyway (each parameter
     keeps its own matrix structure, RNG stream, and error-feedback key, which is
-    what makes the bucketed path bit-identical to the per-parameter one) — the
+    what keeps the numbers independent of how parameters are bucketed) — the
     bucket is the unit of *invocation and message granularity*, not of layout.
     """
 
@@ -364,10 +364,10 @@ class BucketResidualStore:
     the bucket's first reduction: a row per replica for the qsgd/topk hook,
     whose codecs are not linear, and one row for the distributed-PowerSGD hook,
     which keeps one residual for the whole group.  The first-call distinction
-    matters for bit parity with the per-parameter path: that path *adds no
-    residual* on a key's first compression (there is nothing stored yet), so
-    the slab is handed back with ``ready=False`` on the allocating call and the
-    kernel must skip the add.  Shared by both hooks so the lifecycle (keying,
+    matters for bit parity with a per-parameter error-feedback codec, which
+    *adds no residual* on a key's first compression (there is nothing stored
+    yet), so the slab is handed back with ``ready=False`` on the allocating
+    call and the kernel must skip the add.  Shared by both hooks so the lifecycle (keying,
     lazy allocation, memory accounting, reset) lives once.
     """
 

@@ -1,12 +1,15 @@
 """Data-parallel gradient synchronisation across model replicas.
 
-After every replica has finished its micro-batches, the per-parameter gradients must
-be averaged across the data-parallel group (one all-reduce per stage, per the
-Megatron bucketing granularity we model at parameter level).  This module provides
-the plain mechanism; the paper's *selective stage compression* plugs in through the
-:class:`DataParallelCompressionHook` protocol, and the shared embedding weight can be
-excluded here so that :class:`repro.core.fused_embedding.EmbeddingSynchronizer` can
-handle it (fused or not).
+After every replica has finished its micro-batches, the gradients must be
+averaged across the data-parallel group.  :class:`BucketedDataParallelSync` is
+the one mechanism that does it: flat gradient buckets carved out of the
+replicas' parameter arenas, fired in backward-completion order, with the
+paper's *selective stage compression* plugged in through the
+:class:`BucketedCompressionHook` protocol.  The schedule kind only decides when
+the buckets fire and whether their traffic counts as overlapped.  The shared
+embedding weight is excluded here so that
+:class:`repro.core.fused_embedding.EmbeddingSynchronizer` can handle it (fused or
+not).
 """
 
 from __future__ import annotations
@@ -36,154 +39,6 @@ def is_embedding_parameter(parameter: Parameter) -> bool:
     return EMBEDDING_NAME_MARKER in parameter.name
 
 
-class DataParallelCompressionHook(Protocol):
-    """Protocol the selective-stage-compression policy implements."""
-
-    def should_compress(self, stage_index: int, parameter: Parameter) -> bool:
-        """Whether this stage/parameter's data-parallel traffic is compressed."""
-        ...
-
-    def reduce(
-        self,
-        key: str,
-        stage_index: int,
-        gradients: Sequence[np.ndarray],
-        group: SimulatedProcessGroup,
-    ) -> list[np.ndarray]:
-        """Produce the synchronised gradient each replica should apply.
-
-        Implementations are responsible for logging their (compressed) traffic via
-        ``group`` so the accounting matches what actually goes on the wire.
-        """
-        ...
-
-
-class DataParallelGradientSync:
-    """Synchronises gradients across ``D`` replicas of a pipeline.
-
-    Parameters
-    ----------
-    replicas:
-        ``replicas[d]`` is the list of stages of data-parallel replica ``d``.  All
-        replicas must have identical structure (same stages, same parameters).
-    log:
-        Shared communication log.
-    compression_hook:
-        Optional selective-compression policy (see protocol above).
-    exclude_embedding:
-        When ``True`` the shared embedding copies are skipped here and must be
-        synchronised by an embedding synchroniser (used with fused embedding sync).
-    """
-
-    def __init__(
-        self,
-        replicas: Sequence[Sequence[GPTStage]],
-        log: CommunicationLog | None = None,
-        compression_hook: DataParallelCompressionHook | None = None,
-        exclude_embedding: bool = False,
-    ) -> None:
-        if not replicas:
-            raise ValueError("need at least one data-parallel replica")
-        num_stages = len(replicas[0])
-        for replica in replicas:
-            if len(replica) != num_stages:
-                raise ValueError("all replicas must have the same number of stages")
-        self.replicas = [list(replica) for replica in replicas]
-        self.log = log if log is not None else CommunicationLog()
-        self.compression_hook = compression_hook
-        self.exclude_embedding = bool(exclude_embedding)
-
-    @property
-    def data_parallel_degree(self) -> int:
-        return len(self.replicas)
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.replicas[0])
-
-    # -- helpers ------------------------------------------------------------------
-
-    def _stage_parameters(self, stage_index: int) -> list[list[Parameter]]:
-        """Per-replica parameter lists for one stage (aligned orders)."""
-        parameter_lists = [list(replica[stage_index].parameters()) for replica in self.replicas]
-        reference_length = len(parameter_lists[0])
-        for parameters in parameter_lists:
-            if len(parameters) != reference_length:
-                raise ValueError("replicas disagree on the parameter list of a stage")
-        return parameter_lists
-
-    def _group_for_stage(self, stage_index: int, category: str) -> SimulatedProcessGroup:
-        ranks = list(range(self.data_parallel_degree))
-        return SimulatedProcessGroup(ranks, self.log, category=category, spans_nodes=True)
-
-    # -- main entry point -----------------------------------------------------------
-
-    def synchronize(self) -> None:
-        """Average gradients across replicas, stage by stage.
-
-        If the data-parallel degree is 1 there is nothing to synchronise (and no
-        traffic is logged), matching a real single-replica run.
-        """
-        if self.data_parallel_degree == 1:
-            return
-        for stage_index in range(self.num_stages):
-            parameter_lists = self._stage_parameters(stage_index)
-            for position in range(len(parameter_lists[0])):
-                parameters = [parameter_lists[d][position] for d in range(self.data_parallel_degree)]
-                reference = parameters[0]
-                if not reference.requires_grad:
-                    continue
-                if self.exclude_embedding and is_embedding_parameter(reference):
-                    continue
-
-                gradients = [parameter.grad for parameter in parameters]
-                category = (
-                    "embedding_dp" if is_embedding_parameter(reference) else "data_parallel"
-                )
-                group = self._group_for_stage(stage_index, category)
-
-                if (
-                    self.compression_hook is not None
-                    and not is_embedding_parameter(reference)
-                    and self.compression_hook.should_compress(stage_index, reference)
-                ):
-                    synced = self.compression_hook.reduce(
-                        reference.name or f"stage{stage_index}.param{position}",
-                        stage_index,
-                        gradients,
-                        group,
-                    )
-                else:
-                    synced = group.all_reduce(
-                        gradients, op="mean", description=reference.name
-                    )
-
-                for parameter, new_grad in zip(parameters, synced):
-                    parameter.grad[...] = new_grad
-
-    # -- diagnostics -----------------------------------------------------------------
-
-    def max_gradient_divergence(self) -> float:
-        """Largest absolute gradient difference between replicas (0 after sync).
-
-        Only the parameters this synchroniser is responsible for are considered: when
-        ``exclude_embedding`` is set, the shared embedding copies (synchronised by the
-        embedding path instead) are skipped.
-        """
-        worst = 0.0
-        for stage_index in range(self.num_stages):
-            parameter_lists = self._stage_parameters(stage_index)
-            for position in range(len(parameter_lists[0])):
-                reference_parameter = parameter_lists[0][position]
-                if self.exclude_embedding and is_embedding_parameter(reference_parameter):
-                    continue
-                reference = reference_parameter.grad
-                for d in range(1, self.data_parallel_degree):
-                    diff = np.max(np.abs(parameter_lists[d][position].grad - reference))
-                    worst = max(worst, float(diff))
-        return worst
-
-
 class BucketedCompressionHook(Protocol):
     """What :class:`BucketedDataParallelSync` needs from the codec/accounting hook."""
 
@@ -208,8 +63,6 @@ class BucketedCompressionHook(Protocol):
     ) -> None:
         """Codec-compressed in-place all-reduce of one codec bucket."""
         ...
-
-
 
 
 class BucketedDataParallelSync:
@@ -239,11 +92,13 @@ class BucketedDataParallelSync:
       input-side bucket — has no compute left to hide under; everything else is
       overlapped.
 
-    The numerical result is bit-for-bit identical to
-    :class:`DataParallelGradientSync` with the same hook under either granularity:
-    bucketing and firing order only change message granularity and overlap
-    accounting — every bucket's mean (and every codec segment's RNG stream and
-    error-feedback key) is independent of when the bucket fires.
+    The numerical result does not depend on the granularity: bucketing and
+    firing order only change message granularity and overlap accounting —
+    every bucket's mean (and every codec segment's RNG stream and
+    error-feedback key) is independent of when the bucket fires.  A frozen
+    copy of the per-parameter walk this replaced (one all-reduce per
+    parameter, per-key residuals) is the oracle it is held to, bit for bit,
+    in ``tests/per_parameter_oracle.py``.
 
     ``schedule_kind`` names the pipeline schedule the firing points are derived
     from.  Under ``"zb1"`` a parameter's gradient becomes final at its
@@ -257,6 +112,10 @@ class BucketedDataParallelSync:
     pipeline) — stays exposed.  This is how the late W passes widen the window
     the PR-4 ``dp_fire`` knob opened; the timing simulator quantifies the same
     effect through its per-stage windows.
+
+    Under ``"serial"`` (the overlap-off ablation) nothing fires until the whole
+    pipeline has drained: every bucket leaves after the last backward op, in
+    the same order, and every record is exposed whatever ``dp_fire`` says.
     """
 
     def __init__(
@@ -345,7 +204,11 @@ class BucketedDataParallelSync:
         for stage_index in range(self.num_stages - 1, -1, -1):
             stage_buckets = self._fire_order.get(stage_index, [])
             for position, bucket in enumerate(stage_buckets):
-                if fire == "micro_batch":
+                if self.schedule_kind == "serial":
+                    # The overlap-off ablation: nothing leaves before the whole
+                    # pipeline has drained, so nothing hides under compute.
+                    overlapped = False
+                elif fire == "micro_batch":
                     # Every bucket overlaps the remaining backward compute
                     # except the very last one to become ready: stage 0's
                     # input-side bucket, which completes only when the whole

@@ -8,8 +8,8 @@ exercised in isolation into **one** training iteration:
   micro-batches (pipeline parallelism, with compressed backpropagation hooks on the
   backward inter-stage channel);
 * a **compressed data-parallel all-reduce** at the DP boundary — PowerSGD (the
-  paper's distributed factor all-reduce), QSGD, or top-k, each with per-parameter
-  error-feedback state, reusing :mod:`repro.compression`;
+  paper's distributed factor all-reduce), QSGD, or top-k, each with
+  error-feedback residuals in per-bucket slabs, reusing :mod:`repro.compression`;
 * the fused (or baseline) embedding synchronisation from
   :mod:`repro.core.fused_embedding`;
 * tensor-parallel shards: the functional stages compute the dense result (the
@@ -24,18 +24,18 @@ Execution core (PR 2): parameters and gradients live in flat
 (same-seed initial values are checked bit-for-bit when a replica binds onto it) and
 each keeps only its own gradient buffer, so the group has one
 :class:`repro.optim.FusedAdam` (:meth:`ThreeDParallelEngine.build_optimizer`) that
-updates the weights once, in a handful of vectorised ops.  By default the DP boundary is
-synchronised by a :class:`~repro.parallel.data_parallel.BucketedDataParallelSync`:
+updates the weights once, in a handful of vectorised ops.  The DP boundary is
+synchronised by one :class:`~repro.parallel.data_parallel.BucketedDataParallelSync`:
 size-targeted flat gradient buckets fired in backward-completion order (last stage
 first), modelling the paper's overlap of DP traffic with the pipeline cool-down —
 with per-bucket overlapped/exposed accounting.  Codec-selected parameters ride the
-same bucketed path (PR 4): :class:`~repro.parallel.arena.CodecBucket` groups are
+same bucketed path: :class:`~repro.parallel.arena.CodecBucket` groups are
 compressed in one codec invocation per bucket on the flat arena views, with
-error-feedback residuals in per-bucket slabs, bit-identical to the per-parameter
-codec protocol.  ``Schedule(kind="serial")`` selects the serial per-parameter
-epilogue, which is bit-for-bit weight-parity with the overlapped path;
-``Schedule.dp_fire`` picks the firing granularity of the overlapped buckets (stage
-drain vs. inside the final micro-batch's backward).
+error-feedback residuals in per-bucket slabs.  ``Schedule(kind="serial")`` fires
+the same buckets after the pipeline has drained, every one of them exposed (the
+overlap-off ablation; bit-for-bit the same weights); ``Schedule.dp_fire`` picks
+the firing granularity of the overlapped buckets (stage drain vs. inside the
+final micro-batch's backward).
 
 Everything is routed through one :class:`~repro.parallel.collectives.CommunicationLog`
 so per-axis and per-boundary traffic can be reported exactly — the numbers behind
@@ -52,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.compression import ErrorFeedback, QSGDCompressor, TopKCompressor
+from repro.compression import Compressor, QSGDCompressor, TopKCompressor
 from repro.core.compressed_backprop import CompressedBackpropagation
 from repro.core.fused_embedding import EmbeddingSynchronizer
 from repro.core.selective_stage import SelectiveStageCompression
@@ -71,10 +71,7 @@ from repro.parallel.collectives import (
     SimulatedProcessGroup,
     record_ring_all_reduce,
 )
-from repro.parallel.data_parallel import (
-    BucketedDataParallelSync,
-    DataParallelGradientSync,
-)
+from repro.parallel.data_parallel import BucketedDataParallelSync
 from repro.parallel.pipeline_engine import (
     WIRE_BYTES_PER_ELEMENT,
     InterStageChannel,
@@ -90,7 +87,6 @@ from repro.resilience import (
     ResilienceReport,
     SupervisionPolicy,
 )
-from repro.tensor.parameter import Parameter
 from repro.utils.state import capture_tree
 
 #: Seed of the codecs' random initial factors on the backward inter-stage channel
@@ -120,8 +116,6 @@ class StageTraffic:
     compressed_all_reduces: int = 0
     original_bytes: int = 0
     payload_bytes: int = 0
-    #: How many of ``all_reduces`` were flat bucket messages (overlapped path).
-    bucket_all_reduces: int = 0
 
     @property
     def bytes_saved_fraction(self) -> float:
@@ -135,7 +129,6 @@ class StageTraffic:
             self.compressed_all_reduces,
             self.original_bytes,
             self.payload_bytes,
-            self.bucket_all_reduces,
         )
 
     def delta_since(self, before: "StageTraffic") -> "StageTraffic":
@@ -146,29 +139,28 @@ class StageTraffic:
             - before.compressed_all_reduces,
             original_bytes=self.original_bytes - before.original_bytes,
             payload_bytes=self.payload_bytes - before.payload_bytes,
-            bucket_all_reduces=self.bucket_all_reduces - before.bucket_all_reduces,
         )
 
 
 class CompressedGradientAllReduce:
     """DP-boundary all-reduce with pluggable compression codecs.
 
-    Implements the :class:`repro.parallel.data_parallel.DataParallelCompressionHook`
-    protocol.  *Every* parameter is routed through :meth:`reduce` — including the
-    uncompressed ones — so per-stage traffic accounting is uniform; the codec is
-    applied only to the selected stages' 2-D parameters.
+    Implements the :class:`repro.parallel.data_parallel.BucketedCompressionHook`
+    protocol.  Every bucket goes through it — flat exact buckets through
+    :meth:`reduce_bucket`, codec buckets through :meth:`reduce_codec_bucket` — so
+    per-stage traffic accounting is uniform; the codec is applied only to the
+    selected stages' 2-D parameters (:meth:`codec_applies`).
 
     Codecs
     ------
     ``"none"``
-        Exact mean all-reduce — numerically identical to the plain
-        :class:`~repro.parallel.data_parallel.DataParallelGradientSync` path, the
-        gradient-parity anchor.
+        Exact mean all-reduce — the gradient-parity anchor.
     ``"powersgd"``
         The paper's distributed protocol: residual-corrected gradients are
         factorised, the P and Q factors are all-reduced (the only traffic), every
-        replica reconstructs the same approximation and keeps its own residual
-        (delegated to :class:`~repro.core.selective_stage.SelectiveStageCompression`).
+        replica reconstructs the same approximation, and the group keeps one
+        residual (delegated to
+        :class:`~repro.core.selective_stage.SelectiveStageCompression`).
     ``"qsgd"`` / ``"topk"``
         Each replica compresses its residual-corrected gradient, the payloads are
         all-gathered, every replica decompresses all of them and averages —
@@ -182,25 +174,18 @@ class CompressedGradientAllReduce:
         self.num_stages = int(num_stages)
         self.compressed_stages: set[int] = spec.compressed_stages(num_stages)
         self.powersgd: SelectiveStageCompression | None = None
-        self.feedback: ErrorFeedback | None = None
+        #: The qsgd/top-k codec; its residuals live in per-bucket slabs below
+        #: (under ``spec.error_feedback``), its own state is its RNG counters.
+        self.compressor: Compressor | None = None
         if spec.codec == "powersgd":
             self.powersgd = SelectiveStageCompression(
-                num_stages=num_stages,
-                stage_fraction=spec.stage_fraction,
-                rank=spec.rank,
-                error_feedback=spec.error_feedback,
-                min_compression_elements=spec.min_elements,
-                seed=seed,
+                rank=spec.rank, error_feedback=spec.error_feedback, seed=seed
             )
         elif spec.codec == "qsgd":
-            self.feedback = ErrorFeedback(
-                QSGDCompressor(bits=spec.bits, seed=seed),
-                enabled=spec.error_feedback,
-            )
+            self.compressor = QSGDCompressor(bits=spec.bits, seed=seed)
         elif spec.codec == "topk":
-            self.feedback = ErrorFeedback(
-                TopKCompressor(fraction=spec.fraction, min_elements=spec.min_elements),
-                enabled=spec.error_feedback,
+            self.compressor = TopKCompressor(
+                fraction=spec.fraction, min_elements=spec.min_elements
             )
         self.stage_traffic: dict[int, StageTraffic] = {}
         # Bucket-path state for the qsgd/topk codecs: per-bucket flat residual
@@ -210,72 +195,21 @@ class CompressedGradientAllReduce:
         self._bucket_residuals = BucketResidualStore()
         self._codec_scratch: np.ndarray | None = None
 
-    # -- DataParallelCompressionHook protocol --------------------------------------
-
-    def should_compress(self, stage_index: int, parameter: Parameter) -> bool:
-        """Route every parameter through :meth:`reduce` for uniform accounting."""
-        del stage_index, parameter
-        return True
+    # -- BucketedCompressionHook protocol -------------------------------------------
 
     def codec_applies(self, stage_index: int, gradient: np.ndarray) -> bool:
         """Whether this stage/parameter pair is routed through the codec.
 
         The bucketed sync uses this to split the arena into exact flat buckets
         (everything else) and codec buckets (these parameters), which go through
-        :meth:`reduce_codec_bucket` — one codec invocation per bucket, per-segment
-        keys so the error-feedback state matches the per-parameter path.
+        :meth:`reduce_codec_bucket` — one codec invocation per bucket, one
+        compression key per parameter segment.
         """
         if stage_index not in self.compressed_stages:
             return False
         if gradient.ndim < 2:
             return False
         return gradient.size >= self.spec.min_elements
-
-    @_POISON_PASSES
-    def reduce(
-        self,
-        key: str,
-        stage_index: int,
-        gradients: Sequence[np.ndarray],
-        group: SimulatedProcessGroup,
-    ) -> list[np.ndarray]:
-        """Synchronise one parameter's gradients across the data-parallel group."""
-        num_replicas = len(gradients)
-        reference = np.asarray(gradients[0])
-        original_bytes = int(reference.size * WIRE_BYTES_PER_ELEMENT)
-        traffic = self.stage_traffic.setdefault(stage_index, StageTraffic())
-        traffic.all_reduces += 1
-        traffic.original_bytes += original_bytes * num_replicas
-
-        if not self.codec_applies(stage_index, reference):
-            traffic.payload_bytes += original_bytes * num_replicas
-            return group.all_reduce(gradients, op="mean", description=key)
-
-        traffic.compressed_all_reduces += 1
-        if self.powersgd is not None:
-            payload_before = self.powersgd.total_payload_bytes
-            synced = self.powersgd.reduce(key, stage_index, gradients, group)
-            traffic.payload_bytes += self.powersgd.total_payload_bytes - payload_before
-            return synced
-
-        assert self.feedback is not None  # codec is qsgd or topk
-        approximations: list[np.ndarray] = []
-        payload_total = 0
-        for replica, gradient in enumerate(gradients):
-            approximation, payload, _ = self.feedback.compress_with_feedback(
-                np.asarray(gradient, dtype=np.float64), f"{key}:replica{replica}"
-            )
-            approximations.append(approximation)
-            payload_total += payload.payload_bytes
-        gathered = group.all_gather(
-            approximations,
-            payload_bytes=payload_total // num_replicas,
-            compressed=True,
-            description=key,
-        )
-        synced = np.mean(np.stack(gathered[0]), axis=0)
-        traffic.payload_bytes += payload_total
-        return [synced.copy() for _ in range(num_replicas)]
 
     def reduce_bucket(
         self,
@@ -286,14 +220,14 @@ class CompressedGradientAllReduce:
         """Exact mean all-reduce of one flat gradient bucket (with accounting).
 
         Buckets carry only uncompressed parameters (the bucketed sync routes
-        codec-selected ones through :meth:`reduce`), so the payload always equals
-        the original volume; the win is message granularity, not bytes.
+        codec-selected ones through :meth:`reduce_codec_bucket`), so the payload
+        always equals the original volume; the win is message granularity, not
+        bytes.
         """
         num_replicas = len(gradients)
         original_bytes = int(gradients[0].size * WIRE_BYTES_PER_ELEMENT)
         traffic = self.stage_traffic.setdefault(bucket.stage_index, StageTraffic())
         traffic.all_reduces += 1
-        traffic.bucket_all_reduces += 1
         traffic.original_bytes += original_bytes * num_replicas
         traffic.payload_bytes += original_bytes * num_replicas
         return group.all_reduce(
@@ -315,10 +249,10 @@ class CompressedGradientAllReduce:
         """Codec-compress one bucket of parameters in place on the arena views.
 
         One hook invocation covers every codec-selected parameter of the bucket:
-        each segment keeps its own compression key (so RNG streams, warm-started
-        factors, and error-feedback state match the per-parameter path
-        bit-for-bit), while message granularity, Python dispatch, and residual
-        storage are per *bucket* — residuals live in one flat
+        each segment keeps its own compression key (so RNG streams and
+        warm-started factors do not depend on how parameters are bucketed),
+        while message granularity, Python dispatch, and residual storage are
+        per *bucket* — residuals live in one flat
         ``(replicas, elements)`` slab and the kernels run via
         ``compress_into``/``decompress_into``.  The slab doubles as the
         workspace: the corrected gradient is accumulated into it
@@ -333,7 +267,6 @@ class CompressedGradientAllReduce:
         original_bytes = int(bucket.num_elements * WIRE_BYTES_PER_ELEMENT)
         traffic = self.stage_traffic.setdefault(bucket.stage_index, StageTraffic())
         traffic.all_reduces += 1
-        traffic.bucket_all_reduces += 1
         traffic.compressed_all_reduces += 1
         traffic.original_bytes += original_bytes * num_replicas
 
@@ -343,11 +276,11 @@ class CompressedGradientAllReduce:
             traffic.payload_bytes += self.powersgd.total_payload_bytes - payload_before
             return
 
-        assert self.feedback is not None  # codec is qsgd or topk
-        compressor = self.feedback.compressor
+        compressor = self.compressor
+        assert compressor is not None  # codec is qsgd or topk
         residual_slab, residual_ready = (
             self._bucket_residuals.slab(bucket, num_replicas)
-            if self.feedback.enabled
+            if self.spec.error_feedback
             else (None, False)
         )
         largest = max(segment.num_elements for segment in bucket.segments)
@@ -410,20 +343,18 @@ class CompressedGradientAllReduce:
         return 1.0 - payload / original
 
     def residual_memory_bytes(self) -> int:
-        """Memory held by the error-feedback residuals (both storage layouts)."""
+        """Memory held by the error-feedback residual slabs."""
         total = self._bucket_residuals.memory_bytes()
         if self.powersgd is not None:
             return total + self.powersgd.residual_memory_bytes()
-        if self.feedback is not None:
-            return total + self.feedback.residual_bytes()
         return total
 
     def reset(self) -> None:
         """Drop residuals, warm-started factors, and traffic counters."""
         if self.powersgd is not None:
             self.powersgd.reset()
-        if self.feedback is not None:
-            self.feedback.reset()
+        if self.compressor is not None:
+            self.compressor.reset()
         self.stage_traffic.clear()
         self._bucket_residuals.clear()
         self._codec_scratch = None
@@ -438,12 +369,12 @@ class CompressedGradientAllReduce:
         """
         return {
             "powersgd": self.powersgd.state_dict() if self.powersgd is not None else None,
-            "feedback": self.feedback.state_dict() if self.feedback is not None else None,
+            "compressor": self.compressor.state_dict() if self.compressor is not None else None,
             "bucket_residuals": self._bucket_residuals.state_dict(),
         }
 
     def load_state_dict(self, state: dict) -> None:
-        for name, component in (("powersgd", self.powersgd), ("feedback", self.feedback)):
+        for name, component in (("powersgd", self.powersgd), ("compressor", self.compressor)):
             stored = state[name]
             if (component is None) != (stored is None):
                 raise ValueError(
@@ -458,14 +389,11 @@ class CompressedGradientAllReduce:
 
         After a replica loss the per-replica residual indexing is stale (and
         PowerSGD's one residual is the mean over a group that no longer
-        exists), so residual slabs and residual dicts are dropped; the
-        replica-agnostic warm starts (PowerSGD Q factors) and RNG call counts
-        survive.
+        exists), so the residual slabs are dropped; the replica-agnostic warm
+        starts (PowerSGD Q factors) and RNG call counts survive.
         """
         if self.powersgd is not None:
             self.powersgd.clear_residuals()
-        if self.feedback is not None:
-            self.feedback.clear()
         self._bucket_residuals.clear()
 
 
@@ -670,15 +598,7 @@ class ThreeDParallelEngine:
         self.dp_reduce = CompressedGradientAllReduce(
             plan.spec(Boundary.DP), self.num_stages, seed=CODEC_SEED
         )
-        self.dp_sync = DataParallelGradientSync(
-            self.replicas,
-            log=self.log,
-            compression_hook=self.dp_reduce,
-            exclude_embedding=True,
-        )
-        self.bucketed_sync: BucketedDataParallelSync | None = (
-            self._build_bucketed_sync() if plan.schedule.dp_overlap else None
-        )
+        self.bucketed_sync = self._build_bucketed_sync()
         self.embedding_sync = self._build_embedding_sync()
 
         # Resilience seams: the plan's ``resilience`` section wires a fault
@@ -717,7 +637,7 @@ class ThreeDParallelEngine:
             self.verify_tensor_parallel()
 
     def _build_bucketed_sync(self) -> BucketedDataParallelSync | None:
-        """The overlapped DP sync over the current replicas (``None`` at DP1)."""
+        """The DP sync over the current replicas (``None`` at DP1)."""
         if self.data_parallel_degree <= 1:
             return None
         return BucketedDataParallelSync(
@@ -893,12 +813,10 @@ class ThreeDParallelEngine:
                 attempt += 1
 
         if self.bucketed_sync is not None:
-            # Overlapped path: bucket all-reduces fired in backward-completion
-            # order (last stage first), hidden under the pipeline cool-down.
+            # Bucket all-reduces in backward-completion order (last stage
+            # first): hidden under the pipeline cool-down, or all exposed
+            # after the drain under ``serial``.
             self.bucketed_sync.synchronize()
-        else:
-            # Serial epilogue: per-parameter all-reduces after the pipeline drains.
-            self.dp_sync.synchronize()
         self.embedding_sync.synchronize()
         self._iteration_index += 1
 
@@ -973,14 +891,7 @@ class ThreeDParallelEngine:
         self.data_parallel_degree -= 1
         self._stage_spans_cache = None
         self.dp_reduce.clear_replica_state()
-        self.dp_sync = DataParallelGradientSync(
-            self.replicas,
-            log=self.log,
-            compression_hook=self.dp_reduce,
-            exclude_embedding=True,
-        )
-        if self.bucketed_sync is not None:
-            self.bucketed_sync = self._build_bucketed_sync()
+        self.bucketed_sync = self._build_bucketed_sync()
         self.embedding_sync = self._build_embedding_sync()
 
     def live_mutable_state(self) -> dict:

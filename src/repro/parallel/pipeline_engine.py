@@ -58,12 +58,6 @@ from repro.parallel.pipeline_schedule import (
 )
 from repro.plan import SPLIT_BACKWARD_KINDS, validate_schedule_kind
 
-#: Schedule kinds the functional engine can execute.  ``"1f1b"`` and
-#: ``"serial"`` are numerically the phase-ordered loop (1F1B timing is a
-#: simulator concern); ``"zb1"`` replays the split-backward ZB-H1 op lists and
-#: ``"auto"`` replays whatever op lists the synthesizer emits for the layout.
-ENGINE_SCHEDULE_KINDS = ("1f1b", "serial", "zb1", "auto")
-
 #: Hook applied to every backward inter-stage transfer.
 #:
 #: ``hook(grad, boundary, micro_batch, num_micro_batches) -> (delivered, payload_bytes, compressed)``
@@ -179,9 +173,7 @@ class PipelineParallelEngine:
             raise ValueError("a pipeline needs at least one stage")
         if not stages[0].is_first or not stages[-1].is_last:
             raise ValueError("stages[0] must be the first stage and stages[-1] the last stage")
-        validate_schedule_kind(
-            schedule_kind, ENGINE_SCHEDULE_KINDS, context="PipelineParallelEngine"
-        )
+        validate_schedule_kind(schedule_kind, context="PipelineParallelEngine")
         if memory_cap_factor < 1.0:
             raise ValueError(f"memory_cap_factor must be >= 1.0, got {memory_cap_factor}")
         self.stages: list[GPTStage] = list(stages)

@@ -9,8 +9,8 @@ type any layer accepts or stores:
 
 * ``Topology(dp, pp, tp, micro_batches)`` — what runs where;
 * ``Schedule(kind, num_model_chunks)`` — how the pipeline iterates and whether
-  the DP all-reduce overlaps the cool-down (``"1f1b"``) or runs as the serial
-  per-parameter epilogue (``"serial"``);
+  the DP all-reduce overlaps the cool-down (``"1f1b"``) or runs after the
+  pipeline drains, nothing overlapped (``"serial"``);
 * a boundary-keyed compression map ``{Boundary.DP | Boundary.PP |
   Boundary.EMBEDDING: CompressionSpec(...)}`` — what gets compressed on which
   link, with which codec, at what aggressiveness.
@@ -79,10 +79,11 @@ BOUNDARY_CODECS: dict[Boundary, tuple[str, ...]] = {
     Boundary.EMBEDDING: EMBEDDING_CODECS,
 }
 
-#: Pipeline schedule kinds: ``"1f1b"`` fires the bucketed DP all-reduce in
+#: Pipeline schedule kinds — the one vocabulary the engine, the simulator and
+#: the plan validate against: ``"1f1b"`` fires the bucketed DP all-reduce in
 #: backward-completion order so it overlaps the pipeline cool-down; ``"serial"``
-#: runs the per-parameter DP epilogue after the pipeline drains (bit-for-bit
-#: identical weights; only message granularity and overlap accounting differ);
+#: fires the same buckets after the pipeline drains, nothing overlapped (the
+#: overlap-off ablation: bit-for-bit identical weights, every DP byte exposed);
 #: ``"zb1"`` is the zero-bubble ZB-H1 schedule — every backward splits into an
 #: activation-gradient pass (B) and a deferred weight-gradient pass (W), so W
 #: passes fill the 1F1B cool-down bubble at the same peak activation memory
@@ -325,9 +326,10 @@ class Schedule:
         ``"1f1b"`` — one-forward-one-backward pipelining with the bucketed DP
         all-reduce fired in backward-completion order (last stage first), i.e.
         DP traffic overlapped with the pipeline cool-down.
-        ``"serial"`` — the same 1F1B pipeline but with the serial per-parameter
-        DP epilogue after the pipeline drains (the overlap-off ablation;
-        bit-for-bit identical weights).
+        ``"serial"`` — the same 1F1B pipeline, but the DP all-reduce starts
+        after the whole pipeline has drained, nothing overlapped (the
+        overlap-off ablation; bit-for-bit identical weights, every DP byte
+        exposed in the engine and the simulator alike).
         ``"zb1"`` — the zero-bubble ZB-H1 schedule: each backward splits into
         an activation-gradient pass (B) and a deferred weight-gradient pass
         (W); stage ``k`` defers ``k`` W passes so they fill the cool-down
@@ -1048,13 +1050,9 @@ class ParallelPlan:
                 if self.schedule.kind in SPLIT_BACKWARD_KINDS
                 else self.schedule.dp_fire if self.schedule.dp_overlap else "stage"
             ),
-            # The simulator's pipeline shape: zb1/auto replay split-backward
-            # op lists; "serial" differs from "1f1b" only at the DP boundary.
-            schedule_kind=(
-                self.schedule.kind
-                if self.schedule.kind in SPLIT_BACKWARD_KINDS
-                else "1f1b"
-            ),
+            # "serial" replays the 1F1B op lists and starts every stage's DP
+            # all-reduce at the drain, as the engine fires it.
+            schedule_kind=self.schedule.kind,
             memory_cap_factor=self.schedule.memory_cap_factor,
         )
         if cluster is not None:

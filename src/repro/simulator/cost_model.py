@@ -24,16 +24,13 @@ from repro.parallel.process_groups import ParallelLayout
 from repro.plan import DP_FIRE_KINDS, SPLIT_BACKWARD_KINDS, validate_schedule_kind
 from repro.simulator.hardware import ClusterSpec, PAPER_CLUSTER_SPEC
 
-#: Pipeline shapes the timing simulator can replay.
-SIM_SCHEDULE_KINDS = ("1f1b", "zb1", "auto")
-
 #: Version tag of the analytic cost model, folded into plan-search cache keys
 #: (:mod:`repro.search.cache`).  Bump it whenever a change to the cost methods,
 #: the calibration constants' defaults, the memory model, or the schedule
 #: replay alters what :func:`repro.simulator.evaluate.evaluate_plan` returns
 #: for an unchanged plan — cached evaluations from the older model then miss
 #: instead of serving stale numbers.
-COST_MODEL_VERSION = "2026.08-1"
+COST_MODEL_VERSION = "2026.10-1"
 
 #: Entries each of the simulator's per-class memos keeps (:func:`job_cost_model`,
 #: the per-job / per-spec timing terms in :mod:`repro.simulator.executor`, the
@@ -92,8 +89,9 @@ class TrainingJob:
     #: backward pass instead of at the stage's drain point.
     dp_fire: str = "stage"
     #: Pipeline schedule shape (``repro.plan.Schedule.kind``): ``"1f1b"`` (the
-    #: fused-backward schedule; also used for serial-DP runs, which differ only
-    #: at the DP boundary), ``"zb1"`` (zero-bubble ZB-H1 with the backward
+    #: fused-backward schedule), ``"serial"`` (the same 1F1B op lists with
+    #: every stage's DP all-reduce starting when the pipeline has drained,
+    #: none of it overlapped), ``"zb1"`` (zero-bubble ZB-H1 with the backward
     #: split into B and W passes), or ``"auto"`` (a synthesized split-backward
     #: schedule under ``memory_cap_factor``).  The split kinds require
     #: ``num_model_chunks == 1``.
@@ -107,9 +105,7 @@ class TrainingJob:
             raise ValueError(
                 f"dp_fire must be one of {DP_FIRE_KINDS}, got {self.dp_fire!r}"
             )
-        validate_schedule_kind(
-            self.schedule_kind, SIM_SCHEDULE_KINDS, context="TrainingJob.schedule_kind"
-        )
+        validate_schedule_kind(self.schedule_kind, context="TrainingJob.schedule_kind")
         if self.schedule_kind in SPLIT_BACKWARD_KINDS and self.num_model_chunks > 1:
             raise ValueError(
                 f"{self.schedule_kind} is a plain (non-interleaved) schedule; "

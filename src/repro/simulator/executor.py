@@ -65,10 +65,12 @@ WORKER_RESPAWN_LATENCY_S = 2.0
 def build_job_schedule(job: TrainingJob) -> tuple[tuple[PipelineOp, ...], ...]:
     """Per-stage op lists for a training job's ``schedule_kind``.
 
-    ``"auto"`` runs the synthesizer over the job's cost model (per-stage F/B/W
-    times, transfer delay, activation/stash bytes, ``memory_cap_factor``) — the
-    same op lists the timing replay and the memory model then consume, so the
-    two layers can never disagree about what ``"auto"`` means for a given job.
+    ``"serial"`` gets the 1F1B lists (it differs from ``"1f1b"`` only in
+    where the DP all-reduce starts).  ``"auto"`` runs the synthesizer over the
+    job's cost model (per-stage F/B/W times, transfer delay, activation/stash
+    bytes, ``memory_cap_factor``) — the same op lists the timing replay and the
+    memory model then consume, so the two layers can never disagree about what
+    ``"auto"`` means for a given job.
     The lists of the last few jobs are kept (immutable, so shareable): the
     replay and the memory model of one plan, and of the plans that follow it on
     the same job, read one build.  A few, not many — a deep pipeline's lists
@@ -461,6 +463,11 @@ class PipelineTimingSimulator:
         compression_overhead_total = replay.transfer_overhead
 
         # ---------------- data-parallel gradient all-reduce -----------------------
+        # A stage's DP all-reduce starts when its own backward has drained —
+        # or, under "serial", when the whole pipeline has.
+        backward_end = max(stage_backward_finish) if stage_backward_finish else 0.0
+        serial = self.job.schedule_kind == "serial"
+        dp_start = [backward_end] * num_stages if serial else stage_backward_finish
         dp_times = []
         dp_wires = []
         dp_wire_total = 0.0
@@ -472,7 +479,7 @@ class PipelineTimingSimulator:
             dp_times.append(dp_time + dp_overhead)
             dp_wires.append(dp_wire)
             dp_wire_total += dp_wire
-            stage_finish.append(stage_backward_finish[stage] + dp_time + dp_overhead)
+            stage_finish.append(dp_start[stage] + dp_time + dp_overhead)
 
         # The cool-down window of stage s: the time between its own backward finish
         # and the pipeline fully draining.  DP traffic fitting in that window is
@@ -483,12 +490,12 @@ class PipelineTimingSimulator:
         # stage's buckets start leaving while its *own* final backward op is
         # still computing, so the window opens one backward-op duration earlier
         # (one W-pass duration under zb1, whose final op is a weight pass).
-        backward_end = max(stage_backward_finish) if stage_backward_finish else 0.0
+        # Under "serial" every window is empty: nothing is left to hide under.
         dp_exposed_wire = 0.0
         dp_overlapped_wire = 0.0
         for stage in range(num_stages):
-            window = max(0.0, backward_end - stage_backward_finish[stage])
-            if self.job.dp_fire == "micro_batch":
+            window = max(0.0, backward_end - dp_start[stage])
+            if self.job.dp_fire == "micro_batch" and not serial:
                 window += (
                     compute.backward_weight[stage]
                     if self.job.schedule_kind in SPLIT_BACKWARD_KINDS
@@ -523,10 +530,10 @@ class PipelineTimingSimulator:
             # all-reduce inside that waiting window; the first stage performs the
             # fused collective first and its own DP afterwards (NIC serialisation).
             fused = self.cost.fused_embedding_time() * self.toggles.embedding
-            fused_start = max(stage_backward_finish[first], stage_backward_finish[last])
+            fused_start = max(dp_start[first], dp_start[last])
             fused_end = fused_start + fused
             stage_finish[first] = fused_end + dp_times[first]
-            stage_finish[last] = max(fused_end, stage_backward_finish[last] + dp_times[last])
+            stage_finish[last] = max(fused_end, dp_start[last] + dp_times[last])
             embedding_time = fused
             embedding_wire = self.cost.embedding_gradient_bytes() * self.toggles.embedding
         else:

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.compression.powersgd import PowerSGDCompressor
 from repro.plan import validate_schedule_kind
-from repro.simulator.cost_model import SIM_SCHEDULE_KINDS, CostModel, TrainingJob
+from repro.simulator.cost_model import CostModel, TrainingJob
 
 
 @dataclass
@@ -99,7 +99,7 @@ class SchedulePoint:
 def schedule_throughput(
     job: TrainingJob,
     plan=None,
-    kinds: tuple[str, ...] = SIM_SCHEDULE_KINDS,
+    kinds: tuple[str, ...] = ("1f1b", "zb1", "auto"),
 ) -> list[SchedulePoint]:
     """Simulate ``job`` under each pipeline schedule kind and report throughput.
 
@@ -122,7 +122,7 @@ def schedule_throughput(
     for kind in kinds:
         # Loud rejection of unknown kinds: an unrecognized string must never
         # fall through to 1f1b behavior and masquerade as a real sweep point.
-        validate_schedule_kind(kind, SIM_SCHEDULE_KINDS, context="schedule_throughput")
+        validate_schedule_kind(kind, context="schedule_throughput")
         swept = replace(job, schedule_kind=kind)
         timing = PipelineTimingSimulator(swept, plan).run()
         points.append(

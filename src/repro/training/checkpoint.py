@@ -1,4 +1,4 @@
-"""Bit-exact checkpointing for functional pretraining runs (format v5).
+"""Bit-exact checkpointing for functional pretraining runs (format v6).
 
 A checkpoint captures *every* mutable buffer a resumed run needs to continue
 bit-for-bit identically to the continuous run — the repo's core invariant.
@@ -20,28 +20,23 @@ member               contents
                      where the state is: QSGD/top-k error-feedback residual
                      slabs are ``(replicas, elements)``, compressed-backprop
                      hook state is one subtree per replica; PowerSGD's DP
-                     residuals (one ``residual`` per parameter, ``(1,
-                     elements)`` slabs), its warm starts and RNG call counts
-                     are group-wide
+                     residuals (``(1, elements)`` slabs), its warm starts and
+                     the codecs' RNG call counts are group-wide
 ===================  =========================================================
 
 ===================  =========================================================
 header key           meaning
 ===================  =========================================================
-``format_version``   ``5``; any other value is rejected loudly
+``format_version``   ``6``; any other value is rejected loudly
 ``iteration``        completed iterations
 ``compression``      the ``compression`` section of the writer's plan
                      (``plan.to_dict()["compression"]``: every knob of the DP,
                      PP and embedding boundaries); must equal the reader's —
                      codec state is shaped by these knobs.  The schedule
                      kind, ``executor`` and ``resilience`` are deliberately
-                     *not* recorded: resuming under another of those is
-                     bit-exact
-``dp_overlap``       whether the writer ran the bucketed (overlapped) DP
-                     all-reduce or the serial per-parameter epilogue — the one
-                     schedule property that shapes state: error-feedback
-                     residuals live in per-bucket slabs under the former and
-                     per parameter under the latter (must match)
+                     *not* recorded: every schedule keeps its error-feedback
+                     residuals in the same per-bucket slabs, so resuming under
+                     another of those is bit-exact
 ``topology``         ``num_stages`` / ``data_parallel_degree`` (must match)
 ``layout``           ``parameters``: ``[name, arena offset, shape]`` per
                      parameter in arena order, plus ``trainable_elements`` —
@@ -64,9 +59,9 @@ gradient.  So a save first compares every replica's synchronised gradients
 against the first's; a diverged group refuses to save rather than have the
 difference papered over.  Formats v1 (no error-feedback /
 RNG state), v2 (deflated, per-parameter, per-replica), v3 (a configuration
-label that could not tell PowerSGD rank 2 from rank 4, or QSGD from top-k) and
-v4 (a PowerSGD DP residual per replica) are rejected loudly: there is one
-writer and one reader.
+label that could not tell PowerSGD rank 2 from rank 4, or QSGD from top-k), v4
+(a PowerSGD DP residual per replica) and v5 (per-parameter residuals from
+serial-DP runs) are rejected loudly: there is one writer and one reader.
 
 Writes are atomic (temporary sibling + ``os.replace``) and synchronous — the
 arenas may be ``MAP_SHARED`` segments a forked writer would not snapshot, and
@@ -91,7 +86,7 @@ from repro.training.metrics import TrainingHistory, ValidationPoint
 from repro.training.trainer import Pretrainer
 
 #: Format marker stored in every checkpoint so incompatible files fail loudly.
-CHECKPOINT_FORMAT_VERSION = 5
+CHECKPOINT_FORMAT_VERSION = 6
 
 _ARRAY_REF = "__ndarray__"
 
@@ -106,6 +101,11 @@ _RETIRED_FORMATS = {
     4: (
         "v4 checkpoints hold per-replica PowerSGD DP residuals; this build keeps one "
         "residual for the whole data-parallel group"
+    ),
+    5: (
+        "v5 checkpoints lay DP codec state out for two synchronisation paths "
+        "(serial-DP files keep per-parameter residuals); this build keeps every "
+        "error-feedback residual in per-bucket slabs"
     ),
 }
 
@@ -195,7 +195,6 @@ def save_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> pathlib.Pa
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "iteration": trainer._iteration,
         "compression": trainer.plan.to_dict()["compression"],
-        "dp_overlap": trainer.plan.schedule.dp_overlap,
         "topology": {
             "num_stages": trainer.num_stages,
             "data_parallel_degree": len(trainer.engine.arenas),
@@ -254,13 +253,6 @@ def load_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> int:
                     f"{knob.removeprefix('compression.')} is {stored!r} in the checkpoint, "
                     f"{live!r} in this trainer's plan"
                 )
-        if header.get("dp_overlap") != trainer.plan.schedule.dp_overlap:
-            raise ValueError(
-                f"checkpoint has dp_overlap={header.get('dp_overlap')!r}, this trainer's "
-                f"schedule has dp_overlap={trainer.plan.schedule.dp_overlap!r}: the bucketed "
-                "and the serial per-parameter DP all-reduce lay their error-feedback "
-                "residuals out differently"
-            )
         topology = header.get("topology", {})
         live_topology = {
             "num_stages": trainer.num_stages,

@@ -148,7 +148,6 @@ class Pretrainer:
         self.replicas = self.engine.replicas
         self.engines = self.engine.pipeline_engines
         self.cb_hooks = self.engine.cb_hooks
-        self.dp_sync = self.engine.dp_sync
         self.dp_hook = self.engine.dp_reduce.powersgd
         self.embedding_sync = self.engine.embedding_sync
 
@@ -259,7 +258,7 @@ class Pretrainer:
     ) -> PretrainingResult:
         """Run ``num_iterations`` iterations, validating every ``validation_interval``.
 
-        ``checkpoint_every`` writes a rotating atomic checkpoint (format v5:
+        ``checkpoint_every`` writes a rotating atomic checkpoint (format v6:
         stored members written straight from the live buffers, weights and
         moments once per DP group; last ``keep_last`` retained) into
         ``checkpoint_dir`` after every ``checkpoint_every``-th completed
@@ -355,7 +354,6 @@ class Pretrainer:
         self.engine.drop_replica(replica_index)
         del self._replica_ids[replica_index]
         self.data_parallel_degree = self.engine.data_parallel_degree
-        self.dp_sync = self.engine.dp_sync
         self.embedding_sync = self.engine.embedding_sync
         if injected:
             self.resilience_report.record_fault("replica_loss")

@@ -196,8 +196,8 @@ class TestBucketResidualStore:
 
     def test_powersgd_refuses_a_per_replica_slab(self, rng):
         bucket = self.bucket(rng)
-        hook = SelectiveStageCompression(num_stages=1, stage_fraction=1.0, rank=2)
-        hook.load_state_dict({"states": {}, "bucket_residuals": {"0:0": np.zeros((2, 18))}})
+        hook = SelectiveStageCompression(rank=2)
+        hook.load_state_dict({"queries": {}, "bucket_residuals": {"0:0": np.zeros((2, 18))}})
         group = SimulatedProcessGroup([0, 1], CommunicationLog(), category="data_parallel")
         gradients = [rng.standard_normal(18), rng.standard_normal(18)]
         with pytest.raises(ValueError, match="stage 0 codec bucket 0"):

@@ -1,12 +1,13 @@
-"""Bucket-level compression parity: codec buckets vs. the per-parameter path.
+"""Bucket-level compression parity: codec buckets vs. the per-parameter oracle.
 
 The zero-allocation bucket kernels (`CompressedGradientAllReduce.reduce_codec_bucket`
 and `SelectiveStageCompression.reduce_bucket`) must be *bit-identical* to routing
-every parameter through the per-parameter `reduce` — the same per-tensor RNG
-streams, warm-started factors, error-feedback residuals (stored as flat slabs
-instead of per-key dicts), and mean-of-replicas arithmetic.  These tests exercise
-that contract directly on synthetic arenas across pipeline/data-parallel layouts,
-with error feedback on and off, for all three DP codecs.
+every parameter through the frozen per-parameter `reduce` of
+`tests/per_parameter_oracle.py` — the same per-tensor RNG streams, warm-started
+factors, error-feedback residuals (stored as flat slabs instead of per-key
+dicts), and mean-of-replicas arithmetic.  These tests exercise that contract
+directly on synthetic arenas across pipeline/data-parallel layouts, with error
+feedback on and off, for all three DP codecs.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from per_parameter_oracle import FrozenPerParameterReduce
 from repro.parallel.arena import (
     CodecBucket,
     ParameterArena,
@@ -59,7 +61,7 @@ def dp_spec(codec, error_feedback, min_elements):
 
 
 def run_path(codec, error_feedback, layout, bucket_bytes, iterations, bucketed):
-    """Run `iterations` codec reductions, via buckets or per parameter.
+    """Run `iterations` codec reductions, via buckets or the per-parameter oracle.
 
     Returns the final per-parameter gradients of every replica (flattened).
     Both paths construct their own reducer (fresh compressor state) and see the
@@ -76,8 +78,11 @@ def run_path(codec, error_feedback, layout, bucket_bytes, iterations, bucketed):
         arenas.append(ParameterArena(flat))
         replica_params.append(stage_parameters)
 
-    reducer = CompressedGradientAllReduce(
-        dp_spec(codec, error_feedback, min_elements), num_stages, seed=3
+    spec = dp_spec(codec, error_feedback, min_elements)
+    reducer = (
+        CompressedGradientAllReduce(spec, num_stages, seed=3)
+        if bucketed
+        else FrozenPerParameterReduce(spec, num_stages, seed=3)
     )
     log = CommunicationLog()
     group = SimulatedProcessGroup(

@@ -48,7 +48,7 @@ def qsgd_reducer(
         min_elements=0,
     )
     reducer = CompressedGradientAllReduce(spec, num_stages=1, seed=5)
-    reducer.feedback.compressor.deterministic = deterministic
+    reducer.compressor.deterministic = deterministic
     return reducer
 
 
@@ -95,7 +95,7 @@ def qsgd_bucket_digest(bits: int, deterministic: bool, error_feedback: bool, dp:
     for key in sorted(residuals):
         digest.update(key.encode("ascii"))
         digest.update(residuals[key].tobytes())
-    counts = reducer.feedback.compressor._call_counts
+    counts = reducer.compressor._call_counts
     digest.update(json.dumps(counts, sort_keys=True).encode("ascii"))
     digest.update(str(reducer.stage_traffic[0].payload_bytes).encode("ascii"))
     return digest.hexdigest()
@@ -218,7 +218,7 @@ class TestWorkingSet:
             arena.grad[...] = rng.standard_normal(arena.grad.size)
         sync.synchronize()
 
-        compressor = engine.dp_reduce.feedback.compressor
+        compressor = engine.dp_reduce.compressor
         codes = sum(segment.num_elements for segment in segments) * len(engine.arenas)
         tile = QUANTISE_TILE * (np.dtype(np.float64).itemsize + np.dtype(np.float32).itemsize)
         assert codes < compressor.workspace_bytes() <= codes + tile

@@ -6,19 +6,34 @@ import numpy as np
 import pytest
 
 from repro.nn.gpt_stage import build_gpt_stages
+from repro.parallel.arena import ParameterArena
 from repro.parallel.collectives import CommunicationLog
-from repro.parallel.data_parallel import DataParallelGradientSync, is_embedding_parameter
+from repro.parallel.data_parallel import BucketedDataParallelSync, is_embedding_parameter
+from repro.parallel.engine import CompressedGradientAllReduce
 from repro.parallel.pipeline_engine import PipelineParallelEngine
 from repro.parallel.tensor_parallel import ColumnParallelLinear, RowParallelLinear
+from repro.plan import CompressionSpec
 from repro.tensor.parameter import Parameter
 
 
 def build_replicas(config, num_replicas=2, num_stages=2, seed=0):
-    return [build_gpt_stages(config, num_stages, seed=seed) for _ in range(num_replicas)]
+    """Replicas of one pipeline over one shared weight buffer, and their arenas."""
+    replicas = [build_gpt_stages(config, num_stages, seed=seed) for _ in range(num_replicas)]
+    arenas = ParameterArena.replicated(
+        [parameter for stage in replica for parameter in stage.parameters()]
+        for replica in replicas
+    )
+    return replicas, arenas
 
 
 def run_replica(stages, tokens, targets):
     PipelineParallelEngine(stages).run_iteration([(tokens, targets)])
+
+
+def exact_sync(replicas, arenas, log=None, **kwargs):
+    """The bucketed DP sync with the exact (uncompressed) hook."""
+    hook = CompressedGradientAllReduce(CompressionSpec(), num_stages=len(replicas[0]))
+    return BucketedDataParallelSync(replicas, arenas, hook, log=log, **kwargs)
 
 
 class TestIsEmbeddingParameter:
@@ -29,13 +44,10 @@ class TestIsEmbeddingParameter:
 
 class TestDataParallelSync:
     def test_average_matches_manual_mean(self, tiny_config, rng):
-        replicas = build_replicas(tiny_config)
-        batches = []
-        for _ in range(2):
+        replicas, arenas = build_replicas(tiny_config)
+        for replica in replicas:
             tokens = rng.integers(0, tiny_config.vocab_size, size=(2, 8))
             targets = rng.integers(0, tiny_config.vocab_size, size=(2, 8))
-            batches.append((tokens, targets))
-        for replica, (tokens, targets) in zip(replicas, batches):
             run_replica(replica, tokens, targets)
 
         # Snapshot the per-replica gradient of one weight before synchronisation.
@@ -44,74 +56,80 @@ class TestDataParallelSync:
         ]
         expected = np.mean(grads_before, axis=0)
 
-        sync = DataParallelGradientSync(replicas, exclude_embedding=True)
-        sync.synchronize()
+        exact_sync(replicas, arenas).synchronize()
         for replica in replicas:
             assert np.allclose(replica[0].layers[0].attention.qkv.weight.grad, expected)
-        assert sync.max_gradient_divergence() < 1e-12
+        for stage_index, stage in enumerate(replicas[0]):
+            for position, parameter in enumerate(stage.parameters()):
+                if is_embedding_parameter(parameter):
+                    continue
+                other = list(replicas[1][stage_index].parameters())[position]
+                assert np.array_equal(parameter.grad, other.grad), parameter.name
 
     def test_single_replica_is_noop(self, tiny_config, rng):
         log = CommunicationLog()
-        replicas = build_replicas(tiny_config, num_replicas=1)
+        replicas, arenas = build_replicas(tiny_config, num_replicas=1)
         tokens = rng.integers(0, tiny_config.vocab_size, size=(2, 8))
         targets = rng.integers(0, tiny_config.vocab_size, size=(2, 8))
         run_replica(replicas[0], tokens, targets)
-        DataParallelGradientSync(replicas, log=log).synchronize()
+        exact_sync(replicas, arenas, log=log).synchronize()
         assert log.count() == 0
 
-    def test_embedding_excluded_when_requested(self, tiny_config, rng):
+    def test_embedding_excluded_by_default(self, tiny_config, rng):
         log = CommunicationLog()
-        replicas = build_replicas(tiny_config)
+        replicas, arenas = build_replicas(tiny_config)
         tokens = rng.integers(0, tiny_config.vocab_size, size=(2, 8))
         targets = rng.integers(0, tiny_config.vocab_size, size=(2, 8))
         for replica in replicas:
             run_replica(replica, tokens, targets)
-        DataParallelGradientSync(replicas, log=log, exclude_embedding=True).synchronize()
-        assert log.count(category="embedding_dp") == 0
+        sync = exact_sync(replicas, arenas, log=log)
+        sync.synchronize()
         assert log.count(category="data_parallel") > 0
+        names = [name for bucket in sync.buckets for name in bucket.parameter_names]
+        assert names and not any("word_embeddings" in name for name in names)
 
-    def test_embedding_included_by_default_category(self, tiny_config, rng):
-        log = CommunicationLog()
-        replicas = build_replicas(tiny_config)
-        tokens = rng.integers(0, tiny_config.vocab_size, size=(2, 8))
-        targets = rng.integers(0, tiny_config.vocab_size, size=(2, 8))
-        for replica in replicas:
-            run_replica(replica, tokens, targets)
-        DataParallelGradientSync(replicas, log=log, exclude_embedding=False).synchronize()
-        assert log.count(category="embedding_dp") > 0
+    def test_embedding_bucketed_when_not_excluded(self, tiny_config):
+        replicas, arenas = build_replicas(tiny_config)
+        sync = exact_sync(replicas, arenas, exclude_embedding=False)
+        names = [name for bucket in sync.buckets for name in bucket.parameter_names]
+        assert any("word_embeddings" in name for name in names)
 
-    def test_mismatched_replicas_raise(self, tiny_config):
-        replicas = [build_gpt_stages(tiny_config, 2, seed=0), build_gpt_stages(tiny_config, 1, seed=0)]
-        with pytest.raises(ValueError):
-            DataParallelGradientSync(replicas)
+    def test_one_arena_per_replica_required(self, tiny_config):
+        replicas, arenas = build_replicas(tiny_config)
+        with pytest.raises(ValueError, match="one parameter arena per replica"):
+            exact_sync(replicas, arenas[:1])
 
     def test_compression_hook_is_consulted(self, tiny_config, rng):
-        replicas = build_replicas(tiny_config)
-        tokens = rng.integers(0, tiny_config.vocab_size, size=(2, 8))
-        targets = rng.integers(0, tiny_config.vocab_size, size=(2, 8))
+        replicas, arenas = build_replicas(tiny_config)
         for replica in replicas:
+            tokens = rng.integers(0, tiny_config.vocab_size, size=(2, 8))
+            targets = rng.integers(0, tiny_config.vocab_size, size=(2, 8))
             run_replica(replica, tokens, targets)
 
         class RecordingHook:
             def __init__(self):
-                self.calls = []
+                self.codec_buckets = []
 
-            def should_compress(self, stage_index, parameter):
-                return stage_index == 0 and parameter.data.ndim >= 2
+            def codec_applies(self, stage_index, gradient):
+                return stage_index == 0 and gradient.ndim >= 2
 
-            def reduce(self, key, stage_index, gradients, group):
-                self.calls.append((key, stage_index))
-                reduced = np.mean([np.asarray(g) for g in gradients], axis=0)
-                group.all_reduce(list(gradients), op="mean", payload_bytes=1, compressed=True)
-                return [reduced for _ in gradients]
+            def reduce_bucket(self, bucket, gradients, group):
+                return group.all_reduce(list(gradients), op="mean")
+
+            def reduce_codec_bucket(self, bucket, flat_gradients, group):
+                self.codec_buckets.append(bucket.stage_index)
+                for segment in bucket.segments:
+                    views = [flat[segment.start : segment.stop] for flat in flat_gradients]
+                    reduced = np.mean(views, axis=0)
+                    for view in views:
+                        view[...] = reduced
+                group.record_collective("all_reduce", 1, compressed=True)
 
         hook = RecordingHook()
         log = CommunicationLog()
-        DataParallelGradientSync(
-            replicas, log=log, compression_hook=hook, exclude_embedding=True
-        ).synchronize()
-        assert hook.calls, "hook should have been used for stage 0"
-        assert all(stage == 0 for _, stage in hook.calls)
+        BucketedDataParallelSync(replicas, arenas, hook, log=log).synchronize()
+        assert hook.codec_buckets, "hook should have been used for stage 0"
+        assert set(hook.codec_buckets) == {0}
         assert any(record.compressed for record in log.records)
 
 

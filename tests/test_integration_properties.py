@@ -95,7 +95,7 @@ class TestFullStackIntegration:
         trainer = build_trainer(ParallelPlan.cb_fe_sc(cb_rank=2, dp_rank=2, stage_fraction=0.5))
         trainer.train_iteration()
         assert trainer.dp_hook is not None
-        assert trainer.dp_hook.compressed_stages == {0, 1}
+        assert trainer.engine.dp_reduce.compressed_stages == {0, 1}
         assert trainer.dp_hook.bytes_saved_fraction() > 0.3
 
 

@@ -19,16 +19,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from per_parameter_oracle import run_per_parameter
 from repro.nn.transformer import GPTModelConfig
 from repro.plan import Boundary, CompressionSpec, ParallelPlan, Schedule, Topology
 from repro.nn import CrossEntropyLoss, GPTModel
-from repro.parallel.collectives import CommunicationLog, ring_all_reduce_wire_bytes
+from repro.parallel.arena import ParameterArena, build_codec_buckets
+from repro.parallel.collectives import (
+    CommunicationLog,
+    SimulatedProcessGroup,
+    ring_all_reduce_wire_bytes,
+)
 from repro.parallel.engine import (
     TP_ALL_REDUCES_PER_LAYER_PER_DIRECTION,
     CompressedGradientAllReduce,
     ThreeDParallelEngine,
 )
 from repro.parallel.pipeline_engine import WIRE_BYTES_PER_ELEMENT
+from repro.tensor.parameter import Parameter
 
 
 UNCOMPRESSED = ParallelPlan.baseline()
@@ -47,8 +54,31 @@ def dp_codec_plan(**knobs) -> ParallelPlan:
 
 
 def serial(plan: ParallelPlan) -> ParallelPlan:
-    """``plan`` with the serial per-parameter DP epilogue instead of the overlap."""
+    """``plan`` with the DP all-reduce after the pipeline drains instead of the overlap."""
     return plan.with_schedule(kind="serial")
+
+
+def per_parameter_engine(config, plan, seed, dp=2):
+    """An engine whose DP sync is the frozen per-parameter walk (the oracle)."""
+    engine = make_engine(config, plan, dp=dp, seed=seed)
+    run_per_parameter(engine)
+    return engine
+
+
+def one_parameter_bucket(reducer, shape, replicas=2):
+    """One codec bucket holding one ``(rows, cols)`` parameter on ``replicas`` arenas."""
+    arenas, parameters = [], []
+    for _ in range(replicas):
+        parameter = Parameter(np.zeros(shape), name="w")
+        arenas.append(ParameterArena([parameter]))
+        parameters.append(parameter)
+    (bucket,) = build_codec_buckets(
+        arenas[0],
+        [[parameters[0]]],
+        1 << 30,
+        select=lambda stage, p: reducer.codec_applies(stage, p.grad),
+    )
+    return bucket, arenas
 
 
 def make_batches(config, rng, replicas=2, micro_batches=2, batch=2, seq=8):
@@ -126,7 +156,8 @@ class TestGradientParity:
         assert result.mean_loss == pytest.approx(reference_loss, abs=1e-12)
         assert_matches_reference(engine, model, atol=1e-13)
         # All replicas hold identical gradients after the exact all-reduce.
-        assert engine.dp_sync.max_gradient_divergence() == 0.0
+        for arena in engine.arenas[1:]:
+            assert np.array_equal(arena.grad, engine.arenas[0].grad)
 
     def test_parity_holds_for_every_uncompressed_codec_path(self, tiny_config, rng):
         """The 'none' codec routes through the same all-reduce as the raw sync."""
@@ -159,20 +190,19 @@ class TestErrorFeedbackConvergence:
             codec=codec, rank=2, fraction=0.1, stage_fraction=1.0, min_elements=16
         )
         reducer = CompressedGradientAllReduce(spec, num_stages=1, seed=0)
-        log = CommunicationLog()
-        from repro.parallel.collectives import SimulatedProcessGroup
-
-        group = SimulatedProcessGroup([0, 1], log, category="data_parallel")
+        group = SimulatedProcessGroup([0, 1], CommunicationLog(), category="data_parallel")
         gradient = rng.normal(size=(16, 8))
+        bucket, arenas = one_parameter_bucket(reducer, gradient.shape)
         steps = 90
         sent = np.zeros_like(gradient)
         delivered = np.zeros_like(gradient)
         errors = []
         for _ in range(steps):
-            contributions = [gradient.copy(), gradient.copy()]
-            synced = reducer.reduce("w", 0, contributions, group)
+            for arena in arenas:
+                arena.grad[...] = gradient.reshape(-1)
+            reducer.reduce_codec_bucket(bucket, [arena.grad for arena in arenas], group)
             sent += gradient
-            delivered += synced[0]
+            delivered += arenas[0].grad.reshape(gradient.shape)
             errors.append(float(np.linalg.norm(sent - delivered)))
         # The tracking error saturates: the residual stays within a bounded band
         # (a small multiple of one gradient) instead of growing with the step
@@ -206,11 +236,11 @@ class TestErrorFeedbackConvergence:
             codec="topk", fraction=0.1, error_feedback=False, stage_fraction=1.0, min_elements=16
         )
         reducer = CompressedGradientAllReduce(spec, num_stages=1, seed=0)
-        log = CommunicationLog()
-        from repro.parallel.collectives import SimulatedProcessGroup
-
-        group = SimulatedProcessGroup([0, 1], log, category="data_parallel")
-        reducer.reduce("w", 0, [rng.normal(size=(16, 8))] * 2, group)
+        group = SimulatedProcessGroup([0, 1], CommunicationLog(), category="data_parallel")
+        bucket, arenas = one_parameter_bucket(reducer, (16, 8))
+        for arena in arenas:
+            arena.grad[...] = rng.normal(size=16 * 8)
+        reducer.reduce_codec_bucket(bucket, [arena.grad for arena in arenas], group)
         assert reducer.residual_memory_bytes() == 0
 
 
@@ -344,28 +374,32 @@ class TestOverlappedDataParallel:
                 optimizer.step()
         return results
 
-    def test_overlapped_path_is_weight_parity_with_serial_epilogue(self, small_config, rng):
-        """Compression off: the bucketed overlapped path and the serial
-        per-parameter epilogue produce bit-for-bit identical weights."""
+    def test_overlapped_path_is_weight_parity_with_per_parameter_oracle(
+        self, small_config, rng
+    ):
+        """Compression off: the bucketed path, overlapped or serial, produces
+        bit-for-bit the weights of the frozen per-parameter walk."""
         batches = make_batches(small_config, rng)
-        overlapped = make_engine(small_config, dp_codec_plan(bucket_bytes=2048), seed=5)
-        epilogue = make_engine(small_config, serial(UNCOMPRESSED), seed=5)
-        self._train(overlapped, batches)
-        self._train(epilogue, batches)
-        for over_param, serial_param in zip(overlapped.parameters(), epilogue.parameters()):
-            assert np.array_equal(over_param.data, serial_param.data), over_param.name
-            assert np.array_equal(over_param.grad, serial_param.grad), over_param.name
+        oracle = per_parameter_engine(small_config, UNCOMPRESSED, seed=5)
+        self._train(oracle, batches)
+        for plan in (dp_codec_plan(bucket_bytes=2048), serial(UNCOMPRESSED)):
+            engine = make_engine(small_config, plan, seed=5)
+            self._train(engine, batches)
+            for param, oracle_param in zip(engine.parameters(), oracle.parameters()):
+                assert np.array_equal(param.data, oracle_param.data), param.name
+                assert np.array_equal(param.grad, oracle_param.grad), param.name
 
+    @pytest.mark.parametrize("dp", [2, 3])
     @pytest.mark.parametrize("codec", ["powersgd", "qsgd", "topk"])
     @pytest.mark.parametrize("error_feedback", [True, False])
     def test_overlapped_path_is_weight_parity_under_every_codec(
-        self, small_config, rng, codec, error_feedback
+        self, small_config, codec, error_feedback, dp
     ):
-        """With a codec on, the overlapped path compresses *per bucket* on the
-        flat arena views while the serial epilogue compresses per parameter —
-        same per-tensor keys, RNG streams, and error-feedback math, so three
-        iterations of training end bit-for-bit identical."""
-        batches = make_batches(small_config, rng)
+        """With a codec on, the bucketed path compresses *per bucket* on the
+        flat arena views while the frozen walk compresses per parameter — same
+        per-tensor keys, RNG streams, and error-feedback math, so three
+        iterations of training end bit-for-bit identical, overlapped or serial."""
+        batches = make_batches(small_config, np.random.default_rng(dp), replicas=dp)
         plan = dp_codec_plan(
             codec=codec,
             rank=2,
@@ -375,28 +409,27 @@ class TestOverlappedDataParallel:
             error_feedback=error_feedback,
             min_elements=64,
         )
-        overlapped = make_engine(
-            small_config, plan.with_boundary(Boundary.DP, bucket_bytes=2048), seed=4
-        )
-        epilogue = make_engine(small_config, serial(plan), seed=4)
-        self._train(overlapped, batches)
-        self._train(epilogue, batches)
-        for over_param, serial_param in zip(overlapped.parameters(), epilogue.parameters()):
-            assert np.array_equal(over_param.data, serial_param.data), over_param.name
-            assert np.array_equal(over_param.grad, serial_param.grad), over_param.name
+        oracle = per_parameter_engine(small_config, plan, seed=4, dp=dp)
+        self._train(oracle, batches)
+        for variant in (plan.with_boundary(Boundary.DP, bucket_bytes=2048), serial(plan)):
+            engine = make_engine(small_config, variant, dp=dp, seed=4)
+            self._train(engine, batches)
+            for param, oracle_param in zip(engine.parameters(), oracle.parameters()):
+                assert np.array_equal(param.data, oracle_param.data), param.name
+                assert np.array_equal(param.grad, oracle_param.grad), param.name
 
     def test_selective_stage_fraction_respected_on_bucketed_path(self, small_config, rng):
         """stage_fraction=0.5 on PP2: stage 0 compressed per bucket, stage 1 exact."""
         batches = make_batches(small_config, rng)
         plan = dp_codec_plan(codec="powersgd", rank=2, stage_fraction=0.5, min_elements=64)
-        overlapped = make_engine(small_config, plan, seed=4)
-        epilogue = make_engine(small_config, serial(plan), seed=4)
-        over_result = self._train(overlapped, batches)[-1]
-        self._train(epilogue, batches)
-        for over_param, serial_param in zip(overlapped.parameters(), epilogue.parameters()):
-            assert np.array_equal(over_param.data, serial_param.data)
-        assert over_result.dp_stage_traffic[0].compressed_all_reduces > 0
-        assert over_result.dp_stage_traffic[1].compressed_all_reduces == 0
+        bucketed = make_engine(small_config, plan, seed=4)
+        oracle = per_parameter_engine(small_config, plan, seed=4)
+        bucketed_result = self._train(bucketed, batches)[-1]
+        self._train(oracle, batches)
+        for param, oracle_param in zip(bucketed.parameters(), oracle.parameters()):
+            assert np.array_equal(param.data, oracle_param.data)
+        assert bucketed_result.dp_stage_traffic[0].compressed_all_reduces > 0
+        assert bucketed_result.dp_stage_traffic[1].compressed_all_reduces == 0
 
     @pytest.mark.parametrize("codec", ["none", "powersgd", "qsgd", "topk"])
     def test_micro_batch_fire_changes_only_overlap_accounting(
@@ -451,25 +484,23 @@ class TestOverlappedDataParallel:
 
     def test_bucket_bytes_sum_to_per_parameter_bytes(self, small_config, rng):
         """Accounting property: per-stage bucketed payload/original bytes equal the
-        serial path's per-parameter accounting exactly."""
+        frozen per-parameter walk's accounting exactly."""
         batches = make_batches(small_config, rng)
-        overlapped = make_engine(small_config, dp_codec_plan(bucket_bytes=1024), seed=0)
-        epilogue = make_engine(small_config, serial(UNCOMPRESSED), seed=0)
-        over_result = overlapped.run_iteration(batches)
-        serial_result = epilogue.run_iteration(batches)
-        assert set(over_result.dp_stage_traffic) == set(serial_result.dp_stage_traffic)
-        for stage in over_result.dp_stage_traffic:
-            over_traffic = over_result.dp_stage_traffic[stage]
-            serial_traffic = serial_result.dp_stage_traffic[stage]
-            assert over_traffic.payload_bytes == serial_traffic.payload_bytes
-            assert over_traffic.original_bytes == serial_traffic.original_bytes
-            # Bucketing coalesces messages: strictly fewer all-reduces, all flat.
-            assert over_traffic.bucket_all_reduces > 0
-            assert over_traffic.all_reduces < serial_traffic.all_reduces
-            assert serial_traffic.bucket_all_reduces == 0
+        bucketed = make_engine(small_config, dp_codec_plan(bucket_bytes=1024), seed=0)
+        oracle = per_parameter_engine(small_config, UNCOMPRESSED, seed=0)
+        bucketed_result = bucketed.run_iteration(batches)
+        oracle_result = oracle.run_iteration(batches)
+        assert set(bucketed_result.dp_stage_traffic) == set(oracle_result.dp_stage_traffic)
+        for stage in bucketed_result.dp_stage_traffic:
+            bucketed_traffic = bucketed_result.dp_stage_traffic[stage]
+            oracle_traffic = oracle_result.dp_stage_traffic[stage]
+            assert bucketed_traffic.payload_bytes == oracle_traffic.payload_bytes
+            assert bucketed_traffic.original_bytes == oracle_traffic.original_bytes
+            # Bucketing coalesces messages: strictly fewer all-reduces.
+            assert 0 < bucketed_traffic.all_reduces < oracle_traffic.all_reduces
         # The axis totals agree too (same wire bytes, different granularity).
-        assert over_result.axis_wire_bytes["data_parallel"] == pytest.approx(
-            serial_result.axis_wire_bytes["data_parallel"]
+        assert bucketed_result.axis_wire_bytes["data_parallel"] == pytest.approx(
+            oracle_result.axis_wire_bytes["data_parallel"]
         )
 
     def test_overlap_accounting_flags_cooldown_traffic(self, small_config, rng):
@@ -490,14 +521,28 @@ class TestOverlappedDataParallel:
         )
         assert 0.0 < result.dp_overlapped_fraction < 1.0
 
-    def test_serial_epilogue_reports_everything_exposed(self, small_config, rng):
+    @pytest.mark.parametrize("dp_fire", ["stage", "micro_batch"])
+    def test_serial_reports_everything_exposed(self, small_config, rng, dp_fire):
+        """Serial fires the same buckets as 1f1b, after the drain: the same
+        messages and wire bytes, none of them overlapped."""
         batches = make_batches(small_config, rng)
-        engine = make_engine(small_config, serial(UNCOMPRESSED), seed=0)
+        plan = dp_codec_plan(bucket_bytes=1024).with_schedule(dp_fire=dp_fire)
+        engine = make_engine(small_config, serial(plan), seed=0)
+        overlapped = make_engine(small_config, plan, seed=0)
         result = engine.run_iteration(batches)
+        overlapped_result = overlapped.run_iteration(batches)
         assert result.dp_overlapped_wire_bytes == 0.0
+        assert result.dp_overlapped_fraction == 0.0
         assert result.dp_exposed_wire_bytes == pytest.approx(
             result.axis_wire_bytes["data_parallel"]
         )
+        records = [r for r in engine.log.records if r.category == "data_parallel"]
+        assert records and not any(record.overlapped for record in records)
+        assert len(records) == len(engine.bucketed_sync.buckets)
+        assert [r.description for r in records] == [
+            r.description for r in overlapped.log.records if r.category == "data_parallel"
+        ]
+        assert result.axis_wire_bytes == overlapped_result.axis_wire_bytes
 
     def test_bucket_size_knob_controls_message_count(self, small_config, rng):
         """Smaller bucket targets produce more (but equally sized in total) messages."""

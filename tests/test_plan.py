@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro import cli
 from repro.compression import PowerSGDCompressor, TopKCompressor
 from repro.compression.base import UNCOMPRESSED_BYTES_PER_ELEMENT
-from repro.models.gpt_configs import GPT_2_5B, functional_config
+from repro.models.gpt_configs import GPT_2_5B, GPT_8_3B, functional_config
 from repro.parallel.engine import ThreeDParallelEngine
 from repro.plan import (
     BOUNDARY_CODECS,
@@ -36,7 +36,16 @@ from repro.plan import (
     Topology,
 )
 from repro.simulator.cost_model import CostModel, TrainingJob
-from repro.simulator.executor import PipelineTimingSimulator
+from repro.simulator.evaluate import evaluate_plan
+from repro.simulator.executor import PipelineTimingSimulator, simulate_plan
+
+#: The overlap-off ablation: selective stage compression with the DP all-reduce
+#: after the pipeline drains.
+OVERLAP_OFF = ParallelPlan.from_json(
+    (pathlib.Path(__file__).resolve().parents[1] / "examples/plans/overlap_off.json").read_text(
+        encoding="utf-8"
+    )
+)
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples" / "plans"
 
@@ -303,7 +312,7 @@ class TestPlanHelpers:
         )
         reduce = ThreeDParallelEngine(model, plan).dp_reduce
         assert reduce.powersgd is None  # no false PowerSGD-SC claim
-        assert isinstance(reduce.feedback.compressor, TopKCompressor)
+        assert isinstance(reduce.compressor, TopKCompressor)
         job = plan.training_job(GPT_2_5B)
         assert (
             PipelineTimingSimulator(job, plan).run().dp_wire_bytes
@@ -590,6 +599,53 @@ class TestCrossLayerParity:
         assert sample.dp_bytes_saved_fraction > 0.0
         # 75% of 4 stages -> stages {0, 1, 2} on both layers.
         assert plan.spec(Boundary.DP).compressed_stages(plan.topology.pp) == {0, 1, 2}
+
+
+class TestSerialSchedule:
+    """``kind="serial"`` means the same thing in both layers: nothing overlapped."""
+
+    def test_the_simulator_times_serial_without_the_overlap(self):
+        twin = OVERLAP_OFF.with_schedule(kind="1f1b")
+        assert evaluate_plan(OVERLAP_OFF, GPT_8_3B) != evaluate_plan(twin, GPT_8_3B)
+        job = OVERLAP_OFF.training_job(GPT_8_3B)
+        assert job.schedule_kind == "serial"
+        serial = simulate_plan(job, OVERLAP_OFF)
+        overlapped = simulate_plan(twin.training_job(GPT_8_3B), twin)
+        assert serial.dp_overlapped_fraction == 0.0
+        assert overlapped.dp_overlapped_fraction > 0.0
+        assert serial.dp_wire_bytes == overlapped.dp_wire_bytes
+        assert serial.iteration_time > overlapped.iteration_time
+        # Same pipeline: only where the DP all-reduce starts differs.
+        assert serial.stage_backward_finish == overlapped.stage_backward_finish
+
+    @pytest.mark.parametrize("pp", [1, 2, 4, 8])
+    @pytest.mark.parametrize("name", sorted(PLAN_PRESETS))
+    def test_serial_is_never_faster_than_its_1f1b_twin(self, name, pp):
+        plan = ParallelPlan.preset(name, Topology(dp=2, pp=pp, micro_batches=8))
+        twin = plan.with_schedule(kind="1f1b")
+        serial = plan.with_schedule(kind="serial")
+        for model in (GPT_2_5B, GPT_8_3B):
+            assert (
+                evaluate_plan(serial, model).iteration_time_s
+                >= evaluate_plan(twin, model).iteration_time_s
+            )
+
+    def test_the_engine_exposes_every_serial_dp_byte(self):
+        model = functional_config(
+            vocab_size=32, sequence_length=8, num_layers=2, hidden_size=16, num_heads=2
+        )
+        plan = OVERLAP_OFF.proxy_scaled().with_topology(pp=2, dp=2, micro_batches=2)
+        rng = np.random.default_rng(0)
+        batches = [
+            [(rng.integers(0, 32, size=(2, 8)), rng.integers(0, 32, size=(2, 8)))] * 2
+            for _ in range(2)
+        ]
+        serial = ThreeDParallelEngine(model, plan).run_iteration(batches)
+        twin = ThreeDParallelEngine(model, plan.with_schedule(kind="1f1b")).run_iteration(batches)
+        assert serial.axis_wire_bytes["data_parallel"] > 0
+        assert serial.dp_overlapped_fraction == 0.0
+        assert twin.dp_overlapped_fraction > 0.0
+        assert serial.axis_wire_bytes == twin.axis_wire_bytes
 
 
 # ---------------------------------------------------------------------------------

@@ -41,7 +41,7 @@ class TestEngineHookWiring:
     def test_baseline_produces_no_hooks(self, build):
         engine = build(ParallelPlan.preset("baseline"))
         assert engine.cb_hooks == [None, None]
-        assert engine.dp_reduce.powersgd is None and engine.dp_reduce.feedback is None
+        assert engine.dp_reduce.powersgd is None and engine.dp_reduce.compressor is None
         assert all(p.channel.forward_hook is None for p in engine.pipeline_engines)
         assert not engine.embedding_sync.fused
 
@@ -57,7 +57,7 @@ class TestEngineHookWiring:
             assert pipeline.channel.backward_hook is hook
         dp = engine.dp_reduce.powersgd
         assert isinstance(dp, SelectiveStageCompression)
-        assert dp.compressed_stages == engine.dp_reduce.compressed_stages == {0, 1, 2}
+        assert engine.dp_reduce.compressed_stages == {0, 1, 2}
         assert engine.embedding_sync.fused
 
     def test_non_lep_and_naive_flags_propagate(self, build):

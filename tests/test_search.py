@@ -334,22 +334,22 @@ PINNED_KEY_DIGESTS = {
     "flagship": (
         (REPO_ROOT / "benchmarks/e2e/queries/flagship.json").read_text(encoding="utf-8"),
         2800,
-        "10b4b090d3dce81ae46992e83de737cecb3c7204d2fc10df835f4085ca360d2e",
+        "14226372bed5f7a8e9e3cf92f6cca62272a717a9b2158ddb521ec4cb8b43ed43",
     ),
     "two_tier": (
         (REPO_ROOT / "examples/queries/gpt_2_5b_two_tier.json").read_text(encoding="utf-8"),
         432,
-        "822741f6afac9eaf91541716a689efdeb0de72f26827ff87d015a13b7fbb7440",
+        "41aeaeb2013e5658c108d7f12a7d2180b2b0501a32777d1050d1f4a94ab88bdd",
     ),
     "int_spelled": (
         json.dumps(INT_SPELLED_QUERY),
         576,
-        "9d6fee3454176d7bff58ec6b23cbeff58f7512f7e8f2b9e810e9f305deba6313",
+        "1d4c54445b6a879b8a8326fdbea24d60012057cc84e02732558d0f001e831169",
     ),
     "proxy_scaled": (
         json.dumps({"model": "GPT-2.5B", "gpus": 8, "proxy_scale_max_rank": 2}),
         1120,
-        "e558597bc0b52f5a59ade24b719052194bb56af02e1ee3ea7002f0a09b6e0324",
+        "dbd283e4ceba6895a9822c60e7a78c4608b2b5c9eac8acf4cdfce1b788ad0cb4",
     ),
 }
 
