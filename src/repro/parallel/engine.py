@@ -517,14 +517,13 @@ class ThreeDParallelEngine:
         self.model_config = model_config
         self.num_stages = plan.topology.pp
         self.data_parallel_degree = plan.topology.dp
-        # The pipeline execution schedule: the split-backward kinds ("zb1",
-        # "auto") replay their op lists inside every replica's pipeline engine
-        # (bit-for-bit identical weights); everything else runs the
-        # phase-ordered loop.  "auto" additionally carries the plan's
-        # activation-memory cap into the synthesizer.  Model chunks are
-        # simulated, not executed: refuse them rather than run plain 1F1B
-        # under an interleaved label (at pp == 1 they change nothing, as in
-        # the simulator).
+        # The pipeline execution schedule: every replica's pipeline engine
+        # walks the kind's op lists (1F1B for "1f1b"/"serial", ZB-H1 for
+        # "zb1", synthesized for "auto"; bit-for-bit identical weights).
+        # "auto" additionally carries the plan's activation-memory cap into
+        # the synthesizer.  Model chunks are simulated, not executed: refuse
+        # them rather than run plain 1F1B under an interleaved label (at
+        # pp == 1 they change nothing, as in the simulator).
         if self.num_stages > 1 and plan.schedule.num_model_chunks > 1:
             raise ValueError(
                 f"num_model_chunks={plan.schedule.num_model_chunks} at pp={self.num_stages}: "

@@ -8,29 +8,28 @@ paper's compressed backpropagation plugs into.
 
 Execution order
 ---------------
-Within a single iteration no weights change, so the numerical result depends only on
-(1) which micro-batches are processed and (2) the per-boundary *order* of backward
-communications (which matters when lazy error propagation carries residuals from one
-micro-batch to the next).  Both are identical between a real 1F1B execution and the
-simpler "all forwards in micro-batch order, then all backwards in micro-batch order"
-loop used here, so the functional engine uses the simpler loop; the 1F1B timing
-behaviour is modelled separately by :mod:`repro.simulator`.
-
-The split-backward schedules (``schedule_kind="zb1"`` and the synthesized
-``"auto"``) *do* change the execution structure — each backward is split into
-an activation-gradient pass
-(:meth:`~repro.nn.gpt_stage.GPTStage.backward_input`) and a deferred
-weight-gradient pass (:meth:`~repro.nn.gpt_stage.GPTStage.backward_weight`) —
-so the engine executes the actual per-stage op lists (the handcrafted ZB-H1
-order for ``"zb1"``, the synthesizer's output for ``"auto"``) in the order
+Every schedule kind runs one executor.  :meth:`PipelineParallelEngine.run_iteration`
+builds the kind's per-stage op lists (:func:`~repro.parallel.scheduler.schedule_ops`:
+1F1B for ``"1f1b"``/``"serial"``, the handcrafted ZB-H1 for ``"zb1"``, the
+synthesizer's output for ``"auto"``) and executes them in the order
 :func:`~repro.parallel.pipeline_schedule.replay_ops` visits them.  That walk is
-the one the synthesizer's evaluator and the timing simulator fold over, and
-its order depends only on which producers have run, never on op times, so
-the order the engine executes is the order they time.  Because every valid op
-list still presents each boundary's backward transfers in ascending
-micro-batch order and runs each stage's W passes in ascending micro-batch
-order, the weights remain bit-for-bit identical to the 1F1B loop regardless of
-which valid schedule is replayed (asserted by the parity tests).
+the one the synthesizer's evaluator and the timing simulator fold over, and its
+order depends only on which producers have run, never on op times, so the order
+the engine executes is the order they time.  A fused ``"backward"`` op is
+:meth:`~repro.nn.gpt_stage.GPTStage.backward`; the split-backward kinds run its
+two halves as separate ops, an activation-gradient pass
+(:meth:`~repro.nn.gpt_stage.GPTStage.backward_input`, B) and a deferred
+weight-gradient pass (:meth:`~repro.nn.gpt_stage.GPTStage.backward_weight`, W).
+A stage therefore holds exactly the forward activations its op list has in
+flight — ``min(pp - stage, mb)`` under 1F1B, not every micro-batch's.
+
+Within one iteration no weights change, so the numerical result depends on two
+orders only, and every valid op list keeps both ascending in micro-batch: each
+boundary's backward transfers (lazy error propagation carries a residual from
+one micro-batch's transfer to the next across that boundary) and each stage's
+gradient accumulation (floating-point sums are order-sensitive).  The weights
+are therefore bit-for-bit identical whichever valid schedule is walked (the
+parity tests hold every kind to a frozen phase-ordered loop).
 
 Interleaved lists (``num_model_chunks > 1``) are not executed here:
 :class:`~repro.parallel.engine.ThreeDParallelEngine` refuses them at
@@ -50,13 +49,9 @@ from repro.parallel.collectives import (
     CommunicationLog,
     TrafficRecord,
 )
-from repro.parallel.pipeline_schedule import (
-    OP_KINDS,
-    PipelineOp,
-    build_zb1_schedule,
-    replay_ops,
-)
-from repro.plan import SPLIT_BACKWARD_KINDS, validate_schedule_kind
+from repro.parallel.pipeline_schedule import OP_KINDS, replay_ops
+from repro.parallel.scheduler import StageCosts, SynthesisSpec, schedule_ops
+from repro.plan import validate_memory_cap_factor, validate_schedule_kind
 
 #: Hook applied to every backward inter-stage transfer.
 #:
@@ -154,9 +149,11 @@ class PipelineParallelEngine:
     channel:
         The inter-stage channel (owns the compression hooks and the traffic log).
     schedule_kind:
-        ``"1f1b"``/``"serial"`` run the phase-ordered loop; ``"zb1"`` replays the
-        ZB-H1 split-backward op lists and ``"auto"`` the synthesized ones
-        (bit-for-bit identical weights either way).
+        Which op lists every iteration walks: the 1F1B lists for
+        ``"1f1b"``/``"serial"`` (the two differ only in DP firing, which is not
+        this engine's concern), the ZB-H1 split-backward lists for ``"zb1"``
+        and the synthesized ones for ``"auto"`` (bit-for-bit identical weights
+        whichever).  Read at every iteration, so it may be reassigned.
     memory_cap_factor:
         Activation-memory cap handed to the synthesizer when
         ``schedule_kind == "auto"`` (1.0 = ZB-H1's footprint; ignored otherwise).
@@ -174,8 +171,7 @@ class PipelineParallelEngine:
         if not stages[0].is_first or not stages[-1].is_last:
             raise ValueError("stages[0] must be the first stage and stages[-1] the last stage")
         validate_schedule_kind(schedule_kind, context="PipelineParallelEngine")
-        if memory_cap_factor < 1.0:
-            raise ValueError(f"memory_cap_factor must be >= 1.0, got {memory_cap_factor}")
+        validate_memory_cap_factor(memory_cap_factor)
         self.stages: list[GPTStage] = list(stages)
         self.channel = channel if channel is not None else InterStageChannel()
         self.schedule_kind = schedule_kind
@@ -206,91 +202,30 @@ class PipelineParallelEngine:
 
         ``micro_batches`` is a list of ``(token_ids, targets)`` pairs.  Gradients are
         accumulated into the stage parameters (already averaged over the whole
-        mini-batch via the ``1/num_micro_batches`` loss scale).
+        mini-batch via the ``1/num_micro_batches`` loss scale).  The ops of this
+        iteration's schedule run in the order
+        :func:`~repro.parallel.pipeline_schedule.replay_ops` yields them; the
+        times it yields are ignored.
         """
         num_micro_batches = len(micro_batches)
         if num_micro_batches == 0:
             raise ValueError("run_iteration requires at least one micro-batch")
-        if self.schedule_kind in SPLIT_BACKWARD_KINDS:
-            return self._run_iteration_split(micro_batches, self._build_split_schedule(num_micro_batches))
-        loss_scale = 1.0 / num_micro_batches
-        record_mark = len(self.channel.log.records)
-
-        # Per-stage, per-micro-batch caches; index [stage][micro_batch].
-        caches: list[list[StageCache | None]] = [
-            [None] * num_micro_batches for _ in range(self.num_stages)
-        ]
-        losses: list[float] = []
-
-        # Forward phase (micro-batch order).
-        for micro_batch, (tokens, targets) in enumerate(micro_batches):
-            activation: np.ndarray = np.asarray(tokens)
-            for stage_index, stage in enumerate(self.stages):
-                if stage.is_last:
-                    loss, cache = stage.forward(activation, targets=targets)
-                    losses.append(float(loss))
-                else:
-                    activation, cache = stage.forward(activation)
-                    activation = self.channel.send_forward(
-                        activation, stage_index, micro_batch, num_micro_batches
-                    )
-                caches[stage_index][micro_batch] = cache
-
-        # Backward phase (micro-batch order, stages in reverse).
-        for micro_batch in range(num_micro_batches):
-            grad: np.ndarray | None = None
-            for stage_index in range(self.num_stages - 1, -1, -1):
-                stage = self.stages[stage_index]
-                cache = caches[stage_index][micro_batch]
-                if stage.is_last:
-                    grad = stage.backward(None, cache, loss_scale=loss_scale)
-                else:
-                    grad = stage.backward(grad, cache)
-                caches[stage_index][micro_batch] = None  # release activation memory
-                if stage_index > 0 and grad is not None:
-                    grad = self.channel.send_backward(
-                        grad, stage_index - 1, micro_batch, num_micro_batches
-                    )
-
-        return self._iteration_result(losses, record_mark)
-
-    def _build_split_schedule(self, num_micro_batches: int) -> list[list[PipelineOp]]:
-        """Per-stage split-backward op lists for the engine's schedule kind.
-
-        ``"zb1"`` is the handcrafted ZB-H1 order; ``"auto"`` runs the
-        synthesizer with the analytic unit-cost split (F=1, B=2, W=1 — the
-        recompute-free transformer ratio) and the engine's memory cap.  The
-        functional engine is timing-free, so any dependency-valid list yields
-        identical weights; the costs only shape which valid list is chosen.
-        """
-        if self.schedule_kind == "auto":
-            from repro.parallel.scheduler import StageCosts, SynthesisSpec, synthesize_schedule
-
-            spec = SynthesisSpec(
-                num_stages=self.num_stages,
-                num_micro_batches=num_micro_batches,
-                costs=tuple(StageCosts(1.0, 2.0, 1.0) for _ in range(self.num_stages)),
-                memory_cap_factor=self.memory_cap_factor,
-            )
-            return synthesize_schedule(spec).stage_ops()
-        return build_zb1_schedule(self.num_stages, num_micro_batches)
-
-    def _run_iteration_split(
-        self,
-        micro_batches: Sequence[tuple[np.ndarray, np.ndarray]],
-        schedule: list[list[PipelineOp]],
-    ) -> IterationResult:
-        """Execute split-backward (B/W) op lists in the order the one walk visits them.
-
-        :func:`~repro.parallel.pipeline_schedule.replay_ops` — the walk the
-        synthesizer's evaluator and the timing simulator fold over — yields
-        each op once its input has been produced; the engine runs the ops in
-        that order and ignores the times.  Any valid list (zb1 or
-        synthesized) leaves the weights bit-for-bit the phase-ordered loop's
-        (see the module docstring).
-        """
-        num_micro_batches = len(micro_batches)
         num_stages = self.num_stages
+        # "auto" runs the synthesizer with the analytic unit-cost split (F=1,
+        # B=2, W=1 — the recompute-free transformer ratio) and the engine's
+        # memory cap.  The engine is timing-free, so any dependency-valid list
+        # yields identical weights; the costs only shape which one is chosen.
+        schedule = schedule_ops(
+            self.schedule_kind,
+            num_stages,
+            num_micro_batches,
+            lambda: SynthesisSpec(
+                num_stages=num_stages,
+                num_micro_batches=num_micro_batches,
+                costs=(StageCosts(1.0, 2.0, 1.0),) * num_stages,
+                memory_cap_factor=self.memory_cap_factor,
+            ),
+        )
         loss_scale = 1.0 / num_micro_batches
         record_mark = len(self.channel.log.records)
 
@@ -302,6 +237,7 @@ class PipelineParallelEngine:
         activations: dict[tuple[int, int], np.ndarray] = {
             (0, mb): np.asarray(tokens) for mb, (tokens, _) in enumerate(micro_batches)
         }
+        # The last stage seeds its backward from the loss (loss_scale applies there only).
         gradients: dict[tuple[int, int], np.ndarray | None] = {
             (num_stages - 1, mb): None for mb in range(num_micro_batches)
         }
@@ -321,20 +257,22 @@ class PipelineParallelEngine:
                         activation, stage_index, micro_batch, num_micro_batches
                     )
                 caches[stage_index][micro_batch] = cache
-            elif op.kind == "backward_input":
-                grad = gradients.pop((stage_index, micro_batch))
-                cache = caches[stage_index][micro_batch]
-                if stage.is_last:
-                    grad = stage.backward_input(None, cache, loss_scale=loss_scale)
-                else:
-                    grad = stage.backward_input(grad, cache)
+            elif op.kind == "backward_weight":
+                stage.backward_weight(caches[stage_index][micro_batch])
+                caches[stage_index][micro_batch] = None  # release activations
+            else:  # "backward" (fused B + W) or "backward_input" (B)
+                backward = stage.backward if op.kind == "backward" else stage.backward_input
+                grad = backward(
+                    gradients.pop((stage_index, micro_batch)),
+                    caches[stage_index][micro_batch],
+                    loss_scale=loss_scale,
+                )
+                if op.kind == "backward":
+                    caches[stage_index][micro_batch] = None  # release activations
                 if stage_index > 0 and grad is not None:
                     gradients[(stage_index - 1, micro_batch)] = self.channel.send_backward(
                         grad, stage_index - 1, micro_batch, num_micro_batches
                     )
-            else:  # backward_weight
-                stage.backward_weight(caches[stage_index][micro_batch])
-                caches[stage_index][micro_batch] = None  # release activations
 
         return self._iteration_result(losses, record_mark)
 

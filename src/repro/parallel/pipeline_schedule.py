@@ -6,7 +6,7 @@ Two kinds of consumer use them:
 * :func:`replay_ops` walks finished lists in dependency order — the one
   pipeline replay under the synthesizer's evaluator, the timing simulator
   (compute and communication costs attached) and the functional engine's
-  split-backward executor (times ignored);
+  executor (every schedule kind, times ignored);
 * the epilogue analysis (:func:`epilogue_micro_batches`) derives *which* backward
   communications sit on the critical path — the set the paper's epilogue-only
   compression targets (Section 5.2).

@@ -45,16 +45,20 @@ activation share (the paper-family ZB-2p budget).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from repro.parallel.pipeline_schedule import (
     OP_KINDS,
     PipelineOp,
     bubble_fraction,
+    build_1f1b_schedule,
+    build_interleaved_1f1b_schedule,
     build_zb1_schedule,
     count_in_flight_micro_batches,
     replay_ops,
     zb1_deferred_weight_passes,
 )
+from repro.plan import validate_memory_cap_factor, validate_schedule_kind
 
 #: Quantised cap factors the synthesizer searches.  A requested
 #: ``memory_cap_factor`` admits every ladder point at or below it (caps beyond
@@ -114,11 +118,7 @@ class SynthesisSpec:
             )
         if self.transfer_delay < 0:
             raise ValueError("transfer_delay must be non-negative")
-        if self.memory_cap_factor < 1.0:
-            raise ValueError(
-                "memory_cap_factor is relative to the 1F1B activation peak and must "
-                f"be >= 1.0, got {self.memory_cap_factor}"
-            )
+        validate_memory_cap_factor(self.memory_cap_factor)
         for name in ("activation_bytes", "stash_bytes"):
             values = getattr(self, name)
             if values is not None:
@@ -431,3 +431,29 @@ def synthesize_schedule(spec: SynthesisSpec) -> SynthesizedSchedule:
         memory_budget=tuple(budgets),
         source=source,
     )
+
+
+def schedule_ops(
+    kind: str,
+    num_stages: int,
+    num_micro_batches: int,
+    auto_spec: Callable[[], SynthesisSpec],
+    num_model_chunks: int = 1,
+) -> Sequence[Sequence[PipelineOp]]:
+    """Per-stage op lists of schedule ``kind`` — the one kind → op-list choice.
+
+    ``"1f1b"`` and ``"serial"`` get the 1F1B lists (they differ only in where
+    the DP all-reduce starts), interleaved when ``num_model_chunks > 1`` at
+    ``num_stages > 1``; ``"zb1"`` gets the handcrafted ZB-H1 lists; ``"auto"``
+    gets the synthesizer's answer to ``auto_spec()``.  The spec is the
+    caller's cost model — the timing simulator passes its job's, the
+    functional engine unit costs — and is built only for ``"auto"``.
+    """
+    validate_schedule_kind(kind, context="schedule_ops")
+    if kind == "auto":
+        return synthesize_schedule(auto_spec()).ops
+    if kind == "zb1":
+        return build_zb1_schedule(num_stages, num_micro_batches)
+    if num_stages > 1 and num_model_chunks > 1:
+        return build_interleaved_1f1b_schedule(num_stages, num_micro_batches, num_model_chunks)
+    return build_1f1b_schedule(num_stages, num_micro_batches)

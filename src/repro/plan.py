@@ -96,8 +96,8 @@ SCHEDULE_KINDS = ("1f1b", "serial", "zb1", "auto")
 
 #: The kinds whose backward is split into B and W passes.  They share all the
 #: zb1 plumbing: micro-batch-granular DP firing (a parameter's gradient is
-#: final after its W pass), num_model_chunks == 1, and the split-backward
-#: replay in the functional engine and the timing simulator.
+#: final after its W pass), num_model_chunks == 1, and the split B/W op
+#: times and W-stash memory in the simulator.
 SPLIT_BACKWARD_KINDS = ("zb1", "auto")
 
 
@@ -115,6 +115,20 @@ def validate_schedule_kind(
             f"{context}: unknown schedule kind {kind!r}; expected one of {allowed}"
         )
     return kind
+
+
+def validate_memory_cap_factor(factor: float) -> None:
+    """The one ``memory_cap_factor`` check every layer shares.
+
+    The cap is a multiple of the 1F1B activation peak, so it must be ``>= 1.0``;
+    NaN is refused too (it compares false either way, and ``nan != nan`` would
+    break plan equality).  ``inf`` means "no cap" and is accepted.
+    """
+    if not factor >= 1.0:
+        raise ValueError(
+            "memory_cap_factor is relative to the 1F1B activation peak and "
+            f"must be >= 1.0, got {factor}"
+        )
 
 #: Execution substrates: ``"serial"`` runs every replica's pipeline in the one
 #: parent process (the bit-for-bit oracle); ``"process"`` runs one forked
@@ -380,11 +394,7 @@ class Schedule:
             raise ValueError(
                 f"dp_fire must be one of {DP_FIRE_KINDS}, got {self.dp_fire!r}"
             )
-        if self.memory_cap_factor < 1.0:
-            raise ValueError(
-                "memory_cap_factor is relative to the 1F1B activation peak and "
-                f"must be >= 1.0, got {self.memory_cap_factor}"
-            )
+        validate_memory_cap_factor(self.memory_cap_factor)
 
     @property
     def dp_overlap(self) -> bool:

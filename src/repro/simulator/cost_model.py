@@ -21,7 +21,12 @@ from dataclasses import dataclass, field
 from repro.models.gpt_configs import PaperModelSpec
 from repro.parallel.collectives import ring_all_reduce_wire_bytes
 from repro.parallel.process_groups import ParallelLayout
-from repro.plan import DP_FIRE_KINDS, SPLIT_BACKWARD_KINDS, validate_schedule_kind
+from repro.plan import (
+    DP_FIRE_KINDS,
+    SPLIT_BACKWARD_KINDS,
+    validate_memory_cap_factor,
+    validate_schedule_kind,
+)
 from repro.simulator.hardware import ClusterSpec, PAPER_CLUSTER_SPEC
 
 #: Version tag of the analytic cost model, folded into plan-search cache keys
@@ -111,11 +116,7 @@ class TrainingJob:
                 f"{self.schedule_kind} is a plain (non-interleaved) schedule; "
                 "num_model_chunks must be 1"
             )
-        if self.memory_cap_factor < 1.0:
-            raise ValueError(
-                "memory_cap_factor is relative to the 1F1B activation peak and "
-                f"must be >= 1.0, got {self.memory_cap_factor}"
-            )
+        validate_memory_cap_factor(self.memory_cap_factor)
         per_replica = self.global_batch_size / self.layout.data_parallel
         if per_replica != int(per_replica):
             raise ValueError(

@@ -46,11 +46,9 @@ from repro.parallel.pipeline_schedule import (
     BACKWARD_SEND_KINDS,
     PipelineOp,
     bubble_fraction,
-    build_1f1b_schedule,
-    build_interleaved_1f1b_schedule,
-    build_zb1_schedule,
     replay_ops,
 )
+from repro.parallel.scheduler import schedule_ops
 from repro.plan import SPLIT_BACKWARD_KINDS, Boundary, CompressionSpec, ParallelPlan
 from repro.simulator.cost_model import CLASS_MEMO_SIZE, TrainingJob, job_cost_model
 
@@ -65,29 +63,24 @@ WORKER_RESPAWN_LATENCY_S = 2.0
 def build_job_schedule(job: TrainingJob) -> tuple[tuple[PipelineOp, ...], ...]:
     """Per-stage op lists for a training job's ``schedule_kind``.
 
-    ``"serial"`` gets the 1F1B lists (it differs from ``"1f1b"`` only in
-    where the DP all-reduce starts).  ``"auto"`` runs the synthesizer over the
-    job's cost model (per-stage F/B/W times, transfer delay, activation/stash
-    bytes, ``memory_cap_factor``) — the same op lists the timing replay and the
-    memory model then consume, so the two layers can never disagree about what
-    ``"auto"`` means for a given job.
+    The kind → op-list choice is :func:`~repro.parallel.scheduler.schedule_ops`,
+    the one the functional engine walks too.  ``"auto"`` runs the synthesizer
+    over the job's cost model (per-stage F/B/W times, transfer delay,
+    activation/stash bytes, ``memory_cap_factor``) — the same op lists the
+    timing replay and the memory model then consume, so the two layers can
+    never disagree about what ``"auto"`` means for a given job.
     The lists of the last few jobs are kept (immutable, so shareable): the
     replay and the memory model of one plan, and of the plans that follow it on
     the same job, read one build.  A few, not many — a deep pipeline's lists
     run to thousands of ops.
     """
-    num_stages = job.num_stages
-    num_micro = job.num_micro_batches
-    if job.schedule_kind == "auto":
-        from repro.parallel.scheduler import synthesize_schedule
-
-        schedule = synthesize_schedule(job_cost_model(job).auto_synthesis_spec()).ops
-    elif job.schedule_kind == "zb1":
-        schedule = build_zb1_schedule(num_stages, num_micro)
-    elif num_stages > 1 and job.num_model_chunks > 1:
-        schedule = build_interleaved_1f1b_schedule(num_stages, num_micro, job.num_model_chunks)
-    else:
-        schedule = build_1f1b_schedule(num_stages, num_micro)
+    schedule = schedule_ops(
+        job.schedule_kind,
+        job.num_stages,
+        job.num_micro_batches,
+        lambda: job_cost_model(job).auto_synthesis_spec(),
+        job.num_model_chunks,
+    )
     return tuple(tuple(ops) for ops in schedule)
 
 

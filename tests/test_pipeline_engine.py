@@ -5,9 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from phase_loop_oracle import run_phase_loop
+
+from repro.core.compressed_backprop import CompressedBackpropagation
 from repro.nn.gpt_stage import build_gpt_stages
+from repro.parallel import pipeline_engine
 from repro.parallel.collectives import CommunicationLog
 from repro.parallel.pipeline_engine import InterStageChannel, PipelineParallelEngine
+from repro.parallel.pipeline_schedule import count_in_flight_micro_batches, replay_ops
+from repro.parallel.scheduler import stage_memory_profile
+from repro.plan import SCHEDULE_KINDS
 
 
 def make_engine(config, num_stages=2, seed=0, backward_hook=None, log=None):
@@ -112,8 +119,8 @@ class TestTrafficAccounting:
         assert per_iteration == [[4, 4]] * 4
 
 
-class TestZeroBubbleReplay:
-    """The zb1 replay path of the functional pipeline engine."""
+class TestOpListWalk:
+    """Every schedule kind walks its op lists; the frozen phase loop is the oracle."""
 
     # Four layers so pipelines up to four stages are expressible.
     from repro.nn.transformer import GPTModelConfig as _Config
@@ -122,28 +129,106 @@ class TestZeroBubbleReplay:
         vocab_size=32, max_sequence_length=12, num_layers=4, hidden_size=16, num_heads=2
     )
 
+    @classmethod
+    def _walk_and_oracle(cls, kind, num_stages, backward_hooks=(None, None)):
+        """Two engines with equal weights: the walk under test and the oracle's."""
+        return [
+            PipelineParallelEngine(
+                build_gpt_stages(cls.DEEP_CONFIG, num_stages, seed=5),
+                InterStageChannel(backward_hook=hook),
+                schedule_kind=kind,
+            )
+            for hook in backward_hooks
+        ]
+
+    @staticmethod
+    def _assert_bit_identical(walk, walk_result, oracle, oracle_result):
+        assert walk_result == oracle_result  # loss, micro-batch count, both byte totals
+        for walk_param, oracle_param in zip(walk.parameters(), oracle.parameters()):
+            assert np.array_equal(walk_param.grad, oracle_param.grad), walk_param.name
+
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
     @pytest.mark.parametrize("num_stages", [1, 2, 3, 4])
     @pytest.mark.parametrize("num_micro", [1, 2, 5])
-    def test_zb1_is_bit_identical_to_the_phase_loop(self, rng, num_stages, num_micro):
+    def test_walk_is_bit_identical_to_the_phase_loop(self, rng, kind, num_stages, num_micro):
         """Covers micro_batches < pp and the pp == 1 degenerate case."""
-        config = self.DEEP_CONFIG
-        batches = [make_batch(config, rng) for _ in range(num_micro)]
-        reference = make_engine(config, num_stages=num_stages, seed=5)
-        zb1 = PipelineParallelEngine(
-            build_gpt_stages(config, num_stages, seed=5),
-            InterStageChannel(),
-            schedule_kind="zb1",
+        batches = [make_batch(self.DEEP_CONFIG, rng) for _ in range(num_micro)]
+        walk, oracle = self._walk_and_oracle(kind, num_stages)
+        self._assert_bit_identical(
+            walk, walk.run_iteration(batches), oracle, run_phase_loop(oracle, batches)
         )
-        ref_result = reference.run_iteration(batches)
-        zb1_result = zb1.run_iteration(batches)
-        assert ref_result.mean_loss == zb1_result.mean_loss
-        assert ref_result.forward_bytes == zb1_result.forward_bytes
-        assert ref_result.backward_bytes == zb1_result.backward_bytes
-        for ref_param, zb1_param in zip(reference.parameters(), zb1.parameters()):
-            assert np.array_equal(ref_param.grad, zb1_param.grad), ref_param.name
 
-    def test_zb1_backward_transfers_stay_in_micro_batch_order_per_boundary(self, tiny_config, rng):
-        """LEP residuals ride micro-batch order per boundary — zb1 must keep it."""
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    @pytest.mark.parametrize("num_stages", [3, 4])
+    def test_compressed_backprop_in_flight_is_bit_identical_to_the_phase_loop(
+        self, rng, kind, num_stages
+    ):
+        """Every transfer compressed with LEP on: under 1F1B a stage sends
+        B(mb+1) before its upstream consumes B(mb), so each compressed transfer
+        is held in flight — and the residual still rides micro-batch order."""
+        hooks = [
+            CompressedBackpropagation(
+                num_stages, rank=2, lazy_error_propagation=True, epilogue_only=False
+            )
+            for _ in range(2)
+        ]
+        walk, oracle = self._walk_and_oracle(kind, num_stages, hooks)
+        for _ in range(2):  # the second iteration starts from carried residuals
+            batches = [make_batch(self.DEEP_CONFIG, rng) for _ in range(5)]
+            self._assert_bit_identical(
+                walk, walk.run_iteration(batches), oracle, run_phase_loop(oracle, batches)
+            )
+        events = hooks[0].events
+        assert events and all(event.compressed for event in events)
+        assert all(event.payload_bytes < event.original_bytes for event in events)
+
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    @pytest.mark.parametrize("num_stages", [1, 2, 3, 4])
+    @pytest.mark.parametrize("num_micro", [1, 2, 5])
+    def test_live_activations_per_stage_are_the_schedules(
+        self, rng, monkeypatch, kind, num_stages, num_micro
+    ):
+        """A stage holds a forward's activations until its B (or fused backward)
+        pass: the peak per stage is the walked op list's in-flight count."""
+        walked = []
+
+        def recording_replay(schedule, durations, handoff):
+            walked.append(schedule)
+            return replay_ops(schedule, durations, handoff)
+
+        monkeypatch.setattr(pipeline_engine, "replay_ops", recording_replay)
+        engine = PipelineParallelEngine(
+            build_gpt_stages(self.DEEP_CONFIG, num_stages, seed=5), schedule_kind=kind
+        )
+        live = [0] * num_stages
+        peak = [0] * num_stages
+        for index, stage in enumerate(engine.stages):
+            # Instance attributes: the fused ``backward`` reaches its B pass
+            # through ``self.backward_input``, so both spellings are counted.
+            def forward(*args, _forward=stage.forward, _index=index, **kwargs):
+                live[_index] += 1
+                peak[_index] = max(peak[_index], live[_index])
+                return _forward(*args, **kwargs)
+
+            def backward_input(*args, _backward_input=stage.backward_input, _index=index, **kwargs):
+                live[_index] -= 1
+                return _backward_input(*args, **kwargs)
+
+            stage.forward = forward
+            stage.backward_input = backward_input
+        engine.run_iteration([make_batch(self.DEEP_CONFIG, rng) for _ in range(num_micro)])
+        assert live == [0] * num_stages
+        if kind in ("1f1b", "serial"):
+            assert peak == [
+                count_in_flight_micro_batches(stage, num_stages, num_micro)
+                for stage in range(num_stages)
+            ]
+        (schedule,) = walked
+        assert peak == [stage_memory_profile(ops)[0] for ops in schedule]
+
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    def test_backward_transfers_stay_in_micro_batch_order_per_boundary(self, rng, kind):
+        """LEP residuals ride micro-batch order per boundary — every kind must keep it."""
         order: dict[int, list[int]] = {}
 
         def hook(grad, boundary, micro_batch, num_micro_batches):
@@ -151,13 +236,13 @@ class TestZeroBubbleReplay:
             return grad, int(grad.size * 2), False
 
         engine = PipelineParallelEngine(
-            build_gpt_stages(tiny_config, 2, seed=0),
+            build_gpt_stages(self.DEEP_CONFIG, 4, seed=0),
             InterStageChannel(backward_hook=hook),
-            schedule_kind="zb1",
+            schedule_kind=kind,
         )
-        batches = [make_batch(tiny_config, rng) for _ in range(4)]
+        batches = [make_batch(self.DEEP_CONFIG, rng) for _ in range(5)]
         engine.run_iteration(batches)
-        assert order == {0: [0, 1, 2, 3]}
+        assert order == {boundary: [0, 1, 2, 3, 4] for boundary in range(3)}
 
     def test_zb1_caches_are_released(self, tiny_config, rng):
         engine = PipelineParallelEngine(

@@ -207,6 +207,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown schedule kind"):
             Schedule(kind="gpipe")
 
+    @pytest.mark.parametrize("cap", [0.5, float("nan")])
+    def test_bad_memory_cap_factor(self, cap):
+        """NaN compares false both ways, so a ``< 1.0`` check let it through."""
+        with pytest.raises(ValueError, match="memory_cap_factor"):
+            Schedule(kind="auto", memory_cap_factor=cap)
+        payload = json.dumps({"schedule": {"kind": "auto", "memory_cap_factor": cap}})
+        with pytest.raises(ValueError, match="memory_cap_factor"):
+            ParallelPlan.from_json(payload)
+        with pytest.raises(SystemExit, match="memory_cap_factor"):
+            cli.main(["train", "--preset", "auto", "--memory-cap", str(cap), "--iterations", "1"])
+
+    def test_infinite_memory_cap_means_no_cap(self):
+        schedule = Schedule(kind="auto", memory_cap_factor=float("inf"))
+        assert schedule.describe() == "auto@infx"
+
 
 class TestPlanHelpers:
     def test_presets_cover_the_paper_nomenclature(self):

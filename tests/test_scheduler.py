@@ -124,8 +124,9 @@ class TestSynthesizer:
             _spec(0, 4)
         with pytest.raises(ValueError, match="num_micro_batches"):
             _spec(2, 0)
-        with pytest.raises(ValueError, match="memory_cap_factor"):
-            _spec(2, 4, cap=0.5)
+        for cap in (0.5, float("nan")):
+            with pytest.raises(ValueError, match="memory_cap_factor"):
+                _spec(2, 4, cap=cap)
         with pytest.raises(ValueError, match="non-negative"):
             StageCosts(-1.0, 2.0, 1.0)
         with pytest.raises(ValueError, match="one entry per stage"):
@@ -334,8 +335,9 @@ class TestEngineParity:
         stages = build_gpt_stages(config, 2, seed=0)
         with pytest.raises(ValueError, match="unknown schedule kind"):
             PipelineParallelEngine(stages, schedule_kind="gpipe")
-        with pytest.raises(ValueError, match="memory_cap_factor"):
-            PipelineParallelEngine(stages, schedule_kind="auto", memory_cap_factor=0.5)
+        for cap in (0.5, float("nan")):
+            with pytest.raises(ValueError, match="memory_cap_factor"):
+                PipelineParallelEngine(stages, schedule_kind="auto", memory_cap_factor=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +373,9 @@ class TestSimulatorAcceptance:
     def test_training_job_rejects_unknown_kind_and_bad_cap(self):
         with pytest.raises(ValueError, match="unknown schedule kind"):
             _paper_job(schedule_kind="gpipe")
-        with pytest.raises(ValueError, match="memory_cap_factor"):
-            _paper_job(schedule_kind="auto", memory_cap_factor=0.9)
+        for cap in (0.9, float("nan")):
+            with pytest.raises(ValueError, match="memory_cap_factor"):
+                _paper_job(schedule_kind="auto", memory_cap_factor=cap)
 
     def test_shared_validator_vocabulary(self):
         assert "auto" in SCHEDULE_KINDS
