@@ -102,7 +102,6 @@ def measure_engine_traffic(
     last_loss = 0.0
     try:
         for iteration in range(iterations):
-            optimizer.zero_grad()
             result = engine.run_iteration(loader.iteration_batches(iteration))
             optimizer.step()
             last_loss = result.mean_loss

@@ -138,7 +138,6 @@ def functional_schedule_parity(
         engine = ThreeDParallelEngine(config, plan=plan, seed=seed)
         optimizer = engine.build_optimizer(lr=2e-3)
         for _ in range(iterations):
-            optimizer.zero_grad()
             engine.run_iteration(batches)
             optimizer.step()
         engines[kind] = engine

@@ -58,11 +58,9 @@ class Embedding(Module):
 
     def backward(self, grad_output: np.ndarray, cache: EmbeddingCache) -> None:
         """Scatter-add the upstream gradient into the embedding weight gradient."""
-        grad = np.zeros_like(self.weight.data)
-        flat_indices = cache.indices.reshape(-1)
-        flat_grad = grad_output.reshape(-1, self.embedding_dim)
-        np.add.at(grad, flat_indices, flat_grad)
-        self.weight.accumulate_grad(grad)
+        self.weight.accumulate_rows(
+            cache.indices.reshape(-1), grad_output.reshape(-1, self.embedding_dim)
+        )
 
     def backward_input(self, grad_output: np.ndarray, cache: EmbeddingCache) -> None:
         """B pass: an embedding lookup has no input gradient — just stash for W."""
@@ -92,7 +90,7 @@ class Embedding(Module):
         """
         flat_hidden = hidden.reshape(-1, self.embedding_dim)
         flat_grad = grad_logits.reshape(-1, self.num_embeddings)
-        self.weight.accumulate_grad(flat_grad.T @ flat_hidden)
+        self.weight.accumulate_matmul(flat_grad.T, flat_hidden)
         return grad_logits @ self.weight.data
 
     def project_to_vocab_backward_input(
@@ -108,4 +106,4 @@ class Embedding(Module):
         """W pass of the tied projection: accumulate the weight gradient."""
         flat_hidden = hidden.reshape(-1, self.embedding_dim)
         flat_grad = grad_logits.reshape(-1, self.num_embeddings)
-        self.weight.accumulate_grad(flat_grad.T @ flat_hidden)
+        self.weight.accumulate_matmul(flat_grad.T, flat_hidden)

@@ -99,7 +99,7 @@ class Linear(Module):
             raise RuntimeError("backward_weight called before backward_input")
         flat_x = cache.input.reshape(-1, self.in_features)
         flat_grad = cache.grad_output.reshape(-1, self.out_features)
-        self.weight.accumulate_grad(flat_x.T @ flat_grad)
+        self.weight.accumulate_matmul(flat_x.T, flat_grad)
         if self.bias is not None:
-            self.bias.accumulate_grad(flat_grad.sum(axis=0))
+            self.bias.accumulate_sum(flat_grad)
         cache.grad_output = None

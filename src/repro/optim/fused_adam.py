@@ -20,9 +20,12 @@ Data-parallel replicas share one weight buffer (a
 **one** optimiser and one pair of moments: :meth:`FusedAdam.step` updates the
 shared weights from the first replica's synchronised gradient (every replica
 holds the same one after the DP sync) and :meth:`FusedAdam.zero_grad` clears
-every replica's gradient buffer.  An optimiser over part of a group would either
-apply the update once per member or leave the other members' gradients
-accumulating across iterations, so the constructor refuses it.
+every replica's gradient buffer.  The training loop does not call it: each
+iteration's pipeline run writes every gradient afresh
+(:func:`~repro.tensor.parameter.gradient_epoch`), so there is nothing to clear
+first; it is for callers that want clean buffers outside an iteration.  An
+optimiser over part of a group would apply the update once per member, so the
+constructor refuses it.
 """
 
 from __future__ import annotations
@@ -165,7 +168,10 @@ class FusedAdam:
     # -- optimisation ----------------------------------------------------------------
 
     def zero_grad(self) -> None:
-        """Zero every replica's gradients, one buffer-wide write each."""
+        """Zero every replica's gradients, one buffer-wide write each.
+
+        Not needed between iterations: the pipeline run overwrites them.
+        """
         for arena in self.arenas:
             arena.zero_grad()
 

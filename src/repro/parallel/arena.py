@@ -198,24 +198,30 @@ class ParameterArena:
         self.grad[...] = 0.0
 
     def snapshot(self, out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-        """Copy this arena's share of the weight/gradient state for a later :meth:`restore`.
+        """Copy this arena's share of the weights for a later :meth:`restore`.
 
-        Contiguous buffer copies — the cheap rollback primitive of the
-        per-iteration recovery point.  The gradients are always this arena's
-        own; the group's one weight buffer is captured by its first member only
-        (a standalone arena is its group's first member), so snapshotting every
-        arena of a group copies the weights once.  ``out`` is a previous
-        snapshot whose buffers are refilled in place instead of being
-        reallocated.  The copies are independent of the live buffers, so taking
-        a snapshot never perturbs training.
+        A contiguous buffer copy — the cheap rollback primitive of the
+        per-iteration recovery point.  The group's one weight buffer is
+        captured by its first member only (a standalone arena is its group's
+        first member), so snapshotting every arena of a group copies the
+        weights once and the other members' snapshots are empty.  Gradients
+        are never copied: the pipeline run that follows a capture overwrites
+        them (see :func:`~repro.tensor.parameter.gradient_epoch`), so there is
+        nothing in them to go back to.  ``out`` is a previous snapshot whose
+        buffers are refilled in place instead of being reallocated.  The
+        copies are independent of the live buffers, so taking a snapshot never
+        perturbs training.
         """
-        live = {"grad": self.grad}
-        if self.group[0] is self:
-            live["data"] = self.data
+        live = {"data": self.data} if self.group[0] is self else {}
         return capture_tree(live, out)
 
     def restore(self, snapshot: dict[str, np.ndarray]) -> None:
-        """Write a :meth:`snapshot` back into the live buffers, bit-for-bit."""
+        """Write a :meth:`snapshot` back into the live buffers, bit-for-bit; zero the gradients.
+
+        A restored arena holds no gradient: whatever a failed or discarded
+        iteration left there is cleared, so every replica of the group holds
+        the same (zero) gradient again.
+        """
         for name, saved in snapshot.items():
             live = getattr(self, name)
             if saved.shape != live.shape:
@@ -224,6 +230,7 @@ class ParameterArena:
                 )
         for name, saved in snapshot.items():
             getattr(self, name)[...] = saved
+        self.zero_grad()
 
     def rebind_storage(
         self, data: np.ndarray | None = None, grad: np.ndarray | None = None

@@ -51,8 +51,8 @@ class BucketedCompressionHook(Protocol):
         bucket: GradientBucket,
         gradients: Sequence[np.ndarray],
         group: SimulatedProcessGroup,
-    ) -> list[np.ndarray]:
-        """Exact flat all-reduce of one bucket (with traffic accounting)."""
+    ) -> None:
+        """Exact mean all-reduce of one bucket's flat views, in place (with accounting)."""
         ...
 
     def reduce_codec_bucket(
@@ -225,6 +225,4 @@ class BucketedDataParallelSync:
                     self.hook.reduce_codec_bucket(bucket, grad_buffers, group)
                 else:
                     flats = [grad[bucket.start : bucket.stop] for grad in grad_buffers]
-                    synced = self.hook.reduce_bucket(bucket, flats, group)
-                    for flat, new_grad in zip(flats, synced):
-                        flat[...] = new_grad
+                    self.hook.reduce_bucket(bucket, flats, group)

@@ -107,6 +107,10 @@ TP_ALL_REDUCES_PER_LAYER_PER_DIRECTION = 2
 #: inside a codec kernel (inf - inf is NaN on purpose, as in ``orthogonalise``).
 _POISON_PASSES = np.errstate(invalid="ignore")
 
+#: Elements per tile of the exact bucket mean: ``dp`` gradient slices of
+#: 128 KiB each stay in a per-core L2 while the mean is formed and copied out.
+_REDUCE_TILE = 1 << 14
+
 
 @dataclass
 class StageTraffic:
@@ -216,13 +220,16 @@ class CompressedGradientAllReduce:
         bucket: GradientBucket,
         gradients: Sequence[np.ndarray],
         group: SimulatedProcessGroup,
-    ) -> list[np.ndarray]:
-        """Exact mean all-reduce of one flat gradient bucket (with accounting).
+    ) -> None:
+        """Exact mean all-reduce of one flat gradient bucket, in place (with accounting).
 
         Buckets carry only uncompressed parameters (the bucketed sync routes
         codec-selected ones through :meth:`reduce_codec_bucket`), so the payload
         always equals the original volume; the win is message granularity, not
-        bytes.
+        bytes.  The mean is formed tile by tile in replica 0's view
+        (``g0 + g1``, then ``+= g2 ...``, then ``/= dp`` — the order
+        ``np.stack(...).mean(axis=0)`` sums in, so the same bits) and each tile
+        is copied to the other replicas while it is still in cache.
         """
         num_replicas = len(gradients)
         original_bytes = int(gradients[0].size * WIRE_BYTES_PER_ELEMENT)
@@ -230,9 +237,20 @@ class CompressedGradientAllReduce:
         traffic.all_reduces += 1
         traffic.original_bytes += original_bytes * num_replicas
         traffic.payload_bytes += original_bytes * num_replicas
-        return group.all_reduce(
-            gradients,
-            op="mean",
+        mean, *others = gradients
+        for start in range(0, mean.size, _REDUCE_TILE):
+            span = slice(start, start + _REDUCE_TILE)
+            tile = mean[span]
+            if others:
+                np.add(tile, others[0][span], out=tile)
+                for gradient in others[1:]:
+                    tile += gradient[span]
+                tile /= num_replicas
+            for gradient in others:
+                gradient[span] = tile
+        group.record_collective(
+            "all_reduce",
+            original_bytes,
             description=(
                 f"stage{bucket.stage_index} bucket{bucket.index} "
                 f"({len(bucket.parameter_names)} params)"
@@ -587,9 +605,10 @@ class ThreeDParallelEngine:
 
         # Flat-arena storage: one weight buffer for the whole DP group (replicas
         # hold the same weights by construction — now by storage), one gradient
-        # buffer per replica, all with per-parameter views, so zero_grad and the
-        # fused optimiser are whole-buffer ops and DP buckets are zero-copy flat
-        # spans.  The list is the arenas' live group: ``drop_replica`` shrinks it.
+        # buffer per replica, all with per-parameter views, so the fused
+        # optimiser and the recovery point's weight copy are whole-buffer ops
+        # and DP buckets are zero-copy flat spans.  The list is the arenas'
+        # live group: ``drop_replica`` shrinks it.
         self.arenas: list[ParameterArena] = ParameterArena.replicated(
             engine.parameters() for engine in self.pipeline_engines
         )
@@ -665,7 +684,12 @@ class ThreeDParallelEngine:
         return self.pipeline_engines[replica].parameters()
 
     def zero_grad(self) -> None:
-        """Zero gradients on every replica (one flat write per arena)."""
+        """Zero gradients on every replica (one flat write per arena).
+
+        Not part of an iteration: :meth:`run_iteration` overwrites every
+        gradient it produces.  For callers that want a clean buffer outside
+        one.
+        """
         for arena in self.arenas:
             arena.zero_grad()
 
@@ -674,8 +698,9 @@ class ThreeDParallelEngine:
 
         The only way to build one for an engine (``FusedAdam`` refuses anything
         but the whole group): it steps the shared weights from the first live
-        replica's synchronised gradient and its ``zero_grad`` clears every live
-        replica's gradients, before and after :meth:`drop_replica`.
+        replica's synchronised gradient and its ``zero_grad`` (not needed
+        between iterations) clears every live replica's gradients, before and
+        after :meth:`drop_replica`.
         """
         return FusedAdam(self.arenas, **adam_kwargs)
 
@@ -735,8 +760,10 @@ class ThreeDParallelEngine:
 
         ``per_replica_micro_batches[d]`` is replica ``d``'s list of micro-batches,
         either ``(tokens, targets)`` tuples or
-        :class:`repro.data.dataloader.MicroBatch` objects.  Gradients are left in
-        the stage parameters (synchronised across replicas); the optimiser step is
+        :class:`repro.data.dataloader.MicroBatch` objects.  Each replica's
+        pipeline run writes its gradients (nothing is added to what the buffers
+        held before, so no ``zero_grad`` is needed first); they are left in the
+        stage parameters, synchronised across replicas.  The optimiser step is
         the caller's.
         """
         if len(per_replica_micro_batches) != self.data_parallel_degree:

@@ -52,6 +52,7 @@ from repro.parallel.collectives import (
 from repro.parallel.pipeline_schedule import OP_KINDS, replay_ops
 from repro.parallel.scheduler import StageCosts, SynthesisSpec, schedule_ops
 from repro.plan import validate_memory_cap_factor, validate_schedule_kind
+from repro.tensor.parameter import gradient_epoch
 
 #: Hook applied to every backward inter-stage transfer.
 #:
@@ -200,9 +201,14 @@ class PipelineParallelEngine:
     ) -> IterationResult:
         """Run forward+backward for one mini-batch split into micro-batches.
 
-        ``micro_batches`` is a list of ``(token_ids, targets)`` pairs.  Gradients are
-        accumulated into the stage parameters (already averaged over the whole
-        mini-batch via the ``1/num_micro_batches`` loss scale).  The ops of this
+        ``micro_batches`` is a list of ``(token_ids, targets)`` pairs.  This run
+        is the one producer of the stage parameters' gradients: it opens a
+        :func:`~repro.tensor.parameter.gradient_epoch` over them, so each
+        parameter's first write assigns into its buffer, later micro-batches
+        add, and a parameter no op wrote is zero-filled at the end.  The
+        buffers then hold exactly this mini-batch's gradient (averaged via the
+        ``1/num_micro_batches`` loss scale) whatever they held before, so
+        callers never clear them first.  The ops of this
         iteration's schedule run in the order
         :func:`~repro.parallel.pipeline_schedule.replay_ops` yields them; the
         times it yields are ignored.
@@ -243,36 +249,39 @@ class PipelineParallelEngine:
         }
 
         untimed = dict.fromkeys(OP_KINDS, (0.0,) * num_stages)
-        for stage_index, op, _, _ in replay_ops(schedule, untimed, lambda op, consumer: 0.0):
-            stage = self.stages[stage_index]
-            micro_batch = op.micro_batch
-            if op.kind == "forward":
-                activation = activations.pop((stage_index, micro_batch))
-                if stage.is_last:
-                    loss, cache = stage.forward(activation, targets=micro_batches[micro_batch][1])
-                    losses[micro_batch] = float(loss)
-                else:
-                    activation, cache = stage.forward(activation)
-                    activations[(stage_index + 1, micro_batch)] = self.channel.send_forward(
-                        activation, stage_index, micro_batch, num_micro_batches
-                    )
-                caches[stage_index][micro_batch] = cache
-            elif op.kind == "backward_weight":
-                stage.backward_weight(caches[stage_index][micro_batch])
-                caches[stage_index][micro_batch] = None  # release activations
-            else:  # "backward" (fused B + W) or "backward_input" (B)
-                backward = stage.backward if op.kind == "backward" else stage.backward_input
-                grad = backward(
-                    gradients.pop((stage_index, micro_batch)),
-                    caches[stage_index][micro_batch],
-                    loss_scale=loss_scale,
-                )
-                if op.kind == "backward":
+        walk = replay_ops(schedule, untimed, lambda op, consumer: 0.0)
+        with gradient_epoch(self.parameters()):
+            for stage_index, op, _, _ in walk:
+                stage = self.stages[stage_index]
+                micro_batch = op.micro_batch
+                if op.kind == "forward":
+                    activation = activations.pop((stage_index, micro_batch))
+                    if stage.is_last:
+                        targets = micro_batches[micro_batch][1]
+                        loss, cache = stage.forward(activation, targets=targets)
+                        losses[micro_batch] = float(loss)
+                    else:
+                        activation, cache = stage.forward(activation)
+                        activations[(stage_index + 1, micro_batch)] = self.channel.send_forward(
+                            activation, stage_index, micro_batch, num_micro_batches
+                        )
+                    caches[stage_index][micro_batch] = cache
+                elif op.kind == "backward_weight":
+                    stage.backward_weight(caches[stage_index][micro_batch])
                     caches[stage_index][micro_batch] = None  # release activations
-                if stage_index > 0 and grad is not None:
-                    gradients[(stage_index - 1, micro_batch)] = self.channel.send_backward(
-                        grad, stage_index - 1, micro_batch, num_micro_batches
+                else:  # "backward" (fused B + W) or "backward_input" (B)
+                    backward = stage.backward if op.kind == "backward" else stage.backward_input
+                    grad = backward(
+                        gradients.pop((stage_index, micro_batch)),
+                        caches[stage_index][micro_batch],
+                        loss_scale=loss_scale,
                     )
+                    if op.kind == "backward":
+                        caches[stage_index][micro_batch] = None  # release activations
+                    if stage_index > 0 and grad is not None:
+                        gradients[(stage_index - 1, micro_batch)] = self.channel.send_backward(
+                            grad, stage_index - 1, micro_batch, num_micro_batches
+                        )
 
         return self._iteration_result(losses, record_mark)
 

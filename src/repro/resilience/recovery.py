@@ -7,8 +7,10 @@ this is the one list of them:
 source                    what it holds                               detached by / restored by
 ========================  ==========================================  =========================
 ``engine.arenas``         the DP group's one flat weight buffer       ``snapshot`` / ``restore``
-                          (captured by the first arena only) and      of every arena
-                          each replica ``r``'s own flat gradients
+                          (captured by the first arena only); each    of every arena
+                          replica's gradients are not captured: the
+                          iteration's pipeline run overwrites them,
+                          and ``restore`` zero-fills them
 ``optimizers`` (one)      Adam moments, step count, current LR —      ``state_dict`` / ``load_state_dict``
                           one pair per DP group
 ``engine`` (the rest)     DP error-feedback residuals and slabs,      ``mutable_state`` /
@@ -44,7 +46,7 @@ class RecoveryPoint:
     ``optimizers`` is the trainer's list (of the group's one optimiser); an
     engine driven without a trainer passes none and gets the arena +
     engine-state capture its supervisor rewinds to.  Weights and moments are
-    copied once per capture, gradients once per replica.
+    copied once per capture; gradients are not copied at all.
     Capturing only reads live state, which is what keeps fault-free guarded
     runs bit-identical to unguarded ones.
     """
@@ -74,7 +76,7 @@ class RecoveryPoint:
         return self.engine_state["cb_hooks"]
 
     def restore_arenas(self) -> None:
-        """Write the captured weights and gradients back, bit-for-bit."""
+        """Write the captured weights back, bit-for-bit, and zero every replica's gradients."""
         for arena, snapshot in zip(self.engine.arenas, self.arenas, strict=True):
             arena.restore(snapshot)
 

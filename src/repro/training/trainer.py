@@ -211,8 +211,7 @@ class Pretrainer:
                 self.lr_schedule.apply(optimizer, iteration)
 
         while True:
-            for optimizer in self.optimizers:
-                optimizer.zero_grad()
+            # Nothing to clear first: the pipeline run writes every gradient afresh.
             batches = self.loader.iteration_batches(iteration)
             if len(self._replica_ids) != self.loader.data_parallel_degree:
                 batches = [batches[index] for index in self._replica_ids]
@@ -226,8 +225,7 @@ class Pretrainer:
         self.last_iteration_result = result
 
         if policy is not None and not self._gradients_healthy(policy):
-            self.engine.recovery_point.restore()
-            self.engine.zero_grad()
+            self.engine.recovery_point.restore()  # weights back, gradients zeroed
             self.resilience_report.skipped_steps += 1
             self.resilience_report.rollbacks += 1
             self._consecutive_skips += 1

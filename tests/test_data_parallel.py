@@ -114,7 +114,10 @@ class TestDataParallelSync:
                 return stage_index == 0 and gradient.ndim >= 2
 
             def reduce_bucket(self, bucket, gradients, group):
-                return group.all_reduce(list(gradients), op="mean")
+                reduced = np.mean(gradients, axis=0)
+                for gradient in gradients:
+                    gradient[...] = reduced
+                group.record_collective("all_reduce", 1)
 
             def reduce_codec_bucket(self, bucket, flat_gradients, group):
                 self.codec_buckets.append(bucket.stage_index)

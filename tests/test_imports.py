@@ -66,3 +66,34 @@ def test_simulator_only_example_runs(name, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [path.name])
     runpy.run_path(str(path), run_name="not_main")["main"]()
     assert len(capsys.readouterr().out.splitlines()) > 10
+
+
+def _trace_patches() -> list[tuple]:
+    """Every ``(module, dotted attribute)`` the e2e span tracer patches by name."""
+    tables = runpy.run_path(str(REPO_ROOT / "benchmarks" / "e2e" / "trace.py"), run_name="not_main")
+    return sorted(
+        {
+            (patch[0], patch[1])
+            for name, table in tables.items()
+            if name.endswith("_PATCHES")
+            for patch in table
+        }
+    )
+
+
+TRACE_PATCHES = _trace_patches()
+
+
+def test_the_trace_tables_were_found():
+    assert ("repro.optim.fused_adam", "FusedAdam.zero_grad") in TRACE_PATCHES
+    assert ("repro.parallel.arena", "ParameterArena.snapshot") in TRACE_PATCHES
+    assert len(TRACE_PATCHES) > 40
+
+
+@pytest.mark.parametrize("module, dotted", TRACE_PATCHES, ids=lambda value: value)
+def test_every_attribute_the_tracer_patches_is_defined(module, dotted):
+    """The tracer wraps these by name; one renamed away would stop being timed."""
+    target = importlib.import_module(module)
+    for attribute in dotted.split("."):
+        target = getattr(target, attribute)
+    assert callable(target)

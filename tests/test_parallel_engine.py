@@ -23,7 +23,7 @@ from per_parameter_oracle import run_per_parameter
 from repro.nn.transformer import GPTModelConfig
 from repro.plan import Boundary, CompressionSpec, ParallelPlan, Schedule, Topology
 from repro.nn import CrossEntropyLoss, GPTModel
-from repro.parallel.arena import ParameterArena, build_codec_buckets
+from repro.parallel.arena import GradientBucket, ParameterArena, build_codec_buckets
 from repro.parallel.collectives import (
     CommunicationLog,
     SimulatedProcessGroup,
@@ -294,6 +294,30 @@ class TestTrafficAccounting:
         assert traffic[1].compressed_all_reduces == 0
         assert traffic[1].payload_bytes == traffic[1].original_bytes
         assert engine.dp_reduce.bytes_saved_fraction() > 0
+
+    @pytest.mark.parametrize("replicas", [2, 3, 4, 5])
+    def test_exact_bucket_reduces_in_place_as_the_stacked_mean(self, rng, replicas):
+        """Tile by tile into replica 0's view, copied out: the bits of
+        ``SimulatedProcessGroup.all_reduce(op="mean")`` and its traffic record."""
+        size = 3 * (1 << 14) + 77  # several tiles and a ragged last one
+        gradients = [rng.standard_normal(size) for _ in range(replicas)]
+        bucket = GradientBucket(
+            stage_index=1, index=2, start=0, stop=size, parameter_names=("a", "b")
+        )
+        logs = CommunicationLog(), CommunicationLog()
+        groups = [
+            SimulatedProcessGroup(list(range(replicas)), log, category="data_parallel")
+            for log in logs
+        ]
+        expected = groups[0].all_reduce(
+            gradients, op="mean", description="stage1 bucket2 (2 params)"
+        )
+        reducer = CompressedGradientAllReduce(CompressionSpec(), num_stages=2)
+        in_place = [gradient.copy() for gradient in gradients]
+        assert reducer.reduce_bucket(bucket, in_place, groups[1]) is None
+        for synced, reference in zip(in_place, expected, strict=True):
+            assert np.array_equal(synced.view(np.uint64), reference.view(np.uint64))
+        assert logs[1].records == logs[0].records
 
     def test_uncompressed_dp_payload_matches_parameter_sizes(self, tiny_config, rng):
         engine = make_engine(tiny_config, num_stages=2, dp=2, seed=0)

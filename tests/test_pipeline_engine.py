@@ -175,6 +175,8 @@ class TestOpListWalk:
         walk, oracle = self._walk_and_oracle(kind, num_stages, hooks)
         for _ in range(2):  # the second iteration starts from carried residuals
             batches = [make_batch(self.DEEP_CONFIG, rng) for _ in range(5)]
+            # The frozen loop adds into the buffers; the walk writes them afresh.
+            oracle.zero_grad()
             self._assert_bit_identical(
                 walk, walk.run_iteration(batches), oracle, run_phase_loop(oracle, batches)
             )
