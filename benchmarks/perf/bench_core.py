@@ -28,8 +28,8 @@ Four hot paths are measured, each against the implementation it replaced:
   count, since replica concurrency is real parallelism only on multi-core
   machines);
 * **worker recovery** — the supervised process executor's two costs: the
-  fault-free per-iteration recovery-point overhead (snapshot + CB-state
-  fetch) versus the raw executor, and the kill -> detect -> respawn -> replay
+  fault-free per-iteration recovery-point overhead (the arena snapshot)
+  versus the raw executor, and the kill -> detect -> respawn -> replay
   latency of healing a SIGKILLed worker (bit-identical final weights versus
   the serial oracle — asserted here);
 * **plan search** — cold versus warm latency of a ``repro search`` capacity
@@ -629,8 +629,8 @@ def bench_worker_recovery(repeats: int = 3, iterations_per_repeat: int = 2) -> d
 
     Two costs of self-healing are measured on a PP2 x DP2 process-executor
     probe.  ``unsupervised_over_supervised`` (tracked, higher is better) is the
-    fault-free cost of supervision: the per-iteration arena snapshot + CB-state
-    fetch that makes every iteration replayable; the ratio sits just below 1.0
+    fault-free cost of supervision: the per-iteration arena snapshot that
+    makes every iteration replayable; the ratio sits just below 1.0
     and drops if the recovery point gets more expensive.  ``respawns_per_s``
     (tracked) is the inverse wall time of one kill -> detect -> re-fork ->
     rewind -> replay cycle, measured by SIGKILLing a live worker from outside

@@ -325,7 +325,7 @@ def _command_train_resilient(arguments: argparse.Namespace, plan: ParallelPlan) 
 
     Runs the same tiny functional probe as the traffic path (so both commands
     train the identical model), but through :class:`Pretrainer` so the fault
-    injector, guardrails, rollback, and checkpoint v6 machinery are live.
+    injector, guardrails, rollback, and checkpoint v7 machinery are live.
     """
     from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
     from repro.models.gpt_configs import functional_config
@@ -899,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "survivors; 'checkpoint_abort' writes a final "
                             "checkpoint into --checkpoint-dir and aborts loudly")
     train.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
-                       help="write a rotating atomic checkpoint (format v6: stored, "
+                       help="write a rotating atomic checkpoint (format v7: stored, "
                             "weights and moments once per DP group) into "
                             "--checkpoint-dir after every N completed iterations; "
                             "the write is synchronous")

@@ -15,10 +15,15 @@ gradient segment per replica.
 Bit-for-bit parity with the serial oracle is by construction, not tolerance:
 
 * the per-replica forward/backward is the *identical code on identical state* —
-  workers are forked from the fully constructed engine, so weights, CB-hook
-  residuals, and per-stage RNG streams start equal and, because each replica's
-  state is touched by exactly one process, stay equal to what the serial loop
-  would have computed;
+  workers are forked from the fully constructed engine, so weights and
+  per-stage RNG streams start equal and, because each replica's state is
+  touched by exactly one process, stay equal to what the serial loop would
+  have computed;
+* a worker keeps nothing between iterations outside the shared segments: each
+  ``run`` message carries its replica's compression hook state (CB residuals
+  and warm starts, and the forward hook's under ``compress_forward``) and the
+  reply carries it back, so the parent's hooks are the only copy between
+  iterations — a respawn, rollback, checkpoint or capture asks no worker;
 * everything whose *order* matters — the DP codec all-reduce (Philox streams,
   per-key call counts), the bucketed sync's reduction order, embedding sync,
   fault injection, and the optimiser — runs in the parent, on the shared
@@ -26,9 +31,10 @@ Bit-for-bit parity with the serial oracle is by construction, not tolerance:
   runs it.
 
 The executor is a policy on :mod:`repro.exec.workers`, which forks, talks to
-and reaps every worker: one duplex pipe per worker carries tiny messages
-(micro-batch arrays down, loss + traffic records up); the gradients and
-weights themselves never travel — they are the shared segments.  A dead
+and reaps every worker: one duplex pipe per worker carries one message each
+way per iteration (micro-batch arrays and hook state down; loss, traffic
+records, hook state and compression events up); the gradients and weights
+themselves never travel — they are the shared segments.  A dead
 worker surfaces as :class:`repro.resilience.WorkerCrash`, a live one silent
 past ``worker_timeout`` as :class:`repro.resilience.WorkerTimeout`, both with
 the replica attributed.  Every teardown — :meth:`ProcessExecutor.close`,
@@ -48,10 +54,11 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.exec.shm import SharedArenaSegment
 from repro.exec.workers import Worker, close_workers, serve
+from repro.parallel.engine import hook_states
 from repro.resilience import DEFAULT_WORKER_TIMEOUT, WorkerCrash, WorkerTimeout
 from repro.utils.logging import set_worker_tag
 
-if TYPE_CHECKING:  # the engine imports this module lazily, not vice versa
+if TYPE_CHECKING:
     from repro.parallel.engine import ThreeDParallelEngine
 
 
@@ -69,15 +76,23 @@ def _fire_worker_fault(spec) -> None:
     os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover - dies instantly
 
 
-def _serve_replica(connection, worker_id, pipeline_engine, cb_hook, worker_faults) -> None:
+def _hooks(pipeline_engine) -> tuple:
+    """A replica's inter-stage compression hooks, ``(backward, forward)``; ``None`` where off."""
+    channel = pipeline_engine.channel
+    return channel.backward_hook, channel.forward_hook
+
+
+def _serve_replica(connection, worker_id, pipeline_engine, worker_faults) -> None:
     """One replica worker's child side: tag its log lines, then serve its commands.
 
-    The worker inherited the replica's pipeline engine, stages, CB hook, and
+    The worker inherited the replica's pipeline engine, stages, hooks and
     channel by fork; its arena views alias the parent's shared segments.  Every
-    ``run`` replays the schedule's op stream for one iteration, leaves the
-    gradients in shared memory, and ships back only the mean loss and the
-    traffic records the channel logged (the parent merges them into the global
-    log in replica order, matching the serial loop's record order).
+    ``run`` loads the hook state the message carries, replays the schedule's
+    op stream for one iteration, leaves the gradients in shared memory, and
+    ships back the mean loss, the traffic records the channel logged (the
+    parent merges them into the global log in replica order, matching the
+    serial loop's record order), and each hook's new state and compression
+    events.  Nothing the worker holds between iterations grows or matters.
 
     ``worker_faults`` is this replica's injected crash/hang/replica-loss
     schedule; a fault scheduled at the ``run`` command's iteration fires
@@ -86,30 +101,31 @@ def _serve_replica(connection, worker_id, pipeline_engine, cb_hook, worker_fault
     """
     set_worker_tag(f"dp{worker_id}")
     channel_log = pipeline_engine.channel.log
+    hooks = _hooks(pipeline_engine)
 
     def handle(message):
         kind = message[0]
         if kind == "run":
-            iteration = message[2]
+            _, batches, iteration, states = message
             for spec in worker_faults:
                 if spec.iteration == iteration:
                     _fire_worker_fault(spec)
-            mark = len(channel_log.records)
-            result = pipeline_engine.run_iteration(message[1])
-            records = list(channel_log.records[mark:])
-            # Bound worker-side memory: records were shipped, drop them.
+            # A fork inherits the parent's log and events, which the parent
+            # already has: ship only this run's.
+            record_mark = len(channel_log.records)
+            for hook, state in zip(hooks, states):
+                if hook is not None:
+                    hook.load_state_dict(state)
+                    hook.events = []
+            result = pipeline_engine.run_iteration(batches)
+            records = channel_log.records[record_mark:]
             del channel_log.records[:]
-            return "ok", result.mean_loss, records
+            events = [hook.events if hook is not None else None for hook in hooks]
+            return "ok", result.mean_loss, records, hook_states(hooks), events
         if kind == "ping":
             # Heartbeat: proves the command loop is live (used by the
             # supervisor to verify a freshly respawned worker).
             return "ok", "pong"
-        if kind == "cb_state":
-            return "ok", cb_hook.state_dict() if cb_hook is not None else None
-        if kind == "load_cb_state":
-            if cb_hook is not None:
-                cb_hook.load_state_dict(message[1])
-            return "ok", None
         raise ValueError(f"unknown command {kind!r}")  # a protocol bug fails loudly
 
     serve(connection, handle)
@@ -208,7 +224,6 @@ class ProcessExecutor:
             _serve_replica,
             worker_id,
             self.engine.pipeline_engines[index],
-            self.engine.cb_hooks[index],
             faults,
         )
 
@@ -222,9 +237,11 @@ class ProcessExecutor:
         Gradients land in the shared arenas (ready for the parent's DP sync);
         each worker's traffic records are appended to the engine log in replica
         order, so the merged log is record-for-record what the serial loop
-        writes.  On any worker failure the first one (by replica index) is
-        raised — after every other worker has been drained, so no worker is
-        still writing to shared memory when the caller handles the error.
+        writes, and its hook state and compression events land in the
+        parent's hooks.  On any worker failure the first one (by replica
+        index) is raised — after every other worker has been drained, so no
+        worker is still writing to shared memory when the caller handles the
+        error.
         """
         losses, failures = self.run_collect(per_replica_micro_batches, iteration)
         if failures:
@@ -236,12 +253,14 @@ class ProcessExecutor:
     ) -> tuple[list[float], dict[int, WorkerCrash]]:
         """:meth:`run`, but collecting per-worker failures instead of raising.
 
-        Returns ``(losses, failures)``.  On full success ``failures`` is empty
-        and the traffic records are merged into the engine log; on any failure
-        ``losses`` is empty and *no* records are merged (so a supervised
-        replay of the iteration cannot duplicate them).  Every surviving
-        worker is drained either way — when this returns, no worker is mid-
-        iteration, so the caller may safely restore the shared arenas.
+        Returns ``(losses, failures)``.  On full success ``failures`` is empty,
+        the traffic records are merged into the engine log and every reply's
+        hook state and events into the parent's hooks; on any failure
+        ``losses`` is empty and *nothing* is merged — the parent's hooks keep
+        the pre-iteration state, so a supervised replay is sent exactly what
+        the failed attempt was.  Every surviving worker is drained either way
+        — when this returns, no worker is mid-iteration, so the caller may
+        safely restore the shared arenas.
         """
         if not self._started:
             raise RuntimeError("executor not started")
@@ -251,9 +270,11 @@ class ProcessExecutor:
                 f"executor has {len(self.workers)} workers"
             )
         failures: dict[int, WorkerCrash] = {}
+        pipeline_engines = self.engine.pipeline_engines
         for replica_index, batches in enumerate(per_replica_micro_batches):
+            states = hook_states(_hooks(pipeline_engines[replica_index]))
             try:
-                self._send(replica_index, ("run", list(batches), iteration), iteration)
+                self._send(replica_index, ("run", list(batches), iteration, states), iteration)
             except WorkerCrash as crash:
                 failures[replica_index] = crash
         replies: dict[int, tuple] = {}
@@ -268,9 +289,14 @@ class ProcessExecutor:
             return [], failures
         losses: list[float] = []
         for replica_index in range(len(self.workers)):
-            loss, records = replies[replica_index]
+            loss, records, states, events = replies[replica_index]
             losses.append(loss)
             self.engine.log.records.extend(records)
+            hooks = _hooks(pipeline_engines[replica_index])
+            for hook, state, hook_events in zip(hooks, states, events):
+                if hook is not None:
+                    hook.load_state_dict(state)
+                    hook.events.extend(hook_events)
         return losses, failures
 
     def _send(self, replica_index: int, message, iteration: int) -> None:
@@ -312,43 +338,20 @@ class ProcessExecutor:
             replica=replica_index,
         )
 
-    # -- worker-held mutable state ----------------------------------------------------
-
-    def fetch_cb_states(self) -> list:
-        """Each worker's live CB-hook ``state_dict()`` (checkpoint / rollback).
-
-        The compressed-backpropagation residuals and warm starts evolve inside
-        the workers (the parent's hook copies are stale after the first process
-        iteration), so the engine's ``live_mutable_state()`` fetches them here.
-        """
-        return [self._request(index, ("cb_state",)) for index in range(len(self.workers))]
-
-    def push_cb_states(self, states: Sequence) -> None:
-        """Load CB-hook state into every worker (checkpoint resume / rollback)."""
-        if len(states) != len(self.workers):
-            raise ValueError(
-                f"got {len(states)} CB states for {len(self.workers)} workers"
-            )
-        for index, state in enumerate(states):
-            self._request(index, ("load_cb_state", state))
-
     def fetch_cb_state(self, index: int):
-        """One worker's live CB-hook ``state_dict()`` (supervised cache refresh)."""
-        return self._request(index, ("cb_state",))
+        """Replica ``index``'s CB-hook state: the parent's copy, the only one there is.
 
-    def push_cb_state(self, index: int, state) -> None:
-        """Load CB-hook state into one worker (supervised replay after respawn)."""
-        self._request(index, ("load_cb_state", state))
+        Nothing calls this.  It stays only because the ``exec.fetch_cb`` row of
+        the end-to-end benchmark's tracer patch table wraps it by name, and
+        goes together with that row.
+        """
+        return hook_states(self.engine.cb_hooks)[index]
 
     def ping(self, index: int) -> None:
         """Heartbeat round-trip proving worker ``index``'s command loop is live."""
-        self._request(index, ("ping",))
-
-    def _request(self, replica_index: int, message):
         iteration = self.engine._iteration_index
-        self._send(replica_index, message, iteration)
-        reply = self._receive(replica_index, iteration)
-        return reply[0]
+        self._send(index, ("ping",), iteration)
+        self._receive(index, iteration)
 
     # -- topology changes --------------------------------------------------------------
 
@@ -366,12 +369,11 @@ class ProcessExecutor:
     def respawn_worker(self, index: int, iteration: int) -> None:
         """Re-fork a dead or hung worker over the *same* shared segments.
 
-        The parent's pipeline engine and CB hook for this replica still alias
-        the shared pages — the group's weights segment belongs to no worker,
-        so this holds for replica 0 like any other — and the fresh fork
-        inherits the current weights with zero copies; only the CB hook state
-        it inherits is stale (the parent's copy), which the supervisor fixes by
-        pushing the pre-iteration state through ``load_cb_state`` before replay.
+        The parent's pipeline engine for this replica still aliases the shared
+        pages — the group's weights segment belongs to no worker, so this holds
+        for replica 0 like any other — and the fresh fork inherits the current
+        weights with zero copies.  It needs nothing else: its hook state
+        arrives with every ``run`` message, as it does for every worker.
         Faults at or before ``iteration`` are filtered from the new worker's
         schedule so a replayed iteration cannot re-fire the fault that killed
         its predecessor.
@@ -401,22 +403,12 @@ class ProcessExecutor:
         Every worker goes down the substrate's bounded ladder (sentinel, join,
         kill) — no orphaned processes; segments are closed and unlinked — no
         leaked shared memory.  The engine remains usable on the serial path
-        afterwards with bit-identical state.
+        afterwards with bit-identical state: the parent's hooks already hold
+        every replica's state as of the last completed iteration.
         """
         if not self._started:
             return
         self._started = False
-        # Pull the workers' live CB-hook state back into the parent's copies so
-        # a serial continuation after close() is bit-identical, not merely
-        # weight-identical.  Best-effort: skipped if the workers already died.
-        try:
-            states = self.fetch_cb_states()
-        except WorkerCrash:
-            states = None
-        if states is not None:
-            for hook, state in zip(self.engine.cb_hooks, states):
-                if hook is not None and state is not None:
-                    hook.load_state_dict(state)
         close_workers(self.workers)
         self.worker_ids.clear()
         for segment, arena in zip(self.segments, self.engine.arenas):

@@ -490,6 +490,21 @@ def _axis_report(records) -> tuple[dict[str, float], dict[str, float], dict[int,
     return wire, fractions, boundaries
 
 
+def hook_states(hooks) -> list:
+    """Each inter-stage compression hook's live ``state_dict()`` (``None`` where off)."""
+    return [hook.state_dict() if hook is not None else None for hook in hooks]
+
+
+def _load_hook_states(hooks, states) -> None:
+    if len(states) != len(hooks):
+        raise ValueError(f"state has {len(states)} hook states, engine has {len(hooks)} hooks")
+    for hook, state in zip(hooks, states):
+        if (hook is None) != (state is None):
+            raise ValueError("compression hook state does not match this configuration")
+        if hook is not None:
+            hook.load_state_dict(state)
+
+
 class ThreeDParallelEngine:
     """One training iteration across pipeline × data × tensor parallelism.
 
@@ -563,6 +578,7 @@ class ThreeDParallelEngine:
         self.replicas: list[list] = []
         self.pipeline_engines: list[PipelineParallelEngine] = []
         self.cb_hooks: list[CompressedBackpropagation | None] = []
+        self.forward_hooks: list[CompressedBackpropagation | None] = []
         for replica_index in range(self.data_parallel_degree):
             stages = build_gpt_stages(model_config, self.num_stages, seed=self.seed)
             cb_hook = forward_hook = None
@@ -602,6 +618,7 @@ class ThreeDParallelEngine:
                 )
             )
             self.cb_hooks.append(cb_hook)
+            self.forward_hooks.append(forward_hook)
 
         # Flat-arena storage: one weight buffer for the whole DP group (replicas
         # hold the same weights by construction — now by storage), one gradient
@@ -908,12 +925,11 @@ class ThreeDParallelEngine:
             # Retire the worker (and its gradient segment) before the replica
             # objects disappear under it; the weights segment is the group's.
             self._process_executor.drop_worker(index)
-            if self._supervisor is not None:
-                self._supervisor.drop_cb_state(index)
         del self.replicas[index]
         del self.pipeline_engines[index]
         self.arenas[index].leave_group()  # shrinks self.arenas; the weights stay put
         del self.cb_hooks[index]
+        del self.forward_hooks[index]
         self.data_parallel_degree -= 1
         self._stage_spans_cache = None
         self.dp_reduce.clear_replica_state()
@@ -925,28 +941,18 @@ class ThreeDParallelEngine:
 
         The one inventory that the recovery point (through
         :meth:`mutable_state`) and the checkpoint writer both walk: DP-codec
-        error-feedback residuals and warm starts (``dp_reduce``) plus each
+        error-feedback residuals and warm starts (``dp_reduce``), each
         replica's compressed-backpropagation residual/warm-start state
-        (``cb_hooks``).  Array leaves are the *live* buffers — valid until the
-        next iteration mutates them, which is all a checkpoint write needs.
-
-        Under the process executor the live CB hook copies are the *workers'*
-        (forked state diverges from the parent's after the first iteration), so
-        the per-replica states are fetched over the command pipes — or, under
-        supervision, served from the supervisor's post-step cache, which both
-        skips the per-capture round-trip and stays readable when a worker has
-        just died (the cache *is* the dead worker's last completed state).
+        (``cb_hooks``) and, under ``compress_forward`` only, its forward
+        hook's (``forward_hooks``).  Array leaves are the *live* buffers —
+        valid until the next iteration mutates them, which is all a checkpoint
+        write needs.  The parent's hooks are the only copy, under the process
+        executor too (each ``run`` message and reply carries the state).
         """
-        if self._process_executor is not None and self._process_executor.started:
-            if self._supervisor is not None:
-                cb_states = list(self._supervisor.cb_states())
-            else:
-                cb_states = self._process_executor.fetch_cb_states()
-        else:
-            cb_states = [
-                hook.state_dict() if hook is not None else None for hook in self.cb_hooks
-            ]
-        return {"dp_reduce": self.dp_reduce.state_dict(), "cb_hooks": cb_states}
+        state = {"dp_reduce": self.dp_reduce.state_dict(), "cb_hooks": hook_states(self.cb_hooks)}
+        if any(hook is not None for hook in self.forward_hooks):
+            state["forward_hooks"] = hook_states(self.forward_hooks)
+        return state
 
     def mutable_state(self, out: dict | None = None) -> dict:
         """A detached copy of :meth:`live_mutable_state`.
@@ -958,21 +964,11 @@ class ThreeDParallelEngine:
         return capture_tree(self.live_mutable_state(), out)
 
     def load_mutable_state(self, state: dict) -> None:
-        hooks_state = state["cb_hooks"]
-        if len(hooks_state) != len(self.cb_hooks):
-            raise ValueError(
-                f"state has {len(hooks_state)} CB hooks, engine has {len(self.cb_hooks)}"
-            )
-        for hook, hook_state in zip(self.cb_hooks, hooks_state):
-            if (hook is None) != (hook_state is None):
-                raise ValueError("CB hook state does not match this configuration")
-            if hook is not None:
-                hook.load_state_dict(hook_state)
+        _load_hook_states(self.cb_hooks, state["cb_hooks"])
+        _load_hook_states(
+            self.forward_hooks, state.get("forward_hooks", [None] * len(self.forward_hooks))
+        )
         self.dp_reduce.load_state_dict(state["dp_reduce"])
-        if self._process_executor is not None and self._process_executor.started:
-            self._process_executor.push_cb_states(hooks_state)
-            if self._supervisor is not None:
-                self._supervisor.set_cb_states(hooks_state)
 
     # -- process-parallel execution ----------------------------------------------------
 

@@ -15,15 +15,18 @@ source                    what it holds                               detached b
                           one pair per DP group
 ``engine`` (the rest)     DP error-feedback residuals and slabs,      ``mutable_state`` /
                           PowerSGD warm starts, RNG call counts,      ``load_mutable_state``
-                          per-replica compressed-backprop state
+                          per-replica compressed-backprop hook state
+                          and, under ``compress_forward``, forward
+                          hook state — held by the parent's hooks
+                          only, also under the process executor
 ========================  ==========================================  =========================
 
 :class:`RecoveryPoint` copies all three into buffers it allocates on the first
 capture and refills (``np.copyto``) on every later one.  The engine captures
 once, at the top of ``run_iteration``; the guarded trainer's rollback
 (:meth:`RecoveryPoint.restore`) and the worker supervisor's rewind
-(:meth:`RecoveryPoint.restore_arenas` + :attr:`RecoveryPoint.cb_states`) both go
-back to that one capture.  The checkpoint writer
+(:meth:`RecoveryPoint.restore_arenas`: a failed iteration never wrote the
+parent's hooks) both go back to that one capture.  The checkpoint writer
 (:mod:`repro.training.checkpoint`) writes the same three sources, read through
 their live forms (``arenas[0].data``, ``FusedAdam.live_state``,
 ``engine.live_mutable_state``) — so rollback, rewind and checkpoint cannot
@@ -69,11 +72,6 @@ class RecoveryPoint:
             for optimizer, previous in _with_previous(self.optimizers, self.optimizer_states)
         ]
         self.engine_state = self.engine.mutable_state(out=self.engine_state)
-
-    @property
-    def cb_states(self) -> list:
-        """Each replica's captured compressed-backprop hook state."""
-        return self.engine_state["cb_hooks"]
 
     def restore_arenas(self) -> None:
         """Write the captured weights back, bit-for-bit, and zero every replica's gradients."""

@@ -1,4 +1,4 @@
-"""Bit-exact checkpointing for functional pretraining runs (format v6).
+"""Bit-exact checkpointing for functional pretraining runs (format v7).
 
 A checkpoint captures *every* mutable buffer a resumed run needs to continue
 bit-for-bit identically to the continuous run — the repo's core invariant.
@@ -19,15 +19,17 @@ member               contents
 ``state/<n>``        array leaves of the engine state tree, **per replica**
                      where the state is: QSGD/top-k error-feedback residual
                      slabs are ``(replicas, elements)``, compressed-backprop
-                     hook state is one subtree per replica; PowerSGD's DP
-                     residuals (``(1, elements)`` slabs), its warm starts and
-                     the codecs' RNG call counts are group-wide
+                     hook state (and, under ``compress_forward`` only, the
+                     forward hook's: ``forward_hooks``) is one subtree per
+                     replica; PowerSGD's DP residuals (``(1, elements)``
+                     slabs), its warm starts and the codecs' RNG call counts
+                     are group-wide
 ===================  =========================================================
 
 ===================  =========================================================
 header key           meaning
 ===================  =========================================================
-``format_version``   ``6``; any other value is rejected loudly
+``format_version``   ``7``; any other value is rejected loudly
 ``iteration``        completed iterations
 ``compression``      the ``compression`` section of the writer's plan
                      (``plan.to_dict()["compression"]``: every knob of the DP,
@@ -60,8 +62,10 @@ against the first's; a diverged group refuses to save rather than have the
 difference papered over.  Formats v1 (no error-feedback /
 RNG state), v2 (deflated, per-parameter, per-replica), v3 (a configuration
 label that could not tell PowerSGD rank 2 from rank 4, or QSGD from top-k), v4
-(a PowerSGD DP residual per replica) and v5 (per-parameter residuals from
-serial-DP runs) are rejected loudly: there is one writer and one reader.
+(a PowerSGD DP residual per replica), v5 (per-parameter residuals from
+serial-DP runs) and v6 (no compressed-forward hook state) are rejected
+loudly: there is one writer and one reader.  A v7 file of a plan without
+``compress_forward`` differs from its v6 writer's only in the version.
 
 Writes are atomic (temporary sibling + ``os.replace``) and synchronous — the
 arenas may be ``MAP_SHARED`` segments a forked writer would not snapshot, and
@@ -86,7 +90,7 @@ from repro.training.metrics import TrainingHistory, ValidationPoint
 from repro.training.trainer import Pretrainer
 
 #: Format marker stored in every checkpoint so incompatible files fail loudly.
-CHECKPOINT_FORMAT_VERSION = 6
+CHECKPOINT_FORMAT_VERSION = 7
 
 _ARRAY_REF = "__ndarray__"
 
@@ -107,6 +111,7 @@ _RETIRED_FORMATS = {
         "(serial-DP files keep per-parameter residuals); this build keeps every "
         "error-feedback residual in per-bucket slabs"
     ),
+    6: "v6 checkpoints hold no compressed-forward hook state",
 }
 
 

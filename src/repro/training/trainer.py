@@ -256,7 +256,7 @@ class Pretrainer:
     ) -> PretrainingResult:
         """Run ``num_iterations`` iterations, validating every ``validation_interval``.
 
-        ``checkpoint_every`` writes a rotating atomic checkpoint (format v6:
+        ``checkpoint_every`` writes a rotating atomic checkpoint (format v7:
         stored members written straight from the live buffers, weights and
         moments once per DP group; last ``keep_last`` retained) into
         ``checkpoint_dir`` after every ``checkpoint_every``-th completed
@@ -324,7 +324,8 @@ class Pretrainer:
         ``degrade`` drops the unrecoverable replica (the caller then replays
         the iteration on the survivors); ``checkpoint_abort`` writes a final
         checkpoint of the pre-iteration state (the supervisor already restored
-        it and retired the executor) and raises :class:`ResilienceExhausted`.
+        the arenas, and the parent's hooks never left it) and raises
+        :class:`ResilienceExhausted`.
         """
         if exhausted.action == "checkpoint_abort":
             detail = "no checkpoint directory configured — final state not saved"

@@ -34,6 +34,7 @@ from repro.parallel.arena import ParameterArena
 from repro.parallel.engine import ThreeDParallelEngine
 from repro.plan import PLAN_PRESETS, Boundary, ParallelPlan
 from repro.resilience import WorkerCrash
+from repro.training.trainer import Pretrainer
 
 
 def probe_plan(preset: str = "baseline", pp: int = 2, dp: int = 2, executor: str = "serial"):
@@ -134,9 +135,10 @@ class TestSerialProcessParity:
         assert serial[2] == process[2]
 
     def test_mutable_state_round_trip_through_workers(self):
-        """mutable_state() reads the workers' live CB residuals, and a rollback
-        (load_mutable_state) lands back inside the workers: replaying an
-        iteration after a rollback reproduces it bit-for-bit."""
+        """mutable_state() reads the CB residuals the workers sent back to the
+        parent's hooks, and a rollback (load_mutable_state) reaches the workers
+        with the next ``run``: replaying an iteration after a rollback
+        reproduces it bit-for-bit."""
         plan = probe_plan("cb_fe_sc", executor="process")
         engine = probe_engine(plan)
         loader = probe_loader(plan)
@@ -172,6 +174,36 @@ class TestSerialProcessParity:
                 assert np.array_equal(arena.data, expected)
 
 
+    def test_compression_statistics_match_serial(self):
+        """Each reply carries its run's compressed-backprop events and hook
+        state back to the parent's hooks, so everything read from them — the
+        trainer's compression summary, the per-boundary summary and the
+        residual memory — equals the serial run's."""
+
+        def statistics(executor):
+            plan = probe_plan("cb_fe_sc", executor=executor)
+            trainer = Pretrainer(
+                functional_config(
+                    vocab_size=64, sequence_length=16, num_layers=2, hidden_size=16, num_heads=2
+                ),
+                probe_loader(plan),
+                plan=plan,
+                seed=0,
+            )
+            with trainer:
+                trainer.train_iteration()
+                trainer.train_iteration()
+                return (
+                    trainer.compression_summary,
+                    trainer.engine.pipeline_backward_summary(),
+                    trainer.engine.residual_memory_bytes(),
+                )
+
+        serial = statistics("serial")
+        assert serial[0]["compressed_transfers"] > 0
+        assert statistics("process") == serial
+
+
 class TestLifecycle:
     """No orphaned processes, no leaked segments, engine usable after close."""
 
@@ -196,7 +228,8 @@ class TestLifecycle:
 
     def test_close_returns_serial_continuation_bit_identical(self):
         """Close after N process iterations, continue serially: the tail must
-        match an all-serial run bit-for-bit (weights AND CB state travel back)."""
+        match an all-serial run bit-for-bit (weights AND CB state, which the
+        parent's hooks already hold)."""
         plan = probe_plan("cb_fe_sc", executor="process")
         engine = probe_engine(plan)
         loader = probe_loader(plan)

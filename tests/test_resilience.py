@@ -1,6 +1,6 @@
 """Tests for the resilience subsystem: deterministic fault injection, the
 guarded training loop (detect / rollback / skip / retry / degrade), bit-exact
-format-v6 checkpointing, and the plan/CLI/simulator seams they thread through.
+format-v7 checkpointing, and the plan/CLI/simulator seams they thread through.
 
 The load-bearing invariants:
 
@@ -298,7 +298,7 @@ class TestCrashAndDegrade:
 
 
 # ----------------------------------------------------------------------------------
-# Checkpoint v6: bit-exact round trips
+# Checkpoint v7: bit-exact round trips
 # ----------------------------------------------------------------------------------
 
 
@@ -537,15 +537,16 @@ class TestCheckpointValidation:
             (3, "cannot see codec kinds, ranks or bits"),
             (4, "per-replica PowerSGD DP residuals"),
             (5, "serial-DP files keep per-parameter residuals"),
+            (6, "no compressed-forward hook state"),
         ],
     )
     def test_retired_checkpoint_rejected_naming_the_read_format(self, tmp_path, version, reason):
-        """There is one reader: a v2 - v5 header fails loudly and says what is read."""
+        """There is one reader: a v2 - v6 header fails loudly and says what is read."""
         trainer = _trainer(_plan())
         trainer.train_iteration()
         path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
         self._tamper_header(path, lambda h: h.update(format_version=version))
-        with pytest.raises(ValueError, match="format v6 only") as raised:
+        with pytest.raises(ValueError, match="format v7 only") as raised:
             load_checkpoint(_trainer(_plan()), path)
         assert reason in str(raised.value)
 
@@ -556,7 +557,7 @@ class TestCheckpointValidation:
         path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
         with np.load(path, allow_pickle=False) as archive:
             header = json.loads(bytes(archive["__header__"].tobytes()).decode("utf-8"))
-        assert header["format_version"] == 6
+        assert header["format_version"] == 7
         assert header["compression"] == plan.to_dict()["compression"]
         assert not {"config", "schedule", "executor", "dp_overlap"} & set(header)
 
@@ -607,7 +608,7 @@ class TestCheckpointValidation:
 
 
 class TestCheckpointLayout:
-    """Format v6: stored members, straight from the live buffers, once per DP group."""
+    """Format v7: stored members, straight from the live buffers, once per DP group."""
 
     @staticmethod
     def _trained(codec="powersgd", dp=2):

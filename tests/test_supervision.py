@@ -15,7 +15,10 @@ The contract under test:
 * **ledger** — every respawn/degrade lands in the :class:`ResilienceReport`
   with per-worker attribution and survives checkpoint round-trips;
 * **hygiene** — no orphaned worker processes and no leaked ``/dev/shm``
-  segments, including after chaos.
+  segments, including after chaos;
+* **stateless workers** — a worker holds nothing between iterations outside
+  the shared segments: each iteration is one message per worker each way, and
+  a worker dead between iterations takes nothing a checkpoint needs.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro import cli
 from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
+from repro.exec.workers import Worker
 from repro.models.gpt_configs import functional_config
 from repro.plan import PLAN_PRESETS, Boundary, ParallelPlan, ResilienceSpec
 from repro.resilience import (
@@ -45,6 +49,7 @@ from repro.resilience import (
 )
 from repro.training.checkpoint import latest_checkpoint, load_checkpoint, save_checkpoint
 from repro.training.trainer import Pretrainer
+from repro.utils.state import capture_tree
 
 
 def probe_plan(
@@ -178,8 +183,9 @@ class TestRespawnRecovery:
         assert_same_weights(weights, oracle[1])
 
     def test_external_sigkill_between_iterations_recovers(self):
-        """A worker killed while *idle* (post-step state lost with the process)
-        is healed from the supervisor's CB-state cache — still bit-exact."""
+        """A worker killed while *idle* takes nothing with it — its hook state
+        lives in the parent between iterations — so the next iteration finds
+        the broken pipe, respawns it and replays: still bit-exact."""
         trainer = probe_trainer(probe_plan().with_resilience(ResilienceSpec()))
         with trainer:
             losses = [trainer.train_iteration()]
@@ -287,6 +293,139 @@ class TestOneRecoveryPoint:
         assert healed.recovery_point is not None and not healed.recovery_point.optimizer_states
         _, expected = run(probe_plan(executor="serial"))
         assert_same_weights(weights, expected)
+
+
+# ----------------------------------------------------------------------------------
+# Stateless workers: one message each way per iteration, nothing lost with a worker
+# ----------------------------------------------------------------------------------
+
+
+class TestStatelessWorkers:
+    @pytest.mark.parametrize("supervised", [True, False], ids=["supervised", "guarded"])
+    def test_one_message_per_worker_per_iteration(self, monkeypatch, supervised):
+        """A steady-state iteration sends each worker its ``run`` and nothing
+        else: no post-step state fetch, no fetch for the recovery capture."""
+        sent = []
+        send = Worker.send
+
+        def counting(self, message):
+            sent.append(None if message is None else message[0])  # None: the shutdown sentinel
+            return send(self, message)
+
+        monkeypatch.setattr(Worker, "send", counting)
+        plan = probe_plan()
+        if supervised:
+            trainer = probe_trainer(plan.with_resilience(ResilienceSpec()))
+        else:
+            # Guarded without a supervisor: the engine captures a recovery point.
+            trainer = probe_trainer(plan)
+            trainer.engine.recovery_point = RecoveryPoint(trainer.engine, trainer.optimizers)
+        with trainer:
+            trainer.train_iteration()
+            trainer.train_iteration()
+            sent.clear()
+            trainer.train_iteration()
+            steady = list(sent)
+        assert steady == ["run"] * plan.topology.dp
+
+    @pytest.mark.parametrize("supervised", [False, True], ids=["unsupervised", "supervised"])
+    def test_checkpoint_with_a_worker_dead_between_iterations(self, tmp_path, supervised):
+        """SIGKILL an idle worker, then save: the checkpoint reads only the
+        parent, and its members equal an undisturbed serial run's."""
+        plan = probe_plan()
+        if supervised:
+            plan = plan.with_resilience(ResilienceSpec())
+        trainer = probe_trainer(plan)
+        with trainer:
+            trainer.train_iteration()
+            trainer.train_iteration()
+            victim = trainer.engine._process_executor.workers[1].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
+            written = save_checkpoint(trainer, tmp_path / "process.npz")
+        serial = probe_trainer(probe_plan(executor="serial"))
+        with serial:
+            serial.train_iteration()
+            serial.train_iteration()
+            expected = save_checkpoint(serial, tmp_path / "serial.npz")
+        with np.load(written) as actual, np.load(expected) as oracle:
+            assert sorted(actual.files) == sorted(oracle.files)
+            for name in oracle.files:
+                assert np.array_equal(actual[name], oracle[name]), name
+
+
+# ----------------------------------------------------------------------------------
+# compress_forward: the forward hook's state resumes, rolls back and heals too
+# ----------------------------------------------------------------------------------
+
+
+def forward_plan(executor: str = "process") -> ParallelPlan:
+    return probe_plan(executor=executor).with_boundary(Boundary.PP, compress_forward=True)
+
+
+def forward_hook_states(trainer: Pretrainer) -> list:
+    """A detached copy of every replica's forward-hook state."""
+    return capture_tree(
+        [engine.channel.forward_hook.state_dict() for engine in trainer.engine.pipeline_engines]
+    )
+
+
+def assert_same_tree(actual, expected) -> None:
+    if isinstance(expected, dict):
+        assert actual.keys() == expected.keys()
+        for key in expected:
+            assert_same_tree(actual[key], expected[key])
+    elif isinstance(expected, (list, tuple)):
+        assert len(actual) == len(expected)
+        for left, right in zip(actual, expected):
+            assert_same_tree(left, right)
+    elif isinstance(expected, np.ndarray):
+        assert np.array_equal(actual, expected)
+    else:
+        assert actual == expected
+
+
+class TestCompressedForwardState:
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_resume_is_bit_exact(self, executor, tmp_path):
+        """train 6 == train 3 + save + load into a fresh trainer + train 3."""
+        plan = forward_plan(executor)
+        continuous = run_trainer(probe_trainer(plan), 6)
+        writer = probe_trainer(plan)
+        with writer:
+            for _ in range(3):
+                writer.train_iteration()
+            path = save_checkpoint(writer, tmp_path / "ckpt.npz")
+        resumed = probe_trainer(plan)
+        assert load_checkpoint(resumed, path) == 3
+        losses, weights, _ = run_trainer(resumed, 3)
+        assert losses == continuous[0][3:]
+        assert_same_weights(weights, continuous[1])
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_guard_rollback_restores_the_forward_hooks(self, executor):
+        """A poisoned, rolled-back iteration leaves every forward hook where the
+        previous iteration did (as it leaves the weights)."""
+        spec = ResilienceSpec(faults=("nan@2:replica=1,stage=0",))
+        trainer = probe_trainer(forward_plan(executor).with_resilience(spec))
+        with trainer:
+            trainer.train_iteration()
+            trainer.train_iteration()
+            before = forward_hook_states(trainer)
+            trainer.train_iteration()
+            assert trainer.resilience_report.rollbacks == 1
+            assert_same_tree(forward_hook_states(trainer), before)
+
+    def test_supervised_heal_matches_serial(self):
+        """A worker crash mid-run heals to the undisturbed serial answer."""
+        spec = ResilienceSpec(faults=("crash@2:replica=0",))
+        trainer = probe_trainer(forward_plan().with_resilience(spec))
+        losses, weights, records = run_trainer(trainer, 4)
+        assert trainer.resilience_report.respawns == 1
+        oracle = run_trainer(probe_trainer(forward_plan("serial")), 4)
+        assert losses == oracle[0]
+        assert_same_weights(weights, oracle[1])
+        assert records == oracle[2]
 
 
 # ----------------------------------------------------------------------------------
