@@ -80,7 +80,13 @@ class CompressedBackpropagation:
     topk_fraction:
         Kept fraction for the top-k variant.
     collect_diagnostics:
-        Record :class:`ErrorIndependenceRecord` entries for Fig. 11.
+        Record :class:`ErrorIndependenceRecord` entries for Fig. 11.  Each
+        record compares a boundary's tensor with the previous one this hook
+        object saw (``_previous_tensor``), which stays out of
+        :meth:`state_dict`.  Under the process executor that baseline lives
+        in the worker, so a respawned worker starts without it and its first
+        records after the respawn may differ from a serial run's; fault-free
+        runs match.
     """
 
     def __init__(

@@ -24,6 +24,10 @@ Bit-for-bit parity with the serial oracle is by construction, not tolerance:
   and warm starts, and the forward hook's under ``compress_forward``) and the
   reply carries it back, so the parent's hooks are the only copy between
   iterations — a respawn, rollback, checkpoint or capture asks no worker;
+* a worker's run and the serial loop's inline one are the same call,
+  :func:`~repro.parallel.engine.run_replica`, and the parent applies both
+  executors' :class:`~repro.parallel.engine.ReplicaResult` objects through the
+  one :func:`~repro.parallel.engine.merge_replica_results`, in replica order;
 * everything whose *order* matters — the DP codec all-reduce (Philox streams,
   per-key call counts), the bucketed sync's reduction order, embedding sync,
   fault injection, and the optimiser — runs in the parent, on the shared
@@ -32,8 +36,8 @@ Bit-for-bit parity with the serial oracle is by construction, not tolerance:
 
 The executor is a policy on :mod:`repro.exec.workers`, which forks, talks to
 and reaps every worker: one duplex pipe per worker carries one message each
-way per iteration (micro-batch arrays and hook state down; loss, traffic
-records, hook state and compression events up); the gradients and weights
+way per iteration (micro-batch arrays and hook state down; a
+:class:`~repro.parallel.engine.ReplicaResult` up); the gradients and weights
 themselves never travel — they are the shared segments.  A dead
 worker surfaces as :class:`repro.resilience.WorkerCrash`, a live one silent
 past ``worker_timeout`` as :class:`repro.resilience.WorkerTimeout`, both with
@@ -54,7 +58,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.exec.shm import SharedArenaSegment
 from repro.exec.workers import Worker, close_workers, serve
-from repro.parallel.engine import hook_states
+from repro.parallel.engine import ReplicaResult, hook_states, replica_hooks, run_replica
 from repro.resilience import DEFAULT_WORKER_TIMEOUT, WorkerCrash, WorkerTimeout
 from repro.utils.logging import set_worker_tag
 
@@ -76,23 +80,18 @@ def _fire_worker_fault(spec) -> None:
     os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover - dies instantly
 
 
-def _hooks(pipeline_engine) -> tuple:
-    """A replica's inter-stage compression hooks, ``(backward, forward)``; ``None`` where off."""
-    channel = pipeline_engine.channel
-    return channel.backward_hook, channel.forward_hook
-
-
 def _serve_replica(connection, worker_id, pipeline_engine, worker_faults) -> None:
     """One replica worker's child side: tag its log lines, then serve its commands.
 
     The worker inherited the replica's pipeline engine, stages, hooks and
     channel by fork; its arena views alias the parent's shared segments.  Every
-    ``run`` loads the hook state the message carries, replays the schedule's
-    op stream for one iteration, leaves the gradients in shared memory, and
-    ships back the mean loss, the traffic records the channel logged (the
-    parent merges them into the global log in replica order, matching the
-    serial loop's record order), and each hook's new state and compression
-    events.  Nothing the worker holds between iterations grows or matters.
+    ``run`` is :func:`~repro.parallel.engine.run_replica` on the hook state the
+    message carries: it replays the schedule's op stream for one iteration,
+    leaves the gradients in shared memory, and ships back the
+    :class:`~repro.parallel.engine.ReplicaResult` — the mean loss, this run's
+    traffic records, each hook's new state, compression events and Fig. 11
+    records — which the parent merges exactly as it merges an inline run's.
+    Nothing the worker holds between iterations grows or matters.
 
     ``worker_faults`` is this replica's injected crash/hang/replica-loss
     schedule; a fault scheduled at the ``run`` command's iteration fires
@@ -100,8 +99,6 @@ def _serve_replica(connection, worker_id, pipeline_engine, worker_faults) -> Non
     serial executor's crash semantics.
     """
     set_worker_tag(f"dp{worker_id}")
-    channel_log = pipeline_engine.channel.log
-    hooks = _hooks(pipeline_engine)
 
     def handle(message):
         kind = message[0]
@@ -110,18 +107,7 @@ def _serve_replica(connection, worker_id, pipeline_engine, worker_faults) -> Non
             for spec in worker_faults:
                 if spec.iteration == iteration:
                     _fire_worker_fault(spec)
-            # A fork inherits the parent's log and events, which the parent
-            # already has: ship only this run's.
-            record_mark = len(channel_log.records)
-            for hook, state in zip(hooks, states):
-                if hook is not None:
-                    hook.load_state_dict(state)
-                    hook.events = []
-            result = pipeline_engine.run_iteration(batches)
-            records = channel_log.records[record_mark:]
-            del channel_log.records[:]
-            events = [hook.events if hook is not None else None for hook in hooks]
-            return "ok", result.mean_loss, records, hook_states(hooks), events
+            return "ok", run_replica(pipeline_engine, batches, states)
         if kind == "ping":
             # Heartbeat: proves the command loop is live (used by the
             # supervisor to verify a freshly respawned worker).
@@ -229,38 +215,20 @@ class ProcessExecutor:
 
     # -- the per-iteration hot path ---------------------------------------------------
 
-    def run(
-        self, per_replica_micro_batches: Sequence[Sequence], iteration: int
-    ) -> list[float]:
-        """One forward+backward on every replica, concurrently; returns the losses.
-
-        Gradients land in the shared arenas (ready for the parent's DP sync);
-        each worker's traffic records are appended to the engine log in replica
-        order, so the merged log is record-for-record what the serial loop
-        writes, and its hook state and compression events land in the
-        parent's hooks.  On any worker failure the first one (by replica
-        index) is raised — after every other worker has been drained, so no
-        worker is still writing to shared memory when the caller handles the
-        error.
-        """
-        losses, failures = self.run_collect(per_replica_micro_batches, iteration)
-        if failures:
-            raise failures[min(failures)]
-        return losses
-
     def run_collect(
         self, per_replica_micro_batches: Sequence[Sequence], iteration: int
-    ) -> tuple[list[float], dict[int, WorkerCrash]]:
-        """:meth:`run`, but collecting per-worker failures instead of raising.
+    ) -> tuple[list[ReplicaResult], dict[int, WorkerCrash]]:
+        """One forward+backward on every replica, concurrently, collecting failures.
 
-        Returns ``(losses, failures)``.  On full success ``failures`` is empty,
-        the traffic records are merged into the engine log and every reply's
-        hook state and events into the parent's hooks; on any failure
-        ``losses`` is empty and *nothing* is merged — the parent's hooks keep
-        the pre-iteration state, so a supervised replay is sent exactly what
-        the failed attempt was.  Every surviving worker is drained either way
-        — when this returns, no worker is mid-iteration, so the caller may
-        safely restore the shared arenas.
+        Returns ``(results, failures)``: on full success every replica's
+        :class:`~repro.parallel.engine.ReplicaResult` in replica order, for the
+        engine to apply with :func:`~repro.parallel.engine.merge_replica_results`
+        (the gradients are already in the shared arenas), and no failures.  On
+        any failure ``results`` is empty, so nothing reaches the parent — its
+        hooks keep the pre-iteration state, and a supervised replay is sent
+        exactly what the failed attempt was.  Every surviving worker is
+        drained either way — when this returns, no worker is mid-iteration, so
+        the caller may safely restore the shared arenas.
         """
         if not self._started:
             raise RuntimeError("executor not started")
@@ -272,32 +240,22 @@ class ProcessExecutor:
         failures: dict[int, WorkerCrash] = {}
         pipeline_engines = self.engine.pipeline_engines
         for replica_index, batches in enumerate(per_replica_micro_batches):
-            states = hook_states(_hooks(pipeline_engines[replica_index]))
+            states = hook_states(replica_hooks(pipeline_engines[replica_index]))
             try:
                 self._send(replica_index, ("run", list(batches), iteration, states), iteration)
             except WorkerCrash as crash:
                 failures[replica_index] = crash
-        replies: dict[int, tuple] = {}
+        results: list[ReplicaResult] = []
         for replica_index in range(len(self.workers)):
             if replica_index in failures:
                 continue
             try:
-                replies[replica_index] = self._receive(replica_index, iteration)
+                results.append(self._receive(replica_index, iteration))
             except WorkerCrash as crash:
                 failures[replica_index] = crash
         if failures:
             return [], failures
-        losses: list[float] = []
-        for replica_index in range(len(self.workers)):
-            loss, records, states, events = replies[replica_index]
-            losses.append(loss)
-            self.engine.log.records.extend(records)
-            hooks = _hooks(pipeline_engines[replica_index])
-            for hook, state, hook_events in zip(hooks, states, events):
-                if hook is not None:
-                    hook.load_state_dict(state)
-                    hook.events.extend(hook_events)
-        return losses, failures
+        return results, failures
 
     def _send(self, replica_index: int, message, iteration: int) -> None:
         """Send one command; a dead worker's broken pipe is a :class:`WorkerCrash`."""
@@ -325,7 +283,7 @@ class ProcessExecutor:
             ) from None
         if reply[0] == "error":
             raise self._failure(WorkerCrash, replica_index, iteration, f"failed:\n{reply[1]}")
-        return reply[1:]
+        return reply[1]
 
     def _failure(self, error: type[WorkerCrash], replica_index: int, iteration: int, what: str):
         process = self.workers[replica_index].process

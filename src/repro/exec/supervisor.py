@@ -53,6 +53,7 @@ from repro.resilience import (
 
 if TYPE_CHECKING:
     from repro.exec.executor import ProcessExecutor
+    from repro.parallel.engine import ReplicaResult
     from repro.resilience import RecoveryPoint, ResilienceReport
 
 
@@ -76,20 +77,23 @@ class WorkerSupervisor:
 
     # -- the supervised iteration ------------------------------------------------------
 
-    def run(self, per_replica_micro_batches: Sequence[Sequence], iteration: int) -> list[float]:
+    def run(
+        self, per_replica_micro_batches: Sequence[Sequence], iteration: int
+    ) -> list["ReplicaResult"]:
         """One supervised iteration: run, and on worker failure recover + replay.
 
         The engine captured its recovery point just before calling this: any
         number of crash/hang failures within this iteration (or since the
-        previous one ended) replays from it, so the returned losses — and the
-        gradients left in the shared arenas — are bit-identical to an
+        previous one ended) replays from it, so the returned replica results —
+        which the engine merges, exactly as an unsupervised run's — and the
+        gradients left in the shared arenas are bit-identical to an
         undisturbed run's.
         """
         point = self.executor.engine.recovery_point
         while True:
-            losses, failures = self.executor.run_collect(per_replica_micro_batches, iteration)
+            results, failures = self.executor.run_collect(per_replica_micro_batches, iteration)
             if not failures:
-                return losses
+                return results
             self._recover(failures, iteration, point)
 
     # -- recovery ----------------------------------------------------------------------

@@ -505,6 +505,87 @@ def _load_hook_states(hooks, states) -> None:
             hook.load_state_dict(state)
 
 
+def replica_hooks(pipeline_engine) -> tuple:
+    """A replica's inter-stage compression hooks, ``(backward, forward)``; ``None`` where off."""
+    channel = pipeline_engine.channel
+    return channel.backward_hook, channel.forward_hook
+
+
+@dataclass
+class ReplicaResult:
+    """What one replica's pipeline run produced, inline or in a worker (its reply).
+
+    ``states``, ``events`` and ``diagnostics`` hold one entry per hook of
+    :func:`replica_hooks` (``None`` where a hook is off); ``states`` is
+    ``None`` after an inline run, whose hooks already are the parent's.
+    """
+
+    loss: float
+    records: list
+    states: list | None
+    events: list
+    #: Fig. 11 error-independence records.
+    diagnostics: list
+
+
+def _take_since(items: list, mark: int) -> list:
+    """Remove and return ``items[mark:]``."""
+    taken = items[mark:]
+    del items[mark:]
+    return taken
+
+
+def run_replica(pipeline_engine, batches, states=None) -> ReplicaResult:
+    """Run one replica's pipeline iteration and take out what it appended.
+
+    This run's slices of the channel log and of each hook's ``events`` and
+    ``diagnostics`` are removed from those lists and returned.  ``states`` (a
+    worker's ``run`` message) is loaded first and the new states returned;
+    inline it is ``None``, and no hook state is copied.
+    """
+    hooks = replica_hooks(pipeline_engine)
+    if states is not None:
+        _load_hook_states(hooks, states)
+    records = pipeline_engine.channel.log.records
+    record_mark = len(records)
+    marks = [
+        (len(hook.events), len(hook.diagnostics)) if hook is not None else None
+        for hook in hooks
+    ]
+    loss = pipeline_engine.run_iteration(batches).mean_loss
+    return ReplicaResult(
+        loss=loss,
+        records=_take_since(records, record_mark),
+        states=hook_states(hooks) if states is not None else None,
+        events=[
+            _take_since(hook.events, mark[0]) if hook is not None else None
+            for hook, mark in zip(hooks, marks)
+        ],
+        diagnostics=[
+            _take_since(hook.diagnostics, mark[1]) if hook is not None else None
+            for hook, mark in zip(hooks, marks)
+        ],
+    )
+
+
+def merge_replica_results(engine: "ThreeDParallelEngine", results) -> list[float]:
+    """Apply the replicas' results to the parent in replica order; returns the losses.
+
+    The one place replica results reach the parent, under either executor, so
+    the log is record-for-record the same whichever executor ran them.
+    """
+    for pipeline_engine, result in zip(engine.pipeline_engines, results):
+        engine.log.records.extend(result.records)
+        hooks = replica_hooks(pipeline_engine)
+        if result.states is not None:
+            _load_hook_states(hooks, result.states)
+        for hook, events, diagnostics in zip(hooks, result.events, result.diagnostics):
+            if hook is not None:
+                hook.events.extend(events)
+                hook.diagnostics.extend(diagnostics)
+    return [result.loss for result in results]
+
+
 class ThreeDParallelEngine:
     """One training iteration across pipeline × data × tensor parallelism.
 
@@ -818,14 +899,20 @@ class ThreeDParallelEngine:
             # are respawned and the iteration replayed bit-exactly from the
             # recovery point captured above.
             if self._supervisor is not None:
-                losses = self._supervisor.run(normalised, self._iteration_index)
+                results = self._supervisor.run(normalised, self._iteration_index)
             else:
-                losses = executor.run(normalised, self._iteration_index)
+                results, failures = executor.run_collect(normalised, self._iteration_index)
+                if failures:
+                    raise failures[min(failures)]
         else:
-            losses = [
-                engine.run_iteration(replica_batches).mean_loss
+            results = [
+                run_replica(engine, replica_batches)
                 for engine, replica_batches in zip(self.pipeline_engines, normalised)
             ]
+        losses = merge_replica_results(self, results)
+        # The workers' hook-state arrays are copied into the hooks by now: free
+        # them before the syncs allocate, or a later fork inherits a fuller heap.
+        del results
 
         self._log_tensor_parallel_traffic(shapes)
 

@@ -175,10 +175,11 @@ class TestSerialProcessParity:
 
 
     def test_compression_statistics_match_serial(self):
-        """Each reply carries its run's compressed-backprop events and hook
-        state back to the parent's hooks, so everything read from them — the
-        trainer's compression summary, the per-boundary summary and the
-        residual memory — equals the serial run's."""
+        """Each reply carries its run's compressed-backprop events, Fig. 11
+        records and hook state back to the parent's hooks, so everything read
+        from them — the trainer's compression summary, the per-boundary
+        summary, the residual memory and the error-independence records —
+        equals the serial run's."""
 
         def statistics(executor):
             plan = probe_plan("cb_fe_sc", executor=executor)
@@ -189,6 +190,7 @@ class TestSerialProcessParity:
                 probe_loader(plan),
                 plan=plan,
                 seed=0,
+                collect_cb_diagnostics=True,
             )
             with trainer:
                 trainer.train_iteration()
@@ -197,11 +199,52 @@ class TestSerialProcessParity:
                     trainer.compression_summary,
                     trainer.engine.pipeline_backward_summary(),
                     trainer.engine.residual_memory_bytes(),
+                    trainer.cb_hooks[0].diagnostics,
                 )
 
         serial = statistics("serial")
         assert serial[0]["compressed_transfers"] > 0
+        assert serial[3], "the serial run recorded no Fig. 11 entries"
         assert statistics("process") == serial
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_hook_state_is_copied_only_across_the_pipe(self, executor, tmp_path, monkeypatch):
+        """An inline run copies no compressed-backprop state; a process run
+        copies each hook's state once per run on each side of the pipe (the
+        parent into the ``run`` message, the worker into its reply) and loads
+        it once on each side."""
+        from repro.core.compressed_backprop import CompressedBackpropagation
+
+        calls = tmp_path / "calls"
+        for name in ("state_dict", "load_state_dict"):
+            original = getattr(CompressedBackpropagation, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                with open(calls, "a") as handle:  # appended from parent and workers alike
+                    handle.write(f"{os.getpid()} {_name}\n")
+                return _original(self, *args)
+
+            monkeypatch.setattr(CompressedBackpropagation, name, counted)
+        plan = probe_plan("cb_fe_sc", executor=executor)
+        engine = probe_engine(plan)
+        with engine:
+            engine.run_iteration(probe_loader(plan).iteration_batches(0))
+        lines = calls.read_text().split("\n")[:-1] if calls.exists() else []
+        counts: dict[tuple[bool, str], int] = {}
+        for line in lines:
+            pid, name = line.split()
+            key = (int(pid) == os.getpid(), name)
+            counts[key] = counts.get(key, 0) + 1
+        hooks = plan.topology.dp  # one CB hook per replica, no forward hook
+        if executor == "serial":
+            assert counts == {}
+        else:
+            assert counts == {
+                (True, "state_dict"): hooks,
+                (True, "load_state_dict"): hooks,
+                (False, "state_dict"): hooks,
+                (False, "load_state_dict"): hooks,
+            }
 
 
 class TestLifecycle:
@@ -370,4 +413,4 @@ class TestSharedArenaSegment:
         engine = probe_engine(probe_plan(executor="process"))
         executor = ProcessExecutor(engine)
         with pytest.raises(RuntimeError, match="not started"):
-            executor.run([[], []], 0)
+            executor.run_collect([[], []], 0)
