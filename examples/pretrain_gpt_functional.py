@@ -49,7 +49,7 @@ def build_trainer(plan: ParallelPlan, corpus: SyntheticCorpus, seed: int):
 
 def traffic_summary(trainer) -> dict[str, float]:
     """Wire bytes per category accumulated over the run."""
-    return trainer.log.by_category()
+    return trainer.engine.log.by_category()
 
 
 def main() -> None:

@@ -20,9 +20,9 @@ Bit-for-bit parity with the serial oracle is by construction, not tolerance:
   touched by exactly one process, stay equal to what the serial loop would
   have computed;
 * a worker keeps nothing between iterations outside the shared segments: each
-  ``run`` message carries its replica's compression hook state (CB residuals
-  and warm starts, and the forward hook's under ``compress_forward``) and the
-  reply carries it back, so the parent's hooks are the only copy between
+  ``run`` message carries the state of its replica's one compression hook
+  (the backward channel's CB residuals and warm starts) and the reply carries
+  it back, so the parent's hooks are the only copy between
   iterations — a respawn, rollback, checkpoint or capture asks no worker;
 * a worker's run and the serial loop's inline one are the same call,
   :func:`~repro.parallel.engine.run_replica`, and the parent applies both
@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.exec.shm import SharedArenaSegment
 from repro.exec.workers import Worker, close_workers, serve
-from repro.parallel.engine import ReplicaResult, hook_states, replica_hooks, run_replica
+from repro.parallel.engine import ReplicaResult, hook_state, run_replica
 from repro.resilience import DEFAULT_WORKER_TIMEOUT, WorkerCrash, WorkerTimeout
 from repro.utils.logging import set_worker_tag
 
@@ -89,7 +89,7 @@ def _serve_replica(connection, worker_id, pipeline_engine, worker_faults) -> Non
     message carries: it replays the schedule's op stream for one iteration,
     leaves the gradients in shared memory, and ships back the
     :class:`~repro.parallel.engine.ReplicaResult` — the mean loss, this run's
-    traffic records, each hook's new state, compression events and Fig. 11
+    traffic records, the hook's new state, compression events and Fig. 11
     records — which the parent merges exactly as it merges an inline run's.
     Nothing the worker holds between iterations grows or matters.
 
@@ -103,11 +103,11 @@ def _serve_replica(connection, worker_id, pipeline_engine, worker_faults) -> Non
     def handle(message):
         kind = message[0]
         if kind == "run":
-            _, batches, iteration, states = message
+            _, batches, iteration, state = message
             for spec in worker_faults:
                 if spec.iteration == iteration:
                     _fire_worker_fault(spec)
-            return "ok", run_replica(pipeline_engine, batches, states)
+            return "ok", run_replica(pipeline_engine, batches, state)
         if kind == "ping":
             # Heartbeat: proves the command loop is live (used by the
             # supervisor to verify a freshly respawned worker).
@@ -238,11 +238,11 @@ class ProcessExecutor:
                 f"executor has {len(self.workers)} workers"
             )
         failures: dict[int, WorkerCrash] = {}
-        pipeline_engines = self.engine.pipeline_engines
+        hooks = self.engine.cb_hooks
         for replica_index, batches in enumerate(per_replica_micro_batches):
-            states = hook_states(replica_hooks(pipeline_engines[replica_index]))
+            message = ("run", list(batches), iteration, hook_state(hooks[replica_index]))
             try:
-                self._send(replica_index, ("run", list(batches), iteration, states), iteration)
+                self._send(replica_index, message, iteration)
             except WorkerCrash as crash:
                 failures[replica_index] = crash
         results: list[ReplicaResult] = []
@@ -303,7 +303,7 @@ class ProcessExecutor:
         the end-to-end benchmark's tracer patch table wraps it by name, and
         goes together with that row.
         """
-        return hook_states(self.engine.cb_hooks)[index]
+        return hook_state(self.engine.cb_hooks[index])
 
     def ping(self, index: int) -> None:
         """Heartbeat round-trip proving worker ``index``'s command loop is live."""

@@ -155,9 +155,8 @@ def run_quality_experiment(
             validation_interval=settings.validation_interval,
             validation_batches=settings.validation_batches,
         )
-        residual_bytes = 0
-        if trainer.cb_hooks and trainer.cb_hooks[0] is not None:
-            residual_bytes = trainer.cb_hooks[0].residual_memory_bytes()
+        hook = trainer.engine.cb_hooks[0]
+        residual_bytes = hook.residual_memory_bytes() if hook is not None else 0
         cached = _CachedRun(
             trainer=trainer,
             corpus=corpus,

@@ -95,9 +95,6 @@ from repro.utils.state import capture_tree
 #: streams.
 CODEC_SEED = 0
 
-#: Seed of the (comparison-only) forward-activation compression hook.
-FORWARD_CODEC_SEED = CODEC_SEED + 1
-
 #: Megatron transformer layer: two all-reduces per layer per direction (attention
 #: output projection and MLP down-projection are row-parallel).
 TP_ALL_REDUCES_PER_LAYER_PER_DIRECTION = 2
@@ -490,9 +487,9 @@ def _axis_report(records) -> tuple[dict[str, float], dict[str, float], dict[int,
     return wire, fractions, boundaries
 
 
-def hook_states(hooks) -> list:
-    """Each inter-stage compression hook's live ``state_dict()`` (``None`` where off)."""
-    return [hook.state_dict() if hook is not None else None for hook in hooks]
+def hook_state(hook) -> dict | None:
+    """A compression hook's live ``state_dict()`` (``None`` where the hook is off)."""
+    return hook.state_dict() if hook is not None else None
 
 
 def _load_hook_states(hooks, states) -> None:
@@ -505,24 +502,19 @@ def _load_hook_states(hooks, states) -> None:
             hook.load_state_dict(state)
 
 
-def replica_hooks(pipeline_engine) -> tuple:
-    """A replica's inter-stage compression hooks, ``(backward, forward)``; ``None`` where off."""
-    channel = pipeline_engine.channel
-    return channel.backward_hook, channel.forward_hook
-
-
 @dataclass
 class ReplicaResult:
     """What one replica's pipeline run produced, inline or in a worker (its reply).
 
-    ``states``, ``events`` and ``diagnostics`` hold one entry per hook of
-    :func:`replica_hooks` (``None`` where a hook is off); ``states`` is
-    ``None`` after an inline run, whose hooks already are the parent's.
+    ``state``, ``events`` and ``diagnostics`` belong to the replica's one
+    compression hook, its channel's ``backward_hook`` (``events`` and
+    ``diagnostics`` are empty where it is off); ``state`` is ``None`` after an
+    inline run, whose hook already is the parent's, and where the hook is off.
     """
 
     loss: float
     records: list
-    states: list | None
+    state: dict | None
     events: list
     #: Fig. 11 error-independence records.
     diagnostics: list
@@ -535,36 +527,30 @@ def _take_since(items: list, mark: int) -> list:
     return taken
 
 
-def run_replica(pipeline_engine, batches, states=None) -> ReplicaResult:
+def run_replica(pipeline_engine, batches, state=None) -> ReplicaResult:
     """Run one replica's pipeline iteration and take out what it appended.
 
-    This run's slices of the channel log and of each hook's ``events`` and
-    ``diagnostics`` are removed from those lists and returned.  ``states`` (a
-    worker's ``run`` message) is loaded first and the new states returned;
+    This run's slices of the channel log and of the hook's ``events`` and
+    ``diagnostics`` are removed from those lists and returned.  ``state`` (a
+    worker's ``run`` message) is loaded first and the new state returned;
     inline it is ``None``, and no hook state is copied.
     """
-    hooks = replica_hooks(pipeline_engine)
-    if states is not None:
-        _load_hook_states(hooks, states)
+    hook = pipeline_engine.channel.backward_hook
+    if state is not None:
+        hook.load_state_dict(state)
     records = pipeline_engine.channel.log.records
     record_mark = len(records)
-    marks = [
-        (len(hook.events), len(hook.diagnostics)) if hook is not None else None
-        for hook in hooks
-    ]
+    events = diagnostics = []
+    if hook is not None:
+        events, diagnostics = hook.events, hook.diagnostics
+    event_mark, diagnostic_mark = len(events), len(diagnostics)
     loss = pipeline_engine.run_iteration(batches).mean_loss
     return ReplicaResult(
         loss=loss,
         records=_take_since(records, record_mark),
-        states=hook_states(hooks) if states is not None else None,
-        events=[
-            _take_since(hook.events, mark[0]) if hook is not None else None
-            for hook, mark in zip(hooks, marks)
-        ],
-        diagnostics=[
-            _take_since(hook.diagnostics, mark[1]) if hook is not None else None
-            for hook, mark in zip(hooks, marks)
-        ],
+        state=hook.state_dict() if state is not None else None,
+        events=_take_since(events, event_mark),
+        diagnostics=_take_since(diagnostics, diagnostic_mark),
     )
 
 
@@ -576,13 +562,12 @@ def merge_replica_results(engine: "ThreeDParallelEngine", results) -> list[float
     """
     for pipeline_engine, result in zip(engine.pipeline_engines, results):
         engine.log.records.extend(result.records)
-        hooks = replica_hooks(pipeline_engine)
-        if result.states is not None:
-            _load_hook_states(hooks, result.states)
-        for hook, events, diagnostics in zip(hooks, result.events, result.diagnostics):
-            if hook is not None:
-                hook.events.extend(events)
-                hook.diagnostics.extend(diagnostics)
+        hook = pipeline_engine.channel.backward_hook
+        if hook is not None:
+            if result.state is not None:
+                hook.load_state_dict(result.state)
+            hook.events.extend(result.events)
+            hook.diagnostics.extend(result.diagnostics)
     return [result.loss for result in results]
 
 
@@ -658,11 +643,9 @@ class ThreeDParallelEngine:
         pp = plan.spec(Boundary.PP)
         self.replicas: list[list] = []
         self.pipeline_engines: list[PipelineParallelEngine] = []
-        self.cb_hooks: list[CompressedBackpropagation | None] = []
-        self.forward_hooks: list[CompressedBackpropagation | None] = []
         for replica_index in range(self.data_parallel_degree):
             stages = build_gpt_stages(model_config, self.num_stages, seed=self.seed)
-            cb_hook = forward_hook = None
+            cb_hook = None
             if pp.compresses:
                 cb_hook = CompressedBackpropagation(
                     num_stages=self.num_stages,
@@ -674,21 +657,7 @@ class ThreeDParallelEngine:
                     collect_diagnostics=collect_cb_diagnostics and replica_index == 0,
                     seed=CODEC_SEED,
                 )
-            if pp.compress_forward:
-                # Diverges (the paper's motivational comparison only): every
-                # forward transfer, no epilogue-only restriction.
-                forward_hook = CompressedBackpropagation(
-                    num_stages=self.num_stages,
-                    rank=pp.rank,
-                    lazy_error_propagation=pp.error_feedback,
-                    epilogue_only=False,
-                    compressor=pp.codec if pp.compresses else "powersgd",
-                    topk_fraction=pp.fraction,
-                    seed=FORWARD_CODEC_SEED,
-                )
-            channel = InterStageChannel(
-                log=self.log, backward_hook=cb_hook, forward_hook=forward_hook
-            )
+            channel = InterStageChannel(log=self.log, backward_hook=cb_hook)
             self.replicas.append(stages)
             self.pipeline_engines.append(
                 PipelineParallelEngine(
@@ -698,8 +667,6 @@ class ThreeDParallelEngine:
                     memory_cap_factor=self.memory_cap_factor,
                 )
             )
-            self.cb_hooks.append(cb_hook)
-            self.forward_hooks.append(forward_hook)
 
         # Flat-arena storage: one weight buffer for the whole DP group (replicas
         # hold the same weights by construction — now by storage), one gradient
@@ -776,6 +743,14 @@ class ThreeDParallelEngine:
         )
 
     # -- parameters -------------------------------------------------------------------
+
+    @property
+    def cb_hooks(self) -> list[CompressedBackpropagation | None]:
+        """Each replica's compressed-backpropagation hook (``None`` where PP is off).
+
+        Read from the channels, so it always lists the current replicas.
+        """
+        return [engine.channel.backward_hook for engine in self.pipeline_engines]
 
     def parameters(self, replica: int = 0):
         """Parameters of one replica (stable order: stage 0 first)."""
@@ -994,9 +969,8 @@ class ThreeDParallelEngine:
         """Permanently remove one DP replica and shrink the group (degradation).
 
         The gradient mean automatically rescales to the survivors because every
-        sync object is rebuilt over the shrunk replica list.  Replica lists are
-        mutated in place so caller aliases (the trainer's ``replicas`` /
-        ``engines`` views) stay valid.  Per-replica error-feedback residuals
+        sync object is rebuilt over the shrunk replica list, and ``cb_hooks``
+        is read from the surviving channels.  Per-replica error-feedback residuals
         restart (their replica indexing is stale); PowerSGD warm starts and RNG
         call counts survive.
         """
@@ -1015,8 +989,6 @@ class ThreeDParallelEngine:
         del self.replicas[index]
         del self.pipeline_engines[index]
         self.arenas[index].leave_group()  # shrinks self.arenas; the weights stay put
-        del self.cb_hooks[index]
-        del self.forward_hooks[index]
         self.data_parallel_degree -= 1
         self._stage_spans_cache = None
         self.dp_reduce.clear_replica_state()
@@ -1028,18 +1000,17 @@ class ThreeDParallelEngine:
 
         The one inventory that the recovery point (through
         :meth:`mutable_state`) and the checkpoint writer both walk: DP-codec
-        error-feedback residuals and warm starts (``dp_reduce``), each
+        error-feedback residuals and warm starts (``dp_reduce``) and each
         replica's compressed-backpropagation residual/warm-start state
-        (``cb_hooks``) and, under ``compress_forward`` only, its forward
-        hook's (``forward_hooks``).  Array leaves are the *live* buffers —
+        (``cb_hooks``).  Array leaves are the *live* buffers —
         valid until the next iteration mutates them, which is all a checkpoint
         write needs.  The parent's hooks are the only copy, under the process
         executor too (each ``run`` message and reply carries the state).
         """
-        state = {"dp_reduce": self.dp_reduce.state_dict(), "cb_hooks": hook_states(self.cb_hooks)}
-        if any(hook is not None for hook in self.forward_hooks):
-            state["forward_hooks"] = hook_states(self.forward_hooks)
-        return state
+        return {
+            "dp_reduce": self.dp_reduce.state_dict(),
+            "cb_hooks": [hook_state(hook) for hook in self.cb_hooks],
+        }
 
     def mutable_state(self, out: dict | None = None) -> dict:
         """A detached copy of :meth:`live_mutable_state`.
@@ -1052,9 +1023,6 @@ class ThreeDParallelEngine:
 
     def load_mutable_state(self, state: dict) -> None:
         _load_hook_states(self.cb_hooks, state["cb_hooks"])
-        _load_hook_states(
-            self.forward_hooks, state.get("forward_hooks", [None] * len(self.forward_hooks))
-        )
         self.dp_reduce.load_state_dict(state["dp_reduce"])
 
     # -- process-parallel execution ----------------------------------------------------
@@ -1156,6 +1124,5 @@ class ThreeDParallelEngine:
 
     def pipeline_backward_summary(self) -> dict[int, dict[str, float]]:
         """Per-boundary compressed-backpropagation statistics of replica 0."""
-        if self.cb_hooks and self.cb_hooks[0] is not None:
-            return self.cb_hooks[0].summary_by_boundary()
-        return {}
+        hook = self.cb_hooks[0]
+        return hook.summary_by_boundary() if hook is not None else {}

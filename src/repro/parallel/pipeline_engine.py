@@ -63,11 +63,6 @@ BackwardCommHook = Callable[
     [np.ndarray, int, int, int], tuple[np.ndarray, int, bool]
 ]
 
-#: Hook applied to every forward inter-stage transfer (same signature).
-ForwardCommHook = Callable[
-    [np.ndarray, int, int, int], tuple[np.ndarray, int, bool]
-]
-
 @dataclass
 class IterationResult:
     """Outcome of one pipeline iteration (before the optimiser step)."""
@@ -79,29 +74,23 @@ class IterationResult:
 
 
 class InterStageChannel:
-    """Carries activations (forward) and activation gradients (backward) between stages."""
+    """Carries activations (forward) and activation gradients (backward) between stages.
+
+    Only the backward direction has a compression hook: activations always
+    travel uncompressed.
+    """
 
     def __init__(
         self,
         log: CommunicationLog | None = None,
         backward_hook: BackwardCommHook | None = None,
-        forward_hook: ForwardCommHook | None = None,
     ) -> None:
         self.log = log if log is not None else CommunicationLog()
         self.backward_hook = backward_hook
-        self.forward_hook = forward_hook
 
-    def send_forward(
-        self, activation: np.ndarray, boundary: int, micro_batch: int, num_micro_batches: int
-    ) -> np.ndarray:
+    def send_forward(self, activation: np.ndarray, boundary: int, micro_batch: int) -> np.ndarray:
         """Transfer an activation from stage ``boundary`` to stage ``boundary + 1``."""
-        delivered = activation
         payload_bytes = int(activation.size * WIRE_BYTES_PER_ELEMENT)
-        compressed = False
-        if self.forward_hook is not None:
-            delivered, payload_bytes, compressed = self.forward_hook(
-                activation, boundary, micro_batch, num_micro_batches
-            )
         self.log.add(
             TrafficRecord(
                 operation="p2p",
@@ -109,11 +98,11 @@ class InterStageChannel:
                 payload_bytes=payload_bytes,
                 wire_bytes=float(payload_bytes),
                 ranks=(boundary, boundary + 1),
-                compressed=compressed,
+                compressed=False,
                 description=f"fwd activation mb={micro_batch}",
             )
         )
-        return delivered
+        return activation
 
     def send_backward(
         self, gradient: np.ndarray, boundary: int, micro_batch: int, num_micro_batches: int
@@ -263,7 +252,7 @@ class PipelineParallelEngine:
                     else:
                         activation, cache = stage.forward(activation)
                         activations[(stage_index + 1, micro_batch)] = self.channel.send_forward(
-                            activation, stage_index, micro_batch, num_micro_batches
+                            activation, stage_index, micro_batch
                         )
                     caches[stage_index][micro_batch] = cache
                 elif op.kind == "backward_weight":

@@ -181,7 +181,9 @@ class CompressionSpec:
     The knobs are a union across boundaries; each boundary reads the subset
     that applies to it (the mapping is documented per field).  Unused knobs are
     inert but kept in the spec so sweeps can toggle the codec without losing
-    their settings.
+    their settings.  The PP knobs shape a replica's one inter-stage hook, on
+    the backward channel: the paper compresses backpropagation, never forward
+    activations.
 
     Attributes
     ----------
@@ -212,9 +214,6 @@ class CompressionSpec:
     epilogue_only:
         PP: compress only the epilogue (critical-path) transfers (Section 5.2);
         ``False`` is the naive-CB ablation.
-    compress_forward:
-        PP: also compress forward activations (diverges; kept only so the
-        motivational comparison is expressible).
     """
 
     codec: str = "none"
@@ -226,7 +225,6 @@ class CompressionSpec:
     min_elements: int = 1024
     bucket_bytes: int = 1 << 16
     epilogue_only: bool = True
-    compress_forward: bool = False
 
     def __post_init__(self) -> None:
         all_codecs = {codec for codecs in BOUNDARY_CODECS.values() for codec in codecs}

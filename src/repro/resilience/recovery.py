@@ -16,9 +16,8 @@ source                    what it holds                               detached b
 ``engine`` (the rest)     DP error-feedback residuals and slabs,      ``mutable_state`` /
                           PowerSGD warm starts, RNG call counts,      ``load_mutable_state``
                           per-replica compressed-backprop hook state
-                          and, under ``compress_forward``, forward
-                          hook state — held by the parent's hooks
-                          only, also under the process executor
+                          — held by the parent's hooks only, also
+                          under the process executor
 ========================  ==========================================  =========================
 
 :class:`RecoveryPoint` copies all three into buffers it allocates on the first

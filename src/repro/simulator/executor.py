@@ -310,7 +310,6 @@ def replay_pipeline(
     compress_backward: bool,
     backward_rank: int,
     backward_epilogue_only: bool,
-    compress_forward: bool,
 ) -> PipelineReplay:
     """Replay the pipeline phase of one iteration: schedule, walk, bubble.
 
@@ -347,20 +346,15 @@ def replay_pipeline(
     # Every transfer of the replay is one of these two.
     plain_transfer = _transfer(job, toggles, None)
     compressed_transfer = (
-        _transfer(job, toggles, backward_rank)
-        if compress_backward or compress_forward
-        else plain_transfer
+        _transfer(job, toggles, backward_rank) if compress_backward else plain_transfer
     )
-    forward_transfer = compressed_transfer if compress_forward else plain_transfer
     compression_overhead_total = 0.0
     interstage_wire_total = 0.0
 
     def handoff(op: PipelineOp, consumer: tuple[int, int, int]) -> float:
         """Pick the transfer ``op`` sends to ``consumer`` and tally what it carries."""
         nonlocal compression_overhead_total, interstage_wire_total
-        if op.kind == "forward":
-            transfer = forward_transfer
-        elif compress_backward and (
+        if op.kind != "forward" and compress_backward and (
             not backward_epilogue_only
             or (op.micro_batch, op.chunk) in epilogue_sets[consumer[0]]
             or consumer[1:] in epilogue_sets[consumer[0]]
@@ -447,7 +441,6 @@ class PipelineTimingSimulator:
             pp.compresses,
             pp.rank,
             pp.epilogue_only,
-            pp.compress_forward,
         )
         # The replay is shared between plans: take a private copy of its list
         # and keep accumulating in the order the single-pass simulation did
@@ -547,9 +540,7 @@ class PipelineTimingSimulator:
         # iteration period is therefore the largest finish time minus that slack —
         # this is why the data-parallel traffic of *later* stages can stay
         # uncompressed under selective stage compression (Section 7, Fig. 8).
-        forward_delay, _, _ = _transfer(
-            self.job, self.toggles, pp.rank if pp.compress_forward else None
-        )
+        forward_delay, _, _ = _transfer(self.job, self.toggles, None)
         warmup_offset = [0.0] * num_stages
         for stage in range(1, num_stages):
             warmup_offset[stage] = (

@@ -1,4 +1,4 @@
-"""Bit-exact checkpointing for functional pretraining runs (format v7).
+"""Bit-exact checkpointing for functional pretraining runs (format v8).
 
 A checkpoint captures *every* mutable buffer a resumed run needs to continue
 bit-for-bit identically to the continuous run — the repo's core invariant.
@@ -19,9 +19,8 @@ member               contents
 ``state/<n>``        array leaves of the engine state tree, **per replica**
                      where the state is: QSGD/top-k error-feedback residual
                      slabs are ``(replicas, elements)``, compressed-backprop
-                     hook state (and, under ``compress_forward`` only, the
-                     forward hook's: ``forward_hooks``) is one subtree per
-                     replica; PowerSGD's DP residuals (``(1, elements)``
+                     hook state (``cb_hooks``) is one subtree per replica;
+                     PowerSGD's DP residuals (``(1, elements)``
                      slabs), its warm starts and the codecs' RNG call counts
                      are group-wide
 ===================  =========================================================
@@ -29,7 +28,7 @@ member               contents
 ===================  =========================================================
 header key           meaning
 ===================  =========================================================
-``format_version``   ``7``; any other value is rejected loudly
+``format_version``   ``8``; any other value is rejected loudly
 ``iteration``        completed iterations
 ``compression``      the ``compression`` section of the writer's plan
                      (``plan.to_dict()["compression"]``: every knob of the DP,
@@ -63,9 +62,10 @@ difference papered over.  Formats v1 (no error-feedback /
 RNG state), v2 (deflated, per-parameter, per-replica), v3 (a configuration
 label that could not tell PowerSGD rank 2 from rank 4, or QSGD from top-k), v4
 (a PowerSGD DP residual per replica), v5 (per-parameter residuals from
-serial-DP runs) and v6 (no compressed-forward hook state) are rejected
-loudly: there is one writer and one reader.  A v7 file of a plan without
-``compress_forward`` differs from its v6 writer's only in the version.
+serial-DP runs), v6 (no compressed-forward hook state) and v7 (a
+forward-activation compression knob in the recorded ``compression``) are
+rejected loudly: there is one writer and one reader.  A v8 file differs from
+its v7 writer's only in the header: the version, and no such knob.
 
 Writes are atomic (temporary sibling + ``os.replace``) and synchronous — the
 arenas may be ``MAP_SHARED`` segments a forked writer would not snapshot, and
@@ -90,7 +90,7 @@ from repro.training.metrics import TrainingHistory, ValidationPoint
 from repro.training.trainer import Pretrainer
 
 #: Format marker stored in every checkpoint so incompatible files fail loudly.
-CHECKPOINT_FORMAT_VERSION = 7
+CHECKPOINT_FORMAT_VERSION = 8
 
 _ARRAY_REF = "__ndarray__"
 
@@ -112,6 +112,10 @@ _RETIRED_FORMATS = {
         "error-feedback residual in per-bucket slabs"
     ),
     6: "v6 checkpoints hold no compressed-forward hook state",
+    7: (
+        "v7 checkpoints record compress_forward, a forward-activation compression "
+        "knob this build no longer has"
+    ),
 }
 
 
@@ -146,7 +150,7 @@ def _parameter_layout(trainer: Pretrainer) -> dict:
     arena = trainer.engine.arenas[0]
     parameters = [
         [f"stage{stage_index}/{name}", arena.span(parameter)[0], list(parameter.shape)]
-        for stage_index, stage in enumerate(trainer.engines[0].stages)
+        for stage_index, stage in enumerate(trainer.engine.pipeline_engines[0].stages)
         for name, parameter in stage.named_parameters()
     ]
     parameters.sort(key=lambda entry: entry[1])

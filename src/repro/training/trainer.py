@@ -143,13 +143,6 @@ class Pretrainer:
             seed=self.seed,
             collect_cb_diagnostics=collect_cb_diagnostics,
         )
-        # Aliases kept for the pre-engine API (tests and experiments use these).
-        self.log = self.engine.log
-        self.replicas = self.engine.replicas
-        self.engines = self.engine.pipeline_engines
-        self.cb_hooks = self.engine.cb_hooks
-        self.dp_hook = self.engine.dp_reduce.powersgd
-        self.embedding_sync = self.engine.embedding_sync
 
         # One fused optimiser for the whole DP group (a list of one): the Adam
         # update is a handful of whole-buffer ops over the replicas' shared
@@ -256,7 +249,7 @@ class Pretrainer:
     ) -> PretrainingResult:
         """Run ``num_iterations`` iterations, validating every ``validation_interval``.
 
-        ``checkpoint_every`` writes a rotating atomic checkpoint (format v7:
+        ``checkpoint_every`` writes a rotating atomic checkpoint (format v8:
         stored members written straight from the live buffers, weights and
         moments once per DP group; last ``keep_last`` retained) into
         ``checkpoint_dir`` after every ``checkpoint_every``-th completed
@@ -288,12 +281,13 @@ class Pretrainer:
             self.history.record_validation(self._iteration, self.validation_loss(validation_batches))
 
         diagnostics = []
-        if self.cb_hooks and self.cb_hooks[0] is not None:
-            diagnostics = list(self.cb_hooks[0].diagnostics)
+        hook = self.engine.cb_hooks[0]
+        if hook is not None:
+            diagnostics = list(hook.diagnostics)
         return PretrainingResult(
             history=self.history,
             final_validation_perplexity=self.history.final_validation_perplexity,
-            communication_log=self.log,
+            communication_log=self.engine.log,
             cb_diagnostics=diagnostics,
             resilience=(
                 self.resilience_report
@@ -353,7 +347,6 @@ class Pretrainer:
         self.engine.drop_replica(replica_index)
         del self._replica_ids[replica_index]
         self.data_parallel_degree = self.engine.data_parallel_degree
-        self.embedding_sync = self.engine.embedding_sync
         if injected:
             self.resilience_report.record_fault("replica_loss")
         self.resilience_report.degraded.append(
@@ -404,6 +397,5 @@ class Pretrainer:
     @property
     def compression_summary(self) -> dict[str, float]:
         """Aggregate CB compression statistics of replica 0 (empty dict if CB off)."""
-        if self.cb_hooks and self.cb_hooks[0] is not None:
-            return self.cb_hooks[0].compression_summary()
-        return {}
+        hook = self.engine.cb_hooks[0]
+        return hook.compression_summary() if hook is not None else {}

@@ -49,9 +49,7 @@ def run_phase_loop(
                 losses.append(float(loss))
             else:
                 activation, cache = stage.forward(activation)
-                activation = channel.send_forward(
-                    activation, stage_index, micro_batch, num_micro_batches
-                )
+                activation = channel.send_forward(activation, stage_index, micro_batch)
             caches[stage_index][micro_batch] = cache
 
     # Backward phase (micro-batch order, stages in reverse).

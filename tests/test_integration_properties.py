@@ -67,12 +67,12 @@ class TestFullStackIntegration:
         baseline.train_iteration()
         compressed.train_iteration()
         assert (
-            compressed.log.total_wire_bytes("inter_stage_backward")
-            < baseline.log.total_wire_bytes("inter_stage_backward")
+            compressed.engine.log.total_wire_bytes("inter_stage_backward")
+            < baseline.engine.log.total_wire_bytes("inter_stage_backward")
         )
         # Forward traffic is untouched by CB.
-        assert compressed.log.total_wire_bytes("inter_stage_forward") == pytest.approx(
-            baseline.log.total_wire_bytes("inter_stage_forward")
+        assert compressed.engine.log.total_wire_bytes("inter_stage_forward") == pytest.approx(
+            baseline.engine.log.total_wire_bytes("inter_stage_forward")
         )
 
     def test_fused_embedding_reduces_embedding_traffic_without_changing_weights(self):
@@ -82,21 +82,22 @@ class TestFullStackIntegration:
         )
         plain.train_iteration()
         fused.train_iteration()
-        plain_embedding_bytes = plain.log.total_wire_bytes("embedding_dp") + plain.log.total_wire_bytes(
+        plain_log = plain.engine.log
+        plain_embedding_bytes = plain_log.total_wire_bytes("embedding_dp") + plain_log.total_wire_bytes(
             "embedding_sync"
         )
-        fused_embedding_bytes = fused.log.total_wire_bytes("embedding_sync")
+        fused_embedding_bytes = fused.engine.log.total_wire_bytes("embedding_sync")
         assert fused_embedding_bytes < plain_embedding_bytes
         # FE is exact: the resulting weights match to float-reordering precision.
-        for plain_param, fused_param in zip(plain.engines[0].parameters(), fused.engines[0].parameters()):
+        for plain_param, fused_param in zip(plain.engine.parameters(), fused.engine.parameters()):
             assert np.allclose(plain_param.data, fused_param.data, atol=1e-9)
 
     def test_selective_compression_only_touches_selected_stages(self):
         trainer = build_trainer(ParallelPlan.cb_fe_sc(cb_rank=2, dp_rank=2, stage_fraction=0.5))
         trainer.train_iteration()
-        assert trainer.dp_hook is not None
+        assert trainer.engine.dp_reduce.powersgd is not None
         assert trainer.engine.dp_reduce.compressed_stages == {0, 1}
-        assert trainer.dp_hook.bytes_saved_fraction() > 0.3
+        assert trainer.engine.dp_reduce.powersgd.bytes_saved_fraction() > 0.3
 
 
 # ----------------------------------------------------------------------------------

@@ -67,7 +67,6 @@ def spec_strategy(boundary: Boundary) -> st.SearchStrategy[CompressionSpec]:
         min_elements=st.integers(min_value=0, max_value=4096),
         bucket_bytes=st.integers(min_value=1, max_value=1 << 20),
         epilogue_only=st.booleans(),
-        compress_forward=st.booleans(),
     )
 
 
@@ -726,6 +725,22 @@ class TestPlanCli:
             cli.main(["plan", "validate", str(good), str(bad)])
         out = capsys.readouterr().out
         assert "OK" in out and "FAIL" in out
+
+    @pytest.mark.parametrize("boundary", ["dp", "pp", "embedding"])
+    def test_forward_compression_knob_is_refused(self, boundary, tmp_path, capsys):
+        """A plan file that still carries the deleted knob (as every plan file
+        written before it went did) fails, naming the key."""
+        document = ParallelPlan.cb_fe_sc().to_dict()
+        document["compression"][boundary]["compress_forward"] = False
+        text = json.dumps(document)
+        with pytest.raises(ValueError, match="compress_forward"):
+            ParallelPlan.from_json(text)
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as raised:
+            cli.main(["plan", "validate", str(path)])
+        assert raised.value.code not in (0, None)
+        assert "compress_forward" in capsys.readouterr().out
 
     def test_plan_diff(self, capsys):
         assert cli.main(["plan", "diff", "cb_fe", "cb_fe_sc"]) == 0

@@ -10,7 +10,7 @@ from repro.core.compressed_backprop import CompressedBackpropagation
 from repro.core.selective_stage import SelectiveStageCompression
 from repro.models import GPT_2_5B
 from repro.nn.transformer import GPTModelConfig
-from repro.parallel.engine import CODEC_SEED, FORWARD_CODEC_SEED, ThreeDParallelEngine
+from repro.parallel.engine import CODEC_SEED, ThreeDParallelEngine
 from repro.simulator import PipelineTimingSimulator, TrainingJob, compute_breakdown
 from repro.training.trainer import Pretrainer
 
@@ -42,7 +42,6 @@ class TestEngineHookWiring:
         engine = build(ParallelPlan.preset("baseline"))
         assert engine.cb_hooks == [None, None]
         assert engine.dp_reduce.powersgd is None and engine.dp_reduce.compressor is None
-        assert all(p.channel.forward_hook is None for p in engine.pipeline_engines)
         assert not engine.embedding_sync.fused
 
     def test_full_stack_produces_all_hooks(self):
@@ -71,12 +70,6 @@ class TestEngineHookWiring:
     def test_embedding_synchroniser_respects_fusion_flag(self, build):
         assert build(ParallelPlan.preset("cb_fe")).embedding_sync.fused
         assert not build(ParallelPlan.preset("cb")).embedding_sync.fused
-
-    def test_forward_hook_only_on_request(self, build):
-        plan = ParallelPlan.preset("cb").with_boundary(Boundary.PP, compress_forward=True)
-        forward = build(plan).pipeline_engines[0].channel.forward_hook
-        assert isinstance(forward, CompressedBackpropagation) and not forward.epilogue_only
-        assert forward.feedback.compressor.seed == FORWARD_CODEC_SEED
 
     def test_codec_seeds_do_not_follow_the_weight_seed(self, build):
         engine = build(ParallelPlan.preset("cb_fe_sc"), seed=5)
@@ -113,5 +106,5 @@ class TestPresetSimulation:
         plan = ParallelPlan.cb(Topology(dp=2, pp=2, micro_batches=2), rank=4)
         trainer = Pretrainer(small_config, loader, plan, learning_rate=1e-3)
         assert trainer.plan is trainer.engine.plan is plan
-        assert trainer.cb_hooks[0] is not None
+        assert trainer.engine.cb_hooks[0] is not None
         assert trainer.train_iteration() > 0

@@ -199,7 +199,7 @@ class TestSerialProcessParity:
                     trainer.compression_summary,
                     trainer.engine.pipeline_backward_summary(),
                     trainer.engine.residual_memory_bytes(),
-                    trainer.cb_hooks[0].diagnostics,
+                    trainer.engine.cb_hooks[0].diagnostics,
                 )
 
         serial = statistics("serial")

@@ -203,7 +203,9 @@ NAN_FAULT = "nan@2:replica=1,stage=0"
 # ``("optimus", 1)`` (DP1 runs no DP reduce) did not move.  ``PINNED_CHECKPOINTS``
 # alone was re-pinned once more, at format v6: the header lost ``dp_overlap`` and
 # names the DP codec state ``queries`` / ``compressor``; every other member of the
-# three files is byte-for-byte the v5 writer's.
+# three files is byte-for-byte the v5 writer's.  And once more at format v8: the
+# header's ``compression`` sections lost the forward-compression knob; every
+# other member, and every other header key, is the v7 writer's.
 # ----------------------------------------------------------------------------------
 
 PINNED_CANARY = "2c6bc6438b4fb7dea9b44b028d343dc8a53961004ff805f9391a07589b4172ef"
@@ -252,9 +254,9 @@ PINNED_RUNS = {
 #: Members digest of the DP2 checkpoint written at iteration 3 (the weights after six
 #: iterations, continuous or resumed, are ``PINNED_RUNS[plan, 2][0]``).
 PINNED_CHECKPOINTS = {
-    "baseline": "c77f1fa1ee5d11522a46ce1457552b9c7d1bcf08f4f6cac7a5400eb0b08f1ceb",
-    "optimus": "79cef821dd1d8517ddf725ce34df62203fe92db6af753972aa36f5de34c13548",
-    "quant_auto": "ebfe308ff5258f966c52c4d9a8a8271610a1a5ca244194b70d05e77d1116a1f4",
+    "baseline": "6dd3b25b7e3cd68c27bbd06dde31d8aedfa13cd4290c606a510037f94a66f938",
+    "optimus": "6fd949a84a1b56ce01e1c773a939dcfffb52510bf4bc228d4c7a78557c5fb50c",
+    "quant_auto": "d1f288d58036a55f8553983e59cad1a20d2fde9095a0ece0bbda1a9144418e5f",
 }
 
 #: DP3 ``optimus`` losing replica 0 / replica 2 at iteration 2, five iterations in all.

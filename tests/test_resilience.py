@@ -538,15 +538,16 @@ class TestCheckpointValidation:
             (4, "per-replica PowerSGD DP residuals"),
             (5, "serial-DP files keep per-parameter residuals"),
             (6, "no compressed-forward hook state"),
+            (7, "record compress_forward"),
         ],
     )
     def test_retired_checkpoint_rejected_naming_the_read_format(self, tmp_path, version, reason):
-        """There is one reader: a v2 - v6 header fails loudly and says what is read."""
+        """There is one reader: a v2 - v7 header fails loudly and says what is read."""
         trainer = _trainer(_plan())
         trainer.train_iteration()
         path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
         self._tamper_header(path, lambda h: h.update(format_version=version))
-        with pytest.raises(ValueError, match="format v7 only") as raised:
+        with pytest.raises(ValueError, match="format v8 only") as raised:
             load_checkpoint(_trainer(_plan()), path)
         assert reason in str(raised.value)
 
@@ -557,7 +558,7 @@ class TestCheckpointValidation:
         path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
         with np.load(path, allow_pickle=False) as archive:
             header = json.loads(bytes(archive["__header__"].tobytes()).decode("utf-8"))
-        assert header["format_version"] == 7
+        assert header["format_version"] == 8
         assert header["compression"] == plan.to_dict()["compression"]
         assert not {"config", "schedule", "executor", "dp_overlap"} & set(header)
 
@@ -586,7 +587,7 @@ class TestCheckpointValidation:
         arenas = trainer.engine.arenas
         assert len(arenas) == dp
         assert all(arena.data is arenas[0].data for arena in arenas)
-        for replica in trainer.replicas:
+        for replica in trainer.engine.replicas:
             for stage in replica:
                 for parameter in stage.parameters():
                     assert np.shares_memory(parameter.data, arenas[0].data)

@@ -355,19 +355,17 @@ class TestStatelessWorkers:
 
 
 # ----------------------------------------------------------------------------------
-# compress_forward: the forward hook's state resumes, rolls back and heals too
+# The backward hook's state resumes and rolls back under every PP spec
 # ----------------------------------------------------------------------------------
 
+#: Presets whose PP spec differs from ``cb_fe_sc``'s PowerSGD with lazy error
+#: propagation: no LEP, every transfer compressed, and the top-k codec.
+PP_SPEC_PRESETS = ["cb_non_lep", "naive_cb", "optimus_topk"]
 
-def forward_plan(executor: str = "process") -> ParallelPlan:
-    return probe_plan(executor=executor).with_boundary(Boundary.PP, compress_forward=True)
 
-
-def forward_hook_states(trainer: Pretrainer) -> list:
-    """A detached copy of every replica's forward-hook state."""
-    return capture_tree(
-        [engine.channel.forward_hook.state_dict() for engine in trainer.engine.pipeline_engines]
-    )
+def backward_hook_states(trainer: Pretrainer) -> list:
+    """A detached copy of every replica's backward-hook state."""
+    return capture_tree([hook.state_dict() for hook in trainer.engine.cb_hooks])
 
 
 def assert_same_tree(actual, expected) -> None:
@@ -385,11 +383,12 @@ def assert_same_tree(actual, expected) -> None:
         assert actual == expected
 
 
-class TestCompressedForwardState:
+class TestBackwardHookState:
+    @pytest.mark.parametrize("preset", PP_SPEC_PRESETS)
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_resume_is_bit_exact(self, executor, tmp_path):
+    def test_resume_is_bit_exact(self, executor, preset, tmp_path):
         """train 6 == train 3 + save + load into a fresh trainer + train 3."""
-        plan = forward_plan(executor)
+        plan = probe_plan(preset, executor=executor)
         continuous = run_trainer(probe_trainer(plan), 6)
         writer = probe_trainer(plan)
         with writer:
@@ -402,30 +401,20 @@ class TestCompressedForwardState:
         assert losses == continuous[0][3:]
         assert_same_weights(weights, continuous[1])
 
+    @pytest.mark.parametrize("preset", PP_SPEC_PRESETS)
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_guard_rollback_restores_the_forward_hooks(self, executor):
-        """A poisoned, rolled-back iteration leaves every forward hook where the
+    def test_guard_rollback_restores_the_backward_hooks(self, executor, preset):
+        """A poisoned, rolled-back iteration leaves every backward hook where the
         previous iteration did (as it leaves the weights)."""
         spec = ResilienceSpec(faults=("nan@2:replica=1,stage=0",))
-        trainer = probe_trainer(forward_plan(executor).with_resilience(spec))
+        trainer = probe_trainer(probe_plan(preset, executor=executor).with_resilience(spec))
         with trainer:
             trainer.train_iteration()
             trainer.train_iteration()
-            before = forward_hook_states(trainer)
+            before = backward_hook_states(trainer)
             trainer.train_iteration()
             assert trainer.resilience_report.rollbacks == 1
-            assert_same_tree(forward_hook_states(trainer), before)
-
-    def test_supervised_heal_matches_serial(self):
-        """A worker crash mid-run heals to the undisturbed serial answer."""
-        spec = ResilienceSpec(faults=("crash@2:replica=0",))
-        trainer = probe_trainer(forward_plan().with_resilience(spec))
-        losses, weights, records = run_trainer(trainer, 4)
-        assert trainer.resilience_report.respawns == 1
-        oracle = run_trainer(probe_trainer(forward_plan("serial")), 4)
-        assert losses == oracle[0]
-        assert_same_weights(weights, oracle[1])
-        assert records == oracle[2]
+            assert_same_tree(backward_hook_states(trainer), before)
 
 
 # ----------------------------------------------------------------------------------

@@ -90,14 +90,14 @@ class TestPretrainer:
         single_trainer = make_trainer(ParallelPlan.baseline(), merged, small_config)
         single_trainer.train_iteration()
 
-        dp_params = dp_trainer.engines[0].parameters()
-        single_params = single_trainer.engines[0].parameters()
+        dp_params = dp_trainer.engine.parameters()
+        single_params = single_trainer.engine.parameters()
         for dp_param, single_param in zip(dp_params, single_params):
             assert np.allclose(dp_param.data, single_param.data, atol=1e-8)
 
     def test_cb_hooks_created_per_replica(self, small_config, loader):
         trainer = make_trainer(ParallelPlan.cb(rank=2), loader, small_config)
-        assert all(hook is not None for hook in trainer.cb_hooks)
+        assert all(hook is not None for hook in trainer.engine.cb_hooks)
         trainer.train(num_iterations=2, validation_interval=2)
         assert trainer.compression_summary["transfers"] > 0
 
@@ -106,8 +106,8 @@ class TestPretrainer:
             ParallelPlan.cb_fe_sc(cb_rank=2, dp_rank=2, stage_fraction=0.5), loader, small_config
         )
         trainer.train(num_iterations=2, validation_interval=2)
-        assert trainer.dp_hook is not None
-        assert trainer.dp_hook.total_payload_bytes > 0
+        assert trainer.engine.dp_reduce.powersgd is not None
+        assert trainer.engine.dp_reduce.powersgd.total_payload_bytes > 0
         assert trainer.weights_in_sync()
 
     def test_lr_schedule_applied(self, small_config, loader):
@@ -123,7 +123,7 @@ class TestPretrainer:
     def test_communication_log_categories(self, small_config, loader):
         trainer = make_trainer(ParallelPlan.baseline(), loader, small_config)
         trainer.train_iteration()
-        categories = trainer.log.by_category()
+        categories = trainer.engine.log.by_category()
         assert "inter_stage_forward" in categories
         assert "inter_stage_backward" in categories
         assert "data_parallel" in categories
@@ -133,7 +133,7 @@ class TestPretrainer:
     def test_fused_embedding_removes_embedding_dp_traffic(self, small_config, loader):
         trainer = make_trainer(ParallelPlan.cb_fe(rank=2), loader, small_config)
         trainer.train_iteration()
-        categories = trainer.log.by_category()
+        categories = trainer.engine.log.by_category()
         assert "embedding_dp" not in categories
         assert "embedding_sync" in categories
 
