@@ -86,8 +86,12 @@ class SyntheticCorpus:
             transitions[token] /= transitions[token].sum()
 
         self.transitions = transitions
+        # Rounding can leave a cumulative row's end just below 1.0, where a
+        # draw in the gap would sample token ``vocab``; every row ends at 1.0.
         self._cumulative_transitions = np.cumsum(transitions, axis=1)
+        self._cumulative_transitions[:, -1] = 1.0
         self._cumulative_unigram = np.cumsum(self.unigram)
+        self._cumulative_unigram[-1] = 1.0
 
     # -- sampling ------------------------------------------------------------------
 

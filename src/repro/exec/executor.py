@@ -58,6 +58,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.exec.shm import SharedArenaSegment
 from repro.exec.workers import Worker, close_workers, serve
+from repro.parallel.arena import trim_heap
 from repro.parallel.engine import ReplicaResult, hook_state, run_replica
 from repro.resilience import DEFAULT_WORKER_TIMEOUT, WorkerCrash, WorkerTimeout
 from repro.utils.logging import set_worker_tag
@@ -205,6 +206,9 @@ class ProcessExecutor:
         name = f"repro-exec-dp{worker_id}"
         if after_iteration is not None:
             name += f"-r{after_iteration}"
+        # The child would otherwise inherit the parent's freed heap (the
+        # private arena buffers ``start`` just moved into shared memory).
+        trim_heap()
         return Worker(
             name,
             _serve_replica,

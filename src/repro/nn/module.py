@@ -9,7 +9,8 @@ pipeline-parallel training.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import copy
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -118,6 +119,26 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
+
+
+def replicate_sharing_weights(modules: Sequence[Module]) -> list[Module]:
+    """A structural copy of ``modules`` whose parameters hold the originals' arrays.
+
+    Every module and :class:`Parameter` object is new, with the same names and
+    shapes, but each copy's ``data`` and ``grad`` *are* the original's arrays:
+    nothing is drawn or allocated, so the copy starts bit-identical by
+    construction.  How a data-parallel replica is built from the group's one
+    model: binding the copy into an arena of the original's group
+    (``ParameterArena(..., weights_of=...)``) keeps the shared weights and
+    gives it a gradient buffer of its own.
+    """
+    shared = {
+        id(array): array
+        for module in modules
+        for parameter in module.parameters()
+        for array in (parameter.data, parameter.grad)
+    }
+    return copy.deepcopy(list(modules), shared)
 
 
 def flatten_gradients(parameters: Iterable[Parameter]) -> np.ndarray:

@@ -30,6 +30,7 @@ constructor refuses it.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -73,8 +74,11 @@ class FusedAdam:
         weight_decay: float = 0.0,
         decoupled_weight_decay: bool = False,
     ) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {lr}")
+        for name, value in (("eps", eps), ("weight_decay", weight_decay)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError(f"betas must be in [0, 1), got {betas}")

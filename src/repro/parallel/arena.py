@@ -10,13 +10,17 @@ to *views* into those buffers.  Every existing in-place access keeps working, wh
 whole-model operations become a handful of vectorised ops over one flat array
 (:class:`repro.optim.FusedAdam` builds its Adam moments the same way).
 
-Data-parallel replicas hold the same weights, so they hold them *once*:
-:meth:`ParameterArena.replicated` builds one arena per replica over a single
-weight buffer (each replica's same-seed values are checked against it
-bit-for-bit) with a gradient buffer per replica.  One optimiser steps the
-group, the process executor maps one weights segment, a recovery point and a
-checkpoint copy the weights once — DP× less memory and DP× fewer Adam updates
-than replicas that merely stay equal.
+Data-parallel replicas hold the same weights, so they hold them *once*: a
+group of arenas shares a single weight buffer, with a gradient buffer per
+replica.  The engine builds the model once — replica 0's arena becomes the
+buffer, and every other replica is a copy whose parameters view it from the
+start (:func:`~repro.nn.module.replicate_sharing_weights`), so it joins
+without a draw or a comparison; replicas built separately
+(:meth:`ParameterArena.replicated`) are checked against the buffer
+bit-for-bit.  One optimiser steps the group, the process executor maps one
+weights segment, a recovery point and a checkpoint copy the weights once —
+DP× less memory and DP× fewer Adam updates than replicas that merely stay
+equal.
 
 On top of the arena, :func:`build_gradient_buckets` splits the data-parallel
 boundary into size-targeted buckets of *arena-contiguous* parameters, the unit at
@@ -28,7 +32,8 @@ pipeline cool-down.
 The process that holds the arenas also owns its allocator policy:
 :func:`pin_allocator_policy` fixes glibc's mmap and trim thresholds once, before
 the engine allocates, so per-op temporaries are served from a heap that is
-neither trimmed nor faulted back in every iteration.
+neither trimmed nor faulted back in every iteration; :func:`trim_heap` hands
+the freed heap back before a fork, so a forked worker does not inherit it.
 """
 
 from __future__ import annotations
@@ -82,6 +87,19 @@ def pin_allocator_policy() -> str:
     return _allocator_policy
 
 
+def trim_heap() -> bool:
+    """Return the heap's free memory to the OS (glibc ``malloc_trim(0)``); True if any was.
+
+    A process about to fork calls it, so the children do not inherit freed
+    but still resident pages under the pinned trim threshold.  A no-op
+    returning False where ``malloc_trim`` cannot be resolved.
+    """
+    try:
+        return bool(ctypes.CDLL(None).malloc_trim(0))
+    except (AttributeError, OSError, TypeError):  # no C library, or not glibc's
+        return False
+
+
 class ParameterArena:
     """Contiguous weight/gradient storage for a set of parameters.
 
@@ -93,9 +111,10 @@ class ParameterArena:
     ``data -= ...``) therefore read and write arena memory from then on.
 
     Data-parallel replicas hold the same weights by construction, so their arenas
-    form a **group** over *one* weight buffer (:meth:`replicated`): every member's
-    ``data`` is the same array, its ``grad`` is its own.  ``group`` is the live
-    list of the arenas bound to ``data`` — ``[self]`` for a standalone arena.
+    form a **group** over *one* weight buffer (``weights_of``, :meth:`replicated`):
+    every member's ``data`` is the same array, its ``grad`` is its own.  ``group``
+    is the live list of the arenas bound to ``data`` — ``[self]`` for a standalone
+    arena.
     """
 
     def __init__(
@@ -137,13 +156,21 @@ class ParameterArena:
         self._bind("grad", self.grad)
 
     def _check_replica_of(self, other: "ParameterArena") -> None:
-        """Raise unless this arena's parameters equal ``other``'s stored weights bit-for-bit."""
+        """Raise unless this arena's parameters equal ``other``'s stored weights bit-for-bit.
+
+        A parameter that already views its span of ``other``'s buffer (a
+        replica built from the group, see
+        :func:`~repro.nn.module.replicate_sharing_weights`) is that memory,
+        so only a parameter holding weights of its own is compared.
+        """
         layout = [(p.shape, p.requires_grad) for p in self.parameters]
         if layout != [(p.shape, p.requires_grad) for p in other.parameters]:
             raise ValueError("replicas of one weight buffer need identical parameter layouts")
         for parameter in self.parameters:
             start, stop = self._spans[id(parameter)]
             stored = other.data[start:stop].reshape(parameter.shape)
+            if _same_view(parameter.data, stored):
+                continue
             if not bitwise_equal(stored, np.asarray(parameter.data, dtype=stored.dtype)):
                 raise ValueError(
                     f"parameter {parameter.name!r} differs from the group's weights: replicas "
@@ -156,9 +183,12 @@ class ParameterArena:
     ) -> "list[ParameterArena]":
         """One arena per replica over **one** weight buffer; returns the group list.
 
-        Replica 0's weights become the buffer; each further replica is checked
-        against it bit-for-bit and bound onto it, keeping only a gradient
-        buffer of its own.  The returned list *is* every member's ``group``:
+        Replica 0's weights become the buffer; each further replica is bound
+        onto it, keeping only a gradient buffer of its own.  Replicas built
+        separately must hold bit-identical weights, checked parameter by
+        parameter; the engine instead builds its replicas onto replica 0's
+        arena (``weights_of``), whose parameters already view the buffer and
+        are not compared.  The returned list *is* every member's ``group``:
         removing a replica from it (:meth:`leave_group`) is what shrinks the
         group, and whichever arena is first in it is the one an optimiser
         reads the synchronised gradient from.
@@ -279,6 +309,16 @@ class ParameterArena:
         self.group.remove(self)
         self.group = [self]
         self.rebind_storage(data=np.empty_like(self.data))
+
+
+def _same_view(left: np.ndarray, right: np.ndarray) -> bool:
+    """Whether two arrays view the same memory with the same shape, strides and dtype."""
+    return (
+        left.dtype == right.dtype
+        and left.shape == right.shape
+        and left.strides == right.strides
+        and left.ctypes.data == right.ctypes.data
+    )
 
 
 def bitwise_equal(left: np.ndarray, right: np.ndarray) -> bool:

@@ -21,8 +21,8 @@ exercised in isolation into **one** training iteration:
 Execution core (PR 2): parameters and gradients live in flat
 :class:`~repro.parallel.arena.ParameterArena` buffers with per-parameter views.
 "Replicated" is a storage fact: the DP replicas' arenas share **one** weight buffer
-(same-seed initial values are checked bit-for-bit when a replica binds onto it) and
-each keeps only its own gradient buffer, so the group has one
+(the model is built once; the other replicas are copies whose parameters view it)
+and each keeps only its own gradient buffer, so the group has one
 :class:`repro.optim.FusedAdam` (:meth:`ThreeDParallelEngine.build_optimizer`) that
 updates the weights once, in a handful of vectorised ops.  The DP boundary is
 synchronised by one :class:`~repro.parallel.data_parallel.BucketedDataParallelSync`:
@@ -57,6 +57,7 @@ from repro.core.compressed_backprop import CompressedBackpropagation
 from repro.core.fused_embedding import EmbeddingSynchronizer
 from repro.core.selective_stage import SelectiveStageCompression
 from repro.nn.gpt_stage import build_gpt_stages
+from repro.nn.module import replicate_sharing_weights
 from repro.nn.transformer import GPTModelConfig
 from repro.optim.fused_adam import FusedAdam
 from repro.parallel.arena import (
@@ -527,6 +528,11 @@ def _take_since(items: list, mark: int) -> list:
     return taken
 
 
+def _stage_parameters(stages) -> list:
+    """Every parameter of one replica's stages, stage 0 first: its arena order."""
+    return [parameter for stage in stages for parameter in stage.parameters()]
+
+
 def run_replica(pipeline_engine, batches, state=None) -> ReplicaResult:
     """Run one replica's pipeline iteration and take out what it appended.
 
@@ -640,11 +646,26 @@ class ThreeDParallelEngine:
         self.log = log if log is not None else CommunicationLog()
         self.seed = int(seed)
 
+        # One model per DP group, in flat-arena storage.  Replica 0 draws every
+        # weight and its arena becomes the group's one weight buffer; every
+        # further replica is a structural copy whose parameters view that
+        # buffer from the start (no draw, no weight array of its own) and
+        # joins the group with its own gradient buffer.  Per-parameter views
+        # make the fused optimiser and the recovery point's weight copy
+        # whole-buffer ops and DP buckets zero-copy flat spans.  The list is
+        # the arenas' live group: ``drop_replica`` shrinks it.
+        first = build_gpt_stages(model_config, self.num_stages, seed=self.seed)
+        weights = ParameterArena(_stage_parameters(first))
+        self.replicas: list[list] = [first]
+        for _ in range(1, self.data_parallel_degree):
+            stages = replicate_sharing_weights(first)
+            ParameterArena(_stage_parameters(stages), weights_of=weights)
+            self.replicas.append(stages)
+        self.arenas: list[ParameterArena] = weights.group
+
         pp = plan.spec(Boundary.PP)
-        self.replicas: list[list] = []
         self.pipeline_engines: list[PipelineParallelEngine] = []
-        for replica_index in range(self.data_parallel_degree):
-            stages = build_gpt_stages(model_config, self.num_stages, seed=self.seed)
+        for replica_index, stages in enumerate(self.replicas):
             cb_hook = None
             if pp.compresses:
                 cb_hook = CompressedBackpropagation(
@@ -658,7 +679,6 @@ class ThreeDParallelEngine:
                     seed=CODEC_SEED,
                 )
             channel = InterStageChannel(log=self.log, backward_hook=cb_hook)
-            self.replicas.append(stages)
             self.pipeline_engines.append(
                 PipelineParallelEngine(
                     stages,
@@ -667,16 +687,6 @@ class ThreeDParallelEngine:
                     memory_cap_factor=self.memory_cap_factor,
                 )
             )
-
-        # Flat-arena storage: one weight buffer for the whole DP group (replicas
-        # hold the same weights by construction — now by storage), one gradient
-        # buffer per replica, all with per-parameter views, so the fused
-        # optimiser and the recovery point's weight copy are whole-buffer ops
-        # and DP buckets are zero-copy flat spans.  The list is the arenas'
-        # live group: ``drop_replica`` shrinks it.
-        self.arenas: list[ParameterArena] = ParameterArena.replicated(
-            engine.parameters() for engine in self.pipeline_engines
-        )
 
         self.dp_reduce = CompressedGradientAllReduce(
             plan.spec(Boundary.DP), self.num_stages, seed=CODEC_SEED

@@ -272,3 +272,21 @@ class TestFusedAdam:
             FusedAdam(arena, lr=-1.0)
         with pytest.raises(ValueError):
             FusedAdam(arena, betas=(1.5, 0.9))
+
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("lr", float("nan")),
+            ("lr", float("inf")),
+            ("lr", 0.0),
+            ("eps", -1.0),
+            ("eps", float("nan")),
+            ("weight_decay", float("nan")),
+            ("weight_decay", -0.1),
+            ("weight_decay", float("inf")),
+        ],
+    )
+    def test_nonsense_hyperparameters_are_refused_by_name(self, rng, argument, value):
+        _, _, arena = self._pair(rng)
+        with pytest.raises(ValueError, match=f"^{argument} must be"):
+            FusedAdam(arena, **{argument: value})

@@ -58,6 +58,18 @@ class TestSyntheticCorpus:
         """The true model's perplexity must be far below the uniform baseline."""
         assert corpus.optimal_perplexity() < 64 * 0.5
 
+    def test_a_draw_just_below_one_samples_the_last_token(self, corpus):
+        """Rounding leaves cumulative rows ending below 1.0; no draw may fall past them."""
+
+        class TopOfUnitInterval:
+            def random(self):
+                return np.nextafter(1.0, 0.0)
+
+        last = corpus.config.vocab_size - 1
+        draws = TopOfUnitInterval()
+        assert corpus.sample_sequence(1, draws)[0] == last
+        assert {corpus._sample_next(token, draws) for token in range(last + 1)} == {last}
+
     def test_invalid_length_raises(self, corpus):
         with pytest.raises(ValueError):
             corpus.sample_sequence(0, corpus.train_rng(0, 0))

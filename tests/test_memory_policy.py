@@ -124,6 +124,14 @@ def test_policy_is_a_no_op_without_glibc_mallopt(monkeypatch, cdll):
     assert arena.pin_allocator_policy() == DEFAULTS
 
 
+@pytest.mark.parametrize(
+    "cdll", [_no_c_library, lambda name: object()], ids=["no-c-library", "no-malloc-trim-symbol"]
+)
+def test_trimming_is_a_no_op_without_glibc_malloc_trim(monkeypatch, cdll):
+    monkeypatch.setattr(arena.ctypes, "CDLL", cdll)
+    assert arena.trim_heap() is False
+
+
 def test_train_prints_the_policy_in_force(capsys):
     from repro.cli import main
 

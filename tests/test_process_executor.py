@@ -357,6 +357,28 @@ class TestLifecycle:
         assert not victim_survived
         assert leaked == []
 
+    def test_the_heap_is_trimmed_before_every_fork(self, monkeypatch):
+        """A worker must not inherit the private buffers ``start`` just freed."""
+        import repro.exec.executor as executor_module
+
+        events = []
+        fork = executor_module.Worker
+
+        def forking(name, *args):
+            events.append(name)
+            return fork(name, *args)
+
+        monkeypatch.setattr(executor_module, "trim_heap", lambda: events.append("trim"))
+        monkeypatch.setattr(executor_module, "Worker", forking)
+        plan = probe_plan(executor="process")
+        engine = probe_engine(plan)
+        with engine:
+            engine.run_iteration(probe_loader(plan).iteration_batches(0))
+            assert events == ["trim", "repro-exec-dp0", "trim", "repro-exec-dp1"]
+            events.clear()
+            engine._process_executor.respawn_worker(1, iteration=0)
+            assert events == ["trim", "repro-exec-dp1-r0"]
+
     def test_worker_death_raises_worker_crash(self):
         plan = probe_plan(executor="process")
         engine = probe_engine(plan)

@@ -21,6 +21,7 @@ only the gradients per replica.  Three things are asserted here:
 
 from __future__ import annotations
 
+import collections
 import gc
 import hashlib
 import os
@@ -35,6 +36,7 @@ from repro.optim import FusedAdam
 from repro.parallel.arena import ParameterArena
 from repro.parallel.engine import ThreeDParallelEngine
 from repro.plan import Boundary, ParallelPlan, ResilienceSpec, Schedule
+from repro.tensor import init
 from repro.tensor.parameter import Parameter
 from repro.training.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
@@ -497,6 +499,51 @@ class TestOptimizerConstruction:
         assert second.data is first.data
         optimizer.zero_grad()
         assert not first.grad.any() and not second.grad.any()
+
+
+class TestOneDrawPerGroup:
+    """Replica 0 draws the group's weights; every other replica is built onto them."""
+
+    def test_building_an_engine_draws_the_weights_as_often_as_at_dp_1(self, monkeypatch):
+        draws = collections.Counter()
+        for name in ("normal_init", "scaled_output_init"):
+
+            def counted(*args, _name=name, _draw=getattr(init, name), **kwargs):
+                draws[_name] += 1
+                return _draw(*args, **kwargs)
+
+            monkeypatch.setattr(init, name, counted)
+        counts = {}
+        for dp in (1, 2, 4):
+            draws.clear()
+            probe_engine(dp)
+            counts[dp] = dict(draws)
+        assert counts[1]["normal_init"] and counts[1]["scaled_output_init"]
+        assert counts[2] == counts[1] and counts[4] == counts[1]
+
+    def test_replicas_are_distinct_objects_over_the_groups_weights(self):
+        engine = probe_engine(4)
+        arenas = engine.arenas
+        replicas = [engine.parameters(index) for index in range(4)]
+        first = replicas[0]
+        for index, (parameters, arena) in enumerate(zip(replicas, arenas)):
+            assert [parameter.name for parameter in parameters] == [p.name for p in first]
+            for parameter, original in zip(parameters, first):
+                assert (parameter is original) == (index == 0)
+                assert arena.span(parameter) == arenas[0].span(original)
+                assert np.shares_memory(parameter.data, arenas[0].data)
+                assert np.shares_memory(parameter.grad, arena.grad)
+            assert not any(np.shares_memory(arena.grad, other.grad) for other in arenas[:index])
+        modules = [id(stage) for replica in engine.replicas for stage in replica]
+        assert len(set(modules)) == len(modules)
+
+    def test_a_dropped_replica_leaves_with_a_private_copy(self):
+        engine = probe_engine(3)
+        leaver = engine.parameters(1)
+        engine.drop_replica(1)
+        for parameter, survivor in zip(leaver, engine.parameters(0)):
+            assert not np.shares_memory(parameter.data, engine.arenas[0].data)
+            assert np.array_equal(parameter.data, survivor.data)
 
 
 class TestReplicatedArenas:
