@@ -73,6 +73,7 @@ from repro.models.gpt_configs import (
 from repro.simulator.breakdown import compute_breakdown
 from repro.simulator.cost_model import TrainingJob
 from repro.simulator.executor import PipelineTimingSimulator
+from repro.utils.cores import blas_threads, usable_cores
 from repro.utils.tables import Table, format_float
 
 #: Models addressable from the command line.
@@ -418,6 +419,7 @@ def _run_train_resilient(arguments, plan: ParallelPlan, trainer) -> int:
     report = trainer.resilience_report
     print(f"Resilience: {report.describe()}")
     _print_memory_policy()
+    _print_walk_threads(plan, survivors)
     if survivors != topology.dp:
         print(
             f"Degraded topology: {survivors} of {topology.dp} DP replicas "
@@ -470,6 +472,7 @@ def command_train(arguments: argparse.Namespace) -> int:
         )
     print(f"Error-feedback residual memory: {sample.residual_memory_bytes} bytes")
     _print_memory_policy()
+    _print_walk_threads(plan, topology.dp)
     return 0
 
 
@@ -478,6 +481,19 @@ def _print_memory_policy() -> None:
     from repro.parallel.arena import pin_allocator_policy
 
     print(f"Memory: {pin_allocator_policy()}")
+
+
+def _print_walk_threads(plan: ParallelPlan, replicas: int) -> None:
+    """How many threads each replica's pipeline walk runs on, and from what budget."""
+    from repro.parallel.engine import replica_runs_at_once
+    from repro.parallel.pipeline_engine import walk_threads
+
+    runs = replica_runs_at_once(plan.executor, replicas)
+    print(
+        f"Threads: {walk_threads(plan.topology.pp, runs)} per replica run "
+        f"(usable cores {usable_cores()}, replica runs at once {runs}, "
+        f"BLAS threads per call {blas_threads()})"
+    )
 
 
 def command_plan_show(arguments: argparse.Namespace) -> int:
@@ -595,7 +611,7 @@ def _default_search_cache_dir() -> str:
 
 def _default_search_workers() -> int:
     """Default worker-process count for ``repro search`` (leaves cores for the OS)."""
-    return max(1, min(8, (os.cpu_count() or 2) - 2))
+    return max(1, min(8, usable_cores() - 2))
 
 
 def _search_queries(arguments: argparse.Namespace):

@@ -30,6 +30,7 @@ from repro.compression.error_feedback import ErrorFeedback
 from repro.compression.metrics import cosine_similarity
 from repro.compression.powersgd import PowerSGDCompressor
 from repro.compression.topk import TopKCompressor
+from repro.parallel.op_order import OpOrderedList
 from repro.parallel.pipeline_schedule import epilogue_micro_batches
 
 
@@ -120,8 +121,9 @@ class CompressedBackpropagation:
             raise ValueError(f"unknown compressor {compressor!r}")
         self.feedback = ErrorFeedback(base_compressor, enabled=self.lazy_error_propagation)
 
-        self.events: list[CompressionEvent] = []
-        self.diagnostics: list[ErrorIndependenceRecord] = []
+        # Read in order, so a concurrent pipeline walk appends in op order.
+        self.events: list[CompressionEvent] = OpOrderedList()
+        self.diagnostics: list[ErrorIndependenceRecord] = OpOrderedList()
         self._previous_tensor: dict[str, np.ndarray] = {}
 
     # -- policy -------------------------------------------------------------------

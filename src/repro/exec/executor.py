@@ -1,8 +1,11 @@
 """True process-parallel execution of the 3D engine's replica loop.
 
-The sequential :class:`~repro.parallel.engine.ThreeDParallelEngine` *models*
-DP×PP concurrency but runs every replica's pipeline one after another in one
-Python process.  :class:`ProcessExecutor` makes the data-parallel axis real:
+Under the serial executor :class:`~repro.parallel.engine.ThreeDParallelEngine`
+runs the replicas' pipelines one after another in one Python process; at most
+a replica's stages run concurrently, on threads inside
+:meth:`~repro.parallel.pipeline_engine.PipelineParallelEngine.run_iteration`
+(where BLAS is pinned below the core count).
+:class:`ProcessExecutor` makes the data-parallel axis real:
 one forked worker process per DP replica owns that replica's
 :class:`~repro.parallel.pipeline_engine.PipelineParallelEngine` — and with it
 the dependency-ordered per-stage op lists the schedule layer emits
@@ -59,7 +62,12 @@ from typing import TYPE_CHECKING, Sequence
 from repro.exec.shm import SharedArenaSegment
 from repro.exec.workers import Worker, close_workers, serve
 from repro.parallel.arena import trim_heap
-from repro.parallel.engine import ReplicaResult, hook_state, run_replica
+from repro.parallel.engine import (
+    ReplicaResult,
+    hook_state,
+    replica_runs_at_once,
+    run_replica,
+)
 from repro.resilience import DEFAULT_WORKER_TIMEOUT, WorkerCrash, WorkerTimeout
 from repro.utils.logging import set_worker_tag
 
@@ -97,18 +105,20 @@ def _serve_replica(connection, worker_id, pipeline_engine, worker_faults) -> Non
     ``worker_faults`` is this replica's injected crash/hang/replica-loss
     schedule; a fault scheduled at the ``run`` command's iteration fires
     before any computation, at the start of the iteration — matching the
-    serial executor's crash semantics.
+    serial executor's crash semantics.  The message also carries how many
+    workers run at once: they share the usable cores, so it bounds the threads
+    each worker's pipeline walk runs on.
     """
     set_worker_tag(f"dp{worker_id}")
 
     def handle(message):
         kind = message[0]
         if kind == "run":
-            _, batches, iteration, state = message
+            _, batches, iteration, replica_runs, state = message
             for spec in worker_faults:
                 if spec.iteration == iteration:
                     _fire_worker_fault(spec)
-            return "ok", run_replica(pipeline_engine, batches, state)
+            return "ok", run_replica(pipeline_engine, batches, replica_runs, state)
         if kind == "ping":
             # Heartbeat: proves the command loop is live (used by the
             # supervisor to verify a freshly respawned worker).
@@ -243,8 +253,15 @@ class ProcessExecutor:
             )
         failures: dict[int, WorkerCrash] = {}
         hooks = self.engine.cb_hooks
+        replica_runs = replica_runs_at_once(self.engine.executor_kind, len(self.workers))
         for replica_index, batches in enumerate(per_replica_micro_batches):
-            message = ("run", list(batches), iteration, hook_state(hooks[replica_index]))
+            message = (
+                "run",
+                list(batches),
+                iteration,
+                replica_runs,
+                hook_state(hooks[replica_index]),
+            )
             try:
                 self._send(replica_index, message, iteration)
             except WorkerCrash as crash:

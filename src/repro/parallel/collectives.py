@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.parallel.op_order import OpOrderedList
+
 #: Wire bytes per element for uncompressed activations/gradients (fp16 convention).
 #: The single source of truth — the pipeline channel, the arena's bucket sizing,
 #: and the engine's DP accounting all derive from this constant.
@@ -43,9 +45,17 @@ class TrafficRecord:
 
 @dataclass
 class CommunicationLog:
-    """Accumulates traffic records for one experiment or iteration."""
+    """Accumulates traffic records for one experiment or iteration.
 
-    records: list[TrafficRecord] = field(default_factory=list)
+    ``records`` is an :class:`~repro.parallel.op_order.OpOrderedList`: a
+    concurrent pipeline walk's records land in its one-thread order.
+    """
+
+    records: list[TrafficRecord] = field(default_factory=OpOrderedList)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.records, OpOrderedList):
+            self.records = OpOrderedList(self.records)
 
     def add(self, record: TrafficRecord) -> None:
         self.records.append(record)

@@ -533,13 +533,24 @@ def _stage_parameters(stages) -> list:
     return [parameter for stage in stages for parameter in stage.parameters()]
 
 
-def run_replica(pipeline_engine, batches, state=None) -> ReplicaResult:
+def replica_runs_at_once(executor: str, replicas: int) -> int:
+    """How many replica runs execute at once, sharing the usable cores.
+
+    Every replica under the ``process`` executor (one worker each); one under
+    ``serial``, which runs them one after another.
+    """
+    return replicas if executor == "process" else 1
+
+
+def run_replica(pipeline_engine, batches, replica_runs: int, state=None) -> ReplicaResult:
     """Run one replica's pipeline iteration and take out what it appended.
 
     This run's slices of the channel log and of the hook's ``events`` and
-    ``diagnostics`` are removed from those lists and returned.  ``state`` (a
-    worker's ``run`` message) is loaded first and the new state returned;
-    inline it is ``None``, and no hook state is copied.
+    ``diagnostics`` are removed from those lists and returned.
+    ``replica_runs`` (:func:`replica_runs_at_once`) bounds the threads its
+    pipeline walk spreads over.  ``state`` (a worker's ``run`` message) is
+    loaded first and the new state returned; inline it is ``None``, and no
+    hook state is copied.
     """
     hook = pipeline_engine.channel.backward_hook
     if state is not None:
@@ -550,7 +561,7 @@ def run_replica(pipeline_engine, batches, state=None) -> ReplicaResult:
     if hook is not None:
         events, diagnostics = hook.events, hook.diagnostics
     event_mark, diagnostic_mark = len(events), len(diagnostics)
-    loss = pipeline_engine.run_iteration(batches).mean_loss
+    loss = pipeline_engine.run_iteration(batches, replica_runs).mean_loss
     return ReplicaResult(
         loss=loss,
         records=_take_since(records, record_mark),
@@ -890,8 +901,9 @@ class ThreeDParallelEngine:
                 if failures:
                     raise failures[min(failures)]
         else:
+            replica_runs = replica_runs_at_once(self.executor_kind, self.data_parallel_degree)
             results = [
-                run_replica(engine, replica_batches)
+                run_replica(engine, replica_batches, replica_runs)
                 for engine, replica_batches in zip(self.pipeline_engines, normalised)
             ]
         losses = merge_replica_results(self, results)

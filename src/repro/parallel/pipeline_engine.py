@@ -23,13 +23,29 @@ weight-gradient pass (:meth:`~repro.nn.gpt_stage.GPTStage.backward_weight`, W).
 A stage therefore holds exactly the forward activations its op list has in
 flight — ``min(pp - stage, mb)`` under 1F1B, not every micro-batch's.
 
+The stages run concurrently.  The walk's order is split by stage: on
+:func:`walk_threads` threads, each owning a contiguous block of stages and
+visiting that order restricted to them, blocking only on an activation or
+activation gradient another thread hands over (keyed ``(stage,
+micro_batch)``, under one :class:`threading.Condition`).  Each thread takes
+its ops in the walk's order and every producer comes before its consumer in
+it, so no split can deadlock; on one thread the walk is the plain loop.
+
 Within one iteration no weights change, so the numerical result depends on two
 orders only, and every valid op list keeps both ascending in micro-batch: each
 boundary's backward transfers (lazy error propagation carries a residual from
 one micro-batch's transfer to the next across that boundary) and each stage's
 gradient accumulation (floating-point sums are order-sensitive).  The weights
 are therefore bit-for-bit identical whichever valid schedule is walked (the
-parity tests hold every kind to a frozen phase-ordered loop).
+parity tests hold every kind to a frozen phase-ordered loop), and on any
+number of threads: both orders belong to one stage, so to one thread, and so
+does each boundary's codec state (its sending stage's).  The order of what a
+walk appends — the channel log's records, the backward hook's compression
+``events`` and Fig. 11 ``diagnostics`` — is observable too, so those lists are
+:class:`~repro.parallel.op_order.OpOrderedList` lists: an op's appends are
+held back and committed after the threads are joined, in the walk's order, so
+every log is record-for-record the one-thread walk's.  Threads are started and
+joined inside one call, so none is alive when a worker is forked.
 
 Interleaved lists (``num_model_chunks > 1``) are not executed here:
 :class:`~repro.parallel.engine.ThreeDParallelEngine` refuses them at
@@ -38,7 +54,9 @@ Interleaved lists (``num_model_chunks > 1``) are not executed here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,10 +67,12 @@ from repro.parallel.collectives import (
     CommunicationLog,
     TrafficRecord,
 )
-from repro.parallel.pipeline_schedule import OP_KINDS, replay_ops
+from repro.parallel.op_order import OpOrder
+from repro.parallel.pipeline_schedule import OP_KINDS, PipelineOp, replay_ops
 from repro.parallel.scheduler import StageCosts, SynthesisSpec, schedule_ops
 from repro.plan import validate_memory_cap_factor, validate_schedule_kind
 from repro.tensor.parameter import gradient_epoch
+from repro.utils.cores import blas_threads, usable_cores
 
 #: Hook applied to every backward inter-stage transfer.
 #:
@@ -63,6 +83,23 @@ BackwardCommHook = Callable[
     [np.ndarray, int, int, int], tuple[np.ndarray, int, bool]
 ]
 
+def walk_threads(num_stages: int, replica_runs: int = 1) -> int:
+    """Threads one replica's pipeline walk runs on.
+
+    ``min(num_stages, usable cores // (replica_runs x BLAS threads))``, at
+    least 1: every walk thread of every replica run that executes at once
+    (``replica_runs``, see
+    :func:`~repro.parallel.engine.replica_runs_at_once`) may drive a BLAS call
+    on :func:`~repro.utils.cores.blas_threads` threads.  So a walk spreads
+    over the cores only where BLAS is pinned below them; with BLAS unpinned
+    it keeps to one thread: on a 2-core x86 VM, two walk threads each driving
+    a pool the size of the machine ran the benchmark's ``train_dense`` ~1.6x
+    slower than one.
+    """
+    budget = usable_cores() // (max(1, replica_runs) * blas_threads())
+    return max(1, min(num_stages, budget))
+
+
 @dataclass
 class IterationResult:
     """Outcome of one pipeline iteration (before the optimiser step)."""
@@ -71,6 +108,80 @@ class IterationResult:
     num_micro_batches: int
     forward_bytes: int
     backward_bytes: int
+    # How the iteration ran, not what it produced: left out of equality.
+    #: Threads the stages walked on (:func:`walk_threads`).
+    threads: int = field(default=1, compare=False)
+    #: Per stage, seconds its ops ran.
+    stage_busy_s: list[float] = field(default_factory=list, compare=False)
+    #: Per stage, seconds its thread blocked on the stage's arrivals from a
+    #: stage on another thread (all 0.0 on one thread).
+    stage_wait_s: list[float] = field(default_factory=list, compare=False)
+
+
+class _WalkAborted(Exception):
+    """Raised in a waiting walk thread after another one failed."""
+
+
+class _Arrivals:
+    """Hands activations and activation gradients, keyed ``(stage, micro_batch)``, between walk threads.
+
+    One :class:`threading.Condition` guards every put and take.  On one thread
+    a take never waits: the canonical order puts every producer first.
+    """
+
+    def __init__(self) -> None:
+        self._arrived = threading.Condition()
+        self._aborted = False
+
+    def put(self, store: dict, key: tuple[int, int], value) -> None:
+        with self._arrived:
+            store[key] = value
+            self._arrived.notify_all()
+
+    def take(self, store: dict, key: tuple[int, int]):
+        """Pop ``store[key]``, waiting until it is put; returns ``(value, blocked)``."""
+        with self._arrived:
+            blocked = key not in store
+            while key not in store:
+                if self._aborted:
+                    raise _WalkAborted
+                self._arrived.wait()
+            return store.pop(key), blocked
+
+    def run(self, walk: Callable[[list], None], blocks: list[list]) -> None:
+        """``walk(block)`` for every block, the first on this thread, the rest on one thread each.
+
+        Every thread is joined before this returns.  The first exception a
+        walk raises wakes every waiting thread and is re-raised here.
+        """
+        errors: list[BaseException] = []
+
+        def guarded(block: list) -> None:
+            try:
+                walk(block)
+            except _WalkAborted:
+                pass
+            except BaseException as error:  # re-raised in the caller below
+                errors.append(error)
+                with self._arrived:
+                    self._aborted = True
+                    self._arrived.notify_all()
+
+        helpers = [
+            threading.Thread(
+                target=guarded, args=(block,), name=f"pipeline-walk-{index}", daemon=True
+            )
+            for index, block in enumerate(blocks[1:], start=1)
+        ]
+        for helper in helpers:
+            helper.start()
+        try:
+            guarded(blocks[0])
+        finally:
+            for helper in helpers:
+                helper.join()
+        if errors:
+            raise errors[0]
 
 
 class InterStageChannel:
@@ -186,7 +297,9 @@ class PipelineParallelEngine:
     # -- training -----------------------------------------------------------------
 
     def run_iteration(
-        self, micro_batches: Sequence[tuple[np.ndarray, np.ndarray]]
+        self,
+        micro_batches: Sequence[tuple[np.ndarray, np.ndarray]],
+        replica_runs: int = 1,
     ) -> IterationResult:
         """Run forward+backward for one mini-batch split into micro-batches.
 
@@ -197,10 +310,13 @@ class PipelineParallelEngine:
         add, and a parameter no op wrote is zero-filled at the end.  The
         buffers then hold exactly this mini-batch's gradient (averaged via the
         ``1/num_micro_batches`` loss scale) whatever they held before, so
-        callers never clear them first.  The ops of this
-        iteration's schedule run in the order
-        :func:`~repro.parallel.pipeline_schedule.replay_ops` yields them; the
-        times it yields are ignored.
+        callers never clear them first.
+
+        The ops of this iteration's schedule run in the order
+        :func:`~repro.parallel.pipeline_schedule.replay_ops` yields them (the
+        times it yields are ignored), on :func:`walk_threads` threads:
+        ``replica_runs`` is how many replica runs share the usable cores at
+        once (:func:`~repro.parallel.engine.replica_runs_at_once`).
         """
         num_micro_batches = len(micro_batches)
         if num_micro_batches == 0:
@@ -239,20 +355,45 @@ class PipelineParallelEngine:
 
         untimed = dict.fromkeys(OP_KINDS, (0.0,) * num_stages)
         walk = replay_ops(schedule, untimed, lambda op, consumer: 0.0)
-        with gradient_epoch(self.parameters()):
-            for stage_index, op, _, _ in walk:
+        threads = walk_threads(num_stages, replica_runs)
+        # Thread t owns a contiguous block of stages and walks the canonical
+        # order restricted to them.
+        blocks: list[list[tuple[int, int, PipelineOp]]] = [[] for _ in range(threads)]
+        for rank, (stage_index, op, _, _) in enumerate(walk):
+            blocks[stage_index * threads // num_stages].append((rank, stage_index, op))
+        arrivals = _Arrivals()
+        order = OpOrder()
+        busy = [0.0] * num_stages
+        wait = [0.0] * num_stages
+
+        def run_ops(ops: list[tuple[int, int, PipelineOp]]) -> None:
+            last = perf_counter()
+
+            def arrive(store: dict, stage_index: int, micro_batch: int):
+                nonlocal last
+                value, blocked = arrivals.take(store, (stage_index, micro_batch))
+                if blocked:
+                    now = perf_counter()
+                    wait[stage_index] += now - last
+                    last = now
+                return value
+
+            for rank, stage_index, op in ops:
+                order.at(rank)
                 stage = self.stages[stage_index]
                 micro_batch = op.micro_batch
                 if op.kind == "forward":
-                    activation = activations.pop((stage_index, micro_batch))
+                    activation = arrive(activations, stage_index, micro_batch)
                     if stage.is_last:
                         targets = micro_batches[micro_batch][1]
                         loss, cache = stage.forward(activation, targets=targets)
                         losses[micro_batch] = float(loss)
                     else:
                         activation, cache = stage.forward(activation)
-                        activations[(stage_index + 1, micro_batch)] = self.channel.send_forward(
-                            activation, stage_index, micro_batch
+                        arrivals.put(
+                            activations,
+                            (stage_index + 1, micro_batch),
+                            self.channel.send_forward(activation, stage_index, micro_batch),
                         )
                     caches[stage_index][micro_batch] = cache
                 elif op.kind == "backward_weight":
@@ -261,20 +402,40 @@ class PipelineParallelEngine:
                 else:  # "backward" (fused B + W) or "backward_input" (B)
                     backward = stage.backward if op.kind == "backward" else stage.backward_input
                     grad = backward(
-                        gradients.pop((stage_index, micro_batch)),
+                        arrive(gradients, stage_index, micro_batch),
                         caches[stage_index][micro_batch],
                         loss_scale=loss_scale,
                     )
                     if op.kind == "backward":
                         caches[stage_index][micro_batch] = None  # release activations
-                    if stage_index > 0 and grad is not None:
-                        gradients[(stage_index - 1, micro_batch)] = self.channel.send_backward(
-                            grad, stage_index - 1, micro_batch, num_micro_batches
+                    if stage_index > 0:
+                        arrivals.put(
+                            gradients,
+                            (stage_index - 1, micro_batch),
+                            self.channel.send_backward(
+                                grad, stage_index - 1, micro_batch, num_micro_batches
+                            ),
                         )
+                now = perf_counter()
+                busy[stage_index] += now - last
+                last = now
 
-        return self._iteration_result(losses, record_mark)
+        with gradient_epoch(self.parameters()):
+            try:
+                arrivals.run(run_ops, blocks)
+            finally:
+                order.commit()
 
-    def _iteration_result(self, losses: Sequence[float], record_mark: int) -> IterationResult:
+        return self._iteration_result(losses, record_mark, threads, busy, wait)
+
+    def _iteration_result(
+        self,
+        losses: Sequence[float],
+        record_mark: int,
+        threads: int,
+        busy: list[float],
+        wait: list[float],
+    ) -> IterationResult:
         """Mean loss plus the inter-stage bytes of the records logged since ``record_mark``.
 
         Only this iteration's slice of the (run-long, possibly shared) log is
@@ -286,6 +447,9 @@ class PipelineParallelEngine:
             num_micro_batches=len(losses),
             forward_bytes=int(iteration_log.total_wire_bytes("inter_stage_forward")),
             backward_bytes=int(iteration_log.total_wire_bytes("inter_stage_backward")),
+            threads=threads,
+            stage_busy_s=busy,
+            stage_wait_s=wait,
         )
 
     # -- inference ------------------------------------------------------------------
