@@ -321,20 +321,19 @@ def build_train_plan(arguments: argparse.Namespace) -> ParallelPlan:
     return plan
 
 
-def _command_train_resilient(arguments: argparse.Namespace, plan: ParallelPlan) -> int:
-    """The guarded ``train`` path: Pretrainer loop + checkpointing + resume.
-
-    Runs the same tiny functional probe as the traffic path (so both commands
-    train the identical model), but through :class:`Pretrainer` so the fault
-    injector, guardrails, rollback, and checkpoint v8 machinery are live.
-    """
-    from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
-    from repro.models.gpt_configs import functional_config
+def command_train(arguments: argparse.Namespace) -> int:
+    """Train the functional probe through ``Pretrainer`` and report what it moved."""
+    from repro.experiments.engine_traffic import (
+        probe_trainer,
+        render_traffic_samples,
+        traffic_sample,
+    )
     from repro.resilience import ResilienceExhausted, WorkerCrash
     from repro.training.checkpoint import latest_checkpoint, load_checkpoint
-    from repro.training.trainer import Pretrainer
 
-    topology = plan.topology
+    if arguments.iterations <= 0:
+        raise SystemExit("--iterations must be positive")
+    plan = build_train_plan(arguments)
     if arguments.checkpoint_every is not None:
         if arguments.checkpoint_every <= 0:
             raise SystemExit("--checkpoint-every must be positive")
@@ -342,138 +341,91 @@ def _command_train_resilient(arguments: argparse.Namespace, plan: ParallelPlan) 
             raise SystemExit("--checkpoint-every requires --checkpoint-dir")
     if arguments.keep_last <= 0:
         raise SystemExit("--keep-last must be positive")
-    model = functional_config(
-        vocab_size=64, sequence_length=16, num_layers=topology.pp, hidden_size=16, num_heads=2
-    )
-    corpus = SyntheticCorpus(SyntheticCorpusConfig(vocab_size=64, seed=321))
-    loader = LanguageModelingDataLoader(
-        corpus,
-        sequence_length=12,
-        micro_batch_size=2,
-        num_micro_batches=topology.micro_batches,
-        data_parallel_degree=topology.dp,
-    )
+    topology = plan.topology
     try:
-        trainer = Pretrainer(model, loader, plan=plan, seed=0)
+        trainer = probe_trainer(plan)
     except ValueError as error:
         raise SystemExit(str(error)) from error
     # Joins/cleans the process executor's workers on every exit path below;
     # a no-op for serial plans.
     with trainer:
-        return _run_train_resilient(arguments, plan, trainer)
+        start_iteration = 0
+        if arguments.resume is not None:
+            if arguments.resume == "latest":
+                if arguments.checkpoint_dir is None:
+                    raise SystemExit("--resume without a path requires --checkpoint-dir")
+                checkpoint = latest_checkpoint(arguments.checkpoint_dir)
+                if checkpoint is None:
+                    raise SystemExit(
+                        f"no ckpt-*.npz checkpoints under {arguments.checkpoint_dir}"
+                    )
+            else:
+                checkpoint = pathlib.Path(arguments.resume)
+            try:
+                start_iteration = load_checkpoint(trainer, checkpoint)
+            except (OSError, KeyError, ValueError) as error:
+                raise SystemExit(f"cannot resume from {checkpoint}: {error}") from error
+            print(f"Resumed from {checkpoint} at iteration {start_iteration}.")
+        remaining = arguments.iterations - start_iteration
+        if remaining <= 0:
+            print(
+                f"Checkpoint is already at iteration {start_iteration} of "
+                f"{arguments.iterations}; nothing left to train."
+            )
+            return 0
 
-
-def _run_train_resilient(arguments, plan: ParallelPlan, trainer) -> int:
-    from repro.resilience import ResilienceExhausted, WorkerCrash
-    from repro.training.checkpoint import latest_checkpoint, load_checkpoint
-
-    topology = plan.topology
-    start_iteration = 0
-    if arguments.resume is not None:
-        if arguments.resume == "latest":
-            if arguments.checkpoint_dir is None:
-                raise SystemExit("--resume without a path requires --checkpoint-dir")
-            checkpoint = latest_checkpoint(arguments.checkpoint_dir)
-            if checkpoint is None:
-                raise SystemExit(
-                    f"no ckpt-*.npz checkpoints under {arguments.checkpoint_dir}"
-                )
-        else:
-            checkpoint = pathlib.Path(arguments.resume)
         try:
-            start_iteration = load_checkpoint(trainer, checkpoint)
-        except (OSError, KeyError, ValueError) as error:
-            raise SystemExit(f"cannot resume from {checkpoint}: {error}") from error
-        print(f"Resumed from {checkpoint} at iteration {start_iteration}.")
-    remaining = arguments.iterations - start_iteration
-    if remaining <= 0:
+            trainer.train(
+                remaining,
+                checkpoint_every=arguments.checkpoint_every,
+                checkpoint_dir=arguments.checkpoint_dir,
+                keep_last=arguments.keep_last,
+            )
+        except WorkerCrash as crash:
+            print(
+                f"worker crash injected at iteration {crash.iteration}; "
+                "restart with --resume to continue from the last checkpoint"
+            )
+            return 1
+        except ResilienceExhausted as error:
+            print(f"resilience budget exhausted: {error}")
+            return 1
+        sample = traffic_sample(plan.describe(), trainer, remaining)
         print(
-            f"Checkpoint is already at iteration {start_iteration} of "
-            f"{arguments.iterations}; nothing left to train."
+            f"Trained {arguments.iterations} iterations through the unified 3D engine "
+            f"(PP{topology.pp} x DP{topology.dp} x TP{topology.tp}); "
+            f"final training loss {sample.final_loss:.4f}."
         )
+        print(render_traffic_samples([sample], "Measured per-axis wire traffic"))
+        boundary = ", ".join(
+            f"{b}<->{b + 1}: {wire / 1024:.1f} KB"
+            for b, wire in sorted(sample.pipeline_boundary_wire_bytes.items())
+        )
+        if boundary:
+            print(f"Backward pipeline-boundary traffic: {boundary}")
+        if sample.data_parallel_wire_bytes > 0:
+            mode = (
+                "bucketed, cool-down overlapped"
+                if plan.schedule.dp_overlap
+                else "after the pipeline drains"
+            )
+            print(
+                f"DP all-reduce ({mode}): {sample.dp_overlapped_fraction:.0%} of "
+                f"{sample.data_parallel_wire_bytes / 1024:.1f} KB issued inside the "
+                f"pipeline cool-down (exposed: {sample.dp_exposed_wire_bytes / 1024:.1f} KB)"
+            )
+        print(f"Error-feedback residual memory: {sample.residual_memory_bytes} bytes")
+        if plan.resilience is not None:
+            print(f"Resilience: {trainer.resilience_report.describe()}")
+        _print_memory_policy()
+        survivors = len(trainer.engine.arenas)
+        _print_walk_threads(plan, survivors)
+        if survivors != topology.dp:
+            print(
+                f"Degraded topology: {survivors} of {topology.dp} DP replicas "
+                "survived; gradient averaging was rescaled accordingly."
+            )
         return 0
-
-    try:
-        result = trainer.train(
-            remaining,
-            checkpoint_every=arguments.checkpoint_every,
-            checkpoint_dir=arguments.checkpoint_dir,
-            keep_last=arguments.keep_last,
-        )
-    except WorkerCrash as crash:
-        print(
-            f"worker crash injected at iteration {crash.iteration}; "
-            "restart with --resume to continue from the last checkpoint"
-        )
-        return 1
-    except ResilienceExhausted as error:
-        print(f"resilience budget exhausted: {error}")
-        return 1
-    losses = result.history.train_losses
-    survivors = len(trainer.engine.arenas)
-    print(
-        f"Trained {arguments.iterations} iterations through the guarded 3D engine "
-        f"(PP{topology.pp} x DP{topology.dp} x TP{topology.tp}); "
-        f"final training loss {losses[-1]:.4f}."
-    )
-    report = trainer.resilience_report
-    print(f"Resilience: {report.describe()}")
-    _print_memory_policy()
-    _print_walk_threads(plan, survivors)
-    if survivors != topology.dp:
-        print(
-            f"Degraded topology: {survivors} of {topology.dp} DP replicas "
-            "survived; gradient averaging was rescaled accordingly."
-        )
-    return 0
-
-
-def command_train(arguments: argparse.Namespace) -> int:
-    from repro.experiments.engine_traffic import measure_engine_traffic, render_traffic_samples
-
-    if arguments.iterations <= 0:
-        raise SystemExit("--iterations must be positive")
-    plan = build_train_plan(arguments)
-    if (
-        plan.resilience is not None
-        or arguments.resume is not None
-        or arguments.checkpoint_every is not None
-    ):
-        return _command_train_resilient(arguments, plan)
-    try:
-        sample = measure_engine_traffic(
-            plan.describe(), plan=plan, iterations=arguments.iterations
-        )
-    except ValueError as error:
-        raise SystemExit(str(error)) from error
-    topology = plan.topology
-    print(
-        f"Trained {arguments.iterations} iterations through the unified 3D engine "
-        f"(PP{topology.pp} x DP{topology.dp} x TP{topology.tp}); "
-        f"final training loss {sample.final_loss:.4f}."
-    )
-    print(render_traffic_samples([sample], "Measured per-axis wire traffic"))
-    boundary = ", ".join(
-        f"{b}<->{b + 1}: {wire / 1024:.1f} KB"
-        for b, wire in sorted(sample.pipeline_boundary_wire_bytes.items())
-    )
-    if boundary:
-        print(f"Backward pipeline-boundary traffic: {boundary}")
-    if sample.data_parallel_wire_bytes > 0:
-        mode = (
-            "bucketed, cool-down overlapped"
-            if plan.schedule.dp_overlap
-            else "after the pipeline drains"
-        )
-        print(
-            f"DP all-reduce ({mode}): {sample.dp_overlapped_fraction:.0%} of "
-            f"{sample.data_parallel_wire_bytes / 1024:.1f} KB issued inside the "
-            f"pipeline cool-down (exposed: {sample.dp_exposed_wire_bytes / 1024:.1f} KB)"
-        )
-    print(f"Error-feedback residual memory: {sample.residual_memory_bytes} bytes")
-    _print_memory_policy()
-    _print_walk_threads(plan, topology.dp)
-    return 0
 
 
 def _print_memory_policy() -> None:

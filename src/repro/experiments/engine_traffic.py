@@ -3,9 +3,12 @@
 Several figures need the *measured* (not modelled) communication volume of a
 training iteration split by parallelism axis — pipeline forward/backward,
 data-parallel all-reduce, embedding synchronisation, tensor parallel — under a
-given :class:`~repro.plan.ParallelPlan`.  This module runs a short functional training probe
-through :class:`repro.parallel.engine.ThreeDParallelEngine` and reports exactly
-what the engine's :class:`~repro.parallel.collectives.CommunicationLog` recorded.
+given :class:`~repro.plan.ParallelPlan`.  :func:`probe_trainer` builds the one
+tiny functional probe (a :class:`~repro.training.trainer.Pretrainer` over a
+one-layer-per-stage model and its synthetic corpus); ``repro train``, the
+schedule-parity probe and :func:`measure_engine_traffic` all train it through
+``Pretrainer.train_iteration``, and :func:`traffic_sample` reports exactly what
+its engine's :class:`~repro.parallel.collectives.CommunicationLog` recorded.
 
 The probe model is tiny (the traffic *ratios* between axes and the compressed
 fractions are what matters, and those are scale-free); the numbers feed the
@@ -20,8 +23,9 @@ from dataclasses import dataclass, field
 
 from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
 from repro.models.gpt_configs import functional_config
-from repro.parallel.engine import ThreeDParallelEngine
+from repro.parallel.engine import axis_report
 from repro.plan import ParallelPlan
+from repro.training.trainer import Pretrainer
 from repro.utils.tables import Table, format_float
 
 
@@ -70,14 +74,12 @@ class EngineTrafficSample:
         return self.dp_overlapped_wire_bytes / total
 
 
-def measure_engine_traffic(
-    label: str, plan: ParallelPlan, iterations: int = 2, seed: int = 0
-) -> EngineTrafficSample:
-    """Train a tiny proxy through the unified engine and report its traffic.
+def probe_trainer(plan: ParallelPlan, seed: int = 0) -> Pretrainer:
+    """The tiny functional probe: one transformer layer per pipeline stage.
 
-    The topology, schedule, executor and every boundary's compression come
-    from ``plan`` (``plan.with_topology(...)`` for another shape); the probe
-    model has one transformer layer per pipeline stage.
+    The topology, schedule, executor, resilience and every boundary's
+    compression come from ``plan`` (``plan.with_topology(...)`` for another
+    shape).  The caller closes it (``with probe_trainer(plan) as trainer``).
     """
     topology = plan.topology
     model = functional_config(
@@ -91,47 +93,39 @@ def measure_engine_traffic(
         num_micro_batches=topology.micro_batches,
         data_parallel_degree=topology.dp,
     )
-    engine = ThreeDParallelEngine(model, plan, seed=seed)
-    optimizer = engine.build_optimizer(lr=1e-3)
+    return Pretrainer(model, loader, plan=plan, seed=seed)
 
-    axis_totals: dict[str, float] = {}
-    compressed: dict[str, float] = {}
-    boundaries: dict[int, float] = {}
-    dp_overlapped = 0.0
-    dp_exposed = 0.0
-    last_loss = 0.0
-    try:
-        for iteration in range(iterations):
-            result = engine.run_iteration(loader.iteration_batches(iteration))
-            optimizer.step()
-            last_loss = result.mean_loss
-            for axis, value in result.axis_wire_bytes.items():
-                axis_totals[axis] = axis_totals.get(axis, 0.0) + value
-                compressed[axis] = result.axis_compressed_fraction[axis]
-            for boundary, value in result.pipeline_boundary_wire_bytes.items():
-                boundaries[boundary] = boundaries.get(boundary, 0.0) + value
-            dp_overlapped += result.dp_overlapped_wire_bytes
-            dp_exposed += result.dp_exposed_wire_bytes
-    finally:
-        # Joins/cleans the process executor's workers when the plan asked for
-        # one; a no-op for serial engines.
-        engine.close()
 
+def traffic_sample(label: str, trainer: Pretrainer, iterations: int) -> EngineTrafficSample:
+    """What ``trainer``'s engine moved over the ``iterations`` it has run."""
+    engine = trainer.engine
+    topology = trainer.plan.topology
+    wire, fractions, boundaries, dp_overlapped = axis_report(engine.log.records)
     return EngineTrafficSample(
         label=label,
         num_stages=topology.pp,
         data_parallel_degree=topology.dp,
         tensor_parallel_degree=topology.tp,
         iterations=iterations,
-        axis_wire_bytes=axis_totals,
-        axis_compressed_fraction=compressed,
+        axis_wire_bytes=wire,
+        axis_compressed_fraction=fractions,
         pipeline_boundary_wire_bytes=boundaries,
         dp_bytes_saved_fraction=engine.dp_reduce.bytes_saved_fraction(),
         dp_overlapped_wire_bytes=dp_overlapped,
-        dp_exposed_wire_bytes=dp_exposed,
+        dp_exposed_wire_bytes=wire["data_parallel"] - dp_overlapped,
         residual_memory_bytes=engine.residual_memory_bytes(),
-        final_loss=last_loss,
+        final_loss=trainer.history.train_losses[-1],
     )
+
+
+def measure_engine_traffic(
+    label: str, plan: ParallelPlan, iterations: int = 2, seed: int = 0
+) -> EngineTrafficSample:
+    """Train :func:`probe_trainer` for ``iterations`` and report its traffic."""
+    with probe_trainer(plan, seed) as trainer:
+        for _ in range(iterations):
+            trainer.train_iteration()
+        return traffic_sample(label, trainer, iterations)
 
 
 def render_traffic_samples(samples: list[EngineTrafficSample], title: str) -> str:

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.models.gpt_configs import GPT_8_3B, PaperModelSpec, functional_config
-from repro.parallel.engine import ThreeDParallelEngine
+from repro.experiments.engine_traffic import probe_trainer
+from repro.models.gpt_configs import GPT_8_3B, PaperModelSpec
 from repro.parallel.process_groups import ParallelLayout
 from repro.plan import ParallelPlan, Topology
 from repro.simulator.cost_model import TrainingJob
@@ -104,50 +104,32 @@ def functional_schedule_parity(
     kinds: tuple[str, ...] = PARITY_KINDS,
     memory_cap_factor: float = 1.5,
 ) -> float:
-    """Train a tiny probe under each schedule kind and return the max weight delta.
+    """Train the tiny probe under each schedule kind and return the max weight delta.
 
-    A real multi-step trajectory: every iteration ends in a fused-Adam step, so
-    the comparison is over *weights after training*, not a single gradient
-    computation.  The schedules must agree exactly (0.0): the split-backward
-    schedules (zb1 and the synthesized auto, here run at ``memory_cap_factor``)
-    only reorder when each weight gradient is accumulated, never what it is.
+    A real multi-step trajectory through ``Pretrainer.train_iteration`` (the
+    :func:`~repro.experiments.engine_traffic.probe_trainer` model): every
+    iteration ends in a fused-Adam step, so the comparison is over *weights
+    after training*, not a single gradient computation.  The schedules must
+    agree exactly (0.0): the split-backward schedules (zb1 and the synthesized
+    auto, here run at ``memory_cap_factor``) only reorder when each weight
+    gradient is accumulated, never what it is.
     """
-
-    config = functional_config(
-        vocab_size=64, sequence_length=16, num_layers=4, hidden_size=16, num_heads=2
-    )
-    rng = np.random.default_rng(seed)
-    batches = [
-        [
-            (
-                rng.integers(0, config.vocab_size, size=(2, 12)),
-                rng.integers(0, config.vocab_size, size=(2, 12)),
-            )
-            for _ in range(4)
-        ]
-        for _ in range(dp)
-    ]
     topology = Topology(dp=dp, pp=pp, tp=1, micro_batches=4)
-    worst = 0.0
-    engines = {}
+    weights = {}
     for kind in kinds:
         changes = {"kind": kind}
         if kind == "auto":
             changes["memory_cap_factor"] = memory_cap_factor
         plan = ParallelPlan(topology=topology).with_schedule(**changes)
-        engine = ThreeDParallelEngine(config, plan=plan, seed=seed)
-        optimizer = engine.build_optimizer(lr=2e-3)
-        for _ in range(iterations):
-            engine.run_iteration(batches)
-            optimizer.step()
-        engines[kind] = engine
-    reference = kinds[0]
-    for kind in kinds[1:]:
-        for base_param, other_param in zip(
-            engines[reference].parameters(), engines[kind].parameters()
-        ):
-            worst = max(worst, float(np.max(np.abs(base_param.data - other_param.data))))
-    return worst
+        with probe_trainer(plan, seed) as trainer:
+            for _ in range(iterations):
+                trainer.train_iteration()
+            weights[kind] = trainer.engine.arenas[0].data.copy()
+    reference = weights[kinds[0]]
+    return max(
+        (float(np.max(np.abs(reference - weights[kind]))) for kind in kinds[1:]),
+        default=0.0,
+    )
 
 
 def run_schedule_comparison(

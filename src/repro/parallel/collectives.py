@@ -71,14 +71,6 @@ class CommunicationLog:
             if category is None or record.category == category
         )
 
-    def total_payload_bytes(self, category: str | None = None) -> int:
-        """Sum of raw payload bytes, optionally filtered by category."""
-        return sum(
-            record.payload_bytes
-            for record in self.records
-            if category is None or record.category == category
-        )
-
     def overlapped_wire_bytes(self, category: str | None = None) -> float:
         """Wire bytes of records flagged as overlapped with compute."""
         return sum(
@@ -105,21 +97,6 @@ class CommunicationLog:
         totals: dict[str, float] = {}
         for record in self.records:
             totals[record.category] = totals.get(record.category, 0.0) + record.wire_bytes
-        return totals
-
-    def by_boundary(self, category: str) -> dict[int, float]:
-        """Wire bytes of one p2p category grouped by pipeline boundary.
-
-        The boundary index is the smaller of the two ranks of the transfer (the
-        convention of :class:`repro.parallel.pipeline_engine.InterStageChannel`:
-        boundary ``b`` sits between stages ``b`` and ``b + 1``).
-        """
-        totals: dict[int, float] = {}
-        for record in self.records:
-            if record.category != category or len(record.ranks) < 2:
-                continue
-            boundary = min(record.ranks)
-            totals[boundary] = totals.get(boundary, 0.0) + record.wire_bytes
         return totals
 
 

@@ -468,11 +468,14 @@ class EngineIterationResult:
         return self.dp_overlapped_wire_bytes / total
 
 
-def _axis_report(records) -> tuple[dict[str, float], dict[str, float], dict[int, float]]:
-    """Per-axis wire bytes + compressed fractions + per-boundary backward bytes."""
+def axis_report(records) -> tuple[dict[str, float], dict[str, float], dict[int, float], float]:
+    """Per-axis wire bytes + compressed fractions + per-boundary backward bytes +
+    overlapped DP bytes, in one pass over ``records``."""
     wire = {axis: 0.0 for axis in TRAFFIC_AXES}
     counts = {axis: 0 for axis in TRAFFIC_AXES}
     compressed = {axis: 0 for axis in TRAFFIC_AXES}
+    boundaries: dict[int, float] = {}
+    dp_overlapped = 0.0
     for record in records:
         axis = _CATEGORY_TO_AXIS.get(record.category)
         if axis is None:
@@ -480,12 +483,17 @@ def _axis_report(records) -> tuple[dict[str, float], dict[str, float], dict[int,
         wire[axis] += record.wire_bytes
         counts[axis] += 1
         compressed[axis] += 1 if record.compressed else 0
+        if record.category == "inter_stage_backward" and len(record.ranks) >= 2:
+            # Boundary b sits between stages b and b + 1: the smaller rank.
+            boundary = min(record.ranks)
+            boundaries[boundary] = boundaries.get(boundary, 0.0) + record.wire_bytes
+        elif record.category == "data_parallel" and record.overlapped:
+            dp_overlapped += record.wire_bytes
     fractions = {
         axis: (compressed[axis] / counts[axis] if counts[axis] else 0.0)
         for axis in TRAFFIC_AXES
     }
-    boundaries = CommunicationLog(records=list(records)).by_boundary("inter_stage_backward")
-    return wire, fractions, boundaries
+    return wire, fractions, boundaries, dp_overlapped
 
 
 def hook_state(hook) -> dict | None:
@@ -947,10 +955,7 @@ class ThreeDParallelEngine:
         self.embedding_sync.synchronize()
         self._iteration_index += 1
 
-        iteration_records = self.log.records[record_mark:]
-        wire, fractions, boundaries = _axis_report(iteration_records)
-        iteration_log = CommunicationLog(records=list(iteration_records))
-        dp_overlapped = iteration_log.overlapped_wire_bytes("data_parallel")
+        wire, fractions, boundaries, dp_overlapped = axis_report(self.log.records[record_mark:])
         dp_stage_traffic = {
             stage: traffic.delta_since(dp_traffic_before.get(stage, StageTraffic()))
             for stage, traffic in self.dp_reduce.stage_traffic.items()
@@ -1141,7 +1146,7 @@ class ThreeDParallelEngine:
 
     def traffic_summary(self) -> dict[str, float]:
         """Cumulative per-axis wire bytes over the engine's lifetime."""
-        wire, _, _ = _axis_report(self.log.records)
+        wire, _, _, _ = axis_report(self.log.records)
         return wire
 
     def pipeline_backward_summary(self) -> dict[int, dict[str, float]]:

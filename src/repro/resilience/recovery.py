@@ -11,7 +11,7 @@ source                    what it holds                               detached b
                           replica's gradients are not captured: the
                           iteration's pipeline run overwrites them,
                           and ``restore`` zero-fills them
-``optimizers`` (one)      Adam moments, step count, current LR —      ``state_dict`` / ``load_state_dict``
+``optimizer``             Adam moments, step count, current LR —      ``state_dict`` / ``load_state_dict``
                           one pair per DP group
 ``engine`` (the rest)     DP error-feedback residuals and slabs,      ``mutable_state`` /
                           PowerSGD warm starts, RNG call counts,      ``load_mutable_state``
@@ -45,7 +45,7 @@ def _with_previous(live, previous):
 class RecoveryPoint:
     """Reusable capture of every mutable training buffer of one engine.
 
-    ``optimizers`` is the trainer's list (of the group's one optimiser); an
+    ``optimizer`` is the trainer's (the DP group's one optimiser); an
     engine driven without a trainer passes none and gets the arena +
     engine-state capture its supervisor rewinds to.  Weights and moments are
     copied once per capture; gradients are not copied at all.
@@ -53,11 +53,11 @@ class RecoveryPoint:
     runs bit-identical to unguarded ones.
     """
 
-    def __init__(self, engine, optimizers=()) -> None:
+    def __init__(self, engine, optimizer=None) -> None:
         self.engine = engine
-        self.optimizers = optimizers
+        self.optimizer = optimizer
         self.arenas: list[dict] = []
-        self.optimizer_states: list[dict] = []
+        self.optimizer_state: dict | None = None
         self.engine_state: dict | None = None
 
     def capture(self) -> None:
@@ -66,10 +66,8 @@ class RecoveryPoint:
             arena.snapshot(out=previous)
             for arena, previous in _with_previous(self.engine.arenas, self.arenas)
         ]
-        self.optimizer_states = [
-            optimizer.state_dict(out=previous)
-            for optimizer, previous in _with_previous(self.optimizers, self.optimizer_states)
-        ]
+        if self.optimizer is not None:
+            self.optimizer_state = self.optimizer.state_dict(out=self.optimizer_state)
         self.engine_state = self.engine.mutable_state(out=self.engine_state)
 
     def restore_arenas(self) -> None:
@@ -80,6 +78,6 @@ class RecoveryPoint:
     def restore(self) -> None:
         """Put every captured buffer back (the capture itself stays valid)."""
         self.restore_arenas()
-        for optimizer, state in zip(self.optimizers, self.optimizer_states, strict=True):
-            optimizer.load_state_dict(state)
+        if self.optimizer is not None:
+            self.optimizer.load_state_dict(self.optimizer_state)
         self.engine.load_mutable_state(self.engine_state)

@@ -186,20 +186,15 @@ def save_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> pathlib.Pa
     path = _normalised_path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
 
-    optimizers = [optimizer.live_state() for optimizer in trainer.optimizers]
-    scalars = {(state["step_count"], state["lr"]) for state in optimizers}
-    if len(scalars) != 1:
-        raise RuntimeError(
-            f"data-parallel replicas diverged: optimiser (step, lr) pairs {sorted(scalars)}"
-        )
+    optimizer = trainer.optimizer.live_state()
     # Before anything is packed: the group is only as replicated as its
     # gradients (weights and moments cannot differ — there is one of each).
     _group_shared("synchronised gradients", [arena.grad for arena in trainer.engine.arenas])
     arrays: dict[str, np.ndarray] = {}
     state_skeleton = _pack_tree(trainer.engine.live_mutable_state(), arrays)
     arrays["weights"] = trainer.engine.arenas[0].data
-    arrays["exp_avg"] = optimizers[0]["exp_avg"]
-    arrays["exp_avg_sq"] = optimizers[0]["exp_avg_sq"]
+    arrays["exp_avg"] = optimizer["exp_avg"]
+    arrays["exp_avg_sq"] = optimizer["exp_avg_sq"]
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "iteration": trainer._iteration,
@@ -209,7 +204,7 @@ def save_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> pathlib.Pa
             "data_parallel_degree": len(trainer.engine.arenas),
         },
         "layout": _parameter_layout(trainer),
-        "optimizer": {"step_count": optimizers[0]["step_count"], "lr": optimizers[0]["lr"]},
+        "optimizer": {"step_count": optimizer["step_count"], "lr": optimizer["lr"]},
         "train_losses": trainer.history.train_losses,
         "validation_points": [
             {"iteration": point.iteration, "loss": point.loss}
@@ -299,8 +294,7 @@ def load_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> int:
             "exp_avg": archive["exp_avg"],
             "exp_avg_sq": archive["exp_avg_sq"],
         }
-        for optimizer in trainer.optimizers:
-            optimizer.load_state_dict(optimizer_state)
+        trainer.optimizer.load_state_dict(optimizer_state)
         trainer.engine.load_mutable_state(_unpack_tree(header["state"], archive))
 
     trainer._iteration = int(header["iteration"])

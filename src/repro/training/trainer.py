@@ -144,25 +144,23 @@ class Pretrainer:
             collect_cb_diagnostics=collect_cb_diagnostics,
         )
 
-        # One fused optimiser for the whole DP group (a list of one): the Adam
-        # update is a handful of whole-buffer ops over the replicas' shared
-        # weights, bit-for-bit the per-parameter Adam every replica used to run.
-        self.optimizers = [
-            self.engine.build_optimizer(lr=learning_rate, weight_decay=weight_decay)
-        ]
+        # One fused optimiser for the whole DP group: the Adam update is a
+        # handful of whole-buffer ops over the replicas' shared weights,
+        # bit-for-bit the per-parameter Adam every replica used to run.
+        self.optimizer = self.engine.build_optimizer(lr=learning_rate, weight_decay=weight_decay)
         self.history = TrainingHistory()
         self.last_iteration_result: EngineIterationResult | None = None
         self._iteration = 0
 
         # Resilience wiring: the engine armed the fault injector, guardrail
         # budgets and worker supervision from the plan's section; the guarded
-        # loop adds the recovery point that covers the optimisers too.
+        # loop adds the recovery point that covers the optimiser too.
         self.guardrails: GuardrailPolicy | None = None
         if plan.resilience is not None:
             self.guardrails = self.engine.guardrails
             # One capture per iteration (taken by the engine) serves both this
             # loop's rollback and the worker supervisor's rewind.
-            self.engine.recovery_point = RecoveryPoint(self.engine, self.optimizers)
+            self.engine.recovery_point = RecoveryPoint(self.engine, self.optimizer)
         self.resilience_report = self.engine.resilience
         self._consecutive_skips = 0
         #: Checkpoint-abort escalation target; :meth:`train` keeps it current.
@@ -200,8 +198,7 @@ class Pretrainer:
                 self._degrade(loss_spec.replica, iteration)
 
         if self.lr_schedule is not None:
-            for optimizer in self.optimizers:
-                self.lr_schedule.apply(optimizer, iteration)
+            self.lr_schedule.apply(self.optimizer, iteration)
 
         while True:
             # Nothing to clear first: the pipeline run writes every gradient afresh.
@@ -231,8 +228,7 @@ class Pretrainer:
             return result.mean_loss
         self._consecutive_skips = 0
 
-        for optimizer in self.optimizers:
-            optimizer.step()
+        self.optimizer.step()
 
         self.history.record_train(result.mean_loss)
         self._iteration += 1

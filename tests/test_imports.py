@@ -3,16 +3,19 @@
 The fast tier's stand-in for a linter (neither ``ruff`` nor ``pyflakes`` ships
 in every sandbox this repo is built in): a name deleted from ``src/`` that some
 module, example or lazily imported driver still references fails here instead
-of in whichever command happens to reach it first.  The byte-compile half is
-``python -m compileall -q src tests benchmarks examples`` (CI runs both).
+of in whichever command happens to reach it first, and an import inside a
+function that nothing reads fails here as ruff's F401 would.  The byte-compile
+half is ``python -m compileall -q src tests benchmarks examples`` (CI runs both).
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import pathlib
 import pkgutil
+import re
 import runpy
 import subprocess
 import sys
@@ -97,3 +100,43 @@ def test_every_attribute_the_tracer_patches_is_defined(module, dotted):
     for attribute in dotted.split("."):
         target = getattr(target, attribute)
     assert callable(target)
+
+
+#: A line that may hold a function-scope import (files without one are not parsed).
+INDENTED_IMPORT = re.compile(r"^[ \t]+(?:import|from)\s", re.MULTILINE)
+
+
+def _unused_function_scope_imports() -> list[str]:
+    """``path:line name`` of every import inside a function that nothing in it reads.
+
+    A local stand-in for ruff's F401 on function scope: the innermost function
+    holding an import must mention the bound name somewhere (a nested
+    function's use counts, as a closure reads it).
+    """
+    found = []
+    for tree_name in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((REPO_ROOT / tree_name).rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            if not INDENTED_IMPORT.search(source):
+                continue
+            module = ast.parse(source, filename=str(path))
+            for function in ast.walk(module):
+                if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                used, imports = set(), []
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Name):
+                        used.add(node.id)
+                    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                        imports.append(node)
+                for statement in imports:
+                    for alias in statement.names:
+                        bound = alias.asname or alias.name.split(".")[0]
+                        if bound != "*" and bound not in used:
+                            relative = path.relative_to(REPO_ROOT)
+                            found.append(f"{relative}:{statement.lineno} {bound}")
+    return sorted(set(found))
+
+
+def test_every_function_scope_import_is_used():
+    assert _unused_function_scope_imports() == []

@@ -13,6 +13,9 @@ Covers the three contracts of the one configuration vocabulary:
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import json
 import pathlib
 
@@ -667,6 +670,26 @@ class TestSerialSchedule:
 # ---------------------------------------------------------------------------------
 
 
+TRAIN_PROBE = ("train", "--preset", "cb_fe_sc", "--stages", "2", "--iterations", "4")
+
+
+@functools.lru_cache(maxsize=None)
+def _train_stdout(*flags: str) -> str:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main([*TRAIN_PROBE, *flags]) == 0
+    return stdout.getvalue()
+
+
+def _train_report(stdout: str) -> tuple[str, list[str]]:
+    """The final loss and the traffic block (table through residual memory)."""
+    lines = stdout.splitlines()
+    loss = next(line for line in lines if "final training loss" in line).rsplit(" ", 1)[1]
+    start = lines.index("Measured per-axis wire traffic")
+    end = next(index for index, line in enumerate(lines) if line.startswith("Error-feedback"))
+    return loss, lines[start : end + 1]
+
+
 class TestPlanCli:
     def test_plan_show_preset(self, capsys):
         assert cli.main(["plan", "show", "cb_fe_sc"]) == 0
@@ -694,6 +717,30 @@ class TestPlanCli:
         assert cli.main(["plan", "validate", str(good)]) == 0
         out = capsys.readouterr().out
         assert "OK" in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [(), ("--guard",), ("--checkpoint-every", "3", "--checkpoint-dir", "{dir}")],
+        ids=["plain", "guard", "checkpoint"],
+    )
+    def test_train_has_one_path_and_one_report(self, flags, tmp_path):
+        """Guarded and checkpointing runs train the plain run's bits and print its traffic."""
+        flags = tuple(flag.format(dir=tmp_path) for flag in flags)
+        assert _train_report(_train_stdout(*flags)) == _train_report(_train_stdout())
+
+    def test_resumed_train_reports_only_its_own_iterations(self, tmp_path):
+        loss, block = _train_report(_train_stdout())
+        directory = str(tmp_path)
+        _train_stdout("--iterations", "3", "--checkpoint-every", "3", "--checkpoint-dir", directory)
+        resumed_loss, resumed_block = _train_report(
+            _train_stdout("--resume", "latest", "--checkpoint-dir", directory)
+        )
+        assert resumed_loss == loss
+        # One of four iterations: a quarter of the (per-iteration constant) PP
+        # forward and embedding bytes.
+        row, resumed_row = (table[4].split("|") for table in (block, resumed_block))
+        for column in (2, 5):
+            assert float(resumed_row[column]) * 4 == float(row[column])
 
     def test_train_schedule_flag_selects_zb1(self, capsys):
         assert (

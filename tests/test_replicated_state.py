@@ -369,8 +369,7 @@ def assert_one_copy(trainer: Pretrainer, dp: int) -> None:
                 assert np.shares_memory(parameter.grad, arena.grad)
     for index, arena in enumerate(arenas):
         assert not any(np.shares_memory(arena.grad, other.grad) for other in arenas[:index])
-    assert len(trainer.optimizers) == 1
-    optimizer = trainer.optimizers[0]
+    optimizer = trainer.optimizer
     assert optimizer.arenas is arenas
     trainable = arenas[0].num_trainable_elements
     assert optimizer._exp_avg_flat.shape == optimizer._exp_avg_sq_flat.shape == (trainable,)
@@ -391,7 +390,7 @@ class TestOneCopyPerGroup:
             assert [sorted(snapshot) for snapshot in point.arenas] == (
                 [["data"]] + [[]] * (dp - 1)
             )
-            assert len(point.optimizer_states) == 1
+            assert set(point.optimizer_state) >= {"exp_avg", "exp_avg_sq"}
             # One weights segment for the group and one gradient segment per replica.
             assert len(shm_entries() - before) == ((1 + dp) if executor == "process" else 0)
         assert shm_entries() <= before
@@ -624,7 +623,7 @@ class TestRollbackOnSharedStorage:
         with probe_trainer(probe_plan("optimus", 3, executor, guarded=True)) as trainer:
             trainer.train_iteration()
             trainer.train_iteration()
-            point, optimizer = trainer.engine.recovery_point, trainer.optimizers[0]
+            point, optimizer = trainer.engine.recovery_point, trainer.optimizer
             point.capture()
             weights = trainer.engine.arenas[0].data.copy()
             moments = (optimizer._exp_avg_flat.copy(), optimizer._exp_avg_sq_flat.copy())

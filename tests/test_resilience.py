@@ -275,7 +275,7 @@ class TestCrashAndDegrade:
         trainer = _trainer(_plan().with_resilience(spec))
         result = trainer.train(4)
         assert len(trainer.engine.arenas) == 1
-        assert len(trainer.optimizers) == 1
+        assert trainer.optimizer.arenas is trainer.engine.arenas
         assert trainer.engine.data_parallel_degree == 1
         assert result.resilience.degraded == [
             {"iteration": 2, "replica": 1, "data_parallel_degree": 1}
@@ -592,8 +592,7 @@ class TestCheckpointValidation:
                 for parameter in stage.parameters():
                     assert np.shares_memory(parameter.data, arenas[0].data)
         assert len({id(arena.grad) for arena in arenas}) == dp
-        assert len(trainer.optimizers) == 1
-        assert trainer.optimizers[0].arenas is arenas
+        assert trainer.optimizer.arenas is arenas
 
     def test_diverged_gradients_refuse_to_save(self, tmp_path):
         """Replaces ``test_diverged_moments_refuse_to_save``: what replicas can
@@ -654,10 +653,10 @@ class TestCheckpointLayout:
         assert len(reader.engine.arenas) == 2
         for ours, theirs in zip(reader.engine.arenas, writer.engine.arenas):
             assert np.array_equal(ours.data, theirs.data)
-        for ours, theirs in zip(reader.optimizers, writer.optimizers):
-            assert np.array_equal(ours._exp_avg_flat, theirs._exp_avg_flat)
-            assert np.array_equal(ours._exp_avg_sq_flat, theirs._exp_avg_sq_flat)
-            assert (ours._step_count, ours.lr) == (theirs._step_count, theirs.lr)
+        ours, theirs = reader.optimizer, writer.optimizer
+        assert np.array_equal(ours._exp_avg_flat, theirs._exp_avg_flat)
+        assert np.array_equal(ours._exp_avg_sq_flat, theirs._exp_avg_sq_flat)
+        assert (ours._step_count, ours.lr) == (theirs._step_count, theirs.lr)
         # The loaded replicas still are one weight buffer, written once.
         assert reader.engine.arenas[0].data is reader.engine.arenas[1].data
 
@@ -700,7 +699,7 @@ class TestRecoveryPoint:
                     for value in tree:
                         walk(value)
 
-            walk([point.arenas, point.optimizer_states, point.engine_state])
+            walk([point.arenas, point.optimizer_state, point.engine_state])
             return leaves
 
         # Error-feedback residuals appear on the first reduction, so the

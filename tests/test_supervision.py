@@ -248,8 +248,7 @@ class TestOneRecoveryPoint:
 
             def buffer_ids():
                 arenas = [id(buffer) for s in point.arenas for buffer in s.values()]
-                moments = [id(s[name]) for s in point.optimizer_states
-                           for name in ("exp_avg", "exp_avg_sq")]
+                moments = [id(point.optimizer_state[name]) for name in ("exp_avg", "exp_avg_sq")]
                 return arenas + moments
 
             before = buffer_ids()
@@ -290,7 +289,7 @@ class TestOneRecoveryPoint:
 
         healed, weights = run(probe_plan().with_resilience(spec))
         assert healed.resilience.respawns == 1
-        assert healed.recovery_point is not None and not healed.recovery_point.optimizer_states
+        assert healed.recovery_point is not None and healed.recovery_point.optimizer_state is None
         _, expected = run(probe_plan(executor="serial"))
         assert_same_weights(weights, expected)
 
@@ -319,7 +318,7 @@ class TestStatelessWorkers:
         else:
             # Guarded without a supervisor: the engine captures a recovery point.
             trainer = probe_trainer(plan)
-            trainer.engine.recovery_point = RecoveryPoint(trainer.engine, trainer.optimizers)
+            trainer.engine.recovery_point = RecoveryPoint(trainer.engine, trainer.optimizer)
         with trainer:
             trainer.train_iteration()
             trainer.train_iteration()

@@ -118,7 +118,7 @@ class TestPretrainer:
             ParallelPlan.baseline(), loader, small_config, lr_schedule=schedule
         )
         trainer.train_iteration()
-        assert trainer.optimizers[0].lr == pytest.approx(schedule.lr_at(0))
+        assert trainer.optimizer.lr == pytest.approx(schedule.lr_at(0))
 
     def test_communication_log_categories(self, small_config, loader):
         trainer = make_trainer(ParallelPlan.baseline(), loader, small_config)
