@@ -574,34 +574,29 @@ def bench_process_executor(repeats: int = 3, iterations_per_repeat: int = 2) -> 
 
     def build(executor: str):
         engine = ThreeDParallelEngine(config, plan=plan.with_executor(executor), seed=3)
-        optimizers = [engine.build_optimizer(lr=1e-3)]
-        return engine, optimizers
+        return engine, engine.build_optimizer(lr=1e-3)
 
-    def step(engine, optimizers):
-        for optimizer in optimizers:
-            optimizer.zero_grad()
+    def step(engine, optimizer):
+        optimizer.zero_grad()
         engine.run_iteration(batches)
-        for optimizer in optimizers:
-            optimizer.step()
+        optimizer.step()
 
-    serial, serial_optimizers = build("serial")
-    process, process_optimizers = build("process")
+    serial, serial_optimizer = build("serial")
+    process, process_optimizer = build("process")
     try:
         # Untimed warmup: the process side forks its workers here.
-        step(serial, serial_optimizers)
-        step(process, process_optimizers)
+        step(serial, serial_optimizer)
+        step(process, process_optimizer)
 
-        def run(engine, optimizers):
+        def run(engine, optimizer):
             def _run():
                 for _ in range(iterations_per_repeat):
-                    step(engine, optimizers)
+                    step(engine, optimizer)
 
             return _run
 
-        serial_s = _time_calls(run(serial, serial_optimizers), repeats) / iterations_per_repeat
-        process_s = (
-            _time_calls(run(process, process_optimizers), repeats) / iterations_per_repeat
-        )
+        serial_s = _time_calls(run(serial, serial_optimizer), repeats) / iterations_per_repeat
+        process_s = _time_calls(run(process, process_optimizer), repeats) / iterations_per_repeat
 
         # Both sides ran the identical iteration count on identical data: the
         # executor's contract is bit-for-bit equality, not closeness.

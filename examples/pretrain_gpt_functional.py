@@ -99,8 +99,8 @@ def main() -> None:
         if label != "Baseline":
             summary = trainer.compression_summary
             print(
-                f"[{label}] compressed {summary.get('compressed_fraction', 0.0):.0%} of backward "
-                f"transfers, saving {summary.get('bytes_saved_fraction', 0.0):.0%} of those bytes"
+                f"[{label}] compressed {summary['compressed_fraction']:.0%} of backward "
+                f"transfers, saving {summary['bytes_saved_fraction']:.0%} of those bytes"
             )
         print()
 

@@ -79,7 +79,7 @@ def train_tiny_model() -> None:
         )
         trainer = Pretrainer(model_config, loader, plan, learning_rate=3e-3, seed=11)
         trainer.train(num_iterations=30, validation_interval=10)
-        saved = trainer.compression_summary.get("bytes_saved_fraction", 0.0)
+        saved = trainer.compression_summary["bytes_saved_fraction"]
         table.add_row(
             [label, format_float(trainer.validation_perplexity(), 2), f"{saved:.0%}"]
         )

@@ -392,7 +392,7 @@ def command_train(arguments: argparse.Namespace) -> int:
             return 1
         sample = traffic_sample(plan.describe(), trainer, remaining)
         print(
-            f"Trained {arguments.iterations} iterations through the unified 3D engine "
+            f"Trained {remaining} iterations through the unified 3D engine "
             f"(PP{topology.pp} x DP{topology.dp} x TP{topology.tp}); "
             f"final training loss {sample.final_loss:.4f}."
         )

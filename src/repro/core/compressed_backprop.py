@@ -51,17 +51,6 @@ class ErrorIndependenceRecord:
     cosine: float
 
 
-@dataclass
-class CompressionEvent:
-    """Bookkeeping for one backward transfer (compressed or not)."""
-
-    boundary: int
-    micro_batch: int
-    compressed: bool
-    payload_bytes: int
-    original_bytes: int
-
-
 class CompressedBackpropagation:
     """Backward inter-stage communication hook implementing CB + LEP + epilogue-only.
 
@@ -122,7 +111,6 @@ class CompressedBackpropagation:
         self.feedback = ErrorFeedback(base_compressor, enabled=self.lazy_error_propagation)
 
         # Read in order, so a concurrent pipeline walk appends in op order.
-        self.events: list[CompressionEvent] = OpOrderedList()
         self.diagnostics: list[ErrorIndependenceRecord] = OpOrderedList()
         self._previous_tensor: dict[str, np.ndarray] = {}
 
@@ -151,32 +139,12 @@ class CompressedBackpropagation:
         pipeline engine's hook protocol.
         """
         gradient = np.asarray(gradient, dtype=np.float64)
-        original_bytes = int(gradient.size * 2)
         key = f"boundary{boundary}"
 
         if not self.should_compress(boundary, micro_batch, num_micro_batches):
-            self.events.append(
-                CompressionEvent(
-                    boundary=boundary,
-                    micro_batch=micro_batch,
-                    compressed=False,
-                    payload_bytes=original_bytes,
-                    original_bytes=original_bytes,
-                )
-            )
-            return gradient, original_bytes, False
+            return gradient, int(gradient.size * 2), False
 
         approximation, payload, residual = self.feedback.compress_with_feedback(gradient, key)
-        self.events.append(
-            CompressionEvent(
-                boundary=boundary,
-                micro_batch=micro_batch,
-                compressed=True,
-                payload_bytes=payload.payload_bytes,
-                original_bytes=original_bytes,
-            )
-        )
-
         if self.collect_diagnostics:
             self._record_diagnostics(key, boundary, micro_batch, gradient, residual)
 
@@ -206,62 +174,9 @@ class CompressedBackpropagation:
             )
         self._previous_tensor[key] = tensor.copy()
 
-    # -- reporting -------------------------------------------------------------------
-
-    def compression_summary(self) -> dict[str, float]:
-        """Aggregate statistics over all recorded transfers."""
-        if not self.events:
-            return {
-                "transfers": 0,
-                "compressed_transfers": 0,
-                "compressed_fraction": 0.0,
-                "bytes_saved_fraction": 0.0,
-            }
-        total = len(self.events)
-        compressed = sum(1 for event in self.events if event.compressed)
-        original = sum(event.original_bytes for event in self.events)
-        actual = sum(event.payload_bytes for event in self.events)
-        return {
-            "transfers": total,
-            "compressed_transfers": compressed,
-            "compressed_fraction": compressed / total,
-            "bytes_saved_fraction": 1.0 - actual / original if original else 0.0,
-        }
-
-    def summary_by_boundary(self) -> dict[int, dict[str, float]]:
-        """Per-pipeline-boundary compression statistics.
-
-        The unified 3D-parallel engine uses this to report which inter-stage
-        boundaries actually carried compressed traffic (epilogue-only compression
-        makes the split non-uniform across boundaries).
-        """
-        summaries: dict[int, dict[str, float]] = {}
-        for event in self.events:
-            entry = summaries.setdefault(
-                event.boundary,
-                {
-                    "transfers": 0,
-                    "compressed_transfers": 0,
-                    "original_bytes": 0,
-                    "payload_bytes": 0,
-                },
-            )
-            entry["transfers"] += 1
-            entry["compressed_transfers"] += 1 if event.compressed else 0
-            entry["original_bytes"] += event.original_bytes
-            entry["payload_bytes"] += event.payload_bytes
-        for entry in summaries.values():
-            entry["bytes_saved_fraction"] = (
-                1.0 - entry["payload_bytes"] / entry["original_bytes"]
-                if entry["original_bytes"]
-                else 0.0
-            )
-        return summaries
-
     def reset(self) -> None:
-        """Clear residuals, warm-started factors, and recorded events."""
+        """Clear residuals, warm-started factors, and recorded diagnostics."""
         self.feedback.reset()
-        self.events.clear()
         self.diagnostics.clear()
         self._previous_tensor.clear()
 
@@ -269,7 +184,7 @@ class CompressedBackpropagation:
         """The per-boundary residuals + compressor warm starts.
 
         These persist across iterations (``boundary{b}`` keys), so they belong
-        in checkpoints and rollback snapshots.  ``events``/``diagnostics``/
+        in checkpoints and rollback snapshots.  ``diagnostics`` and
         ``_previous_tensor`` are diagnostics-only and excluded.
         """
         return {"feedback": self.feedback.state_dict()}

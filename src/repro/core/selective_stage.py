@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.compression.powersgd import matrix_view, orthogonalise, stable_key_hash
 from repro.parallel.arena import BucketResidualStore, CodecBucket
-from repro.parallel.collectives import SimulatedProcessGroup
+from repro.parallel.collectives import WIRE_BYTES_PER_ELEMENT, SimulatedProcessGroup
 from repro.utils.random import seeded_rng
 
 #: Elements per block of the replica-mean and residual passes (rounded down to
@@ -75,8 +75,6 @@ class SelectiveStageCompression:
         #: The group's error-feedback residuals (one flat one-row slab per bucket).
         self._bucket_residuals = BucketResidualStore()
         self._tile = np.empty(_TILE_ELEMENTS)
-        self.total_original_bytes = 0
-        self.total_payload_bytes = 0
 
     def _reduce_segment(
         self,
@@ -139,11 +137,7 @@ class SelectiveStageCompression:
             for output in outputs[1:]:
                 output[first * cols : last * cols] = synced
 
-        p_bytes = int(p_factor.size * 2)
-        q_bytes = int(query.size * 2)
-        self.total_original_bytes += rows * cols * 2 * num_replicas
-        self.total_payload_bytes += (p_bytes + q_bytes) * num_replicas
-        return p_bytes, q_bytes
+        return int(p_factor.size * 2), int(query.size * 2)
 
     def reduce_bucket(
         self,
@@ -157,9 +151,10 @@ class SelectiveStageCompression:
         arena's ``grad`` array); each segment is reduced on its zero-copy views
         with its own per-tensor key and warm-started query, so the weights that
         come out do not depend on how parameters are bucketed.  One hook
-        invocation and one P/Q traffic record pair cover the whole *bucket*,
-        and the group's residuals live in one flat ``(1, elements)`` slab per
-        bucket.
+        invocation and one P/Q traffic record pair cover the whole *bucket*
+        (the P record carries the bucket's uncompressed bytes as its
+        ``original_bytes``, the Q record none), and the group's residuals live
+        in one flat ``(1, elements)`` slab per bucket.
         """
         num_replicas = len(flat_gradients)
         if num_replicas != group.size:
@@ -192,19 +187,15 @@ class SelectiveStageCompression:
 
         label = f"stage{bucket.stage_index} codec-bucket{bucket.index}"
         group.record_collective(
-            "all_reduce", p_bytes_total, compressed=True, description=f"{label}:P"
+            "all_reduce",
+            p_bytes_total,
+            compressed=True,
+            description=f"{label}:P",
+            original_bytes=bucket.num_elements * WIRE_BYTES_PER_ELEMENT,
         )
         group.record_collective(
-            "all_reduce", q_bytes_total, compressed=True, description=f"{label}:Q"
+            "all_reduce", q_bytes_total, compressed=True, description=f"{label}:Q", original_bytes=0
         )
-
-    # -- reporting ---------------------------------------------------------------------
-
-    def bytes_saved_fraction(self) -> float:
-        """Fraction of DP bytes removed from the wire by the compression so far."""
-        if self.total_original_bytes == 0:
-            return 0.0
-        return 1.0 - self.total_payload_bytes / self.total_original_bytes
 
     def residual_memory_bytes(self) -> int:
         """Memory held by the error-feedback residuals (fp32 accounting).
@@ -213,13 +204,6 @@ class SelectiveStageCompression:
         the number of replicas.
         """
         return self._bucket_residuals.memory_bytes()
-
-    def reset(self) -> None:
-        """Drop residuals, warm-started factors, and counters."""
-        self._queries.clear()
-        self._bucket_residuals.clear()
-        self.total_original_bytes = 0
-        self.total_payload_bytes = 0
 
     def clear_residuals(self) -> None:
         """Drop error-feedback residuals but keep the warm-started Q factors.
@@ -234,9 +218,6 @@ class SelectiveStageCompression:
         """All cross-iteration state: warm-started Q factors and EF residuals.
 
         Array leaves are live references (see ``Compressor.state_dict``).
-        The traffic counters (``total_original_bytes``/``total_payload_bytes``)
-        are reporting-only and deliberately excluded — restoring them would
-        make a resumed run double-count wire traffic it never sent.
         """
         return {
             "queries": dict(self._queries),

@@ -98,8 +98,9 @@ def _serve_replica(connection, worker_id, pipeline_engine, worker_faults) -> Non
     message carries: it replays the schedule's op stream for one iteration,
     leaves the gradients in shared memory, and ships back the
     :class:`~repro.parallel.engine.ReplicaResult` — the mean loss, this run's
-    traffic records, the hook's new state, compression events and Fig. 11
-    records — which the parent merges exactly as it merges an inline run's.
+    traffic records (the run's one byte ledger), the hook's new state and
+    Fig. 11 records — which the parent merges exactly as it merges an inline
+    run's.
     Nothing the worker holds between iterations grows or matters.
 
     ``worker_faults`` is this replica's injected crash/hang/replica-loss

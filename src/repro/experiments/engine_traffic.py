@@ -44,7 +44,7 @@ class EngineTrafficSample:
     axis_compressed_fraction: dict[str, float] = field(default_factory=dict)
     #: Backward inter-stage wire bytes per pipeline boundary.
     pipeline_boundary_wire_bytes: dict[int, float] = field(default_factory=dict)
-    #: DP payload bytes saved by the codec (0.0 when uncompressed).
+    #: Fraction of the DP payload bytes the codec saved (0.0 when uncompressed).
     dp_bytes_saved_fraction: float = 0.0
     #: DP wire bytes issued inside the pipeline cool-down (overlapped) vs after the
     #: pipeline drained (exposed), summed over the probe's iterations.
@@ -100,7 +100,7 @@ def traffic_sample(label: str, trainer: Pretrainer, iterations: int) -> EngineTr
     """What ``trainer``'s engine moved over the ``iterations`` it has run."""
     engine = trainer.engine
     topology = trainer.plan.topology
-    wire, fractions, boundaries, dp_overlapped = axis_report(engine.log.records)
+    wire, fractions, saved, boundaries, dp_overlapped = axis_report(engine.log.records)
     return EngineTrafficSample(
         label=label,
         num_stages=topology.pp,
@@ -110,7 +110,7 @@ def traffic_sample(label: str, trainer: Pretrainer, iterations: int) -> EngineTr
         axis_wire_bytes=wire,
         axis_compressed_fraction=fractions,
         pipeline_boundary_wire_bytes=boundaries,
-        dp_bytes_saved_fraction=engine.dp_reduce.bytes_saved_fraction(),
+        dp_bytes_saved_fraction=saved["data_parallel"],
         dp_overlapped_wire_bytes=dp_overlapped,
         dp_exposed_wire_bytes=wire["data_parallel"] - dp_overlapped,
         residual_memory_bytes=engine.residual_memory_bytes(),

@@ -39,7 +39,6 @@ class _CachedRun:
     history: TrainingHistory
     cb_diagnostics: list
     peak_residual_bytes: int
-    compression_summary: dict[str, float]
     zero_shot: dict[str, float] | None = None  # filled on first request
 
     def zero_shot_accuracy(self, examples_per_task: int) -> dict[str, float]:
@@ -64,7 +63,6 @@ class QualityResult:
     zero_shot_accuracy: dict[str, float] = field(default_factory=dict)
     cb_diagnostics: list[ErrorIndependenceRecord] = field(default_factory=list)
     peak_residual_bytes: int = 0
-    compression_summary: dict[str, float] = field(default_factory=dict)
 
     @property
     def perplexity_curve(self) -> tuple[list[int], list[float]]:
@@ -164,7 +162,6 @@ def run_quality_experiment(
             history=outcome.history,
             cb_diagnostics=outcome.cb_diagnostics,
             peak_residual_bytes=residual_bytes,
-            compression_summary=trainer.compression_summary,
         )
         if use_cache:
             _QUALITY_CACHE[key] = cached
@@ -181,7 +178,6 @@ def run_quality_experiment(
         zero_shot_accuracy=zero_shot,
         cb_diagnostics=list(cached.cb_diagnostics) if collect_diagnostics else [],
         peak_residual_bytes=cached.peak_residual_bytes,
-        compression_summary=dict(cached.compression_summary),
     )
 
 

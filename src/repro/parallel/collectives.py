@@ -34,6 +34,10 @@ class TrafficRecord:
     operation: str  # "all_reduce", "p2p", "all_gather", ...
     category: str  # "data_parallel", "inter_stage", "embedding_sync", "tensor_parallel"
     payload_bytes: int  # bytes on the wire per participating rank (before ring factor)
+    #: Uncompressed per-rank bytes the record stands for (``payload_bytes``
+    #: unless a codec shrank it): each axis's bytes-saved fraction is read
+    #: from these two fields alone.
+    original_bytes: int
     wire_bytes: float  # effective bytes each rank moves (ring/algorithm factor applied)
     ranks: tuple[int, ...]
     compressed: bool = False
@@ -125,6 +129,7 @@ def record_ring_all_reduce(
             operation="all_reduce",
             category=category,
             payload_bytes=int(payload_bytes),
+            original_bytes=int(payload_bytes),
             wire_bytes=ring_all_reduce_wire_bytes(payload_bytes, num_ranks),
             ranks=tuple(range(num_ranks)),
             compressed=False,
@@ -171,6 +176,7 @@ class SimulatedProcessGroup:
         payload_bytes: int,
         compressed: bool = False,
         description: str = "",
+        original_bytes: int | None = None,
     ) -> None:
         """Log a collective whose result the caller computed in place.
 
@@ -178,7 +184,8 @@ class SimulatedProcessGroup:
         (no per-rank contribution arrays to hand over), so they account their
         traffic through this method with the same wire-byte conventions the
         materialising collectives apply: ring ``2V(R-1)/R`` for an all-reduce,
-        ``V(R-1)`` for an all-gather.
+        ``V(R-1)`` for an all-gather.  ``original_bytes`` (default:
+        ``payload_bytes``) is what the payload would have been uncompressed.
         """
         if operation == "all_reduce":
             wire = ring_all_reduce_wire_bytes(payload_bytes, self.size)
@@ -191,6 +198,7 @@ class SimulatedProcessGroup:
                 operation=operation,
                 category=self.category,
                 payload_bytes=int(payload_bytes),
+                original_bytes=int(payload_bytes if original_bytes is None else original_bytes),
                 wire_bytes=wire,
                 ranks=self.ranks,
                 compressed=compressed,
@@ -222,13 +230,15 @@ class SimulatedProcessGroup:
         else:
             raise ValueError(f"unsupported all-reduce op {op!r}")
 
+        original_bytes = int(contributions[0].size * WIRE_BYTES_PER_ELEMENT)
         if payload_bytes is None:
-            payload_bytes = int(contributions[0].size * 2)  # fp16 wire convention
+            payload_bytes = original_bytes
         self.log.add(
             TrafficRecord(
                 operation="all_reduce",
                 category=self.category,
                 payload_bytes=payload_bytes,
+                original_bytes=original_bytes,
                 wire_bytes=ring_all_reduce_wire_bytes(payload_bytes, self.size),
                 ranks=self.ranks,
                 compressed=compressed,
@@ -251,14 +261,16 @@ class SimulatedProcessGroup:
                 f"expected {self.size} contributions (one per rank), got {len(contributions)}"
             )
         gathered = [np.asarray(c, dtype=np.float64).copy() for c in contributions]
+        original_bytes = int(contributions[0].size * WIRE_BYTES_PER_ELEMENT)
         if payload_bytes is None:
-            payload_bytes = int(contributions[0].size * 2)
+            payload_bytes = original_bytes
         wire = payload_bytes * (self.size - 1)
         self.log.add(
             TrafficRecord(
                 operation="all_gather",
                 category=self.category,
                 payload_bytes=payload_bytes,
+                original_bytes=original_bytes,
                 wire_bytes=float(wire),
                 ranks=self.ranks,
                 compressed=compressed,
@@ -282,13 +294,15 @@ class SimulatedProcessGroup:
         stacked = np.stack([np.asarray(c, dtype=np.float64) for c in contributions])
         reduced = stacked.sum(axis=0)
         shards = np.array_split(reduced.reshape(-1), self.size)
+        original_bytes = int(contributions[0].size * WIRE_BYTES_PER_ELEMENT)
         if payload_bytes is None:
-            payload_bytes = int(contributions[0].size * 2)
+            payload_bytes = original_bytes
         self.log.add(
             TrafficRecord(
                 operation="reduce_scatter",
                 category=self.category,
                 payload_bytes=payload_bytes,
+                original_bytes=original_bytes,
                 wire_bytes=payload_bytes * (self.size - 1) / self.size,
                 ranks=self.ranks,
                 compressed=False,
@@ -309,13 +323,15 @@ class SimulatedProcessGroup:
         if root_rank not in self.ranks:
             raise ValueError(f"root rank {root_rank} is not part of the group {self.ranks}")
         tensor = np.asarray(tensor, dtype=np.float64)
+        original_bytes = int(tensor.size * WIRE_BYTES_PER_ELEMENT)
         if payload_bytes is None:
-            payload_bytes = int(tensor.size * 2)
+            payload_bytes = original_bytes
         self.log.add(
             TrafficRecord(
                 operation="broadcast",
                 category=self.category,
                 payload_bytes=payload_bytes,
+                original_bytes=original_bytes,
                 wire_bytes=float(payload_bytes),
                 ranks=self.ranks,
                 compressed=False,
@@ -341,13 +357,15 @@ class SimulatedProcessGroup:
             if rank not in self.ranks:
                 raise ValueError(f"rank {rank} is not part of the group {self.ranks}")
         tensor = np.asarray(tensor, dtype=np.float64)
+        original_bytes = int(tensor.size * WIRE_BYTES_PER_ELEMENT)
         if payload_bytes is None:
-            payload_bytes = int(tensor.size * 2)
+            payload_bytes = original_bytes
         self.log.add(
             TrafficRecord(
                 operation="p2p",
                 category=self.category,
                 payload_bytes=payload_bytes,
+                original_bytes=original_bytes,
                 wire_bytes=float(payload_bytes),
                 ranks=(src_rank, dst_rank),
                 compressed=compressed,

@@ -110,48 +110,15 @@ _POISON_PASSES = np.errstate(invalid="ignore")
 _REDUCE_TILE = 1 << 14
 
 
-@dataclass
-class StageTraffic:
-    """Cumulative data-parallel traffic of one pipeline stage."""
-
-    all_reduces: int = 0
-    compressed_all_reduces: int = 0
-    original_bytes: int = 0
-    payload_bytes: int = 0
-
-    @property
-    def bytes_saved_fraction(self) -> float:
-        if self.original_bytes == 0:
-            return 0.0
-        return 1.0 - self.payload_bytes / self.original_bytes
-
-    def copy(self) -> "StageTraffic":
-        return StageTraffic(
-            self.all_reduces,
-            self.compressed_all_reduces,
-            self.original_bytes,
-            self.payload_bytes,
-        )
-
-    def delta_since(self, before: "StageTraffic") -> "StageTraffic":
-        """Traffic accumulated since the ``before`` snapshot."""
-        return StageTraffic(
-            all_reduces=self.all_reduces - before.all_reduces,
-            compressed_all_reduces=self.compressed_all_reduces
-            - before.compressed_all_reduces,
-            original_bytes=self.original_bytes - before.original_bytes,
-            payload_bytes=self.payload_bytes - before.payload_bytes,
-        )
-
-
 class CompressedGradientAllReduce:
     """DP-boundary all-reduce with pluggable compression codecs.
 
     Implements the :class:`repro.parallel.data_parallel.BucketedCompressionHook`
     protocol.  Every bucket goes through it — flat exact buckets through
-    :meth:`reduce_bucket`, codec buckets through :meth:`reduce_codec_bucket` — so
-    per-stage traffic accounting is uniform; the codec is applied only to the
-    selected stages' 2-D parameters (:meth:`codec_applies`).
+    :meth:`reduce_bucket`, codec buckets through :meth:`reduce_codec_bucket` — and
+    logs one record per collective, its ``original_bytes`` the bucket's
+    uncompressed bytes; the codec is applied only to the selected stages' 2-D
+    parameters (:meth:`codec_applies`).
 
     Codecs
     ------
@@ -189,7 +156,6 @@ class CompressedGradientAllReduce:
             self.compressor = TopKCompressor(
                 fraction=spec.fraction, min_elements=spec.min_elements
             )
-        self.stage_traffic: dict[int, StageTraffic] = {}
         # Bucket-path state for the qsgd/topk codecs: per-bucket flat residual
         # slabs (one row per replica, segment layout = the bucket's) and one
         # scratch for every bucket — a row per replica the kernels decompress
@@ -230,11 +196,6 @@ class CompressedGradientAllReduce:
         is copied to the other replicas while it is still in cache.
         """
         num_replicas = len(gradients)
-        original_bytes = int(gradients[0].size * WIRE_BYTES_PER_ELEMENT)
-        traffic = self.stage_traffic.setdefault(bucket.stage_index, StageTraffic())
-        traffic.all_reduces += 1
-        traffic.original_bytes += original_bytes * num_replicas
-        traffic.payload_bytes += original_bytes * num_replicas
         mean, *others = gradients
         for start in range(0, mean.size, _REDUCE_TILE):
             span = slice(start, start + _REDUCE_TILE)
@@ -248,7 +209,7 @@ class CompressedGradientAllReduce:
                 gradient[span] = tile
         group.record_collective(
             "all_reduce",
-            original_bytes,
+            int(mean.size * WIRE_BYTES_PER_ELEMENT),
             description=(
                 f"stage{bucket.stage_index} bucket{bucket.index} "
                 f"({len(bucket.parameter_names)} params)"
@@ -279,18 +240,11 @@ class CompressedGradientAllReduce:
         largest segment)``, so the working set does not grow with the bucket
         count.
         """
-        num_replicas = len(flat_gradients)
-        original_bytes = int(bucket.num_elements * WIRE_BYTES_PER_ELEMENT)
-        traffic = self.stage_traffic.setdefault(bucket.stage_index, StageTraffic())
-        traffic.all_reduces += 1
-        traffic.compressed_all_reduces += 1
-        traffic.original_bytes += original_bytes * num_replicas
-
         if self.powersgd is not None:
-            payload_before = self.powersgd.total_payload_bytes
             self.powersgd.reduce_bucket(bucket, flat_gradients, group)
-            traffic.payload_bytes += self.powersgd.total_payload_bytes - payload_before
             return
+
+        num_replicas = len(flat_gradients)
 
         compressor = self.compressor
         assert compressor is not None  # codec is qsgd or topk
@@ -306,7 +260,6 @@ class CompressedGradientAllReduce:
             scratch = self._codec_scratch = np.empty((num_replicas + 1, width))
 
         payload_per_rank = 0
-        payload_all_ranks = 0
         for segment in bucket.segments:
             size = segment.num_elements
             span = slice(segment.offset, segment.offset + size)
@@ -335,7 +288,6 @@ class CompressedGradientAllReduce:
             for replica in range(num_replicas):
                 flat_gradients[replica][segment.start : segment.stop] = synced
             payload_per_rank += segment_payload // num_replicas
-            payload_all_ranks += segment_payload
 
         group.record_collective(
             "all_gather",
@@ -345,18 +297,10 @@ class CompressedGradientAllReduce:
                 f"stage{bucket.stage_index} codec-bucket{bucket.index} "
                 f"({len(bucket.segments)} params)"
             ),
+            original_bytes=int(bucket.num_elements * WIRE_BYTES_PER_ELEMENT),
         )
-        traffic.payload_bytes += payload_all_ranks
 
     # -- reporting -------------------------------------------------------------------
-
-    def bytes_saved_fraction(self) -> float:
-        """Fraction of DP bytes removed from the wire across all stages so far."""
-        original = sum(t.original_bytes for t in self.stage_traffic.values())
-        payload = sum(t.payload_bytes for t in self.stage_traffic.values())
-        if original == 0:
-            return 0.0
-        return 1.0 - payload / original
 
     def residual_memory_bytes(self) -> int:
         """Memory held by the error-feedback residual slabs."""
@@ -365,23 +309,11 @@ class CompressedGradientAllReduce:
             return total + self.powersgd.residual_memory_bytes()
         return total
 
-    def reset(self) -> None:
-        """Drop residuals, warm-started factors, and traffic counters."""
-        if self.powersgd is not None:
-            self.powersgd.reset()
-        if self.compressor is not None:
-            self.compressor.reset()
-        self.stage_traffic.clear()
-        self._bucket_residuals.clear()
-        self._codec_scratch = None
-
     def state_dict(self) -> dict:
         """All cross-iteration DP-codec state (residuals, warm starts, RNG counters).
 
         Array leaves are the live buffers (the engine's ``mutable_state``
-        detaches them; a checkpoint writes them as they are).  The per-stage
-        traffic counters are reporting-only and excluded: a resumed run should
-        account only the traffic it actually sends.
+        detaches them; a checkpoint writes them as they are).
         """
         return {
             "powersgd": self.powersgd.state_dict() if self.powersgd is not None else None,
@@ -445,8 +377,6 @@ class EngineIterationResult:
     axis_compressed_fraction: dict[str, float] = field(default_factory=dict)
     #: Backward inter-stage wire bytes per pipeline boundary.
     pipeline_boundary_wire_bytes: dict[int, float] = field(default_factory=dict)
-    #: Per-stage DP traffic of *this iteration* (stage → StageTraffic delta).
-    dp_stage_traffic: dict[int, StageTraffic] = field(default_factory=dict)
     #: Split of the DP axis by whether the all-reduce was issued inside the
     #: pipeline cool-down (overlapped) or after the pipeline drained (exposed).
     dp_exposed_wire_bytes: float = 0.0
@@ -468,12 +398,20 @@ class EngineIterationResult:
         return self.dp_overlapped_wire_bytes / total
 
 
-def axis_report(records) -> tuple[dict[str, float], dict[str, float], dict[int, float], float]:
-    """Per-axis wire bytes + compressed fractions + per-boundary backward bytes +
-    overlapped DP bytes, in one pass over ``records``."""
+def axis_report(
+    records,
+) -> tuple[dict[str, float], dict[str, float], dict[str, float], dict[int, float], float]:
+    """Per-axis wire bytes, compressed fractions and bytes-saved fractions,
+    per-boundary backward bytes and overlapped DP bytes, in one pass over ``records``.
+
+    An axis's bytes-saved fraction is ``1 - payload / original`` over its
+    records' per-rank ``payload_bytes`` and ``original_bytes``.
+    """
     wire = {axis: 0.0 for axis in TRAFFIC_AXES}
     counts = {axis: 0 for axis in TRAFFIC_AXES}
     compressed = {axis: 0 for axis in TRAFFIC_AXES}
+    payload = {axis: 0 for axis in TRAFFIC_AXES}
+    original = {axis: 0 for axis in TRAFFIC_AXES}
     boundaries: dict[int, float] = {}
     dp_overlapped = 0.0
     for record in records:
@@ -483,6 +421,8 @@ def axis_report(records) -> tuple[dict[str, float], dict[str, float], dict[int, 
         wire[axis] += record.wire_bytes
         counts[axis] += 1
         compressed[axis] += 1 if record.compressed else 0
+        payload[axis] += record.payload_bytes
+        original[axis] += record.original_bytes
         if record.category == "inter_stage_backward" and len(record.ranks) >= 2:
             # Boundary b sits between stages b and b + 1: the smaller rank.
             boundary = min(record.ranks)
@@ -493,7 +433,11 @@ def axis_report(records) -> tuple[dict[str, float], dict[str, float], dict[int, 
         axis: (compressed[axis] / counts[axis] if counts[axis] else 0.0)
         for axis in TRAFFIC_AXES
     }
-    return wire, fractions, boundaries, dp_overlapped
+    saved = {
+        axis: (1.0 - payload[axis] / original[axis] if original[axis] else 0.0)
+        for axis in TRAFFIC_AXES
+    }
+    return wire, fractions, saved, boundaries, dp_overlapped
 
 
 def hook_state(hook) -> dict | None:
@@ -515,16 +459,15 @@ def _load_hook_states(hooks, states) -> None:
 class ReplicaResult:
     """What one replica's pipeline run produced, inline or in a worker (its reply).
 
-    ``state``, ``events`` and ``diagnostics`` belong to the replica's one
-    compression hook, its channel's ``backward_hook`` (``events`` and
-    ``diagnostics`` are empty where it is off); ``state`` is ``None`` after an
-    inline run, whose hook already is the parent's, and where the hook is off.
+    ``state`` and ``diagnostics`` belong to the replica's one compression
+    hook, its channel's ``backward_hook`` (``diagnostics`` is empty where it
+    is off); ``state`` is ``None`` after an inline run, whose hook already is
+    the parent's, and where the hook is off.
     """
 
     loss: float
     records: list
     state: dict | None
-    events: list
     #: Fig. 11 error-independence records.
     diagnostics: list
 
@@ -553,8 +496,8 @@ def replica_runs_at_once(executor: str, replicas: int) -> int:
 def run_replica(pipeline_engine, batches, replica_runs: int, state=None) -> ReplicaResult:
     """Run one replica's pipeline iteration and take out what it appended.
 
-    This run's slices of the channel log and of the hook's ``events`` and
-    ``diagnostics`` are removed from those lists and returned.
+    This run's slices of the channel log and of the hook's ``diagnostics``
+    are removed from those lists and returned.
     ``replica_runs`` (:func:`replica_runs_at_once`) bounds the threads its
     pipeline walk spreads over.  ``state`` (a worker's ``run`` message) is
     loaded first and the new state returned; inline it is ``None``, and no
@@ -564,17 +507,13 @@ def run_replica(pipeline_engine, batches, replica_runs: int, state=None) -> Repl
     if state is not None:
         hook.load_state_dict(state)
     records = pipeline_engine.channel.log.records
-    record_mark = len(records)
-    events = diagnostics = []
-    if hook is not None:
-        events, diagnostics = hook.events, hook.diagnostics
-    event_mark, diagnostic_mark = len(events), len(diagnostics)
+    diagnostics = hook.diagnostics if hook is not None else []
+    record_mark, diagnostic_mark = len(records), len(diagnostics)
     loss = pipeline_engine.run_iteration(batches, replica_runs).mean_loss
     return ReplicaResult(
         loss=loss,
         records=_take_since(records, record_mark),
         state=hook.state_dict() if state is not None else None,
-        events=_take_since(events, event_mark),
         diagnostics=_take_since(diagnostics, diagnostic_mark),
     )
 
@@ -591,7 +530,6 @@ def merge_replica_results(engine: "ThreeDParallelEngine", results) -> list[float
         if hook is not None:
             if result.state is not None:
                 hook.load_state_dict(result.state)
-            hook.events.extend(result.events)
             hook.diagnostics.extend(result.diagnostics)
     return [result.loss for result in results]
 
@@ -881,10 +819,6 @@ class ThreeDParallelEngine:
             for replica_batches in per_replica_micro_batches
         ]
         record_mark = len(self.log.records)
-        dp_traffic_before = {
-            stage: traffic.copy()
-            for stage, traffic in self.dp_reduce.stage_traffic.items()
-        }
 
         shapes: list[tuple[int, int]] = [
             (int(tokens.shape[0]), int(tokens.shape[1]))
@@ -955,18 +889,15 @@ class ThreeDParallelEngine:
         self.embedding_sync.synchronize()
         self._iteration_index += 1
 
-        wire, fractions, boundaries, dp_overlapped = axis_report(self.log.records[record_mark:])
-        dp_stage_traffic = {
-            stage: traffic.delta_since(dp_traffic_before.get(stage, StageTraffic()))
-            for stage, traffic in self.dp_reduce.stage_traffic.items()
-        }
+        wire, fractions, _, boundaries, dp_overlapped = axis_report(
+            self.log.records[record_mark:]
+        )
         return EngineIterationResult(
             mean_loss=float(np.mean(losses)),
             num_micro_batches=len(normalised[0]),
             axis_wire_bytes=wire,
             axis_compressed_fraction=fractions,
             pipeline_boundary_wire_bytes=boundaries,
-            dp_stage_traffic=dp_stage_traffic,
             dp_exposed_wire_bytes=wire.get("data_parallel", 0.0) - dp_overlapped,
             dp_overlapped_wire_bytes=dp_overlapped,
             resilience=(
@@ -1146,10 +1077,4 @@ class ThreeDParallelEngine:
 
     def traffic_summary(self) -> dict[str, float]:
         """Cumulative per-axis wire bytes over the engine's lifetime."""
-        wire, _, _, _ = axis_report(self.log.records)
-        return wire
-
-    def pipeline_backward_summary(self) -> dict[int, dict[str, float]]:
-        """Per-boundary compressed-backpropagation statistics of replica 0."""
-        hook = self.cb_hooks[0]
-        return hook.summary_by_boundary() if hook is not None else {}
+        return axis_report(self.log.records)[0]

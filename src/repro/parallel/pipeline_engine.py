@@ -40,8 +40,8 @@ are therefore bit-for-bit identical whichever valid schedule is walked (the
 parity tests hold every kind to a frozen phase-ordered loop), and on any
 number of threads: both orders belong to one stage, so to one thread, and so
 does each boundary's codec state (its sending stage's).  The order of what a
-walk appends — the channel log's records, the backward hook's compression
-``events`` and Fig. 11 ``diagnostics`` — is observable too, so those lists are
+walk appends — the channel log's records and the backward hook's Fig. 11
+``diagnostics`` — is observable too, so those lists are
 :class:`~repro.parallel.op_order.OpOrderedList` lists: an op's appends are
 held back and committed after the threads are joined, in the walk's order, so
 every log is record-for-record the one-thread walk's.  Threads are started and
@@ -102,12 +102,13 @@ def walk_threads(num_stages: int, replica_runs: int = 1) -> int:
 
 @dataclass
 class IterationResult:
-    """Outcome of one pipeline iteration (before the optimiser step)."""
+    """Outcome of one pipeline iteration (before the optimiser step).
+
+    Its traffic is what the iteration appended to the channel's log.
+    """
 
     mean_loss: float
     num_micro_batches: int
-    forward_bytes: int
-    backward_bytes: int
     # How the iteration ran, not what it produced: left out of equality.
     #: Threads the stages walked on (:func:`walk_threads`).
     threads: int = field(default=1, compare=False)
@@ -207,6 +208,7 @@ class InterStageChannel:
                 operation="p2p",
                 category="inter_stage_forward",
                 payload_bytes=payload_bytes,
+                original_bytes=payload_bytes,
                 wire_bytes=float(payload_bytes),
                 ranks=(boundary, boundary + 1),
                 compressed=False,
@@ -220,7 +222,7 @@ class InterStageChannel:
     ) -> np.ndarray:
         """Transfer an activation gradient from stage ``boundary + 1`` to stage ``boundary``."""
         delivered = gradient
-        payload_bytes = int(gradient.size * WIRE_BYTES_PER_ELEMENT)
+        original_bytes = payload_bytes = int(gradient.size * WIRE_BYTES_PER_ELEMENT)
         compressed = False
         if self.backward_hook is not None:
             delivered, payload_bytes, compressed = self.backward_hook(
@@ -231,6 +233,7 @@ class InterStageChannel:
                 operation="p2p",
                 category="inter_stage_backward",
                 payload_bytes=payload_bytes,
+                original_bytes=original_bytes,
                 wire_bytes=float(payload_bytes),
                 ranks=(boundary + 1, boundary),
                 compressed=compressed,
@@ -338,7 +341,6 @@ class PipelineParallelEngine:
             ),
         )
         loss_scale = 1.0 / num_micro_batches
-        record_mark = len(self.channel.log.records)
 
         caches: list[list[StageCache | None]] = [
             [None] * num_micro_batches for _ in range(num_stages)
@@ -426,27 +428,9 @@ class PipelineParallelEngine:
             finally:
                 order.commit()
 
-        return self._iteration_result(losses, record_mark, threads, busy, wait)
-
-    def _iteration_result(
-        self,
-        losses: Sequence[float],
-        record_mark: int,
-        threads: int,
-        busy: list[float],
-        wait: list[float],
-    ) -> IterationResult:
-        """Mean loss plus the inter-stage bytes of the records logged since ``record_mark``.
-
-        Only this iteration's slice of the (run-long, possibly shared) log is
-        scanned, so the cost of an iteration does not grow with the run.
-        """
-        iteration_log = CommunicationLog(records=self.channel.log.records[record_mark:])
         return IterationResult(
             mean_loss=float(np.mean(losses)),
-            num_micro_batches=len(losses),
-            forward_bytes=int(iteration_log.total_wire_bytes("inter_stage_forward")),
-            backward_bytes=int(iteration_log.total_wire_bytes("inter_stage_backward")),
+            num_micro_batches=num_micro_batches,
             threads=threads,
             stage_busy_s=busy,
             stage_wait_s=wait,

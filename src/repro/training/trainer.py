@@ -56,7 +56,7 @@ from repro.nn.loss import perplexity_from_loss
 from repro.nn.transformer import GPTModelConfig
 from repro.optim import LRSchedule
 from repro.parallel.collectives import CommunicationLog
-from repro.parallel.engine import EngineIterationResult, ThreeDParallelEngine
+from repro.parallel.engine import EngineIterationResult, ThreeDParallelEngine, axis_report
 from repro.plan import ParallelPlan
 from repro.resilience import (
     GuardrailPolicy,
@@ -392,6 +392,14 @@ class Pretrainer:
 
     @property
     def compression_summary(self) -> dict[str, float]:
-        """Aggregate CB compression statistics of replica 0 (empty dict if CB off)."""
-        hook = self.engine.cb_hooks[0]
-        return hook.compression_summary() if hook is not None else {}
+        """Backward inter-stage compression over every replica's transfers so far.
+
+        ``compressed_fraction`` of the transfers went compressed, saving
+        ``bytes_saved_fraction`` of their uncompressed bytes (both 0.0 with CB
+        off); read from the engine's log.
+        """
+        _, fractions, saved, _, _ = axis_report(self.engine.log.records)
+        return {
+            "compressed_fraction": fractions["pipeline_backward"],
+            "bytes_saved_fraction": saved["pipeline_backward"],
+        }

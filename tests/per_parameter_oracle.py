@@ -11,11 +11,15 @@ frozen, so the bucketed path stays held to it bit for bit.
 What is frozen is the walk, the keys and the residual bookkeeping.  The
 per-segment kernels are the production ones: the qsgd/top-k compressors'
 ``roundtrip`` (behind :class:`~repro.compression.ErrorFeedback`, which the
-bucketed path does not use) and PowerSGD's ``_reduce_segment``.
+bucketed path does not use) and PowerSGD's ``_reduce_segment``.  Its traffic
+is its log records, one per collective (P and Q per PowerSGD parameter), each
+with the parameter's uncompressed bytes as ``original_bytes`` (on P for
+PowerSGD): :func:`dp_traffic_by_stage` reads either path's records per stage.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +29,7 @@ from repro.compression.powersgd import matrix_view
 from repro.core.selective_stage import SelectiveStageCompression
 from repro.parallel.collectives import CommunicationLog, SimulatedProcessGroup
 from repro.parallel.data_parallel import is_embedding_parameter
-from repro.parallel.engine import CODEC_SEED, StageTraffic, ThreeDParallelEngine
+from repro.parallel.engine import CODEC_SEED, ThreeDParallelEngine
 from repro.parallel.pipeline_engine import WIRE_BYTES_PER_ELEMENT
 from repro.plan import Boundary, CompressionSpec
 
@@ -38,10 +42,6 @@ class FrozenPerParameterPowerSGD:
             rank=rank, error_feedback=error_feedback, seed=seed
         )
         self.residuals: dict[str, np.ndarray] = {}
-
-    @property
-    def total_payload_bytes(self) -> int:
-        return self.kernel.total_payload_bytes
 
     def reduce(self, key, stage_index, gradients, group) -> list[np.ndarray]:
         del stage_index
@@ -65,8 +65,16 @@ class FrozenPerParameterPowerSGD:
             residual,
             ready,
         )
-        group.record_collective("all_reduce", p_bytes, compressed=True, description=f"{key}:P")
-        group.record_collective("all_reduce", q_bytes, compressed=True, description=f"{key}:Q")
+        group.record_collective(
+            "all_reduce",
+            p_bytes,
+            compressed=True,
+            description=f"{key}:P",
+            original_bytes=int(outputs[0].size * WIRE_BYTES_PER_ELEMENT),
+        )
+        group.record_collective(
+            "all_reduce", q_bytes, compressed=True, description=f"{key}:Q", original_bytes=0
+        )
         return outputs
 
 
@@ -76,7 +84,6 @@ class FrozenPerParameterReduce:
     def __init__(self, spec: CompressionSpec, num_stages: int, seed: int = 0) -> None:
         self.spec = spec
         self.compressed_stages = spec.compressed_stages(num_stages)
-        self.stage_traffic: dict[int, StageTraffic] = {}
         self.powersgd = self.feedback = None
         if spec.codec == "powersgd":
             self.powersgd = FrozenPerParameterPowerSGD(spec.rank, spec.error_feedback, seed)
@@ -100,22 +107,10 @@ class FrozenPerParameterReduce:
     @np.errstate(invalid="ignore")  # a poisoned gradient reaches the guard, as in the engine
     def reduce(self, key, stage_index, gradients, group) -> list[np.ndarray]:
         num_replicas = len(gradients)
-        reference = np.asarray(gradients[0])
-        original_bytes = int(reference.size * WIRE_BYTES_PER_ELEMENT)
-        traffic = self.stage_traffic.setdefault(stage_index, StageTraffic())
-        traffic.all_reduces += 1
-        traffic.original_bytes += original_bytes * num_replicas
-
-        if not self.codec_applies(stage_index, reference):
-            traffic.payload_bytes += original_bytes * num_replicas
+        if not self.codec_applies(stage_index, np.asarray(gradients[0])):
             return group.all_reduce(gradients, op="mean", description=key)
-
-        traffic.compressed_all_reduces += 1
         if self.powersgd is not None:
-            payload_before = self.powersgd.total_payload_bytes
-            synced = self.powersgd.reduce(key, stage_index, gradients, group)
-            traffic.payload_bytes += self.powersgd.total_payload_bytes - payload_before
-            return synced
+            return self.powersgd.reduce(key, stage_index, gradients, group)
 
         approximations: list[np.ndarray] = []
         payload_total = 0
@@ -132,7 +127,6 @@ class FrozenPerParameterReduce:
             description=key,
         )
         synced = np.mean(np.stack(gathered[0]), axis=0)
-        traffic.payload_bytes += payload_total
         return [synced.copy() for _ in range(num_replicas)]
 
 
@@ -177,11 +171,33 @@ class FrozenPerParameterSync:
 def run_per_parameter(engine: ThreeDParallelEngine) -> FrozenPerParameterSync:
     """Make ``engine`` synchronise its DP gradients through the frozen walk.
 
-    The engine's DP hook is swapped too, so ``run_iteration``'s per-stage
-    traffic reports the walk's accounting.
+    The engine's DP hook is swapped too; the walk's records land in the
+    engine's log.
     """
     engine.dp_reduce = FrozenPerParameterReduce(
         engine.plan.spec(Boundary.DP), engine.num_stages, seed=CODEC_SEED
     )
     engine.bucketed_sync = FrozenPerParameterSync(engine.replicas, engine.dp_reduce, engine.log)
     return engine.bucketed_sync
+
+
+def dp_traffic_by_stage(records) -> dict[int, dict[str, int]]:
+    """Per pipeline stage: the DP records, how many went compressed, and their
+    per-rank original and payload bytes.
+
+    The stage is the ``stage<i>`` (bucket) or ``stage[<i>]`` (parameter name)
+    prefix of each record's description.
+    """
+    traffic: dict[int, dict[str, int]] = {}
+    for record in records:
+        if record.category != "data_parallel":
+            continue
+        stage = int(re.match(r"stage\[?(\d+)", record.description).group(1))
+        entry = traffic.setdefault(
+            stage, {"records": 0, "compressed": 0, "original_bytes": 0, "payload_bytes": 0}
+        )
+        entry["records"] += 1
+        entry["compressed"] += int(record.compressed)
+        entry["original_bytes"] += record.original_bytes
+        entry["payload_bytes"] += record.payload_bytes
+    return traffic

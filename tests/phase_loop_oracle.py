@@ -7,7 +7,7 @@ lists walked by ``replay_ops`` (1F1B lists for ``1f1b``/``serial``, ZB-H1 for
 stage, then every backward in micro-batch order with the stages reversed — and
 held all micro-batches' activations live at once.  That loop is kept here,
 frozen, so the walk stays held to it bit for bit: gradients, loss and
-inter-stage bytes.
+inter-stage traffic (the channel's log).
 
 What is frozen is the visit order.  The stage kernels, the channel and its
 hooks are the production ones.
@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.nn.gpt_stage import StageCache
-from repro.parallel.collectives import CommunicationLog
 from repro.parallel.pipeline_engine import IterationResult, PipelineParallelEngine
 
 
@@ -34,7 +33,6 @@ def run_phase_loop(
     stages = engine.stages
     channel = engine.channel
     loss_scale = 1.0 / num_micro_batches
-    record_mark = len(channel.log.records)
 
     # Per-stage, per-micro-batch caches; index [stage][micro_batch].
     caches: list[list[StageCache | None]] = [[None] * num_micro_batches for _ in stages]
@@ -66,10 +64,4 @@ def run_phase_loop(
             if stage_index > 0 and grad is not None:
                 grad = channel.send_backward(grad, stage_index - 1, micro_batch, num_micro_batches)
 
-    iteration_log = CommunicationLog(records=channel.log.records[record_mark:])
-    return IterationResult(
-        mean_loss=float(np.mean(losses)),
-        num_micro_batches=len(losses),
-        forward_bytes=int(iteration_log.total_wire_bytes("inter_stage_forward")),
-        backward_bytes=int(iteration_log.total_wire_bytes("inter_stage_backward")),
-    )
+    return IterationResult(mean_loss=float(np.mean(losses)), num_micro_batches=len(losses))

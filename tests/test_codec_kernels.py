@@ -97,7 +97,9 @@ def qsgd_bucket_digest(bits: int, deterministic: bool, error_feedback: bool, dp:
         digest.update(residuals[key].tobytes())
     counts = reducer.compressor._call_counts
     digest.update(json.dumps(counts, sort_keys=True).encode("ascii"))
-    digest.update(str(reducer.stage_traffic[0].payload_bytes).encode("ascii"))
+    # Every replica's payload: the records carry one rank's.
+    payload = dp * sum(record.payload_bytes for record in group.log.records)
+    digest.update(str(payload).encode("ascii"))
     return digest.hexdigest()
 
 

@@ -10,8 +10,8 @@ BLAS threads))``.  Asserted here:
   after a replica is dropped, and ``repro train`` prints the budget;
 * **thread-count independence** — every schedule kind at pp 2 and 4, under the
   uncompressed, the paper's (with Fig. 11 diagnostics) and the top-k PP +
-  QSGD DP plans: final weights, traffic records, compression events and
-  diagnostics at T = 2 and T = pp equal T = 1's;
+  QSGD DP plans: final weights, traffic records and Fig. 11 diagnostics at
+  T = 2 and T = pp equal T = 1's;
   the same with more threads than cores and the GIL switched every
   microsecond;
 * **failure** — a stage that raises on a helper thread re-raises its own
@@ -193,7 +193,6 @@ def observables(monkeypatch, cores: int, name: str, kind: str, pp: int):
         engine.arenas[0].data.copy(),
         # repr: a diagnostics record may hold a NaN, which == would call unequal.
         repr(engine.log.records),
-        repr(hook.events if hook is not None else None),
         repr(hook.diagnostics if hook is not None else None),
     )
 
@@ -205,7 +204,7 @@ class TestThreadCountIndependence:
     def test_every_observable_equals_the_one_thread_walks(self, monkeypatch, kind, pp, name):
         weights, *logs = observables(monkeypatch, 1, name, kind, pp)
         if name == "cb_fe_sc":
-            assert logs[1] != "[]" and logs[2] != "[]"
+            assert logs[0] != "[]" and logs[1] != "[]"
         for threads in sorted({2, pp}):
             threaded_weights, *threaded_logs = observables(monkeypatch, threads, name, kind, pp)
             assert np.array_equal(threaded_weights.view(np.uint64), weights.view(np.uint64))
@@ -297,9 +296,7 @@ class TestMeasurements:
         )
         assert result.threads == 2
         assert len(result.stage_wait_s) == 4 and min(result.stage_wait_s) >= 0.0
-        assert result == IterationResult(
-            result.mean_loss, 4, result.forward_bytes, result.backward_bytes
-        )
+        assert result == IterationResult(result.mean_loss, 4)
 
 
 class TestOpListWalkOnOneThreadPerStage:

@@ -8,6 +8,7 @@ import pytest
 from repro.compression import PowerSGDCompressor
 from repro.core.compressed_backprop import CompressedBackpropagation
 from repro.nn.gpt_stage import build_gpt_stages
+from repro.parallel.engine import axis_report
 from repro.parallel.pipeline_engine import InterStageChannel, PipelineParallelEngine
 
 
@@ -52,18 +53,24 @@ class TestHookBehaviour:
         assert payload_bytes < gradient.size * 2
         assert delivered.shape == gradient.shape
 
-    def test_events_and_summary(self, rng):
-        cb = CompressedBackpropagation(num_stages=4, rank=2, epilogue_only=True)
+    def test_channel_records_and_summary(self, rng):
+        """Every transfer is one channel record: its payload and its original bytes."""
+        channel = InterStageChannel(
+            backward_hook=CompressedBackpropagation(num_stages=4, rank=2, epilogue_only=True)
+        )
         for micro_batch in range(8):
-            cb(rng.normal(size=(2, 8, 16)), 0, micro_batch, 8)
-        summary = cb.compression_summary()
-        assert summary["transfers"] == 8
-        assert summary["compressed_transfers"] == 3
-        assert 0 < summary["bytes_saved_fraction"] < 1
+            channel.send_backward(rng.normal(size=(2, 8, 16)), 0, micro_batch, 8)
+        records = channel.log.records
+        assert len(records) == 8
+        assert [record.compressed for record in records] == [False] * 5 + [True] * 3
+        assert all(record.original_bytes == 2 * 8 * 16 * 2 for record in records)
+        _, fractions, saved, _, _ = axis_report(records)
+        assert fractions["pipeline_backward"] == 3 / 8
+        assert 0 < saved["pipeline_backward"] < 1
 
     def test_empty_summary(self):
-        summary = CompressedBackpropagation(num_stages=2).compression_summary()
-        assert summary["transfers"] == 0
+        _, fractions, saved, _, _ = axis_report(InterStageChannel().log.records)
+        assert fractions["pipeline_backward"] == saved["pipeline_backward"] == 0.0
 
     def test_topk_variant(self, rng):
         cb = CompressedBackpropagation(
@@ -87,9 +94,9 @@ class TestHookBehaviour:
         cb = CompressedBackpropagation(num_stages=2, epilogue_only=False, collect_diagnostics=True)
         cb(rng.normal(size=(2, 8, 16)), 0, 0, 2)
         cb(rng.normal(size=(2, 8, 16)), 0, 1, 2)
-        assert cb.events and cb.residual_memory_bytes() > 0
+        assert cb.diagnostics and cb.residual_memory_bytes() > 0
         cb.reset()
-        assert not cb.events and cb.residual_memory_bytes() == 0
+        assert not cb.diagnostics and cb.residual_memory_bytes() == 0
 
 
 class TestLazyErrorPropagation:

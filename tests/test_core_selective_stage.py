@@ -15,7 +15,7 @@ from repro.nn.gpt_stage import build_gpt_stages
 from repro.parallel.arena import ParameterArena, build_codec_buckets
 from repro.parallel.collectives import CommunicationLog, SimulatedProcessGroup
 from repro.parallel.data_parallel import BucketedDataParallelSync
-from repro.parallel.engine import CompressedGradientAllReduce
+from repro.parallel.engine import CompressedGradientAllReduce, axis_report
 from repro.parallel.pipeline_engine import PipelineParallelEngine
 from repro.plan import CompressionSpec, select_compressed_stages
 from repro.tensor.parameter import Parameter
@@ -124,12 +124,14 @@ class TestReduceBucket:
         assert {record.payload_bytes for record in log.records} == {p_bytes, q_bytes}
 
     def test_bytes_saved_fraction(self, rng):
+        """The P record stands for the bucket's uncompressed bytes, Q for none."""
         hook = SelectiveStageCompression(rank=2)
         gradients = [rng.normal(size=(64, 64)) for _ in range(4)]
-        self._reduce_once(hook, gradients)
-        assert 0.5 < hook.bytes_saved_fraction() < 1.0
-        hook.reset()
-        assert hook.bytes_saved_fraction() == 0.0
+        _, log = self._reduce_once(hook, gradients)
+        assert [record.original_bytes for record in log.records] == [64 * 64 * 2, 0]
+        _, _, saved, _, _ = axis_report(log.records)
+        assert 0.5 < saved["data_parallel"] < 1.0
+        assert axis_report(CommunicationLog().records)[2]["data_parallel"] == 0.0
 
     def test_a_stored_residual_of_another_shape_raises(self, rng):
         hook = SelectiveStageCompression(rank=2)
@@ -194,7 +196,6 @@ class FrozenPerReplicaPowerSGD:
         self.seed = seed
         self.queries: dict[str, np.ndarray] = {}
         self.slabs: dict[tuple[int, int], np.ndarray] = {}
-        self.total_payload_bytes = 0
 
     def _query(self, key: str, cols: int, rank: int) -> np.ndarray:
         query = self.queries.get(key)
@@ -243,10 +244,17 @@ class FrozenPerReplicaPowerSGD:
             p_bytes, q_bytes = int(local_p[0].size * 2), int(local_q[0].size * 2)
             p_bytes_total += p_bytes
             q_bytes_total += q_bytes
-            self.total_payload_bytes += (p_bytes + q_bytes) * num_replicas
         label = f"stage{bucket.stage_index} codec-bucket{bucket.index}"
-        group.record_collective("all_reduce", p_bytes_total, compressed=True, description=f"{label}:P")
-        group.record_collective("all_reduce", q_bytes_total, compressed=True, description=f"{label}:Q")
+        group.record_collective(
+            "all_reduce",
+            p_bytes_total,
+            compressed=True,
+            description=f"{label}:P",
+            original_bytes=bucket.num_elements * 2,
+        )
+        group.record_collective(
+            "all_reduce", q_bytes_total, compressed=True, description=f"{label}:Q", original_bytes=0
+        )
 
     def mean_residual(self, bucket, segment) -> np.ndarray:
         """The replicas' mean residual of one bucket segment."""
@@ -323,7 +331,6 @@ class TestOneResidualAgainstThePerReplicaOracle:
             for other in call_synced[1:]:
                 assert np.array_equal(other, call_synced[0])
         assert log.records == oracle_log.records
-        assert hook.total_payload_bytes == oracle.total_payload_bytes
         if error_feedback:
             (slab,) = hook._bucket_residuals.state_dict().values()
             assert slab.shape == (1, bucket.num_elements)

@@ -1,4 +1,4 @@
-"""Everything imports, every example loads, and the simulator-only examples run.
+"""Everything imports, every example loads, and three examples run to the end.
 
 The fast tier's stand-in for a linter (neither ``ruff`` nor ``pyflakes`` ships
 in every sandbox this repo is built in): a name deleted from ``src/`` that some
@@ -63,12 +63,24 @@ def test_example_loads(path):
     assert callable(namespace["main"])
 
 
-@pytest.mark.parametrize("name", ["cluster_performance_study", "pipeline_schedule_visualization"])
-def test_simulator_only_example_runs(name, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "name", ["cluster_performance_study", "pipeline_schedule_visualization", "quickstart"]
+)
+def test_example_runs(name, monkeypatch, capsys):
+    """The simulator-only examples, and the quickstart (~2 s), which also trains."""
     path = REPO_ROOT / "examples" / f"{name}.py"
     monkeypatch.setattr(sys, "argv", [path.name])
     runpy.run_path(str(path), run_name="not_main")["main"]()
-    assert len(capsys.readouterr().out.splitlines()) > 10
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) > 10
+    if name == "quickstart":
+        # Its "Backward bytes saved" column, read from the trainer's log.
+        saved = {
+            cells[0].strip(): cells[-1].strip()
+            for cells in (line.split("|") for line in lines)
+            if cells[0].strip() in ("Baseline", "Compressed backpropagation")
+        }
+        assert saved == {"Baseline": "0%", "Compressed backpropagation": "17%"}
 
 
 def _trace_patches() -> list[tuple]:

@@ -97,7 +97,13 @@ class TestFullStackIntegration:
         trainer.train_iteration()
         assert trainer.engine.dp_reduce.powersgd is not None
         assert trainer.engine.dp_reduce.compressed_stages == {0, 1}
-        assert trainer.engine.dp_reduce.powersgd.bytes_saved_fraction() > 0.3
+        factors = [
+            record
+            for record in trainer.engine.log.records
+            if record.category == "data_parallel" and record.compressed
+        ]
+        original = sum(record.original_bytes for record in factors)
+        assert 1.0 - sum(record.payload_bytes for record in factors) / original > 0.3
 
 
 # ----------------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from per_parameter_oracle import run_per_parameter
+from per_parameter_oracle import dp_traffic_by_stage, run_per_parameter
 from repro.nn.transformer import GPTModelConfig
 from repro.plan import Boundary, CompressionSpec, ParallelPlan, Schedule, Topology
 from repro.nn import CrossEntropyLoss, GPTModel
@@ -33,6 +33,7 @@ from repro.parallel.engine import (
     TP_ALL_REDUCES_PER_LAYER_PER_DIRECTION,
     CompressedGradientAllReduce,
     ThreeDParallelEngine,
+    axis_report,
 )
 from repro.parallel.pipeline_engine import WIRE_BYTES_PER_ELEMENT
 from repro.tensor.parameter import Parameter
@@ -229,7 +230,8 @@ class TestErrorFeedbackConvergence:
         losses = [trainer.train_iteration() for _ in range(6)]
         assert trainer.weights_in_sync()
         assert min(losses) < losses[0]
-        assert trainer.engine.dp_reduce.bytes_saved_fraction() > 0.2
+        _, _, saved, _, _ = axis_report(trainer.engine.log.records)
+        assert saved["data_parallel"] > 0.2
 
     def test_disabling_error_feedback_drops_residual_state(self, rng):
         spec = CompressionSpec(
@@ -267,11 +269,11 @@ class TestTrafficAccounting:
             comp.axis_wire_bytes["pipeline_backward"]
             < base.axis_wire_bytes["pipeline_backward"]
         )
-        # Per-boundary CB statistics come from the hook, keyed by boundary index.
-        summary = compressed.pipeline_backward_summary()
-        assert set(summary) == {0}
-        assert 0 < summary[0]["compressed_transfers"] <= summary[0]["transfers"]
-        assert summary[0]["bytes_saved_fraction"] > 0
+        # The log's per-boundary bytes, and the compressed transfers' savings.
+        assert set(comp.pipeline_boundary_wire_bytes) == {0}
+        assert 0 < comp.axis_compressed_fraction["pipeline_backward"] <= 1
+        _, _, saved, _, _ = axis_report(compressed.log.records)
+        assert saved["pipeline_backward"] > 0
 
     def test_dp_traffic_accounted_per_stage_with_selective_compression(
         self, small_config, rng
@@ -284,16 +286,17 @@ class TestTrafficAccounting:
             seed=0,
         )
         batches = make_batches(small_config, rng)
-        result = engine.run_iteration(batches)
-        traffic = result.dp_stage_traffic
+        engine.run_iteration(batches)
+        traffic = dp_traffic_by_stage(engine.log.records)
         assert set(traffic) == {0, 1}
         # Stage 0 is selected: its large parameters go compressed.
-        assert traffic[0].compressed_all_reduces > 0
-        assert traffic[0].payload_bytes < traffic[0].original_bytes
+        assert traffic[0]["compressed"] > 0
+        assert traffic[0]["payload_bytes"] < traffic[0]["original_bytes"]
         # Stage 1 is not selected: every byte goes uncompressed.
-        assert traffic[1].compressed_all_reduces == 0
-        assert traffic[1].payload_bytes == traffic[1].original_bytes
-        assert engine.dp_reduce.bytes_saved_fraction() > 0
+        assert traffic[1]["compressed"] == 0
+        assert traffic[1]["payload_bytes"] == traffic[1]["original_bytes"]
+        _, _, saved, _, _ = axis_report(engine.log.records)
+        assert saved["data_parallel"] > 0
 
     @pytest.mark.parametrize("replicas", [2, 3, 4, 5])
     def test_exact_bucket_reduces_in_place_as_the_stacked_mean(self, rng, replicas):
@@ -322,17 +325,17 @@ class TestTrafficAccounting:
     def test_uncompressed_dp_payload_matches_parameter_sizes(self, tiny_config, rng):
         engine = make_engine(tiny_config, num_stages=2, dp=2, seed=0)
         batches = make_batches(tiny_config, rng)
-        result = engine.run_iteration(batches)
+        engine.run_iteration(batches)
+        traffic = dp_traffic_by_stage(engine.log.records)
         for stage_index in (0, 1):
             stage = engine.replicas[0][stage_index]
             expected = sum(
                 parameter.size * WIRE_BYTES_PER_ELEMENT
                 for parameter in stage.parameters()
                 if parameter.requires_grad and "word_embeddings" not in (parameter.name or "")
-            ) * engine.data_parallel_degree
-            traffic = result.dp_stage_traffic[stage_index]
-            assert traffic.payload_bytes == expected
-            assert traffic.original_bytes == expected
+            )
+            assert traffic[stage_index]["payload_bytes"] == expected
+            assert traffic[stage_index]["original_bytes"] == expected
 
     def test_tensor_parallel_traffic_matches_analytic_volume(self, tiny_config, rng):
         tp = 2
@@ -388,14 +391,12 @@ class TestOverlappedDataParallel:
 
     @staticmethod
     def _train(engine, batches, iterations=3):
-        optimizers = [engine.build_optimizer(lr=2e-3)]
+        optimizer = engine.build_optimizer(lr=2e-3)
         results = []
         for _ in range(iterations):
-            for optimizer in optimizers:
-                optimizer.zero_grad()
+            optimizer.zero_grad()
             results.append(engine.run_iteration(batches))
-            for optimizer in optimizers:
-                optimizer.step()
+            optimizer.step()
         return results
 
     def test_overlapped_path_is_weight_parity_with_per_parameter_oracle(
@@ -448,12 +449,13 @@ class TestOverlappedDataParallel:
         plan = dp_codec_plan(codec="powersgd", rank=2, stage_fraction=0.5, min_elements=64)
         bucketed = make_engine(small_config, plan, seed=4)
         oracle = per_parameter_engine(small_config, plan, seed=4)
-        bucketed_result = self._train(bucketed, batches)[-1]
+        self._train(bucketed, batches)
         self._train(oracle, batches)
         for param, oracle_param in zip(bucketed.parameters(), oracle.parameters()):
             assert np.array_equal(param.data, oracle_param.data)
-        assert bucketed_result.dp_stage_traffic[0].compressed_all_reduces > 0
-        assert bucketed_result.dp_stage_traffic[1].compressed_all_reduces == 0
+        traffic = dp_traffic_by_stage(bucketed.log.records)
+        assert traffic[0]["compressed"] > 0
+        assert traffic[1]["compressed"] == 0
 
     @pytest.mark.parametrize("codec", ["none", "powersgd", "qsgd", "topk"])
     def test_micro_batch_fire_changes_only_overlap_accounting(
@@ -514,14 +516,14 @@ class TestOverlappedDataParallel:
         oracle = per_parameter_engine(small_config, UNCOMPRESSED, seed=0)
         bucketed_result = bucketed.run_iteration(batches)
         oracle_result = oracle.run_iteration(batches)
-        assert set(bucketed_result.dp_stage_traffic) == set(oracle_result.dp_stage_traffic)
-        for stage in bucketed_result.dp_stage_traffic:
-            bucketed_traffic = bucketed_result.dp_stage_traffic[stage]
-            oracle_traffic = oracle_result.dp_stage_traffic[stage]
-            assert bucketed_traffic.payload_bytes == oracle_traffic.payload_bytes
-            assert bucketed_traffic.original_bytes == oracle_traffic.original_bytes
+        bucketed_traffic = dp_traffic_by_stage(bucketed.log.records)
+        oracle_traffic = dp_traffic_by_stage(oracle.log.records)
+        assert set(bucketed_traffic) == set(oracle_traffic)
+        for stage, traffic in bucketed_traffic.items():
+            assert traffic["payload_bytes"] == oracle_traffic[stage]["payload_bytes"]
+            assert traffic["original_bytes"] == oracle_traffic[stage]["original_bytes"]
             # Bucketing coalesces messages: strictly fewer all-reduces.
-            assert 0 < bucketed_traffic.all_reduces < oracle_traffic.all_reduces
+            assert 0 < traffic["records"] < oracle_traffic[stage]["records"]
         # The axis totals agree too (same wire bytes, different granularity).
         assert bucketed_result.axis_wire_bytes["data_parallel"] == pytest.approx(
             oracle_result.axis_wire_bytes["data_parallel"]
@@ -576,10 +578,9 @@ class TestOverlappedDataParallel:
             engine = make_engine(
                 small_config, dp_codec_plan(bucket_bytes=bucket_bytes), seed=0
             )
-            result = engine.run_iteration(batches)
-            messages = sum(t.all_reduces for t in result.dp_stage_traffic.values())
-            payload = sum(t.payload_bytes for t in result.dp_stage_traffic.values())
-            return messages, payload
+            engine.run_iteration(batches)
+            traffic = dp_traffic_by_stage(engine.log.records).values()
+            return sum(t["records"] for t in traffic), sum(t["payload_bytes"] for t in traffic)
 
         small_messages, small_payload = dp_message_count(512)
         large_messages, large_payload = dp_message_count(1 << 20)
@@ -617,13 +618,11 @@ class TestZeroBubbleEngine:
 
     @classmethod
     def _train(cls, engine, batches, iterations=2):
-        optimizers = [engine.build_optimizer(lr=2e-3)]
+        optimizer = engine.build_optimizer(lr=2e-3)
         for _ in range(iterations):
-            for optimizer in optimizers:
-                optimizer.zero_grad()
+            optimizer.zero_grad()
             engine.run_iteration(batches)
-            for optimizer in optimizers:
-                optimizer.step()
+            optimizer.step()
 
     @pytest.mark.parametrize("codec", ["none", "powersgd", "qsgd", "topk"])
     def test_zb1_weight_parity_with_1f1b_per_codec(self, rng, codec):

@@ -11,6 +11,7 @@ from repro.core.compressed_backprop import CompressedBackpropagation
 from repro.nn.gpt_stage import build_gpt_stages
 from repro.parallel import pipeline_engine
 from repro.parallel.collectives import CommunicationLog
+from repro.parallel.engine import axis_report
 from repro.parallel.pipeline_engine import InterStageChannel, PipelineParallelEngine
 from repro.parallel.pipeline_schedule import count_in_flight_micro_batches, replay_ops
 from repro.parallel.scheduler import stage_memory_profile
@@ -68,11 +69,12 @@ class TestTrafficAccounting:
         log = CommunicationLog()
         engine = make_engine(tiny_config, num_stages=2, log=log)
         tokens, targets = make_batch(tiny_config, rng, batch=2, seq=8)
-        result = engine.run_iteration([(tokens, targets), (tokens, targets)])
+        engine.run_iteration([(tokens, targets), (tokens, targets)])
         # 2 micro-batches x 1 boundary x (batch*seq*hidden) elements x 2 bytes.
         expected = 2 * 1 * 2 * 8 * tiny_config.hidden_size * 2
-        assert result.forward_bytes == expected
-        assert result.backward_bytes == expected
+        wire = axis_report(log.records)[0]
+        assert wire["pipeline_forward"] == expected
+        assert wire["pipeline_backward"] == expected
         assert log.count(category="inter_stage_forward") == 2
         assert log.count(category="inter_stage_backward") == 2
 
@@ -80,25 +82,15 @@ class TestTrafficAccounting:
         log = CommunicationLog()
         engine = make_engine(tiny_config, num_stages=1, log=log)
         tokens, targets = make_batch(tiny_config, rng)
-        result = engine.run_iteration([(tokens, targets)])
-        assert result.forward_bytes == 0
-        assert result.backward_bytes == 0
+        engine.run_iteration([(tokens, targets)])
         assert log.count() == 0
 
-
     @pytest.mark.parametrize("schedule_kind", ["1f1b", "zb1"])
-    def test_iteration_bytes_scan_only_the_iterations_own_records(
-        self, tiny_config, rng, monkeypatch, schedule_kind
+    def test_each_iteration_appends_its_records_to_the_run_long_log(
+        self, tiny_config, rng, schedule_kind
     ):
-        """The log is run-long and shared; an iteration sums only what it added."""
-        scanned: list[int] = []
-        original = CommunicationLog.total_wire_bytes
-
-        def counting(log, category=None):
-            scanned.append(len(log.records))
-            return original(log, category)
-
-        monkeypatch.setattr(CommunicationLog, "total_wire_bytes", counting)
+        """The log is run-long and shared: an iteration appends its 4 records
+        and drops nothing, and its slice reports exactly its bytes."""
         log = CommunicationLog()
         engine = PipelineParallelEngine(
             build_gpt_stages(tiny_config, 2, seed=0),
@@ -107,16 +99,11 @@ class TestTrafficAccounting:
         )
         batches = [make_batch(tiny_config, rng, batch=2, seq=8) for _ in range(2)]
         expected = 2 * 1 * 2 * 8 * tiny_config.hidden_size * 2
-        per_iteration = []
-        for _ in range(4):
-            before = len(scanned)
-            result = engine.run_iteration(batches)
-            assert result.forward_bytes == expected
-            assert result.backward_bytes == expected
-            per_iteration.append(scanned[before:])
-        assert len(log.records) == 4 * 4  # nothing is dropped from the run-long log
-        # Every sum looked at this iteration's 4 records, however long the run.
-        assert per_iteration == [[4, 4]] * 4
+        for iteration in range(4):
+            engine.run_iteration(batches)
+            assert len(log.records) == 4 * (iteration + 1)
+            wire = axis_report(log.records[4 * iteration :])[0]
+            assert wire["pipeline_forward"] == wire["pipeline_backward"] == expected
 
 
 class TestOpListWalk:
@@ -143,7 +130,13 @@ class TestOpListWalk:
 
     @staticmethod
     def _assert_bit_identical(walk, walk_result, oracle, oracle_result):
-        assert walk_result == oracle_result  # loss, micro-batch count, both byte totals
+        assert walk_result == oracle_result  # loss and micro-batch count
+        # The same transfers, each with the same bytes: the walk logs them in
+        # its own order, the phase loop every forward first.
+        walk_records, oracle_records = (
+            sorted(engine.channel.log.records, key=repr) for engine in (walk, oracle)
+        )
+        assert walk_records == oracle_records
         for walk_param, oracle_param in zip(walk.parameters(), oracle.parameters()):
             assert np.array_equal(walk_param.grad, oracle_param.grad), walk_param.name
 
@@ -180,9 +173,13 @@ class TestOpListWalk:
             self._assert_bit_identical(
                 walk, walk.run_iteration(batches), oracle, run_phase_loop(oracle, batches)
             )
-        events = hooks[0].events
-        assert events and all(event.compressed for event in events)
-        assert all(event.payload_bytes < event.original_bytes for event in events)
+        records = [
+            record
+            for record in walk.channel.log.records
+            if record.category == "inter_stage_backward"
+        ]
+        assert records and all(record.compressed for record in records)
+        assert all(record.payload_bytes < record.original_bytes for record in records)
 
     @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
     @pytest.mark.parametrize("num_stages", [1, 2, 3, 4])

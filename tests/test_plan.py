@@ -732,10 +732,10 @@ class TestPlanCli:
         loss, block = _train_report(_train_stdout())
         directory = str(tmp_path)
         _train_stdout("--iterations", "3", "--checkpoint-every", "3", "--checkpoint-dir", directory)
-        resumed_loss, resumed_block = _train_report(
-            _train_stdout("--resume", "latest", "--checkpoint-dir", directory)
-        )
+        resumed = _train_stdout("--resume", "latest", "--checkpoint-dir", directory)
+        resumed_loss, resumed_block = _train_report(resumed)
         assert resumed_loss == loss
+        assert "\nTrained 1 iterations " in resumed
         # One of four iterations: a quarter of the (per-iteration constant) PP
         # forward and embedding bytes.
         row, resumed_row = (table[4].split("|") for table in (block, resumed_block))

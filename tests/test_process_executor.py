@@ -72,15 +72,13 @@ def train_probe(plan, iterations: int = 2, seed: int = 0):
     """Train the tiny probe under ``plan``; returns (losses, weights, records)."""
     engine = probe_engine(plan, seed=seed)
     loader = probe_loader(plan)
-    optimizers = [engine.build_optimizer(lr=1e-3)]
+    optimizer = engine.build_optimizer(lr=1e-3)
     losses = []
     with engine:
         for iteration in range(iterations):
-            for optimizer in optimizers:
-                optimizer.zero_grad()
+            optimizer.zero_grad()
             result = engine.run_iteration(loader.iteration_batches(iteration))
-            for optimizer in optimizers:
-                optimizer.step()
+            optimizer.step()
             losses.append(result.mean_loss)
         weights = [arena.data.copy() for arena in engine.arenas]
         records = [
@@ -142,21 +140,19 @@ class TestSerialProcessParity:
         plan = probe_plan("cb_fe_sc", executor="process")
         engine = probe_engine(plan)
         loader = probe_loader(plan)
-        optimizers = [engine.build_optimizer(lr=1e-3)]
+        optimizer = engine.build_optimizer(lr=1e-3)
 
         def step(iteration):
-            for optimizer in optimizers:
-                optimizer.zero_grad()
+            optimizer.zero_grad()
             result = engine.run_iteration(loader.iteration_batches(iteration))
-            for optimizer in optimizers:
-                optimizer.step()
+            optimizer.step()
             return result.mean_loss
 
         with engine:
             step(0)
             snapshot = {
                 "arenas": [arena.snapshot() for arena in engine.arenas],
-                "optimizers": [optimizer.state_dict() for optimizer in optimizers],
+                "optimizer": optimizer.state_dict(),
                 "engine": engine.mutable_state(),
                 "iteration": engine._iteration_index,
             }
@@ -165,8 +161,7 @@ class TestSerialProcessParity:
             weights_first = [arena.data.copy() for arena in engine.arenas]
             for arena, arena_snapshot in zip(engine.arenas, snapshot["arenas"]):
                 arena.restore(arena_snapshot)
-            for optimizer, optimizer_state in zip(optimizers, snapshot["optimizers"]):
-                optimizer.load_state_dict(optimizer_state)
+            optimizer.load_state_dict(snapshot["optimizer"])
             engine.load_mutable_state(snapshot["engine"])
             engine._iteration_index = snapshot["iteration"]
             assert step(1) == first
@@ -175,9 +170,9 @@ class TestSerialProcessParity:
 
 
     def test_compression_statistics_match_serial(self):
-        """Each reply carries its run's compressed-backprop events, Fig. 11
-        records and hook state back to the parent's hooks, so everything read
-        from them — the trainer's compression summary, the per-boundary
+        """Each reply carries its run's traffic records, Fig. 11 records and
+        hook state back to the parent's log and hooks, so everything read
+        from them — the log record for record, the trainer's compression
         summary, the residual memory and the error-independence records —
         equals the serial run's."""
 
@@ -197,13 +192,13 @@ class TestSerialProcessParity:
                 trainer.train_iteration()
                 return (
                     trainer.compression_summary,
-                    trainer.engine.pipeline_backward_summary(),
+                    list(trainer.engine.log.records),
                     trainer.engine.residual_memory_bytes(),
                     trainer.engine.cb_hooks[0].diagnostics,
                 )
 
         serial = statistics("serial")
-        assert serial[0]["compressed_transfers"] > 0
+        assert serial[0]["compressed_fraction"] > 0
         assert serial[3], "the serial run recorded no Fig. 11 entries"
         assert statistics("process") == serial
 
@@ -276,14 +271,12 @@ class TestLifecycle:
         plan = probe_plan("cb_fe_sc", executor="process")
         engine = probe_engine(plan)
         loader = probe_loader(plan)
-        optimizers = [engine.build_optimizer(lr=1e-3)]
+        optimizer = engine.build_optimizer(lr=1e-3)
 
         def step(iteration):
-            for optimizer in optimizers:
-                optimizer.zero_grad()
+            optimizer.zero_grad()
             result = engine.run_iteration(loader.iteration_batches(iteration))
-            for optimizer in optimizers:
-                optimizer.step()
+            optimizer.step()
             return result.mean_loss
 
         step(0)

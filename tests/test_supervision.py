@@ -277,14 +277,12 @@ class TestOneRecoveryPoint:
 
         def run(plan):
             engine = ThreeDParallelEngine(model, plan=plan, seed=0)
-            optimizers = [engine.build_optimizer(lr=1e-3)]
+            optimizer = engine.build_optimizer(lr=1e-3)
             with engine:
                 for _ in range(3):
-                    for optimizer in optimizers:
-                        optimizer.zero_grad()
+                    optimizer.zero_grad()
                     engine.run_iteration(batches)
-                    for optimizer in optimizers:
-                        optimizer.step()
+                    optimizer.step()
                 return engine, [arena.data.copy() for arena in engine.arenas]
 
         healed, weights = run(probe_plan().with_resilience(spec))

@@ -99,7 +99,8 @@ class TestPretrainer:
         trainer = make_trainer(ParallelPlan.cb(rank=2), loader, small_config)
         assert all(hook is not None for hook in trainer.engine.cb_hooks)
         trainer.train(num_iterations=2, validation_interval=2)
-        assert trainer.compression_summary["transfers"] > 0
+        assert trainer.compression_summary["compressed_fraction"] > 0
+        assert trainer.compression_summary["bytes_saved_fraction"] > 0
 
     def test_sc_hook_shared(self, small_config, loader):
         trainer = make_trainer(
@@ -107,7 +108,12 @@ class TestPretrainer:
         )
         trainer.train(num_iterations=2, validation_interval=2)
         assert trainer.engine.dp_reduce.powersgd is not None
-        assert trainer.engine.dp_reduce.powersgd.total_payload_bytes > 0
+        factors = [
+            record
+            for record in trainer.engine.log.records
+            if record.category == "data_parallel" and record.compressed
+        ]
+        assert factors and all(record.payload_bytes > 0 for record in factors)
         assert trainer.weights_in_sync()
 
     def test_lr_schedule_applied(self, small_config, loader):
