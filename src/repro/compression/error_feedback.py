@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import CompressedPayload, Compressor
+from repro.parallel.op_order import OpOrderedDict
 
 
 class ErrorFeedback:
@@ -32,7 +33,8 @@ class ErrorFeedback:
     def __init__(self, compressor: Compressor, enabled: bool = True) -> None:
         self.compressor = compressor
         self.enabled = bool(enabled)
-        self._residuals: dict[str, np.ndarray] = {}
+        # Keys first stored on threads of a pipeline walk take the one-thread order.
+        self._residuals: dict[str, np.ndarray] = OpOrderedDict()
 
     # -- residual bookkeeping --------------------------------------------------
 
@@ -96,8 +98,8 @@ class ErrorFeedback:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self._residuals = {
-            str(key): np.array(value, dtype=np.float64)
+        self._residuals = OpOrderedDict(
+            (str(key), np.array(value, dtype=np.float64))
             for key, value in state["residuals"].items()
-        }
+        )
         self.compressor.load_state_dict(state["compressor"])

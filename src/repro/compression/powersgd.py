@@ -29,6 +29,7 @@ from repro.compression.base import (
     Workspace,
     writable_flat_view,
 )
+from repro.parallel.op_order import OpOrderedDict
 from repro.utils.random import seeded_rng
 
 
@@ -114,7 +115,8 @@ class PowerSGDCompressor(Compressor):
         self.reuse_query = bool(reuse_query)
         self.min_compression_elements = int(min_compression_elements)
         self.seed = int(seed)
-        self._queries: dict[str, np.ndarray] = {}
+        # Keys first stored on threads of a pipeline walk take the one-thread order.
+        self._queries: dict[str, np.ndarray] = OpOrderedDict()
         self._workspace = Workspace()
 
     # -- internal helpers ------------------------------------------------------
@@ -223,10 +225,10 @@ class PowerSGDCompressor(Compressor):
         return {"queries": dict(self._queries)}
 
     def load_state_dict(self, state: dict) -> None:
-        self._queries = {
-            str(key): np.array(query, dtype=np.float64)
+        self._queries = OpOrderedDict(
+            (str(key), np.array(query, dtype=np.float64))
             for key, query in state["queries"].items()
-        }
+        )
 
     # -- diagnostics -----------------------------------------------------------
 

@@ -32,6 +32,7 @@ from the codes (``codes / L``) and one in-place ``*= scale``.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -44,6 +45,7 @@ from repro.compression.base import (
     writable_flat_view,
 )
 from repro.compression.topk import INDEX_BYTES
+from repro.parallel.op_order import OpOrderedDict
 from repro.utils.random import CounterRNG
 
 from repro.compression.powersgd import stable_key_hash
@@ -75,10 +77,23 @@ class QSGDCompressor(Compressor):
         self._rng = CounterRNG(self.seed)
         #: Per-key call counters: the RNG stream of a call depends only on
         #: ``(seed, key, how many times this key was compressed)``, never on the
-        #: global call order.
-        self._call_counts: dict[str, int] = {}
+        #: global call order.  Keys added on threads of a DP sync take the
+        #: one-thread order (:class:`~repro.parallel.op_order.OpOrderedDict`).
+        self._call_counts: dict[str, int] = OpOrderedDict()
         self._workspace = Workspace()
         self._code_dtype = np.int8 if self.bits <= 7 else np.int16
+
+    def with_own_scratch(self) -> "QSGDCompressor":
+        """A codec sharing this one's call counters but owning its workspace and generator.
+
+        What lets two threads compress disjoint keys at once: the counters
+        are per key, so each thread touches its own, while the tile scratch
+        and the reseeked Philox generator are used by whole calls.
+        """
+        twin = copy.copy(self)
+        twin._rng = CounterRNG(self.seed)
+        twin._workspace = Workspace()
+        return twin
 
     @property
     def num_levels(self) -> int:
@@ -167,9 +182,11 @@ class QSGDCompressor(Compressor):
         return {"call_counts": dict(self._call_counts)}
 
     def load_state_dict(self, state: dict) -> None:
-        self._call_counts = {
-            str(key): int(count) for key, count in state["call_counts"].items()
-        }
+        # In place: a twin from :meth:`with_own_scratch` shares the dict.
+        self._call_counts.clear()
+        self._call_counts.update(
+            (str(key), int(count)) for key, count in state["call_counts"].items()
+        )
 
     def workspace_bytes(self) -> int:
         """Memory held by the per-key codes and the shared tile (diagnostics)."""

@@ -17,6 +17,8 @@ cost, reproducible everywhere, and independent of the order tensors are visited
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.compression.base import (
@@ -74,6 +76,16 @@ class TopKCompressor(Compressor):
         self.fraction = float(fraction)
         self.min_elements = int(min_elements)
         self._workspace = Workspace()
+
+    def with_own_scratch(self) -> "TopKCompressor":
+        """The same codec with a workspace of its own, for a second thread.
+
+        Top-k keeps no state between calls, so two threads may compress at
+        once as long as their payload scratch differs.
+        """
+        twin = copy.copy(self)
+        twin._workspace = Workspace()
+        return twin
 
     def _num_kept(self, size: int) -> int:
         return max(1, min(size, int(round(self.fraction * size))))

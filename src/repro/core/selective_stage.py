@@ -37,6 +37,7 @@ import numpy as np
 from repro.compression.powersgd import matrix_view, orthogonalise, stable_key_hash
 from repro.parallel.arena import BucketResidualStore, CodecBucket
 from repro.parallel.collectives import WIRE_BYTES_PER_ELEMENT, SimulatedProcessGroup
+from repro.parallel.op_order import OpOrderedDict
 from repro.utils.random import seeded_rng
 
 #: Elements per block of the replica-mean and residual passes (rounded down to
@@ -70,11 +71,14 @@ class SelectiveStageCompression:
         self.rank = int(rank)
         self.error_feedback = bool(error_feedback)
         self.seed = int(seed)
-        #: Warm-started Q factor per parameter key.
-        self._queries: dict[str, np.ndarray] = {}
+        #: Warm-started Q factor per parameter key (keys added on threads of a
+        #: DP sync take the one-thread order).
+        self._queries: dict[str, np.ndarray] = OpOrderedDict()
         #: The group's error-feedback residuals (one flat one-row slab per bucket).
         self._bucket_residuals = BucketResidualStore()
-        self._tile = np.empty(_TILE_ELEMENTS)
+        #: Per stage, the replica-mean scratch block: stages' buckets are
+        #: reduced on different threads at once.
+        self._tiles: dict[int, np.ndarray] = {}
 
     def _reduce_segment(
         self,
@@ -84,6 +88,7 @@ class SelectiveStageCompression:
         outputs: Sequence[np.ndarray],
         residual: np.ndarray | None,
         residual_ready: bool,
+        stage: int = 0,
     ) -> tuple[int, int]:
         """One PowerSGD power iteration on the replica mean of the corrected gradients.
 
@@ -95,7 +100,8 @@ class SelectiveStageCompression:
         approximation overwrites once ``Q`` is known).  Both passes walk blocks
         of whole rows, so each block of ``A`` is subtracted from the residual
         and copied to the other replicas while its GEMM has just left it in
-        cache.  Returns the P and Q payload bytes of one replica.
+        cache; ``stage`` (the segment's) picks the scratch block.  Returns the
+        P and Q payload bytes of one replica.
         """
         num_replicas = len(gradients)
         rows, cols = shape
@@ -104,15 +110,16 @@ class SelectiveStageCompression:
         if query is None or query.shape != (cols, rank):
             query = seeded_rng(self.seed + stable_key_hash(key)).standard_normal((cols, rank))
         block_rows = max(1, _TILE_ELEMENTS // cols)
-        if self._tile.size < block_rows * cols:
-            self._tile = np.empty(block_rows * cols)
+        scratch = self._tiles.get(stage)
+        if scratch is None or scratch.size < block_rows * cols:
+            scratch = self._tiles[stage] = np.empty(max(_TILE_ELEMENTS, block_rows * cols))
         blocks = [(row, min(row + block_rows, rows)) for row in range(0, rows, block_rows)]
 
         mean = outputs[0] if residual is None else residual
         accumulate = residual is not None and residual_ready
         for first, last in blocks:
             start, stop = first * cols, last * cols
-            tile = self._tile[: stop - start]
+            tile = scratch[: stop - start]
             if num_replicas == 1:
                 tile[...] = gradients[0][start:stop]
             else:
@@ -154,7 +161,9 @@ class SelectiveStageCompression:
         invocation and one P/Q traffic record pair cover the whole *bucket*
         (the P record carries the bucket's uncompressed bytes as its
         ``original_bytes``, the Q record none), and the group's residuals live
-        in one flat ``(1, elements)`` slab per bucket.
+        in one flat ``(1, elements)`` slab per bucket.  The scratch block is
+        the bucket's stage's, so different stages' buckets may be reduced at
+        once.
         """
         num_replicas = len(flat_gradients)
         if num_replicas != group.size:
@@ -181,6 +190,7 @@ class SelectiveStageCompression:
                 views,
                 residual,
                 residual_ready,
+                bucket.stage_index,
             )
             p_bytes_total += p_bytes
             q_bytes_total += q_bytes
@@ -225,8 +235,8 @@ class SelectiveStageCompression:
         }
 
     def load_state_dict(self, payload: dict) -> None:
-        self._queries = {
-            str(key): np.array(query, dtype=np.float64)
+        self._queries = OpOrderedDict(
+            (str(key), np.array(query, dtype=np.float64))
             for key, query in payload["queries"].items()
-        }
+        )
         self._bucket_residuals.load_state_dict(payload["bucket_residuals"])

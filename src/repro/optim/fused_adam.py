@@ -26,6 +26,13 @@ iteration's pipeline run writes every gradient afresh
 first; it is for callers that want clean buffers outside an iteration.  An
 optimiser over part of a group would apply the update once per member, so the
 constructor refuses it.
+
+The step runs on the iteration's threads (``step(threads)``, which the
+training loop passes from the engine's result): the trainable prefix is cut
+into that many contiguous spans, each updated on its own thread with its own
+tile scratch through :func:`~repro.parallel.op_order.fork_join`.  Being
+elementwise, the split gives the one-range step's bits; one thread starts no
+thread and uses only the scratch above.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.parallel.arena import ParameterArena
+from repro.parallel.op_order import fork_join
 from repro.utils.state import capture_tree
 
 #: Elements per tile of :meth:`FusedAdam.step`.  Six float64 slices are live per
@@ -106,6 +114,12 @@ class FusedAdam:
         tile = max(1, min(size, _TILE_ELEMENTS))
         self._scratch = np.empty(tile, dtype=arena.data.dtype)
         self._scratch2 = np.empty(tile, dtype=arena.data.dtype)
+        #: Per span of a split step (one per thread), its pair of tile
+        #: scratches: span 0's is the pair above, the others are allocated, on
+        #: the calling thread, by the first step split that far.
+        self._span_scratch: list[tuple[np.ndarray, np.ndarray]] = [
+            (self._scratch, self._scratch2)
+        ]
 
     @property
     def arena(self) -> ParameterArena:
@@ -179,22 +193,41 @@ class FusedAdam:
         for arena in self.arenas:
             arena.zero_grad()
 
-    def step(self) -> None:
-        """Apply one Adam update to the whole trainable prefix in-place, tile by tile."""
+    def step(self, threads: int = 1) -> None:
+        """Apply one Adam update to the whole trainable prefix in place, tile by tile.
+
+        On ``threads`` threads the prefix is cut into that many contiguous
+        spans, thread ``t`` updating span ``t`` with its own tile scratch;
+        every op is elementwise, so the weights and moments are the same bits
+        wherever the spans are cut.
+        """
         self._step_count += 1
+        size = self.arena.num_trainable_elements
+        threads = max(1, min(threads, size))
+        bounds = [size * index // threads for index in range(threads + 1)]
+        while len(self._span_scratch) < threads:
+            self._span_scratch.append((np.empty_like(self._scratch), np.empty_like(self._scratch)))
+        fork_join(self._step_span, list(zip(bounds, bounds[1:])), name="adam-step")
+
+    def _step_span(self, index: int, span: tuple[int, int]) -> None:
+        """The update of the trainable elements ``span``, the ``index``-th span, with its scratch."""
         bias_correction1 = 1.0 - self.beta1**self._step_count
         bias_correction2 = 1.0 - self.beta2**self._step_count
-        all_data = self.arena.trainable_data
-        all_grad = self.arena.trainable_grad
-        tile = self._scratch.size
+        first, last = span
+        all_data = self.arena.trainable_data[first:last]
+        all_grad = self.arena.trainable_grad[first:last]
+        all_exp_avg = self._exp_avg_flat[first:last]
+        all_exp_avg_sq = self._exp_avg_sq_flat[first:last]
+        scratch, scratch2 = self._span_scratch[index]
+        tile = scratch.size
         for start in range(0, all_data.size, tile):
-            span = slice(start, start + tile)
-            data = all_data[span]
-            grad = all_grad[span]
-            exp_avg = self._exp_avg_flat[span]
-            exp_avg_sq = self._exp_avg_sq_flat[span]
-            tmp = self._scratch[: data.size]
-            tmp2 = self._scratch2[: data.size]
+            part = slice(start, start + tile)
+            data = all_data[part]
+            grad = all_grad[part]
+            exp_avg = all_exp_avg[part]
+            exp_avg_sq = all_exp_avg_sq[part]
+            tmp = scratch[: data.size]
+            tmp2 = scratch2[: data.size]
 
             if self.weight_decay and not self.decoupled_weight_decay:
                 np.multiply(data, self.weight_decay, out=tmp)

@@ -45,6 +45,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.parallel.collectives import WIRE_BYTES_PER_ELEMENT
+from repro.parallel.op_order import OpOrderedDict
 from repro.tensor.parameter import Parameter
 from repro.utils.state import capture_tree
 
@@ -419,7 +420,8 @@ class BucketResidualStore:
     """
 
     def __init__(self) -> None:
-        self._slabs: dict[tuple[int, int], np.ndarray] = {}
+        # Slabs allocated on threads of a DP sync take the one-thread order.
+        self._slabs: dict[tuple[int, int], np.ndarray] = OpOrderedDict()
 
     def slab(self, bucket: "CodecBucket", rows: int) -> tuple[np.ndarray, bool]:
         """``(slab, ready)`` for ``bucket`` — ``ready`` is False on first use.
@@ -457,7 +459,7 @@ class BucketResidualStore:
         return {f"{stage}:{index}": slab for (stage, index), slab in self._slabs.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        slabs: dict[tuple[int, int], np.ndarray] = {}
+        slabs: dict[tuple[int, int], np.ndarray] = OpOrderedDict()
         for key, slab in state.items():
             stage_text, _, index_text = key.partition(":")
             slabs[(int(stage_text), int(index_text))] = np.array(slab, dtype=np.float64)

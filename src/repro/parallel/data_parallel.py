@@ -10,6 +10,14 @@ the buckets fire and whether their traffic counts as overlapped.  The shared
 embedding weight is excluded here so that
 :class:`repro.core.fused_embedding.EmbeddingSynchronizer` can handle it (fused or
 not).
+
+The sync runs on the threads the pipeline walk ran on: each owns the same
+contiguous block of stages and reduces those stages' buckets, exact and
+codec.  A bucket touches only its own gradient spans, its own per-key codec
+state and its stage's codec scratch, and its records and new state keys
+land at its firing position through
+:class:`~repro.parallel.op_order.OpOrder`, so gradients, the log and a
+checkpoint equal the one-thread sync's at any thread count.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from repro.parallel.arena import (
     build_gradient_buckets,
 )
 from repro.parallel.collectives import CommunicationLog, SimulatedProcessGroup
+from repro.parallel.op_order import OpOrder, fork_join
 from repro.plan import DP_FIRE_KINDS, SCHEDULE_KINDS, SPLIT_BACKWARD_KINDS, validate_schedule_kind
 from repro.tensor.parameter import Parameter
 
@@ -61,7 +70,11 @@ class BucketedCompressionHook(Protocol):
         flat_gradients: Sequence[np.ndarray],
         group: SimulatedProcessGroup,
     ) -> None:
-        """Codec-compressed in-place all-reduce of one codec bucket."""
+        """Codec-compressed in-place all-reduce of one codec bucket.
+
+        Buckets of different stages may be reduced at once, on different
+        threads, so any scratch it keeps must be per stage.
+        """
         ...
 
 
@@ -174,6 +187,8 @@ class BucketedDataParallelSync:
             self._fire_order.setdefault(bucket.stage_index, []).append(bucket)
         for stage_buckets in self._fire_order.values():
             stage_buckets.sort(key=lambda bucket: bucket.start, reverse=True)
+        #: Whether a sync has run, allocating the hook's codec buffers.
+        self._allocated = False
 
     @property
     def data_parallel_degree(self) -> int:
@@ -192,16 +207,38 @@ class BucketedDataParallelSync:
             overlapped=overlapped,
         )
 
-    def synchronize(self) -> None:
-        """Fire every stage's bucket all-reduces in backward-completion order."""
+    def synchronize(self, threads: int = 1) -> None:
+        """Fire every stage's bucket all-reduces in backward-completion order.
+
+        On ``threads`` threads, the pipeline walk's split: thread ``t`` owns
+        the same contiguous block of stages as its walk thread and reduces
+        those stages' buckets, in the firing order restricted to them.  Every
+        bucket's arithmetic reads only its own gradient spans and its own
+        codec state, and its records go through
+        :class:`~repro.parallel.op_order.OpOrder` at its firing position, so
+        gradients, state and the log equal the one-thread run's.
+
+        The first sync runs on the calling thread whatever ``threads`` says:
+        it allocates the codec buffers the later ones reuse (residual slabs,
+        codes, scratch).  Allocated on a helper thread, they would sit in a
+        glibc per-thread malloc arena, and a later thread that misses that
+        arena grows another: ``train_quant_auto``'s peak RSS read 309-337 MB
+        instead of 294-298 MB in 4 of 20 runs that way.
+        """
         if self.data_parallel_degree == 1:
             return
         # The split-backward schedules (zb1/auto) finalise gradients per W
         # pass (deepest layers first), so micro-batch granularity is their
         # native firing mode whatever ``dp_fire`` says.
         fire = "micro_batch" if self.schedule_kind in SPLIT_BACKWARD_KINDS else self.dp_fire
-        grad_buffers = [arena.grad for arena in self.arenas]
-        for stage_index in range(self.num_stages - 1, -1, -1):
+        num_stages = self.num_stages
+        threads = max(1, min(threads, num_stages)) if self._allocated else 1
+        # blocks[t]: thread t's (firing position, bucket, overlapped) triples.
+        blocks: list[list[tuple[int, GradientBucket | CodecBucket, bool]]] = [
+            [] for _ in range(threads)
+        ]
+        rank = 0
+        for stage_index in range(num_stages - 1, -1, -1):
             stage_buckets = self._fire_order.get(stage_index, [])
             for position, bucket in enumerate(stage_buckets):
                 if self.schedule_kind == "serial":
@@ -220,9 +257,23 @@ class BucketedDataParallelSync:
                     # Stage granularity: everything issued before stage 0's
                     # drain hides in the cool-down; stage 0's traffic cannot.
                     overlapped = stage_index > 0
+                blocks[stage_index * threads // num_stages].append((rank, bucket, overlapped))
+                rank += 1
+        grad_buffers = [arena.grad for arena in self.arenas]
+        order = OpOrder()
+
+        def reduce_block(_: int, block) -> None:
+            for rank, bucket, overlapped in block:
+                order.at(rank)
                 group = self._group(overlapped)
                 if isinstance(bucket, CodecBucket):
                     self.hook.reduce_codec_bucket(bucket, grad_buffers, group)
                 else:
                     flats = [grad[bucket.start : bucket.stop] for grad in grad_buffers]
                     self.hook.reduce_bucket(bucket, flats, group)
+
+        try:
+            fork_join(reduce_block, blocks, name="dp-sync")
+        finally:
+            order.commit()
+        self._allocated = True

@@ -48,6 +48,7 @@ single-device reference model's gradients bit-for-bit (``tests/test_parallel_eng
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Sequence
 
 import numpy as np
@@ -66,6 +67,7 @@ from repro.parallel.arena import (
     GradientBucket,
     ParameterArena,
     pin_allocator_policy,
+    trim_heap,
 )
 from repro.parallel.collectives import (
     CommunicationLog,
@@ -77,6 +79,7 @@ from repro.parallel.pipeline_engine import (
     WIRE_BYTES_PER_ELEMENT,
     InterStageChannel,
     PipelineParallelEngine,
+    walk_threads,
 )
 from repro.parallel.tensor_parallel import ColumnParallelLinear, RowParallelLinear
 from repro.plan import Boundary, CompressionSpec, ParallelPlan
@@ -157,11 +160,15 @@ class CompressedGradientAllReduce:
                 fraction=spec.fraction, min_elements=spec.min_elements
             )
         # Bucket-path state for the qsgd/topk codecs: per-bucket flat residual
-        # slabs (one row per replica, segment layout = the bucket's) and one
-        # scratch for every bucket — a row per replica the kernels decompress
-        # into, plus the row their mean goes to — grown to the widest segment.
+        # slabs (one row per replica, segment layout = the bucket's) and, per
+        # stage, one scratch for all its buckets (the row the kernels
+        # decompress into and the row their mean forms in, grown to the
+        # widest segment) and a codec that shares ``compressor``'s per-key
+        # state but owns its scratch: stages' buckets are reduced on
+        # different threads at once.
         self._bucket_residuals = BucketResidualStore()
-        self._codec_scratch: np.ndarray | None = None
+        self._codec_scratch: dict[int, np.ndarray] = {}
+        self._stage_compressors: dict[int, Compressor] = {}
 
     # -- BucketedCompressionHook protocol -------------------------------------------
 
@@ -179,6 +186,7 @@ class CompressedGradientAllReduce:
             return False
         return gradient.size >= self.spec.min_elements
 
+    @_POISON_PASSES
     def reduce_bucket(
         self,
         bucket: GradientBucket,
@@ -235,35 +243,41 @@ class CompressedGradientAllReduce:
         workspace: the corrected gradient is accumulated into it
         (``residual += gradient`` — addition commutes bitwise), compressed
         there, and turned back into the new residual by subtracting the
-        approximation in place.  The approximations and their mean go to one
-        scratch the hook shares across every bucket, ``(replicas + 1,
-        largest segment)``, so the working set does not grow with the bucket
-        count.
+        approximation in place.  The approximations are summed in replica
+        order into one row of a scratch the stage's buckets share, ``(2,
+        largest segment)``: replica 0's is decompressed straight into the sum
+        row, every later one into the other row and added, and the sum is
+        divided by the replica count (the order ``np.mean`` sums in, so the
+        same bits).  The working set grows with neither the bucket count nor
+        the replica count.  Each stage compresses with its own codec and
+        scratch, so buckets of different stages may be reduced at once.
         """
         if self.powersgd is not None:
             self.powersgd.reduce_bucket(bucket, flat_gradients, group)
             return
 
         num_replicas = len(flat_gradients)
+        stage = bucket.stage_index
 
-        compressor = self.compressor
-        assert compressor is not None  # codec is qsgd or topk
+        compressor = self._stage_compressors.get(stage)
+        if compressor is None:
+            assert self.compressor is not None  # codec is qsgd or topk
+            compressor = self._stage_compressors[stage] = self.compressor.with_own_scratch()
         residual_slab, residual_ready = (
             self._bucket_residuals.slab(bucket, num_replicas)
             if self.spec.error_feedback
             else (None, False)
         )
         largest = max(segment.num_elements for segment in bucket.segments)
-        scratch = self._codec_scratch
-        if scratch is None or scratch.shape[0] != num_replicas + 1 or scratch.shape[1] < largest:
-            width = largest if scratch is None else max(largest, scratch.shape[1])
-            scratch = self._codec_scratch = np.empty((num_replicas + 1, width))
+        scratch = self._codec_scratch.get(stage)
+        if scratch is None or scratch.shape[1] < largest:
+            scratch = self._codec_scratch[stage] = np.empty((2, largest))
 
         payload_per_rank = 0
         for segment in bucket.segments:
             size = segment.num_elements
             span = slice(segment.offset, segment.offset + size)
-            approximations = scratch[:num_replicas, :size]
+            synced = scratch[1, :size]
             segment_payload = 0
             for replica in range(num_replicas):
                 view = flat_gradients[replica][segment.start : segment.stop]
@@ -278,13 +292,14 @@ class CompressedGradientAllReduce:
                 payload = compressor.compress_into(
                     corrected.reshape(segment.shape), f"{segment.name}:replica{replica}"
                 )
-                compressor.decompress_into(
-                    payload, approximations[replica].reshape(segment.shape)
-                )
+                approximation = synced if replica == 0 else scratch[0, :size]
+                compressor.decompress_into(payload, approximation.reshape(segment.shape))
                 if residual_slab is not None:
-                    corrected -= approximations[replica]
+                    corrected -= approximation
+                if replica > 0:
+                    synced += approximation
                 segment_payload += payload.payload_bytes
-            synced = np.mean(approximations, axis=0, out=scratch[num_replicas, :size])
+            synced /= num_replicas
             for replica in range(num_replicas):
                 flat_gradients[replica][segment.start : segment.stop] = synced
             payload_per_rank += segment_payload // num_replicas
@@ -384,6 +399,20 @@ class EngineIterationResult:
     #: Resilience events of this iteration (faults injected, collective
     #: retries); populated only when a fault injector is wired.
     resilience: "ResilienceReport | None" = None
+    # How the iteration ran, not what it produced: left out of equality.
+    #: Threads each replica's walk, the DP sync and the optimiser step run
+    #: on (:func:`~repro.parallel.pipeline_engine.walk_threads` of the
+    #: replica runs at once).
+    threads: int = field(default=1, compare=False)
+    #: Seconds of the replicas' pipeline runs (all replicas, either executor).
+    walk_s: float = field(default=0.0, compare=False)
+    #: Seconds of the bucketed DP gradient sync.
+    dp_sync_s: float = field(default=0.0, compare=False)
+    #: Seconds of the embedding sync.
+    embedding_sync_s: float = field(default=0.0, compare=False)
+    #: Seconds of the optimiser step, filled in by the loop that steps
+    #: (:meth:`repro.training.trainer.Pretrainer.train_iteration`).
+    step_s: float = field(default=0.0, compare=False)
 
     @property
     def total_wire_bytes(self) -> float:
@@ -575,6 +604,13 @@ class ThreeDParallelEngine:
     ) -> None:
         # Before the stages and arenas allocate anything; forked workers inherit it.
         pin_allocator_policy()
+        # And from a trimmed heap: what an engine built and dropped before this
+        # one freed stays in the heap under the pinned trim threshold, and this
+        # one's buffers laid out around it leave the heap fragmented, which
+        # every worker forked from it inherits.  BENCH_e2e's
+        # train_process_guarded (three trainers built, the last one timed)
+        # read a 208-225 MB peak across checkouts, 200-208 MB with this trim.
+        trim_heap()
         self.plan = plan
         self.model_config = model_config
         self.num_stages = plan.topology.pp
@@ -828,6 +864,7 @@ class ThreeDParallelEngine:
         executor = self._ensure_process_executor() if self.executor_kind == "process" else None
         if self.recovery_point is not None:
             self.recovery_point.capture()
+        walk_started = perf_counter()
         if executor is not None:
             # Per-replica pipelines run concurrently in forked workers over
             # shared-memory arenas; everything order-sensitive below (fault
@@ -848,6 +885,7 @@ class ThreeDParallelEngine:
                 run_replica(engine, replica_batches, replica_runs)
                 for engine, replica_batches in zip(self.pipeline_engines, normalised)
             ]
+        walk_s = perf_counter() - walk_started
         losses = merge_replica_results(self, results)
         # The workers' hook-state arrays are copied into the hooks by now: free
         # them before the syncs allocate, or a later fork inherits a fuller heap.
@@ -881,12 +919,21 @@ class ThreeDParallelEngine:
                 )
                 attempt += 1
 
+        # The DP sync (and the caller's optimiser step) run on as many
+        # threads as a live replica's walk, thread t reducing its own stage
+        # block's buckets.
+        threads = walk_threads(
+            self.num_stages, replica_runs_at_once(self.executor_kind, self.data_parallel_degree)
+        )
+        dp_started = perf_counter()
         if self.bucketed_sync is not None:
             # Bucket all-reduces in backward-completion order (last stage
             # first): hidden under the pipeline cool-down, or all exposed
             # after the drain under ``serial``.
-            self.bucketed_sync.synchronize()
+            self.bucketed_sync.synchronize(threads)
+        embedding_started = perf_counter()
         self.embedding_sync.synchronize()
+        embedding_s = perf_counter() - embedding_started
         self._iteration_index += 1
 
         wire, fractions, _, boundaries, dp_overlapped = axis_report(
@@ -903,6 +950,10 @@ class ThreeDParallelEngine:
             resilience=(
                 self.resilience.delta_since(report_before) if injector is not None else None
             ),
+            threads=threads,
+            walk_s=walk_s,
+            dp_sync_s=embedding_started - dp_started,
+            embedding_sync_s=embedding_s,
         )
 
     # -- resilience --------------------------------------------------------------------

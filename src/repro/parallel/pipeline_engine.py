@@ -23,13 +23,20 @@ weight-gradient pass (:meth:`~repro.nn.gpt_stage.GPTStage.backward_weight`, W).
 A stage therefore holds exactly the forward activations its op list has in
 flight — ``min(pp - stage, mb)`` under 1F1B, not every micro-batch's.
 
-The stages run concurrently.  The walk's order is split by stage: on
-:func:`walk_threads` threads, each owning a contiguous block of stages and
-visiting that order restricted to them, blocking only on an activation or
-activation gradient another thread hands over (keyed ``(stage,
-micro_batch)``, under one :class:`threading.Condition`).  Each thread takes
-its ops in the walk's order and every producer comes before its consumer in
-it, so no split can deadlock; on one thread the walk is the plain loop.
+The stages run concurrently, and a thread owns its stage block for the
+whole iteration.  The walk's order is split by stage: on :func:`walk_threads`
+threads, each owning a contiguous block of stages and visiting that order
+restricted to them, blocking only on an activation or activation gradient
+another thread hands over (keyed ``(stage, micro_batch)``, under one
+:class:`threading.Condition`).  Each thread takes its ops in the walk's order
+and every producer comes before its consumer in it, so no split can
+deadlock; on one thread the walk is the plain loop.  The same split carries
+on past the walk:
+:meth:`~repro.parallel.data_parallel.BucketedDataParallelSync.synchronize`
+reduces each block's DP buckets on that block's thread, and
+:meth:`~repro.optim.fused_adam.FusedAdam.step` cuts its update into as many
+contiguous arena spans.  All three fork and join through one helper,
+:func:`~repro.parallel.op_order.fork_join`.
 
 Within one iteration no weights change, so the numerical result depends on two
 orders only, and every valid op list keeps both ascending in micro-batch: each
@@ -44,8 +51,11 @@ walk appends — the channel log's records and the backward hook's Fig. 11
 ``diagnostics`` — is observable too, so those lists are
 :class:`~repro.parallel.op_order.OpOrderedList` lists: an op's appends are
 held back and committed after the threads are joined, in the walk's order, so
-every log is record-for-record the one-thread walk's.  Threads are started and
-joined inside one call, so none is alive when a worker is forked.
+every log is record-for-record the one-thread walk's; a hook's per-key
+state dicts are :class:`~repro.parallel.op_order.OpOrderedDict` dicts, so
+their keys (and a checkpoint's layout) keep the one-thread order too.
+Threads are started and joined inside one call, so none is alive when a
+worker is forked.
 
 Interleaved lists (``num_model_chunks > 1``) are not executed here:
 :class:`~repro.parallel.engine.ThreeDParallelEngine` refuses them at
@@ -67,7 +77,7 @@ from repro.parallel.collectives import (
     CommunicationLog,
     TrafficRecord,
 )
-from repro.parallel.op_order import OpOrder
+from repro.parallel.op_order import Aborted, OpOrder, fork_join
 from repro.parallel.pipeline_schedule import OP_KINDS, PipelineOp, replay_ops
 from repro.parallel.scheduler import StageCosts, SynthesisSpec, schedule_ops
 from repro.plan import validate_memory_cap_factor, validate_schedule_kind
@@ -119,10 +129,6 @@ class IterationResult:
     stage_wait_s: list[float] = field(default_factory=list, compare=False)
 
 
-class _WalkAborted(Exception):
-    """Raised in a waiting walk thread after another one failed."""
-
-
 class _Arrivals:
     """Hands activations and activation gradients, keyed ``(stage, micro_batch)``, between walk threads.
 
@@ -145,44 +151,15 @@ class _Arrivals:
             blocked = key not in store
             while key not in store:
                 if self._aborted:
-                    raise _WalkAborted
+                    raise Aborted
                 self._arrived.wait()
             return store.pop(key), blocked
 
-    def run(self, walk: Callable[[list], None], blocks: list[list]) -> None:
-        """``walk(block)`` for every block, the first on this thread, the rest on one thread each.
-
-        Every thread is joined before this returns.  The first exception a
-        walk raises wakes every waiting thread and is re-raised here.
-        """
-        errors: list[BaseException] = []
-
-        def guarded(block: list) -> None:
-            try:
-                walk(block)
-            except _WalkAborted:
-                pass
-            except BaseException as error:  # re-raised in the caller below
-                errors.append(error)
-                with self._arrived:
-                    self._aborted = True
-                    self._arrived.notify_all()
-
-        helpers = [
-            threading.Thread(
-                target=guarded, args=(block,), name=f"pipeline-walk-{index}", daemon=True
-            )
-            for index, block in enumerate(blocks[1:], start=1)
-        ]
-        for helper in helpers:
-            helper.start()
-        try:
-            guarded(blocks[0])
-        finally:
-            for helper in helpers:
-                helper.join()
-        if errors:
-            raise errors[0]
+    def abort(self) -> None:
+        """Wake every waiting take: another walk thread failed."""
+        with self._arrived:
+            self._aborted = True
+            self._arrived.notify_all()
 
 
 class InterStageChannel:
@@ -368,7 +345,7 @@ class PipelineParallelEngine:
         busy = [0.0] * num_stages
         wait = [0.0] * num_stages
 
-        def run_ops(ops: list[tuple[int, int, PipelineOp]]) -> None:
+        def run_ops(_: int, ops: list[tuple[int, int, PipelineOp]]) -> None:
             last = perf_counter()
 
             def arrive(store: dict, stage_index: int, micro_batch: int):
@@ -424,7 +401,7 @@ class PipelineParallelEngine:
 
         with gradient_epoch(self.parameters()):
             try:
-                arrivals.run(run_ops, blocks)
+                fork_join(run_ops, blocks, name="pipeline-walk", abort=arrivals.abort)
             finally:
                 order.commit()
 

@@ -47,6 +47,7 @@ the *quality* effects are the real thing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -228,7 +229,10 @@ class Pretrainer:
             return result.mean_loss
         self._consecutive_skips = 0
 
-        self.optimizer.step()
+        # On the threads the iteration's walk and DP sync ran on.
+        step_started = perf_counter()
+        self.optimizer.step(result.threads)
+        result.step_s = perf_counter() - step_started
 
         self.history.record_train(result.mean_loss)
         self._iteration += 1

@@ -143,7 +143,8 @@ class FrozenPerParameterSync:
         self.hook = hook
         self.log = log if log is not None else CommunicationLog()
 
-    def synchronize(self) -> None:
+    def synchronize(self, threads: int = 1) -> None:
+        """The frozen walk; ``threads`` (the engine's) is ignored: it runs on the caller."""
         degree = len(self.replicas)
         if degree == 1:
             return

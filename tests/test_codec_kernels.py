@@ -6,7 +6,8 @@ both paths share.  This module pins the QSGD bucket round trip itself — synced
 gradients, residual slabs and RNG call counters — against digests recorded
 before the kernel was tiled, on segments that span many tiles, plus the two
 facts the tiling rests on: a Philox stream drawn tile by tile is the one-shot
-stream, and the working set is the codes plus one tile whatever the model size.
+stream, and the working set is the codes plus one tile per stage whatever the
+model size.
 """
 
 from __future__ import annotations
@@ -220,12 +221,21 @@ class TestWorkingSet:
             arena.grad[...] = rng.standard_normal(arena.grad.size)
         sync.synchronize()
 
-        compressor = engine.dp_reduce.compressor
+        # One codec per stage: its own tile, the codes of its own segments.
+        compressors = engine.dp_reduce._stage_compressors
+        assert sorted(compressors) == [0, 1]
         codes = sum(segment.num_elements for segment in segments) * len(engine.arenas)
         tile = QUANTISE_TILE * (np.dtype(np.float64).itemsize + np.dtype(np.float32).itemsize)
-        assert codes < compressor.workspace_bytes() <= codes + tile
-        largest = max(segment.num_elements for segment in segments)
-        assert engine.dp_reduce._codec_scratch.shape == (len(engine.arenas) + 1, largest)
+        workspace = sum(compressor.workspace_bytes() for compressor in compressors.values())
+        assert codes < workspace <= codes + len(compressors) * tile
+        for stage, scratch in engine.dp_reduce._codec_scratch.items():
+            largest = max(
+                segment.num_elements
+                for bucket in sync.codec_buckets
+                if bucket.stage_index == stage
+                for segment in bucket.segments
+            )
+            assert scratch.shape == (2, largest)
 
     @pytest.mark.parametrize(
         "bucket_bytes, num_buckets", [(1, 5), (DIGEST_BUCKET_BYTES, 2), (1 << 30, 1)]
@@ -244,8 +254,8 @@ class TestWorkingSet:
                 reducer.reduce_codec_bucket(bucket, [arena.grad for arena in arenas], group)
 
         reduce_all()
-        scratch = reducer._codec_scratch
+        (scratch,) = reducer._codec_scratch.values()  # one stage
         largest = max(int(np.prod(shape)) for shape in DIGEST_SHAPES)
-        assert scratch.shape == (3 + 1, largest)  # one row per replica + the mean
+        assert scratch.shape == (2, largest)  # one approximation + the running mean
         reduce_all()
-        assert reducer._codec_scratch is scratch
+        assert list(reducer._codec_scratch) == [0] and reducer._codec_scratch[0] is scratch

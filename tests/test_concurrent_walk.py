@@ -14,18 +14,26 @@ BLAS threads))``.  Asserted here:
   T = 2 and T = pp equal T = 1's;
   the same with more threads than cores and the GIL switched every
   microsecond;
-* **failure** — a stage that raises on a helper thread re-raises its own
-  exception in the caller, leaves no thread behind and never hangs;
+* **the rest of the iteration** — the DP sync and the ``FusedAdam`` step run
+  on the walk's threads: the DP hook's and the CB hooks' state, in checkpoint
+  order, is part of the matrix above; a split step is the one-range step's
+  bits for any thread count; the parent of a ``process`` run whose workers
+  fill the cores starts no thread;
+* **failure** — a stage or a codec bucket that raises on a helper thread
+  re-raises its own exception in the caller, leaves no thread behind and
+  never hangs; a poisoned gradient rolls back without a warning on any thread;
 * **the measurements** — per-stage busy and wait time, wait exactly 0.0 on one
-  thread.
+  thread, and the iteration's phase seconds.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -35,13 +43,18 @@ from repro import cli
 from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
 from repro.models.gpt_configs import functional_config
 from repro.nn.gpt_stage import build_gpt_stages
+from repro.optim import fused_adam
+from repro.optim.fused_adam import FusedAdam
+from repro.parallel.arena import ParameterArena, bitwise_equal
 from repro.parallel.engine import ThreeDParallelEngine
 from repro.parallel.pipeline_engine import (
     IterationResult,
     PipelineParallelEngine,
     walk_threads,
 )
-from repro.plan import Boundary, ParallelPlan
+from repro.plan import Boundary, ParallelPlan, ResilienceSpec
+from repro.tensor.parameter import Parameter
+from repro.training.trainer import Pretrainer
 from repro.utils.cores import BLAS_THREAD_VARIABLES, blas_threads, usable_cores
 
 DEEP_CONFIG = test_pipeline_engine.TestOpListWalk.DEEP_CONFIG
@@ -90,6 +103,18 @@ class TestBudget:
         for unset in ("0", "many"):
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", unset)
             assert blas_threads() == 2
+
+    @pytest.mark.parametrize(("value", "threads"), [
+        ("1,1", 1), (" 2", 2), ("3 ", 3), ("+4", 4), ("2.5", 2), ("1_0", 1), ("5abc", 5),
+        ("0", 8), ("-2", 8), ("many", 8), ("", 8),
+    ])
+    def test_blas_threads_read_each_variable_as_atoi_does(self, monkeypatch, value, threads):
+        """OpenBLAS reads the leading integer: ``OMP_NUM_THREADS=1,1`` runs it on 1 thread."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", value)
+        assert blas_threads() == threads
 
     def test_threads_are_stages_capped_by_each_replica_runs_core_share(self, monkeypatch):
         allow_threads(monkeypatch, 2)
@@ -163,37 +188,58 @@ PLANS = {
 }
 
 
-def build(plan: ParallelPlan):
-    model = functional_config(
-        vocab_size=64, sequence_length=16, num_layers=4, hidden_size=16, num_heads=2
-    )
+MODEL = functional_config(
+    vocab_size=64, sequence_length=16, num_layers=4, hidden_size=16, num_heads=2
+)
+
+
+def loader_for(plan: ParallelPlan) -> LanguageModelingDataLoader:
     corpus = SyntheticCorpus(SyntheticCorpusConfig(vocab_size=64, seed=321))
-    loader = LanguageModelingDataLoader(
+    return LanguageModelingDataLoader(
         corpus,
         sequence_length=12,
         micro_batch_size=2,
         num_micro_batches=plan.topology.micro_batches,
         data_parallel_degree=plan.topology.dp,
     )
-    engine = ThreeDParallelEngine(model, plan, seed=5, collect_cb_diagnostics=True)
-    return engine, loader
+
+
+def build(plan: ParallelPlan):
+    engine = ThreeDParallelEngine(MODEL, plan, seed=5, collect_cb_diagnostics=True)
+    return engine, loader_for(plan)
+
+
+def flattened(tree, path: str = "") -> list:
+    """``tree``'s leaves in its own order, arrays as bytes: equal iff a checkpoint's state is."""
+    if isinstance(tree, np.ndarray):
+        return [(path, tree.dtype.str, tree.shape, tree.tobytes())]
+    if isinstance(tree, dict):
+        return [leaf for key, value in tree.items() for leaf in flattened(value, f"{path}/{key}")]
+    if isinstance(tree, (list, tuple)):
+        return [leaf for index, value in enumerate(tree) for leaf in flattened(value, f"{path}/{index}")]
+    return [(path, repr(tree))]
 
 
 def observables(monkeypatch, cores: int, name: str, kind: str, pp: int):
-    """Weights after two trained iterations, plus every record whose order is observable."""
+    """Weights after two trained iterations, plus every record and state whose order is observable."""
     allow_threads(monkeypatch, cores)
     plan = PLANS[name]().with_topology(pp=pp, dp=2, micro_batches=4).with_schedule(kind=kind)
     engine, loader = build(plan)
     optimizer = engine.build_optimizer(lr=1e-3)
     for iteration in range(2):
-        engine.run_iteration(loader.iteration_batches(iteration))
-        optimizer.step()
+        result = engine.run_iteration(loader.iteration_batches(iteration))
+        optimizer.step(result.threads)
+    assert result.threads == min(cores, pp)
     hook = engine.cb_hooks[0]
     return (
         engine.arenas[0].data.copy(),
         # repr: a diagnostics record may hold a NaN, which == would call unequal.
         repr(engine.log.records),
         repr(hook.diagnostics if hook is not None else None),
+        # The DP hook's and the CB hooks' state (QSGD call counts, PowerSGD
+        # queries, residual slabs) in the order a checkpoint writes it.
+        flattened(engine.live_mutable_state()),
+        flattened(optimizer.live_state()),
     )
 
 
@@ -233,7 +279,45 @@ class TestThreadCountIndependence:
         assert threaded_logs == logs
 
 
+class TestSplitStep:
+    SIZES = {"684 elements": [(37, 11), (250,), (3, 3, 3)], "5 elements": [(5,)]}
+
+    @pytest.mark.parametrize("sizes", sorted(SIZES))
+    @pytest.mark.parametrize(
+        "weight_decay, decoupled", [(0.0, False), (0.01, False), (0.01, True)]
+    )
+    def test_a_split_step_is_the_one_range_steps_bits(
+        self, monkeypatch, sizes, weight_decay, decoupled
+    ):
+        """684 is not a multiple of 7, and 5 elements are fewer than 7 threads."""
+        monkeypatch.setattr(fused_adam, "_TILE_ELEMENTS", 64)  # several tiles per span
+        stepped = {}
+        for threads in (1, 2, 3, 7):
+            rng = np.random.default_rng(3)
+            arena = ParameterArena(
+                [Parameter(rng.standard_normal(shape), name=f"p{index}")
+                 for index, shape in enumerate(self.SIZES[sizes])]
+            )
+            optimizer = FusedAdam(
+                arena, lr=3e-3, weight_decay=weight_decay, decoupled_weight_decay=decoupled
+            )
+            before = threading.active_count()
+            for _ in range(3):
+                arena.trainable_grad[...] = rng.standard_normal(arena.num_trainable_elements)
+                optimizer.step(threads)
+            assert threading.active_count() == before
+            stepped[threads] = [
+                arena.data.copy(), optimizer._exp_avg_flat.copy(), optimizer._exp_avg_sq_flat.copy()
+            ]
+        for threads in (2, 3, 7):
+            assert all(map(bitwise_equal, stepped[threads], stepped[1]))
+
+
 class StageFailure(RuntimeError):
+    pass
+
+
+class CodecFailure(RuntimeError):
     pass
 
 
@@ -272,7 +356,107 @@ class TestFailure:
         assert threading.active_count() == before
 
 
+    def test_a_failing_codec_bucket_reraises_its_exception_and_leaves_no_thread(
+        self, monkeypatch
+    ):
+        allow_threads(monkeypatch, 2)
+        plan = PLANS["topk_pp_qsgd_dp"]().with_topology(pp=2, dp=2, micro_batches=2)
+        engine, loader = build(plan)
+        engine.run_iteration(loader.iteration_batches(0))  # the first sync runs on the caller
+        reduce = engine.dp_reduce.reduce_codec_bucket
+        raised: list[CodecFailure] = []
+
+        def fail_on_stage_1(bucket, flat_gradients, group):
+            if bucket.stage_index == 1:
+                raised.append(CodecFailure(threading.current_thread().name))
+                raise raised[-1]
+            reduce(bucket, flat_gradients, group)
+
+        monkeypatch.setattr(engine.dp_reduce, "reduce_codec_bucket", fail_on_stage_1)
+        before = threading.active_count()
+        with pytest.raises(CodecFailure) as failure:
+            engine.run_iteration(loader.iteration_batches(1))
+        assert failure.value is raised[0] and str(failure.value) == "dp-sync-1"
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("codec", ["none", "powersgd", "qsgd", "topk"])
+    def test_a_poisoned_gradient_rolls_back_without_a_warning_on_any_thread(
+        self, monkeypatch, codec
+    ):
+        """NumPy's error state is per thread: a helper thread's codec runs under the hook's."""
+        allow_threads(monkeypatch, 2)
+        plan = (
+            PLANS["cb_fe_sc"]()
+            .with_topology(pp=2, dp=2, micro_batches=2)
+            .with_boundary(Boundary.DP, codec=codec, min_elements=0, stage_fraction=1.0)
+            .with_resilience(ResilienceSpec(faults=("nan@1:replica=1,stage=1",)))
+        )
+        trainer = Pretrainer(MODEL, loader_for(plan), plan, seed=5)
+        trainer.train_iteration()
+        weights = trainer.engine.arenas[0].data.copy()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trainer.train_iteration()
+        assert [str(warning.message) for warning in caught] == []
+        assert trainer.last_iteration_result.threads == 2
+        assert trainer.resilience_report.rollbacks == 1
+        assert bitwise_equal(trainer.engine.arenas[0].data, weights)
+
+
+class TestProcessParent:
+    def test_the_parent_of_workers_that_fill_the_cores_starts_no_thread(self, monkeypatch):
+        allow_threads(monkeypatch, 2)
+        plan = (
+            PLANS["topk_pp_qsgd_dp"]()
+            .with_topology(pp=2, dp=2, micro_batches=2)
+            .with_executor("process")
+        )
+        started: list[str] = []
+        start = threading.Thread.start
+
+        def counted(thread) -> None:
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        with Pretrainer(MODEL, loader_for(plan), plan, seed=5) as trainer:
+            trainer.train_iteration()
+            assert trainer.last_iteration_result.threads == 1
+        assert started == []
+
+
+    def test_the_first_dp_sync_allocates_on_the_calling_thread(self, monkeypatch):
+        """Its codec buffers stay in the main heap; the syncs after it split."""
+        allow_threads(monkeypatch, 2)
+        plan = PLANS["topk_pp_qsgd_dp"]().with_topology(pp=2, dp=2, micro_batches=2)
+        engine, loader = build(plan)
+        started: list[str] = []
+        start = threading.Thread.start
+
+        def counted(thread) -> None:
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        for iteration in range(2):
+            engine.run_iteration(loader.iteration_batches(iteration))
+            assert started.count("dp-sync-1") == iteration
+
+
 class TestMeasurements:
+    def test_phase_seconds_are_reported_and_left_out_of_equality(self, monkeypatch):
+        allow_threads(monkeypatch, 2)
+        plan = PLANS["topk_pp_qsgd_dp"]().with_topology(pp=2, dp=2, micro_batches=2)
+        trainer = Pretrainer(MODEL, loader_for(plan), plan, seed=5)
+        trainer.train_iteration()
+        result = trainer.last_iteration_result
+        assert result.threads == 2
+        phases = ("walk_s", "dp_sync_s", "embedding_sync_s", "step_s")
+        assert all(getattr(result, phase) > 0.0 for phase in phases)
+        assert result == dataclasses.replace(
+            result, threads=1, **dict.fromkeys(phases, 0.0)
+        )
+
     @pytest.mark.parametrize("kind", ["1f1b", "zb1"])
     def test_one_thread_never_waits(self, monkeypatch, rng, kind):
         allow_threads(monkeypatch, 1)
