@@ -1,10 +1,8 @@
 """True process-parallel execution of the 3D engine's replica loop.
 
 Under the serial executor :class:`~repro.parallel.engine.ThreeDParallelEngine`
-runs the replicas' pipelines one after another in one Python process; at most
-a replica's stages run concurrently, on threads inside
-:meth:`~repro.parallel.pipeline_engine.PipelineParallelEngine.run_iteration`
-(where BLAS is pinned below the core count).
+walks every replica's pipeline as one in one Python process, its stages on
+threads where BLAS is pinned below the core count.
 :class:`ProcessExecutor` makes the data-parallel axis real:
 one forked worker process per DP replica owns that replica's
 :class:`~repro.parallel.pipeline_engine.PipelineParallelEngine` — and with it
@@ -27,14 +25,14 @@ Bit-for-bit parity with the serial oracle is by construction, not tolerance:
   (the backward channel's CB residuals and warm starts) and the reply carries
   it back, so the parent's hooks are the only copy between
   iterations — a respawn, rollback, checkpoint or capture asks no worker;
-* a worker's run and the serial loop's inline one are the same call,
-  :func:`~repro.parallel.engine.run_replica`, and the parent applies both
-  executors' :class:`~repro.parallel.engine.ReplicaResult` objects through the
-  one :func:`~repro.parallel.engine.merge_replica_results`, in replica order;
+* a worker's run, :func:`~repro.parallel.engine.run_replica`, is the serial
+  executor's walk over one replica, and the parent applies the workers'
+  :class:`~repro.parallel.engine.ReplicaResult` objects in one place, in
+  replica order, so the log reads as the serial walk leaves it;
 * everything whose *order* matters — the DP codec all-reduce (Philox streams,
   per-key call counts), the bucketed sync's reduction order, embedding sync,
   fault injection, and the optimiser — runs in the parent, on the shared
-  gradient buffers the workers just filled, exactly where the serial engine
+  gradient buffers the workers just filled, in the order the serial engine
   runs it.
 
 The executor is a policy on :mod:`repro.exec.workers`, which forks, talks to
@@ -237,8 +235,8 @@ class ProcessExecutor:
 
         Returns ``(results, failures)``: on full success every replica's
         :class:`~repro.parallel.engine.ReplicaResult` in replica order, for the
-        engine to apply with :func:`~repro.parallel.engine.merge_replica_results`
-        (the gradients are already in the shared arenas), and no failures.  On
+        engine to apply (the gradients are already in the shared arenas), and
+        no failures.  On
         any failure ``results`` is empty, so nothing reaches the parent — its
         hooks keep the pre-iteration state, and a supervised replay is sent
         exactly what the failed attempt was.  Every surviving worker is

@@ -58,6 +58,10 @@ MMAP_THRESHOLD_BYTES = 32 << 20
 TRIM_THRESHOLD_BYTES = 64 << 20
 
 _allocator_policy: str | None = None
+try:  # Loaded once: a ``CDLL`` per call leaves a ctypes reference cycle behind.
+    _libc: ctypes.CDLL | None = ctypes.CDLL(None)
+except OSError:  # no C library
+    _libc = None
 
 
 def pin_allocator_policy() -> str:
@@ -73,11 +77,11 @@ def pin_allocator_policy() -> str:
     global _allocator_policy
     if _allocator_policy is None:
         try:
-            mallopt = ctypes.CDLL(None).mallopt
+            mallopt = _libc.mallopt
             pinned = mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) and mallopt(
                 M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES
             )
-        except (AttributeError, OSError, TypeError):  # no C library, or not glibc's
+        except (AttributeError, TypeError):  # no C library, or not glibc's
             pinned = False
         _allocator_policy = (
             f"glibc mallopt: mmap_threshold={MMAP_THRESHOLD_BYTES >> 20} MiB "
@@ -96,8 +100,8 @@ def trim_heap() -> bool:
     returning False where ``malloc_trim`` cannot be resolved.
     """
     try:
-        return bool(ctypes.CDLL(None).malloc_trim(0))
-    except (AttributeError, OSError, TypeError):  # no C library, or not glibc's
+        return bool(_libc.malloc_trim(0))
+    except (AttributeError, TypeError):  # no C library, or not glibc's
         return False
 
 

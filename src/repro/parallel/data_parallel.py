@@ -11,11 +11,15 @@ embedding weight is excluded here so that
 :class:`repro.core.fused_embedding.EmbeddingSynchronizer` can handle it (fused or
 not).
 
-The sync runs on the threads the pipeline walk ran on: each owns the same
+The sync runs on the pipeline walk's threads: each owns the same
 contiguous block of stages and reduces those stages' buckets, exact and
-codec.  A bucket touches only its own gradient spans, its own per-key codec
-state and its stage's codec scratch, and its records and new state keys
-land at its firing position through
+codec (:meth:`BucketedDataParallelSync.reduce_block`).  Under the serial
+executor a thread does that inside the walk, as soon as its block has
+drained in every replica (:meth:`BucketedDataParallelSync.walk_blocks`);
+otherwise :meth:`BucketedDataParallelSync.synchronize` forks the same
+blocks after it.  A bucket touches only its own gradient spans, its own
+per-key codec state and its stage's codec scratch, and its records and new
+state keys land at its firing position through
 :class:`~repro.parallel.op_order.OpOrder`, so gradients, the log and a
 checkpoint equal the one-thread sync's at any thread count.
 """
@@ -41,6 +45,10 @@ from repro.tensor.parameter import Parameter
 
 #: Parameters whose name contains this marker are the tied embedding copies.
 EMBEDDING_NAME_MARKER = "word_embeddings"
+
+
+#: One thread's ``(firing position, bucket, overlapped)`` triples, in firing order.
+FireBlock = list[tuple[int, GradientBucket | CodecBucket, bool]]
 
 
 def is_embedding_parameter(parameter: Parameter) -> bool:
@@ -93,42 +101,19 @@ class BucketedDataParallelSync:
     one codec invocation per bucket on the flat arena views with error-feedback
     residuals in per-bucket slabs.
 
-    ``dp_fire`` sets the firing granularity:
-
-    * ``"stage"`` — a stage's buckets fire when its whole backward pass has
-      drained.  Traffic of stages ``> 0`` hides in the cool-down (``overlapped``
-      in the :class:`~repro.parallel.collectives.CommunicationLog`); stage 0
-      drains last, so all of its traffic is exposed.
-    * ``"micro_batch"`` — buckets fire *inside* the final micro-batch's backward
-      pass, as each bucket's gradients become final (deepest layers first, i.e.
-      descending arena offset).  Only the last bucket to complete — stage 0's
-      input-side bucket — has no compute left to hide under; everything else is
-      overlapped.
-
-    The numerical result does not depend on the granularity: bucketing and
-    firing order only change message granularity and overlap accounting —
-    every bucket's mean (and every codec segment's RNG stream and
-    error-feedback key) is independent of when the bucket fires.  A frozen
-    copy of the per-parameter walk this replaced (one all-reduce per
-    parameter, per-key residuals) is the oracle it is held to, bit for bit,
-    in ``tests/per_parameter_oracle.py``.
-
-    ``schedule_kind`` names the pipeline schedule the firing points are derived
-    from.  Under ``"zb1"`` a parameter's gradient becomes final at its
-    *weight-pass* (W), not at the stage's backward drain — the final
-    micro-batch's W pass walks the layers deepest-first, finalising buckets one
-    by one while the other stages still drain their deferred W passes.  The
-    split backward therefore makes micro-batch-granular firing the schedule's
-    *native* granularity: zb1 fires every bucket inside that W drain regardless
-    of ``dp_fire``, and only the globally last bucket to become final — stage
-    0's input-side one (stage 0 defers no W passes, so its W drain ends the
-    pipeline) — stays exposed.  This is how the late W passes widen the window
-    the PR-4 ``dp_fire`` knob opened; the timing simulator quantifies the same
-    effect through its per-stage windows.
-
+    ``dp_fire`` sets the granularity the traffic is accounted at (the log's
+    ``overlapped`` flag): ``"stage"`` fires a stage's buckets when its backward
+    pass has drained, so only stage 0's traffic is exposed; ``"micro_batch"``
+    fires each bucket inside the final micro-batch's backward as its gradients
+    become final (deepest layers first), so only stage 0's input-side bucket
+    is.  The split-backward kinds (``schedule_kind`` ``"zb1"``/``"auto"``)
+    finalise gradients per W pass, so they always fire micro-batch-granular.
     Under ``"serial"`` (the overlap-off ablation) nothing fires until the whole
-    pipeline has drained: every bucket leaves after the last backward op, in
-    the same order, and every record is exposed whatever ``dp_fire`` says.
+    pipeline has drained and every record is exposed.  None of this changes
+    the numbers: every bucket's mean (and every codec segment's RNG stream and
+    error-feedback key) is independent of when it fires, and a frozen copy of
+    the per-parameter walk this replaced is the oracle it is held to, bit for
+    bit, in ``tests/per_parameter_oracle.py``.
     """
 
     def __init__(
@@ -207,16 +192,55 @@ class BucketedDataParallelSync:
             overlapped=overlapped,
         )
 
-    def synchronize(self, threads: int = 1) -> None:
-        """Fire every stage's bucket all-reduces in backward-completion order.
+    def walk_blocks(self, threads: int) -> list[FireBlock] | None:
+        """Each walk thread's buckets, reduced (:meth:`reduce_block`) as soon as its block drains.
 
-        On ``threads`` threads, the pipeline walk's split: thread ``t`` owns
-        the same contiguous block of stages as its walk thread and reduces
-        those stages' buckets, in the firing order restricted to them.  Every
-        bucket's arithmetic reads only its own gradient spans and its own
-        codec state, and its records go through
-        :class:`~repro.parallel.op_order.OpOrder` at its firing position, so
-        gradients, state and the log equal the one-thread run's.
+        ``None`` where the sync runs after the walk instead (:meth:`synchronize`):
+        before a first sync has run (none does at DP 1) and under ``"serial"``.
+        """
+        if not self._allocated or self.schedule_kind == "serial":
+            return None
+        return self._blocks(threads)
+
+    def _blocks(self, threads: int) -> list[FireBlock]:
+        """``blocks[t]``: the buckets of thread ``t``'s stage block, in firing order."""
+        fire = "micro_batch" if self.schedule_kind in SPLIT_BACKWARD_KINDS else self.dp_fire
+        num_stages = self.num_stages
+        threads = max(1, min(threads, num_stages))
+        blocks: list[FireBlock] = [[] for _ in range(threads)]
+        rank = 0
+        for stage_index in range(num_stages - 1, -1, -1):
+            stage_buckets = self._fire_order.get(stage_index, [])
+            for position, bucket in enumerate(stage_buckets):
+                if self.schedule_kind == "serial":
+                    overlapped = False  # nothing leaves before the drain
+                elif fire == "micro_batch":
+                    # Only stage 0's input-side bucket, final last, is exposed.
+                    overlapped = stage_index > 0 or position < len(stage_buckets) - 1
+                else:
+                    overlapped = stage_index > 0  # stage 0 drains last
+                blocks[stage_index * threads // num_stages].append((rank, bucket, overlapped))
+                rank += 1
+        return blocks
+
+    def reduce_block(self, order: OpOrder, block: FireBlock) -> None:
+        """Reduce one thread's buckets, ranked ``(DP degree, firing position)`` in ``order``.
+
+        The ranks follow a pipeline walk's ``(replica, ...)`` ones; a bucket
+        reads only its own spans and codec state, so any split is exact.
+        """
+        grad_buffers = [arena.grad for arena in self.arenas]
+        for rank, bucket, overlapped in block:
+            order.at((self.data_parallel_degree, rank))
+            group = self._group(overlapped)
+            if isinstance(bucket, CodecBucket):
+                self.hook.reduce_codec_bucket(bucket, grad_buffers, group)
+            else:
+                flats = [grad[bucket.start : bucket.stop] for grad in grad_buffers]
+                self.hook.reduce_bucket(bucket, flats, group)
+
+    def synchronize(self, threads: int = 1) -> None:
+        """Fire every stage's bucket all-reduces after the walk; thread ``t`` reduces block ``t``.
 
         The first sync runs on the calling thread whatever ``threads`` says:
         it allocates the codec buffers the later ones reuse (residual slabs,
@@ -227,53 +251,13 @@ class BucketedDataParallelSync:
         """
         if self.data_parallel_degree == 1:
             return
-        # The split-backward schedules (zb1/auto) finalise gradients per W
-        # pass (deepest layers first), so micro-batch granularity is their
-        # native firing mode whatever ``dp_fire`` says.
-        fire = "micro_batch" if self.schedule_kind in SPLIT_BACKWARD_KINDS else self.dp_fire
-        num_stages = self.num_stages
-        threads = max(1, min(threads, num_stages)) if self._allocated else 1
-        # blocks[t]: thread t's (firing position, bucket, overlapped) triples.
-        blocks: list[list[tuple[int, GradientBucket | CodecBucket, bool]]] = [
-            [] for _ in range(threads)
-        ]
-        rank = 0
-        for stage_index in range(num_stages - 1, -1, -1):
-            stage_buckets = self._fire_order.get(stage_index, [])
-            for position, bucket in enumerate(stage_buckets):
-                if self.schedule_kind == "serial":
-                    # The overlap-off ablation: nothing leaves before the whole
-                    # pipeline has drained, so nothing hides under compute.
-                    overlapped = False
-                elif fire == "micro_batch":
-                    # Every bucket overlaps the remaining backward compute
-                    # except the very last one to become ready: stage 0's
-                    # input-side bucket, which completes only when the whole
-                    # pipeline has drained.
-                    overlapped = not (
-                        stage_index == 0 and position == len(stage_buckets) - 1
-                    )
-                else:
-                    # Stage granularity: everything issued before stage 0's
-                    # drain hides in the cool-down; stage 0's traffic cannot.
-                    overlapped = stage_index > 0
-                blocks[stage_index * threads // num_stages].append((rank, bucket, overlapped))
-                rank += 1
-        grad_buffers = [arena.grad for arena in self.arenas]
         order = OpOrder()
-
-        def reduce_block(_: int, block) -> None:
-            for rank, bucket, overlapped in block:
-                order.at(rank)
-                group = self._group(overlapped)
-                if isinstance(bucket, CodecBucket):
-                    self.hook.reduce_codec_bucket(bucket, grad_buffers, group)
-                else:
-                    flats = [grad[bucket.start : bucket.stop] for grad in grad_buffers]
-                    self.hook.reduce_bucket(bucket, flats, group)
-
         try:
-            fork_join(reduce_block, blocks, name="dp-sync")
+            fork_join(
+                lambda _, block: self.reduce_block(order, block),
+                self._blocks(threads if self._allocated else 1),
+                name="dp-sync",
+            )
         finally:
             order.commit()
         self._allocated = True

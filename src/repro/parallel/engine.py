@@ -1,12 +1,13 @@
 """Unified 3D-parallel execution engine.
 
-This module composes the three parallelism axes that the repo previously only
-exercised in isolation into **one** training iteration:
+One training iteration composes the three parallelism axes:
 
-* ``data_parallel_degree`` replicas, each running the existing functional
-  :class:`~repro.parallel.pipeline_engine.PipelineParallelEngine` over its shard of
-  micro-batches (pipeline parallelism, with compressed backpropagation hooks on the
-  backward inter-stage channel);
+* ``data_parallel_degree`` replicas of the functional pipeline
+  (:class:`~repro.parallel.pipeline_engine.PipelineParallelEngine`, with
+  compressed backpropagation hooks on the backward inter-stage channel), all
+  walked as one pipeline under the ``serial`` executor
+  (:func:`~repro.parallel.pipeline_engine.walk_pipelines`), one per forked
+  worker under ``process``;
 * a **compressed data-parallel all-reduce** at the DP boundary — PowerSGD (the
   paper's distributed factor all-reduce), QSGD, or top-k, each with
   error-feedback residuals in per-bucket slabs, reusing :mod:`repro.compression`;
@@ -18,24 +19,21 @@ exercised in isolation into **one** training iteration:
   :mod:`repro.parallel.tensor_parallel`), while the intra-node all-reduce traffic is
   accounted through :mod:`repro.parallel.collectives`.
 
-Execution core (PR 2): parameters and gradients live in flat
+Parameters and gradients live in flat
 :class:`~repro.parallel.arena.ParameterArena` buffers with per-parameter views.
-"Replicated" is a storage fact: the DP replicas' arenas share **one** weight buffer
-(the model is built once; the other replicas are copies whose parameters view it)
-and each keeps only its own gradient buffer, so the group has one
-:class:`repro.optim.FusedAdam` (:meth:`ThreeDParallelEngine.build_optimizer`) that
-updates the weights once, in a handful of vectorised ops.  The DP boundary is
-synchronised by one :class:`~repro.parallel.data_parallel.BucketedDataParallelSync`:
-size-targeted flat gradient buckets fired in backward-completion order (last stage
-first), modelling the paper's overlap of DP traffic with the pipeline cool-down —
-with per-bucket overlapped/exposed accounting.  Codec-selected parameters ride the
-same bucketed path: :class:`~repro.parallel.arena.CodecBucket` groups are
-compressed in one codec invocation per bucket on the flat arena views, with
-error-feedback residuals in per-bucket slabs.  ``Schedule(kind="serial")`` fires
-the same buckets after the pipeline has drained, every one of them exposed (the
-overlap-off ablation; bit-for-bit the same weights); ``Schedule.dp_fire`` picks
-the firing granularity of the overlapped buckets (stage drain vs. inside the
-final micro-batch's backward).
+The DP replicas' arenas share **one** weight buffer (the model is built once;
+the other replicas are copies whose parameters view it) and each keeps only its
+own gradient buffer, so the group has one :class:`repro.optim.FusedAdam`
+(:meth:`ThreeDParallelEngine.build_optimizer`).  The DP boundary is synchronised
+by one :class:`~repro.parallel.data_parallel.BucketedDataParallelSync`:
+size-targeted flat gradient buckets, and :class:`~repro.parallel.arena.CodecBucket`
+groups for the codec-selected parameters, fired in backward-completion order
+(last stage first) — under ``serial`` by each stage block's walk thread as soon
+as its block drains, overlapping the pipeline cool-down as the paper's DP
+traffic does.  ``Schedule(kind="serial")`` fires the same buckets after the
+pipeline has drained, every one of them exposed (the overlap-off ablation;
+bit-for-bit the same weights); ``Schedule.dp_fire`` picks the firing
+granularity the overlapped buckets are accounted at.
 
 Everything is routed through one :class:`~repro.parallel.collectives.CommunicationLog`
 so per-axis and per-boundary traffic can be reported exactly — the numbers behind
@@ -79,6 +77,7 @@ from repro.parallel.pipeline_engine import (
     WIRE_BYTES_PER_ELEMENT,
     InterStageChannel,
     PipelineParallelEngine,
+    walk_pipelines,
     walk_threads,
 )
 from repro.parallel.tensor_parallel import ColumnParallelLinear, RowParallelLinear
@@ -400,14 +399,20 @@ class EngineIterationResult:
     #: retries); populated only when a fault injector is wired.
     resilience: "ResilienceReport | None" = None
     # How the iteration ran, not what it produced: left out of equality.
-    #: Threads each replica's walk, the DP sync and the optimiser step run
-    #: on (:func:`~repro.parallel.pipeline_engine.walk_threads` of the
-    #: replica runs at once).
+    #: Threads the walk, the DP sync and the optimiser step run on
+    #: (:func:`~repro.parallel.pipeline_engine.walk_threads`).
     threads: int = field(default=1, compare=False)
-    #: Seconds of the replicas' pipeline runs (all replicas, either executor).
+    #: Seconds of the pipeline walk(s), under ``serial`` the in-walk DP reduce too.
     walk_s: float = field(default=0.0, compare=False)
-    #: Seconds of the bucketed DP gradient sync.
+    #: Seconds of the DP sync after the walk: the first, the ``serial`` kind's
+    #: and every one under ``process``; 0.0 where it ran in the walk.
     dp_sync_s: float = field(default=0.0, compare=False)
+    #: ``serial`` executor only: busy seconds per op kind per stage, wait
+    #: seconds per stage, and per walk thread the seconds after its block
+    #: drained (its DP reduce, where that runs in the walk).
+    op_busy_s: dict[str, list[float]] = field(default_factory=dict, compare=False)
+    stage_wait_s: list[float] = field(default_factory=list, compare=False)
+    reduce_s: list[float] = field(default_factory=list, compare=False)
     #: Seconds of the embedding sync.
     embedding_sync_s: float = field(default=0.0, compare=False)
     #: Seconds of the optimiser step, filled in by the loop that steps
@@ -486,12 +491,11 @@ def _load_hook_states(hooks, states) -> None:
 
 @dataclass
 class ReplicaResult:
-    """What one replica's pipeline run produced, inline or in a worker (its reply).
+    """What one replica's pipeline run in a worker produced (its reply).
 
     ``state`` and ``diagnostics`` belong to the replica's one compression
-    hook, its channel's ``backward_hook`` (``diagnostics`` is empty where it
-    is off); ``state`` is ``None`` after an inline run, whose hook already is
-    the parent's, and where the hook is off.
+    hook, its channel's ``backward_hook`` (``None`` and empty where it is
+    off).
     """
 
     loss: float
@@ -517,20 +521,19 @@ def replica_runs_at_once(executor: str, replicas: int) -> int:
     """How many replica runs execute at once, sharing the usable cores.
 
     Every replica under the ``process`` executor (one worker each); one under
-    ``serial``, which runs them one after another.
+    ``serial``, which runs them all in one walk.
     """
     return replicas if executor == "process" else 1
 
 
-def run_replica(pipeline_engine, batches, replica_runs: int, state=None) -> ReplicaResult:
-    """Run one replica's pipeline iteration and take out what it appended.
+def run_replica(pipeline_engine, batches, replica_runs: int, state) -> ReplicaResult:
+    """Run one replica's pipeline iteration in a worker and take out what it appended.
 
     This run's slices of the channel log and of the hook's ``diagnostics``
     are removed from those lists and returned.
     ``replica_runs`` (:func:`replica_runs_at_once`) bounds the threads its
-    pipeline walk spreads over.  ``state`` (a worker's ``run`` message) is
-    loaded first and the new state returned; inline it is ``None``, and no
-    hook state is copied.
+    pipeline walk spreads over.  ``state`` (the ``run`` message's; ``None``
+    where the hook is off) is loaded first and the new state returned.
     """
     hook = pipeline_engine.channel.backward_hook
     if state is not None:
@@ -545,22 +548,6 @@ def run_replica(pipeline_engine, batches, replica_runs: int, state=None) -> Repl
         state=hook.state_dict() if state is not None else None,
         diagnostics=_take_since(diagnostics, diagnostic_mark),
     )
-
-
-def merge_replica_results(engine: "ThreeDParallelEngine", results) -> list[float]:
-    """Apply the replicas' results to the parent in replica order; returns the losses.
-
-    The one place replica results reach the parent, under either executor, so
-    the log is record-for-record the same whichever executor ran them.
-    """
-    for pipeline_engine, result in zip(engine.pipeline_engines, results):
-        engine.log.records.extend(result.records)
-        hook = pipeline_engine.channel.backward_hook
-        if hook is not None:
-            if result.state is not None:
-                hook.load_state_dict(result.state)
-            hook.diagnostics.extend(result.diagnostics)
-    return [result.loss for result in results]
 
 
 class ThreeDParallelEngine:
@@ -710,7 +697,6 @@ class ThreeDParallelEngine:
         #: ``_ensure_process_executor``; ``None`` means nothing is captured.
         self.recovery_point: RecoveryPoint | None = None
         self._iteration_index = 0
-        self._stage_spans_cache: list[list[list[tuple[int, int]]]] | None = None
 
         # Process-parallel execution (repro.exec): started lazily on the first
         # run_iteration so that engines which are built but never stepped (plan
@@ -841,6 +827,13 @@ class ThreeDParallelEngine:
         held before, so no ``zero_grad`` is needed first); they are left in the
         stage parameters, synchronised across replicas.  The optimiser step is
         the caller's.
+
+        Under the ``serial`` executor every replica runs in one walk, and the
+        thread of each stage block, once the block has drained, poisons its
+        scheduled gradient faults and reduces its DP buckets with no barrier
+        (except the first sync and the ``serial`` kind's, which run after the
+        walk, as everything does under ``process``).  The collective-fault
+        retries and the embedding sync (stage 0 and ``pp - 1``) follow.
         """
         if len(per_replica_micro_batches) != self.data_parallel_degree:
             raise ValueError(
@@ -864,47 +857,66 @@ class ThreeDParallelEngine:
         executor = self._ensure_process_executor() if self.executor_kind == "process" else None
         if self.recovery_point is not None:
             self.recovery_point.capture()
+        report_before = self.resilience.copy()
+        injector = self.fault_injector
+        threads = walk_threads(
+            self.num_stages, replica_runs_at_once(self.executor_kind, self.data_parallel_degree)
+        )
+        sync = self.bucketed_sync
+        walk, reduce_s = None, []
         walk_started = perf_counter()
         if executor is not None:
-            # Per-replica pipelines run concurrently in forked workers over
-            # shared-memory arenas; everything order-sensitive below (fault
-            # injection, DP sync, embedding sync) stays in this process, so the
-            # result is bit-for-bit the serial loop's.  With supervision armed
-            # the run is additionally self-healing: worker crashes and hangs
-            # are respawned and the iteration replayed bit-exactly from the
-            # recovery point captured above.
+            # One forked worker per replica over shared-memory arenas; what is
+            # order-sensitive (fault injection, the syncs) stays here.  Under
+            # supervision crashed or hung workers are respawned and the
+            # iteration replayed bit-exactly from the recovery point above.
             if self._supervisor is not None:
                 results = self._supervisor.run(normalised, self._iteration_index)
             else:
                 results, failures = executor.run_collect(normalised, self._iteration_index)
                 if failures:
                     raise failures[min(failures)]
+            # The one place worker results reach the parent, in replica order,
+            # so the log reads as the serial walk leaves it.
+            for pipeline_engine, result in zip(self.pipeline_engines, results):
+                self.log.records.extend(result.records)
+                hook = pipeline_engine.channel.backward_hook
+                if hook is not None:
+                    hook.load_state_dict(result.state)
+                    hook.diagnostics.extend(result.diagnostics)
+            mean_loss = float(np.mean([result.loss for result in results]))
+            # The workers' hook-state arrays are copied into the hooks by now: free
+            # them before the syncs allocate, or a later fork inherits a fuller heap.
+            del results, result
+            self._log_tensor_parallel_traffic(shapes)
+            applied = [self._corrupt_gradients()]
+            blocks = None
         else:
-            replica_runs = replica_runs_at_once(self.executor_kind, self.data_parallel_degree)
-            results = [
-                run_replica(engine, replica_batches, replica_runs)
-                for engine, replica_batches in zip(self.pipeline_engines, normalised)
-            ]
+            blocks = sync.walk_blocks(threads) if sync is not None else None
+            applied = [[] for _ in range(threads)]
+            reduce_s = [0.0] * threads
+
+            def drained(block: int, order) -> None:
+                started = perf_counter()
+                if block == 0:
+                    # Ranked after every walk op, before the DP records.
+                    order.at((self.data_parallel_degree, -1))
+                    self._log_tensor_parallel_traffic(shapes)
+                # Poison lands before the DP reduce, so it propagates through the
+                # collectives and error feedback like a real numerical blow-up.
+                applied[block] = self._corrupt_gradients(block, threads)
+                if blocks is not None:
+                    sync.reduce_block(order, blocks[block])
+                reduce_s[block] = perf_counter() - started
+
+            walk = walk_pipelines(self.pipeline_engines, normalised, threads, drained)
+            mean_loss = walk.mean_loss
         walk_s = perf_counter() - walk_started
-        losses = merge_replica_results(self, results)
-        # The workers' hook-state arrays are copied into the hooks by now: free
-        # them before the syncs allocate, or a later fork inherits a fuller heap.
-        del results
-
-        self._log_tensor_parallel_traffic(shapes)
-
-        report_before = self.resilience.copy()
-        injector = self.fault_injector
+        for spec in (spec for block_specs in applied for spec in block_specs):
+            self.resilience.record_fault(spec.kind)
         if injector is not None:
-            # Gradient corruption lands after the backward pass and before the
-            # DP sync, so the poison propagates through the collectives (and
-            # into the error-feedback state) like a real numerical blow-up.
-            for spec in injector.corrupt_gradients(
-                self._iteration_index, self.arenas, self._stage_parameter_spans()
-            ):
-                self.resilience.record_fault(spec.kind)
-            # Transient collective faults fire at the sync entry point, before
-            # any gradient is mutated by the all-reduce — retrying is sound.
+            # Transient collective faults are accounted at the sync: a retry
+            # resends what no reduce has consumed, so it is sound.
             attempt = 0
             while injector.collective_fault_pending(self._iteration_index, attempt):
                 if attempt >= self.guardrails.max_collective_retries:
@@ -919,18 +931,9 @@ class ThreeDParallelEngine:
                 )
                 attempt += 1
 
-        # The DP sync (and the caller's optimiser step) run on as many
-        # threads as a live replica's walk, thread t reducing its own stage
-        # block's buckets.
-        threads = walk_threads(
-            self.num_stages, replica_runs_at_once(self.executor_kind, self.data_parallel_degree)
-        )
         dp_started = perf_counter()
-        if self.bucketed_sync is not None:
-            # Bucket all-reduces in backward-completion order (last stage
-            # first): hidden under the pipeline cool-down, or all exposed
-            # after the drain under ``serial``.
-            self.bucketed_sync.synchronize(threads)
+        if sync is not None and blocks is None:
+            sync.synchronize(threads)
         embedding_started = perf_counter()
         self.embedding_sync.synchronize()
         embedding_s = perf_counter() - embedding_started
@@ -940,7 +943,7 @@ class ThreeDParallelEngine:
             self.log.records[record_mark:]
         )
         return EngineIterationResult(
-            mean_loss=float(np.mean(losses)),
+            mean_loss=mean_loss,
             num_micro_batches=len(normalised[0]),
             axis_wire_bytes=wire,
             axis_compressed_fraction=fractions,
@@ -954,25 +957,26 @@ class ThreeDParallelEngine:
             walk_s=walk_s,
             dp_sync_s=embedding_started - dp_started,
             embedding_sync_s=embedding_s,
+            op_busy_s=walk.op_busy_s if walk is not None else {},
+            stage_wait_s=walk.stage_wait_s if walk is not None else [],
+            reduce_s=reduce_s,
         )
 
     # -- resilience --------------------------------------------------------------------
 
-    def _stage_parameter_spans(self) -> list[list[list[tuple[int, int]]]]:
-        """``[replica][stage] -> [(start, stop), ...]`` arena spans of trainable params."""
-        if self._stage_spans_cache is None:
-            self._stage_spans_cache = [
-                [
-                    [
-                        arena.span(parameter)
-                        for parameter in stage.parameters()
-                        if parameter.requires_grad
-                    ]
-                    for stage in replica
-                ]
-                for replica, arena in zip(self.replicas, self.arenas)
+    def _corrupt_gradients(self, block: int = 0, threads: int = 1) -> list:
+        """Poison this iteration's NaN/Inf faults into walk thread ``block``'s stages; the specs applied."""
+        if self.fault_injector is None:
+            return []
+        spans = [  # [replica][stage] -> the arena spans of its trainable parameters
+            [
+                [arena.span(p) for p in stage.parameters() if p.requires_grad]
+                if index * threads // self.num_stages == block else []
+                for index, stage in enumerate(replica)
             ]
-        return self._stage_spans_cache
+            for replica, arena in zip(self.replicas, self.arenas)
+        ]
+        return self.fault_injector.corrupt_gradients(self._iteration_index, self.arenas, spans)
 
     def drop_replica(self, index: int) -> None:
         """Permanently remove one DP replica and shrink the group (degradation).
@@ -999,7 +1003,6 @@ class ThreeDParallelEngine:
         del self.pipeline_engines[index]
         self.arenas[index].leave_group()  # shrinks self.arenas; the weights stay put
         self.data_parallel_degree -= 1
-        self._stage_spans_cache = None
         self.dp_reduce.clear_replica_state()
         self.bucketed_sync = self._build_bucketed_sync()
         self.embedding_sync = self._build_embedding_sync()

@@ -1,9 +1,8 @@
 """Running blocks of one phase on threads, and containers whose order survives it.
 
-An iteration's three threaded phases — a replica's pipeline walk
-(:meth:`~repro.parallel.pipeline_engine.PipelineParallelEngine.run_iteration`),
-the DP bucket reduce
-(:meth:`~repro.parallel.data_parallel.BucketedDataParallelSync.synchronize`)
+An iteration's threaded phases — the pipeline walk with its in-walk DP
+reduce (:func:`~repro.parallel.pipeline_engine.walk_pipelines`), a DP sync
+after it (:meth:`~repro.parallel.data_parallel.BucketedDataParallelSync.synchronize`)
 and the optimiser step (:meth:`~repro.optim.fused_adam.FusedAdam.step`) —
 all fork and join through :func:`fork_join`: block 0 on the calling thread,
 every other block on a thread of its own, everything joined before it
@@ -115,9 +114,9 @@ class OpOrder:
     """The held-back appends and insertions of one phase, committed in op rank order."""
 
     def __init__(self) -> None:
-        self._pending: list[tuple[int, OpOrderedList | OpOrderedDict, object]] = []
+        self._pending: list[tuple[tuple, OpOrderedList | OpOrderedDict, object]] = []
 
-    def at(self, rank: int) -> None:
+    def at(self, rank: tuple) -> None:
         """This thread now runs the phase's op ``rank``: hold its appends back."""
         _walk.pending = self._pending
         _walk.rank = rank

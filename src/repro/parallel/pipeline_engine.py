@@ -1,61 +1,59 @@
 """Functional pipeline-parallel training engine.
 
-The engine runs one pipeline (one data-parallel replica) over a mini-batch split
-into micro-batches, producing exactly the gradients the single-device reference
-model would produce when no compression is enabled.  All inter-stage traffic flows
-through an :class:`InterStageChannel`, whose backward path exposes the hook that the
-paper's compressed backpropagation plugs into.
+The engine runs the pipelines of one or more data-parallel replicas over a
+mini-batch split into micro-batches, producing exactly the gradients the
+single-device reference model would produce when no compression is enabled.
+All inter-stage traffic flows through an :class:`InterStageChannel`, whose
+backward path exposes the hook that the paper's compressed backpropagation
+plugs into.
 
 Execution order
 ---------------
-Every schedule kind runs one executor.  :meth:`PipelineParallelEngine.run_iteration`
-builds the kind's per-stage op lists (:func:`~repro.parallel.scheduler.schedule_ops`:
+Every schedule kind runs one executor, :func:`walk_pipelines`.  It builds the
+kind's per-stage op lists (:func:`~repro.parallel.scheduler.schedule_ops`:
 1F1B for ``"1f1b"``/``"serial"``, the handcrafted ZB-H1 for ``"zb1"``, the
-synthesizer's output for ``"auto"``) and executes them in the order
-:func:`~repro.parallel.pipeline_schedule.replay_ops` visits them.  That walk is
-the one the synthesizer's evaluator and the timing simulator fold over, and its
-order depends only on which producers have run, never on op times, so the order
-the engine executes is the order they time.  A fused ``"backward"`` op is
-:meth:`~repro.nn.gpt_stage.GPTStage.backward`; the split-backward kinds run its
-two halves as separate ops, an activation-gradient pass
-(:meth:`~repro.nn.gpt_stage.GPTStage.backward_input`, B) and a deferred
-weight-gradient pass (:meth:`~repro.nn.gpt_stage.GPTStage.backward_weight`, W).
-A stage therefore holds exactly the forward activations its op list has in
-flight — ``min(pp - stage, mb)`` under 1F1B, not every micro-batch's.
+synthesizer's output for ``"auto"``) over every replica's micro-batches,
+replica after replica, and executes them in the order
+:func:`~repro.parallel.pipeline_schedule.replay_ops` visits them — the walk
+the synthesizer's evaluator and the timing simulator fold over, whose order
+depends only on which producers have run, never on op times.  A fused
+``"backward"`` op is :meth:`~repro.nn.gpt_stage.GPTStage.backward`; the
+split-backward kinds run its halves as separate ops, B
+(:meth:`~repro.nn.gpt_stage.GPTStage.backward_input`) and a deferred W
+(:meth:`~repro.nn.gpt_stage.GPTStage.backward_weight`).  A stage therefore
+holds exactly the activations its op list has in flight (``min(pp - stage,
+micro-batches)`` under 1F1B), one replica's stage never more than its own
+list would.
 
-The stages run concurrently, and a thread owns its stage block for the
-whole iteration.  The walk's order is split by stage: on :func:`walk_threads`
-threads, each owning a contiguous block of stages and visiting that order
-restricted to them, blocking only on an activation or activation gradient
-another thread hands over (keyed ``(stage, micro_batch)``, under one
-:class:`threading.Condition`).  Each thread takes its ops in the walk's order
-and every producer comes before its consumer in it, so no split can
-deadlock; on one thread the walk is the plain loop.  The same split carries
-on past the walk:
-:meth:`~repro.parallel.data_parallel.BucketedDataParallelSync.synchronize`
-reduces each block's DP buckets on that block's thread, and
-:meth:`~repro.optim.fused_adam.FusedAdam.step` cuts its update into as many
-contiguous arena spans.  All three fork and join through one helper,
-:func:`~repro.parallel.op_order.fork_join`.
+A thread owns its stage block, of every replica, for the whole iteration:
+on :func:`walk_threads` threads, each walks the order restricted to its
+contiguous block of stages, blocking only on an activation or activation
+gradient another thread hands over (keyed ``(replica, stage, micro_batch)``,
+under one :class:`threading.Condition`).  Every producer comes before its
+consumer, so no split can deadlock.  Thread 0 runs the next replica's
+forwards while the last stage drains this one's, and a drained block's
+thread goes on, with no barrier, to the caller's ``drained`` step — the DP
+reduce of its block, which so overlaps stage 0's drain.  Every threaded
+phase forks and joins through :func:`~repro.parallel.op_order.fork_join`.
 
-Within one iteration no weights change, so the numerical result depends on two
-orders only, and every valid op list keeps both ascending in micro-batch: each
-boundary's backward transfers (lazy error propagation carries a residual from
-one micro-batch's transfer to the next across that boundary) and each stage's
-gradient accumulation (floating-point sums are order-sensitive).  The weights
-are therefore bit-for-bit identical whichever valid schedule is walked (the
-parity tests hold every kind to a frozen phase-ordered loop), and on any
-number of threads: both orders belong to one stage, so to one thread, and so
-does each boundary's codec state (its sending stage's).  The order of what a
-walk appends — the channel log's records and the backward hook's Fig. 11
-``diagnostics`` — is observable too, so those lists are
+Within one iteration no weights change, so the numerical result depends on
+two orders only, both ascending in micro-batch in every valid op list, so in
+each replica's: each boundary's backward transfers (lazy error propagation
+carries a residual from one micro-batch's transfer to the next, in each
+replica's hook) and each stage's gradient accumulation (floating-point sums
+are order-sensitive).  The weights are therefore bit-for-bit identical
+whichever valid schedule is walked (the parity tests hold every kind to a
+frozen phase-ordered loop), over one replica or all, on any number of
+threads: both orders belong to one stage of one replica, so to one thread.
+What a walk appends — the channel log's records and the backward hook's
+Fig. 11 ``diagnostics`` — is observable too, so those lists are
 :class:`~repro.parallel.op_order.OpOrderedList` lists: an op's appends are
-held back and committed after the threads are joined, in the walk's order, so
-every log is record-for-record the one-thread walk's; a hook's per-key
-state dicts are :class:`~repro.parallel.op_order.OpOrderedDict` dicts, so
-their keys (and a checkpoint's layout) keep the one-thread order too.
-Threads are started and joined inside one call, so none is alive when a
-worker is forked.
+committed after the join, ranked ``(replica, its rank in that replica's own
+walk)``, so every log reads record-for-record as one-replica one-thread
+walks (a process worker's) leave it; a hook's per-key state dicts are
+:class:`~repro.parallel.op_order.OpOrderedDict` dicts, so their keys (and a
+checkpoint's layout) keep that order too.  Threads are started and joined
+inside one call, so none is alive when a worker is forked.
 
 Interleaved lists (``num_model_chunks > 1``) are not executed here:
 :class:`~repro.parallel.engine.ThreeDParallelEngine` refuses them at
@@ -94,17 +92,14 @@ BackwardCommHook = Callable[
 ]
 
 def walk_threads(num_stages: int, replica_runs: int = 1) -> int:
-    """Threads one replica's pipeline walk runs on.
+    """Threads a pipeline walk runs on.
 
     ``min(num_stages, usable cores // (replica_runs x BLAS threads))``, at
     least 1: every walk thread of every replica run that executes at once
-    (``replica_runs``, see
-    :func:`~repro.parallel.engine.replica_runs_at_once`) may drive a BLAS call
-    on :func:`~repro.utils.cores.blas_threads` threads.  So a walk spreads
-    over the cores only where BLAS is pinned below them; with BLAS unpinned
-    it keeps to one thread: on a 2-core x86 VM, two walk threads each driving
-    a pool the size of the machine ran the benchmark's ``train_dense`` ~1.6x
-    slower than one.
+    (:func:`~repro.parallel.engine.replica_runs_at_once`) may drive a BLAS
+    call on :func:`~repro.utils.cores.blas_threads` threads.  With BLAS
+    unpinned a walk keeps to one thread: on a 2-core x86 VM, two walk threads
+    each driving a machine-wide pool ran ``train_dense`` ~1.6x slower.
     """
     budget = usable_cores() // (max(1, replica_runs) * blas_threads())
     return max(1, min(num_stages, budget))
@@ -112,25 +107,27 @@ def walk_threads(num_stages: int, replica_runs: int = 1) -> int:
 
 @dataclass
 class IterationResult:
-    """Outcome of one pipeline iteration (before the optimiser step).
-
-    Its traffic is what the iteration appended to the channel's log.
-    """
+    """Outcome of one pipeline walk; its traffic is what it appended to the channels' log."""
 
     mean_loss: float
     num_micro_batches: int
     # How the iteration ran, not what it produced: left out of equality.
     #: Threads the stages walked on (:func:`walk_threads`).
     threads: int = field(default=1, compare=False)
-    #: Per stage, seconds its ops ran.
-    stage_busy_s: list[float] = field(default_factory=list, compare=False)
+    #: Per op kind, per stage: seconds that stage's ops of that kind ran.
+    op_busy_s: dict[str, list[float]] = field(default_factory=dict, compare=False)
     #: Per stage, seconds its thread blocked on the stage's arrivals from a
     #: stage on another thread (all 0.0 on one thread).
     stage_wait_s: list[float] = field(default_factory=list, compare=False)
 
+    @property
+    def stage_busy_s(self) -> list[float]:
+        """Per stage, seconds its ops ran, of every kind."""
+        return [sum(kinds) for kinds in zip(*self.op_busy_s.values())]
+
 
 class _Arrivals:
-    """Hands activations and activation gradients, keyed ``(stage, micro_batch)``, between walk threads.
+    """Hands activations and activation gradients, keyed ``(replica, stage, micro_batch)``, between walk threads.
 
     One :class:`threading.Condition` guards every put and take.  On one thread
     a take never waits: the canonical order puts every producer first.
@@ -140,12 +137,12 @@ class _Arrivals:
         self._arrived = threading.Condition()
         self._aborted = False
 
-    def put(self, store: dict, key: tuple[int, int], value) -> None:
+    def put(self, store: dict, key: tuple[int, int, int], value) -> None:
         with self._arrived:
             store[key] = value
             self._arrived.notify_all()
 
-    def take(self, store: dict, key: tuple[int, int]):
+    def take(self, store: dict, key: tuple[int, int, int]):
         """Pop ``store[key]``, waiting until it is put; returns ``(value, blocked)``."""
         with self._arrived:
             blocked = key not in store
@@ -220,6 +217,144 @@ class InterStageChannel:
         return delivered
 
 
+def walk_pipelines(
+    engines: Sequence["PipelineParallelEngine"],
+    micro_batches: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
+    threads: int,
+    drained: Callable[[int, OpOrder], None] | None = None,
+) -> IterationResult:
+    """Run forward+backward of every replica's mini-batch as one walk on ``threads`` threads.
+
+    ``engines[r]`` is replica ``r``'s pipeline (one schedule kind and depth)
+    and ``micro_batches[r]`` its ``(token_ids, targets)`` pairs, ``mb`` on
+    each.  The op lists cover ``dp x mb`` micro-batches: global micro-batch
+    ``g`` is replica ``g // mb``'s micro-batch ``g % mb``, with loss scale
+    ``1/mb``, so each replica's gradient is its own mini-batch's mean.  Each
+    thread opens a :func:`~repro.tensor.parameter.gradient_epoch` over its
+    block's parameters: first writes assign, later ones add, and what no op
+    wrote is zero-filled when the block's ops are done, so callers never
+    clear the buffers first.  ``drained(t, order)`` then runs on thread
+    ``t``, in the walk's :class:`~repro.parallel.op_order.OpOrder`.
+    """
+    num_micro_batches = len(micro_batches[0])
+    if num_micro_batches == 0 or any(len(batches) != num_micro_batches for batches in micro_batches):
+        raise ValueError("run_iteration requires at least one micro-batch, as many on every replica")
+    first = engines[0]
+    num_stages = first.num_stages
+    untimed = dict.fromkeys(OP_KINDS, (0.0,) * num_stages)
+
+    def walk(count: int) -> list[tuple[int, PipelineOp, float, float]]:
+        # "auto" runs the synthesizer with the analytic unit-cost split (F=1,
+        # B=2, W=1 — the recompute-free transformer ratio) and the engine's
+        # memory cap.  The engine is timing-free, so any dependency-valid list
+        # yields identical weights; the costs only shape which one is chosen.
+        schedule = schedule_ops(
+            first.schedule_kind,
+            num_stages,
+            count,
+            lambda: SynthesisSpec(
+                num_stages=num_stages,
+                num_micro_batches=count,
+                costs=(StageCosts(1.0, 2.0, 1.0),) * num_stages,
+                memory_cap_factor=first.memory_cap_factor,
+            ),
+        )
+        return list(replay_ops(schedule, untimed, lambda op, consumer: 0.0))
+
+    merged = walk(len(engines) * num_micro_batches)
+    # An op's rank in its replica's own walk; a W pass appends nothing and
+    # takes its B pass's rank (a fused list has no W of its own).
+    own_rank: dict[tuple[int, int, bool], int] = {}
+    own = merged if len(engines) == 1 else walk(num_micro_batches)
+    for rank, (stage_index, op, _, _) in enumerate(own):
+        own_rank.setdefault((stage_index, op.micro_batch, op.kind == "forward"), rank)
+    # Thread t owns a contiguous block of stages, of every replica, and walks
+    # the merged order restricted to them.
+    blocks: list[list] = [[] for _ in range(threads)]
+    for stage_index, op, _, _ in merged:
+        replica, micro_batch = divmod(op.micro_batch, num_micro_batches)
+        rank = (replica, own_rank[(stage_index, micro_batch, op.kind == "forward")])
+        blocks[stage_index * threads // num_stages].append(
+            (rank, replica, stage_index, op.kind, micro_batch)
+        )
+    loss_scale = 1.0 / num_micro_batches
+    caches: dict[tuple[int, int, int], StageCache] = {}
+    losses = [[0.0] * num_micro_batches for _ in engines]  # filled by the last stage
+    activations: dict[tuple[int, int, int], np.ndarray] = {}
+    gradients: dict[tuple[int, int, int], np.ndarray] = {}
+    arrivals = _Arrivals()
+    order = OpOrder()
+    busy = {kind: [0.0] * num_stages for kind in OP_KINDS}
+    wait = [0.0] * num_stages
+
+    def run_ops(index: int, ops: list) -> None:
+        last = perf_counter()
+
+        def arrive(store: dict, key: tuple[int, int, int]):
+            nonlocal last
+            value, blocked = arrivals.take(store, key)
+            if blocked:
+                now = perf_counter()
+                wait[key[1]] += now - last
+                last = now
+            return value
+
+        block = [
+            parameter
+            for engine in engines
+            for stage_index, stage in enumerate(engine.stages)
+            if stage_index * threads // num_stages == index
+            for parameter in stage.parameters()
+        ]
+        with gradient_epoch(block):
+            for rank, replica, stage_index, kind, micro_batch in ops:
+                order.at(rank)
+                channel = engines[replica].channel
+                stage = engines[replica].stages[stage_index]
+                key = (replica, stage_index, micro_batch)
+                if kind == "forward":
+                    tokens, targets = micro_batches[replica][micro_batch]
+                    activation = np.asarray(tokens) if stage.is_first else arrive(activations, key)
+                    if stage.is_last:
+                        loss, caches[key] = stage.forward(activation, targets=targets)
+                        losses[replica][micro_batch] = float(loss)
+                    else:
+                        activation, caches[key] = stage.forward(activation)
+                        sent = channel.send_forward(activation, stage_index, micro_batch)
+                        arrivals.put(activations, (replica, stage_index + 1, micro_batch), sent)
+                elif kind == "backward_weight":
+                    stage.backward_weight(caches.pop(key))  # releases the activations
+                else:  # "backward" (fused B + W) or "backward_input" (B)
+                    backward = stage.backward if kind == "backward" else stage.backward_input
+                    # The last stage seeds its backward from the loss (scaled there only).
+                    upstream = None if stage.is_last else arrive(gradients, key)
+                    grad = backward(upstream, caches[key], loss_scale=loss_scale)
+                    if kind == "backward":
+                        del caches[key]  # releases the activations
+                    if stage_index > 0:
+                        sent = channel.send_backward(
+                            grad, stage_index - 1, micro_batch, num_micro_batches
+                        )
+                        arrivals.put(gradients, (replica, stage_index - 1, micro_batch), sent)
+                now = perf_counter()
+                busy[kind][stage_index] += now - last
+                last = now
+        if drained is not None:
+            drained(index, order)
+
+    try:
+        fork_join(run_ops, blocks, name="pipeline-walk", abort=arrivals.abort)
+    finally:
+        order.commit()
+    return IterationResult(
+        mean_loss=float(np.mean([np.mean(replica_losses) for replica_losses in losses])),
+        num_micro_batches=num_micro_batches,
+        threads=threads,
+        op_busy_s=busy,
+        stage_wait_s=wait,
+    )
+
+
 class PipelineParallelEngine:
     """Runs forward/backward over a list of :class:`GPTStage` objects.
 
@@ -283,135 +418,11 @@ class PipelineParallelEngine:
     ) -> IterationResult:
         """Run forward+backward for one mini-batch split into micro-batches.
 
-        ``micro_batches`` is a list of ``(token_ids, targets)`` pairs.  This run
-        is the one producer of the stage parameters' gradients: it opens a
-        :func:`~repro.tensor.parameter.gradient_epoch` over them, so each
-        parameter's first write assigns into its buffer, later micro-batches
-        add, and a parameter no op wrote is zero-filled at the end.  The
-        buffers then hold exactly this mini-batch's gradient (averaged via the
-        ``1/num_micro_batches`` loss scale) whatever they held before, so
-        callers never clear them first.
-
-        The ops of this iteration's schedule run in the order
-        :func:`~repro.parallel.pipeline_schedule.replay_ops` yields them (the
-        times it yields are ignored), on :func:`walk_threads` threads:
-        ``replica_runs`` is how many replica runs share the usable cores at
-        once (:func:`~repro.parallel.engine.replica_runs_at_once`).
+        The one-replica case of :func:`walk_pipelines`, on :func:`walk_threads`
+        threads: ``replica_runs`` is how many replica runs share the usable
+        cores at once (:func:`~repro.parallel.engine.replica_runs_at_once`).
         """
-        num_micro_batches = len(micro_batches)
-        if num_micro_batches == 0:
-            raise ValueError("run_iteration requires at least one micro-batch")
-        num_stages = self.num_stages
-        # "auto" runs the synthesizer with the analytic unit-cost split (F=1,
-        # B=2, W=1 — the recompute-free transformer ratio) and the engine's
-        # memory cap.  The engine is timing-free, so any dependency-valid list
-        # yields identical weights; the costs only shape which one is chosen.
-        schedule = schedule_ops(
-            self.schedule_kind,
-            num_stages,
-            num_micro_batches,
-            lambda: SynthesisSpec(
-                num_stages=num_stages,
-                num_micro_batches=num_micro_batches,
-                costs=(StageCosts(1.0, 2.0, 1.0),) * num_stages,
-                memory_cap_factor=self.memory_cap_factor,
-            ),
-        )
-        loss_scale = 1.0 / num_micro_batches
-
-        caches: list[list[StageCache | None]] = [
-            [None] * num_micro_batches for _ in range(num_stages)
-        ]
-        # losses[mb] — filled by the last stage's forward ops (ascending mb).
-        losses: list[float | None] = [None] * num_micro_batches
-        activations: dict[tuple[int, int], np.ndarray] = {
-            (0, mb): np.asarray(tokens) for mb, (tokens, _) in enumerate(micro_batches)
-        }
-        # The last stage seeds its backward from the loss (loss_scale applies there only).
-        gradients: dict[tuple[int, int], np.ndarray | None] = {
-            (num_stages - 1, mb): None for mb in range(num_micro_batches)
-        }
-
-        untimed = dict.fromkeys(OP_KINDS, (0.0,) * num_stages)
-        walk = replay_ops(schedule, untimed, lambda op, consumer: 0.0)
-        threads = walk_threads(num_stages, replica_runs)
-        # Thread t owns a contiguous block of stages and walks the canonical
-        # order restricted to them.
-        blocks: list[list[tuple[int, int, PipelineOp]]] = [[] for _ in range(threads)]
-        for rank, (stage_index, op, _, _) in enumerate(walk):
-            blocks[stage_index * threads // num_stages].append((rank, stage_index, op))
-        arrivals = _Arrivals()
-        order = OpOrder()
-        busy = [0.0] * num_stages
-        wait = [0.0] * num_stages
-
-        def run_ops(_: int, ops: list[tuple[int, int, PipelineOp]]) -> None:
-            last = perf_counter()
-
-            def arrive(store: dict, stage_index: int, micro_batch: int):
-                nonlocal last
-                value, blocked = arrivals.take(store, (stage_index, micro_batch))
-                if blocked:
-                    now = perf_counter()
-                    wait[stage_index] += now - last
-                    last = now
-                return value
-
-            for rank, stage_index, op in ops:
-                order.at(rank)
-                stage = self.stages[stage_index]
-                micro_batch = op.micro_batch
-                if op.kind == "forward":
-                    activation = arrive(activations, stage_index, micro_batch)
-                    if stage.is_last:
-                        targets = micro_batches[micro_batch][1]
-                        loss, cache = stage.forward(activation, targets=targets)
-                        losses[micro_batch] = float(loss)
-                    else:
-                        activation, cache = stage.forward(activation)
-                        arrivals.put(
-                            activations,
-                            (stage_index + 1, micro_batch),
-                            self.channel.send_forward(activation, stage_index, micro_batch),
-                        )
-                    caches[stage_index][micro_batch] = cache
-                elif op.kind == "backward_weight":
-                    stage.backward_weight(caches[stage_index][micro_batch])
-                    caches[stage_index][micro_batch] = None  # release activations
-                else:  # "backward" (fused B + W) or "backward_input" (B)
-                    backward = stage.backward if op.kind == "backward" else stage.backward_input
-                    grad = backward(
-                        arrive(gradients, stage_index, micro_batch),
-                        caches[stage_index][micro_batch],
-                        loss_scale=loss_scale,
-                    )
-                    if op.kind == "backward":
-                        caches[stage_index][micro_batch] = None  # release activations
-                    if stage_index > 0:
-                        arrivals.put(
-                            gradients,
-                            (stage_index - 1, micro_batch),
-                            self.channel.send_backward(
-                                grad, stage_index - 1, micro_batch, num_micro_batches
-                            ),
-                        )
-                now = perf_counter()
-                busy[stage_index] += now - last
-                last = now
-
-        with gradient_epoch(self.parameters()):
-            try:
-                fork_join(run_ops, blocks, name="pipeline-walk", abort=arrivals.abort)
-            finally:
-                order.commit()
-
-        return IterationResult(
-            mean_loss=float(np.mean(losses)),
-            num_micro_batches=num_micro_batches,
-            threads=threads,
-            stage_busy_s=busy,
-            stage_wait_s=wait,
-        )
+        return walk_pipelines([self], [micro_batches], walk_threads(self.num_stages, replica_runs))
 
     # -- inference ------------------------------------------------------------------
 

@@ -143,6 +143,10 @@ class FrozenPerParameterSync:
         self.hook = hook
         self.log = log if log is not None else CommunicationLog()
 
+    def walk_blocks(self, threads: int) -> None:
+        """``None``: the engine runs the frozen walk after the pipeline walk, never inside it."""
+        return None
+
     def synchronize(self, threads: int = 1) -> None:
         """The frozen walk; ``threads`` (the engine's) is ignored: it runs on the caller."""
         degree = len(self.replicas)

@@ -1,8 +1,9 @@
 """The pipeline walk on several threads: what it may use, and that nothing observable moves.
 
-``PipelineParallelEngine.run_iteration`` walks a replica's stages on
-``walk_threads`` threads: ``min(pp, usable cores // (concurrent replica runs x
-BLAS threads))``.  Asserted here:
+``walk_pipelines`` walks every replica's stages (the serial executor's) or
+one replica's (``PipelineParallelEngine.run_iteration``, a process worker's)
+on ``walk_threads`` threads: ``min(pp, usable cores // (concurrent replica
+runs x BLAS threads))``.  Asserted here:
 
 * **the budget** — usable cores are the affinity mask's size (``repro search``'s
   pool default reads the same helper), BLAS threads are its pinned count (the
@@ -14,11 +15,17 @@ BLAS threads))``.  Asserted here:
   T = 2 and T = pp equal T = 1's;
   the same with more threads than cores and the GIL switched every
   microsecond;
-* **the rest of the iteration** — the DP sync and the ``FusedAdam`` step run
-  on the walk's threads: the DP hook's and the CB hooks' state, in checkpoint
-  order, is part of the matrix above; a split step is the one-range step's
-  bits for any thread count; the parent of a ``process`` run whose workers
-  fill the cores starts no thread;
+* **one walk for every replica** — the serial executor's one walk equals
+  the process executor's walk per replica in weights, records, Fig. 11
+  diagnostics, codec and optimiser state at T = 1, 2 and pp, ``mb < pp``
+  included, and no stage holds more activations than the walked list's
+  window;
+* **the rest of the iteration** — the DP reduce (inside the walk, as soon as
+  a block drains; the first one after it, on the caller) and the
+  ``FusedAdam`` step run on the walk's threads: the DP hook's and the CB
+  hooks' state, in checkpoint order, is part of the matrices above; a split
+  step is the one-range step's bits for any thread count; the parent of a
+  ``process`` run whose workers fill the cores starts no thread;
 * **failure** — a stage or a codec bucket that raises on a helper thread
   re-raises its own exception in the caller, leaves no thread behind and
   never hangs; a poisoned gradient rolls back without a warning on any thread;
@@ -46,12 +53,16 @@ from repro.nn.gpt_stage import build_gpt_stages
 from repro.optim import fused_adam
 from repro.optim.fused_adam import FusedAdam
 from repro.parallel.arena import ParameterArena, bitwise_equal
+from repro.parallel import engine as engine_module
+from repro.parallel import pipeline_engine
 from repro.parallel.engine import ThreeDParallelEngine
 from repro.parallel.pipeline_engine import (
     IterationResult,
     PipelineParallelEngine,
     walk_threads,
 )
+from repro.parallel.pipeline_schedule import replay_ops
+from repro.parallel.scheduler import stage_memory_profile
 from repro.plan import Boundary, ParallelPlan, ResilienceSpec
 from repro.tensor.parameter import Parameter
 from repro.training.trainer import Pretrainer
@@ -67,15 +78,20 @@ def allow_threads(monkeypatch, cores: int) -> None:
 
 
 def report_threads_as_loss(monkeypatch) -> None:
-    """Each replica run reports the threads its walk ran on as its loss."""
-    run = PipelineParallelEngine.run_iteration
+    """Each walk reports the threads it ran on as its loss.
 
-    def reporting(self, micro_batches, replica_runs=1):
-        result = run(self, micro_batches, replica_runs)
+    A walk is a process worker's one replica, or every replica at once under
+    the serial executor.
+    """
+    walk = pipeline_engine.walk_pipelines
+
+    def reporting(*args, **kwargs):
+        result = walk(*args, **kwargs)
         result.mean_loss = float(result.threads)
         return result
 
-    monkeypatch.setattr(PipelineParallelEngine, "run_iteration", reporting)
+    for module in (pipeline_engine, engine_module):
+        monkeypatch.setattr(module, "walk_pipelines", reporting)
 
 
 class TestBudget:
@@ -220,16 +236,31 @@ def flattened(tree, path: str = "") -> list:
     return [(path, repr(tree))]
 
 
-def observables(monkeypatch, cores: int, name: str, kind: str, pp: int):
+def observables(
+    monkeypatch,
+    cores: int,
+    name: str,
+    kind: str,
+    pp: int,
+    executor: str = "serial",
+    micro_batches: int = 4,
+):
     """Weights after two trained iterations, plus every record and state whose order is observable."""
     allow_threads(monkeypatch, cores)
-    plan = PLANS[name]().with_topology(pp=pp, dp=2, micro_batches=4).with_schedule(kind=kind)
+    plan = (
+        PLANS[name]()
+        .with_topology(pp=pp, dp=2, micro_batches=micro_batches)
+        .with_schedule(kind=kind)
+        .with_executor(executor)
+    )
     engine, loader = build(plan)
     optimizer = engine.build_optimizer(lr=1e-3)
-    for iteration in range(2):
-        result = engine.run_iteration(loader.iteration_batches(iteration))
-        optimizer.step(result.threads)
-    assert result.threads == min(cores, pp)
+    with engine:
+        for iteration in range(2):
+            result = engine.run_iteration(loader.iteration_batches(iteration))
+            optimizer.step(result.threads)
+    if executor == "serial":
+        assert result.threads == min(cores, pp)
     hook = engine.cb_hooks[0]
     return (
         engine.arenas[0].data.copy(),
@@ -277,6 +308,75 @@ class TestThreadCountIndependence:
         threaded_weights, *threaded_logs = threaded[0]
         assert np.array_equal(threaded_weights.view(np.uint64), weights.view(np.uint64))
         assert threaded_logs == logs
+
+
+class TestOneWalkForEveryReplica:
+    """The serial executor's one walk over every replica ≡ a process worker's walk per replica."""
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    @pytest.mark.parametrize("kind", ["1f1b", "serial", "zb1", "auto"])
+    @pytest.mark.parametrize(("pp", "micro_batches"), [(4, 2), (2, 4)])
+    def test_every_observable_equals_the_per_replica_walks(
+        self, monkeypatch, kind, name, pp, micro_batches
+    ):
+        """``mb < pp`` too, where the merged 1F1B warm-up is not the per-replica one."""
+        weights, *logs = observables(
+            monkeypatch, 1, name, kind, pp, executor="process", micro_batches=micro_batches
+        )
+        for threads in sorted({1, 2, pp}):
+            merged_weights, *merged_logs = observables(
+                monkeypatch, threads, name, kind, pp, micro_batches=micro_batches
+            )
+            assert np.array_equal(merged_weights.view(np.uint64), weights.view(np.uint64))
+            assert merged_logs == logs
+
+    @pytest.mark.parametrize("kind", ["1f1b", "serial", "zb1", "auto"])
+    @pytest.mark.parametrize(("pp", "micro_batches"), [(4, 2), (2, 4)])
+    def test_no_stage_holds_more_activations_than_the_walked_window(
+        self, monkeypatch, kind, pp, micro_batches
+    ):
+        """A stage holds a forward's activations until its B pass: summed over the
+        replicas, its peak is the walked list's in-flight count, and one replica's
+        stage never holds more than its own list's."""
+        allow_threads(monkeypatch, pp)
+        walked = []
+
+        def recording_replay(schedule, durations, handoff):
+            walked.append(schedule)
+            return replay_ops(schedule, durations, handoff)
+
+        monkeypatch.setattr(pipeline_engine, "replay_ops", recording_replay)
+        plan = (
+            PLANS["baseline"]()
+            .with_topology(pp=pp, dp=2, micro_batches=micro_batches)
+            .with_schedule(kind=kind)
+        )
+        engine, loader = build(plan)
+        live = np.zeros((2, pp), dtype=int)
+        peak = np.zeros((2, pp), dtype=int)
+        stage_peak = [0] * pp
+        for replica, stages in enumerate(engine.replicas):
+            for index, stage in enumerate(stages):
+                # Instance attributes: the fused ``backward`` reaches its B pass
+                # through ``self.backward_input``, so both spellings are counted.
+                def forward(*args, _forward=stage.forward, _at=(replica, index), **kwargs):
+                    live[_at] += 1
+                    peak[_at] = max(peak[_at], live[_at])
+                    stage_peak[_at[1]] = max(stage_peak[_at[1]], live[:, _at[1]].sum())
+                    return _forward(*args, **kwargs)
+
+                def backward_input(*args, _backward_input=stage.backward_input, _at=(replica, index), **kwargs):
+                    live[_at] -= 1
+                    return _backward_input(*args, **kwargs)
+
+                stage.forward = forward
+                stage.backward_input = backward_input
+        engine.run_iteration(loader.iteration_batches(0))
+        assert not live.any()
+        merged, own = sorted(walked, key=lambda schedule: -len(schedule[0]))
+        assert stage_peak == [stage_memory_profile(ops)[0] for ops in merged]
+        own_window = [stage_memory_profile(ops)[0] for ops in own]
+        assert (peak <= own_window).all()
 
 
 class TestSplitStep:
@@ -376,7 +476,8 @@ class TestFailure:
         before = threading.active_count()
         with pytest.raises(CodecFailure) as failure:
             engine.run_iteration(loader.iteration_batches(1))
-        assert failure.value is raised[0] and str(failure.value) == "dp-sync-1"
+        # Raised in stage 1's block reduce, on the walk thread that drained it.
+        assert failure.value is raised[0] and str(failure.value) == "pipeline-walk-1"
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("codec", ["none", "powersgd", "qsgd", "topk"])
@@ -426,21 +527,27 @@ class TestProcessParent:
 
 
     def test_the_first_dp_sync_allocates_on_the_calling_thread(self, monkeypatch):
-        """Its codec buffers stay in the main heap; the syncs after it split."""
+        """Its codec buffers stay in the main heap; later ones reduce on the walk's threads."""
         allow_threads(monkeypatch, 2)
         plan = PLANS["topk_pp_qsgd_dp"]().with_topology(pp=2, dp=2, micro_batches=2)
         engine, loader = build(plan)
-        started: list[str] = []
-        start = threading.Thread.start
+        reduce = engine.dp_reduce.reduce_codec_bucket
+        reduced_on: list[dict[int, set[str]]] = []
 
-        def counted(thread) -> None:
-            started.append(thread.name)
-            start(thread)
+        def recording(bucket, flat_gradients, group):
+            names = reduced_on[-1].setdefault(bucket.stage_index, set())
+            names.add(threading.current_thread().name)
+            reduce(bucket, flat_gradients, group)
 
-        monkeypatch.setattr(threading.Thread, "start", counted)
+        monkeypatch.setattr(engine.dp_reduce, "reduce_codec_bucket", recording)
         for iteration in range(2):
+            reduced_on.append({})
             engine.run_iteration(loader.iteration_batches(iteration))
-            assert started.count("dp-sync-1") == iteration
+        caller = threading.current_thread().name
+        assert reduced_on == [
+            {0: {caller}, 1: {caller}},
+            {0: {caller}, 1: {"pipeline-walk-1"}},
+        ]
 
 
 class TestMeasurements:
@@ -456,6 +563,20 @@ class TestMeasurements:
         assert result == dataclasses.replace(
             result, threads=1, **dict.fromkeys(phases, 0.0)
         )
+
+    def test_the_walk_breakdown_is_reported_per_stage_and_op_kind(self, monkeypatch):
+        allow_threads(monkeypatch, 2)
+        plan = PLANS["topk_pp_qsgd_dp"]().with_topology(pp=2, dp=2, micro_batches=2)
+        trainer = Pretrainer(MODEL, loader_for(plan), plan, seed=5)
+        trainer.train_iteration()  # the first sync runs after the walk
+        trainer.train_iteration()
+        result = trainer.last_iteration_result
+        assert len(result.reduce_s) == 2 and min(result.reduce_s) > 0.0
+        assert result.dp_sync_s < min(result.reduce_s)  # nothing left after the walk
+        assert min(result.op_busy_s["forward"] + result.op_busy_s["backward"]) > 0.0
+        assert result.op_busy_s["backward_input"] == [0.0, 0.0]  # 1F1B runs fused backwards
+        assert len(result.stage_wait_s) == 2
+        assert result == dataclasses.replace(result, op_busy_s={}, stage_wait_s=[], reduce_s=[])
 
     @pytest.mark.parametrize("kind", ["1f1b", "zb1"])
     def test_one_thread_never_waits(self, monkeypatch, rng, kind):

@@ -1,17 +1,18 @@
 """The gradient lifecycle: a pipeline run writes every gradient; nobody clears it first.
 
-``PipelineParallelEngine.run_iteration`` opens a
-:func:`~repro.tensor.parameter.gradient_epoch` over its stages' parameters:
-each parameter's first gradient write in the run assigns into its buffer,
-later writes add, and a parameter nothing wrote is zero-filled when the run
-ends.  Asserted here:
+Each thread of a pipeline walk opens a
+:func:`~repro.tensor.parameter.gradient_epoch` over its stage block's
+parameters: each parameter's first gradient write in the run assigns into
+its buffer, later writes add, and a parameter nothing wrote is zero-filled
+when the block's ops are done.  Asserted here:
 
 * **prior-content independence** — gradient buffers filled with NaN before a
   run give the same synchronised gradients, and the same weights after several
   trainer iterations, as zeroed ones: serial and process executors, the
   fused-backward and split-backward schedules, uncompressed, the paper's stack
   and the qsgd + top-k codecs;
-* **epoch edges** — an unwritten parameter reads exact zeros after a run,
+* **epoch edges** — an unwritten parameter reads exact zeros after a run
+  and as soon as its block drains (what the in-walk DP reduce reads),
   outside a run every ``accumulate_*`` adds, the first write inside one is
   bit-identical to adding into zeros, and back-to-back runs each produce one
   iteration's gradient.
@@ -28,7 +29,7 @@ from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCor
 from repro.models.gpt_configs import functional_config
 from repro.nn.gpt_stage import build_gpt_stages
 from repro.nn.transformer import GPTModelConfig
-from repro.parallel.pipeline_engine import PipelineParallelEngine
+from repro.parallel.pipeline_engine import PipelineParallelEngine, walk_pipelines
 from repro.plan import Boundary, ParallelPlan
 from repro.tensor.parameter import Parameter, gradient_epoch
 from repro.training.trainer import Pretrainer
@@ -123,6 +124,21 @@ class TestEpochEdges:
         engine.run_iteration(tiny_batches(rng))
         assert unused.grad.view(np.uint64).tolist() == np.zeros((3, 4)).view(np.uint64).tolist()
         assert not unused.grad_stale
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_drained_block_reads_exact_zeros_where_no_op_wrote(self, rng, threads):
+        """The in-walk DP reduce reads a block's gradients as soon as the block drains."""
+        stages = build_gpt_stages(TINY, 2, seed=0)
+        unused = stages[1].register_parameter("unused", Parameter(np.ones((3, 4))))
+        unused.grad.fill(np.nan)
+        seen = []
+
+        def drained(block, order):
+            if block == threads - 1:  # the block that holds stage 1
+                seen.append(unused.grad.view(np.uint64).tolist())
+
+        walk_pipelines([PipelineParallelEngine(stages)], [tiny_batches(rng)], threads, drained)
+        assert seen == [np.zeros((3, 4)).view(np.uint64).tolist()]
 
     @pytest.mark.parametrize("kind", ["1f1b", "zb1"])
     def test_back_to_back_runs_each_produce_one_iterations_gradient(self, rng, kind):

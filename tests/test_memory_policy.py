@@ -8,6 +8,7 @@ earlier test can have moved the thresholds.
 
 from __future__ import annotations
 
+import gc
 import os
 import pathlib
 import platform
@@ -99,7 +100,7 @@ class _FakeLibc:
 def test_policy_is_applied_once(monkeypatch):
     libc = _FakeLibc()
     monkeypatch.setattr(arena, "_allocator_policy", None)
-    monkeypatch.setattr(arena.ctypes, "CDLL", lambda name: libc)
+    monkeypatch.setattr(arena, "_libc", libc)
     assert arena.pin_allocator_policy() == GLIBC_POLICY
     assert arena.pin_allocator_policy() == GLIBC_POLICY
     assert libc.calls == [
@@ -108,28 +109,48 @@ def test_policy_is_applied_once(monkeypatch):
     ]
 
 
-def _no_c_library(name):
-    raise OSError("no C library")
-
-
 @pytest.mark.parametrize(
-    "cdll",
-    [_no_c_library, lambda name: object(), lambda name: _FakeLibc(answer=0)],
+    "libc",
+    [None, object(), _FakeLibc(answer=0)],
     ids=["no-c-library", "no-mallopt-symbol", "mallopt-refuses"],
 )
-def test_policy_is_a_no_op_without_glibc_mallopt(monkeypatch, cdll):
+def test_policy_is_a_no_op_without_glibc_mallopt(monkeypatch, libc):
     monkeypatch.setattr(arena, "_allocator_policy", None)
-    monkeypatch.setattr(arena.ctypes, "CDLL", cdll)
+    monkeypatch.setattr(arena, "_libc", libc)
     assert arena.pin_allocator_policy() == DEFAULTS
     assert arena.pin_allocator_policy() == DEFAULTS
 
 
-@pytest.mark.parametrize(
-    "cdll", [_no_c_library, lambda name: object()], ids=["no-c-library", "no-malloc-trim-symbol"]
-)
-def test_trimming_is_a_no_op_without_glibc_malloc_trim(monkeypatch, cdll):
-    monkeypatch.setattr(arena.ctypes, "CDLL", cdll)
+@pytest.mark.parametrize("libc", [None, object()], ids=["no-c-library", "no-malloc-trim-symbol"])
+def test_trimming_is_a_no_op_without_glibc_malloc_trim(monkeypatch, libc):
+    monkeypatch.setattr(arena, "_libc", libc)
     assert arena.trim_heap() is False
+
+
+def test_trimming_leaves_nothing_for_the_collector(monkeypatch):
+    """The C library is loaded once, at import, not a ``CDLL`` (and its ctypes cycle) per call."""
+    loaded: list[str | None] = []
+    cdll = arena.ctypes.CDLL
+
+    def counting(name):
+        loaded.append(name)
+        return cdll(name)
+
+    monkeypatch.setattr(arena.ctypes, "CDLL", counting)
+    monkeypatch.setattr(arena, "_allocator_policy", None)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(3):
+            arena.trim_heap()
+        arena.pin_allocator_policy()
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
+    assert loaded == []
 
 
 def test_train_prints_the_policy_in_force(capsys):
