@@ -62,6 +62,10 @@ class Workspace:
     steady-state hot loop performs no array allocation at all.  Buffers are keyed
     by ``(key, name)`` and grown (never shrunk) when a tensor arrives larger than
     the cached buffer, so a key that sees varying sizes converges to its maximum.
+    A codec whose payloads are consumed before its next call (QSGD, top-k)
+    files every tensor under one key, ``"*"``: one buffer per name, grown to
+    the widest tensor.  PowerSGD keys by tensor: its stored query outlives
+    the call.
     """
 
     def __init__(self) -> None:
@@ -95,7 +99,7 @@ def writable_flat_view(out: np.ndarray) -> np.ndarray:
     """
     if not out.flags.c_contiguous:
         raise ValueError(
-            "decompress_into requires a C-contiguous output buffer "
+            "an in-place kernel requires a C-contiguous output buffer "
             f"(got shape {out.shape} with strides {out.strides})"
         )
     return out.reshape(-1)
@@ -135,8 +139,9 @@ class Compressor:
 
         The payload's arrays may alias workspace memory — or, on the passthrough
         branches (tensors too small to compress), the *input tensor itself* —
-        so consume (decompress / account) the payload before the next
-        ``compress_into`` with the same key and before mutating ``tensor``.
+        so consume (decompress / account) the payload before the codec's next
+        ``compress_into`` (the QSGD and top-k codecs share one scratch across
+        keys) and before mutating ``tensor``.
         The default falls back to :meth:`compress`; kernel-optimised codecs
         override it.  Bit-identical to :meth:`compress`.
         """

@@ -16,8 +16,9 @@ Both follow the :class:`repro.compression.base.Compressor` interface so they can
 dropped into compressed backpropagation or the data-parallel path for comparisons.
 
 The QSGD hot path is a zero-allocation kernel that works in a fixed, cache-sized
-working set.  Each key owns only its packed codes (one two's-complement level per
-element, int8 up to 7 bits), which the payload aliases.  After one full-tensor
+working set.  The codec owns one buffer of packed codes (one two's-complement
+level per element, int8 up to 7 bits), grown to the widest tensor it has
+compressed, which every key's payload aliases.  After one full-tensor
 pass for the scale, the tensor is quantised in tiles of :data:`QUANTISE_TILE`
 elements through one float64 ``scaled`` and one float32 ``uniform`` tile that
 every key shares; the stochastic rounding is the single fused
@@ -117,8 +118,7 @@ class QSGDCompressor(Compressor):
             count = self._call_counts.get(key, 0)
             self._call_counts[key] = count + 1
             rng = self._rng.at(stable_key_hash(key), count)
-        # Every key shares one tile of scratch: its slot names are not
-        # "codes", so no tensor key can alias it.
+        # Every key shares one tile of scratch, in slots of its own.
         tile = min(size, QUANTISE_TILE)
         scaled_tile = self._workspace.flat("*", "scaled", tile)
         uniform_tile = self._workspace.flat("*", "uniform", tile, dtype=np.float32)
@@ -141,10 +141,16 @@ class QSGDCompressor(Compressor):
         return scale
 
     def compress_into(self, tensor: np.ndarray, key: str | None = None) -> CompressedPayload:
+        """Quantise ``tensor`` into the codec's one codes buffer (zero allocation once grown).
+
+        The payload's codes alias that buffer, whatever the key: it is valid
+        until this codec's next compress, so decompress it before compressing
+        anything else.
+        """
         tensor = np.asarray(tensor, dtype=np.float64)
         key = key if key is not None else "default"
         flat = tensor.reshape(-1)
-        codes = self._workspace.flat(key, "codes", flat.size, dtype=self._code_dtype)
+        codes = self._workspace.flat("*", "codes", flat.size, dtype=self._code_dtype)
         scale = self._quantise_into(flat, key, codes)
         return CompressedPayload(
             kind=self.name,
@@ -189,7 +195,7 @@ class QSGDCompressor(Compressor):
         )
 
     def workspace_bytes(self) -> int:
-        """Memory held by the per-key codes and the shared tile (diagnostics)."""
+        """Memory held by the codes buffer and the tile scratch (diagnostics)."""
         return self._workspace.nbytes()
 
 

@@ -35,6 +35,14 @@ from repro.utils.random import CounterRNG
 INDEX_BYTES = 4
 
 
+def num_kept(fraction: float, size: int) -> int:
+    """Elements top-k keeps of ``size``: ``round(fraction * size)``, at least one, at most all.
+
+    The engine's codec and the simulator's PP byte model both count with it.
+    """
+    return max(1, min(size, int(round(fraction * size))))
+
+
 def stable_topk_indices(magnitudes: np.ndarray, kept: int) -> np.ndarray:
     """Indices of the ``kept`` largest magnitudes, ties broken by lowest index.
 
@@ -80,19 +88,17 @@ class TopKCompressor(Compressor):
     def with_own_scratch(self) -> "TopKCompressor":
         """The same codec with a workspace of its own, for a second thread.
 
-        Top-k keeps no state between calls, so two threads may compress at
-        once as long as their payload scratch differs.
+        Top-k keeps no state between calls: :meth:`compress` uses no scratch,
+        so any thread may call it, and two threads may :meth:`compress_into`
+        at once as long as their workspaces differ.
         """
         twin = copy.copy(self)
         twin._workspace = Workspace()
         return twin
 
-    def _num_kept(self, size: int) -> int:
-        return max(1, min(size, int(round(self.fraction * size))))
-
-    def compress_into(self, tensor: np.ndarray, key: str | None = None) -> CompressedPayload:
+    def _select(self, tensor: np.ndarray, scratch) -> CompressedPayload:
+        """The kernel: the kept (index, value) pairs, through ``scratch(name, size)`` arrays."""
         tensor = np.asarray(tensor, dtype=np.float64)
-        key = key if key is not None else "default"
         flat = tensor.reshape(-1)
         if flat.size <= self.min_elements:
             return CompressedPayload(
@@ -102,11 +108,11 @@ class TopKCompressor(Compressor):
                 payload_bytes=tensor.size * UNCOMPRESSED_BYTES_PER_ELEMENT,
                 metadata={"kept": flat.size, "compressed": False},
             )
-        kept = self._num_kept(flat.size)
-        magnitudes = self._workspace.flat(key, "magnitudes", flat.size)
+        kept = num_kept(self.fraction, flat.size)
+        magnitudes = scratch("magnitudes", flat.size)
         np.abs(flat, out=magnitudes)
         indices = stable_topk_indices(magnitudes, kept)
-        values = self._workspace.flat(key, "values", kept)
+        values = scratch("values", kept)
         np.take(flat, indices, out=values)
         payload_bytes = kept * (UNCOMPRESSED_BYTES_PER_ELEMENT + INDEX_BYTES)
         return CompressedPayload(
@@ -117,9 +123,20 @@ class TopKCompressor(Compressor):
             metadata={"kept": kept, "compressed": True},
         )
 
+    def compress_into(self, tensor: np.ndarray, key: str | None = None) -> CompressedPayload:
+        """Select into the codec's one magnitudes/values scratch, grown to the widest tensor.
+
+        The payload's values alias that scratch, whatever the key: it is valid
+        until this codec's next ``compress_into``, so decompress it before
+        compressing anything else, and on one thread at a time.
+        """
+        return self._select(tensor, lambda name, size: self._workspace.flat("*", name, size))
+
     def compress(self, tensor: np.ndarray, key: str | None = None) -> CompressedPayload:
-        payload = self.compress_into(tensor, key=key)
-        payload.data = {name: array.copy() for name, array in payload.data.items()}
+        """A payload of arrays of its own, so concurrent calls (a walk's boundaries) are safe."""
+        payload = self._select(tensor, lambda name, size: np.empty(size))
+        if payload.kind == "topk-passthrough":
+            payload.data = {"tensor": payload.data["tensor"].copy()}
         return payload
 
     def decompress_into(self, payload: CompressedPayload, out: np.ndarray) -> np.ndarray:

@@ -16,8 +16,12 @@ cost, ``C_emb / C_emb_fused − 1``, which approaches 50 % for large D and is 42
 at the paper's D = 4.
 
 The functional :class:`EmbeddingSynchronizer` performs the synchronisation on the
-in-process replicas; fused and unfused paths are mathematically identical (a test
-asserts bit-equality), differing only in the traffic they log.
+in-process replicas, in place in the copies' own gradient buffers (tile by tile,
+in the order a stacked all-reduce sums, so ``tests/test_embedding_sync.py`` holds
+it to the stacked path bit for bit); fused and unfused paths are mathematically
+identical, differing only in the traffic they log.  Under the serial executor
+the engine runs it inside the pipeline walk, on whichever of the threads owning
+stage 0 and stage ``pp - 1`` finishes second.
 """
 
 from __future__ import annotations
@@ -26,8 +30,14 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.compression.base import writable_flat_view
 from repro.nn.gpt_stage import GPTStage
-from repro.parallel.collectives import CommunicationLog, SimulatedProcessGroup
+from repro.parallel.collectives import (
+    REDUCE_TILE,
+    WIRE_BYTES_PER_ELEMENT,
+    CommunicationLog,
+    SimulatedProcessGroup,
+)
 from repro.tensor.parameter import Parameter
 
 
@@ -114,71 +124,76 @@ class EmbeddingSynchronizer:
             copies.append(replica_copies)
         return copies
 
-    # -- synchronisation paths ---------------------------------------------------------
+    # -- synchronisation --------------------------------------------------------------
 
     def synchronize(self) -> None:
-        """Make every embedding copy hold the same, fully-reduced gradient.
+        """Make every embedding copy hold the same, fully-reduced gradient, in place.
 
         The resulting gradient on every copy equals
-        ``mean_over_replicas(grad_first + grad_last)`` — identical for the fused and
-        unfused paths; only the communication pattern (and hence logged traffic)
-        differs.
+        ``mean_over_replicas(grad_first + grad_last)`` for both paths; only the
+        communication pattern (and hence the logged traffic) differs.  The
+        copies are reduced tile by tile in their own gradient buffers, in the
+        order the stacked collectives summed them, so the bits are theirs:
+
+        * **fused** — replica 0's first copy accumulates every copy in
+          replica-major order, then ``*= 1/dp``;
+        * **two-step** — replica 0's copies each accumulate their copy over
+          the replicas, then ``/= dp`` (the DP mean), then the first adds the
+          second (the 2-way sum).
+
+        Each tile is copied to the other copies while it is still in cache.
+        Nothing is allocated but the record objects, so the sync may run on
+        any thread; under the serial executor it runs inside the pipeline walk
+        (:meth:`repro.parallel.engine.ThreeDParallelEngine.run_iteration`).
         """
+        copies = self._embedding_copies()
+        num_replicas, num_copies = len(copies), len(copies[0])
+        flats = [[writable_flat_view(parameter.grad) for parameter in replica] for replica in copies]
         if self.fused:
-            self._synchronize_fused()
-        else:
-            self._synchronize_baseline()
+            sums = [[flat for replica in flats for flat in replica]]  # one sum of every copy
+        else:  # one sum per copy, over the replicas
+            sums = [[replica[index] for replica in flats] for index in range(num_copies)]
+        result = flats[0][0]
+        targets = [flat for replica in flats for flat in replica if flat is not result]
+        scale = 1.0 / num_replicas
+        for start in range(0, result.size, REDUCE_TILE):
+            span = slice(start, start + REDUCE_TILE)
+            for accumulator, *others in sums:
+                tile = accumulator[span]
+                for other in others:
+                    tile += other[span]
+                if self.fused:
+                    tile *= scale
+                elif others:
+                    tile /= num_replicas
+            tile = result[span]
+            if not self.fused and num_copies == 2:
+                tile += flats[0][1][span]
+            for target in targets:
+                target[span] = tile
+        self._record(num_replicas, num_copies, result.size * WIRE_BYTES_PER_ELEMENT)
 
-    def _synchronize_baseline(self) -> None:
-        copies = self._embedding_copies()
-        num_copies = len(copies[0])
-        replicas = self.data_parallel_degree
+    def _record(self, num_replicas: int, num_copies: int, payload_bytes: int) -> None:
+        """Log the collectives the sync stands for, in the order the stacked path issued them."""
 
-        # Phase 1: data-parallel all-reduce (mean) of each copy across replicas.
-        if replicas > 1:
-            for copy_index in range(num_copies):
-                group = SimulatedProcessGroup(
-                    list(range(replicas)), self.log, category="embedding_dp", spans_nodes=True
+        def group(size: int, category: str) -> SimulatedProcessGroup:
+            return SimulatedProcessGroup(list(range(size)), self.log, category=category)
+
+        if self.fused:
+            group(num_replicas * num_copies, "embedding_sync").record_collective(
+                "all_reduce", payload_bytes, description="fused embedding synchronisation"
+            )
+            return
+        if num_replicas > 1:
+            for _ in range(num_copies):
+                group(num_replicas, "embedding_dp").record_collective(
+                    "all_reduce", payload_bytes, description="embedding DP all-reduce"
                 )
-                grads = [copies[d][copy_index].grad for d in range(replicas)]
-                reduced = group.all_reduce(grads, op="mean", description="embedding DP all-reduce")
-                for d in range(replicas):
-                    copies[d][copy_index].grad[...] = reduced[d]
-
-        # Phase 2: 2-way synchronisation (sum) between the first and last stage copies.
         if num_copies == 2:
-            for d in range(replicas):
-                group = SimulatedProcessGroup(
-                    [0, 1], self.log, category="embedding_sync", spans_nodes=True
+            for _ in range(num_replicas):
+                group(2, "embedding_sync").record_collective(
+                    "all_reduce", payload_bytes, description="embedding 2-way synchronisation"
                 )
-                reduced = group.all_reduce(
-                    [copies[d][0].grad, copies[d][1].grad],
-                    op="sum",
-                    description="embedding 2-way synchronisation",
-                )
-                copies[d][0].grad[...] = reduced[0]
-                copies[d][1].grad[...] = reduced[1]
-
-    def _synchronize_fused(self) -> None:
-        copies = self._embedding_copies()
-        num_copies = len(copies[0])
-        replicas = self.data_parallel_degree
-
-        flat_copies: list[Parameter] = [
-            copies[d][c] for d in range(replicas) for c in range(num_copies)
-        ]
-        group = SimulatedProcessGroup(
-            list(range(len(flat_copies))), self.log, category="embedding_sync", spans_nodes=True
-        )
-        reduced = group.all_reduce(
-            [parameter.grad for parameter in flat_copies],
-            op="sum",
-            description="fused embedding synchronisation",
-        )
-        # Sum over stages, mean over replicas: divide the 2D-way sum by D.
-        scale = 1.0 / replicas
-        for parameter, value in zip(flat_copies, reduced):
-            parameter.grad[...] = value * scale
 
     # -- diagnostics --------------------------------------------------------------------
 

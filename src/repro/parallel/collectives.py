@@ -26,6 +26,11 @@ from repro.parallel.op_order import OpOrderedList
 #: and the engine's DP accounting all derive from this constant.
 WIRE_BYTES_PER_ELEMENT = 2
 
+#: Elements per tile of the in-place reductions (the exact DP bucket mean, the
+#: embedding sync): each operand's 128 KiB slice stays in a per-core L2 while
+#: the tile is reduced and copied out.
+REDUCE_TILE = 1 << 14
+
 
 @dataclass
 class TrafficRecord:

@@ -45,6 +45,7 @@ single-device reference model's gradients bit-for-bit (``tests/test_parallel_eng
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Sequence
@@ -68,6 +69,7 @@ from repro.parallel.arena import (
     trim_heap,
 )
 from repro.parallel.collectives import (
+    REDUCE_TILE,
     CommunicationLog,
     SimulatedProcessGroup,
     record_ring_all_reduce,
@@ -106,10 +108,6 @@ TP_ALL_REDUCES_PER_LAYER_PER_DIRECTION = 2
 #: fault injection) must reach the guard that rolls the step back, not raise
 #: inside a codec kernel (inf - inf is NaN on purpose, as in ``orthogonalise``).
 _POISON_PASSES = np.errstate(invalid="ignore")
-
-#: Elements per tile of the exact bucket mean: ``dp`` gradient slices of
-#: 128 KiB each stay in a per-core L2 while the mean is formed and copied out.
-_REDUCE_TILE = 1 << 14
 
 
 class CompressedGradientAllReduce:
@@ -204,8 +202,8 @@ class CompressedGradientAllReduce:
         """
         num_replicas = len(gradients)
         mean, *others = gradients
-        for start in range(0, mean.size, _REDUCE_TILE):
-            span = slice(start, start + _REDUCE_TILE)
+        for start in range(0, mean.size, REDUCE_TILE):
+            span = slice(start, start + REDUCE_TILE)
             tile = mean[span]
             if others:
                 np.add(tile, others[0][span], out=tile)
@@ -402,18 +400,19 @@ class EngineIterationResult:
     #: Threads the walk, the DP sync and the optimiser step run on
     #: (:func:`~repro.parallel.pipeline_engine.walk_threads`).
     threads: int = field(default=1, compare=False)
-    #: Seconds of the pipeline walk(s), under ``serial`` the in-walk DP reduce too.
+    #: Seconds of the pipeline walk(s), under ``serial`` the in-walk DP reduce
+    #: and embedding sync too.
     walk_s: float = field(default=0.0, compare=False)
     #: Seconds of the DP sync after the walk: the first, the ``serial`` kind's
     #: and every one under ``process``; 0.0 where it ran in the walk.
     dp_sync_s: float = field(default=0.0, compare=False)
     #: ``serial`` executor only: busy seconds per op kind per stage, wait
     #: seconds per stage, and per walk thread the seconds after its block
-    #: drained (its DP reduce, where that runs in the walk).
+    #: drained (its DP reduce and the embedding sync, where they run in the walk).
     op_busy_s: dict[str, list[float]] = field(default_factory=dict, compare=False)
     stage_wait_s: list[float] = field(default_factory=list, compare=False)
     reduce_s: list[float] = field(default_factory=list, compare=False)
-    #: Seconds of the embedding sync.
+    #: Seconds of the embedding sync, in the walk or after it.
     embedding_sync_s: float = field(default=0.0, compare=False)
     #: Seconds of the optimiser step, filled in by the loop that steps
     #: (:meth:`repro.training.trainer.Pretrainer.train_iteration`).
@@ -830,10 +829,12 @@ class ThreeDParallelEngine:
 
         Under the ``serial`` executor every replica runs in one walk, and the
         thread of each stage block, once the block has drained, poisons its
-        scheduled gradient faults and reduces its DP buckets with no barrier
-        (except the first sync and the ``serial`` kind's, which run after the
-        walk, as everything does under ``process``).  The collective-fault
-        retries and the embedding sync (stage 0 and ``pp - 1``) follow.
+        scheduled gradient faults and reduces its DP buckets with no barrier.
+        The embedding sync reads stage 0's and stage ``pp - 1``'s copies: the
+        second of those two blocks' threads to have poisoned its faults runs
+        it, ranked after every DP record.  The first sync and the ``serial``
+        kind's run both syncs after the walk instead, as everything does under
+        ``process`` and at DP 1.  The collective-fault retries follow the walk.
         """
         if len(per_replica_micro_batches) != self.data_parallel_degree:
             raise ValueError(
@@ -863,7 +864,7 @@ class ThreeDParallelEngine:
             self.num_stages, replica_runs_at_once(self.executor_kind, self.data_parallel_degree)
         )
         sync = self.bucketed_sync
-        walk, reduce_s = None, []
+        walk, reduce_s, embedding_s = None, [], 0.0
         walk_started = perf_counter()
         if executor is not None:
             # One forked worker per replica over shared-memory arenas; what is
@@ -895,8 +896,17 @@ class ThreeDParallelEngine:
             blocks = sync.walk_blocks(threads) if sync is not None else None
             applied = [[] for _ in range(threads)]
             reduce_s = [0.0] * threads
+            # The blocks of stage 0 and stage pp - 1, whose embedding copies the
+            # sync reads: the second of them to drain runs it, inside the walk
+            # wherever the DP reduce runs there.
+            embedding_owners = (
+                {0, (self.num_stages - 1) * threads // self.num_stages}
+                if blocks is not None else set()
+            )
+            owners_lock = threading.Lock()
 
             def drained(block: int, order) -> None:
+                nonlocal embedding_s
                 started = perf_counter()
                 if block == 0:
                     # Ranked after every walk op, before the DP records.
@@ -905,6 +915,16 @@ class ThreeDParallelEngine:
                 # Poison lands before the DP reduce, so it propagates through the
                 # collectives and error feedback like a real numerical blow-up.
                 applied[block] = self._corrupt_gradients(block, threads)
+                if block in embedding_owners:
+                    with owners_lock:
+                        embedding_owners.discard(block)
+                        second = not embedding_owners
+                    if second:
+                        # Ranked after every DP record, as the sync after the walk.
+                        order.at((self.data_parallel_degree + 1, 0))
+                        embedding_started = perf_counter()
+                        self.embedding_sync.synchronize()
+                        embedding_s = perf_counter() - embedding_started
                 if blocks is not None:
                     sync.reduce_block(order, blocks[block])
                 reduce_s[block] = perf_counter() - started
@@ -934,9 +954,11 @@ class ThreeDParallelEngine:
         dp_started = perf_counter()
         if sync is not None and blocks is None:
             sync.synchronize(threads)
-        embedding_started = perf_counter()
-        self.embedding_sync.synchronize()
-        embedding_s = perf_counter() - embedding_started
+        dp_sync_s = perf_counter() - dp_started
+        if blocks is None:
+            embedding_started = perf_counter()
+            self.embedding_sync.synchronize()
+            embedding_s = perf_counter() - embedding_started
         self._iteration_index += 1
 
         wire, fractions, _, boundaries, dp_overlapped = axis_report(
@@ -955,7 +977,7 @@ class ThreeDParallelEngine:
             ),
             threads=threads,
             walk_s=walk_s,
-            dp_sync_s=embedding_started - dp_started,
+            dp_sync_s=dp_sync_s,
             embedding_sync_s=embedding_s,
             op_busy_s=walk.op_busy_s if walk is not None else {},
             stage_wait_s=walk.stage_wait_s if walk is not None else [],

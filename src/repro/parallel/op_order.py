@@ -1,7 +1,8 @@
 """Running blocks of one phase on threads, and containers whose order survives it.
 
 An iteration's threaded phases — the pipeline walk with its in-walk DP
-reduce (:func:`~repro.parallel.pipeline_engine.walk_pipelines`), a DP sync
+reduce and embedding sync
+(:func:`~repro.parallel.pipeline_engine.walk_pipelines`), a DP sync
 after it (:meth:`~repro.parallel.data_parallel.BucketedDataParallelSync.synchronize`)
 and the optimiser step (:meth:`~repro.optim.fused_adam.FusedAdam.step`) —
 all fork and join through :func:`fork_join`: block 0 on the calling thread,

@@ -33,7 +33,9 @@ under one :class:`threading.Condition`).  Every producer comes before its
 consumer, so no split can deadlock.  Thread 0 runs the next replica's
 forwards while the last stage drains this one's, and a drained block's
 thread goes on, with no barrier, to the caller's ``drained`` step — the DP
-reduce of its block, which so overlaps stage 0's drain.  Every threaded
+reduce of its block, which so overlaps stage 0's drain, and on the second
+of stage 0's and stage ``pp - 1``'s threads to get there, the embedding
+sync.  Every threaded
 phase forks and joins through :func:`~repro.parallel.op_order.fork_join`.
 
 Within one iteration no weights change, so the numerical result depends on

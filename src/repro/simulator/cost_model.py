@@ -18,6 +18,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
+from repro.compression.base import UNCOMPRESSED_BYTES_PER_ELEMENT
+from repro.compression.topk import INDEX_BYTES, num_kept
 from repro.models.gpt_configs import PaperModelSpec
 from repro.parallel.collectives import ring_all_reduce_wire_bytes
 from repro.parallel.process_groups import ParallelLayout
@@ -35,7 +37,7 @@ from repro.simulator.hardware import ClusterSpec, PAPER_CLUSTER_SPEC
 #: replay alters what :func:`repro.simulator.evaluate.evaluate_plan` returns
 #: for an unchanged plan — cached evaluations from the older model then miss
 #: instead of serving stale numbers.
-COST_MODEL_VERSION = "2026.10-1"
+COST_MODEL_VERSION = "2026.10-2"
 
 #: Entries each of the simulator's per-class memos keeps (:func:`job_cost_model`,
 #: the per-job / per-spec timing terms in :mod:`repro.simulator.executor`, the
@@ -308,17 +310,28 @@ class CostModel:
             return float(per_rank * self._nic_contention)
         return float(per_rank * self.layout.tensor_parallel * self._nic_contention)
 
-    def compressed_activation_bytes(self, rank: int) -> float:
-        """Wire bytes of a PowerSGD-compressed inter-stage transfer.
+    def compressed_activation_bytes(
+        self, rank: int, codec: str = "powersgd", fraction: float = 0.01
+    ) -> float:
+        """Wire bytes of a compressed inter-stage transfer under the PP codec.
 
-        The activation gradient of shape ``(micro_batch * seq, hidden)`` is
-        factorised into ``P (n x r)`` and ``Q (m x r)``.
+        The activation gradient of shape ``(micro_batch * seq, hidden)``
+        travels as what the engine's codec sends for it:
+
+        * ``"powersgd"`` — its ``P (n x r)`` and ``Q (m x r)`` factors;
+        * ``"topk"`` — the kept (value, int32 index) pairs, counted by the
+          engine codec's rule (:func:`~repro.compression.topk.num_kept`).
         """
         rows = self.job.micro_batch_size * self.job.seq_length
         cols = self.model.hidden_size
-        rank = max(1, min(rank, rows, cols))
-        elements = rank * (rows + cols)
-        per_rank_bytes = elements * self.constants.activation_wire_bytes
+        if codec == "powersgd":
+            rank = max(1, min(rank, rows, cols))
+            per_rank_bytes = rank * (rows + cols) * self.constants.activation_wire_bytes
+        elif codec == "topk":
+            pair_bytes = UNCOMPRESSED_BYTES_PER_ELEMENT + INDEX_BYTES
+            per_rank_bytes = num_kept(fraction, rows * cols) * pair_bytes
+        else:
+            raise ValueError(f"unknown pp codec {codec!r}")
         if self.constants.scatter_gather_pipeline_comm:
             return float(per_rank_bytes * self._nic_contention)
         return float(per_rank_bytes * self.layout.tensor_parallel * self._nic_contention)
@@ -335,11 +348,9 @@ class CostModel:
             return 0.0
         return self.cluster.inter_node_latency_s + message_bytes / self.cluster.p2p_bandwidth_bytes_per_s
 
-    def interstage_time(self, compressed_rank: int | None = None) -> float:
-        """Time of one inter-stage transfer (optionally PowerSGD-compressed)."""
-        if compressed_rank is None:
-            return self.p2p_time(self.interstage_message_bytes())
-        return self.p2p_time(self.compressed_activation_bytes(compressed_rank))
+    def interstage_time(self) -> float:
+        """Time of one uncompressed inter-stage transfer."""
+        return self.p2p_time(self.interstage_message_bytes())
 
     def tensor_parallel_wire_bytes(self, stage: int) -> float:
         """Intra-node (NVLink) bytes of one stage's TP all-reduces per iteration.
@@ -521,10 +532,18 @@ class CostModel:
         gemm_rate = self.cluster.gpu.peak_fp16_flops * self.constants.compression_gemm_efficiency
         return self.constants.kernel_fixed_overhead_s + gemm_flops / gemm_rate
 
-    def activation_compression_overhead(self, rank: int) -> float:
-        """Compress + decompress overhead for one inter-stage transfer."""
+    def activation_compression_overhead(self, rank: int, codec: str = "powersgd") -> float:
+        """Compress + decompress overhead for one inter-stage transfer under the PP codec."""
         rows = self.job.micro_batch_size * self.job.seq_length
         cols = self.model.hidden_size
+        if codec == "topk":
+            # Elementwise select + scatter back, as the DP top-k kernel is
+            # charged (:meth:`dp_compression_overhead`).
+            gemm_rate = (
+                self.cluster.gpu.peak_fp16_flops * self.constants.compression_gemm_efficiency
+            )
+            passes = 4.0  # threshold scan, select, scatter, accumulate
+            return 2.0 * self.constants.kernel_fixed_overhead_s + passes * rows * cols / gemm_rate
         return self.powersgd_compress_time(rows, cols, rank) + self.powersgd_decompress_time(
             rows, cols, rank
         )

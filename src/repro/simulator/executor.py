@@ -31,8 +31,8 @@ What the tail reads per stage is itself shared between plans and computed once
 per class, each behind one bounded table: per (job, toggles) the F/B/W op
 times, compute totals and TP wire (:func:`_stage_compute`), per (job, DP spec)
 the per-stage ``(time, overhead, wire)`` of the DP all-reduce
-(:func:`_dp_terms`), per (job, toggles, rank) one inter-stage transfer
-(:func:`_transfer`).  Every one is a pure function of its key, and the tail
+(:func:`_dp_terms`), per (job, toggles, PP codec, rank, fraction) one
+inter-stage transfer (:func:`_transfer`).  Every one is a pure function of its key, and the tail
 adds the terms up in the order the unshared code did, so no number moves.
 """
 
@@ -244,18 +244,22 @@ def _dp_terms(job: TrainingJob, dp: CompressionSpec) -> tuple[tuple[float, float
 
 @functools.lru_cache(maxsize=CLASS_MEMO_SIZE)
 def _transfer(
-    job: TrainingJob, toggles: ComponentToggles, compressed_rank: int | None
+    job: TrainingJob,
+    toggles: ComponentToggles,
+    codec: str | None = None,
+    rank: int = 0,
+    fraction: float = 0.0,
 ) -> tuple[float, float, float]:
     """``(delay_seconds, wire_bytes, compression_overhead)`` of one inter-stage transfer.
 
-    ``compressed_rank`` is the PowerSGD rank of a compressed transfer, ``None``
-    for a plain one.
+    ``codec`` is the PP codec of a compressed transfer (``"powersgd"`` at
+    ``rank``, ``"topk"`` at ``fraction``), ``None`` for a plain one.
     """
     cost = job_cost_model(job)
     overhead = 0.0
-    if compressed_rank is not None:
-        wire = cost.compressed_activation_bytes(compressed_rank)
-        overhead = cost.activation_compression_overhead(compressed_rank)
+    if codec is not None:
+        wire = cost.compressed_activation_bytes(rank, codec, fraction)
+        overhead = cost.activation_compression_overhead(rank, codec)
     else:
         wire = cost.interstage_message_bytes()
     delay = cost.p2p_time(wire) * toggles.interstage + overhead
@@ -308,7 +312,9 @@ def replay_pipeline(
     job: TrainingJob,
     toggles: ComponentToggles,
     compress_backward: bool,
+    backward_codec: str,
     backward_rank: int,
+    backward_fraction: float,
     backward_epilogue_only: bool,
 ) -> PipelineReplay:
     """Replay the pipeline phase of one iteration: schedule, walk, bubble.
@@ -321,7 +327,9 @@ def replay_pipeline(
 
     This is the part of :meth:`PipelineTimingSimulator.run` that depends only
     on the job (model, layout, cluster, batch shape, schedule kind and cap),
-    the component toggles and the inter-stage (PP-boundary) codec — **not** on
+    the component toggles and the inter-stage (PP-boundary) codec with its
+    rank or fraction, which sizes each compressed transfer as the engine's
+    codec sends it — **not** on
     the DP codec, its rank / bits / fraction, the selected stage fraction or
     the embedding mode, which only enter the per-plan tail that follows.  A
     plan sweep holds far fewer distinct replays than plans (200 of the
@@ -344,9 +352,11 @@ def replay_pipeline(
         "backward_weight": compute.backward_weight,
     }
     # Every transfer of the replay is one of these two.
-    plain_transfer = _transfer(job, toggles, None)
+    plain_transfer = _transfer(job, toggles)
     compressed_transfer = (
-        _transfer(job, toggles, backward_rank) if compress_backward else plain_transfer
+        _transfer(job, toggles, backward_codec, backward_rank, backward_fraction)
+        if compress_backward
+        else plain_transfer
     )
     compression_overhead_total = 0.0
     interstage_wire_total = 0.0
@@ -439,7 +449,9 @@ class PipelineTimingSimulator:
             self.job,
             self.toggles,
             pp.compresses,
+            pp.codec,
             pp.rank,
+            pp.fraction,
             pp.epilogue_only,
         )
         # The replay is shared between plans: take a private copy of its list
@@ -540,7 +552,7 @@ class PipelineTimingSimulator:
         # iteration period is therefore the largest finish time minus that slack —
         # this is why the data-parallel traffic of *later* stages can stay
         # uncompressed under selective stage compression (Section 7, Fig. 8).
-        forward_delay, _, _ = _transfer(self.job, self.toggles, None)
+        forward_delay, _, _ = _transfer(self.job, self.toggles)
         warmup_offset = [0.0] * num_stages
         for stage in range(1, num_stages):
             warmup_offset[stage] = (

@@ -56,7 +56,7 @@ from repro.data.tasks import ZeroShotTask
 from repro.nn.loss import perplexity_from_loss
 from repro.nn.transformer import GPTModelConfig
 from repro.optim import LRSchedule
-from repro.parallel.collectives import CommunicationLog
+from repro.parallel.collectives import REDUCE_TILE, CommunicationLog
 from repro.parallel.engine import EngineIterationResult, ThreeDParallelEngine, axis_report
 from repro.plan import ParallelPlan
 from repro.resilience import (
@@ -299,11 +299,19 @@ class Pretrainer:
     # -------------------------------------------------------------------- guardrails --
 
     def _gradients_healthy(self, policy: GuardrailPolicy) -> bool:
-        """Whole-buffer validation of the post-sync gradients (reads only)."""
+        """Validation of the post-sync gradients (reads only).
+
+        Finiteness is checked one tile at a time into one tile of flags, so no
+        arena-sized bool array is allocated; the first non-finite tile decides.
+        """
         if policy.skip_nonfinite:
+            finite = np.empty(REDUCE_TILE, dtype=bool)
             for arena in self.engine.arenas:
-                if not np.isfinite(arena.grad).all():
-                    return False
+                grad = arena.grad
+                for start in range(0, grad.size, REDUCE_TILE):
+                    tile = grad[start : start + REDUCE_TILE]
+                    if not np.isfinite(tile, out=finite[: tile.size]).all():
+                        return False
         if policy.max_grad_norm is not None:
             # Replicas hold identical synchronised gradients; the first one
             # stands in for the global gradient.

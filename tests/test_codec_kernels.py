@@ -6,20 +6,25 @@ both paths share.  This module pins the QSGD bucket round trip itself — synced
 gradients, residual slabs and RNG call counters — against digests recorded
 before the kernel was tiled, on segments that span many tiles, plus the two
 facts the tiling rests on: a Philox stream drawn tile by tile is the one-shot
-stream, and the working set is the codes plus one tile per stage whatever the
-model size.
+stream, and the working set is one widest-segment payload plus one tile per
+stage codec whatever the model size.  The top-k codec's ``compress`` shares no
+scratch, since one compressed-backprop hook's codec serves every boundary of
+a replica from the pipeline walk's threads at once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.compression.powersgd import stable_key_hash
 from repro.compression.qsgd import QUANTISE_TILE, QSGDCompressor
+from repro.compression.topk import TopKCompressor
 from repro.models.gpt_configs import functional_config
 from repro.parallel.arena import ParameterArena, build_codec_buckets
 from repro.parallel.collectives import CommunicationLog, SimulatedProcessGroup
@@ -221,13 +226,11 @@ class TestWorkingSet:
             arena.grad[...] = rng.standard_normal(arena.grad.size)
         sync.synchronize()
 
-        # One codec per stage: its own tile, the codes of its own segments.
+        # One codec per stage: its own tile and one payload of its widest
+        # segment, whatever the segment and replica count.
         compressors = engine.dp_reduce._stage_compressors
         assert sorted(compressors) == [0, 1]
-        codes = sum(segment.num_elements for segment in segments) * len(engine.arenas)
-        tile = QUANTISE_TILE * (np.dtype(np.float64).itemsize + np.dtype(np.float32).itemsize)
-        workspace = sum(compressor.workspace_bytes() for compressor in compressors.values())
-        assert codes < workspace <= codes + len(compressors) * tile
+        tile_bytes = np.dtype(np.float64).itemsize + np.dtype(np.float32).itemsize
         for stage, scratch in engine.dp_reduce._codec_scratch.items():
             largest = max(
                 segment.num_elements
@@ -236,6 +239,9 @@ class TestWorkingSet:
                 for segment in bucket.segments
             )
             assert scratch.shape == (2, largest)
+            codes = largest * np.dtype(np.int8).itemsize  # 4-bit levels pack into int8
+            tile = min(largest, QUANTISE_TILE) * tile_bytes
+            assert compressors[stage].workspace_bytes() == codes + tile
 
     @pytest.mark.parametrize(
         "bucket_bytes, num_buckets", [(1, 5), (DIGEST_BUCKET_BYTES, 2), (1 << 30, 1)]
@@ -259,3 +265,33 @@ class TestWorkingSet:
         assert scratch.shape == (2, largest)  # one approximation + the running mean
         reduce_all()
         assert list(reducer._codec_scratch) == [0] and reducer._codec_scratch[0] is scratch
+
+
+class TestTopKOnConcurrentThreads:
+    def test_compress_from_several_threads_at_once_is_exact(self):
+        """Each boundary's round trip equals its one-thread result, the GIL handed over at every chance."""
+        codec = TopKCompressor(fraction=0.1)
+        tensors = [np.random.default_rng(seed).standard_normal((64, 64)) for seed in range(3)]
+        expected = [
+            codec.decompress(codec.compress(tensor, key=f"boundary{index}"))
+            for index, tensor in enumerate(tensors)
+        ]
+        mismatches: list[int] = []
+
+        def round_trips(index: int) -> None:
+            for _ in range(200):
+                payload = codec.compress(tensors[index], key=f"boundary{index}")
+                if not np.array_equal(codec.decompress(payload), expected[index]):
+                    mismatches.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=round_trips, args=(index,)) for index in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatches == []

@@ -607,6 +607,41 @@ class TestCrossLayerParity:
             engine_elements = payload.payload_bytes / UNCOMPRESSED_BYTES_PER_ELEMENT
             assert engine_elements == sim_elements
 
+    @pytest.mark.parametrize(
+        ("codec", "rank", "fraction"),
+        [("powersgd", 2, 0.01), ("powersgd", 64, 0.01)]
+        + [("topk", 16, fraction) for fraction in (0.01, 0.1, 0.5)],
+    )
+    def test_pp_byte_models_agree(self, codec, rank, fraction):
+        """A compressed PP transfer costs the simulator what the engine's codec sends.
+
+        Read from the replay itself: with every backward transfer compressed,
+        the pipeline's wire bytes over the uncompressed plan's, against the
+        codec's payload over the activation gradient's plain bytes (the NIC
+        and TP multipliers cancel).
+        """
+        plan = ParallelPlan.preset("cb_fe_sc")
+        compressed = plan.with_boundary(
+            Boundary.PP, codec=codec, rank=rank, fraction=fraction, epilogue_only=False
+        )
+        plain = plan.with_boundary(Boundary.PP, codec="none")
+        job = plan.training_job(GPT_2_5B)
+        wire = simulate_plan(job, compressed).interstage_wire_bytes
+        plain_wire = simulate_plan(job, plain).interstage_wire_bytes
+        # As many forward transfers (plain in both plans) as backward ones.
+        sim_ratio = (wire - plain_wire / 2) / (plain_wire / 2)
+
+        rows, cols = job.micro_batch_size * job.seq_length, GPT_2_5B.hidden_size
+        compressor = (
+            PowerSGDCompressor(rank=rank, min_compression_elements=0)
+            if codec == "powersgd"
+            else TopKCompressor(fraction=fraction)
+        )
+        gradient = np.random.default_rng(0).standard_normal((rows, cols))
+        payload = compressor.compress(gradient, key="activation_grad")
+        engine_ratio = payload.payload_bytes / (rows * cols * UNCOMPRESSED_BYTES_PER_ELEMENT)
+        assert sim_ratio == pytest.approx(engine_ratio, rel=1e-9)
+
     def test_engine_measured_savings_follow_the_shared_plan(self):
         """End to end: the engine's measured DP savings match the plan's intent."""
         from repro.experiments.engine_traffic import measure_engine_traffic

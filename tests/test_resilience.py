@@ -51,6 +51,7 @@ from repro.training.checkpoint import (
     save_checkpoint,
     save_rotating_checkpoint,
 )
+from repro.training import trainer as trainer_module
 from repro.training.trainer import Pretrainer
 
 DP_CODECS = ("none", "powersgd", "qsgd", "topk")
@@ -224,6 +225,28 @@ class TestGuardedParity:
         trainer.train_iteration()
         assert report.skipped_steps == 1
         assert len(trainer.history.train_losses) == 3
+
+    @pytest.mark.parametrize("tile", [64, 1 << 14])
+    def test_the_tiled_finiteness_check_decides_as_the_whole_buffer_one(self, monkeypatch, tile):
+        """One non-finite element anywhere in any replica's arena, a tile edge included."""
+        monkeypatch.setattr(trainer_module, "REDUCE_TILE", tile)
+        trainer = _trainer(_plan())
+        policy = GuardrailPolicy()
+        arenas = trainer.engine.arenas
+        size = arenas[0].grad.size
+        rng = np.random.default_rng(0)
+        for arena in arenas:
+            arena.grad[...] = rng.standard_normal(size)
+        arenas[-1].grad[size // 2] = np.finfo(np.float64).max  # finite, however large
+        assert trainer._gradients_healthy(policy)
+        for arena in arenas:
+            for index in sorted({0, tile - 1, tile, size - 1} & set(range(size))):
+                for value in (np.nan, np.inf, -np.inf):
+                    kept = arena.grad[index]
+                    arena.grad[index] = value
+                    assert not trainer._gradients_healthy(policy), (index, value)
+                    arena.grad[index] = kept
+        assert trainer._gradients_healthy(policy)
 
     def test_grad_norm_cap_skips_every_step(self):
         spec = ResilienceSpec(max_grad_norm=1e-12)

@@ -333,26 +333,29 @@ INT_SPELLED_QUERY = {
 #: with no ``COST_MODEL_VERSION`` bump when no evaluation changes: re-pinned
 #: once so, when ``CompressionSpec`` lost its forward-compression knob (the
 #: commit before, hashing its plan documents without that key, gives these).
+#: Moved with ``COST_MODEL_VERSION`` 2026.10-2, when the simulator started
+#: sizing PP top-k transfers from their fraction: the keys differ in the
+#: version string only.
 PINNED_KEY_DIGESTS = {
     "flagship": (
         (REPO_ROOT / "benchmarks/e2e/queries/flagship.json").read_text(encoding="utf-8"),
         2800,
-        "5728ba8e666c10d6c3c54b93890df8a7b0dcd06016aa7303130cd253a8ab34b6",
+        "c8fd2b305c83942a5347b5c4e55232ba18fb33c43deed1839d85ecf17486257b",
     ),
     "two_tier": (
         (REPO_ROOT / "examples/queries/gpt_2_5b_two_tier.json").read_text(encoding="utf-8"),
         432,
-        "c693479b6818bd25571bd3ffba387d0dc8fdcbbe1479e69812a2aad9c3ef008c",
+        "e9d37b2f6f20571829972772d392c36f94a4c8709b4db793bd086349b02a5f3c",
     ),
     "int_spelled": (
         json.dumps(INT_SPELLED_QUERY),
         576,
-        "eeb1db7001e3a297de0354fb7b87429b9fde2d2e48c31abcf27fd426cf4a3359",
+        "aa0a950cd9d20bdf60827d4773c4c5ea43ac26ea29151b34e966c7cdb1bd9e01",
     ),
     "proxy_scaled": (
         json.dumps({"model": "GPT-2.5B", "gpus": 8, "proxy_scale_max_rank": 2}),
         1120,
-        "782c8de07a519fb3b13f43c2d46bdf04c973c71146e743db19a31e462cb2d48f",
+        "f751949da454accad3c764f2e42ca1dc1c9c4fe3ac74a2ab5aa94fae7eaec454",
     ),
 }
 
