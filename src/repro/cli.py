@@ -136,6 +136,7 @@ def _resolve_plan(token: str) -> ParallelPlan:
 def _artefact_catalogue() -> dict[str, Callable[[], object]]:
     """Lazy artefact table so that ``list`` stays fast."""
     from repro.experiments.discussion_accelerators import run_accelerator_comparison
+    from repro.experiments.fidelity_ledger import write_ledger
     from repro.experiments.fig03_motivation import run_fig03
     from repro.experiments.schedule_compare import run_schedule_comparison
     from repro.experiments.fig09_ppl_curves import run_fig09
@@ -165,6 +166,7 @@ def _artefact_catalogue() -> dict[str, Callable[[], object]]:
         "fig16": run_fig16,
         "accelerators": run_accelerator_comparison,
         "schedules": run_schedule_comparison,
+        "ledger": write_ledger,
     }
 
 
@@ -911,7 +913,11 @@ def build_parser() -> argparse.ArgumentParser:
     autotune.set_defaults(handler=command_autotune)
 
     reproduce = subparsers.add_parser("reproduce", help="run one paper table/figure")
-    reproduce.add_argument("artefact", help="e.g. table2, fig10, fig16")
+    reproduce.add_argument(
+        "artefact",
+        help="e.g. table2, fig10, fig16; 'ledger' also writes "
+        "benchmarks/results/FIDELITY.{txt,json}",
+    )
     reproduce.set_defaults(handler=command_reproduce)
 
     from repro.search.query import HARDWARE_TIERS

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -156,6 +156,13 @@ class Compressor:
         """
         out[...] = self.decompress(payload)
         return out
+
+    def reserve(self, size: int, keys: Iterable[str] = ()) -> None:
+        """Allocate what ``compress_into`` of tensors up to ``size`` elements under ``keys`` uses.
+
+        A threaded reduce calls it on the calling thread before its helper
+        threads start, so their calls allocate nothing.  A no-op by default.
+        """
 
     def roundtrip(self, tensor: np.ndarray, key: str | None = None) -> tuple[np.ndarray, CompressedPayload]:
         """Compress then decompress; returns ``(approximation, payload)``."""

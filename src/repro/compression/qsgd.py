@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import copy
 import math
+from typing import Iterable
 
 import numpy as np
 
@@ -95,6 +96,21 @@ class QSGDCompressor(Compressor):
         twin._rng = CounterRNG(self.seed)
         twin._workspace = Workspace()
         return twin
+
+    def reserve(self, size: int, keys: Iterable[str] = ()) -> None:
+        """Grow the workspace to a ``size``-element tensor's and start the call counters of ``keys``.
+
+        Counters start at zero, as on a key's first compression, in the order
+        given: a reduce that reserves its keys on the calling thread never
+        inserts one on a helper thread.
+        """
+        self._workspace.flat("*", "codes", size, dtype=self._code_dtype)
+        self._workspace.flat("*", "scaled", min(size, QUANTISE_TILE))
+        self._workspace.flat("*", "uniform", min(size, QUANTISE_TILE), dtype=np.float32)
+        if not self.deterministic:
+            for key in keys:
+                if key not in self._call_counts:
+                    self._call_counts[key] = 0
 
     @property
     def num_levels(self) -> int:

@@ -18,6 +18,7 @@ cost, reproducible everywhere, and independent of the order tensors are visited
 from __future__ import annotations
 
 import copy
+from typing import Iterable
 
 import numpy as np
 
@@ -43,21 +44,27 @@ def num_kept(fraction: float, size: int) -> int:
     return max(1, min(size, int(round(fraction * size))))
 
 
-def stable_topk_indices(magnitudes: np.ndarray, kept: int) -> np.ndarray:
+def stable_topk_indices(
+    magnitudes: np.ndarray, kept: int, partition: np.ndarray | None = None
+) -> np.ndarray:
     """Indices of the ``kept`` largest magnitudes, ties broken by lowest index.
 
     Equivalent to sorting by ``(-magnitude, index)`` and taking the first ``kept``
     entries, but in O(n): one ``partition`` to find the k-th order statistic, then
     a strict-greater mask plus the first ties at the threshold.  The result is
-    sorted ascending (a deterministic payload layout).
+    sorted ascending (a deterministic payload layout).  ``partition`` is
+    scratch of ``magnitudes``' size that the partition pass reorders a copy
+    in; a fresh array when omitted.
     """
     size = magnitudes.size
     if kept >= size:
         return np.arange(size, dtype=np.int64)
-    scratch = magnitudes.copy()
+    if partition is None:
+        partition = np.empty(size)
+    np.copyto(partition, magnitudes)
     cut = size - kept
-    scratch.partition(cut)
-    threshold = scratch[cut]
+    partition.partition(cut)
+    threshold = partition[cut]
     above = np.nonzero(magnitudes > threshold)[0]
     need = kept - above.size
     if need > 0:
@@ -67,7 +74,9 @@ def stable_topk_indices(magnitudes: np.ndarray, kept: int) -> np.ndarray:
             # as the largest magnitude (where ``partition`` put it), so a
             # poisoned tensor still yields ``kept`` indices and the poison
             # travels on to the guard instead of crashing the kernel.
-            return stable_topk_indices(np.where(np.isnan(magnitudes), np.inf, magnitudes), kept)
+            return stable_topk_indices(
+                np.where(np.isnan(magnitudes), np.inf, magnitudes), kept, partition
+            )
         above = np.concatenate([above, ties[:need]])
         above.sort()
     return above.astype(np.int64, copy=False)
@@ -111,7 +120,7 @@ class TopKCompressor(Compressor):
         kept = num_kept(self.fraction, flat.size)
         magnitudes = scratch("magnitudes", flat.size)
         np.abs(flat, out=magnitudes)
-        indices = stable_topk_indices(magnitudes, kept)
+        indices = stable_topk_indices(magnitudes, kept, scratch("partition", flat.size))
         values = scratch("values", kept)
         np.take(flat, indices, out=values)
         payload_bytes = kept * (UNCOMPRESSED_BYTES_PER_ELEMENT + INDEX_BYTES)
@@ -123,8 +132,16 @@ class TopKCompressor(Compressor):
             metadata={"kept": kept, "compressed": True},
         )
 
+    def reserve(self, size: int, keys: Iterable[str] = ()) -> None:
+        """Grow the workspace to a ``size``-element tensor's (top-k keeps no per-key state)."""
+        if size > self.min_elements:
+            for name, elements in (
+                ("magnitudes", size), ("partition", size), ("values", num_kept(self.fraction, size))
+            ):
+                self._workspace.flat("*", name, elements)
+
     def compress_into(self, tensor: np.ndarray, key: str | None = None) -> CompressedPayload:
-        """Select into the codec's one magnitudes/values scratch, grown to the widest tensor.
+        """Select into the codec's one magnitudes/partition/values scratch, grown to the widest tensor.
 
         The payload's values alias that scratch, whatever the key: it is valid
         until this codec's next ``compress_into``, so decompress it before

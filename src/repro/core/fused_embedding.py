@@ -16,22 +16,26 @@ cost, ``C_emb / C_emb_fused − 1``, which approaches 50 % for large D and is 42
 at the paper's D = 4.
 
 The functional :class:`EmbeddingSynchronizer` performs the synchronisation on the
-in-process replicas, in place in the copies' own gradient buffers (tile by tile,
-in the order a stacked all-reduce sums, so ``tests/test_embedding_sync.py`` holds
-it to the stacked path bit for bit); fused and unfused paths are mathematically
-identical, differing only in the traffic they log.  Under the serial executor
-the engine runs it inside the pipeline walk, on whichever of the threads owning
-stage 0 and stage ``pp - 1`` finishes second.
+in-process replicas, in place in replica 0's copies' gradient buffers, in the
+order a stacked all-reduce sums (``tests/test_embedding_sync.py`` holds it to the
+stacked path bit for bit); fused and unfused paths are mathematically identical,
+differing only in the traffic they log.  It folds the replicas in one at a time,
+stage by stage, as the DP reduce does: under the serial executor the stage-0 and
+stage ``pp - 1`` walk threads fold each replica's copies as soon as they are
+final, before the next replica, whose gradient buffer may be the same, writes
+them again.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Sequence
 
 import numpy as np
 
 from repro.compression.base import writable_flat_view
 from repro.nn.gpt_stage import GPTStage
+from repro.parallel.arena import distinct_buffers
 from repro.parallel.collectives import (
     REDUCE_TILE,
     WIRE_BYTES_PER_ELEMENT,
@@ -102,10 +106,30 @@ class EmbeddingSynchronizer:
         self.replicas = [list(replica) for replica in replicas]
         self.log = log if log is not None else CommunicationLog()
         self.fused = bool(fused)
+        first, last = self.replicas[0][0], self.replicas[0][-1]
+        #: The stage of each copy, in :meth:`_embedding_copies` order.
+        self._copy_stages = [0] * len(first.embedding_parameters())
+        if last is not first:
+            self._copy_stages += [len(self.replicas[0]) - 1] * len(last.embedding_parameters())
+        self._lock = threading.Lock()
+        #: Per replica, where the first of its two stages to be folded saves its
+        #: copies when a later replica's writes would overwrite them before the
+        #: fused sum reads them (allocated once, by :meth:`prepare`).
+        self._side: list[np.ndarray | None] = [None] * len(self.replicas)
+        # One sync's state, set up by :meth:`prepare`.
+        self._flats: list[list[np.ndarray]] = []
+        self._targets: list[np.ndarray] = []
+        self._waiting: list[set[int]] = []
+        self._saved: list[int | None] = []
 
     @property
     def data_parallel_degree(self) -> int:
         return len(self.replicas)
+
+    @property
+    def stages(self) -> tuple[int, ...]:
+        """The stages holding embedding copies: stage 0 and the last one."""
+        return tuple(sorted(set(self._copy_stages)))
 
     def _embedding_copies(self) -> list[list[Parameter]]:
         """Per-replica list of embedding copies (first stage, then last stage).
@@ -126,14 +150,45 @@ class EmbeddingSynchronizer:
 
     # -- synchronisation --------------------------------------------------------------
 
-    def synchronize(self) -> None:
+    def prepare(self) -> None:
+        """Set up the next synchronisation on the calling thread, before any walk.
+
+        Takes the copies' flat views (the executor may have moved the
+        arenas), the distinct buffers the result is copied into, and — for
+        the fused sum over two stages — a side buffer for each replica whose
+        copies a later replica's share of memory overwrites.
+        """
+        self._flats = [
+            [writable_flat_view(parameter.grad) for parameter in replica]
+            for replica in self._embedding_copies()
+        ]
+        self._targets = distinct_buffers(flat for replica in self._flats for flat in replica)[1:]
+        width = max(
+            sum(flat.size for flat, at in zip(self._flats[0], self._copy_stages) if at == stage)
+            for stage in self.stages
+        )
+        for replica, flats in enumerate(self._flats):
+            overwritten = any(
+                np.may_share_memory(flat, later)
+                for flat in flats
+                for after in self._flats[replica + 1 :]
+                for later in after
+            )
+            if not (self.fused and overwritten and len(self.stages) == 2):
+                self._side[replica] = None
+            elif self._side[replica] is None or self._side[replica].size < width:
+                self._side[replica] = np.empty(width)
+        self._waiting = [set(self.stages) for _ in self._flats]
+        self._saved = [None] * len(self._flats)
+
+    def synchronize(self, replica: int | None = None, stage: int | None = None) -> None:
         """Make every embedding copy hold the same, fully-reduced gradient, in place.
 
         The resulting gradient on every copy equals
         ``mean_over_replicas(grad_first + grad_last)`` for both paths; only the
         communication pattern (and hence the logged traffic) differs.  The
-        copies are reduced tile by tile in their own gradient buffers, in the
-        order the stacked collectives summed them, so the bits are theirs:
+        copies are reduced in replica 0's copies' buffers, in the order the
+        stacked collectives summed them, so the bits are theirs:
 
         * **fused** — replica 0's first copy accumulates every copy in
           replica-major order, then ``*= 1/dp``;
@@ -141,35 +196,78 @@ class EmbeddingSynchronizer:
           the replicas, then ``/= dp`` (the DP mean), then the first adds the
           second (the 2-way sum).
 
-        Each tile is copied to the other copies while it is still in cache.
-        Nothing is allocated but the record objects, so the sync may run on
-        any thread; under the serial executor it runs inside the pipeline walk
-        (:meth:`repro.parallel.engine.ThreeDParallelEngine.run_iteration`).
+        The result is copied to every other distinct copy buffer tile by
+        tile, while it is in cache.  With no arguments every replica's copies
+        are folded in, one replica after another.  With ``replica`` and
+        ``stage`` (0 or ``pp - 1``) it is one step of a sync that
+        :meth:`prepare` set up: that replica's copies on that stage are final
+        and the previous replica's on the same stage folded.  Steps of the
+        two stages may run on two threads; the second of a replica's two
+        steps folds its copies into the fused sum, and the last replica's
+        second step finishes the sync.  Nothing is allocated but the record
+        objects.
         """
-        copies = self._embedding_copies()
-        num_replicas, num_copies = len(copies), len(copies[0])
-        flats = [[writable_flat_view(parameter.grad) for parameter in replica] for replica in copies]
+        if replica is None:
+            self.prepare()
+            for replica in range(self.data_parallel_degree):
+                for stage in self.stages:
+                    self._fold(replica, stage)
+        else:
+            self._fold(replica, stage)
+
+    def _fold(self, replica: int, stage: int) -> None:
+        flats = self._flats[replica]
+        here = [index for index, at in enumerate(self._copy_stages) if at == stage]
+        last = replica == len(self._flats) - 1
+        if not self.fused:  # each copy's DP sum, on its own stage
+            for index in here:
+                total = self._flats[0][index]
+                if replica > 0:
+                    total += flats[index]
+                if last and replica > 0:
+                    total /= len(self._flats)
+        with self._lock:
+            waiting = self._waiting[replica]
+            waiting.discard(stage)
+            second = not waiting
+            side = self._side[replica]
+            if not second and side is not None:
+                offset = 0
+                for index in here:
+                    side[offset : offset + flats[index].size] = flats[index]
+                    offset += flats[index].size
+                self._saved[replica] = stage
+        if not second:
+            return
         if self.fused:
-            sums = [[flat for replica in flats for flat in replica]]  # one sum of every copy
-        else:  # one sum per copy, over the replicas
-            sums = [[replica[index] for replica in flats] for index in range(num_copies)]
-        result = flats[0][0]
-        targets = [flat for replica in flats for flat in replica if flat is not result]
+            self._add_replica(replica)
+        if last:
+            self._finish()
+
+    def _add_replica(self, replica: int) -> None:
+        """Add replica ``replica``'s copies into the fused sum, saved ones from the side buffer."""
+        total = self._flats[0][0]
+        offset = 0
+        for index, (flat, at) in enumerate(zip(self._flats[replica], self._copy_stages)):
+            if at == self._saved[replica]:
+                flat = self._side[replica][offset : offset + flat.size]
+                offset += flat.size
+            if replica > 0 or index > 0:
+                total += flat
+
+    def _finish(self) -> None:
+        """Scale (fused) or add the two DP means (two-step), copy out, log the collectives."""
+        num_replicas, num_copies = len(self._flats), len(self._flats[0])
+        result = self._flats[0][0]
         scale = 1.0 / num_replicas
         for start in range(0, result.size, REDUCE_TILE):
             span = slice(start, start + REDUCE_TILE)
-            for accumulator, *others in sums:
-                tile = accumulator[span]
-                for other in others:
-                    tile += other[span]
-                if self.fused:
-                    tile *= scale
-                elif others:
-                    tile /= num_replicas
             tile = result[span]
-            if not self.fused and num_copies == 2:
-                tile += flats[0][1][span]
-            for target in targets:
+            if self.fused:
+                tile *= scale
+            elif num_copies == 2:
+                tile += self._flats[0][1][span]
+            for target in self._targets:
                 target[span] = tile
         self._record(num_replicas, num_copies, result.size * WIRE_BYTES_PER_ELEMENT)
 

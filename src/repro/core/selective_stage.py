@@ -18,14 +18,17 @@ so the factors, the approximation ``A`` and the mean new residual
 ``mean_r(M_r) - A`` depend on the replicas' corrected gradients only through their
 mean.  The hook therefore keeps **one** residual per parameter for the whole DP
 group (a one-row slab per codec bucket) and factorises the replica-mean corrected
-gradient once: one pass forms
-``residual + mean_r(gradient_r)``, two GEMMs give ``P`` and ``Q``, and a third
-writes ``A`` block by block straight into replica 0's gradient, each block
-subtracted from the residual and copied to the other replicas while it is in
-cache.  P/Q traffic and payload bytes are those of the per-replica protocol (every
-replica still puts its factors on the wire).  In exact arithmetic this is the
-per-replica protocol; in floating point it sums in another order (checked against
-a frozen per-replica oracle at ``rtol=1e-12`` in ``tests/test_core_selective_stage.py``).
+gradient once.  The replicas' gradients reach it one at a time
+(:class:`~repro.parallel.arena.ReplicaFold`): each is added into replica 0's
+buffer as soon as it is final, and the last replica's fold divides that sum by
+the replica count and adds it into the residual, two GEMMs give ``P`` and
+``Q``, and a third writes ``A`` block by block straight into replica 0's
+buffer, each block subtracted from the residual and copied to the group's
+other gradient buffers while it is in cache.  P/Q traffic and payload bytes
+are those of the per-replica protocol (every replica still puts its factors on
+the wire).  In exact arithmetic this is the per-replica protocol; in floating
+point it sums in another order (checked against a frozen per-replica oracle at
+``rtol=1e-12`` in ``tests/test_core_selective_stage.py``).
 """
 
 from __future__ import annotations
@@ -35,15 +38,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.compression.powersgd import matrix_view, orthogonalise, stable_key_hash
-from repro.parallel.arena import BucketResidualStore, CodecBucket
+from repro.parallel.arena import BucketResidualStore, CodecBucket, ReplicaFold
 from repro.parallel.collectives import WIRE_BYTES_PER_ELEMENT, SimulatedProcessGroup
 from repro.parallel.op_order import OpOrderedDict
 from repro.utils.random import seeded_rng
 
-#: Elements per block of the replica-mean and residual passes (rounded down to
-#: whole matrix rows): the replicas' gradient slices, the residual slice and the
-#: one scratch tile stay in a per-core L2 while each gradient byte streams from
-#: memory once.
+#: Elements per block of the mean and residual passes (rounded down to whole
+#: matrix rows): a block of the approximation is subtracted from the residual
+#: and copied out while its GEMM has just left it in cache.
 _TILE_ELEMENTS = 1 << 14
 
 
@@ -76,100 +78,98 @@ class SelectiveStageCompression:
         self._queries: dict[str, np.ndarray] = OpOrderedDict()
         #: The group's error-feedback residuals (one flat one-row slab per bucket).
         self._bucket_residuals = BucketResidualStore()
-        #: Per stage, the replica-mean scratch block: stages' buckets are
-        #: reduced on different threads at once.
-        self._tiles: dict[int, np.ndarray] = {}
 
     def _reduce_segment(
         self,
         key: str,
         shape: tuple[int, int],
-        gradients: Sequence[np.ndarray],
-        outputs: Sequence[np.ndarray],
+        total: np.ndarray,
+        last: np.ndarray | None,
+        copies: Sequence[np.ndarray],
         residual: np.ndarray | None,
         residual_ready: bool,
-        stage: int = 0,
+        num_replicas: int,
     ) -> tuple[int, int]:
         """One PowerSGD power iteration on the replica mean of the corrected gradients.
 
-        ``gradients``/``outputs`` are each replica's flat contiguous gradient
-        and result (they may alias: :meth:`reduce_bucket` reduces in place);
-        ``residual`` is the group's flat residual, ``None`` without error
-        feedback, and is only added to when ``residual_ready``.  The mean is
-        formed in the residual (or, without one, in ``outputs[0]``, which the
-        approximation overwrites once ``Q`` is known).  Both passes walk blocks
-        of whole rows, so each block of ``A`` is subtracted from the residual
-        and copied to the other replicas while its GEMM has just left it in
-        cache; ``stage`` (the segment's) picks the scratch block.  Returns the
-        P and Q payload bytes of one replica.
+        ``total`` is the flat contiguous sum of the replicas' gradients but
+        ``last`` (the last replica's, ``None`` if already in it) and receives
+        the result, which is copied into each of ``copies``; ``residual`` is
+        the group's flat residual, ``None`` without error feedback, and is
+        only added to when ``residual_ready``.  The mean is formed in
+        ``total`` and added into the residual (without one, ``total`` is the
+        mean the approximation overwrites once ``Q`` is known).  Both passes
+        walk blocks of whole rows.  Returns the P and Q payload bytes of one
+        replica.
         """
-        num_replicas = len(gradients)
         rows, cols = shape
         rank = max(1, min(self.rank, rows, cols))
         query = self._queries.get(key)
         if query is None or query.shape != (cols, rank):
             query = seeded_rng(self.seed + stable_key_hash(key)).standard_normal((cols, rank))
         block_rows = max(1, _TILE_ELEMENTS // cols)
-        scratch = self._tiles.get(stage)
-        if scratch is None or scratch.size < block_rows * cols:
-            scratch = self._tiles[stage] = np.empty(max(_TILE_ELEMENTS, block_rows * cols))
         blocks = [(row, min(row + block_rows, rows)) for row in range(0, rows, block_rows)]
 
-        mean = outputs[0] if residual is None else residual
-        accumulate = residual is not None and residual_ready
-        for first, last in blocks:
-            start, stop = first * cols, last * cols
-            tile = scratch[: stop - start]
-            if num_replicas == 1:
-                tile[...] = gradients[0][start:stop]
+        for first, stop in blocks:
+            span = slice(first * cols, stop * cols)
+            tile = total[span]
+            if last is not None:
+                tile += last[span]
+            tile /= num_replicas
+            if residual is None:
+                continue
+            if residual_ready:
+                residual[span] += tile
             else:
-                np.add(gradients[0][start:stop], gradients[1][start:stop], out=tile)
-                for gradient in gradients[2:]:
-                    tile += gradient[start:stop]
-                tile /= num_replicas
-            if accumulate:
-                mean[start:stop] += tile
-            else:
-                mean[start:stop] = tile
+                residual[span] = tile
 
-        matrix = mean.reshape(shape)
+        matrix = (total if residual is None else residual).reshape(shape)
         p_factor = orthogonalise(matrix @ query)
         query = self._queries[key] = matrix.T @ p_factor
-        approximation = outputs[0].reshape(shape)
-        for first, last in blocks:
-            np.matmul(p_factor[first:last], query.T, out=approximation[first:last])
-            synced = outputs[0][first * cols : last * cols]
+        approximation = total.reshape(shape)
+        for first, stop in blocks:
+            span = slice(first * cols, stop * cols)
+            np.matmul(p_factor[first:stop], query.T, out=approximation[first:stop])
             if residual is not None:
-                residual[first * cols : last * cols] -= synced
-            for output in outputs[1:]:
-                output[first * cols : last * cols] = synced
+                residual[span] -= total[span]
+            for copy in copies:
+                copy[span] = total[span]
 
         return int(p_factor.size * 2), int(query.size * 2)
 
-    def reduce_bucket(
-        self,
-        bucket: CodecBucket,
-        flat_gradients: Sequence[np.ndarray],
-        group: SimulatedProcessGroup,
-    ) -> None:
-        """Distributed PowerSGD reduction of one codec bucket, in place.
+    def reserve(self, buckets: Sequence[CodecBucket]) -> None:
+        """Allocate the residual slabs of ``buckets``, in this order, on the calling thread."""
+        if self.error_feedback:
+            for bucket in buckets:
+                self._bucket_residuals.slab(bucket, 1)
 
-        ``flat_gradients[r]`` is replica ``r``'s whole flat gradient buffer (the
-        arena's ``grad`` array); each segment is reduced on its zero-copy views
-        with its own per-tensor key and warm-started query, so the weights that
-        come out do not depend on how parameters are bucketed.  One hook
-        invocation and one P/Q traffic record pair cover the whole *bucket*
-        (the P record carries the bucket's uncompressed bytes as its
+    def reduce_bucket(
+        self, bucket: CodecBucket, fold: ReplicaFold, group: SimulatedProcessGroup
+    ) -> None:
+        """Fold one replica into the distributed PowerSGD reduction of one codec bucket, in place.
+
+        Every fold adds the replica's segments into ``fold.total`` (replica
+        0's buffer, which already holds its own); the last one adds its own
+        block by block as it forms the mean, and reduces each
+        segment on its zero-copy view with its own per-tensor key and
+        warm-started query, so the weights that come out do not depend on
+        how parameters are bucketed, and copies the result into
+        ``fold.copies``.  One P/Q traffic record pair covers the whole
+        *bucket* (the P record carries the bucket's uncompressed bytes as its
         ``original_bytes``, the Q record none), and the group's residuals live
-        in one flat ``(1, elements)`` slab per bucket.  The scratch block is
-        the bucket's stage's, so different stages' buckets may be reduced at
-        once.
+        in one flat ``(1, elements)`` slab per bucket.  Nothing is shared
+        between buckets, so different stages' buckets may be reduced at once.
         """
-        num_replicas = len(flat_gradients)
-        if num_replicas != group.size:
+        if fold.replicas != group.size:
             raise ValueError(
-                f"got {num_replicas} gradient buffers but the group has {group.size} ranks"
+                f"got a fold of {fold.replicas} replicas but the group has {group.size} ranks"
             )
+        if not fold.last:
+            if fold.replica > 0:
+                for segment in bucket.segments:
+                    span = slice(segment.start, segment.stop)
+                    fold.total[span] += fold.gradient[span]
+            return
         residual_slab, residual_ready = (
             self._bucket_residuals.slab(bucket, 1) if self.error_feedback else (None, False)
         )
@@ -177,7 +177,8 @@ class SelectiveStageCompression:
         p_bytes_total = 0
         q_bytes_total = 0
         for segment in bucket.segments:
-            views = [flat[segment.start : segment.stop] for flat in flat_gradients]
+            span = slice(segment.start, segment.stop)
+            total = fold.total[span]
             residual = (
                 None
                 if residual_slab is None
@@ -185,15 +186,17 @@ class SelectiveStageCompression:
             )
             p_bytes, q_bytes = self._reduce_segment(
                 segment.name,
-                matrix_view(views[0].reshape(segment.shape)).shape,
-                views,
-                views,
+                matrix_view(total.reshape(segment.shape)).shape,
+                total,
+                fold.gradient[span] if fold.replica > 0 else None,
+                [copy[span] for copy in fold.copies],
                 residual,
                 residual_ready,
-                bucket.stage_index,
+                fold.replicas,
             )
             p_bytes_total += p_bytes
             q_bytes_total += q_bytes
+        self._bucket_residuals.filled(bucket)
 
         label = f"stage{bucket.stage_index} codec-bucket{bucket.index}"
         group.record_collective(

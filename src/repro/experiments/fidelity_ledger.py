@@ -1,0 +1,154 @@
+"""The paper-fidelity ledger: every paper-reported number the code reproduces, and how far off it is.
+
+One row per number: the reproduced value, the paper's, the gap and a verdict
+from a fixed vocabulary, judged against a band this module states:
+
+* ``within band`` — the gap is inside the band;
+* ``direction ok`` — outside the band, but on the paper's side of zero (a
+  speedup that is a speedup), or a comparison the paper reports that holds;
+* ``gap`` — outside the band and not even that;
+* ``trend reversed`` — a comparison the paper reports that comes out the
+  other way.
+
+This first slice holds Table 2's wall-clock side — its eight day counts and
+six speedups, from the simulator alone through the loop
+:func:`~repro.experiments.table2_pretraining.run_table2` uses — and the
+paper's headline trend, that the full stack gains more on the bigger model.
+``repro reproduce ledger`` writes it to ``benchmarks/results/FIDELITY.txt``
+and ``FIDELITY.json``.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+from dataclasses import asdict, dataclass, field
+
+from repro.experiments.table2_pretraining import Table2Result, simulate_table2
+from repro.utils.tables import Table
+
+#: Where ``repro reproduce ledger`` writes, relative to the repository root.
+RESULTS_DIR = pathlib.Path("benchmarks") / "results"
+
+#: Day counts: the relative gap, reproduced / paper - 1, that is within band.
+DAYS_BAND = 0.10
+#: Speedups and trends: the gap in percentage points that is within band.
+POINTS_BAND = 5.0
+
+#: The verdicts, best first.
+VERDICTS = ("within band", "direction ok", "gap", "trend reversed")
+
+
+@dataclass(frozen=True)
+class FidelityRow:
+    """One paper-reported number: reproduced, the paper's, the gap, the verdict."""
+
+    row: str
+    unit: str
+    reproduced: float
+    paper: float
+    gap: float
+    verdict: str
+
+
+def _days_row(model: str, label: str, days: float, paper: float) -> FidelityRow:
+    gap = days / paper - 1.0
+    verdict = "within band" if abs(gap) <= DAYS_BAND else "gap"
+    return FidelityRow(f"Table 2 days {model} {label}", "days", days, paper, gap, verdict)
+
+
+def _points_row(row: str, reproduced: float, paper: float, comparison: bool) -> FidelityRow:
+    """A speedup in percent, or (``comparison``) a difference of two whose sign the paper reports."""
+    gap = reproduced - paper
+    if abs(gap) <= POINTS_BAND:
+        verdict = "within band"
+    elif (reproduced > 0) == (paper > 0):
+        verdict = "direction ok"
+    else:
+        verdict = "trend reversed" if comparison else "gap"
+    return FidelityRow(row, "points" if comparison else "percent", reproduced, paper, gap, verdict)
+
+
+@dataclass
+class FidelityLedger:
+    """The ledger's rows, rendered as a table and as JSON."""
+
+    rows: list[FidelityRow] = field(default_factory=list)
+
+    def render(self) -> str:
+        table = Table(
+            title="Paper-fidelity ledger",
+            columns=["Row", "Reproduced", "Paper", "Gap", "Verdict"],
+        )
+        for row in self.rows:
+            if row.unit == "days":
+                values = [f"{row.reproduced:.2f} d", f"{row.paper:.2f} d", f"{row.gap:+.1%}"]
+            else:
+                suffix = "%" if row.unit == "percent" else " pt"
+                values = [
+                    f"{row.reproduced:+.2f}{suffix}", f"{row.paper:+.2f}{suffix}", f"{row.gap:+.2f} pt"
+                ]
+            table.add_row([row.row, *values, row.verdict])
+        bands = (
+            f"Bands: days within {DAYS_BAND:.0%} of the paper's; speedups and trends "
+            f"within {POINTS_BAND:.0f} percentage points (pt).  Outside the band a "
+            "speedup on the paper's side of zero, or a trend that holds, is 'direction ok'."
+        )
+        return f"{table.render()}\n{bands}"
+
+    def to_json(self) -> str:
+        document = {
+            "bands": {"days_relative": DAYS_BAND, "points": POINTS_BAND},
+            "verdicts": list(VERDICTS),
+            "rows": [
+                {
+                    **asdict(row),
+                    **{name: round(getattr(row, name), 6) for name in ("reproduced", "paper", "gap")},
+                }
+                for row in self.rows
+            ],
+        }
+        return json.dumps(document, indent=2) + "\n"
+
+    def write(self, directory: pathlib.Path | str = RESULTS_DIR) -> list[pathlib.Path]:
+        """Write ``FIDELITY.txt`` and ``FIDELITY.json`` into ``directory``; the paths."""
+        directory = pathlib.Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        paths = [directory / "FIDELITY.txt", directory / "FIDELITY.json"]
+        paths[0].write_text(self.render() + "\n", encoding="utf-8")
+        paths[1].write_text(self.to_json(), encoding="utf-8")
+        return paths
+
+
+def run_ledger() -> FidelityLedger:
+    """Every ledger row, from the simulator alone."""
+    cells = {(model, label): (days, speedup) for model, label, days, speedup in simulate_table2()}
+    ledger = FidelityLedger()
+    for (model, label), paper_days in Table2Result.PAPER_DAYS.items():
+        ledger.rows.append(_days_row(model, label, cells[model, label][0], paper_days))
+    for (model, label), paper_speedup in Table2Result.PAPER_SPEEDUP.items():
+        ledger.rows.append(
+            _points_row(
+                f"Table 2 speedup {model} {label}",
+                100.0 * cells[model, label][1],
+                100.0 * paper_speedup,
+                comparison=False,
+            )
+        )
+    full = [(model, "CB+FE+SC") for model in ("GPT-8.3B", "GPT-2.5B")]
+    ledger.rows.append(
+        _points_row(
+            "CB+FE+SC(8.3B) > CB+FE+SC(2.5B)",
+            100.0 * (cells[full[0]][1] - cells[full[1]][1]),
+            100.0 * (Table2Result.PAPER_SPEEDUP[full[0]] - Table2Result.PAPER_SPEEDUP[full[1]]),
+            comparison=True,
+        )
+    )
+    return ledger
+
+
+def write_ledger(directory: pathlib.Path | str = RESULTS_DIR) -> FidelityLedger:
+    """``repro reproduce ledger``: build the ledger and write its two files."""
+    ledger = run_ledger()
+    ledger.write(directory)
+    return ledger

@@ -94,18 +94,17 @@ class Table2Result:
         return table.render()
 
 
-def run_table2(
-    settings: FunctionalSettings | None = None,
+def simulate_table2(
     models: list[PaperModelSpec] | None = None,
     num_iterations: int = PAPER_TOTAL_ITERATIONS,
-) -> Table2Result:
-    """Reproduce Table 2 for the given models (default: GPT-8.3B and GPT-2.5B)."""
-    settings = settings if settings is not None else fast_functional_settings()
+) -> list[tuple[str, str, float, float]]:
+    """Table 2's wall-clock side, from the simulator alone (no training).
+
+    ``(model, configuration, training days, speedup over the model's
+    baseline)`` per cell, GPT-8.3B's then GPT-2.5B's by default.
+    """
     models = models if models is not None else [GPT_8_3B, GPT_2_5B]
-
-    quality = run_quality_suite(paper_variant_configurations(), settings)
-
-    result = Table2Result()
+    cells = []
     for model in models:
         job = paper_job(model)
         baseline_timing = None
@@ -113,13 +112,29 @@ def run_table2(
             timing = PipelineTimingSimulator(job, plan).run()
             if label == "Baseline":
                 baseline_timing = timing
-            result.cells.append(
-                PretrainingCell(
-                    model=model.name,
-                    label=label,
-                    training_days=timing.days_for(num_iterations),
-                    speedup=timing.speedup_over(baseline_timing),
-                    validation_perplexity=quality[label].final_validation_perplexity,
-                )
+            cells.append(
+                (model.name, label, timing.days_for(num_iterations), timing.speedup_over(baseline_timing))
             )
-    return result
+    return cells
+
+
+def run_table2(
+    settings: FunctionalSettings | None = None,
+    models: list[PaperModelSpec] | None = None,
+    num_iterations: int = PAPER_TOTAL_ITERATIONS,
+) -> Table2Result:
+    """Reproduce Table 2 for the given models (default: GPT-8.3B and GPT-2.5B)."""
+    settings = settings if settings is not None else fast_functional_settings()
+    quality = run_quality_suite(paper_variant_configurations(), settings)
+    return Table2Result(
+        cells=[
+            PretrainingCell(
+                model=model,
+                label=label,
+                training_days=days,
+                speedup=speedup,
+                validation_perplexity=quality[label].final_validation_perplexity,
+            )
+            for model, label, days, speedup in simulate_table2(models, num_iterations)
+        ]
+    )

@@ -11,16 +11,24 @@ whole-model operations become a handful of vectorised ops over one flat array
 (:class:`repro.optim.FusedAdam` builds its Adam moments the same way).
 
 Data-parallel replicas hold the same weights, so they hold them *once*: a
-group of arenas shares a single weight buffer, with a gradient buffer per
-replica.  The engine builds the model once — replica 0's arena becomes the
-buffer, and every other replica is a copy whose parameters view it from the
-start (:func:`~repro.nn.module.replicate_sharing_weights`), so it joins
-without a draw or a comparison; replicas built separately
+group of arenas shares a single weight buffer.  The engine builds the model
+once — replica 0's arena becomes the buffer, and every other replica is a
+copy whose parameters view it from the start
+(:func:`~repro.nn.module.replicate_sharing_weights`), so it joins without a
+draw or a comparison; replicas built separately
 (:meth:`ParameterArena.replicated`) are checked against the buffer
 bit-for-bit.  One optimiser steps the group, the process executor maps one
 weights segment, a recovery point and a checkpoint copy the weights once —
 DP× less memory and DP× fewer Adam updates than replicas that merely stay
 equal.
+
+Gradients are held at most twice.  Replica 0 owns its gradient buffer: the
+DP reduce folds every other replica's stage gradient into it as soon as that
+gradient is final (:class:`ReplicaFold`), so under the serial executor,
+which walks the replicas one after another, replicas 1…dp−1 share *one*
+further buffer (``grad_of``): replica r+1 writes a stage's gradient only
+after replica r's has been folded.  A forked worker writes while the others
+do, so the process executor gives each replica a segment of its own.
 
 On top of the arena, :func:`build_gradient_buckets` splits the data-parallel
 boundary into size-targeted buckets of *arena-contiguous* parameters, the unit at
@@ -117,9 +125,11 @@ class ParameterArena:
 
     Data-parallel replicas hold the same weights by construction, so their arenas
     form a **group** over *one* weight buffer (``weights_of``, :meth:`replicated`):
-    every member's ``data`` is the same array, its ``grad`` is its own.  ``group``
-    is the live list of the arenas bound to ``data`` — ``[self]`` for a standalone
-    arena.
+    every member's ``data`` is the same array.  ``group`` is the live list of the
+    arenas bound to ``data`` — ``[self]`` for a standalone arena.  A member's
+    ``grad`` is its own unless it is built onto another member's (``grad_of``):
+    then both write one buffer, which only replicas whose gradients are folded
+    away one at a time may do (:class:`ReplicaFold`).
     """
 
     def __init__(
@@ -128,6 +138,7 @@ class ParameterArena:
         dtype=np.float64,
         *,
         weights_of: "ParameterArena | None" = None,
+        grad_of: "ParameterArena | None" = None,
     ) -> None:
         given = list(parameters)
         if len({id(parameter) for parameter in given}) != len(given):
@@ -139,7 +150,12 @@ class ParameterArena:
         self.num_trainable_elements = sum(p.size for p in ordered if p.requires_grad)
         total = sum(p.size for p in ordered)
         self.data = np.empty(total, dtype=dtype) if weights_of is None else weights_of.data
-        self.grad = np.zeros(total, dtype=self.data.dtype)
+        if grad_of is None:
+            self.grad = np.zeros(total, dtype=self.data.dtype)
+        elif grad_of.grad.shape != (total,) or grad_of.grad.dtype != self.data.dtype:
+            raise ValueError("an arena can share the gradient buffer of an identical layout only")
+        else:  # its contents are the other replica's; this one's next write assigns
+            self.grad = grad_of.grad
         self._spans: dict[int, tuple[int, int]] = {}
         offset = 0
         for parameter in ordered:
@@ -147,7 +163,8 @@ class ParameterArena:
             self._spans[id(parameter)] = (offset, stop)
             if weights_of is None:
                 self.data[offset:stop] = np.ravel(parameter.data)
-            self.grad[offset:stop] = np.ravel(parameter.grad)
+            if grad_of is None:
+                self.grad[offset:stop] = np.ravel(parameter.grad)
             offset = stop
         if weights_of is None:
             self.group: list[ParameterArena] = [self]
@@ -278,10 +295,12 @@ class ParameterArena:
         the arena's array and every parameter's view are rebound, so all
         existing in-place accesses — the stages' backward accumulation, the
         fused optimiser, the DP sync's flat bucket views — transparently read
-        and write the new memory.  ``grad`` replaces this arena's own gradient
-        buffer; ``data`` replaces the weight buffer of the **whole group** (one
-        copy, every member rebound) — weights are one buffer per group, never
-        one per arena.  Spans are layout identities and do not change.
+        and write the new memory.  ``grad`` replaces this arena's gradient
+        buffer only (an arena that shared one with another member owns
+        ``grad`` from then on); ``data`` replaces the weight buffer of the
+        **whole group** (one copy, every member rebound) — weights are one
+        buffer per group, never one per arena.  Spans are layout identities
+        and do not change.
         """
         for name, buffer in (("data", data), ("grad", grad)):
             live = getattr(self, name)
@@ -314,6 +333,19 @@ class ParameterArena:
         self.group.remove(self)
         self.group = [self]
         self.rebind_storage(data=np.empty_like(self.data))
+
+
+def distinct_buffers(buffers: Iterable[np.ndarray]) -> list[np.ndarray]:
+    """``buffers`` in order, leaving out every one whose memory overlaps an earlier one's.
+
+    Replicas that share a gradient buffer are one buffer to read, to check
+    and to copy a reduced gradient into.
+    """
+    kept: list[np.ndarray] = []
+    for buffer in buffers:
+        if not any(np.may_share_memory(buffer, other) for other in kept):
+            kept.append(buffer)
+    return kept
 
 
 def _same_view(left: np.ndarray, right: np.ndarray) -> bool:
@@ -409,26 +441,55 @@ class CodecBucket:
         return tuple(segment.name for segment in self.segments)
 
 
+@dataclass(frozen=True)
+class ReplicaFold:
+    """One replica's turn in a data-parallel reduce.
+
+    The reduce folds replica ``replica``'s flat gradient buffer ``gradient``
+    into ``total``, replica 0's (replica 0's own fold leaves it there), so
+    ``total`` holds a running sum — or, for a codec, the sum of the replicas'
+    approximations.  The fold of the last of ``replicas`` turns it into the
+    mean and copies that into ``copies``, the group's other distinct gradient
+    buffers, so every replica reads the synchronised gradient.  A bucket's
+    folds run in replica order, each after that replica's gradient is final
+    and before a replica sharing its buffer writes again.
+    """
+
+    replica: int
+    replicas: int
+    total: np.ndarray
+    gradient: np.ndarray
+    copies: tuple[np.ndarray, ...] = ()
+
+    @property
+    def last(self) -> bool:
+        """Whether this fold finishes the reduce."""
+        return self.replica == self.replicas - 1
+
+
 class BucketResidualStore:
     """Error-feedback residual slabs for the bucket codec kernels.
 
-    One flat ``(rows, elements)`` array per codec bucket, allocated lazily on
-    the bucket's first reduction: a row per replica for the qsgd/topk hook,
-    whose codecs are not linear, and one row for the distributed-PowerSGD hook,
-    which keeps one residual for the whole group.  The first-call distinction
-    matters for bit parity with a per-parameter error-feedback codec, which
-    *adds no residual* on a key's first compression (there is nothing stored
-    yet), so the slab is handed back with ``ready=False`` on the allocating
-    call and the kernel must skip the add.  Shared by both hooks so the lifecycle (keying,
-    lazy allocation, memory accounting, reset) lives once.
+    One flat ``(rows, elements)`` array per codec bucket: a row per replica
+    for the qsgd/topk hook, whose codecs are not linear, and one row for the
+    distributed-PowerSGD hook, which keeps one residual for the whole group.
+    A slab is allocated by :meth:`slab` on first use or, before a threaded
+    reduce, on the calling thread.  It is *ready* once a reduce of its bucket
+    has completed (:meth:`filled`): bit parity with a per-parameter
+    error-feedback codec, which *adds no residual* on a key's first
+    compression (there is nothing stored yet), needs the kernel to skip the
+    add until then.  Shared by both hooks so the lifecycle (keying,
+    allocation, memory accounting, reset) lives once.
     """
 
     def __init__(self) -> None:
         # Slabs allocated on threads of a DP sync take the one-thread order.
         self._slabs: dict[tuple[int, int], np.ndarray] = OpOrderedDict()
+        #: Slots allocated whose reduce has not completed yet.
+        self._unfilled: set[tuple[int, int]] = set()
 
     def slab(self, bucket: "CodecBucket", rows: int) -> tuple[np.ndarray, bool]:
-        """``(slab, ready)`` for ``bucket`` — ``ready`` is False on first use.
+        """``(slab, ready)`` for ``bucket``, allocating it on first use.
 
         A stored slab of another shape (a foreign state dict, or a replica
         count changed without :meth:`clear`) raises instead of silently
@@ -438,14 +499,18 @@ class BucketResidualStore:
         shape = (rows, bucket.num_elements)
         existing = self._slabs.get(slot)
         if existing is None:
-            slab = self._slabs[slot] = np.empty(shape)
-            return slab, False
-        if existing.shape != shape:
+            existing = self._slabs[slot] = np.empty(shape)
+            self._unfilled.add(slot)
+        elif existing.shape != shape:
             raise ValueError(
                 f"error-feedback residual slab of stage {bucket.stage_index} codec bucket "
                 f"{bucket.index} is {existing.shape}, this reduction needs {shape}"
             )
-        return existing, True
+        return existing, slot not in self._unfilled
+
+    def filled(self, bucket: "CodecBucket") -> None:
+        """A reduce of ``bucket`` has completed: its slab holds a residual from now on."""
+        self._unfilled.discard((bucket.stage_index, bucket.index))
 
     def memory_bytes(self) -> int:
         """Residual footprint under the library's fp32 accounting convention."""
@@ -453,14 +518,20 @@ class BucketResidualStore:
 
     def clear(self) -> None:
         self._slabs.clear()
+        self._unfilled.clear()
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """The live slabs keyed ``"stage:index"`` (string keys survive JSON headers).
 
         Views, not copies: a checkpoint writes them straight out, and the
-        recovery point detaches them through ``capture_tree``.
+        recovery point detaches them through ``capture_tree``.  A slab no
+        reduce has filled yet holds nothing and is left out.
         """
-        return {f"{stage}:{index}": slab for (stage, index), slab in self._slabs.items()}
+        return {
+            f"{stage}:{index}": slab
+            for (stage, index), slab in self._slabs.items()
+            if (stage, index) not in self._unfilled
+        }
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         slabs: dict[tuple[int, int], np.ndarray] = OpOrderedDict()
@@ -468,6 +539,7 @@ class BucketResidualStore:
             stage_text, _, index_text = key.partition(":")
             slabs[(int(stage_text), int(index_text))] = np.array(slab, dtype=np.float64)
         self._slabs = slabs
+        self._unfilled.clear()
 
 
 def build_codec_buckets(

@@ -1,27 +1,31 @@
 """Data-parallel gradient synchronisation across model replicas.
 
-After every replica has finished its micro-batches, the gradients must be
-averaged across the data-parallel group.  :class:`BucketedDataParallelSync` is
-the one mechanism that does it: flat gradient buckets carved out of the
-replicas' parameter arenas, fired in backward-completion order, with the
-paper's *selective stage compression* plugged in through the
-:class:`BucketedCompressionHook` protocol.  The schedule kind only decides when
-the buckets fire and whether their traffic counts as overlapped.  The shared
-embedding weight is excluded here so that
-:class:`repro.core.fused_embedding.EmbeddingSynchronizer` can handle it (fused or
-not).
+The gradients must be averaged across the data-parallel group.
+:class:`BucketedDataParallelSync` is the one mechanism that does it: flat
+gradient buckets carved out of the replicas' parameter arenas, fired in
+backward-completion order, with the paper's *selective stage compression*
+plugged in through the :class:`BucketedCompressionHook` protocol.  The
+schedule kind only decides whether the buckets' traffic counts as overlapped.
+The shared embedding weight is excluded here so that
+:class:`repro.core.fused_embedding.EmbeddingSynchronizer` can handle it (fused
+or not).
 
-The sync runs on the pipeline walk's threads: each owns the same
-contiguous block of stages and reduces those stages' buckets, exact and
-codec (:meth:`BucketedDataParallelSync.reduce_block`).  Under the serial
-executor a thread does that inside the walk, as soon as its block has
-drained in every replica (:meth:`BucketedDataParallelSync.walk_blocks`);
-otherwise :meth:`BucketedDataParallelSync.synchronize` forks the same
-blocks after it.  A bucket touches only its own gradient spans, its own
-per-key codec state and its stage's codec scratch, and its records and new
-state keys land at its firing position through
-:class:`~repro.parallel.op_order.OpOrder`, so gradients, the log and a
-checkpoint equal the one-thread sync's at any thread count.
+A reduce is a *fold* (:meth:`BucketedDataParallelSync.fold`): replica by
+replica, each replica's stage gradient is folded into replica 0's buffer
+(:class:`~repro.parallel.arena.ReplicaFold`), and the last replica's fold
+finishes the mean and copies it into the group's other gradient buffers.
+Under the serial executor a stage's walk thread folds replica ``r`` as soon
+as its last gradient write on the stage is done, before replica ``r + 1``
+writes there — which is what lets replicas 1…dp−1 share one gradient buffer.
+Under the process executor :meth:`BucketedDataParallelSync.synchronize`
+runs the same folds over the workers' segments after the walk, each thread
+folding its block of stages.  A bucket touches only its own gradient spans,
+its own per-key codec state and its stage's codec scratch, everything a fold
+uses is allocated on the calling thread first
+(:meth:`BucketedDataParallelSync.prepare`), and the records land at their
+firing position through :class:`~repro.parallel.op_order.OpOrder`, so
+gradients, the log and a checkpoint equal the one-thread sync's at any
+thread count.
 """
 
 from __future__ import annotations
@@ -35,8 +39,10 @@ from repro.parallel.arena import (
     CodecBucket,
     GradientBucket,
     ParameterArena,
+    ReplicaFold,
     build_codec_buckets,
     build_gradient_buckets,
+    distinct_buffers,
 )
 from repro.parallel.collectives import CommunicationLog, SimulatedProcessGroup
 from repro.parallel.op_order import OpOrder, fork_join
@@ -45,10 +51,6 @@ from repro.tensor.parameter import Parameter
 
 #: Parameters whose name contains this marker are the tied embedding copies.
 EMBEDDING_NAME_MARKER = "word_embeddings"
-
-
-#: One thread's ``(firing position, bucket, overlapped)`` triples, in firing order.
-FireBlock = list[tuple[int, GradientBucket | CodecBucket, bool]]
 
 
 def is_embedding_parameter(parameter: Parameter) -> bool:
@@ -63,24 +65,22 @@ class BucketedCompressionHook(Protocol):
         """Whether this stage/parameter pair is routed through the codec."""
         ...
 
+    def reserve(self, buckets: Sequence[CodecBucket], replicas: int) -> None:
+        """Allocate, on the calling thread, everything the folds of ``buckets`` use."""
+        ...
+
     def reduce_bucket(
-        self,
-        bucket: GradientBucket,
-        gradients: Sequence[np.ndarray],
-        group: SimulatedProcessGroup,
+        self, bucket: GradientBucket, fold: ReplicaFold, group: SimulatedProcessGroup
     ) -> None:
-        """Exact mean all-reduce of one bucket's flat views, in place (with accounting)."""
+        """Fold one replica into the exact mean all-reduce of one bucket (with accounting)."""
         ...
 
     def reduce_codec_bucket(
-        self,
-        bucket: CodecBucket,
-        flat_gradients: Sequence[np.ndarray],
-        group: SimulatedProcessGroup,
+        self, bucket: CodecBucket, fold: ReplicaFold, group: SimulatedProcessGroup
     ) -> None:
-        """Codec-compressed in-place all-reduce of one codec bucket.
+        """Fold one replica into the codec-compressed all-reduce of one codec bucket.
 
-        Buckets of different stages may be reduced at once, on different
+        Buckets of different stages may be folded at once, on different
         threads, so any scratch it keeps must be per stage.
         """
         ...
@@ -108,9 +108,9 @@ class BucketedDataParallelSync:
     become final (deepest layers first), so only stage 0's input-side bucket
     is.  The split-backward kinds (``schedule_kind`` ``"zb1"``/``"auto"``)
     finalise gradients per W pass, so they always fire micro-batch-granular.
-    Under ``"serial"`` (the overlap-off ablation) nothing fires until the whole
-    pipeline has drained and every record is exposed.  None of this changes
-    the numbers: every bucket's mean (and every codec segment's RNG stream and
+    Under ``"serial"`` (the overlap-off ablation) every record is exposed, as
+    if nothing left before the pipeline drained.  None of this changes the
+    numbers: every bucket's mean (and every codec segment's RNG stream and
     error-feedback key) is independent of when it fires, and a frozen copy of
     the per-parameter walk this replaced is the oracle it is held to, bit for
     bit, in ``tests/per_parameter_oracle.py``.
@@ -172,8 +172,11 @@ class BucketedDataParallelSync:
             self._fire_order.setdefault(bucket.stage_index, []).append(bucket)
         for stage_buckets in self._fire_order.values():
             stage_buckets.sort(key=lambda bucket: bucket.start, reverse=True)
-        #: Whether a sync has run, allocating the hook's codec buffers.
-        self._allocated = False
+        # One iteration's folds, set up by :meth:`prepare`: per stage, its
+        # buckets' ``(firing position, bucket, overlapped)``, and the other
+        # distinct gradient buffers a finished mean is copied into.
+        self._fires: dict[int, list[tuple[int, GradientBucket | CodecBucket, bool]]] = {}
+        self._copies: tuple[np.ndarray, ...] = ()
 
     @property
     def data_parallel_degree(self) -> int:
@@ -192,24 +195,23 @@ class BucketedDataParallelSync:
             overlapped=overlapped,
         )
 
-    def walk_blocks(self, threads: int) -> list[FireBlock] | None:
-        """Each walk thread's buckets, reduced (:meth:`reduce_block`) as soon as its block drains.
+    def prepare(self) -> None:
+        """Set up the next iteration's folds on the calling thread, before any walk.
 
-        ``None`` where the sync runs after the walk instead (:meth:`synchronize`):
-        before a first sync has run (none does at DP 1) and under ``"serial"``.
+        Ranks the buckets in firing order, from the last stage (which drains
+        first) to stage 0, and marks the ones the schedule kind overlaps
+        (both attributes may have been reassigned); finds the gradient
+        buffers the mean is copied into (the executor may have moved the
+        arenas); and has the hook allocate every codec buffer and per-key
+        state in firing order.  Allocated on a helper thread, they would sit
+        in a glibc per-thread malloc arena, and a later thread that misses
+        that arena grows another: ``train_quant_auto``'s peak RSS read
+        309-337 MB instead of 294-298 MB in 4 of 20 runs that way.
         """
-        if not self._allocated or self.schedule_kind == "serial":
-            return None
-        return self._blocks(threads)
-
-    def _blocks(self, threads: int) -> list[FireBlock]:
-        """``blocks[t]``: the buckets of thread ``t``'s stage block, in firing order."""
         fire = "micro_batch" if self.schedule_kind in SPLIT_BACKWARD_KINDS else self.dp_fire
-        num_stages = self.num_stages
-        threads = max(1, min(threads, num_stages))
-        blocks: list[FireBlock] = [[] for _ in range(threads)]
+        self._fires = {stage_index: [] for stage_index in range(self.num_stages)}
         rank = 0
-        for stage_index in range(num_stages - 1, -1, -1):
+        for stage_index in range(self.num_stages - 1, -1, -1):
             stage_buckets = self._fire_order.get(stage_index, [])
             for position, bucket in enumerate(stage_buckets):
                 if self.schedule_kind == "serial":
@@ -219,45 +221,65 @@ class BucketedDataParallelSync:
                     overlapped = stage_index > 0 or position < len(stage_buckets) - 1
                 else:
                     overlapped = stage_index > 0  # stage 0 drains last
-                blocks[stage_index * threads // num_stages].append((rank, bucket, overlapped))
+                self._fires[stage_index].append((rank, bucket, overlapped))
                 rank += 1
-        return blocks
+        self._copies = tuple(distinct_buffers(arena.grad for arena in self.arenas)[1:])
+        self.hook.reserve(
+            [
+                bucket
+                for stage_index in range(self.num_stages - 1, -1, -1)
+                for bucket in self._fire_order.get(stage_index, [])
+                if isinstance(bucket, CodecBucket)
+            ],
+            self.data_parallel_degree,
+        )
 
-    def reduce_block(self, order: OpOrder, block: FireBlock) -> None:
-        """Reduce one thread's buckets, ranked ``(DP degree, firing position)`` in ``order``.
+    def fold(self, order: OpOrder, replica: int, stage_index: int) -> None:
+        """Fold replica ``replica``'s stage ``stage_index`` gradients into replica 0's buffer.
 
-        The ranks follow a pipeline walk's ``(replica, ...)`` ones; a bucket
-        reads only its own spans and codec state, so any split is exact.
+        Call it once per replica and stage, in replica order for each stage,
+        after :meth:`prepare`: replica ``replica``'s gradients of the stage
+        must be final and replica ``replica - 1``'s folded.  The last
+        replica's fold finishes every bucket of the stage; bucket ``b``'s
+        fold is ranked ``(DP degree, b's firing position, replica)`` in
+        ``order``, after every op of a pipeline walk.
         """
-        grad_buffers = [arena.grad for arena in self.arenas]
-        for rank, bucket, overlapped in block:
-            order.at((self.data_parallel_degree, rank))
-            group = self._group(overlapped)
+        degree = self.data_parallel_degree
+        fold = ReplicaFold(
+            replica,
+            degree,
+            self.arenas[0].grad,
+            self.arenas[replica].grad,
+            self._copies if replica == degree - 1 else (),
+        )
+        for rank, bucket, overlapped in self._fires[stage_index]:
+            order.at((degree, rank, replica))
             if isinstance(bucket, CodecBucket):
-                self.hook.reduce_codec_bucket(bucket, grad_buffers, group)
+                self.hook.reduce_codec_bucket(bucket, fold, self._group(overlapped))
             else:
-                flats = [grad[bucket.start : bucket.stop] for grad in grad_buffers]
-                self.hook.reduce_bucket(bucket, flats, group)
+                self.hook.reduce_bucket(bucket, fold, self._group(overlapped))
 
     def synchronize(self, threads: int = 1) -> None:
-        """Fire every stage's bucket all-reduces after the walk; thread ``t`` reduces block ``t``.
+        """Fold every replica after the walk; thread ``t`` folds the ``t``-th block of stages.
 
-        The first sync runs on the calling thread whatever ``threads`` says:
-        it allocates the codec buffers the later ones reuse (residual slabs,
-        codes, scratch).  Allocated on a helper thread, they would sit in a
-        glibc per-thread malloc arena, and a later thread that misses that
-        arena grows another: ``train_quant_auto``'s peak RSS read 309-337 MB
-        instead of 294-298 MB in 4 of 20 runs that way.
+        How the process executor reduces its workers' gradient segments:
+        every replica's gradients are final, so each stage folds replica 0,
+        1, … in a row.  The blocks of stages are the pipeline walk's.
         """
         if self.data_parallel_degree == 1:
             return
+        self.prepare()
+        num_stages = self.num_stages
+        threads = max(1, min(threads, num_stages))
         order = OpOrder()
+
+        def fold_block(block: int, _) -> None:
+            for stage_index in range(num_stages):
+                if stage_index * threads // num_stages == block:
+                    for replica in range(self.data_parallel_degree):
+                        self.fold(order, replica, stage_index)
+
         try:
-            fork_join(
-                lambda _, block: self.reduce_block(order, block),
-                self._blocks(threads if self._allocated else 1),
-                name="dp-sync",
-            )
+            fork_join(fold_block, range(threads), name="dp-sync")
         finally:
             order.commit()
-        self._allocated = True

@@ -22,18 +22,22 @@ One training iteration composes the three parallelism axes:
 Parameters and gradients live in flat
 :class:`~repro.parallel.arena.ParameterArena` buffers with per-parameter views.
 The DP replicas' arenas share **one** weight buffer (the model is built once;
-the other replicas are copies whose parameters view it) and each keeps only its
-own gradient buffer, so the group has one :class:`repro.optim.FusedAdam`
-(:meth:`ThreeDParallelEngine.build_optimizer`).  The DP boundary is synchronised
-by one :class:`~repro.parallel.data_parallel.BucketedDataParallelSync`:
-size-targeted flat gradient buckets, and :class:`~repro.parallel.arena.CodecBucket`
-groups for the codec-selected parameters, fired in backward-completion order
-(last stage first) — under ``serial`` by each stage block's walk thread as soon
-as its block drains, overlapping the pipeline cool-down as the paper's DP
-traffic does.  ``Schedule(kind="serial")`` fires the same buckets after the
-pipeline has drained, every one of them exposed (the overlap-off ablation;
-bit-for-bit the same weights); ``Schedule.dp_fire`` picks the firing
-granularity the overlapped buckets are accounted at.
+the other replicas are copies whose parameters view it), so the group has one
+:class:`repro.optim.FusedAdam` (:meth:`ThreeDParallelEngine.build_optimizer`).
+The DP boundary is synchronised by one
+:class:`~repro.parallel.data_parallel.BucketedDataParallelSync`: size-targeted
+flat gradient buckets, and :class:`~repro.parallel.arena.CodecBucket` groups
+for the codec-selected parameters, fired in backward-completion order (last
+stage first), each reduced by folding the replicas' gradients into replica 0's
+buffer one replica at a time.  Under ``serial`` a stage's walk thread folds
+each replica as soon as its gradients there are final, overlapping the rest of
+the walk as the paper's DP traffic overlaps the pipeline cool-down; the
+replicas after replica 0 then need only one gradient buffer between them, two
+in all.  Under ``process`` each worker writes a gradient segment of its own
+and the parent folds them after the walk.  ``Schedule(kind="serial")`` logs
+every bucket exposed (the overlap-off ablation; bit-for-bit the same weights);
+``Schedule.dp_fire`` picks the firing granularity the overlapped buckets are
+accounted at.
 
 Everything is routed through one :class:`~repro.parallel.collectives.CommunicationLog`
 so per-axis and per-boundary traffic can be reported exactly — the numbers behind
@@ -45,7 +49,6 @@ single-device reference model's gradients bit-for-bit (``tests/test_parallel_eng
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Sequence
@@ -65,6 +68,7 @@ from repro.parallel.arena import (
     CodecBucket,
     GradientBucket,
     ParameterArena,
+    ReplicaFold,
     pin_allocator_policy,
     trim_heap,
 )
@@ -114,11 +118,13 @@ class CompressedGradientAllReduce:
     """DP-boundary all-reduce with pluggable compression codecs.
 
     Implements the :class:`repro.parallel.data_parallel.BucketedCompressionHook`
-    protocol.  Every bucket goes through it — flat exact buckets through
-    :meth:`reduce_bucket`, codec buckets through :meth:`reduce_codec_bucket` — and
-    logs one record per collective, its ``original_bytes`` the bucket's
-    uncompressed bytes; the codec is applied only to the selected stages' 2-D
-    parameters (:meth:`codec_applies`).
+    protocol.  Every bucket goes through it, one
+    :class:`~repro.parallel.arena.ReplicaFold` per replica in replica order —
+    flat exact buckets through :meth:`reduce_bucket`, codec buckets through
+    :meth:`reduce_codec_bucket` — and the last replica's fold logs one record
+    per collective, its ``original_bytes`` the bucket's uncompressed bytes; the
+    codec is applied only to the selected stages' 2-D parameters
+    (:meth:`codec_applies`).
 
     Codecs
     ------
@@ -158,11 +164,11 @@ class CompressedGradientAllReduce:
             )
         # Bucket-path state for the qsgd/topk codecs: per-bucket flat residual
         # slabs (one row per replica, segment layout = the bucket's) and, per
-        # stage, one scratch for all its buckets (the row the kernels
-        # decompress into and the row their mean forms in, grown to the
-        # widest segment) and a codec that shares ``compressor``'s per-key
-        # state but owns its scratch: stages' buckets are reduced on
-        # different threads at once.
+        # stage, one scratch row for all its buckets (the row a later
+        # replica's approximation is decompressed into, grown to the widest
+        # segment) and a codec that shares ``compressor``'s per-key state but
+        # owns its scratch: stages' buckets are reduced on different threads
+        # at once.
         self._bucket_residuals = BucketResidualStore()
         self._codec_scratch: dict[int, np.ndarray] = {}
         self._stage_compressors: dict[int, Compressor] = {}
@@ -183,35 +189,73 @@ class CompressedGradientAllReduce:
             return False
         return gradient.size >= self.spec.min_elements
 
+    def reserve(self, buckets: Sequence[CodecBucket], replicas: int) -> None:
+        """Allocate everything the folds of ``buckets`` use, on the calling thread.
+
+        Residual slabs, each stage's codec and scratch row, and the codec's
+        per-key state, created in the order the buckets are given (their
+        firing order) and, within a bucket, segment by segment and replica by
+        replica: helper threads then allocate nothing, and a checkpoint's
+        layout is the one-thread reduce's.
+        """
+        if self.powersgd is not None:
+            self.powersgd.reserve(buckets)
+            return
+        for bucket in buckets:
+            if self.spec.error_feedback:
+                self._bucket_residuals.slab(bucket, replicas)
+            compressor, _ = self._stage_codec(bucket)
+            compressor.reserve(
+                max(segment.num_elements for segment in bucket.segments),
+                [
+                    f"{segment.name}:replica{replica}"
+                    for segment in bucket.segments
+                    for replica in range(replicas)
+                ],
+            )
+
+    def _stage_codec(self, bucket: CodecBucket) -> tuple[Compressor, np.ndarray]:
+        """The bucket's stage's codec and scratch row, grown to the bucket's widest segment."""
+        stage = bucket.stage_index
+        compressor = self._stage_compressors.get(stage)
+        if compressor is None:
+            assert self.compressor is not None  # codec is qsgd or topk
+            compressor = self._stage_compressors[stage] = self.compressor.with_own_scratch()
+        largest = max(segment.num_elements for segment in bucket.segments)
+        scratch = self._codec_scratch.get(stage)
+        if scratch is None or scratch.size < largest:
+            scratch = self._codec_scratch[stage] = np.empty(largest)
+        return compressor, scratch
+
     @_POISON_PASSES
     def reduce_bucket(
-        self,
-        bucket: GradientBucket,
-        gradients: Sequence[np.ndarray],
-        group: SimulatedProcessGroup,
+        self, bucket: GradientBucket, fold: ReplicaFold, group: SimulatedProcessGroup
     ) -> None:
-        """Exact mean all-reduce of one flat gradient bucket, in place (with accounting).
+        """Fold one replica into the exact mean all-reduce of one flat gradient bucket, in place.
 
         Buckets carry only uncompressed parameters (the bucketed sync routes
         codec-selected ones through :meth:`reduce_codec_bucket`), so the payload
         always equals the original volume; the win is message granularity, not
-        bytes.  The mean is formed tile by tile in replica 0's view
-        (``g0 + g1``, then ``+= g2 ...``, then ``/= dp`` — the order
-        ``np.stack(...).mean(axis=0)`` sums in, so the same bits) and each tile
-        is copied to the other replicas while it is still in cache.
+        bytes.  Each later replica's span is added into replica 0's (``g0 +
+        g1``, then ``+= g2 ...``, the order ``np.stack(...).mean(axis=0)``
+        sums in, so the same bits); the last fold adds its span, divides by
+        the replica count and copies the result to ``fold.copies`` tile by
+        tile, while each tile is still in cache, and logs the all-reduce.
         """
-        num_replicas = len(gradients)
-        mean, *others = gradients
+        span = slice(bucket.start, bucket.stop)
+        mean, gradient = fold.total[span], fold.gradient[span]
+        if not fold.last:
+            if fold.replica > 0:
+                mean += gradient
+            return
+        copies = [copy[span] for copy in fold.copies]
         for start in range(0, mean.size, REDUCE_TILE):
-            span = slice(start, start + REDUCE_TILE)
-            tile = mean[span]
-            if others:
-                np.add(tile, others[0][span], out=tile)
-                for gradient in others[1:]:
-                    tile += gradient[span]
-                tile /= num_replicas
-            for gradient in others:
-                gradient[span] = tile
+            tile = mean[start : start + REDUCE_TILE]
+            if fold.replica > 0:
+                tile += gradient[start : start + REDUCE_TILE]
+            tile /= fold.replicas
+            for copy in copies:
+                copy[start : start + REDUCE_TILE] = tile
         group.record_collective(
             "all_reduce",
             int(mean.size * WIRE_BYTES_PER_ELEMENT),
@@ -223,12 +267,9 @@ class CompressedGradientAllReduce:
 
     @_POISON_PASSES
     def reduce_codec_bucket(
-        self,
-        bucket: CodecBucket,
-        flat_gradients: Sequence[np.ndarray],
-        group: SimulatedProcessGroup,
+        self, bucket: CodecBucket, fold: ReplicaFold, group: SimulatedProcessGroup
     ) -> None:
-        """Codec-compress one bucket of parameters in place on the arena views.
+        """Fold one replica into the codec-compressed all-reduce of one bucket, in place.
 
         One hook invocation covers every codec-selected parameter of the bucket:
         each segment keeps its own compression key (so RNG streams and
@@ -237,70 +278,60 @@ class CompressedGradientAllReduce:
         per *bucket* — residuals live in one flat
         ``(replicas, elements)`` slab and the kernels run via
         ``compress_into``/``decompress_into``.  The slab doubles as the
-        workspace: the corrected gradient is accumulated into it
-        (``residual += gradient`` — addition commutes bitwise), compressed
+        workspace: the replica's corrected gradient is accumulated into its
+        row (``residual += gradient`` — addition commutes bitwise), compressed
         there, and turned back into the new residual by subtracting the
-        approximation in place.  The approximations are summed in replica
-        order into one row of a scratch the stage's buckets share, ``(2,
-        largest segment)``: replica 0's is decompressed straight into the sum
-        row, every later one into the other row and added, and the sum is
-        divided by the replica count (the order ``np.mean`` sums in, so the
-        same bits).  The working set grows with neither the bucket count nor
-        the replica count.  Each stage compresses with its own codec and
-        scratch, so buckets of different stages may be reduced at once.
+        approximation in place.  Replica 0's approximation is decompressed
+        straight into its own buffer, which holds the sum from then on; every
+        later replica's is decompressed into the stage's scratch row and added
+        (the order ``np.mean`` sums in, so the same bits).  The last fold
+        divides the sum by the replica count, copies it into ``fold.copies``
+        and logs the all-gather.  The working set grows with neither the
+        bucket count nor the replica count.  Each stage compresses with its
+        own codec and scratch, so buckets of different stages may be reduced
+        at once.
         """
         if self.powersgd is not None:
-            self.powersgd.reduce_bucket(bucket, flat_gradients, group)
+            self.powersgd.reduce_bucket(bucket, fold, group)
             return
 
-        num_replicas = len(flat_gradients)
-        stage = bucket.stage_index
-
-        compressor = self._stage_compressors.get(stage)
-        if compressor is None:
-            assert self.compressor is not None  # codec is qsgd or topk
-            compressor = self._stage_compressors[stage] = self.compressor.with_own_scratch()
+        compressor, scratch = self._stage_codec(bucket)
         residual_slab, residual_ready = (
-            self._bucket_residuals.slab(bucket, num_replicas)
+            self._bucket_residuals.slab(bucket, fold.replicas)
             if self.spec.error_feedback
             else (None, False)
         )
-        largest = max(segment.num_elements for segment in bucket.segments)
-        scratch = self._codec_scratch.get(stage)
-        if scratch is None or scratch.shape[1] < largest:
-            scratch = self._codec_scratch[stage] = np.empty((2, largest))
-
         payload_per_rank = 0
         for segment in bucket.segments:
-            size = segment.num_elements
-            span = slice(segment.offset, segment.offset + size)
-            synced = scratch[1, :size]
-            segment_payload = 0
-            for replica in range(num_replicas):
-                view = flat_gradients[replica][segment.start : segment.stop]
-                if residual_slab is None:
-                    corrected = view
-                else:
-                    corrected = residual_slab[replica, span]
-                    if residual_ready:
-                        corrected += view
-                    else:  # nothing stored yet: the first call adds no residual
-                        corrected[...] = view
-                payload = compressor.compress_into(
-                    corrected.reshape(segment.shape), f"{segment.name}:replica{replica}"
-                )
-                approximation = synced if replica == 0 else scratch[0, :size]
-                compressor.decompress_into(payload, approximation.reshape(segment.shape))
-                if residual_slab is not None:
-                    corrected -= approximation
-                if replica > 0:
-                    synced += approximation
-                segment_payload += payload.payload_bytes
-            synced /= num_replicas
-            for replica in range(num_replicas):
-                flat_gradients[replica][segment.start : segment.stop] = synced
-            payload_per_rank += segment_payload // num_replicas
-
+            span = slice(segment.start, segment.stop)
+            view = fold.gradient[span]
+            if residual_slab is None:
+                corrected = view
+            else:
+                corrected = residual_slab[fold.replica, segment.offset : segment.offset + segment.num_elements]
+                if residual_ready:
+                    corrected += view
+                else:  # nothing stored yet: the first call adds no residual
+                    corrected[...] = view
+            payload = compressor.compress_into(
+                corrected.reshape(segment.shape), f"{segment.name}:replica{fold.replica}"
+            )
+            synced = fold.total[span]
+            approximation = synced if fold.replica == 0 else scratch[: segment.num_elements]
+            compressor.decompress_into(payload, approximation.reshape(segment.shape))
+            if residual_slab is not None:
+                corrected -= approximation
+            if fold.replica > 0:
+                synced += approximation
+            if fold.last:
+                synced /= fold.replicas
+                for copy in fold.copies:
+                    copy[span] = synced
+            # Every replica puts the same payload size on the wire.
+            payload_per_rank += payload.payload_bytes
+        if not fold.last:
+            return
+        self._bucket_residuals.filled(bucket)
         group.record_collective(
             "all_gather",
             payload_per_rank,
@@ -403,12 +434,12 @@ class EngineIterationResult:
     #: Seconds of the pipeline walk(s), under ``serial`` the in-walk DP reduce
     #: and embedding sync too.
     walk_s: float = field(default=0.0, compare=False)
-    #: Seconds of the DP sync after the walk: the first, the ``serial`` kind's
-    #: and every one under ``process``; 0.0 where it ran in the walk.
+    #: Seconds of the DP sync after the walk (``process`` only: under
+    #: ``serial`` it runs in the walk).
     dp_sync_s: float = field(default=0.0, compare=False)
     #: ``serial`` executor only: busy seconds per op kind per stage, wait
-    #: seconds per stage, and per walk thread the seconds after its block
-    #: drained (its DP reduce and the embedding sync, where they run in the walk).
+    #: seconds per stage, and per walk thread the seconds of its folds (the
+    #: DP reduce and embedding sync steps) and of its drained step.
     op_busy_s: dict[str, list[float]] = field(default_factory=dict, compare=False)
     stage_wait_s: list[float] = field(default_factory=list, compare=False)
     reduce_s: list[float] = field(default_factory=list, compare=False)
@@ -628,17 +659,23 @@ class ThreeDParallelEngine:
         # One model per DP group, in flat-arena storage.  Replica 0 draws every
         # weight and its arena becomes the group's one weight buffer; every
         # further replica is a structural copy whose parameters view that
-        # buffer from the start (no draw, no weight array of its own) and
-        # joins the group with its own gradient buffer.  Per-parameter views
+        # buffer from the start (no draw, no weight array of its own).  Under
+        # ``serial`` replicas 1..dp-1 share one gradient buffer, under
+        # ``process`` each worker writes its own.  Per-parameter views
         # make the fused optimiser and the recovery point's weight copy
         # whole-buffer ops and DP buckets zero-copy flat spans.  The list is
         # the arenas' live group: ``drop_replica`` shrinks it.
         first = build_gpt_stages(model_config, self.num_stages, seed=self.seed)
         weights = ParameterArena(_stage_parameters(first))
         self.replicas: list[list] = [first]
+        shared = None
         for _ in range(1, self.data_parallel_degree):
             stages = replicate_sharing_weights(first)
-            ParameterArena(_stage_parameters(stages), weights_of=weights)
+            arena = ParameterArena(_stage_parameters(stages), weights_of=weights, grad_of=shared)
+            if plan.executor == "serial":
+                # One walk folds each replica's stage gradient into replica
+                # 0's before the next replica writes it: one more buffer.
+                shared = arena
             self.replicas.append(stages)
         self.arenas: list[ParameterArena] = weights.group
 
@@ -827,14 +864,15 @@ class ThreeDParallelEngine:
         stage parameters, synchronised across replicas.  The optimiser step is
         the caller's.
 
-        Under the ``serial`` executor every replica runs in one walk, and the
-        thread of each stage block, once the block has drained, poisons its
-        scheduled gradient faults and reduces its DP buckets with no barrier.
-        The embedding sync reads stage 0's and stage ``pp - 1``'s copies: the
-        second of those two blocks' threads to have poisoned its faults runs
-        it, ranked after every DP record.  The first sync and the ``serial``
-        kind's run both syncs after the walk instead, as everything does under
-        ``process`` and at DP 1.  The collective-fault retries follow the walk.
+        Under the ``serial`` executor every replica runs in one walk.  As soon
+        as a replica's gradients of a stage are final, the stage's thread
+        poisons that replica's scheduled gradient faults there and folds them
+        into replica 0's buffer — the DP buckets' and, on stage 0 and stage
+        ``pp - 1``, the embedding copies' — with no barrier; the last
+        replica's folds finish both syncs.  Under ``process`` the parent
+        poisons and folds every replica's gradient segment in replica order
+        after the workers reply.  The collective-fault retries follow the
+        walk.
         """
         if len(per_replica_micro_batches) != self.data_parallel_degree:
             raise ValueError(
@@ -864,7 +902,7 @@ class ThreeDParallelEngine:
             self.num_stages, replica_runs_at_once(self.executor_kind, self.data_parallel_degree)
         )
         sync = self.bucketed_sync
-        walk, reduce_s, embedding_s = None, [], 0.0
+        walk, embedding_s, dp_sync_s = None, [0.0] * threads, 0.0
         walk_started = perf_counter()
         if executor is not None:
             # One forked worker per replica over shared-memory arenas; what is
@@ -890,50 +928,44 @@ class ThreeDParallelEngine:
             # them before the syncs allocate, or a later fork inherits a fuller heap.
             del results, result
             self._log_tensor_parallel_traffic(shapes)
-            applied = [self._corrupt_gradients()]
-            blocks = None
+            applied = {
+                (replica, stage): self._corrupt_gradients(replica, stage)
+                for replica in range(self.data_parallel_degree)
+                for stage in range(self.num_stages)
+            }
         else:
-            blocks = sync.walk_blocks(threads) if sync is not None else None
-            applied = [[] for _ in range(threads)]
-            reduce_s = [0.0] * threads
-            # The blocks of stage 0 and stage pp - 1, whose embedding copies the
-            # sync reads: the second of them to drain runs it, inside the walk
-            # wherever the DP reduce runs there.
-            embedding_owners = (
-                {0, (self.num_stages - 1) * threads // self.num_stages}
-                if blocks is not None else set()
-            )
-            owners_lock = threading.Lock()
+            # Allocated here, on the calling thread, before the walk's threads fold.
+            if sync is not None:
+                sync.prepare()
+            self.embedding_sync.prepare()
+            embedding_stages = self.embedding_sync.stages
+            applied = {}
+
+            def folded(replica: int, stage: int, order) -> None:
+                # Poison lands before the fold, so it propagates through the
+                # collectives and error feedback like a real numerical blow-up.
+                applied[replica, stage] = self._corrupt_gradients(replica, stage)
+                if sync is not None:
+                    sync.fold(order, replica, stage)
+                if stage in embedding_stages:
+                    started = perf_counter()
+                    # Ranked after every DP record, as the sync after the walk.
+                    order.at((self.data_parallel_degree + 1, 0))
+                    self.embedding_sync.synchronize(replica, stage)
+                    embedding_s[stage * threads // self.num_stages] += perf_counter() - started
 
             def drained(block: int, order) -> None:
-                nonlocal embedding_s
-                started = perf_counter()
                 if block == 0:
                     # Ranked after every walk op, before the DP records.
                     order.at((self.data_parallel_degree, -1))
                     self._log_tensor_parallel_traffic(shapes)
-                # Poison lands before the DP reduce, so it propagates through the
-                # collectives and error feedback like a real numerical blow-up.
-                applied[block] = self._corrupt_gradients(block, threads)
-                if block in embedding_owners:
-                    with owners_lock:
-                        embedding_owners.discard(block)
-                        second = not embedding_owners
-                    if second:
-                        # Ranked after every DP record, as the sync after the walk.
-                        order.at((self.data_parallel_degree + 1, 0))
-                        embedding_started = perf_counter()
-                        self.embedding_sync.synchronize()
-                        embedding_s = perf_counter() - embedding_started
-                if blocks is not None:
-                    sync.reduce_block(order, blocks[block])
-                reduce_s[block] = perf_counter() - started
 
-            walk = walk_pipelines(self.pipeline_engines, normalised, threads, drained)
+            walk = walk_pipelines(self.pipeline_engines, normalised, threads, folded, drained)
             mean_loss = walk.mean_loss
         walk_s = perf_counter() - walk_started
-        for spec in (spec for block_specs in applied for spec in block_specs):
-            self.resilience.record_fault(spec.kind)
+        for _, specs in sorted(applied.items()):
+            for spec in specs:
+                self.resilience.record_fault(spec.kind)
         if injector is not None:
             # Transient collective faults are accounted at the sync: a retry
             # resends what no reduce has consumed, so it is sound.
@@ -951,14 +983,14 @@ class ThreeDParallelEngine:
                 )
                 attempt += 1
 
-        dp_started = perf_counter()
-        if sync is not None and blocks is None:
-            sync.synchronize(threads)
-        dp_sync_s = perf_counter() - dp_started
-        if blocks is None:
+        if executor is not None:
+            dp_started = perf_counter()
+            if sync is not None:
+                sync.synchronize(threads)
             embedding_started = perf_counter()
+            dp_sync_s = embedding_started - dp_started
             self.embedding_sync.synchronize()
-            embedding_s = perf_counter() - embedding_started
+            embedding_s = [perf_counter() - embedding_started]
         self._iteration_index += 1
 
         wire, fractions, _, boundaries, dp_overlapped = axis_report(
@@ -978,25 +1010,24 @@ class ThreeDParallelEngine:
             threads=threads,
             walk_s=walk_s,
             dp_sync_s=dp_sync_s,
-            embedding_sync_s=embedding_s,
+            embedding_sync_s=sum(embedding_s),
             op_busy_s=walk.op_busy_s if walk is not None else {},
             stage_wait_s=walk.stage_wait_s if walk is not None else [],
-            reduce_s=reduce_s,
+            reduce_s=walk.reduce_s if walk is not None else [],
         )
 
     # -- resilience --------------------------------------------------------------------
 
-    def _corrupt_gradients(self, block: int = 0, threads: int = 1) -> list:
-        """Poison this iteration's NaN/Inf faults into walk thread ``block``'s stages; the specs applied."""
+    def _corrupt_gradients(self, replica: int, stage: int) -> list:
+        """Poison this iteration's NaN/Inf faults into one replica's stage; the specs applied."""
         if self.fault_injector is None:
             return []
-        spans = [  # [replica][stage] -> the arena spans of its trainable parameters
-            [
-                [arena.span(p) for p in stage.parameters() if p.requires_grad]
-                if index * threads // self.num_stages == block else []
-                for index, stage in enumerate(replica)
-            ]
-            for replica, arena in zip(self.replicas, self.arenas)
+        # [replica][stage] -> the arena spans of its trainable parameters
+        spans: list[list[list]] = [[[] for _ in stages] for stages in self.replicas]
+        spans[replica][stage] = [
+            self.arenas[replica].span(parameter)
+            for parameter in self.replicas[replica][stage].parameters()
+            if parameter.requires_grad
         ]
         return self.fault_injector.corrupt_gradients(self._iteration_index, self.arenas, spans)
 
@@ -1024,6 +1055,11 @@ class ThreeDParallelEngine:
         del self.replicas[index]
         del self.pipeline_engines[index]
         self.arenas[index].leave_group()  # shrinks self.arenas; the weights stay put
+        first = self.arenas[0]
+        if any(np.may_share_memory(first.grad, arena.grad) for arena in self.arenas[1:]):
+            # Replica 1 became the first, whose buffer the folds sum into:
+            # it may no longer share the others'.
+            first.rebind_storage(grad=np.empty_like(first.grad))
         self.data_parallel_degree -= 1
         self.dp_reduce.clear_replica_state()
         self.bucketed_sync = self._build_bucketed_sync()

@@ -31,12 +31,15 @@ contiguous block of stages, blocking only on an activation or activation
 gradient another thread hands over (keyed ``(replica, stage, micro_batch)``,
 under one :class:`threading.Condition`).  Every producer comes before its
 consumer, so no split can deadlock.  Thread 0 runs the next replica's
-forwards while the last stage drains this one's, and a drained block's
-thread goes on, with no barrier, to the caller's ``drained`` step — the DP
-reduce of its block, which so overlaps stage 0's drain, and on the second
-of stage 0's and stage ``pp - 1``'s threads to get there, the embedding
-sync.  Every threaded
-phase forks and joins through :func:`~repro.parallel.op_order.fork_join`.
+forwards while the last stage drains this one's.  A stage's gradient-writing
+ops (fused backward, or W) come in replica order, so as soon as a replica's
+last one on a stage has run, its gradients there are final: the thread goes
+on, with no barrier, to the caller's ``folded`` step for that replica and
+stage — the DP reduce folding them into replica 0's buffer, and on stage 0
+and stage ``pp - 1`` the embedding sync's — before the next replica writes
+the stage.  The serial executor's replicas 1…dp−1 can therefore share one
+gradient buffer.  Every threaded phase forks and joins through
+:func:`~repro.parallel.op_order.fork_join`.
 
 Within one iteration no weights change, so the numerical result depends on
 two orders only, both ascending in micro-batch in every valid op list, so in
@@ -81,7 +84,7 @@ from repro.parallel.op_order import Aborted, OpOrder, fork_join
 from repro.parallel.pipeline_schedule import OP_KINDS, PipelineOp, replay_ops
 from repro.parallel.scheduler import StageCosts, SynthesisSpec, schedule_ops
 from repro.plan import validate_memory_cap_factor, validate_schedule_kind
-from repro.tensor.parameter import gradient_epoch
+from repro.tensor.parameter import gradient_epoch, settle_gradients
 from repro.utils.cores import blas_threads, usable_cores
 
 #: Hook applied to every backward inter-stage transfer.
@@ -92,6 +95,10 @@ from repro.utils.cores import blas_threads, usable_cores
 BackwardCommHook = Callable[
     [np.ndarray, int, int, int], tuple[np.ndarray, int, bool]
 ]
+
+#: The op kinds that write parameter gradients (a B pass only stashes them).
+GRADIENT_WRITING_KINDS = ("backward", "backward_weight")
+
 
 def walk_threads(num_stages: int, replica_runs: int = 1) -> int:
     """Threads a pipeline walk runs on.
@@ -121,6 +128,8 @@ class IterationResult:
     #: Per stage, seconds its thread blocked on the stage's arrivals from a
     #: stage on another thread (all 0.0 on one thread).
     stage_wait_s: list[float] = field(default_factory=list, compare=False)
+    #: Per thread, seconds of the caller's ``folded`` and ``drained`` steps.
+    reduce_s: list[float] = field(default_factory=list, compare=False)
 
     @property
     def stage_busy_s(self) -> list[float]:
@@ -223,6 +232,7 @@ def walk_pipelines(
     engines: Sequence["PipelineParallelEngine"],
     micro_batches: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
     threads: int,
+    folded: Callable[[int, int, OpOrder], None] | None = None,
     drained: Callable[[int, OpOrder], None] | None = None,
 ) -> IterationResult:
     """Run forward+backward of every replica's mini-batch as one walk on ``threads`` threads.
@@ -233,10 +243,14 @@ def walk_pipelines(
     ``g`` is replica ``g // mb``'s micro-batch ``g % mb``, with loss scale
     ``1/mb``, so each replica's gradient is its own mini-batch's mean.  Each
     thread opens a :func:`~repro.tensor.parameter.gradient_epoch` over its
-    block's parameters: first writes assign, later ones add, and what no op
-    wrote is zero-filled when the block's ops are done, so callers never
-    clear the buffers first.  ``drained(t, order)`` then runs on thread
-    ``t``, in the walk's :class:`~repro.parallel.op_order.OpOrder`.
+    block's parameters: first writes assign, later ones add, so callers never
+    clear the buffers first.  After replica ``r``'s last gradient-writing op
+    on stage ``s`` the thread settles that replica's stage (what no op wrote
+    is zero-filled) and runs ``folded(r, s, order)``, before any op of a
+    later replica writes the stage's gradients; a walk whose op lists would
+    interleave two replicas' gradient writes on a stage raises.  Once the
+    block's ops are done, ``drained(t, order)`` runs on thread ``t``.  Both
+    run in the walk's :class:`~repro.parallel.op_order.OpOrder`.
     """
     num_micro_batches = len(micro_batches[0])
     if num_micro_batches == 0 or any(len(batches) != num_micro_batches for batches in micro_batches):
@@ -270,14 +284,29 @@ def walk_pipelines(
     own = merged if len(engines) == 1 else walk(num_micro_batches)
     for rank, (stage_index, op, _, _) in enumerate(own):
         own_rank.setdefault((stage_index, op.micro_batch, op.kind == "forward"), rank)
+    # Where each replica's gradients of each stage are final: the position of
+    # its last gradient-writing op there, checked to precede the next replica's.
+    final: dict[tuple[int, int], int] = {}
+    writing = [0] * num_stages
+    for position, (stage_index, op, _, _) in enumerate(merged):
+        if op.kind in GRADIENT_WRITING_KINDS:
+            replica = op.micro_batch // num_micro_batches
+            if replica < writing[stage_index]:
+                raise ValueError(
+                    f"stage {stage_index}'s op list writes replica {replica}'s gradients "
+                    f"after replica {writing[stage_index]}'s"
+                )
+            writing[stage_index] = replica
+            final[(replica, stage_index)] = position
     # Thread t owns a contiguous block of stages, of every replica, and walks
     # the merged order restricted to them.
     blocks: list[list] = [[] for _ in range(threads)]
-    for stage_index, op, _, _ in merged:
+    for position, (stage_index, op, _, _) in enumerate(merged):
         replica, micro_batch = divmod(op.micro_batch, num_micro_batches)
         rank = (replica, own_rank[(stage_index, micro_batch, op.kind == "forward")])
+        finishes = final[(replica, stage_index)] == position
         blocks[stage_index * threads // num_stages].append(
-            (rank, replica, stage_index, op.kind, micro_batch)
+            (rank, replica, stage_index, op.kind, micro_batch, finishes)
         )
     loss_scale = 1.0 / num_micro_batches
     caches: dict[tuple[int, int, int], StageCache] = {}
@@ -288,6 +317,7 @@ def walk_pipelines(
     order = OpOrder()
     busy = {kind: [0.0] * num_stages for kind in OP_KINDS}
     wait = [0.0] * num_stages
+    reduce_s = [0.0] * threads
 
     def run_ops(index: int, ops: list) -> None:
         last = perf_counter()
@@ -309,7 +339,7 @@ def walk_pipelines(
             for parameter in stage.parameters()
         ]
         with gradient_epoch(block):
-            for rank, replica, stage_index, kind, micro_batch in ops:
+            for rank, replica, stage_index, kind, micro_batch, finishes in ops:
                 order.at(rank)
                 channel = engines[replica].channel
                 stage = engines[replica].stages[stage_index]
@@ -341,8 +371,16 @@ def walk_pipelines(
                 now = perf_counter()
                 busy[kind][stage_index] += now - last
                 last = now
+                if finishes:
+                    settle_gradients(stage.parameters())
+                    if folded is not None:
+                        folded(replica, stage_index, order)
+                        now = perf_counter()
+                        reduce_s[index] += now - last
+                        last = now
         if drained is not None:
             drained(index, order)
+            reduce_s[index] += perf_counter() - last
 
     try:
         fork_join(run_ops, blocks, name="pipeline-walk", abort=arrivals.abort)
@@ -354,6 +392,7 @@ def walk_pipelines(
         threads=threads,
         op_busy_s=busy,
         stage_wait_s=wait,
+        reduce_s=reduce_s,
     )
 
 

@@ -137,15 +137,25 @@ def gradient_epoch(parameters: Sequence[Parameter]) -> Iterator[None]:
     """One producer run over ``parameters``: first writes assign, later ones add.
 
     On exit (normal or not) every parameter nothing wrote in the epoch is
-    zero-filled, so afterwards each gradient buffer holds exactly what the run
-    produced, whatever it held before.
+    zero-filled (:func:`settle_gradients`), so afterwards each gradient buffer
+    holds exactly what the run produced, whatever it held before.
     """
     for parameter in parameters:
         parameter.grad_stale = True
     try:
         yield
     finally:
-        for parameter in parameters:
-            if parameter.grad_stale:
-                parameter.grad_stale = False
-                parameter.grad.fill(0.0)
+        settle_gradients(parameters)
+
+
+def settle_gradients(parameters: Sequence[Parameter]) -> None:
+    """End the epoch for ``parameters`` early: zero-fill the ones nothing wrote.
+
+    A producer that is done with some parameters before its epoch ends (one
+    replica's stage of a pipeline walk) settles them, so their gradients are
+    final from then on.
+    """
+    for parameter in parameters:
+        if parameter.grad_stale:
+            parameter.grad_stale = False
+            parameter.grad.fill(0.0)

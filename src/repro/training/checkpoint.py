@@ -83,7 +83,7 @@ import re
 
 import numpy as np
 
-from repro.parallel.arena import bitwise_equal
+from repro.parallel.arena import bitwise_equal, distinct_buffers
 from repro.plan import ParallelPlan
 from repro.resilience import ResilienceReport
 from repro.training.metrics import TrainingHistory, ValidationPoint
@@ -158,9 +158,13 @@ def _parameter_layout(trainer: Pretrainer) -> dict:
 
 
 def _group_shared(label: str, per_replica: list[np.ndarray]) -> None:
-    """Raise unless every replica holds replica 0's buffer bit-for-bit."""
-    for replica, other in enumerate(per_replica[1:], start=1):
+    """Raise unless every replica holds replica 0's buffer bit-for-bit.
+
+    Replicas sharing a buffer are one read.
+    """
+    for other in distinct_buffers(per_replica)[1:]:
         if not bitwise_equal(per_replica[0], other):
+            replica = next(index for index, buffer in enumerate(per_replica) if buffer is other)
             raise RuntimeError(
                 f"data-parallel replicas diverged: replica {replica}'s {label} differ from "
                 "replica 0's — refusing to write a checkpoint of weights that were stepped "

@@ -56,6 +56,7 @@ from repro.data.tasks import ZeroShotTask
 from repro.nn.loss import perplexity_from_loss
 from repro.nn.transformer import GPTModelConfig
 from repro.optim import LRSchedule
+from repro.parallel.arena import distinct_buffers
 from repro.parallel.collectives import REDUCE_TILE, CommunicationLog
 from repro.parallel.engine import EngineIterationResult, ThreeDParallelEngine, axis_report
 from repro.plan import ParallelPlan
@@ -303,11 +304,11 @@ class Pretrainer:
 
         Finiteness is checked one tile at a time into one tile of flags, so no
         arena-sized bool array is allocated; the first non-finite tile decides.
+        Replicas sharing a gradient buffer are one buffer to check.
         """
         if policy.skip_nonfinite:
             finite = np.empty(REDUCE_TILE, dtype=bool)
-            for arena in self.engine.arenas:
-                grad = arena.grad
+            for grad in distinct_buffers(arena.grad for arena in self.engine.arenas):
                 for start in range(0, grad.size, REDUCE_TILE):
                     tile = grad[start : start + REDUCE_TILE]
                     if not np.isfinite(tile, out=finite[: tile.size]).all():

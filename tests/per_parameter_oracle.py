@@ -57,13 +57,19 @@ class FrozenPerParameterPowerSGD:
                 self.residuals[key] = np.empty(shape)
             residual = self.residuals[key].reshape(-1)
         outputs = [np.empty(original_shape) for _ in range(num_replicas)]
+        total = outputs[0].reshape(-1)
+        total[...] = np.asarray(gradients[0], dtype=np.float64).reshape(-1)
+        for gradient in gradients[1:]:
+            total += np.asarray(gradient, dtype=np.float64).reshape(-1)
         p_bytes, q_bytes = self.kernel._reduce_segment(
             key,
             shape,
-            [np.asarray(gradient, dtype=np.float64).reshape(-1) for gradient in gradients],
-            [output.reshape(-1) for output in outputs],
+            total,
+            None,
+            [output.reshape(-1) for output in outputs[1:]],
             residual,
             ready,
+            num_replicas,
         )
         group.record_collective(
             "all_reduce",
@@ -131,7 +137,14 @@ class FrozenPerParameterReduce:
 
 
 class FrozenPerParameterSync:
-    """The stage-by-stage, parameter-by-parameter walk, every record exposed."""
+    """The stage-by-stage, parameter-by-parameter walk, every record exposed.
+
+    The engine calls the sync's ``fold`` once per replica and stage; the
+    last replica's fold of a stage runs the frozen walk over that stage, and
+    ``synchronize`` (the process executor's) over every stage.  Each replica
+    must own its gradient buffer (:func:`run_per_parameter` sees to it): the
+    walk reads them all at once.
+    """
 
     def __init__(
         self,
@@ -143,34 +156,41 @@ class FrozenPerParameterSync:
         self.hook = hook
         self.log = log if log is not None else CommunicationLog()
 
-    def walk_blocks(self, threads: int) -> None:
-        """``None``: the engine runs the frozen walk after the pipeline walk, never inside it."""
-        return None
+    def prepare(self) -> None:
+        """Nothing to allocate ahead: the frozen walk allocates as it goes."""
+
+    def fold(self, order, replica: int, stage_index: int) -> None:
+        if replica == len(self.replicas) - 1:
+            order.at((len(self.replicas), stage_index))
+            self._synchronize_stage(stage_index)
 
     def synchronize(self, threads: int = 1) -> None:
         """The frozen walk; ``threads`` (the engine's) is ignored: it runs on the caller."""
+        for stage_index in range(len(self.replicas[0])):
+            self._synchronize_stage(stage_index)
+
+    def _synchronize_stage(self, stage_index: int) -> None:
         degree = len(self.replicas)
         if degree == 1:
             return
-        for stage_index in range(len(self.replicas[0])):
-            parameter_lists = [
-                list(replica[stage_index].parameters()) for replica in self.replicas
-            ]
-            for position, reference in enumerate(parameter_lists[0]):
-                if not reference.requires_grad or is_embedding_parameter(reference):
-                    continue
-                parameters = [parameters[position] for parameters in parameter_lists]
-                group = SimulatedProcessGroup(
-                    list(range(degree)), self.log, category="data_parallel", spans_nodes=True
-                )
-                synced = self.hook.reduce(
-                    reference.name or f"stage{stage_index}.param{position}",
-                    stage_index,
-                    [parameter.grad for parameter in parameters],
-                    group,
-                )
-                for parameter, new_grad in zip(parameters, synced):
-                    parameter.grad[...] = new_grad
+        parameter_lists = [
+            list(replica[stage_index].parameters()) for replica in self.replicas
+        ]
+        for position, reference in enumerate(parameter_lists[0]):
+            if not reference.requires_grad or is_embedding_parameter(reference):
+                continue
+            parameters = [parameters[position] for parameters in parameter_lists]
+            group = SimulatedProcessGroup(
+                list(range(degree)), self.log, category="data_parallel", spans_nodes=True
+            )
+            synced = self.hook.reduce(
+                reference.name or f"stage{stage_index}.param{position}",
+                stage_index,
+                [parameter.grad for parameter in parameters],
+                group,
+            )
+            for parameter, new_grad in zip(parameters, synced):
+                parameter.grad[...] = new_grad
 
 
 def run_per_parameter(engine: ThreeDParallelEngine) -> FrozenPerParameterSync:
@@ -179,6 +199,8 @@ def run_per_parameter(engine: ThreeDParallelEngine) -> FrozenPerParameterSync:
     The engine's DP hook is swapped too; the walk's records land in the
     engine's log.
     """
+    for arena in engine.arenas[1:]:
+        arena.rebind_storage(grad=np.zeros_like(arena.grad))
     engine.dp_reduce = FrozenPerParameterReduce(
         engine.plan.spec(Boundary.DP), engine.num_stages, seed=CODEC_SEED
     )

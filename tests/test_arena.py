@@ -33,6 +33,7 @@ from repro.parallel.arena import (
 )
 from repro.parallel.collectives import CommunicationLog, SimulatedProcessGroup
 from repro.tensor.parameter import Parameter
+from replica_folds import fold_replicas
 
 
 def make_parameters(shapes, rng, prefix="p", requires_grad=None):
@@ -174,12 +175,18 @@ class TestBucketResidualStore:
         (bucket,) = build_codec_buckets(arena, [parameters], 1 << 20, lambda stage, p: True)
         return bucket
 
-    def test_a_slab_is_ready_from_its_second_use(self, rng):
+    def test_a_slab_is_ready_once_a_reduce_has_filled_it(self, rng):
+        """Every replica's fold of a bucket's first reduce adds no residual."""
         store, bucket = BucketResidualStore(), self.bucket(rng)
         slab, ready = store.slab(bucket, 2)
         assert slab.shape == (2, 18) and not ready
         again, ready = store.slab(bucket, 2)
+        assert again is slab and not ready
+        assert store.state_dict() == {}  # nothing in it yet
+        store.filled(bucket)
+        again, ready = store.slab(bucket, 2)
         assert again is slab and ready
+        assert store.state_dict()["0:0"] is slab
         assert store.memory_bytes() == 2 * 18 * 4
 
     def test_a_stored_slab_of_another_shape_raises_naming_the_bucket(self, rng):
@@ -201,7 +208,7 @@ class TestBucketResidualStore:
         group = SimulatedProcessGroup([0, 1], CommunicationLog(), category="data_parallel")
         gradients = [rng.standard_normal(18), rng.standard_normal(18)]
         with pytest.raises(ValueError, match="stage 0 codec bucket 0"):
-            hook.reduce_bucket(bucket, gradients, group)
+            fold_replicas(hook.reduce_bucket, bucket, gradients, group)
 
 
 class TestFusedAdam:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from per_parameter_oracle import FrozenPerParameterReduce, dp_traffic_by_stage
+from replica_folds import fold_replicas
 from repro.parallel.arena import (
     CodecBucket,
     ParameterArena,
@@ -113,8 +114,8 @@ def run_path(codec, error_feedback, layout, bucket_bytes, iterations, bucketed):
 
         if bucketed:
             for bucket in buckets:
-                reducer.reduce_codec_bucket(
-                    bucket, [arena.grad for arena in arenas], group
+                fold_replicas(
+                    reducer.reduce_codec_bucket, bucket, [arena.grad for arena in arenas], group
                 )
         else:
             for stage in range(num_stages):

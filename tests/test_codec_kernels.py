@@ -32,6 +32,7 @@ from repro.parallel.engine import CompressedGradientAllReduce, ThreeDParallelEng
 from repro.plan import Boundary, CompressionSpec, ParallelPlan, Schedule
 from repro.tensor.parameter import Parameter
 from repro.utils.random import CounterRNG
+from replica_folds import fold_replicas
 
 #: One segment under a tile, several that span tiles with ragged tails, one
 #: all-zero segment (scale 0: the early-out), and one bucket of its own.
@@ -94,7 +95,7 @@ def qsgd_bucket_digest(bits: int, deterministic: bool, error_feedback: bool, dp:
                     magnitude = 10.0 ** rng.integers(-4, 3)
                     parameter.grad[...] = rng.standard_normal(parameter.grad.shape) * magnitude
         for bucket in buckets:
-            reducer.reduce_codec_bucket(bucket, [arena.grad for arena in arenas], group)
+            fold_replicas(reducer.reduce_codec_bucket, bucket, [arena.grad for arena in arenas], group)
         for arena in arenas:
             digest.update(arena.grad.tobytes())
     residuals = reducer._bucket_residuals.state_dict()
@@ -238,7 +239,7 @@ class TestWorkingSet:
                 if bucket.stage_index == stage
                 for segment in bucket.segments
             )
-            assert scratch.shape == (2, largest)
+            assert scratch.shape == (largest,)
             codes = largest * np.dtype(np.int8).itemsize  # 4-bit levels pack into int8
             tile = min(largest, QUANTISE_TILE) * tile_bytes
             assert compressors[stage].workspace_bytes() == codes + tile
@@ -257,12 +258,12 @@ class TestWorkingSet:
 
         def reduce_all() -> None:
             for bucket in buckets:
-                reducer.reduce_codec_bucket(bucket, [arena.grad for arena in arenas], group)
+                fold_replicas(reducer.reduce_codec_bucket, bucket, [arena.grad for arena in arenas], group)
 
         reduce_all()
         (scratch,) = reducer._codec_scratch.values()  # one stage
         largest = max(int(np.prod(shape)) for shape in DIGEST_SHAPES)
-        assert scratch.shape == (2, largest)  # one approximation + the running mean
+        assert scratch.shape == (largest,)  # one approximation: the mean forms in replica 0's
         reduce_all()
         assert list(reducer._codec_scratch) == [0] and reducer._codec_scratch[0] is scratch
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from repro.compression import (
 )
 from repro.compression.base import UNCOMPRESSED_BYTES_PER_ELEMENT
 from repro.compression.powersgd import matrix_view, orthogonalise
+from repro.compression.topk import num_kept
 
 
 def low_rank_matrix(rng, rows=64, cols=32, rank=3, noise=0.0):
@@ -512,6 +515,57 @@ class TestQSGDPackedCodes:
         approx, payload = codec.roundtrip(np.zeros((4, 4)), key="z")
         assert np.array_equal(approx, np.zeros((4, 4)))
         assert payload.data["scale"] == 0.0
+
+
+def frozen_stable_topk_indices(magnitudes: np.ndarray, kept: int) -> np.ndarray:
+    """The selection as it was before it took its partition scratch from the caller."""
+    size = magnitudes.size
+    if kept >= size:
+        return np.arange(size, dtype=np.int64)
+    scratch = magnitudes.copy()
+    cut = size - kept
+    scratch.partition(cut)
+    threshold = scratch[cut]
+    above = np.nonzero(magnitudes > threshold)[0]
+    need = kept - above.size
+    if need > 0:
+        ties = np.nonzero(magnitudes == threshold)[0]
+        if ties.size < need:
+            return frozen_stable_topk_indices(
+                np.where(np.isnan(magnitudes), np.inf, magnitudes), kept
+            )
+        above = np.concatenate([above, ties[:need]])
+        above.sort()
+    return above.astype(np.int64, copy=False)
+
+
+class TestTopKScratch:
+    def test_a_warm_compress_into_allocates_less_than_the_tensor(self, rng):
+        """The partition pass reorders the workspace's scratch, not a fresh copy."""
+        tensor = rng.normal(size=(256, 256))
+        compressor = TopKCompressor(fraction=0.1)
+        compressor.compress_into(tensor, key="t")  # grows the workspace
+        tracemalloc.start()
+        try:
+            compressor.compress_into(tensor, key="t")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < tensor.nbytes  # 512 KiB; a partition copy alone is that
+
+    @pytest.mark.parametrize("inputs", ["random", "tied", "nan"])
+    def test_payloads_equal_the_frozen_selection(self, rng, inputs):
+        compressor = TopKCompressor(fraction=0.1)
+        for size in (17, 300, 4096):
+            tensor = rng.normal(size=size)
+            if inputs == "tied":
+                tensor = np.round(tensor, 1)
+            elif inputs == "nan":
+                tensor[rng.choice(size, size // 7, replace=False)] = np.nan
+            expected = frozen_stable_topk_indices(np.abs(tensor), num_kept(0.1, size))
+            for payload in (compressor.compress(tensor), compressor.compress_into(tensor)):
+                assert np.array_equal(payload.data["indices"], expected)
+                assert np.array_equal(payload.data["values"], tensor[expected], equal_nan=True)
 
 
 class TestTopKTieBreaking:

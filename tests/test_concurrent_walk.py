@@ -20,12 +20,13 @@ runs x BLAS threads))``.  Asserted here:
   diagnostics, codec and optimiser state at T = 1, 2 and pp, ``mb < pp``
   included, and no stage holds more activations than the walked list's
   window;
-* **the rest of the iteration** — the DP reduce (inside the walk, as soon as
-  a block drains; the first one after it, on the caller) and the
-  ``FusedAdam`` step run on the walk's threads: the DP hook's and the CB
-  hooks' state, in checkpoint order, is part of the matrices above; a split
-  step is the one-range step's bits for any thread count; the parent of a
-  ``process`` run whose workers fill the cores starts no thread;
+* **the rest of the iteration** — the DP reduce (inside the walk, each
+  replica folded as soon as its stage gradients are final, with everything
+  it uses allocated on the caller first) and the ``FusedAdam`` step run on
+  the walk's threads: the DP hook's and the CB hooks' state, in checkpoint
+  order, is part of the matrices above; a split step is the one-range step's
+  bits for any thread count; the parent of a ``process`` run whose workers
+  fill the cores starts no thread;
 * **failure** — a stage or a codec bucket that raises on a helper thread
   re-raises its own exception in the caller, leaves no thread behind and
   never hangs; a poisoned gradient rolls back without a warning on any thread;
@@ -202,6 +203,13 @@ PLANS = {
     .with_boundary(Boundary.DP, codec="qsgd", bits=4, stage_fraction=1.0, min_elements=0)
     .with_boundary(Boundary.PP, codec="topk", fraction=0.1),
 }
+#: And a top-k DP codec, for the serial ≡ process matrix.
+ONE_WALK_PLANS = {
+    **PLANS,
+    "topk_dp": lambda: ParallelPlan().with_boundary(
+        Boundary.DP, codec="topk", fraction=0.1, stage_fraction=1.0, min_elements=0
+    ),
+}
 
 
 MODEL = functional_config(
@@ -244,12 +252,13 @@ def observables(
     pp: int,
     executor: str = "serial",
     micro_batches: int = 4,
+    dp: int = 2,
 ):
     """Weights after two trained iterations, plus every record and state whose order is observable."""
     allow_threads(monkeypatch, cores)
     plan = (
-        PLANS[name]()
-        .with_topology(pp=pp, dp=2, micro_batches=micro_batches)
+        ONE_WALK_PLANS[name]()
+        .with_topology(pp=pp, dp=dp, micro_batches=micro_batches)
         .with_schedule(kind=kind)
         .with_executor(executor)
     )
@@ -313,19 +322,32 @@ class TestThreadCountIndependence:
 class TestOneWalkForEveryReplica:
     """The serial executor's one walk over every replica ≡ a process worker's walk per replica."""
 
-    @pytest.mark.parametrize("name", sorted(PLANS))
     @pytest.mark.parametrize("kind", ["1f1b", "serial", "zb1", "auto"])
-    @pytest.mark.parametrize(("pp", "micro_batches"), [(4, 2), (2, 4)])
+    @pytest.mark.parametrize(
+        ("name", "pp", "micro_batches", "dp"),
+        [
+            (name, *shape)
+            for name in sorted(PLANS)
+            for shape in [(4, 2, 2), (2, 4, 2), (4, 2, 3)]
+        ]
+        + [("topk_dp", 4, 2, 3)],
+    )
     def test_every_observable_equals_the_per_replica_walks(
-        self, monkeypatch, kind, name, pp, micro_batches
+        self, monkeypatch, kind, name, pp, micro_batches, dp
     ):
-        """``mb < pp`` too, where the merged 1F1B warm-up is not the per-replica one."""
+        """``mb < pp`` too, where the merged 1F1B warm-up is not the per-replica one.
+
+        At DP 3 the serial walk's replicas 1 and 2 share a gradient buffer:
+        replica 1 is folded mid-walk, before replica 2 writes its stages, and
+        with ``mb < pp`` the last stage can finish a replica's copies of the
+        embedding while stage 0 still works on the one before.
+        """
         weights, *logs = observables(
-            monkeypatch, 1, name, kind, pp, executor="process", micro_batches=micro_batches
+            monkeypatch, 1, name, kind, pp, "process", micro_batches, dp
         )
         for threads in sorted({1, 2, pp}):
             merged_weights, *merged_logs = observables(
-                monkeypatch, threads, name, kind, pp, micro_batches=micro_batches
+                monkeypatch, threads, name, kind, pp, micro_batches=micro_batches, dp=dp
             )
             assert np.array_equal(merged_weights.view(np.uint64), weights.view(np.uint64))
             assert merged_logs == logs
@@ -462,21 +484,21 @@ class TestFailure:
         allow_threads(monkeypatch, 2)
         plan = PLANS["topk_pp_qsgd_dp"]().with_topology(pp=2, dp=2, micro_batches=2)
         engine, loader = build(plan)
-        engine.run_iteration(loader.iteration_batches(0))  # the first sync runs on the caller
+        engine.run_iteration(loader.iteration_batches(0))
         reduce = engine.dp_reduce.reduce_codec_bucket
         raised: list[CodecFailure] = []
 
-        def fail_on_stage_1(bucket, flat_gradients, group):
+        def fail_on_stage_1(bucket, fold, group):
             if bucket.stage_index == 1:
                 raised.append(CodecFailure(threading.current_thread().name))
                 raise raised[-1]
-            reduce(bucket, flat_gradients, group)
+            reduce(bucket, fold, group)
 
         monkeypatch.setattr(engine.dp_reduce, "reduce_codec_bucket", fail_on_stage_1)
         before = threading.active_count()
         with pytest.raises(CodecFailure) as failure:
             engine.run_iteration(loader.iteration_batches(1))
-        # Raised in stage 1's block reduce, on the walk thread that drained it.
+        # Raised in stage 1's first fold, on the walk thread that owns the stage.
         assert failure.value is raised[0] and str(failure.value) == "pipeline-walk-1"
         assert threading.active_count() == before
 
@@ -526,28 +548,48 @@ class TestProcessParent:
         assert started == []
 
 
-    def test_the_first_dp_sync_allocates_on_the_calling_thread(self, monkeypatch):
-        """Its codec buffers stay in the main heap; later ones reduce on the walk's threads."""
+    @pytest.mark.parametrize("dp", [2, 3])
+    def test_the_folds_allocate_nothing_on_the_walk_threads(self, monkeypatch, dp):
+        """Codec buffers and per-key state are allocated on the caller before the
+        walk, so they stay in the main heap; from the first iteration on, every
+        fold runs on its stage's walk thread."""
         allow_threads(monkeypatch, 2)
-        plan = PLANS["topk_pp_qsgd_dp"]().with_topology(pp=2, dp=2, micro_batches=2)
+        plan = PLANS["topk_pp_qsgd_dp"]().with_topology(pp=2, dp=dp, micro_batches=2)
         engine, loader = build(plan)
-        reduce = engine.dp_reduce.reduce_codec_bucket
-        reduced_on: list[dict[int, set[str]]] = []
+        reducer = engine.dp_reduce
 
-        def recording(bucket, flat_gradients, group):
+        def inventory():
+            return (
+                {stage: id(scratch) for stage, scratch in reducer._codec_scratch.items()},
+                {
+                    stage: (id(codec), codec.workspace_bytes())
+                    for stage, codec in reducer._stage_compressors.items()
+                },
+                {slot: id(slab) for slot, slab in reducer._bucket_residuals._slabs.items()},
+                list(reducer.compressor._call_counts),
+            )
+
+        prepare, reduce = engine.bucketed_sync.prepare, reducer.reduce_codec_bucket
+        prepared, reduced_on = [], []
+
+        def preparing():
+            prepare()
+            prepared.append(inventory())
+
+        def recording(bucket, fold, group):
             names = reduced_on[-1].setdefault(bucket.stage_index, set())
             names.add(threading.current_thread().name)
-            reduce(bucket, flat_gradients, group)
+            reduce(bucket, fold, group)
+            assert inventory() == prepared[-1]
 
-        monkeypatch.setattr(engine.dp_reduce, "reduce_codec_bucket", recording)
+        monkeypatch.setattr(engine.bucketed_sync, "prepare", preparing)
+        monkeypatch.setattr(reducer, "reduce_codec_bucket", recording)
         for iteration in range(2):
             reduced_on.append({})
             engine.run_iteration(loader.iteration_batches(iteration))
         caller = threading.current_thread().name
-        assert reduced_on == [
-            {0: {caller}, 1: {caller}},
-            {0: {caller}, 1: {"pipeline-walk-1"}},
-        ]
+        assert reduced_on == [{0: {caller}, 1: {"pipeline-walk-1"}}] * 2
+        assert prepared[0] == prepared[1] and prepared[0][0]
 
 
 class TestMeasurements:
@@ -558,17 +600,18 @@ class TestMeasurements:
         trainer.train_iteration()
         result = trainer.last_iteration_result
         assert result.threads == 2
-        phases = ("walk_s", "dp_sync_s", "embedding_sync_s", "step_s")
+        phases = ("walk_s", "embedding_sync_s", "step_s")
         assert all(getattr(result, phase) > 0.0 for phase in phases)
+        assert result.dp_sync_s == 0.0  # the DP reduce runs in the walk
         assert result == dataclasses.replace(
-            result, threads=1, **dict.fromkeys(phases, 0.0)
+            result, threads=1, dp_sync_s=1.0, **dict.fromkeys(phases, 0.0)
         )
 
     def test_the_walk_breakdown_is_reported_per_stage_and_op_kind(self, monkeypatch):
         allow_threads(monkeypatch, 2)
         plan = PLANS["topk_pp_qsgd_dp"]().with_topology(pp=2, dp=2, micro_batches=2)
         trainer = Pretrainer(MODEL, loader_for(plan), plan, seed=5)
-        trainer.train_iteration()  # the first sync runs after the walk
+        trainer.train_iteration()
         trainer.train_iteration()
         result = trainer.last_iteration_result
         assert len(result.reduce_s) == 2 and min(result.reduce_s) > 0.0

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from per_parameter_oracle import FrozenPerParameterPowerSGD
+from replica_folds import fold_replicas
 from repro.compression.powersgd import matrix_view, orthogonalise, stable_key_hash
 from repro.core.fused_embedding import EmbeddingSynchronizer
 from repro.core.selective_stage import SelectiveStageCompression
@@ -78,7 +79,7 @@ class TestReduceBucket:
         log = log if log is not None else CommunicationLog()
         group = SimulatedProcessGroup(list(range(len(gradients))), log, category="data_parallel")
         bucket, arenas, parameters = one_parameter_bucket(gradients)
-        hook.reduce_bucket(bucket, [arena.grad for arena in arenas], group)
+        fold_replicas(hook.reduce_bucket, bucket, [arena.grad for arena in arenas], group)
         return [parameter.grad.copy() for parameter in parameters], log
 
     def test_all_replicas_get_identical_result(self, rng):
@@ -144,7 +145,7 @@ class TestReduceBucket:
         bucket, arenas, _ = one_parameter_bucket([rng.normal(size=(8, 8))] * 2)
         group = SimulatedProcessGroup([0, 1, 2], CommunicationLog(), category="data_parallel")
         with pytest.raises(ValueError):
-            hook.reduce_bucket(bucket, [arena.grad for arena in arenas], group)
+            fold_replicas(hook.reduce_bucket, bucket, [arena.grad for arena in arenas], group)
 
 
 class TestIntegrationWithDPSync:
@@ -272,8 +273,9 @@ ORACLE_CALLS = 3
 def oracle_run(hook, dp: int, bucketed: bool):
     """``ORACLE_CALLS`` reductions of ``ORACLE_SHAPES`` by ``hook`` on ``dp`` replicas.
 
-    ``bucketed`` calls ``hook.reduce_bucket`` on one codec bucket, otherwise
-    ``hook.reduce`` per parameter.  Returns each call's synced gradients
+    ``bucketed`` calls ``hook.reduce_bucket`` on one codec bucket (once per
+    replica's fold for the hook under test), otherwise ``hook.reduce`` per
+    parameter.  Returns each call's synced gradients
     (replica-major, flat), the traffic log and the bucket.
     """
     arenas = []
@@ -295,7 +297,9 @@ def oracle_run(hook, dp: int, bucketed: bool):
             for index, parameter in enumerate(parameters):
                 magnitude = 0.0 if index == ORACLE_ZERO_SEGMENT else 10.0 ** rng.integers(-3, 2)
                 parameter.grad[...] = rng.standard_normal(parameter.shape) * magnitude
-        if bucketed:
+        if isinstance(hook, SelectiveStageCompression):
+            fold_replicas(hook.reduce_bucket, bucket, [arena.grad for arena in arenas], group)
+        elif bucketed:
             hook.reduce_bucket(bucket, [arena.grad for arena in arenas], group)
         else:
             for parameter_index, reference in enumerate(replicas[0]):

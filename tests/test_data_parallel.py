@@ -113,20 +113,29 @@ class TestDataParallelSync:
             def codec_applies(self, stage_index, gradient):
                 return stage_index == 0 and gradient.ndim >= 2
 
-            def reduce_bucket(self, bucket, gradients, group):
-                reduced = np.mean(gradients, axis=0)
-                for gradient in gradients:
-                    gradient[...] = reduced
-                group.record_collective("all_reduce", 1)
+            def reserve(self, buckets, replicas):
+                pass
 
-            def reduce_codec_bucket(self, bucket, flat_gradients, group):
+            def reduce_bucket(self, bucket, fold, group):
+                self.fold(slice(bucket.start, bucket.stop), fold)
+                if fold.last:
+                    group.record_collective("all_reduce", 1)
+
+            def reduce_codec_bucket(self, bucket, fold, group):
                 self.codec_buckets.append(bucket.stage_index)
                 for segment in bucket.segments:
-                    views = [flat[segment.start : segment.stop] for flat in flat_gradients]
-                    reduced = np.mean(views, axis=0)
-                    for view in views:
-                        view[...] = reduced
-                group.record_collective("all_reduce", 1, compressed=True)
+                    self.fold(slice(segment.start, segment.stop), fold)
+                if fold.last:
+                    group.record_collective("all_reduce", 1, compressed=True)
+
+            @staticmethod
+            def fold(span, fold):
+                if fold.replica > 0:
+                    fold.total[span] += fold.gradient[span]
+                if fold.last:
+                    fold.total[span] /= fold.replicas
+                    for copy in fold.copies:
+                        copy[span] = fold.total[span]
 
         hook = RecordingHook()
         log = CommunicationLog()

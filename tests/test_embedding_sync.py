@@ -1,17 +1,18 @@
-"""The embedding sync reduces in place, and runs on the walk thread that drains second.
+"""The embedding sync reduces in place, folding each replica in on its stages' walk threads.
 
-``EmbeddingSynchronizer.synchronize`` reduces the tied embedding copies tile
-by tile in their own gradient buffers.  Asserted here:
+``EmbeddingSynchronizer.synchronize`` reduces the tied embedding copies in
+replica 0's copies' gradient buffers, one replica at a time.  Asserted here:
 
 * **the bits** — over fused and two-step x dp {1, 2, 3, 4} x pp {1, 2, 4},
   every gradient and ``repr(log.records)`` equal the frozen stack, sum and
   copy path's (``tests/embedding_sync_oracle.py``), with copies wider than
   one tile;
 * **the memory** — its tracemalloc peak stays below one copy's bytes;
-* **the thread** — under the serial executor, where the DP reduce runs in
-  the walk, the sync runs on the second of the threads owning stage 0 and
-  stage pp - 1 to drain and poison its faults, at T in {1, 2, pp}; the first
-  sync, the ``serial`` kind's and DP 1's run on the caller after the walk;
+* **the thread** — under the serial executor each replica's copies on stage
+  0 and stage pp - 1 are folded in on those stages' walk threads, the second
+  of a replica's two steps adds it to the fused sum, and the last replica's
+  second step finishes the sync, at T in {1, 2, pp}, in every iteration, the
+  ``serial`` kind's and DP 1's too;
 * **the result** — serial equals process for weights, records and every
   checkpoint member, at T in {1, 2, pp}.
 """
@@ -91,55 +92,84 @@ class TestInPlaceReduce:
         assert peak < copy_bytes
 
 
-def record_sync_threads(monkeypatch, engine: ThreeDParallelEngine, slow_block: int | None):
-    """Per iteration, the threads the embedding sync ran on; ``slow_block`` drains late.
+def record_sync_steps(monkeypatch, engine: ThreeDParallelEngine, slow_stage: int | None):
+    """Per iteration, each sync step's ``(replica, stage, thread)`` and the thread that finished it.
 
-    The walk thread of ``slow_block`` sleeps after poisoning its faults, so
-    the other owner of the embedding copies is first, deterministically.
+    ``slow_stage``'s thread sleeps after poisoning the last replica's faults
+    there, so the other stage's last step comes first, deterministically.
     """
-    ran_on: list[list[str]] = []
-    synchronize = engine.embedding_sync.synchronize
+    steps: list[list[tuple]] = []
+    finished: list[list[str]] = []
+    synchronizer = engine.embedding_sync
+    synchronize, finish = synchronizer.synchronize, synchronizer._finish
     corrupt = engine._corrupt_gradients
+    last_replica = engine.data_parallel_degree - 1
 
-    def recording() -> None:
-        ran_on[-1].append(threading.current_thread().name)
-        synchronize()
+    def recording(replica=None, stage=None) -> None:
+        steps[-1].append((replica, stage, threading.current_thread().name))
+        synchronize(replica, stage)
 
-    def late(block: int = 0, threads: int = 1):
-        applied = corrupt(block, threads)
-        if block == slow_block:
+    def finishing() -> None:
+        finished[-1].append(threading.current_thread().name)
+        finish()
+
+    def late(replica: int, stage: int):
+        applied = corrupt(replica, stage)
+        if (replica, stage) == (last_replica, slow_stage):
             time.sleep(0.1)
         return applied
 
-    monkeypatch.setattr(engine.embedding_sync, "synchronize", recording)
+    def iteration() -> None:
+        steps.append([])
+        finished.append([])
+
+    monkeypatch.setattr(synchronizer, "synchronize", recording)
+    monkeypatch.setattr(synchronizer, "_finish", finishing)
     monkeypatch.setattr(engine, "_corrupt_gradients", late)
-    return ran_on
+    return steps, finished, iteration
+
+
+def walk_thread(stage: int, threads: int, pp: int) -> str:
+    block = stage * threads // pp
+    return threading.current_thread().name if block == 0 else f"pipeline-walk-{block}"
 
 
 class TestWhereTheSyncRuns:
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize("first", ["stage_0", "last_stage"])
-    def test_the_second_owner_to_drain_runs_it(self, monkeypatch, threads, first):
+    def test_the_second_owner_to_fold_the_last_replica_finishes_it(
+        self, monkeypatch, threads, first
+    ):
         allow_threads(monkeypatch, threads)
-        plan = PLANS["cb_fe_sc"]().with_topology(pp=4, dp=2, micro_batches=2)
+        plan = PLANS["cb_fe_sc"]().with_topology(pp=4, dp=3, micro_batches=2)
         engine = ThreeDParallelEngine(MODEL, plan, seed=5)
-        last = threads - 1  # the block of stage pp - 1
-        slow = last if first == "stage_0" else 0
-        ran_on = record_sync_threads(monkeypatch, engine, slow_block=slow if threads > 1 else None)
+        slow = 3 if first == "stage_0" else 0
+        steps, finished, iteration = record_sync_steps(monkeypatch, engine, slow)
         loader = loader_for(plan)
-        for iteration in range(3):
-            ran_on.append([])
-            assert engine.run_iteration(loader.iteration_batches(iteration)).threads == threads
-        caller = threading.current_thread().name
-        later = caller if slow == 0 or threads == 1 else f"pipeline-walk-{last}"
-        # The first sync runs after the walk, on the caller.
-        assert ran_on == [[caller], [later], [later]]
+        for index in range(3):
+            iteration()
+            assert engine.run_iteration(loader.iteration_batches(index)).threads == threads
+        # Every iteration alike: one step per replica and stage, each on its
+        # stage's thread, in replica order on each.
+        expected = [
+            (replica, stage, walk_thread(stage, threads, 4))
+            for replica in range(3)
+            for stage in (0, 3)
+        ]
+        for iteration_steps in steps:
+            assert sorted(iteration_steps) == expected
+            for stage in (0, 3):
+                assert [r for r, s, _ in iteration_steps if s == stage] == [0, 1, 2]
+        # The slow stage's thread is second — unless stage pp - 1 shares its
+        # thread with stage pp - 2: then its fold comes before the B pass
+        # stage 0's last write waits for, whichever thread sleeps.
+        later = walk_thread(slow if threads == 4 else 0, threads, 4)
+        assert finished == [[later]] * 3
 
     @pytest.mark.parametrize(
         ("kind", "dp"), [("serial", 2), ("1f1b", 1)], ids=["serial_kind", "dp1"]
     )
-    def test_after_the_walk_it_runs_on_the_caller(self, monkeypatch, kind, dp):
-        """Where the DP reduce is not in the walk, neither is the embedding sync."""
+    def test_the_serial_kind_and_dp1_fold_in_the_walk_too(self, monkeypatch, kind, dp):
         allow_threads(monkeypatch, 2)
         plan = (
             PLANS["cb_fe_sc"]()
@@ -147,13 +177,19 @@ class TestWhereTheSyncRuns:
             .with_schedule(kind=kind)
         )
         engine = ThreeDParallelEngine(MODEL, plan, seed=5)
-        ran_on = record_sync_threads(monkeypatch, engine, slow_block=0)
+        steps, finished, iteration = record_sync_steps(monkeypatch, engine, slow_stage=0)
         loader = loader_for(plan)
-        for iteration in range(2):
-            ran_on.append([])
-            assert engine.run_iteration(loader.iteration_batches(iteration)).threads == 2
+        for index in range(2):
+            iteration()
+            assert engine.run_iteration(loader.iteration_batches(index)).threads == 2
         caller = threading.current_thread().name
-        assert ran_on == [[caller], [caller]]
+        expected = [
+            (replica, stage, caller if stage == 0 else "pipeline-walk-1")
+            for replica in range(dp)
+            for stage in (0, 1)
+        ]
+        assert [sorted(iteration_steps) for iteration_steps in steps] == [expected] * 2
+        assert finished == [[caller]] * 2
 
 
 def trained(monkeypatch, tmp_path, name: str, executor: str, threads: int):

@@ -7,9 +7,13 @@ stays fast — the benchmark harness runs them at the proper fast/thorough scale
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
+from repro import cli
 from repro.data import SyntheticCorpusConfig
+from repro.experiments.fidelity_ledger import run_ledger
 from repro.experiments.fig10_breakdown import run_fig10
 from repro.experiments.fig11_error_independence import run_fig11
 from repro.experiments.fig12_memory import run_fig12
@@ -28,9 +32,13 @@ from repro.experiments.settings import (
     paper_job,
     thorough_functional_settings,
 )
+from repro.experiments.table2_pretraining import simulate_table2
 from repro.models import GPT_2_5B, GPT_8_3B
 from repro.models.gpt_configs import functional_config
 from repro.plan import ParallelPlan
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +150,24 @@ class TestSimulatorDrivers:
         assert len(result.points) == 4
         assert all(speedup > 0 for speedup in result.full_stack_speedups())
         assert "Fig. 16" in result.render()
+
+
+class TestFidelityLedger:
+    def test_reproduce_ledger_writes_the_committed_files(self, monkeypatch, tmp_path, capsys):
+        """From the simulator alone; ``benchmarks/test_fidelity_ledger.py`` pins the verdicts."""
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["reproduce", "ledger"]) == 0
+        assert "trend reversed" in capsys.readouterr().out
+        for name in ("FIDELITY.txt", "FIDELITY.json"):
+            written = (tmp_path / "benchmarks" / "results" / name).read_bytes()
+            assert written == (REPO / "benchmarks" / "results" / name).read_bytes()
+
+    def test_table2_and_the_ledger_share_one_simulation(self):
+        ledger = {row.row: row.reproduced for row in run_ledger().rows}
+        for model, label, days, speedup in simulate_table2():
+            assert ledger[f"Table 2 days {model} {label}"] == days
+            if label != "Baseline":
+                assert ledger[f"Table 2 speedup {model} {label}"] == 100.0 * speedup
 
 
 class TestScheduleComparison:

@@ -126,18 +126,18 @@ class TestEpochEdges:
         assert not unused.grad_stale
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_a_drained_block_reads_exact_zeros_where_no_op_wrote(self, rng, threads):
-        """The in-walk DP reduce reads a block's gradients as soon as the block drains."""
+    def test_a_folded_stage_reads_exact_zeros_where_no_op_wrote(self, rng, threads):
+        """The in-walk DP fold reads a replica's stage gradients as soon as its last write is done."""
         stages = build_gpt_stages(TINY, 2, seed=0)
         unused = stages[1].register_parameter("unused", Parameter(np.ones((3, 4))))
         unused.grad.fill(np.nan)
         seen = []
 
-        def drained(block, order):
-            if block == threads - 1:  # the block that holds stage 1
+        def folded(replica, stage, order):
+            if stage == 1:
                 seen.append(unused.grad.view(np.uint64).tolist())
 
-        walk_pipelines([PipelineParallelEngine(stages)], [tiny_batches(rng)], threads, drained)
+        walk_pipelines([PipelineParallelEngine(stages)], [tiny_batches(rng)], threads, folded)
         assert seen == [np.zeros((3, 4)).view(np.uint64).tolist()]
 
     @pytest.mark.parametrize("kind", ["1f1b", "zb1"])

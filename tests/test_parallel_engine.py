@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from per_parameter_oracle import dp_traffic_by_stage, run_per_parameter
+from replica_folds import fold_replicas
 from repro.nn.transformer import GPTModelConfig
 from repro.plan import Boundary, CompressionSpec, ParallelPlan, Schedule, Topology
 from repro.nn import CrossEntropyLoss, GPTModel
@@ -201,7 +202,7 @@ class TestErrorFeedbackConvergence:
         for _ in range(steps):
             for arena in arenas:
                 arena.grad[...] = gradient.reshape(-1)
-            reducer.reduce_codec_bucket(bucket, [arena.grad for arena in arenas], group)
+            fold_replicas(reducer.reduce_codec_bucket, bucket, [arena.grad for arena in arenas], group)
             sent += gradient
             delivered += arenas[0].grad.reshape(gradient.shape)
             errors.append(float(np.linalg.norm(sent - delivered)))
@@ -242,7 +243,7 @@ class TestErrorFeedbackConvergence:
         bucket, arenas = one_parameter_bucket(reducer, (16, 8))
         for arena in arenas:
             arena.grad[...] = rng.normal(size=16 * 8)
-        reducer.reduce_codec_bucket(bucket, [arena.grad for arena in arenas], group)
+        fold_replicas(reducer.reduce_codec_bucket, bucket, [arena.grad for arena in arenas], group)
         assert reducer.residual_memory_bytes() == 0
 
 
@@ -317,7 +318,7 @@ class TestTrafficAccounting:
         )
         reducer = CompressedGradientAllReduce(CompressionSpec(), num_stages=2)
         in_place = [gradient.copy() for gradient in gradients]
-        assert reducer.reduce_bucket(bucket, in_place, groups[1]) is None
+        assert fold_replicas(reducer.reduce_bucket, bucket, in_place, groups[1]) is None
         for synced, reference in zip(in_place, expected, strict=True):
             assert np.array_equal(synced.view(np.uint64), reference.view(np.uint64))
         assert logs[1].records == logs[0].records

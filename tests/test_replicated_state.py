@@ -33,7 +33,7 @@ import pytest
 from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
 from repro.models.gpt_configs import functional_config
 from repro.optim import FusedAdam
-from repro.parallel.arena import ParameterArena
+from repro.parallel.arena import ParameterArena, bitwise_equal, distinct_buffers
 from repro.parallel.engine import ThreeDParallelEngine
 from repro.plan import Boundary, ParallelPlan, ResilienceSpec, Schedule
 from repro.tensor import init
@@ -367,12 +367,54 @@ def assert_one_copy(trainer: Pretrainer, dp: int) -> None:
             for parameter in stage.parameters():
                 assert np.shares_memory(parameter.data, arenas[0].data)
                 assert np.shares_memory(parameter.grad, arena.grad)
-    for index, arena in enumerate(arenas):
-        assert not any(np.shares_memory(arena.grad, other.grad) for other in arenas[:index])
+    # Replica 0's gradients, and the serial walk's replicas 1..dp-1 share one more.
+    gradients = distinct_buffers(arena.grad for arena in arenas)
+    assert len(gradients) == (dp if trainer.engine.executor_kind == "process" else min(dp, 2))
     optimizer = trainer.optimizer
     assert optimizer.arenas is arenas
     trainable = arenas[0].num_trainable_elements
     assert optimizer._exp_avg_flat.shape == optimizer._exp_avg_sq_flat.shape == (trainable,)
+
+
+class TestGradientCensus:
+    """Replica 0's gradient buffer, plus one the serial walk's other replicas share."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("dp", [1, 2, 3, 4])
+    def test_distinct_gradient_buffers_by_memory_overlap(self, dp, executor):
+        """Built, not run: a process engine forks on its first iteration."""
+        arenas = probe_trainer(probe_plan("optimus", dp, executor)).engine.arenas
+        buffers = [arena.grad for arena in arenas]
+        overlapping = {
+            frozenset(j for j, other in enumerate(buffers) if np.shares_memory(buffer, other))
+            for buffer in buffers
+        }
+        expected = min(dp, 2) if executor == "serial" else dp
+        assert len(overlapping) == expected
+        assert sum(buffer.nbytes for buffer in distinct_buffers(buffers)) == (
+            expected * buffers[0].nbytes
+        )
+
+    @pytest.mark.parametrize("name", ["optimus", "baseline"])
+    def test_every_replica_reads_the_synchronised_gradient_after_every_iteration(self, name):
+        trainer = probe_trainer(probe_plan(name, 3))
+        for _ in range(3):
+            trainer.train_iteration()
+            arenas = trainer.engine.arenas
+            assert all(bitwise_equal(arena.grad, arenas[0].grad) for arena in arenas[1:])
+
+    @pytest.mark.parametrize("dp", [3, 4])
+    def test_after_dropping_replica_0_the_new_first_owns_its_buffer(self, dp):
+        trainer = probe_trainer(probe_plan("optimus", dp))
+        trainer.train_iteration()
+        engine = trainer.engine
+        trainer._degrade(0, iteration=1)  # engine.drop_replica(0), and the loader's share
+        first, *others = engine.arenas
+        assert not any(np.shares_memory(first.grad, other.grad) for other in others)
+        assert len(distinct_buffers(arena.grad for arena in engine.arenas)) == 2
+        trainer.train_iteration()
+        assert trainer.weights_in_sync()
+        assert all(bitwise_equal(arena.grad, first.grad) for arena in others)
 
 
 class TestOneCopyPerGroup:
@@ -532,7 +574,9 @@ class TestOneDrawPerGroup:
                 assert arena.span(parameter) == arenas[0].span(original)
                 assert np.shares_memory(parameter.data, arenas[0].data)
                 assert np.shares_memory(parameter.grad, arena.grad)
-            assert not any(np.shares_memory(arena.grad, other.grad) for other in arenas[:index])
+            # Replica 0's gradient buffer is its own; the others share one.
+            assert np.shares_memory(arena.grad, arenas[min(index, 1)].grad)
+            assert index == 0 or not np.shares_memory(arena.grad, arenas[0].grad)
         modules = [id(stage) for replica in engine.replicas for stage in replica]
         assert len(set(modules)) == len(modules)
 

@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 
 from repro.data import LanguageModelingDataLoader, SyntheticCorpus, SyntheticCorpusConfig
 from repro.models.gpt_configs import functional_config
+from repro.parallel.arena import distinct_buffers
 from repro.plan import Boundary, ParallelPlan, ResilienceSpec
 from repro.resilience import (
     FaultInjector,
@@ -614,7 +615,8 @@ class TestCheckpointValidation:
             for stage in replica:
                 for parameter in stage.parameters():
                     assert np.shares_memory(parameter.data, arenas[0].data)
-        assert len({id(arena.grad) for arena in arenas}) == dp
+        # Replica 0's gradients, and one buffer the serial walk's others share.
+        assert len(distinct_buffers(arena.grad for arena in arenas)) == 2
         assert trainer.optimizer.arenas is arenas
 
     def test_diverged_gradients_refuse_to_save(self, tmp_path):
@@ -628,6 +630,37 @@ class TestCheckpointValidation:
         with pytest.raises(RuntimeError, match="replica 1's synchronised gradients"):
             save_checkpoint(trainer, tmp_path / "ckpt.npz")
         assert not list(tmp_path.iterdir())
+
+    def test_a_diverged_process_segment_refuses_to_save(self, tmp_path):
+        """Each worker's gradient segment is its own buffer, so each is read."""
+        with _trainer(_plan(dp=3).with_executor("process")) as trainer:
+            trainer.train(2)
+            arenas = trainer.engine.arenas
+            assert len(distinct_buffers(arena.grad for arena in arenas)) == 3
+            save_checkpoint(trainer, tmp_path / "agreeing.npz").unlink()
+            grad = arenas[2].grad
+            grad[7] = np.nextafter(grad[7], np.inf)  # one ulp
+            with pytest.raises(RuntimeError, match="replica 2's synchronised gradients"):
+                save_checkpoint(trainer, tmp_path / "ckpt.npz")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("stage", [0, 1])
+    def test_a_nan_in_a_replica_sharing_its_buffer_rolls_back(self, stage):
+        """Replica 2 of 4 writes the buffer replicas 1 and 3 share: its poison
+        is folded into the mean before replica 3 overwrites it, and the guard
+        reads the shared buffer once."""
+        plan = _plan(dp=4).with_resilience(
+            ResilienceSpec(faults=(f"nan@1:replica=2,stage={stage}",))
+        )
+        trainer = _trainer(plan)
+        arenas = trainer.engine.arenas
+        assert np.shares_memory(arenas[2].grad, arenas[3].grad)
+        trainer.train_iteration()
+        weights = _weights(trainer)
+        trainer.train_iteration()
+        assert trainer.resilience_report.rollbacks == 1
+        assert trainer.resilience_report.faults_injected == {"nan": 1}
+        _assert_same_weights(_weights(trainer), weights)
 
 
 class TestCheckpointLayout:
