@@ -423,8 +423,8 @@ def bench_resilience_overhead(repeats: int = 3, iterations_per_repeat: int = 2) 
     """Guarded vs unguarded training iteration, plus the snapshot cost.
 
     The guarded loop adds a whole-buffer ``isfinite`` sweep and one
-    arena + optimizer + engine-state capture per iteration into the
-    preallocated :class:`repro.resilience.RecoveryPoint`; the weights stay
+    engine-state capture (the weights and moments need none) per iteration
+    into the preallocated :class:`repro.resilience.RecoveryPoint`; the weights stay
     bit-identical to the unguarded loop (asserted here), so its only cost is
     time.  ``unguarded_over_guarded`` is the tracked higher-is-better ratio:
     it sits just below 1.0 and drops if guarding gets more expensive.

@@ -13,7 +13,7 @@ from repro.experiments.fidelity_ledger import VERDICTS, write_ledger
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: Every row's verdict when the ledger was introduced.
+#: Every row's verdict when the row was introduced.
 PINNED = {
     "Table 2 days GPT-8.3B Baseline": "gap",
     "Table 2 days GPT-8.3B CB": "gap",
@@ -30,6 +30,10 @@ PINNED = {
     "Table 2 speedup GPT-2.5B CB+FE": "direction ok",
     "Table 2 speedup GPT-2.5B CB+FE+SC": "direction ok",
     "CB+FE+SC(8.3B) > CB+FE+SC(2.5B)": "trend reversed",
+    "Fig. 14 speedup TP8/PP4 CB+FE+SC, at least": "within band",
+    "Fig. 14 speedup TP4/PP8 CB+FE+SC, at least": "within band",
+    "Fig. 14 speedup TP2/PP16 CB+FE+SC, at least": "within band",
+    "Fig. 3 days Opt-CC (TopK) - Opt-CC": "gap",
 }
 
 

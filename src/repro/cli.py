@@ -844,8 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "repeatable; implies the guarded training loop")
     train.add_argument("--guard", action="store_true",
                        help="run the guarded training loop (non-finite gradient "
-                            "detection + snapshot/rollback skip-step) even with "
-                            "no faults scheduled")
+                            "detection + rollback skip-step) even with no faults "
+                            "scheduled")
     train.add_argument("--max-grad-norm", type=float, default=None,
                        help="additionally skip+rollback steps whose global "
                             "gradient norm exceeds this cap (guarded loop only)")

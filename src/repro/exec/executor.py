@@ -241,7 +241,7 @@ class ProcessExecutor:
         hooks keep the pre-iteration state, and a supervised replay is sent
         exactly what the failed attempt was.  Every surviving worker is
         drained either way — when this returns, no worker is mid-iteration, so
-        the caller may safely restore the shared arenas.
+        the caller may safely clear the shared gradients.
         """
         if not self._started:
             raise RuntimeError("executor not started")

@@ -8,21 +8,20 @@ with the recovery loop that turns worker failure from fatal into routine:
    one as ``WorkerCrash``; ``run_collect`` drains every surviving worker
    first, so when the supervisor takes over nothing is still writing to the
    shared arenas.
-2. **Recovery** — the engine captures the arenas (shared weights once,
-   gradients per replica) into its :class:`~repro.resilience.RecoveryPoint`
-   *before* each iteration (the same single capture the guarded trainer rolls
-   back to — the supervisor takes none of its own).  The hook state needs no
-   capture here: it lives in the parent's hooks between iterations, travels
-   with each ``run`` message, and is written back only when the whole
+2. **Recovery** — nothing is captured for it.  A failed iteration wrote
+   neither the weights (only the optimiser step does, after the iteration)
+   nor the hook state: that lives in the parent's hooks between iterations,
+   travels with each ``run`` message, and is written back only when the whole
    iteration succeeded, so after any failure the parent still holds the
-   pre-iteration state.  On failure the supervisor kills the broken worker,
-   re-forks it over the same :class:`~repro.exec.shm.SharedArenaSegment`
-   objects (the parent's replica objects still alias the shared pages — the
-   group's one weights segment and the replica's gradient segment — so the
-   fresh fork inherits current weights for free, whichever worker died),
-   verifies the new worker with a heartbeat ping, restores the arenas from
-   the recovery point, and replays the iteration.  Replica forward/backward
-   is deterministic in (weights, hook state, batches), so the recovered run
+   pre-iteration state and the rewind only zero-fills the gradients.  On
+   failure the supervisor kills the broken worker, re-forks it over the same
+   :class:`~repro.exec.shm.SharedArenaSegment` objects (the parent's replica
+   objects still alias the shared pages — the group's one weights segment and
+   the replica's gradient segment — so the fresh fork inherits current
+   weights for free, whichever worker died), verifies the new worker with a
+   heartbeat ping, zero-fills the gradients, and replays the iteration.
+   Replica forward/backward is deterministic in (weights, hook state,
+   batches), so the recovered run
    is bit-identical to an undisturbed one — the same invariant style the
    serial/process parity suite asserts.  A worker that dies *between*
    iterations took nothing with it: the next ``run`` finds its broken pipe
@@ -54,7 +53,7 @@ from repro.resilience import (
 if TYPE_CHECKING:
     from repro.exec.executor import ProcessExecutor
     from repro.parallel.engine import ReplicaResult
-    from repro.resilience import RecoveryPoint, ResilienceReport
+    from repro.resilience import ResilienceReport
 
 
 class WorkerSupervisor:
@@ -82,33 +81,27 @@ class WorkerSupervisor:
     ) -> list["ReplicaResult"]:
         """One supervised iteration: run, and on worker failure recover + replay.
 
-        The engine captured its recovery point just before calling this: any
-        number of crash/hang failures within this iteration (or since the
-        previous one ended) replays from it, so the returned replica results —
+        Any number of crash/hang failures within this iteration (or since the
+        previous one ended) replays from the weights and hook state it
+        started from, so the returned replica results —
         which the engine merges, exactly as an unsupervised run's — and the
         gradients left in the shared arenas are bit-identical to an
         undisturbed run's.
         """
-        point = self.executor.engine.recovery_point
         while True:
             results, failures = self.executor.run_collect(per_replica_micro_batches, iteration)
             if not failures:
                 return results
-            self._recover(failures, iteration, point)
+            self._recover(failures, iteration)
 
     # -- recovery ----------------------------------------------------------------------
 
-    def _recover(
-        self,
-        failures: dict[int, WorkerCrash],
-        iteration: int,
-        point: "RecoveryPoint",
-    ) -> None:
-        """Respawn every recoverable failed worker and rewind to the recovery point.
+    def _recover(self, failures: dict[int, WorkerCrash], iteration: int) -> None:
+        """Respawn every recoverable failed worker and rewind to the iteration's start.
 
         Raises :class:`RespawnExhausted` (after the rewind) when any failure is
-        permanent or over budget — the engine is left clean either way: arenas
-        bit-equal to the pre-iteration capture, no worker mid-computation.
+        permanent or over budget — the engine is left clean either way: the
+        pre-iteration weights, zero gradients, no worker mid-computation.
         """
         executor = self.executor
         injector = executor.engine.fault_injector
@@ -175,9 +168,11 @@ class WorkerSupervisor:
             # the replay (a fork that died on arrival shows up here, not as a
             # mystery failure mid-iteration).
             executor.ping(replica_index)
-        # Rewind: pre-step arenas back into shared memory — the replay (or the
-        # escalation's degrade or final checkpoint) starts from exactly the
+        # Rewind: the weights are the pre-iteration ones still; clearing what
+        # the failed attempt left in the gradients makes the replay (or the
+        # escalation's degrade or final checkpoint) start from exactly the
         # state the failed attempt started from.
-        point.restore_arenas()
+        for arena in executor.engine.arenas:
+            arena.zero_grad()
         if escalation is not None:
             raise escalation

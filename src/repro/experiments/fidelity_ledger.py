@@ -10,10 +10,20 @@ from a fixed vocabulary, judged against a band this module states:
 * ``trend reversed`` — a comparison the paper reports that comes out the
   other way.
 
-This first slice holds Table 2's wall-clock side — its eight day counts and
-six speedups, from the simulator alone through the loop
-:func:`~repro.experiments.table2_pretraining.run_table2` uses — and the
-paper's headline trend, that the full stack gains more on the bigger model.
+The rows, all from the simulator alone, through the loops the figure drivers
+use:
+
+* Table 2's wall-clock side — its eight day counts and six speedups
+  (:func:`~repro.experiments.table2_pretraining.simulate_table2`) — and the
+  paper's headline trend, that the full stack gains more on the bigger model;
+* Fig. 14's floor: the full stack speeds up every (TP, PP) layout by at least
+  19.2 %, one row per layout; at or above the floor, or less than the band
+  below it, is ``within band``;
+* Fig. 3's ordering: Optimus-CC with top-k backpropagation trains slower than
+  with low-rank (:func:`~repro.experiments.fig03_motivation.simulate_fig03`).
+  The repository carries no magnitude for it, so the row has no paper value
+  and no band: a positive difference is ``direction ok``, a tie a ``gap``.
+
 ``repro reproduce ledger`` writes it to ``benchmarks/results/FIDELITY.txt``
 and ``FIDELITY.json``.
 """
@@ -24,6 +34,8 @@ import json
 import pathlib
 from dataclasses import asdict, dataclass, field
 
+from repro.experiments.fig03_motivation import simulate_fig03
+from repro.experiments.fig14_config_sensitivity import PAPER_MIN_SPEEDUP, run_fig14
 from repro.experiments.table2_pretraining import Table2Result, simulate_table2
 from repro.utils.tables import Table
 
@@ -46,8 +58,9 @@ class FidelityRow:
     row: str
     unit: str
     reproduced: float
-    paper: float
-    gap: float
+    #: ``None`` for an ordering the paper reports without a magnitude.
+    paper: float | None
+    gap: float | None
     verdict: str
 
 
@@ -69,6 +82,25 @@ def _points_row(row: str, reproduced: float, paper: float, comparison: bool) -> 
     return FidelityRow(row, "points" if comparison else "percent", reproduced, paper, gap, verdict)
 
 
+def _at_least_row(row: str, reproduced: float, floor: float) -> FidelityRow:
+    """A speedup in percent that the paper reports a floor for."""
+    gap = reproduced - floor
+    if gap >= -POINTS_BAND:
+        verdict = "within band"
+    else:
+        verdict = "direction ok" if reproduced > 0 else "gap"
+    return FidelityRow(row, "percent", reproduced, floor, gap, verdict)
+
+
+def _ordering_row(row: str, reproduced: float) -> FidelityRow:
+    """A difference in days the paper reports as positive, without a magnitude."""
+    if reproduced > 0:
+        verdict = "direction ok"
+    else:
+        verdict = "gap" if reproduced == 0 else "trend reversed"
+    return FidelityRow(row, "days", reproduced, None, None, verdict)
+
+
 @dataclass
 class FidelityLedger:
     """The ledger's rows, rendered as a table and as JSON."""
@@ -81,7 +113,9 @@ class FidelityLedger:
             columns=["Row", "Reproduced", "Paper", "Gap", "Verdict"],
         )
         for row in self.rows:
-            if row.unit == "days":
+            if row.paper is None:
+                values = [f"{row.reproduced:+.2f} d", "> 0", "n/a"]
+            elif row.unit == "days":
                 values = [f"{row.reproduced:.2f} d", f"{row.paper:.2f} d", f"{row.gap:+.1%}"]
             else:
                 suffix = "%" if row.unit == "percent" else " pt"
@@ -92,7 +126,9 @@ class FidelityLedger:
         bands = (
             f"Bands: days within {DAYS_BAND:.0%} of the paper's; speedups and trends "
             f"within {POINTS_BAND:.0f} percentage points (pt).  Outside the band a "
-            "speedup on the paper's side of zero, or a trend that holds, is 'direction ok'."
+            "speedup on the paper's side of zero, or a trend that holds, is 'direction ok'.  "
+            "A floor ('at least') is within band from the band below it upwards; an ordering "
+            "the paper gives no magnitude for ('> 0') is 'direction ok' if it holds, a 'gap' if tied."
         )
         return f"{table.render()}\n{bands}"
 
@@ -103,7 +139,10 @@ class FidelityLedger:
             "rows": [
                 {
                     **asdict(row),
-                    **{name: round(getattr(row, name), 6) for name in ("reproduced", "paper", "gap")},
+                    **{
+                        name: None if getattr(row, name) is None else round(getattr(row, name), 6)
+                        for name in ("reproduced", "paper", "gap")
+                    },
                 }
                 for row in self.rows
             ],
@@ -143,6 +182,19 @@ def run_ledger() -> FidelityLedger:
             100.0 * (Table2Result.PAPER_SPEEDUP[full[0]] - Table2Result.PAPER_SPEEDUP[full[1]]),
             comparison=True,
         )
+    )
+    for row in run_fig14().rows:
+        if row.label == "CB+FE+SC":
+            ledger.rows.append(
+                _at_least_row(
+                    f"Fig. 14 speedup {row.layout_label} CB+FE+SC, at least",
+                    100.0 * row.speedup,
+                    100.0 * PAPER_MIN_SPEEDUP,
+                )
+            )
+    days = {label: bar_days for label, bar_days, _ in simulate_fig03()}
+    ledger.rows.append(
+        _ordering_row("Fig. 3 days Opt-CC (TopK) - Opt-CC", days["Opt-CC (TopK)"] - days["Opt-CC"])
     )
     return ledger
 

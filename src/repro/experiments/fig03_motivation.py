@@ -96,6 +96,23 @@ MOTIVATION_CONFIGURATIONS: dict[str, ParallelPlan] = {
 }
 
 
+def simulate_fig03(
+    job: TrainingJob | None = None, num_iterations: int = MOTIVATION_ITERATIONS
+) -> list[tuple[str, float, float]]:
+    """Fig. 3's training times, from the simulator alone (no training).
+
+    ``(configuration, training days, speedup over the baseline)`` per bar, in
+    the paper's order, on GPT-2.5B by default.
+    """
+    job = job if job is not None else paper_job(GPT_2_5B)
+    baseline_timing = PipelineTimingSimulator(job).run()
+    bars = []
+    for label, plan in MOTIVATION_CONFIGURATIONS.items():
+        timing = PipelineTimingSimulator(job, plan).run()
+        bars.append((label, timing.days_for(num_iterations), timing.speedup_over(baseline_timing)))
+    return bars
+
+
 def run_fig03(
     settings: FunctionalSettings | None = None,
     job: TrainingJob | None = None,
@@ -106,23 +123,18 @@ def run_fig03(
     job = job if job is not None else paper_job(GPT_2_5B)
 
     breakdown = compute_breakdown(job)
-    baseline_timing = PipelineTimingSimulator(job).run()
-
     quality = run_quality_suite(MOTIVATION_CONFIGURATIONS, settings)
     baseline_quality = quality["Baseline"]
-
-    rows = []
-    for label, plan in MOTIVATION_CONFIGURATIONS.items():
-        timing = PipelineTimingSimulator(job, plan).run()
-        rows.append(
-            MotivationRow(
-                label=label,
-                training_days=timing.days_for(num_iterations),
-                speedup_over_baseline=timing.speedup_over(baseline_timing),
-                validation_perplexity=quality[label].final_validation_perplexity,
-                perplexity_increase=quality[label].perplexity_increase_over(baseline_quality),
-            )
+    rows = [
+        MotivationRow(
+            label=label,
+            training_days=days,
+            speedup_over_baseline=speedup,
+            validation_perplexity=quality[label].final_validation_perplexity,
+            perplexity_increase=quality[label].perplexity_increase_over(baseline_quality),
         )
+        for label, days, speedup in simulate_fig03(job, num_iterations)
+    ]
 
     components = breakdown.as_dict()
     components.pop("Compression", None)

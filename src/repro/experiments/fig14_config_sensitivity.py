@@ -79,6 +79,9 @@ class Fig14Result:
         return table.render()
 
 
+#: The paper's floor: Optimus-CC (CB+FE+SC) speeds up every layout by at least this.
+PAPER_MIN_SPEEDUP = 0.192
+
 #: The paper's three layouts (DP fixed at 4, 128 GPUs).
 FIG14_LAYOUTS = (
     ParallelLayout(tensor_parallel=8, pipeline_parallel=4, data_parallel=4),

@@ -150,13 +150,14 @@ class FusedAdam:
         """Per-parameter views of the second moment (checkpoint compatibility)."""
         return self._moment_views(self._exp_avg_sq_flat)
 
-    # -- checkpoint / rollback state --------------------------------------------------
+    # -- checkpoint state -------------------------------------------------------------
 
     def live_state(self) -> dict:
         """All mutable optimiser state, moments as the *live* flat buffers.
 
-        The one inventory both consumers read: a checkpoint writes the moments
-        straight from these buffers, :meth:`state_dict` detaches them.
+        A checkpoint writes the moments straight from these buffers,
+        :meth:`state_dict` detaches them; the recovery point reads the step
+        count, the proof that the weights and moments are unchanged.
         """
         return {
             "step_count": int(self._step_count),
@@ -165,9 +166,9 @@ class FusedAdam:
             "exp_avg_sq": self._exp_avg_sq_flat,
         }
 
-    def state_dict(self, out: dict | None = None) -> dict:
-        """A detached copy of :meth:`live_state`, refilling ``out``'s buffers in place."""
-        return capture_tree(self.live_state(), out)
+    def state_dict(self) -> dict:
+        """A detached copy of :meth:`live_state`."""
+        return capture_tree(self.live_state())
 
     def load_state_dict(self, state: dict) -> None:
         exp_avg = np.asarray(state["exp_avg"])

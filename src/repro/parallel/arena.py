@@ -18,9 +18,9 @@ copy whose parameters view it from the start
 draw or a comparison; replicas built separately
 (:meth:`ParameterArena.replicated`) are checked against the buffer
 bit-for-bit.  One optimiser steps the group, the process executor maps one
-weights segment, a recovery point and a checkpoint copy the weights once —
-DP× less memory and DP× fewer Adam updates than replicas that merely stay
-equal.
+weights segment, a checkpoint copies the weights once (a recovery point not
+at all: nothing writes them before the step) — DP× less memory and DP×
+fewer Adam updates than replicas that merely stay equal.
 
 Gradients are held at most twice.  Replica 0 owns its gradient buffer: the
 DP reduce folds every other replica's stage gradient into it as soon as that
@@ -55,7 +55,6 @@ import numpy as np
 from repro.parallel.collectives import WIRE_BYTES_PER_ELEMENT
 from repro.parallel.op_order import OpOrderedDict
 from repro.tensor.parameter import Parameter
-from repro.utils.state import capture_tree
 
 #: glibc ``mallopt`` parameter numbers (``<malloc.h>``).
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
@@ -249,40 +248,15 @@ class ParameterArena:
         """Zero every gradient in one buffer-wide write."""
         self.grad[...] = 0.0
 
-    def snapshot(self, out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-        """Copy this arena's share of the weights for a later :meth:`restore`.
+    def snapshot(self) -> dict[str, np.ndarray]:
+        """A detached copy of this arena's share of the group's one weight buffer.
 
-        A contiguous buffer copy — the cheap rollback primitive of the
-        per-iteration recovery point.  The group's one weight buffer is
-        captured by its first member only (a standalone arena is its group's
-        first member), so snapshotting every arena of a group copies the
-        weights once and the other members' snapshots are empty.  Gradients
-        are never copied: the pipeline run that follows a capture overwrites
-        them (see :func:`~repro.tensor.parameter.gradient_epoch`), so there is
-        nothing in them to go back to.  ``out`` is a previous snapshot whose
-        buffers are refilled in place instead of being reallocated.  The
-        copies are independent of the live buffers, so taking a snapshot never
-        perturbs training.
+        The group's first member holds the weights (``{"data": copy}``); the
+        other members' snapshots are empty, so snapshotting a whole group
+        copies the weights once.  The recovery point takes none: nothing
+        writes the weights before the optimiser step.
         """
-        live = {"data": self.data} if self.group[0] is self else {}
-        return capture_tree(live, out)
-
-    def restore(self, snapshot: dict[str, np.ndarray]) -> None:
-        """Write a :meth:`snapshot` back into the live buffers, bit-for-bit; zero the gradients.
-
-        A restored arena holds no gradient: whatever a failed or discarded
-        iteration left there is cleared, so every replica of the group holds
-        the same (zero) gradient again.
-        """
-        for name, saved in snapshot.items():
-            live = getattr(self, name)
-            if saved.shape != live.shape:
-                raise ValueError(
-                    f"snapshot does not match this arena: {name} {saved.shape} vs {live.shape}"
-                )
-        for name, saved in snapshot.items():
-            getattr(self, name)[...] = saved
-        self.zero_grad()
+        return {"data": self.data.copy()} if self.group[0] is self else {}
 
     def rebind_storage(
         self, data: np.ndarray | None = None, grad: np.ndarray | None = None

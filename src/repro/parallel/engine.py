@@ -445,8 +445,13 @@ class EngineIterationResult:
     reduce_s: list[float] = field(default_factory=list, compare=False)
     #: Seconds of the embedding sync, in the walk or after it.
     embedding_sync_s: float = field(default=0.0, compare=False)
-    #: Seconds of the optimiser step, filled in by the loop that steps
+    #: Seconds of the recovery point's capture at the top of the iteration
+    #: (0 when nothing is captured).
+    capture_s: float = field(default=0.0, compare=False)
+    #: Seconds of the guard's gradient validation and of the optimiser step,
+    #: filled in by the loop that validates and steps
     #: (:meth:`repro.training.trainer.Pretrainer.train_iteration`).
+    validate_s: float = field(default=0.0, compare=False)
     step_s: float = field(default=0.0, compare=False)
 
     @property
@@ -662,9 +667,9 @@ class ThreeDParallelEngine:
         # buffer from the start (no draw, no weight array of its own).  Under
         # ``serial`` replicas 1..dp-1 share one gradient buffer, under
         # ``process`` each worker writes its own.  Per-parameter views
-        # make the fused optimiser and the recovery point's weight copy
-        # whole-buffer ops and DP buckets zero-copy flat spans.  The list is
-        # the arenas' live group: ``drop_replica`` shrinks it.
+        # make the fused optimiser a whole-buffer op and DP buckets
+        # zero-copy flat spans.  The list is the arenas' live group:
+        # ``drop_replica`` shrinks it.
         first = build_gpt_stages(model_config, self.num_stages, seed=self.seed)
         weights = ParameterArena(_stage_parameters(first))
         self.replicas: list[list] = [first]
@@ -726,11 +731,9 @@ class ThreeDParallelEngine:
             self.guardrails = plan.resilience.policy()
             if plan.executor == "process":
                 self.supervision = plan.resilience.supervision_policy()
-        #: The pre-iteration capture that the guard's rollback and the
-        #: supervisor's rewind restore from; ``run_iteration`` refreshes it
-        #: once per call.  Installed by the guarded trainer (with its
-        #: optimisers) or, for a supervised engine driven without one, by
-        #: ``_ensure_process_executor``; ``None`` means nothing is captured.
+        #: The pre-iteration capture that the guard's rollback restores from;
+        #: ``run_iteration`` refreshes it once per call.  Installed by the
+        #: guarded trainer; ``None`` means nothing is captured.
         self.recovery_point: RecoveryPoint | None = None
         self._iteration_index = 0
 
@@ -894,8 +897,10 @@ class ThreeDParallelEngine:
             for tokens, _ in replica_batches
         ]
         executor = self._ensure_process_executor() if self.executor_kind == "process" else None
+        capture_started = perf_counter()
         if self.recovery_point is not None:
             self.recovery_point.capture()
+        capture_s = perf_counter() - capture_started
         report_before = self.resilience.copy()
         injector = self.fault_injector
         threads = walk_threads(
@@ -908,7 +913,7 @@ class ThreeDParallelEngine:
             # One forked worker per replica over shared-memory arenas; what is
             # order-sensitive (fault injection, the syncs) stays here.  Under
             # supervision crashed or hung workers are respawned and the
-            # iteration replayed bit-exactly from the recovery point above.
+            # iteration replayed bit-exactly from the untouched weights.
             if self._supervisor is not None:
                 results = self._supervisor.run(normalised, self._iteration_index)
             else:
@@ -1008,6 +1013,7 @@ class ThreeDParallelEngine:
                 self.resilience.delta_since(report_before) if injector is not None else None
             ),
             threads=threads,
+            capture_s=capture_s,
             walk_s=walk_s,
             dp_sync_s=dp_sync_s,
             embedding_sync_s=sum(embedding_s),
@@ -1117,8 +1123,6 @@ class ThreeDParallelEngine:
                 self._supervisor = WorkerSupervisor(
                     self._process_executor, policy, self.resilience
                 )
-                if self.recovery_point is None:
-                    self.recovery_point = RecoveryPoint(self)
         if not self._process_executor.started:
             self._process_executor.start()
         return self._process_executor

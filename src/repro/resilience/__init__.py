@@ -5,8 +5,8 @@ kinds the process executor routes into its forked workers) and ``guardrails``
 for the policy/report types — :class:`SupervisionPolicy` configures the
 worker-supervision mechanism in :mod:`repro.exec.supervisor`.  ``recovery``
 holds the :class:`RecoveryPoint` — the one preallocated pre-iteration capture
-that the guard's rollback and the supervisor's rewind both restore from — and
-the inventory of mutable training state.  Checkpointing lives in
+that the guard's rollback restores from — and the inventory of mutable
+training state.  Checkpointing lives in
 :mod:`repro.training.checkpoint` (the writer walks that same inventory, read
 through its live buffers).
 """

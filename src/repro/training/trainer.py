@@ -20,13 +20,14 @@ schedule, validation, and history recording.
 
 Resilience (PR 7): when the plan carries a :class:`repro.plan.ResilienceSpec`
 (``plan.with_resilience(...)``) the loop becomes *guarded*.  At the
-top of each iteration the engine captures every mutable buffer (the shared
-weights and the optimiser moments once, each replica's gradients,
-error-feedback residuals/warm starts) into one preallocated
+top of each iteration the engine captures what the iteration changes before
+its step (error-feedback residuals and warm starts, RNG call counts, hook
+state, and the optimiser's step count) into one preallocated
 :class:`repro.resilience.RecoveryPoint`; after the iteration a whole-buffer
 ``isfinite`` check over the flat gradient arenas (plus an optional global
 grad-norm cap) decides whether to apply the update or roll the capture back
-and skip the step.  Injected crashes surface as
+and skip the step.  Weights and moments need no copy: the rollback comes
+before the step, their only writer.  Injected crashes surface as
 :class:`repro.resilience.WorkerCrash`; permanent replica losses shrink the DP
 group in place.  Fault-free guarded runs are bit-identical to unguarded runs —
 the guards only *read* live state unless a violation fires.
@@ -216,8 +217,11 @@ class Pretrainer:
                 self._escalate(exhausted, iteration)
         self.last_iteration_result = result
 
-        if policy is not None and not self._gradients_healthy(policy):
-            self.engine.recovery_point.restore()  # weights back, gradients zeroed
+        validate_started = perf_counter()
+        healthy = policy is None or self._gradients_healthy(policy)
+        result.validate_s = perf_counter() - validate_started
+        if not healthy:
+            self.engine.recovery_point.restore()  # engine state back, gradients zeroed
             self.resilience_report.skipped_steps += 1
             self.resilience_report.rollbacks += 1
             self._consecutive_skips += 1

@@ -41,3 +41,14 @@ def capture_tree(tree, out=None):
             for index, value in enumerate(tree)
         ]
     return tree
+
+
+def tree_nbytes(tree) -> int:
+    """Bytes of every array leaf of ``tree``."""
+    if isinstance(tree, np.ndarray):
+        return tree.nbytes
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, (list, tuple)):
+        return sum(tree_nbytes(value) for value in tree)
+    return 0

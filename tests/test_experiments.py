@@ -14,6 +14,7 @@ import pytest
 from repro import cli
 from repro.data import SyntheticCorpusConfig
 from repro.experiments.fidelity_ledger import run_ledger
+from repro.experiments.fig03_motivation import simulate_fig03
 from repro.experiments.fig10_breakdown import run_fig10
 from repro.experiments.fig11_error_independence import run_fig11
 from repro.experiments.fig12_memory import run_fig12
@@ -168,6 +169,17 @@ class TestFidelityLedger:
             assert ledger[f"Table 2 days {model} {label}"] == days
             if label != "Baseline":
                 assert ledger[f"Table 2 speedup {model} {label}"] == 100.0 * speedup
+
+    def test_fig03_and_fig14_rows_read_their_drivers(self):
+        ledger = {row.row: row for row in run_ledger().rows}
+        days = {label: bar_days for label, bar_days, _ in simulate_fig03()}
+        topk = ledger["Fig. 3 days Opt-CC (TopK) - Opt-CC"]
+        assert topk.reproduced == days["Opt-CC (TopK)"] - days["Opt-CC"]
+        assert topk.paper is None and topk.gap is None
+        for row in run_fig14().rows:
+            if row.label == "CB+FE+SC":
+                floor = ledger[f"Fig. 14 speedup {row.layout_label} CB+FE+SC, at least"]
+                assert (floor.reproduced, floor.paper) == (100.0 * row.speedup, 19.2)
 
 
 class TestScheduleComparison:

@@ -90,6 +90,17 @@ def probe_trainer(plan: ParallelPlan, seed: int = 5) -> Pretrainer:
     return Pretrainer(model, loader, plan=plan, seed=seed)
 
 
+def capture_leaves(tree) -> list[np.ndarray]:
+    """Every array leaf of a state tree, depth first."""
+    if isinstance(tree, np.ndarray):
+        return [tree]
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, list):
+        return [leaf for value in tree for leaf in capture_leaves(value)]
+    return []
+
+
 def weights_sha256(trainer: Pretrainer) -> str:
     """SHA-256 over every replica's weight arena, in replica order."""
     digest = hashlib.sha256()
@@ -427,12 +438,14 @@ class TestOneCopyPerGroup:
             trainer.train_iteration()
             trainer.train_iteration()
             assert_one_copy(trainer, dp)
-            point = trainer.engine.recovery_point
-            # The weights once; no gradients (the next pipeline run overwrites them).
-            assert [sorted(snapshot) for snapshot in point.arenas] == (
-                [["data"]] + [[]] * (dp - 1)
-            )
-            assert set(point.optimizer_state) >= {"exp_avg", "exp_avg_sq"}
+            # The recovery point copies no weights and no moments (nothing
+            # writes them before the step) and no gradients (the next pipeline
+            # run overwrites them): no array it holds is that large.
+            point, moment = trainer.engine.recovery_point, trainer.optimizer.live_state()["exp_avg"]
+            assert point.step_count == trainer.optimizer.live_state()["step_count"] - 1
+            captured = capture_leaves(point.engine_state)
+            assert captured and point.nbytes() == sum(array.nbytes for array in captured)
+            assert all(array.size < moment.size <= trainer.engine.arenas[0].data.size for array in captured)
             # One weights segment for the group and one gradient segment per replica.
             assert len(shm_entries() - before) == ((1 + dp) if executor == "process" else 0)
         assert shm_entries() <= before
@@ -648,40 +661,41 @@ class TestReplicatedArenas:
         arenas = ParameterArena.replicated([self.replica() for _ in range(2)])
         snapshots = [arena.snapshot() for arena in arenas]
         assert [sorted(snapshot) for snapshot in snapshots] == [["data"], []]
-        arenas[0].data[...] = 0.0
-        for arena in arenas:
-            arena.grad[...] = 9.0
-        for arena, snapshot in zip(arenas, snapshots):
-            arena.restore(snapshot)
-        assert np.array_equal(arenas[1].data, snapshots[0]["data"])
-        assert not arenas[0].grad.any() and not arenas[1].grad.any()
+        assert np.array_equal(snapshots[0]["data"], arenas[1].data)
+        assert not np.shares_memory(snapshots[0]["data"], arenas[0].data)
 
 
 class TestRollbackOnSharedStorage:
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_restore_puts_back_weights_and_moments_and_zeroes_every_replicas_gradients(
+    def test_restore_puts_back_the_engine_state_and_zeroes_every_replicas_gradients(
         self, executor
     ):
         """Gradients are not captured (the next pipeline run overwrites them):
-        a restore leaves every replica with the same, zero, gradient."""
+        a restore leaves every replica with the same, zero, gradient.  Weights
+        and moments are not captured either (only the step writes them), so a
+        restore leaves them as they are."""
         with probe_trainer(probe_plan("optimus", 3, executor, guarded=True)) as trainer:
             trainer.train_iteration()
             trainer.train_iteration()
-            point, optimizer = trainer.engine.recovery_point, trainer.optimizer
+            engine, point, optimizer = trainer.engine, trainer.engine.recovery_point, trainer.optimizer
             point.capture()
-            weights = trainer.engine.arenas[0].data.copy()
-            moments = (optimizer._exp_avg_flat.copy(), optimizer._exp_avg_sq_flat.copy())
-            assert all(arena.grad.any() for arena in trainer.engine.arenas)
+            state = capture_leaves(engine.mutable_state())
+            weights = engine.arenas[0].data.copy()
+            moments = [optimizer.live_state()[name].copy() for name in ("exp_avg", "exp_avg_sq")]
+            assert all(arena.grad.any() for arena in engine.arenas)
 
-            trainer.engine.arenas[0].data[...] = np.nan
-            for arena in trainer.engine.arenas:
+            live = capture_leaves(engine.live_mutable_state())
+            assert len(live) == len(state) > 0
+            for array in live:
+                array[...] = np.nan
+            for arena in engine.arenas:
                 arena.grad[...] = np.inf
-            optimizer._exp_avg_flat[...] = -1.0
-            optimizer._exp_avg_sq_flat[...] = -1.0
             point.restore()
 
-            for arena in trainer.engine.arenas:
+            for array, expected in zip(capture_leaves(engine.live_mutable_state()), state):
+                assert bitwise_equal(array, expected)
+            for arena in engine.arenas:
                 assert np.array_equal(arena.data, weights)
                 assert not arena.grad.any()
-            assert np.array_equal(optimizer._exp_avg_flat, moments[0])
-            assert np.array_equal(optimizer._exp_avg_sq_flat, moments[1])
+            for name, expected in zip(("exp_avg", "exp_avg_sq"), moments):
+                assert np.array_equal(optimizer.live_state()[name], expected)

@@ -755,7 +755,7 @@ class TestRecoveryPoint:
                     for value in tree:
                         walk(value)
 
-            walk([point.arenas, point.optimizer_state, point.engine_state])
+            walk(point.engine_state)
             return leaves
 
         # Error-feedback residuals appear on the first reduction, so the
@@ -770,15 +770,39 @@ class TestRecoveryPoint:
     def test_capture_is_detached_from_live_state(self):
         trainer = _trainer(_plan().with_resilience(ResilienceSpec()))
         trainer.train(2)
+        point, engine = trainer.engine.recovery_point, trainer.engine
+        # The engine state, and of the optimiser only its step count: the
+        # weights and moments have one writer, the step, which comes after
+        # every way back.  The capture was taken before this iteration's step.
+        assert point.step_count == trainer.optimizer.live_state()["step_count"] - 1
+        captured, live = [], []
+
+        def leaves(tree, into):
+            if isinstance(tree, np.ndarray):
+                into.append(tree)
+            elif isinstance(tree, dict):
+                for value in tree.values():
+                    leaves(value, into)
+            elif isinstance(tree, list):
+                for value in tree:
+                    leaves(value, into)
+
+        leaves(point.engine_state, captured)
+        leaves(engine.live_mutable_state(), live)
+        assert captured and len(captured) == len(live)
+        assert point.nbytes() == sum(array.nbytes for array in captured)
+        for copy in captured:
+            assert not any(np.shares_memory(copy, array) for array in live)
+            assert not np.shares_memory(copy, engine.arenas[0].data)
+
+    def test_restore_after_a_step_raises_and_names_the_step(self):
+        trainer = _trainer(_plan().with_resilience(ResilienceSpec()))
+        trainer.train(2)  # the second iteration captured at step 1, then stepped
         point = trainer.engine.recovery_point
-        arenas = trainer.engine.arenas
-        # One copy of the one weight buffer (the first arena's) and no gradients:
-        # the pipeline run that follows a capture overwrites them.
-        assert [sorted(captured) for captured in point.arenas] == [["data"], []]
-        captured = point.arenas[0]["data"]
-        assert not np.shares_memory(arenas[0].data, captured)
-        # The capture is the *pre*-iteration state; the step moved on.
-        assert not np.array_equal(arenas[0].data, captured)
+        weights = trainer.engine.arenas[0].data.copy()
+        with pytest.raises(RuntimeError, match="captured at optimizer step 1: .* at step 2"):
+            point.restore()
+        assert np.array_equal(trainer.engine.arenas[0].data, weights)
 
     def test_unguarded_trainer_captures_nothing(self):
         trainer = _trainer(_plan())

@@ -230,7 +230,8 @@ class TestOneRecoveryPoint:
     def test_one_capture_per_guarded_supervised_iteration(self, monkeypatch):
         """executor="process" + guard used to copy the state twice per iteration
         (trainer snapshot, then supervisor snapshot) into fresh arrays; now the
-        engine captures once, into buffers whose identity never changes."""
+        engine captures once, into buffers whose identity never changes, and
+        only the engine state (the weights and moments need no copy)."""
         captures = []
         original = RecoveryPoint.capture
 
@@ -246,12 +247,20 @@ class TestOneRecoveryPoint:
             point = trainer.engine.recovery_point
             assert trainer.engine._supervisor is not None
 
+            def leaf_ids(tree):
+                if isinstance(tree, np.ndarray):
+                    return [id(tree)]
+                if isinstance(tree, dict):
+                    tree = list(tree.values())
+                if isinstance(tree, list):
+                    return [leaf for value in tree for leaf in leaf_ids(value)]
+                return []
+
             def buffer_ids():
-                arenas = [id(buffer) for s in point.arenas for buffer in s.values()]
-                moments = [id(point.optimizer_state[name]) for name in ("exp_avg", "exp_avg_sq")]
-                return arenas + moments
+                return leaf_ids(point.engine_state)
 
             before = buffer_ids()
+            assert before
             captures.clear()
             for _ in range(5):
                 trainer.train_iteration()
@@ -259,9 +268,11 @@ class TestOneRecoveryPoint:
         assert captures == [point] * 5
         assert after == before
 
-    def test_supervised_engine_without_a_trainer_captures_for_itself(self):
-        """No guarded trainer installed a recovery point: the engine makes the
-        arena + CB-state one its supervisor rewinds to, and a crash still heals."""
+    def test_supervised_engine_without_a_trainer_heals_without_a_capture(self):
+        """No guarded trainer installed a recovery point, and the supervisor
+        needs none: its rewind only zero-fills the gradients (the weights and
+        the parent's hooks are untouched by a failed attempt), and a crash
+        still heals."""
         from repro.parallel.engine import ThreeDParallelEngine
 
         spec = ResilienceSpec(faults=("crash@1:replica=0",))
@@ -287,7 +298,7 @@ class TestOneRecoveryPoint:
 
         healed, weights = run(probe_plan().with_resilience(spec))
         assert healed.resilience.respawns == 1
-        assert healed.recovery_point is not None and healed.recovery_point.optimizer_state is None
+        assert healed.recovery_point is None
         _, expected = run(probe_plan(executor="serial"))
         assert_same_weights(weights, expected)
 
