@@ -10,20 +10,11 @@ from a fixed vocabulary, judged against a band this module states:
 * ``trend reversed`` — a comparison the paper reports that comes out the
   other way.
 
-The rows, all from the simulator alone, through the loops the figure drivers
-use:
-
-* Table 2's wall-clock side — its eight day counts and six speedups
-  (:func:`~repro.experiments.table2_pretraining.simulate_table2`) — and the
-  paper's headline trend, that the full stack gains more on the bigger model;
-* Fig. 14's floor: the full stack speeds up every (TP, PP) layout by at least
-  19.2 %, one row per layout; at or above the floor, or less than the band
-  below it, is ``within band``;
-* Fig. 3's ordering: Optimus-CC with top-k backpropagation trains slower than
-  with low-rank (:func:`~repro.experiments.fig03_motivation.simulate_fig03`).
-  The repository carries no magnitude for it, so the row has no paper value
-  and no band: a positive difference is ``direction ok``, a tie a ``gap``.
-
+The rows come from the simulator alone, through the loops the figure drivers
+use: Table 2's wall-clock side (its eight day counts and six speedups) and the
+paper's headline trend, that the full stack gains more on the bigger model;
+Fig. 14's floor, one row per (TP, PP) layout; and Fig. 3's "Opt-CC (TopK)
+trains slower than Opt-CC", whose row has no paper magnitude and so no band.
 ``repro reproduce ledger`` writes it to ``benchmarks/results/FIDELITY.txt``
 and ``FIDELITY.json``.
 """
@@ -32,7 +23,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from repro.experiments.fig03_motivation import simulate_fig03
 from repro.experiments.fig14_config_sensitivity import PAPER_MIN_SPEEDUP, run_fig14
@@ -83,22 +74,15 @@ def _points_row(row: str, reproduced: float, paper: float, comparison: bool) -> 
 
 
 def _at_least_row(row: str, reproduced: float, floor: float) -> FidelityRow:
-    """A speedup in percent that the paper reports a floor for."""
-    gap = reproduced - floor
-    if gap >= -POINTS_BAND:
-        verdict = "within band"
-    else:
-        verdict = "direction ok" if reproduced > 0 else "gap"
-    return FidelityRow(row, "percent", reproduced, floor, gap, verdict)
+    """A speedup in percent the paper reports a floor for: at or above it is within band."""
+    judged = _points_row(row, reproduced, floor, comparison=False)
+    return replace(judged, verdict="within band") if reproduced >= floor else judged
 
 
-def _ordering_row(row: str, reproduced: float) -> FidelityRow:
+def _ordering_row(row: str, difference: float) -> FidelityRow:
     """A difference in days the paper reports as positive, without a magnitude."""
-    if reproduced > 0:
-        verdict = "direction ok"
-    else:
-        verdict = "gap" if reproduced == 0 else "trend reversed"
-    return FidelityRow(row, "days", reproduced, None, None, verdict)
+    verdict = "direction ok" if difference > 0 else "trend reversed" if difference < 0 else "gap"
+    return FidelityRow(row, "days", difference, None, None, verdict)
 
 
 @dataclass
@@ -140,8 +124,9 @@ class FidelityLedger:
                 {
                     **asdict(row),
                     **{
-                        name: None if getattr(row, name) is None else round(getattr(row, name), 6)
+                        name: round(getattr(row, name), 6)
                         for name in ("reproduced", "paper", "gap")
+                        if getattr(row, name) is not None
                     },
                 }
                 for row in self.rows

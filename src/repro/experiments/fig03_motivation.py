@@ -24,12 +24,12 @@ from repro.experiments.settings import (
     FunctionalSettings,
     fast_functional_settings,
     paper_job,
+    simulate_configurations,
 )
 from repro.models.gpt_configs import GPT_2_5B
 from repro.plan import ParallelPlan
 from repro.simulator.breakdown import compute_breakdown
 from repro.simulator.cost_model import TrainingJob
-from repro.simulator.executor import PipelineTimingSimulator
 from repro.utils.tables import Table, format_float
 
 
@@ -99,18 +99,12 @@ MOTIVATION_CONFIGURATIONS: dict[str, ParallelPlan] = {
 def simulate_fig03(
     job: TrainingJob | None = None, num_iterations: int = MOTIVATION_ITERATIONS
 ) -> list[tuple[str, float, float]]:
-    """Fig. 3's training times, from the simulator alone (no training).
-
-    ``(configuration, training days, speedup over the baseline)`` per bar, in
-    the paper's order, on GPT-2.5B by default.
-    """
+    """``(configuration, training days, speedup over the baseline)`` per Fig. 3 bar, simulated."""
     job = job if job is not None else paper_job(GPT_2_5B)
-    baseline_timing = PipelineTimingSimulator(job).run()
-    bars = []
-    for label, plan in MOTIVATION_CONFIGURATIONS.items():
-        timing = PipelineTimingSimulator(job, plan).run()
-        bars.append((label, timing.days_for(num_iterations), timing.speedup_over(baseline_timing)))
-    return bars
+    return [
+        (label, timing.days_for(num_iterations), speedup)
+        for label, timing, speedup in simulate_configurations(job, MOTIVATION_CONFIGURATIONS)
+    ]
 
 
 def run_fig03(

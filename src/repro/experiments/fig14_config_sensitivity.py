@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.settings import PAPER_TOTAL_ITERATIONS, paper_job
+from repro.experiments.settings import PAPER_TOTAL_ITERATIONS, paper_job, simulate_configurations
 from repro.models.gpt_configs import GPT_9_2B, PaperModelSpec
 from repro.parallel.process_groups import ParallelLayout
 from repro.plan import ParallelPlan
-from repro.simulator.executor import PipelineTimingSimulator
 from repro.utils.tables import Table, format_float
 
 
@@ -104,18 +103,14 @@ def run_fig14(
     result = Fig14Result()
     for layout in layouts:
         job = paper_job(model, layout=layout)
-        baseline = None
-        for label, plan in FIG14_CONFIGURATIONS.items():
-            timing = PipelineTimingSimulator(job, plan).run()
-            if label == "Baseline":
-                baseline = timing
+        for label, timing, speedup in simulate_configurations(job, FIG14_CONFIGURATIONS):
             result.rows.append(
                 ConfigSensitivityRow(
                     tensor_parallel=layout.tensor_parallel,
                     pipeline_parallel=layout.pipeline_parallel,
                     label=label,
                     iteration_time=timing.iteration_time,
-                    speedup=timing.speedup_over(baseline),
+                    speedup=speedup,
                 )
             )
     return result

@@ -20,6 +20,7 @@ from repro.models.gpt_configs import PaperModelSpec, functional_config
 from repro.nn.transformer import GPTModelConfig
 from repro.parallel.process_groups import ParallelLayout
 from repro.simulator.cost_model import TrainingJob
+from repro.simulator.executor import IterationTiming, PipelineTimingSimulator
 
 #: Iteration count the paper trains for (Table 2); used to project days.
 PAPER_TOTAL_ITERATIONS = 230_000
@@ -165,3 +166,9 @@ def paper_job(model: PaperModelSpec, settings: PaperJobSettings | None = None, *
     )
     kwargs.update(overrides)
     return TrainingJob(**kwargs)
+
+
+def simulate_configurations(job: TrainingJob, configurations: dict) -> list[tuple[str, IterationTiming, float]]:
+    """``(label, timing, speedup over the first configuration)`` per configuration, simulated."""
+    timings = [(label, PipelineTimingSimulator(job, plan).run()) for label, plan in configurations.items()]
+    return [(label, timing, timing.speedup_over(timings[0][1])) for label, timing in timings]

@@ -18,9 +18,9 @@ from repro.experiments.settings import (
     FunctionalSettings,
     fast_functional_settings,
     paper_job,
+    simulate_configurations,
 )
 from repro.models.gpt_configs import GPT_2_5B, GPT_8_3B, PaperModelSpec
-from repro.simulator.executor import PipelineTimingSimulator
 from repro.utils.tables import Table, format_float
 
 
@@ -104,18 +104,13 @@ def simulate_table2(
     baseline)`` per cell, GPT-8.3B's then GPT-2.5B's by default.
     """
     models = models if models is not None else [GPT_8_3B, GPT_2_5B]
-    cells = []
-    for model in models:
-        job = paper_job(model)
-        baseline_timing = None
-        for label, plan in paper_variant_configurations().items():
-            timing = PipelineTimingSimulator(job, plan).run()
-            if label == "Baseline":
-                baseline_timing = timing
-            cells.append(
-                (model.name, label, timing.days_for(num_iterations), timing.speedup_over(baseline_timing))
-            )
-    return cells
+    return [
+        (model.name, label, timing.days_for(num_iterations), speedup)
+        for model in models
+        for label, timing, speedup in simulate_configurations(
+            paper_job(model), paper_variant_configurations()
+        )
+    ]
 
 
 def run_table2(

@@ -249,13 +249,7 @@ class ParameterArena:
         self.grad[...] = 0.0
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        """A detached copy of this arena's share of the group's one weight buffer.
-
-        The group's first member holds the weights (``{"data": copy}``); the
-        other members' snapshots are empty, so snapshotting a whole group
-        copies the weights once.  The recovery point takes none: nothing
-        writes the weights before the optimiser step.
-        """
+        """A copy of the group's weights from its first member (``{}`` from the others)."""
         return {"data": self.data.copy()} if self.group[0] is self else {}
 
     def rebind_storage(

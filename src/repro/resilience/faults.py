@@ -322,10 +322,6 @@ class FaultInjector:
             applied.append(spec)
         return applied
 
-    def with_seed(self, seed: int) -> "FaultInjector":
-        """A copy of this injector with a different derivation seed."""
-        return FaultInjector(self.faults, seed=seed)
-
     def shifted(self, offset: int) -> "FaultInjector":
         """A copy whose schedule is shifted by ``offset`` iterations (testing)."""
         return FaultInjector(

@@ -140,10 +140,6 @@ class ResilienceReport:
         )
 
     @property
-    def total_faults(self) -> int:
-        return sum(self.faults_injected.values())
-
-    @property
     def any_events(self) -> bool:
         return bool(
             self.faults_injected

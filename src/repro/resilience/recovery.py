@@ -17,28 +17,25 @@ source                    what it holds                               captured a
                           under the process executor
 ========================  ==========================================  ==========================
 
-Only the third is copied: the folds of the DP reduce change it before the
-guard runs.  The weights and the moments need no copy, because the optimiser
-step is their one writer and the guarded trainer's rollback
-(:meth:`RecoveryPoint.restore`) runs before it.  The captured step count is
-the mechanical proof: a restore after a step raises.  Gradients need no copy
-either — the pipeline run that follows a capture overwrites them — so a
-restore leaves every replica the same, zero, gradient.  The worker
-supervisor's rewind needs no capture at all: it runs inside the iteration,
-before the parent's hooks or the DP reduce have been written, so it only
+Only the third is copied: the DP reduce changes it before the guard runs.
+The weights and moments need no copy: the optimiser step is their only writer
+and the rollback (:meth:`RecoveryPoint.restore`) runs before it, which the
+captured step count proves (a restore after a step raises).  Gradients need
+no copy either, as the next pipeline run overwrites them; a restore
+zero-fills them.  The worker supervisor's rewind runs before the parent's
+hooks or the DP reduce are written, so it captures nothing and only
 zero-fills the gradients.
 
-The engine captures once, at the top of ``run_iteration``, into buffers
-allocated on the first capture and refilled (``np.copyto``) on every later
-one.  The checkpoint writer (:mod:`repro.training.checkpoint`) writes the same
-three sources, read through their live forms (``arenas[0].data``,
-``FusedAdam.live_state``, ``engine.live_mutable_state``) — so rollback and
-checkpoint cannot drift apart.
+The engine captures once per ``run_iteration``, into buffers allocated on
+first use and refilled (``np.copyto``) after.  The checkpoint writer
+(:mod:`repro.training.checkpoint`) writes the same three sources through
+their live forms (``arenas[0].data``, ``FusedAdam.live_state``,
+``engine.live_mutable_state``), so rollback and checkpoint cannot drift apart.
 """
 
 from __future__ import annotations
 
-from repro.utils.state import tree_nbytes
+from repro.utils.state import tree_arrays
 
 
 class RecoveryPoint:
@@ -57,19 +54,16 @@ class RecoveryPoint:
 
     def capture(self) -> None:
         """Copy the engine state into the recovery buffers (allocated on first use)."""
-        self.step_count = self._optimizer_steps()
+        self.step_count = self.optimizer.live_state()["step_count"]
         self.engine_state = self.engine.mutable_state(out=self.engine_state)
-
-    def _optimizer_steps(self) -> int:
-        return self.optimizer.live_state()["step_count"]
 
     def nbytes(self) -> int:
         """Bytes of the arrays the last capture holds."""
-        return tree_nbytes(self.engine_state)
+        return sum(array.nbytes for array in tree_arrays(self.engine_state))
 
     def restore(self) -> None:
         """Go back to the capture (which stays valid); raises if the optimiser stepped since."""
-        steps = self._optimizer_steps()
+        steps = self.optimizer.live_state()["step_count"]
         if steps != self.step_count:
             raise RuntimeError(
                 f"cannot restore the recovery point captured at optimizer step "

@@ -157,12 +157,11 @@ class Pretrainer:
 
         # Resilience wiring: the engine armed the fault injector, guardrail
         # budgets and worker supervision from the plan's section; the guarded
-        # loop adds the recovery point that covers the optimiser too.
+        # loop adds the recovery point its rollback restores (the engine
+        # captures it once per iteration).
         self.guardrails: GuardrailPolicy | None = None
         if plan.resilience is not None:
             self.guardrails = self.engine.guardrails
-            # One capture per iteration (taken by the engine) serves both this
-            # loop's rollback and the worker supervisor's rewind.
             self.engine.recovery_point = RecoveryPoint(self.engine, self.optimizer)
         self.resilience_report = self.engine.resilience
         self._consecutive_skips = 0
@@ -330,8 +329,8 @@ class Pretrainer:
 
         ``degrade`` drops the unrecoverable replica (the caller then replays
         the iteration on the survivors); ``checkpoint_abort`` writes a final
-        checkpoint of the pre-iteration state (the supervisor already restored
-        the arenas, and the parent's hooks never left it) and raises
+        checkpoint of the pre-iteration state (the supervisor already zeroed
+        the gradients, and the weights and the parent's hooks never left it) and raises
         :class:`ResilienceExhausted`.
         """
         if exhausted.action == "checkpoint_abort":

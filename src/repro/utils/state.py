@@ -43,12 +43,12 @@ def capture_tree(tree, out=None):
     return tree
 
 
-def tree_nbytes(tree) -> int:
-    """Bytes of every array leaf of ``tree``."""
+def tree_arrays(tree) -> list[np.ndarray]:
+    """Every array leaf of ``tree``, depth first."""
     if isinstance(tree, np.ndarray):
-        return tree.nbytes
+        return [tree]
     if isinstance(tree, dict):
         tree = list(tree.values())
     if isinstance(tree, (list, tuple)):
-        return sum(tree_nbytes(value) for value in tree)
-    return 0
+        return [leaf for value in tree for leaf in tree_arrays(value)]
+    return []

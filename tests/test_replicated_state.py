@@ -44,6 +44,7 @@ from repro.training.checkpoint import (
     save_checkpoint,
 )
 from repro.training.trainer import Pretrainer
+from repro.utils.state import tree_arrays
 
 ITERATIONS = 6
 
@@ -88,17 +89,6 @@ def probe_trainer(plan: ParallelPlan, seed: int = 5) -> Pretrainer:
         data_parallel_degree=plan.topology.dp,
     )
     return Pretrainer(model, loader, plan=plan, seed=seed)
-
-
-def capture_leaves(tree) -> list[np.ndarray]:
-    """Every array leaf of a state tree, depth first."""
-    if isinstance(tree, np.ndarray):
-        return [tree]
-    if isinstance(tree, dict):
-        tree = list(tree.values())
-    if isinstance(tree, list):
-        return [leaf for value in tree for leaf in capture_leaves(value)]
-    return []
 
 
 def weights_sha256(trainer: Pretrainer) -> str:
@@ -443,7 +433,7 @@ class TestOneCopyPerGroup:
             # run overwrites them): no array it holds is that large.
             point, moment = trainer.engine.recovery_point, trainer.optimizer.live_state()["exp_avg"]
             assert point.step_count == trainer.optimizer.live_state()["step_count"] - 1
-            captured = capture_leaves(point.engine_state)
+            captured = tree_arrays(point.engine_state)
             assert captured and point.nbytes() == sum(array.nbytes for array in captured)
             assert all(array.size < moment.size <= trainer.engine.arenas[0].data.size for array in captured)
             # One weights segment for the group and one gradient segment per replica.
@@ -679,12 +669,12 @@ class TestRollbackOnSharedStorage:
             trainer.train_iteration()
             engine, point, optimizer = trainer.engine, trainer.engine.recovery_point, trainer.optimizer
             point.capture()
-            state = capture_leaves(engine.mutable_state())
+            state = tree_arrays(engine.mutable_state())
             weights = engine.arenas[0].data.copy()
             moments = [optimizer.live_state()[name].copy() for name in ("exp_avg", "exp_avg_sq")]
             assert all(arena.grad.any() for arena in engine.arenas)
 
-            live = capture_leaves(engine.live_mutable_state())
+            live = tree_arrays(engine.live_mutable_state())
             assert len(live) == len(state) > 0
             for array in live:
                 array[...] = np.nan
@@ -692,7 +682,7 @@ class TestRollbackOnSharedStorage:
                 arena.grad[...] = np.inf
             point.restore()
 
-            for array, expected in zip(capture_leaves(engine.live_mutable_state()), state):
+            for array, expected in zip(tree_arrays(engine.live_mutable_state()), state):
                 assert bitwise_equal(array, expected)
             for arena in engine.arenas:
                 assert np.array_equal(arena.data, weights)

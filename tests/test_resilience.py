@@ -54,6 +54,7 @@ from repro.training.checkpoint import (
 )
 from repro.training import trainer as trainer_module
 from repro.training.trainer import Pretrainer
+from repro.utils.state import tree_arrays
 
 DP_CODECS = ("none", "powersgd", "qsgd", "topk")
 
@@ -743,20 +744,7 @@ class TestRecoveryPoint:
         point = trainer.engine.recovery_point
 
         def buffer_ids():
-            leaves = []
-
-            def walk(tree):
-                if isinstance(tree, np.ndarray):
-                    leaves.append(id(tree))
-                elif isinstance(tree, dict):
-                    for value in tree.values():
-                        walk(value)
-                elif isinstance(tree, list):
-                    for value in tree:
-                        walk(value)
-
-            walk(point.engine_state)
-            return leaves
+            return [id(array) for array in tree_arrays(point.engine_state)]
 
         # Error-feedback residuals appear on the first reduction, so the
         # inventory is complete from the second capture on.
@@ -775,20 +763,7 @@ class TestRecoveryPoint:
         # weights and moments have one writer, the step, which comes after
         # every way back.  The capture was taken before this iteration's step.
         assert point.step_count == trainer.optimizer.live_state()["step_count"] - 1
-        captured, live = [], []
-
-        def leaves(tree, into):
-            if isinstance(tree, np.ndarray):
-                into.append(tree)
-            elif isinstance(tree, dict):
-                for value in tree.values():
-                    leaves(value, into)
-            elif isinstance(tree, list):
-                for value in tree:
-                    leaves(value, into)
-
-        leaves(point.engine_state, captured)
-        leaves(engine.live_mutable_state(), live)
+        captured, live = tree_arrays(point.engine_state), tree_arrays(engine.live_mutable_state())
         assert captured and len(captured) == len(live)
         assert point.nbytes() == sum(array.nbytes for array in captured)
         for copy in captured:

@@ -49,7 +49,7 @@ from repro.resilience import (
 )
 from repro.training.checkpoint import latest_checkpoint, load_checkpoint, save_checkpoint
 from repro.training.trainer import Pretrainer
-from repro.utils.state import capture_tree
+from repro.utils.state import capture_tree, tree_arrays
 
 
 def probe_plan(
@@ -247,17 +247,8 @@ class TestOneRecoveryPoint:
             point = trainer.engine.recovery_point
             assert trainer.engine._supervisor is not None
 
-            def leaf_ids(tree):
-                if isinstance(tree, np.ndarray):
-                    return [id(tree)]
-                if isinstance(tree, dict):
-                    tree = list(tree.values())
-                if isinstance(tree, list):
-                    return [leaf for value in tree for leaf in leaf_ids(value)]
-                return []
-
             def buffer_ids():
-                return leaf_ids(point.engine_state)
+                return [id(array) for array in tree_arrays(point.engine_state)]
 
             before = buffer_ids()
             assert before
