@@ -10,7 +10,7 @@ from a fixed vocabulary, judged against a band this module states:
 * ``trend reversed`` — a comparison the paper reports that comes out the
   other way.
 
-The rows come from the simulator alone, through the loops the figure drivers
+The rows come from the simulator alone, through the loops the figure modules
 use: Table 2's wall-clock side (its eight day counts and six speedups) and the
 paper's headline trend, that the full stack gains more on the bigger model;
 Fig. 14's floor, one row per (TP, PP) layout; and Fig. 3's "Opt-CC (TopK)

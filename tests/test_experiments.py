@@ -170,7 +170,7 @@ class TestFidelityLedger:
             if label != "Baseline":
                 assert ledger[f"Table 2 speedup {model} {label}"] == 100.0 * speedup
 
-    def test_fig03_and_fig14_rows_read_their_drivers(self):
+    def test_fig03_and_fig14_rows_read_their_simulations(self):
         ledger = {row.row: row for row in run_ledger().rows}
         days = {label: bar_days for label, bar_days, _ in simulate_fig03()}
         topk = ledger["Fig. 3 days Opt-CC (TopK) - Opt-CC"]
