@@ -4,7 +4,8 @@ Four hot paths are measured, each against the implementation it replaced:
 
 * **optimizer step** — :class:`repro.optim.FusedAdam` over a flat
   :class:`~repro.parallel.arena.ParameterArena` versus the per-parameter
-  :class:`repro.optim.Adam` loop (same update, bit-for-bit — asserted here);
+  Adam loop it replaced, frozen in ``tests/per_parameter_oracle.py`` (same
+  update, bit-for-bit — asserted here);
 * **engine iteration** — one :class:`~repro.parallel.engine.ThreeDParallelEngine`
   iteration with the bucketed, cool-down-overlapped DP all-reduce versus the
   per-parameter walk it replaced, frozen in ``tests/per_parameter_oracle.py``
@@ -68,15 +69,16 @@ import numpy as np
 from repro.compression import PowerSGDCompressor, QSGDCompressor, TopKCompressor
 from repro.models.gpt_configs import functional_config
 from repro.nn.gpt_stage import build_gpt_stages
-from repro.optim import Adam, FusedAdam
+from repro.optim import FusedAdam
 from repro.parallel.arena import ParameterArena
 from repro.parallel.engine import ThreeDParallelEngine
 from repro.plan import Boundary, ParallelPlan, ResilienceSpec, Topology
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-# The per-parameter DP walk the bucketed sync replaced lives on as a test oracle.
+# The per-parameter DP walk the bucketed sync replaced, and the per-parameter
+# Adam loop FusedAdam replaced, live on as test oracles.
 sys.path.insert(0, str(_REPO_ROOT / "tests"))
-from per_parameter_oracle import run_per_parameter  # noqa: E402
+from per_parameter_oracle import Adam, run_per_parameter  # noqa: E402
 
 #: The committed baseline; only ``--update-baseline`` writes it.
 RESULTS_PATH = _REPO_ROOT / "benchmarks" / "results" / "BENCH_core.json"

@@ -34,6 +34,10 @@ PINNED = {
     "Fig. 14 speedup TP4/PP8 CB+FE+SC, at least": "within band",
     "Fig. 14 speedup TP2/PP16 CB+FE+SC, at least": "within band",
     "Fig. 3 days Opt-CC (TopK) - Opt-CC": "gap",
+    "Fig. 14 CB gain PP8 > PP4": "direction ok",
+    "Fig. 14 CB gain PP16 > PP8": "direction ok",
+    "Fig. 14 SC gain PP4 > PP8": "trend reversed",
+    "Fig. 14 SC gain PP8 > PP16": "direction ok",
 }
 
 

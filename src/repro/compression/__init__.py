@@ -1,17 +1,17 @@
 """Gradient / activation-gradient compressors.
 
-This subpackage implements the compression algorithms the paper builds on or
-compares against:
+This subpackage implements the codecs a :class:`~repro.plan.ParallelPlan` can
+name (``plan.DP_CODECS`` and ``plan.PP_CODECS``; codec ``"none"`` is no
+compressor at all):
 
 * :class:`~repro.compression.powersgd.PowerSGDCompressor` — rank-r low-rank
   approximation with a single power-iteration step and Q-matrix reuse
   (Vogels et al., 2019), the compressor Optimus-CC adopts for both data-parallel
   gradients and inter-stage activation gradients.
-* :class:`~repro.compression.topk.TopKCompressor` /
-  :class:`~repro.compression.topk.RandomKCompressor` — sparsification baselines.
-* :class:`~repro.compression.quantization.TernGradCompressor`,
-  :class:`~repro.compression.quantization.SignSGDCompressor`,
-  :class:`~repro.compression.quantization.FP16Compressor` — quantisation baselines.
+* :class:`~repro.compression.topk.TopKCompressor` — the sparsification baseline
+  of the paper's Fig. 3, on either boundary.
+* :class:`~repro.compression.qsgd.QSGDCompressor` — stochastic quantisation of
+  data-parallel gradients.
 * :class:`~repro.compression.error_feedback.ErrorFeedback` — the residual-carrying
   wrapper used for classic error feedback (data parallel) and re-used by the paper's
   lazy error propagation (pipeline parallel).
@@ -21,19 +21,10 @@ report the exact number of *bytes on the wire* for their payload, which is what 
 performance simulator charges to the interconnect.
 """
 
-from repro.compression.base import (
-    CompressedPayload,
-    Compressor,
-    NoCompression,
-)
+from repro.compression.base import CompressedPayload, Compressor
 from repro.compression.powersgd import PowerSGDCompressor
-from repro.compression.topk import RandomKCompressor, TopKCompressor
-from repro.compression.quantization import (
-    FP16Compressor,
-    SignSGDCompressor,
-    TernGradCompressor,
-)
-from repro.compression.qsgd import AdaCompCompressor, QSGDCompressor
+from repro.compression.topk import TopKCompressor
+from repro.compression.qsgd import QSGDCompressor
 from repro.compression.error_feedback import ErrorFeedback
 from repro.compression.metrics import (
     compression_error,
@@ -45,15 +36,9 @@ from repro.compression.metrics import (
 __all__ = [
     "Compressor",
     "CompressedPayload",
-    "NoCompression",
     "PowerSGDCompressor",
     "TopKCompressor",
-    "RandomKCompressor",
-    "TernGradCompressor",
-    "SignSGDCompressor",
-    "FP16Compressor",
     "QSGDCompressor",
-    "AdaCompCompressor",
     "ErrorFeedback",
     "compression_error",
     "compression_ratio",

@@ -190,24 +190,3 @@ class Compressor:
                 f"got unexpected entries {sorted(state)}"
             )
 
-
-class NoCompression(Compressor):
-    """Identity compressor: the payload is the tensor itself.
-
-    Used for the 'Baseline' configurations so that every experiment goes through the
-    same code path and accounting.
-    """
-
-    name = "none"
-
-    def compress(self, tensor: np.ndarray, key: str | None = None) -> CompressedPayload:
-        tensor = np.asarray(tensor, dtype=np.float64)
-        return CompressedPayload(
-            kind=self.name,
-            data={"tensor": tensor.copy()},
-            original_shape=tuple(tensor.shape),
-            payload_bytes=tensor.size * UNCOMPRESSED_BYTES_PER_ELEMENT,
-        )
-
-    def decompress(self, payload: CompressedPayload) -> np.ndarray:
-        return payload.data["tensor"].copy()

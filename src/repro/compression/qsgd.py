@@ -1,19 +1,10 @@
-"""QSGD-style stochastic quantisation and AdaComp-style adaptive residual compression.
+"""QSGD-style stochastic quantisation, the plan's ``qsgd`` data-parallel codec.
 
-These two compressors round out the quantisation/sparsification families the paper
-surveys in Section 2.3:
-
-* :class:`QSGDCompressor` — stochastic uniform quantisation to ``2^bits`` levels per
-  tensor with an unbiased rounding rule (Alistarh et al., 2017).
-* :class:`AdaCompCompressor` — AdaComp-like adaptive sparsification: an element is
-  transmitted when adding it to the local residual would change the local maximum by
-  more than a sensitivity threshold; everything else stays in the residual (Chen et
-  al., 2018).  The residual handling is internal, so the compressor can be used
-  directly or wrapped by :class:`repro.compression.error_feedback.ErrorFeedback`
-  (with its own feedback disabled).
-
-Both follow the :class:`repro.compression.base.Compressor` interface so they can be
-dropped into compressed backpropagation or the data-parallel path for comparisons.
+:class:`QSGDCompressor` quantises each tensor stochastically to ``2^bits``
+levels with an unbiased rounding rule (Alistarh et al., 2017), one of the
+quantisation families the paper surveys in Section 2.3.  It follows the
+:class:`repro.compression.base.Compressor` interface, so the bucketed DP
+all-reduce drives it like the other codecs.
 
 The QSGD hot path is a zero-allocation kernel that works in a fixed, cache-sized
 working set.  The codec owns one buffer of packed codes (one two's-complement
@@ -40,13 +31,11 @@ from typing import Iterable
 import numpy as np
 
 from repro.compression.base import (
-    UNCOMPRESSED_BYTES_PER_ELEMENT,
     CompressedPayload,
     Compressor,
     Workspace,
     writable_flat_view,
 )
-from repro.compression.topk import INDEX_BYTES
 from repro.parallel.op_order import OpOrderedDict
 from repro.utils.random import CounterRNG
 
@@ -214,85 +203,3 @@ class QSGDCompressor(Compressor):
         """Memory held by the codes buffer and the tile scratch (diagnostics)."""
         return self._workspace.nbytes()
 
-
-class AdaCompCompressor(Compressor):
-    """AdaComp-like adaptive residual sparsification.
-
-    The compressor accumulates a local residual per ``key``.  On each call it adds
-    the new tensor to the residual and transmits the elements whose magnitude exceeds
-    ``sensitivity`` times the current maximum magnitude; transmitted elements are
-    removed from the residual, the rest stay for later calls.
-    """
-
-    name = "adacomp"
-
-    def __init__(self, sensitivity: float = 0.4, min_elements: int = 16) -> None:
-        if not 0.0 < sensitivity <= 1.0:
-            raise ValueError(f"sensitivity must be in (0, 1], got {sensitivity}")
-        self.sensitivity = float(sensitivity)
-        self.min_elements = int(min_elements)
-        self._residuals: dict[str, np.ndarray] = {}
-
-    def residual(self, key: str) -> np.ndarray | None:
-        """Internal residual for ``key`` (diagnostics)."""
-        return self._residuals.get(key)
-
-    def compress(self, tensor: np.ndarray, key: str | None = None) -> CompressedPayload:
-        tensor = np.asarray(tensor, dtype=np.float64)
-        key = key if key is not None else "default"
-        flat = tensor.reshape(-1)
-        if flat.size <= self.min_elements:
-            return CompressedPayload(
-                kind="adacomp-passthrough",
-                data={"tensor": tensor.copy()},
-                original_shape=tuple(tensor.shape),
-                payload_bytes=tensor.size * UNCOMPRESSED_BYTES_PER_ELEMENT,
-                metadata={"kept": flat.size, "compressed": False},
-            )
-
-        residual = self._residuals.get(key)
-        if residual is None or residual.shape != flat.shape:
-            residual = np.zeros_like(flat)
-        accumulated = residual + flat
-
-        threshold = self.sensitivity * float(np.max(np.abs(accumulated))) if accumulated.size else 0.0
-        mask = np.abs(accumulated) >= max(threshold, 1e-30)
-        indices = np.nonzero(mask)[0]
-        values = accumulated[indices]
-
-        new_residual = accumulated.copy()
-        new_residual[indices] = 0.0
-        self._residuals[key] = new_residual
-
-        payload_bytes = int(indices.size * (UNCOMPRESSED_BYTES_PER_ELEMENT + INDEX_BYTES))
-        return CompressedPayload(
-            kind=self.name,
-            data={"indices": indices.astype(np.int64), "values": values},
-            original_shape=tuple(tensor.shape),
-            payload_bytes=max(payload_bytes, 1),
-            metadata={"kept": int(indices.size), "compressed": True},
-        )
-
-    def decompress(self, payload: CompressedPayload) -> np.ndarray:
-        if payload.kind == "adacomp-passthrough":
-            return payload.data["tensor"].copy()
-        if payload.kind != self.name:
-            raise ValueError(f"cannot decompress payload of kind {payload.kind!r}")
-        size = 1
-        for dim in payload.original_shape:
-            size *= dim
-        flat = np.zeros(size, dtype=np.float64)
-        flat[payload.data["indices"]] = payload.data["values"]
-        return flat.reshape(payload.original_shape)
-
-    def reset(self) -> None:
-        self._residuals.clear()
-
-    def state_dict(self) -> dict:
-        return {"residuals": dict(self._residuals)}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._residuals = {
-            str(key): np.array(value, dtype=np.float64)
-            for key, value in state["residuals"].items()
-        }

@@ -1,10 +1,10 @@
-"""Top-k and random-k sparsification compressors (baselines).
+"""Top-k sparsification compressor (the Fig. 3 baseline).
 
 The paper's motivational study (Fig. 3, 'Opt-CC (TopK)') shows that top-k
 sparsification is a poor fit for point-to-point inter-stage traffic: every rank
 selects its own indices, so an extra index payload has to be shipped and the
 reconstruction error is larger than low-rank approximation at the same budget.
-These compressors exist to reproduce that comparison.
+This compressor exists to reproduce that comparison.
 
 Selection is *deterministic*: elements are ranked by the lexicographic key
 ``(|value| descending, index ascending)``.  A plain ``np.argpartition`` leaves the
@@ -29,8 +29,6 @@ from repro.compression.base import (
     Workspace,
     writable_flat_view,
 )
-from repro.compression.powersgd import stable_key_hash
-from repro.utils.random import CounterRNG
 
 #: Bytes used to encode one index on the wire (int32, as in common implementations).
 INDEX_BYTES = 4
@@ -174,69 +172,3 @@ class TopKCompressor(Compressor):
     def reset(self) -> None:
         self._workspace.clear()
 
-
-class RandomKCompressor(Compressor):
-    """Keep a uniformly random ``fraction`` of elements (cheap, noisier baseline)."""
-
-    name = "randomk"
-
-    def __init__(self, fraction: float = 0.01, seed: int = 0, min_elements: int = 16) -> None:
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        self.fraction = float(fraction)
-        self.seed = int(seed)
-        self.min_elements = int(min_elements)
-        self._rng = CounterRNG(self.seed)
-        self._call_counts: dict[str, int] = {}
-
-    def compress(self, tensor: np.ndarray, key: str | None = None) -> CompressedPayload:
-        tensor = np.asarray(tensor, dtype=np.float64)
-        key = key if key is not None else "default"
-        flat = tensor.reshape(-1)
-        if flat.size <= self.min_elements:
-            return CompressedPayload(
-                kind="randomk-passthrough",
-                data={"tensor": tensor.copy()},
-                original_shape=tuple(tensor.shape),
-                payload_bytes=tensor.size * UNCOMPRESSED_BYTES_PER_ELEMENT,
-                metadata={"kept": flat.size, "compressed": False},
-            )
-        kept = max(1, int(round(self.fraction * flat.size)))
-        count = self._call_counts.get(key, 0)
-        self._call_counts[key] = count + 1
-        rng = self._rng.at(stable_key_hash(key), count)
-        indices = rng.choice(flat.size, size=kept, replace=False)
-        values = flat[indices]
-        # Random-k is an unbiased estimator when scaled by 1/fraction.
-        scale = flat.size / kept
-        payload_bytes = kept * (UNCOMPRESSED_BYTES_PER_ELEMENT + INDEX_BYTES)
-        return CompressedPayload(
-            kind=self.name,
-            data={"indices": indices.astype(np.int64), "values": values, "scale": scale},
-            original_shape=tuple(tensor.shape),
-            payload_bytes=payload_bytes,
-            metadata={"kept": kept, "compressed": True},
-        )
-
-    def decompress(self, payload: CompressedPayload) -> np.ndarray:
-        if payload.kind == "randomk-passthrough":
-            return payload.data["tensor"].copy()
-        if payload.kind != self.name:
-            raise ValueError(f"cannot decompress payload of kind {payload.kind!r}")
-        size = 1
-        for dim in payload.original_shape:
-            size *= dim
-        flat = np.zeros(size, dtype=np.float64)
-        flat[payload.data["indices"]] = payload.data["values"] * payload.data["scale"]
-        return flat.reshape(payload.original_shape)
-
-    def reset(self) -> None:
-        self._call_counts.clear()
-
-    def state_dict(self) -> dict:
-        return {"call_counts": dict(self._call_counts)}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._call_counts = {
-            str(key): int(count) for key, count in state["call_counts"].items()
-        }

@@ -13,8 +13,10 @@ from a fixed vocabulary, judged against a band this module states:
 The rows come from the simulator alone, through the loops the figure modules
 use: Table 2's wall-clock side (its eight day counts and six speedups) and the
 paper's headline trend, that the full stack gains more on the bigger model;
-Fig. 14's floor, one row per (TP, PP) layout; and Fig. 3's "Opt-CC (TopK)
-trains slower than Opt-CC", whose row has no paper magnitude and so no band.
+Fig. 14's floor, one row per (TP, PP) layout; Fig. 3's "Opt-CC (TopK)
+trains slower than Opt-CC"; and Fig. 14's two depth trends, CB gaining more
+as the pipeline gets deeper and SC more as it gets shallower.  The paper gives
+the last two as orderings without a magnitude, so their rows have no band.
 ``repro reproduce ledger`` writes it to ``benchmarks/results/FIDELITY.txt``
 and ``FIDELITY.json``.
 """
@@ -79,10 +81,10 @@ def _at_least_row(row: str, reproduced: float, floor: float) -> FidelityRow:
     return replace(judged, verdict="within band") if reproduced >= floor else judged
 
 
-def _ordering_row(row: str, difference: float) -> FidelityRow:
-    """A difference in days the paper reports as positive, without a magnitude."""
+def _ordering_row(row: str, difference: float, unit: str) -> FidelityRow:
+    """A difference (in ``unit``) the paper reports as positive, without a magnitude."""
     verdict = "direction ok" if difference > 0 else "trend reversed" if difference < 0 else "gap"
-    return FidelityRow(row, "days", difference, None, None, verdict)
+    return FidelityRow(row, unit, difference, None, None, verdict)
 
 
 @dataclass
@@ -98,7 +100,8 @@ class FidelityLedger:
         )
         for row in self.rows:
             if row.paper is None:
-                values = [f"{row.reproduced:+.2f} d", "> 0", "n/a"]
+                suffix = " d" if row.unit == "days" else " pt"
+                values = [f"{row.reproduced:+.2f}{suffix}", "> 0", "n/a"]
             elif row.unit == "days":
                 values = [f"{row.reproduced:.2f} d", f"{row.paper:.2f} d", f"{row.gap:+.1%}"]
             else:
@@ -168,7 +171,8 @@ def run_ledger() -> FidelityLedger:
             comparison=True,
         )
     )
-    for row in run_fig14().rows:
+    fig14 = run_fig14()
+    for row in fig14.rows:
         if row.label == "CB+FE+SC":
             ledger.rows.append(
                 _at_least_row(
@@ -179,8 +183,24 @@ def run_ledger() -> FidelityLedger:
             )
     days = {label: bar_days for label, bar_days, _ in simulate_fig03()}
     ledger.rows.append(
-        _ordering_row("Fig. 3 days Opt-CC (TopK) - Opt-CC", days["Opt-CC (TopK)"] - days["Opt-CC"])
+        _ordering_row(
+            "Fig. 3 days Opt-CC (TopK) - Opt-CC", days["Opt-CC (TopK)"] - days["Opt-CC"], "days"
+        )
     )
+    # Deeper pipelines gain more from CB, shallower ones more from SC.
+    for name, gains, deeper_first in (
+        ("CB", fig14.cb_gain_by_depth(), True),
+        ("SC", fig14.sc_gain_by_depth(), False),
+    ):
+        for shallow, deep in ((4, 8), (8, 16)):
+            more, less = (deep, shallow) if deeper_first else (shallow, deep)
+            ledger.rows.append(
+                _ordering_row(
+                    f"Fig. 14 {name} gain PP{more} > PP{less}",
+                    100.0 * (gains[more] - gains[less]),
+                    "points",
+                )
+            )
     return ledger
 
 

@@ -1,7 +1,5 @@
-"""Optimisers and learning-rate schedules for the functional training runs."""
+"""The optimiser and learning-rate schedules for the functional training runs."""
 
-from repro.optim.sgd import SGD
-from repro.optim.adam import Adam, AdamW
 from repro.optim.fused_adam import FusedAdam
 from repro.optim.lr_scheduler import (
     ConstantSchedule,
@@ -11,9 +9,6 @@ from repro.optim.lr_scheduler import (
 )
 
 __all__ = [
-    "SGD",
-    "Adam",
-    "AdamW",
     "FusedAdam",
     "LRSchedule",
     "ConstantSchedule",

@@ -1,13 +1,13 @@
-"""Fused Adam over a flat parameter arena.
+"""Fused Adam over a flat parameter arena, the one optimiser of the training loop.
 
-Where :class:`repro.optim.Adam` loops over every parameter and pays the NumPy
+Where a per-parameter Adam loops over every parameter and pays the NumPy
 dispatch overhead thousands of times per step, :class:`FusedAdam` keeps its Adam
 moments in two flat arrays aligned with a
 :class:`repro.parallel.arena.ParameterArena` and applies the whole update as a
 handful of in-place vectorised ops over the trainable prefix of the arena.  Every
 operation is elementwise with the same evaluation order as the per-parameter
-optimiser, so the two produce bit-for-bit identical weights (asserted in
-``tests/test_arena.py``) — only the constant factors change.
+loop, so the two produce bit-for-bit identical weights (``tests/test_arena.py``
+holds it to a frozen copy of that loop) — only the constant factors change.
 
 The update runs tile by tile: the whole chain of ufuncs is applied to one
 cache-sized slice of weights, gradient and moments before the next slice is
@@ -66,11 +66,11 @@ class FusedAdam:
         being zeroed, and the step reads whichever replica is first *now*.
     lr, betas, eps, weight_decay:
         Standard Adam hyper-parameters.  ``weight_decay`` is L2 regularisation
-        added to the gradient (matching :class:`repro.optim.Adam`) unless
+        added to the gradient (Adam's L2 rule) unless
         ``decoupled_weight_decay`` selects the AdamW rule.
     decoupled_weight_decay:
-        Apply the decay directly to the weights (AdamW, matching
-        :class:`repro.optim.AdamW`) instead of through the gradient.
+        Apply the decay directly to the weights (AdamW, Loshchilov & Hutter,
+        2019) instead of through the gradient.
     """
 
     def __init__(
@@ -125,30 +125,6 @@ class FusedAdam:
     def arena(self) -> ParameterArena:
         """The group's first live arena: the shared weights and the gradient stepped from."""
         return self.arenas[0]
-
-    # -- per-parameter compatibility views ------------------------------------------
-
-    @property
-    def parameters(self):
-        """The trainable parameters, in arena (= update) order."""
-        return [p for p in self.arena.parameters if p.requires_grad]
-
-    def _moment_views(self, flat: np.ndarray) -> list[np.ndarray]:
-        views = []
-        for parameter in self.parameters:
-            start, stop = self.arena.span(parameter)
-            views.append(flat[start:stop].reshape(parameter.shape))
-        return views
-
-    @property
-    def _exp_avg(self) -> list[np.ndarray]:
-        """Per-parameter views of the first moment (checkpoint compatibility)."""
-        return self._moment_views(self._exp_avg_flat)
-
-    @property
-    def _exp_avg_sq(self) -> list[np.ndarray]:
-        """Per-parameter views of the second moment (checkpoint compatibility)."""
-        return self._moment_views(self._exp_avg_sq_flat)
 
     # -- checkpoint state -------------------------------------------------------------
 

@@ -14,7 +14,6 @@ through its live buffers).
 from repro.resilience.faults import (
     FAULT_KINDS,
     WORKER_FAULT_KINDS,
-    CollectiveFault,
     FaultInjector,
     FaultSpec,
     ResilienceExhausted,
@@ -37,7 +36,6 @@ __all__ = [
     "FAULT_KINDS",
     "ON_EXHAUSTED_KINDS",
     "WORKER_FAULT_KINDS",
-    "CollectiveFault",
     "FaultInjector",
     "FaultSpec",
     "GuardrailPolicy",

@@ -20,7 +20,7 @@ Fault kinds
     accumulate: ``NaN + x == NaN``).
 ``collective``
     The DP gradient all-reduce fails transiently: the first ``count`` attempts
-    at the given iteration raise, then the collective succeeds.  The engine
+    at the given iteration fail, then the collective succeeds.  The engine
     retries with exponential backoff under a bounded budget
     (:class:`~repro.resilience.guardrails.GuardrailPolicy`).
 ``crash``
@@ -57,10 +57,6 @@ FAULT_KINDS = ("nan", "inf", "collective", "crash", "replica_loss", "hang")
 #: Kinds that fire *inside* a forked replica worker under ``executor="process"``
 #: (real SIGKILL/wedge paths) rather than in the parent.
 WORKER_FAULT_KINDS = ("crash", "hang", "replica_loss")
-
-
-class CollectiveFault(RuntimeError):
-    """A (simulated) transient failure of one data-parallel collective."""
 
 
 class WorkerCrash(RuntimeError):

@@ -148,8 +148,7 @@ class Pretrainer:
         )
 
         # One fused optimiser for the whole DP group: the Adam update is a
-        # handful of whole-buffer ops over the replicas' shared weights,
-        # bit-for-bit the per-parameter Adam every replica used to run.
+        # handful of whole-buffer ops over the replicas' shared weights.
         self.optimizer = self.engine.build_optimizer(lr=learning_rate, weight_decay=weight_decay)
         self.history = TrainingHistory()
         self.last_iteration_result: EngineIterationResult | None = None

@@ -15,12 +15,17 @@ bucketed path does not use) and PowerSGD's ``_reduce_segment``.  Its traffic
 is its log records, one per collective (P and Q per PowerSGD parameter), each
 with the parameter's uncompressed bytes as ``original_bytes`` (on P for
 PowerSGD): :func:`dp_traffic_by_stage` reads either path's records per stage.
+
+The per-parameter Adam / AdamW loop is frozen here too, as the oracle of
+:class:`repro.optim.FusedAdam`: the fused step over the flat arena must give
+the loop's weights and moments bit for bit (``tests/test_arena.py``,
+``benchmarks/perf/bench_core.py``).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,6 +37,7 @@ from repro.parallel.data_parallel import is_embedding_parameter
 from repro.parallel.engine import CODEC_SEED, ThreeDParallelEngine
 from repro.parallel.pipeline_engine import WIRE_BYTES_PER_ELEMENT
 from repro.plan import Boundary, CompressionSpec
+from repro.tensor.parameter import Parameter
 
 
 class FrozenPerParameterPowerSGD:
@@ -228,3 +234,91 @@ def dp_traffic_by_stage(records) -> dict[int, dict[str, int]]:
         entry["original_bytes"] += record.original_bytes
         entry["payload_bytes"] += record.payload_bytes
     return traffic
+
+
+class Adam:
+    """Adam optimiser (Kingma & Ba, 2015) with optional L2 regularisation."""
+
+    def __init__(
+        self,
+        parameters: Iterable[Parameter],
+        lr: float = 1e-3,
+        betas: tuple[float, float] = (0.9, 0.999),
+        eps: float = 1e-8,
+        weight_decay: float = 0.0,
+    ) -> None:
+        self.parameters: Sequence[Parameter] = list(parameters)
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        beta1, beta2 = betas
+        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
+            raise ValueError(f"betas must be in [0, 1), got {betas}")
+        self.lr = float(lr)
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.eps = float(eps)
+        self.weight_decay = float(weight_decay)
+        self._step_count = 0
+        self._exp_avg = [np.zeros_like(parameter.data) for parameter in self.parameters]
+        self._exp_avg_sq = [np.zeros_like(parameter.data) for parameter in self.parameters]
+        scratch_size = max((parameter.size for parameter in self.parameters), default=0)
+        self._scratch = np.empty(scratch_size, dtype=np.float64)
+        self._scratch2 = np.empty(scratch_size, dtype=np.float64)
+
+    def zero_grad(self) -> None:
+        """Zero every managed parameter gradient."""
+        for parameter in self.parameters:
+            parameter.zero_grad()
+
+    def _regularised_grad(self, parameter: Parameter, out: np.ndarray) -> np.ndarray:
+        if self.weight_decay:
+            np.multiply(parameter.data, self.weight_decay, out=out)
+            out += parameter.grad  # grad + wd * data (addition commutes bitwise)
+            return out
+        return parameter.grad
+
+    def _apply_decoupled_decay(self, parameter: Parameter, scratch: np.ndarray) -> None:
+        """Hook for AdamW-style decoupled decay (no-op for plain Adam)."""
+
+    def step(self) -> None:
+        """Apply one Adam update (in-place, no per-parameter temporaries)."""
+        self._step_count += 1
+        bias_correction1 = 1.0 - self.beta1**self._step_count
+        bias_correction2 = 1.0 - self.beta2**self._step_count
+        for parameter, exp_avg, exp_avg_sq in zip(
+            self.parameters, self._exp_avg, self._exp_avg_sq
+        ):
+            if not parameter.requires_grad:
+                continue
+            tmp = self._scratch[: parameter.size].reshape(parameter.shape)
+            tmp2 = self._scratch2[: parameter.size].reshape(parameter.shape)
+            grad = self._regularised_grad(parameter, tmp)
+            exp_avg *= self.beta1
+            np.multiply(grad, 1.0 - self.beta1, out=tmp2)
+            exp_avg += tmp2
+            exp_avg_sq *= self.beta2
+            np.multiply(grad, 1.0 - self.beta2, out=tmp2)
+            tmp2 *= grad
+            exp_avg_sq += tmp2
+
+            np.divide(exp_avg_sq, bias_correction2, out=tmp)  # grad scratch is free now
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            np.divide(exp_avg, bias_correction1, out=tmp2)
+            tmp2 *= self.lr
+            tmp2 /= tmp
+            self._apply_decoupled_decay(parameter, tmp)
+            parameter.data -= tmp2
+
+
+class AdamW(Adam):
+    """Adam with decoupled weight decay (Loshchilov & Hutter, 2019)."""
+
+    def _regularised_grad(self, parameter: Parameter, out: np.ndarray) -> np.ndarray:
+        # Decoupled decay: the gradient is not modified.
+        return parameter.grad
+
+    def _apply_decoupled_decay(self, parameter: Parameter, scratch: np.ndarray) -> None:
+        if self.weight_decay:
+            np.multiply(parameter.data, self.lr * self.weight_decay, out=scratch)
+            parameter.data -= scratch

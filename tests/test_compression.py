@@ -9,16 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.compression
+import repro.optim
 from repro.compression import (
-    AdaCompCompressor,
+    Compressor,
     ErrorFeedback,
-    FP16Compressor,
-    NoCompression,
     PowerSGDCompressor,
     QSGDCompressor,
-    RandomKCompressor,
-    SignSGDCompressor,
-    TernGradCompressor,
     TopKCompressor,
     compression_error,
     compression_ratio,
@@ -28,6 +25,10 @@ from repro.compression import (
 from repro.compression.base import UNCOMPRESSED_BYTES_PER_ELEMENT
 from repro.compression.powersgd import matrix_view, orthogonalise
 from repro.compression.topk import num_kept
+from repro.core.compressed_backprop import CompressedBackpropagation
+from repro.core.selective_stage import SelectiveStageCompression
+from repro.parallel.engine import CompressedGradientAllReduce
+from repro.plan import DP_CODECS, PP_CODECS, CompressionSpec
 
 
 def low_rank_matrix(rng, rows=64, cols=32, rank=3, noise=0.0):
@@ -36,14 +37,6 @@ def low_rank_matrix(rng, rows=64, cols=32, rank=3, noise=0.0):
     if noise:
         matrix = matrix + noise * rng.normal(size=(rows, cols))
     return matrix
-
-
-class TestNoCompression:
-    def test_roundtrip_is_exact(self, rng):
-        tensor = rng.normal(size=(5, 7))
-        approx, payload = NoCompression().roundtrip(tensor)
-        assert np.array_equal(approx, tensor)
-        assert payload.compression_ratio == pytest.approx(1.0)
 
 
 class TestOrthogonalise:
@@ -147,37 +140,31 @@ class TestTopK:
         with pytest.raises(ValueError):
             TopKCompressor(fraction=0.0)
 
-    def test_randomk_is_unbiased_in_expectation(self, rng):
-        tensor = np.ones((40, 40))
-        compressor = RandomKCompressor(fraction=0.25, seed=3, min_elements=0)
-        approximations = [compressor.roundtrip(tensor)[0] for _ in range(30)]
-        mean = np.mean(approximations, axis=0)
-        assert mean.mean() == pytest.approx(1.0, abs=0.15)
 
+class TestQSGDLevels:
+    """What the quantiser guarantees at the ends of the plan's ``bits`` range."""
 
-class TestQuantization:
-    def test_terngrad_values_are_ternary(self, rng):
+    def test_one_bit_values_are_ternary(self, rng):
         tensor = rng.normal(size=(16, 16))
-        compressor = TernGradCompressor(seed=1)
-        approx, payload = compressor.roundtrip(tensor)
+        approx, payload = QSGDCompressor(bits=1, seed=1).roundtrip(tensor)
         scale = payload.data["scale"]
         assert set(np.unique(np.round(approx / scale, 6))).issubset({-1.0, 0.0, 1.0})
 
-    def test_terngrad_compression_ratio_large(self, rng):
-        payload = TernGradCompressor().compress(rng.normal(size=(64, 64)))
+    def test_one_bit_compression_ratio_large(self, rng):
+        payload = QSGDCompressor(bits=1).compress(rng.normal(size=(64, 64)))
         assert payload.compression_ratio > 4
 
-    def test_signsgd_preserves_signs(self, rng):
-        tensor = rng.normal(size=(8, 8))
-        approx, _ = SignSGDCompressor().roundtrip(tensor)
-        nonzero = tensor != 0
-        assert np.all(np.sign(approx[nonzero]) == np.sign(tensor[nonzero]))
+    def test_rounding_never_flips_a_sign(self, rng):
+        tensor = rng.normal(size=(32, 32))
+        for bits in (1, 4, 8):
+            approx, _ = QSGDCompressor(bits=bits, seed=bits).roundtrip(tensor)
+            assert np.all(approx * tensor >= 0.0), bits
 
-    def test_fp16_roundtrip_close(self, rng):
+    def test_eight_bit_roundtrip_close(self, rng):
         tensor = rng.normal(size=(16, 16))
-        approx, payload = FP16Compressor().roundtrip(tensor)
-        assert relative_error(tensor, approx) < 1e-3
-        assert payload.compression_ratio == pytest.approx(1.0)
+        approx, payload = QSGDCompressor(bits=8, seed=3).roundtrip(tensor)
+        assert relative_error(tensor, approx) < 0.02
+        assert payload.compression_ratio == pytest.approx(256 * 2 / (256 * 9 / 8 + 4))
 
 
 class TestErrorFeedback:
@@ -276,41 +263,45 @@ class TestCompressionProperties:
 # Round-trip properties shared by every codec
 # ----------------------------------------------------------------------------------
 
-#: Every codec in :mod:`repro.compression`, with its analytic payload-byte formula
-#: for a dense tensor of ``size`` elements (``None`` = data-dependent payload).
+#: Every codec a plan can name, at the settings that take each of its branches
+#: (passthrough, int16 codes, round-to-nearest, keep-all), with its analytic
+#: payload-byte formula for a dense tensor of ``size`` elements (``None`` =
+#: shape-dependent).
 def _codec_catalogue():
     bytes_per = UNCOMPRESSED_BYTES_PER_ELEMENT
     index_bytes = 4
 
-    def topk_bytes(size):
-        kept = max(1, min(size, int(round(0.1 * size))))
-        return kept * (bytes_per + index_bytes)
+    def topk_bytes(fraction):
+        return lambda size: num_kept(fraction, size) * (bytes_per + index_bytes)
+
+    def qsgd_bytes(bits):
+        return lambda size: int(np.ceil(size * (bits + 1) / 8)) + 4
+
+    def dense_bytes(size):
+        return size * bytes_per
 
     return {
-        "none": (lambda: NoCompression(), lambda size: size * bytes_per),
         "powersgd": (
             lambda: PowerSGDCompressor(rank=2, min_compression_elements=0),
             None,  # shape-dependent; checked against expected_payload_elements below
         ),
-        "topk": (lambda: TopKCompressor(fraction=0.1, min_elements=0), topk_bytes),
-        "randomk": (
-            lambda: RandomKCompressor(fraction=0.1, seed=1, min_elements=0),
-            topk_bytes,
+        "powersgd-passthrough": (
+            lambda: PowerSGDCompressor(rank=2, min_compression_elements=1 << 20),
+            dense_bytes,
         ),
-        "qsgd": (
-            lambda: QSGDCompressor(bits=4, seed=2),
-            lambda size: int(np.ceil(size * 5 / 8)) + 4,
+        "topk": (lambda: TopKCompressor(fraction=0.1, min_elements=0), topk_bytes(0.1)),
+        "topk-all": (lambda: TopKCompressor(fraction=1.0, min_elements=0), topk_bytes(1.0)),
+        "topk-passthrough": (
+            lambda: TopKCompressor(fraction=0.1, min_elements=1 << 20),
+            dense_bytes,
         ),
-        "terngrad": (
-            lambda: TernGradCompressor(seed=3),
-            lambda size: int(np.ceil(size / 4)) + 4,
+        "qsgd": (lambda: QSGDCompressor(bits=4, seed=2), qsgd_bytes(4)),
+        "qsgd-1bit": (lambda: QSGDCompressor(bits=1, seed=3), qsgd_bytes(1)),
+        "qsgd-8bit": (lambda: QSGDCompressor(bits=8, seed=4), qsgd_bytes(8)),
+        "qsgd-nearest": (
+            lambda: QSGDCompressor(bits=4, seed=5, deterministic=True),
+            qsgd_bytes(4),
         ),
-        "signsgd": (
-            lambda: SignSGDCompressor(),
-            lambda size: int(np.ceil(size / 8)) + 4,
-        ),
-        "fp16": (lambda: FP16Compressor(), lambda size: size * bytes_per),
-        "adacomp": (lambda: AdaCompCompressor(min_elements=0), None),
     }
 
 
@@ -340,9 +331,6 @@ class TestAllCodecRoundTrips:
         if codec_name == "powersgd":
             expected = codec.expected_payload_elements(tensor.shape) * UNCOMPRESSED_BYTES_PER_ELEMENT
             assert payload.payload_bytes == expected
-        elif codec_name == "adacomp":
-            kept = payload.metadata["kept"]
-            assert payload.payload_bytes == max(kept * (UNCOMPRESSED_BYTES_PER_ELEMENT + 4), 1)
         else:
             assert payload.payload_bytes == payload_formula(tensor.size)
 
@@ -365,13 +353,7 @@ class TestAllCodecRoundTrips:
             delivered += approx
         mean_error = np.linalg.norm(delivered / steps - tensor)
 
-        if codec_name == "randomk":
-            # Random-k rescales the kept values by 1/fraction to be unbiased, which
-            # makes it a non-contraction: error feedback around it diverges.  That
-            # is why it is used as an unbiased estimator, never inside EF — the
-            # test documents the divergence instead of the shrinkage.
-            assert mean_error > first_error
-        elif first_error < 1e-9:  # lossless codecs (none, fp16-at-this-scale)
+        if first_error < 1e-9:  # lossless: passthrough, top-k keeping everything
             assert mean_error < 1e-6
         else:
             assert mean_error < first_error
@@ -438,10 +420,10 @@ class TestStochasticStreamKeying:
         "build",
         [
             lambda: QSGDCompressor(bits=4, seed=7),
-            lambda: TernGradCompressor(seed=7),
-            lambda: RandomKCompressor(fraction=0.25, seed=7, min_elements=0),
+            lambda: QSGDCompressor(bits=1, seed=7),
+            lambda: QSGDCompressor(bits=8, seed=7),
         ],
-        ids=["qsgd", "terngrad", "randomk"],
+        ids=["qsgd", "qsgd-1bit", "qsgd-8bit"],
     )
     def test_streams_are_independent_of_visit_order(self, build, rng):
         tensor_a = rng.normal(size=(12, 8))
@@ -615,3 +597,60 @@ class TestTopKTieBreaking:
         order = np.lexsort((np.arange(size), -np.abs(tensor)))
         expected = np.sort(order[:kept])
         assert np.array_equal(payload.data["indices"], expected)
+
+
+class TestPlanVocabulary:
+    """The codecs :mod:`repro.compression` exports are the ones a plan can name."""
+
+    def test_exported_codecs_are_the_plan_codecs(self):
+        exported = [
+            value
+            for value in vars(repro.compression).values()
+            if isinstance(value, type) and issubclass(value, Compressor) and value is not Compressor
+        ]
+        assert {codec.name for codec in exported} == (set(DP_CODECS) | set(PP_CODECS)) - {"none"}
+        assert len(exported) == len({codec.name for codec in exported})
+
+    def test_optim_exports_one_optimiser(self):
+        optimisers = [
+            value
+            for value in vars(repro.optim).values()
+            if isinstance(value, type) and callable(getattr(value, "step", None))
+        ]
+        assert optimisers == [repro.optim.FusedAdam]
+
+    @pytest.mark.parametrize("codec", DP_CODECS)
+    def test_dp_codec_builds_its_kernel(self, codec):
+        reduce = CompressedGradientAllReduce(CompressionSpec(codec=codec), num_stages=2)
+        if codec == "powersgd":
+            # The DP PowerSGD reduce is the distributed kernel, not a codec object.
+            assert isinstance(reduce.powersgd, SelectiveStageCompression)
+            assert reduce.compressor is None
+        elif codec == "none":
+            assert reduce.powersgd is None and reduce.compressor is None
+        else:
+            assert reduce.powersgd is None and reduce.compressor.name == codec
+
+    @pytest.mark.parametrize("codec", PP_CODECS)
+    def test_pp_codec_builds_its_compressor(self, codec):
+        spec = CompressionSpec(codec=codec)
+        if codec == "none":
+            assert not spec.compresses  # the engine builds no backward hook
+            return
+        hook = CompressedBackpropagation(num_stages=2, compressor=spec.codec)
+        assert hook.feedback.compressor.name == codec
+
+
+class TestTopKErrorFeedback:
+    def test_every_element_is_eventually_transmitted(self):
+        """Small values wait in the residual until they are among the largest."""
+        feedback = ErrorFeedback(TopKCompressor(fraction=0.1, min_elements=0), enabled=True)
+        constant = np.full(40, 0.1)
+        sent = np.zeros(40, dtype=bool)
+        delivered = np.zeros(40)
+        for _ in range(30):
+            approx, _, _ = feedback.compress_with_feedback(constant, key="g")
+            sent |= approx != 0.0
+            delivered += approx
+        assert sent.all()
+        assert np.allclose(delivered + feedback.residual("g"), 30 * constant, atol=1e-9)

@@ -181,6 +181,33 @@ class TestFidelityLedger:
                 floor = ledger[f"Fig. 14 speedup {row.layout_label} CB+FE+SC, at least"]
                 assert (floor.reproduced, floor.paper) == (100.0 * row.speedup, 19.2)
 
+    def test_fig14_depth_trend_rows_read_the_cb_and_sc_gains(self):
+        ledger = {row.row: row for row in run_ledger().rows}
+        fig14 = run_fig14()
+        cb, sc = fig14.cb_gain_by_depth(), fig14.sc_gain_by_depth()
+        expected = {
+            "Fig. 14 CB gain PP8 > PP4": cb[8] - cb[4],
+            "Fig. 14 CB gain PP16 > PP8": cb[16] - cb[8],
+            "Fig. 14 SC gain PP4 > PP8": sc[4] - sc[8],
+            "Fig. 14 SC gain PP8 > PP16": sc[8] - sc[16],
+        }
+        for name, difference in expected.items():
+            row = ledger[name]
+            assert (row.unit, row.paper, row.gap) == ("points", None, None)
+            assert row.reproduced == 100.0 * difference
+            assert row.verdict == ("direction ok" if difference > 0 else "trend reversed")
+
+
+    def test_ordering_rows_render_in_their_unit(self):
+        ledger = run_ledger()
+        lines = {line.split("|")[0].strip(): line for line in ledger.render().splitlines()}
+        orderings = [row for row in ledger.rows if row.paper is None]
+        assert {row.unit for row in orderings} == {"days", "points"}
+        for row in orderings:
+            suffix = "d" if row.unit == "days" else "pt"
+            cells = [cell.strip() for cell in lines[row.row].split("|")]
+            assert cells[1:] == [f"{row.reproduced:+.2f} {suffix}", "> 0", "n/a", row.verdict]
+
 
 class TestScheduleComparison:
     def test_driver_reports_zb1_wins_and_exact_parity(self):

@@ -1,4 +1,4 @@
-"""Tests for the extension features: extra compressors, checkpointing, auto-tuning,
+"""Tests for the extension features: the QSGD compressor, checkpointing, auto-tuning,
 the accelerator discussion experiment, and the command-line interface."""
 
 from __future__ import annotations
@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compression import AdaCompCompressor, QSGDCompressor, relative_error
+from repro.compression import QSGDCompressor, relative_error
 from repro.core.autotune import SelectiveCompressionAutoTuner
 from repro.experiments.discussion_accelerators import run_accelerator_comparison
 from repro.models import GPT_2_5B, GPT_8_3B
@@ -46,38 +46,6 @@ class TestQSGD:
     def test_invalid_bits_raise(self):
         with pytest.raises(ValueError):
             QSGDCompressor(bits=0)
-
-
-class TestAdaComp:
-    def test_transmits_large_elements_immediately(self):
-        compressor = AdaCompCompressor(sensitivity=0.5, min_elements=0)
-        tensor = np.zeros(64)
-        tensor[5] = 10.0
-        approx, payload = compressor.roundtrip(tensor, key="g")
-        assert approx[5] == pytest.approx(10.0)
-        assert payload.metadata["kept"] >= 1
-
-    def test_residual_eventually_transmitted(self, rng):
-        """Small values accumulate in the residual until they cross the threshold."""
-        compressor = AdaCompCompressor(sensitivity=0.9, min_elements=0)
-        constant = np.full(32, 0.1)
-        total_delivered = np.zeros(32)
-        for _ in range(30):
-            approx, _ = compressor.roundtrip(constant, key="g")
-            total_delivered += approx
-        # Delivered + residual equals everything that was pushed in.
-        assert np.allclose(total_delivered + compressor.residual("g"), 30 * constant, atol=1e-9)
-        assert np.linalg.norm(total_delivered) > 0
-
-    def test_reset_clears_residuals(self, rng):
-        compressor = AdaCompCompressor(min_elements=0)
-        compressor.compress(rng.normal(size=64), key="g")
-        compressor.reset()
-        assert compressor.residual("g") is None
-
-    def test_invalid_sensitivity_raises(self):
-        with pytest.raises(ValueError):
-            AdaCompCompressor(sensitivity=0.0)
 
 
 #: The shared ``loader`` fixture's shape at pipeline depth 2.

@@ -77,22 +77,21 @@ class TestGPTModel:
             assert np.array_equal(param_a.data, param_b.data)
 
     def test_training_reduces_loss(self, tiny_config, rng):
-        """A few SGD steps on a fixed batch must reduce the loss (sanity of backprop)."""
-        from repro.optim import SGD
-
+        """A few gradient steps on a fixed batch must reduce the loss (sanity of backprop)."""
         model = GPTModel(tiny_config, seed=1)
         loss_fn = CrossEntropyLoss()
-        optimizer = SGD(model.parameters(), lr=0.05)
         tokens = rng.integers(0, tiny_config.vocab_size, size=(4, 8))
         targets = rng.integers(0, tiny_config.vocab_size, size=(4, 8))
 
         losses = []
         for _ in range(20):
-            optimizer.zero_grad()
+            for parameter in model.parameters():
+                parameter.zero_grad()
             logits, cache = model.forward(tokens)
             loss, loss_cache = loss_fn.forward(logits, targets)
             model.backward(loss_fn.backward(loss_cache), cache)
-            optimizer.step()
+            for parameter in model.parameters():
+                parameter.data -= 0.05 * parameter.grad
             losses.append(loss)
         assert losses[-1] < losses[0] * 0.9
 

@@ -1,4 +1,4 @@
-"""Tests for the optimisers and learning-rate schedules."""
+"""Tests for the optimiser and learning-rate schedules."""
 
 from __future__ import annotations
 
@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from repro.optim import (
-    SGD,
-    Adam,
-    AdamW,
     ConstantSchedule,
     CosineWithWarmup,
+    FusedAdam,
     LinearWarmupLinearDecay,
 )
+from repro.parallel.arena import ParameterArena
 from repro.tensor.parameter import Parameter
 
 
@@ -21,56 +20,15 @@ def quadratic_parameter(start: float = 5.0) -> Parameter:
     return Parameter(np.array([start]))
 
 
-class TestSGD:
-    def test_plain_step(self):
-        parameter = Parameter(np.array([1.0, 2.0]))
-        parameter.grad[...] = np.array([0.5, 0.5])
-        SGD([parameter], lr=0.1).step()
-        assert np.allclose(parameter.data, [0.95, 1.95])
-
-    def test_momentum_accelerates(self):
-        plain = quadratic_parameter()
-        momentum = quadratic_parameter()
-        sgd_plain = SGD([plain], lr=0.01)
-        sgd_momentum = SGD([momentum], lr=0.01, momentum=0.9)
-        for _ in range(30):
-            plain.grad[...] = 2 * plain.data
-            momentum.grad[...] = 2 * momentum.data
-            sgd_plain.step()
-            sgd_momentum.step()
-        assert abs(momentum.data[0]) < abs(plain.data[0])
-
-    def test_weight_decay_shrinks_weights(self):
-        parameter = Parameter(np.array([1.0]))
-        optimizer = SGD([parameter], lr=0.1, weight_decay=0.5)
-        parameter.grad[...] = 0.0
-        optimizer.step()
-        assert parameter.data[0] < 1.0
-
-    def test_requires_grad_false_is_skipped(self):
-        parameter = Parameter(np.array([1.0]), requires_grad=False)
-        parameter.grad[...] = 10.0
-        SGD([parameter], lr=0.1).step()
-        assert parameter.data[0] == 1.0
-
-    def test_invalid_hyperparameters_raise(self):
-        with pytest.raises(ValueError):
-            SGD([quadratic_parameter()], lr=-1)
-        with pytest.raises(ValueError):
-            SGD([quadratic_parameter()], lr=0.1, momentum=1.5)
-
-    def test_zero_grad(self):
-        parameter = quadratic_parameter()
-        parameter.grad[...] = 3.0
-        optimizer = SGD([parameter], lr=0.1)
-        optimizer.zero_grad()
-        assert np.all(parameter.grad == 0)
+def adam(parameter: Parameter, **kwargs) -> FusedAdam:
+    """The fused optimiser over an arena holding ``parameter`` alone."""
+    return FusedAdam(ParameterArena([parameter]), **kwargs)
 
 
-class TestAdam:
+class TestFusedAdam:
     def test_converges_on_quadratic(self):
         parameter = quadratic_parameter()
-        optimizer = Adam([parameter], lr=0.5)
+        optimizer = adam(parameter, lr=0.5)
         for _ in range(100):
             parameter.grad[...] = 2 * parameter.data
             optimizer.step()
@@ -79,36 +37,55 @@ class TestAdam:
     def test_first_step_size_close_to_lr(self):
         """Adam's bias correction makes the first update approximately lr-sized."""
         parameter = Parameter(np.array([1.0]))
+        optimizer = adam(parameter, lr=0.01)
         parameter.grad[...] = 0.3
-        Adam([parameter], lr=0.01).step()
+        optimizer.step()
         assert parameter.data[0] == pytest.approx(1.0 - 0.01, abs=1e-4)
 
     def test_invalid_betas_raise(self):
         with pytest.raises(ValueError):
-            Adam([quadratic_parameter()], betas=(1.2, 0.9))
+            adam(quadratic_parameter(), betas=(1.2, 0.9))
 
     def test_adamw_decay_is_decoupled(self):
         """With zero gradient, AdamW still decays the weight; plain Adam does not."""
         adam_param = Parameter(np.array([1.0]))
         adamw_param = Parameter(np.array([1.0]))
-        adam = Adam([adam_param], lr=0.1, weight_decay=0.0)
-        adamw = AdamW([adamw_param], lr=0.1, weight_decay=0.1)
+        plain = adam(adam_param, lr=0.1, weight_decay=0.0)
+        decoupled = adam(adamw_param, lr=0.1, weight_decay=0.1, decoupled_weight_decay=True)
         adam_param.grad[...] = 0.0
         adamw_param.grad[...] = 0.0
-        adam.step()
-        adamw.step()
+        plain.step()
+        decoupled.step()
         assert adam_param.data[0] == pytest.approx(1.0)
         assert adamw_param.data[0] < 1.0
 
+    def test_l2_weight_decay_shrinks_weights(self):
+        """Coupled decay goes through the gradient: a zero gradient still moves the weight."""
+        parameter = Parameter(np.array([1.0]))
+        optimizer = adam(parameter, lr=0.1, weight_decay=0.5)
+        parameter.grad[...] = 0.0
+        optimizer.step()
+        assert parameter.data[0] < 1.0
+
+    def test_frozen_parameter_is_skipped(self):
+        frozen = Parameter(np.array([1.0]), requires_grad=False)
+        trained = quadratic_parameter()
+        optimizer = FusedAdam(ParameterArena([trained, frozen]), lr=0.1)
+        frozen.grad[...] = 10.0
+        trained.grad[...] = 10.0
+        optimizer.step()
+        assert frozen.data[0] == 1.0
+        assert trained.data[0] < 5.0
+
     def test_deterministic_given_same_gradients(self):
         a, b = quadratic_parameter(), quadratic_parameter()
-        opt_a, opt_b = Adam([a], lr=0.1), Adam([b], lr=0.1)
+        opt_a, opt_b = adam(a, lr=0.1), adam(b, lr=0.1)
         for _ in range(5):
             a.grad[...] = 2 * a.data
             b.grad[...] = 2 * b.data
             opt_a.step()
             opt_b.step()
-        assert np.allclose(a.data, b.data)
+        assert np.array_equal(a.data, b.data)
 
 
 class TestSchedules:
@@ -136,7 +113,7 @@ class TestSchedules:
 
     def test_apply_sets_optimizer_lr(self):
         parameter = quadratic_parameter()
-        optimizer = Adam([parameter], lr=123.0)
+        optimizer = adam(parameter, lr=123.0)
         ConstantSchedule(0.25).apply(optimizer, iteration=3)
         assert optimizer.lr == 0.25
 
