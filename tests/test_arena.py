@@ -228,8 +228,9 @@ class TestFusedAdam:
         arena = ParameterArena(fused_params)
         return reference, fused_params, arena
 
+    @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
-    def test_matches_per_parameter_adam_bit_for_bit(self, rng, weight_decay):
+    def test_matches_per_parameter_adam_bit_for_bit(self, rng, weight_decay, threads):
         reference, fused_params, arena = self._pair(rng)
         per_param = Adam(reference, lr=3e-3, weight_decay=weight_decay)
         fused = FusedAdam(arena, lr=3e-3, weight_decay=weight_decay)
@@ -238,18 +239,6 @@ class TestFusedAdam:
                 grad = np.random.default_rng(step).standard_normal(ref.shape)
                 ref.grad[...] = grad
                 fus.grad[...] = grad
-            per_param.step()
-            fused.step()
-        for ref, fus in zip(reference, fused_params):
-            assert np.array_equal(ref.data, fus.data), ref.name
-
-    @pytest.mark.parametrize("threads", [2, 3])
-    def test_threaded_step_matches_per_parameter_adam(self, rng, threads):
-        """Cut into spans, one per thread, the step still gives the loop's bits."""
-        reference, fused_params, arena = self._pair(rng)
-        per_param = Adam(reference, lr=3e-3, weight_decay=0.05)
-        fused = FusedAdam(arena, lr=3e-3, weight_decay=0.05)
-        for _ in range(3):
             per_param.step()
             fused.step(threads)
         for ref, fus in zip(reference, fused_params):

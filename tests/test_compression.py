@@ -141,32 +141,6 @@ class TestTopK:
             TopKCompressor(fraction=0.0)
 
 
-class TestQSGDLevels:
-    """What the quantiser guarantees at the ends of the plan's ``bits`` range."""
-
-    def test_one_bit_values_are_ternary(self, rng):
-        tensor = rng.normal(size=(16, 16))
-        approx, payload = QSGDCompressor(bits=1, seed=1).roundtrip(tensor)
-        scale = payload.data["scale"]
-        assert set(np.unique(np.round(approx / scale, 6))).issubset({-1.0, 0.0, 1.0})
-
-    def test_one_bit_compression_ratio_large(self, rng):
-        payload = QSGDCompressor(bits=1).compress(rng.normal(size=(64, 64)))
-        assert payload.compression_ratio > 4
-
-    def test_rounding_never_flips_a_sign(self, rng):
-        tensor = rng.normal(size=(32, 32))
-        for bits in (1, 4, 8):
-            approx, _ = QSGDCompressor(bits=bits, seed=bits).roundtrip(tensor)
-            assert np.all(approx * tensor >= 0.0), bits
-
-    def test_eight_bit_roundtrip_close(self, rng):
-        tensor = rng.normal(size=(16, 16))
-        approx, payload = QSGDCompressor(bits=8, seed=3).roundtrip(tensor)
-        assert relative_error(tensor, approx) < 0.02
-        assert payload.compression_ratio == pytest.approx(256 * 2 / (256 * 9 / 8 + 4))
-
-
 class TestErrorFeedback:
     def test_residual_accumulates_and_corrects(self, rng):
         """With error feedback, the running sum of delivered tensors tracks the true sum."""
@@ -492,11 +466,57 @@ class TestQSGDPackedCodes:
         again, _ = codec.roundtrip(tensor, key="d")
         assert np.array_equal(approx, again)
 
+    def test_rounding_never_flips_a_sign(self, rng):
+        tensor = rng.normal(size=(32, 32))
+        for bits in (1, 4, 8):
+            approx, _ = QSGDCompressor(bits=bits, seed=bits).roundtrip(tensor)
+            assert np.all(approx * tensor >= 0.0), bits
+
     def test_zero_tensor_stays_zero(self):
         codec = QSGDCompressor(bits=4, seed=0)
         approx, payload = codec.roundtrip(np.zeros((4, 4)), key="z")
         assert np.array_equal(approx, np.zeros((4, 4)))
         assert payload.data["scale"] == 0.0
+
+
+class TestThreadScratch:
+    """What a threaded DP reduce relies on: twins own their scratch, ``reserve`` sizes it."""
+
+    def test_qsgd_twin_shares_the_call_counters_not_the_scratch(self, rng):
+        tensor = rng.normal(size=(12, 8))
+        alone = QSGDCompressor(bits=4, seed=3)
+        want = [alone.decompress(alone.compress(tensor, key="k")) for _ in range(2)]
+        codec = QSGDCompressor(bits=4, seed=3)
+        twin = codec.with_own_scratch()
+        first = codec.compress_into(tensor, key="k")
+        second = twin.compress_into(tensor, key="k")  # the key's second call
+        assert not np.shares_memory(first.data["codes"], second.data["codes"])
+        assert np.array_equal(codec.decompress(first), want[0])
+        assert np.array_equal(twin.decompress(second), want[1])
+
+    def test_topk_twin_owns_its_scratch(self, rng):
+        codec = TopKCompressor(fraction=0.25, min_elements=0)
+        twin = codec.with_own_scratch()
+        a, b = rng.normal(size=(8, 8)), rng.normal(size=(8, 8))
+        payload_a = codec.compress_into(a, key="a")
+        payload_b = twin.compress_into(b, key="b")
+        assert not np.shares_memory(payload_a.data["values"], payload_b.data["values"])
+        assert np.array_equal(codec.decompress(payload_a), codec.decompress(codec.compress(a)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: QSGDCompressor(bits=4, seed=1), lambda: TopKCompressor(fraction=0.1, min_elements=0)],
+        ids=["qsgd", "topk"],
+    )
+    def test_reserve_allocates_what_compress_into_uses(self, build, rng):
+        codec = build()
+        codec.reserve(96, keys=["b", "a"])
+        reserved = codec._workspace.nbytes()
+        for key, shape in (("a", (8, 12)), ("b", (96,)), ("c", (5, 5))):
+            codec.compress_into(rng.normal(size=shape), key=key)
+        assert codec._workspace.nbytes() == reserved
+        if isinstance(codec, QSGDCompressor):
+            assert list(codec._call_counts) == ["b", "a", "c"]
 
 
 def frozen_stable_topk_indices(magnitudes: np.ndarray, kept: int) -> np.ndarray:

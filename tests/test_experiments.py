@@ -197,7 +197,6 @@ class TestFidelityLedger:
             assert row.reproduced == 100.0 * difference
             assert row.verdict == ("direction ok" if difference > 0 else "trend reversed")
 
-
     def test_ordering_rows_render_in_their_unit(self):
         ledger = run_ledger()
         lines = {line.split("|")[0].strip(): line for line in ledger.render().splitlines()}
