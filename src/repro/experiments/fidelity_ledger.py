@@ -188,19 +188,14 @@ def run_ledger() -> FidelityLedger:
         )
     )
     # Deeper pipelines gain more from CB, shallower ones more from SC.
-    for name, gains, deeper_first in (
-        ("CB", fig14.cb_gain_by_depth(), True),
-        ("SC", fig14.sc_gain_by_depth(), False),
+    cb, sc = fig14.cb_gain_by_depth(), fig14.sc_gain_by_depth()
+    for row, difference in (
+        ("CB gain PP8 > PP4", cb[8] - cb[4]),
+        ("CB gain PP16 > PP8", cb[16] - cb[8]),
+        ("SC gain PP4 > PP8", sc[4] - sc[8]),
+        ("SC gain PP8 > PP16", sc[8] - sc[16]),
     ):
-        for shallow, deep in ((4, 8), (8, 16)):
-            more, less = (deep, shallow) if deeper_first else (shallow, deep)
-            ledger.rows.append(
-                _ordering_row(
-                    f"Fig. 14 {name} gain PP{more} > PP{less}",
-                    100.0 * (gains[more] - gains[less]),
-                    "points",
-                )
-            )
+        ledger.rows.append(_ordering_row(f"Fig. 14 {row}", 100.0 * difference, "points"))
     return ledger
 
 
