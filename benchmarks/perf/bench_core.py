@@ -39,8 +39,8 @@ Four hot paths are measured, each against the implementation it replaced:
   from the cache (zero evaluations — asserted here) and return byte-identical
   JSON (asserted here).
 
-* **checkpoint I/O** — write and read throughput of checkpoint format v3
-  (stored members streamed from the live buffers) on a hidden-64 probe.
+* **checkpoint I/O** — write and read throughput of checkpoint format v8
+  (stored members, each written from its live buffer) on a hidden-64 probe.
 
 A fresh run is written to ``.bench_build/BENCH_core.json`` (git-ignored
 scratch), never over the committed baseline
@@ -485,16 +485,16 @@ def bench_resilience_overhead(repeats: int = 3, iterations_per_repeat: int = 2) 
 
 
 def bench_checkpoint_io(repeats: int = 3) -> dict:
-    """Checkpoint format v3 write and read throughput (MB of file per second).
+    """Checkpoint format v8 write and read throughput (MB of file per second).
 
     A hidden-64 PP2 x DP2 ``cb_fe_sc`` probe (a few MB of state, so the zip
     and JSON fixed costs do not dominate) is saved and loaded ``repeats``
     times; best-of is reported like every wall-clock number here.  The write
-    streams stored members from the live buffers and the file holds weights
-    and moments once per DP group — deflating again, copying the state first,
-    or storing per replica all show as a drop in ``save_mb_per_s``
-    (tracked, higher is better, with ``load_mb_per_s``).  The round trip is
-    asserted bit-exact.
+    stores each member straight from its live buffer (no staging copy) and
+    the file holds weights and moments once per DP group — deflating again,
+    copying the state first, or storing per replica all show as a drop in
+    ``save_mb_per_s`` (tracked, higher is better, with ``load_mb_per_s``).
+    The round trip is asserted bit-exact.
     """
     import tempfile
 

@@ -55,7 +55,7 @@ TRACKED_METRICS = [
     # Guarded-loop cost relative to the unguarded loop (higher is better: the
     # ratio sits just below 1.0 and drops if guarding gets more expensive).
     ("resilience_overhead", "unguarded_over_guarded"),
-    # Checkpoint format v3 write/read throughput: stored members streamed from
+    # Checkpoint format v8 write/read throughput: stored members written from
     # the live buffers, weights and moments once per DP group.  Absolute MB/s
     # (disk- and memory-bound), same-machine comparable like the codec numbers.
     ("checkpoint_io", "save_mb_per_s"),

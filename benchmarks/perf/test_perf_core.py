@@ -82,7 +82,7 @@ def test_bench_core_smoke():
     assert resilience["guarded_over_unguarded"] <= 1.5, resilience
     assert resilience["snapshot_ms"] > 0.0, resilience
 
-    # Checkpoint v3 is a stored stream of the live buffers: even on a slow
+    # Checkpoint v8 stores each member from its live buffer: even on a slow
     # runner it stays far above the ~25 MB/s the deflating v2 writer managed.
     checkpoint = results["checkpoint_io"]
     assert checkpoint["save_mb_per_s"] >= 100.0, checkpoint

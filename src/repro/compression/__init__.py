@@ -26,12 +26,6 @@ from repro.compression.powersgd import PowerSGDCompressor
 from repro.compression.topk import TopKCompressor
 from repro.compression.qsgd import QSGDCompressor
 from repro.compression.error_feedback import ErrorFeedback
-from repro.compression.metrics import (
-    compression_error,
-    compression_ratio,
-    cosine_similarity,
-    relative_error,
-)
 
 __all__ = [
     "Compressor",
@@ -40,8 +34,4 @@ __all__ = [
     "TopKCompressor",
     "QSGDCompressor",
     "ErrorFeedback",
-    "compression_error",
-    "compression_ratio",
-    "cosine_similarity",
-    "relative_error",
 ]

@@ -27,11 +27,20 @@ import numpy as np
 
 from repro.compression.base import Compressor
 from repro.compression.error_feedback import ErrorFeedback
-from repro.compression.metrics import cosine_similarity
 from repro.compression.powersgd import PowerSGDCompressor
 from repro.compression.topk import TopKCompressor
 from repro.parallel.op_order import OpOrderedList
 from repro.parallel.pipeline_schedule import epilogue_micro_batches
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray, eps: float = 1e-12) -> float:
+    """Cosine similarity between two tensors viewed as flat vectors (Fig. 11's statistic)."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    denominator = float(np.linalg.norm(a) * np.linalg.norm(b))
+    if denominator < eps:
+        return 0.0
+    return float(np.dot(a, b) / denominator)
 
 
 @dataclass

@@ -45,53 +45,64 @@ class SyntheticCorpusConfig:
             raise ValueError("idiom_determinism must be in (0, 1]")
 
 
+def _build_language(config: SyntheticCorpusConfig) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
+    """``config``'s language: unigram, transition matrix and idiom successors.
+
+    A pure function of ``config``: every call draws the same seeded stream.
+    """
+    rng = RandomState(config.seed).child("language")
+    vocab = config.vocab_size
+
+    ranks = np.arange(1, vocab + 1, dtype=np.float64)
+    unigram = ranks ** (-config.zipf_exponent)
+    unigram = unigram / unigram.sum()
+
+    transitions = np.zeros((vocab, vocab), dtype=np.float64)
+    num_idioms = int(round(config.idiom_fraction * vocab))
+    idiom_tokens = rng.choice(vocab, size=num_idioms, replace=False) if num_idioms else np.array([], dtype=int)
+    idioms = set(int(token) for token in idiom_tokens)
+    idiom_successor: dict[int, int] = {}
+
+    for token in range(vocab):
+        successors = rng.choice(vocab, size=config.successors_per_token, replace=False)
+        weights = rng.dirichlet(np.ones(config.successors_per_token) * 0.5)
+        if token in idioms:
+            # One near-deterministic successor, the rest share the remainder.
+            primary = int(successors[0])
+            idiom_successor[token] = primary
+            transitions[token, successors] = (1.0 - config.idiom_determinism) * weights
+            transitions[token, primary] += config.idiom_determinism
+        else:
+            transitions[token, successors] = weights
+        # Mix in a little unigram mass so every token remains reachable.
+        transitions[token] = 0.9 * transitions[token] + 0.1 * unigram
+        transitions[token] /= transitions[token].sum()
+    return unigram, transitions, idiom_successor
+
+
 class SyntheticCorpus:
-    """Generator of token sequences from the synthetic language."""
+    """Generator of token sequences from the synthetic language.
+
+    Only the cumulative tables stay resident (sampling reads nothing else);
+    :attr:`transitions` rebuilds the matrix from the seed when asked.
+    """
 
     def __init__(self, config: SyntheticCorpusConfig | None = None) -> None:
         self.config = config if config is not None else SyntheticCorpusConfig()
         self._state = RandomState(self.config.seed)
-        self._build_language()
-
-    # -- language construction ---------------------------------------------------
-
-    def _build_language(self) -> None:
-        config = self.config
-        rng = self._state.child("language")
-        vocab = config.vocab_size
-
-        ranks = np.arange(1, vocab + 1, dtype=np.float64)
-        unigram = ranks ** (-config.zipf_exponent)
-        self.unigram = unigram / unigram.sum()
-
-        transitions = np.zeros((vocab, vocab), dtype=np.float64)
-        num_idioms = int(round(config.idiom_fraction * vocab))
-        idiom_tokens = rng.choice(vocab, size=num_idioms, replace=False) if num_idioms else np.array([], dtype=int)
-        self.idiom_tokens = set(int(token) for token in idiom_tokens)
-        self.idiom_successor: dict[int, int] = {}
-
-        for token in range(vocab):
-            successors = rng.choice(vocab, size=config.successors_per_token, replace=False)
-            weights = rng.dirichlet(np.ones(config.successors_per_token) * 0.5)
-            if token in self.idiom_tokens:
-                # One near-deterministic successor, the rest share the remainder.
-                primary = int(successors[0])
-                self.idiom_successor[token] = primary
-                transitions[token, successors] = (1.0 - config.idiom_determinism) * weights
-                transitions[token, primary] += config.idiom_determinism
-            else:
-                transitions[token, successors] = weights
-            # Mix in a little unigram mass so every token remains reachable.
-            transitions[token] = 0.9 * transitions[token] + 0.1 * self.unigram
-            transitions[token] /= transitions[token].sum()
-
-        self.transitions = transitions
+        self.unigram, transitions, self.idiom_successor = _build_language(self.config)
+        self.idiom_tokens = set(self.idiom_successor)
         # Rounding can leave a cumulative row's end just below 1.0, where a
         # draw in the gap would sample token ``vocab``; every row ends at 1.0.
         self._cumulative_transitions = np.cumsum(transitions, axis=1)
         self._cumulative_transitions[:, -1] = 1.0
         self._cumulative_unigram = np.cumsum(self.unigram)
         self._cumulative_unigram[-1] = 1.0
+
+    @property
+    def transitions(self) -> np.ndarray:
+        """The ``(vocab, vocab)`` transition matrix, rebuilt from the seed on each read."""
+        return _build_language(self.config)[1]
 
     # -- sampling ------------------------------------------------------------------
 
@@ -133,12 +144,11 @@ class SyntheticCorpus:
         This is the perplexity floor an ideal model could reach; useful as a sanity
         reference in the functional experiments.
         """
-        stationary = self.unigram
+        transitions = self.transitions
         row_entropies = -np.sum(
-            np.where(self.transitions > 0, self.transitions * np.log(self.transitions), 0.0),
-            axis=1,
+            np.where(transitions > 0, transitions * np.log(transitions), 0.0), axis=1
         )
-        return float(np.dot(stationary, row_entropies))
+        return float(np.dot(self.unigram, row_entropies))
 
     def optimal_perplexity(self) -> float:
         """Perplexity of the true language model (``exp`` of the entropy rate)."""

@@ -4,7 +4,7 @@ The package provides two kinds of building blocks:
 
 * *mechanism* — cluster topology, Megatron-style rank grids, simulated (numerically
   exact, traffic-logged) collectives, pipeline schedules, and functional engines for
-  pipeline / data / tensor parallelism;
+  pipeline and data parallelism (tensor parallelism is accounted, not executed);
 * *hook points* — the engines accept compression hooks so that the paper's
   techniques (in :mod:`repro.core`) can plug in without the engines knowing about
   any specific compressor.
@@ -28,7 +28,6 @@ from repro.parallel.pipeline_schedule import (
     epilogue_micro_batches,
 )
 from repro.parallel.pipeline_engine import InterStageChannel, PipelineParallelEngine
-from repro.parallel.tensor_parallel import ColumnParallelLinear, RowParallelLinear
 
 __all__ = [
     "ClusterTopology",
@@ -46,6 +45,4 @@ __all__ = [
     "epilogue_micro_batches",
     "PipelineParallelEngine",
     "InterStageChannel",
-    "ColumnParallelLinear",
-    "RowParallelLinear",
 ]

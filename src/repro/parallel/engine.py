@@ -14,10 +14,8 @@ One training iteration composes the three parallelism axes:
 * the fused (or baseline) embedding synchronisation from
   :mod:`repro.core.fused_embedding`;
 * tensor-parallel shards: the functional stages compute the dense result (the
-  Megatron column/row split is numerically exact, which
-  :meth:`ThreeDParallelEngine.verify_tensor_parallel` checks against
-  :mod:`repro.parallel.tensor_parallel`), while the intra-node all-reduce traffic is
-  accounted through :mod:`repro.parallel.collectives`.
+  Megatron column/row split is numerically exact), while the intra-node
+  all-reduce traffic is accounted through :mod:`repro.parallel.collectives`.
 
 Parameters and gradients live in flat
 :class:`~repro.parallel.arena.ParameterArena` buffers with per-parameter views.
@@ -86,7 +84,6 @@ from repro.parallel.pipeline_engine import (
     walk_pipelines,
     walk_threads,
 )
-from repro.parallel.tensor_parallel import ColumnParallelLinear, RowParallelLinear
 from repro.plan import Boundary, CompressionSpec, ParallelPlan
 from repro.resilience import (
     FaultInjector,
@@ -744,9 +741,6 @@ class ThreeDParallelEngine:
         self._process_executor = None
         self._supervisor = None
 
-        if self.tensor_parallel_degree > 1:
-            self.verify_tensor_parallel()
-
     def _build_bucketed_sync(self) -> BucketedDataParallelSync | None:
         """The DP sync over the current replicas (``None`` at DP1)."""
         if self.data_parallel_degree <= 1:
@@ -806,30 +800,6 @@ class ThreeDParallelEngine:
         return FusedAdam(self.arenas, **adam_kwargs)
 
     # -- tensor parallelism -----------------------------------------------------------
-
-    def verify_tensor_parallel(self, atol: float = 1e-10) -> None:
-        """Check the Megatron column/row split against the dense computation.
-
-        The functional stages compute dense matmuls; this verifies — on a real
-        weight of this model — that splitting it across ``tp`` ranks with a
-        column-parallel layer feeding a row-parallel layer reproduces the dense
-        result, which is what justifies charging only traffic (not error) to the
-        tensor-parallel axis.
-        """
-        layer = self.replicas[0][0].layers[0]
-        up_weight = layer.mlp.fc.weight.data
-        down_weight = layer.mlp.proj.weight.data
-        rng = np.random.default_rng(self.seed)
-        x = rng.standard_normal((3, up_weight.shape[0]))
-        scratch = CommunicationLog()
-        column = ColumnParallelLinear(up_weight, self.tensor_parallel_degree, log=scratch)
-        row = RowParallelLinear(down_weight, self.tensor_parallel_degree, log=scratch)
-        sharded = row.forward(column.forward(x, gather_output=False))
-        dense = (x @ up_weight) @ down_weight
-        if not np.allclose(sharded, dense, atol=atol):
-            raise RuntimeError(
-                "tensor-parallel split diverged from the dense computation"
-            )
 
     def _log_tensor_parallel_traffic(self, micro_batch_shapes: list[tuple[int, int]]) -> None:
         """Account the intra-node TP all-reduces of one iteration.

@@ -7,7 +7,8 @@ optimisers, ``engine.live_mutable_state()``) straight from the live buffers:
 nothing is copied first, and nothing is deflated (float64 training state is
 incompressible — zlib saved 8 % of a v2 file and took 97 % of the write).
 
-Layout — one ``np.load``-able ``.npz`` whose members are all ``ZIP_STORED``:
+Layout — one ``np.load``-able ``.npz`` whose members are all ``ZIP_STORED``
+``<name>.npy`` files with ``.npy`` 1.0 headers, the bytes ``np.savez`` writes:
 
 ===================  =========================================================
 member               contents
@@ -80,8 +81,10 @@ import json
 import os
 import pathlib
 import re
+import zipfile
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from repro.parallel.arena import bitwise_equal, distinct_buffers
 from repro.plan import ParallelPlan
@@ -179,6 +182,22 @@ def _normalised_path(path: str | pathlib.Path) -> pathlib.Path:
     return path
 
 
+def _write_npz(handle, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``np.savez(handle, **arrays)``'s members, each from its live buffer.
+
+    The same stored ``<name>.npy`` members with ``.npy`` 1.0 headers, byte
+    for byte; ``np.savez`` cannot ``tofile`` into a zip member, so it copies
+    every member through ``tobytes()`` in chunks of up to 16 MiB.
+    """
+    with zipfile.ZipFile(handle, "w", zipfile.ZIP_STORED) as archive:
+        for name, array in arrays.items():
+            header = npy_format.header_data_from_array_1_0(array)
+            data = array.T if header["fortran_order"] else np.ascontiguousarray(array)
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                npy_format.write_array_header_1_0(member, header)
+                member.write(memoryview(data))
+
+
 def save_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> pathlib.Path:
     """Atomically write the trainer's full state to ``path``; returns the path.
 
@@ -221,11 +240,12 @@ def save_checkpoint(trainer: Pretrainer, path: str | pathlib.Path) -> pathlib.Pa
     tmp = _temporary_sibling(path)
     try:
         with open(tmp, "wb") as handle:
-            # np.savez stores (never deflates) and streams each live buffer.
-            np.savez(
+            _write_npz(
                 handle,
-                __header__=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
-                **arrays,
+                {
+                    "__header__": np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
+                    **arrays,
+                },
             )
         os.replace(tmp, path)
     finally:

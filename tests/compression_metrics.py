@@ -1,4 +1,9 @@
-"""Metrics used to characterise compression quality and cost."""
+"""Approximation-error measures the compression tests read.
+
+Frozen here from the retired ``repro.compression.metrics``: the program itself
+reads a payload's ratio from ``CompressedPayload.compression_ratio`` and
+measures no approximation error.
+"""
 
 from __future__ import annotations
 
@@ -22,17 +27,3 @@ def relative_error(original: np.ndarray, approximation: np.ndarray, eps: float =
     original = np.asarray(original, dtype=np.float64)
     denominator = float(np.linalg.norm(original))
     return compression_error(original, approximation) / max(denominator, eps)
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray, eps: float = 1e-12) -> float:
-    """Cosine similarity between two tensors viewed as flat vectors.
-
-    This is the statistic plotted in the paper's Fig. 11 to show that compression
-    errors are independent of activation differences (similarity ≈ 0).
-    """
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    denominator = float(np.linalg.norm(a) * np.linalg.norm(b))
-    if denominator < eps:
-        return 0.0
-    return float(np.dot(a, b) / denominator)

@@ -1,10 +1,13 @@
-"""Tensor-parallel linear layers (Megatron column/row split).
+"""Frozen oracle: the Megatron column/row split, checked against the dense layer.
 
-Tensor parallelism is *not* a compression target of the paper (its all-reduces stay
-on intra-node NVLink and the paper folds them into the FWD/BWD time), but the
-substrate implements it for completeness: the simulator charges its traffic to the
-intra-node link, and these functional layers let the tests verify that the split is
-numerically equivalent to a dense layer.
+Tensor parallelism is not a compression target of the paper (its all-reduces
+stay on intra-node NVLink), and the engine does not execute it: the functional
+stages compute the dense result and ``ThreeDParallelEngine`` only accounts the
+TP all-reduce traffic (``_log_tensor_parallel_traffic``).  These layers, and
+:func:`verify_tensor_parallel` on a real weight of an engine, are what justify
+charging the tensor-parallel axis traffic and no error.  Moved here unchanged
+from ``repro.parallel.tensor_parallel`` and ``ThreeDParallelEngine`` when the
+engine stopped running the check at every ``tp > 1`` build.
 
 * :class:`ColumnParallelLinear` splits the weight along its *output* dimension; each
   rank computes a slice of the output, which is concatenated (all-gather) when the
@@ -102,3 +105,27 @@ class RowParallelLinear:
         )
         reduced = group.all_reduce(partials, op="sum", description="row-parallel reduce")
         return reduced[0]
+
+
+def verify_tensor_parallel(engine, atol: float = 1e-10) -> None:
+    """Check the Megatron column/row split against the dense computation.
+
+    The functional stages compute dense matmuls; this verifies — on a real
+    weight of ``engine``'s model — that splitting it across ``tp`` ranks with a
+    column-parallel layer feeding a row-parallel layer reproduces the dense
+    result.
+    """
+    layer = engine.replicas[0][0].layers[0]
+    up_weight = layer.mlp.fc.weight.data
+    down_weight = layer.mlp.proj.weight.data
+    rng = np.random.default_rng(engine.seed)
+    x = rng.standard_normal((3, up_weight.shape[0]))
+    scratch = CommunicationLog()
+    column = ColumnParallelLinear(up_weight, engine.tensor_parallel_degree, log=scratch)
+    row = RowParallelLinear(down_weight, engine.tensor_parallel_degree, log=scratch)
+    sharded = row.forward(column.forward(x, gather_output=False))
+    dense = (x @ up_weight) @ down_weight
+    if not np.allclose(sharded, dense, atol=atol):
+        raise RuntimeError(
+            "tensor-parallel split diverged from the dense computation"
+        )

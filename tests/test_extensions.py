@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compression import QSGDCompressor, relative_error
+from repro.compression import QSGDCompressor
 from repro.core.autotune import SelectiveCompressionAutoTuner
 from repro.experiments.discussion_accelerators import run_accelerator_comparison
 from repro.models import GPT_2_5B, GPT_8_3B
@@ -15,6 +15,8 @@ from repro.simulator import TrainingJob
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
 from repro.training.trainer import Pretrainer
 from repro import cli
+
+from compression_metrics import relative_error
 
 
 class TestQSGD:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from per_parameter_oracle import dp_traffic_by_stage, run_per_parameter
 from replica_folds import fold_replicas
+from tensor_parallel_oracle import verify_tensor_parallel
 from repro.nn.transformer import GPTModelConfig
 from repro.plan import Boundary, CompressionSpec, ParallelPlan, Schedule, Topology
 from repro.nn import CrossEntropyLoss, GPTModel
@@ -171,6 +172,7 @@ class TestGradientParity:
 
     def test_tensor_parallel_split_is_verified_and_logged(self, tiny_config, rng):
         engine = make_engine(tiny_config, num_stages=2, dp=1, tp=2, seed=2)
+        verify_tensor_parallel(engine)
         batches = make_batches(tiny_config, rng, replicas=1, micro_batches=2)
         result = engine.run_iteration(batches)
         # TP traffic is accounted but never alters the numerics.

@@ -119,7 +119,7 @@ def checkpoint_members_sha256(path) -> str:
     """SHA-256 of a checkpoint's members: names, storage method and every payload byte.
 
     Everything in the file except the zip entries' modification times, which
-    ``np.savez`` takes from the wall clock — and the header's format version,
+    the writer takes from the wall clock — and the header's format version,
     read as ``PINNED_FORMAT_VERSION``: a format bump that changes nothing else
     leaves every digest where it was.
     """

@@ -20,6 +20,7 @@ The load-bearing invariants:
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -46,6 +47,7 @@ from repro.resilience import (
     parse_fault_spec,
 )
 from repro.training.checkpoint import (
+    _write_npz,
     checkpoint_name,
     latest_checkpoint,
     load_checkpoint,
@@ -665,7 +667,7 @@ class TestCheckpointValidation:
 
 
 class TestCheckpointLayout:
-    """Format v7: stored members, straight from the live buffers, once per DP group."""
+    """Format v8: stored members, straight from the live buffers, once per DP group."""
 
     @staticmethod
     def _trained(codec="powersgd", dp=2):
@@ -734,6 +736,65 @@ class TestCheckpointLayout:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * path.stat().st_size, (peak, path.stat().st_size)
+
+    def test_save_allocates_nothing_beyond_its_header_at_the_compute_shape(self, tmp_path):
+        """A process-executor trainer at the e2e benchmark's compute shape: the
+        save allocates at most 1 MiB beyond its JSON header (staging the 7.5 MB
+        weight arena through ``tobytes()`` chunks would exceed it)."""
+        shape = dict(vocab_size=512, sequence_length=64, num_layers=4, hidden_size=128, num_heads=4)
+        plan = (
+            ParallelPlan.preset("cb_fe_sc").with_topology(pp=2, dp=2, micro_batches=4)
+            .proxy_scaled(4).with_executor("process").with_resilience(ResilienceSpec())
+        )
+        loader = LanguageModelingDataLoader(
+            SyntheticCorpus(SyntheticCorpusConfig(vocab_size=512, seed=5)),
+            sequence_length=64, micro_batch_size=2, num_micro_batches=4, data_parallel_degree=2,
+        )
+        with Pretrainer(functional_config(**shape), loader, plan=plan, seed=0) as trainer:
+            trainer.train(2)
+            save_checkpoint(trainer, tmp_path / "warm.npz")  # import-time allocations
+            tracemalloc.start()
+            try:
+                path = save_checkpoint(trainer, tmp_path / "ckpt.npz")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert trainer.engine.arenas[0].data.nbytes > 7 * 2**20
+        with zipfile.ZipFile(path) as archive:
+            header = archive.getinfo("__header__.npy").file_size
+        assert peak - header <= 2**20, (peak, header)
+
+    def test_members_are_the_bytes_np_savez_writes(self, tmp_path):
+        path = save_checkpoint(self._trained(codec="qsgd"), tmp_path / "ckpt.npz")
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        reference = io.BytesIO()
+        np.savez(reference, **arrays)
+        with zipfile.ZipFile(path) as ours, zipfile.ZipFile(reference) as theirs:
+            assert ours.namelist() == theirs.namelist()
+            for name in ours.namelist():
+                assert ours.read(name) == theirs.read(name), name
+                assert ours.getinfo(name).compress_type == zipfile.ZIP_STORED
+
+    def test_odd_layouts_are_the_bytes_np_savez_writes(self):
+        """Fortran-ordered, strided, 0-d, empty, integer and boolean members
+        match ``np.savez`` too."""
+        rng = np.random.default_rng(0)
+        arrays = {
+            "fortran": np.asfortranarray(rng.standard_normal((4, 3))),
+            "strided": rng.standard_normal((6, 8))[::2, 1::3],
+            "scalar": np.array(3.5),
+            "empty": np.zeros((0, 4)),
+            "counts": np.arange(10, dtype=np.int64),
+            "flags": np.array([True, False]),
+        }
+        ours, theirs = io.BytesIO(), io.BytesIO()
+        _write_npz(ours, arrays)
+        np.savez(theirs, **arrays)
+        with zipfile.ZipFile(ours) as left, zipfile.ZipFile(theirs) as right:
+            assert left.namelist() == right.namelist()
+            for name in left.namelist():
+                assert left.read(name) == right.read(name), name
 
 
 class TestRecoveryPoint:
