@@ -16,9 +16,11 @@ compressor at all):
   wrapper used for classic error feedback (data parallel) and re-used by the paper's
   lazy error propagation (pipeline parallel).
 
-All compressors share the :class:`~repro.compression.base.Compressor` interface and
-report the exact number of *bytes on the wire* for their payload, which is what the
-performance simulator charges to the interconnect.
+All compressors share the :class:`~repro.compression.base.Compressor` interface.
+Each owns its wire format: :meth:`~repro.compression.base.Compressor.wire_bytes`
+and ``collective`` say what one rank sends for a tensor and how it travels, and
+both the engine's payloads and the performance simulator's charges come from
+them (:func:`codec_for` builds the codec a plan's spec names).
 """
 
 from repro.compression.base import CompressedPayload, Compressor
@@ -26,6 +28,19 @@ from repro.compression.powersgd import PowerSGDCompressor
 from repro.compression.topk import TopKCompressor
 from repro.compression.qsgd import QSGDCompressor
 from repro.compression.error_feedback import ErrorFeedback
+
+
+def codec_for(spec, seed: int = 0) -> Compressor:
+    """The codec a :class:`~repro.plan.CompressionSpec` names, with its knobs."""
+    if spec.codec == "powersgd":
+        return PowerSGDCompressor(
+            rank=spec.rank, min_compression_elements=spec.min_elements, seed=seed
+        )
+    if spec.codec == "qsgd":
+        return QSGDCompressor(bits=spec.bits, seed=seed)
+    if spec.codec == "topk":
+        return TopKCompressor(fraction=spec.fraction, min_elements=spec.min_elements)
+    raise ValueError(f"codec {spec.codec!r} names no compressor")
 
 __all__ = [
     "Compressor",

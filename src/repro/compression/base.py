@@ -7,10 +7,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-#: Bytes per element assumed for uncompressed traffic.  Megatron-LM communicates
-#: fp16/bf16 activations and fp32 (or fp16 + fp32 master) gradients; we follow the
-#: paper's setting of half-precision on the wire for activations and gradients.
-UNCOMPRESSED_BYTES_PER_ELEMENT = 2
+from repro.parallel.collectives import WIRE_BYTES_PER_ELEMENT
 
 
 @dataclass
@@ -44,7 +41,7 @@ class CompressedPayload:
         count = 1
         for dim in self.original_shape:
             count *= dim
-        return count * UNCOMPRESSED_BYTES_PER_ELEMENT
+        return count * WIRE_BYTES_PER_ELEMENT
 
     @property
     def compression_ratio(self) -> float:
@@ -125,6 +122,19 @@ class Compressor:
 
     #: Short algorithm name used in payloads and reports.
     name = "identity"
+    #: The collective that carries this codec's payloads between data-parallel
+    #: replicas: ``"all_reduce"`` when they can be summed in flight,
+    #: ``"all_gather"`` when every rank must receive every rank's payload.
+    collective = "all_reduce"
+
+    def wire_bytes(self, shape: tuple[int, ...], element_bytes: int) -> int:
+        """Bytes one rank sends for a tensor of ``shape`` this codec compresses.
+
+        The codec's one wire rule: the engine's payloads and the simulator's
+        charges both come from it, each at its own element width.  Which
+        tensors are compressed at all is the caller's routing.
+        """
+        raise NotImplementedError
 
     def compress(self, tensor: np.ndarray, key: str | None = None) -> CompressedPayload:
         """Compress ``tensor`` and return the wire payload."""

@@ -18,17 +18,18 @@ uncompressed exactly as in the reference implementation.
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
 
 from repro.compression.base import (
-    UNCOMPRESSED_BYTES_PER_ELEMENT,
     CompressedPayload,
     Compressor,
     Workspace,
     writable_flat_view,
 )
+from repro.parallel.collectives import WIRE_BYTES_PER_ELEMENT
 from repro.parallel.op_order import OpOrderedDict
 from repro.utils.random import seeded_rng
 
@@ -67,6 +68,18 @@ def orthogonalise(matrix: np.ndarray, eps: float = 1e-8) -> np.ndarray:
             rest = matrix[:, col + 1 :]
             rest -= np.outer(column, column @ rest)
     return matrix
+
+
+def factor_wire_bytes(shape: tuple[int, ...], rank: int, element_bytes: int) -> int:
+    """PowerSGD's wire rule: bytes of the ``P (rows x r)`` and ``Q (cols x r)`` factors.
+
+    ``shape`` is flattened as :func:`matrix_view` does and ``r`` is ``rank``
+    capped by both dimensions.  The factors are counted whatever their size:
+    routing a matrix they would outgrow around the codec is the caller's call.
+    """
+    cols = shape[-1]
+    rows = math.prod(shape) // cols
+    return max(1, min(rank, rows, cols)) * (rows + cols) * element_bytes
 
 
 def matrix_view(tensor: np.ndarray) -> np.ndarray:
@@ -125,19 +138,15 @@ class PowerSGDCompressor(Compressor):
         rng = seeded_rng(self.seed + stable_key_hash(key))
         return rng.standard_normal((num_cols, rank))
 
-    def _effective_rank(self, rows: int, cols: int) -> int:
-        """Rank actually used: cannot exceed the matrix dimensions."""
-        return max(1, min(self.rank, rows, cols))
-
     def _should_compress(self, matrix: np.ndarray) -> bool:
         if matrix.ndim < 2:
             return False
         if matrix.size < self.min_compression_elements:
             return False
-        rows, cols = matrix.shape
-        rank = self._effective_rank(rows, cols)
-        compressed_elements = rank * (rows + cols)
-        return compressed_elements < matrix.size
+        return factor_wire_bytes(matrix.shape, self.rank, 1) < matrix.size
+
+    def wire_bytes(self, shape: tuple[int, ...], element_bytes: int) -> int:
+        return factor_wire_bytes(shape, self.rank, element_bytes)
 
     # -- Compressor interface --------------------------------------------------
 
@@ -157,12 +166,12 @@ class PowerSGDCompressor(Compressor):
                 kind="powersgd-passthrough",
                 data={"tensor": tensor},
                 original_shape=tuple(tensor.shape),
-                payload_bytes=tensor.size * UNCOMPRESSED_BYTES_PER_ELEMENT,
+                payload_bytes=tensor.size * WIRE_BYTES_PER_ELEMENT,
                 metadata={"rank": 0, "compressed": False},
             )
 
         rows, cols = matrix.shape
-        rank = self._effective_rank(rows, cols)
+        rank = max(1, min(self.rank, rows, cols))
 
         query = self._queries.get(key)
         if query is None or query.shape != (cols, rank) or not self.reuse_query:
@@ -182,12 +191,11 @@ class PowerSGDCompressor(Compressor):
             stored[...] = q_factor
             self._queries[key] = stored
 
-        payload_elements = p_factor.size + q_factor.size
         return CompressedPayload(
             kind=self.name,
             data={"p": p_factor, "q": q_factor},
             original_shape=tuple(tensor.shape),
-            payload_bytes=payload_elements * UNCOMPRESSED_BYTES_PER_ELEMENT,
+            payload_bytes=self.wire_bytes(matrix.shape, WIRE_BYTES_PER_ELEMENT),
             metadata={"rank": rank, "compressed": True, "matrix_shape": (rows, cols)},
         )
 
@@ -235,18 +243,3 @@ class PowerSGDCompressor(Compressor):
     def stored_query(self, key: str) -> np.ndarray | None:
         """Return the warm-started Q factor for ``key`` (testing/diagnostics)."""
         return self._queries.get(key)
-
-    def expected_payload_elements(self, shape: tuple[int, ...]) -> int:
-        """Number of scalars on the wire for a tensor of ``shape`` (analytic)."""
-        count = 1
-        for dim in shape:
-            count *= dim
-        if len(shape) < 2:
-            return count
-        cols = shape[-1]
-        rows = count // cols
-        rank = self._effective_rank(rows, cols)
-        compressed = rank * (rows + cols)
-        if count < self.min_compression_elements or compressed >= count:
-            return count
-        return compressed

@@ -36,6 +36,7 @@ from repro.compression.base import (
     Workspace,
     writable_flat_view,
 )
+from repro.parallel.collectives import WIRE_BYTES_PER_ELEMENT
 from repro.parallel.op_order import OpOrderedDict
 from repro.utils.random import CounterRNG
 
@@ -53,11 +54,13 @@ class QSGDCompressor(Compressor):
     the signed level ``q = floor(x * L / scale + u)`` with ``u ~ U[0, 1)`` — the
     classic unbiased stochastic-rounding rule expressed as one fused pass.  Codes
     are *packed*: a single two's-complement integer per element (int8 for up to
-    7 bits, int16 for 8) instead of a separate magnitude + sign pair, which is
-    also exactly the ``bits + 1`` bits/element the wire model charges.
+    7 bits, int16 for 8) instead of a separate magnitude + sign pair; the wire
+    carries them at ``bits + 1`` bits each (:meth:`wire_bytes`).
     """
 
     name = "qsgd"
+    #: Each replica's codes carry its own scale, so they cannot be summed in flight.
+    collective = "all_gather"
 
     def __init__(self, bits: int = 4, seed: int = 0, deterministic: bool = False) -> None:
         if not 1 <= bits <= 8:
@@ -65,7 +68,9 @@ class QSGDCompressor(Compressor):
         self.bits = int(bits)
         self.seed = int(seed)
         self.deterministic = bool(deterministic)
-        self._rng = CounterRNG(self.seed)
+        #: Built on the first stochastic draw: a codec only asked for its wire
+        #: rule (the simulator's) never allocates a generator.
+        self._rng: CounterRNG | None = None
         #: Per-key call counters: the RNG stream of a call depends only on
         #: ``(seed, key, how many times this key was compressed)``, never on the
         #: global call order.  Keys added on threads of a DP sync take the
@@ -105,8 +110,12 @@ class QSGDCompressor(Compressor):
     def num_levels(self) -> int:
         return 2**self.bits - 1
 
-    def _payload_bytes(self, size: int) -> int:
-        return max(int(math.ceil(size * (self.bits + 1) / 8)) + 4, 1)
+    def wire_bytes(self, shape: tuple[int, ...], element_bytes: int) -> int:
+        """``bits + 1`` bits per element, packed, plus the 4-byte fp32 scale.
+
+        The element width does not enter: quantised codes replace the elements.
+        """
+        return math.ceil(math.prod(shape) * (self.bits + 1) / 8) + 4
 
     def _quantise_into(self, flat: np.ndarray, key: str, codes: np.ndarray) -> float:
         """The kernel: write packed signed levels of ``flat`` into ``codes``, tile by tile."""
@@ -122,6 +131,8 @@ class QSGDCompressor(Compressor):
         if not self.deterministic:
             count = self._call_counts.get(key, 0)
             self._call_counts[key] = count + 1
+            if self._rng is None:
+                self._rng = CounterRNG(self.seed)
             rng = self._rng.at(stable_key_hash(key), count)
         # Every key shares one tile of scratch, in slots of its own.
         tile = min(size, QUANTISE_TILE)
@@ -161,7 +172,7 @@ class QSGDCompressor(Compressor):
             kind=self.name,
             data={"codes": codes, "scale": scale},
             original_shape=tuple(tensor.shape),
-            payload_bytes=self._payload_bytes(tensor.size),
+            payload_bytes=self.wire_bytes(tensor.shape, WIRE_BYTES_PER_ELEMENT),
             metadata={"bits": self.bits, "compressed": True},
         )
 

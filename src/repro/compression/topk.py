@@ -18,17 +18,18 @@ cost, reproducible everywhere, and independent of the order tensors are visited
 from __future__ import annotations
 
 import copy
+import math
 from typing import Iterable
 
 import numpy as np
 
 from repro.compression.base import (
-    UNCOMPRESSED_BYTES_PER_ELEMENT,
     CompressedPayload,
     Compressor,
     Workspace,
     writable_flat_view,
 )
+from repro.parallel.collectives import WIRE_BYTES_PER_ELEMENT
 
 #: Bytes used to encode one index on the wire (int32, as in common implementations).
 INDEX_BYTES = 4
@@ -37,7 +38,8 @@ INDEX_BYTES = 4
 def num_kept(fraction: float, size: int) -> int:
     """Elements top-k keeps of ``size``: ``round(fraction * size)``, at least one, at most all.
 
-    The engine's codec and the simulator's PP byte model both count with it.
+    :meth:`TopKCompressor.wire_bytes` counts with it, in the engine and the
+    simulator alike.
     """
     return max(1, min(size, int(round(fraction * size))))
 
@@ -84,6 +86,8 @@ class TopKCompressor(Compressor):
     """Keep the ``fraction`` largest-magnitude elements of the tensor."""
 
     name = "topk"
+    #: Every rank keeps its own indices, so the pairs cannot be summed in flight.
+    collective = "all_gather"
 
     def __init__(self, fraction: float = 0.01, min_elements: int = 16) -> None:
         if not 0.0 < fraction <= 1.0:
@@ -103,6 +107,10 @@ class TopKCompressor(Compressor):
         twin._workspace = Workspace()
         return twin
 
+    def wire_bytes(self, shape: tuple[int, ...], element_bytes: int) -> int:
+        """The kept (value, int32 index) pairs, values at ``element_bytes``."""
+        return num_kept(self.fraction, math.prod(shape)) * (element_bytes + INDEX_BYTES)
+
     def _select(self, tensor: np.ndarray, scratch) -> CompressedPayload:
         """The kernel: the kept (index, value) pairs, through ``scratch(name, size)`` arrays."""
         tensor = np.asarray(tensor, dtype=np.float64)
@@ -112,7 +120,7 @@ class TopKCompressor(Compressor):
                 kind="topk-passthrough",
                 data={"tensor": tensor},
                 original_shape=tuple(tensor.shape),
-                payload_bytes=tensor.size * UNCOMPRESSED_BYTES_PER_ELEMENT,
+                payload_bytes=tensor.size * WIRE_BYTES_PER_ELEMENT,
                 metadata={"kept": flat.size, "compressed": False},
             )
         kept = num_kept(self.fraction, flat.size)
@@ -121,12 +129,11 @@ class TopKCompressor(Compressor):
         indices = stable_topk_indices(magnitudes, kept, scratch("partition", flat.size))
         values = scratch("values", kept)
         np.take(flat, indices, out=values)
-        payload_bytes = kept * (UNCOMPRESSED_BYTES_PER_ELEMENT + INDEX_BYTES)
         return CompressedPayload(
             kind=self.name,
             data={"indices": indices, "values": values},
             original_shape=tuple(tensor.shape),
-            payload_bytes=payload_bytes,
+            payload_bytes=self.wire_bytes(tensor.shape, WIRE_BYTES_PER_ELEMENT),
             metadata={"kept": kept, "compressed": True},
         )
 

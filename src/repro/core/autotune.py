@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.plan import Boundary, ParallelPlan, select_compressed_stages
+from repro.compression import codec_for
+from repro.plan import Boundary, ParallelPlan
 from repro.simulator.cost_model import CostModel, TrainingJob
 from repro.simulator.executor import PipelineTimingSimulator
 from repro.utils.tables import Table, format_float
@@ -109,15 +110,14 @@ class SelectiveCompressionAutoTuner:
 
     def dp_bytes_removed_fraction(self, stage_fraction: float, dp_rank: int) -> float:
         """Fraction of total DP gradient bytes removed from the wire by a candidate."""
-        num_stages = self.job.num_stages
-        compressed_stages = select_compressed_stages(num_stages, stage_fraction)
-        total = 0.0
-        removed = 0.0
-        for stage in range(num_stages):
-            full = self.cost.dp_gradient_bytes(stage)
-            total += full
-            if stage in compressed_stages:
-                removed += full - self.cost.dp_compressed_gradient_bytes(stage, dp_rank)
+        spec = self._plan_for(stage_fraction, dp_rank).spec(Boundary.DP)
+        codec = codec_for(spec)
+        full = [self.cost.dp_gradient_bytes(stage) for stage in range(self.job.num_stages)]
+        total = sum(full)
+        removed = sum(
+            full[stage] - self.cost.dp_compressed_gradient_bytes(stage, codec, spec.min_elements)
+            for stage in sorted(spec.compressed_stages(self.job.num_stages))
+        )
         if total <= 0:
             return 0.0
         return removed / total

@@ -29,6 +29,7 @@ from repro.compression.base import Compressor
 from repro.compression.error_feedback import ErrorFeedback
 from repro.compression.powersgd import PowerSGDCompressor
 from repro.compression.topk import TopKCompressor
+from repro.parallel.collectives import WIRE_BYTES_PER_ELEMENT
 from repro.parallel.op_order import OpOrderedList
 from repro.parallel.pipeline_schedule import epilogue_micro_batches
 
@@ -151,7 +152,7 @@ class CompressedBackpropagation:
         key = f"boundary{boundary}"
 
         if not self.should_compress(boundary, micro_batch, num_micro_batches):
-            return gradient, int(gradient.size * 2), False
+            return gradient, gradient.size * WIRE_BYTES_PER_ELEMENT, False
 
         approximation, payload, residual = self.feedback.compress_with_feedback(gradient, key)
         if self.collect_diagnostics:

@@ -37,7 +37,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.compression.powersgd import matrix_view, orthogonalise, stable_key_hash
+from repro.compression.powersgd import (
+    factor_wire_bytes,
+    matrix_view,
+    orthogonalise,
+    stable_key_hash,
+)
 from repro.parallel.arena import BucketResidualStore, CodecBucket, ReplicaFold
 from repro.parallel.collectives import WIRE_BYTES_PER_ELEMENT, SimulatedProcessGroup
 from repro.parallel.op_order import OpOrderedDict
@@ -100,7 +105,7 @@ class SelectiveStageCompression:
         ``total`` and added into the residual (without one, ``total`` is the
         mean the approximation overwrites once ``Q`` is known).  Both passes
         walk blocks of whole rows.  Returns the P and Q payload bytes of one
-        replica.
+        replica: PowerSGD's wire rule, split between the two factors.
         """
         rows, cols = shape
         rank = max(1, min(self.rank, rows, cols))
@@ -135,7 +140,9 @@ class SelectiveStageCompression:
             for copy in copies:
                 copy[span] = total[span]
 
-        return int(p_factor.size * 2), int(query.size * 2)
+        factors = factor_wire_bytes(shape, self.rank, WIRE_BYTES_PER_ELEMENT)
+        p_bytes = factors // (rows + cols) * rows
+        return p_bytes, factors - p_bytes
 
     def reserve(self, buckets: Sequence[CodecBucket]) -> None:
         """Allocate the residual slabs of ``buckets``, in this order, on the calling thread."""

@@ -25,11 +25,17 @@ executors, so no run leaks ``/dev/shm`` entries.
 
 from __future__ import annotations
 
+import mmap
 from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro.parallel.arena import ParameterArena
+
+#: Bytes :meth:`SharedArenaSegment.release` copies back per slice.  Each copied
+#: slice is dropped from this process's mapping before the next is copied, so a
+#: release lifts the resident set by about one slice, not by one arena.
+RELEASE_SLICE_BYTES = 1 << 20
 
 
 class SharedArenaSegment:
@@ -72,13 +78,26 @@ class SharedArenaSegment:
 
         After release the arena keeps working exactly as before adoption (same
         values, private buffers) — the serial oracle path needs nothing more
-        than this to resume.
+        than this to resume.  The values come back in slices of
+        :data:`RELEASE_SLICE_BYTES`, each dropped from the mapping
+        (``MADV_DONTNEED``; the segment's pages stay intact for any other
+        process mapping it) as soon as it is copied, so the private buffer
+        grows while the shared one shrinks.
         """
         if self.shm is not None:
-            arena.rebind_storage(
-                **{self.buffer: np.empty(self.num_elements, dtype=self.dtype)}
-            )
+            arena.rebind_storage(**{self.buffer: self._private_copy()}, filled=True)
         self.destroy()
+
+    def _private_copy(self) -> np.ndarray:
+        """The segment's values in private memory, copied slice by slice (no view outlives it)."""
+        private = np.empty(self.num_elements, dtype=self.dtype)
+        target, source = private.view(np.uint8), self.array.view(np.uint8)
+        mapping = self.shm.buf.obj  # the segment's mmap
+        for start in range(0, source.size, RELEASE_SLICE_BYTES):
+            stop = min(start + RELEASE_SLICE_BYTES, source.size)
+            target[start:stop] = source[start:stop]
+            mapping.madvise(mmap.MADV_DONTNEED, start, stop - start)
+        return private
 
     def destroy(self) -> None:
         """Close and unlink the OS object (idempotent, never raises).

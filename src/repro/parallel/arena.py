@@ -253,7 +253,11 @@ class ParameterArena:
         return {"data": self.data.copy()} if self.group[0] is self else {}
 
     def rebind_storage(
-        self, data: np.ndarray | None = None, grad: np.ndarray | None = None
+        self,
+        data: np.ndarray | None = None,
+        grad: np.ndarray | None = None,
+        *,
+        filled: bool = False,
     ) -> None:
         """Migrate storage onto caller-provided flat buffers, bit-for-bit.
 
@@ -268,7 +272,8 @@ class ParameterArena:
         ``grad`` from then on); ``data`` replaces the weight buffer of the
         **whole group** (one copy, every member rebound) — weights are one
         buffer per group, never one per arena.  Spans are layout identities
-        and do not change.
+        and do not change.  ``filled`` skips the copy: the caller already
+        wrote the current contents into the new buffers.
         """
         for name, buffer in (("data", data), ("grad", grad)):
             live = getattr(self, name)
@@ -278,11 +283,13 @@ class ParameterArena:
                     f"expected {live.shape}/{live.dtype}"
                 )
         if data is not None:
-            data[...] = self.data
+            if not filled:
+                data[...] = self.data
             for arena in self.group:
                 arena._bind("data", data)
         if grad is not None:
-            grad[...] = self.grad
+            if not filled:
+                grad[...] = self.grad
             self._bind("grad", grad)
 
     def _bind(self, name: str, buffer: np.ndarray) -> None:

@@ -21,9 +21,18 @@ import numpy as np
 
 from repro.parallel.op_order import OpOrderedList
 
-#: Wire bytes per element for uncompressed activations/gradients (fp16 convention).
-#: The single source of truth — the pipeline channel, the arena's bucket sizing,
-#: and the engine's DP accounting all derive from this constant.
+#: Bytes per element on the wire, the one declaration of each layer's widths.
+#: The functional engine sends every axis at this width (pipeline activations
+#: and their gradients, DP and embedding gradients): half precision, the
+#: paper's setting.  The pipeline channel, the arena's bucket sizing, the
+#: engine's traffic records and the codecs' payloads
+#: (:meth:`~repro.compression.base.Compressor.wire_bytes`) all read it.  The
+#: simulator's widths are its calibration constants
+#: (:class:`~repro.simulator.hardware.SimulationConstants`): activations at
+#: ``activation_wire_bytes`` = 2, this width, and DP and embedding gradients
+#: at ``gradient_wire_bytes`` = 4, Megatron's fp32 gradient all-reduce, which
+#: the paper-scale times (Table 2) are calibrated on.  Both layers size a
+#: codec's payload through the same rule at their own width.
 WIRE_BYTES_PER_ELEMENT = 2
 
 #: Elements per tile of the in-place reductions (the exact DP bucket mean, the
@@ -116,6 +125,23 @@ def ring_all_reduce_wire_bytes(payload_bytes: float, num_ranks: int) -> float:
     return 2.0 * payload_bytes * (num_ranks - 1) / num_ranks
 
 
+def collective_wire_bytes(operation: str, payload_bytes: float, num_ranks: int) -> float:
+    """Per-rank bytes of a collective: ring ``2V(R-1)/R`` all-reduce, ``V(R-1)`` all-gather.
+
+    (``V(R-1)/R`` for a reduce-scatter, ``V`` for a broadcast.)  The engine's
+    records and the simulator's DP and embedding terms all charge through it.
+    """
+    if operation == "all_reduce":
+        return ring_all_reduce_wire_bytes(payload_bytes, num_ranks)
+    if operation == "all_gather":
+        return float(payload_bytes * (num_ranks - 1))
+    if operation == "reduce_scatter":
+        return payload_bytes * (num_ranks - 1) / num_ranks
+    if operation == "broadcast":
+        return float(payload_bytes)
+    raise ValueError(f"unsupported collective {operation!r}")
+
+
 def record_ring_all_reduce(
     log: CommunicationLog,
     payload_bytes: int,
@@ -187,24 +213,18 @@ class SimulatedProcessGroup:
 
         The zero-copy bucket kernels reduce gradients directly on arena views
         (no per-rank contribution arrays to hand over), so they account their
-        traffic through this method with the same wire-byte conventions the
-        materialising collectives apply: ring ``2V(R-1)/R`` for an all-reduce,
-        ``V(R-1)`` for an all-gather.  ``original_bytes`` (default:
-        ``payload_bytes``) is what the payload would have been uncompressed.
+        traffic through this method; the materialising collectives below log
+        through it too, at :func:`collective_wire_bytes` per rank.
+        ``original_bytes`` (default: ``payload_bytes``) is what the payload
+        would have been uncompressed.
         """
-        if operation == "all_reduce":
-            wire = ring_all_reduce_wire_bytes(payload_bytes, self.size)
-        elif operation == "all_gather":
-            wire = float(payload_bytes * (self.size - 1))
-        else:
-            raise ValueError(f"unsupported collective {operation!r}")
         self.log.add(
             TrafficRecord(
                 operation=operation,
                 category=self.category,
                 payload_bytes=int(payload_bytes),
                 original_bytes=int(payload_bytes if original_bytes is None else original_bytes),
-                wire_bytes=wire,
+                wire_bytes=collective_wire_bytes(operation, payload_bytes, self.size),
                 ranks=self.ranks,
                 compressed=compressed,
                 description=description,
@@ -238,19 +258,7 @@ class SimulatedProcessGroup:
         original_bytes = int(contributions[0].size * WIRE_BYTES_PER_ELEMENT)
         if payload_bytes is None:
             payload_bytes = original_bytes
-        self.log.add(
-            TrafficRecord(
-                operation="all_reduce",
-                category=self.category,
-                payload_bytes=payload_bytes,
-                original_bytes=original_bytes,
-                wire_bytes=ring_all_reduce_wire_bytes(payload_bytes, self.size),
-                ranks=self.ranks,
-                compressed=compressed,
-                description=description,
-                overlapped=self.overlapped,
-            )
-        )
+        self.record_collective("all_reduce", payload_bytes, compressed, description, original_bytes)
         return [reduced.copy() for _ in range(self.size)]
 
     def all_gather(
@@ -269,20 +277,7 @@ class SimulatedProcessGroup:
         original_bytes = int(contributions[0].size * WIRE_BYTES_PER_ELEMENT)
         if payload_bytes is None:
             payload_bytes = original_bytes
-        wire = payload_bytes * (self.size - 1)
-        self.log.add(
-            TrafficRecord(
-                operation="all_gather",
-                category=self.category,
-                payload_bytes=payload_bytes,
-                original_bytes=original_bytes,
-                wire_bytes=float(wire),
-                ranks=self.ranks,
-                compressed=compressed,
-                description=description,
-                overlapped=self.overlapped,
-            )
-        )
+        self.record_collective("all_gather", payload_bytes, compressed, description, original_bytes)
         return [list(gathered) for _ in range(self.size)]
 
     def reduce_scatter(
@@ -302,19 +297,7 @@ class SimulatedProcessGroup:
         original_bytes = int(contributions[0].size * WIRE_BYTES_PER_ELEMENT)
         if payload_bytes is None:
             payload_bytes = original_bytes
-        self.log.add(
-            TrafficRecord(
-                operation="reduce_scatter",
-                category=self.category,
-                payload_bytes=payload_bytes,
-                original_bytes=original_bytes,
-                wire_bytes=payload_bytes * (self.size - 1) / self.size,
-                ranks=self.ranks,
-                compressed=False,
-                description=description,
-                overlapped=self.overlapped,
-            )
-        )
+        self.record_collective("reduce_scatter", payload_bytes, False, description, original_bytes)
         return [shard.copy() for shard in shards]
 
     def broadcast(
@@ -331,19 +314,7 @@ class SimulatedProcessGroup:
         original_bytes = int(tensor.size * WIRE_BYTES_PER_ELEMENT)
         if payload_bytes is None:
             payload_bytes = original_bytes
-        self.log.add(
-            TrafficRecord(
-                operation="broadcast",
-                category=self.category,
-                payload_bytes=payload_bytes,
-                original_bytes=original_bytes,
-                wire_bytes=float(payload_bytes),
-                ranks=self.ranks,
-                compressed=False,
-                description=description,
-                overlapped=self.overlapped,
-            )
-        )
+        self.record_collective("broadcast", payload_bytes, False, description, original_bytes)
         return [tensor.copy() for _ in range(self.size)]
 
     # -- point-to-point ---------------------------------------------------------

@@ -53,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.compression import Compressor, QSGDCompressor, TopKCompressor
+from repro.compression import Compressor, codec_for
 from repro.core.compressed_backprop import CompressedBackpropagation
 from repro.core.fused_embedding import EmbeddingSynchronizer
 from repro.core.selective_stage import SelectiveStageCompression
@@ -153,12 +153,8 @@ class CompressedGradientAllReduce:
             self.powersgd = SelectiveStageCompression(
                 rank=spec.rank, error_feedback=spec.error_feedback, seed=seed
             )
-        elif spec.codec == "qsgd":
-            self.compressor = QSGDCompressor(bits=spec.bits, seed=seed)
-        elif spec.codec == "topk":
-            self.compressor = TopKCompressor(
-                fraction=spec.fraction, min_elements=spec.min_elements
-            )
+        elif spec.compresses:
+            self.compressor = codec_for(spec, seed)
         # Bucket-path state for the qsgd/topk codecs: per-bucket flat residual
         # slabs (one row per replica, segment layout = the bucket's) and, per
         # stage, one scratch row for all its buckets (the row a later
@@ -283,8 +279,8 @@ class CompressedGradientAllReduce:
         later replica's is decompressed into the stage's scratch row and added
         (the order ``np.mean`` sums in, so the same bits).  The last fold
         divides the sum by the replica count, copies it into ``fold.copies``
-        and logs the all-gather.  The working set grows with neither the
-        bucket count nor the replica count.  Each stage compresses with its
+        and logs the codec's collective (an all-gather).  The working set
+        grows with neither the bucket count nor the replica count.  Each stage compresses with its
         own codec and scratch, so buckets of different stages may be reduced
         at once.
         """
@@ -330,7 +326,7 @@ class CompressedGradientAllReduce:
             return
         self._bucket_residuals.filled(bucket)
         group.record_collective(
-            "all_gather",
+            compressor.collective,
             payload_per_rank,
             compressed=True,
             description=(

@@ -15,13 +15,13 @@ All times are seconds, all volumes bytes.
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass, field
 
-from repro.compression.base import UNCOMPRESSED_BYTES_PER_ELEMENT
-from repro.compression.topk import INDEX_BYTES, num_kept
+from repro.compression.base import Compressor
 from repro.models.gpt_configs import PaperModelSpec
-from repro.parallel.collectives import ring_all_reduce_wire_bytes
+from repro.parallel.collectives import collective_wire_bytes, ring_all_reduce_wire_bytes
 from repro.parallel.process_groups import ParallelLayout
 from repro.plan import (
     DP_FIRE_KINDS,
@@ -37,7 +37,7 @@ from repro.simulator.hardware import ClusterSpec, PAPER_CLUSTER_SPEC
 #: replay alters what :func:`repro.simulator.evaluate.evaluate_plan` returns
 #: for an unchanged plan — cached evaluations from the older model then miss
 #: instead of serving stale numbers.
-COST_MODEL_VERSION = "2026.10-2"
+COST_MODEL_VERSION = "2026.10-3"
 
 #: Entries each of the simulator's per-class memos keeps (:func:`job_cost_model`,
 #: the per-job / per-spec timing terms in :mod:`repro.simulator.executor`, the
@@ -310,28 +310,14 @@ class CostModel:
             return float(per_rank * self._nic_contention)
         return float(per_rank * self.layout.tensor_parallel * self._nic_contention)
 
-    def compressed_activation_bytes(
-        self, rank: int, codec: str = "powersgd", fraction: float = 0.01
-    ) -> float:
-        """Wire bytes of a compressed inter-stage transfer under the PP codec.
+    def compressed_activation_bytes(self, codec: Compressor) -> float:
+        """Wire bytes of a compressed inter-stage transfer under the PP ``codec``.
 
         The activation gradient of shape ``(micro_batch * seq, hidden)``
-        travels as what the engine's codec sends for it:
-
-        * ``"powersgd"`` — its ``P (n x r)`` and ``Q (m x r)`` factors;
-        * ``"topk"`` — the kept (value, int32 index) pairs, counted by the
-          engine codec's rule (:func:`~repro.compression.topk.num_kept`).
+        travels as the codec's wire rule sizes it at the activation width.
         """
-        rows = self.job.micro_batch_size * self.job.seq_length
-        cols = self.model.hidden_size
-        if codec == "powersgd":
-            rank = max(1, min(rank, rows, cols))
-            per_rank_bytes = rank * (rows + cols) * self.constants.activation_wire_bytes
-        elif codec == "topk":
-            pair_bytes = UNCOMPRESSED_BYTES_PER_ELEMENT + INDEX_BYTES
-            per_rank_bytes = num_kept(fraction, rows * cols) * pair_bytes
-        else:
-            raise ValueError(f"unknown pp codec {codec!r}")
+        shape = (self.job.micro_batch_size * self.job.seq_length, self.model.hidden_size)
+        per_rank_bytes = codec.wire_bytes(shape, self.constants.activation_wire_bytes)
         if self.constants.scatter_gather_pipeline_comm:
             return float(per_rank_bytes * self._nic_contention)
         return float(per_rank_bytes * self.layout.tensor_parallel * self._nic_contention)
@@ -387,11 +373,9 @@ class CostModel:
         total = per_layer * self.layers_on_stage(stage)
         if stage == self.layout.pipeline_parallel - 1:
             total += 2 * hidden  # final LayerNorm
-        if stage == 0:
-            total += self.job.seq_length * 0  # position embedding handled below
         return total
 
-    def dp_gradient_bytes(self, stage: int, include_position_embedding: bool = True) -> float:
+    def dp_gradient_bytes(self, stage: int) -> float:
         """Per-node-NIC bytes of the stage's data-parallel gradient all-reduce.
 
         The word-embedding copies are excluded (they are synchronised by the
@@ -399,7 +383,7 @@ class CostModel:
         """
         elements = sum(rows * cols for rows, cols in self.stage_weight_matrices(stage))
         elements += self.stage_small_parameters(stage)
-        if include_position_embedding and stage == 0:
+        if stage == 0:
             elements += self.job.seq_length * self.model.hidden_size
         total_bytes = elements * self.constants.gradient_wire_bytes * self._nic_contention
         # Each of the node's TP ranks all-reduces its 1/tp shard through the shared
@@ -407,52 +391,35 @@ class CostModel:
         return ring_all_reduce_wire_bytes(total_bytes, self.layout.data_parallel)
 
     def dp_compressed_gradient_bytes(
-        self,
-        stage: int,
-        rank: int,
-        codec: str = "powersgd",
-        qsgd_bits: int = 4,
-        topk_fraction: float = 0.01,
+        self, stage: int, codec: Compressor, min_elements: int
     ) -> float:
-        """Per-node-NIC bytes of the stage's DP all-reduce under the given codec.
+        """Per-node-NIC bytes of the stage's DP traffic when ``codec`` compresses it.
 
-        The codec vocabulary matches the engine's
-        (:data:`repro.simulator.executor.DP_CODECS`):
-
-        * ``"powersgd"`` — each ``rows x cols`` matrix shrinks to its rank-``r``
-          ``P``/``Q`` factors, ``r (rows + cols)`` elements;
-        * ``"qsgd"`` — every element shrinks from 16 wire bits to ``qsgd_bits``
-          (plus a per-matrix norm, negligible at these sizes);
-        * ``"topk"`` — the kept fraction of elements travels as (value, index)
-          pairs, 16 + 32 bits each;
-        * ``"none"`` — no compression (the exact volume).
-
-        1-D parameters (biases, LayerNorms, the position embedding) pass through
-        uncompressed in every codec, matching the engine's
-        ``min_compression_elements``/2-D-only routing.
+        Routed as the engine routes it: each 2-D matrix with at least
+        ``min_elements`` elements (the weights, and the first stage's
+        position embedding) travels as the codec's wire rule sizes it at the
+        gradient width, on the codec's collective (an all-gather moves
+        ``V(R-1)`` per rank, the ring all-reduce ``2V(R-1)/R``); smaller
+        matrices and the 1-D parameters (biases, LayerNorms) pass through
+        uncompressed on the ring all-reduce.
         """
-        matrix_elements = 0.0
-        for rows, cols in self.stage_weight_matrices(stage):
-            full = rows * cols
-            if codec == "powersgd":
-                effective = max(1, min(rank, rows, cols))
-                matrix_elements += min(effective * (rows + cols), full)
-            elif codec == "qsgd":
-                wire_bits = 8.0 * self.constants.gradient_wire_bytes
-                matrix_elements += full * min(1.0, qsgd_bits / wire_bits)
-            elif codec == "topk":
-                wire_bits = 8.0 * self.constants.gradient_wire_bytes
-                pair_bits = wire_bits + 32.0  # value + int32 index
-                matrix_elements += min(full * topk_fraction * pair_bits / wire_bits, full)
-            elif codec == "none":
-                matrix_elements += full
-            else:
-                raise ValueError(f"unknown dp codec {codec!r}")
-        elements = matrix_elements + self.stage_small_parameters(stage)  # pass-through
+        width = self.constants.gradient_wire_bytes
+        # A stage repeats four layer shapes: size each once.
+        matrices = collections.Counter(self.stage_weight_matrices(stage))
         if stage == 0:
-            elements += self.job.seq_length * self.model.hidden_size
-        total_bytes = elements * self.constants.gradient_wire_bytes * self._nic_contention
-        return ring_all_reduce_wire_bytes(total_bytes, self.layout.data_parallel)
+            matrices[(self.job.seq_length, self.model.hidden_size)] += 1
+        payload = {"all_reduce": self.stage_small_parameters(stage) * width}
+        for (rows, cols), count in matrices.items():
+            if rows * cols >= min_elements:
+                operation, volume = codec.collective, codec.wire_bytes((rows, cols), width)
+            else:
+                operation, volume = "all_reduce", rows * cols * width
+            payload[operation] = payload.get(operation, 0) + count * volume
+        ranks = self.layout.data_parallel
+        return sum(
+            collective_wire_bytes(operation, volume * self._nic_contention, ranks)
+            for operation, volume in payload.items()
+        )
 
     def collective_time(self, wire_bytes: float) -> float:
         """Time of a collective given its per-NIC wire bytes."""
@@ -460,13 +427,9 @@ class CostModel:
             return 0.0
         return self.cluster.inter_node_latency_s + wire_bytes / self.cluster.node_inter_bandwidth_bytes_per_s
 
-    def dp_time(self, stage: int, compressed_rank: int | None = None) -> float:
-        """Data-parallel all-reduce time of one stage (optionally compressed)."""
-        if self.layout.data_parallel == 1:
-            return 0.0
-        if compressed_rank is None:
-            return self.collective_time(self.dp_gradient_bytes(stage))
-        return self.collective_time(self.dp_compressed_gradient_bytes(stage, compressed_rank))
+    def dp_time(self, stage: int) -> float:
+        """Data-parallel all-reduce time of one stage, uncompressed (0 on one replica)."""
+        return self.collective_time(self.dp_gradient_bytes(stage))
 
     # --------------------------------------------------------------- embeddings --
 
@@ -478,12 +441,13 @@ class CostModel:
             * self._nic_contention
         )
 
+    def embedding_wire_bytes(self, copies: int) -> float:
+        """Per-NIC bytes of the ring all-reduce of one embedding gradient over ``copies``."""
+        return collective_wire_bytes("all_reduce", self.embedding_gradient_bytes(), copies)
+
     def embedding_dp_time(self) -> float:
-        """Baseline: DP all-reduce of one embedding copy across the replicas."""
-        if self.layout.data_parallel == 1:
-            return 0.0
-        wire = ring_all_reduce_wire_bytes(self.embedding_gradient_bytes(), self.layout.data_parallel)
-        return self.collective_time(wire)
+        """Baseline: DP all-reduce of one embedding copy across the replicas (0 on one)."""
+        return self.collective_time(self.embedding_wire_bytes(self.layout.data_parallel))
 
     def embedding_sync_time(self) -> float:
         """Baseline: the 2-way all-reduce between the first- and last-stage copies.
@@ -495,16 +459,13 @@ class CostModel:
         """
         if self.layout.pipeline_parallel == 1:
             return 0.0
-        wire = ring_all_reduce_wire_bytes(self.embedding_gradient_bytes(), 2)
-        return self.p2p_time(wire)
+        return self.p2p_time(self.embedding_wire_bytes(2))
 
     def fused_embedding_time(self) -> float:
         """Fused: a single all-reduce over ``2 * D`` embedding copies (Section 6)."""
         if self.layout.pipeline_parallel == 1:
             return self.embedding_dp_time()
-        ranks = 2 * self.layout.data_parallel
-        wire = ring_all_reduce_wire_bytes(self.embedding_gradient_bytes(), ranks)
-        return self.collective_time(wire)
+        return self.collective_time(self.embedding_wire_bytes(2 * self.layout.data_parallel))
 
     # --------------------------------------------------------- compression kernels --
 

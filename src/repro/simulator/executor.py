@@ -42,6 +42,7 @@ import functools
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
+from repro.compression import PowerSGDCompressor, TopKCompressor, codec_for
 from repro.parallel.pipeline_schedule import (
     BACKWARD_SEND_KINDS,
     PipelineOp,
@@ -224,16 +225,11 @@ def _dp_terms(job: TrainingJob, dp: CompressionSpec) -> tuple[tuple[float, float
     cost = job_cost_model(job)
     replicated = job.layout.data_parallel > 1
     compressed_stages = dp.compressed_stages(job.num_stages)
+    codec = codec_for(dp) if compressed_stages else None
     terms = []
     for stage in range(job.num_stages):
         if stage in compressed_stages and replicated:
-            wire = cost.dp_compressed_gradient_bytes(
-                stage,
-                dp.rank,
-                codec=dp.codec,
-                qsgd_bits=dp.bits,
-                topk_fraction=dp.fraction,
-            )
+            wire = cost.dp_compressed_gradient_bytes(stage, codec, dp.min_elements)
             overhead = cost.dp_compression_overhead(stage, dp.rank, codec=dp.codec)
             terms.append((cost.collective_time(wire), overhead, wire))
         else:
@@ -258,7 +254,8 @@ def _transfer(
     cost = job_cost_model(job)
     overhead = 0.0
     if codec is not None:
-        wire = cost.compressed_activation_bytes(rank, codec, fraction)
+        pp = PowerSGDCompressor(rank=rank) if codec == "powersgd" else TopKCompressor(fraction)
+        wire = cost.compressed_activation_bytes(pp)
         overhead = cost.activation_compression_overhead(rank, codec)
     else:
         wire = cost.interstage_message_bytes()
@@ -515,13 +512,14 @@ class PipelineTimingSimulator:
         embedding_time = 0.0
         embedding_wire = 0.0
         first, last = 0, num_stages - 1
+        replicas = self.job.layout.data_parallel
         if num_stages == 1:
             # Single stage: the embedding gradient is just part of DP traffic.
-            if self.job.layout.data_parallel > 1:
+            if replicas > 1:
                 extra = self.cost.embedding_dp_time() * self.toggles.embedding
                 stage_finish[0] += extra
                 embedding_time = extra
-                embedding_wire = self.cost.embedding_gradient_bytes() * self.toggles.embedding
+                embedding_wire = self.cost.embedding_wire_bytes(replicas) * self.toggles.embedding
         elif self.plan.spec(Boundary.EMBEDDING).codec == "fused":
             # The fused all-reduce is issued as soon as both embedding gradients are
             # ready.  The last stage (whose backward drains early) runs its bulk DP
@@ -533,7 +531,7 @@ class PipelineTimingSimulator:
             stage_finish[first] = fused_end + dp_times[first]
             stage_finish[last] = max(fused_end, dp_start[last] + dp_times[last])
             embedding_time = fused
-            embedding_wire = self.cost.embedding_gradient_bytes() * self.toggles.embedding
+            embedding_wire = self.cost.embedding_wire_bytes(2 * replicas) * self.toggles.embedding
         else:
             emb_dp = self.cost.embedding_dp_time() * self.toggles.embedding
             emb_sync = self.cost.embedding_sync_time() * self.toggles.embedding
@@ -543,7 +541,9 @@ class PipelineTimingSimulator:
             stage_finish[first] = finish
             stage_finish[last] = finish
             embedding_time = emb_dp + emb_sync
-            embedding_wire = 2.0 * self.cost.embedding_gradient_bytes() * self.toggles.embedding
+            embedding_wire = (
+                self.cost.embedding_wire_bytes(replicas) + self.cost.embedding_wire_bytes(2)
+            ) * self.toggles.embedding
 
         # ---------------- steady-state iteration period -----------------------------
         # The next iteration's forward pass starts as soon as stage 0 is done; stage

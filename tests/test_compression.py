@@ -18,11 +18,11 @@ from repro.compression import (
     QSGDCompressor,
     TopKCompressor,
 )
-from repro.compression.base import UNCOMPRESSED_BYTES_PER_ELEMENT
-from repro.compression.powersgd import matrix_view, orthogonalise
+from repro.compression.powersgd import factor_wire_bytes, matrix_view, orthogonalise
 from repro.compression.topk import num_kept
 from repro.core.compressed_backprop import CompressedBackpropagation, cosine_similarity
 from repro.core.selective_stage import SelectiveStageCompression
+from repro.parallel.collectives import WIRE_BYTES_PER_ELEMENT
 from repro.parallel.engine import CompressedGradientAllReduce
 from repro.plan import DP_CODECS, PP_CODECS, CompressionSpec
 
@@ -70,8 +70,8 @@ class TestPowerSGD:
         tensor = rng.normal(size=(40, 30))
         payload = compressor.compress(tensor, key="x")
         expected_elements = 4 * (40 + 30)
-        assert payload.payload_bytes == expected_elements * UNCOMPRESSED_BYTES_PER_ELEMENT
-        assert compressor.expected_payload_elements((40, 30)) == expected_elements
+        assert payload.payload_bytes == expected_elements * WIRE_BYTES_PER_ELEMENT
+        assert compressor.wire_bytes((40, 30), WIRE_BYTES_PER_ELEMENT) == payload.payload_bytes
 
     def test_small_tensors_pass_through(self, rng):
         compressor = PowerSGDCompressor(rank=4, min_compression_elements=10_000)
@@ -127,7 +127,7 @@ class TestTopK:
     def test_payload_accounts_for_indices(self, rng):
         compressor = TopKCompressor(fraction=0.1, min_elements=0)
         payload = compressor.compress(rng.normal(size=1000))
-        assert payload.payload_bytes == 100 * (UNCOMPRESSED_BYTES_PER_ELEMENT + 4)
+        assert payload.payload_bytes == 100 * (WIRE_BYTES_PER_ELEMENT + 4)
 
     def test_full_fraction_is_lossless(self, rng):
         tensor = rng.normal(size=(8, 8))
@@ -240,7 +240,7 @@ class TestCompressionProperties:
 #: payload-byte formula for a dense tensor of ``size`` elements (``None`` =
 #: shape-dependent).
 def _codec_catalogue():
-    bytes_per = UNCOMPRESSED_BYTES_PER_ELEMENT
+    bytes_per = WIRE_BYTES_PER_ELEMENT
     index_bytes = 4
 
     def topk_bytes(fraction):
@@ -255,7 +255,7 @@ def _codec_catalogue():
     return {
         "powersgd": (
             lambda: PowerSGDCompressor(rank=2, min_compression_elements=0),
-            None,  # shape-dependent; checked against expected_payload_elements below
+            None,  # shape-dependent; checked against factor_wire_bytes below
         ),
         "powersgd-passthrough": (
             lambda: PowerSGDCompressor(rank=2, min_compression_elements=1 << 20),
@@ -288,7 +288,7 @@ class TestAllCodecRoundTrips:
     @given(rows=st.integers(min_value=4, max_value=24), cols=st.integers(min_value=4, max_value=24))
     def test_roundtrip_shape_and_payload_accounting(self, codec_name, rows, cols):
         """Decompression restores the shape; payload bytes match the analytic
-        estimate that :mod:`repro.compression.metrics` builds its ratios from."""
+        estimate the payload's compression ratio is built from."""
         build, payload_formula = _codec_catalogue()[codec_name]
         codec = build()
         rng = np.random.default_rng(rows * 100 + cols)
@@ -297,12 +297,13 @@ class TestAllCodecRoundTrips:
 
         assert approx.shape == tensor.shape
         assert np.all(np.isfinite(approx))
-        assert payload.original_bytes == tensor.size * UNCOMPRESSED_BYTES_PER_ELEMENT
+        assert payload.original_bytes == tensor.size * WIRE_BYTES_PER_ELEMENT
         assert compression_ratio(payload) == payload.original_bytes / payload.payload_bytes
 
         if codec_name == "powersgd":
-            expected = codec.expected_payload_elements(tensor.shape) * UNCOMPRESSED_BYTES_PER_ELEMENT
-            assert payload.payload_bytes == expected
+            # Factors that would not be smaller pass the tensor through.
+            factors = factor_wire_bytes(tensor.shape, 2, WIRE_BYTES_PER_ELEMENT)
+            assert payload.payload_bytes == min(factors, payload.original_bytes)
         else:
             assert payload.payload_bytes == payload_formula(tensor.size)
 

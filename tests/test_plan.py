@@ -26,9 +26,10 @@ from hypothesis import strategies as st
 
 from repro import cli
 from repro.compression import PowerSGDCompressor, TopKCompressor
-from repro.compression.base import UNCOMPRESSED_BYTES_PER_ELEMENT
-from repro.models.gpt_configs import GPT_2_5B, GPT_8_3B, functional_config
+from repro.models.gpt_configs import GPT_2_5B, GPT_8_3B, PaperModelSpec, functional_config
+from repro.parallel.collectives import WIRE_BYTES_PER_ELEMENT, ring_all_reduce_wire_bytes
 from repro.parallel.engine import ThreeDParallelEngine
+from repro.parallel.topology import ClusterTopology
 from repro.plan import (
     BOUNDARY_CODECS,
     PLAN_PRESETS,
@@ -38,9 +39,10 @@ from repro.plan import (
     Schedule,
     Topology,
 )
-from repro.simulator.cost_model import CostModel, TrainingJob
+from repro.simulator.cost_model import CostModel, TrainingJob, job_cost_model
 from repro.simulator.evaluate import evaluate_plan
 from repro.simulator.executor import PipelineTimingSimulator, simulate_plan
+from repro.simulator.hardware import ClusterSpec, SimulationConstants
 
 #: The overlap-off ablation: selective stage compression with the DP all-reduce
 #: after the pipeline drains.
@@ -594,18 +596,27 @@ class TestCrossLayerParity:
 
     @pytest.mark.parametrize("rank", [2, 4, 64])
     def test_powersgd_byte_models_agree(self, rank):
-        """Engine codec payloads and the cost model count the same elements."""
-        job = TrainingJob(model=GPT_2_5B)
-        cost = CostModel(job)
+        """The engine's payloads and the simulator's DP charge, against a count made here.
+
+        PowerSGD sends ``P`` and ``Q``: ``min(r, rows, cols)`` columns of
+        ``rows + cols`` elements, whatever the codec's own rule says.
+        """
+        cost = CostModel(TrainingJob(model=GPT_2_5B))
         compressor = PowerSGDCompressor(rank=rank, min_compression_elements=0)
         rng = np.random.default_rng(0)
-        for rows, cols in cost.stage_weight_matrices(0)[:4]:
-            # Simulator's element count for one matrix under powersgd.
-            effective = max(1, min(rank, rows, cols))
-            sim_elements = min(effective * (rows + cols), rows * cols)
+        matrices = cost.stage_weight_matrices(1)
+        for rows, cols in matrices[:4]:
             payload = compressor.compress(rng.standard_normal((rows, cols)), key="m")
-            engine_elements = payload.payload_bytes / UNCOMPRESSED_BYTES_PER_ELEMENT
-            assert engine_elements == sim_elements
+            factors = min(rank, rows, cols) * (rows + cols)
+            assert payload.payload_bytes == factors * WIRE_BYTES_PER_ELEMENT
+        # Stage 1 (no position embedding) at the simulator's gradient width:
+        # the factors of every matrix and the plain 1-D parameters, one ring.
+        elements = sum(min(rank, rows, cols) * (rows + cols) for rows, cols in matrices)
+        elements += cost.stage_small_parameters(1)
+        width = cost.constants.gradient_wire_bytes
+        expected = ring_all_reduce_wire_bytes(elements * width, cost.layout.data_parallel)
+        charged = cost.dp_compressed_gradient_bytes(1, compressor, min_elements=0)
+        assert charged == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
         ("codec", "rank", "fraction"),
@@ -639,7 +650,7 @@ class TestCrossLayerParity:
         )
         gradient = np.random.default_rng(0).standard_normal((rows, cols))
         payload = compressor.compress(gradient, key="activation_grad")
-        engine_ratio = payload.payload_bytes / (rows * cols * UNCOMPRESSED_BYTES_PER_ELEMENT)
+        engine_ratio = payload.payload_bytes / (rows * cols * WIRE_BYTES_PER_ELEMENT)
         assert sim_ratio == pytest.approx(engine_ratio, rel=1e-9)
 
     def test_engine_measured_savings_follow_the_shared_plan(self):
@@ -651,6 +662,108 @@ class TestCrossLayerParity:
         assert sample.dp_bytes_saved_fraction > 0.0
         # 75% of 4 stages -> stages {0, 1, 2} on both layers.
         assert plan.spec(Boundary.DP).compressed_stages(plan.topology.pp) == {0, 1, 2}
+
+
+class TestWireByteParity:
+    """Per iteration, the engine moves the bytes the simulator charges, axis by axis.
+
+    One tiny two-stage model runs one engine iteration and one simulated
+    iteration of the same shapes.  Both size every codec payload through the
+    codec's one wire rule; the simulator is run at the engine's element width
+    (:data:`~repro.parallel.collectives.WIRE_BYTES_PER_ELEMENT` on every axis)
+    and on a cluster of one GPU per node, so no NIC sharing multiplies its
+    bytes.  ``min_elements`` (16) admits every weight matrix (the smallest is
+    8x8) and the 4x8 position embedding, as the paper-scale shapes all are.
+    The PowerSGD rank-8 row's factors outgrow every matrix they compress:
+    the engine still sends them, and so must the simulator charge them.
+    """
+
+    VOCAB, SEQ, HIDDEN, BATCH, MICRO_BATCHES = 32, 4, 8, 8, 2
+
+    #: ``(dp codec, its knob, pp codec)``: qsgd is a DP-only codec.
+    ROWS = [
+        pytest.param("none", {}, "none", id="plain"),
+        pytest.param("powersgd", {"rank": 2}, "powersgd", id="powersgd-r2"),
+        pytest.param("powersgd", {"rank": 8}, "topk", id="powersgd-r8-outgrown"),
+        pytest.param("qsgd", {"bits": 4}, "none", id="qsgd-4bit"),
+        pytest.param("qsgd", {"bits": 8}, "powersgd", id="qsgd-8bit"),
+        pytest.param("topk", {"fraction": 0.1}, "topk", id="topk"),
+    ]
+
+    def _plan(self, dp_codec, knobs, pp_codec, embedding, dp) -> ParallelPlan:
+        plan = ParallelPlan.baseline(Topology(dp=dp, pp=2, micro_batches=self.MICRO_BATCHES))
+        plan = plan.with_boundary(
+            Boundary.DP, codec=dp_codec, stage_fraction=1.0, min_elements=16, **knobs
+        ).with_boundary(Boundary.EMBEDDING, codec=embedding)
+        if pp_codec == "none":
+            return plan
+        return plan.with_boundary(
+            Boundary.PP, codec=pp_codec, rank=2, fraction=0.25, epilogue_only=False
+        )
+
+    def _engine_records(self, plan: ParallelPlan, dp: int):
+        model = functional_config(
+            vocab_size=self.VOCAB,
+            sequence_length=self.SEQ,
+            num_layers=2,
+            hidden_size=self.HIDDEN,
+            num_heads=2,
+        )
+        rng = np.random.default_rng(0)
+        tokens = (self.BATCH, self.SEQ)
+        batches = [
+            [(rng.integers(0, self.VOCAB, size=tokens), rng.integers(0, self.VOCAB, size=tokens))]
+            * self.MICRO_BATCHES
+            for _ in range(dp)
+        ]
+        engine = ThreeDParallelEngine(model, plan)
+        engine.run_iteration(batches)
+        return engine.log.records
+
+    def _simulated(self, plan: ParallelPlan):
+        spec = PaperModelSpec(
+            "parity", num_layers=2, hidden_size=self.HIDDEN, num_heads=2,
+            vocab_size=self.VOCAB, sequence_length=self.SEQ,
+        )
+        cluster = ClusterSpec(
+            topology=ClusterTopology(num_nodes=64, gpus_per_node=1),
+            constants=SimulationConstants(gradient_wire_bytes=WIRE_BYTES_PER_ELEMENT),
+        )
+        job = plan.training_job(spec, cluster=cluster, micro_batch_size=self.BATCH)
+        return simulate_plan(job, plan), job_cost_model(job)
+
+    @pytest.mark.parametrize("dp", [2, 4])
+    @pytest.mark.parametrize("embedding", ["none", "fused"])
+    @pytest.mark.parametrize(("dp_codec", "knobs", "pp_codec"), ROWS)
+    def test_engine_bytes_equal_the_simulator_bytes(
+        self, dp_codec, knobs, pp_codec, embedding, dp
+    ):
+        plan = self._plan(dp_codec, knobs, pp_codec, embedding, dp)
+        records = self._engine_records(plan, dp)
+        timing, cost = self._simulated(plan)
+
+        def wire(*categories):
+            return sum(r.wire_bytes for r in records if r.category in categories)
+
+        # DP: every stage's buckets, on each codec's collective.
+        assert wire("data_parallel") == timing.dp_wire_bytes
+        # PP: the simulator replays one replica's transfers, both directions.
+        pp = wire("inter_stage_forward", "inter_stage_backward")
+        assert pp == timing.interstage_wire_bytes * dp
+        # Embedding: ring all-reduces of one word-embedding gradient over the
+        # groups the simulator charges (fused: 2D copies; else DP, then 2-way).
+        embedding_records = [r for r in records if r.category.startswith("embedding")]
+        assert {(r.operation, r.payload_bytes) for r in embedding_records} == {
+            ("all_reduce", cost.embedding_gradient_bytes())
+        }
+        groups = {2 * dp} if embedding == "fused" else {dp, 2}
+        assert {len(r.ranks) for r in embedding_records} == groups
+        # The simulator charges one first-stage copy's NIC: one all-reduce of
+        # each kind.  The engine logs one per group: the fused ring, or each
+        # copy's DP ring and each replica's 2-way exchange.
+        assert len(embedding_records) == (1 if embedding == "fused" else 2 + dp)
+        per_group = {(r.category, len(r.ranks)): r.wire_bytes for r in embedding_records}
+        assert sum(per_group.values()) == timing.embedding_wire_bytes
 
 
 class TestSerialSchedule:

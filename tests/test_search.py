@@ -334,28 +334,30 @@ INT_SPELLED_QUERY = {
 #: once so, when ``CompressionSpec`` lost its forward-compression knob (the
 #: commit before, hashing its plan documents without that key, gives these).
 #: Moved with ``COST_MODEL_VERSION`` 2026.10-2, when the simulator started
-#: sizing PP top-k transfers from their fraction: the keys differ in the
-#: version string only.
+#: sizing PP top-k transfers from their fraction, and with 2026.10-3, when it
+#: started sizing every codec's payload through the codec's own wire rule:
+#: each time the keys differ in the version string only (a parent clone with
+#: only the version bumped gives these).
 PINNED_KEY_DIGESTS = {
     "flagship": (
         (REPO_ROOT / "benchmarks/e2e/queries/flagship.json").read_text(encoding="utf-8"),
         2800,
-        "c8fd2b305c83942a5347b5c4e55232ba18fb33c43deed1839d85ecf17486257b",
+        "244426136ea2661cb38bcd72d1bef43acdd77ef69e63c4a3cc05be957e3bf501",
     ),
     "two_tier": (
         (REPO_ROOT / "examples/queries/gpt_2_5b_two_tier.json").read_text(encoding="utf-8"),
         432,
-        "e9d37b2f6f20571829972772d392c36f94a4c8709b4db793bd086349b02a5f3c",
+        "c70768b34ed25b07a40638d20aee861df3f9660c3cf884865fbe7a27bb4783ed",
     ),
     "int_spelled": (
         json.dumps(INT_SPELLED_QUERY),
         576,
-        "aa0a950cd9d20bdf60827d4773c4c5ea43ac26ea29151b34e966c7cdb1bd9e01",
+        "077078cd7c34d49d8c91bcad9e06d5dd7870b674596d5adb9ff59861d4bea117",
     ),
     "proxy_scaled": (
         json.dumps({"model": "GPT-2.5B", "gpus": 8, "proxy_scale_max_rank": 2}),
         1120,
-        "f751949da454accad3c764f2e42ca1dc1c9c4fe3ac74a2ab5aa94fae7eaec454",
+        "7d8a153a77caf800dac725fc1e995c86b877a848eb94b721c5d43abaabf2f2af",
     ),
 }
 
@@ -1013,7 +1015,13 @@ FLAGSHIP_QUERY = (REPO_ROOT / "benchmarks/e2e/queries/flagship.json").read_text(
 
 
 class TestBitIdentityOracles:
-    """Digests recorded at the commit before the per-class memos and budget-first landed."""
+    """Digests recorded at the commit before the per-class memos and budget-first landed.
+
+    Re-pinned with ``COST_MODEL_VERSION`` 2026.10-3, when QSGD and top-k DP
+    plans started costing the bytes and the all-gather the engine sends, the
+    first stage's position embedding the codec's bytes, and the embedding
+    synchronisation its collectives' wire bytes.
+    """
 
     def test_every_flagship_evaluation_is_unchanged_in_either_memo_fill_order(self):
         query = SearchQuery.from_json(FLAGSHIP_QUERY)
@@ -1024,7 +1032,7 @@ class TestBitIdentityOracles:
         for results in (forward, backward):
             text = "".join(json.dumps(result, sort_keys=True) for result in results)
             assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
-                "122ca6c769e0379138dd0eb2da47aaa681a45026a6740c09ebbf041c00857100"
+                "665069a6967d30abc1346db2b229569ce20d02fbb157a48a01370822f0a1f507"
             )
 
     @pytest.mark.parametrize("workers", [0, 2])
@@ -1038,8 +1046,13 @@ class TestBitIdentityOracles:
         assert (cold.evaluated, warm.evaluated, warm.cache_hits) == (2800, 0, 2800)
         for outcome in (cold, warm):
             assert hashlib.sha256(outcome.to_json().encode("utf-8")).hexdigest() == (
-                "437e606a0a1288f8998fb9d1b17a2baf97b543c8bf5c819cab153fe52fa8bf48"
+                "5f478b046ba80817828e05137aa90ce1a1c7699cad956f9a2c22e337b8a20686"
             )
+        # The paper's own choice: PowerSGD on DP.  Top-k and QSGD ship every
+        # rank's payload to every rank, so none of them makes the top ten.
+        dp_codecs = [entry["plan"]["compression"]["dp"]["codec"] for entry in cold.entries]
+        assert dp_codecs[0] == "powersgd"
+        assert not {"qsgd", "topk"} & set(dp_codecs[:10])
 
 
 class TestPoolShares:

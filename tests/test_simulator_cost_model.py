@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.compression import PowerSGDCompressor
 from repro.models import GPT_2_5B, GPT_8_3B
 from repro.parallel.process_groups import ParallelLayout
 from repro.simulator.cost_model import CostModel, TrainingJob
@@ -96,17 +97,22 @@ class TestCommunicationVolumes:
         assert cost.interstage_message_bytes() == pytest.approx(expected)
 
     def test_compressed_activation_much_smaller(self, cost):
-        assert cost.compressed_activation_bytes(16) < cost.interstage_message_bytes() / 50
+        compressed = cost.compressed_activation_bytes(PowerSGDCompressor(rank=16))
+        assert compressed < cost.interstage_message_bytes() / 50
 
     def test_compressed_volume_grows_with_rank(self, cost):
-        assert cost.compressed_activation_bytes(128) > cost.compressed_activation_bytes(16)
+        rank_16, rank_128 = (
+            cost.compressed_activation_bytes(PowerSGDCompressor(rank=rank)) for rank in (16, 128)
+        )
+        assert rank_128 > rank_16
 
     def test_dp_bytes_scale_with_stage_parameters(self, cost):
         # Stage 0 holds the position embedding on top of its layers.
         assert cost.dp_gradient_bytes(0) > cost.dp_gradient_bytes(1)
 
     def test_dp_compression_reduces_bytes(self, cost):
-        assert cost.dp_compressed_gradient_bytes(1, 128) < cost.dp_gradient_bytes(1) / 5
+        compressed = cost.dp_compressed_gradient_bytes(1, PowerSGDCompressor(rank=128), 1024)
+        assert compressed < cost.dp_gradient_bytes(1) / 5
 
     def test_single_replica_dp_time_is_zero(self):
         layout = ParallelLayout(tensor_parallel=8, pipeline_parallel=4, data_parallel=1)

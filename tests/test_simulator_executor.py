@@ -645,7 +645,10 @@ class TestReplayMemo:
         """Digest recorded at the commit before the replay was split out and memoised.
 
         Re-pinned once, when the forward-compression plan left ``plans``: the
-        commit before computes the new digest over the remaining three.
+        commit before computes the new digest over the remaining three.  And
+        once with ``COST_MODEL_VERSION`` 2026.10-3: each timing's
+        ``embedding_wire_bytes`` became its collectives' wire bytes, and
+        CB+FE+SC's DP terms compress the first stage's position embedding.
         """
         jobs = [
             TrainingJob(model=GPT_2_5B),
@@ -679,7 +682,7 @@ class TestReplayMemo:
         cold = rows()
         assert rows() == cold  # every replay now a hit
         digest = hashlib.sha256(json.dumps(cold, sort_keys=True).encode("ascii")).hexdigest()
-        assert digest == "a9f4bbf01587468ea3e2354da62a7dfee872ccb0a8378a880f47b2f2497e440a"
+        assert digest == "d86d13ac0b43dcf684e87c51bbf434c7a34b64a0e3d9a3933962304f6aeda320"
 
     def test_evaluate_schedule_is_unchanged_to_the_bit(self):
         """The synthesizer's evaluator, pinned like the simulator's replay above.
